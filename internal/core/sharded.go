@@ -231,11 +231,11 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 					side = na
 				}
 				outs[idx] = shardOut{view: view, res: res, stat: ShardStat{
-					Queries:    view.Graph.NumQueries(),
-					Ads:        view.Graph.NumAds(),
-					Edges:      view.Graph.NumEdges(),
-					CutEdges:   sh.CutEdges,
-					Exact:      sh.Exact,
+					Queries:     view.Graph.NumQueries(),
+					Ads:         view.Graph.NumAds(),
+					Edges:       view.Graph.NumEdges(),
+					CutEdges:    sh.CutEdges,
+					Exact:       sh.Exact,
 					Iterations:  res.Iterations,
 					Converged:   res.Converged,
 					Duration:    time.Since(start),

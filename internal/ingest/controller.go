@@ -139,10 +139,10 @@ type Stats struct {
 // journal writer lock. One controller per snapshot; the advisory lock
 // enforces it against concurrent CLI refreshes too.
 type Controller struct {
-	cfg   Config
-	log   *Log
-	gs    *serve.GenerationStore
-	coord *dist.Coordinator
+	cfg     Config
+	log     *Log
+	gs      *serve.GenerationStore
+	coord   *dist.Coordinator
 	release func() error
 
 	// foldMu serializes folds — overlapping FoldOnce calls (cadence

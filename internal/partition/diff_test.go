@@ -207,9 +207,11 @@ func TestGraphFingerprintSensitivity(t *testing.T) {
 		t.Error("fingerprint not deterministic across rebuilds")
 	}
 	variants := map[string]func(b *clickgraph.Builder){
-		"edge add":      func(b *clickgraph.Builder) { _ = b.AddClick("c0-q0", "c1-ad2", 0.1) },
-		"weight change": func(b *clickgraph.Builder) { _ = b.AddEdge("c0-q0", "c0-ad0", clickgraph.EdgeWeights{Impressions: 1, Clicks: 1, ExpectedClickRate: 0.9}) },
-		"node add":      func(b *clickgraph.Builder) { b.AddQuery("extra") },
+		"edge add": func(b *clickgraph.Builder) { _ = b.AddClick("c0-q0", "c1-ad2", 0.1) },
+		"weight change": func(b *clickgraph.Builder) {
+			_ = b.AddEdge("c0-q0", "c0-ad0", clickgraph.EdgeWeights{Impressions: 1, Clicks: 1, ExpectedClickRate: 0.9})
+		},
+		"node add": func(b *clickgraph.Builder) { b.AddQuery("extra") },
 	}
 	for name, edit := range variants {
 		if GraphFingerprint(diffFixture(t, edit)) == GraphFingerprint(base) {

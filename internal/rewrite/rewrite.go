@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/core"
@@ -234,27 +235,45 @@ func (p *Pipeline) RewriteContext(ctx context.Context, src Source, q int) ([]Can
 		// load; do not spend more time filtering a dead request.
 		return nil, err
 	}
-	seen := map[string]bool{stem.Phrase(p.Graph.Query(q)): true}
+	// The bid test runs before stemming: an unbid candidate never claims
+	// a stem or reaches the output, so the order of the two filters
+	// cannot change the survivors, and under a sparse bid list most
+	// candidates are dropped without being stemmed. seen holds the source
+	// query's key plus one per survivor — at most MaxRewrites+1 strings,
+	// so a scanned slice beats a map.
+	seen := make([]string, 1, max(p.MaxRewrites, 0)+1)
+	seen[0] = p.stemKey(q)
 	var out []Candidate
 	for _, s := range raw {
 		if s.Score <= 0 {
 			continue
 		}
 		text := p.Graph.Query(s.Node)
-		key := stem.Phrase(text)
-		if seen[key] {
-			continue // duplicate under stemming
-		}
 		if p.BidTerms != nil && !p.BidTerms[text] {
 			continue // no advertiser bids on this rewrite
 		}
-		seen[key] = true
+		key := p.stemKey(s.Node)
+		if slices.Contains(seen, key) {
+			continue // duplicate under stemming
+		}
+		seen = append(seen, key)
 		out = append(out, Candidate{Query: s.Node, Text: text, Score: s.Score})
 		if p.MaxRewrites > 0 && len(out) >= p.MaxRewrites {
 			break
 		}
 	}
 	return out, nil
+}
+
+// stemKey returns query id's duplicate-detection key: its Porter-stemmed
+// text, taken from the names source when the source already holds it (the
+// snapshot builder stems each shard's names once for all of the shard's
+// queries) and computed otherwise.
+func (p *Pipeline) stemKey(id int) string {
+	if m, ok := p.Graph.(interface{ StemKey(id int) string }); ok {
+		return m.StemKey(id)
+	}
+	return stem.Phrase(p.Graph.Query(id))
 }
 
 // RewriteAll runs the pipeline for every query id in sample and returns

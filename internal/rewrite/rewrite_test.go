@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"simrankpp/internal/clickgraph"
@@ -116,6 +117,161 @@ func TestPipelineMaxRewrites(t *testing.T) {
 	}
 	if len(got) != 5 {
 		t.Errorf("depth = %d want 5", len(got))
+	}
+}
+
+// TestPipelineFilterInteraction pins how the stem-dedup, bid-term and
+// score filters compose — the cases where the order the filters run in
+// could show: only a survivor may claim a stem.
+func TestPipelineFilterInteraction(t *testing.T) {
+	b := clickgraph.NewBuilder()
+	for i, q := range []string{"camera", "cameras", "battery", "batteries", "charger", "chargers", "lens", "tripod"} {
+		if err := b.AddClick(q, "ad"+string(rune('0'+i)), 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Build()
+	id := func(q string) int {
+		t.Helper()
+		n, ok := g.QueryID(q)
+		if !ok {
+			t.Fatalf("query %q missing from fixture", q)
+		}
+		return n
+	}
+	ranked := func(qs ...string) []sparse.Scored {
+		out := make([]sparse.Scored, len(qs))
+		for i, q := range qs {
+			out[i] = sparse.Scored{Node: id(q), Score: 1 - float64(i)/10}
+		}
+		return out
+	}
+	bids := func(qs ...string) map[string]bool {
+		m := make(map[string]bool)
+		for _, q := range qs {
+			m[q] = true
+		}
+		return m
+	}
+
+	cases := []struct {
+		name string
+		raw  []sparse.Scored
+		bids map[string]bool
+		max  int
+		want []string
+	}{
+		{
+			name: "unbid candidate does not claim its stem",
+			raw:  ranked("battery", "batteries", "lens"),
+			bids: bids("batteries", "lens"),
+			want: []string{"batteries", "lens"},
+		},
+		{
+			name: "bid survivor claims its stem",
+			raw:  ranked("battery", "batteries", "lens"),
+			bids: bids("battery", "batteries", "lens"),
+			want: []string{"battery", "lens"},
+		},
+		{
+			name: "source query's stem is dropped even when bid",
+			raw:  ranked("cameras", "lens"),
+			bids: bids("cameras", "lens"),
+			want: []string{"lens"},
+		},
+		{
+			name: "non-positive score is skipped before either filter",
+			raw: []sparse.Scored{
+				{Node: id("battery"), Score: 0},
+				{Node: id("charger"), Score: -0.5},
+				{Node: id("batteries"), Score: 0.4},
+				{Node: id("chargers"), Score: 0.3},
+			},
+			bids: bids("battery", "batteries", "charger", "chargers"),
+			want: []string{"batteries", "chargers"},
+		},
+		{
+			name: "MaxRewrites stops the walk",
+			raw:  ranked("battery", "lens", "tripod", "charger"),
+			max:  2,
+			want: []string{"battery", "lens"},
+		},
+		{
+			name: "filtered candidates do not count toward MaxRewrites",
+			raw:  ranked("cameras", "battery", "batteries", "tripod", "lens", "charger"),
+			bids: bids("cameras", "battery", "batteries", "lens", "charger"),
+			max:  2,
+			want: []string{"battery", "lens"},
+		},
+		{
+			name: "empty non-nil bid set filters everything",
+			raw:  ranked("battery", "lens"),
+			bids: bids(),
+			want: nil,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPipeline(g, tc.bids)
+			if tc.max > 0 {
+				p.MaxRewrites = tc.max
+			}
+			got, err := p.Rewrite(&stubSource{name: "stub", out: tc.raw}, id("camera"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var texts []string
+			for i, c := range got {
+				texts = append(texts, c.Text)
+				if c.Query != id(c.Text) {
+					t.Errorf("candidate %d: id %d does not name %q", i, c.Query, c.Text)
+				}
+			}
+			if !slices.Equal(texts, tc.want) {
+				t.Errorf("survivors = %q, want %q", texts, tc.want)
+			}
+		})
+	}
+}
+
+// stemKeyNames is a names source that supplies its own stem keys, the
+// way the snapshot builder's per-shard memo does.
+type stemKeyNames struct {
+	*clickgraph.Graph
+	asked []int
+}
+
+func (n *stemKeyNames) StemKey(id int) string {
+	n.asked = append(n.asked, id)
+	return "key-" + n.Query(id)[:3]
+}
+
+// TestPipelineUsesSourceStemKeys checks the pipeline dedups on the keys
+// a names source offers, and asks only for the source query and the
+// candidates that passed the bid filter.
+func TestPipelineUsesSourceStemKeys(t *testing.T) {
+	g := pipelineGraph(t)
+	cam, _ := g.QueryID("camera")
+	cams, _ := g.QueryID("cameras")
+	dig, _ := g.QueryID("digital camera")
+	bat, _ := g.QueryID("battery")
+	unbid, _ := g.QueryID("unbid query")
+	names := &stemKeyNames{Graph: g}
+	p := NewPipeline(names, map[string]bool{"cameras": true, "digital camera": true, "battery": true})
+	got, err := p.Rewrite(&stubSource{name: "stub", out: []sparse.Scored{
+		{Node: unbid, Score: 0.9},
+		{Node: cams, Score: 0.8}, // "key-cam", same as the source query
+		{Node: dig, Score: 0.7},
+		{Node: bat, Score: 0.6},
+	}}, cam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Query != dig || got[1].Query != bat {
+		t.Errorf("survivors = %+v, want digital camera then battery", got)
+	}
+	if want := []int{cam, cams, dig, bat}; !slices.Equal(names.asked, want) {
+		t.Errorf("stem keys asked for ids %v, want %v (unbid candidate never stemmed)", names.asked, want)
 	}
 }
 

@@ -178,14 +178,14 @@ type backendState struct {
 	spec     BackendSpec
 	shardSet map[int]bool // nil: holds every shard
 
-	mu          sync.Mutex
-	health      Health
-	gen         string // generation fingerprint hex; "" unknown
-	genID       uint64
-	quarantined map[segKey]bool
+	mu           sync.Mutex
+	health       Health
+	gen          string // generation fingerprint hex; "" unknown
+	genID        uint64
+	quarantined  map[segKey]bool
 	lastProbeErr string
-	probes      int64
-	probeFails  int64
+	probes       int64
+	probeFails   int64
 
 	consecFails  int
 	readFails    int64
@@ -349,10 +349,10 @@ type Gateway struct {
 	start    time.Time
 
 	// mu guards the rollout state and the routing rotation.
-	mu      sync.Mutex
-	pinned  string // generation fingerprint reads are pinned to
-	pending string // a newer generation observed below quorum
-	rr      int
+	mu       sync.Mutex
+	pinned   string // generation fingerprint reads are pinned to
+	pending  string // a newer generation observed below quorum
+	rr       int
 	cutovers atomic.Int64
 	forced   atomic.Int64
 

@@ -17,24 +17,33 @@ import (
 // models a 1-cluster churn step. Edges connect q to a of equal parity, so
 // each cluster is exactly two connected components with stable structure.
 func refreshGraph(t *testing.T, seeds [4]int) *clickgraph.Graph {
+	return clusterGraph(t, seeds, 10,
+		func(c, q int) string { return fmt.Sprintf("c%d-q%d", c, q) },
+		func(q, a int) bool { return q%2 == a%2 })
+}
+
+// clusterGraph is the fixture behind refreshGraph and stemGraph: four
+// clusters of nq queries (named by queryName) and 8 ads, with an edge
+// wherever linked(q, a) holds.
+func clusterGraph(t *testing.T, seeds [4]int, nq int, queryName func(c, q int) string, linked func(q, a int) bool) *clickgraph.Graph {
 	t.Helper()
 	b := clickgraph.NewBuilder()
 	for c := 0; c < 4; c++ {
-		for q := 0; q < 10; q++ {
-			b.AddQuery(fmt.Sprintf("c%d-q%d", c, q))
+		for q := 0; q < nq; q++ {
+			b.AddQuery(queryName(c, q))
 		}
 		for a := 0; a < 8; a++ {
 			b.AddAd(fmt.Sprintf("c%d-a%d", c, a))
 		}
 	}
 	for c := 0; c < 4; c++ {
-		for q := 0; q < 10; q++ {
+		for q := 0; q < nq; q++ {
 			for a := 0; a < 8; a++ {
-				if q%2 != a%2 {
+				if !linked(q, a) {
 					continue
 				}
 				clicks := int64((q*7+a*3+seeds[c])%9 + 1)
-				err := b.AddEdge(fmt.Sprintf("c%d-q%d", c, q), fmt.Sprintf("c%d-a%d", c, a),
+				err := b.AddEdge(queryName(c, q), fmt.Sprintf("c%d-a%d", c, a),
 					clickgraph.EdgeWeights{
 						Impressions:       clicks * 3,
 						Clicks:            clicks,

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 
 	"simrankpp/internal/sparse"
@@ -43,7 +45,7 @@ func buildScatterIndex(b []byte) []uint32 {
 	for k := range idx {
 		idx[k] = uint32(k)
 	}
-	sort.Slice(idx, func(a, b int) bool { return v.jkey(int(idx[a])) < v.jkey(int(idx[b])) })
+	slices.SortFunc(idx, func(a, b uint32) int { return cmp.Compare(v.jkey(int(a)), v.jkey(int(b))) })
 	return idx
 }
 

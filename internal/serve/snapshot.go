@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -11,7 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,11 +179,11 @@ func encodeSegment(t *sparse.PairTable, ids []int) []byte {
 		recs = append(recs, rec{uint32(i), uint32(j), v})
 		return true
 	})
-	sort.Slice(recs, func(a, b int) bool {
-		if recs[a].i != recs[b].i {
-			return recs[a].i < recs[b].i
+	slices.SortFunc(recs, func(a, b rec) int {
+		if c := cmp.Compare(a.i, b.i); c != 0 {
+			return c
 		}
-		return recs[a].j < recs[b].j
+		return cmp.Compare(a.j, b.j)
 	})
 	buf := make([]byte, len(recs)*pairRecordSize)
 	for k, r := range recs {
@@ -399,6 +400,9 @@ func writeAssembled(w io.Writer, names nodeNames, cfg core.Config, payloads []sh
 		totalA += aPairs
 	}
 	for i := range payloads {
+		if err := checkTopKBlobLen(len(payloads[i].tkBlob)); err != nil {
+			return fmt.Errorf("serve: shard %d: %w", i, err)
+		}
 		o := i * dirEntrySize
 		binary.LittleEndian.PutUint64(dir[o+48:], segOff)
 		binary.LittleEndian.PutUint32(dir[o+56:], uint32(len(payloads[i].tkBlob)))

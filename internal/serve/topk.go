@@ -7,11 +7,13 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
 	"simrankpp/internal/rewrite"
 	"simrankpp/internal/sparse"
+	"simrankpp/internal/stem"
 )
 
 // The precomputed top-k rewrite section: at save/refresh time the full
@@ -109,6 +111,63 @@ func (s *topkSliceSource) Rewrites(_ int, limit int) ([]sparse.Scored, error) {
 	return s.list[:limit], nil
 }
 
+// shardNames is the names source buildTopKBlob hands the pipeline: the
+// snapshot's names plus the Porter stem of every query name in the shard,
+// computed once — each query is the subject of one list and a candidate
+// in up to a hundred others, and the pipeline would otherwise stem it
+// again for each. One buildTopKBlob call builds, uses and drops it on one
+// goroutine, so a refresh re-stems only its dirty shards' names.
+type shardNames struct {
+	nodeNames
+	ids   []int    // the shard's global query ids, ascending
+	stems []string // stems[p] = stem.Phrase(Query(ids[p]))
+}
+
+// newShardNames stems the names of the shard's queries: qIDs, or every
+// query when qIDs is nil (the one shard of a monolithic snapshot).
+func newShardNames(names nodeNames, qIDs []int) *shardNames {
+	s := &shardNames{nodeNames: names}
+	if qIDs != nil {
+		s.ids = slices.Clone(qIDs)
+		slices.Sort(s.ids)
+	} else {
+		s.ids = make([]int, names.NumQueries())
+		for i := range s.ids {
+			s.ids[i] = i
+		}
+	}
+	s.stems = make([]string, len(s.ids))
+	for p, id := range s.ids {
+		s.stems[p] = stem.Phrase(names.Query(id))
+	}
+	return s
+}
+
+// pos returns id's position in the shard's id list.
+func (s *shardNames) pos(id int) (int, bool) {
+	return slices.BinarySearch(s.ids, id)
+}
+
+// StemKey is the optional names-source method rewrite.Pipeline asks for
+// before stemming a name itself.
+func (s *shardNames) StemKey(id int) string {
+	if p, ok := s.pos(id); ok {
+		return s.stems[p]
+	}
+	return stem.Phrase(s.Query(id))
+}
+
+// checkTopKBlobLen refuses a blob whose length — and so any list offset
+// inside it — does not fit the u32 fields the entry table and the
+// directory record it in; a wrapped offset could pass validateTopKBlob
+// and serve another query's list.
+func checkTopKBlobLen(n int) error {
+	if uint64(n) > math.MaxUint32 {
+		return fmt.Errorf("topk blob of %d bytes overflows the layout's 32-bit offsets", n)
+	}
+	return nil
+}
+
 // buildTopKBlob builds one shard's blob from its encoded query segment:
 // decode partner lists in one pass, rank them exactly as
 // PairTable.TopKFor would, and filter each query's ranking through the
@@ -118,26 +177,24 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 	if tk.k == 0 {
 		return nil, nil
 	}
-	var ids []int
-	if qIDs != nil {
-		ids = append([]int(nil), qIDs...)
-		sort.Ints(ids)
-	} else {
-		ids = make([]int, names.NumQueries())
-		for i := range ids {
-			ids[i] = i
-		}
-	}
-	partners := make(map[int][]sparse.Scored)
+	shard := newShardNames(names, qIDs)
+	ids := shard.ids
+	// partners[p] is the partner list of ids[p].
+	partners := make([][]sparse.Scored, len(ids))
 	for o := 0; o+pairRecordSize <= len(qSeg); o += pairRecordSize {
 		i := int(binary.LittleEndian.Uint32(qSeg[o:]))
 		j := int(binary.LittleEndian.Uint32(qSeg[o+4:]))
 		v := math.Float64frombits(binary.LittleEndian.Uint64(qSeg[o+8:]))
-		partners[i] = append(partners[i], sparse.Scored{Node: j, Score: v})
-		partners[j] = append(partners[j], sparse.Scored{Node: i, Score: v})
+		pi, okI := shard.pos(i)
+		pj, okJ := shard.pos(j)
+		if !okI || !okJ {
+			return nil, fmt.Errorf("serve: query segment pair (%d, %d) names a query outside its shard", i, j)
+		}
+		partners[pi] = append(partners[pi], sparse.Scored{Node: j, Score: v})
+		partners[pj] = append(partners[pj], sparse.Scored{Node: i, Score: v})
 	}
 
-	pipe := rewrite.NewPipeline(names, bids)
+	pipe := rewrite.NewPipeline(shard, bids)
 	pipe.MaxRewrites = int(tk.k)
 	pipe.TopN = int(tk.topN)
 	src := &topkSliceSource{}
@@ -150,7 +207,7 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 		if uint64(qid) > math.MaxUint32 {
 			return nil, fmt.Errorf("serve: query id %d overflows the topk entry", qid)
 		}
-		ranked := partners[qid]
+		ranked := partners[e]
 		sparse.SortScoredDesc(ranked)
 		src.list = ranked
 		cands, err := pipe.Rewrite(src, qid)
@@ -162,11 +219,13 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 		binary.LittleEndian.PutUint32(entries[o+4:], uint32(listsBase+len(lists)))
 		binary.LittleEndian.PutUint32(entries[o+8:], uint32(len(cands)))
 		for _, c := range cands {
-			var rec [topkRecSize]byte
-			binary.LittleEndian.PutUint32(rec[:], uint32(c.Query))
-			binary.LittleEndian.PutUint64(rec[4:], math.Float64bits(c.Score))
-			lists = append(lists, rec[:]...)
+			lists = binary.LittleEndian.AppendUint32(lists, uint32(c.Query))
+			lists = binary.LittleEndian.AppendUint64(lists, math.Float64bits(c.Score))
 		}
+	}
+	// Every list offset written above is at most the blob's length.
+	if err := checkTopKBlobLen(listsBase + len(lists)); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return append(entries, lists...), nil
 }

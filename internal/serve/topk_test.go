@@ -1,0 +1,332 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+
+	"simrankpp/internal/clickgraph"
+	"simrankpp/internal/core"
+	"simrankpp/internal/partition"
+	"simrankpp/internal/sparse"
+	"simrankpp/internal/stem"
+)
+
+// referenceTopKBlob is the section builder as first written, kept here
+// as the definition buildTopKBlob is held to: partner lists in a map,
+// the reflection sort, and for every query a fresh filter that stems
+// each candidate before looking at the bid list — no shared stems, no
+// shared pipeline. It also counts the candidates the stem filter
+// dropped, so a test can tell its fixture exercised that filter.
+func referenceTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids map[string]bool) (blob []byte, stemDrops int) {
+	if tk.k == 0 {
+		return nil, 0
+	}
+	var ids []int
+	if qIDs != nil {
+		ids = append([]int(nil), qIDs...)
+		sort.Ints(ids)
+	} else {
+		ids = make([]int, names.NumQueries())
+		for i := range ids {
+			ids[i] = i
+		}
+	}
+	partners := make(map[int][]sparse.Scored)
+	for o := 0; o+pairRecordSize <= len(qSeg); o += pairRecordSize {
+		i := int(binary.LittleEndian.Uint32(qSeg[o:]))
+		j := int(binary.LittleEndian.Uint32(qSeg[o+4:]))
+		v := math.Float64frombits(binary.LittleEndian.Uint64(qSeg[o+8:]))
+		partners[i] = append(partners[i], sparse.Scored{Node: j, Score: v})
+		partners[j] = append(partners[j], sparse.Scored{Node: i, Score: v})
+	}
+
+	entries := make([]byte, 4+len(ids)*topkEntrySize)
+	binary.LittleEndian.PutUint32(entries, uint32(len(ids)))
+	var lists []byte
+	for e, qid := range ids {
+		ranked := partners[qid]
+		sort.Slice(ranked, func(a, b int) bool {
+			if ranked[a].Score != ranked[b].Score {
+				return ranked[a].Score > ranked[b].Score
+			}
+			return ranked[a].Node < ranked[b].Node
+		})
+		if len(ranked) > int(tk.topN) {
+			ranked = ranked[:tk.topN]
+		}
+		seen := map[string]bool{stem.Phrase(names.Query(qid)): true}
+		var kept []sparse.Scored
+		for _, s := range ranked {
+			if s.Score <= 0 {
+				continue
+			}
+			text := names.Query(s.Node)
+			key := stem.Phrase(text)
+			if seen[key] {
+				stemDrops++
+				continue
+			}
+			if bids != nil && !bids[text] {
+				continue
+			}
+			seen[key] = true
+			kept = append(kept, s)
+			if len(kept) >= int(tk.k) {
+				break
+			}
+		}
+		o := 4 + e*topkEntrySize
+		binary.LittleEndian.PutUint32(entries[o:], uint32(qid))
+		binary.LittleEndian.PutUint32(entries[o+4:], uint32(len(entries)+len(lists)))
+		binary.LittleEndian.PutUint32(entries[o+8:], uint32(len(kept)))
+		for _, s := range kept {
+			lists = binary.LittleEndian.AppendUint32(lists, uint32(s.Node))
+			lists = binary.LittleEndian.AppendUint64(lists, math.Float64bits(s.Score))
+		}
+	}
+	return append(entries, lists...), stemDrops
+}
+
+// stemGraph is refreshGraph's shape — four clusters, weights derived
+// from seeds[c] — but each cluster is one component (one shard) and its
+// query names come in singular/plural pairs, so the stem filter has
+// duplicates to drop inside every shard.
+func stemGraph(t *testing.T, seeds [4]int) *clickgraph.Graph {
+	words := []string{
+		"camera", "cameras", "battery", "batteries", "charger", "chargers",
+		"lens", "lenses", "tripod", "tripods", "flash", "flashes",
+	}
+	return clusterGraph(t, seeds, len(words),
+		func(c, q int) string { return fmt.Sprintf("c%d digital %s", c, words[q]) },
+		func(q, a int) bool { return (q+a)%3 != 2 })
+}
+
+// TestTopKBlobsMatchReference holds every shard blob WriteSnapshotTopK
+// and RefreshSnapshot write to the reference builder, byte for byte,
+// under no bid list, a sparse one and an empty one. Run under -race it
+// also shows the per-shard stems are not shared between fillTopKBlobs
+// workers.
+func TestTopKBlobsMatchReference(t *testing.T) {
+	g0 := stemGraph(t, [4]int{1, 2, 3, 4})
+	g1 := stemGraph(t, [4]int{1, 2, 9, 4}) // cluster 2 churned
+	sparseBids := map[string]bool{}
+	for q := 0; q < g0.NumQueries(); q += 3 {
+		sparseBids[g0.Query(q)] = true
+	}
+	cfg := refreshCfg()
+
+	for _, tc := range []struct {
+		name string
+		bids map[string]bool
+	}{
+		{"no bid list", nil},
+		{"sparse bid list", sparseBids},
+		{"empty bid list", map[string]bool{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := TopKOptions{K: 4, BidTerms: tc.bids}
+			tk := opts.meta()
+			// want returns the reference blob for a shard res carries scores for.
+			stemDrops := 0
+			want := func(res *core.Result, i int) []byte {
+				ss := res.ShardScores[i]
+				blob, drops := referenceTopKBlob(encodeSegment(ss.QueryScores, ss.QueryIDs), ss.QueryIDs, res, tk, tc.bids)
+				stemDrops += drops
+				return blob
+			}
+
+			res0, err := core.RunSharded(g0, cfg, partition.ComponentPlan(g0), core.ShardOptions{Workers: 3, RetainShardScores: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res0.ShardScores) < 4 {
+				t.Fatalf("fixture produced %d shards, want one per cluster", len(res0.ShardScores))
+			}
+			var buf0 bytes.Buffer
+			if err := WriteSnapshotTopK(&buf0, res0, opts); err != nil {
+				t.Fatal(err)
+			}
+			prev, err := NewSnapshot(bytes.NewReader(buf0.Bytes()), int64(buf0.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer prev.Close()
+			for i := range res0.ShardScores {
+				got, err := prev.topkBytes(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want(res0, i)) {
+					t.Errorf("WriteSnapshotTopK shard %d: blob differs from the reference builder's", i)
+				}
+			}
+			if stemDrops == 0 {
+				t.Fatal("the stem filter dropped nothing; the fixture no longer exercises it")
+			}
+
+			res1, diff, err := RunRefresh(g1, prev, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf1 bytes.Buffer
+			st, err := RefreshSnapshot(&buf1, prev, res1, diff.Dirty, tc.bids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.DirtyShards == 0 || st.CleanShards == 0 {
+				t.Fatalf("refresh rebuilt %d shards and copied %d; want a mix", st.DirtyShards, st.CleanShards)
+			}
+			next, err := NewSnapshot(bytes.NewReader(buf1.Bytes()), int64(buf1.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer next.Close()
+			for i, dirty := range diff.Dirty {
+				got, err := next.topkBytes(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wantBlob []byte
+				if dirty {
+					wantBlob = want(res1, i)
+				} else if wantBlob, err = prev.topkBytes(i); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, wantBlob) {
+					t.Errorf("RefreshSnapshot shard %d (dirty=%v): blob differs from the reference", i, dirty)
+				}
+			}
+		})
+	}
+}
+
+// TestBuildTopKBlobIdentityShard covers the one-shard (nil id list)
+// form a monolithic snapshot uses, where positions are the ids.
+func TestBuildTopKBlobIdentityShard(t *testing.T) {
+	g := stemGraph(t, [4]int{1, 2, 3, 4})
+	res, err := core.Run(g, refreshCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := TopKOptions{K: 4}.meta()
+	qSeg := encodeSegment(res.QueryScores, nil)
+	got, err := buildTopKBlob(qSeg, nil, res, tk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, drops := referenceTopKBlob(qSeg, nil, res, tk, nil)
+	if drops == 0 {
+		t.Fatal("the stem filter dropped nothing; the fixture no longer exercises it")
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("identity-shard blob differs from the reference builder's")
+	}
+}
+
+// TestBuildTopKBlobRejectsForeignPair: a segment pair naming a query the
+// shard's id list does not hold is a fault, not a list to drop silently.
+func TestBuildTopKBlobRejectsForeignPair(t *testing.T) {
+	g := stemGraph(t, [4]int{1, 2, 3, 4})
+	seg := makeSegBytes(t, [][3]float64{{0, 1, 0.5}, {1, 40, 0.25}})
+	if _, err := buildTopKBlob(seg, []int{0, 1, 2}, g, TopKOptions{K: 4}.meta(), nil); err == nil {
+		t.Error("buildTopKBlob accepted a pair outside the shard's id list")
+	}
+	if _, err := buildTopKBlob(seg, nil, g, TopKOptions{K: 4}.meta(), nil); err != nil {
+		t.Errorf("identity shard holds every query, got %v", err)
+	}
+}
+
+// TestTopKBlobLenOverflow drives the bound both writers of the blob
+// layout's u32 offsets share; a blob that large cannot be built in a
+// test.
+func TestTopKBlobLenOverflow(t *testing.T) {
+	limit := int64(math.MaxUint32)
+	if int64(int(limit)) != limit {
+		t.Skip("int cannot hold a length past 4 GiB on this platform")
+	}
+	if err := checkTopKBlobLen(int(limit)); err != nil {
+		t.Errorf("length %d fits a u32, got %v", limit, err)
+	}
+	if err := checkTopKBlobLen(int(limit + 1)); err == nil {
+		t.Errorf("length %d wraps a u32 and was accepted", limit+1)
+	}
+}
+
+// benchShard builds one shard of pathbench's shape: 400 queries with
+// three-word names, every query scored against its 64 ring neighbours.
+type benchShardNames struct{ names []string }
+
+func (n benchShardNames) NumQueries() int     { return len(n.names) }
+func (n benchShardNames) NumAds() int         { return 0 }
+func (n benchShardNames) Query(id int) string { return n.names[id] }
+func (n benchShardNames) Ad(int) string       { return "" }
+
+func benchShard() (qSeg []byte, names benchShardNames) {
+	const n, half = 400, 32
+	syll := []string{"ve", "li", "be", "ki", "ma", "ci", "hi", "ro", "nu", "ta", "so", "pe"}
+	x := uint64(1)
+	next := func() uint64 { // xorshift64
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	word := func() string {
+		var w []byte
+		for s := 0; s < 2+int(next()%3); s++ {
+			w = append(w, syll[next()%uint64(len(syll))]...)
+		}
+		if next()%4 == 0 {
+			w = append(w, 's')
+		}
+		return string(w)
+	}
+	for i := 0; i < n; i++ {
+		names.names = append(names.names, word()+" "+word()+" "+word())
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if j-i > half && i+n-j > half {
+				continue
+			}
+			qSeg = binary.LittleEndian.AppendUint32(qSeg, uint32(i))
+			qSeg = binary.LittleEndian.AppendUint32(qSeg, uint32(j))
+			qSeg = binary.LittleEndian.AppendUint64(qSeg, math.Float64bits(float64(next()%1e6+1)/1e6))
+		}
+	}
+	return qSeg, names
+}
+
+// BenchmarkBuildTopKBlob times the precomputed-section builder on one
+// shard, under the sparse bid list pathbench builds with (every 16th
+// query) and under none — the first filters most candidates before a
+// stem is needed, the second needs one for every candidate walked.
+func BenchmarkBuildTopKBlob(b *testing.B) {
+	qSeg, names := benchShard()
+	ids := make([]int, names.NumQueries())
+	stride16 := map[string]bool{}
+	for i := range ids {
+		ids[i] = i
+		if i%16 == 0 {
+			stride16[names.Query(i)] = true
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		bids map[string]bool
+	}{{"bids=stride16", stride16}, {"bids=none", nil}} {
+		opts := TopKOptions{K: DefaultRewriteTopK, BidTerms: bc.bids}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := buildTopKBlob(qSeg, ids, names, opts.meta(), bc.bids); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

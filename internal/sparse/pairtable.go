@@ -1,7 +1,8 @@
 package sparse
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -219,10 +220,13 @@ func (t *PairTable) TopKFor(i, k int) []Scored {
 
 // SortScoredDesc sorts rows by descending score, then ascending node id.
 func SortScoredDesc(s []Scored) {
-	sort.Slice(s, func(a, b int) bool {
-		if s[a].Score != s[b].Score {
-			return s[a].Score > s[b].Score
+	slices.SortFunc(s, func(a, b Scored) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
 		}
-		return s[a].Node < s[b].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 }

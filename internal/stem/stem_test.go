@@ -139,3 +139,19 @@ func TestIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPhrase times the stem-dedup key of one query over two- to
+// four-word phrases, the lengths the synthetic click logs produce.
+func BenchmarkPhrase(b *testing.B) {
+	phrases := []string{
+		"digital cameras", "cheap flights to paris", "relational databases",
+		"running shoes", "camera batteries", "hopefulness quotes",
+		"veli beki macihis", "controlling motoring costs",
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if Phrase(phrases[i%len(phrases)]) == "" {
+			b.Fatal("empty stem key")
+		}
+	}
+}
