@@ -24,12 +24,6 @@ type Subview struct {
 	QueryIDs, AdIDs []int
 }
 
-// GlobalQuery returns the parent-graph id of local query q.
-func (v *Subview) GlobalQuery(q int) int { return v.QueryIDs[q] }
-
-// GlobalAd returns the parent-graph id of local ad a.
-func (v *Subview) GlobalAd(a int) int { return v.AdIDs[a] }
-
 // LocalQuery returns the local id of global query q and whether q is in
 // the view. O(log n) over the ascending id list.
 func (v *Subview) LocalQuery(q int) (int, bool) { return searchID(v.QueryIDs, q) }
@@ -58,17 +52,10 @@ func NewSubview(g *Graph, queryIDs, adIDs []int) (*Subview, error) {
 		return nil, err
 	}
 
-	// Global→local ad translation for the column rewrite. O(NumAds) scratch,
-	// transient and reused nowhere, so shard extraction stays allocation-flat
-	// in the number of shards times the ad side.
-	aLoc := make([]int32, g.NumAds())
-	for i := range aLoc {
-		aLoc[i] = -1
-	}
-	for i, a := range aSel {
-		aLoc[a] = int32(i)
-	}
-
+	// Global→local ad translation is a binary search of the sorted aSel —
+	// no scratch sized to the parent's ad side, so carving many shards out
+	// of a large graph allocates in proportion to the shards alone.
+	//
 	// One shared structure pass sizes the rows; the three weight channels
 	// share the structure (they are built from the same edge set), so the
 	// column array can be computed once and copied.
@@ -77,7 +64,7 @@ func NewSubview(g *Graph, queryIDs, adIDs []int) (*Subview, error) {
 		cols, _ := g.rateQA.Row(q)
 		n := 0
 		for _, a := range cols {
-			if aLoc[a] >= 0 {
+			if _, ok := searchID(aSel, a); ok {
 				n++
 			}
 		}
@@ -94,13 +81,13 @@ func NewSubview(g *Graph, queryIDs, adIDs []int) (*Subview, error) {
 		imLo := g.imprQA.RowPtr[q]
 		w := rowPtr[i]
 		for k, a := range cols {
-			la := aLoc[a]
-			if la < 0 {
+			la, ok := searchID(aSel, a)
+			if !ok {
 				continue
 			}
 			// Parent columns ascend and local ids preserve their order, so
 			// rows come out ascending without sorting.
-			colIdx[w] = int(la)
+			colIdx[w] = la
 			rateV[w] = rates[k]
 			clickV[w] = g.clicksQA.Val[lo+k]
 			imprV[w] = g.imprQA.Val[imLo+k]

@@ -1,6 +1,8 @@
 package clickgraph
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -77,8 +79,8 @@ func TestSubviewIDMapping(t *testing.T) {
 		t.Fatalf("QueryIDs = %v, want %v", view.QueryIDs, wantQ)
 	}
 	for local, global := range wantQ {
-		if view.GlobalQuery(local) != global {
-			t.Errorf("GlobalQuery(%d) = %d, want %d", local, view.GlobalQuery(local), global)
+		if view.QueryIDs[local] != global {
+			t.Errorf("QueryIDs[%d] = %d, want %d", local, view.QueryIDs[local], global)
 		}
 		if l, ok := view.LocalQuery(global); !ok || l != local {
 			t.Errorf("LocalQuery(%d) = %d,%v, want %d,true", global, l, ok, local)
@@ -90,7 +92,7 @@ func TestSubviewIDMapping(t *testing.T) {
 	if _, ok := view.LocalQuery(5); ok {
 		t.Error("LocalQuery(5) should be absent")
 	}
-	if a, ok := view.LocalAd(3); !ok || view.GlobalAd(a) != 3 {
+	if a, ok := view.LocalAd(3); !ok || view.AdIDs[a] != 3 {
 		t.Errorf("ad mapping roundtrip failed: %d,%v", a, ok)
 	}
 }
@@ -127,5 +129,52 @@ func TestSubviewRejectsOutOfRange(t *testing.T) {
 	}
 	if _, err := NewSubview(g, nil, []int{-1}); err == nil {
 		t.Error("accepted negative ad id")
+	}
+}
+
+// TestSubviewAllocationIndependentOfParentSize carves many small shards
+// out of a graph with a large ad side and bounds the bytes each carve
+// allocates: proportional to the shard, with no scratch sized to the
+// parent (one int32 per parent ad here would alone be 4× the bound).
+func TestSubviewAllocationIndependentOfParentSize(t *testing.T) {
+	const shards, perShard = 5000, 8
+	b := NewBuilder()
+	for s := 0; s < shards; s++ {
+		for k := 0; k < perShard; k++ {
+			for d := 0; d < 2; d++ {
+				err := b.AddEdge(fmt.Sprintf("q%d-%d", s, k), fmt.Sprintf("a%d-%d", s, (k+d)%perShard),
+					EdgeWeights{Impressions: 2, Clicks: 1, ExpectedClickRate: 0.5})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	g := b.Build()
+	ids := func(s int) []int {
+		out := make([]int, perShard)
+		for k := range out {
+			out[k] = s*perShard + k
+		}
+		return out
+	}
+	const carved = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for s := 0; s < carved; s++ {
+		view, err := NewSubview(g, ids(s*(shards/carved)), ids(s*(shards/carved)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.Graph.NumEdges() != 2*perShard {
+			t.Fatalf("shard %d kept %d edges, want %d", s, view.Graph.NumEdges(), 2*perShard)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCarve := (after.TotalAlloc - before.TotalAlloc) / carved
+	t.Logf("%d B allocated per %d-node carve of a %d-ad graph", perCarve, 2*perShard, g.NumAds())
+	if bound := uint64(g.NumAds()); perCarve > bound {
+		t.Errorf("NewSubview allocated %d B per %d-node shard of a %d-ad graph, want under %d B",
+			perCarve, 2*perShard, g.NumAds(), bound)
 	}
 }

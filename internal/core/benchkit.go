@@ -146,14 +146,14 @@ func newPassBenchState(bc PassBenchConfig, variant Variant) *passBenchState {
 	if err != nil {
 		panic(err)
 	}
-	prevAF := sparse.FrontierFromPairTable(warm.AdScores, g.NumAds())
+	prevAF := warm.AdScores
 	return &passBenchState{
 		in:     newPassInputs(g, cfg),
 		cfg:    cfg,
 		nq:     g.NumQueries(),
 		na:     g.NumAds(),
 		prevAF: prevAF,
-		prevAM: warm.AdScores,
+		prevAM: prevAF.ToPairTable(),
 		symA:   prevAF.ExpandSymmetric(nil),
 	}
 }

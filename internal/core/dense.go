@@ -74,8 +74,8 @@ func RunDense(g *clickgraph.Graph, cfg Config) (*Result, error) {
 	return &Result{
 		Graph:       g,
 		Config:      cfg,
-		QueryScores: denseToTable(prevQ, nq),
-		AdScores:    denseToTable(prevA, na),
+		QueryScores: denseToFrontier(prevQ, nq),
+		AdScores:    denseToFrontier(prevA, na),
 		Iterations:  iters,
 		Converged:   converged,
 	}, nil
@@ -207,16 +207,18 @@ func setDiag(m []float64, n int) {
 	}
 }
 
-func denseToTable(m []float64, n int) *sparse.PairTable {
-	t := sparse.NewPairTable(0)
+// denseToFrontier keeps the upper triangle's nonzero cells.
+func denseToFrontier(m []float64, n int) *sparse.PairFrontier {
+	f := sparse.NewPairFrontier(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if v := m[i*n+j]; v != 0 {
-				t.Set(i, j, v)
+				f.Add(i, j, v)
 			}
 		}
 	}
-	return t
+	f.Compact()
+	return f
 }
 
 func abs(x float64) float64 {

@@ -268,10 +268,11 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 		applyEvidence(prevA, in.evA)
 	}
 	return &Result{
-		Graph:       g,
-		Config:      cfg,
-		QueryScores: prevQ.ToPairTable(),
-		AdScores:    prevA.ToPairTable(),
+		Graph:  g,
+		Config: cfg,
+		// Detached copies: the arena's frontiers are the next run's scratch.
+		QueryScores: prevQ.Clone(),
+		AdScores:    prevA.Clone(),
 		Iterations:  iters,
 		Converged:   converged,
 		IterStats:   stats,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"simrankpp/internal/partition"
+	"simrankpp/internal/sparse"
 )
 
 // Micro-benchmarks for the iteration hot path: one accumulation pass per
@@ -127,4 +128,39 @@ func BenchmarkShardedRun(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkShardedStitch times the hand-off from shard engines to the
+// stitched Result on the multi-cluster workload: every shard's local
+// frontiers remapped into the global frontiers' disjoint rows (here
+// serially; in RunSharded each pool worker deposits its own shard as it
+// finishes), then the run-metadata merge.
+func BenchmarkShardedStitch(b *testing.B) {
+	bc := DefaultShardBenchConfig()
+	if testing.Short() {
+		bc = SmokeShardBenchConfig()
+	}
+	_, _, res, err := RunShardBench(bc, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, cfg := res.Graph, res.Config
+	outs := make([]shardOut, len(res.ShardScores))
+	for i := range outs {
+		outs[i] = shardOut{res: &Result{Converged: true}, stat: res.ShardStats[i]}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		qScores := sparse.NewPairFrontier(g.NumQueries())
+		aScores := sparse.NewPairFrontier(g.NumAds())
+		for _, ss := range res.ShardScores {
+			qScores.SetRowsRemapped(ss.QueryScores, ss.QueryIDs)
+			aScores.SetRowsRemapped(ss.AdScores, ss.AdIDs)
+		}
+		qScores.Compact()
+		aScores.Compact()
+		stitch(g, cfg, qScores, aScores, outs)
+	}
+	pairs := res.QueryScores.Len() + res.AdScores.Len()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 }

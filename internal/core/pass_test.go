@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -30,14 +31,14 @@ func newPassFixture(t testing.TB, seed uint64, nq, na, edges int, variant Varian
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevAF := sparse.FrontierFromPairTable(warm.AdScores, g.NumAds())
+	prevAF := warm.AdScores
 	return &passFixture{
 		in:     newPassInputs(g, cfg),
 		cfg:    cfg,
 		nq:     g.NumQueries(),
 		na:     g.NumAds(),
 		prevAF: prevAF,
-		prevAM: warm.AdScores,
+		prevAM: prevAF.ToPairTable(),
 		symA:   prevAF.ExpandSymmetric(nil),
 	}
 }
@@ -99,7 +100,7 @@ func TestWeightedPassVariantsMatchMap(t *testing.T) {
 // pairs with exactly the same float64 values on both sides.
 func assertBitIdentical(t *testing.T, label string, a, b *Result) {
 	t.Helper()
-	check := func(side string, as, bs *sparse.PairTable) {
+	check := func(side string, as, bs *sparse.PairFrontier) {
 		as.Range(func(i, j int, v float64) bool {
 			if bv, ok := bs.Get(i, j); !ok || bv != v {
 				t.Fatalf("%s: %s pair (%d,%d) %v vs %v,%v", label, side, i, j, v, bv, ok)
@@ -257,9 +258,32 @@ func TestTopRewritesConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	want := res.QueryScores.TopKFor(0, 3)
+	want := res.TopRewrites(0, 3)
 	if len(want) == 0 {
 		t.Fatal("expected rewrites for query 0")
+	}
+}
+
+// TestTopRewritesMatchesPairTableIndex holds the frontier-backed ranked
+// lookups to the indexed PairTable that used to answer them, both sides,
+// every depth, including nodes with no partners and ids out of range.
+func TestTopRewritesMatchesPairTableIndex(t *testing.T) {
+	res := mustRun(t, randomGraph(8, 15, 12, 60), DefaultConfig())
+	for _, side := range []struct {
+		name string
+		f    *sparse.PairFrontier
+		top  func(i, k int) []sparse.Scored
+	}{{"query", res.QueryScores, res.TopRewrites}, {"ad", res.AdScores, res.TopSimilarAds}} {
+		ref := side.f.ToPairTable()
+		ref.EnsureIndex()
+		for _, k := range []int{-1, 0, 1, 3, 100} {
+			for i := -1; i <= side.f.NumRows(); i++ {
+				got, want := side.top(i, k), ref.TopKFor(i, k)
+				if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+					t.Fatalf("%s %d k=%d: %v, PairTable index %v", side.name, i, k, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"simrankpp/internal/clickgraph"
@@ -22,9 +23,12 @@ type IterationStat struct {
 	AdRowsSkipped, AdRows       int
 }
 
-// Result holds the similarity scores an engine computed: one symmetric
-// sparse table per graph side. Diagonal scores are implicitly 1 per the
-// SimRank definition; off-diagonal pairs absent from a table score 0.
+// Result holds the similarity scores an engine computed: one compacted
+// frontier per graph side — each unordered pair once, in the row of its
+// smaller id, rows ascending: the order the engines emit and snapshot
+// segments are written in, so scores reach the bytes without being
+// re-keyed or re-sorted. Diagonal scores are implicitly 1 per the SimRank
+// definition; absent off-diagonal pairs score 0. Read-only once returned.
 type Result struct {
 	// Graph is the graph the scores were computed on.
 	Graph *clickgraph.Graph
@@ -32,7 +36,7 @@ type Result struct {
 	Config Config
 	// QueryScores holds s(q, q') for query pairs, AdScores s(α, α') for
 	// ad pairs.
-	QueryScores, AdScores *sparse.PairTable
+	QueryScores, AdScores *sparse.PairFrontier
 	// Iterations is the number of iterations actually performed.
 	Iterations int
 	// Converged reports whether iteration stopped because the largest
@@ -46,24 +50,55 @@ type Result struct {
 	// ShardStats records each shard engine's run, in plan order, when the
 	// result came from RunSharded (nil otherwise).
 	ShardStats []ShardStat
-	// ShardScores retains each shard engine's local-id score tables with
-	// their local→global maps, in plan order, when RunSharded ran with
+	// ShardScores retains each shard engine's local-id score frontiers
+	// with their local→global maps, in plan order, when RunSharded ran with
 	// ShardOptions.RetainShardScores (nil otherwise). serve.WriteSnapshot
 	// encodes per-shard segments directly from them, in parallel, without
-	// repartitioning the stitched tables.
+	// repartitioning the stitched frontiers.
 	ShardScores []ShardScoreSet
+
+	// qTop and aTop back TopRewrites and TopSimilarAds.
+	qTop, aTop lazyPartners
 }
 
-// ShardScoreSet is one shard engine's raw output: pair tables in the
-// shard's local id space plus the ascending local→global id maps.
+// lazyPartners answers ranked partner lookups from a frontier's symmetric
+// expansion, built on the first lookup (safely under concurrent readers):
+// collect the node's row and rank it, as a mapped snapshot segment does.
+type lazyPartners struct {
+	once sync.Once
+	adj  *sparse.SymAdj
+}
+
+func (l *lazyPartners) topK(f *sparse.PairFrontier, i, k int) []sparse.Scored {
+	l.once.Do(func() { l.adj = f.ExpandSymmetric(nil) })
+	if i < 0 || i >= f.NumRows() || k == 0 {
+		return nil
+	}
+	cols, vals := l.adj.Row(i)
+	if len(cols) == 0 {
+		return nil
+	}
+	out := make([]sparse.Scored, len(cols))
+	for n, c := range cols {
+		out[n] = sparse.Scored{Node: int(c), Score: vals[n]}
+	}
+	sparse.SortScoredDesc(out)
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// ShardScoreSet is one shard engine's raw output: compacted pair frontiers
+// in the shard's local id space plus the ascending local→global id maps.
 type ShardScoreSet struct {
 	// QueryIDs maps local query id -> global query id; AdIDs likewise.
 	QueryIDs, AdIDs []int
-	// QueryScores and AdScores are the shard engine's tables, local ids.
-	// Both are nil when ShardOptions.RunShards skipped the shard — the id
-	// lists still describe it, which is all serve.RefreshSnapshot needs
-	// to reuse the previous generation's segment.
-	QueryScores, AdScores *sparse.PairTable
+	// QueryScores and AdScores are the shard engine's frontiers, local
+	// ids. Both are nil when ShardOptions.RunShards skipped the shard —
+	// the id lists still describe it, which is all serve.RefreshSnapshot
+	// needs to reuse the previous generation's segment.
+	QueryScores, AdScores *sparse.PairFrontier
 }
 
 // QuerySim returns s(q1, q2): 1 on the diagonal, the stored score or 0
@@ -87,19 +122,16 @@ func (r *Result) AdSim(a1, a2 int) float64 {
 
 // TopRewrites returns the k most similar queries to q, descending by score
 // with deterministic tie-breaking; k < 0 returns all scored partners. The
-// first call builds the per-node partner index (invalidated by mutation),
-// so serving many queries from one result costs O(k) each instead of a
-// full-table scan.
+// first call expands the symmetric adjacency, so each lookup costs its
+// node's degree instead of a scan of every row.
 func (r *Result) TopRewrites(q, k int) []sparse.Scored {
-	r.QueryScores.EnsureIndex()
-	return r.QueryScores.TopKFor(q, k)
+	return r.qTop.topK(r.QueryScores, q, k)
 }
 
 // TopSimilarAds is TopRewrites for the ad side: the k ads most similar to
 // a, descending by score with deterministic tie-breaking.
 func (r *Result) TopSimilarAds(a, k int) []sparse.Scored {
-	r.AdScores.EnsureIndex()
-	return r.AdScores.TopKFor(a, k)
+	return r.aTop.topK(r.AdScores, a, k)
 }
 
 // The delegating accessors below complete the serve.ScoreIndex read

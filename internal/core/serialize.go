@@ -130,7 +130,8 @@ func WriteResult(w io.Writer, r *Result) error {
 // Names absent from g are an error — scores must match the graph they
 // are served with. The returned Result has the persisted iteration count
 // and decay factors in its Config; Converged is not persisted and
-// reports false.
+// reports false. WriteResult lists each pair once; a stream that repeats
+// a pair gets the sum of its scores.
 func ReadResult(r io.Reader, g *clickgraph.Graph) (*Result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -151,8 +152,8 @@ func ReadResult(r io.Reader, g *clickgraph.Graph) (*Result, error) {
 	res := &Result{
 		Graph:       g,
 		Config:      DefaultConfig(),
-		QueryScores: sparse.NewPairTable(0),
-		AdScores:    sparse.NewPairTable(0),
+		QueryScores: sparse.NewPairFrontier(g.NumQueries()),
+		AdScores:    sparse.NewPairFrontier(g.NumAds()),
 	}
 	lineNo := 1
 	for sc.Scan() {
@@ -190,19 +191,21 @@ func ReadResult(r io.Reader, g *clickgraph.Graph) (*Result, error) {
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("core: line %d: query pair (%q,%q) not in graph", lineNo, n1, n2)
 			}
-			res.QueryScores.Set(i, j, v)
+			res.QueryScores.Add(i, j, v)
 		} else {
 			i, ok1 := g.AdID(n1)
 			j, ok2 := g.AdID(n2)
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("core: line %d: ad pair (%q,%q) not in graph", lineNo, n1, n2)
 			}
-			res.AdScores.Set(i, j, v)
+			res.AdScores.Add(i, j, v)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	res.QueryScores.Compact()
+	res.AdScores.Compact()
 	return res, nil
 }
 

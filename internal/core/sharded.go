@@ -31,12 +31,12 @@ type ShardOptions struct {
 	// reusable engine arena, so peak scratch memory is on the order of
 	// Workers × the largest shard's side, never the whole graph's.
 	Workers int
-	// RetainShardScores keeps each shard engine's local-id tables and
+	// RetainShardScores keeps each shard engine's local-id frontiers and
 	// local→global maps on the Result (Result.ShardScores) in addition to
-	// the stitched global tables. serve.WriteSnapshot uses them to emit
+	// the stitched global frontiers. serve.WriteSnapshot uses them to emit
 	// per-shard snapshot segments directly, in parallel, without
-	// repartitioning; the cost is the scores held twice until the Result
-	// is dropped.
+	// repartitioning; the cost is the scores held twice (12 bytes a pair
+	// each) until the Result is dropped.
 	RetainShardScores bool
 	// RunShards, when non-nil, must have one entry per plan shard and
 	// restricts the run to the true entries — the dirty shards of a
@@ -95,7 +95,7 @@ type ShardStat struct {
 // RunSharded executes the plan: one sparse engine per shard, scheduled
 // big-shards-first across a bounded worker pool, stitched into a single
 // Result in the parent graph's id space (scores, the TopRewrites partner
-// index via the stitched tables, and merged IterStats).
+// index via the stitched frontiers, and merged IterStats).
 //
 // When the plan is exact — every shard a union of whole connected
 // components — the stitched scores are bit-identical to Run(g, cfg) at a
@@ -187,6 +187,11 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 		return w
 	}
 
+	// Each pool worker deposits its shard's scores into the stitched
+	// frontiers: shards own disjoint global rows and their id maps ascend,
+	// so remapped rows arrive sorted and no two workers share a row.
+	qScores := sparse.NewPairFrontier(g.NumQueries())
+	aScores := sparse.NewPairFrontier(g.NumAds())
 	outs := make([]shardOut, len(plan.Shards))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -226,6 +231,8 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 					fail(fmt.Errorf("core: shard %d: %w", idx, err))
 					continue
 				}
+				qScores.SetRowsRemapped(res.QueryScores, view.QueryIDs)
+				aScores.SetRowsRemapped(res.AdScores, view.AdIDs)
 				side := view.Graph.NumQueries()
 				if na := view.Graph.NumAds(); na > side {
 					side = na
@@ -269,10 +276,9 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 			Skipped: true, Fingerprint: sh.Fingerprint,
 		}
 	}
-	res, err := stitch(g, cfg, outs)
-	if err != nil {
-		return nil, err
-	}
+	qScores.Compact() // rows arrived sorted; this only marks them read-ready
+	aScores.Compact()
+	res := stitch(g, cfg, qScores, aScores, outs)
 	if opt.RetainShardScores {
 		res.ShardScores = make([]ShardScoreSet, len(outs))
 		for i := range outs {
@@ -303,39 +309,25 @@ type shardOut struct {
 	stat ShardStat
 }
 
-// stitch remaps every shard's local pair tables into the parent id space
-// and merges the run metadata. Entries with a nil res were skipped
-// (clean) shards: they contribute their stat but no scores.
-func stitch(g *clickgraph.Graph, cfg Config, outs []shardOut) (*Result, error) {
-	qPairs, aPairs, maxIters := 0, 0, 0
+// stitch merges the shards' run metadata. The scores are already in place
+// (each pool worker deposited its own); entries with a nil res were
+// skipped (clean) shards and contribute their stat alone.
+func stitch(g *clickgraph.Graph, cfg Config, qScores, aScores *sparse.PairFrontier, outs []shardOut) *Result {
+	maxIters := 0
 	for i := range outs {
-		if outs[i].res == nil {
-			continue
-		}
-		qPairs += outs[i].res.QueryScores.Len()
-		aPairs += outs[i].res.AdScores.Len()
-		if outs[i].res.Iterations > maxIters {
-			maxIters = outs[i].res.Iterations
+		if res := outs[i].res; res != nil && res.Iterations > maxIters {
+			maxIters = res.Iterations
 		}
 	}
-	qTab, aTab := sparse.NewPairTable(qPairs), sparse.NewPairTable(aPairs)
 	iterStats := make([]IterationStat, maxIters)
 	shardStats := make([]ShardStat, len(outs))
 	converged := true
 	for i := range outs {
-		view, res := outs[i].view, outs[i].res
+		shardStats[i] = outs[i].stat
+		res := outs[i].res
 		if res == nil {
-			shardStats[i] = outs[i].stat
 			continue
 		}
-		res.QueryScores.Range(func(a, b int, v float64) bool {
-			qTab.Set(view.GlobalQuery(a), view.GlobalQuery(b), v)
-			return true
-		})
-		res.AdScores.Range(func(a, b int, v float64) bool {
-			aTab.Set(view.GlobalAd(a), view.GlobalAd(b), v)
-			return true
-		})
 		for it, s := range res.IterStats {
 			iterStats[it].Duration += s.Duration
 			iterStats[it].QueryRowsSkipped += s.QueryRowsSkipped
@@ -344,16 +336,15 @@ func stitch(g *clickgraph.Graph, cfg Config, outs []shardOut) (*Result, error) {
 			iterStats[it].AdRows += s.AdRows
 		}
 		converged = converged && res.Converged
-		shardStats[i] = outs[i].stat
 	}
 	return &Result{
 		Graph:       g,
 		Config:      cfg,
-		QueryScores: qTab,
-		AdScores:    aTab,
+		QueryScores: qScores,
+		AdScores:    aScores,
 		Iterations:  maxIters,
 		Converged:   converged,
 		IterStats:   iterStats,
 		ShardStats:  shardStats,
-	}, nil
+	}
 }

@@ -19,9 +19,9 @@ func multiComponentGraph(seed uint64, count, nq, na, edges int) *clickgraph.Grap
 	return b.Build()
 }
 
-// requireTablesBitIdentical fails unless both pair tables hold exactly the
-// same pairs with exactly equal (==, not almost-equal) values.
-func requireTablesBitIdentical(t *testing.T, label string, want, got *sparse.PairTable) {
+// requireTablesBitIdentical fails unless both pair frontiers hold exactly
+// the same pairs with exactly equal (==, not almost-equal) values.
+func requireTablesBitIdentical(t *testing.T, label string, want, got *sparse.PairFrontier) {
 	t.Helper()
 	if want.Len() != got.Len() {
 		t.Fatalf("%s: pair counts differ: want %d, got %d", label, want.Len(), got.Len())
@@ -141,7 +141,7 @@ func TestShardedACLPlanWithinTolerance(t *testing.T) {
 	// while scores themselves reach ~0.4.
 	const tolACL = 0.05
 	maxDiff := 0.0
-	check := func(wantT, gotT *sparse.PairTable) {
+	check := func(wantT, gotT *sparse.PairFrontier) {
 		wantT.Range(func(i, j int, v float64) bool {
 			gv, _ := gotT.Get(i, j)
 			if d := math.Abs(gv - v); d > maxDiff {

@@ -25,8 +25,8 @@ func churnedGraph(seed uint64, count, nq, na, edges int) *clickgraph.Graph {
 	return b.Build()
 }
 
-// maxTableDiff returns the largest |a-b| over the union of both tables.
-func maxTableDiff(a, b *sparse.PairTable) float64 {
+// maxTableDiff returns the largest |a-b| over the union of both frontiers.
+func maxTableDiff(a, b *sparse.PairFrontier) float64 {
 	return a.MaxAbsDiff(b)
 }
 

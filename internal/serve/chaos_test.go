@@ -209,11 +209,8 @@ func TestChaosReadyzUnreadyWhenAllShardsDead(t *testing.T) {
 	if err := snap.PreloadAll(); err == nil {
 		t.Fatal("PreloadAll succeeded with all reads failing")
 	}
-	// PreloadAll stops at the first failure; touch the rest explicitly.
-	for i := 0; i < snap.NumShards(); i++ {
-		snap.queryTable(i)
-		snap.adTable(i)
-	}
+	// PreloadAll touches every segment whatever fails: each shard's query
+	// and ad segments and its top-k blob are now quarantined.
 	srv := NewServer(snap, DefaultServerConfig())
 	code, body := get(t, srv.Handler(), "/readyz")
 	if code != http.StatusServiceUnavailable {
@@ -223,9 +220,9 @@ func TestChaosReadyzUnreadyWhenAllShardsDead(t *testing.T) {
 	if err := json.Unmarshal(body, &ready); err != nil {
 		t.Fatal(err)
 	}
-	if ready.Status != "unready" || len(ready.Quarantined) != 2*snap.NumShards() {
+	if ready.Status != "unready" || len(ready.Quarantined) != 3*snap.NumShards() {
 		t.Fatalf("/readyz = %q with %d quarantined, want unready with %d",
-			ready.Status, len(ready.Quarantined), 2*snap.NumShards())
+			ready.Status, len(ready.Quarantined), 3*snap.NumShards())
 	}
 }
 

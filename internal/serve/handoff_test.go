@@ -1,0 +1,407 @@
+package serve
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"simrankpp/internal/clickgraph"
+	"simrankpp/internal/core"
+	"simrankpp/internal/partition"
+	"simrankpp/internal/sparse"
+)
+
+// Differential tests for the sorted hand-off: scores travel from the
+// engines to the segment bytes as row-sorted frontiers, and the two
+// sort-free steps on that path — the segment encoder and the scatter
+// index — are held here to the sort-based formulations they replaced.
+
+// referenceEncodeSegment is the encoder as it was while results were hash
+// maps: collect the pairs in map order, remap, comparison-sort by (i, j).
+func referenceEncodeSegment(t *sparse.PairTable, ids []int) []byte {
+	type rec struct {
+		i, j uint32
+		v    float64
+	}
+	recs := make([]rec, 0, t.Len())
+	t.Range(func(i, j int, v float64) bool {
+		if ids != nil {
+			i, j = ids[i], ids[j]
+		}
+		recs = append(recs, rec{uint32(i), uint32(j), v})
+		return true
+	})
+	slices.SortFunc(recs, func(a, b rec) int {
+		if c := cmp.Compare(a.i, b.i); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.j, b.j)
+	})
+	buf := make([]byte, len(recs)*pairRecordSize)
+	for k, r := range recs {
+		o := k * pairRecordSize
+		binary.LittleEndian.PutUint32(buf[o:], r.i)
+		binary.LittleEndian.PutUint32(buf[o+4:], r.j)
+		binary.LittleEndian.PutUint64(buf[o+8:], math.Float64bits(r.v))
+	}
+	return buf
+}
+
+// referenceScatterIndex is the by-(j, i) permutation as a comparison sort
+// over keys decoded from the segment bytes.
+func referenceScatterIndex(b []byte) []uint32 {
+	v := segView{b: b}
+	n := v.pairs()
+	if n == 0 {
+		return nil
+	}
+	idx := make([]uint32, n)
+	for k := range idx {
+		idx[k] = uint32(k)
+	}
+	slices.SortFunc(idx, func(a, b uint32) int { return cmp.Compare(v.jkey(int(a)), v.jkey(int(b))) })
+	return idx
+}
+
+// handoffGraph has three small components and one component of two
+// complete bipartite halves joined by two weak bridges, so a component
+// plan is exact and a node-capped plan must cut the bridged component.
+func handoffGraph(t testing.TB) *clickgraph.Graph {
+	t.Helper()
+	b := clickgraph.NewBuilder()
+	add := func(q, a string, clicks int64, rate float64) {
+		w := clickgraph.EdgeWeights{Impressions: 3 * clicks, Clicks: clicks, ExpectedClickRate: rate}
+		if err := b.AddEdge(q, a, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Interleave the components' nodes so every shard's ids are scattered
+	// over the id space and the local→global maps do real work.
+	for q := 0; q < 9; q++ {
+		for c := 0; c < 3; c++ {
+			for a := 0; a < 6; a++ {
+				if (q+a+c)%3 != 0 {
+					add(fmt.Sprintf("s%d-q%d", c, q), fmt.Sprintf("s%d-a%d", c, a), int64((q*7+a*3+c)%9+1), float64((q*5+a*11+c)%100)/100)
+				}
+			}
+		}
+		for h := 0; h < 2; h++ {
+			for a := 0; a < 7; a++ {
+				add(fmt.Sprintf("b%d-q%d", h, q), fmt.Sprintf("b%d-a%d", h, a), int64((q+a)%5+1), 0.5)
+			}
+		}
+	}
+	add("b0-q0", "b1-a0", 1, 0.01)
+	add("b0-q1", "b1-a1", 1, 0.01)
+	return b.Build()
+}
+
+// handoffPlans returns the exact component plan and a plan that carves
+// the bridged component with an ACL cut.
+func handoffPlans(t testing.TB, g *clickgraph.Graph) map[string]*partition.Plan {
+	t.Helper()
+	pcfg := partition.DefaultPlanConfig()
+	pcfg.MaxShardNodes, pcfg.MinCutNodes = 24, 8
+	cut, err := partition.BuildPlan(g, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut.Exact || cut.TotalCutEdges == 0 {
+		t.Fatalf("fixture should force an ACL cut, got exact=%v cut=%d", cut.Exact, cut.TotalCutEdges)
+	}
+	return map[string]*partition.Plan{"component-exact": partition.ComponentPlan(g), "acl-cut": cut}
+}
+
+// TestEncodeSegmentMatchesReference holds the ordered encoder byte-equal
+// to the map-and-sort reference for every shard of every kind of run:
+// variants × strict evidence × pruning × {monolithic, component-exact
+// plan, ACL-cut plan}, and for the stitched frontiers of the sharded runs
+// (the rows each pool worker deposited concurrently).
+func TestEncodeSegmentMatchesReference(t *testing.T) {
+	g := handoffGraph(t)
+	plans := handoffPlans(t, g)
+	check := func(label string, f *sparse.PairFrontier, ids []int) {
+		t.Helper()
+		if got, want := encodeSegment(f, ids), referenceEncodeSegment(f.ToPairTable(), ids); !bytes.Equal(got, want) {
+			t.Errorf("%s: ordered encoder differs from the sort-based reference (%d vs %d bytes)", label, len(got), len(want))
+		}
+	}
+	for _, variant := range []core.Variant{core.Simple, core.Evidence, core.Weighted} {
+		for _, strict := range []bool{false, true} {
+			for _, prune := range []float64{0, 1e-4} {
+				cfg := core.DefaultConfig().WithVariant(variant)
+				cfg.Channel = core.ChannelClicks
+				cfg.StrictEvidence = strict
+				cfg.PruneEpsilon = prune
+				label := fmt.Sprintf("%v/strict=%v/prune=%g", variant, strict, prune)
+
+				mono, err := core.Run(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mono.QueryScores.Len() == 0 || mono.AdScores.Len() == 0 {
+					t.Fatalf("%s: a side scored no pairs; the fixture no longer exercises the encoder", label)
+				}
+				check(label+"/monolithic/query", mono.QueryScores, nil)
+				check(label+"/monolithic/ad", mono.AdScores, nil)
+
+				for name, plan := range plans {
+					res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 3, RetainShardScores: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, ss := range res.ShardScores {
+						check(fmt.Sprintf("%s/%s/shard %d/query", label, name, i), ss.QueryScores, ss.QueryIDs)
+						check(fmt.Sprintf("%s/%s/shard %d/ad", label, name, i), ss.AdScores, ss.AdIDs)
+					}
+					check(label+"/"+name+"/stitched/query", res.QueryScores, nil)
+					check(label+"/"+name+"/stitched/ad", res.AdScores, nil)
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeSegmentEdgeShards covers the degenerate shapes: a shard that
+// scored nothing, a single pair, and a partial (RunShards) run, whose
+// skipped shards carry no frontier and leave their stitched rows empty.
+func TestEncodeSegmentEdgeShards(t *testing.T) {
+	empty := sparse.NewPairFrontier(4)
+	empty.Compact()
+	if got := encodeSegment(empty, []int{3, 5, 8, 13}); len(got) != 0 {
+		t.Errorf("empty shard encoded to %d bytes", len(got))
+	}
+
+	one := sparse.NewPairFrontier(3)
+	one.Add(2, 0, 0.25)
+	one.Compact()
+	ids := []int{7, 70, 70000}
+	want := referenceEncodeSegment(one.ToPairTable(), ids)
+	if got := encodeSegment(one, ids); len(got) != pairRecordSize || !bytes.Equal(got, want) {
+		t.Errorf("single pair encoded to % x, want % x", got, want)
+	}
+
+	g := handoffGraph(t)
+	plan := handoffPlans(t, g)["component-exact"]
+	mask := make([]bool, len(plan.Shards))
+	mask[1] = true
+	cfg := core.DefaultConfig().WithVariant(core.Weighted)
+	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 2, RetainShardScores: true, RunShards: mask})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	for i, ss := range res.ShardScores {
+		if !mask[i] {
+			if ss.QueryScores != nil || ss.AdScores != nil {
+				t.Errorf("skipped shard %d carries scores", i)
+			}
+			for _, q := range ss.QueryIDs {
+				if top := res.TopRewrites(q, -1); len(top) != 0 {
+					t.Errorf("skipped shard %d left stitched query %d with %d partners", i, q, len(top))
+				}
+			}
+			continue
+		}
+		seg := encodeSegment(ss.QueryScores, ss.QueryIDs)
+		if !bytes.Equal(seg, referenceEncodeSegment(ss.QueryScores.ToPairTable(), ss.QueryIDs)) {
+			t.Errorf("executed shard %d: ordered encoder differs from the reference", i)
+		}
+		pairs += len(seg) / pairRecordSize
+	}
+	if pairs == 0 || pairs != res.QueryScores.Len() {
+		t.Errorf("executed shards hold %d query pairs, stitched result %d", pairs, res.QueryScores.Len())
+	}
+}
+
+// segmentOf encodes the given (i, j) pairs — already ascending by (i, j)
+// — as a segment whose scores are the record indices.
+func segmentOf(pairs [][2]uint32) []byte {
+	b := make([]byte, 0, len(pairs)*pairRecordSize)
+	for k, p := range pairs {
+		b = binary.LittleEndian.AppendUint32(b, p[0])
+		b = binary.LittleEndian.AppendUint32(b, p[1])
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(k)))
+	}
+	return b
+}
+
+// scatterFixtures are segments that stress the permutation: none and one
+// record, one j shared by every record (a single long run, ordered by the
+// primary index alone), every pair of a clique (runs of every length),
+// and ids spread past 2^16 and 2^24.
+func scatterFixtures() map[string][]byte {
+	var star, clique, wide [][2]uint32
+	for i := uint32(0); i < 3000; i++ {
+		star = append(star, [2]uint32{i, 1 << 20})
+	}
+	for i := uint32(0); i < 80; i++ {
+		for j := i + 1; j < 80; j++ {
+			clique = append(clique, [2]uint32{i, j})
+			wide = append(wide, [2]uint32{i * 300007, j * 300007})
+		}
+	}
+	return map[string][]byte{
+		"n=0":         nil,
+		"n=1":         segmentOf([][2]uint32{{4, 9}}),
+		"one long j":  segmentOf(star),
+		"clique":      segmentOf(clique),
+		"wide ids":    segmentOf(wide),
+		"max id pair": segmentOf([][2]uint32{{0, math.MaxUint32}, {1, 2}, {1, math.MaxUint32}}),
+	}
+}
+
+// TestScatterIndexMatchesReference holds the counting-sort permutation equal
+// to the comparator sort on the fixtures above and on real segments.
+func TestScatterIndexMatchesReference(t *testing.T) {
+	segs := scatterFixtures()
+	g := handoffGraph(t)
+	res, err := core.Run(g, core.DefaultConfig().WithVariant(core.Weighted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs["engine query side"] = encodeSegment(res.QueryScores, nil)
+	segs["engine ad side"] = encodeSegment(res.AdScores, nil)
+	for name, seg := range segs {
+		got, want := buildScatterIndex(seg), referenceScatterIndex(seg)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: permutation of %d records differs from the comparator sort", name, len(seg)/pairRecordSize)
+		}
+		if (got == nil) != (want == nil) {
+			t.Errorf("%s: nil-ness differs: got %v want %v", name, got == nil, want == nil)
+		}
+	}
+}
+
+// handoffSnapshotBytes writes a sharded snapshot of the fixture.
+func handoffSnapshotBytes(t testing.TB) []byte {
+	t.Helper()
+	g := handoffGraph(t)
+	cfg := core.DefaultConfig().WithVariant(core.Weighted)
+	res, err := core.RunSharded(g, cfg, partition.ComponentPlan(g), core.ShardOptions{RetainShardScores: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPreloadAllQuarantinesOnlyTheCorruptSegment pins the parallel
+// preload's failure contract on both read paths: one flipped record
+// quarantines exactly its segment, PreloadAll returns that segment's
+// error, and every other segment and blob is loaded. Run under -race it
+// also exercises the concurrent first touches.
+func TestPreloadAllQuarantinesOnlyTheCorruptSegment(t *testing.T) {
+	raw := handoffSnapshotBytes(t)
+	probe, err := NewSnapshot(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 2
+	if len(probe.dir) <= bad || probe.dir[bad].aPairs == 0 {
+		t.Fatalf("fixture has %d shards; shard %d needs ad pairs", len(probe.dir), bad)
+	}
+	raw[probe.dir[bad].aOff+8] ^= 0xff
+
+	for _, mode := range []string{"heap", "mapped"} {
+		t.Run(mode, func(t *testing.T) {
+			var mapped []byte
+			if mode == "mapped" {
+				mapped = raw
+			}
+			snap, err := newSnapshot(bytes.NewReader(raw), int64(len(raw)), mapped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = snap.PreloadAll()
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("shard %d ad segment", bad)) {
+				t.Fatalf("PreloadAll = %v, want shard %d's ad segment checksum failure", err, bad)
+			}
+			quar := snap.Quarantined()
+			if len(quar) != 1 || quar[0].Shard != bad || quar[0].Side != "ad" {
+				t.Fatalf("Quarantined() = %+v, want exactly shard %d's ad segment", quar, bad)
+			}
+			if got, want := snap.LoadedSegments(), 3*snap.NumShards()-1; got != want {
+				t.Fatalf("%d segments loaded, want all but one of %d", got, want+1)
+			}
+		})
+	}
+}
+
+// The three benchmarks below time the hand-off's serve-side steps on
+// core's multi-cluster benchkit workload (reduced under -short): encode
+// every shard's segments, build every segment's scatter index, and
+// preload a whole mapped snapshot.
+
+func handoffBenchResult(b *testing.B) *core.Result {
+	b.Helper()
+	bc := core.DefaultShardBenchConfig()
+	if testing.Short() {
+		bc = core.SmokeShardBenchConfig()
+	}
+	_, _, res, err := core.RunShardBench(bc, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+func reportPerPair(b *testing.B, res *core.Result) {
+	pairs := res.QueryScores.Len() + res.AdScores.Len()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+}
+
+func BenchmarkEncodeSegment(b *testing.B) {
+	res := handoffBenchResult(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, ss := range res.ShardScores {
+			encodeSegment(ss.QueryScores, ss.QueryIDs)
+			encodeSegment(ss.AdScores, ss.AdIDs)
+		}
+	}
+	reportPerPair(b, res)
+}
+
+func BenchmarkBuildScatterIndex(b *testing.B) {
+	res := handoffBenchResult(b)
+	var segs [][]byte
+	for _, ss := range res.ShardScores {
+		segs = append(segs, encodeSegment(ss.QueryScores, ss.QueryIDs), encodeSegment(ss.AdScores, ss.AdIDs))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, seg := range segs {
+			buildScatterIndex(seg)
+		}
+	}
+	reportPerPair(b, res)
+}
+
+func BenchmarkPreloadAll(b *testing.B) {
+	res := handoffBenchResult(b)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, res); err != nil {
+		b.Fatal(err)
+	}
+	raw := buf.Bytes()
+	b.ReportAllocs()
+	for b.Loop() {
+		snap, err := newSnapshot(bytes.NewReader(raw), int64(len(raw)), raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := snap.PreloadAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerPair(b, res)
+}

@@ -73,8 +73,8 @@ func copyCleanBlob(p *shardPayload, prev *Snapshot, i int) error {
 // new graph with one ShardScoreSet per shard (core.RunSharded with
 // RetainShardScores; shards skipped via RunShards carry id lists only),
 // and dirty must be the matching classification (partition.Diff.Dirty).
-// Dirty shards' segments are encoded from their tables in parallel; clean
-// shards' segments are byte-copied from prev, verified against the
+// Dirty shards' segments are encoded from their frontiers in parallel;
+// clean shards' segments are byte-copied from prev, verified against the
 // directory CRCs. The precomputed rewrite section follows the same split
 // at the depth recorded in prev's header: dirty shards re-run the
 // pipeline, clean shards byte-copy their blobs. bids must be the same
@@ -139,9 +139,7 @@ func RefreshSnapshot(w io.Writer, prev *Snapshot, res *core.Result, dirty []bool
 		st.BytesCopied += int64(len(payloads[i].qSeg) + len(payloads[i].aSeg))
 	}
 
-	encodePayloads(payloads, encodeIdx, func(i int) (*sparse.PairTable, *sparse.PairTable) {
-		return res.ShardScores[i].QueryScores, res.ShardScores[i].AdScores
-	})
+	encodePayloads(payloads, encodeIdx, res.ShardScores)
 	if err := fillTopKBlobs(payloads, encodeIdx, res, tk, bids); err != nil {
 		return st, err
 	}
@@ -174,11 +172,11 @@ type ShardSegment struct {
 	QueryCRC, AdCRC uint32
 }
 
-// EncodeShardSegment encodes one shard's score tables into segment wire
-// form. qIDs/aIDs are the shard's ascending global node ids (nil for an
-// identity/monolithic shard); the tables are local-id keyed, exactly as a
-// per-shard engine produces them.
-func EncodeShardSegment(q, a *sparse.PairTable, qIDs, aIDs []int) ShardSegment {
+// EncodeShardSegment encodes one shard's compacted score frontiers into
+// segment wire form. qIDs/aIDs are the shard's ascending global node ids
+// (nil for an identity/monolithic shard); the frontiers are local-id
+// keyed, exactly as a per-shard engine produces them.
+func EncodeShardSegment(q, a *sparse.PairFrontier, qIDs, aIDs []int) ShardSegment {
 	var s ShardSegment
 	s.QuerySeg = encodeSegment(q, qIDs)
 	s.AdSeg = encodeSegment(a, aIDs)

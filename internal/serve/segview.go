@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"cmp"
 	"encoding/binary"
 	"math"
-	"slices"
 	"sort"
 
 	"simrankpp/internal/sparse"
@@ -34,18 +32,43 @@ type segView struct {
 }
 
 // buildScatterIndex computes the by-(j, i) permutation for a verified
-// segment. Called once per segment under the shard's load lock.
+// segment. Called once per segment under the shard's load lock. The
+// primary order already ascends in i, so a stable sort by j alone is the
+// sort by (j, i): counting-sort passes over 11-bit digits of j − min j,
+// as many as the segment's id range needs, with no comparator.
 func buildScatterIndex(b []byte) []uint32 {
-	v := segView{b: b}
-	n := v.pairs()
+	n := len(b) / pairRecordSize
 	if n == 0 {
 		return nil
 	}
-	idx := make([]uint32, n)
+	js := make([]uint32, n)
+	lo, hi := ^uint32(0), uint32(0)
+	for k := range js {
+		j := binary.LittleEndian.Uint32(b[k*pairRecordSize+4:])
+		js[k] = j
+		lo, hi = min(lo, j), max(hi, j)
+	}
+	idx, tmp := make([]uint32, n), make([]uint32, n)
 	for k := range idx {
 		idx[k] = uint32(k)
 	}
-	slices.SortFunc(idx, func(a, b uint32) int { return cmp.Compare(v.jkey(int(a)), v.jkey(int(b))) })
+	const bits, mask = 11, 1<<11 - 1
+	var count [mask + 2]int
+	for shift := 0; (hi-lo)>>shift != 0; shift += bits {
+		clear(count[:])
+		for _, j := range js {
+			count[(j-lo)>>shift&mask+1]++
+		}
+		for d := 0; d <= mask; d++ {
+			count[d+1] += count[d]
+		}
+		for _, r := range idx {
+			d := (js[r] - lo) >> shift & mask
+			tmp[count[d]] = r
+			count[d]++
+		}
+		idx, tmp = tmp, idx
+	}
 	return idx
 }
 

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,62 +141,37 @@ type SnapshotMeta struct {
 	RewriteBidFiltered bool `json:"rewrite_bid_filtered,omitempty"`
 }
 
-// shardSource is one shard's tables awaiting encoding: ids remap local →
-// global and are nil for an identity (monolithic) shard.
-type shardSource struct {
-	qIDs, aIDs []int
-	q, a       *sparse.PairTable
-}
-
-// snapshotSources decomposes a result into per-shard table sources: the
+// snapshotSources decomposes a result into per-shard score sets: the
 // retained shard outputs of a RunSharded(..., RetainShardScores) run, or
-// the stitched tables as one identity shard.
-func snapshotSources(res *core.Result) []shardSource {
+// the stitched frontiers as one identity shard (nil id lists).
+func snapshotSources(res *core.Result) []core.ShardScoreSet {
 	if len(res.ShardScores) > 0 {
-		out := make([]shardSource, len(res.ShardScores))
-		for i, s := range res.ShardScores {
-			out[i] = shardSource{qIDs: s.QueryIDs, aIDs: s.AdIDs, q: s.QueryScores, a: s.AdScores}
-		}
-		return out
+		return res.ShardScores
 	}
-	return []shardSource{{q: res.QueryScores, a: res.AdScores}}
+	return []core.ShardScoreSet{{QueryScores: res.QueryScores, AdScores: res.AdScores}}
 }
 
-// encodeSegment flattens one pair table into the sorted binary record
-// stream, remapping ids through the ascending local→global map when given
-// (monotone, so local i < j stays global i < j).
-func encodeSegment(t *sparse.PairTable, ids []int) []byte {
-	type rec struct {
-		i, j uint32
-		v    float64
-	}
-	recs := make([]rec, 0, t.Len())
-	t.Range(func(i, j int, v float64) bool {
+// encodeSegment writes one compacted pair frontier out as the sorted
+// binary record stream, remapping ids through the ascending local→global
+// map when given. Row-major frontier order is segment order — a monotone
+// map keeps rows, and columns within a row, ascending — so nothing sorts.
+func encodeSegment(f *sparse.PairFrontier, ids []int) []byte {
+	buf := make([]byte, 0, f.Len()*pairRecordSize)
+	f.Range(func(i, j int, v float64) bool {
 		if ids != nil {
 			i, j = ids[i], ids[j]
 		}
-		recs = append(recs, rec{uint32(i), uint32(j), v})
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(j))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		return true
 	})
-	slices.SortFunc(recs, func(a, b rec) int {
-		if c := cmp.Compare(a.i, b.i); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.j, b.j)
-	})
-	buf := make([]byte, len(recs)*pairRecordSize)
-	for k, r := range recs {
-		o := k * pairRecordSize
-		binary.LittleEndian.PutUint32(buf[o:], r.i)
-		binary.LittleEndian.PutUint32(buf[o+4:], r.j)
-		binary.LittleEndian.PutUint64(buf[o+8:], math.Float64bits(r.v))
-	}
 	return buf
 }
 
 // shardPayload is one shard's encoded segments plus its directory
 // metadata, ready for assembly. RefreshSnapshot fills it by byte-copying
-// a previous snapshot; WriteSnapshot by encoding tables.
+// a previous snapshot; WriteSnapshot by encoding frontiers.
 type shardPayload struct {
 	qSeg, aSeg []byte
 	qCRC, aCRC uint32
@@ -244,7 +218,7 @@ func shardFingerprints(res *core.Result, shards int) ([]uint64, error) {
 // use WriteSnapshotTopK to tune or disable it). A result carrying
 // retained shard scores (core.ShardOptions.RetainShardScores) writes one
 // segment pair per shard, encoded in parallel directly from the shard
-// engines' local tables; any other result writes a single segment pair.
+// engines' local frontiers; any other result writes a single segment pair.
 // Results of a partial (ShardOptions.RunShards) run are rejected — their
 // missing shards can only be completed by RefreshSnapshot.
 func WriteSnapshot(w io.Writer, res *core.Result) error {
@@ -261,10 +235,10 @@ func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
 	}
 	payloads := make([]shardPayload, len(srcs))
 	for i := range srcs {
-		if srcs[i].q == nil || srcs[i].a == nil {
+		if srcs[i].QueryScores == nil || srcs[i].AdScores == nil {
 			return fmt.Errorf("serve: shard %d has no scores (partial refresh run?); use RefreshSnapshot", i)
 		}
-		payloads[i].qIDs, payloads[i].aIDs = srcs[i].qIDs, srcs[i].aIDs
+		payloads[i].qIDs, payloads[i].aIDs = srcs[i].QueryIDs, srcs[i].AdIDs
 		payloads[i].fp = fps[i]
 	}
 
@@ -272,9 +246,7 @@ func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
 	for i := range all {
 		all[i] = i
 	}
-	encodePayloads(payloads, all, func(i int) (*sparse.PairTable, *sparse.PairTable) {
-		return srcs[i].q, srcs[i].a
-	})
+	encodePayloads(payloads, all, srcs)
 	tk := opts.meta()
 	if err := fillTopKBlobs(payloads, all, res, tk, opts.BidTerms); err != nil {
 		return err
@@ -289,31 +261,37 @@ func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
 }
 
 // encodePayloads fills the given payload indices' segments and CRCs from
-// their score tables, one encoder per shard on a bounded pool — the
+// their score frontiers, one encoder per shard on a bounded pool — the
 // parallel encode both WriteSnapshot (every shard) and RefreshSnapshot
 // (dirty shards only) run.
-func encodePayloads(payloads []shardPayload, idx []int, tables func(i int) (q, a *sparse.PairTable)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(idx) {
-		workers = len(idx)
-	}
+func encodePayloads(payloads []shardPayload, idx []int, scores []core.ShardScoreSet) {
+	parallelFor(len(idx), func(k int) {
+		p := &payloads[idx[k]]
+		p.qSeg = encodeSegment(scores[idx[k]].QueryScores, p.qIDs)
+		p.aSeg = encodeSegment(scores[idx[k]].AdScores, p.aIDs)
+		p.qCRC = crc32.ChecksumIEEE(p.qSeg)
+		p.aCRC = crc32.ChecksumIEEE(p.aSeg)
+	})
+}
+
+// parallelFor runs fn(0..n-1) on a GOMAXPROCS-bounded pool and waits: the
+// per-shard fan-out of the segment encoder, the top-k builder and
+// PreloadAll. fn must confine its writes to its own index.
+func parallelFor(n int, fn func(k int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				q, a := tables(i)
-				payloads[i].qSeg = encodeSegment(q, payloads[i].qIDs)
-				payloads[i].aSeg = encodeSegment(a, payloads[i].aIDs)
-				payloads[i].qCRC = crc32.ChecksumIEEE(payloads[i].qSeg)
-				payloads[i].aCRC = crc32.ChecksumIEEE(payloads[i].aSeg)
+			for k := range jobs {
+				fn(k)
 			}
 		}()
 	}
-	for _, i := range idx {
-		jobs <- i
+	for k := 0; k < n; k++ {
+		jobs <- k
 	}
 	close(jobs)
 	wg.Wait()
@@ -1164,30 +1142,25 @@ func (s *Snapshot) Err() error {
 func (s *Snapshot) LoadedSegments() int { return int(s.loaded.Load()) }
 
 // PreloadAll materializes and verifies every score segment and top-k
-// blob, returning the first failure. Use it to validate a snapshot end
-// to end.
+// blob, shards in parallel, and returns the failure of the lowest-numbered
+// shard that had one. A failed segment is quarantined like any failed
+// first touch; every other segment is still loaded. Use it to validate a
+// snapshot end to end.
 func (s *Snapshot) PreloadAll() error {
-	for i := range s.shards {
+	errs := make([]error, len(s.shards))
+	parallelFor(len(s.shards), func(i int) {
+		var qErr, aErr error
 		if s.mapped != nil {
-			if _, err := s.queryView(i); err != nil {
-				return err
-			}
-			if _, err := s.adView(i); err != nil {
-				return err
-			}
+			_, qErr = s.queryView(i)
+			_, aErr = s.adView(i)
 		} else {
-			if _, err := s.queryTable(i); err != nil {
-				return err
-			}
-			if _, err := s.adTable(i); err != nil {
-				return err
-			}
+			_, qErr = s.queryTable(i)
+			_, aErr = s.adTable(i)
 		}
-		if _, err := s.topkBlob(i); err != nil {
-			return err
-		}
-	}
-	return nil
+		_, tkErr := s.topkBlob(i)
+		errs[i] = cmp.Or(qErr, aErr, tkErr)
+	})
+	return cmp.Or(errs...)
 }
 
 // Close unmaps the snapshot (when mapped) and releases the underlying

@@ -1,15 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"simrankpp/internal/rewrite"
 	"simrankpp/internal/sparse"
@@ -179,19 +178,39 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 	}
 	shard := newShardNames(names, qIDs)
 	ids := shard.ids
-	// partners[p] is the partner list of ids[p].
-	partners := make([][]sparse.Scored, len(ids))
-	for o := 0; o+pairRecordSize <= len(qSeg); o += pairRecordSize {
-		i := int(binary.LittleEndian.Uint32(qSeg[o:]))
-		j := int(binary.LittleEndian.Uint32(qSeg[o+4:]))
-		v := math.Float64frombits(binary.LittleEndian.Uint64(qSeg[o+8:]))
+	// Partner lists, sized by a counting pass and filled into one flat
+	// array (as sparse.ExpandSymmetric does): ids[p]'s list is
+	// flat[start[p]:start[p+1]]; pos keeps each record's two positions.
+	n := len(qSeg) / pairRecordSize
+	pos := make([]int32, 2*n)
+	start := make([]int, len(ids)+1)
+	for r := 0; r < n; r++ {
+		i := int(binary.LittleEndian.Uint32(qSeg[r*pairRecordSize:]))
+		j := int(binary.LittleEndian.Uint32(qSeg[r*pairRecordSize+4:]))
 		pi, okI := shard.pos(i)
 		pj, okJ := shard.pos(j)
 		if !okI || !okJ {
 			return nil, fmt.Errorf("serve: query segment pair (%d, %d) names a query outside its shard", i, j)
 		}
-		partners[pi] = append(partners[pi], sparse.Scored{Node: j, Score: v})
-		partners[pj] = append(partners[pj], sparse.Scored{Node: i, Score: v})
+		pos[2*r], pos[2*r+1] = int32(pi), int32(pj)
+		start[pi+1]++
+		start[pj+1]++
+	}
+	for p := range ids {
+		start[p+1] += start[p]
+	}
+	flat := make([]sparse.Scored, 2*n)
+	next := slices.Clone(start[:len(ids)])
+	for r := 0; r < n; r++ {
+		o := r * pairRecordSize
+		i := int(binary.LittleEndian.Uint32(qSeg[o:]))
+		j := int(binary.LittleEndian.Uint32(qSeg[o+4:]))
+		v := math.Float64frombits(binary.LittleEndian.Uint64(qSeg[o+8:]))
+		pi, pj := pos[2*r], pos[2*r+1]
+		flat[next[pi]] = sparse.Scored{Node: j, Score: v}
+		next[pi]++
+		flat[next[pj]] = sparse.Scored{Node: i, Score: v}
+		next[pj]++
 	}
 
 	pipe := rewrite.NewPipeline(shard, bids)
@@ -207,7 +226,7 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 		if uint64(qid) > math.MaxUint32 {
 			return nil, fmt.Errorf("serve: query id %d overflows the topk entry", qid)
 		}
-		ranked := partners[e]
+		ranked := flat[start[e]:start[e+1]]
 		sparse.SortScoredDesc(ranked)
 		src.list = ranked
 		cands, err := pipe.Rewrite(src, qid)
@@ -235,39 +254,18 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 // pool — the topk twin of encodePayloads, shared by WriteSnapshot
 // (every shard) and the refresh paths (dirty shards only).
 func fillTopKBlobs(payloads []shardPayload, idx []int, names nodeNames, tk topkMeta, bids map[string]bool) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(idx) {
-		workers = len(idx)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				blob, err := buildTopKBlob(payloads[i].qSeg, payloads[i].qIDs, names, tk, bids)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				payloads[i].tkBlob = blob
-				payloads[i].tkCRC = crc32.ChecksumIEEE(blob)
-			}
-		}()
-	}
-	for _, i := range idx {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return firstErr
+	errs := make([]error, len(idx))
+	parallelFor(len(idx), func(k int) {
+		p := &payloads[idx[k]]
+		blob, err := buildTopKBlob(p.qSeg, p.qIDs, names, tk, bids)
+		if err != nil {
+			errs[k] = err
+			return
+		}
+		p.tkBlob = blob
+		p.tkCRC = crc32.ChecksumIEEE(blob)
+	})
+	return cmp.Or(errs...)
 }
 
 // validateTopKBlob structurally checks one CRC-verified blob on first

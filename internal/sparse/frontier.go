@@ -57,18 +57,6 @@ func NewPairFrontier(rows int) *PairFrontier {
 	}
 }
 
-// FrontierFromPairTable builds a compacted frontier holding the same pairs
-// as t, for a side with rows nodes.
-func FrontierFromPairTable(t *PairTable, rows int) *PairFrontier {
-	f := NewPairFrontier(rows)
-	t.Range(func(i, j int, v float64) bool {
-		f.Add(i, j, v)
-		return true
-	})
-	f.Compact()
-	return f
-}
-
 // NumRows returns the number of row buckets (the side's node count).
 func (f *PairFrontier) NumRows() int { return len(f.cols) }
 
@@ -300,6 +288,50 @@ func (f *PairFrontier) RangeRow(r int, fn func(j int, v float64) bool) {
 	}
 }
 
+// Clone returns a compacted copy (pending tails are folded first): one
+// O(nnz) copy into exact-size rows, with none of the growth slack the
+// source's rows carry. The engines detach their final frontiers from the
+// reusable arena with it.
+func (f *PairFrontier) Clone() *PairFrontier {
+	if !f.compacted {
+		f.Compact()
+	}
+	c := NewPairFrontier(len(f.cols))
+	c.SetRowsRemapped(f, nil)
+	c.compacted = true
+	return c
+}
+
+// SetRowsRemapped copies every row of the compacted frontier src into f
+// with ids applied to both coordinates (nil means identity): src's row i
+// lands in row ids[i] and its column c becomes ids[c]. ids must ascend
+// strictly, so remapped rows stay sorted with every column above its row.
+// Rows become capacity-clipped windows of two flat arrays. Like
+// SetSortedRow it touches only the target rows, so calls with disjoint id
+// lists may run concurrently — how the shard pool stitches without a
+// serial merge.
+func (f *PairFrontier) SetRowsRemapped(src *PairFrontier, ids []int) {
+	nnz := src.Len()
+	cols, vals := make([]int32, nnz), make([]float64, nnz)
+	lo := 0
+	for i, row := range src.cols {
+		hi := lo + len(row)
+		r := i
+		if ids == nil {
+			copy(cols[lo:hi], row)
+		} else {
+			r = ids[i]
+			for k, c := range row {
+				cols[lo+k] = int32(ids[c])
+			}
+		}
+		copy(vals[lo:hi], src.vals[i])
+		f.cols[r], f.vals[r] = cols[lo:hi:hi], vals[lo:hi:hi]
+		f.sorted[r] = hi - lo
+		lo = hi
+	}
+}
+
 // Map rewrites every stored pair's value with fn, dropping pairs for which
 // fn reports false. The frontier is compacted first if needed; rows keep
 // their sorted order.
@@ -517,8 +549,9 @@ func (f *PairFrontier) ExpandSymmetric(dst *SymAdj) *SymAdj {
 	return dst
 }
 
-// ToPairTable converts the frontier into an equivalent PairTable (the
-// package's public result representation). Pending tails are folded first.
+// ToPairTable converts the frontier into an equivalent PairTable, for the
+// callers that want a mutable map (the map-baseline passes' input). Pending
+// tails are folded first.
 func (f *PairFrontier) ToPairTable() *PairTable {
 	if !f.compacted {
 		f.Compact()

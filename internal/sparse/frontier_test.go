@@ -262,22 +262,6 @@ func TestFrontierUncompactedGetSums(t *testing.T) {
 	}
 }
 
-func TestFrontierFromPairTable(t *testing.T) {
-	m := NewPairTable(0)
-	m.Set(0, 3, 1.5)
-	m.Set(2, 1, -2)
-	f := FrontierFromPairTable(m, 4)
-	if !f.Compacted() || f.Len() != 2 {
-		t.Fatalf("FrontierFromPairTable: compacted=%v len=%d", f.Compacted(), f.Len())
-	}
-	if v, _ := f.Get(3, 0); v != 1.5 {
-		t.Errorf("Get(3,0) = %v", v)
-	}
-	if v, _ := f.Get(1, 2); v != -2 {
-		t.Errorf("Get(1,2) = %v", v)
-	}
-}
-
 func TestParallelMergeNormalizeMatchesSerial(t *testing.T) {
 	rng := lcg(777)
 	for trial := 0; trial < 50; trial++ {

@@ -48,6 +48,14 @@ func NewPairTable(n int) *PairTable {
 	return &PairTable{m: make(map[uint64]float64, n)}
 }
 
+// dropIndex invalidates the partner index ahead of a mutation. A table
+// being filled has none, so its inserts pay a load, not an atomic exchange.
+func (t *PairTable) dropIndex() {
+	if t.idx.Load() != nil {
+		t.idx.Store(nil)
+	}
+}
+
 // Len returns the number of stored off-diagonal pairs.
 func (t *PairTable) Len() int { return len(t.m) }
 
@@ -68,7 +76,7 @@ func (t *PairTable) Set(i, j int, v float64) {
 	if i == j {
 		return
 	}
-	t.idx.Store(nil)
+	t.dropIndex()
 	t.m[PairKey(i, j)] = v
 }
 
@@ -77,13 +85,13 @@ func (t *PairTable) Add(i, j int, v float64) {
 	if i == j {
 		return
 	}
-	t.idx.Store(nil)
+	t.dropIndex()
 	t.m[PairKey(i, j)] += v
 }
 
 // Delete removes the pair (i, j) if present.
 func (t *PairTable) Delete(i, j int) {
-	t.idx.Store(nil)
+	t.dropIndex()
 	delete(t.m, PairKey(i, j))
 }
 
@@ -102,7 +110,7 @@ func (t *PairTable) Range(fn func(i, j int, v float64) bool) {
 // how many were removed. The large-graph SimRank engine calls this between
 // iterations to keep the frontier bounded.
 func (t *PairTable) Prune(eps float64) int {
-	t.idx.Store(nil)
+	t.dropIndex()
 	removed := 0
 	for k, v := range t.m {
 		if v < eps && v > -eps {
@@ -111,15 +119,6 @@ func (t *PairTable) Prune(eps float64) int {
 		}
 	}
 	return removed
-}
-
-// Clone returns a deep copy of the table.
-func (t *PairTable) Clone() *PairTable {
-	c := NewPairTable(len(t.m))
-	for k, v := range t.m {
-		c.m[k] = v
-	}
-	return c
 }
 
 // MaxAbsDiff returns the largest |a-b| over the union of both tables'

@@ -229,7 +229,7 @@ func TestPairTableMaxAbsDiff(t *testing.T) {
 	if d := b.MaxAbsDiff(a); math.Abs(d-0.3) > 1e-15 {
 		t.Errorf("MaxAbsDiff not symmetric: %v", d)
 	}
-	if d := a.MaxAbsDiff(a.Clone()); d != 0 {
+	if d := a.MaxAbsDiff(a); d != 0 {
 		t.Errorf("self diff = %v want 0", d)
 	}
 }
