@@ -5,19 +5,19 @@
 // -sharded) and the daemon routes each query to its shard's score segment,
 // loading segments lazily and caching hot responses in a bounded LRU.
 //
-// On Linux the snapshot is memory-mapped and segments are binary-searched
-// in place — no per-segment decode, no heap copy of the scores
-// (-mmap=false falls back to heap tables). When the snapshot carries a
-// precomputed top-k rewrite section built under this daemon's -bids set,
-// /rewrite answers straight from it, byte-identically to the live
-// pipeline (-precomputed=false forces the pipeline).
+// Segments are binary-searched in place, never decoded; on Linux the
+// snapshot is memory-mapped, so the scores stay in the page cache (other
+// platforms read each segment's bytes into memory). When the snapshot
+// carries a precomputed top-k rewrite section built under this daemon's
+// -bids set, /rewrite answers straight from it, byte-identically to the
+// live pipeline (-precomputed=false forces the pipeline).
 //
 // # Usage
 //
 //	simrankd -snapshot FILE [-addr :8080] [-top 5] [-max-top 100]
 //	         [-cache 4096] [-bids FILE] [-preload]
 //	         [-inflight 256] [-timeout 5s]
-//	         [-mmap=false] [-precomputed=false]
+//	         [-precomputed=false]
 //
 // # Endpoints
 //
@@ -91,7 +91,6 @@ func main() {
 		preload  = flag.Bool("preload", false, "verify and load every score segment at startup")
 		inflight = flag.Int("inflight", 256, "max concurrent scoring requests before shedding 503 (0 disables)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-request deadline on scoring endpoints (0 disables)")
-		useMmap  = flag.Bool("mmap", true, "serve score segments in place from a memory-mapped snapshot (false: decode into heap tables)")
 		precomp  = flag.Bool("precomputed", true, "answer /rewrite from the snapshot's precomputed top-k section when parameters match (false: always run the live pipeline)")
 	)
 	flag.Parse()
@@ -115,11 +114,7 @@ func main() {
 	}
 
 	openPath := func(path string) (serve.ScoreIndex, error) {
-		openSnap := serve.OpenSnapshot
-		if !*useMmap {
-			openSnap = serve.OpenSnapshotHeap
-		}
-		snap, err := openSnap(path)
+		snap, err := serve.OpenSnapshot(path)
 		if err != nil {
 			return nil, err
 		}

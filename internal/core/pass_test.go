@@ -265,7 +265,7 @@ func TestTopRewritesConcurrent(t *testing.T) {
 }
 
 // TestTopRewritesMatchesPairTableIndex holds the frontier-backed ranked
-// lookups to the indexed PairTable that used to answer them, both sides,
+// lookups to a full scan of the same pairs in a PairTable, both sides,
 // every depth, including nodes with no partners and ids out of range.
 func TestTopRewritesMatchesPairTableIndex(t *testing.T) {
 	res := mustRun(t, randomGraph(8, 15, 12, 60), DefaultConfig())
@@ -275,12 +275,14 @@ func TestTopRewritesMatchesPairTableIndex(t *testing.T) {
 		top  func(i, k int) []sparse.Scored
 	}{{"query", res.QueryScores, res.TopRewrites}, {"ad", res.AdScores, res.TopSimilarAds}} {
 		ref := side.f.ToPairTable()
-		ref.EnsureIndex()
 		for _, k := range []int{-1, 0, 1, 3, 100} {
 			for i := -1; i <= side.f.NumRows(); i++ {
 				got, want := side.top(i, k), ref.TopKFor(i, k)
+				if len(want) == 0 {
+					want = nil // the scan keeps an empty non-nil slice at k = 0
+				}
 				if !slices.Equal(got, want) || (got == nil) != (want == nil) {
-					t.Fatalf("%s %d k=%d: %v, PairTable index %v", side.name, i, k, got, want)
+					t.Fatalf("%s %d k=%d: %v, PairTable scan %v", side.name, i, k, got, want)
 				}
 			}
 		}

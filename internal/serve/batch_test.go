@@ -110,7 +110,7 @@ func TestBatchValidation(t *testing.T) {
 func TestStatsServingSurface(t *testing.T) {
 	g := testGraph(t)
 	path, _ := writeTopKFile(t, g, TopKOptions{K: DefaultRewriteTopK})
-	mm, hp := openBoth(t, path)
+	mm, rd := openBoth(t, path)
 
 	srv := serverOver(mm, nil)
 	h := srv.Handler()
@@ -129,8 +129,8 @@ func TestStatsServingSurface(t *testing.T) {
 	} else if err := json.Unmarshal(raw, &stats); err != nil {
 		t.Fatalf("bad stats: %v", err)
 	}
-	if !stats.Mmap {
-		t.Error("stats.Mmap = false on a mapped snapshot")
+	if stats.Mmap != mm.Mmapped() {
+		t.Errorf("stats.Mmap = %v on a snapshot with Mmapped() = %v", stats.Mmap, mm.Mmapped())
 	}
 	ts := stats.TopKSection
 	if ts == nil || !ts.Present || ts.K != DefaultRewriteTopK || !ts.Serving || ts.BidFiltered {
@@ -148,17 +148,17 @@ func TestStatsServingSurface(t *testing.T) {
 		t.Errorf("endpoints[rewrite] = %+v, want 3 requests with p50 <= p99", re)
 	}
 
-	// Heap-opened snapshot with the section disabled: mmap=false and
+	// ReadAt-opened snapshot with the section disabled: mmap=false and
 	// serving=false, but the section is still reported present.
-	var hs StatsResponse
-	hh := serverOver(hp, func(c *Config) { c.DisablePrecomputed = true }).Handler()
-	if _, raw := get(t, hh, "/stats"); json.Unmarshal(raw, &hs) != nil {
-		t.Fatal("bad heap stats")
+	var rs StatsResponse
+	hr := serverOver(rd, func(c *Config) { c.DisablePrecomputed = true }).Handler()
+	if _, raw := get(t, hr, "/stats"); json.Unmarshal(raw, &rs) != nil {
+		t.Fatal("bad stats from the ReadAt-opened snapshot")
 	}
-	if hs.Mmap {
-		t.Error("heap stats.Mmap = true")
+	if rs.Mmap {
+		t.Error("ReadAt-opened stats.Mmap = true")
 	}
-	if hs.TopKSection == nil || !hs.TopKSection.Present || hs.TopKSection.Serving {
-		t.Errorf("heap topk_section = %+v, want present but not serving", hs.TopKSection)
+	if rs.TopKSection == nil || !rs.TopKSection.Present || rs.TopKSection.Serving {
+		t.Errorf("ReadAt-opened topk_section = %+v, want present but not serving", rs.TopKSection)
 	}
 }

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -449,6 +451,113 @@ func TestChaosQuarantineBackoffJitter(t *testing.T) {
 	quar = snap.Quarantined()
 	if want := cur.Add(time.Second); len(quar) != 1 || !quar[0].RetryAt.Equal(want) {
 		t.Fatalf("second-failure jitter-floor retryAt = %+v, want %v", quar, want)
+	}
+}
+
+// hostileSegments are edits to one score segment that a checksum cannot
+// catch once the file is re-sealed, each breaking one invariant the
+// reader's binary searches and its callers' name lookups rely on. Every
+// edit needs a segment of at least two records.
+var hostileSegments = map[string]func(seg []byte, nodes uint32){
+	"node id past the side": func(seg []byte, nodes uint32) {
+		binary.LittleEndian.PutUint32(seg[len(seg)-pairRecordSize+4:], nodes)
+	},
+	"i not below j": func(seg []byte, _ uint32) {
+		last := seg[len(seg)-pairRecordSize:]
+		copy(last[:4], last[4:8]) // (i, j) → (j, j): still the largest key
+	},
+	"two records swapped": func(seg []byte, _ uint32) {
+		var rec [pairRecordSize]byte
+		copy(rec[:], seg)
+		copy(seg, seg[pairRecordSize:2*pairRecordSize])
+		copy(seg[pairRecordSize:], rec[:])
+	},
+	"duplicate key": func(seg []byte, _ uint32) {
+		copy(seg[pairRecordSize:2*pairRecordSize], seg[:pairRecordSize])
+	},
+}
+
+// resealQuerySegment returns a copy of the snapshot bytes with edit
+// applied to the first query segment holding at least two records, and
+// the segment, directory and header checksums recomputed over the result
+// — a file only structural validation can refuse. It reports which shard
+// it edited.
+func resealQuerySegment(t testing.TB, data []byte, edit func(seg []byte, nodes uint32)) ([]byte, int) {
+	t.Helper()
+	probe, err := NewSnapshot(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), data...)
+	for si, e := range probe.dir {
+		if e.qPairs < 2 {
+			continue
+		}
+		seg := out[e.qOff : e.qOff+e.qPairs*pairRecordSize]
+		edit(seg, uint32(probe.NumQueries()))
+		dirOff := binary.LittleEndian.Uint64(out[104:])
+		dirLen := binary.LittleEndian.Uint64(out[112:])
+		binary.LittleEndian.PutUint32(out[dirOff+uint64(si*dirEntrySize)+32:], crc32.ChecksumIEEE(seg))
+		binary.LittleEndian.PutUint32(out[124:], crc32.ChecksumIEEE(out[dirOff:dirOff+dirLen]))
+		binary.LittleEndian.PutUint32(out[196:], crc32.ChecksumIEEE(out[:196]))
+		return out, si
+	}
+	t.Fatal("fixture has no query segment with two records")
+	return nil, 0
+}
+
+// TestChaosHostileSegmentQuarantinesOneShard: a segment whose checksum
+// matches but whose records are out of range or out of order fails its
+// first touch exactly like a corrupt one — that shard quarantined and
+// listed by /readyz, every other shard answering as before, and no id
+// from it ever reaching a name lookup — from mapped and ReadAt bytes
+// alike.
+func TestChaosHostileSegmentQuarantinesOneShard(t *testing.T) {
+	_, data, clean := buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
+	for name, edit := range hostileSegments {
+		hostile, bad := resealQuerySegment(t, data, edit)
+		for _, mode := range []string{"read", "mapped"} {
+			t.Run(name+"/"+mode, func(t *testing.T) {
+				var mapped []byte
+				if mode == "mapped" {
+					mapped = hostile
+				}
+				snap, err := newSnapshot(bytes.NewReader(hostile), int64(len(hostile)), mapped)
+				if err != nil {
+					t.Fatalf("a re-sealed snapshot must open (segments load lazily): %v", err)
+				}
+				cfg := DefaultServerConfig()
+				cfg.CacheSize = 0
+				cfg.DisablePrecomputed = true // reach the score segment, not the top-k section
+				h := NewServer(snap, cfg).Handler()
+
+				for q := 0; q < snap.NumQueries(); q++ {
+					got := snap.TopRewrites(q, -1)
+					code, body := get(t, h, rewriteURL(snap.Query(q)))
+					if int(snap.qRoute[q]) == bad {
+						if got != nil || code != http.StatusInternalServerError {
+							t.Fatalf("query %d of the hostile shard: TopRewrites %v, /rewrite %d %s; want nil and 500", q, got, code, body)
+						}
+						continue
+					}
+					if want := clean.TopRewrites(q, -1); !scoredEqual(got, want) || code != http.StatusOK {
+						t.Fatalf("query %d of a healthy shard: TopRewrites %v (want %v), /rewrite %d %s", q, got, want, code, body)
+					}
+				}
+				quar := snap.Quarantined()
+				if len(quar) != 1 || quar[0].Shard != bad || quar[0].Side != "query" {
+					t.Fatalf("Quarantined() = %+v, want exactly shard %d's query segment", quar, bad)
+				}
+				code, body := get(t, h, "/readyz")
+				var ready ReadyResponse
+				if err := json.Unmarshal(body, &ready); err != nil {
+					t.Fatal(err)
+				}
+				if code != http.StatusOK || ready.Status != "degraded" || len(ready.Quarantined) != 1 || ready.Quarantined[0].Shard != bad {
+					t.Fatalf("/readyz = %d %+v, want 200 degraded with shard %d listed", code, ready, bad)
+				}
+			})
+		}
 	}
 }
 

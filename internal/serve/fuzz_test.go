@@ -76,6 +76,12 @@ func FuzzOpenSnapshot(f *testing.F) {
 		ref.Close()
 	}
 
+	// A file whose checksums all match but whose first query segment names
+	// a node past the side: only the structural check on first touch
+	// stands between it and an out-of-range name lookup.
+	hostile, _ := resealQuerySegment(f, sharded.Bytes(), hostileSegments["node id past the side"])
+	f.Add(hostile)
+
 	// Generation manifests live beside snapshots on disk; a confused
 	// operator (or a buggy rollback script) pointing the daemon at one
 	// must get a clean rejection. Seed the raw manifest, a padded one
@@ -109,7 +115,12 @@ func FuzzOpenSnapshot(f *testing.F) {
 		_ = snap.PreloadAll()
 		m := snap.Meta()
 		for q := 0; q < m.NumQueries; q++ {
-			snap.TopRewrites(q, 3)
+			// Callers index name tables with the ids a ranking returns.
+			for _, r := range snap.TopRewrites(q, 3) {
+				if r.Node < 0 || r.Node >= m.NumQueries {
+					t.Fatalf("TopRewrites returned node %d outside [0,%d)", r.Node, m.NumQueries)
+				}
+			}
 			if q+1 < m.NumQueries {
 				snap.QuerySim(q, q+1)
 			}
@@ -132,7 +143,11 @@ func FuzzOpenSnapshot(f *testing.F) {
 			}
 		}
 		for a := 0; a < m.NumAds; a++ {
-			snap.TopSimilarAds(a, 3)
+			for _, r := range snap.TopSimilarAds(a, 3) {
+				if r.Node < 0 || r.Node >= m.NumAds {
+					t.Fatalf("TopSimilarAds returned node %d outside [0,%d)", r.Node, m.NumAds)
+				}
+			}
 		}
 		for i := 0; i < snap.NumShards(); i++ {
 			snap.ShardFingerprint(i)

@@ -268,7 +268,11 @@ func TestScatterIndexMatchesReference(t *testing.T) {
 	segs["engine query side"] = encodeSegment(res.QueryScores, nil)
 	segs["engine ad side"] = encodeSegment(res.AdScores, nil)
 	for name, seg := range segs {
-		got, want := buildScatterIndex(seg), referenceScatterIndex(seg)
+		got, err := buildScatterIndex(seg, math.MaxInt)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		want := referenceScatterIndex(seg)
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: permutation of %d records differs from the comparator sort", name, len(seg)/pairRecordSize)
 		}
@@ -295,7 +299,7 @@ func handoffSnapshotBytes(t testing.TB) []byte {
 }
 
 // TestPreloadAllQuarantinesOnlyTheCorruptSegment pins the parallel
-// preload's failure contract on both read paths: one flipped record
+// preload's failure contract over both byte sources: one flipped record
 // quarantines exactly its segment, PreloadAll returns that segment's
 // error, and every other segment and blob is loaded. Run under -race it
 // also exercises the concurrent first touches.
@@ -311,7 +315,7 @@ func TestPreloadAllQuarantinesOnlyTheCorruptSegment(t *testing.T) {
 	}
 	raw[probe.dir[bad].aOff+8] ^= 0xff
 
-	for _, mode := range []string{"heap", "mapped"} {
+	for _, mode := range []string{"read", "mapped"} {
 		t.Run(mode, func(t *testing.T) {
 			var mapped []byte
 			if mode == "mapped" {
@@ -380,7 +384,9 @@ func BenchmarkBuildScatterIndex(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		for _, seg := range segs {
-			buildScatterIndex(seg)
+			if _, err := buildScatterIndex(seg, math.MaxInt); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	reportPerPair(b, res)

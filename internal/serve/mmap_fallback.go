@@ -1,4 +1,4 @@
-//go:build !linux || simrank_nommap
+//go:build !linux
 
 package serve
 
@@ -7,12 +7,12 @@ import (
 	"os"
 )
 
-// This platform (or the simrank_nommap build tag) has no mmap support:
-// OpenSnapshot degrades to the read-into-heap segment path, which the
-// differential tests pin byte-identical to the mapped one.
-const mmapSupported = false
+// No mmap here: OpenSnapshot's map attempt fails and segment bytes are
+// read into memory with ReadAt instead — the same reader over the same
+// bytes, which the differential tests drive on every platform through
+// NewSnapshot.
 
-var errNoMmap = errors.New("serve: mmap unsupported on this build")
+var errNoMmap = errors.New("serve: mmap unsupported on this platform")
 
 func mmapFile(_ *os.File, _ int64) ([]byte, error) { return nil, errNoMmap }
 

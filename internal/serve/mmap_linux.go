@@ -1,4 +1,4 @@
-//go:build linux && !simrank_nommap
+//go:build linux
 
 package serve
 
@@ -6,11 +6,6 @@ import (
 	"os"
 	"syscall"
 )
-
-// mmapSupported gates OpenSnapshot's zero-copy path; the simrank_nommap
-// build tag (or a non-Linux platform) swaps in mmap_fallback.go, which
-// forces every open onto the read-into-heap path.
-const mmapSupported = true
 
 // mmapFile maps the whole file read-only and shared — the snapshot is
 // immutable once renamed into place, so the pages are backed by the

@@ -61,7 +61,7 @@ func refreshTopK(prev *Snapshot, bids map[string]bool) (topkMeta, error) {
 // the blob is position-independent (blob-relative offsets, global ids)
 // and a clean shard's pipeline inputs are fingerprint-identical.
 func copyCleanBlob(p *shardPayload, prev *Snapshot, i int) error {
-	blob, err := prev.topkBytes(i)
+	blob, err := prev.segmentBytes("topk", i)
 	if err != nil {
 		return err
 	}
@@ -125,10 +125,10 @@ func RefreshSnapshot(w io.Writer, prev *Snapshot, res *core.Result, dirty []bool
 		}
 		var err error
 		e := &prev.dir[i]
-		if payloads[i].qSeg, err = prev.segmentBytes("query", i, e.qOff, e.qPairs, e.qCRC); err != nil {
+		if payloads[i].qSeg, err = prev.segmentBytes("query", i); err != nil {
 			return st, err
 		}
-		if payloads[i].aSeg, err = prev.segmentBytes("ad", i, e.aOff, e.aPairs, e.aCRC); err != nil {
+		if payloads[i].aSeg, err = prev.segmentBytes("ad", i); err != nil {
 			return st, err
 		}
 		payloads[i].qCRC, payloads[i].aCRC = e.qCRC, e.aCRC
@@ -262,10 +262,10 @@ func AssembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, cfg core.
 		}
 		var err error
 		e := &prev.dir[i]
-		if payloads[i].qSeg, err = prev.segmentBytes("query", i, e.qOff, e.qPairs, e.qCRC); err != nil {
+		if payloads[i].qSeg, err = prev.segmentBytes("query", i); err != nil {
 			return st, err
 		}
-		if payloads[i].aSeg, err = prev.segmentBytes("ad", i, e.aOff, e.aPairs, e.aCRC); err != nil {
+		if payloads[i].aSeg, err = prev.segmentBytes("ad", i); err != nil {
 			return st, err
 		}
 		payloads[i].qCRC, payloads[i].aCRC = e.qCRC, e.aCRC

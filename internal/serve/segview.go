@@ -2,51 +2,70 @@ package serve
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
 
 	"simrankpp/internal/sparse"
 )
 
-// segView is a zero-copy cursor over one CRC-verified score segment: the
-// sorted (uint32 i, uint32 j, float64 score) records exactly as they sit
-// in the mapped snapshot, with i < j in global ids and records ascending
-// by (i, j). The scores are never decoded — point lookups binary-search
-// the packed keys in place, and ranked lookups read only the records a
-// node's partners occupy. This is the janus-datalog idiom (serve
-// straight off the immutable bytes) applied to the snapshot layout.
+// segView is the snapshot's one score-segment reader: a cursor over a
+// verified segment's bytes — the sorted (uint32 i, uint32 j, float64
+// score) records exactly as the file holds them, with i < j in global ids
+// and records ascending by (i, j) — wherever those bytes live (a slice of
+// the mapping, or a buffer ReadAt filled). The scores are never decoded:
+// point lookups binary-search the packed keys in place, and ranked
+// lookups read only the records a node's partners occupy. This is the
+// janus-datalog idiom (serve straight off the immutable bytes) applied
+// to the snapshot layout.
 //
 // A node's partners live in two regions: the contiguous (node, j) run —
 // binary-searchable in the primary (i, j) order — and scattered (i,
 // node) records anywhere before it. byJ makes the scatter searchable
 // too: a permutation of record indices sorted by (j, i), built once per
-// segment at load (4 bytes per pair, the only heap state the mapped
-// path keeps; scores stay in the page cache).
+// segment at load (4 bytes per pair, the only state kept beside the
+// bytes themselves).
 //
-// The view must match sparse.PairTable's answers bit for bit — same
-// scores, same descending-score/ascending-id ordering — which the
-// mmap-vs-heap differential tests pin.
+// The view must return the scores the snapshot was written from bit for
+// bit, ranked descending by score then ascending by id, which the
+// differential tests pin against core.Result.
 type segView struct {
-	b   []byte   // len(b) % pairRecordSize == 0, verified before construction
+	b   []byte   // records validated by buildScatterIndex before construction
 	byJ []uint32 // record indices sorted by packed (j<<32 | i)
 }
 
-// buildScatterIndex computes the by-(j, i) permutation for a verified
-// segment. Called once per segment under the shard's load lock. The
-// primary order already ascends in i, so a stable sort by j alone is the
-// sort by (j, i): counting-sort passes over 11-bit digits of j − min j,
-// as many as the segment's id range needs, with no comparator.
-func buildScatterIndex(b []byte) []uint32 {
+// buildScatterIndex computes the by-(j, i) permutation for a
+// checksum-verified segment on a side with the given node count, and
+// rejects a segment whose records break what the lookups rely on: find
+// and topKFor binary-search keys that must strictly ascend, and callers
+// index name tables with the ids they get back. Called once per segment
+// under the shard's load lock. The primary order already ascends in i, so
+// a stable sort by j alone is the sort by (j, i): counting-sort passes
+// over 11-bit digits of j − min j, as many as the segment's id range
+// needs, with no comparator.
+func buildScatterIndex(b []byte, nodes int) ([]uint32, error) {
 	n := len(b) / pairRecordSize
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	js := make([]uint32, n)
 	lo, hi := ^uint32(0), uint32(0)
+	var prev uint64
 	for k := range js {
+		i := binary.LittleEndian.Uint32(b[k*pairRecordSize:])
 		j := binary.LittleEndian.Uint32(b[k*pairRecordSize+4:])
+		key := uint64(i)<<32 | uint64(j)
+		// i < j makes key ≥ 1, so the first record passes key > 0.
+		if i >= j || key <= prev {
+			return nil, fmt.Errorf("record %d (%d, %d) breaks the strictly ascending i < j order", k, i, j)
+		}
+		prev = key
 		js[k] = j
 		lo, hi = min(lo, j), max(hi, j)
+	}
+	// i < j ≤ hi, so bounding the largest j bounds every id.
+	if uint64(hi) >= uint64(nodes) {
+		return nil, fmt.Errorf("node id %d on a side of %d nodes", hi, nodes)
 	}
 	idx, tmp := make([]uint32, n), make([]uint32, n)
 	for k := range idx {
@@ -69,7 +88,7 @@ func buildScatterIndex(b []byte) []uint32 {
 		}
 		idx, tmp = tmp, idx
 	}
-	return idx
+	return idx, nil
 }
 
 // pairs returns the record count.
@@ -103,7 +122,7 @@ func (v segView) lowerBound(want uint64) int {
 }
 
 // find binary-searches the unordered pair (a, b), returning its stored
-// score — the in-place twin of PairTable.Get.
+// score.
 func (v segView) find(a, b int) (float64, bool) {
 	if a == b {
 		return 0, false
@@ -120,7 +139,7 @@ func (v segView) find(a, b int) (float64, bool) {
 }
 
 // topKFor returns node's k highest-scoring partners (ties broken by
-// ascending id; k < 0 means all), matching PairTable.TopKFor exactly.
+// ascending id; k < 0 means all).
 // The contiguous (node, j) run is binary-searched in the primary order;
 // the scattered (i, node) records are the matching run of the by-(j, i)
 // permutation. Both are O(log pairs + degree).

@@ -840,8 +840,8 @@ type StatsResponse struct {
 	IndexError        string        `json:"index_error,omitempty"`
 	QuarantinedShards int           `json:"quarantined_shards"`
 	Quarantined       []ShardHealth `json:"quarantined,omitempty"`
-	// Mmap reports whether the served snapshot answers from memory-mapped
-	// segment bytes (the zero-copy path) or heap-decoded tables.
+	// Mmap reports whether the served snapshot's segment bytes are
+	// memory-mapped (false: read into memory; the reader is the same).
 	Mmap bool `json:"mmap"`
 	// TopKSection describes the snapshot's precomputed rewrite section
 	// and whether this server's parameters let /rewrite use it.

@@ -54,10 +54,8 @@ import (
 //	          shard's precomputed top-k rewrite blob.
 //	segments  per shard, per side: pair records (uint32 i, uint32 j,
 //	          float64 score) with i < j in global ids, sorted ascending —
-//	          written in parallel, one encoder per shard, and either
-//	          decoded lazily per shard per side on first access (heap
-//	          mode) or binary-searched in place over the mapped bytes
-//	          (mmap mode; see segview.go).
+//	          written in parallel, one encoder per shard, and
+//	          binary-searched in place, never decoded (see segview.go).
 //	topk      per shard, one self-contained blob of precomputed §9.3
 //	          rewrite lists: u32 entry count, then per stored query
 //	          (global id ascending) a (u32 id, u32 list offset relative
@@ -493,24 +491,20 @@ type segEntry struct {
 }
 
 // segState is one score segment's lazy-load state machine. A segment
-// that fails to load (torn write, bad disk, CRC mismatch) is
-// quarantined: lookups against it fail fast until a capped exponential
-// backoff elapses, then the next touch retries the load — so a
-// transient fault heals without a restart while a persistent one
-// cannot melt the disk with retry storms. The mutex makes concurrent
-// first touches race-free (one loader, everyone else waits, exactly
-// like the sync.Once it replaced); after a successful load the table
-// is read-only (PairTable reads and EnsureIndex are concurrency-safe),
-// as is a verified raw view (never written after verification).
+// that fails to load (torn write, bad disk, CRC mismatch, records that
+// break the layout's invariants) is quarantined: lookups against it fail
+// fast until a capped exponential backoff elapses, then the next touch
+// retries the load — so a transient fault heals without a restart while
+// a persistent one cannot melt the disk with retry storms. The mutex
+// makes concurrent first touches race-free (one loader, everyone else
+// waits, exactly like the sync.Once it replaced); after a successful
+// load raw and byJ are never written again.
 type segState struct {
 	mu sync.Mutex
-	// Exactly one of tab/raw is populated on success: tab holds the
-	// decoded table in heap mode, raw the CRC-verified zero-copy view in
-	// mmap mode (and, for the top-k side, the verified blob bytes in
-	// either mode).
-	tab *sparse.PairTable
+	// raw is the segment's (or, for the top-k side, the blob's) verified
+	// bytes: a slice of the mapping, or a buffer ReadAt filled.
 	raw []byte
-	// byJ is the scatter index over raw in mmap mode (see
+	// byJ is the scatter index over a score segment's raw (see
 	// segView.byJ): record indices sorted by (j, i), built once here so
 	// ranked lookups never scan the segment.
 	byJ      []uint32
@@ -568,18 +562,19 @@ type ShardHealth struct {
 // Snapshot is a loaded snapshot file implementing ScoreIndex. Opening
 // reads only the header, string table, route map and directory — O(nodes),
 // independent of how many scores the file holds; each shard's score
-// segments are read, checksummed and indexed on first access. A
-// memory-mapped snapshot (OpenSnapshot on supported platforms) skips
-// the decode entirely: segments are CRC-verified once on first touch
-// and binary-searched in place over the mapped bytes.
+// segments are fetched, verified and indexed on first access, then
+// binary-searched in place (segView). Where the bytes live is the only
+// thing that varies: a memory-mapped snapshot (OpenSnapshot, where the
+// platform can map) slices them out of the mapping, any other reads
+// them into memory with ReadAt.
 type Snapshot struct {
 	r      io.ReaderAt
 	size   int64
 	closer io.Closer
-	// mapped is the whole file when memory-mapped; nil in heap mode.
-	// Views handed out (segment raws, top-k blobs) alias this memory, so
-	// Close must not be called while lookups are in flight — the server
-	// swap protocol (write-lock the index swap) guarantees that.
+	// mapped is the whole file when memory-mapped, else nil. Views
+	// handed out (segment raws, top-k blobs) alias this memory, so Close
+	// must not be called while lookups are in flight — the server swap
+	// protocol (write-lock the index swap) guarantees that.
 	mapped []byte
 
 	meta         SnapshotMeta
@@ -609,21 +604,9 @@ type Snapshot struct {
 }
 
 // OpenSnapshot opens a snapshot file, memory-mapping it when the
-// platform supports it and falling back silently to the heap reader
-// when mapping fails. Close releases it.
+// platform can; when it cannot (or the map fails) segments are read into
+// memory on first touch instead. Close releases it.
 func OpenSnapshot(path string) (*Snapshot, error) {
-	return openSnapshotFile(path, mmapSupported)
-}
-
-// OpenSnapshotHeap opens a snapshot file on the read-into-heap segment
-// path, never mapping — the differential-test and fallback twin of
-// OpenSnapshot (also reachable via simrankd -mmap=false, or everywhere
-// under the simrank_nommap build tag / on non-Linux platforms).
-func OpenSnapshotHeap(path string) (*Snapshot, error) {
-	return openSnapshotFile(path, false)
-}
-
-func openSnapshotFile(path string, tryMmap bool) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -633,13 +616,7 @@ func openSnapshotFile(path string, tryMmap bool) (*Snapshot, error) {
 		f.Close()
 		return nil, err
 	}
-	var mapped []byte
-	if tryMmap && st.Size() >= headerSize {
-		// A failed map is not fatal: serve from the heap path instead.
-		if m, merr := mmapFile(f, st.Size()); merr == nil {
-			mapped = m
-		}
-	}
+	mapped, _ := mmapFile(f, st.Size()) // nil on failure: not fatal
 	s, err := newSnapshot(f, st.Size(), mapped)
 	if err != nil {
 		if mapped != nil {
@@ -653,8 +630,8 @@ func openSnapshotFile(path string, tryMmap bool) (*Snapshot, error) {
 }
 
 // NewSnapshot opens a snapshot from any random-access reader of the
-// given total size — always heap mode (mapping needs a file; use
-// OpenSnapshot).
+// given total size. Nothing is mapped (that needs a file; use
+// OpenSnapshot): segment bytes are fetched with ReadAt.
 func NewSnapshot(r io.ReaderAt, size int64) (*Snapshot, error) {
 	return newSnapshot(r, size, nil)
 }
@@ -737,15 +714,15 @@ func newSnapshot(r io.ReaderAt, size int64, mapped []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("serve: string table of %d bytes cannot hold %d names", stringsLen, nq+na)
 	}
 
-	strBuf, err := s.section("string table", stringsOff, stringsLen, binary.LittleEndian.Uint32(hdr[52:]))
+	strBuf, err := s.region("string table", stringsOff, stringsLen, binary.LittleEndian.Uint32(hdr[52:]))
 	if err != nil {
 		return nil, err
 	}
-	route, err := s.section("route map", routeOff, routeLen, binary.LittleEndian.Uint32(hdr[120:]))
+	route, err := s.region("route map", routeOff, routeLen, binary.LittleEndian.Uint32(hdr[120:]))
 	if err != nil {
 		return nil, err
 	}
-	dirBuf, err := s.section("shard directory", dirOff, dirLen, binary.LittleEndian.Uint32(hdr[124:]))
+	dirBuf, err := s.region("shard directory", dirOff, dirLen, binary.LittleEndian.Uint32(hdr[124:]))
 	if err != nil {
 		return nil, err
 	}
@@ -824,111 +801,56 @@ func newSnapshot(r io.ReaderAt, size int64, mapped []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// section reads and checksums one eagerly-loaded region — zero-copy
-// over the mapped bytes when mapped, read into the heap otherwise. The
-// bounds check is overflow-safe: length is checked against the file
-// size before the offset is, so off+length cannot wrap.
-func (s *Snapshot) section(name string, off, length uint64, wantCRC uint32) ([]byte, error) {
+// region returns the checksum-verified bytes of [off, off+length) — a
+// slice of the mapping when the file is mapped, a buffer filled by
+// ReadAt otherwise. Every byte the reader serves comes through here. The
+// bounds check is overflow-safe: length is checked against the file size
+// before the offset is, so off+length cannot wrap.
+func (s *Snapshot) region(what string, off, length uint64, wantCRC uint32) ([]byte, error) {
 	if length > uint64(s.size) || off > uint64(s.size)-length {
-		return nil, fmt.Errorf("serve: %s [%d,+%d) extends past snapshot end (%d bytes)", name, off, length, s.size)
+		return nil, fmt.Errorf("serve: %s [%d,+%d) extends past snapshot end (%d bytes)", what, off, length, s.size)
 	}
 	var buf []byte
-	if s.mapped != nil {
-		buf = s.mapped[off : off+length]
-	} else {
-		buf = make([]byte, length)
-		if _, err := s.r.ReadAt(buf, int64(off)); err != nil {
-			return nil, fmt.Errorf("serve: reading %s: %w", name, err)
-		}
-	}
-	if got := crc32.ChecksumIEEE(buf); got != wantCRC {
-		return nil, fmt.Errorf("serve: %s checksum mismatch", name)
-	}
-	return buf, nil
-}
-
-// segmentBytes reads and checksums one score segment's raw bytes without
-// decoding them — the byte-copy path RefreshSnapshot reuses for clean
-// shards. Bounds checks are overflow-safe (pairs is bounded before the
-// byte length is computed).
-func (s *Snapshot) segmentBytes(side string, shard int, off, pairs uint64, wantCRC uint32) ([]byte, error) {
-	if pairs > uint64(s.size)/pairRecordSize {
-		return nil, fmt.Errorf("serve: shard %d %s segment claims %d pairs, more than the snapshot holds (%d bytes)",
-			shard, side, pairs, s.size)
-	}
-	length := pairs * pairRecordSize
-	if off > uint64(s.size)-length {
-		return nil, fmt.Errorf("serve: shard %d %s segment [%d,+%d) extends past snapshot end (%d bytes): truncated snapshot",
-			shard, side, off, length, s.size)
-	}
-	if length == 0 {
-		// An empty segment may sit exactly at end of file, where some
+	switch {
+	case length == 0:
+		// An empty region may sit exactly at end of file, where some
 		// ReaderAt implementations return EOF even for zero-length reads.
-		if wantCRC != crc32.ChecksumIEEE(nil) {
-			return nil, fmt.Errorf("serve: shard %d %s segment checksum mismatch", shard, side)
-		}
-		return nil, nil
-	}
-	var buf []byte
-	if s.mapped != nil {
+	case s.mapped != nil:
 		buf = s.mapped[off : off+length]
-	} else {
+	default:
 		buf = make([]byte, length)
 		if _, err := s.r.ReadAt(buf, int64(off)); err != nil {
-			return nil, fmt.Errorf("serve: reading shard %d %s segment: %w", shard, side, err)
+			return nil, fmt.Errorf("serve: reading %s: %w", what, err)
 		}
 	}
-	if got := crc32.ChecksumIEEE(buf); got != wantCRC {
-		return nil, fmt.Errorf("serve: shard %d %s segment checksum mismatch", shard, side)
+	if crc32.ChecksumIEEE(buf) != wantCRC {
+		return nil, fmt.Errorf("serve: %s checksum mismatch", what)
 	}
 	return buf, nil
 }
 
-// topkBytes reads and checksums shard si's precomputed top-k blob —
-// zero-copy when mapped. A zero-length blob (snapshot written with the
-// section disabled) returns nil.
-func (s *Snapshot) topkBytes(si int) ([]byte, error) {
+// segmentBytes returns the verified raw bytes of one side of shard si: a
+// score segment ("query", "ad") or the precomputed top-k blob ("topk",
+// nil when the snapshot was written with the section disabled) — what
+// segLoad serves from and what RefreshSnapshot byte-copies for clean
+// shards.
+func (s *Snapshot) segmentBytes(side string, si int) ([]byte, error) {
 	e := &s.dir[si]
-	if e.tkLen > uint64(s.size) || e.tkOff > uint64(s.size)-e.tkLen {
-		return nil, fmt.Errorf("serve: shard %d topk blob [%d,+%d) extends past snapshot end (%d bytes)",
-			si, e.tkOff, e.tkLen, s.size)
-	}
-	if e.tkLen == 0 {
-		if e.tkCRC != crc32.ChecksumIEEE(nil) {
-			return nil, fmt.Errorf("serve: shard %d topk blob checksum mismatch", si)
+	off, length, crc := e.tkOff, e.tkLen, e.tkCRC
+	if side != "topk" {
+		pairs := e.qPairs
+		off, crc = e.qOff, e.qCRC
+		if side == "ad" {
+			off, pairs, crc = e.aOff, e.aPairs, e.aCRC
 		}
-		return nil, nil
-	}
-	var buf []byte
-	if s.mapped != nil {
-		buf = s.mapped[e.tkOff : e.tkOff+e.tkLen]
-	} else {
-		buf = make([]byte, e.tkLen)
-		if _, err := s.r.ReadAt(buf, int64(e.tkOff)); err != nil {
-			return nil, fmt.Errorf("serve: reading shard %d topk blob: %w", si, err)
+		// Bound pairs before multiplying, so the byte length cannot wrap.
+		if pairs > uint64(s.size)/pairRecordSize {
+			return nil, fmt.Errorf("serve: shard %d %s segment claims %d pairs, more than the snapshot holds (%d bytes)",
+				si, side, pairs, s.size)
 		}
+		length = pairs * pairRecordSize
 	}
-	if got := crc32.ChecksumIEEE(buf); got != e.tkCRC {
-		return nil, fmt.Errorf("serve: shard %d topk blob checksum mismatch", si)
-	}
-	return buf, nil
-}
-
-// loadSegment reads, verifies and decodes one score segment.
-func (s *Snapshot) loadSegment(side string, shard int, off, pairs uint64, wantCRC uint32) (*sparse.PairTable, error) {
-	buf, err := s.segmentBytes(side, shard, off, pairs, wantCRC)
-	if err != nil {
-		return nil, err
-	}
-	t := sparse.NewPairTable(int(pairs))
-	for k := 0; k < int(pairs); k++ {
-		o := k * pairRecordSize
-		i := int(binary.LittleEndian.Uint32(buf[o:]))
-		j := int(binary.LittleEndian.Uint32(buf[o+4:]))
-		v := math.Float64frombits(binary.LittleEndian.Uint64(buf[o+8:]))
-		t.Set(i, j, v)
-	}
-	return t, nil
+	return s.region(fmt.Sprintf("shard %d %s segment", si, side), off, length, crc)
 }
 
 func (s *Snapshot) recordErr(err error) {
@@ -945,10 +867,10 @@ func (s *Snapshot) recordErr(err error) {
 // without a disk touch; after it elapses, the next touch retries —
 // which is how a shard recovers once a transient fault clears. All
 // other shards are untouched by one shard's quarantine: the daemon
-// keeps answering for them. Side "query"/"ad" decodes into a table
-// (heap mode) or CRC-verifies the mapped bytes in place (mmap mode);
-// side "topk" verifies and structurally validates the shard's
-// precomputed rewrite blob in either mode.
+// keeps answering for them. Beyond the checksum every side is validated
+// structurally, because lookups trust what they read: "query"/"ad"
+// records must be strictly ascending with in-range ids (checked while
+// the scatter index is built), the "topk" blob well-formed.
 func (s *Snapshot) segLoad(st *segState, side string, si int) error {
 	if st.loaded {
 		return nil
@@ -956,34 +878,18 @@ func (s *Snapshot) segLoad(st *segState, side string, si int) error {
 	if st.failures > 0 && s.now().Before(st.retryAt) {
 		return &errQuarantined{shard: si, side: side, failures: st.failures, retryAt: st.retryAt, cause: st.err}
 	}
-	e := &s.dir[si]
-	var err error
-	switch side {
-	case "topk":
-		var raw []byte
-		if raw, err = s.topkBytes(si); err == nil {
-			if err = validateTopKBlob(raw, s.meta.RewriteTopK); err != nil {
-				err = fmt.Errorf("serve: shard %d topk blob: %w", si, err)
-			} else {
-				st.raw = raw
-			}
+	raw, err := s.segmentBytes(side, si)
+	if err == nil {
+		switch side {
+		case "topk":
+			err = validateTopKBlob(raw, s.meta.RewriteTopK)
+		case "query":
+			st.byJ, err = buildScatterIndex(raw, s.meta.NumQueries)
+		default:
+			st.byJ, err = buildScatterIndex(raw, s.meta.NumAds)
 		}
-	default:
-		off, pairs, crc := e.qOff, e.qPairs, e.qCRC
-		if side == "ad" {
-			off, pairs, crc = e.aOff, e.aPairs, e.aCRC
-		}
-		if s.mapped != nil {
-			var raw []byte
-			if raw, err = s.segmentBytes(side, si, off, pairs, crc); err == nil {
-				st.raw = raw
-				st.byJ = buildScatterIndex(raw)
-			}
-		} else {
-			var tab *sparse.PairTable
-			if tab, err = s.loadSegment(side, si, off, pairs, crc); err == nil {
-				st.tab = tab
-			}
+		if err != nil {
+			err = fmt.Errorf("serve: shard %d %s segment: %w", si, side, err)
 		}
 	}
 	if err != nil {
@@ -999,6 +905,7 @@ func (s *Snapshot) segLoad(st *segState, side string, si int) error {
 		s.recordErr(err)
 		return err
 	}
+	st.raw = raw
 	st.loaded = true
 	st.failures, st.err = 0, nil
 	st.ready.Store(true)
@@ -1006,57 +913,29 @@ func (s *Snapshot) segLoad(st *segState, side string, si int) error {
 	return nil
 }
 
-// segTable returns one side's decoded table for shard si (heap mode),
-// loading it on first use.
-func (s *Snapshot) segTable(st *segState, side string, si int) (*sparse.PairTable, error) {
-	if st.ready.Load() {
-		return st.tab, nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := s.segLoad(st, side, si); err != nil {
-		return nil, err
-	}
-	return st.tab, nil
-}
-
-// segRawView returns one side's verified raw segment view (mmap mode),
-// loading it on first use.
-func (s *Snapshot) segRawView(st *segState, side string, si int) (segView, error) {
-	if st.ready.Load() {
-		return segView{b: st.raw, byJ: st.byJ}, nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := s.segLoad(st, side, si); err != nil {
-		return segView{}, err
+// view returns one side's verified score segment, loading it on first
+// use.
+func (s *Snapshot) view(st *segState, side string, si int) (segView, error) {
+	if !st.ready.Load() {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if err := s.segLoad(st, side, si); err != nil {
+			return segView{}, err
+		}
 	}
 	return segView{b: st.raw, byJ: st.byJ}, nil
 }
 
-// queryTable returns shard si's query-side table, loading it on first use.
-func (s *Snapshot) queryTable(si int) (*sparse.PairTable, error) {
-	return s.segTable(&s.shards[si].q, "query", si)
-}
-
-// adTable is queryTable for the ad side.
-func (s *Snapshot) adTable(si int) (*sparse.PairTable, error) {
-	return s.segTable(&s.shards[si].a, "ad", si)
-}
-
-// queryView and adView are the mmap-mode twins of queryTable/adTable:
-// CRC-verified in-place views searched without decoding.
 func (s *Snapshot) queryView(si int) (segView, error) {
-	return s.segRawView(&s.shards[si].q, "query", si)
+	return s.view(&s.shards[si].q, "query", si)
 }
 
 func (s *Snapshot) adView(si int) (segView, error) {
-	return s.segRawView(&s.shards[si].a, "ad", si)
+	return s.view(&s.shards[si].a, "ad", si)
 }
 
-// topkBlob returns shard si's verified precomputed rewrite blob (either
-// mode), loading it on first use; nil when the snapshot carries no
-// section.
+// topkBlob returns shard si's verified precomputed rewrite blob, loading
+// it on first use; nil when the snapshot carries no section.
 func (s *Snapshot) topkBlob(si int) ([]byte, error) {
 	st := &s.shards[si].tk
 	if st.ready.Load() {
@@ -1070,8 +949,8 @@ func (s *Snapshot) topkBlob(si int) ([]byte, error) {
 	return st.raw, nil
 }
 
-// Mmapped reports whether lookups run zero-copy over a memory-mapped
-// snapshot (the /stats `mmap` field).
+// Mmapped reports whether the segment bytes are a memory mapping rather
+// than read into memory (the /stats `mmap` field).
 func (s *Snapshot) Mmapped() bool { return s.mapped != nil }
 
 // Quarantined reports every score segment currently in quarantine — a
@@ -1149,14 +1028,8 @@ func (s *Snapshot) LoadedSegments() int { return int(s.loaded.Load()) }
 func (s *Snapshot) PreloadAll() error {
 	errs := make([]error, len(s.shards))
 	parallelFor(len(s.shards), func(i int) {
-		var qErr, aErr error
-		if s.mapped != nil {
-			_, qErr = s.queryView(i)
-			_, aErr = s.adView(i)
-		} else {
-			_, qErr = s.queryTable(i)
-			_, aErr = s.adTable(i)
-		}
+		_, qErr := s.queryView(i)
+		_, aErr := s.adView(i)
 		_, tkErr := s.topkBlob(i)
 		errs[i] = cmp.Or(qErr, aErr, tkErr)
 	})
@@ -1206,7 +1079,7 @@ func (s *Snapshot) AdID(name string) (int, bool) {
 
 // QuerySim implements ScoreIndex: 1 on the diagonal, 0 across shards
 // (sharded runs never score cross-shard pairs), the stored score within
-// one. Mapped snapshots binary-search the segment bytes in place.
+// one, binary-searched in the segment bytes.
 func (s *Snapshot) QuerySim(q1, q2 int) float64 {
 	if q1 == q2 {
 		return 1
@@ -1214,21 +1087,12 @@ func (s *Snapshot) QuerySim(q1, q2 int) float64 {
 	if s.qRoute[q1] != s.qRoute[q2] {
 		return 0
 	}
-	si := int(s.qRoute[q1])
-	if s.mapped != nil {
-		v, err := s.queryView(si)
-		if err != nil {
-			return 0
-		}
-		score, _ := v.find(q1, q2)
-		return score
-	}
-	t, err := s.queryTable(si)
+	v, err := s.queryView(int(s.qRoute[q1]))
 	if err != nil {
 		return 0
 	}
-	v, _ := t.Get(q1, q2)
-	return v
+	score, _ := v.find(q1, q2)
+	return score
 }
 
 // AdSim implements ScoreIndex.
@@ -1239,46 +1103,26 @@ func (s *Snapshot) AdSim(a1, a2 int) float64 {
 	if s.aRoute[a1] != s.aRoute[a2] {
 		return 0
 	}
-	si := int(s.aRoute[a1])
-	if s.mapped != nil {
-		v, err := s.adView(si)
-		if err != nil {
-			return 0
-		}
-		score, _ := v.find(a1, a2)
-		return score
-	}
-	t, err := s.adTable(si)
+	v, err := s.adView(int(s.aRoute[a1]))
 	if err != nil {
 		return 0
 	}
-	v, _ := t.Get(a1, a2)
-	return v
+	score, _ := v.find(a1, a2)
+	return score
 }
 
 // topRewrites is TopRewrites returning load errors: the shared core of
 // the ScoreIndex surface and the deadline-aware variant.
 func (s *Snapshot) topRewrites(q, k int) ([]sparse.Scored, error) {
-	si := int(s.qRoute[q])
-	if s.mapped != nil {
-		v, err := s.queryView(si)
-		if err != nil {
-			return nil, err
-		}
-		return v.topKFor(q, k), nil
-	}
-	t, err := s.queryTable(si)
+	v, err := s.queryView(int(s.qRoute[q]))
 	if err != nil {
 		return nil, err
 	}
-	t.EnsureIndex()
-	return t.TopKFor(q, k), nil
+	return v.topKFor(q, k), nil
 }
 
 // TopRewrites implements ScoreIndex: it routes q to its shard's query
-// segment and answers from that segment alone — the decoded partner
-// index in heap mode, an in-place scan of the mapped bytes in mmap
-// mode (identical ranking either way; the differential tests pin it).
+// segment and answers from that segment alone.
 func (s *Snapshot) TopRewrites(q, k int) []sparse.Scored {
 	out, err := s.topRewrites(q, k)
 	if err != nil {
@@ -1307,20 +1151,11 @@ func (s *Snapshot) TopRewritesContext(ctx context.Context, q, k int) ([]sparse.S
 
 // TopSimilarAds implements ScoreIndex.
 func (s *Snapshot) TopSimilarAds(a, k int) []sparse.Scored {
-	si := int(s.aRoute[a])
-	if s.mapped != nil {
-		v, err := s.adView(si)
-		if err != nil {
-			return nil
-		}
-		return v.topKFor(a, k)
-	}
-	t, err := s.adTable(si)
+	v, err := s.adView(int(s.aRoute[a]))
 	if err != nil {
 		return nil
 	}
-	t.EnsureIndex()
-	return t.TopKFor(a, k)
+	return v.topKFor(a, k)
 }
 
 // VariantName implements ScoreIndex.

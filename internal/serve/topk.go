@@ -169,7 +169,7 @@ func checkTopKBlobLen(n int) error {
 
 // buildTopKBlob builds one shard's blob from its encoded query segment:
 // decode partner lists in one pass, rank them exactly as
-// PairTable.TopKFor would, and filter each query's ranking through the
+// segView.topKFor would, and filter each query's ranking through the
 // pipeline at depth k. qIDs is the shard's global query ids (nil =
 // identity shard covering every query).
 func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids map[string]bool) ([]byte, error) {

@@ -156,7 +156,7 @@ func TestTopKBlobsMatchReference(t *testing.T) {
 			}
 			defer prev.Close()
 			for i := range res0.ShardScores {
-				got, err := prev.topkBytes(i)
+				got, err := prev.segmentBytes("topk", i)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,14 +186,14 @@ func TestTopKBlobsMatchReference(t *testing.T) {
 			}
 			defer next.Close()
 			for i, dirty := range diff.Dirty {
-				got, err := next.topkBytes(i)
+				got, err := next.segmentBytes("topk", i)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var wantBlob []byte
 				if dirty {
 					wantBlob = want(res1, i)
-				} else if wantBlob, err = prev.topkBytes(i); err != nil {
+				} else if wantBlob, err = prev.segmentBytes("topk", i); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, wantBlob) {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,13 +19,14 @@ import (
 	"simrankpp/internal/sparse"
 )
 
-// This file pins the zero-copy serving tentpole: the mmap path answers
-// bit-identically to the heap path at every layer (raw lookups, segView
-// vs PairTable, HTTP bodies), the precomputed top-k section answers
-// byte-identically to the live pipeline (including through a refresh
-// that byte-copies clean shards' lists), and the section degrades to the
-// pipeline — never to an error — when its blob is corrupt or its
-// parameters don't match.
+// This file pins the zero-copy serving path: the one segment reader
+// answers bit-identically to the result the snapshot was written from at
+// every layer (raw lookups, segView vs a PairTable scan, HTTP bodies)
+// whether the segment bytes are a mapping or were read with ReadAt, the
+// precomputed top-k section answers byte-identically to the live
+// pipeline (including through a refresh that byte-copies clean shards'
+// lists), and the section degrades to the pipeline — never to an error —
+// when its blob is corrupt or its parameters don't match.
 
 // writeTopKFile runs g sharded and persists it with a top-k section.
 func writeTopKFile(t *testing.T, g *clickgraph.Graph, opts TopKOptions) (string, *core.Result) {
@@ -43,88 +45,98 @@ func writeTopKFile(t *testing.T, g *clickgraph.Graph, opts TopKOptions) (string,
 	return path, res
 }
 
-// openBoth opens path on the mmap and heap paths, skipping the test on
-// platforms where mmap is unavailable.
-func openBoth(t *testing.T, path string) (*Snapshot, *Snapshot) {
+// openBoth opens path over both byte sources: mapped (OpenSnapshot; where
+// the platform cannot map, a second ReadAt-backed opening) and read into
+// memory through NewSnapshot.
+func openBoth(t *testing.T, path string) (mapped, read *Snapshot) {
 	t.Helper()
-	mm, err := OpenSnapshot(path)
+	mapped, err := OpenSnapshot(path)
 	if err != nil {
 		t.Fatalf("OpenSnapshot: %v", err)
 	}
-	t.Cleanup(func() { mm.Close() })
-	if !mm.Mmapped() {
-		t.Skip("mmap unavailable on this platform; heap fallback already covered elsewhere")
+	t.Cleanup(func() { mapped.Close() })
+	if runtime.GOOS == "linux" && !mapped.Mmapped() {
+		t.Fatal("OpenSnapshot did not map the file on linux")
 	}
-	hp, err := OpenSnapshotHeap(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("OpenSnapshotHeap: %v", err)
+		t.Fatal(err)
 	}
-	t.Cleanup(func() { hp.Close() })
-	if hp.Mmapped() {
-		t.Fatal("OpenSnapshotHeap returned a mapped snapshot")
+	read, err = NewSnapshot(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatalf("NewSnapshot: %v", err)
 	}
-	return mm, hp
+	if read.Mmapped() {
+		t.Fatal("NewSnapshot returned a mapped snapshot")
+	}
+	return mapped, read
 }
 
-// TestMmapHeapDifferential is the tentpole's core guarantee: every
-// lookup the serving surface offers answers identically from the mapped
-// bytes and from the decoded heap tables.
-func TestMmapHeapDifferential(t *testing.T) {
+// TestMappedReadDifferential is the reader's core guarantee: every
+// lookup the serving surface offers answers, from mapped bytes and from
+// ReadAt bytes alike, exactly what the result the snapshot was written
+// from answers.
+func TestMappedReadDifferential(t *testing.T) {
 	g := testGraph(t)
 	path, res := writeTopKFile(t, g, TopKOptions{K: DefaultRewriteTopK})
-	mm, hp := openBoth(t, path)
+	mm, rd := openBoth(t, path)
 
-	for q := 0; q < g.NumQueries(); q++ {
-		for _, k := range []int{-1, 0, 1, 3} {
-			if got, want := mm.TopRewrites(q, k), hp.TopRewrites(q, k); !scoredEqual(got, want) {
-				t.Fatalf("TopRewrites(%d,%d): mmap %v, heap %v", q, k, got, want)
+	for name, snap := range map[string]*Snapshot{"mapped": mm, "read": rd} {
+		for q := 0; q < g.NumQueries(); q++ {
+			for _, k := range []int{-1, 0, 1, 3} {
+				if got, want := snap.TopRewrites(q, k), res.TopRewrites(q, k); !scoredEqual(got, want) {
+					t.Fatalf("%s TopRewrites(%d,%d): %v, result %v", name, q, k, got, want)
+				}
+			}
+			for q2 := q; q2 < g.NumQueries(); q2++ {
+				if got, want := snap.QuerySim(q, q2), res.QuerySim(q, q2); got != want {
+					t.Fatalf("%s QuerySim(%d,%d): %v, result %v", name, q, q2, got, want)
+				}
 			}
 		}
-		if got, want := mm.TopRewrites(q, -1), res.TopRewrites(q, -1); !scoredEqual(got, want) {
-			t.Fatalf("TopRewrites(%d): mmap %v, live %v", q, got, want)
-		}
-		for q2 := q; q2 < g.NumQueries(); q2++ {
-			if got, want := mm.QuerySim(q, q2), hp.QuerySim(q, q2); got != want {
-				t.Fatalf("QuerySim(%d,%d): mmap %v, heap %v", q, q2, got, want)
+		for a := 0; a < g.NumAds(); a++ {
+			if got, want := snap.TopSimilarAds(a, -1), res.TopSimilarAds(a, -1); !scoredEqual(got, want) {
+				t.Fatalf("%s TopSimilarAds(%d): %v, result %v", name, a, got, want)
 			}
-		}
-		pm, okm := mm.PrecomputedRewrites(q, 5)
-		ph, okh := hp.PrecomputedRewrites(q, 5)
-		if okm != okh || !scoredEqual(pm, ph) {
-			t.Fatalf("PrecomputedRewrites(%d): mmap %v,%v heap %v,%v", q, pm, okm, ph, okh)
+			for a2 := a; a2 < g.NumAds(); a2++ {
+				if got, want := snap.AdSim(a, a2), res.AdSim(a, a2); got != want {
+					t.Fatalf("%s AdSim(%d,%d): %v, result %v", name, a, a2, got, want)
+				}
+			}
 		}
 	}
-	for a := 0; a < g.NumAds(); a++ {
-		if got, want := mm.TopSimilarAds(a, -1), hp.TopSimilarAds(a, -1); !scoredEqual(got, want) {
-			t.Fatalf("TopSimilarAds(%d): mmap %v, heap %v", a, got, want)
-		}
-		for a2 := a; a2 < g.NumAds(); a2++ {
-			if got, want := mm.AdSim(a, a2), hp.AdSim(a, a2); got != want {
-				t.Fatalf("AdSim(%d,%d): mmap %v, heap %v", a, a2, got, want)
-			}
+	// The result carries no precomputed section to compare with; the two
+	// byte sources must at least agree on it (TestPrecomputedMatchesPipeline
+	// ties the section to the pipeline).
+	for q := 0; q < g.NumQueries(); q++ {
+		pm, okm := mm.PrecomputedRewrites(q, 5)
+		pr, okr := rd.PrecomputedRewrites(q, 5)
+		if okm != okr || !scoredEqual(pm, pr) {
+			t.Fatalf("PrecomputedRewrites(%d): mapped %v,%v read %v,%v", q, pm, okm, pr, okr)
 		}
 	}
 }
 
-// serverOver wraps snap in a Server with the cache off (every request
+// serverOver wraps idx in a Server with the cache off (every request
 // exercises the lookup path, not the LRU).
-func serverOver(snap *Snapshot, mutate func(*Config)) *Server {
+func serverOver(idx ScoreIndex, mutate func(*Config)) *Server {
 	cfg := DefaultServerConfig()
 	cfg.CacheSize = 0
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return NewServer(snap, cfg)
+	return NewServer(idx, cfg)
 }
 
-// TestMmapHeapResponsesByteIdentical lifts the differential to the HTTP
-// layer: /rewrite and /similar bodies are byte-equal across the two
-// paths for every query and ad in the fixture.
-func TestMmapHeapResponsesByteIdentical(t *testing.T) {
+// TestMappedReadResponsesByteIdentical lifts the differential to the HTTP
+// layer: /rewrite and /similar bodies from both byte sources are
+// byte-equal to a server over the live result, for every query and ad in
+// the fixture.
+func TestMappedReadResponsesByteIdentical(t *testing.T) {
 	g := testGraph(t)
-	path, _ := writeTopKFile(t, g, TopKOptions{K: DefaultRewriteTopK})
-	mm, hp := openBoth(t, path)
-	hm, hh := serverOver(mm, nil).Handler(), serverOver(hp, nil).Handler()
+	path, res := writeTopKFile(t, g, TopKOptions{K: DefaultRewriteTopK})
+	mm, rd := openBoth(t, path)
+	hm, hr, live := serverOver(mm, nil).Handler(), serverOver(rd, nil).Handler(), serverOver(res, nil).Handler()
 
 	urls := make([]string, 0, 2*g.NumQueries()+g.NumAds())
 	for q := 0; q < g.NumQueries(); q++ {
@@ -137,10 +149,11 @@ func TestMmapHeapResponsesByteIdentical(t *testing.T) {
 	}
 	urls = append(urls, "/rewrite?q=absent-query", "/similar?q=absent-query")
 	for _, u := range urls {
-		mc, mb := get(t, hm, u)
-		hc, hb := get(t, hh, u)
-		if mc != hc || !bytes.Equal(mb, hb) {
-			t.Fatalf("GET %s: mmap %d %q, heap %d %q", u, mc, mb, hc, hb)
+		wc, wb := get(t, live, u)
+		for name, h := range map[string]http.Handler{"mapped": hm, "read": hr} {
+			if c, b := get(t, h, u); c != wc || !bytes.Equal(b, wb) {
+				t.Fatalf("GET %s: %s %d %q, live result %d %q", u, name, c, b, wc, wb)
+			}
 		}
 	}
 }
@@ -338,8 +351,8 @@ func makeSegBytes(t *testing.T, recs [][3]float64) []byte {
 // TestSegViewBoundaries pins the in-place search on the awkward shapes:
 // empty segment, single pair, first and last record of a segment, a
 // node with partners in both the scattered and contiguous regions, and
-// absent nodes — each cross-checked against a PairTable holding the
-// same pairs (the heap path's data structure).
+// absent nodes — each cross-checked against a scan of a PairTable
+// holding the same pairs.
 func TestSegViewBoundaries(t *testing.T) {
 	cases := []struct {
 		name string
@@ -355,7 +368,11 @@ func TestSegViewBoundaries(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			raw := makeSegBytes(t, tc.recs)
-			v := segView{b: raw, byJ: buildScatterIndex(raw)}
+			byJ, err := buildScatterIndex(raw, math.MaxInt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := segView{b: raw, byJ: byJ}
 			tab := sparse.NewPairTable(16)
 			maxNode := 0
 			for _, r := range tc.recs {
@@ -364,7 +381,6 @@ func TestSegViewBoundaries(t *testing.T) {
 					maxNode = int(r[1])
 				}
 			}
-			tab.EnsureIndex()
 			if v.pairs() != len(tc.recs) {
 				t.Fatalf("pairs() = %d, want %d", v.pairs(), len(tc.recs))
 			}
@@ -397,13 +413,13 @@ func TestSegViewBoundaries(t *testing.T) {
 
 // TestQueryIDZeroAlloc pins the string-interning satellite: resolving a
 // query or ad name on a warm snapshot — hit or miss — allocates nothing
-// on either path.
+// over either byte source.
 func TestQueryIDZeroAlloc(t *testing.T) {
 	g := testGraph(t)
 	path, _ := writeTopKFile(t, g, TopKOptions{K: 2})
-	mm, hp := openBoth(t, path)
+	mm, rd := openBoth(t, path)
 	hit, miss := g.Query(0), "no such query"
-	for name, snap := range map[string]*Snapshot{"mmap": mm, "heap": hp} {
+	for name, snap := range map[string]*Snapshot{"mapped": mm, "read": rd} {
 		if n := testing.AllocsPerRun(200, func() {
 			if _, ok := snap.QueryID(hit); !ok {
 				t.Fatal("hit lookup failed")

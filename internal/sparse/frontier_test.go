@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -299,34 +300,33 @@ func TestParallelMergeNormalizeMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestPairTableIndexedTopKMatchesScan(t *testing.T) {
+// TestPairTableTopKMatchesSymmetricExpansion holds the scan TopKFor — the
+// ranking oracle of the core and serve tests — to an independent
+// formulation: the frontier's symmetric expansion of the same pairs,
+// ranked per row.
+func TestPairTableTopKMatchesSymmetricExpansion(t *testing.T) {
 	rng := lcg(42)
-	m := NewPairTable(0)
+	m, f := NewPairTable(0), NewPairFrontier(25)
 	for a := 0; a < 300; a++ {
-		m.Add(rng.next(25), rng.next(25), rng.float())
+		i, j, v := rng.next(25), rng.next(25), rng.float()
+		m.Add(i, j, v)
+		f.Add(i, j, v)
 	}
+	f.Compact()
+	adj := f.ExpandSymmetric(nil)
 	for _, k := range []int{-1, 0, 1, 3, 100} {
 		for i := 0; i < 25; i++ {
-			scan := m.TopKFor(i, k) // index not built yet
-			m.EnsureIndex()
-			if !m.Indexed() {
-				t.Fatal("EnsureIndex did not build")
+			cols, vals := adj.Row(i)
+			want := make([]Scored, len(cols))
+			for n, c := range cols {
+				want[n] = Scored{Node: int(c), Score: vals[n]}
 			}
-			indexed := m.TopKFor(i, k)
-			if len(scan) != len(indexed) {
-				t.Fatalf("node %d k=%d: %d scan vs %d indexed", i, k, len(scan), len(indexed))
+			SortScoredDesc(want)
+			if k >= 0 && len(want) > k {
+				want = want[:k]
 			}
-			for p := range scan {
-				if scan[p] != indexed[p] {
-					t.Fatalf("node %d k=%d entry %d: %+v vs %+v", i, k, p, scan[p], indexed[p])
-				}
-			}
-			// Mutation invalidates so the next iteration re-exercises both
-			// paths (off-diagonal: Set on the diagonal is a no-op).
-			n1 := rng.next(24)
-			m.Set(n1, n1+1, rng.float())
-			if m.Indexed() {
-				t.Fatal("mutation did not invalidate index")
+			if scan := m.TopKFor(i, k); !slices.Equal(scan, want) {
+				t.Fatalf("node %d k=%d: scan %+v, expansion %+v", i, k, scan, want)
 			}
 		}
 	}

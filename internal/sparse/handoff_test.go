@@ -104,39 +104,3 @@ func TestSetRowsRemappedConcurrentDeposit(t *testing.T) {
 	global.Compact()
 	requireSamePairs(t, "stitched", global, want)
 }
-
-// TestPairTableEveryMutatorInvalidatesIndex pins the contract dropIndex
-// keeps while skipping the store on an unindexed table.
-func TestPairTableEveryMutatorInvalidatesIndex(t *testing.T) {
-	for name, mutate := range map[string]func(*PairTable){
-		"Set":    func(m *PairTable) { m.Set(1, 2, 0.5) },
-		"Add":    func(m *PairTable) { m.Add(1, 2, 0.5) },
-		"Delete": func(m *PairTable) { m.Delete(0, 1) },
-		"Prune":  func(m *PairTable) { m.Prune(1) },
-	} {
-		m := NewPairTable(0)
-		m.Set(0, 1, 0.25)
-		m.EnsureIndex()
-		if !m.Indexed() {
-			t.Fatalf("%s: EnsureIndex did not build", name)
-		}
-		mutate(m)
-		if m.Indexed() {
-			t.Errorf("%s did not invalidate the index", name)
-		}
-	}
-}
-
-// BenchmarkPairTableSet fills a table the way its remaining callers do:
-// fresh, never indexed, one Set per pair.
-func BenchmarkPairTableSet(b *testing.B) {
-	const n = 1 << 16
-	b.ReportAllocs()
-	for b.Loop() {
-		m := NewPairTable(n)
-		for k := 0; k < n; k++ {
-			m.Set(k&1023, 1024+k>>10, 0.5)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/pair")
-}

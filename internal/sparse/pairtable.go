@@ -3,8 +3,6 @@ package sparse
 import (
 	"cmp"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // PairKey packs an unordered node pair into a single uint64 map key with the
@@ -31,29 +29,11 @@ func UnpackPair(k uint64) (i, j int) {
 // The zero value is not usable; construct with NewPairTable.
 type PairTable struct {
 	m map[uint64]float64
-	// idx, when set, maps each node to its partners sorted by
-	// descending score — the serving-path index behind TopKFor. Any
-	// mutation invalidates it; EnsureIndex rebuilds on demand. The
-	// atomic pointer plus build mutex let concurrent read-only servers
-	// trigger and use the build safely; mutation remains (as for the
-	// rest of PairTable) not concurrency-safe.
-	idx   atomic.Pointer[partnerIndex]
-	idxMu sync.Mutex
 }
-
-type partnerIndex map[int][]Scored
 
 // NewPairTable returns an empty table with capacity hint n.
 func NewPairTable(n int) *PairTable {
 	return &PairTable{m: make(map[uint64]float64, n)}
-}
-
-// dropIndex invalidates the partner index ahead of a mutation. A table
-// being filled has none, so its inserts pay a load, not an atomic exchange.
-func (t *PairTable) dropIndex() {
-	if t.idx.Load() != nil {
-		t.idx.Store(nil)
-	}
 }
 
 // Len returns the number of stored off-diagonal pairs.
@@ -76,7 +56,6 @@ func (t *PairTable) Set(i, j int, v float64) {
 	if i == j {
 		return
 	}
-	t.dropIndex()
 	t.m[PairKey(i, j)] = v
 }
 
@@ -85,13 +64,11 @@ func (t *PairTable) Add(i, j int, v float64) {
 	if i == j {
 		return
 	}
-	t.dropIndex()
 	t.m[PairKey(i, j)] += v
 }
 
 // Delete removes the pair (i, j) if present.
 func (t *PairTable) Delete(i, j int) {
-	t.dropIndex()
 	delete(t.m, PairKey(i, j))
 }
 
@@ -110,7 +87,6 @@ func (t *PairTable) Range(fn func(i, j int, v float64) bool) {
 // how many were removed. The large-graph SimRank engine calls this between
 // iterations to keep the frontier bounded.
 func (t *PairTable) Prune(eps float64) int {
-	t.dropIndex()
 	removed := 0
 	for k, v := range t.m {
 		if v < eps && v > -eps {
@@ -154,52 +130,10 @@ type Scored struct {
 	Score float64
 }
 
-// EnsureIndex builds the per-node partner index if it is not already
-// present. One O(nnz + Σ d log d) pass replaces the O(nnz) full-table scan
-// TopKFor otherwise pays per query. The index is dropped on any mutation.
-// EnsureIndex may be called from multiple goroutines serving a read-only
-// table (the build is mutex-guarded); like the rest of PairTable, it is
-// not safe concurrently with mutation.
-func (t *PairTable) EnsureIndex() {
-	if t.idx.Load() != nil {
-		return
-	}
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	if t.idx.Load() != nil {
-		return
-	}
-	idx := make(partnerIndex)
-	for key, v := range t.m {
-		a, b := UnpackPair(key)
-		idx[a] = append(idx[a], Scored{Node: b, Score: v})
-		idx[b] = append(idx[b], Scored{Node: a, Score: v})
-	}
-	for n := range idx {
-		SortScoredDesc(idx[n])
-	}
-	t.idx.Store(&idx)
-}
-
-// Indexed reports whether the partner index is currently built.
-func (t *PairTable) Indexed() bool { return t.idx.Load() != nil }
-
 // TopKFor returns the k highest-scoring partners of node i, ties broken by
-// ascending node id for determinism. With the index built (EnsureIndex) it
-// is an O(k) copy; otherwise it falls back to the O(len(table)) scan.
+// ascending node id for determinism (k < 0 means all). It scans the whole
+// table: the reference ranking, not a serving path.
 func (t *PairTable) TopKFor(i, k int) []Scored {
-	if idx := t.idx.Load(); idx != nil {
-		s := (*idx)[i]
-		if k >= 0 && len(s) > k {
-			s = s[:k]
-		}
-		if len(s) == 0 {
-			return nil
-		}
-		out := make([]Scored, len(s))
-		copy(out, s)
-		return out
-	}
 	var out []Scored
 	for key, v := range t.m {
 		a, b := UnpackPair(key)
