@@ -10,8 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,464 +18,6 @@ import (
 	"simrankpp/internal/partition"
 	"simrankpp/internal/sparse"
 )
-
-// This file is the batch→online handoff of Figure 2 in binary form: a
-// versioned snapshot a sharded run writes once and a server opens in
-// O(header + string table), routing each query to its shard's score
-// segment without ever materializing the other shards.
-//
-// Layout (all integers little-endian):
-//
-//	header    fixed 200 bytes: magic, version, run metadata (variant,
-//	          iterations executed and budgeted, C1/C2, converged,
-//	          strict-evidence/spread flags, weight channel, evidence
-//	          form, prune epsilon, convergence and delta-skip
-//	          tolerances), graph
-//	          dimensions, shard count, generation info (creation time,
-//	          dirty-shard count of the refresh that produced it), section
-//	          offsets/lengths, per-section CRC32s, the precomputed
-//	          rewrite section's parameters (k, candidate pool, bid-term
-//	          hash), and a trailing CRC32 over the header itself.
-//	strings   NumQueries then NumAds names, each uvarint length + raw
-//	          bytes. Length-prefixed, so names may contain tabs or
-//	          newlines that would corrupt the line-oriented text format.
-//	route     NumQueries + NumAds uint32s: each node's shard index — the
-//	          partition.Plan node→shard map in serialized form. Pairs
-//	          never cross shards (cut pairs score 0), so one lookup
-//	          routes a query to the only segment that can score it.
-//	dir       one fixed 64-byte entry per shard: offset, pair count and
-//	          CRC32 of its query segment and of its ad segment, the
-//	          shard's subgraph fingerprint — which is what lets the next
-//	          refresh diff a new graph against this snapshot alone
-//	          (partition.DiffPlans) and byte-copy unchanged segments
-//	          (RefreshSnapshot) — plus the offset/length/CRC32 of the
-//	          shard's precomputed top-k rewrite blob.
-//	segments  per shard, per side: pair records (uint32 i, uint32 j,
-//	          float64 score) with i < j in global ids, sorted ascending —
-//	          written in parallel, one encoder per shard, and
-//	          binary-searched in place, never decoded (see segview.go).
-//	topk      per shard, one self-contained blob of precomputed §9.3
-//	          rewrite lists: u32 entry count, then per stored query
-//	          (global id ascending) a (u32 id, u32 list offset relative
-//	          to the blob, u32 list length) entry, then the list records
-//	          (u32 rewrite id, float64 score). Offsets are blob-relative
-//	          and ids are global, so a refresh byte-copies clean shards'
-//	          blobs exactly like score segments. See topk.go.
-
-const (
-	snapshotMagic   = "SRPPSNAP"
-	snapshotVersion = 3
-	headerSize      = 200
-	dirEntrySize    = 64
-	pairRecordSize  = 16
-
-	// Precomputed top-k blob encoding: per-query directory entries and
-	// list records (see topk.go).
-	topkEntrySize = 12
-	topkRecSize   = 12
-
-	flagConverged      = 1 << 0
-	flagStrictEvidence = 1 << 1
-	flagDisableSpread  = 1 << 2
-
-	// fullBuildSentinel in the header's dirty-shard field marks a snapshot
-	// written whole (WriteSnapshot) rather than by a refresh.
-	fullBuildSentinel = ^uint32(0)
-)
-
-// SnapshotMeta is the run metadata a snapshot carries, available from the
-// header alone.
-type SnapshotMeta struct {
-	Variant core.Variant `json:"variant"`
-	// Iterations is how many iterations the producing run actually
-	// executed (a tolerance can stop it early); IterationBudget is the
-	// configured ceiling, which is what a refresh must run dirty shards
-	// under — a heavily-churned shard may legitimately need more
-	// iterations than the converged previous generation used.
-	Iterations      int                `json:"iterations"`
-	IterationBudget int                `json:"iteration_budget"`
-	C1              float64            `json:"c1"`
-	C2              float64            `json:"c2"`
-	Converged       bool               `json:"converged"`
-	StrictEvidence  bool               `json:"strict_evidence,omitempty"`
-	DisableSpread   bool               `json:"disable_spread,omitempty"`
-	Channel         core.WeightChannel `json:"channel"`
-	EvidenceForm    core.EvidenceForm  `json:"evidence_form"`
-	PruneEpsilon    float64            `json:"prune_epsilon"`
-	Tolerance       float64            `json:"tolerance"`
-	DeltaSkipTol    float64            `json:"delta_skip_tolerance"`
-	NumQueries      int                `json:"queries"`
-	NumAds          int                `json:"ads"`
-	// Shards is the number of score segments; 1 for a monolithic run.
-	Shards int `json:"shards"`
-	// QueryPairs and AdPairs are the total stored pair counts across all
-	// shards (recorded in the header, so stats never force a segment load).
-	QueryPairs int64 `json:"query_pairs"`
-	AdPairs    int64 `json:"ad_pairs"`
-	// GeneratedAt is when the snapshot was written — the generation marker
-	// an operator checks after a SIGHUP reload.
-	GeneratedAt time.Time `json:"generated_at"`
-	// LastRefreshDirty is how many shards the refresh that wrote this
-	// snapshot recomputed, or -1 for a full (non-incremental) build.
-	LastRefreshDirty int `json:"last_refresh_dirty_shards"`
-	// Fingerprint is the XOR of every shard's subgraph fingerprint — a
-	// whole-generation identity, printed hex for /stats.
-	Fingerprint string `json:"fingerprint"`
-	// RewriteTopK is the depth of the precomputed per-query rewrite lists
-	// (0 when the snapshot carries no top-k section); RewriteTopN is the
-	// candidate-pool size those lists were filtered from — a serving
-	// pipeline whose effective pool differs must fall back to live
-	// scoring for byte-identity.
-	RewriteTopK int `json:"rewrite_topk"`
-	RewriteTopN int `json:"rewrite_topn,omitempty"`
-	// RewriteBidHash is the order-independent hash of the bid-term set
-	// the lists were filtered with (0 = no bid filtering); a server
-	// configured with different terms must not serve the section.
-	RewriteBidHash uint64 `json:"-"`
-	// RewriteBidFiltered reports whether the section was built under a
-	// bid-term filter (the /stats-visible face of RewriteBidHash).
-	RewriteBidFiltered bool `json:"rewrite_bid_filtered,omitempty"`
-}
-
-// snapshotSources decomposes a result into per-shard score sets: the
-// retained shard outputs of a RunSharded(..., RetainShardScores) run, or
-// the stitched frontiers as one identity shard (nil id lists).
-func snapshotSources(res *core.Result) []core.ShardScoreSet {
-	if len(res.ShardScores) > 0 {
-		return res.ShardScores
-	}
-	return []core.ShardScoreSet{{QueryScores: res.QueryScores, AdScores: res.AdScores}}
-}
-
-// encodeSegment writes one compacted pair frontier out as the sorted
-// binary record stream, remapping ids through the ascending local→global
-// map when given. Row-major frontier order is segment order — a monotone
-// map keeps rows, and columns within a row, ascending — so nothing sorts.
-func encodeSegment(f *sparse.PairFrontier, ids []int) []byte {
-	buf := make([]byte, 0, f.Len()*pairRecordSize)
-	f.Range(func(i, j int, v float64) bool {
-		if ids != nil {
-			i, j = ids[i], ids[j]
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(j))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		return true
-	})
-	return buf
-}
-
-// shardPayload is one shard's encoded segments plus its directory
-// metadata, ready for assembly. RefreshSnapshot fills it by byte-copying
-// a previous snapshot; WriteSnapshot by encoding frontiers.
-type shardPayload struct {
-	qSeg, aSeg []byte
-	qCRC, aCRC uint32
-	fp         uint64
-	// tkBlob is the shard's precomputed top-k rewrite blob (empty when
-	// the snapshot carries no section).
-	tkBlob []byte
-	tkCRC  uint32
-	// qIDs/aIDs are the shard's global node ids for the route section
-	// (nil means identity — the single-shard monolithic case).
-	qIDs, aIDs []int
-}
-
-// genInfo is the generation metadata stamped into the header.
-type genInfo struct {
-	iterations  int
-	converged   bool
-	generatedAt time.Time
-	// dirtyShards is how many shards the producing refresh recomputed;
-	// fullBuildSentinel for a from-scratch write.
-	dirtyShards uint32
-}
-
-// shardFingerprints extracts per-shard fingerprints from a sharded run's
-// stats (plan order, matching ShardScores), or computes the whole-graph
-// fingerprint for a monolithic result.
-func shardFingerprints(res *core.Result, shards int) ([]uint64, error) {
-	if shards == 1 && len(res.ShardScores) == 0 {
-		return []uint64{partition.GraphFingerprint(res.Graph)}, nil
-	}
-	if len(res.ShardStats) != shards {
-		return nil, fmt.Errorf("serve: result has %d shard stats for %d segments; snapshots need RunSharded results (or a monolithic run)",
-			len(res.ShardStats), shards)
-	}
-	fps := make([]uint64, shards)
-	for i := range fps {
-		fps[i] = res.ShardStats[i].Fingerprint
-	}
-	return fps, nil
-}
-
-// WriteSnapshot serializes res in the snapshot format, including a
-// precomputed rewrite section at the default depth (see TopKOptions;
-// use WriteSnapshotTopK to tune or disable it). A result carrying
-// retained shard scores (core.ShardOptions.RetainShardScores) writes one
-// segment pair per shard, encoded in parallel directly from the shard
-// engines' local frontiers; any other result writes a single segment pair.
-// Results of a partial (ShardOptions.RunShards) run are rejected — their
-// missing shards can only be completed by RefreshSnapshot.
-func WriteSnapshot(w io.Writer, res *core.Result) error {
-	return WriteSnapshotTopK(w, res, DefaultTopKOptions())
-}
-
-// WriteSnapshotTopK is WriteSnapshot with an explicit precomputed
-// rewrite-section configuration.
-func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
-	srcs := snapshotSources(res)
-	fps, err := shardFingerprints(res, len(srcs))
-	if err != nil {
-		return err
-	}
-	payloads := make([]shardPayload, len(srcs))
-	for i := range srcs {
-		if srcs[i].QueryScores == nil || srcs[i].AdScores == nil {
-			return fmt.Errorf("serve: shard %d has no scores (partial refresh run?); use RefreshSnapshot", i)
-		}
-		payloads[i].qIDs, payloads[i].aIDs = srcs[i].QueryIDs, srcs[i].AdIDs
-		payloads[i].fp = fps[i]
-	}
-
-	all := make([]int, len(srcs))
-	for i := range all {
-		all[i] = i
-	}
-	encodePayloads(payloads, all, srcs)
-	tk := opts.meta()
-	if err := fillTopKBlobs(payloads, all, res, tk, opts.BidTerms); err != nil {
-		return err
-	}
-
-	return writeAssembled(w, res, res.Config, payloads, genInfo{
-		iterations:  res.Iterations,
-		converged:   res.Converged,
-		generatedAt: time.Now(),
-		dirtyShards: fullBuildSentinel,
-	}, tk)
-}
-
-// encodePayloads fills the given payload indices' segments and CRCs from
-// their score frontiers, one encoder per shard on a bounded pool — the
-// parallel encode both WriteSnapshot (every shard) and RefreshSnapshot
-// (dirty shards only) run.
-func encodePayloads(payloads []shardPayload, idx []int, scores []core.ShardScoreSet) {
-	parallelFor(len(idx), func(k int) {
-		p := &payloads[idx[k]]
-		p.qSeg = encodeSegment(scores[idx[k]].QueryScores, p.qIDs)
-		p.aSeg = encodeSegment(scores[idx[k]].AdScores, p.aIDs)
-		p.qCRC = crc32.ChecksumIEEE(p.qSeg)
-		p.aCRC = crc32.ChecksumIEEE(p.aSeg)
-	})
-}
-
-// parallelFor runs fn(0..n-1) on a GOMAXPROCS-bounded pool and waits: the
-// per-shard fan-out of the segment encoder, the top-k builder and
-// PreloadAll. fn must confine its writes to its own index.
-func parallelFor(n int, fn func(k int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				fn(k)
-			}
-		}()
-	}
-	for k := 0; k < n; k++ {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-}
-
-// nodeNames is the naming surface writeAssembled reads — the graph
-// dimensions plus id→name lookups. Both *core.Result and
-// *clickgraph.Graph satisfy it, which is what lets a distributed refresh
-// (which has a graph and pre-encoded segments, but no stitched Result)
-// assemble the same bytes the local path writes.
-type nodeNames interface {
-	NumQueries() int
-	NumAds() int
-	Query(id int) string
-	Ad(id int) string
-}
-
-// topkMeta is the precomputed rewrite section's header parameters: list
-// depth k, the candidate-pool size the lists were filtered from, and the
-// bid-term-set hash. A zero k means no section (every blob empty).
-type topkMeta struct {
-	k, topN uint32
-	bidHash uint64
-}
-
-// writeAssembled lays out and writes a complete snapshot from per-shard
-// payloads: string table and route map from the names source, directory
-// and header from the payloads, cfg, gen and the top-k section
-// parameters.
-func writeAssembled(w io.Writer, names nodeNames, cfg core.Config, payloads []shardPayload, gen genInfo, tk topkMeta) error {
-	nq, na := names.NumQueries(), names.NumAds()
-	if len(payloads) > 1<<30 || uint64(nq) > math.MaxUint32 || uint64(na) > math.MaxUint32 {
-		return fmt.Errorf("serve: snapshot dimensions overflow uint32")
-	}
-
-	// String table: length-prefixed names, queries then ads.
-	var strBuf []byte
-	var lenScratch [binary.MaxVarintLen64]byte
-	appendName := func(s string) {
-		n := binary.PutUvarint(lenScratch[:], uint64(len(s)))
-		strBuf = append(strBuf, lenScratch[:n]...)
-		strBuf = append(strBuf, s...)
-	}
-	for q := 0; q < nq; q++ {
-		appendName(names.Query(q))
-	}
-	for a := 0; a < na; a++ {
-		appendName(names.Ad(a))
-	}
-
-	// Route section: node → shard, from the shard id lists.
-	route := make([]byte, 4*(nq+na))
-	for si := range payloads {
-		for _, q := range payloads[si].qIDs {
-			binary.LittleEndian.PutUint32(route[4*q:], uint32(si))
-		}
-		for _, a := range payloads[si].aIDs {
-			binary.LittleEndian.PutUint32(route[4*(nq+a):], uint32(si))
-		}
-	}
-
-	// Directory + totals; segment offsets follow header/strings/route/dir,
-	// and the top-k blobs follow every shard's segments.
-	stringsOff := uint64(headerSize)
-	routeOff := stringsOff + uint64(len(strBuf))
-	dirOff := routeOff + uint64(len(route))
-	segOff := dirOff + uint64(dirEntrySize*len(payloads))
-	dir := make([]byte, dirEntrySize*len(payloads))
-	var totalQ, totalA uint64
-	for i := range payloads {
-		o := i * dirEntrySize
-		qPairs := uint64(len(payloads[i].qSeg) / pairRecordSize)
-		aPairs := uint64(len(payloads[i].aSeg) / pairRecordSize)
-		binary.LittleEndian.PutUint64(dir[o:], segOff)
-		segOff += uint64(len(payloads[i].qSeg))
-		binary.LittleEndian.PutUint64(dir[o+8:], segOff)
-		segOff += uint64(len(payloads[i].aSeg))
-		binary.LittleEndian.PutUint64(dir[o+16:], qPairs)
-		binary.LittleEndian.PutUint64(dir[o+24:], aPairs)
-		binary.LittleEndian.PutUint32(dir[o+32:], payloads[i].qCRC)
-		binary.LittleEndian.PutUint32(dir[o+36:], payloads[i].aCRC)
-		binary.LittleEndian.PutUint64(dir[o+40:], payloads[i].fp)
-		totalQ += qPairs
-		totalA += aPairs
-	}
-	for i := range payloads {
-		if err := checkTopKBlobLen(len(payloads[i].tkBlob)); err != nil {
-			return fmt.Errorf("serve: shard %d: %w", i, err)
-		}
-		o := i * dirEntrySize
-		binary.LittleEndian.PutUint64(dir[o+48:], segOff)
-		binary.LittleEndian.PutUint32(dir[o+56:], uint32(len(payloads[i].tkBlob)))
-		binary.LittleEndian.PutUint32(dir[o+60:], payloads[i].tkCRC)
-		segOff += uint64(len(payloads[i].tkBlob))
-	}
-
-	hdr := make([]byte, headerSize)
-	copy(hdr, snapshotMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], snapshotVersion)
-	var flags uint32
-	if gen.converged {
-		flags |= flagConverged
-	}
-	if cfg.StrictEvidence {
-		flags |= flagStrictEvidence
-	}
-	if cfg.DisableSpread {
-		flags |= flagDisableSpread
-	}
-	binary.LittleEndian.PutUint32(hdr[12:], flags)
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(cfg.Variant))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(gen.iterations))
-	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(cfg.C1))
-	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(cfg.C2))
-	binary.LittleEndian.PutUint32(hdr[40:], uint32(nq))
-	binary.LittleEndian.PutUint32(hdr[44:], uint32(na))
-	binary.LittleEndian.PutUint32(hdr[48:], uint32(len(payloads)))
-	binary.LittleEndian.PutUint32(hdr[52:], crc32.ChecksumIEEE(strBuf))
-	binary.LittleEndian.PutUint64(hdr[56:], totalQ)
-	binary.LittleEndian.PutUint64(hdr[64:], totalA)
-	binary.LittleEndian.PutUint64(hdr[72:], stringsOff)
-	binary.LittleEndian.PutUint64(hdr[80:], uint64(len(strBuf)))
-	binary.LittleEndian.PutUint64(hdr[88:], routeOff)
-	binary.LittleEndian.PutUint64(hdr[96:], uint64(len(route)))
-	binary.LittleEndian.PutUint64(hdr[104:], dirOff)
-	binary.LittleEndian.PutUint64(hdr[112:], uint64(len(dir)))
-	binary.LittleEndian.PutUint32(hdr[120:], crc32.ChecksumIEEE(route))
-	binary.LittleEndian.PutUint32(hdr[124:], crc32.ChecksumIEEE(dir))
-	binary.LittleEndian.PutUint64(hdr[128:], uint64(gen.generatedAt.Unix()))
-	binary.LittleEndian.PutUint32(hdr[136:], gen.dirtyShards)
-	binary.LittleEndian.PutUint32(hdr[140:], uint32(cfg.Channel))
-	binary.LittleEndian.PutUint32(hdr[144:], uint32(cfg.EvidenceForm))
-	binary.LittleEndian.PutUint64(hdr[148:], math.Float64bits(cfg.PruneEpsilon))
-	binary.LittleEndian.PutUint64(hdr[156:], math.Float64bits(cfg.Tolerance))
-	binary.LittleEndian.PutUint64(hdr[164:], math.Float64bits(cfg.DeltaSkipTolerance))
-	binary.LittleEndian.PutUint32(hdr[172:], uint32(cfg.Iterations))
-	binary.LittleEndian.PutUint32(hdr[176:], tk.k)
-	binary.LittleEndian.PutUint32(hdr[180:], tk.topN)
-	binary.LittleEndian.PutUint64(hdr[184:], tk.bidHash)
-	binary.LittleEndian.PutUint32(hdr[192:], 0) // reserved
-	binary.LittleEndian.PutUint32(hdr[196:], crc32.ChecksumIEEE(hdr[:196]))
-
-	for _, b := range [][]byte{hdr, strBuf, route, dir} {
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	for i := range payloads {
-		if _, err := w.Write(payloads[i].qSeg); err != nil {
-			return err
-		}
-		if _, err := w.Write(payloads[i].aSeg); err != nil {
-			return err
-		}
-	}
-	for i := range payloads {
-		if _, err := w.Write(payloads[i].tkBlob); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteSnapshotFile writes the snapshot to a temporary file in path's
-// directory and renames it into place, so a server reloading on SIGHUP
-// never observes a half-written snapshot.
-func WriteSnapshotFile(path string, res *core.Result) error {
-	return WriteSnapshotFileTopK(path, res, DefaultTopKOptions())
-}
-
-// WriteSnapshotFileTopK is WriteSnapshotFile with an explicit
-// precomputed rewrite-section configuration.
-func WriteSnapshotFileTopK(path string, res *core.Result, opts TopKOptions) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteSnapshotTopK(tmp, res, opts); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
 
 // segEntry is one decoded directory row.
 type segEntry struct {
