@@ -6,8 +6,9 @@ import (
 	"simrankpp/internal/core"
 )
 
-// This file is the batch→online handoff of Figure 2 in binary form: a
-// versioned snapshot a sharded run writes once and a server opens in
+// The snapshot is the batch→online handoff of Figure 2 in binary form
+// (written by snapshot_write.go, served by snapshot_read.go): a
+// versioned file a sharded run writes once and a server opens in
 // O(header + string table), routing each query to its shard's score
 // segment without ever materializing the other shards.
 //

@@ -376,21 +376,19 @@ func (s *Snapshot) region(what string, off, length uint64, wantCRC uint32) ([]by
 // shards.
 func (s *Snapshot) segmentBytes(side string, si int) ([]byte, error) {
 	e := &s.dir[si]
-	off, length, crc := e.tkOff, e.tkLen, e.tkCRC
-	if side != "topk" {
-		pairs := e.qPairs
-		off, crc = e.qOff, e.qCRC
-		if side == "ad" {
-			off, pairs, crc = e.aOff, e.aPairs, e.aCRC
-		}
-		// Bound pairs before multiplying, so the byte length cannot wrap.
-		if pairs > uint64(s.size)/pairRecordSize {
-			return nil, fmt.Errorf("serve: shard %d %s segment claims %d pairs, more than the snapshot holds (%d bytes)",
-				si, side, pairs, s.size)
-		}
-		length = pairs * pairRecordSize
+	what := fmt.Sprintf("shard %d %s segment", si, side)
+	off, pairs, crc := e.qOff, e.qPairs, e.qCRC
+	switch side {
+	case "topk":
+		return s.region(what, e.tkOff, e.tkLen, e.tkCRC)
+	case "ad":
+		off, pairs, crc = e.aOff, e.aPairs, e.aCRC
 	}
-	return s.region(fmt.Sprintf("shard %d %s segment", si, side), off, length, crc)
+	// Bound pairs before multiplying, so the byte length cannot wrap.
+	if pairs > uint64(s.size)/pairRecordSize {
+		return nil, fmt.Errorf("serve: %s claims %d pairs, more than the snapshot holds (%d bytes)", what, pairs, s.size)
+	}
+	return s.region(what, off, pairs*pairRecordSize, crc)
 }
 
 func (s *Snapshot) recordErr(err error) {
