@@ -2,6 +2,7 @@ package simrankpp_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"simrankpp/internal/clickgraph"
@@ -10,13 +11,14 @@ import (
 	"simrankpp/internal/judge"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/rewrite"
+	"simrankpp/internal/serve"
 	"simrankpp/internal/sponsored"
 	"simrankpp/internal/workload"
 )
 
 // TestEndToEndPipeline drives the whole system the way the binaries do:
 // generate a log, serialize and reload the graph, extract subgraphs,
-// compute similarities (serial, parallel, and from a persisted result),
+// compute similarities (serial, parallel, and from a persisted snapshot),
 // run the rewriting pipeline, and grade with the oracle — asserting
 // cross-module consistency at every hop.
 func TestEndToEndPipeline(t *testing.T) {
@@ -60,8 +62,8 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal("no subgraphs extracted")
 	}
 
-	// 4. Similarity three ways: serial, parallel, and persisted-reloaded
-	//    must agree.
+	// 4. Similarity three ways: serial, parallel, and both persisted as
+	//    snapshots and reopened must agree.
 	cfg := core.DefaultConfig().WithVariant(core.Weighted)
 	cfg.PruneEpsilon = 1e-6
 	serial, err := core.Run(g, cfg)
@@ -72,21 +74,26 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scores bytes.Buffer
-	if err := core.WriteResult(&scores, serial); err != nil {
-		t.Fatal(err)
+	persist := func(name string, res *core.Result) *serve.Snapshot {
+		path := filepath.Join(t.TempDir(), name)
+		if err := serve.WriteSnapshotFile(path, res); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := serve.OpenSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { snap.Close() })
+		return snap
 	}
-	loaded, err := core.ReadResult(&scores, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded, loadedPar := persist("serial.snap", serial), persist("parallel.snap", par)
 	checked := 0
 	serial.QueryScores.Range(func(i, j int, v float64) bool {
 		if pv := par.QuerySim(i, j); pv < v-1e-9 || pv > v+1e-9 {
 			t.Fatalf("parallel sim(%d,%d) = %v, serial %v", i, j, pv, v)
 		}
-		if lv := loaded.QuerySim(i, j); lv != v {
-			t.Fatalf("persisted sim(%d,%d) = %v, serial %v", i, j, lv, v)
+		if lv, lp := loaded.QuerySim(i, j), loadedPar.QuerySim(i, j); lv != v || lp != v {
+			t.Fatalf("persisted sim(%d,%d) = %v (serial run) / %v (parallel run), serial %v", i, j, lv, lp, v)
 		}
 		checked++
 		return checked < 500

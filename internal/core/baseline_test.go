@@ -2,12 +2,21 @@ package core
 
 import "simrankpp/internal/sparse"
 
-// This file preserves the original map-based accumulation passes (one
-// hash+probe per contribution into a sparse.PairTable, fresh tables per
-// pass). They are no longer on any engine path: the frontier passes in
-// engine.go replaced them. They stay as the reference implementation for
-// the randomized differential tests and as the baseline the micro
-// benchmarks measure the frontier path against.
+// The map-based formulation of the two passes: one hash+probe per
+// contribution into a sparse.PairTable, fresh tables per pass. It is the
+// plainest statement of the iteration formula, so it is what the
+// differential tests hold the row-major kernel in engine.go to, and the
+// baseline the pass micro-benchmarks measure it against.
+
+// toPairTable returns f's pairs in the map form the reference passes read.
+func toPairTable(f *sparse.PairFrontier) *sparse.PairTable {
+	t := sparse.NewPairTable(f.Len())
+	f.Range(func(i, j int, v float64) bool {
+		t.Set(i, j, v)
+		return true
+	})
+	return t
+}
 
 // simplePassMap is the map-based simplePass: semantics identical to
 // simplePass up to floating-point summation order.
@@ -41,10 +50,8 @@ func simplePassMap(opp *sparse.PairTable, thisNbr, oppNbr [][]int, c float64) *s
 	return out
 }
 
-// weightedPassMap is the map-based weightedPass. Like the original it
-// rebuilds the reversed factor rows on every call — part of the per-pass
-// cost the frontier engine eliminated by hoisting reverseFactors to run
-// setup.
+// weightedPassMap is the map-based weightedPass. It rebuilds the reversed
+// factor rows on every call, which the engine hoists to run setup.
 func weightedPassMap(opp *sparse.PairTable, thisNbr, oppNbr [][]int, w [][]float64, ev *evidenceTable, c float64) *sparse.PairTable {
 	revW := reverseFactors(thisNbr, oppNbr, w)
 	acc := sparse.NewPairTable(opp.Len())

@@ -17,7 +17,10 @@
 // 6.2 and 7.1.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Variant selects which similarity measure an engine computes.
 type Variant int
@@ -179,14 +182,20 @@ func (c Config) Validate() error {
 	if c.Iterations < 1 {
 		return fmt.Errorf("core: Iterations must be >= 1, got %d", c.Iterations)
 	}
-	if c.Tolerance < 0 {
-		return fmt.Errorf("core: Tolerance must be >= 0, got %v", c.Tolerance)
-	}
-	if c.PruneEpsilon < 0 {
-		return fmt.Errorf("core: PruneEpsilon must be >= 0, got %v", c.PruneEpsilon)
-	}
-	if c.DeltaSkipTolerance < 0 {
-		return fmt.Errorf("core: DeltaSkipTolerance must be >= 0, got %v", c.DeltaSkipTolerance)
+	// Written so NaN fails it too: an infinite PruneEpsilon prunes every
+	// pair and an infinite Tolerance converges after one iteration, and
+	// the values arrive from flags, leases and snapshot headers.
+	for _, th := range []struct {
+		name string
+		v    float64
+	}{
+		{"Tolerance", c.Tolerance},
+		{"PruneEpsilon", c.PruneEpsilon},
+		{"DeltaSkipTolerance", c.DeltaSkipTolerance},
+	} {
+		if !(th.v >= 0 && th.v <= math.MaxFloat64) {
+			return fmt.Errorf("core: %s must be finite and >= 0, got %v", th.name, th.v)
+		}
 	}
 	switch c.Variant {
 	case Simple, Evidence, Weighted:

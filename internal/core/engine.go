@@ -301,14 +301,6 @@ type spa struct {
 	rowV []float64
 }
 
-func newSPAs(workers, n int) []*spa {
-	spas := make([]*spa, workers)
-	for i := range spas {
-		spas[i] = &spa{u: make([]float64, n), t: make([]float64, n)}
-	}
-	return spas
-}
-
 // runRowPass drives kernel over every output row of one side, returning
 // how many rows the delta skip copied forward instead of computing. With
 // workers > 1 the row space is split into contiguous ranges weighted by
@@ -643,8 +635,8 @@ func newEvidenceTable(n int, oppNbr [][]int, form EvidenceForm, strict bool) *ev
 
 // score returns the multiplier for the pair (x, y): a binary search of
 // x's symmetric multiplier row. The hot path (weightedPass) does not call
-// it — it merge-walks the row — but the scatter/map baselines and
-// applyEvidence do.
+// it — it merge-walks the row — but applyEvidence and the map reference
+// passes in the tests do.
 func (e *evidenceTable) score(x, y int) float64 {
 	cols, vals := e.mult.Row(x)
 	target := int32(y)

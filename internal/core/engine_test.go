@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -336,20 +337,28 @@ func TestConvergenceWithTolerance(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cases := []struct {
+	type invalid struct {
 		name string
 		mut  func(*Config)
-	}{
+	}
+	cases := []invalid{
 		{"zero C1", func(c *Config) { c.C1 = 0 }},
 		{"C1 above 1", func(c *Config) { c.C1 = 1.5 }},
 		{"zero C2", func(c *Config) { c.C2 = 0 }},
 		{"negative C2", func(c *Config) { c.C2 = -0.1 }},
 		{"zero iterations", func(c *Config) { c.Iterations = 0 }},
-		{"negative tolerance", func(c *Config) { c.Tolerance = -1 }},
-		{"negative prune", func(c *Config) { c.PruneEpsilon = -1 }},
 		{"bad variant", func(c *Config) { c.Variant = Variant(99) }},
 		{"bad evidence form", func(c *Config) { c.EvidenceForm = EvidenceForm(99) }},
 		{"bad channel", func(c *Config) { c.Channel = WeightChannel(99) }},
+	}
+	// Every threshold must refuse the plainly negative, and also NaN (which
+	// compares false with everything) and +Inf (which is not negative).
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cases = append(cases,
+			invalid{fmt.Sprintf("Tolerance=%v", bad), func(c *Config) { c.Tolerance = bad }},
+			invalid{fmt.Sprintf("PruneEpsilon=%v", bad), func(c *Config) { c.PruneEpsilon = bad }},
+			invalid{fmt.Sprintf("DeltaSkipTolerance=%v", bad), func(c *Config) { c.DeltaSkipTolerance = bad }},
+		)
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

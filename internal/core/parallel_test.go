@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"simrankpp/internal/clickgraph"
@@ -66,60 +64,5 @@ func TestParallelConvergence(t *testing.T) {
 	}
 	if !r.Converged {
 		t.Error("parallel engine did not converge")
-	}
-}
-
-func TestResultRoundTrip(t *testing.T) {
-	g := clickgraph.Fig3()
-	for _, variant := range []Variant{Simple, Evidence, Weighted} {
-		cfg := DefaultConfig().WithVariant(variant)
-		cfg.C1, cfg.C2 = 0.7, 0.9
-		res := mustRun(t, g, cfg)
-
-		var buf bytes.Buffer
-		if err := WriteResult(&buf, res); err != nil {
-			t.Fatalf("WriteResult: %v", err)
-		}
-		got, err := ReadResult(&buf, g)
-		if err != nil {
-			t.Fatalf("ReadResult: %v", err)
-		}
-		if got.Config.Variant != variant || got.Iterations != res.Iterations ||
-			got.Config.C1 != 0.7 || got.Config.C2 != 0.9 {
-			t.Errorf("meta round trip: %+v vs %+v", got.Config, res.Config)
-		}
-		for i := 0; i < g.NumQueries(); i++ {
-			for j := i + 1; j < g.NumQueries(); j++ {
-				if a, b := res.QuerySim(i, j), got.QuerySim(i, j); a != b {
-					t.Errorf("query sim(%d,%d): %v vs %v", i, j, a, b)
-				}
-			}
-		}
-		for i := 0; i < g.NumAds(); i++ {
-			for j := i + 1; j < g.NumAds(); j++ {
-				if a, b := res.AdSim(i, j), got.AdSim(i, j); a != b {
-					t.Errorf("ad sim(%d,%d): %v vs %v", i, j, a, b)
-				}
-			}
-		}
-	}
-}
-
-func TestReadResultRejectsMalformed(t *testing.T) {
-	g := clickgraph.Fig3()
-	cases := []string{
-		"",                                     // empty
-		"not a header\n",                       // bad header
-		"#simrankpp-scores v1\nX\ta\tb\t0.5\n", // bad kind
-		"#simrankpp-scores v1\nQ\tpc\tcamera\tnope\n",       // bad score
-		"#simrankpp-scores v1\nQ\tpc\tmissing query\t0.5\n", // unknown node
-		"#simrankpp-scores v1\nQ\tpc\n",                     // short line
-		"#simrankpp-scores v1\n!meta\tbadfield\n",           // bad meta
-		"#simrankpp-scores v1\n!meta\titerations=x\n",       // bad meta value
-	}
-	for _, c := range cases {
-		if _, err := ReadResult(strings.NewReader(c), g); err == nil {
-			t.Errorf("ReadResult accepted %q", c)
-		}
 	}
 }

@@ -1,129 +1,135 @@
 package core
 
 import (
-	"strings"
+	"runtime"
 	"testing"
 
+	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/sparse"
+	"simrankpp/internal/workload"
 )
 
-// Micro-benchmarks for the iteration hot path: one accumulation pass per
-// op, map baseline vs frontier-scatter vs the default row-major pass
-// (serial and parallel). Run with
+// Micro-benchmarks for profiling the kernel: one accumulation pass per op
+// (row-major serial and parallel against the map reference), and whole
+// sharded runs with their stitch. Run with
 //
 //	go test -run='^$' -bench='Pass' -benchmem ./internal/core
 //
-// cmd/corebench runs the same bodies and records BENCH_core.json.
+// Recorded numbers come from pathbench (BENCHMARK.json), not from here.
 
-func benchPassConfig(b *testing.B) PassBenchConfig {
-	bc := DefaultPassBenchConfig()
-	if testing.Short() {
-		bc.Queries, bc.Ads, bc.Edges = 120, 90, 900
+// benchLogGraph builds the base graph of a generated click log.
+func benchLogGraph(b *testing.B, lc workload.ClickLogConfig) *clickgraph.Graph {
+	b.Helper()
+	g, err := lc.BaseGraph(workload.GenerateClickLog(lc))
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Logf("graph: %d queries, %d ads, %d edges, %d workers", bc.Queries, bc.Ads, bc.Edges, bc.Workers)
-	return bc
+	b.Logf("graph: %d queries, %d ads, %d edges", g.NumQueries(), g.NumAds(), g.NumEdges())
+	return g
 }
 
-func runPassBenchCases(b *testing.B, prefix string) {
-	bc := benchPassConfig(b)
-	for _, c := range PassBenchCases(bc) {
-		group, variant, _ := strings.Cut(c.Name, "/")
-		if group != prefix {
-			continue
+// passBenchFixture is a passFixture on one dense cluster — large enough
+// that the accumulation strategy dominates — warmed for three iterations
+// so the measured pass sees a mid-run score distribution.
+func passBenchFixture(b *testing.B, variant Variant) *passFixture {
+	b.Helper()
+	lc := workload.ClickLogConfig{Seed: 1, Clusters: 1, QueriesPerCluster: 500, AdsPerCluster: 350, BaseEvents: 4150}
+	if testing.Short() {
+		lc.QueriesPerCluster, lc.AdsPerCluster, lc.BaseEvents = 120, 90, 700
+	}
+	cfg := DefaultConfig().WithVariant(variant)
+	cfg.Iterations = 3
+	cfg.PruneEpsilon = 1e-5
+	return newPassFixture(b, benchLogGraph(b, lc), cfg)
+}
+
+// runPassBench times pass under the three arms every pass benchmark has;
+// pass runs the row-major kernel once with the given workers and spas.
+func runPassBench(b *testing.B, fx *passFixture, reference func(), pass func(dst *sparse.PairFrontier, workers int, spas []*spa)) {
+	b.Run("map", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			reference()
 		}
-		b.Run(variant, func(b *testing.B) {
+	})
+	for _, arm := range []struct {
+		name    string
+		workers int
+	}{{"row-major", 1}, {"parallel", runtime.GOMAXPROCS(0)}} {
+		b.Run(arm.name, func(b *testing.B) {
+			dst := sparse.NewPairFrontier(fx.nq)
+			spas := new(engineArena).ensureSPAs(arm.workers, fx.nq+fx.na)
 			b.ReportAllocs()
-			c.Body(b.N)
-		})
-	}
-}
-
-func BenchmarkSimplePass(b *testing.B)   { runPassBenchCases(b, "SimplePass") }
-func BenchmarkWeightedPass(b *testing.B) { runPassBenchCases(b, "WeightedPass") }
-
-// BenchmarkEvidenceBuild measures constructing the query-side evidence
-// table: the old per-pair Add accumulation vs the sorted per-row scatter
-// (which additionally precomputes the multipliers and expands the
-// symmetric CSR the fused harvest reads).
-func BenchmarkEvidenceBuild(b *testing.B) {
-	bc := benchPassConfig(b)
-	for _, c := range EvidenceBuildBenchCases(bc) {
-		_, variant, _ := strings.Cut(c.Name, "/")
-		b.Run(variant, func(b *testing.B) {
-			b.ReportAllocs()
-			c.Body(b.N)
-		})
-	}
-}
-
-// BenchmarkWeightedIterations measures whole multi-iteration weighted runs
-// under the delta-skip modes (one 20-iteration run per op). Beyond ns/op,
-// each sub-benchmark reports the mean cost of the first iteration, the
-// most expensive iteration, and the last three iterations — the shape that
-// shows change-tracked skipping making later iterations cheaper as rows
-// freeze. See PERF.md for how to read the three modes.
-func BenchmarkWeightedIterations(b *testing.B) {
-	bc := benchPassConfig(b)
-	const iters = 20
-	for _, m := range IterTrajectoryModes {
-		b.Run(m.Name, func(b *testing.B) {
-			var iter1, peak, late float64
-			for i := 0; i < b.N; i++ {
-				stats := IterationTrajectory(bc, iters, m.SkipTol, m.Channel)
-				pk, lt := 0.0, 0.0
-				for _, s := range stats {
-					if d := float64(s.Duration.Nanoseconds()); d > pk {
-						pk = d
-					}
-				}
-				tail := stats[len(stats)-3:]
-				for _, s := range tail {
-					lt += float64(s.Duration.Nanoseconds())
-				}
-				iter1 += float64(stats[0].Duration.Nanoseconds())
-				peak += pk
-				late += lt / float64(len(tail))
+			for b.Loop() {
+				pass(dst, arm.workers, spas)
 			}
-			n := float64(b.N)
-			b.ReportMetric(iter1/n, "iter1-ns")
-			b.ReportMetric(peak/n, "peak-ns")
-			b.ReportMetric(late/n, "late-ns")
 		})
 	}
 }
 
-// BenchmarkShardedRun compares one full weighted run of the multi-cluster
-// workload (many medium components + one ACL-carved giant) monolithic vs
-// sharded: same config, tolerance-based early stop, pruning, delta skip.
-// The sharded engine stops finished shards entirely and runs shards
-// concurrently on a bounded pool; its accumulators are sized per shard.
-func BenchmarkShardedRun(b *testing.B) {
-	bc := DefaultShardBenchConfig()
+func BenchmarkSimplePass(b *testing.B) {
+	fx := passBenchFixture(b, Simple)
+	runPassBench(b, fx,
+		func() { simplePassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1) },
+		func(dst *sparse.PairFrontier, workers int, spas []*spa) {
+			simplePass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1, dst, nil, nil, workers, spas)
+		})
+}
+
+func BenchmarkWeightedPass(b *testing.B) {
+	fx := passBenchFixture(b, Weighted)
+	runPassBench(b, fx,
+		func() { weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cfg.C1) },
+		func(dst *sparse.PairFrontier, workers int, spas []*spa) {
+			weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.revWQ, fx.in.evQ, fx.cfg.C1, dst, nil, nil, workers, spas)
+		})
+}
+
+// shardBenchWorkload builds the multi-cluster graph of the sharded
+// benchmarks, its plan (one cluster per shard: two do not fit the budget)
+// and the run config: PERF.md's production mode — weighted, pruning,
+// tolerance-scaled delta skip — with a convergence tolerance, so finished
+// shards stop early.
+func shardBenchWorkload(b *testing.B) (*clickgraph.Graph, *partition.Plan, Config) {
+	b.Helper()
+	lc := workload.ClickLogConfig{Seed: 7, Clusters: 20, QueriesPerCluster: 160, AdsPerCluster: 110, BaseEvents: 20 * 1300}
 	if testing.Short() {
-		bc = SmokeShardBenchConfig()
+		lc.Clusters, lc.BaseEvents = 6, 6*1300
 	}
-	g := MultiClusterGraph(bc)
-	cfg := shardBenchRunConfig(bc)
+	g := benchLogGraph(b, lc)
 	pcfg := partition.DefaultPlanConfig()
-	pcfg.MaxShardNodes = bc.MaxShardNodes
-	pcfg.MinCutNodes = bc.MaxShardNodes / 4
+	pcfg.MaxShardNodes = 400
+	pcfg.MinCutNodes = 100
 	plan, err := partition.BuildPlan(g, pcfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Logf("graph: %d queries, %d ads, %d edges; plan: %d shards, exact=%v, %d cut edges",
-		g.NumQueries(), g.NumAds(), g.NumEdges(), len(plan.Shards), plan.Exact, plan.TotalCutEdges)
+	b.Logf("plan: %d shards, exact=%v, %d cut edges", len(plan.Shards), plan.Exact, plan.TotalCutEdges)
+	cfg := DefaultConfig().WithVariant(Weighted)
+	cfg.Iterations = 15
+	cfg.Tolerance = 1e-4
+	cfg.PruneEpsilon = 1e-5
+	cfg.DeltaSkipTolerance = 1e-5
+	return g, plan, cfg
+}
+
+// BenchmarkShardedRun compares one full weighted run of the multi-cluster
+// workload monolithic vs sharded under the same config. The sharded engine
+// stops finished shards entirely and runs shards concurrently on a bounded
+// pool; its accumulators are sized per shard.
+func BenchmarkShardedRun(b *testing.B) {
+	g, plan, cfg := shardBenchWorkload(b)
 	b.Run("monolithic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if _, err := Run(g, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("sharded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := RunSharded(g, cfg, plan, ShardOptions{Workers: bc.Workers}); err != nil {
+		for b.Loop() {
+			if _, err := RunSharded(g, cfg, plan, ShardOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -136,15 +142,11 @@ func BenchmarkShardedRun(b *testing.B) {
 // serially; in RunSharded each pool worker deposits its own shard as it
 // finishes), then the run-metadata merge.
 func BenchmarkShardedStitch(b *testing.B) {
-	bc := DefaultShardBenchConfig()
-	if testing.Short() {
-		bc = SmokeShardBenchConfig()
-	}
-	_, _, res, err := RunShardBench(bc, 1)
+	g, plan, cfg := shardBenchWorkload(b)
+	res, err := RunSharded(g, cfg, plan, ShardOptions{RetainShardScores: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, cfg := res.Graph, res.Config
 	outs := make([]shardOut, len(res.ShardScores))
 	for i := range outs {
 		outs[i] = shardOut{res: &Result{Converged: true}, stat: res.ShardStats[i]}

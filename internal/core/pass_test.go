@@ -7,40 +7,46 @@ import (
 	"sync"
 	"testing"
 
+	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/sparse"
 )
 
 // passFixture builds the pass inputs plus a realistic mid-iteration score
-// state in every representation the pass variants consume: map table,
-// compacted frontier, and symmetric adjacency.
+// state in both representations the passes consume: the map table the
+// reference reads and the symmetric adjacency the kernel reads.
 type passFixture struct {
 	in     *passInputs
 	cfg    Config
 	nq, na int
-	prevAF *sparse.PairFrontier
 	prevAM *sparse.PairTable
 	symA   *sparse.SymAdj
 }
 
-func newPassFixture(t testing.TB, seed uint64, nq, na, edges int, variant Variant) *passFixture {
-	g := randomGraph(seed, nq, na, edges)
-	cfg := DefaultConfig().WithVariant(variant)
-	cfg.Channel = ChannelClicks
-	cfg.Iterations = 3
+// newPassFixture warms cfg's engine on g and captures the ad-side scores
+// as the query-side pass's input.
+func newPassFixture(t testing.TB, g *clickgraph.Graph, cfg Config) *passFixture {
+	t.Helper()
 	warm, err := Run(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevAF := warm.AdScores
 	return &passFixture{
 		in:     newPassInputs(g, cfg),
 		cfg:    cfg,
 		nq:     g.NumQueries(),
 		na:     g.NumAds(),
-		prevAF: prevAF,
-		prevAM: prevAF.ToPairTable(),
-		symA:   prevAF.ExpandSymmetric(nil),
+		prevAM: toPairTable(warm.AdScores),
+		symA:   warm.AdScores.ExpandSymmetric(nil),
 	}
+}
+
+// randomPassFixture is the fixture of the differential tests: a small
+// random graph three iterations into a clicks-channel run.
+func randomPassFixture(t *testing.T, seed uint64, nq, na, edges int, variant Variant) *passFixture {
+	cfg := DefaultConfig().WithVariant(variant)
+	cfg.Channel = ChannelClicks
+	cfg.Iterations = 3
+	return newPassFixture(t, randomGraph(seed, nq, na, edges), cfg)
 }
 
 func assertFrontierMatchesTable(t *testing.T, label string, f *sparse.PairFrontier, m *sparse.PairTable, eps float64) {
@@ -57,41 +63,32 @@ func assertFrontierMatchesTable(t *testing.T, label string, f *sparse.PairFronti
 	})
 }
 
-// TestSimplePassVariantsMatchMap differentially pins the row-major pass
-// (serial and parallel) and the scatter pass (serial and sharded) against
-// the retained map baseline.
-func TestSimplePassVariantsMatchMap(t *testing.T) {
+// TestSimplePassMatchesMap differentially pins the row-major pass, serial
+// and at every worker count, against the map reference.
+func TestSimplePassMatchesMap(t *testing.T) {
 	for _, seed := range []uint64{1, 17, 99, 2026} {
-		fx := newPassFixture(t, seed, 12, 10, 40, Simple)
+		fx := randomPassFixture(t, seed, 12, 10, 40, Simple)
 		want := simplePassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1)
 
 		for _, workers := range []int{1, 2, 3, 8} {
 			got := sparse.NewPairFrontier(fx.nq)
-			simplePass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1, got, nil, nil, workers, newSPAs(workers, fx.nq+fx.na))
-			assertFrontierMatchesTable(t, "row-major", got, want, 1e-12)
-
-			gotS := sparse.NewPairFrontier(fx.nq)
-			simplePassScatter(fx.prevAF, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1, gotS, workers, newShards(workers, fx.nq))
-			assertFrontierMatchesTable(t, "scatter", gotS, want, 1e-12)
+			simplePass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1, got, nil, nil, workers, new(engineArena).ensureSPAs(workers, fx.nq+fx.na))
+			assertFrontierMatchesTable(t, fmt.Sprintf("seed %d workers %d", seed, workers), got, want, 1e-12)
 		}
 	}
 }
 
-// TestWeightedPassVariantsMatchMap does the same for the weighted pass,
-// whose map baseline also rebuilds the reversed factor rows per call.
-func TestWeightedPassVariantsMatchMap(t *testing.T) {
+// TestWeightedPassMatchesMap does the same for the weighted pass, whose
+// map reference also rebuilds the reversed factor rows per call.
+func TestWeightedPassMatchesMap(t *testing.T) {
 	for _, seed := range []uint64{3, 21, 404} {
-		fx := newPassFixture(t, seed, 11, 9, 35, Weighted)
+		fx := randomPassFixture(t, seed, 11, 9, 35, Weighted)
 		want := weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cfg.C1)
 
 		for _, workers := range []int{1, 2, 5} {
 			got := sparse.NewPairFrontier(fx.nq)
-			weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.revWQ, fx.in.evQ, fx.cfg.C1, got, nil, nil, workers, newSPAs(workers, fx.nq+fx.na))
-			assertFrontierMatchesTable(t, "row-major", got, want, 1e-12)
-
-			gotS := sparse.NewPairFrontier(fx.nq)
-			weightedPassScatter(fx.prevAF, fx.in.qNbr, fx.in.aNbr, fx.in.revWQ, fx.in.evQ, fx.cfg.C1, gotS, workers, newShards(workers, fx.nq))
-			assertFrontierMatchesTable(t, "scatter", gotS, want, 1e-12)
+			weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.revWQ, fx.in.evQ, fx.cfg.C1, got, nil, nil, workers, new(engineArena).ensureSPAs(workers, fx.nq+fx.na))
+			assertFrontierMatchesTable(t, fmt.Sprintf("seed %d workers %d", seed, workers), got, want, 1e-12)
 		}
 	}
 }
@@ -274,7 +271,7 @@ func TestTopRewritesMatchesPairTableIndex(t *testing.T) {
 		f    *sparse.PairFrontier
 		top  func(i, k int) []sparse.Scored
 	}{{"query", res.QueryScores, res.TopRewrites}, {"ad", res.AdScores, res.TopSimilarAds}} {
-		ref := side.f.ToPairTable()
+		ref := toPairTable(side.f)
 		for _, k := range []int{-1, 0, 1, 3, 100} {
 			for i := -1; i <= side.f.NumRows(); i++ {
 				got, want := side.top(i, k), ref.TopKFor(i, k)

@@ -43,9 +43,9 @@ type Result struct {
 	// score change fell below Config.Tolerance.
 	Converged bool
 	// IterStats holds per-iteration timing and delta-skip counters for
-	// runs of the sparse engines (nil from RunDense and deserialized
-	// results). For RunSharded, entry i sums every shard's iteration i —
-	// total work, not wall time, since shards run concurrently.
+	// runs of the sparse engines (nil from RunDense). For RunSharded, entry
+	// i sums every shard's iteration i — total work, not wall time, since
+	// shards run concurrently.
 	IterStats []IterationStat
 	// ShardStats records each shard engine's run, in plan order, when the
 	// result came from RunSharded (nil otherwise).

@@ -14,7 +14,7 @@ import (
 func multiComponentGraph(seed uint64, count, nq, na, edges int) *clickgraph.Graph {
 	b := clickgraph.NewBuilder()
 	for c := 0; c < count; c++ {
-		addBenchCluster(b, fmt.Sprintf("t%d-", c), seed+uint64(c)*7919, nq, na, edges)
+		addRandomCluster(b, fmt.Sprintf("t%d-", c), seed+uint64(c)*7919, nq, na, edges)
 	}
 	return b.Build()
 }

@@ -20,7 +20,7 @@ func churnedGraph(seed uint64, count, nq, na, edges int) *clickgraph.Graph {
 		if c == count-1 {
 			s += 31337 // churn the last cluster
 		}
-		addBenchCluster(b, fmt.Sprintf("t%d-", c), s, nq, na, edges)
+		addRandomCluster(b, fmt.Sprintf("t%d-", c), s, nq, na, edges)
 	}
 	return b.Build()
 }

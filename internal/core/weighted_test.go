@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -143,24 +144,33 @@ func TestWeightedRandomGraphInvariants(t *testing.T) {
 	}
 }
 
-// randomGraph builds a deterministic pseudo-random bipartite graph for
-// property tests.
+// randomGraph builds a deterministic pseudo-random bipartite click graph
+// for the differential tests.
 func randomGraph(seed uint64, nq, na, edges int) *clickgraph.Graph {
 	b := clickgraph.NewBuilder()
+	addRandomCluster(b, "", seed, nq, na, edges)
+	return b.Build()
+}
+
+// addRandomCluster adds one pseudo-random bipartite cluster to b. Node
+// names carry the prefix, so clusters with distinct prefixes are
+// vertex-disjoint: each its own component (or several, where edge sampling
+// leaves nodes isolated).
+func addRandomCluster(b *clickgraph.Builder, prefix string, seed uint64, nq, na, edges int) {
 	s := seed
 	next := func(n int) int {
 		s = s*6364136223846793005 + 1442695040888963407
 		return int((s >> 33) % uint64(n))
 	}
 	for i := 0; i < nq; i++ {
-		b.AddQuery(queryName(i))
+		b.AddQuery(fmt.Sprintf("%sq%d", prefix, i))
 	}
 	for e := 0; e < edges; e++ {
 		q := next(nq)
 		a := next(na)
 		clicks := int64(next(20) + 1)
 		// Builder merges duplicates, which is fine for the property.
-		err := b.AddEdge(queryName(q), adName(a), clickgraph.EdgeWeights{
+		err := b.AddEdge(fmt.Sprintf("%sq%d", prefix, q), fmt.Sprintf("%sad%d", prefix, a), clickgraph.EdgeWeights{
 			Impressions: clicks * 3, Clicks: clicks,
 			ExpectedClickRate: float64(next(100)) / 100,
 		})
@@ -168,11 +178,7 @@ func randomGraph(seed uint64, nq, na, edges int) *clickgraph.Graph {
 			panic(err)
 		}
 	}
-	return b.Build()
 }
-
-func queryName(i int) string { return "q" + string(rune('a'+i)) }
-func adName(i int) string    { return "ad" + string(rune('a'+i)) }
 
 // Differential property: sparse engine equals dense engine on random
 // graphs for every variant.

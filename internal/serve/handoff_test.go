@@ -14,12 +14,24 @@ import (
 	"simrankpp/internal/core"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/sparse"
+	"simrankpp/internal/workload"
 )
 
 // Differential tests for the sorted hand-off: scores travel from the
 // engines to the segment bytes as row-sorted frontiers, and the two
 // sort-free steps on that path — the segment encoder and the scatter
 // index — are held here to the sort-based formulations they replaced.
+
+// toPairTable returns the compacted frontier's pairs in the map form the
+// reference encoder reads.
+func toPairTable(f *sparse.PairFrontier) *sparse.PairTable {
+	t := sparse.NewPairTable(f.Len())
+	f.Range(func(i, j int, v float64) bool {
+		t.Set(i, j, v)
+		return true
+	})
+	return t
+}
 
 // referenceEncodeSegment is the encoder as it was while results were hash
 // maps: collect the pairs in map order, remap, comparison-sort by (i, j).
@@ -127,7 +139,7 @@ func TestEncodeSegmentMatchesReference(t *testing.T) {
 	plans := handoffPlans(t, g)
 	check := func(label string, f *sparse.PairFrontier, ids []int) {
 		t.Helper()
-		if got, want := encodeSegment(f, ids), referenceEncodeSegment(f.ToPairTable(), ids); !bytes.Equal(got, want) {
+		if got, want := encodeSegment(f, ids), referenceEncodeSegment(toPairTable(f), ids); !bytes.Equal(got, want) {
 			t.Errorf("%s: ordered encoder differs from the sort-based reference (%d vs %d bytes)", label, len(got), len(want))
 		}
 	}
@@ -181,7 +193,7 @@ func TestEncodeSegmentEdgeShards(t *testing.T) {
 	one.Add(2, 0, 0.25)
 	one.Compact()
 	ids := []int{7, 70, 70000}
-	want := referenceEncodeSegment(one.ToPairTable(), ids)
+	want := referenceEncodeSegment(toPairTable(one), ids)
 	if got := encodeSegment(one, ids); len(got) != pairRecordSize || !bytes.Equal(got, want) {
 		t.Errorf("single pair encoded to % x, want % x", got, want)
 	}
@@ -209,7 +221,7 @@ func TestEncodeSegmentEdgeShards(t *testing.T) {
 			continue
 		}
 		seg := encodeSegment(ss.QueryScores, ss.QueryIDs)
-		if !bytes.Equal(seg, referenceEncodeSegment(ss.QueryScores.ToPairTable(), ss.QueryIDs)) {
+		if !bytes.Equal(seg, referenceEncodeSegment(toPairTable(ss.QueryScores), ss.QueryIDs)) {
 			t.Errorf("executed shard %d: ordered encoder differs from the reference", i)
 		}
 		pairs += len(seg) / pairRecordSize
@@ -340,18 +352,24 @@ func TestPreloadAllQuarantinesOnlyTheCorruptSegment(t *testing.T) {
 	}
 }
 
-// The three benchmarks below time the hand-off's serve-side steps on
-// core's multi-cluster benchkit workload (reduced under -short): encode
-// every shard's segments, build every segment's scatter index, and
-// preload a whole mapped snapshot.
+// The three benchmarks below time the hand-off's serve-side steps on a
+// sharded run of a generated multi-cluster click log (reduced under
+// -short): encode every shard's segments, build every segment's scatter
+// index, and preload a whole mapped snapshot.
 
 func handoffBenchResult(b *testing.B) *core.Result {
 	b.Helper()
-	bc := core.DefaultShardBenchConfig()
+	lc := workload.ClickLogConfig{Seed: 7, Clusters: 20, QueriesPerCluster: 160, AdsPerCluster: 110, BaseEvents: 20 * 1300}
 	if testing.Short() {
-		bc = core.SmokeShardBenchConfig()
+		lc.Clusters, lc.BaseEvents = 6, 6*1300
 	}
-	_, _, res, err := core.RunShardBench(bc, 1)
+	g, err := lc.BaseGraph(workload.GenerateClickLog(lc))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig().WithVariant(core.Weighted)
+	cfg.PruneEpsilon = 1e-5
+	res, err := core.RunSharded(g, cfg, partition.ComponentPlan(g), core.ShardOptions{RetainShardScores: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,13 +15,29 @@ import (
 // testGraph builds a deterministic multi-component click graph big enough
 // that a component plan yields several shards.
 func testGraph(t *testing.T) *clickgraph.Graph {
+	return namedTestGraph(t, func(name string, i int) string { return name })
+}
+
+// hostileNameGraph is testGraph with every node name carrying bytes a
+// text format would have to escape — tab, newline, carriage return,
+// backslash (also trailing) — or multi-byte UTF-8. The snapshot's string
+// table length-prefixes names, so all of them must come back bit for bit.
+func hostileNameGraph(t *testing.T) *clickgraph.Graph {
+	decor := []string{"\there", "\nline", "\rreturn", "back\\slash", "trailing\\", "caf\u00e9 \u65e5\u672c\u8a9e \U0001f50d"}
+	return namedTestGraph(t, func(name string, i int) string { return name + decor[i%len(decor)] })
+}
+
+// namedTestGraph builds testGraph's structure with node names passed
+// through rename (given the plain name and the node's index in its
+// cluster; rename must keep names distinct).
+func namedTestGraph(t *testing.T, rename func(name string, i int) string) *clickgraph.Graph {
 	t.Helper()
 	b := clickgraph.NewBuilder()
 	for c := 0; c < 4; c++ {
 		for q := 0; q < 12; q++ {
 			for a := 0; a < 8; a++ {
 				if (q*7+a*3+c)%4 == 0 {
-					err := b.AddEdge(fmt.Sprintf("c%d-q%d", c, q), fmt.Sprintf("c%d-a%d", c, a),
+					err := b.AddEdge(rename(fmt.Sprintf("c%d-q%d", c, q), q), rename(fmt.Sprintf("c%d-a%d", c, a), a),
 						clickgraph.EdgeWeights{
 							Impressions:       int64(3 * (q + a + 1)),
 							Clicks:            int64(q + a + 1),
@@ -64,10 +80,19 @@ func scoredEqual(a, b []sparse.Scored) bool {
 
 // TestSnapshotRoundTrip pins the tentpole acceptance: a snapshot answers
 // TopRewrites (and point lookups) bit-identically to the in-memory Result
-// it was written from, across variants × strict evidence × monolithic and
-// sharded runs.
+// it was written from and returns its node names and run configuration
+// unchanged, across variants × strict evidence × monolithic and sharded
+// runs, for plain node names and for names full of structural bytes.
 func TestSnapshotRoundTrip(t *testing.T) {
-	g := testGraph(t)
+	for _, names := range []struct {
+		label string
+		graph *clickgraph.Graph
+	}{{"plain", testGraph(t)}, {"hostile", hostileNameGraph(t)}} {
+		t.Run(names.label, func(t *testing.T) { testSnapshotRoundTrip(t, names.graph) })
+	}
+}
+
+func testSnapshotRoundTrip(t *testing.T, g *clickgraph.Graph) {
 	plan := partition.ComponentPlan(g)
 	if len(plan.Shards) < 2 {
 		t.Fatalf("fixture produced %d shards; want >= 2", len(plan.Shards))
@@ -78,6 +103,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				name := fmt.Sprintf("%v/strict=%v/sharded=%v", variant, strict, sharded)
 				t.Run(name, func(t *testing.T) {
 					cfg := core.DefaultConfig().WithVariant(variant)
+					cfg.C1, cfg.C2 = 0.7, 0.9
 					cfg.StrictEvidence = strict
 					cfg.PruneEpsilon = 1e-6
 					var res *core.Result
@@ -102,6 +128,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					if meta.Variant != variant || meta.Iterations != res.Iterations {
 						t.Errorf("meta = %+v, want variant %v iterations %d", meta, variant, res.Iterations)
 					}
+					if got := snap.Config(); got != cfg {
+						t.Errorf("Config() = %+v, want %+v", got, cfg)
+					}
 					if int64(res.QueryScores.Len()) != meta.QueryPairs || int64(res.AdScores.Len()) != meta.AdPairs {
 						t.Errorf("meta pairs %d/%d, want %d/%d",
 							meta.QueryPairs, meta.AdPairs, res.QueryScores.Len(), res.AdScores.Len())
@@ -123,6 +152,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					for a := 0; a < g.NumAds(); a++ {
 						if got, want := snap.TopSimilarAds(a, -1), res.TopSimilarAds(a, -1); !scoredEqual(got, want) {
 							t.Fatalf("TopSimilarAds(%d): snapshot %v, live %v", a, got, want)
+						}
+						if snap.Ad(a) != g.Ad(a) {
+							t.Fatalf("ad name %d = %q, want %q", a, snap.Ad(a), g.Ad(a))
+						}
+						if id, ok := snap.AdID(g.Ad(a)); !ok || id != a {
+							t.Fatalf("AdID(%q) = %d,%v", g.Ad(a), id, ok)
 						}
 					}
 					// Point lookups over the full pair space, including

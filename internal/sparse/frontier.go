@@ -1,18 +1,19 @@
 package sparse
 
-import "sync"
-
-// PairFrontier is the flat accumulation structure behind the SimRank
-// engines' scatter passes. Where PairTable pays one hash+probe per
-// contribution, a frontier buckets contributions by the smaller node index
-// into per-row slices and keeps each row as a sorted, duplicate-free
+// PairFrontier is the engines' score representation: the pairs of one
+// graph side bucketed by the smaller node index into per-row slices, each
+// row sorted by column and duplicate-free once compacted. The row-major
+// passes emit whole rows in that order (SetSortedRow, CopyRowFrom,
+// SetRowsRemapped), so scores go from the kernel to the snapshot bytes
+// without hashing or re-sorting.
+//
+// Add is the incremental path, for the callers that build a frontier one
+// pair at a time (warm-start seeding, RunDense's conversion). Where
+// PairTable pays one hash+probe per contribution, a row keeps a sorted
 // prefix plus a small unsorted tail:
 //
-//   - Add binary-searches the prefix (a handful of comparisons over a
-//     contiguous int32 array). Scatter streams are heavily duplicated —
-//     the same target pair receives one contribution per path through the
-//     opposite side, often hundreds — so the overwhelmingly common case
-//     is a hit: one in-place +=, no growth, no rehashing, no allocation.
+//   - Add binary-searches the prefix; a hit is one in-place +=, with no
+//     growth and no allocation.
 //   - Misses append to the tail. When the tail outgrows a quarter of the
 //     prefix it is folded: sort+sum the tail (the same COO→CSR discipline
 //     COO.Compile uses, via compactPairs) and linear-merge it into the
@@ -31,8 +32,9 @@ import "sync"
 // unordered pair is stored once under its smaller index. Column indices
 // are packed to int32 — the same 32-bit-per-side bound PairKey imposes.
 //
-// A frontier is not safe for concurrent mutation; the parallel engine
-// gives each worker a private frontier and merges by disjoint row ranges.
+// A frontier is not safe for concurrent mutation, except that the row
+// setters touch only their target rows: the parallel engine's workers
+// write disjoint row ranges of one shared frontier.
 type PairFrontier struct {
 	cols   [][]int32
 	vals   [][]float64
@@ -48,7 +50,7 @@ type PairFrontier struct {
 const minFoldTail = 16
 
 // NewPairFrontier returns an empty frontier for a side with rows nodes.
-// It is not compacted; call Compact (or CompactNormalize) before reads.
+// It is not compacted; call Compact before reads.
 func NewPairFrontier(rows int) *PairFrontier {
 	return &PairFrontier{
 		cols:   make([][]int32, rows),
@@ -197,46 +199,6 @@ func (f *PairFrontier) Compact() {
 	f.compacted = true
 }
 
-// CompactNormalize compacts every row and rewrites each summed pair with
-// norm(i, j, sum); pairs for which norm reports false are dropped. This is
-// the single pass the engines use to turn raw scatter sums into the next
-// iteration's scores without an intermediate table.
-func (f *PairFrontier) CompactNormalize(norm func(i, j int, sum float64) (float64, bool)) {
-	for r := range f.cols {
-		f.foldRow(r)
-		f.normalizeRow(r, norm)
-	}
-	f.compacted = true
-}
-
-// normalizeRow filters/rewrites a folded row in place, preserving order.
-func (f *PairFrontier) normalizeRow(r int, norm func(i, j int, sum float64) (float64, bool)) {
-	if norm == nil {
-		return
-	}
-	cols, vals := f.cols[r], f.vals[r]
-	w := 0
-	for k := range cols {
-		if v, ok := norm(r, int(cols[k]), vals[k]); ok {
-			cols[w], vals[w] = cols[k], v
-			w++
-		}
-	}
-	f.cols[r], f.vals[r] = cols[:w], vals[:w]
-	f.sorted[r] = w
-}
-
-// rawCompactNormalizeRow rebuilds row r from an arbitrary cell soup (used
-// by the parallel merge after concatenating shard buckets): full sort+sum,
-// then normalize. Unlike foldRow it touches no shared scratch, so disjoint
-// rows can be processed concurrently.
-func (f *PairFrontier) rawCompactNormalizeRow(r int, norm func(i, j int, sum float64) (float64, bool)) {
-	n := compactPairs(f.cols[r], f.vals[r])
-	f.cols[r], f.vals[r] = f.cols[r][:n], f.vals[r][:n]
-	f.sorted[r] = n
-	f.normalizeRow(r, norm)
-}
-
 // Get returns the stored value for the unordered pair (i, j): a binary
 // search of the row's sorted prefix plus a scan of any pending tail (empty
 // once compacted).
@@ -274,16 +236,6 @@ func (f *PairFrontier) Range(fn func(i, j int, v float64) bool) {
 			if !fn(r, int(c), vals[k]) {
 				return
 			}
-		}
-	}
-}
-
-// RangeRow calls fn for every stored cell (r, j, v) of row r.
-func (f *PairFrontier) RangeRow(r int, fn func(j int, v float64) bool) {
-	vals := f.vals[r]
-	for k, c := range f.cols[r] {
-		if !fn(int(c), vals[k]) {
-			return
 		}
 	}
 }
@@ -340,7 +292,16 @@ func (f *PairFrontier) Map(fn func(i, j int, v float64) (float64, bool)) {
 		f.Compact()
 	}
 	for r := range f.cols {
-		f.normalizeRow(r, fn)
+		cols, vals := f.cols[r], f.vals[r]
+		w := 0
+		for k := range cols {
+			if v, ok := fn(r, int(cols[k]), vals[k]); ok {
+				cols[w], vals[w] = cols[k], v
+				w++
+			}
+		}
+		f.cols[r], f.vals[r] = cols[:w], vals[:w]
+		f.sorted[r] = w
 	}
 }
 
@@ -549,25 +510,10 @@ func (f *PairFrontier) ExpandSymmetric(dst *SymAdj) *SymAdj {
 	return dst
 }
 
-// ToPairTable converts the frontier into an equivalent PairTable, for the
-// callers that want a mutable map (the map-baseline passes' input). Pending
-// tails are folded first.
-func (f *PairFrontier) ToPairTable() *PairTable {
-	if !f.compacted {
-		f.Compact()
-	}
-	t := NewPairTable(f.Len())
-	f.Range(func(i, j int, v float64) bool {
-		t.Set(i, j, v)
-		return true
-	})
-	return t
-}
-
 // SplitByWeight partitions [0, len(weights)) into parts contiguous ranges
-// of roughly equal total weight, returned as parts+1 bounds. Both the
-// frontier shard merge and the engine's row-parallel passes use it to
-// balance work, not row counts, across workers.
+// of roughly equal total weight, returned as parts+1 bounds. The engine's
+// row-parallel passes use it to balance work, not row counts, across
+// workers.
 func SplitByWeight(weights []int, parts int) []int {
 	n := len(weights)
 	total := 0
@@ -586,55 +532,4 @@ func SplitByWeight(weights []int, parts int) []int {
 		bounds[k] = r
 	}
 	return bounds
-}
-
-// ParallelMergeNormalize merges the shards' accumulated contributions into
-// dst, compacts, and applies norm (which may be nil), with the row space
-// sharded across workers by contribution weight. Each worker owns a
-// contiguous, disjoint row range — per-row: concatenate every shard's
-// bucket, sort+sum in place, normalize — so no locks are needed and the
-// serial merge bottleneck of a table-based shard reduction disappears.
-// All shards must have dst's row count. dst is reset first and is
-// compacted when the call returns.
-func ParallelMergeNormalize(dst *PairFrontier, shards []*PairFrontier, workers int, norm func(i, j int, sum float64) (float64, bool)) {
-	dst.Reset()
-	n := len(dst.cols)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Weight rows by total incoming cells so ranges balance work, not rows.
-	weights := make([]int, n)
-	for _, s := range shards {
-		for r := 0; r < n; r++ {
-			weights[r] += len(s.cols[r])
-		}
-	}
-	bounds := SplitByWeight(weights, workers)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		lo, hi := bounds[k], bounds[k+1]
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for r := lo; r < hi; r++ {
-				if need := weights[r]; cap(dst.cols[r]) < need {
-					dst.cols[r] = make([]int32, 0, need)
-					dst.vals[r] = make([]float64, 0, need)
-				}
-				for _, s := range shards {
-					dst.cols[r] = append(dst.cols[r], s.cols[r]...)
-					dst.vals[r] = append(dst.vals[r], s.vals[r]...)
-				}
-				dst.rawCompactNormalizeRow(r, norm)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	dst.compacted = true
 }

@@ -140,12 +140,12 @@ func TestFrontierPruneThenAddReuse(t *testing.T) {
 	}
 }
 
-func TestFrontierCompactNormalizeDrops(t *testing.T) {
+func TestFrontierMapRewritesAndDrops(t *testing.T) {
 	f := NewPairFrontier(3)
 	f.Add(0, 1, 2)
 	f.Add(0, 2, 4)
 	f.Add(1, 2, 6)
-	f.CompactNormalize(func(i, j int, sum float64) (float64, bool) {
+	f.Map(func(i, j int, sum float64) (float64, bool) {
 		if j == 2 {
 			return 0, false
 		}
@@ -206,7 +206,7 @@ func TestFrontierMatchesMapAccumulation(t *testing.T) {
 		}
 
 		// Round-trip to PairTable preserves everything.
-		rt := f.ToPairTable()
+		rt := toPairTable(f)
 		if rt.Len() != f.Len() {
 			t.Fatalf("trial %d: round trip Len %d vs %d", trial, rt.Len(), f.Len())
 		}
@@ -260,43 +260,6 @@ func TestFrontierUncompactedGetSums(t *testing.T) {
 	f.Add(1, 0, 2)
 	if v, ok := f.Get(0, 1); !ok || v != 3 {
 		t.Errorf("uncompacted Get = %v,%v want 3,true", v, ok)
-	}
-}
-
-func TestParallelMergeNormalizeMatchesSerial(t *testing.T) {
-	rng := lcg(777)
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.next(40)
-		workers := 1 + rng.next(6)
-		shards := make([]*PairFrontier, workers)
-		serial := NewPairFrontier(n)
-		for w := range shards {
-			shards[w] = NewPairFrontier(n)
-			adds := rng.next(200)
-			for a := 0; a < adds; a++ {
-				i, j := rng.next(n), rng.next(n)
-				v := float64(1 + rng.next(5))
-				shards[w].Add(i, j, v)
-				serial.Add(i, j, v)
-			}
-		}
-		norm := func(i, j int, sum float64) (float64, bool) {
-			if sum > 40 {
-				return 0, false
-			}
-			return sum / 2, true
-		}
-		dst := NewPairFrontier(n)
-		ParallelMergeNormalize(dst, shards, workers, norm)
-		serial.CompactNormalize(norm)
-		// Integer-valued contributions make the comparison exact even
-		// though addition order differs between the two paths.
-		if d := dst.MaxAbsDiff(serial); d != 0 {
-			t.Fatalf("trial %d (workers=%d): merged result differs by %v", trial, workers, d)
-		}
-		if dst.Len() != serial.Len() {
-			t.Fatalf("trial %d: Len %d vs %d", trial, dst.Len(), serial.Len())
-		}
 	}
 }
 

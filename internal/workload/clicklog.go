@@ -9,12 +9,12 @@ import (
 	"simrankpp/internal/clickgraph"
 )
 
-// The replayable click log: the benchkit-side generator for the ingest
-// pipeline. A run has two halves — base events that build the serving
-// snapshot's graph, and a stream of follow-on events that the WAL tails
-// and the controller folds. Everything is deterministic from the seed,
-// so a freshness-vs-cost sweep (fold cadence vs wall-clock vs
-// staleness) replays bit-identically, and so do the ingest chaos tests.
+// The replayable click log: the generator behind the ingest pipeline's
+// tests and the engine and snapshot micro-benchmarks. A run has two
+// halves — base events that build the serving snapshot's graph, and a
+// stream of follow-on events that the WAL tails and the controller
+// folds. Everything is deterministic from the seed, so the ingest chaos
+// tests replay bit-identically.
 //
 // The stream is locality-skewed on purpose: HotFraction of the events
 // land in the first HotClusters clusters, mirroring how real click
