@@ -20,6 +20,7 @@ type passFixture struct {
 	nq, na int
 	prevAM *sparse.PairTable
 	symA   *sparse.SymAdj
+	prevQ  *sparse.PairFrontier // the query side one pass earlier
 }
 
 // newPassFixture warms cfg's engine on g and captures the ad-side scores
@@ -37,6 +38,7 @@ func newPassFixture(t testing.TB, g *clickgraph.Graph, cfg Config) *passFixture 
 		na:     g.NumAds(),
 		prevAM: toPairTable(warm.AdScores),
 		symA:   warm.AdScores.ExpandSymmetric(nil),
+		prevQ:  warm.QueryScores,
 	}
 }
 
@@ -63,34 +65,138 @@ func assertFrontierMatchesTable(t *testing.T, label string, f *sparse.PairFronti
 	})
 }
 
+// assertChangedArm runs pass under the delta skip with a seeded half of the
+// ad side marked changed and fx.prevQ as the previous output. A row whose
+// ads are all unmarked must come out as prevQ's row, every other row as
+// full's (the same pass with nothing skipped), bit for bit: a skipped row
+// leaves the scatter cursors behind, and every worker starts its range
+// with cold ones.
+func assertChangedArm(t *testing.T, label string, fx *passFixture, seed uint64, full *sparse.PairFrontier, pass func(dst, prev *sparse.PairFrontier, changed *sparse.Bitset) int) (skips int) {
+	t.Helper()
+	changed := sparse.NewBitset(fx.na)
+	for a := 0; a < fx.na; a++ {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		if seed>>63 == 1 {
+			changed.Set(a)
+		}
+	}
+	want := sparse.NewPairFrontier(fx.nq)
+	for x, ads := range fx.in.qNbr {
+		src := fx.prevQ
+		if len(ads) == 0 || slices.ContainsFunc(ads, changed.Has) {
+			src = full
+		} else {
+			skips++
+		}
+		want.CopyRowFrom(src, x)
+	}
+	want.Compact()
+	got := sparse.NewPairFrontier(fx.nq)
+	if n := pass(got, fx.prevQ, changed); n != skips {
+		t.Fatalf("%s: pass skipped %d rows, want %d", label, n, skips)
+	}
+	requireTablesBitIdentical(t, label, want, got)
+	return skips
+}
+
+// requireBothKinds keeps the changed arm from passing vacuously.
+func requireBothKinds(t *testing.T, skipped, rows int) {
+	t.Helper()
+	if skipped == 0 || skipped == rows {
+		t.Fatalf("%d of %d rows skipped; the changed arm needs skipped and computed rows", skipped, rows)
+	}
+}
+
 // TestSimplePassMatchesMap differentially pins the row-major pass, serial
-// and at every worker count, against the map reference.
+// and at every worker count, against the map reference — and, with half
+// the inputs marked unchanged, against itself.
 func TestSimplePassMatchesMap(t *testing.T) {
+	skipped, rows := 0, 0
 	for _, seed := range []uint64{1, 17, 99, 2026} {
 		fx := randomPassFixture(t, seed, 12, 10, 40, Simple)
 		want := simplePassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1)
 
 		for _, workers := range []int{1, 2, 3, 8} {
+			spas := new(engineArena).ensureSPAs(workers, fx.nq+fx.na)
+			pass := func(dst, prev *sparse.PairFrontier, changed *sparse.Bitset) int {
+				return simplePass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1, dst, prev, changed, workers, spas)
+			}
+			label := fmt.Sprintf("seed %d workers %d", seed, workers)
 			got := sparse.NewPairFrontier(fx.nq)
-			simplePass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1, got, nil, nil, workers, new(engineArena).ensureSPAs(workers, fx.nq+fx.na))
-			assertFrontierMatchesTable(t, fmt.Sprintf("seed %d workers %d", seed, workers), got, want, 1e-12)
+			pass(got, nil, nil)
+			assertFrontierMatchesTable(t, label, got, want, 1e-12)
+			skipped += assertChangedArm(t, label+" changed", fx, seed, got, pass)
+			rows += fx.nq
 		}
 	}
+	requireBothKinds(t, skipped, rows)
 }
 
 // TestWeightedPassMatchesMap does the same for the weighted pass, whose
 // map reference also rebuilds the reversed factor rows per call.
 func TestWeightedPassMatchesMap(t *testing.T) {
+	skipped, rows := 0, 0
 	for _, seed := range []uint64{3, 21, 404} {
 		fx := randomPassFixture(t, seed, 11, 9, 35, Weighted)
 		want := weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cfg.C1)
 
 		for _, workers := range []int{1, 2, 5} {
+			spas := new(engineArena).ensureSPAs(workers, fx.nq+fx.na)
+			pass := func(dst, prev *sparse.PairFrontier, changed *sparse.Bitset) int {
+				return weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.revWQ, fx.in.evQ, fx.cfg.C1, dst, prev, changed, workers, spas)
+			}
+			label := fmt.Sprintf("seed %d workers %d", seed, workers)
 			got := sparse.NewPairFrontier(fx.nq)
-			weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.revWQ, fx.in.evQ, fx.cfg.C1, got, nil, nil, workers, new(engineArena).ensureSPAs(workers, fx.nq+fx.na))
-			assertFrontierMatchesTable(t, fmt.Sprintf("seed %d workers %d", seed, workers), got, want, 1e-12)
+			pass(got, nil, nil)
+			assertFrontierMatchesTable(t, label, got, want, 1e-12)
+			skipped += assertChangedArm(t, label+" changed", fx, seed, got, pass)
+			rows += fx.nq
 		}
 	}
+	requireBothKinds(t, skipped, rows)
+}
+
+// TestWeightedPassZeroFactors: on the rate channel an edge whose expected
+// click rate is 0 carries walk factor 0, so its contributions are exact
+// zeros. The kernel may accumulate them but must not store them: the pass
+// still equals the map reference pair for pair.
+func TestWeightedPassZeroFactors(t *testing.T) {
+	b := clickgraph.NewBuilder()
+	s := uint64(7)
+	next := func(n int) int {
+		s = s*6364136223846793005 + 1442695040888963407
+		return int((s >> 33) % uint64(n))
+	}
+	for e := 0; e < 45; e++ {
+		w := clickgraph.EdgeWeights{Impressions: 3, Clicks: 1, ExpectedClickRate: float64(next(3)) / 2}
+		if err := b.AddEdge(fmt.Sprintf("q%d", next(12)), fmt.Sprintf("ad%d", next(10)), w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := DefaultConfig().WithVariant(Weighted) // rate channel
+	cfg.Iterations = 3
+	fx := newPassFixture(t, b.Build(), cfg)
+	zeros := 0
+	for _, row := range fx.in.revWQ {
+		for _, f := range row {
+			if f == 0 {
+				zeros++
+			}
+		}
+	}
+	if zeros < 5 {
+		t.Fatalf("fixture has %d zero walk factors, want several", zeros)
+	}
+	want := weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cfg.C1)
+	got := sparse.NewPairFrontier(fx.nq)
+	weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.revWQ, fx.in.evQ, fx.cfg.C1, got, nil, nil, 1, new(engineArena).ensureSPAs(1, fx.nq+fx.na))
+	assertFrontierMatchesTable(t, "zero factors", got, want, 1e-12) // compares Len too
+	got.Range(func(i, j int, v float64) bool {
+		if v == 0 {
+			t.Fatalf("stored a zero-valued pair (%d,%d)", i, j)
+		}
+		return true
+	})
 }
 
 // assertBitIdentical fails unless both results store exactly the same
