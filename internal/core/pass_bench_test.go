@@ -87,16 +87,20 @@ func BenchmarkWeightedPass(b *testing.B) {
 }
 
 // shardBenchWorkload builds the multi-cluster graph of the sharded
-// benchmarks, its plan (one cluster per shard: two do not fit the budget)
-// and the run config: PERF.md's production mode — weighted, pruning,
-// tolerance-scaled delta skip — with a convergence tolerance, so finished
-// shards stop early.
+// benchmarks, its plan and the run config. Graph and plan have the shape
+// of the gated workload (pathbench cold-build), because the kernel's cost
+// profile depends on it: many 65 × 45 clusters of ≈500 edges, three packed
+// into each ≤ 400-node shard, so neighbor rows are short and a shard's
+// accumulator spans several unrelated clusters. The config is PERF.md's
+// production mode — weighted, pruning, tolerance-scaled delta skip — with
+// a convergence tolerance, so finished shards stop early.
 func shardBenchWorkload(b *testing.B) (*clickgraph.Graph, *partition.Plan, Config) {
 	b.Helper()
-	lc := workload.ClickLogConfig{Seed: 7, Clusters: 20, QueriesPerCluster: 160, AdsPerCluster: 110, BaseEvents: 20 * 1300}
+	lc := workload.ClickLogConfig{Seed: 7, Clusters: 60, QueriesPerCluster: 65, AdsPerCluster: 45}
 	if testing.Short() {
-		lc.Clusters, lc.BaseEvents = 6, 6*1300
+		lc.Clusters = 12
 	}
+	lc.BaseEvents = lc.Clusters * 390 // + the 110-event coverage pass = 500 a cluster
 	g := benchLogGraph(b, lc)
 	pcfg := partition.DefaultPlanConfig()
 	pcfg.MaxShardNodes = 400
