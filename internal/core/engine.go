@@ -1,8 +1,8 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,8 +19,9 @@ import (
 // Each iteration is computed output-row-major: for every node x of one
 // side, gather u(j) = Σ_{i∈E(x)} s(i, j) over the opposite side into a
 // dense accumulator, scatter u over each touched node's neighbor row into
-// a dense row accumulator, and harvest the normalized row straight into a
-// sparse.PairFrontier (per-row sorted storage, no hashing anywhere). Work
+// a dense row accumulator, and harvest the normalized row, in ascending
+// order off a bit mark per cell, straight into a sparse.PairFrontier
+// (per-row sorted storage, no hashing and no sorting anywhere). Work
 // stays proportional to the nonzero structure — the sparsity the click
 // graph actually has — but every contribution costs an array add instead
 // of the hash probe the map-based engine paid, and the frontiers ping-pong
@@ -127,16 +128,17 @@ func arenaBitset(slot **sparse.Bitset, n int) *sparse.Bitset {
 
 // ensureSPAs returns workers accumulators with dense arrays of at least n
 // cells, growing the arena's pool as needed. Reused spa arrays are already
-// zero: the kernels restore every touched cell to zero as they harvest.
+// zero: the kernels restore every touched cell and mark to zero as they
+// harvest, and runRowPass clears the cursors.
 func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 	for len(ar.spas) < workers {
-		ar.spas = append(ar.spas, &spa{u: make([]float64, n), t: make([]float64, n)})
+		ar.spas = append(ar.spas, &spa{})
 	}
 	spas := ar.spas[:workers]
 	for _, sp := range spas {
 		if len(sp.u) < n {
-			sp.u = make([]float64, n)
-			sp.t = make([]float64, n)
+			sp.u, sp.t = make([]float64, n), make([]float64, n)
+			sp.marks, sp.cur = make([]uint64, (n+63)/64), make([]int32, n)
 		}
 	}
 	return spas
@@ -279,33 +281,38 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 	}, nil
 }
 
-// harvestDenseCutoff decides how an output row's touched list is put into
-// sorted order for the emit (and the evidence merge-walk): when the
-// remaining accumulator range (x, n) is at most this many times the
-// touched count, the harvest scans the range directly — touched cells come
-// out sorted for free and the scan is branch-predictable — otherwise the
-// touched list is sorted. Mid-run SimRank rows are dense, so the scan is
-// the common case; the sort covers early iterations and stragglers.
-const harvestDenseCutoff = 8
-
-// spa is one worker's sparse-accumulator state: dense value arrays with
-// touched lists for the gather (u, over the opposite side) and the row
-// accumulation (t, over this side), plus the row emit buffers. Arrays are
-// sized to the larger side so one spa serves both passes.
+// spa is one worker's sparse-accumulator state: dense value arrays for the
+// gather (u, over the opposite side, with its touched list) and the row
+// accumulation (t, over this side, with one mark bit per cell), the
+// scatter cursors, plus the row emit buffers. Arrays are sized to the
+// larger side so one spa serves both passes.
 type spa struct {
-	u    []float64 // gathered opposite-side scores, zeroed via ut
-	ut   []int
-	t    []float64 // accumulated output row, zeroed via tt
-	tt   []int
+	u  []float64 // gathered opposite-side scores, zeroed via ut
+	ut []int     // touched cells of u in first-touch order: the scatter walks it, so it fixes the order t's sums are taken in
+	t  []float64 // accumulated output row, zeroed via marks
+	// marks has bit p set for every cell t[p] the scatter added to, zero
+	// contributions included; the harvest walks the set bits, which come
+	// out ascending, and clears them.
+	marks []uint64
+	// cur[j] is the first position of oppNbr[j] holding a node above the
+	// last row that scattered j. A worker's rows ascend, so the cursor
+	// only moves forward; runRowPass clears it when a worker starts.
+	cur  []int32
 	rowC []int32
 	rowV []float64
 }
+
+// spaBytes is the footprint of one spa's dense arrays over n cells: u and
+// t (8 bytes each), cur (4) and one mark bit.
+func spaBytes(n int) int64 { return 20*int64(n) + 8*int64((n+63)/64) }
 
 // runRowPass drives kernel over every output row of one side, returning
 // how many rows the delta skip copied forward instead of computing. With
 // workers > 1 the row space is split into contiguous ranges weighted by
 // expected gather work; each worker owns disjoint rows and a private spa,
-// so rows are computed and emitted with no locks and no merge phase.
+// so rows are computed and emitted with no locks and no merge phase. A
+// worker visits its rows in ascending order, which is what lets the
+// kernels keep scatter cursors (spa.cur) across rows.
 //
 // When changed is non-nil it marks the opposite-side nodes whose scores
 // moved last iteration; an output row x depends only on the score rows of
@@ -333,6 +340,7 @@ func runRowPass(thisNbr [][]int, sym *sparse.SymAdj, dst, prev *sparse.PairFront
 	skipped := 0
 	if workers <= 1 {
 		sp := spas[0]
+		clear(sp.cur)
 		for x := 0; x < n; x++ {
 			if unchanged(x) {
 				dst.CopyRowFrom(prev, x)
@@ -370,6 +378,7 @@ func runRowPass(thisNbr [][]int, sym *sparse.SymAdj, dst, prev *sparse.PairFront
 			wg.Add(1)
 			go func(sp *spa, wk, lo, hi int) {
 				defer wg.Done()
+				clear(sp.cur)
 				for x := lo; x < hi; x++ {
 					if skip != nil && skip[x] {
 						dst.CopyRowFrom(prev, x)
@@ -398,7 +407,13 @@ func runRowPass(thisNbr [][]int, sym *sparse.SymAdj, dst, prev *sparse.PairFront
 // u(j) = Σ_{i∈E(x)} s(i, j) (diagonal terms s(i, i) = 1 included), then
 // each touched j scatters u(j) to t(p) for its neighbors p ∈ E(j) with
 // p > x — T is symmetric, so row x's computation alone yields the full
-// sum for every stored pair (x, y), y > x.
+// sum for every stored pair (x, y), y > x. E(j) ascends and so do a
+// worker's rows, so where E(j) crosses x is kept as a cursor that only
+// advances (a delta-skipped row just leaves it to catch up later).
+//
+// Every contribution is one add and one unconditional mark; the harvest
+// walks the marks between the lowest and highest scattered index, so rows
+// come out sorted and its cost follows what the row touched, not the side.
 func simplePass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 	return runRowPass(thisNbr, sym, dst, prev, changed, workers, spas, func(sp *spa, x int) {
 		nbrs := thisNbr[x]
@@ -420,7 +435,8 @@ func simplePass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, c float64, dst, pre
 				u[j] += sym.Val[p]
 			}
 		}
-		t, tt := sp.t, sp.tt[:0]
+		t, marks, cur := sp.t, sp.marks, sp.cur
+		pmin, pmax := len(thisNbr), -1 // lowest and highest scattered index
 		for _, j := range ut {
 			uj := u[j]
 			u[j] = 0
@@ -428,50 +444,39 @@ func simplePass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, c float64, dst, pre
 				continue
 			}
 			ps := oppNbr[j]
-			for _, p := range ps[sort.SearchInts(ps, x+1):] {
-				if t[p] == 0 {
-					tt = append(tt, p)
-				}
+			k := int(cur[j])
+			for k < len(ps) && ps[k] <= x {
+				k++
+			}
+			cur[j] = int32(k)
+			if k == len(ps) {
+				continue
+			}
+			pmin, pmax = min(pmin, ps[k]), max(pmax, ps[len(ps)-1])
+			for _, p := range ps[k:] {
 				t[p] += uj
+				marks[p>>6] |= 1 << (uint(p) & 63)
 			}
 		}
 		sp.ut = ut
-		tt = sortTouched(t, tt, x, len(thisNbr))
 		rowC, rowV := sp.rowC[:0], sp.rowV[:0]
 		dx := float64(len(nbrs))
-		for _, p := range tt {
-			tv := t[p]
-			t[p] = 0
-			if s := c * tv / (dx * float64(len(thisNbr[p]))); s != 0 {
-				rowC = append(rowC, int32(p))
-				rowV = append(rowV, s)
+		for wi := pmin >> 6; wi <= pmax>>6; wi++ {
+			word := marks[wi]
+			marks[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				p := wi<<6 | bits.TrailingZeros64(word)
+				tv := t[p]
+				t[p] = 0
+				if s := c * tv / (dx * float64(len(thisNbr[p]))); s != 0 {
+					rowC = append(rowC, int32(p))
+					rowV = append(rowV, s)
+				}
 			}
 		}
-		sp.tt = tt
 		sp.rowC, sp.rowV = rowC, rowV
 		dst.SetSortedRow(x, rowC, rowV)
 	})
-}
-
-// sortTouched puts the row accumulator's touched list into ascending
-// order — the order the frontier stores rows in and the evidence
-// merge-walk requires. The scatter phase only writes indices in (x, n),
-// so when the touched list is dense relative to that range it is
-// recollected from a direct scan of t (sorted for free, and
-// branch-predictable); sparse lists are sorted instead. Harvest loops
-// stay in the kernels so their emit logic compiles to direct calls.
-func sortTouched(t []float64, tt []int, x, n int) []int {
-	if n-x-1 <= harvestDenseCutoff*len(tt) {
-		tt = tt[:0]
-		for p := x + 1; p < n; p++ {
-			if t[p] != 0 {
-				tt = append(tt, p)
-			}
-		}
-		return tt
-	}
-	sort.Ints(tt)
-	return tt
 }
 
 // weightedPass computes one weighted-SimRank iteration for one side into
@@ -481,10 +486,13 @@ func sortTouched(t []float64, tt []int, x, n int) []int {
 // the factors reversed onto the opposite side (reverseFactors), both
 // built once per run.
 //
-// Evidence is fused into the harvest: the touched list is sorted (rows
-// must be emitted sorted anyway) and merge-walked against the evidence
-// table's precomputed multiplier row for x — O(d + k) sequential reads
-// instead of k binary-searched lookups each paying the multiplier math.
+// Evidence is fused into the harvest: the marks yield the row's cells in
+// ascending order, which is the order the evidence table's precomputed
+// multiplier row for x is stored in, so the two are merge-walked —
+// O(d + k) sequential reads instead of k binary-searched lookups each
+// paying the multiplier math. A zero walk factor contributes an exact zero
+// and a mark; the emit's s != 0 test drops the cell if nothing else
+// reached it.
 func weightedPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w, revW [][]float64, ev *evidenceTable, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 	return runRowPass(thisNbr, sym, dst, prev, changed, workers, spas, func(sp *spa, x int) {
 		nbrs := thisNbr[x]
@@ -511,7 +519,8 @@ func weightedPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w, revW [][]float
 				u[j] += fi * sym.Val[p]
 			}
 		}
-		t, tt := sp.t, sp.tt[:0]
+		t, marks, cur := sp.t, sp.marks, sp.cur
+		pmin, pmax := len(thisNbr), -1 // lowest and highest scattered index
 		for _, j := range ut {
 			uj := u[j]
 			u[j] = 0
@@ -519,43 +528,48 @@ func weightedPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w, revW [][]float
 				continue
 			}
 			ps := oppNbr[j]
-			fw := revW[j]
-			for idx := sort.SearchInts(ps, x+1); idx < len(ps); idx++ {
-				g := fw[idx] * uj
-				if g == 0 {
-					continue
-				}
-				p := ps[idx]
-				if t[p] == 0 {
-					tt = append(tt, p)
-				}
-				t[p] += g
+			k := int(cur[j])
+			for k < len(ps) && ps[k] <= x {
+				k++
+			}
+			cur[j] = int32(k)
+			if k == len(ps) {
+				continue
+			}
+			pmin, pmax = min(pmin, ps[k]), max(pmax, ps[len(ps)-1])
+			fw := revW[j][k:]
+			for idx, p := range ps[k:] {
+				t[p] += fw[idx] * uj
+				marks[p>>6] |= 1 << (uint(p) & 63)
 			}
 		}
 		sp.ut = ut
-		tt = sortTouched(t, tt, x, len(thisNbr))
 		rowC, rowV := sp.rowC[:0], sp.rowV[:0]
 		evC, evV := ev.mult.Row(x)
 		def := ev.def
 		k := 0 // merge-walk cursor into the evidence row; p ascends with it
-		for _, p := range tt {
-			tv := t[p]
-			t[p] = 0
-			for k < len(evC) && int(evC[k]) < p {
-				k++
-			}
-			e := def
-			if k < len(evC) && int(evC[k]) == p {
-				e = evV[k]
-			}
-			if e > 0 {
-				if s := e * c * tv; s != 0 {
-					rowC = append(rowC, int32(p))
-					rowV = append(rowV, s)
+		for wi := pmin >> 6; wi <= pmax>>6; wi++ {
+			word := marks[wi]
+			marks[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				p := wi<<6 | bits.TrailingZeros64(word)
+				tv := t[p]
+				t[p] = 0
+				for k < len(evC) && int(evC[k]) < p {
+					k++
+				}
+				e := def
+				if k < len(evC) && int(evC[k]) == p {
+					e = evV[k]
+				}
+				if e > 0 {
+					if s := e * c * tv; s != 0 {
+						rowC = append(rowC, int32(p))
+						rowV = append(rowV, s)
+					}
 				}
 			}
 		}
-		sp.tt = tt
 		sp.rowC, sp.rowV = rowC, rowV
 		dst.SetSortedRow(x, rowC, rowV)
 	})

@@ -80,9 +80,10 @@ type ShardStat struct {
 	// Duration is the shard's wall time including subgraph extraction.
 	Duration time.Duration
 	// SPABytes is the dense sparse-accumulator footprint this shard's
-	// engine needed: 2 float64 arrays sized to its larger side, per
-	// engine worker the shard was granted. The monolithic equivalent is
-	// 16·max(NumQueries, NumAds) per worker.
+	// engine needed: per engine worker the shard was granted, two float64
+	// arrays, the int32 scatter cursors and one mark bit per cell of its
+	// larger side — 20 bytes + 1 bit a cell (spaBytes). The monolithic
+	// equivalent is the same over max(NumQueries, NumAds).
 	SPABytes int64
 	// Skipped reports that ShardOptions.RunShards excluded this shard: no
 	// engine ran and the run-outcome fields above are zero.
@@ -247,8 +248,7 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 					Converged:   res.Converged,
 					Duration:    time.Since(start),
 					Fingerprint: sh.Fingerprint,
-					// u + t float64 arrays per engine worker.
-					SPABytes: int64(ew) * int64(side) * 16,
+					SPABytes:    int64(ew) * spaBytes(side),
 				}}
 			}
 		}()

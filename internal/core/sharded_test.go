@@ -198,8 +198,8 @@ func TestShardedStitchedResultServes(t *testing.T) {
 	for _, s := range sharded.ShardStats {
 		totalQ += s.Queries
 		totalA += s.Ads
-		if s.SPABytes <= 0 || s.SPABytes > int64(side)*16 {
-			t.Errorf("shard SPA bytes %d outside (0, monolithic %d]", s.SPABytes, int64(side)*16)
+		if s.SPABytes <= 0 || s.SPABytes > spaBytes(side) {
+			t.Errorf("shard SPA bytes %d outside (0, monolithic %d]", s.SPABytes, spaBytes(side))
 		}
 	}
 	if totalQ != g.NumQueries() || totalA != g.NumAds() {
