@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/sparse"
 )
@@ -44,7 +46,11 @@ type warmSeed func(prevQ, prevA *sparse.PairFrontier)
 // partner that maps into g is seeded. Pairs are stored symmetrically in
 // the source, so the j > i guard keeps exactly one copy. Partners outside
 // g (the pair straddles a shard cut, or the node vanished) are dropped —
-// the same pairs a cold per-shard run could never score.
+// the same pairs a cold per-shard run could never score. So is any score
+// that is not finite and positive: the source is a stored generation whose
+// values nothing else checks, the convergence test (d > max) cannot see a
+// NaN, and the kernels read a zero accumulator cell as untouched — one bad
+// seed would otherwise be published as converged and seed the next refresh.
 func newWarmSeeder(ws ScoreSource, g *clickgraph.Graph) warmSeed {
 	return func(prevQ, prevA *sparse.PairFrontier) {
 		for q := 0; q < g.NumQueries(); q++ {
@@ -53,7 +59,7 @@ func newWarmSeeder(ws ScoreSource, g *clickgraph.Graph) warmSeed {
 				continue
 			}
 			for _, sc := range ws.TopRewrites(old, -1) {
-				if nj, ok := g.QueryID(ws.Query(sc.Node)); ok && nj > q {
+				if nj, ok := g.QueryID(ws.Query(sc.Node)); ok && nj > q && validSeed(sc.Score) {
 					prevQ.Add(q, nj, sc.Score)
 				}
 			}
@@ -64,13 +70,16 @@ func newWarmSeeder(ws ScoreSource, g *clickgraph.Graph) warmSeed {
 				continue
 			}
 			for _, sc := range ws.TopSimilarAds(old, -1) {
-				if nj, ok := g.AdID(ws.Ad(sc.Node)); ok && nj > a {
+				if nj, ok := g.AdID(ws.Ad(sc.Node)); ok && nj > a && validSeed(sc.Score) {
 					prevA.Add(a, nj, sc.Score)
 				}
 			}
 		}
 	}
 }
+
+// validSeed reports whether v is finite and positive (false for NaN).
+func validSeed(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
 
 // unapplyEvidence divides every stored pair by its evidence multiplier —
 // the inverse of applyEvidence. The Evidence variant iterates on raw

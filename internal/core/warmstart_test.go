@@ -106,6 +106,74 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 	}
 }
 
+// editedSource is a previous generation whose query-pair listings have been
+// tampered with: a pair in edits is served with that score from both of its
+// endpoints, or left out of both listings when drop is set.
+type editedSource struct {
+	*Result
+	edits map[[2]int]float64 // keyed (lower id, higher id)
+	drop  bool
+}
+
+func (s editedSource) TopRewrites(q, k int) []sparse.Scored {
+	var out []sparse.Scored
+	for _, sc := range s.Result.TopRewrites(q, k) {
+		if v, ok := s.edits[[2]int{min(q, sc.Node), max(q, sc.Node)}]; ok {
+			if s.drop {
+				continue
+			}
+			sc.Score = v
+		}
+		out = append(out, sc)
+	}
+	return out
+}
+
+// TestWarmStartDropsUnusableSeeds: a stored generation's values are not
+// checked anywhere on the way in, so a NaN, an infinity or a negative score
+// in the warm-start source must be treated as a missing pair — not iterated
+// into a result that reports Converged (NaN never exceeds a tolerance) and
+// then seeds the next generation.
+func TestWarmStartDropsUnusableSeeds(t *testing.T) {
+	g := multiComponentGraph(11, 5, 14, 10, 45)
+	cfg := DefaultConfig().WithVariant(Weighted)
+	cfg.Channel = ChannelClicks
+	cfg.Tolerance = 1e-4
+	prev := mustRun(t, g, cfg)
+
+	bad := []float64{math.NaN(), math.Inf(1), -0.5}
+	edits := make(map[[2]int]float64)
+	prev.QueryScores.Range(func(i, j int, _ float64) bool {
+		if i == 7*len(edits) { // rows 0, 7 and 14: one bad pair each
+			edits[[2]int{i, j}] = bad[len(edits)]
+		}
+		return len(edits) < len(bad)
+	})
+	if len(edits) != len(bad) {
+		t.Fatalf("fixture stored too few pairs to edit %d", len(bad))
+	}
+
+	plan := partition.ComponentPlan(g)
+	run := func(ws ScoreSource) *Result {
+		t.Helper()
+		res, err := RunSharded(g, cfg, plan, ShardOptions{WarmStart: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	tainted := run(editedSource{Result: prev, edits: edits})
+	for _, f := range []*sparse.PairFrontier{tainted.QueryScores, tainted.AdScores} {
+		f.Range(func(i, j int, v float64) bool {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("stored non-finite score %v for pair (%d,%d)", v, i, j)
+			}
+			return true
+		})
+	}
+	assertBitIdentical(t, "bad seeds vs the same pairs omitted", run(editedSource{Result: prev, edits: edits, drop: true}), tainted)
+}
+
 // TestRunShardsSkipsCleanShards pins the dirty-only scheduling contract:
 // skipped shards contribute no scores and no engine work, their stats are
 // marked, and (under RetainShardScores) their id lists are still present
