@@ -306,6 +306,97 @@ type spa struct {
 // t (8 bytes each), cur (4) and one mark bit.
 func spaBytes(n int) int64 { return 20*int64(n) + 8*int64((n+63)/64) }
 
+// gather accumulates u(j) = Σ_{i∈nbrs} f(i)·s(i, j) from the symmetric
+// score rows of one output row's neighbors (the diagonal s(i, i) = 1
+// included), listing the touched cells in sp.ut. fx holds the walk factors
+// aligned with nbrs; nil is plain SimRank's all-ones, and multiplying by
+// one is exact.
+func (sp *spa) gather(nbrs []int, fx []float64, sym *sparse.SymAdj) {
+	u, ut := sp.u, sp.ut[:0]
+	for ki, i := range nbrs {
+		fi := 1.0
+		if fx != nil {
+			if fi = fx[ki]; fi == 0 {
+				continue
+			}
+		}
+		if u[i] == 0 {
+			ut = append(ut, i)
+		}
+		u[i] += fi // s(i, i) = 1
+		lo, hi := sym.RowPtr[i], sym.RowPtr[i+1]
+		ut = gatherRow(u, ut, sym.Col[lo:hi], sym.Val[lo:hi], fi)
+	}
+	sp.ut = ut
+}
+
+// scatter drains the gathered u into t: every touched j, in sp.ut's order,
+// adds u(j) — times j's reversed walk factors when revW is non-nil — to
+// t(p) for its neighbors p > x and marks the cell. oppNbr[j] ascends and so
+// do a worker's rows, so where it crosses x is a cursor that only advances
+// (a delta-skipped row just leaves it to catch up later). Returns the
+// lowest and highest index scattered to, pmin > pmax when there is none.
+func (sp *spa) scatter(x int, oppNbr [][]int, revW [][]float64) (pmin, pmax int) {
+	u, t, marks, cur := sp.u, sp.t, sp.marks, sp.cur
+	pmin, pmax = len(t), -1
+	for _, j := range sp.ut {
+		uj := u[j]
+		u[j] = 0
+		if uj == 0 {
+			continue
+		}
+		ps := oppNbr[j]
+		k := int(cur[j])
+		for k < len(ps) && ps[k] <= x {
+			k++
+		}
+		cur[j] = int32(k)
+		if k == len(ps) {
+			continue
+		}
+		ps = ps[k:]
+		pmin, pmax = min(pmin, ps[0]), max(pmax, ps[len(ps)-1])
+		if revW != nil {
+			scatterRow(t, marks, ps, revW[j][k:], uj)
+			continue
+		}
+		for _, p := range ps {
+			t[p] += uj
+			marks[uint(p)>>6] |= 1 << (uint(p) & 63)
+		}
+	}
+	return pmin, pmax
+}
+
+// gatherRow and scatterRow are the two loops every weighted contribution
+// passes through: one multiply-add each, plus the first-touch test on the
+// way into u and the unconditional mark on the way into t. They are kept
+// out of line because, inlined into loops with as many live values as
+// gather and scatter have, their counters and operands are spilled to the
+// stack on every iteration (PERF.md, "Cursor scatter, marked harvest").
+//
+//go:noinline
+func gatherRow(u []float64, ut []int, col []int32, val []float64, fi float64) []int {
+	val = val[:len(col)]
+	for k, c := range col {
+		j := int(c)
+		if u[j] == 0 {
+			ut = append(ut, j)
+		}
+		u[j] += fi * val[k]
+	}
+	return ut
+}
+
+//go:noinline
+func scatterRow(t []float64, marks []uint64, ps []int, fw []float64, uj float64) {
+	fw = fw[:len(ps)]
+	for k, p := range ps {
+		t[p] += fw[k] * uj
+		marks[uint(p)>>6] |= 1 << (uint(p) & 63)
+	}
+}
+
 // runRowPass drives kernel over every output row of one side, returning
 // how many rows the delta skip copied forward instead of computing. With
 // workers > 1 the row space is split into contiguous ranges weighted by
@@ -420,45 +511,9 @@ func simplePass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, c float64, dst, pre
 		if len(nbrs) == 0 {
 			return
 		}
-		u, ut := sp.u, sp.ut[:0]
-		for _, i := range nbrs {
-			if u[i] == 0 {
-				ut = append(ut, i)
-			}
-			u[i]++ // s(i, i) = 1
-			lo, hi := sym.RowPtr[i], sym.RowPtr[i+1]
-			for p := lo; p < hi; p++ {
-				j := int(sym.Col[p])
-				if u[j] == 0 {
-					ut = append(ut, j)
-				}
-				u[j] += sym.Val[p]
-			}
-		}
-		t, marks, cur := sp.t, sp.marks, sp.cur
-		pmin, pmax := len(thisNbr), -1 // lowest and highest scattered index
-		for _, j := range ut {
-			uj := u[j]
-			u[j] = 0
-			if uj == 0 {
-				continue
-			}
-			ps := oppNbr[j]
-			k := int(cur[j])
-			for k < len(ps) && ps[k] <= x {
-				k++
-			}
-			cur[j] = int32(k)
-			if k == len(ps) {
-				continue
-			}
-			pmin, pmax = min(pmin, ps[k]), max(pmax, ps[len(ps)-1])
-			for _, p := range ps[k:] {
-				t[p] += uj
-				marks[p>>6] |= 1 << (uint(p) & 63)
-			}
-		}
-		sp.ut = ut
+		sp.gather(nbrs, nil, sym)
+		pmin, pmax := sp.scatter(x, oppNbr, nil)
+		t, marks := sp.t, sp.marks
 		rowC, rowV := sp.rowC[:0], sp.rowV[:0]
 		dx := float64(len(nbrs))
 		for wi := pmin >> 6; wi <= pmax>>6; wi++ {
@@ -499,51 +554,9 @@ func weightedPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w, revW [][]float
 		if len(nbrs) == 0 {
 			return
 		}
-		fx := w[x]
-		u, ut := sp.u, sp.ut[:0]
-		for ki, i := range nbrs {
-			fi := fx[ki]
-			if fi == 0 {
-				continue
-			}
-			if u[i] == 0 {
-				ut = append(ut, i)
-			}
-			u[i] += fi // s(i, i) = 1
-			lo, hi := sym.RowPtr[i], sym.RowPtr[i+1]
-			for p := lo; p < hi; p++ {
-				j := int(sym.Col[p])
-				if u[j] == 0 {
-					ut = append(ut, j)
-				}
-				u[j] += fi * sym.Val[p]
-			}
-		}
-		t, marks, cur := sp.t, sp.marks, sp.cur
-		pmin, pmax := len(thisNbr), -1 // lowest and highest scattered index
-		for _, j := range ut {
-			uj := u[j]
-			u[j] = 0
-			if uj == 0 {
-				continue
-			}
-			ps := oppNbr[j]
-			k := int(cur[j])
-			for k < len(ps) && ps[k] <= x {
-				k++
-			}
-			cur[j] = int32(k)
-			if k == len(ps) {
-				continue
-			}
-			pmin, pmax = min(pmin, ps[k]), max(pmax, ps[len(ps)-1])
-			fw := revW[j][k:]
-			for idx, p := range ps[k:] {
-				t[p] += fw[idx] * uj
-				marks[p>>6] |= 1 << (uint(p) & 63)
-			}
-		}
-		sp.ut = ut
+		sp.gather(nbrs, w[x], sym)
+		pmin, pmax := sp.scatter(x, oppNbr, revW)
+		t, marks := sp.t, sp.marks
 		rowC, rowV := sp.rowC[:0], sp.rowV[:0]
 		evC, evV := ev.mult.Row(x)
 		def := ev.def
