@@ -495,12 +495,10 @@ func runRowPass(thisNbr [][]int, sym *sparse.SymAdj, dst, prev *sparse.PairFront
 // reverse.
 //
 // Row x gathers T(x, y) = Σ_{i∈E(x)} Σ_{j∈E(y)} s(i, j) in two phases:
-// u(j) = Σ_{i∈E(x)} s(i, j) (diagonal terms s(i, i) = 1 included), then
-// each touched j scatters u(j) to t(p) for its neighbors p ∈ E(j) with
-// p > x — T is symmetric, so row x's computation alone yields the full
-// sum for every stored pair (x, y), y > x. E(j) ascends and so do a
-// worker's rows, so where E(j) crosses x is kept as a cursor that only
-// advances (a delta-skipped row just leaves it to catch up later).
+// u(j) = Σ_{i∈E(x)} s(i, j) (spa.gather), then each touched j scatters
+// u(j) to t(p) for its neighbors p ∈ E(j) with p > x (spa.scatter) — T is
+// symmetric, so row x's computation alone yields the full sum for every
+// stored pair (x, y), y > x.
 //
 // Every contribution is one add and one unconditional mark; the harvest
 // walks the marks between the lowest and highest scattered index, so rows

@@ -415,8 +415,8 @@ func (f *PairFrontier) SetRow(r int, cols []int32, vals []float64) {
 
 // SetSortedRow is SetRow for columns that are already strictly ascending:
 // the copy is kept but the sort is skipped. The harvest loops emit rows in
-// sorted order (they walk a sorted touched list), so this removes the
-// per-row sortPairs that dominated SetRow's cost.
+// sorted order (they walk the row accumulator's mark bits, which ascend),
+// so this removes the per-row sortPairs that dominated SetRow's cost.
 func (f *PairFrontier) SetSortedRow(r int, cols []int32, vals []float64) {
 	f.cols[r] = append(f.cols[r][:0], cols...)
 	f.vals[r] = append(f.vals[r][:0], vals...)
