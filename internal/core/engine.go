@@ -287,8 +287,10 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 // scatter cursors, plus the row emit buffers. Arrays are sized to the
 // larger side so one spa serves both passes.
 type spa struct {
-	u  []float64 // gathered opposite-side scores, zeroed via ut
-	ut []int     // touched cells of u in first-touch order: the scatter walks it, so it fixes the order t's sums are taken in
+	u []float64 // gathered opposite-side scores, zeroed via ut
+	// ut lists the touched cells of u in first-touch order. The scatter
+	// walks it, so it fixes the order t's sums are taken in.
+	ut []int
 	t  []float64 // accumulated output row, zeroed via marks
 	// marks has bit p set for every cell t[p] the scatter added to, zero
 	// contributions included; the harvest walks the set bits, which come
@@ -325,7 +327,14 @@ func (sp *spa) gather(nbrs []int, fx []float64, sym *sparse.SymAdj) {
 		}
 		u[i] += fi // s(i, i) = 1
 		lo, hi := sym.RowPtr[i], sym.RowPtr[i+1]
-		ut = gatherRow(u, ut, sym.Col[lo:hi], sym.Val[lo:hi], fi)
+		col, val := sym.Col[lo:hi], sym.Val[lo:hi]
+		for k, c := range col {
+			j := int(c)
+			if u[j] == 0 {
+				ut = append(ut, j)
+			}
+			u[j] += fi * val[k]
+		}
 	}
 	sp.ut = ut
 }
@@ -368,26 +377,13 @@ func (sp *spa) scatter(x int, oppNbr [][]int, revW [][]float64) (pmin, pmax int)
 	return pmin, pmax
 }
 
-// gatherRow and scatterRow are the two loops every weighted contribution
-// passes through: one multiply-add each, plus the first-touch test on the
-// way into u and the unconditional mark on the way into t. They are kept
-// out of line because, inlined into loops with as many live values as
-// gather and scatter have, their counters and operands are spilled to the
-// stack on every iteration (PERF.md, "Cursor scatter, marked harvest").
+// scatterRow is the loop every weighted contribution leaves through: one
+// multiply-add and one unconditional mark. It is kept out of line because,
+// inlined into scatter, which has some twenty values live around it, its
+// counter and p are spilled to the stack and reloaded on every iteration
+// (PERF.md, "Cursor scatter, marked harvest"); gather's loop fits in
+// registers where it is.
 //
-//go:noinline
-func gatherRow(u []float64, ut []int, col []int32, val []float64, fi float64) []int {
-	val = val[:len(col)]
-	for k, c := range col {
-		j := int(c)
-		if u[j] == 0 {
-			ut = append(ut, j)
-		}
-		u[j] += fi * val[k]
-	}
-	return ut
-}
-
 //go:noinline
 func scatterRow(t []float64, marks []uint64, ps []int, fw []float64, uj float64) {
 	fw = fw[:len(ps)]
