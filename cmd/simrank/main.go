@@ -68,7 +68,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -293,15 +292,17 @@ func obtainPlan(g *clickgraph.Graph, sharded bool, shardMax int, planPath string
 }
 
 // runRefresh is the -refresh path: diff the new graph against the
-// previous snapshot, recompute only dirty shards (warm-started), and
-// write the next generation reusing clean segments. The write is
-// journaled through the generation store: the pre-refresh serving file
-// is adopted as a rollback target, the new snapshot lands in the
-// journal first, and only a fully-written, manifest-covered generation
-// is atomically published to the serving path — so a refresh that
-// fails (or dies) at any instant leaves the previous generation
-// loadable, and the failure path re-points serving at the last good
-// generation when the serving file itself turns out damaged.
+// previous snapshot, recompute only dirty shards (warm-started) — in
+// this process, or on the -workers fleet: the shard runner handed to
+// serve.Refresh is the only difference — and write the next generation
+// reusing clean segments. The write is journaled through the generation
+// store: the pre-refresh serving file is adopted as a rollback target,
+// the new snapshot lands in the journal first, and only a fully-written,
+// manifest-covered generation is atomically published to the serving
+// path — so a refresh that fails (or dies) at any instant leaves the
+// previous generation loadable, and the failure path re-points serving
+// at the last good generation when the serving file itself turns out
+// damaged.
 func runRefresh(graphPath, prevPath, savePath, planSave string, workers, keepGens int, fleet []string, bids map[string]bool) error {
 	if savePath == "" {
 		savePath = prevPath // atomic in-place generation swap
@@ -342,13 +343,34 @@ func runRefresh(graphPath, prevPath, savePath, planSave string, workers, keepGen
 		return err
 	}
 
-	var st serve.RefreshStats
-	var diff *partition.Diff
-	if len(fleet) > 0 {
-		st, diff, err = refreshGenerationFleet(gs, g, prev, workers, fleet, bids)
-	} else {
-		st, diff, err = refreshGeneration(gs, g, prev, workers, bids)
+	diff, err := partition.DiffPlans(prev, g)
+	if err != nil {
+		return err
 	}
+	// The projected plan inherits the previous decomposition and only
+	// grows (new nodes adopt a neighbor's shard, nothing is ever split),
+	// so surface the largest shard: when it drifts well past the budget
+	// the plan was built with, it is time to re-plan with a fresh -save.
+	largest := 0
+	for i := range diff.Plan.Shards {
+		largest = max(largest, diff.Plan.Shards[i].Nodes())
+	}
+	fmt.Fprintf(os.Stderr, "simrank: refresh diff: %d clean, %d dirty of %d shards (largest %d nodes); %d new, %d moved nodes\n",
+		diff.CleanShards, diff.DirtyShards, len(diff.Plan.Shards), largest,
+		diff.NewQueries+diff.NewAds, diff.MovedQueries+diff.MovedAds)
+	run := serve.PoolRunner(workers)
+	if len(fleet) > 0 {
+		// Leases with retry, hedging and local fallback; the bytes are
+		// identical to the pool's by the determinism contract the dist
+		// tests pin.
+		run = dist.NewCoordinator(fleet, dist.Options{
+			LocalWorkers: workers,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "simrank: "+format+"\n", args...)
+			},
+		}).Run
+	}
+	_, st, err := serve.Refresh(context.Background(), gs, g, prev, diff, run, bids, nil)
 	if err != nil {
 		// The journal protects the serving file by construction, but a
 		// bad disk can damage it independently; verify and restore.
@@ -373,43 +395,6 @@ func runRefresh(graphPath, prevPath, savePath, planSave string, workers, keepGen
 	return nil
 }
 
-// refreshGeneration runs the dirty-shard recompute and commits +
-// publishes the result as the next journaled generation.
-func refreshGeneration(gs *serve.GenerationStore, g *clickgraph.Graph, prev *serve.Snapshot, workers int, bids map[string]bool) (serve.RefreshStats, *partition.Diff, error) {
-	var st serve.RefreshStats
-	res, diff, err := serve.RunRefresh(g, prev, workers)
-	if err != nil {
-		return st, nil, err
-	}
-	// The projected plan inherits the previous decomposition and only
-	// grows (new nodes adopt a neighbor's shard, nothing is ever split),
-	// so surface the largest shard: when it drifts well past the budget
-	// the plan was built with, it is time to re-plan with a fresh -save.
-	largest := 0
-	var fingerprint uint64
-	for i := range diff.Plan.Shards {
-		if n := diff.Plan.Shards[i].Nodes(); n > largest {
-			largest = n
-		}
-		fingerprint ^= res.ShardStats[i].Fingerprint
-	}
-	fmt.Fprintf(os.Stderr, "simrank: refresh diff: %d clean, %d dirty of %d shards (largest %d nodes); %d new, %d moved nodes\n",
-		diff.CleanShards, diff.DirtyShards, len(diff.Plan.Shards), largest,
-		diff.NewQueries+diff.NewAds, diff.MovedQueries+diff.MovedAds)
-	gen, err := gs.Commit(diff.DirtyShards, fingerprint, func(w io.Writer) error {
-		var werr error
-		st, werr = serve.RefreshSnapshot(w, prev, res, diff.Dirty, bids)
-		return werr
-	})
-	if err != nil {
-		return st, nil, err
-	}
-	if err := gs.Publish(gen); err != nil {
-		return st, nil, err
-	}
-	return st, diff, nil
-}
-
 // fleetURLs normalizes the -workers list into base URLs: bare host:port
 // entries get an http scheme, trailing slashes are dropped.
 func fleetURLs(s string) []string {
@@ -425,29 +410,6 @@ func fleetURLs(s string) []string {
 		out = append(out, strings.TrimSuffix(w, "/"))
 	}
 	return out
-}
-
-// refreshGenerationFleet is refreshGeneration's distributed twin: dirty
-// shards go to the -workers fleet as leases (with retry, hedging, and
-// local fallback), and the assembled generation is committed and
-// published through the same journal. The bytes are identical to the
-// local path's by the determinism contract the dist tests pin.
-func refreshGenerationFleet(gs *serve.GenerationStore, g *clickgraph.Graph, prev *serve.Snapshot, workers int, fleet []string, bids map[string]bool) (serve.RefreshStats, *partition.Diff, error) {
-	c := dist.NewCoordinator(fleet, dist.Options{
-		LocalWorkers: workers,
-		BidTerms:     bids,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "simrank: "+format+"\n", args...)
-		},
-	})
-	st, diff, fleetRes, _, err := dist.RefreshGeneration(context.Background(), c, gs, g, prev)
-	if err != nil {
-		return st, diff, err
-	}
-	s := fleetRes.Stats
-	fmt.Fprintf(os.Stderr, "simrank: fleet refresh: %d shard(s) remote, %d local fallback; %d retries, %d hedges, %d duplicate completions, %d worker(s) marked dead\n",
-		s.RemoteShards, s.LocalFallbackShards, s.Retries, s.Hedges, s.DuplicateWins, s.WorkerDeaths)
-	return st, diff, nil
 }
 
 // runRollback is the -rollback path: re-point the serving snapshot at

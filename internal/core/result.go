@@ -96,8 +96,8 @@ type ShardScoreSet struct {
 	QueryIDs, AdIDs []int
 	// QueryScores and AdScores are the shard engine's frontiers, local
 	// ids. Both are nil when ShardOptions.RunShards skipped the shard —
-	// the id lists still describe it, which is all serve.RefreshSnapshot
-	// needs to reuse the previous generation's segment.
+	// the id lists still describe it; a refresh reuses the previous
+	// generation's segment for it (serve.AssembleRefresh).
 	QueryScores, AdScores *sparse.PairFrontier
 }
 

@@ -43,18 +43,18 @@ type ShardOptions struct {
 	// partition.DiffPlans classification. Skipped shards burn no work at
 	// all (no subgraph extraction, no engine): their scores are absent
 	// from the stitched Result and their ShardScores entry (under
-	// RetainShardScores) carries only the id lists, the shape
-	// serve.RefreshSnapshot needs to byte-copy the previous generation's
-	// segments. A Result of a partial run is NOT a complete score index;
-	// it exists to feed a refresh.
+	// RetainShardScores) carries only the id lists; a refresh byte-copies
+	// the previous generation's segments for them. A Result of a partial
+	// run is NOT a complete score index; it exists to feed a refresh.
 	RunShards []bool
 	// Context, when non-nil, cancels the run between shards: each pool
 	// worker checks it before starting the next shard engine and the
 	// dispatcher stops feeding the queue, so cancellation costs at most
 	// the shards already in flight. RunSharded then returns the context's
 	// error. The ingest controller plumbs its shutdown context through
-	// here (via serve.RunRefreshContext) so SIGTERM stops an in-flight
-	// fold at the next shard boundary instead of finishing the refresh.
+	// here (via serve.Refresh and serve.PoolRunner) so SIGTERM stops an
+	// in-flight fold at the next shard boundary instead of finishing the
+	// refresh.
 	Context context.Context
 	// WarmStart, when non-nil, seeds every executed shard engine's
 	// starting frontiers from a previous generation's scores (matched by

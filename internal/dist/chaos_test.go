@@ -3,10 +3,12 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,8 +22,9 @@ import (
 
 // Chaos suite for the distributed refresh path, driven by the faultfs
 // HTTP injector (dead workers, mid-transfer cuts, corruption,
-// stragglers) and the coordinator's Checkpoint hook (crashes at every
-// refresh stage). Every scenario ends with the same assertion the
+// stragglers) and serve.Refresh's checkpoint hook with the coordinator
+// as its shard runner (crashes at every refresh stage). Every scenario
+// ends with the same assertion the
 // tentpole demands: the bytes that finally serve are exactly what a
 // single-machine refresh would have produced.
 
@@ -79,16 +82,52 @@ func chaosFixture(t *testing.T) (*serve.Snapshot, []byte, *clickgraph.Graph, *pa
 // assembleFleet runs the fleet and assembles the refreshed snapshot.
 func assembleFleet(t *testing.T, c *Coordinator, next *clickgraph.Graph, prev *serve.Snapshot, diff *partition.Diff) (*FleetResult, []byte) {
 	t.Helper()
-	fleet, err := c.RefreshShards(context.Background(), next, prev, diff)
+	fleet, err := c.RefreshShards(context.Background(), next, prev, diff.Plan, diff.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := serve.AssembleRefresh(&buf, prev, next, prev.Config(), diff.Plan, diff.Dirty,
-		fleet.Segments, fleet.Iterations, fleet.Converged, nil); err != nil {
+	return fleet, assembleBytes(t, next, prev, diff, &fleet.ShardRun)
+}
+
+// journalFixture is chaosFixture on disk: the previous generation is the
+// serving file of a generation store that has adopted it, so a refresh
+// can run through serve.Refresh with a coordinator as its shard runner.
+type journalFixture struct {
+	path      string
+	gs        *serve.GenerationStore
+	adopted   *serve.Generation
+	prev      *serve.Snapshot
+	prevBytes []byte
+	next      *clickgraph.Graph
+	diff      *partition.Diff
+	want      []byte // the local-only refresh's bytes
+}
+
+func newJournalFixture(t *testing.T) *journalFixture {
+	t.Helper()
+	fx := &journalFixture{next: refreshGraph(t, [4]int{9, 2, 3, 4})}
+	fx.prevBytes, _ = buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
+	fx.path = filepath.Join(t.TempDir(), "scores.snap")
+	if err := os.WriteFile(fx.path, fx.prevBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return fleet, buf.Bytes()
+	fx.gs = serve.NewGenerationStore(fx.path, 5)
+	var err error
+	if fx.adopted, err = fx.gs.Adopt(); err != nil || fx.adopted == nil {
+		t.Fatalf("Adopt = (%v, %v)", fx.adopted, err)
+	}
+	if fx.prev, err = serve.OpenSnapshot(fx.path); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fx.prev.Close() })
+	_, fx.diff, fx.want = localRefreshBytes(t, fx.next, fx.prev)
+	return fx
+}
+
+// refresh runs one journaled refresh with c as the shard runner.
+func (fx *journalFixture) refresh(ctx context.Context, c *Coordinator, checkpoint func(string) error) error {
+	_, _, err := serve.Refresh(ctx, fx.gs, fx.next, fx.prev, fx.diff, c.Run, nil, checkpoint)
+	return err
 }
 
 // TestChaosWorkerKilledMidShard is acceptance scenario (a): one worker's
@@ -201,7 +240,7 @@ func TestChaosStragglerHedged(t *testing.T) {
 	// Prime the latency window: hedging needs completed-lease samples
 	// before it can call anything a straggler.
 	for i := 0; i < 3; i++ {
-		c.recordLatency(2 * time.Millisecond)
+		c.lat.Record(2 * time.Millisecond)
 	}
 
 	start := time.Now()
@@ -221,94 +260,166 @@ func TestChaosStragglerHedged(t *testing.T) {
 }
 
 // TestChaosCoordinatorCrashRecovery is acceptance scenario (c): the
-// coordinator dies at every dispatch/assembly checkpoint in turn. After
-// each crash the previous generation must still be the serving file,
+// coordinator dies at every checkpoint of the refresh driver in turn.
+// After each crash the serving file must be one whole generation — the
+// previous one until the atomic publish, the new one after it —
 // openable and rollback-clean, and a retried refresh must publish the
 // exact local-path bytes.
 func TestChaosCoordinatorCrashRecovery(t *testing.T) {
-	stages := []string{"pre-dispatch", "pre-commit", "commit:mid-write", "pre-publish"}
+	stages := []string{"pre-commit", "commit:mid-write", "pre-publish", "post-publish"}
 	for _, stage := range stages {
 		t.Run(stage, func(t *testing.T) {
-			cfg := refreshCfg()
-			prevBytes, _ := buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), cfg)
-			next := refreshGraph(t, [4]int{9, 2, 3, 4})
-
-			dir := t.TempDir()
-			path := filepath.Join(dir, "scores.snap")
-			if err := os.WriteFile(path, prevBytes, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			gs := serve.NewGenerationStore(path, 5)
-			adopted, err := gs.Adopt()
-			if err != nil || adopted == nil {
-				t.Fatalf("Adopt = (%v, %v)", adopted, err)
-			}
-			prev, err := serve.OpenSnapshot(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer prev.Close()
-			_, _, want := localRefreshBytes(t, next, prev)
-
+			fx := newJournalFixture(t)
 			urls := startWorkers(t, 2)
 			cl := &chaosLogf{}
-			crashed := NewCoordinator(urls, Options{
-				Logf: cl.logf,
-				Checkpoint: func(s string) error {
-					if s == stage {
-						return fmt.Errorf("injected coordinator crash at %s", s)
-					}
-					return nil
-				},
+			crashed := NewCoordinator(urls, Options{Logf: cl.logf})
+			err := fx.refresh(context.Background(), crashed, func(s string) error {
+				if s == stage {
+					return fmt.Errorf("injected coordinator crash at %s", s)
+				}
+				return nil
 			})
-			if _, _, _, _, err := RefreshGeneration(context.Background(), crashed, gs, next, prev); err == nil {
+			if err == nil {
 				t.Fatalf("refresh survived an injected crash at %s", stage)
 			}
 
-			// The previous generation still serves, byte for byte, and the
-			// journal still verifies it as the rollback target.
-			serving, err := os.ReadFile(path)
+			// The previous generation still serves, byte for byte (after
+			// the publish: the new one, whole), and the journal still
+			// verifies a rollback target.
+			serving, err := os.ReadFile(fx.path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(serving, prevBytes) {
+			if stage == "post-publish" {
+				if !bytes.Equal(maskVolatile(t, serving), maskVolatile(t, fx.want)) {
+					t.Fatalf("crash at %s, after the publish, left something other than the refreshed generation serving", stage)
+				}
+			} else if !bytes.Equal(serving, fx.prevBytes) {
 				t.Fatalf("crash at %s disturbed the serving snapshot", stage)
 			}
-			if snap, err := serve.OpenSnapshot(path); err != nil {
+			if snap, err := serve.OpenSnapshot(fx.path); err != nil {
 				t.Fatalf("serving snapshot no longer opens after crash at %s: %v", stage, err)
 			} else {
 				snap.Close()
 			}
-			good, err := gs.LastGood()
+			good, err := fx.gs.LastGood()
 			if err != nil {
 				t.Fatalf("no good generation after crash at %s: %v", stage, err)
 			}
-			if good.CRC != adopted.CRC || good.Size != adopted.Size {
-				// A crash after commit legitimately leaves the (valid, never
-				// published) next generation as the newest good one; the
-				// serving bytes above are the real invariant. But before
+			if good.CRC != fx.adopted.CRC || good.Size != fx.adopted.Size {
+				// A crash after commit legitimately leaves the (valid, maybe
+				// never published) next generation as the newest good one;
+				// the serving bytes above are the real invariant. But before
 				// commit the adopted generation must still be the last good.
-				if stage == "pre-dispatch" || stage == "pre-commit" || stage == "commit:mid-write" {
+				if stage == "pre-commit" || stage == "commit:mid-write" {
 					t.Fatalf("crash at %s replaced the last-good generation", stage)
 				}
 			}
 
 			// Recovery: sweep debris and rerun with a fresh coordinator.
-			if _, err := gs.SweepTemp(); err != nil {
+			if _, err := fx.gs.SweepTemp(); err != nil {
 				t.Fatal(err)
 			}
 			retry := NewCoordinator(urls, Options{Logf: cl.logf})
-			if _, _, _, _, err := RefreshGeneration(context.Background(), retry, gs, next, prev); err != nil {
+			if err := fx.refresh(context.Background(), retry, nil); err != nil {
 				t.Fatalf("retried refresh after crash at %s: %v", stage, err)
 			}
-			published, err := os.ReadFile(path)
+			published, err := os.ReadFile(fx.path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(maskVolatile(t, published), maskVolatile(t, want)) {
+			if !bytes.Equal(maskVolatile(t, published), maskVolatile(t, fx.want)) {
 				t.Fatalf("recovered refresh after crash at %s differs from the local-only refresh", stage)
 			}
 		})
+	}
+}
+
+// TestChaosCancelledDuringFallback: the fleet is dead, the refresh has
+// degraded to the local recompute, and the caller gives up (SIGTERM)
+// just as it starts. The fallback runs under the caller's context like
+// the dispatch phase does, so the refresh must stop at the next shard
+// boundary with the context's error and commit nothing — not finish a
+// refresh nobody is waiting for.
+func TestChaosCancelledDuringFallback(t *testing.T) {
+	fx := newJournalFixture(t)
+	urls := startWorkers(t, 2)
+	inj := faultfs.NewHTTPInjector()
+	inj.Drop("", -1) // the whole fleet is unreachable
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := NewCoordinator(urls, Options{
+		Transport:      inj.Transport(nil),
+		MaxAttempts:    2,
+		MaxWorkerFails: 2,
+		BackoffBase:    time.Millisecond,
+		BackoffMax:     2 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			if strings.HasPrefix(format, "dist: fallback-to-local") {
+				cancel()
+			}
+		},
+	})
+	journal := func() []string {
+		entries, err := os.ReadDir(fx.gs.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	before := journal()
+
+	if err := fx.refresh(ctx, c, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("refresh cancelled at its local fallback returned %v, want context.Canceled", err)
+	}
+	if after := journal(); !slices.Equal(before, after) {
+		t.Fatalf("cancelled refresh changed the journal: %v -> %v", before, after)
+	}
+	if serving, err := os.ReadFile(fx.path); err != nil || !bytes.Equal(serving, fx.prevBytes) {
+		t.Fatalf("cancelled refresh disturbed the serving snapshot (read error %v)", err)
+	}
+}
+
+// TestChaosFleetStateIsPerRefresh: what a refresh learns about the fleet
+// — retries counted, workers given up on — must not leak into the next
+// one on the same coordinator. The first refresh meets one 5xx, which at
+// MaxWorkerFails 1 marks the only worker dead and sends a shard to the
+// local fallback; the worker has healed by the second refresh, which
+// must try it again, be served remotely, and report none of the first
+// one's counters.
+func TestChaosFleetStateIsPerRefresh(t *testing.T) {
+	prev, _, next, diff, want := chaosFixture(t)
+	urls := startWorkers(t, 1)
+
+	inj := faultfs.NewHTTPInjector()
+	inj.Respond5xx(hostOf(t, urls[0]), 1)
+	cl := &chaosLogf{}
+	c := NewCoordinator(urls, Options{
+		Transport:      inj.Transport(nil),
+		MaxWorkerFails: 1,
+		BackoffBase:    time.Millisecond,
+		BackoffMax:     2 * time.Millisecond,
+		Logf:           cl.logf,
+	})
+
+	first, got := assembleFleet(t, c, next, prev, diff)
+	if first.Stats.Retries == 0 || first.Stats.WorkerDeaths != 1 || first.Stats.LocalFallbackShards == 0 {
+		t.Fatalf("first refresh stats %+v: want a retry, the worker marked dead, a local fallback", first.Stats)
+	}
+	if !bytes.Equal(maskVolatile(t, got), maskVolatile(t, want)) {
+		t.Fatal("first refresh differs from the local-only refresh")
+	}
+
+	second, got := assembleFleet(t, c, next, prev, diff)
+	if second.Stats != (FleetStats{RemoteShards: diff.DirtyShards}) {
+		t.Fatalf("second refresh stats %+v: want all %d dirty shards remote and every other counter 0", second.Stats, diff.DirtyShards)
+	}
+	if !bytes.Equal(maskVolatile(t, got), maskVolatile(t, want)) {
+		t.Fatal("second refresh differs from the local-only refresh")
 	}
 }
 

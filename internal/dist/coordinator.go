@@ -55,16 +55,6 @@ type Options struct {
 	// Jitter overrides the backoff jitter source, returning values in
 	// [0, 1]; nil uses math/rand. Tests pin it for determinism.
 	Jitter func() float64
-	// BidTerms is the bid-term set the previous generation's precomputed
-	// rewrite section was built under; AssembleRefresh rejects a refresh
-	// whose set differs (clean shards byte-copy their filtered lists).
-	// nil when the section is unfiltered or absent.
-	BidTerms map[string]bool
-	// Checkpoint, when non-nil, is called at each refresh stage
-	// ("pre-dispatch", "pre-commit", "commit:mid-write", "pre-publish");
-	// returning an error aborts the refresh there — the crash-injection
-	// seam the chaos suite drives.
-	Checkpoint func(stage string) error
 	// Logf receives progress lines; nil uses the standard logger.
 	Logf func(format string, args ...any)
 }
@@ -98,7 +88,8 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// FleetStats counts what the failure machinery did during one refresh.
+// FleetStats counts what the failure machinery did during one refresh
+// (one RefreshShards call).
 type FleetStats struct {
 	// RemoteShards/LocalFallbackShards partition the dirty shards by
 	// where their segments were computed.
@@ -113,64 +104,69 @@ type FleetStats struct {
 	WorkerDeaths int
 }
 
-// FleetResult is one distributed refresh's compute output, ready for
-// serve.AssembleRefresh.
+// FleetResult is one distributed refresh's compute output: the shard run
+// serve.AssembleRefresh takes, plus what the fleet did to produce it.
 type FleetResult struct {
-	// Segments has one entry per plan shard: non-nil exactly at the
-	// dirty indices.
-	Segments []*serve.ShardSegment
-	// Iterations is the deepest dirty-shard run; Converged ANDs over
-	// every dirty shard (vacuously true with none).
-	Iterations int
-	Converged  bool
-	Stats      FleetStats
+	serve.ShardRun
+	Stats FleetStats
 }
 
-// workerState tracks one worker's health.
+// workerState tracks one worker's health during one refresh.
 type workerState struct {
 	url   string
 	fails int
 	dead  bool
 }
 
-// completionKey is the idempotency identity a completed lease files
-// under: duplicate completions (hedges, re-dispatched timeouts that
-// raced their retry) collapse onto one entry, first writer wins.
-type completionKey struct {
-	gen   uint64
-	shard uint32
-	fp    uint64
-}
-
-// Coordinator dispatches dirty-shard leases to a worker fleet.
+// Coordinator dispatches dirty-shard leases to a worker fleet. It holds
+// what outlives a refresh — the options, the HTTP client and the
+// completed-lease latency window hedging reads; everything one refresh
+// accumulates lives in its RefreshShards call (fleetRun).
 type Coordinator struct {
 	opt     Options
 	client  *http.Client
-	workers []*workerState
+	urls    []string
 	backoff hedge.Backoff
 	lat     *hedge.Tracker
-
-	mu        sync.Mutex
-	rr        int
-	completed map[completionKey]*serve.ShardSegment
-	stats     FleetStats
 }
 
 // NewCoordinator returns a coordinator over the given worker base URLs
 // (e.g. "http://host:9090").
 func NewCoordinator(workerURLs []string, opt Options) *Coordinator {
 	opt = (&opt).withDefaults()
-	c := &Coordinator{
-		opt:       opt,
-		client:    &http.Client{Transport: opt.Transport},
-		backoff:   hedge.Backoff{Base: opt.BackoffBase, Max: opt.BackoffMax, Jitter: opt.Jitter},
-		lat:       &hedge.Tracker{Quantile: opt.HedgeQuantile, Floor: opt.HedgeAfter},
-		completed: make(map[completionKey]*serve.ShardSegment),
+	return &Coordinator{
+		opt:     opt,
+		client:  &http.Client{Transport: opt.Transport},
+		urls:    workerURLs,
+		backoff: hedge.Backoff{Base: opt.BackoffBase, Max: opt.BackoffMax, Jitter: opt.Jitter},
+		lat:     &hedge.Tracker{Quantile: opt.HedgeQuantile, Floor: opt.HedgeAfter},
 	}
-	for _, u := range workerURLs {
-		c.workers = append(c.workers, &workerState{url: u})
+}
+
+// fleetRun is one RefreshShards call's state. Worker health, the
+// round-robin cursor and the counters start fresh with every refresh: a
+// worker that was down for the last one is tried again, and nothing a
+// finished refresh accepted stays reachable.
+type fleetRun struct {
+	*Coordinator
+
+	mu      sync.Mutex
+	workers []workerState
+	rr      int
+	// out.Segments doubles as the completion registry, indexed by shard:
+	// duplicate completions (hedges, re-dispatched timeouts that raced
+	// their retry) collapse onto one entry, first writer wins.
+	out FleetResult
+}
+
+func (c *Coordinator) newRun(shards int) *fleetRun {
+	r := &fleetRun{Coordinator: c, workers: make([]workerState, len(c.urls))}
+	for i, u := range c.urls {
+		r.workers[i].url = u
 	}
-	return c
+	r.out.Segments = make([]*serve.ShardSegment, shards)
+	r.out.Converged = true
+	return r
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -183,12 +179,12 @@ func (c *Coordinator) logf(format string, args ...any) {
 
 // pickWorker round-robins over live workers, skipping exclude (the
 // hedge's primary); nil when none qualify.
-func (c *Coordinator) pickWorker(exclude *workerState) *workerState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for range c.workers {
-		w := c.workers[c.rr%len(c.workers)]
-		c.rr++
+func (r *fleetRun) pickWorker(exclude *workerState) *workerState {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for range r.workers {
+		w := &r.workers[r.rr%len(r.workers)]
+		r.rr++
 		if !w.dead && w != exclude {
 			return w
 		}
@@ -197,35 +193,26 @@ func (c *Coordinator) pickWorker(exclude *workerState) *workerState {
 }
 
 // markResult updates a worker's health after a dispatch.
-func (c *Coordinator) markResult(w *workerState, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (r *fleetRun) markResult(w *workerState, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if ok {
 		w.fails = 0
 		return
 	}
 	w.fails++
-	if !w.dead && w.fails >= c.opt.MaxWorkerFails {
+	if !w.dead && w.fails >= r.opt.MaxWorkerFails {
 		w.dead = true
-		c.stats.WorkerDeaths++
-		c.logf("dist: worker %s marked dead after %d consecutive failures", w.url, w.fails)
+		r.out.Stats.WorkerDeaths++
+		r.logf("dist: worker %s marked dead after %d consecutive failures", w.url, w.fails)
 	}
 }
 
-// recordLatency files one completed-lease round-trip time with the
-// shared latency tracker — the hedging threshold's signal.
-func (c *Coordinator) recordLatency(d time.Duration) { c.lat.Record(d) }
-
-// hedgeDelay returns when a dispatch becomes a straggler: the
-// configured percentile of completed-lease latencies, floored at
-// HedgeAfter. ok is false until 3 leases have completed.
-func (c *Coordinator) hedgeDelay() (time.Duration, bool) { return c.lat.Delay() }
-
-// accept files a completed lease idempotently: the first completion
-// under a (generation, shard, fingerprint) key wins, later ones are
-// counted and dropped. A response whose echo or CRCs disagree with the
-// lease is rejected outright — it is not a completion of this work.
-func (c *Coordinator) accept(l *Lease, resp *SegmentResponse) (first bool, err error) {
+// accept files a completed lease idempotently: the first completion of
+// a shard wins, later ones are counted and dropped. A response whose
+// echo or CRCs disagree with the lease is rejected outright — it is not
+// a completion of this work.
+func (r *fleetRun) accept(l *Lease, resp *SegmentResponse) (first bool, err error) {
 	if resp.Generation != l.Generation || resp.Shard != l.Shard || resp.Fingerprint != l.Fingerprint {
 		return false, fmt.Errorf("dist: completion echo (gen %016x shard %d fp %016x) does not match lease (gen %016x shard %d fp %016x)",
 			resp.Generation, resp.Shard, resp.Fingerprint, l.Generation, l.Shard, l.Fingerprint)
@@ -237,14 +224,13 @@ func (c *Coordinator) accept(l *Lease, resp *SegmentResponse) (first bool, err e
 	if err := seg.Validate(); err != nil {
 		return false, err
 	}
-	key := completionKey{gen: l.Generation, shard: l.Shard, fp: l.Fingerprint}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.completed[key]; dup {
-		c.stats.DuplicateWins++
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.out.Segments[l.Shard] != nil {
+		r.out.Stats.DuplicateWins++
 		return false, nil
 	}
-	c.completed[key] = seg
+	r.out.Segments[l.Shard] = seg
 	return true, nil
 }
 
@@ -298,58 +284,59 @@ type shardOutcome struct {
 // dispatchShard drives one shard through attempts, hedging, and
 // backoff. It returns the accepted response or an error when every
 // avenue failed (the caller then falls back to local recompute).
-func (c *Coordinator) dispatchShard(ctx context.Context, l *Lease) (*SegmentResponse, error) {
+func (r *fleetRun) dispatchShard(ctx context.Context, l *Lease) (*SegmentResponse, error) {
 	leaseBytes, err := l.Encode()
 	if err != nil {
 		return nil, err
 	}
 	var lastErr error
-	for attempt := 0; attempt < c.opt.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < r.opt.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if attempt > 0 {
-			c.mu.Lock()
-			c.stats.Retries++
-			c.mu.Unlock()
+			r.mu.Lock()
+			r.out.Stats.Retries++
+			r.mu.Unlock()
 			// Equal-jitter backoff, floored at whatever Retry-After the
 			// failed worker asked for — its overload signal outranks the
 			// local schedule.
-			if err := c.backoff.Sleep(ctx, attempt, hedge.RetryAfterHint(lastErr)); err != nil {
+			if err := r.backoff.Sleep(ctx, attempt, hedge.RetryAfterHint(lastErr)); err != nil {
 				return nil, err
 			}
 		}
-		primary := c.pickWorker(nil)
+		primary := r.pickWorker(nil)
 		if primary == nil {
 			if lastErr == nil {
 				lastErr = fmt.Errorf("dist: no live workers")
 			}
 			return nil, lastErr
 		}
-		resp, err := c.dispatchHedged(ctx, l, leaseBytes, primary)
+		resp, err := r.dispatchHedged(ctx, l, leaseBytes, primary)
 		if err == nil {
 			return resp, nil
 		}
 		lastErr = err
-		c.logf("dist: shard %d attempt %d failed: %v", l.Shard, attempt+1, err)
+		r.logf("dist: shard %d attempt %d failed: %v", l.Shard, attempt+1, err)
 	}
-	return nil, fmt.Errorf("dist: shard %d exhausted %d attempts: %w", l.Shard, c.opt.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("dist: shard %d exhausted %d attempts: %w", l.Shard, r.opt.MaxAttempts, lastErr)
 }
 
 // dispatchHedged runs one dispatch round: the primary worker, plus —
 // if the round outlives the straggler threshold — one hedge to a
 // different worker. The first accepted completion wins and cancels the
-// other; a completion that loses the accept race is already counted by
-// accept.
-func (c *Coordinator) dispatchHedged(ctx context.Context, l *Lease, leaseBytes []byte, primary *workerState) (*SegmentResponse, error) {
+// other; a completion that loses the accept race (a hedge racing its
+// primary) is counted by accept and is byte-identical by the determinism
+// contract, so either copy serves.
+func (r *fleetRun) dispatchHedged(ctx context.Context, l *Lease, leaseBytes []byte, primary *workerState) (*SegmentResponse, error) {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan shardOutcome, 2)
 	send := func(w *workerState) {
 		start := time.Now()
-		resp, err := c.dispatchOnce(rctx, w, leaseBytes)
+		resp, err := r.dispatchOnce(rctx, w, leaseBytes)
 		if err == nil {
-			c.recordLatency(time.Since(start))
+			r.lat.Record(time.Since(start))
 		}
 		results <- shardOutcome{resp: resp, w: w, err: err}
 	}
@@ -357,7 +344,7 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, l *Lease, leaseBytes [
 	outstanding := 1
 
 	var hedgeCh <-chan time.Time
-	if delay, ok := c.hedgeDelay(); ok {
+	if delay, ok := r.lat.Delay(); ok {
 		t := time.NewTimer(delay)
 		defer t.Stop()
 		hedgeCh = t.C
@@ -370,34 +357,28 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, l *Lease, leaseBytes [
 			return nil, ctx.Err()
 		case <-hedgeCh:
 			hedgeCh = nil
-			if secondary := c.pickWorker(primary); secondary != nil {
-				c.mu.Lock()
-				c.stats.Hedges++
-				c.mu.Unlock()
-				c.logf("dist: shard %d straggling on %s, hedging to %s", l.Shard, primary.url, secondary.url)
+			if secondary := r.pickWorker(primary); secondary != nil {
+				r.mu.Lock()
+				r.out.Stats.Hedges++
+				r.mu.Unlock()
+				r.logf("dist: shard %d straggling on %s, hedging to %s", l.Shard, primary.url, secondary.url)
 				go send(secondary)
 				outstanding++
 			}
 		case out := <-results:
 			outstanding--
 			if out.err != nil {
-				c.markResult(out.w, false)
+				r.markResult(out.w, false)
 				lastErr = out.err
 				continue
 			}
-			first, err := c.accept(l, out.resp)
-			if err != nil {
+			if _, err := r.accept(l, out.resp); err != nil {
 				// A decoded-but-wrong response is a worker fault too.
-				c.markResult(out.w, false)
+				r.markResult(out.w, false)
 				lastErr = err
 				continue
 			}
-			c.markResult(out.w, true)
-			// first==false means a concurrent path (a hedge racing its
-			// primary) already filed this shard; either copy is
-			// byte-identical by the determinism contract, and the caller
-			// reads the filed segment from the registry either way.
-			_ = first
+			r.markResult(out.w, true)
 			return out.resp, nil
 		}
 	}
@@ -468,33 +449,21 @@ func buildLease(g *clickgraph.Graph, prev *serve.Snapshot, plan *partition.Plan,
 	return l, nil
 }
 
-// planGeneration derives the target generation's identity: the XOR of
-// every projected shard's new-graph fingerprint — the same value the
-// assembled snapshot's header will advertise.
-func planGeneration(plan *partition.Plan) uint64 {
-	var fp uint64
-	for i := range plan.Shards {
-		fp ^= plan.Shards[i].Fingerprint
-	}
-	return fp
-}
-
-// RefreshShards computes every dirty shard's segment — remotely where
-// the fleet allows, locally where it does not — and returns the
-// assembled compute result. The engine configuration is the previous
-// snapshot's recorded config; dirty shards are warm-started exactly
-// when it converges by tolerance (serve.RunRefresh's rule).
-func (c *Coordinator) RefreshShards(ctx context.Context, g *clickgraph.Graph, prev *serve.Snapshot, diff *partition.Diff) (*FleetResult, error) {
+// RefreshShards computes the segment of every shard of plan that dirty
+// marks — remotely where the fleet allows, in this process where it does
+// not — for the generation plan describes (the projected refresh plan
+// over g). The engine configuration is the previous snapshot's recorded
+// config; dirty shards are warm-started exactly when it converges by
+// tolerance (serve.PoolRunner's rule).
+func (c *Coordinator) RefreshShards(ctx context.Context, g *clickgraph.Graph, prev *serve.Snapshot, plan *partition.Plan, dirty []bool) (*FleetResult, error) {
 	cfg := prev.Config()
 	warm := cfg.Tolerance > 0
-	generation := planGeneration(diff.Plan)
-	out := &FleetResult{
-		Segments:  make([]*serve.ShardSegment, len(diff.Plan.Shards)),
-		Converged: true,
-	}
+	generation := plan.Fingerprint()
+	r := c.newRun(len(plan.Shards))
+	out := &r.out
 
 	var dirtyIdx []int
-	for si, d := range diff.Dirty {
+	for si, d := range dirty {
 		if d {
 			dirtyIdx = append(dirtyIdx, si)
 		}
@@ -512,7 +481,7 @@ func (c *Coordinator) RefreshShards(ctx context.Context, g *clickgraph.Graph, pr
 	}
 	conc := c.opt.Concurrency
 	if conc <= 0 {
-		conc = 2 * len(c.workers)
+		conc = 2 * len(c.urls)
 	}
 	if conc < 1 {
 		conc = 1
@@ -526,43 +495,32 @@ func (c *Coordinator) RefreshShards(ctx context.Context, g *clickgraph.Graph, pr
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if len(c.workers) == 0 {
+			if len(c.urls) == 0 {
 				done <- shardDone{si: si, err: fmt.Errorf("dist: no workers configured")}
 				return
 			}
-			lease, err := buildLease(g, prev, diff.Plan, si, generation, cfg, warm)
+			lease, err := buildLease(g, prev, plan, si, generation, cfg, warm)
 			if err != nil {
 				done <- shardDone{si: si, err: err}
 				return
 			}
-			resp, err := c.dispatchShard(ctx, lease)
+			resp, err := r.dispatchShard(ctx, lease)
 			done <- shardDone{si: si, resp: resp, err: err}
 		}(si)
 	}
 	wg.Wait()
 	close(done)
 
+	// A dispatch that succeeded has filed its segment (accept runs before
+	// dispatchShard returns), and no dispatch outlives wg.Wait.
 	var failed []int
 	for d := range done {
 		if d.err != nil {
 			failed = append(failed, d.si)
 			continue
 		}
-		key := completionKey{gen: generation, shard: uint32(d.si), fp: diff.Plan.Shards[d.si].Fingerprint}
-		c.mu.Lock()
-		out.Segments[d.si] = c.completed[key]
-		c.mu.Unlock()
-		if out.Segments[d.si] == nil {
-			// Defensive: a success without a filed completion cannot
-			// happen (accept files before dispatchShard returns), but a
-			// nil segment must never reach assembly.
-			failed = append(failed, d.si)
-			continue
-		}
 		out.Stats.RemoteShards++
-		if d.resp.Iterations > out.Iterations {
-			out.Iterations = d.resp.Iterations
-		}
+		out.Iterations = max(out.Iterations, d.resp.Iterations)
 		out.Converged = out.Converged && d.resp.Converged
 	}
 	if err := ctx.Err(); err != nil {
@@ -570,114 +528,39 @@ func (c *Coordinator) RefreshShards(ctx context.Context, g *clickgraph.Graph, pr
 	}
 
 	// Fallback phase: shards the fleet could not complete degrade to
-	// the single-machine refresh path — one warm dirty-shard run.
+	// the single-machine refresh path — the in-process runner, under the
+	// caller's context like the dispatch phase.
 	if len(failed) > 0 {
 		sort.Ints(failed)
 		c.logf("dist: fallback-to-local: recomputing %d shard(s) %v locally (fleet unavailable or exhausted)", len(failed), failed)
-		mask := make([]bool, len(diff.Plan.Shards))
+		mask := make([]bool, len(plan.Shards))
 		for _, si := range failed {
 			mask[si] = true
 		}
-		opt := core.ShardOptions{
-			Workers:           c.opt.LocalWorkers,
-			RetainShardScores: true,
-			RunShards:         mask,
-		}
-		if warm {
-			opt.WarmStart = prev
-		}
-		res, err := core.RunSharded(g, cfg, diff.Plan, opt)
+		local, err := serve.PoolRunner(c.opt.LocalWorkers)(ctx, g, prev, plan, mask)
 		if err != nil {
 			return nil, fmt.Errorf("dist: local fallback: %w", err)
 		}
 		for _, si := range failed {
-			ss := &res.ShardScores[si]
-			seg := serve.EncodeShardSegment(ss.QueryScores, ss.AdScores, ss.QueryIDs, ss.AdIDs)
-			out.Segments[si] = &seg
-			out.Stats.LocalFallbackShards++
+			out.Segments[si] = local.Segments[si]
 		}
-		if res.Iterations > out.Iterations {
-			out.Iterations = res.Iterations
-		}
-		out.Converged = out.Converged && res.Converged
+		out.Stats.LocalFallbackShards = len(failed)
+		out.Iterations = max(out.Iterations, local.Iterations)
+		out.Converged = out.Converged && local.Converged
 	}
-
-	c.mu.Lock()
-	out.Stats.Retries = c.stats.Retries
-	out.Stats.Hedges = c.stats.Hedges
-	out.Stats.DuplicateWins = c.stats.DuplicateWins
-	out.Stats.WorkerDeaths = c.stats.WorkerDeaths
-	c.mu.Unlock()
 	return out, nil
 }
 
-// checkpointWriter invokes the crash hook once, after the first write
-// has reached the journal's temp file — the "coordinator died with a
-// partial snapshot on disk" instant.
-type checkpointWriter struct {
-	io.Writer
-	hook  func() error
-	fired bool
-}
-
-func (cw *checkpointWriter) Write(p []byte) (int, error) {
-	n, err := cw.Writer.Write(p)
-	if err == nil && !cw.fired {
-		cw.fired = true
-		if herr := cw.hook(); herr != nil {
-			return n, herr
-		}
-	}
-	return n, err
-}
-
-// RefreshGeneration runs one complete distributed refresh against a
-// generation journal: diff, fleet dispatch (with local fallback),
-// journaled commit of the assembled snapshot, publish. Every stage
-// passes the Checkpoint hook first, so a chaos test can kill the
-// refresh at any point and assert the previous generation still
-// serves. The caller owns Adopt/SweepTemp/Prune around it, exactly as
-// with the local refreshGeneration path. On success the published
-// generation is returned — the ingest controller keys its
-// reload-on-publish and its fold logging off it.
-func RefreshGeneration(ctx context.Context, c *Coordinator, gs *serve.GenerationStore, g *clickgraph.Graph, prev *serve.Snapshot) (serve.RefreshStats, *partition.Diff, *FleetResult, *serve.Generation, error) {
-	var st serve.RefreshStats
-	checkpoint := c.opt.Checkpoint
-	if checkpoint == nil {
-		checkpoint = func(string) error { return nil }
-	}
-	if err := checkpoint("pre-dispatch"); err != nil {
-		return st, nil, nil, nil, err
-	}
-	diff, err := partition.DiffPlans(prev, g)
+// Run is RefreshShards as a serve.ShardRunner — the argument that makes
+// serve.Refresh a fleet refresh. The fleet counters, which the runner
+// shape has no room for, go to Logf.
+func (c *Coordinator) Run(ctx context.Context, g *clickgraph.Graph, prev *serve.Snapshot, plan *partition.Plan, dirty []bool) (*serve.ShardRun, error) {
+	out, err := c.RefreshShards(ctx, g, prev, plan, dirty)
 	if err != nil {
-		return st, nil, nil, nil, err
+		return nil, err
 	}
-	fleet, err := c.RefreshShards(ctx, g, prev, diff)
-	if err != nil {
-		return st, diff, nil, nil, err
-	}
-	if err := checkpoint("pre-commit"); err != nil {
-		return st, diff, fleet, nil, err
-	}
-	cfg := prev.Config()
-	gen, err := gs.Commit(diff.DirtyShards, planGeneration(diff.Plan), func(w io.Writer) error {
-		cw := &checkpointWriter{Writer: w, hook: func() error { return checkpoint("commit:mid-write") }}
-		var werr error
-		st, werr = serve.AssembleRefresh(cw, prev, g, cfg, diff.Plan, diff.Dirty, fleet.Segments,
-			fleet.Iterations, fleet.Converged, c.opt.BidTerms)
-		return werr
-	})
-	if err != nil {
-		return st, diff, fleet, nil, err
-	}
-	if err := checkpoint("pre-publish"); err != nil {
-		return st, diff, fleet, nil, err
-	}
-	if err := gs.Publish(gen); err != nil {
-		return st, diff, fleet, nil, err
-	}
-	c.logf("dist: published generation %d (%d remote, %d local-fallback, %d retries, %d hedges)",
-		gen.ID, fleet.Stats.RemoteShards, fleet.Stats.LocalFallbackShards, fleet.Stats.Retries, fleet.Stats.Hedges)
-	return st, diff, fleet, gen, nil
+	s := out.Stats
+	c.logf("dist: fleet refresh: %d shard(s) remote, %d local fallback; %d retries, %d hedges, %d duplicate completions, %d worker(s) marked dead",
+		s.RemoteShards, s.LocalFallbackShards, s.Retries, s.Hedges, s.DuplicateWins, s.WorkerDeaths)
+	return &out.ShardRun, nil
 }

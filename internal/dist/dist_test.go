@@ -81,19 +81,34 @@ func buildGeneration(t *testing.T, g *clickgraph.Graph, cfg core.Config) ([]byte
 	return buf.Bytes(), snap
 }
 
-// localRefreshBytes runs one single-machine refresh step in memory —
-// the bytes every distributed path must reproduce exactly.
-func localRefreshBytes(t *testing.T, g *clickgraph.Graph, prev *serve.Snapshot) (*core.Result, *partition.Diff, []byte) {
+// localRefreshBytes runs one single-machine refresh step in memory
+// (diff, the in-process runner, assembly) — the bytes every distributed
+// path must reproduce exactly.
+func localRefreshBytes(t *testing.T, g *clickgraph.Graph, prev *serve.Snapshot) (*serve.ShardRun, *partition.Diff, []byte) {
 	t.Helper()
-	res, diff, err := serve.RunRefresh(g, prev, 3)
+	diff, err := partition.DiffPlans(prev, g)
 	if err != nil {
-		t.Fatalf("RunRefresh: %v", err)
+		t.Fatalf("DiffPlans: %v", err)
 	}
+	run, err := serve.PoolRunner(3)(context.Background(), g, prev, diff.Plan, diff.Dirty)
+	if err != nil {
+		t.Fatalf("PoolRunner: %v", err)
+	}
+	return run, diff, assembleBytes(t, g, prev, diff, run)
+}
+
+// assembleBytes assembles the refreshed snapshot from a shard run.
+func assembleBytes(t *testing.T, g *clickgraph.Graph, prev *serve.Snapshot, diff *partition.Diff, run *serve.ShardRun) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if _, err := serve.RefreshSnapshot(&buf, prev, res, diff.Dirty, nil); err != nil {
-		t.Fatalf("RefreshSnapshot: %v", err)
+	st, err := serve.AssembleRefresh(&buf, prev, g, prev.Config(), diff.Plan, diff.Dirty, run, nil)
+	if err != nil {
+		t.Fatalf("AssembleRefresh: %v", err)
 	}
-	return res, diff, buf.Bytes()
+	if st.DirtyShards != diff.DirtyShards {
+		t.Fatalf("assembled %d dirty shards, want %d", st.DirtyShards, diff.DirtyShards)
+	}
+	return buf.Bytes()
 }
 
 // maskVolatile zeroes the only header fields two equivalent snapshots
@@ -141,7 +156,7 @@ func dirtyLease(t *testing.T, prev *serve.Snapshot, next *clickgraph.Graph) (*Le
 			continue
 		}
 		cfg := prev.Config()
-		l, err := buildLease(next, prev, diff.Plan, si, planGeneration(diff.Plan), cfg, cfg.Tolerance > 0)
+		l, err := buildLease(next, prev, diff.Plan, si, diff.Plan.Fingerprint(), cfg, cfg.Tolerance > 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,16 +280,15 @@ func TestWorkerShardByteIdentity(t *testing.T) {
 	_, prev := buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), cfg)
 	next := refreshGraph(t, [4]int{9, 2, 3, 4})
 
-	res, diff, _ := localRefreshBytes(t, next, prev)
+	run, diff, _ := localRefreshBytes(t, next, prev)
 	w := &Worker{Workers: 3, Logf: t.Logf}
 	checked := 0
 	for si, d := range diff.Dirty {
 		if !d {
 			continue
 		}
-		ss := &res.ShardScores[si]
-		want := serve.EncodeShardSegment(ss.QueryScores, ss.AdScores, ss.QueryIDs, ss.AdIDs)
-		l, err := buildLease(next, prev, diff.Plan, si, planGeneration(diff.Plan), prev.Config(), prev.Config().Tolerance > 0)
+		want := run.Segments[si]
+		l, err := buildLease(next, prev, diff.Plan, si, diff.Plan.Fingerprint(), prev.Config(), prev.Config().Tolerance > 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,26 +324,18 @@ func TestDistributedRefreshByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCoordinator(startWorkers(t, 2), Options{Logf: t.Logf})
-	fleet, err := c.RefreshShards(context.Background(), next, prev, diff)
+	fleet, err := c.RefreshShards(context.Background(), next, prev, diff.Plan, diff.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fleet.Stats.RemoteShards != diff.DirtyShards || fleet.Stats.LocalFallbackShards != 0 {
 		t.Fatalf("stats %+v: want %d remote shards, 0 local", fleet.Stats, diff.DirtyShards)
 	}
-	var buf bytes.Buffer
-	st, err := serve.AssembleRefresh(&buf, prev, next, prev.Config(), diff.Plan, diff.Dirty,
-		fleet.Segments, fleet.Iterations, fleet.Converged, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DirtyShards != diff.DirtyShards {
-		t.Fatalf("assembled %d dirty shards, want %d", st.DirtyShards, diff.DirtyShards)
-	}
-	if !bytes.Equal(maskVolatile(t, buf.Bytes()), maskVolatile(t, want)) {
+	got := assembleBytes(t, next, prev, diff, &fleet.ShardRun)
+	if !bytes.Equal(maskVolatile(t, got), maskVolatile(t, want)) {
 		t.Fatal("distributed refresh bytes differ from the local refresh")
 	}
-	snap, err := serve.NewSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	snap, err := serve.NewSnapshot(bytes.NewReader(got), int64(len(got)))
 	if err != nil {
 		t.Fatalf("assembled snapshot does not open: %v", err)
 	}
@@ -355,38 +361,34 @@ func TestDistributedZeroDirty(t *testing.T) {
 	}
 	// No workers at all: a zero-dirty refresh must not need the fleet.
 	c := NewCoordinator(nil, Options{Logf: t.Logf})
-	fleet, err := c.RefreshShards(context.Background(), next, prev, diff)
+	fleet, err := c.RefreshShards(context.Background(), next, prev, diff.Plan, diff.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fleet.Converged {
 		t.Fatal("zero-dirty fleet result not vacuously converged")
 	}
-	var buf bytes.Buffer
-	if _, err := serve.AssembleRefresh(&buf, prev, next, prev.Config(), diff.Plan, diff.Dirty,
-		fleet.Segments, fleet.Iterations, fleet.Converged, nil); err != nil {
-		t.Fatal(err)
-	}
+	got := assembleBytes(t, next, prev, diff, &fleet.ShardRun)
 	const headerSize = 200
-	if !bytes.Equal(buf.Bytes()[headerSize:], prevBytes[headerSize:]) {
+	if !bytes.Equal(got[headerSize:], prevBytes[headerSize:]) {
 		t.Fatal("zero-dirty assembled payload differs from the previous snapshot")
 	}
 }
 
-// TestAcceptIdempotent pins duplicate-completion resolution: the first
-// completion under a (generation, shard, fingerprint) key wins, later
-// ones are counted and dropped, and a response whose echo or CRCs do
-// not match the lease is rejected as a worker fault.
+// TestAcceptIdempotent pins duplicate-completion resolution within one
+// refresh's registry: the first completion of a shard wins, later ones
+// are counted and dropped, and a response whose echo or CRCs do not
+// match the lease is rejected as a worker fault.
 func TestAcceptIdempotent(t *testing.T) {
 	cfg := refreshCfg()
 	_, prev := buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), cfg)
-	l, _ := dirtyLease(t, prev, refreshGraph(t, [4]int{9, 2, 3, 4}))
+	l, diff := dirtyLease(t, prev, refreshGraph(t, [4]int{9, 2, 3, 4}))
 	resp, err := (&Worker{Workers: 3, Logf: t.Logf}).RefreshShard(l)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	c := NewCoordinator(nil, Options{Logf: t.Logf})
+	c := NewCoordinator(nil, Options{Logf: t.Logf}).newRun(len(diff.Plan.Shards))
 	first, err := c.accept(l, resp)
 	if err != nil || !first {
 		t.Fatalf("first accept = (%v, %v), want (true, nil)", first, err)
@@ -395,8 +397,8 @@ func TestAcceptIdempotent(t *testing.T) {
 	if err != nil || dup {
 		t.Fatalf("duplicate accept = (%v, %v), want (false, nil)", dup, err)
 	}
-	if c.stats.DuplicateWins != 1 {
-		t.Fatalf("DuplicateWins = %d, want 1", c.stats.DuplicateWins)
+	if c.out.Stats.DuplicateWins != 1 {
+		t.Fatalf("DuplicateWins = %d, want 1", c.out.Stats.DuplicateWins)
 	}
 
 	wrongEcho := *resp

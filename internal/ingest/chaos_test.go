@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -257,7 +258,13 @@ func TestChaosRefreshFailureStorm(t *testing.T) {
 	published := make(chan *serve.Generation, 1)
 	cfg := env.config()
 	cfg.Cadence = 2 * time.Millisecond
-	cfg.Backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
+	cfg.Backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: func() float64 { return 0 }}
+	var retryLines []string // appended on the Run goroutine only, read after it returns
+	cfg.Logf = func(format string, args ...any) {
+		if strings.HasPrefix(format, "ingest: fold failed") {
+			retryLines = append(retryLines, fmt.Sprintf(format, args...))
+		}
+	}
 	cfg.OpenSnapshot = func(path string) (*serve.Snapshot, error) {
 		if fails.Add(-1) >= 0 {
 			return nil, fmt.Errorf("injected storm failure")
@@ -296,6 +303,11 @@ func TestChaosRefreshFailureStorm(t *testing.T) {
 		t.Fatalf("Run returned %v", err)
 	}
 
+	// The delay a failed fold logs is the one the loop then waits: one
+	// draw, for the attempt that just failed.
+	if want := fmt.Sprintf("(attempt 1, retrying in %v)", cfg.Backoff.Delay(1)); len(retryLines) == 0 || !strings.Contains(retryLines[0], want) {
+		t.Fatalf("first failed fold logged %q, want %s", retryLines, want)
+	}
 	st := c.Stats()
 	if st.RefreshFailures < 5 {
 		t.Fatalf("storm recorded %d failures, want >= 5", st.RefreshFailures)

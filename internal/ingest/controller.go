@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"time"
 
 	"simrankpp/internal/clickgraph"
-	"simrankpp/internal/dist"
 	"simrankpp/internal/hedge"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/serve"
@@ -49,13 +47,9 @@ type Config struct {
 	// KeepGenerations is the journal retention (serve.NewGenerationStore).
 	KeepGenerations int
 	// Bids is the bid-term set the snapshot's precomputed rewrite
-	// section was built under (RefreshSnapshot contract); nil when the
-	// snapshot carries no section.
+	// section was built under (serve.AssembleRefresh contract); nil when
+	// the snapshot carries no section.
 	Bids map[string]bool
-	// Fleet, when non-empty, dispatches dirty shards to these
-	// simrank-worker URLs per fold (dist.RefreshGeneration — retries,
-	// hedging, local fallback) instead of running them in-process.
-	Fleet []string
 	// Backoff schedules fold retries after a refresh failure (capped
 	// equal-jitter; zero value = 100ms base, 5s cap).
 	Backoff hedge.Backoff
@@ -65,11 +59,12 @@ type Config struct {
 	// Now is the gauge clock (nil: time.Now). Tests pin it.
 	Now func() time.Time
 	// Checkpoint, when non-nil, is called at every named stage of a fold
-	// ("fold:start", "fold:built", "fold:pre-commit",
-	// "fold:commit:mid-write", "fold:pre-publish", "fold:post-publish",
-	// "fold:post-cursor"); returning an error aborts the fold there —
-	// the crash-injection hook the chaos tests drive, mirroring the
-	// generation store's own failAt discipline.
+	// ("fold:start", "fold:built", then serve.Refresh's four stages
+	// prefixed "fold:" — "fold:pre-commit", "fold:commit:mid-write",
+	// "fold:pre-publish", "fold:post-publish" — and "fold:post-cursor");
+	// returning an error aborts the fold there — the crash-injection
+	// hook the chaos tests drive, mirroring the generation store's own
+	// failAt discipline.
 	Checkpoint func(stage string) error
 	// OpenSnapshot opens the serving snapshot for a fold (nil:
 	// serve.OpenSnapshot). The fault tests wrap it in faultfs.
@@ -142,7 +137,6 @@ type Controller struct {
 	cfg     Config
 	log     *Log
 	gs      *serve.GenerationStore
-	coord   *dist.Coordinator
 	release func() error
 
 	// foldMu serializes folds — overlapping FoldOnce calls (cadence
@@ -267,15 +261,6 @@ func NewController(cfg Config) (*Controller, error) {
 	}
 	c.log.SetFolded(c.durable)
 
-	if len(cfg.Fleet) > 0 {
-		c.coord = dist.NewCoordinator(cfg.Fleet, dist.Options{
-			LocalWorkers: cfg.Workers,
-			BidTerms:     cfg.Bids,
-			Logf:         cfg.Logf,
-			Checkpoint:   cfg.Checkpoint,
-		})
-	}
-
 	now := cfg.Now()
 	c.started, c.lastFold = now, now
 	if c.log.NextSeq() > c.durable {
@@ -347,12 +332,8 @@ func (c *Controller) Kick() {
 // so a churn storm cannot defeat the backoff. The serving side keeps
 // answering from the last good generation throughout.
 func (c *Controller) Run(ctx context.Context) error {
-	attempt := 0
+	attempt, wait := 0, c.cfg.Cadence
 	for {
-		wait := c.cfg.Cadence
-		if attempt > 0 {
-			wait = c.cfg.Backoff.Delay(attempt)
-		}
 		timer := time.NewTimer(wait)
 		if attempt == 0 {
 			select {
@@ -376,18 +357,18 @@ func (c *Controller) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 			attempt++
-			c.cfg.Logf("ingest: fold failed (attempt %d, retrying in %v): %v",
-				attempt, c.cfg.Backoff.Delay(attempt+1), err)
+			wait = c.cfg.Backoff.Delay(attempt)
+			c.cfg.Logf("ingest: fold failed (attempt %d, retrying in %v): %v", attempt, wait, err)
 		} else {
-			attempt = 0
+			attempt, wait = 0, c.cfg.Cadence
 		}
 	}
 }
 
 // FoldOnce runs one fold: replay pending WAL records into the delta
 // buffer, rebuild the graph, refresh the serving snapshot through the
-// generation journal (local shard pool or fleet), then durably advance
-// the fold cursor and truncate folded WAL segments.
+// generation journal (serve.Refresh over the in-process shard pool),
+// then durably advance the fold cursor and truncate folded WAL segments.
 //
 // Failure discipline: any error leaves the durable cursor and the
 // serving snapshot untouched (the journal's own crash safety covers the
@@ -447,19 +428,26 @@ func (c *Controller) FoldOnce(ctx context.Context) (*FoldResult, error) {
 		return nil, c.fail(fmt.Errorf("ingest: adopting serving snapshot: %w", err))
 	}
 
-	var gen *serve.Generation
-	if c.coord != nil {
-		gen, err = c.foldFleet(ctx, g, prev, res)
-	} else {
-		gen, err = c.foldLocal(ctx, g, prev, res)
-	}
+	diff, err := partition.DiffPlans(prev, g)
 	if err != nil {
-		if ctx.Err() != nil {
-			// Shutdown, not failure: serving bytes and cursor are
-			// untouched; the fold re-runs after restart.
-			return nil, ctx.Err()
+		return nil, c.fail(fmt.Errorf("ingest: refresh diff: %w", err))
+	}
+	var gen *serve.Generation
+	if diff.DirtyShards == 0 {
+		// The rebuilt graph is the serving generation, shard for shard:
+		// publish nothing, advance the cursor.
+		res.Skipped = true
+	} else {
+		gen, res.Stats, err = serve.Refresh(ctx, c.gs, g, prev, diff, serve.PoolRunner(c.cfg.Workers), c.cfg.Bids,
+			func(stage string) error { return c.checkpoint("fold:" + stage) })
+		if err != nil {
+			if ctx.Err() != nil {
+				// Shutdown, not failure: serving bytes and cursor are
+				// untouched; the fold re-runs after restart.
+				return nil, ctx.Err()
+			}
+			return nil, c.fail(fmt.Errorf("ingest: %w", err))
 		}
-		return nil, c.fail(err)
 	}
 
 	// Durable cursor: the single atomic state write that makes replay
@@ -493,67 +481,6 @@ func (c *Controller) FoldOnce(ctx context.Context) (*FoldResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// foldLocal runs the in-process refresh path: dirty-shard pool, journal
-// commit, publish. A zero-dirty diff publishes nothing and marks the
-// fold skipped.
-func (c *Controller) foldLocal(ctx context.Context, g *clickgraph.Graph, prev *serve.Snapshot, res *FoldResult) (*serve.Generation, error) {
-	run, diff, err := serve.RunRefreshContext(ctx, g, prev, c.cfg.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: refresh run: %w", err)
-	}
-	if diff.DirtyShards == 0 {
-		res.Skipped = true
-		return nil, nil
-	}
-	if err := c.checkpoint("fold:pre-commit"); err != nil {
-		return nil, err
-	}
-	var fp uint64
-	for i := range run.ShardStats {
-		fp ^= run.ShardStats[i].Fingerprint
-	}
-	gen, err := c.gs.Commit(diff.DirtyShards, fp, func(w io.Writer) error {
-		cw := &checkpointWriter{w: w, hook: func() error { return c.checkpoint("fold:commit:mid-write") }}
-		var werr error
-		res.Stats, werr = serve.RefreshSnapshot(cw, prev, run, diff.Dirty, c.cfg.Bids)
-		return werr
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ingest: journal commit: %w", err)
-	}
-	if err := c.checkpoint("fold:pre-publish"); err != nil {
-		return nil, err
-	}
-	if err := c.gs.Publish(gen); err != nil {
-		return nil, fmt.Errorf("ingest: publish: %w", err)
-	}
-	if err := c.checkpoint("fold:post-publish"); err != nil {
-		return nil, err
-	}
-	return gen, nil
-}
-
-// foldFleet dispatches dirty shards to the worker fleet
-// (dist.RefreshGeneration: leases, retries, hedging, local fallback).
-// The zero-dirty skip is decided here first so an unchanged graph never
-// costs a fleet round trip or an empty generation.
-func (c *Controller) foldFleet(ctx context.Context, g *clickgraph.Graph, prev *serve.Snapshot, res *FoldResult) (*serve.Generation, error) {
-	diff, err := partition.DiffPlans(prev, g)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: refresh diff: %w", err)
-	}
-	if diff.DirtyShards == 0 {
-		res.Skipped = true
-		return nil, nil
-	}
-	st, _, _, gen, err := dist.RefreshGeneration(ctx, c.coord, c.gs, g, prev)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: fleet refresh: %w", err)
-	}
-	res.Stats = st
-	return gen, nil
 }
 
 // Stats reports the bounded-staleness gauges.
@@ -641,26 +568,6 @@ func (c *Controller) noteFold(res *FoldResult, start time.Time) {
 	} else {
 		c.pendingSince = time.Time{}
 	}
-}
-
-// checkpointWriter fires its hook once, after the first write reaches
-// the journal temp file — the "died with a partial snapshot on disk"
-// instant (same idiom as dist's and the generation store's own).
-type checkpointWriter struct {
-	w     io.Writer
-	hook  func() error
-	fired bool
-}
-
-func (cw *checkpointWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	if err == nil && !cw.fired {
-		cw.fired = true
-		if herr := cw.hook(); herr != nil {
-			return n, herr
-		}
-	}
-	return n, err
 }
 
 // builderFromGraph re-interns g into a fresh Builder in g's exact id

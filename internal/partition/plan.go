@@ -56,6 +56,18 @@ type Plan struct {
 	NumQueries, NumAds int
 }
 
+// Fingerprint is the identity of the generation the plan describes: the
+// XOR of every shard's subgraph fingerprint — the value a snapshot
+// written from the plan advertises in its header and the generation
+// journal records in its manifest.
+func (p *Plan) Fingerprint() uint64 {
+	var fp uint64
+	for i := range p.Shards {
+		fp ^= p.Shards[i].Fingerprint
+	}
+	return fp
+}
+
 // PlanConfig parameterizes BuildPlan.
 type PlanConfig struct {
 	// MaxShardNodes is the node budget: components at most this large are

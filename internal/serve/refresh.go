@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"simrankpp/internal/clickgraph"
@@ -27,8 +25,15 @@ import (
 // node ids, names, and every incident edge with weights: identical
 // fingerprint ⇒ identical subgraph under identical global ids ⇒ the
 // deterministic per-shard engine would reproduce the identical bytes.
+//
+// There is one refresh path, Refresh: the caller diffs, a ShardRunner
+// turns the dirty shards into encoded segments (in this process or on a
+// worker fleet), AssembleRefresh lays out the next snapshot, and the
+// generation store commits and publishes it. `simrank -refresh`, its
+// -workers form and the ingest controller's fold differ only in the
+// runner they pass.
 
-// RefreshStats reports what a RefreshSnapshot write did.
+// RefreshStats reports what an AssembleRefresh write did.
 type RefreshStats struct {
 	// DirtyShards/CleanShards count the segment pairs encoded vs reused.
 	DirtyShards, CleanShards int
@@ -38,135 +43,12 @@ type RefreshStats struct {
 	BytesReencoded, BytesCopied int64
 }
 
-// refreshTopK derives the next generation's top-k section parameters
-// from the previous header — a refresh cannot choose its own depth,
-// because clean shards' blobs are byte-copied and mixing depths within
-// one snapshot would be incoherent — and rejects a bid-term set that
-// differs from the one the previous generation's lists were filtered
-// with (same reason: the copied blobs bake the old filter in).
-func refreshTopK(prev *Snapshot, bids map[string]bool) (topkMeta, error) {
-	tk := topkMeta{
-		k:       uint32(prev.meta.RewriteTopK),
-		topN:    uint32(prev.meta.RewriteTopN),
-		bidHash: prev.meta.RewriteBidHash,
-	}
-	if tk.k > 0 && BidTermsHash(bids) != tk.bidHash {
-		return tk, fmt.Errorf("serve: refresh bid-term set differs from the previous generation's precomputed rewrite section (rebuild with simrank -save to change filters)")
-	}
-	return tk, nil
-}
-
-// copyCleanBlob byte-copies shard i's precomputed rewrite blob from the
-// previous generation — valid for the same reason segment copies are:
-// the blob is position-independent (blob-relative offsets, global ids)
-// and a clean shard's pipeline inputs are fingerprint-identical.
-func copyCleanBlob(p *shardPayload, prev *Snapshot, i int) error {
-	blob, err := prev.segmentBytes("topk", i)
-	if err != nil {
-		return err
-	}
-	p.tkBlob, p.tkCRC = blob, prev.dir[i].tkCRC
-	return nil
-}
-
-// RefreshSnapshot writes the next snapshot generation: res must cover the
-// new graph with one ShardScoreSet per shard (core.RunSharded with
-// RetainShardScores; shards skipped via RunShards carry id lists only),
-// and dirty must be the matching classification (partition.Diff.Dirty).
-// Dirty shards' segments are encoded from their frontiers in parallel;
-// clean shards' segments are byte-copied from prev, verified against the
-// directory CRCs. The precomputed rewrite section follows the same split
-// at the depth recorded in prev's header: dirty shards re-run the
-// pipeline, clean shards byte-copy their blobs. bids must be the same
-// bid-term set prev's section was built with (compared by hash); pass
-// nil when prev carries no section. The run configuration must match
-// prev's — mixing generations computed under different settings would
-// serve incoherent scores. Byte counters cover score segments only.
-func RefreshSnapshot(w io.Writer, prev *Snapshot, res *core.Result, dirty []bool, bids map[string]bool) (RefreshStats, error) {
-	var st RefreshStats
-	if len(res.ShardScores) == 0 {
-		return st, fmt.Errorf("serve: refresh needs a RunSharded result with RetainShardScores")
-	}
-	if len(res.ShardScores) != len(dirty) {
-		return st, fmt.Errorf("serve: %d dirty flags for %d shards", len(dirty), len(res.ShardScores))
-	}
-	if len(res.ShardStats) != len(res.ShardScores) {
-		return st, fmt.Errorf("serve: result is missing per-shard stats")
-	}
-	if err := compatibleConfig(prev, res.Config); err != nil {
-		return st, err
-	}
-	tk, err := refreshTopK(prev, bids)
-	if err != nil {
-		return st, err
-	}
-
-	payloads := make([]shardPayload, len(res.ShardScores))
-	var encodeIdx []int
-	for i := range res.ShardScores {
-		ss := &res.ShardScores[i]
-		payloads[i].qIDs, payloads[i].aIDs = ss.QueryIDs, ss.AdIDs
-		payloads[i].fp = res.ShardStats[i].Fingerprint
-		if dirty[i] {
-			if ss.QueryScores == nil || ss.AdScores == nil {
-				return st, fmt.Errorf("serve: dirty shard %d has no scores (was it in RunShards?)", i)
-			}
-			encodeIdx = append(encodeIdx, i)
-			st.DirtyShards++
-			continue
-		}
-		// Clean shard: reuse segment i of the previous generation.
-		if i >= prev.meta.Shards {
-			return st, fmt.Errorf("serve: shard %d marked clean but the previous snapshot has only %d shards",
-				i, prev.meta.Shards)
-		}
-		if payloads[i].fp != prev.dir[i].fp {
-			return st, fmt.Errorf("serve: shard %d marked clean but its fingerprint differs from the previous generation's", i)
-		}
-		var err error
-		e := &prev.dir[i]
-		if payloads[i].qSeg, err = prev.segmentBytes("query", i); err != nil {
-			return st, err
-		}
-		if payloads[i].aSeg, err = prev.segmentBytes("ad", i); err != nil {
-			return st, err
-		}
-		payloads[i].qCRC, payloads[i].aCRC = e.qCRC, e.aCRC
-		if err := copyCleanBlob(&payloads[i], prev, i); err != nil {
-			return st, err
-		}
-		st.CleanShards++
-		st.BytesCopied += int64(len(payloads[i].qSeg) + len(payloads[i].aSeg))
-	}
-
-	encodePayloads(payloads, encodeIdx, res.ShardScores)
-	if err := fillTopKBlobs(payloads, encodeIdx, res, tk, bids); err != nil {
-		return st, err
-	}
-	for _, i := range encodeIdx {
-		st.BytesReencoded += int64(len(payloads[i].qSeg) + len(payloads[i].aSeg))
-	}
-
-	// Iterations: a refresh ran only its dirty shards, so the horizon the
-	// snapshot advertises is the deeper of the two generations'.
-	iters := res.Iterations
-	if prev.meta.Iterations > iters {
-		iters = prev.meta.Iterations
-	}
-	err = writeAssembled(w, res, res.Config, payloads, genInfo{
-		iterations:  iters,
-		converged:   res.Converged && prev.meta.Converged,
-		generatedAt: time.Now(),
-		dirtyShards: uint32(st.DirtyShards),
-	}, tk)
-	return st, err
-}
-
 // ShardSegment is one shard's encoded score segments in wire form — the
 // exact bytes a snapshot stores for that shard, with their CRCs. It is
-// the unit of exchange between a refresh coordinator and a remote worker:
-// a worker encodes one from its shard run, the coordinator validates the
-// CRCs and hands the bytes to AssembleRefresh unchanged.
+// what a shard runner produces per dirty shard: the in-process pool
+// encodes one from its shard run, a remote worker ships one back to the
+// coordinator, and AssembleRefresh validates the CRCs and stores the
+// bytes unchanged.
 type ShardSegment struct {
 	QuerySeg, AdSeg []byte
 	QueryCRC, AdCRC uint32
@@ -201,25 +83,116 @@ func (s *ShardSegment) Validate() error {
 	return nil
 }
 
-// AssembleRefresh writes the next snapshot generation from pre-encoded
-// dirty-shard segments — the distributed counterpart of RefreshSnapshot.
+// ShardRun is a shard runner's output: the dirty shards' segments and
+// the outcome of the engine runs behind them.
+type ShardRun struct {
+	// Segments has one entry per plan shard, non-nil exactly at the
+	// shards that were run.
+	Segments []*ShardSegment
+	// Iterations is the deepest shard run; Converged ANDs over every
+	// shard run (vacuously true with none).
+	Iterations int
+	Converged  bool
+}
+
+// ShardRunner computes the shards of plan (the projected refresh plan
+// over g, partition.DiffPlans) that run marks, under the engine
+// configuration recorded in prev, and returns their encoded segments. A
+// cancelled ctx stops the run at the next shard boundary with ctx's
+// error. There are two: PoolRunner, and a dist.Coordinator's Run.
+type ShardRunner func(ctx context.Context, g *clickgraph.Graph, prev *Snapshot, plan *partition.Plan, run []bool) (*ShardRun, error)
+
+// PoolRunner is the in-process shard runner: one engine per marked shard
+// on a pool of the given width (<= 0 selects GOMAXPROCS), the segments
+// encoded in parallel from the shard engines' frontiers. The engine
+// configuration is taken from prev's header, keeping generations
+// coherent by construction.
+//
+// Shards are warm-started from the previous scores only when the
+// recorded configuration converges by tolerance. Under a fixed-iteration
+// contract (Tolerance == 0) a warm start would be incoherent — a dirty
+// shard seeded with generation-k scores and iterated k more would sit at
+// an effective depth of 2k while its clean neighbors stay at k — whereas
+// a cold re-run at the same fixed count reproduces exactly what a full
+// rebuild would, bit for bit. So Tolerance > 0 buys the warm-start
+// speedup; Tolerance == 0 buys exactness. Both keep the dirty-only
+// scheduling and the segment-copy savings.
+func PoolRunner(workers int) ShardRunner {
+	return func(ctx context.Context, g *clickgraph.Graph, prev *Snapshot, plan *partition.Plan, run []bool) (*ShardRun, error) {
+		cfg := prev.Config()
+		opt := core.ShardOptions{
+			Workers:           workers,
+			RetainShardScores: true,
+			RunShards:         run,
+			Context:           ctx,
+		}
+		if cfg.Tolerance > 0 {
+			opt.WarmStart = prev
+		}
+		res, err := core.RunSharded(g, cfg, plan, opt)
+		if err != nil {
+			return nil, err
+		}
+		out := &ShardRun{
+			Segments:   make([]*ShardSegment, len(run)),
+			Iterations: res.Iterations,
+			Converged:  res.Converged,
+		}
+		var ran []int
+		for i, r := range run {
+			if r {
+				ran = append(ran, i)
+			}
+		}
+		parallelFor(len(ran), func(k int) {
+			ss := &res.ShardScores[ran[k]]
+			seg := EncodeShardSegment(ss.QueryScores, ss.AdScores, ss.QueryIDs, ss.AdIDs)
+			out.Segments[ran[k]] = &seg
+		})
+		return out, nil
+	}
+}
+
+// refreshTopK derives the next generation's top-k section parameters
+// from the previous header — a refresh cannot choose its own depth,
+// because clean shards' blobs are byte-copied and mixing depths within
+// one snapshot would be incoherent — and rejects a bid-term set that
+// differs from the one the previous generation's lists were filtered
+// with (same reason: the copied blobs bake the old filter in).
+func refreshTopK(prev *Snapshot, bids map[string]bool) (topkMeta, error) {
+	tk := topkMeta{
+		k:       uint32(prev.meta.RewriteTopK),
+		topN:    uint32(prev.meta.RewriteTopN),
+		bidHash: prev.meta.RewriteBidHash,
+	}
+	if tk.k > 0 && BidTermsHash(bids) != tk.bidHash {
+		return tk, fmt.Errorf("serve: refresh bid-term set differs from the previous generation's precomputed rewrite section (rebuild with simrank -save to change filters)")
+	}
+	return tk, nil
+}
+
+// AssembleRefresh writes the next snapshot generation from a shard run.
 // plan must be the projected refresh plan (partition.DiffPlans) over g,
-// dirty its classification, and segs one entry per shard with non-nil
-// segments exactly at the dirty indices (a worker's response, or a local
-// fallback's EncodeShardSegment). Clean shards byte-copy from prev under
-// the same fingerprint guard as RefreshSnapshot; every provided segment
-// is CRC-validated before use. Dirty shards' precomputed rewrite blobs
-// are rebuilt here, at the coordinator, from the validated segment
-// bytes (workers ship scores, not filter decisions); clean shards'
-// blobs are byte-copied; bids follows the RefreshSnapshot contract.
-// iterations/converged aggregate the dirty-shard runs (max /
-// logical-AND semantics against prev are applied here, matching the
-// local path).
-func AssembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, cfg core.Config, plan *partition.Plan, dirty []bool, segs []*ShardSegment, iterations int, converged bool, bids map[string]bool) (RefreshStats, error) {
+// dirty its classification, and run.Segments non-nil exactly at the
+// dirty indices. Every provided segment is CRC-validated before use;
+// clean shards' segments are byte-copied from prev, verified against the
+// directory CRCs, under a fingerprint guard. The precomputed rewrite
+// section follows the same split at the depth recorded in prev's header:
+// dirty shards' blobs are rebuilt here from the validated segment bytes
+// (runners ship scores, not filter decisions), clean shards' blobs are
+// byte-copied — valid for the same reason segment copies are: a blob is
+// position-independent (blob-relative offsets, global ids) and a clean
+// shard's pipeline inputs are fingerprint-identical. bids must be the
+// same bid-term set prev's section was built with (compared by hash);
+// pass nil when prev carries no section. cfg must match the run
+// configuration prev records — mixing generations computed under
+// different settings would serve incoherent scores. Byte counters cover
+// score segments only.
+func AssembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, cfg core.Config, plan *partition.Plan, dirty []bool, run *ShardRun, bids map[string]bool) (RefreshStats, error) {
 	var st RefreshStats
-	if len(plan.Shards) != len(dirty) || len(plan.Shards) != len(segs) {
+	if len(plan.Shards) != len(dirty) || len(plan.Shards) != len(run.Segments) {
 		return st, fmt.Errorf("serve: assemble got %d shards, %d dirty flags, %d segments",
-			len(plan.Shards), len(dirty), len(segs))
+			len(plan.Shards), len(dirty), len(run.Segments))
 	}
 	if err := compatibleConfig(prev, cfg); err != nil {
 		return st, err
@@ -232,60 +205,56 @@ func AssembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, cfg core.
 	payloads := make([]shardPayload, len(plan.Shards))
 	var dirtyIdx []int
 	for i := range plan.Shards {
-		sh := &plan.Shards[i]
-		payloads[i].qIDs, payloads[i].aIDs = sh.Queries, sh.Ads
-		payloads[i].fp = sh.Fingerprint
+		sh, p, seg := &plan.Shards[i], &payloads[i], run.Segments[i]
+		p.qIDs, p.aIDs, p.fp = sh.Queries, sh.Ads, sh.Fingerprint
 		if dirty[i] {
-			seg := segs[i]
 			if seg == nil {
 				return st, fmt.Errorf("serve: dirty shard %d has no segment", i)
 			}
 			if err := seg.Validate(); err != nil {
 				return st, fmt.Errorf("serve: shard %d: %w", i, err)
 			}
-			payloads[i].qSeg, payloads[i].aSeg = seg.QuerySeg, seg.AdSeg
-			payloads[i].qCRC, payloads[i].aCRC = seg.QueryCRC, seg.AdCRC
+			p.qSeg, p.aSeg = seg.QuerySeg, seg.AdSeg
+			p.qCRC, p.aCRC = seg.QueryCRC, seg.AdCRC
 			dirtyIdx = append(dirtyIdx, i)
 			st.DirtyShards++
 			st.BytesReencoded += int64(len(seg.QuerySeg) + len(seg.AdSeg))
 			continue
 		}
-		if segs[i] != nil {
+		// Clean shard: reuse segment i of the previous generation.
+		if seg != nil {
 			return st, fmt.Errorf("serve: clean shard %d has a segment (dirty mask out of sync?)", i)
 		}
 		if i >= prev.meta.Shards {
 			return st, fmt.Errorf("serve: shard %d marked clean but the previous snapshot has only %d shards",
 				i, prev.meta.Shards)
 		}
-		if payloads[i].fp != prev.dir[i].fp {
+		e := &prev.dir[i]
+		if p.fp != e.fp {
 			return st, fmt.Errorf("serve: shard %d marked clean but its fingerprint differs from the previous generation's", i)
 		}
-		var err error
-		e := &prev.dir[i]
-		if payloads[i].qSeg, err = prev.segmentBytes("query", i); err != nil {
+		if p.qSeg, err = prev.segmentBytes("query", i); err != nil {
 			return st, err
 		}
-		if payloads[i].aSeg, err = prev.segmentBytes("ad", i); err != nil {
+		if p.aSeg, err = prev.segmentBytes("ad", i); err != nil {
 			return st, err
 		}
-		payloads[i].qCRC, payloads[i].aCRC = e.qCRC, e.aCRC
-		if err := copyCleanBlob(&payloads[i], prev, i); err != nil {
+		if p.tkBlob, err = prev.segmentBytes("topk", i); err != nil {
 			return st, err
 		}
+		p.qCRC, p.aCRC, p.tkCRC = e.qCRC, e.aCRC, e.tkCRC
 		st.CleanShards++
-		st.BytesCopied += int64(len(payloads[i].qSeg) + len(payloads[i].aSeg))
+		st.BytesCopied += int64(len(p.qSeg) + len(p.aSeg))
 	}
 	if err := fillTopKBlobs(payloads, dirtyIdx, g, tk, bids); err != nil {
 		return st, err
 	}
 
-	iters := iterations
-	if prev.meta.Iterations > iters {
-		iters = prev.meta.Iterations
-	}
+	// Iterations: a refresh ran only its dirty shards, so the horizon the
+	// snapshot advertises is the deeper of the two generations'.
 	err = writeAssembled(w, g, cfg, payloads, genInfo{
-		iterations:  iters,
-		converged:   converged && prev.meta.Converged,
+		iterations:  max(run.Iterations, prev.meta.Iterations),
+		converged:   run.Converged && prev.meta.Converged,
 		generatedAt: time.Now(),
 		dirtyShards: uint32(st.DirtyShards),
 	}, tk)
@@ -312,75 +281,69 @@ func compatibleConfig(prev *Snapshot, cfg core.Config) error {
 	return nil
 }
 
-// RefreshSnapshotFile writes the refreshed snapshot to a temporary file
-// in path's directory and renames it into place. path may equal the file
-// prev was opened from: the copy is read before the rename replaces it.
-func RefreshSnapshotFile(path string, prev *Snapshot, res *core.Result, dirty []bool, bids map[string]bool) (RefreshStats, error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return RefreshStats{}, err
-	}
-	defer os.Remove(tmp.Name())
-	st, err := RefreshSnapshot(tmp, prev, res, dirty, bids)
-	if err != nil {
-		tmp.Close()
-		return st, err
-	}
-	if err := tmp.Close(); err != nil {
-		return st, err
-	}
-	return st, os.Rename(tmp.Name(), path)
+// checkpointWriter fires its hook once, after the first write has
+// reached the journal's temp file — the "refresh died with a partial
+// snapshot on disk" instant.
+type checkpointWriter struct {
+	w     io.Writer
+	hook  func() error
+	fired bool
 }
 
-// RunRefresh is the compute side of one refresh step: diff the new graph
-// against the previous snapshot, run only the dirty shards, and return
-// the partial result ready for RefreshSnapshot, together with the
-// classification. workers <= 0 selects GOMAXPROCS. The engine
-// configuration is taken from the previous snapshot's header, keeping
-// generations coherent by construction.
-//
-// Dirty shards are warm-started from the previous scores only when the
-// recorded configuration converges by tolerance. Under a fixed-iteration
-// contract (Tolerance == 0) a warm start would be incoherent — a dirty
-// shard seeded with generation-k scores and iterated k more would sit at
-// an effective depth of 2k while its clean neighbors stay at k — whereas
-// a cold re-run at the same fixed count reproduces exactly what a full
-// rebuild would, bit for bit. So Tolerance > 0 buys the warm-start
-// speedup; Tolerance == 0 buys exactness. Both keep the dirty-only
-// scheduling and the segment-copy savings.
-func RunRefresh(g *clickgraph.Graph, prev *Snapshot, workers int) (*core.Result, *partition.Diff, error) {
-	return RunRefreshContext(context.Background(), g, prev, workers)
+func (cw *checkpointWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	if err == nil && !cw.fired {
+		cw.fired = true
+		if herr := cw.hook(); herr != nil {
+			return n, herr
+		}
+	}
+	return n, err
 }
 
-// RunRefreshContext is RunRefresh with cancellation: ctx is plumbed into
-// the shard pool (core.ShardOptions.Context), so a cancelled context
-// stops the dirty-shard run at the next shard boundary and the refresh
-// returns ctx's error with nothing written. The ingest controller uses
-// this to abandon an in-flight fold on SIGTERM — the serving snapshot
-// and the WAL cursor are untouched, and the fold simply re-runs after
-// restart.
-func RunRefreshContext(ctx context.Context, g *clickgraph.Graph, prev *Snapshot, workers int) (*core.Result, *partition.Diff, error) {
-	diff, err := partition.DiffPlans(prev, g)
+// Refresh runs one refresh of gs's serving snapshot from prev to the
+// generation diff describes (partition.DiffPlans(prev, g) — the caller
+// diffs, because it decides what a zero-dirty diff means): run computes
+// the dirty shards, AssembleRefresh writes the next snapshot into the
+// journal, and the committed generation is published to the serving
+// path. checkpoint, when non-nil, is called at "pre-commit" (segments
+// computed, nothing written), "commit:mid-write" (first bytes in the
+// journal temp file), "pre-publish" (generation journaled) and
+// "post-publish"; an error from it aborts the refresh there, leaving the
+// disk as a crash at that instant would — the seam the chaos suites
+// drive and pathbench times folds through. A failure at any point,
+// cancellation included, leaves the serving path and every earlier
+// generation untouched. Lock, SweepTemp and Adopt before, RestoreServing
+// on failure and Prune after stay with the caller.
+func Refresh(ctx context.Context, gs *GenerationStore, g *clickgraph.Graph, prev *Snapshot, diff *partition.Diff, run ShardRunner, bids map[string]bool, checkpoint func(stage string) error) (*Generation, RefreshStats, error) {
+	var st RefreshStats
+	if checkpoint == nil {
+		checkpoint = func(string) error { return nil }
+	}
+	shards, err := run(ctx, g, prev, diff.Plan, diff.Dirty)
 	if err != nil {
-		return nil, nil, err
+		return nil, st, fmt.Errorf("serve: refresh: running dirty shards: %w", err)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, diff, err
+	if err := checkpoint("pre-commit"); err != nil {
+		return nil, st, err
 	}
-	cfg := prev.Config()
-	opt := core.ShardOptions{
-		Workers:           workers,
-		RetainShardScores: true,
-		RunShards:         diff.Dirty,
-		Context:           ctx,
-	}
-	if cfg.Tolerance > 0 {
-		opt.WarmStart = prev
-	}
-	res, err := core.RunSharded(g, cfg, diff.Plan, opt)
+	gen, err := gs.Commit(diff.DirtyShards, diff.Plan.Fingerprint(), func(w io.Writer) error {
+		cw := &checkpointWriter{w: w, hook: func() error { return checkpoint("commit:mid-write") }}
+		var werr error
+		st, werr = AssembleRefresh(cw, prev, g, prev.Config(), diff.Plan, diff.Dirty, shards, bids)
+		return werr
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, st, fmt.Errorf("serve: refresh: journal commit: %w", err)
 	}
-	return res, diff, nil
+	if err := checkpoint("pre-publish"); err != nil {
+		return nil, st, err
+	}
+	if err := gs.Publish(gen); err != nil {
+		return nil, st, fmt.Errorf("serve: refresh: publish: %w", err)
+	}
+	if err := checkpoint("post-publish"); err != nil {
+		return nil, st, err
+	}
+	return gen, st, nil
 }

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"testing"
 
 	"simrankpp/internal/clickgraph"
@@ -88,19 +90,37 @@ func buildGeneration(t *testing.T, g *clickgraph.Graph, cfg core.Config) (*core.
 	return res, buf.Bytes(), snap
 }
 
-// refreshBytes runs one refresh step in memory.
-func refreshBytes(t *testing.T, g *clickgraph.Graph, prev *Snapshot) (*core.Result, *partition.Diff, RefreshStats, []byte) {
+// runDirty is the compute half of a refresh step: diff g against prev
+// and run the dirty shards on the in-process pool.
+func runDirty(t *testing.T, g *clickgraph.Graph, prev *Snapshot, workers int) (*ShardRun, *partition.Diff) {
 	t.Helper()
-	res, diff, err := RunRefresh(g, prev, 3)
+	diff, err := partition.DiffPlans(prev, g)
 	if err != nil {
-		t.Fatalf("RunRefresh: %v", err)
+		t.Fatalf("DiffPlans: %v", err)
 	}
+	run, err := PoolRunner(workers)(context.Background(), g, prev, diff.Plan, diff.Dirty)
+	if err != nil {
+		t.Fatalf("PoolRunner: %v", err)
+	}
+	return run, diff
+}
+
+// assemble is the write half: AssembleRefresh under prev's own recorded
+// configuration, as the Refresh driver calls it.
+func assemble(w io.Writer, g *clickgraph.Graph, prev *Snapshot, diff *partition.Diff, run *ShardRun, bids map[string]bool) (RefreshStats, error) {
+	return AssembleRefresh(w, prev, g, prev.Config(), diff.Plan, diff.Dirty, run, bids)
+}
+
+// refreshBytes runs one refresh step in memory.
+func refreshBytes(t *testing.T, g *clickgraph.Graph, prev *Snapshot) (*ShardRun, *partition.Diff, RefreshStats, []byte) {
+	t.Helper()
+	run, diff := runDirty(t, g, prev, 3)
 	var buf bytes.Buffer
-	st, err := RefreshSnapshot(&buf, prev, res, diff.Dirty, nil)
+	st, err := assemble(&buf, g, prev, diff, run, nil)
 	if err != nil {
-		t.Fatalf("RefreshSnapshot: %v", err)
+		t.Fatalf("AssembleRefresh: %v", err)
 	}
-	return res, diff, st, buf.Bytes()
+	return run, diff, st, buf.Bytes()
 }
 
 // TestRefreshZeroDirtyByteIdentical pins the exactness contract's second
@@ -112,15 +132,15 @@ func TestRefreshZeroDirtyByteIdentical(t *testing.T) {
 	seeds := [4]int{1, 2, 3, 4}
 	_, prevBytes, prev := buildGeneration(t, refreshGraph(t, seeds), cfg)
 
-	res, diff, st, got := refreshBytes(t, refreshGraph(t, seeds), prev)
+	run, diff, st, got := refreshBytes(t, refreshGraph(t, seeds), prev)
 	if diff.DirtyShards != 0 || st.DirtyShards != 0 {
 		t.Fatalf("identical graph classified %d shards dirty", diff.DirtyShards)
 	}
 	if st.BytesReencoded != 0 || st.BytesCopied == 0 {
 		t.Fatalf("zero-dirty refresh re-encoded %d bytes, copied %d", st.BytesReencoded, st.BytesCopied)
 	}
-	for i, ss := range res.ShardScores {
-		if ss.QueryScores != nil || ss.AdScores != nil {
+	for i, seg := range run.Segments {
+		if seg != nil {
 			t.Fatalf("zero-dirty refresh computed scores for shard %d", i)
 		}
 	}
@@ -153,7 +173,7 @@ func TestRefreshChurnedClusterSegmentReuse(t *testing.T) {
 	_, prevBytes, prev := buildGeneration(t, base, cfg)
 
 	churned := refreshGraph(t, [4]int{1, 2, 99, 4}) // cluster 2 rewritten
-	res, diff, st, got := refreshBytes(t, churned, prev)
+	run, diff, st, got := refreshBytes(t, churned, prev)
 
 	// Cluster 2 is two components → two dirty shards; the other six stay
 	// clean.
@@ -182,7 +202,7 @@ func TestRefreshChurnedClusterSegmentReuse(t *testing.T) {
 		if diff.Dirty[i] {
 			continue
 		}
-		if res.ShardScores[i].QueryScores != nil {
+		if run.Segments[i] != nil {
 			t.Fatalf("clean shard %d was recomputed", i)
 		}
 		pe, ne := prev.dir[i], snap.dir[i]
@@ -244,16 +264,13 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	res1, diff1, err := RunRefresh(g1, prev, 2)
-	if err != nil {
-		t.Fatalf("step 1 RunRefresh: %v", err)
-	}
+	run1, diff1 := runDirty(t, g1, prev, 2)
 	if diff1.NewQueries != 1 {
 		t.Fatalf("step 1 saw %d new queries, want 1", diff1.NewQueries)
 	}
 	var buf1 bytes.Buffer
-	if _, err := RefreshSnapshot(&buf1, prev, res1, diff1.Dirty, nil); err != nil {
-		t.Fatalf("step 1 RefreshSnapshot: %v", err)
+	if _, err := assemble(&buf1, g1, prev, diff1, run1, nil); err != nil {
+		t.Fatalf("step 1 AssembleRefresh: %v", err)
 	}
 	snap1, err := NewSnapshot(bytes.NewReader(buf1.Bytes()), int64(buf1.Len()))
 	if err != nil {
@@ -269,17 +286,14 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	res2, diff2, err := RunRefresh(g2, snap1, 2)
-	if err != nil {
-		t.Fatalf("step 2 RunRefresh: %v", err)
-	}
+	run2, diff2 := runDirty(t, g2, snap1, 2)
 	if len(diff2.Plan.Shards) != snap1.NumShards()+1 {
 		t.Fatalf("island did not append a shard: %d shards from %d", len(diff2.Plan.Shards), snap1.NumShards())
 	}
 	var buf2 bytes.Buffer
-	st2, err := RefreshSnapshot(&buf2, snap1, res2, diff2.Dirty, nil)
+	st2, err := assemble(&buf2, g2, snap1, diff2, run2, nil)
 	if err != nil {
-		t.Fatalf("step 2 RefreshSnapshot: %v", err)
+		t.Fatalf("step 2 AssembleRefresh: %v", err)
 	}
 	if st2.DirtyShards != 1 {
 		t.Errorf("step 2 recomputed %d shards, want only the island", st2.DirtyShards)
@@ -307,23 +321,47 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 // iteration depth of clean ones) — it re-runs dirty shards cold, so the
 // refreshed snapshot is bit-identical to a cold run of the whole
 // projected plan: clean shards via byte-copy, dirty shards via
-// deterministic recompute.
+// deterministic recompute. It also pins the one assembler against the
+// independent full writer at the byte level, bid-filtered top-k section
+// included: outside the header's generation metadata the refreshed file
+// IS WriteSnapshotTopK of that cold run.
 func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 	cfg := core.DefaultConfig().WithVariant(core.Weighted)
 	cfg.Channel = core.ChannelClicks
 	cfg.PruneEpsilon = 1e-6 // Iterations 7, Tolerance 0
 	base := refreshGraph(t, [4]int{1, 2, 3, 4})
-	_, _, prev := buildGeneration(t, base, cfg)
+	bids := map[string]bool{}
+	for q := 0; q < base.NumQueries(); q += 2 {
+		bids[base.Query(q)] = true
+	}
+	opts := TopKOptions{K: 5, BidTerms: bids}
+	res0, err := core.RunSharded(base, cfg, partition.ComponentPlan(base), core.ShardOptions{Workers: 3, RetainShardScores: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf0 bytes.Buffer
+	if err := WriteSnapshotTopK(&buf0, res0, opts); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := NewSnapshot(bytes.NewReader(buf0.Bytes()), int64(buf0.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	churned := refreshGraph(t, [4]int{1, 2, 99, 4})
-	res, diff, st, got := refreshBytes(t, churned, prev)
+	run, diff := runDirty(t, churned, prev, 3)
+	var buf bytes.Buffer
+	st, err := assemble(&buf, churned, prev, diff, run, bids)
+	if err != nil {
+		t.Fatalf("AssembleRefresh: %v", err)
+	}
+	got := buf.Bytes()
 	if diff.DirtyShards == 0 || diff.CleanShards == 0 {
 		t.Fatalf("fixture should mix clean and dirty shards, got %d/%d", diff.CleanShards, diff.DirtyShards)
 	}
 	if st.BytesCopied == 0 {
 		t.Fatal("no clean segments were byte-copied")
 	}
-	_ = res
 	snap, err := NewSnapshot(bytes.NewReader(got), int64(len(got)))
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +369,7 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 	if snap.Meta().IterationBudget != cfg.Iterations {
 		t.Errorf("recorded iteration budget %d, want %d", snap.Meta().IterationBudget, cfg.Iterations)
 	}
-	full, err := core.RunSharded(churned, cfg, diff.Plan, core.ShardOptions{Workers: 2})
+	full, err := core.RunSharded(churned, cfg, diff.Plan, core.ShardOptions{Workers: 2, RetainShardScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,6 +385,24 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 			if gotV, wantV := snap.AdSim(a1, a2), full.AdSim(a1, a2); gotV != wantV {
 				t.Fatalf("AdSim(%d,%d) = %v, want %v (bit-identical)", a1, a2, gotV, wantV)
 			}
+		}
+	}
+
+	var cold bytes.Buffer
+	if err := WriteSnapshotTopK(&cold, full, opts); err != nil {
+		t.Fatal(err)
+	}
+	want := cold.Bytes()
+	if len(got) != len(want) {
+		t.Fatalf("refreshed snapshot is %d bytes, the cold full write %d", len(got), len(want))
+	}
+	// generated-at, last-refresh dirty count, header CRC.
+	for _, r := range [][2]int{{128, 136}, {136, 140}, {196, 200}} {
+		copy(got[r[0]:r[1]], want[r[0]:r[1]])
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("refreshed snapshot differs from the cold full write at byte %d of %d", i, len(got))
 		}
 	}
 }
@@ -365,8 +421,9 @@ func TestRefreshRejectsConfigMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirty := make([]bool, len(plan.Shards))
+	run := &ShardRun{Segments: make([]*ShardSegment, len(plan.Shards)), Iterations: res.Iterations, Converged: res.Converged}
 	var buf bytes.Buffer
-	if _, err := RefreshSnapshot(&buf, prev, res, dirty, nil); err == nil {
+	if _, err := AssembleRefresh(&buf, prev, g, res.Config, plan, dirty, run, nil); err == nil {
 		t.Fatal("refresh under a different decay factor was accepted")
 	}
 }

@@ -372,7 +372,7 @@ func (s *Snapshot) region(what string, off, length uint64, wantCRC uint32) ([]by
 // segmentBytes returns the verified raw bytes of one side of shard si: a
 // score segment ("query", "ad") or the precomputed top-k blob ("topk",
 // nil when the snapshot was written with the section disabled) — what
-// segLoad serves from and what RefreshSnapshot byte-copies for clean
+// segLoad serves from and what AssembleRefresh byte-copies for clean
 // shards.
 func (s *Snapshot) segmentBytes(side string, si int) ([]byte, error) {
 	e := &s.dir[si]

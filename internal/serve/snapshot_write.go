@@ -46,8 +46,9 @@ func encodeSegment(f *sparse.PairFrontier, ids []int) []byte {
 }
 
 // shardPayload is one shard's encoded segments plus its directory
-// metadata, ready for assembly. RefreshSnapshot fills it by byte-copying
-// a previous snapshot; WriteSnapshot by encoding frontiers.
+// metadata, ready for assembly. AssembleRefresh fills it from a shard
+// run's segments and by byte-copying a previous snapshot; WriteSnapshot
+// by encoding frontiers.
 type shardPayload struct {
 	qSeg, aSeg []byte
 	qCRC, aCRC uint32
@@ -96,7 +97,7 @@ func shardFingerprints(res *core.Result, shards int) ([]uint64, error) {
 // segment pair per shard, encoded in parallel directly from the shard
 // engines' local frontiers; any other result writes a single segment pair.
 // Results of a partial (ShardOptions.RunShards) run are rejected — their
-// missing shards can only be completed by RefreshSnapshot.
+// missing shards can only be completed by a refresh (AssembleRefresh).
 func WriteSnapshot(w io.Writer, res *core.Result) error {
 	return WriteSnapshotTopK(w, res, DefaultTopKOptions())
 }
@@ -112,7 +113,7 @@ func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
 	payloads := make([]shardPayload, len(srcs))
 	for i := range srcs {
 		if srcs[i].QueryScores == nil || srcs[i].AdScores == nil {
-			return fmt.Errorf("serve: shard %d has no scores (partial refresh run?); use RefreshSnapshot", i)
+			return fmt.Errorf("serve: shard %d has no scores (partial refresh run?); use AssembleRefresh", i)
 		}
 		payloads[i].qIDs, payloads[i].aIDs = srcs[i].QueryIDs, srcs[i].AdIDs
 		payloads[i].fp = fps[i]
@@ -137,9 +138,7 @@ func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
 }
 
 // encodePayloads fills the given payload indices' segments and CRCs from
-// their score frontiers, one encoder per shard on a bounded pool — the
-// parallel encode both WriteSnapshot (every shard) and RefreshSnapshot
-// (dirty shards only) run.
+// their score frontiers, one encoder per shard on a bounded pool.
 func encodePayloads(payloads []shardPayload, idx []int, scores []core.ShardScoreSet) {
 	parallelFor(len(idx), func(k int) {
 		p := &payloads[idx[k]]

@@ -28,7 +28,7 @@ import (
 //
 // Per-shard blob layout (all integers little-endian, offsets relative
 // to the blob start, ids global — both properties are what make a blob
-// position-independent, so RefreshSnapshot byte-copies clean shards'
+// position-independent, so AssembleRefresh byte-copies clean shards'
 // blobs exactly like score segments):
 //
 //	u32 entry count n
@@ -252,7 +252,7 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 // fillTopKBlobs builds the given payload indices' blobs from their
 // already-encoded query segments, one builder per shard on a bounded
 // pool — the topk twin of encodePayloads, shared by WriteSnapshot
-// (every shard) and the refresh paths (dirty shards only).
+// (every shard) and AssembleRefresh (dirty shards only).
 func fillTopKBlobs(payloads []shardPayload, idx []int, names nodeNames, tk topkMeta, bids map[string]bool) error {
 	errs := make([]error, len(idx))
 	parallelFor(len(idx), func(k int) {

@@ -106,7 +106,7 @@ func stemGraph(t *testing.T, seeds [4]int) *clickgraph.Graph {
 }
 
 // TestTopKBlobsMatchReference holds every shard blob WriteSnapshotTopK
-// and RefreshSnapshot write to the reference builder, byte for byte,
+// and AssembleRefresh write to the reference builder, byte for byte,
 // under no bid list, a sparse one and an empty one. Run under -race it
 // also shows the per-shard stems are not shared between fillTopKBlobs
 // workers.
@@ -130,11 +130,11 @@ func TestTopKBlobsMatchReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := TopKOptions{K: 4, BidTerms: tc.bids}
 			tk := opts.meta()
-			// want returns the reference blob for a shard res carries scores for.
+			// want returns the reference blob for a shard's encoded query
+			// segment.
 			stemDrops := 0
-			want := func(res *core.Result, i int) []byte {
-				ss := res.ShardScores[i]
-				blob, drops := referenceTopKBlob(encodeSegment(ss.QueryScores, ss.QueryIDs), ss.QueryIDs, res, tk, tc.bids)
+			want := func(qSeg []byte, qIDs []int, names nodeNames) []byte {
+				blob, drops := referenceTopKBlob(qSeg, qIDs, names, tk, tc.bids)
 				stemDrops += drops
 				return blob
 			}
@@ -160,7 +160,8 @@ func TestTopKBlobsMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got, want(res0, i)) {
+				ss := res0.ShardScores[i]
+				if !bytes.Equal(got, want(encodeSegment(ss.QueryScores, ss.QueryIDs), ss.QueryIDs, res0)) {
 					t.Errorf("WriteSnapshotTopK shard %d: blob differs from the reference builder's", i)
 				}
 			}
@@ -168,12 +169,9 @@ func TestTopKBlobsMatchReference(t *testing.T) {
 				t.Fatal("the stem filter dropped nothing; the fixture no longer exercises it")
 			}
 
-			res1, diff, err := RunRefresh(g1, prev, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			run1, diff := runDirty(t, g1, prev, 3)
 			var buf1 bytes.Buffer
-			st, err := RefreshSnapshot(&buf1, prev, res1, diff.Dirty, tc.bids)
+			st, err := assemble(&buf1, g1, prev, diff, run1, tc.bids)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,12 +190,12 @@ func TestTopKBlobsMatchReference(t *testing.T) {
 				}
 				var wantBlob []byte
 				if dirty {
-					wantBlob = want(res1, i)
+					wantBlob = want(run1.Segments[i].QuerySeg, diff.Plan.Shards[i].Queries, g1)
 				} else if wantBlob, err = prev.segmentBytes("topk", i); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, wantBlob) {
-					t.Errorf("RefreshSnapshot shard %d (dirty=%v): blob differs from the reference", i, dirty)
+					t.Errorf("AssembleRefresh shard %d (dirty=%v): blob differs from the reference", i, dirty)
 				}
 			}
 		})

@@ -282,10 +282,7 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 
 	// Churn cluster 2 and refresh.
 	g1 := refreshGraph(t, [4]int{1, 2, 9, 4})
-	res1, diff, err := RunRefresh(g1, prev, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run1, diff := runDirty(t, g1, prev, 3)
 	dirtyCount := 0
 	for _, d := range diff.Dirty {
 		if d {
@@ -296,8 +293,8 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 		t.Fatalf("fixture produced %d/%d dirty shards; want a mix", dirtyCount, len(diff.Dirty))
 	}
 	var buf1 bytes.Buffer
-	if _, err := RefreshSnapshot(&buf1, prev, res1, diff.Dirty, bids); err != nil {
-		t.Fatalf("RefreshSnapshot: %v", err)
+	if _, err := assemble(&buf1, g1, prev, diff, run1, bids); err != nil {
+		t.Fatalf("AssembleRefresh: %v", err)
 	}
 	// Write to disk so the refreshed generation serves from the mmap path.
 	path := filepath.Join(t.TempDir(), "refreshed.snap")
@@ -328,8 +325,8 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 	// with must refuse — silently rebuilding only dirty lists would mix
 	// filter regimes across shards.
 	other := map[string]bool{g1.Query(1): true}
-	if _, err := RefreshSnapshot(&bytes.Buffer{}, prev, res1, diff.Dirty, other); err == nil {
-		t.Fatal("RefreshSnapshot accepted a bid set differing from the section's")
+	if _, err := assemble(&bytes.Buffer{}, g1, prev, diff, run1, other); err == nil {
+		t.Fatal("AssembleRefresh accepted a bid set differing from the section's")
 	}
 }
 
