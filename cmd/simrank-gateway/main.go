@@ -27,6 +27,7 @@
 //
 //	GET /rewrite?...   proxied to the fleet (backend contract unchanged)
 //	GET /similar?...   proxied to the fleet
+//	POST /batch        relayed as one sub-batch per distinct replica candidate list, merged in order
 //	GET /stats         gateway counters, rollout state, per-backend health
 //	GET /readyz        ok / degraded / unready (503) for the fleet as a whole
 //	GET /healthz       gateway process liveness

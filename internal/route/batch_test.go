@@ -2,11 +2,16 @@ package route
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -82,9 +87,11 @@ func TestGatewayBatchRelay(t *testing.T) {
 	}
 }
 
-// TestGatewayBatchDegradesPerGroup: when the whole fleet is down, the
-// batch still answers 200 with per-item 503s only if another group got
-// through; with every group failing it is an all-down 503.
+// TestGatewayBatchAllDown: a fleet that died after the probe sweep pinned
+// a generation still answers the batch 200, with a 503 item per query —
+// the pin is what the gateway stays consistent with, and only an unpinned
+// gateway answers the all-down 503. TestGatewayBatchDegradesPerSubBatch
+// is the case where part of the fleet survives.
 func TestGatewayBatchAllDown(t *testing.T) {
 	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
 	defer snap.Close()
@@ -107,6 +114,309 @@ func TestGatewayBatchAllDown(t *testing.T) {
 		var item serve.BatchItemError
 		if err := json.Unmarshal(r, &item); err != nil || item.Status != http.StatusServiceUnavailable {
 			t.Fatalf("result[%d] = %s, want a 503 item", i, r)
+		}
+	}
+}
+
+// directPost sends body to a replica's /batch without the gateway.
+func directPost(t *testing.T, base, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+"/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// batchLog is replica middleware recording the queries of every /batch
+// the replica receives, in arrival order.
+type batchLog struct {
+	mu    sync.Mutex
+	calls [][]string
+}
+
+func (l *batchLog) wrap(inner http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/batch" {
+			body, _ := io.ReadAll(r.Body)
+			var req serve.BatchRequest
+			json.Unmarshal(body, &req) // a body the replica will refuse logs as no queries
+			l.mu.Lock()
+			l.calls = append(l.calls, req.Queries)
+			l.mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		inner.ServeHTTP(w, r)
+	})
+}
+
+// take returns the calls logged since the last take.
+func (l *batchLog) take() [][]string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	calls := l.calls
+	l.calls = nil
+	return calls
+}
+
+// loggedFleet starts one logging replica per shard list (nil: the whole
+// snapshot) and a routed, probed gateway over them.
+func loggedFleet(t *testing.T, snap *serve.Snapshot, opt Options, shards ...[]int) (*Gateway, []*replica, []*batchLog) {
+	t.Helper()
+	reps, logs := make([]*replica, len(shards)), make([]*batchLog, len(shards))
+	for i, held := range shards {
+		logs[i] = &batchLog{}
+		reps[i] = startWrappedReplica(t, snap, 1, logs[i].wrap)
+		opt.Backends = append(opt.Backends, BackendSpec{URL: reps[i].ts.URL, Shards: held})
+	}
+	opt.Router = snap
+	gw, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.ProbeAll(context.Background())
+	return gw, reps, logs
+}
+
+// queryOfShard returns one fixture query per snapshot shard.
+func queryOfShard(t *testing.T, snap *serve.Snapshot) []string {
+	t.Helper()
+	out := make([]string, snap.NumShards())
+	for c := 0; c < 4; c++ {
+		for q := 0; q < 10; q++ {
+			name := fmt.Sprintf("c%d-q%d", c, q)
+			if _, shard, ok := snap.PrevQuery(name); ok && out[shard] == "" {
+				out[shard] = name
+			}
+		}
+	}
+	if len(out) < 5 || slices.Contains(out, "") {
+		t.Fatalf("fixture has a shard without a query: %q", out)
+	}
+	return out
+}
+
+// itemQueries decodes a /batch body into each item's "query" field —
+// answers and error items both carry it — and its status (0: an answer).
+func itemQueries(t *testing.T, raw []byte) (queries []string, status []int) {
+	t.Helper()
+	var resp serve.BatchResponse
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatalf("bad batch response %s: %v", raw, err)
+	}
+	for _, r := range resp.Results {
+		var item serve.BatchItemError
+		if err := json.Unmarshal(r, &item); err != nil {
+			t.Fatalf("bad batch item %s: %v", r, err)
+		}
+		queries, status = append(queries, item.Query), append(status, item.Status)
+	}
+	return queries, status
+}
+
+// TestGatewayBatchOneHopPerReplicaSet pins the merge: with every replica
+// holding the whole snapshot, a batch spanning several shards, an unknown
+// query and a duplicate is ONE upstream call, answered with the bytes the
+// replica would have sent the client directly, and consecutive batches
+// alternate replicas.
+func TestGatewayBatchOneHopPerReplicaSet(t *testing.T) {
+	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
+	defer snap.Close()
+	gw, reps, logs := loggedFleet(t, snap, Options{}, nil, nil)
+	h := gw.Handler()
+
+	of := queryOfShard(t, snap)
+	queries := []string{of[0], of[3], "nope", of[5], of[0], of[6]}
+	body, _ := json.Marshal(serve.BatchRequest{Queries: queries, Top: 3})
+	wantCode, want := directPost(t, reps[0].ts.URL, string(body))
+	logs[0].take()
+
+	const rounds = 4
+	last := -1
+	for round := 0; round < rounds; round++ {
+		code, hdr, raw := postBatch(t, h, string(body))
+		if code != wantCode || !bytes.Equal(raw, want) {
+			t.Fatalf("gateway /batch = %d %s\nreplica direct = %d %s", code, raw, wantCode, want)
+		}
+		if hdr.Get("Simrank-Generation") != gw.Pinned() {
+			t.Fatalf("Simrank-Generation = %q, pinned %q", hdr.Get("Simrank-Generation"), gw.Pinned())
+		}
+		calls := [2][][]string{logs[0].take(), logs[1].take()}
+		served := 0
+		if len(calls[0]) == 0 {
+			served = 1
+		}
+		if len(calls[0])+len(calls[1]) != 1 || !slices.Equal(calls[served][0], queries) {
+			t.Fatalf("round %d: upstream /batch calls = %q, want one carrying %q", round, calls, queries)
+		}
+		if served == last {
+			t.Fatalf("round %d: replica %d served two batches running: the rotation does not alternate", round, served)
+		}
+		last = served
+	}
+
+	_, _, raw := get(t, h, "/stats")
+	var stats StatsResponse
+	if err := json.Unmarshal(raw, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Batches != rounds || stats.BatchSubrequests != rounds {
+		t.Errorf("/stats batches=%d batch_subrequests=%d, want %d and %d", stats.Batches, stats.BatchSubrequests, rounds, rounds)
+	}
+}
+
+// TestGatewayBatchPartitionedFleet: on a partitioned fleet a batch is one
+// call per distinct candidate list, no replica is sent a query of a shard
+// it does not hold, and the merged results keep request order.
+func TestGatewayBatchPartitionedFleet(t *testing.T) {
+	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
+	defer snap.Close()
+	held := [][]int{{0, 1}, {2, 3}, nil}
+	gw, _, logs := loggedFleet(t, snap, Options{}, held...)
+
+	of := queryOfShard(t, snap)
+	// Lists: shards 0,1 → {r0, r2}; shards 2,3 → {r1, r2}; shard 4 → {r2};
+	// the unknown query → any of the three.
+	queries := []string{of[2], of[0], "nope", of[4], of[1], of[3], of[0]}
+	body, _ := json.Marshal(serve.BatchRequest{Queries: queries, Top: 2})
+	for round := 0; round < 3; round++ { // every rotation
+		code, _, raw := postBatch(t, gw.Handler(), string(body))
+		if code != http.StatusOK {
+			t.Fatalf("/batch = %d: %s", code, raw)
+		}
+		got, status := itemQueries(t, raw)
+		if !slices.Equal(got, queries) {
+			t.Fatalf("results answer %q, want request order %q", got, queries)
+		}
+		for i, st := range status {
+			want := 0
+			if queries[i] == "nope" {
+				want = http.StatusNotFound
+			}
+			if st != want {
+				t.Errorf("result[%d] (%s) status %d, want %d", i, queries[i], st, want)
+			}
+		}
+		calls := 0
+		for ri, l := range logs {
+			for _, call := range l.take() {
+				calls++
+				for _, q := range call {
+					_, shard, known := snap.PrevQuery(q)
+					if known && held[ri] != nil && !slices.Contains(held[ri], shard) {
+						t.Errorf("replica %d (shards %v) was sent %q of shard %d", ri, held[ri], q, shard)
+					}
+				}
+			}
+		}
+		if calls != 4 {
+			t.Errorf("round %d: %d upstream calls, want 4 (one per distinct candidate list)", round, calls)
+		}
+	}
+}
+
+// TestGatewayBatchDegradesPerSubBatch: with two disjoint partitions and
+// one of them dead since the probe, only the dead one's positions become
+// 503 items; the other's answer, under the still-pinned generation.
+func TestGatewayBatchDegradesPerSubBatch(t *testing.T) {
+	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
+	defer snap.Close()
+	gw, reps, _ := loggedFleet(t, snap, Options{
+		MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
+	}, []int{0, 1}, []int{2, 3})
+	reps[1].ts.Close()
+
+	of := queryOfShard(t, snap)
+	queries := []string{of[2], of[0], of[3], of[1]}
+	body, _ := json.Marshal(serve.BatchRequest{Queries: queries, Top: 2})
+	code, hdr, raw := postBatch(t, gw.Handler(), string(body))
+	if code != http.StatusOK {
+		t.Fatalf("/batch = %d: %s", code, raw)
+	}
+	if hdr.Get("Simrank-Generation") != gw.Pinned() || gw.Pinned() == "" {
+		t.Errorf("Simrank-Generation = %q, pinned %q", hdr.Get("Simrank-Generation"), gw.Pinned())
+	}
+	got, status := itemQueries(t, raw)
+	if !slices.Equal(got, queries) {
+		t.Fatalf("results answer %q, want request order %q", got, queries)
+	}
+	if want := []int{http.StatusServiceUnavailable, 0, http.StatusServiceUnavailable, 0}; !slices.Equal(status, want) {
+		t.Errorf("item statuses %v, want %v (only the dead partition's positions fail)", status, want)
+	}
+}
+
+// TestGatewayBatchKeepsQuarantineOrder: two degraded replicas, each with
+// a different shard quarantined. A query of either shard must try the
+// replica whose copy is clean first, so the two shards' candidate lists
+// run in opposite orders and are never merged into one that would start
+// on a quarantined copy.
+func TestGatewayBatchKeepsQuarantineOrder(t *testing.T) {
+	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
+	defer snap.Close()
+	gw, _, logs := loggedFleet(t, snap, Options{}, nil, nil)
+	of := queryOfShard(t, snap)
+	for i, b := range gw.backends { // replica i has lost its copy of shard i
+		b.observe(HealthDegraded, gw.Pinned(), 1, []serve.ShardHealth{{Side: "query", Shard: i}}, nil)
+	}
+
+	// of[4] is clean on both: it joins whichever list the rotation agrees with.
+	queries := []string{of[0], of[4], of[1], of[0]}
+	body, _ := json.Marshal(serve.BatchRequest{Queries: queries, Top: 2})
+	for round := 0; round < 2; round++ {
+		code, _, raw := postBatch(t, gw.Handler(), string(body))
+		if code != http.StatusOK {
+			t.Fatalf("/batch = %d: %s", code, raw)
+		}
+		if got, _ := itemQueries(t, raw); !slices.Equal(got, queries) {
+			t.Fatalf("results answer %q, want request order %q", got, queries)
+		}
+		var sent [2][]string
+		for ri, l := range logs {
+			calls := l.take()
+			if len(calls) != 1 {
+				t.Fatalf("round %d: replica %d got %d sub-requests, want 1 of 2", round, ri, len(calls))
+			}
+			sent[ri] = calls[0]
+		}
+		if slices.Contains(sent[0], of[0]) || !slices.Contains(sent[1], of[0]) {
+			t.Errorf("round %d: %q (quarantined on replica 0) went to replica 0 %q, not replica 1 %q", round, of[0], sent[0], sent[1])
+		}
+		if slices.Contains(sent[1], of[1]) || !slices.Contains(sent[0], of[1]) {
+			t.Errorf("round %d: %q (quarantined on replica 1) went to replica 1 %q, not replica 0 %q", round, of[1], sent[1], sent[0])
+		}
+	}
+}
+
+// TestGatewayBatchCap: the fleet refuses what one daemon refuses. A batch
+// above the replica's MaxBatch is a 400 at the gateway, in the replica's
+// words, routed or not — not a 200 whose sub-batches happened to fit.
+func TestGatewayBatchCap(t *testing.T) {
+	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
+	defer snap.Close()
+	rep := startReplica(t, snap, 1)
+	of := queryOfShard(t, snap)
+	queries := make([]string, 300)
+	for i := range queries {
+		queries[i] = of[i%len(of)] // no shard sees more than 38 of them
+	}
+	body, _ := json.Marshal(serve.BatchRequest{Queries: queries, Top: 1})
+	wantCode, want := directPost(t, rep.ts.URL, string(body))
+	if wantCode != http.StatusBadRequest {
+		t.Fatalf("replica answered the oversized batch %d: %s", wantCode, want)
+	}
+	for name, opt := range map[string]Options{"routed": {Router: snap}, "unrouted": {}} {
+		gw := newGateway(t, opt, rep)
+		code, _, raw := postBatch(t, gw.Handler(), string(body))
+		if code != wantCode || !bytes.Equal(raw, want) {
+			t.Errorf("%s gateway = %d %s, replica direct = %d %s", name, code, raw, wantCode, want)
+		}
+		if n := gw.batches.Load(); n != 0 {
+			t.Errorf("%s gateway relayed %d refused batches", name, n)
 		}
 	}
 }

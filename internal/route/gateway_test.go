@@ -2,11 +2,14 @@ package route
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -331,5 +334,85 @@ func TestGatewayStatusEndpoints(t *testing.T) {
 	}
 	if stats.Requests != 1 || stats.Proxied != 1 {
 		t.Errorf("/stats requests=%d proxied=%d, want 1/1", stats.Requests, stats.Proxied)
+	}
+}
+
+// TestGatewayReusesBackendConnections pins the gateway's own transport:
+// with no Options.Transport, concurrent closed-loop clients keep the
+// connections they opened instead of reconnecting whenever more than
+// http.DefaultTransport's two are handed back idle at once (16 clients ×
+// 200 reads opened 1193 connections to the one backend), Run closes the
+// idle ones when its context ends, and a supplied transport is left alone.
+func TestGatewayReusesBackendConnections(t *testing.T) {
+	var opened atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"status":"ok","generation":{"id":1,"fingerprint":"g1"}}`)
+	})
+	mux.HandleFunc("/rewrite", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, "{}") })
+	ts := httptest.NewUnstartedServer(mux)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	gw, err := New(Options{Backends: []BackendSpec{{URL: ts.URL}}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.ProbeAll(context.Background())
+	h := gw.Handler()
+
+	const clients, reads = 16, 200
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				if code, _, body := get(t, h, "/rewrite?q=x"); code != http.StatusOK {
+					t.Errorf("read = %d: %s", code, body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Twice the clients: a client's last connection can still be on its
+	// way back to the idle pool when its next read asks for one, and the
+	// connection dialed for that miss stays pooled.
+	const probes = 1
+	n := opened.Load()
+	t.Logf("%d clients x %d reads opened %d backend connections", clients, reads, n)
+	if n > 2*clients+probes {
+		t.Errorf("%d backend connections opened, want at most %d", n, 2*clients+probes)
+	}
+
+	// Run's exit closes what is idle: the next request has to dial. (Its
+	// own probe may die with the context and mark the backend
+	// unreachable, so the request is a fresh probe.)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { gw.Run(ctx); close(done) }()
+	cancel()
+	<-done
+	before := opened.Load()
+	gw.ProbeAll(context.Background())
+	if opened.Load() == before {
+		t.Error("a probe after Run returned reused a connection Run should have closed")
+	}
+
+	// A supplied transport — the chaos suite's injection seam, pathbench's
+	// tracer — is used as given: not wrapped, not replaced, not closed.
+	rt := &http.Transport{}
+	theirs, err := New(Options{Backends: []BackendSpec{{URL: ts.URL}}, Transport: rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if theirs.client.Transport != http.RoundTripper(rt) || theirs.pool != nil {
+		t.Errorf("gateway client transport = %T (own pool: %v), want the supplied one as given", theirs.client.Transport, theirs.pool != nil)
 	}
 }

@@ -40,8 +40,13 @@ import (
 
 // Run probes the fleet on the configured interval until ctx is
 // cancelled. The interval is equal-jittered into [½, 1]× so many
-// gateways probing the same fleet don't align into probe storms.
+// gateways probing the same fleet don't align into probe storms. On the
+// way out it closes the idle connections of the gateway's own transport
+// (a caller-supplied Options.Transport is the caller's to close).
 func (gw *Gateway) Run(ctx context.Context) {
+	if gw.pool != nil {
+		defer gw.pool.CloseIdleConnections()
+	}
 	for {
 		gw.ProbeAll(ctx)
 		iv := gw.opt.ProbeInterval

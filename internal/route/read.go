@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -399,55 +400,78 @@ func (gw *Gateway) fetchOne(ctx context.Context, b *backendState, method, path, 
 	return resp, nil
 }
 
-// handleBatch relays POST /batch across the fleet shard-affinely: the
-// queries are grouped by snapshot shard through the router, each group
-// goes to a replica holding that shard as its own sub-batch — all under
-// the one generation pinned at entry — and the answers are merged back
-// into request order. A group whose replicas all fail degrades to
-// per-item errors (status 503) instead of failing the queries other
-// shards already answered; the response is an all-fleet-down 503 only
-// when no group got through.
+// subBatch is the part of a /batch that one upstream request carries:
+// the positions (ascending) of the queries whose failover would try the
+// same replicas in the same order.
+type subBatch struct {
+	order []*backendState
+	idx   []int
+}
+
+// handleBatch relays POST /batch across the fleet: one generation and
+// one rotation are taken at entry, each query's shard gets its candidate
+// list under them, and queries whose lists are equal — same replicas,
+// same order — travel as one sub-batch through fetchFailover; the answers
+// are merged back into request order. The list already says who holds
+// the shard, each holder's tier for it and whose breaker is open, so
+// shards merge exactly when a failure of one would be handled like a
+// failure of the other: one sub-batch when every replica holds the whole
+// snapshot and is equally healthy, never more than one per shard. A
+// sub-batch whose replicas all fail degrades to per-item errors (status
+// 503) instead of failing the queries other sub-batches answered, and
+// while a generation is pinned that holds even when every sub-batch
+// failed: the response is 200 with a 503 item per query. Only an unpinned
+// gateway answers the all-fleet-down 503.
 func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	gw.requests.Add(1)
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST a JSON body to /batch", http.StatusMethodNotAllowed)
+	// The replicas' default cap, on the client's whole batch: sub-batches
+	// are formed after it, so a fleet refuses what one daemon refuses
+	// however the queries would have split.
+	req, ok := serve.ReadBatchRequest(w, r, serve.DefaultServerConfig().MaxBatch)
+	if !ok {
 		return
 	}
-	var req serve.BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad batch body: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(req.Queries) == 0 {
-		http.Error(w, "empty batch: give queries", http.StatusBadRequest)
-		return
-	}
+	gw.batches.Add(1)
 
-	// Group positions by shard; without a router everything is one group
-	// on the any-shard path, exactly like /rewrite's affinity fallback.
-	groups := make(map[int][]int)
+	pin, rot := gw.pinAndRot()
+	var subs []*subBatch
+	byShard := make(map[int]*subBatch)
 	for i, q := range req.Queries {
+		// Without a router, or for an unknown query, the shard is -1: the
+		// any-replica path, exactly like /rewrite's affinity fallback.
 		shard := -1
 		if gw.opt.Router != nil {
 			if _, s, ok := gw.opt.Router.PrevQuery(q); ok {
 				shard = s
 			}
 		}
-		groups[shard] = append(groups[shard], i)
+		sb := byShard[shard]
+		if sb == nil {
+			order := gw.candidatesAt(pin, rot, "query", shard)
+			for _, have := range subs {
+				if slices.Equal(have.order, order) {
+					sb = have
+					break
+				}
+			}
+			if sb == nil {
+				sb = &subBatch{order: order}
+				subs = append(subs, sb)
+			}
+			byShard[shard] = sb
+		}
+		sb.idx = append(sb.idx, i)
 	}
 
-	pin, rot := gw.pinAndRot()
 	ctx, cancel := context.WithTimeout(r.Context(), gw.opt.RequestTimeout)
 	defer cancel()
 
 	results := make([]json.RawMessage, len(req.Queries))
-	var okGroups atomic.Int64
+	var answered atomic.Int64
 	var wg sync.WaitGroup
-	gi := 0
-	for shard, idx := range groups {
+	for _, sb := range subs {
 		wg.Add(1)
-		go func(shard, gi int, idx []int) {
+		go func(order []*backendState, idx []int) {
 			defer wg.Done()
 			fail := func(msg string, status int) {
 				for _, i := range idx {
@@ -458,6 +482,11 @@ func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 					results[i] = item
 				}
 			}
+			if len(order) == 0 {
+				gw.noReplica.Add(1)
+				fail("no replica can serve this shard", http.StatusServiceUnavailable)
+				return
+			}
 			sub := serve.BatchRequest{Queries: make([]string, len(idx)), Top: req.Top}
 			for j, i := range idx {
 				sub.Queries[j] = req.Queries[i]
@@ -467,12 +496,7 @@ func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 				fail(err.Error(), http.StatusInternalServerError)
 				return
 			}
-			order := gw.candidatesAt(pin, rot+gi, "query", shard)
-			if len(order) == 0 {
-				gw.noReplica.Add(1)
-				fail("no replica can serve this shard", http.StatusServiceUnavailable)
-				return
-			}
+			gw.batchSubs.Add(1)
 			resp, err := gw.fetchFailover(ctx, order, http.MethodPost, "/batch", "", payload)
 			if err != nil {
 				fail(err.Error(), http.StatusServiceUnavailable)
@@ -499,25 +523,19 @@ func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			for j, i := range idx {
 				results[i] = br.Results[j]
 			}
-			okGroups.Add(1)
-		}(shard, gi, idx)
-		gi++
+			answered.Add(1)
+		}(sb.order, sb.idx)
 	}
 	wg.Wait()
-	if okGroups.Load() == 0 && pin == "" {
+	if answered.Load() == 0 && pin == "" {
 		gw.noReplica.Add(1)
 		gw.unavailable(w, "no replica can serve this request")
 		return
 	}
 	gw.proxied.Add(1)
-	body, err := json.Marshal(serve.BatchResponse{Results: results})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Simrank-Generation", pin)
-	w.Write(append(body, '\n'))
+	w.Write(serve.EncodeBatchResponse(results))
 }
 
 // markRead updates the backend's circuit breaker with one read outcome:

@@ -51,6 +51,11 @@ type StatsResponse struct {
 	NoReplica     int64           `json:"no_replica"`
 	Rollout       RolloutStatus   `json:"rollout"`
 	Backends      []BackendStatus `json:"backends"`
+	// Batches counts /batch requests relayed; BatchSubrequests the
+	// upstream sub-requests they became (one per distinct candidate
+	// list), so their ratio is the fan-out a batch pays.
+	Batches          int64 `json:"batches"`
+	BatchSubrequests int64 `json:"batch_subrequests"`
 }
 
 // ReadyResponse is the gateway /readyz document: "ok" when every
@@ -111,6 +116,9 @@ func (gw *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		NoReplica:     gw.noReplica.Load(),
 		Rollout:       gw.rolloutStatus(),
 		Backends:      gw.backendStatuses(),
+
+		Batches:          gw.batches.Load(),
+		BatchSubrequests: gw.batchSubs.Load(),
 	})
 }
 

@@ -64,6 +64,35 @@ func TestBatchMatchesSingleEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchBodyIsJSONMarshal pins EncodeBatchResponse, which joins the
+// already-encoded items by hand, to the bytes json.Marshal of the
+// response struct plus a newline gives — on the replica's own items and,
+// as the gateway holds them, on items that came back through
+// json.Unmarshal — including the characters json.Marshal escapes.
+func TestBatchBodyIsJSONMarshal(t *testing.T) {
+	srv, _ := fig3Server(t, DefaultServerConfig())
+	queries := []string{"camera", "<b>&\u2028 \"no\\such\" query\x7f", "pc", "camera"}
+	body, _ := json.Marshal(BatchRequest{Queries: queries, Top: 3})
+	code, raw := postBatch(t, srv.Handler(), string(body))
+	if code != http.StatusOK {
+		t.Fatalf("/batch = %d: %s", code, raw)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(raw, &resp); err != nil || len(resp.Results) != len(queries) {
+		t.Fatalf("bad batch response %s: %v", raw, err)
+	}
+	want, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(raw, want) {
+		t.Errorf("replica body\n %s\njson.Marshal\n %s", raw, want)
+	}
+	if got := EncodeBatchResponse(resp.Results); !bytes.Equal(got, want) {
+		t.Errorf("re-encoded items\n %s\njson.Marshal\n %s", got, want)
+	}
+}
+
 // TestBatchValidation pins the endpoint's rejection surface.
 func TestBatchValidation(t *testing.T) {
 	srv, _ := fig3Server(t, DefaultServerConfig())

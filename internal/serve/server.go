@@ -734,23 +734,58 @@ type BatchResponse struct {
 // MaxBatch-query payload, far below anything that hurts.
 const maxBatchBody = 8 << 20
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+// ReadBatchRequest decodes a POST /batch body and applies the checks
+// every hop makes before doing any work: method, well-formed JSON, at
+// least one query, at most maxBatch. On failure it has written the error
+// response and returns false. The gateway calls it with the default
+// MaxBatch, so a fleet refuses what one daemon refuses, in the same words.
+func ReadBatchRequest(w http.ResponseWriter, r *http.Request, maxBatch int) (BatchRequest, bool) {
+	var req BatchRequest
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "POST a JSON body to /batch", http.StatusMethodNotAllowed)
-		return
+		return req, false
 	}
-	var req BatchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
 		http.Error(w, fmt.Sprintf("bad batch body: %v", err), http.StatusBadRequest)
-		return
+		return req, false
 	}
 	if len(req.Queries) == 0 {
 		http.Error(w, "empty batch: give queries", http.StatusBadRequest)
-		return
+		return req, false
 	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d queries exceeds the %d limit", len(req.Queries), s.cfg.MaxBatch), http.StatusBadRequest)
+	if len(req.Queries) > maxBatch {
+		http.Error(w, fmt.Sprintf("batch of %d queries exceeds the %d limit", len(req.Queries), maxBatch), http.StatusBadRequest)
+		return req, false
+	}
+	return req, true
+}
+
+// EncodeBatchResponse returns the /batch response body for items: the
+// bytes json.Marshal(BatchResponse{Results: items}) plus a newline would
+// give, without re-scanning the items. Each item must be a compact,
+// HTML-escaped JSON value — json.Marshal output, or a json.RawMessage
+// that json.Unmarshal filled from such output — which is what both the
+// replica and the gateway hold when they answer.
+func EncodeBatchResponse(items []json.RawMessage) []byte {
+	const open, end = `{"results":[`, "]}\n"
+	n := len(open) + len(end) + len(items)
+	for _, item := range items {
+		n += len(item)
+	}
+	body := append(make([]byte, 0, n), open...)
+	for i, item := range items {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, item...)
+	}
+	return append(body, end...)
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	req, ok := ReadBatchRequest(w, r, s.cfg.MaxBatch)
+	if !ok {
 		return
 	}
 	top := req.Top
@@ -802,7 +837,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	close(jobs)
 	wg.Wait()
-	writeJSON(w, BatchResponse{Results: results})
+	writeJSONBytes(w, EncodeBatchResponse(results))
 }
 
 // StatsResponse is the /stats payload.
