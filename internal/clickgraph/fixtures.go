@@ -104,19 +104,6 @@ func Fig5Right() *Graph {
 	return twoQueryOneAd("flower", "teleflora", "teleflora.com", 190, 10)
 }
 
-// Fig6Small builds a Figure 6-style pair where both queries bring the same
-// small number of clicks to the shared ad.
-func Fig6Small() *Graph {
-	return twoQueryOneAd("flower", "teleflora", "teleflora.com", 5, 5)
-}
-
-// Fig6Large builds a Figure 6-style pair where both queries bring the same
-// large number of clicks to the shared ad; with equal spread, more clicks
-// should mean more similarity under weighted SimRank's consistency rules.
-func Fig6Large() *Graph {
-	return twoQueryOneAd("flower", "orchids", "teleflora.com", 100, 100)
-}
-
 func twoQueryOneAd(q1, q2, ad string, c1, c2 int64) *Graph {
 	b := NewBuilder()
 	for _, e := range []struct {

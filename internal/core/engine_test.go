@@ -199,11 +199,28 @@ func TestClosedFormsMatchEngine(t *testing.T) {
 			}
 		}
 	}
-	// K2,2 also has the explicit series form of Theorem A.1.
+	// K2,2 also has the explicit series form of Theorem A.1 and K1,2 the
+	// constant of Theorem A.2. Side by side they are Theorem 6.1, the
+	// anomaly that motivates evidence-based SimRank: the pair with two
+	// common neighbors rises monotonically to its limit and still stays
+	// strictly below the pair with one, at every k and in the limit.
+	limit := ClosedFormK22Limit(0.8, 0.8)
+	below := 0.0
 	for k := 1; k <= 8; k++ {
-		if got, want := ClosedFormKm2(0.8, 0.8, 2, k), ClosedFormK22(0.8, 0.8, k); !almostEqual(got, want, tol) {
-			t.Errorf("Km2(m=2) vs A.1 series at k=%d: %.12f vs %.12f", k, got, want)
+		k22, k12 := ClosedFormK22(0.8, 0.8, k), ClosedFormK12(0.8, k)
+		if got := ClosedFormKm2(0.8, 0.8, 2, k); !almostEqual(got, k22, tol) {
+			t.Errorf("Km2(m=2) vs A.1 series at k=%d: %.12f vs %.12f", k, got, k22)
 		}
+		if got := ClosedFormKm2(0.8, 0.8, 1, k); !almostEqual(got, k12, tol) {
+			t.Errorf("Km2(m=1) vs A.2 constant at k=%d: %.12f vs %.12f", k, got, k12)
+		}
+		if !(below < k22 && k22 < limit && k22 < k12) {
+			t.Errorf("Theorem 6.1 at k=%d: K2,2 %.12f after %.12f, limit %.12f, K1,2 %.12f", k, k22, below, limit, k12)
+		}
+		below = k22
+	}
+	if far := ClosedFormK22(0.8, 0.8, 64); !almostEqual(far, limit, tol) || !(limit < ClosedFormK12(0.8, 64)) {
+		t.Errorf("Theorem 6.1 in the limit: K2,2 at k=64 %.12f, limit %.12f, K1,2 %.12f", far, limit, ClosedFormK12(0.8, 64))
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/faultfs"
+	"simrankpp/internal/hedge"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/serve"
 )
@@ -141,12 +142,8 @@ func TestChaosWorkerKilledMidShard(t *testing.T) {
 	inj := faultfs.NewHTTPInjector()
 	inj.TruncateBody(hostOf(t, urls[0]), 64) // every response from worker 0 dies mid-stream
 	cl := &chaosLogf{}
-	c := NewCoordinator(urls, Options{
-		Transport:   inj.Transport(nil),
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Logf:        cl.logf,
-	})
+	c := NewCoordinator(urls, Options{Transport: inj.Transport(nil), Logf: cl.logf})
+	c.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 	fleet, got := assembleFleet(t, c, next, prev, diff)
 	if fleet.Stats.Retries == 0 {
@@ -170,12 +167,8 @@ func TestChaosCorruptResponseRejected(t *testing.T) {
 	inj := faultfs.NewHTTPInjector()
 	inj.FlipBodyBit(hostOf(t, urls[0]), 100, 3) // corrupt worker 0's payloads
 	cl := &chaosLogf{}
-	c := NewCoordinator(urls, Options{
-		Transport:   inj.Transport(nil),
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Logf:        cl.logf,
-	})
+	c := NewCoordinator(urls, Options{Transport: inj.Transport(nil), Logf: cl.logf})
+	c.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 	fleet, got := assembleFleet(t, c, next, prev, diff)
 	if fleet.Stats.Retries == 0 {
@@ -196,15 +189,8 @@ func TestChaosAllWorkersDeadLocalFallback(t *testing.T) {
 	inj := faultfs.NewHTTPInjector()
 	inj.Drop("", -1) // the whole fleet is unreachable
 	cl := &chaosLogf{}
-	c := NewCoordinator(urls, Options{
-		Transport:      inj.Transport(nil),
-		MaxAttempts:    2,
-		MaxWorkerFails: 2,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     2 * time.Millisecond,
-		LocalWorkers:   3,
-		Logf:           cl.logf,
-	})
+	c := NewCoordinator(urls, Options{Transport: inj.Transport(nil), LocalWorkers: 3, Logf: cl.logf})
+	c.backoff = hedge.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
 
 	fleet, got := assembleFleet(t, c, next, prev, diff)
 	if fleet.Stats.RemoteShards != 0 || fleet.Stats.LocalFallbackShards != diff.DirtyShards {
@@ -231,12 +217,8 @@ func TestChaosStragglerHedged(t *testing.T) {
 	inj := faultfs.NewHTTPInjector()
 	inj.SetLatency(hostOf(t, urls[0]), 2*time.Second) // worker 0 straggles
 	cl := &chaosLogf{}
-	c := NewCoordinator(urls, Options{
-		Transport:     inj.Transport(nil),
-		HedgeQuantile: 0.5,
-		HedgeAfter:    5 * time.Millisecond,
-		Logf:          cl.logf,
-	})
+	c := NewCoordinator(urls, Options{Transport: inj.Transport(nil), Logf: cl.logf})
+	c.lat = &hedge.Tracker{Quantile: 0.5, Floor: 5 * time.Millisecond}
 	// Prime the latency window: hedging needs completed-lease samples
 	// before it can call anything a straggler.
 	for i := 0; i < 3; i++ {
@@ -349,17 +331,14 @@ func TestChaosCancelledDuringFallback(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c := NewCoordinator(urls, Options{
-		Transport:      inj.Transport(nil),
-		MaxAttempts:    2,
-		MaxWorkerFails: 2,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     2 * time.Millisecond,
+		Transport: inj.Transport(nil),
 		Logf: func(format string, args ...any) {
 			if strings.HasPrefix(format, "dist: fallback-to-local") {
 				cancel()
 			}
 		},
 	})
+	c.backoff = hedge.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
 	journal := func() []string {
 		entries, err := os.ReadDir(fx.gs.Dir())
 		if err != nil {
@@ -386,9 +365,9 @@ func TestChaosCancelledDuringFallback(t *testing.T) {
 
 // TestChaosFleetStateIsPerRefresh: what a refresh learns about the fleet
 // — retries counted, workers given up on — must not leak into the next
-// one on the same coordinator. The first refresh meets one 5xx, which at
-// MaxWorkerFails 1 marks the only worker dead and sends a shard to the
-// local fallback; the worker has healed by the second refresh, which
+// one on the same coordinator. The first refresh meets maxWorkerFails
+// 5xx in a row, which marks the only worker dead and sends a shard to
+// the local fallback; the worker has healed by the second refresh, which
 // must try it again, be served remotely, and report none of the first
 // one's counters.
 func TestChaosFleetStateIsPerRefresh(t *testing.T) {
@@ -396,15 +375,10 @@ func TestChaosFleetStateIsPerRefresh(t *testing.T) {
 	urls := startWorkers(t, 1)
 
 	inj := faultfs.NewHTTPInjector()
-	inj.Respond5xx(hostOf(t, urls[0]), 1)
+	inj.Respond5xx(hostOf(t, urls[0]), maxWorkerFails)
 	cl := &chaosLogf{}
-	c := NewCoordinator(urls, Options{
-		Transport:      inj.Transport(nil),
-		MaxWorkerFails: 1,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     2 * time.Millisecond,
-		Logf:           cl.logf,
-	})
+	c := NewCoordinator(urls, Options{Transport: inj.Transport(nil), Logf: cl.logf})
+	c.backoff = hedge.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
 
 	first, got := assembleFleet(t, c, next, prev, diff)
 	if first.Stats.Retries == 0 || first.Stats.WorkerDeaths != 1 || first.Stats.LocalFallbackShards == 0 {
@@ -435,12 +409,8 @@ func TestChaosRetryAfterHonored(t *testing.T) {
 	inj.SetRetryAfter(hostOf(t, urls[0]), 1)
 	inj.Respond5xx(hostOf(t, urls[0]), 1) // one shed with a 1s hint, then healthy
 	cl := &chaosLogf{}
-	c := NewCoordinator(urls, Options{
-		Transport:   inj.Transport(nil),
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-		Logf:        cl.logf,
-	})
+	c := NewCoordinator(urls, Options{Transport: inj.Transport(nil), Logf: cl.logf})
+	c.backoff = hedge.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
 
 	start := time.Now()
 	fleet, got := assembleFleet(t, c, next, prev, diff)
@@ -468,12 +438,8 @@ func TestChaosFlappingWorker(t *testing.T) {
 	inj := faultfs.NewHTTPInjector()
 	inj.Respond5xx(hostOf(t, urls[0]), 2) // two failures, then healthy
 	cl := &chaosLogf{}
-	c := NewCoordinator(urls, Options{
-		Transport:   inj.Transport(nil),
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Logf:        cl.logf,
-	})
+	c := NewCoordinator(urls, Options{Transport: inj.Transport(nil), Logf: cl.logf})
+	c.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 	fleet, got := assembleFleet(t, c, next, prev, diff)
 	if fleet.Stats.LocalFallbackShards != 0 {

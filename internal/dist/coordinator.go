@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"sort"
 	"sync"
@@ -19,74 +18,32 @@ import (
 	"simrankpp/internal/serve"
 )
 
-// Options tunes the coordinator's failure handling. Zero values select
-// the defaults noted on each field.
+// Options is what a caller of the coordinator sets.
 type Options struct {
-	// LeaseTimeout bounds one dispatch round-trip (default 30s); a
-	// worker that has not answered by then is treated as failed and the
-	// lease is re-dispatched.
-	LeaseTimeout time.Duration
-	// MaxAttempts bounds dispatch rounds per shard (default 4); a round
-	// may involve two workers when hedged. Exhausting it sends the
-	// shard to the local fallback.
-	MaxAttempts int
-	// BackoffBase/BackoffMax shape the capped exponential backoff
-	// between a shard's dispatch rounds (defaults 100ms / 5s); the wait
-	// is scaled by Jitter into [½, 1]× so re-dispatches don't stampede.
-	BackoffBase, BackoffMax time.Duration
-	// HedgeQuantile picks the completed-lease latency percentile after
-	// which a straggler is hedged to a second worker (default 0.95);
-	// HedgeAfter floors the hedge delay (default 250ms). Hedging starts
-	// only once 3 leases have completed — before that there is no
-	// latency signal to call a dispatch a straggler against.
-	HedgeQuantile float64
-	HedgeAfter    time.Duration
-	// MaxWorkerFails is how many consecutive failures mark a worker
-	// dead (default 3). Dead workers receive no further leases.
-	MaxWorkerFails int
-	// Concurrency bounds in-flight shards (default 2 × workers).
-	Concurrency int
 	// LocalWorkers is the engine budget for the local fallback run
 	// (<= 0: GOMAXPROCS).
 	LocalWorkers int
 	// Transport overrides the HTTP transport (the chaos suite's
 	// fault-injection seam); nil uses http.DefaultTransport.
 	Transport http.RoundTripper
-	// Jitter overrides the backoff jitter source, returning values in
-	// [0, 1]; nil uses math/rand. Tests pin it for determinism.
-	Jitter func() float64
 	// Logf receives progress lines; nil uses the standard logger.
 	Logf func(format string, args ...any)
 }
 
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.LeaseTimeout <= 0 {
-		out.LeaseTimeout = 30 * time.Second
-	}
-	if out.MaxAttempts <= 0 {
-		out.MaxAttempts = 4
-	}
-	if out.BackoffBase <= 0 {
-		out.BackoffBase = 100 * time.Millisecond
-	}
-	if out.BackoffMax <= 0 {
-		out.BackoffMax = 5 * time.Second
-	}
-	if out.HedgeQuantile <= 0 || out.HedgeQuantile >= 1 {
-		out.HedgeQuantile = 0.95
-	}
-	if out.HedgeAfter <= 0 {
-		out.HedgeAfter = 250 * time.Millisecond
-	}
-	if out.MaxWorkerFails <= 0 {
-		out.MaxWorkerFails = 3
-	}
-	if out.Jitter == nil {
-		out.Jitter = rand.Float64
-	}
-	return out
-}
+// The failure handling is fixed. A dispatch round-trip that has not
+// answered within leaseTimeout counts as failed and the lease is
+// re-dispatched; a shard gets maxAttempts rounds (two workers in a round
+// that is hedged) before it goes to the local fallback; maxWorkerFails
+// consecutive failures mark a worker dead for the rest of the refresh;
+// 2 × workers shards are in flight at once. The wait between rounds and
+// the straggler threshold are hedge's defaults: 100ms doubling to 5s,
+// equal-jittered and floored at the worker's Retry-After; the p95 of
+// completed leases, at least 250ms, once 3 have completed.
+const (
+	leaseTimeout   = 30 * time.Second
+	maxAttempts    = 4
+	maxWorkerFails = 3
+)
 
 // FleetStats counts what the failure machinery did during one refresh
 // (one RefreshShards call).
@@ -95,7 +52,9 @@ type FleetStats struct {
 	// where their segments were computed.
 	RemoteShards, LocalFallbackShards int
 	// Retries counts re-dispatched leases (a hedge is not a retry);
-	// Hedges counts second-worker dispatches for stragglers;
+	// Hedges counts second-worker dispatches within a round: for a
+	// straggler, or at once for a primary that failed while hedging was
+	// armed;
 	// DuplicateWins counts completions that lost the idempotent accept
 	// race (their bytes were discarded).
 	Retries, Hedges, DuplicateWins int
@@ -133,13 +92,11 @@ type Coordinator struct {
 // NewCoordinator returns a coordinator over the given worker base URLs
 // (e.g. "http://host:9090").
 func NewCoordinator(workerURLs []string, opt Options) *Coordinator {
-	opt = (&opt).withDefaults()
 	return &Coordinator{
-		opt:     opt,
-		client:  &http.Client{Transport: opt.Transport},
-		urls:    workerURLs,
-		backoff: hedge.Backoff{Base: opt.BackoffBase, Max: opt.BackoffMax, Jitter: opt.Jitter},
-		lat:     &hedge.Tracker{Quantile: opt.HedgeQuantile, Floor: opt.HedgeAfter},
+		opt:    opt,
+		client: &http.Client{Transport: opt.Transport},
+		urls:   workerURLs,
+		lat:    &hedge.Tracker{},
 	}
 }
 
@@ -178,18 +135,18 @@ func (c *Coordinator) logf(format string, args ...any) {
 }
 
 // pickWorker round-robins over live workers, skipping exclude (the
-// hedge's primary); nil when none qualify.
-func (r *fleetRun) pickWorker(exclude *workerState) *workerState {
+// hedge's primary); false when none qualify.
+func (r *fleetRun) pickWorker(exclude *workerState) (*workerState, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for range r.workers {
 		w := &r.workers[r.rr%len(r.workers)]
 		r.rr++
 		if !w.dead && w != exclude {
-			return w
+			return w, true
 		}
 	}
-	return nil
+	return nil, false
 }
 
 // markResult updates a worker's health after a dispatch.
@@ -201,7 +158,7 @@ func (r *fleetRun) markResult(w *workerState, ok bool) {
 		return
 	}
 	w.fails++
-	if !w.dead && w.fails >= r.opt.MaxWorkerFails {
+	if !w.dead && w.fails >= maxWorkerFails {
 		w.dead = true
 		r.out.Stats.WorkerDeaths++
 		r.logf("dist: worker %s marked dead after %d consecutive failures", w.url, w.fails)
@@ -236,7 +193,7 @@ func (r *fleetRun) accept(l *Lease, resp *SegmentResponse) (first bool, err erro
 
 // dispatchOnce sends one lease to one worker and decodes the response.
 func (c *Coordinator) dispatchOnce(ctx context.Context, w *workerState, leaseBytes []byte) (*SegmentResponse, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.opt.LeaseTimeout)
+	ctx, cancel := context.WithTimeout(ctx, leaseTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/refresh-shard", bytes.NewReader(leaseBytes))
 	if err != nil {
@@ -247,142 +204,70 @@ func (c *Coordinator) dispatchOnce(ctx context.Context, w *workerState, leaseByt
 	if err != nil {
 		return nil, err
 	}
+	if httpResp.StatusCode != http.StatusOK {
+		// Carries the worker's Retry-After hint (a shedding 503 sends one)
+		// up to the retry loop, which takes the max of it and the local
+		// backoff schedule.
+		return nil, fmt.Errorf("dist: worker %s %w", w.url, hedge.ResponseError(httpResp))
+	}
 	defer httpResp.Body.Close()
 	body, err := io.ReadAll(httpResp.Body)
 	if err != nil {
 		return nil, err
 	}
-	if httpResp.StatusCode != http.StatusOK {
-		// Carry the worker's Retry-After hint (a shedding 503 sends one)
-		// up to the retry loop, which takes the max of it and the local
-		// backoff schedule.
-		return nil, fmt.Errorf("dist: worker %s %w", w.url, &hedge.StatusError{
-			Code:       httpResp.StatusCode,
-			RetryAfter: hedge.ParseRetryAfter(httpResp.Header),
-			Detail:     truncated(body),
-		})
-	}
 	return DecodeSegmentResponse(body)
 }
 
-func truncated(b []byte) string {
-	const max = 200
-	if len(b) > max {
-		b = b[:max]
-	}
-	return string(bytes.TrimSpace(b))
-}
-
-// shardOutcome is one dispatch's result, tagged with the worker that
-// produced it.
-type shardOutcome struct {
-	resp *SegmentResponse
-	w    *workerState
-	err  error
-}
-
-// dispatchShard drives one shard through attempts, hedging, and
-// backoff. It returns the accepted response or an error when every
-// avenue failed (the caller then falls back to local recompute).
+// dispatchShard leases one shard to the fleet (hedge.Do: rounds, backoff,
+// a second worker raced against a straggler). It returns the accepted
+// response, or an error when every avenue failed — the caller then falls
+// back to local recompute. A completion that loses the accept race (a
+// hedge racing its primary) is counted by accept and is byte-identical by
+// the determinism contract, so either copy serves.
 func (r *fleetRun) dispatchShard(ctx context.Context, l *Lease) (*SegmentResponse, error) {
 	leaseBytes, err := l.Encode()
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for attempt := 0; attempt < r.opt.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if attempt > 0 {
+	res, err := hedge.Do(ctx, hedge.Call[*workerState, *SegmentResponse]{
+		Attempts: maxAttempts,
+		Backoff:  r.backoff,
+		Tracker:  r.lat,
+		Pick:     r.pickWorker,
+		Send: func(lctx context.Context, w *workerState) (*SegmentResponse, error) {
+			resp, err := r.dispatchOnce(lctx, w, leaseBytes)
+			if err == nil {
+				// A decoded-but-wrong response is a worker fault too.
+				_, err = r.accept(l, resp)
+			}
+			// A launch cancelled from outside (its hedge won, the refresh
+			// was called off) is not a worker failure; a lease that timed
+			// out is, and its deadline is dispatchOnce's own.
+			if err == nil || lctx.Err() == nil {
+				r.markResult(w, err == nil)
+			}
+			return resp, err
+		},
+		Retried: func(round int, last error) {
 			r.mu.Lock()
 			r.out.Stats.Retries++
 			r.mu.Unlock()
-			// Equal-jitter backoff, floored at whatever Retry-After the
-			// failed worker asked for — its overload signal outranks the
-			// local schedule.
-			if err := r.backoff.Sleep(ctx, attempt, hedge.RetryAfterHint(lastErr)); err != nil {
-				return nil, err
-			}
-		}
-		primary := r.pickWorker(nil)
-		if primary == nil {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("dist: no live workers")
-			}
-			return nil, lastErr
-		}
-		resp, err := r.dispatchHedged(ctx, l, leaseBytes, primary)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		r.logf("dist: shard %d attempt %d failed: %v", l.Shard, attempt+1, err)
+			r.logf("dist: shard %d attempt %d failed: %v", l.Shard, round-1, last)
+		},
+		Hedged: func(primary, secondary *workerState) {
+			r.mu.Lock()
+			r.out.Stats.Hedges++
+			r.mu.Unlock()
+			r.logf("dist: shard %d straggling or failed on %s, hedging to %s", l.Shard, primary.url, secondary.url)
+		},
+	})
+	if err != nil {
+		err = fmt.Errorf("dist: shard %d: %w", l.Shard, err)
+		r.logf("%v", err)
+		return nil, err
 	}
-	return nil, fmt.Errorf("dist: shard %d exhausted %d attempts: %w", l.Shard, r.opt.MaxAttempts, lastErr)
-}
-
-// dispatchHedged runs one dispatch round: the primary worker, plus —
-// if the round outlives the straggler threshold — one hedge to a
-// different worker. The first accepted completion wins and cancels the
-// other; a completion that loses the accept race (a hedge racing its
-// primary) is counted by accept and is byte-identical by the determinism
-// contract, so either copy serves.
-func (r *fleetRun) dispatchHedged(ctx context.Context, l *Lease, leaseBytes []byte, primary *workerState) (*SegmentResponse, error) {
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan shardOutcome, 2)
-	send := func(w *workerState) {
-		start := time.Now()
-		resp, err := r.dispatchOnce(rctx, w, leaseBytes)
-		if err == nil {
-			r.lat.Record(time.Since(start))
-		}
-		results <- shardOutcome{resp: resp, w: w, err: err}
-	}
-	go send(primary)
-	outstanding := 1
-
-	var hedgeCh <-chan time.Time
-	if delay, ok := r.lat.Delay(); ok {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		hedgeCh = t.C
-	}
-
-	var lastErr error
-	for outstanding > 0 {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-hedgeCh:
-			hedgeCh = nil
-			if secondary := r.pickWorker(primary); secondary != nil {
-				r.mu.Lock()
-				r.out.Stats.Hedges++
-				r.mu.Unlock()
-				r.logf("dist: shard %d straggling on %s, hedging to %s", l.Shard, primary.url, secondary.url)
-				go send(secondary)
-				outstanding++
-			}
-		case out := <-results:
-			outstanding--
-			if out.err != nil {
-				r.markResult(out.w, false)
-				lastErr = out.err
-				continue
-			}
-			if _, err := r.accept(l, out.resp); err != nil {
-				// A decoded-but-wrong response is a worker fault too.
-				r.markResult(out.w, false)
-				lastErr = err
-				continue
-			}
-			r.markResult(out.w, true)
-			return out.resp, nil
-		}
-	}
-	return nil, lastErr
+	res.Release()
+	return res.Value, nil
 }
 
 // buildLease assembles one dirty shard's dispatch payload: the induced
@@ -479,14 +364,7 @@ func (c *Coordinator) RefreshShards(ctx context.Context, g *clickgraph.Graph, pr
 		resp *SegmentResponse
 		err  error
 	}
-	conc := c.opt.Concurrency
-	if conc <= 0 {
-		conc = 2 * len(c.urls)
-	}
-	if conc < 1 {
-		conc = 1
-	}
-	sem := make(chan struct{}, conc)
+	sem := make(chan struct{}, max(2*len(c.urls), 1))
 	done := make(chan shardDone, len(dirtyIdx))
 	var wg sync.WaitGroup
 	for _, si := range dirtyIdx {

@@ -5,11 +5,12 @@
 // CRC'd segments they return — the same bytes the single-machine
 // refresh path writes, so a distributed refresh is byte-identical to a
 // local one. Failure is the default case: leases carry deadlines and
-// are re-dispatched with capped exponential backoff + jitter,
-// stragglers are hedged to a second worker, duplicate completions
-// resolve idempotently by (generation, shard, fingerprint), and a shard
-// whose workers are all dead falls back to local recompute, so the
-// refresh degrades to the single-machine path instead of failing.
+// are re-dispatched with capped exponential backoff + jitter and
+// stragglers are hedged to a second worker (internal/hedge's Do, the
+// loop the read gateway runs too), duplicate completions resolve
+// idempotently by (generation, shard, fingerprint), and a shard whose
+// workers are all dead falls back to local recompute, so the refresh
+// degrades to the single-machine path instead of failing.
 package dist
 
 import (

@@ -1,0 +1,282 @@
+package hedge
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// fakeTarget is one scripted target of a Do call: what its Send does,
+// and what Do did to the launch that went to it.
+type fakeTarget struct {
+	name string
+	// wait is how long Send takes; it returns early, with the context's
+	// error, when its launch is cancelled — unless deaf is set, which
+	// models a reply already on the wire when the cancel lands. err, if
+	// set, is what it then fails with.
+	wait time.Duration
+	deaf bool
+	err  error
+
+	mu    sync.Mutex
+	calls int
+	ctx   context.Context // the last launch's
+}
+
+func (f *fakeTarget) send(ctx context.Context) (string, error) {
+	f.mu.Lock()
+	f.calls++
+	f.ctx = ctx
+	f.mu.Unlock()
+	if f.deaf {
+		time.Sleep(f.wait)
+	} else {
+		select {
+		case <-time.After(f.wait):
+		case <-ctx.Done():
+			return "", ctx.Err()
+		}
+	}
+	if f.err != nil {
+		return "", f.err
+	}
+	return f.name, nil
+}
+
+func (f *fakeTarget) seen() (calls int, ctx context.Context) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.calls, f.ctx
+}
+
+// armed returns a tracker whose hedge delay is d; unarmed for d == 0.
+func armed(d time.Duration) *Tracker {
+	tr := &Tracker{Quantile: 0.5, Floor: d}
+	for i := 0; d > 0 && i < 3; i++ {
+		tr.Record(time.Microsecond)
+	}
+	return tr
+}
+
+func samples(tr *Tracker) int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return len(tr.samples)
+}
+
+// waitFor polls cond for up to a second; the background drain and the
+// launches it waits for finish in milliseconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestDo drives the loop on fake targets — no sockets, a millisecond
+// backoff with pinned jitter — and checks every case against what Do
+// reported, what the observers were told, how long it took and what
+// became of each launch's context.
+func TestDo(t *testing.T) {
+	errDown := errors.New("target down")
+	shed := &StatusError{Code: 503, RetryAfter: 40 * time.Millisecond}
+	const straggle = 150 * time.Millisecond
+
+	cases := []struct {
+		name string
+		// hedgeAfter arms the tracker with that delay; 0 leaves it unarmed.
+		// Targets are picked in order, wrapping, never the excluded one.
+		// cancelAfter, if set, ends the caller's context that far in.
+		hedgeAfter  time.Duration
+		targets     []*fakeTarget
+		cancelAfter time.Duration
+
+		value     string // the answer; "" for a failed call
+		round     int
+		hedged    bool
+		err       error    // errors.Is target of a failed call's error
+		errText   string   // and a substring of it
+		calls     []int    // launches per target
+		loser     string   // the target whose launch lost its round to the other
+		retried   int      // Retried calls
+		hedges    []string // Hedged calls, "primary>secondary"
+		discarded []string // values handed to Discard, eventually
+		min, max  time.Duration
+	}{
+		{
+			name:    "primary answers",
+			targets: []*fakeTarget{{name: "a"}, {name: "b"}},
+			value:   "a", round: 1,
+			calls: []int{1, 0},
+		},
+		{
+			// Round 2 starts no sooner than the failure's Retry-After,
+			// far above the 2ms schedule.
+			name:    "unarmed fast failure retries after the Retry-After floor",
+			targets: []*fakeTarget{{name: "a", err: shed}, {name: "b"}},
+			value:   "b", round: 2,
+			calls:   []int{1, 1},
+			retried: 1, min: shed.RetryAfter,
+		},
+		{
+			// The timer is a minute out and a backoff would show as a
+			// retry: only the at-once second launch answers in round 1.
+			name:       "armed fast failure hedges without a sleep",
+			hedgeAfter: time.Minute,
+			targets:    []*fakeTarget{{name: "a", err: errDown}, {name: "b"}},
+			value:      "b", round: 1, hedged: true,
+			calls:  []int{1, 1},
+			hedges: []string{"a>b"}, max: time.Second,
+		},
+		{
+			// a's reply is already on the wire: it succeeds 150ms in
+			// whatever happens to its context, after Do has answered.
+			name:       "straggler hedged, loser cancelled before return, its late success discarded",
+			hedgeAfter: 10 * time.Millisecond,
+			targets:    []*fakeTarget{{name: "a", wait: straggle, deaf: true}, {name: "b"}},
+			value:      "b", round: 1, hedged: true,
+			calls: []int{1, 1}, loser: "a",
+			hedges: []string{"a>b"}, discarded: []string{"a"},
+			min: 10 * time.Millisecond, max: straggle,
+		},
+		{
+			name:       "one target never hedges onto itself",
+			hedgeAfter: time.Millisecond,
+			targets:    []*fakeTarget{{name: "a", wait: 20 * time.Millisecond}},
+			value:      "a", round: 1,
+			calls: []int{1},
+		},
+		{
+			name: "no target ends the call at once",
+			err:  ErrNoTarget, max: time.Second,
+		},
+		{
+			name:    "every round fails",
+			targets: []*fakeTarget{{name: "a", err: errDown}},
+			err:     errDown, errText: "all 3 attempts",
+			calls:   []int{3},
+			retried: 2,
+		},
+		{
+			// Both launches are out when the cancel lands.
+			name:        "caller's context cancelled mid-round",
+			hedgeAfter:  time.Millisecond,
+			targets:     []*fakeTarget{{name: "a", wait: time.Minute}, {name: "b", wait: time.Minute}},
+			cancelAfter: 30 * time.Millisecond,
+			err:         context.Canceled,
+			calls:       []int{1, 1},
+			hedges:      []string{"a>b"}, max: time.Second,
+		},
+	}
+
+	baseline := runtime.NumGoroutine()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var retried int
+			var hedges, discarded []string
+			tr := armed(tc.hedgeAfter)
+			before := samples(tr)
+			next := 0
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancelAfter > 0 {
+				time.AfterFunc(tc.cancelAfter, cancel)
+			}
+
+			start := time.Now()
+			res, err := Do(ctx, Call[*fakeTarget, string]{
+				Attempts: 3,
+				Backoff:  Backoff{Base: 2 * time.Millisecond, Max: 4 * time.Millisecond, Jitter: fixedJitter(1)},
+				Tracker:  tr,
+				Pick: func(exclude *fakeTarget) (*fakeTarget, bool) {
+					for range tc.targets {
+						f := tc.targets[next%len(tc.targets)]
+						next++
+						if f != exclude {
+							return f, true
+						}
+					}
+					return nil, false
+				},
+				Send: func(ctx context.Context, f *fakeTarget) (string, error) { return f.send(ctx) },
+				Discard: func(v string) {
+					mu.Lock()
+					discarded = append(discarded, v)
+					mu.Unlock()
+				},
+				Retried: func(round int, last error) {
+					if last == nil || round != retried+2 {
+						t.Errorf("Retried(%d, %v) as call %d", round, last, retried+1)
+					}
+					retried++
+				},
+				Hedged: func(primary, secondary *fakeTarget) {
+					hedges = append(hedges, primary.name+">"+secondary.name)
+				},
+			})
+			elapsed := time.Since(start)
+
+			// The moment Do returns, every launch's context but the
+			// winner's has ended — a launch still out is already cancelled —
+			// and only a round's loser was told ErrLost.
+			var winner context.Context
+			for i, f := range tc.targets {
+				calls, fctx := f.seen()
+				if calls != tc.calls[i] {
+					t.Errorf("target %s launched %d times, want %d", f.name, calls, tc.calls[i])
+				}
+				switch {
+				case calls == 0:
+				case err == nil && f.name == res.Value:
+					winner = fctx
+				case fctx.Err() == nil:
+					t.Errorf("target %s: launch context still live when Do returned", f.name)
+				case (context.Cause(fctx) == ErrLost) != (f.name == tc.loser):
+					t.Errorf("target %s: context cause %v when Do returned", f.name, context.Cause(fctx))
+				}
+			}
+			if tc.value == "" {
+				if err == nil || !errors.Is(err, tc.err) || !strings.Contains(err.Error(), tc.errText) {
+					t.Fatalf("Do = %v; want an error wrapping %v and naming %q", err, tc.err, tc.errText)
+				}
+			} else {
+				if err != nil || res.Value != tc.value || res.Round != tc.round || res.Hedged != tc.hedged {
+					t.Fatalf("Do = %+v, %v; want %q from round %d (second launch: %v)", res, err, tc.value, tc.round, tc.hedged)
+				}
+				if winner.Err() != nil {
+					t.Error("winner's context dead before Release")
+				}
+				res.Release()
+				if winner.Err() == nil {
+					t.Error("winner's context still live after Release")
+				}
+				if got := samples(tr) - before; got != 1 {
+					t.Errorf("%d latencies recorded, want the winner's", got)
+				}
+			}
+			if elapsed < tc.min || (tc.max > 0 && elapsed >= tc.max) {
+				t.Errorf("took %v, want within [%v, %v)", elapsed, tc.min, tc.max)
+			}
+			if retried != tc.retried || !slices.Equal(hedges, tc.hedges) {
+				t.Errorf("retried %d hedged %v; want %d and %v", retried, hedges, tc.retried, tc.hedges)
+			}
+			waitFor(t, "late successes to reach Discard", func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return slices.Equal(discarded, tc.discarded)
+			})
+		})
+	}
+	// Nothing any case started is left behind: launches, drains, timers.
+	waitFor(t, "goroutines to return to the baseline", func() bool {
+		return runtime.NumGoroutine() <= baseline
+	})
+}

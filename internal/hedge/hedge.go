@@ -1,24 +1,34 @@
-// Package hedge holds the tail-tolerance primitives shared by the
-// write-side refresh coordinator (internal/dist) and the read-side
-// gateway (internal/route): capped exponential backoff with equal
-// jitter, a completed-request latency window that turns a percentile
-// into a straggler-hedging threshold (the tail-at-scale idiom), and a
-// status error carrying the server's Retry-After hint so retry loops
-// can honor the backend's own overload signal instead of only their
-// local schedule.
+// Package hedge is the fleet's one retry / hedge / backoff loop. Do
+// (do.go) makes a call against a set of interchangeable targets: it
+// runs the rounds, sleeps the capped equal-jitter backoff between them
+// floored at the Retry-After the failed target sent, arms the straggler
+// timer from the completed-request latency window, launches the second
+// copy when it fires (or at once, when the first copy has already
+// failed), takes the first success, cancels and drains the loser, and
+// keeps the winner's context alive until the caller releases it. Both
+// halves of the fleet call it — the refresh coordinator (internal/dist)
+// leasing a dirty shard to a worker, the read gateway (internal/route)
+// relaying a read to a replica — so they back off and hedge in the same
+// rhythm and the loop is tested once, here, on fake targets.
 //
-// The package is deliberately tiny and dependency-free: both callers
-// dispatch HTTP requests under very different contracts (exactly-once
-// shard leases vs idempotent replica reads), but the shape of "when do
-// I retry, when do I hedge, how long do I wait" is identical — and
-// keeping it in one place keeps the two halves of the fleet backing
-// off in the same rhythm.
+// What differs between them stays with them, passed in as functions:
+// which targets are eligible and in what order (Pick), how one is
+// called and what its outcome says about its health (Send: the
+// gateway's circuit breaker, the coordinator's dead-worker count and
+// idempotent accept), and their own counters and log lines (Retried,
+// Hedged). Do never branches on who called it.
+//
+// The pieces are usable alone: Backoff is the schedule (the ingest
+// controller's fold retries and serve's segment quarantine draw from
+// it), Tracker the latency window, StatusError / ResponseError the
+// failed HTTP reply carrying the server's Retry-After hint.
 package hedge
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -165,6 +175,30 @@ func (e *StatusError) Error() string {
 		s += ": " + e.Detail
 	}
 	return s
+}
+
+// detailCap bounds how much of a failed reply ResponseError reads: enough
+// to drain an ordinary error body so the connection is reused, never an
+// answer-sized one. detailKeep is how much of it the error text carries.
+const (
+	detailCap  = 4 << 10
+	detailKeep = 200
+)
+
+// ResponseError turns a reply the caller has classified as failed into
+// the StatusError for it — status, Retry-After hint, the start of the
+// body as detail — and closes the body.
+func ResponseError(resp *http.Response) *StatusError {
+	detail, _ := io.ReadAll(io.LimitReader(resp.Body, detailCap))
+	resp.Body.Close()
+	if len(detail) > detailKeep {
+		detail = append(detail[:detailKeep], "..."...)
+	}
+	return &StatusError{
+		Code:       resp.StatusCode,
+		RetryAfter: ParseRetryAfter(resp.Header),
+		Detail:     strings.TrimSpace(string(detail)),
+	}
 }
 
 // RetryAfterHint extracts the Retry-After duration from an error chain

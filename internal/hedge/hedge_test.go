@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -162,5 +164,48 @@ func TestParseRetryAfter(t *testing.T) {
 	h.Set("Retry-After", "soon")
 	if got := ParseRetryAfter(h); got != 0 {
 		t.Fatalf("garbage = %v, want 0", got)
+	}
+}
+
+// countingBody is a response body that counts what is read from it and
+// whether it was closed.
+type countingBody struct {
+	r      io.Reader
+	read   int
+	closed bool
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.read += n
+	return n, err
+}
+
+func (b *countingBody) Close() error { b.closed = true; return nil }
+
+// TestResponseErrorCapsTheRead: a failed reply is read for its detail up
+// to detailCap and no further, however large — one byte more at most,
+// the reader's look-ahead — its Retry-After surfaces through
+// RetryAfterHint, and the body is closed.
+func TestResponseErrorCapsTheRead(t *testing.T) {
+	body := &countingBody{r: strings.NewReader(strings.Repeat("x", 1<<20))}
+	resp := &http.Response{
+		StatusCode: http.StatusServiceUnavailable,
+		Header:     http.Header{"Retry-After": []string{"2"}},
+		Body:       body,
+	}
+	err := fmt.Errorf("worker w: %w", ResponseError(resp))
+	if body.read > detailCap+1 {
+		t.Errorf("read %d bytes of a 1 MiB failure body, want at most %d", body.read, detailCap+1)
+	}
+	if !body.closed {
+		t.Error("body left open")
+	}
+	if got := RetryAfterHint(err); got != 2*time.Second {
+		t.Errorf("RetryAfterHint = %v, want 2s", got)
+	}
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable || !strings.HasPrefix(se.Detail, "xxx") || len(se.Detail) > detailKeep+len("...") {
+		t.Errorf("StatusError = %+v, want the 503 with the first %d bytes as detail", se, detailKeep)
 	}
 }

@@ -93,14 +93,6 @@ func (r Record) Validate() error {
 // a click-graph edge line (query, ad, impressions, clicks, rate). This
 // is the /ingest request body and the replayable click-log file format.
 
-// FormatRecord renders r as one text line (no trailing newline).
-func FormatRecord(r Record) string {
-	return r.Query + "\t" + r.Ad + "\t" +
-		strconv.FormatInt(r.Impressions, 10) + "\t" +
-		strconv.FormatInt(r.Clicks, 10) + "\t" +
-		strconv.FormatFloat(r.Rate, 'g', -1, 64)
-}
-
 // ParseRecord parses one text line. Blank lines and '#' comments are the
 // caller's concern (ReadRecords skips them).
 func ParseRecord(line string) (Record, error) {
@@ -129,8 +121,7 @@ func ParseRecord(line string) (Record, error) {
 
 // ReadRecords parses a stream of text-form records, skipping blank lines
 // and '#' comments. Used by the /ingest endpoint and the log-replay
-// tooling; a click-log file generated by workload.WriteClickLog reads
-// back with this.
+// tooling.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)

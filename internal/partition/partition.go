@@ -168,16 +168,12 @@ func Conductance(g *clickgraph.Graph, s map[NodeID]bool) float64 {
 	return float64(cut) / float64(m)
 }
 
-// SweepCut orders the support of the PPR vector by p(u)/deg(u) descending
-// and returns the prefix set with the smallest conductance, along with
-// that conductance. Zero-degree nodes are excluded from the sweep.
-func SweepCut(g *clickgraph.Graph, p map[NodeID]float64) (map[NodeID]bool, float64) {
-	return SweepCutMin(g, p, 1)
-}
-
-// SweepCutMin is SweepCut restricted to prefixes of at least minNodes
-// nodes (clamped to the support size), which keeps extracted subgraphs
-// "big enough" the way the paper's iterative extraction required.
+// SweepCutMin orders the support of the PPR vector by p(u)/deg(u)
+// descending and returns the prefix set with the smallest conductance
+// among prefixes of at least minNodes nodes (clamped to the support
+// size), along with that conductance. Zero-degree nodes are excluded from
+// the sweep; the minimum keeps extracted subgraphs "big enough" the way
+// the paper's iterative extraction required.
 func SweepCutMin(g *clickgraph.Graph, p map[NodeID]float64, minNodes int) (map[NodeID]bool, float64) {
 	return SweepCutBounded(g, p, minNodes, 0)
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"simrankpp/internal/hedge"
 	"simrankpp/internal/serve"
 )
 
@@ -326,9 +327,8 @@ func TestGatewayBatchPartitionedFleet(t *testing.T) {
 func TestGatewayBatchDegradesPerSubBatch(t *testing.T) {
 	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
 	defer snap.Close()
-	gw, reps, _ := loggedFleet(t, snap, Options{
-		MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
-	}, []int{0, 1}, []int{2, 3})
+	gw, reps, _ := loggedFleet(t, snap, Options{MaxAttempts: 2}, []int{0, 1}, []int{2, 3})
+	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
 	reps[1].ts.Close()
 
 	of := queryOfShard(t, snap)
@@ -446,9 +446,11 @@ func TestGatewayStreamsLargeBody(t *testing.T) {
 }
 
 // TestGatewayCapsErrorBody: a 5xx backend's body is read only up to
-// errBodyCap for the failure detail — the gateway's own 503 carries a
-// truncated message, not megabytes of backend spew.
+// errBodyCap (hedge.ResponseError's cap) for the failure detail — the
+// gateway's own 503 carries a truncated message, not megabytes of backend
+// spew.
 func TestGatewayCapsErrorBody(t *testing.T) {
+	const errBodyCap = 4 << 10
 	spew := strings.Repeat("x", 1<<20)
 	ts := fakeBackend(t, "g1", func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, spew, http.StatusInternalServerError)
@@ -456,8 +458,6 @@ func TestGatewayCapsErrorBody(t *testing.T) {
 	gw, err := New(Options{
 		Backends:    []BackendSpec{{URL: ts.URL}},
 		MaxAttempts: 1,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

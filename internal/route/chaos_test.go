@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"simrankpp/internal/faultfs"
+	"simrankpp/internal/hedge"
 )
 
 // The chaos suite drives the gateway through the failure modes the
@@ -54,12 +55,11 @@ func TestChaosReplicaKilledMidRequestFailover(t *testing.T) {
 	r1 := startReplica(t, snap, 1)
 	inj := faultfs.NewHTTPInjector()
 	gw := newGateway(t, Options{
-		Router:      snap,
-		Transport:   inj.Transport(nil),
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Logf:        chaosLogf(t),
+		Router:    snap,
+		Transport: inj.Transport(nil),
+		Logf:      chaosLogf(t),
 	}, r0, r1)
+	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 	const u = "/rewrite?q=c0-q0&top=3"
 	wantCode, wantBody := directGet(t, r1.ts.URL+u)
@@ -221,13 +221,11 @@ func TestChaosAllReplicasDead503(t *testing.T) {
 	r1 := startReplica(t, snap, 1)
 	inj := faultfs.NewHTTPInjector()
 	gw := newGateway(t, Options{
-		Transport:         inj.Transport(nil),
-		BackoffBase:       time.Millisecond,
-		BackoffMax:        4 * time.Millisecond,
-		MaxAttempts:       2,
-		RetryAfterSeconds: 2,
-		Logf:              chaosLogf(t),
+		Transport:   inj.Transport(nil),
+		MaxAttempts: 2,
+		Logf:        chaosLogf(t),
 	}, r0, r1)
+	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 	inj.Drop("", -1) // every request to every host: connection refused
 
@@ -238,8 +236,8 @@ func TestChaosAllReplicasDead503(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("all-dead read = %d, want 503", code)
 	}
-	if hdr.Get("Retry-After") != "2" {
-		t.Errorf("Retry-After = %q, want %q", hdr.Get("Retry-After"), "2")
+	if hdr.Get("Retry-After") != retryAfter {
+		t.Errorf("Retry-After = %q, want %q", hdr.Get("Retry-After"), retryAfter)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("all-dead read took %v; should fail fast", elapsed)
@@ -336,10 +334,9 @@ func TestChaosReplicaDiesDuringHedgedRead(t *testing.T) {
 		Transport:     inj.Transport(nil),
 		HedgeQuantile: 0.5,
 		HedgeAfter:    20 * time.Millisecond,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    4 * time.Millisecond,
 		Logf:          chaosLogf(t),
 	}, r0, r1)
+	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 	const u = "/similar?q=c2-q5&top=3"
 	_, golden := directGet(t, r1.ts.URL+u)

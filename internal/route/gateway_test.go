@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"simrankpp/internal/hedge"
 )
 
 func TestParseBackendSpec(t *testing.T) {
@@ -212,15 +214,14 @@ func TestRetryAfterFloorsBackoff(t *testing.T) {
 		fmt.Fprint(w, "recovered")
 	})
 	gw, err := New(Options{
-		Backends:    []BackendSpec{{URL: ts.URL}},
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
+		Backends: []BackendSpec{{URL: ts.URL}},
 		// One failure must not open the breaker mid-test.
 		BreakerFails: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
 	gw.ProbeAll(t.Context())
 
 	start := time.Now()
@@ -414,5 +415,47 @@ func TestGatewayReusesBackendConnections(t *testing.T) {
 	}
 	if theirs.client.Transport != http.RoundTripper(rt) || theirs.pool != nil {
 		t.Errorf("gateway client transport = %T (own pool: %v), want the supplied one as given", theirs.client.Transport, theirs.pool != nil)
+	}
+}
+
+// TestClientCancelDoesNotOpenBreaker: a read abandoned because the
+// inbound request's context ended — the client hung up or ran out of
+// patience — says nothing about the replica and must not feed its
+// breaker. Three impatient clients against one healthy, slow replica
+// used to open its circuit and turn the next patient read into a 503
+// for the whole cooldown.
+func TestClientCancelDoesNotOpenBreaker(t *testing.T) {
+	ts := fakeBackend(t, "g1", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(150 * time.Millisecond):
+		case <-r.Context().Done():
+		}
+		fmt.Fprint(w, "slow but fine")
+	})
+	gw, err := New(Options{Backends: []BackendSpec{{URL: ts.URL}}, BreakerFails: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.ProbeAll(t.Context())
+	h := gw.Handler()
+
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(t.Context(), 10*time.Millisecond)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/rewrite?q=x", nil).WithContext(ctx))
+		cancel()
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("abandoned read %d = %d, want the 503 nobody is waiting for", i, rec.Code)
+		}
+	}
+	b := gw.backends[0]
+	b.mu.Lock()
+	opens, fails := b.breakerOpens, b.readFails
+	b.mu.Unlock()
+	if opens != 0 || fails != 0 {
+		t.Errorf("after three abandoned reads: breakerOpens %d readFails %d, want 0 and 0", opens, fails)
+	}
+	if code, _, body := get(t, h, "/rewrite?q=x"); code != http.StatusOK || string(body) != "slow but fine" {
+		t.Fatalf("patient read after them = %d %q, want 200", code, body)
 	}
 }

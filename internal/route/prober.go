@@ -35,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"simrankpp/internal/hedge"
 	"simrankpp/internal/serve"
 )
 
@@ -49,12 +50,13 @@ func (gw *Gateway) Run(ctx context.Context) {
 	}
 	for {
 		gw.ProbeAll(ctx)
+		// One step of a schedule whose base and cap are the interval: the
+		// interval, equal-jittered.
 		iv := gw.opt.ProbeInterval
-		wait := iv/2 + time.Duration(gw.opt.Jitter()*float64(iv/2))
 		select {
 		case <-ctx.Done():
 			return
-		case <-time.After(wait):
+		case <-time.After(hedge.Backoff{Base: iv, Max: iv}.Delay(1)):
 		}
 	}
 }
@@ -76,7 +78,7 @@ func (gw *Gateway) ProbeAll(ctx context.Context) {
 
 // probeOne classifies one backend from its /readyz.
 func (gw *Gateway) probeOne(ctx context.Context, b *backendState) {
-	ctx, cancel := context.WithTimeout(ctx, gw.opt.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.spec.URL+"/readyz", nil)
 	if err != nil {

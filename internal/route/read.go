@@ -1,5 +1,6 @@
-// The proxied read path: candidate selection, failover with backoff,
-// percentile hedging, and the per-backend circuit breaker.
+// The proxied read path: candidate selection, what the gateway hands
+// hedge.Do (failover order, the fetch, the per-backend circuit breaker)
+// and the /batch fan-out.
 package route
 
 import (
@@ -11,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,9 +45,10 @@ type proxied struct {
 	release     func()
 }
 
-// errNoReplica means candidate selection came up empty — distinct from
-// "candidates existed and all attempts on them failed".
-var errNoReplica = errors.New("route: no serveable replica")
+// errRequestTimeout is the cause a read's context ends with when the
+// gateway's own RequestTimeout expired, as opposed to the inbound
+// request's context ending under it.
+var errRequestTimeout = errors.New("route: request timeout")
 
 // affinity maps the request to its snapshot shard through the route
 // map; -1 when no router is configured or the node is unknown (unknown
@@ -123,7 +124,7 @@ func (gw *Gateway) handleRead(w http.ResponseWriter, r *http.Request) {
 		gw.unavailable(w, "no replica can serve this request")
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), gw.opt.RequestTimeout)
+	ctx, cancel := context.WithTimeoutCause(r.Context(), gw.opt.RequestTimeout, errRequestTimeout)
 	defer cancel()
 	resp, err := gw.fetchFailover(ctx, order, http.MethodGet, r.URL.Path, r.URL.RawQuery, nil)
 	if err != nil {
@@ -148,194 +149,77 @@ func (gw *Gateway) handleRead(w http.ResponseWriter, r *http.Request) {
 // mirroring simrankd's own shedding, so clients back off instead of
 // hammering a fleet that cannot answer.
 func (gw *Gateway) unavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(gw.opt.RetryAfterSeconds))
+	w.Header().Set("Retry-After", retryAfter)
 	http.Error(w, msg, http.StatusServiceUnavailable)
 }
 
-// fetchFailover runs dispatch rounds over the candidate list until one
-// answers, backing off between rounds under the shared equal-jitter
-// schedule floored at any Retry-After a failed backend sent.
+// fetchFailover is one hedged read over the candidate list (hedge.Do:
+// rounds under the shared equal-jitter backoff floored at any Retry-After
+// a failed backend sent, a second replica raced against a straggler).
+// What is the gateway's own is passed in: the order replicas are tried
+// in, the fetch, what an outcome means for the replica's breaker, and
+// the counters.
 func (gw *Gateway) fetchFailover(ctx context.Context, order []*backendState, method, path, rawQuery string, reqBody []byte) (proxied, error) {
-	tried := make(map[*backendState]bool)
-	// pick returns the best untried candidate (skipping exclude), and
-	// starts a fresh pass once everyone has been tried — later rounds
-	// may succeed on a replica that failed earlier.
-	pick := func(exclude *backendState) *backendState {
-		for pass := 0; pass < 2; pass++ {
-			for _, b := range order {
-				if !tried[b] && b != exclude {
-					tried[b] = true
-					return b
+	next := 0
+	res, err := hedge.Do(ctx, hedge.Call[*backendState, proxied]{
+		Attempts: gw.opt.MaxAttempts,
+		Backoff:  gw.backoff,
+		Tracker:  gw.lat,
+		// The best candidate not tried yet; once everyone has been, a
+		// fresh pass starts — a later round may succeed on a replica
+		// that failed an earlier one.
+		Pick: func(exclude *backendState) (*backendState, bool) {
+			for range order {
+				b := order[next%len(order)]
+				next++
+				if b != exclude {
+					return b, true
 				}
 			}
-			tried = make(map[*backendState]bool)
-		}
-		// Only the excluded replica remains: hand it back rather than
-		// stall; callers needing a *distinct* replica filter it out.
-		if exclude != nil && len(order) > 0 {
-			return order[0]
-		}
-		return nil
-	}
-	var lastErr error
-	failed := false
-	for attempt := 1; attempt <= gw.opt.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			gw.retries.Add(1)
-			if err := gw.backoff.Sleep(ctx, attempt-1, hedge.RetryAfterHint(lastErr)); err != nil {
-				return proxied{}, fmt.Errorf("route: %w (last error: %v)", err, lastErr)
-			}
-		}
-		resp, err := gw.fetchHedged(ctx, pick, method, path, rawQuery, reqBody)
-		if err == nil {
-			if failed {
-				gw.failovers.Add(1)
-			}
-			return resp, nil
-		}
-		failed = true
-		lastErr = err
-		if ctx.Err() != nil {
-			return proxied{}, fmt.Errorf("route: %w (last error: %v)", ctx.Err(), lastErr)
-		}
-	}
-	return proxied{}, fmt.Errorf("route: all %d attempts failed: %w", gw.opt.MaxAttempts, lastErr)
-}
-
-// fetchHedged sends the read to one replica and, if no answer lands
-// within the completed-read latency percentile, mirrors it to a second
-// replica and takes whichever answers first — the tail-at-scale hedge,
-// same shape as internal/dist's write-side hedging.
-//
-// Each launch gets its own cancelable context: since success bodies now
-// stream, the winner's connection must outlive this function (its cancel
-// is deferred to the response's release), while the loser is aborted the
-// moment a winner is chosen instead of riding a shared context.
-func (gw *Gateway) fetchHedged(ctx context.Context, pick func(exclude *backendState) *backendState, method, path, rawQuery string, reqBody []byte) (proxied, error) {
-	primary := pick(nil)
-	if primary == nil {
-		return proxied{}, errNoReplica
-	}
-	type result struct {
-		resp   proxied
-		err    error
-		b      *backendState
-		idx    int
-		cancel context.CancelFunc
-	}
-	results := make(chan result, 2)
-	var cancels []context.CancelFunc
-	launch := func(b *backendState) {
-		lctx, lcancel := context.WithCancel(ctx)
-		idx := len(cancels)
-		cancels = append(cancels, lcancel)
-		go func() {
-			started := time.Now()
+			return nil, false
+		},
+		Send: func(lctx context.Context, b *backendState) (proxied, error) {
 			resp, err := gw.fetchOne(lctx, b, method, path, rawQuery, reqBody)
-			if err == nil {
-				gw.lat.Record(time.Since(started))
+			// A fetch that ended because the inbound request did (the
+			// client hung up or ran out of patience) says nothing about
+			// the replica. One the gateway ended does: its own timeout
+			// expiring, or a hedge overtaking a straggler, is how a wedged
+			// replica's circuit gets opened.
+			if c := context.Cause(lctx); err == nil || c == nil || c == hedge.ErrLost || c == errRequestTimeout {
+				gw.markRead(b, err == nil)
 			}
-			gw.markRead(b, err == nil)
-			results <- result{resp, err, b, idx, lcancel}
-		}()
+			return resp, err
+		},
+		Discard: func(late proxied) { late.body.Close() },
+		Retried: func(int, error) { gw.retries.Add(1) },
+		Hedged:  func(_, _ *backendState) { gw.hedges.Add(1) },
+	})
+	if err != nil {
+		return proxied{}, fmt.Errorf("route: %w", err)
 	}
-	// reap drains n straggler results in the background, closing any
-	// body a losing-but-successful fetch delivered after the decision.
-	reap := func(n int) {
-		if n <= 0 {
-			return
-		}
-		go func() {
-			for i := 0; i < n; i++ {
-				r := <-results
-				if r.resp.body != nil {
-					r.resp.body.Close()
-				}
-				r.cancel()
-			}
-		}()
+	if res.Round > 1 {
+		gw.failovers.Add(1)
 	}
-	launch(primary)
-	outstanding := 1
-	hedged := false
-
-	var hedgeCh <-chan time.Time
-	if delay, ok := gw.lat.Delay(); ok {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		hedgeCh = t.C
+	if res.Hedged {
+		gw.failovers.Add(1)
 	}
-	var firstErr error
-	for {
-		select {
-		case <-ctx.Done():
-			reap(outstanding)
-			return proxied{}, ctx.Err()
-		case <-hedgeCh:
-			hedgeCh = nil
-			if secondary := pick(primary); secondary != nil && secondary != primary {
-				gw.hedges.Add(1)
-				hedged = true
-				launch(secondary)
-				outstanding++
-			}
-		case res := <-results:
-			if res.err == nil {
-				if hedged && res.b != primary {
-					gw.failovers.Add(1)
-				}
-				// Abort the loser (if any) and hand the winner back with
-				// a release that both closes the streamed body and frees
-				// the winner's context.
-				for i, c := range cancels {
-					if i != res.idx {
-						c()
-					}
-				}
-				reap(outstanding - 1)
-				body, cancel := res.resp.body, res.cancel
-				res.resp.release = func() {
-					body.Close()
-					cancel()
-				}
-				return res.resp, nil
-			}
-			res.cancel()
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			outstanding--
-			if outstanding == 0 {
-				// Primary failed fast and no hedge is pending: fire the
-				// hedge immediately rather than waiting out the timer.
-				if hedgeCh != nil {
-					hedgeCh = nil
-					if secondary := pick(primary); secondary != nil && secondary != primary {
-						gw.hedges.Add(1)
-						hedged = true
-						launch(secondary)
-						outstanding++
-						continue
-					}
-				}
-				return proxied{}, firstErr
-			}
-		}
+	resp := res.Value
+	body := resp.body
+	resp.release = func() {
+		body.Close()
+		res.Release()
 	}
+	return resp, nil
 }
 
-// errBodyCap bounds how much of a failure response the gateway reads for
-// the error detail (it used to slurp up to 64 MiB for a 200-byte
-// message); bodyBuffer bounds how much of a success response is buffered
-// before the gateway switches to pass-through streaming. Up to
-// bodyBuffer, a body cut mid-transfer is still detected here and fails
-// over to another replica byte-identically; past it — far beyond any
-// rewrite/batch answer — the remainder streams to the client with
-// gateway memory capped, at the cost of mid-stream failover.
-const (
-	errBodyCap = 4 << 10
-	bodyBuffer = 256 << 10
-)
+// bodyBuffer bounds how much of a success response is buffered before
+// the gateway switches to pass-through streaming. Up to bodyBuffer, a
+// body cut mid-transfer is still detected here and fails over to another
+// replica byte-identically; past it — far beyond any rewrite/batch
+// answer — the remainder streams to the client with gateway memory
+// capped, at the cost of mid-stream failover. (A failure response is
+// read for its detail under hedge.ResponseError's own, much smaller cap.)
+const bodyBuffer = 256 << 10
 
 // spillBody is a buffered head re-joined with its still-streaming tail.
 type spillBody struct {
@@ -372,13 +256,7 @@ func (gw *Gateway) fetchOne(ctx context.Context, b *backendState, method, path, 
 		return proxied{}, fmt.Errorf("route: %s: %w", b.spec.URL, err)
 	}
 	if httpResp.StatusCode >= 500 {
-		detail, _ := io.ReadAll(io.LimitReader(httpResp.Body, errBodyCap))
-		httpResp.Body.Close()
-		return proxied{}, fmt.Errorf("route: %s: %w", b.spec.URL, &hedge.StatusError{
-			Code:       httpResp.StatusCode,
-			RetryAfter: hedge.ParseRetryAfter(httpResp.Header),
-			Detail:     truncated(detail),
-		})
+		return proxied{}, fmt.Errorf("route: %s: %w", b.spec.URL, hedge.ResponseError(httpResp))
 	}
 	head, err := io.ReadAll(io.LimitReader(httpResp.Body, bodyBuffer+1))
 	if err != nil {
@@ -463,7 +341,7 @@ func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		sb.idx = append(sb.idx, i)
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), gw.opt.RequestTimeout)
+	ctx, cancel := context.WithTimeoutCause(r.Context(), gw.opt.RequestTimeout, errRequestTimeout)
 	defer cancel()
 
 	results := make([]json.RawMessage, len(req.Queries))
@@ -540,9 +418,10 @@ func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // markRead updates the backend's circuit breaker with one read outcome:
 // BreakerFails consecutive failures open the circuit for the cool-down
-// (the replica stops receiving reads), after which tierFor admits it
-// again for a half-open trial — one success closes the circuit, another
-// failure re-opens it.
+// (the replica stops receiving reads). After it tierFor simply admits
+// the replica again, its failure count back at zero: there is no
+// single-trial half-open state, and it takes BreakerFails consecutive
+// failures again to re-open the circuit.
 func (gw *Gateway) markRead(b *backendState, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

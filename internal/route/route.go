@@ -23,8 +23,9 @@
 //     shared capped equal-jitter backoff (honoring any Retry-After the
 //     backend sent), stragglers are hedged to a second replica past a
 //     completed-request latency percentile, and a backend failing
-//     consecutively has its circuit opened for a cool-down
-//     (internal/hedge carries the shared machinery).
+//     consecutively has its circuit opened for a cool-down. The loop is
+//     internal/hedge's Do, shared with the refresh coordinator; the
+//     gateway supplies the candidate order, the fetch and the breaker.
 //
 // When no replica can answer at all the gateway degrades to 503 +
 // Retry-After instead of hanging — the same contract simrankd's own
@@ -34,7 +35,6 @@ package route
 
 import (
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"sort"
@@ -252,71 +252,62 @@ type Options struct {
 	// shards they hold.
 	Router ShardRouter
 	// ProbeInterval is the /readyz probing cadence, equal-jittered into
-	// [½, 1]× so a gateway fleet's probes don't align (default 2s);
-	// ProbeTimeout bounds one probe (default 1s).
-	ProbeInterval, ProbeTimeout time.Duration
+	// [½, 1]× so a gateway fleet's probes don't align (default 2s).
+	ProbeInterval time.Duration
 	// Quorum is the fraction of configured replicas that must report a
 	// new generation before the gateway cuts reads over to it (default
 	// 0.51 — a strict majority; see prober.go for the state machine).
 	Quorum float64
 	// MaxAttempts bounds read dispatch rounds across replicas (default
-	// 3); a round may involve two replicas when hedged.
+	// 3); a round may involve two replicas when hedged. The wait between
+	// rounds (25ms doubling to 1s, equal-jittered) is floored at any
+	// Retry-After the failed backend sent.
 	MaxAttempts int
-	// BackoffBase/BackoffMax shape the capped equal-jitter backoff
-	// between a read's dispatch rounds (defaults 25ms / 1s). The wait is
-	// floored at any Retry-After the failed backend sent.
-	BackoffBase, BackoffMax time.Duration
 	// HedgeQuantile picks the completed-read latency percentile past
 	// which an outstanding read is hedged to a second replica (default
-	// 0.95); HedgeAfter floors the hedge delay (default 100ms). Hedging
-	// arms only after 3 completed reads.
+	// hedge.Tracker's, 0.95); HedgeAfter floors the hedge delay (default
+	// 100ms). Hedging arms only after 3 completed reads.
 	HedgeQuantile float64
 	HedgeAfter    time.Duration
 	// BreakerFails is how many consecutive read failures open a
 	// backend's circuit (default 3); BreakerCooldown is how long the
-	// circuit stays open before a half-open trial (default 5s).
+	// circuit stays open before the backend is admitted again (default
+	// 5s).
 	BreakerFails    int
 	BreakerCooldown time.Duration
 	// RequestTimeout bounds one proxied read end to end, hedges
 	// included (default 5s).
 	RequestTimeout time.Duration
-	// RetryAfterSeconds is the Retry-After hint on gateway-emitted 503s
-	// (no serveable replica / all attempts failed); default 1.
-	RetryAfterSeconds int
 	// Transport overrides the HTTP transport for probes and reads (the
 	// chaos suite's fault-injection seam) and is used as given; nil makes
 	// the gateway build its own, pooled for the fleet (see New).
 	Transport http.RoundTripper
-	// Jitter overrides the jitter source for backoff and probe
-	// intervals, returning values in [0, 1); nil uses math/rand.
-	Jitter func() float64
 	// Logf receives progress lines (probe transitions, cutovers,
 	// breaker trips); nil discards them.
 	Logf func(format string, args ...any)
 }
+
+// What no deployment sets: probeTimeout bounds one /readyz probe,
+// backoffBase/backoffMax shape the capped equal-jitter schedule between
+// a read's dispatch rounds, retryAfter is the Retry-After hint (seconds)
+// on the gateway's own 503s (no serveable replica, all attempts failed).
+const (
+	probeTimeout = time.Second
+	backoffBase  = 25 * time.Millisecond
+	backoffMax   = time.Second
+	retryAfter   = "1"
+)
 
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.ProbeInterval <= 0 {
 		out.ProbeInterval = 2 * time.Second
 	}
-	if out.ProbeTimeout <= 0 {
-		out.ProbeTimeout = time.Second
-	}
 	if out.Quorum <= 0 || out.Quorum > 1 {
 		out.Quorum = 0.51
 	}
 	if out.MaxAttempts <= 0 {
 		out.MaxAttempts = 3
-	}
-	if out.BackoffBase <= 0 {
-		out.BackoffBase = 25 * time.Millisecond
-	}
-	if out.BackoffMax <= 0 {
-		out.BackoffMax = time.Second
-	}
-	if out.HedgeQuantile <= 0 || out.HedgeQuantile >= 1 {
-		out.HedgeQuantile = 0.95
 	}
 	if out.HedgeAfter <= 0 {
 		out.HedgeAfter = 100 * time.Millisecond
@@ -329,12 +320,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.RequestTimeout <= 0 {
 		out.RequestTimeout = 5 * time.Second
-	}
-	if out.RetryAfterSeconds <= 0 {
-		out.RetryAfterSeconds = 1
-	}
-	if out.Jitter == nil {
-		out.Jitter = rand.Float64
 	}
 	return out
 }
@@ -397,7 +382,7 @@ func New(opt Options) (*Gateway, error) {
 	opt = (&opt).withDefaults()
 	gw := &Gateway{
 		opt:     opt,
-		backoff: hedge.Backoff{Base: opt.BackoffBase, Max: opt.BackoffMax, Jitter: opt.Jitter},
+		backoff: hedge.Backoff{Base: backoffBase, Max: backoffMax},
 		lat:     &hedge.Tracker{Quantile: opt.HedgeQuantile, Floor: opt.HedgeAfter},
 		start:   time.Now(),
 	}

@@ -8,13 +8,13 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"simrankpp/internal/core"
+	"simrankpp/internal/hedge"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/sparse"
 )
@@ -64,13 +64,6 @@ type segState struct {
 type snapShard struct {
 	q, a, tk segState
 }
-
-// Quarantine backoff policy: first failure waits backoffBase, each
-// further failure doubles it up to backoffMax.
-const (
-	defaultBackoffBase = time.Second
-	defaultBackoffMax  = time.Minute
-)
 
 // errQuarantined wraps a segment's load failure while its backoff has
 // not elapsed: the fault is remembered, the disk is not re-touched.
@@ -131,13 +124,12 @@ type Snapshot struct {
 
 	// Quarantine policy for failed segment loads; now is a clock hook so
 	// chaos tests can step through backoff windows deterministically, and
-	// jitter (equal-jitter: wait spread over [backoff/2, backoff]) keeps
-	// simultaneously-quarantined shards from retrying in lockstep and
-	// hammering the disk together. jitter() must return a value in [0,1];
-	// 1 reproduces the undithered exponential schedule.
-	backoffBase, backoffMax time.Duration
-	now                     func() time.Time
-	jitter                  func() float64
+	// the schedule's equal jitter (wait spread over [backoff/2, backoff])
+	// keeps simultaneously-quarantined shards from retrying in lockstep
+	// and hammering the disk together. A jitter pinned at 1 reproduces
+	// the undithered exponential schedule.
+	quarantine hedge.Backoff
+	now        func() time.Time
 
 	mu      sync.Mutex
 	lazyErr error // first segment-load failure, surfaced via Err
@@ -197,10 +189,10 @@ func newSnapshot(r io.ReaderAt, size int64, mapped []byte) (*Snapshot, error) {
 	flags := binary.LittleEndian.Uint32(hdr[12:])
 	s := &Snapshot{
 		r: r, size: size, mapped: mapped,
-		backoffBase: defaultBackoffBase,
-		backoffMax:  defaultBackoffMax,
-		now:         time.Now,
-		jitter:      rand.Float64,
+		// The first failed load of a segment waits a second, each
+		// further one doubles it up to a minute.
+		quarantine: hedge.Backoff{Base: time.Second, Max: time.Minute},
+		now:        time.Now,
 	}
 	s.meta = SnapshotMeta{
 		Variant:         core.Variant(binary.LittleEndian.Uint32(hdr[16:])),
@@ -433,13 +425,7 @@ func (s *Snapshot) segLoad(st *segState, side string, si int) error {
 	if err != nil {
 		st.failures++
 		st.err = err
-		backoff := s.backoffBase << (st.failures - 1)
-		if backoff > s.backoffMax || backoff <= 0 {
-			backoff = s.backoffMax
-		}
-		half := backoff / 2
-		backoff = half + time.Duration(s.jitter()*float64(backoff-half))
-		st.retryAt = s.now().Add(backoff)
+		st.retryAt = s.now().Add(s.quarantine.Delay(st.failures))
 		s.recordErr(err)
 		return err
 	}
@@ -523,10 +509,10 @@ func (s *Snapshot) Quarantined() []ShardHealth {
 // use it to shrink waits.
 func (s *Snapshot) SetQuarantineBackoff(base, max time.Duration) {
 	if base > 0 {
-		s.backoffBase = base
+		s.quarantine.Base = base
 	}
 	if max > 0 {
-		s.backoffMax = max
+		s.quarantine.Max = max
 	}
 }
 
@@ -537,7 +523,7 @@ func (s *Snapshot) SetQuarantineBackoff(base, max time.Duration) {
 // deterministic schedule (what the chaos tests pin).
 func (s *Snapshot) SetQuarantineJitter(f func() float64) {
 	if f != nil {
-		s.jitter = f
+		s.quarantine.Jitter = f
 	}
 }
 

@@ -1,10 +1,7 @@
 package workload
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"strconv"
 
 	"simrankpp/internal/clickgraph"
 )
@@ -147,24 +144,4 @@ func (cfg ClickLogConfig) BaseGraph(log ClickLog) (*clickgraph.Graph, error) {
 		}
 	}
 	return b.Build(), nil
-}
-
-// WriteClickLog writes events in the ingest text-log format (one
-// tab-separated record per line — what POST /ingest accepts and
-// ingest.ReadRecords parses back).
-func WriteClickLog(w io.Writer, events []ClickEvent) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range events {
-		bw.WriteString(e.Query)
-		bw.WriteByte('\t')
-		bw.WriteString(e.Ad)
-		bw.WriteByte('\t')
-		bw.WriteString(strconv.FormatInt(e.Impressions, 10))
-		bw.WriteByte('\t')
-		bw.WriteString(strconv.FormatInt(e.Clicks, 10))
-		bw.WriteByte('\t')
-		bw.WriteString(strconv.FormatFloat(e.Rate, 'g', -1, 64))
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
 }

@@ -14,9 +14,8 @@ import (
 // queries-per-ad and clicks per (query, ad) pair; Zipf is the discrete
 // sampler used to reproduce those shapes.
 type Zipf struct {
-	n        int
-	exponent float64
-	cdf      []float64 // cdf[i] = P(value <= i+1)
+	n   int
+	cdf []float64 // cdf[i] = P(value <= i+1)
 }
 
 // NewZipf returns a Zipf sampler over [1, n] with the given exponent.
@@ -28,7 +27,7 @@ func NewZipf(n int, exponent float64) (*Zipf, error) {
 	if exponent < 0 || math.IsNaN(exponent) {
 		return nil, fmt.Errorf("workload: Zipf needs exponent >= 0, got %v", exponent)
 	}
-	z := &Zipf{n: n, exponent: exponent, cdf: make([]float64, n)}
+	z := &Zipf{n: n, cdf: make([]float64, n)}
 	sum := 0.0
 	for i := 1; i <= n; i++ {
 		sum += math.Pow(float64(i), -exponent)
@@ -42,9 +41,6 @@ func NewZipf(n int, exponent float64) (*Zipf, error) {
 
 // N returns the upper bound of the sampler's support.
 func (z *Zipf) N() int { return z.n }
-
-// Exponent returns the power-law exponent.
-func (z *Zipf) Exponent() float64 { return z.exponent }
 
 // Sample draws one value in [1, n].
 func (z *Zipf) Sample(r *RNG) int {

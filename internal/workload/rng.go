@@ -79,14 +79,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // NormFloat64 returns a normally distributed float64 with mean 0 and
 // standard deviation 1, via the Box-Muller transform.
 func (r *RNG) NormFloat64() float64 {
