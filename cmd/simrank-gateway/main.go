@@ -43,8 +43,11 @@
 // hints), reads straggling past the fleet's recent latency percentile
 // are hedged to a second replica, and replicas failing consecutively
 // are circuit-broken for a cool-down. With no replica able to answer,
-// the gateway returns 503 + Retry-After. The operational runbook is the
-// "Replicated serving" section of OPERATIONS.md.
+// the gateway returns 503 + Retry-After. On SIGINT/SIGTERM it stops
+// probing, then relays the reads it has accepted to their end (5 s at
+// most, nonzero exit past that; internal/daemon) before exiting. The
+// operational runbook is the "Replicated serving" section of
+// OPERATIONS.md.
 package main
 
 import (
@@ -52,12 +55,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"simrankpp/internal/daemon"
 	"simrankpp/internal/route"
 	"simrankpp/internal/serve"
 )
@@ -111,30 +112,21 @@ func main() {
 		fatal(err)
 	}
 
-	ctx, stop := context.WithCancel(context.Background())
-	defer stop()
-	gw.ProbeAll(ctx)
-	go gw.Run(ctx)
+	// One sweep before the listener opens, so the first read already
+	// finds a pinned generation; daemon.Main keeps probing beside it.
+	gw.ProbeAll(context.Background())
 	if pin := gw.Pinned(); pin != "" {
 		log.Printf("simrank-gateway: %d backends, pinned generation %s", len(specs), pin)
 	} else {
 		log.Printf("simrank-gateway: %d backends, no serveable replica yet (degraded until one probes healthy)", len(specs))
 	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: gw.Handler()}
-	done := make(chan os.Signal, 1)
-	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-done
-		stop()
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		httpSrv.Shutdown(sctx)
-	}()
 	log.Printf("simrank-gateway: serving on %s", *addr)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fatal(err)
-	}
+	daemon.Main(daemon.Spec{
+		Name:       "simrank-gateway",
+		Addr:       *addr,
+		Handler:    gw.Handler(),
+		Background: gw.Run,
+	})
 }
 
 func fatal(err error) {

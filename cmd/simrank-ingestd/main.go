@@ -39,23 +39,22 @@
 // gains wal_lag_records / staleness_seconds / refresh_failures gauges;
 // folds retry on capped equal-jitter backoff until the fault clears.
 // SIGTERM cancels any in-flight fold at a shard boundary (the serving
-// snapshot and WAL cursor are left intact), then drains HTTP. See
-// OPERATIONS.md, "Continuous ingestion".
+// snapshot and WAL cursor are left intact), then drains HTTP for up to
+// 5 s, then closes the WAL — an /ingest accepted before the signal is
+// still acknowledged durable (internal/daemon). See OPERATIONS.md,
+// "Continuous ingestion" and "Shutdown".
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"syscall"
 	"time"
 
+	"simrankpp/internal/daemon"
 	"simrankpp/internal/ingest"
 	"simrankpp/internal/rewrite"
 	"simrankpp/internal/serve"
@@ -89,44 +88,20 @@ func main() {
 	cfg.DefaultTop = *top
 	cfg.MaxTop = *maxTop
 	cfg.CacheSize = *cache
-	var bids map[string]bool
 	if *bidsPath != "" {
 		terms, err := rewrite.ReadBidTermsFile(*bidsPath)
 		if err != nil {
 			fatal(err)
 		}
 		cfg.BidTerms = terms
-		bids = terms
 	}
 
-	openPath := func(path string) (serve.ScoreIndex, error) { return serve.OpenSnapshot(path) }
-	idx, err := openPath(*snapPath)
+	snap, genID, err := serve.OpenServing(*snapPath, false, log.Printf)
 	if err != nil {
-		log.Printf("simrank-ingestd: %s failed to open: %v", *snapPath, err)
-		gen, gerr := serve.NewGenerationStore(*snapPath, 0).LastGood()
-		if gerr != nil {
-			fatal(err)
-		}
-		if idx, err = openPath(gen.SnapPath); err != nil {
-			fatal(err)
-		}
-		log.Printf("simrank-ingestd: serving journaled generation %d (%s)", gen.ID, gen.SnapPath)
+		fatal(err)
 	}
-	srv := serve.NewServer(idx, cfg)
-	// Report the served snapshot's journal generation id from the start
-	// (matching by graph fingerprint, as simrankd does) so /stats and
-	// /readyz carry a full generation identity before the first fold.
-	if snap, ok := idx.(*serve.Snapshot); ok {
-		if gens, err := serve.NewGenerationStore(*snapPath, 0).List(); err == nil {
-			want, id := snap.Meta().Fingerprint, uint64(0)
-			for _, g := range gens {
-				if fmt.Sprintf("%016x", g.Fingerprint) == want && g.ID > id {
-					id = g.ID
-				}
-			}
-			srv.SetGenerationID(id)
-		}
-	}
+	srv := serve.NewServer(snap, cfg)
+	srv.SetGenerationID(genID)
 
 	ctl, err := ingest.NewController(ingest.Config{
 		WALDir:          *walDir,
@@ -137,21 +112,11 @@ func main() {
 		ChurnRecords:    *churn,
 		MaxLagRecords:   *maxLag,
 		KeepGenerations: *keepGens,
-		Bids:            bids,
+		Bids:            cfg.BidTerms,
 		Logf:            log.Printf,
+		// Publish has just re-pointed the serving path at gen: reload it.
 		OnPublish: func(gen *serve.Generation) {
-			err := srv.Reload(func() (serve.ScoreIndex, error) {
-				idx, err := openPath(gen.SnapPath)
-				if err == nil {
-					srv.SetGenerationID(gen.ID)
-				}
-				return idx, err
-			}, nil, func(old serve.ScoreIndex) {
-				if c, ok := old.(*serve.Snapshot); ok {
-					c.Close()
-				}
-			}, log.Printf)
-			if err != nil {
+			if err := srv.ReloadServing(*snapPath, false, log.Printf); err != nil {
 				log.Printf("simrank-ingestd: generation %d published but reload failed: %v", gen.ID, err)
 			}
 		},
@@ -163,68 +128,20 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
-	mux.HandleFunc("/ingest", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		recs, err := ingest.ReadRecords(http.MaxBytesReader(w, r.Body, 32<<20))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		n, err := ctl.Ingest(recs)
-		if err != nil {
-			if errors.Is(err, ingest.ErrBackpressure) {
-				// The WAL has outrun folding past -max-lag: shed rather
-				// than queue unbounded durability debt. A cadence is a
-				// reasonable guess at when a fold will have drained some.
-				w.Header().Set("Retry-After", strconv.Itoa(int((*cadence).Seconds())+1))
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{\"accepted\":%d}\n", n)
-	})
-
-	runCtx, cancelRun := context.WithCancel(context.Background())
-	runDone := make(chan error, 1)
-	go func() { runDone <- ctl.Run(runCtx) }()
-
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
-	sigs := make(chan os.Signal, 1)
-	drained := make(chan struct{})
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		// Shutdown order matters: stop the fold loop first (an in-flight
-		// fold aborts at its next shard boundary, leaving the serving
-		// bytes and WAL cursor intact), then drain HTTP — /ingest keeps
-		// acknowledging durable writes until the listener closes, and the
-		// WAL replays them on next start.
-		cancelRun()
-		<-runDone
-		if err := ctl.Close(); err != nil {
-			log.Printf("simrank-ingestd: close: %v", err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Printf("simrank-ingestd: drain deadline expired with %d requests in flight: %v",
-				srv.InFlight(), err)
-		}
-		close(drained)
-	}()
+	mux.Handle("/ingest", ctl.Handler())
 
 	log.Printf("simrank-ingestd: serving on %s (wal %s, cadence %s)", *addr, *walDir, *cadence)
-	err = httpSrv.ListenAndServe()
-	if err != nil && err != http.ErrServerClosed {
-		fatal(err)
-	}
-	<-drained
+	// Shutdown order (internal/daemon): the fold loop stops first (a fold
+	// aborts at its next shard boundary; serving bytes and WAL cursor stay
+	// intact), then HTTP drains, and only then does the WAL close — every
+	// /ingest the listener accepted is acknowledged durable.
+	daemon.Main(daemon.Spec{
+		Name:       "simrank-ingestd",
+		Addr:       *addr,
+		Handler:    mux,
+		Background: func(ctx context.Context) { _ = ctl.Run(ctx) }, // only ever ctx's own error
+		Close:      ctl.Close,
+	})
 }
 
 func fatal(err error) {

@@ -4,7 +4,9 @@
 // shard's subgraph, warm-start scores, and engine configuration; the
 // worker runs one engine over it and answers the CRC'd encoded segment
 // bytes. Workers hold no snapshot, no journal, and no graph of their
-// own — killing one mid-lease costs only that lease's re-dispatch.
+// own — killing one mid-lease costs only that lease's re-dispatch, and
+// SIGTERM lets running leases answer (5 s at most; internal/daemon)
+// before the worker exits 0.
 //
 // Usage:
 //
@@ -18,9 +20,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 
+	"simrankpp/internal/daemon"
 	"simrankpp/internal/dist"
 )
 
@@ -37,8 +39,5 @@ func main() {
 	}
 	w := &dist.Worker{Workers: *engWorkers, MaxLeaseBytes: *maxLeaseMB << 20}
 	fmt.Fprintf(os.Stderr, "simrank-worker: serving /refresh-shard on %s\n", *addr)
-	if err := http.ListenAndServe(*addr, w.Handler()); err != nil {
-		fmt.Fprintln(os.Stderr, "simrank-worker:", err)
-		os.Exit(1)
-	}
+	daemon.Main(daemon.Spec{Name: "simrank-worker", Addr: *addr, Handler: w.Handler()})
 }

@@ -52,6 +52,12 @@
 // that produced it), so an operator can verify a SIGHUP actually swapped
 // generations.
 //
+// # Shutdown
+//
+// SIGINT/SIGTERM closes the listener and gives admitted requests 5 s to
+// finish (internal/daemon); any still running then are counted in the
+// error and the exit is nonzero. OPERATIONS.md, "Shutdown".
+//
 // # Fault tolerance
 //
 // A score segment that fails its CRC on lazy load is quarantined with
@@ -66,16 +72,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"simrankpp/internal/daemon"
 	"simrankpp/internal/rewrite"
 	"simrankpp/internal/serve"
 )
@@ -113,43 +116,10 @@ func main() {
 		cfg.BidTerms = terms
 	}
 
-	openPath := func(path string) (serve.ScoreIndex, error) {
-		snap, err := serve.OpenSnapshot(path)
-		if err != nil {
-			return nil, err
-		}
-		if *preload {
-			if err := snap.PreloadAll(); err != nil {
-				snap.Close()
-				return nil, err
-			}
-		}
-		return snap, nil
-	}
-	open := func() (serve.ScoreIndex, error) { return openPath(*snapPath) }
-	// Reload fallback: when the (just-replaced) snapshot fails to open,
-	// serve the last good journaled generation instead — the read-side
-	// half of generation rollback.
-	fallback := func() (serve.ScoreIndex, error) {
-		gen, err := serve.NewGenerationStore(*snapPath, 0).LastGood()
-		if err != nil {
-			return nil, err
-		}
-		idx, err := openPath(gen.SnapPath)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("simrankd: serving journaled generation %d (%s)", gen.ID, gen.SnapPath)
-		return idx, nil
-	}
-	idx, err := open()
+	snap, genID, err := serve.OpenServing(*snapPath, *preload, log.Printf)
 	if err != nil {
-		log.Printf("simrankd: %s failed to open: %v", *snapPath, err)
-		if idx, err = fallback(); err != nil {
-			fatal(err)
-		}
+		fatal(err)
 	}
-	snap := idx.(*serve.Snapshot)
 	meta := snap.Meta()
 	gen := "full build"
 	if meta.LastRefreshDirty >= 0 {
@@ -160,81 +130,15 @@ func main() {
 		meta.QueryPairs, meta.AdPairs, meta.Variant, meta.Iterations,
 		meta.GeneratedAt.Format(time.RFC3339), gen, meta.Fingerprint)
 
-	srv := serve.NewServer(idx, cfg)
-	// Resolve the served snapshot's journal generation id (if a journal
-	// exists beside it) so /readyz and /stats report a full generation
-	// identity — the fleet-agreement key a gateway compares. Matching is
-	// by graph fingerprint: newest journaled generation of that graph.
-	resolveGen := func(idx serve.ScoreIndex) uint64 {
-		snap, ok := idx.(*serve.Snapshot)
-		if !ok {
-			return 0
-		}
-		gens, err := serve.NewGenerationStore(*snapPath, 0).List()
-		if err != nil {
-			return 0
-		}
-		want, id := snap.Meta().Fingerprint, uint64(0)
-		for _, g := range gens {
-			if fmt.Sprintf("%016x", g.Fingerprint) == want && g.ID > id {
-				id = g.ID
-			}
-		}
-		return id
-	}
-	srv.SetGenerationID(resolveGen(idx))
-	reopen := func() (serve.ScoreIndex, error) {
-		idx, err := open()
-		if err == nil {
-			srv.SetGenerationID(resolveGen(idx))
-		}
-		return idx, err
-	}
-	refallback := func() (serve.ScoreIndex, error) {
-		idx, err := fallback()
-		if err == nil {
-			srv.SetGenerationID(resolveGen(idx))
-		}
-		return idx, err
-	}
-	srv.ReloadOnSIGHUP(reopen, refallback, func(old serve.ScoreIndex) {
-		if c, ok := old.(*serve.Snapshot); ok {
-			c.Close()
-		}
-	}, log.Printf)
-
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-	done := make(chan os.Signal, 1)
-	drained := make(chan struct{})
-	var shutdownErr error
-	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-done
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			// The drain deadline expired with requests still running:
-			// say so — silently dropping them hides a latency problem.
-			log.Printf("simrankd: drain deadline (5s) expired with %d scoring requests still in flight: %v",
-				srv.InFlight(), err)
-			shutdownErr = err
-		}
-		close(drained)
-	}()
+	srv := serve.NewServer(snap, cfg)
+	srv.SetGenerationID(genID)
 	log.Printf("simrankd: serving on %s", *addr)
-	err = httpSrv.ListenAndServe()
-	if err != nil && err != http.ErrServerClosed {
-		fatal(err)
-	}
-	// ListenAndServe returns as soon as Shutdown starts; wait for the
-	// drain to finish so in-flight requests complete before exit, and
-	// propagate a failed drain as a nonzero exit.
-	if err == http.ErrServerClosed {
-		<-drained
-		if shutdownErr != nil {
-			fatal(fmt.Errorf("shutdown: %w", shutdownErr))
-		}
-	}
+	daemon.Main(daemon.Spec{
+		Name:    "simrankd",
+		Addr:    *addr,
+		Handler: srv.Handler(),
+		Reload:  func() { _ = srv.ReloadServing(*snapPath, *preload, log.Printf) }, // logged there; the old index keeps serving
+	})
 }
 
 func fatal(err error) {

@@ -7,13 +7,10 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"os"
-	"os/signal"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"simrankpp/internal/rewrite"
@@ -245,8 +242,8 @@ func NewServer(idx ScoreIndex, cfg Config) *Server {
 	return s
 }
 
-// InFlight reports how many scoring requests are currently admitted —
-// what a shutdown with an expired drain deadline is still waiting on.
+// InFlight reports how many scoring requests are currently admitted
+// (the in_flight gauge of /stats).
 func (s *Server) InFlight() int {
 	if s.inflight == nil {
 		return 0
@@ -356,16 +353,14 @@ func (s *Server) Swap(idx ScoreIndex) ScoreIndex {
 
 // Reload builds a fresh index via load and swaps it in. A failed load
 // increments the reload-failure counter and — when fallback is non-nil —
-// tries fallback (simrankd wires it to the last good journaled
+// tries fallback (ReloadServing wires it to the last good journaled
 // generation, so a corrupt new snapshot rolls the daemon back instead of
 // wedging it); when both fail, the old index keeps serving and the load
 // error is returned. The swapped-out index is passed to retire (which
 // may close it); logf receives one line per attempt. Callbacks may be
 // nil.
 func (s *Server) Reload(load, fallback func() (ScoreIndex, error), retire func(ScoreIndex), logf func(format string, args ...any)) error {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+	logf = orSilent(logf)
 	idx, err := load()
 	if err != nil {
 		s.reloadFailures.Add(1)
@@ -396,18 +391,12 @@ func (s *Server) Reload(load, fallback func() (ScoreIndex, error), retire func(S
 	return nil
 }
 
-// ReloadOnSIGHUP installs a handler that, on each SIGHUP, reloads via
-// Reload(load, fallback, retire, logf): a failed load falls back to
-// fallback (may be nil), and a doubly-failed reload keeps the old index
-// serving.
-func (s *Server) ReloadOnSIGHUP(load, fallback func() (ScoreIndex, error), retire func(ScoreIndex), logf func(format string, args ...any)) {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGHUP)
-	go func() {
-		for range ch {
-			s.Reload(load, fallback, retire, logf)
-		}
-	}()
+// orSilent is logf, or a logger that drops its lines when logf is nil.
+func orSilent(logf func(format string, args ...any)) func(format string, args ...any) {
+	if logf == nil {
+		return func(string, ...any) {}
+	}
+	return logf
 }
 
 // Handler returns the server's route multiplexer with the resilience
