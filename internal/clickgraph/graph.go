@@ -3,15 +3,15 @@
 // and an edge (q, α) whenever at least one user who issued q clicked α
 // during the observation window. Each edge carries three weights —
 // impressions, clicks, and the position-adjusted expected click rate — and
-// the graph exposes CSR adjacency in both directions for the SimRank
-// engines.
+// the graph stores the edges once, as a table sorted by (query, ad), with
+// an ad-ordered view over it, so the SimRank engines read either side's
+// neighbors as contiguous ascending rows.
 package clickgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-
-	"simrankpp/internal/sparse"
 )
 
 // Side distinguishes the two node partitions.
@@ -153,9 +153,9 @@ func (b *Builder) NumAds() int { return len(b.ads) }
 // NumEdges returns the number of distinct (query, ad) pairs added so far.
 func (b *Builder) NumEdges() int { return len(b.edges) }
 
-// Build compiles the accumulated edges into an immutable Graph.
+// Build compiles the accumulated edges into an immutable Graph. The
+// Builder stays usable: the graph shares nothing with it.
 func (b *Builder) Build() *Graph {
-	nq, na := len(b.queries), len(b.ads)
 	type flat struct {
 		q, a int
 		w    EdgeWeights
@@ -170,34 +170,15 @@ func (b *Builder) Build() *Graph {
 		}
 		return flats[i].a < flats[j].a
 	})
-
-	rate := sparse.NewCOO(nq, na)
-	clicks := sparse.NewCOO(nq, na)
-	impr := sparse.NewCOO(nq, na)
+	g := newGraph(slices.Clone(b.queries), slices.Clone(b.ads), len(flats))
 	for _, f := range flats {
-		// Coordinates come from the interner, so Append cannot fail.
-		_ = rate.Append(f.q, f.a, f.w.ExpectedClickRate)
-		_ = clicks.Append(f.q, f.a, float64(f.w.Clicks))
-		_ = impr.Append(f.q, f.a, float64(f.w.Impressions))
+		g.appendEdge(f.a, f.w)
+		g.qPtr[f.q+1]++
 	}
-	g := &Graph{
-		queries:  append([]string(nil), b.queries...),
-		ads:      append([]string(nil), b.ads...),
-		queryID:  make(map[string]int, nq),
-		adID:     make(map[string]int, na),
-		rateQA:   rate.Compile(),
-		clicksQA: clicks.Compile(),
-		imprQA:   impr.Compile(),
+	for q := range g.queries {
+		g.qPtr[q+1] += g.qPtr[q]
 	}
-	g.rateAQ = g.rateQA.Transpose()
-	g.clicksAQ = g.clicksQA.Transpose()
-	g.imprAQ = g.imprQA.Transpose()
-	for i, q := range g.queries {
-		g.queryID[q] = i
-	}
-	for i, a := range g.ads {
-		g.adID[a] = i
-	}
+	g.indexAds()
 	return g
 }
 
@@ -209,10 +190,76 @@ type Graph struct {
 	queryID map[string]int
 	adID    map[string]int
 
-	// Query→ad CSR matrices, one per weight channel, plus their transposes.
-	rateQA, rateAQ     *sparse.CSR
-	clicksQA, clicksAQ *sparse.CSR
-	imprQA, imprAQ     *sparse.CSR
+	// The edge table, sorted by (query id, ad id): query q's edges are
+	// positions [qPtr[q], qPtr[q+1]) of the four columns.
+	qPtr   []int
+	ad     []int
+	rate   []float64
+	clicks []int64
+	impr   []int64
+
+	// The same edges ordered by (ad id, query id): ad a's are positions
+	// [aPtr[a], aPtr[a+1]). The rate is stored in this order too because
+	// the engines hold both sides' rate rows for a whole run; an ad's
+	// counts are reached through pos, the edge's position in the table.
+	aPtr  []int
+	query []int
+	aRate []float64
+	pos   []int
+}
+
+// newGraph returns a graph over the given names (which it keeps) with an
+// empty edge table of capacity n. The caller appends the edges in (query
+// id, ad id) order, sets qPtr and calls indexAds.
+func newGraph(queries, ads []string, n int) *Graph {
+	g := &Graph{
+		queries: queries,
+		ads:     ads,
+		queryID: make(map[string]int, len(queries)),
+		adID:    make(map[string]int, len(ads)),
+		qPtr:    make([]int, len(queries)+1),
+		ad:      make([]int, 0, n),
+		rate:    make([]float64, 0, n),
+		clicks:  make([]int64, 0, n),
+		impr:    make([]int64, 0, n),
+	}
+	for i, q := range queries {
+		g.queryID[q] = i
+	}
+	for i, a := range ads {
+		g.adID[a] = i
+	}
+	return g
+}
+
+func (g *Graph) appendEdge(a int, w EdgeWeights) {
+	g.ad = append(g.ad, a)
+	g.rate = append(g.rate, w.ExpectedClickRate)
+	g.clicks = append(g.clicks, w.Clicks)
+	g.impr = append(g.impr, w.Impressions)
+}
+
+// indexAds builds the ad-ordered view of the finished table: one counting
+// pass sizes the ad rows, one walk of the table in order fills them, so
+// every ad row comes out ascending by query id without sorting.
+func (g *Graph) indexAds() {
+	g.aPtr = make([]int, len(g.ads)+1)
+	for _, a := range g.ad {
+		g.aPtr[a+1]++
+	}
+	for a := range g.ads {
+		g.aPtr[a+1] += g.aPtr[a]
+	}
+	n := len(g.ad)
+	g.query, g.aRate, g.pos = make([]int, n), make([]float64, n), make([]int, n)
+	next := slices.Clone(g.aPtr[:len(g.ads)])
+	for q := range g.queries {
+		for p := g.qPtr[q]; p < g.qPtr[q+1]; p++ {
+			at := next[g.ad[p]]
+			next[g.ad[p]]++
+			g.query[at], g.aRate[at], g.pos[at] = q, g.rate[p], p
+		}
+	}
 }
 
 // NumQueries returns the number of query nodes.
@@ -222,7 +269,7 @@ func (g *Graph) NumQueries() int { return len(g.queries) }
 func (g *Graph) NumAds() int { return len(g.ads) }
 
 // NumEdges returns the number of (query, ad) edges.
-func (g *Graph) NumEdges() int { return g.rateQA.NNZ() }
+func (g *Graph) NumEdges() int { return len(g.ad) }
 
 // Query returns the query string for id, panicking on out-of-range ids as
 // any slice index would.
@@ -251,67 +298,73 @@ func (g *Graph) Queries() []string { return g.queries }
 // returned slice.
 func (g *Graph) Ads() []string { return g.ads }
 
-// AdsOf returns the ad neighbors of query q with their expected click
-// rates, as shared slices that must not be mutated. This is E(q) in the
-// paper's notation.
-func (g *Graph) AdsOf(q int) (ads []int, rates []float64) { return g.rateQA.Row(q) }
+// AdsOf returns the ad neighbors of query q, ascending, with their expected
+// click rates, as shared slices that must not be mutated. This is E(q) in
+// the paper's notation.
+func (g *Graph) AdsOf(q int) (ads []int, rates []float64) {
+	lo, hi := g.qPtr[q], g.qPtr[q+1]
+	return g.ad[lo:hi], g.rate[lo:hi]
+}
 
-// QueriesOf returns the query neighbors of ad a with their expected click
-// rates. This is E(α).
-func (g *Graph) QueriesOf(a int) (queries []int, rates []float64) { return g.rateAQ.Row(a) }
+// QueriesOf returns the query neighbors of ad a, ascending, with their
+// expected click rates. This is E(α).
+func (g *Graph) QueriesOf(a int) (queries []int, rates []float64) {
+	lo, hi := g.aPtr[a], g.aPtr[a+1]
+	return g.query[lo:hi], g.aRate[lo:hi]
+}
+
+// Row is one node's incident edges: its neighbor ids, ascending, and one
+// entry per neighbor in each weight column. Callers must not mutate it.
+type Row struct {
+	Neighbors   []int
+	Rate        []float64
+	Clicks      []int64
+	Impressions []int64
+}
+
+// Row returns the incident edges of node id on the given side with all
+// three weights. A query's row is four slices of the edge table; an ad's
+// shares its ids and rates and gathers its counts from the table.
+func (g *Graph) Row(side Side, id int) Row {
+	if side == QuerySide {
+		lo, hi := g.qPtr[id], g.qPtr[id+1]
+		return Row{g.ad[lo:hi], g.rate[lo:hi], g.clicks[lo:hi], g.impr[lo:hi]}
+	}
+	lo, hi := g.aPtr[id], g.aPtr[id+1]
+	r := Row{g.query[lo:hi], g.aRate[lo:hi], make([]int64, hi-lo), make([]int64, hi-lo)}
+	for i, p := range g.pos[lo:hi] {
+		r.Clicks[i], r.Impressions[i] = g.clicks[p], g.impr[p]
+	}
+	return r
+}
 
 // QueryDegree returns N(q), the number of ads adjacent to query q.
-func (g *Graph) QueryDegree(q int) int { return g.rateQA.RowNNZ(q) }
+func (g *Graph) QueryDegree(q int) int { return g.qPtr[q+1] - g.qPtr[q] }
 
 // AdDegree returns N(α), the number of queries adjacent to ad a.
-func (g *Graph) AdDegree(a int) int { return g.rateAQ.RowNNZ(a) }
-
-// HasEdge reports whether (q, a) is an edge.
-func (g *Graph) HasEdge(q, a int) bool {
-	cols, _ := g.rateQA.Row(q)
-	i := sort.SearchInts(cols, a)
-	return i < len(cols) && cols[i] == a
-}
+func (g *Graph) AdDegree(a int) int { return g.aPtr[a+1] - g.aPtr[a] }
 
 // EdgeWeightsOf returns the full weights of edge (q, a) and whether the
 // edge exists.
 func (g *Graph) EdgeWeightsOf(q, a int) (EdgeWeights, bool) {
-	if !g.HasEdge(q, a) {
+	lo := g.qPtr[q]
+	i, ok := slices.BinarySearch(g.ad[lo:g.qPtr[q+1]], a)
+	if !ok {
 		return EdgeWeights{}, false
 	}
-	return EdgeWeights{
-		Impressions:       int64(g.imprQA.At(q, a)),
-		Clicks:            int64(g.clicksQA.At(q, a)),
-		ExpectedClickRate: g.rateQA.At(q, a),
-	}, true
+	return g.weightsAt(lo + i), true
 }
 
-// Rate returns the expected click rate of edge (q, a), 0 if absent.
-func (g *Graph) Rate(q, a int) float64 { return g.rateQA.At(q, a) }
-
-// Clicks returns the click count of edge (q, a), 0 if absent.
-func (g *Graph) Clicks(q, a int) int64 { return int64(g.clicksQA.At(q, a)) }
-
-// ClicksOfQuery returns the ad neighbors of q with raw click counts.
-func (g *Graph) ClicksOfQuery(q int) (ads []int, clicks []float64) { return g.clicksQA.Row(q) }
-
-// ClicksOfAd returns the query neighbors of a with raw click counts.
-func (g *Graph) ClicksOfAd(a int) (queries []int, clicks []float64) { return g.clicksAQ.Row(a) }
+func (g *Graph) weightsAt(p int) EdgeWeights {
+	return EdgeWeights{Impressions: g.impr[p], Clicks: g.clicks[p], ExpectedClickRate: g.rate[p]}
+}
 
 // Edges calls fn for every edge in (query id, ad id) order. If fn returns
 // false, iteration stops.
 func (g *Graph) Edges(fn func(q, a int, w EdgeWeights) bool) {
-	for q := 0; q < g.NumQueries(); q++ {
-		cols, rates := g.rateQA.Row(q)
-		lo := g.clicksQA.RowPtr[q]
-		imLo := g.imprQA.RowPtr[q]
-		for i, a := range cols {
-			w := EdgeWeights{
-				Impressions:       int64(g.imprQA.Val[imLo+i]),
-				Clicks:            int64(g.clicksQA.Val[lo+i]),
-				ExpectedClickRate: rates[i],
-			}
-			if !fn(q, a, w) {
+	for q := range g.queries {
+		for p := g.qPtr[q]; p < g.qPtr[q+1]; p++ {
+			if !fn(q, g.ad[p], g.weightsAt(p)) {
 				return
 			}
 		}
@@ -321,15 +374,15 @@ func (g *Graph) Edges(fn func(q, a int, w EdgeWeights) bool) {
 // CommonAds returns the ads adjacent to both q1 and q2, i.e. E(q1) ∩ E(q2),
 // in ascending id order.
 func (g *Graph) CommonAds(q1, q2 int) []int {
-	a1, _ := g.rateQA.Row(q1)
-	a2, _ := g.rateQA.Row(q2)
+	a1, _ := g.AdsOf(q1)
+	a2, _ := g.AdsOf(q2)
 	return intersectSorted(a1, a2)
 }
 
 // CommonQueries returns the queries adjacent to both a1 and a2.
 func (g *Graph) CommonQueries(a1, a2 int) []int {
-	q1, _ := g.rateAQ.Row(a1)
-	q2, _ := g.rateAQ.Row(a2)
+	q1, _ := g.QueriesOf(a1)
+	q2, _ := g.QueriesOf(a2)
 	return intersectSorted(q1, q2)
 }
 

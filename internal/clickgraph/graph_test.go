@@ -2,6 +2,12 @@ package clickgraph
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"maps"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -166,11 +172,11 @@ func TestRemoveEdges(t *testing.T) {
 	}
 	pc2, _ := g2.QueryID("pc")
 	hp2, _ := g2.AdID("hp.com")
-	if g2.HasEdge(pc2, hp2) {
+	if _, ok := g2.EdgeWeightsOf(pc2, hp2); ok {
 		t.Error("removed edge still present")
 	}
 	// Original untouched.
-	if !g.HasEdge(pc, hp) {
+	if _, ok := g.EdgeWeightsOf(pc, hp); !ok {
 		t.Error("RemoveEdges mutated the original graph")
 	}
 }
@@ -225,6 +231,45 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	})
 }
 
+// A name the line format cannot carry is an error at Write, not a file
+// that reads back as a different graph; every other name round-trips.
+func TestWriteRefusesNamesTheFormatCannotCarry(t *testing.T) {
+	for _, names := range [][2]string{{"#comment", "ad"}, {"query\r", "ad"}, {"query", "ad\r"}, {"que\try", "ad"}, {"query", "a\nd"}} {
+		b := NewBuilder()
+		mustAdd(t, b, names[0], names[1], EdgeWeights{Impressions: 2, Clicks: 1, ExpectedClickRate: 0.5})
+		if err := Write(io.Discard, b.Build()); err == nil {
+			t.Errorf("Write accepted query %q, ad %q", names[0], names[1])
+		}
+	}
+	b := NewBuilder()
+	mustAdd(t, b, "q #1", "#ad", EdgeWeights{Impressions: 2, Clicks: 1, ExpectedClickRate: 0.5})
+	mustAdd(t, b, "!query", "!ad", EdgeWeights{Impressions: 3, Clicks: 1, ExpectedClickRate: 0.25})
+	b.AddQuery(" q\rx ")
+	b.AddAd("#")
+	g := b.Build()
+	var buf bytes.Buffer
+	if err := Write(&buf, g); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	g2, err := Read(&buf)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if !reflect.DeepEqual(graphEdges(t, g2), graphEdges(t, g)) || g2.NumQueries() != 3 || g2.NumAds() != 3 {
+		t.Errorf("round trip: %d queries %v, %d ads %v", g2.NumQueries(), g2.Queries(), g2.NumAds(), g2.Ads())
+	}
+	for _, q := range g.Queries() {
+		if _, ok := g2.QueryID(q); !ok {
+			t.Errorf("query %q lost", q)
+		}
+	}
+	for _, a := range g.Ads() {
+		if _, ok := g2.AdID(a); !ok {
+			t.Errorf("ad %q lost", a)
+		}
+	}
+}
+
 func TestReadRejectsMalformed(t *testing.T) {
 	cases := []string{
 		"q\ta\tx\t1\t0.5\n", // bad impressions
@@ -241,41 +286,162 @@ func TestReadRejectsMalformed(t *testing.T) {
 	}
 }
 
-// Property: any set of valid edges round-trips through Build without loss.
-func TestBuilderProperty(t *testing.T) {
-	check := func(edges []struct {
-		Q, A  uint8
-		Click uint8
-	}) bool {
-		b := NewBuilder()
-		type key struct{ q, a string }
-		want := map[key]int64{}
-		for _, e := range edges {
-			q := string(rune('a' + e.Q%16))
-			a := string(rune('A' + e.A%16))
-			c := int64(e.Click%5) + 1
-			if err := b.AddEdge(q, a, EdgeWeights{Impressions: c * 2, Clicks: c, ExpectedClickRate: 0.5}); err != nil {
-				return false
+// graphEdges returns g's edges by name after walking them through every
+// accessor: it fails the test unless Edges runs in (query id, ad id) order,
+// every row of either side ascends strictly, and both orientations hold
+// the same edges with the same three weights.
+func graphEdges(t *testing.T, g *Graph) map[[2]string]EdgeWeights {
+	t.Helper()
+	got := map[[2]string]EdgeWeights{}
+	lastQ, lastA := -1, -1
+	g.Edges(func(q, a int, w EdgeWeights) bool {
+		if q < lastQ || q == lastQ && a <= lastA {
+			t.Errorf("Edges: (%d,%d) after (%d,%d)", q, a, lastQ, lastA)
+		}
+		lastQ, lastA = q, a
+		if ew, ok := g.EdgeWeightsOf(q, a); !ok || ew != w {
+			t.Errorf("EdgeWeightsOf(%d,%d) = %+v, %v; Edges says %+v", q, a, ew, ok, w)
+		}
+		got[[2]string{g.Query(q), g.Ad(a)}] = w
+		return true
+	})
+	if len(got) != g.NumEdges() {
+		t.Errorf("Edges walked %d distinct edges, NumEdges = %d", len(got), g.NumEdges())
+	}
+	for _, side := range []Side{QuerySide, AdSide} {
+		nodes, rowOf, degree := g.NumQueries(), g.AdsOf, g.QueryDegree
+		if side == AdSide {
+			nodes, rowOf, degree = g.NumAds(), g.QueriesOf, g.AdDegree
+		}
+		seen := 0
+		for id := 0; id < nodes; id++ {
+			row := g.Row(side, id)
+			nbrs, rates := rowOf(id)
+			if !slices.Equal(nbrs, row.Neighbors) || !slices.Equal(rates, row.Rate) || degree(id) != len(nbrs) {
+				t.Errorf("%s %d: Row %v %v, rate row %v %v, degree %d", side, id, row.Neighbors, row.Rate, nbrs, rates, degree(id))
 			}
-			want[key{q, a}] += c
+			for i, n := range row.Neighbors {
+				if i > 0 && row.Neighbors[i-1] >= n {
+					t.Errorf("%s %d: row %v does not ascend strictly", side, id, row.Neighbors)
+				}
+				q, a := id, n
+				if side == AdSide {
+					q, a = n, id
+				}
+				w := EdgeWeights{Impressions: row.Impressions[i], Clicks: row.Clicks[i], ExpectedClickRate: row.Rate[i]}
+				if ew, ok := got[[2]string{g.Query(q), g.Ad(a)}]; !ok || ew != w {
+					t.Errorf("%s %d: row holds (%d,%d) %+v, Edges says %+v, %v", side, id, q, a, w, ew, ok)
+				}
+			}
+			seen += len(row.Neighbors)
+		}
+		if seen != len(got) {
+			t.Errorf("%s rows hold %d edges, Edges walked %d", side, seen, len(got))
+		}
+	}
+	return got
+}
+
+// Property: any multiset of valid edges, with isolated nodes among them,
+// round-trips through Build without loss and consistently (graphEdges);
+// NewSubview over every id reproduces the graph and over a subset equals
+// InducedSubgraph of the same ascending ids; and the Builder stays usable,
+// a second Build sharing nothing with the first.
+func TestBuilderProperty(t *testing.T) {
+	check := func(edges []struct{ Q, A, Click uint8 }, pick uint8) bool {
+		b := NewBuilder()
+		want := map[[2]string]EdgeWeights{}
+		add := func(q, a string, c int64) {
+			// Three distinct weights an edge, the rate sometimes zero. It is
+			// a dyadic function of the pair, so the impressions-weighted
+			// mean of a repeated edge is that same rate exactly.
+			w := EdgeWeights{Impressions: 2*c + 3, Clicks: c + 1, ExpectedClickRate: float64((len(q)+int(a[1]))%4) / 4}
+			if err := b.AddEdge(q, a, w); err != nil {
+				t.Fatal(err)
+			}
+			old := want[[2]string{q, a}]
+			w.Impressions, w.Clicks = w.Impressions+old.Impressions, w.Clicks+old.Clicks
+			want[[2]string{q, a}] = w
+		}
+		name := func(q, a uint8, c int64) (string, string, int64) {
+			return "q" + strings.Repeat("+", int(q%16)), "A" + string(rune('a'+a%16)), c
+		}
+		for i, e := range edges {
+			if e.Click%4 == 0 {
+				b.AddQuery(fmt.Sprintf("lone query %d", i))
+				b.AddAd(fmt.Sprintf("lone ad %d", i))
+			}
+			add(name(e.Q, e.A, int64(e.Click%5)))
 		}
 		g := b.Build()
-		if g.NumEdges() != len(want) {
-			return false
-		}
-		for k, clicks := range want {
-			qi, ok1 := g.QueryID(k.q)
-			ai, ok2 := g.AdID(k.a)
-			if !ok1 || !ok2 {
-				return false
+		ok := reflect.DeepEqual(graphEdges(t, g), want)
+
+		all := func(n int) []int {
+			ids := make([]int, n)
+			for i := range ids {
+				ids[i] = i
 			}
-			if g.Clicks(qi, ai) != clicks {
-				return false
+			return ids
+		}
+		whole, err := NewSubview(g, all(g.NumQueries()), all(g.NumAds()))
+		ok = ok && err == nil && reflect.DeepEqual(graphEdges(t, whole.Graph), want) &&
+			slices.Equal(whole.Graph.Queries(), g.Queries()) && slices.Equal(whole.Graph.Ads(), g.Ads())
+
+		keep := func(ids []int) []int {
+			return slices.DeleteFunc(ids, func(id int) bool { return (id*7+int(pick))%3 == 0 })
+		}
+		qIDs, aIDs := keep(all(g.NumQueries())), keep(all(g.NumAds()))
+		view, err := NewSubview(g, qIDs, aIDs)
+		induced := g.InducedSubgraph(qIDs, aIDs)
+		ok = ok && err == nil && reflect.DeepEqual(graphEdges(t, view.Graph), graphEdges(t, induced)) &&
+			slices.Equal(view.QueryIDs, qIDs) && slices.Equal(view.AdIDs, aIDs) &&
+			slices.Equal(view.Graph.Queries(), induced.Queries()) && slices.Equal(view.Graph.Ads(), induced.Ads())
+
+		// More edges — a new one in the first query's row, so that every
+		// later table position moves, and every other old one again: the
+		// first graph must not change.
+		before := maps.Clone(want)
+		if g.NumQueries() > 0 {
+			add(g.Query(0), "A late", 2)
+		}
+		for i, e := range edges {
+			if i%2 == 0 {
+				add(name(e.Q, e.A, 4))
 			}
 		}
-		return true
+		g2 := b.Build()
+		return ok && reflect.DeepEqual(graphEdges(t, g2), want) && reflect.DeepEqual(graphEdges(t, g), before) && !t.Failed()
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBuildAllocationPerEdge bounds what Build allocates: the sorted edge
+// list (40 B an edge), the table and its ad-ordered view (32 + 24 B), the
+// row pointers, the names and the two name→id maps — not a staging copy
+// and a compiled copy of every weight channel in both orders.
+func TestBuildAllocationPerEdge(t *testing.T) {
+	const nodes, degree = 6000, 10
+	b := NewBuilder()
+	s := uint64(17)
+	for q := 0; q < nodes; q++ {
+		for d := 0; d < degree; d++ {
+			s = s*6364136223846793005 + 1442695040888963407
+			ad := fmt.Sprintf("ad-%05d", (s>>33)%nodes)
+			mustAdd(t, b, fmt.Sprintf("query-%05d", q), ad, EdgeWeights{Impressions: 4, Clicks: 1, ExpectedClickRate: 0.25})
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := b.Build()
+	runtime.ReadMemStats(&after)
+	if g.NumEdges() < 50000 || g.NumEdges() < 4*g.NumQueries() || g.NumEdges() < 4*g.NumAds() {
+		t.Fatalf("%d edges over %d queries and %d ads: want ≥ 50000 and ≥ 4 a node", g.NumEdges(), g.NumQueries(), g.NumAds())
+	}
+	perEdge := (after.TotalAlloc - before.TotalAlloc) / uint64(g.NumEdges())
+	t.Logf("Build allocated %d B per edge (%d edges)", perEdge, g.NumEdges())
+	if perEdge > 200 {
+		t.Errorf("Build allocated %d B per edge, want at most 200", perEdge)
 	}
 }

@@ -17,8 +17,28 @@ import (
 // the interchange format between cmd/clickgen, cmd/partition, cmd/simrank
 // and cmd/experiments.
 
+// CheckName reports whether the line format can carry name as a node of
+// the given side. A name cannot hold a tab or a newline (the field and line
+// separators), end in a carriage return (the reader strips one from the end
+// of a line, which is where a declared name sits) or, for a query, start
+// with '#' (an edge line starts with its query, and a line that starts with
+// '#' is a comment).
+func CheckName(side Side, name string) error {
+	switch {
+	case strings.ContainsAny(name, "\t\n"):
+		return fmt.Errorf("clickgraph: %s name %q contains a tab or a newline", side, name)
+	case strings.HasSuffix(name, "\r"):
+		return fmt.Errorf("clickgraph: %s name %q ends in a carriage return", side, name)
+	case side == QuerySide && strings.HasPrefix(name, "#"):
+		return fmt.Errorf("clickgraph: query name %q starts with '#', which begins a comment line", name)
+	}
+	return nil
+}
+
 // Write serializes g in the text edge format. Edges appear in (query id,
-// ad id) order, so output is deterministic for a given graph.
+// ad id) order, so output is deterministic for a given graph. A name the
+// format cannot carry (CheckName) is an error: the file would read back as
+// a different graph.
 func Write(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# click graph: %d queries, %d ads, %d edges\n",
@@ -26,16 +46,22 @@ func Write(w io.Writer, g *Graph) error {
 		return err
 	}
 	// Declare isolated nodes so round-tripping preserves them.
-	for q := 0; q < g.NumQueries(); q++ {
+	for q, name := range g.queries {
+		if err := CheckName(QuerySide, name); err != nil {
+			return err
+		}
 		if g.QueryDegree(q) == 0 {
-			if _, err := fmt.Fprintf(bw, "!query\t%s\n", g.Query(q)); err != nil {
+			if _, err := fmt.Fprintf(bw, "!query\t%s\n", name); err != nil {
 				return err
 			}
 		}
 	}
-	for a := 0; a < g.NumAds(); a++ {
+	for a, name := range g.ads {
+		if err := CheckName(AdSide, name); err != nil {
+			return err
+		}
 		if g.AdDegree(a) == 0 {
-			if _, err := fmt.Fprintf(bw, "!ad\t%s\n", g.Ad(a)); err != nil {
+			if _, err := fmt.Fprintf(bw, "!ad\t%s\n", name); err != nil {
 				return err
 			}
 		}

@@ -2,9 +2,8 @@ package clickgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-
-	"simrankpp/internal/sparse"
 )
 
 // Subview is an induced subgraph of a parent Graph together with the
@@ -24,24 +23,13 @@ type Subview struct {
 	QueryIDs, AdIDs []int
 }
 
-// LocalQuery returns the local id of global query q and whether q is in
-// the view. O(log n) over the ascending id list.
-func (v *Subview) LocalQuery(q int) (int, bool) { return searchID(v.QueryIDs, q) }
-
-// LocalAd returns the local id of global ad a and whether a is in the view.
-func (v *Subview) LocalAd(a int) (int, bool) { return searchID(v.AdIDs, a) }
-
-func searchID(ids []int, id int) (int, bool) {
-	i := sort.SearchInts(ids, id)
-	return i, i < len(ids) && ids[i] == id
-}
-
 // NewSubview builds the induced subgraph on the given global query and ad
 // id sets. The id lists are copied, sorted and de-duplicated; out-of-range
 // ids are an error. Unlike InducedSubgraph (which replays edges through a
-// Builder), the view is assembled directly from the parent's CSR rows —
-// one counting pass and one copying pass per weight channel, no maps on
-// the edge path — so carving many shards out of a large graph stays cheap.
+// Builder), the view is carved directly out of the parent's edge table —
+// one pass over the selected queries' rows, then the ad-ordered view of
+// what survived, no maps on the edge path — so carving many shards out of
+// a large graph stays cheap.
 func NewSubview(g *Graph, queryIDs, adIDs []int) (*Subview, error) {
 	qSel, err := checkIDs(queryIDs, g.NumQueries(), "query")
 	if err != nil {
@@ -51,72 +39,30 @@ func NewSubview(g *Graph, queryIDs, adIDs []int) (*Subview, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Global→local ad translation is a binary search of the sorted aSel —
-	// no scratch sized to the parent's ad side, so carving many shards out
-	// of a large graph allocates in proportion to the shards alone.
-	//
-	// One shared structure pass sizes the rows; the three weight channels
-	// share the structure (they are built from the same edge set), so the
-	// column array can be computed once and copied.
-	rowPtr := make([]int, len(qSel)+1)
+	queries, ads := make([]string, len(qSel)), make([]string, len(aSel))
+	maxEdges := 0
 	for i, q := range qSel {
-		cols, _ := g.rateQA.Row(q)
-		n := 0
-		for _, a := range cols {
-			if _, ok := searchID(aSel, a); ok {
-				n++
-			}
-		}
-		rowPtr[i+1] = rowPtr[i] + n
-	}
-	nnz := rowPtr[len(qSel)]
-	colIdx := make([]int, nnz)
-	rateV := make([]float64, nnz)
-	clickV := make([]float64, nnz)
-	imprV := make([]float64, nnz)
-	for i, q := range qSel {
-		cols, rates := g.rateQA.Row(q)
-		lo := g.clicksQA.RowPtr[q]
-		imLo := g.imprQA.RowPtr[q]
-		w := rowPtr[i]
-		for k, a := range cols {
-			la, ok := searchID(aSel, a)
-			if !ok {
-				continue
-			}
-			// Parent columns ascend and local ids preserve their order, so
-			// rows come out ascending without sorting.
-			colIdx[w] = la
-			rateV[w] = rates[k]
-			clickV[w] = g.clicksQA.Val[lo+k]
-			imprV[w] = g.imprQA.Val[imLo+k]
-			w++
-		}
-	}
-
-	sub := &Graph{
-		queries: make([]string, len(qSel)),
-		ads:     make([]string, len(aSel)),
-		queryID: make(map[string]int, len(qSel)),
-		adID:    make(map[string]int, len(aSel)),
-	}
-	for i, q := range qSel {
-		sub.queries[i] = g.queries[q]
-		sub.queryID[sub.queries[i]] = i
+		queries[i] = g.queries[q]
+		maxEdges += g.QueryDegree(q)
 	}
 	for i, a := range aSel {
-		sub.ads[i] = g.ads[a]
-		sub.adID[sub.ads[i]] = i
+		ads[i] = g.ads[a]
 	}
-	// The three channels share the structure arrays; CSR is immutable after
-	// construction, so aliasing rowPtr/colIdx across them is safe.
-	sub.rateQA = sparse.NewCSR(len(qSel), len(aSel), rowPtr, colIdx, rateV)
-	sub.clicksQA = sparse.NewCSR(len(qSel), len(aSel), rowPtr, colIdx, clickV)
-	sub.imprQA = sparse.NewCSR(len(qSel), len(aSel), rowPtr, colIdx, imprV)
-	sub.rateAQ = sub.rateQA.Transpose()
-	sub.clicksAQ = sub.clicksQA.Transpose()
-	sub.imprAQ = sub.imprQA.Transpose()
+	// Global→local ad translation is a binary search of the sorted aSel —
+	// no scratch sized to the parent's ad side, so carving many shards out
+	// of a large graph allocates in proportion to the shards alone. Parent
+	// rows ascend and local ids preserve their order, so the table comes
+	// out in (query, ad) order without sorting.
+	sub := newGraph(queries, ads, maxEdges)
+	for i, q := range qSel {
+		for p := g.qPtr[q]; p < g.qPtr[q+1]; p++ {
+			if la, ok := slices.BinarySearch(aSel, g.ad[p]); ok {
+				sub.appendEdge(la, g.weightsAt(p))
+			}
+		}
+		sub.qPtr[i+1] = len(sub.ad)
+	}
+	sub.indexAds()
 	return &Subview{Graph: sub, QueryIDs: qSel, AdIDs: aSel}, nil
 }
 

@@ -3,6 +3,7 @@ package clickgraph
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -24,7 +25,7 @@ func subviewRandomGraph(seed uint64, nq, na, edges int) *Graph {
 	for e := 0; e < edges; e++ {
 		clicks := int64(next(9) + 1)
 		err := b.AddEdge(testName("q", next(nq)), testName("ad", next(na)), EdgeWeights{
-			Impressions: clicks * 2, Clicks: clicks,
+			Impressions: clicks + int64(next(50)), Clicks: clicks,
 			ExpectedClickRate: float64(next(100)) / 100,
 		})
 		if err != nil {
@@ -82,18 +83,17 @@ func TestSubviewIDMapping(t *testing.T) {
 		if view.QueryIDs[local] != global {
 			t.Errorf("QueryIDs[%d] = %d, want %d", local, view.QueryIDs[local], global)
 		}
-		if l, ok := view.LocalQuery(global); !ok || l != local {
-			t.Errorf("LocalQuery(%d) = %d,%v, want %d,true", global, l, ok, local)
-		}
 		if view.Graph.Query(local) != g.Query(global) {
 			t.Errorf("query name mismatch at local %d", local)
 		}
 	}
-	if _, ok := view.LocalQuery(5); ok {
-		t.Error("LocalQuery(5) should be absent")
+	if !slices.Equal(view.AdIDs, []int{0, 3, 9}) {
+		t.Errorf("AdIDs = %v, want [0 3 9]", view.AdIDs)
 	}
-	if a, ok := view.LocalAd(3); !ok || view.AdIDs[a] != 3 {
-		t.Errorf("ad mapping roundtrip failed: %d,%v", a, ok)
+	for local, global := range view.AdIDs {
+		if view.Graph.Ad(local) != g.Ad(global) {
+			t.Errorf("ad name mismatch at local %d", local)
+		}
 	}
 }
 

@@ -25,43 +25,26 @@ type transitionModel struct {
 	rowSumQ, rowSumA []float64
 }
 
-// weightRow returns the neighbor ids and channel weights of a node.
-func weightRow(g *clickgraph.Graph, ch WeightChannel, side clickgraph.Side, id int) ([]int, []float64) {
-	switch ch {
-	case ChannelClicks:
-		if side == clickgraph.QuerySide {
-			return g.ClicksOfQuery(id)
-		}
-		return g.ClicksOfAd(id)
-	case ChannelImpressions:
-		nbrs, _ := neighborIDs(g, side, id)
-		w := make([]float64, len(nbrs))
-		for i, n := range nbrs {
-			var ew clickgraph.EdgeWeights
-			var ok bool
-			if side == clickgraph.QuerySide {
-				ew, ok = g.EdgeWeightsOf(id, n)
-			} else {
-				ew, ok = g.EdgeWeightsOf(n, id)
-			}
-			if ok {
-				w[i] = float64(ew.Impressions)
-			}
-		}
-		return nbrs, w
-	default:
+// Weights returns the neighbor ids and channel c's weights of a node.
+func (c WeightChannel) Weights(g *clickgraph.Graph, side clickgraph.Side, id int) ([]int, []float64) {
+	if c == ChannelRate {
+		// The one float column, stored in both orders: shared rows, no
+		// gather of an ad's counts and no conversion.
 		if side == clickgraph.QuerySide {
 			return g.AdsOf(id)
 		}
 		return g.QueriesOf(id)
 	}
-}
-
-func neighborIDs(g *clickgraph.Graph, side clickgraph.Side, id int) ([]int, []float64) {
-	if side == clickgraph.QuerySide {
-		return g.AdsOf(id)
+	row := g.Row(side, id)
+	counts := row.Clicks
+	if c == ChannelImpressions {
+		counts = row.Impressions
 	}
-	return g.QueriesOf(id)
+	w := make([]float64, len(counts))
+	for i, n := range counts {
+		w[i] = float64(n)
+	}
+	return row.Neighbors, w
 }
 
 // popVariance returns the population variance of xs (0 for fewer than two
@@ -96,7 +79,7 @@ func newTransitionModel(g *clickgraph.Graph, ch WeightChannel, disableSpread boo
 		rowSumA: make([]float64, g.NumAds()),
 	}
 	for q := 0; q < g.NumQueries(); q++ {
-		_, w := weightRow(g, ch, clickgraph.QuerySide, q)
+		_, w := ch.Weights(g, clickgraph.QuerySide, q)
 		m.rowSumQ[q] = sum(w)
 		if disableSpread {
 			m.spreadQ[q] = 1
@@ -105,7 +88,7 @@ func newTransitionModel(g *clickgraph.Graph, ch WeightChannel, disableSpread boo
 		}
 	}
 	for a := 0; a < g.NumAds(); a++ {
-		_, w := weightRow(g, ch, clickgraph.AdSide, a)
+		_, w := ch.Weights(g, clickgraph.AdSide, a)
 		m.rowSumA[a] = sum(w)
 		if disableSpread {
 			m.spreadA[a] = 1
@@ -127,7 +110,7 @@ func sum(xs []float64) float64 {
 // queryRow returns, for query q, its ad neighbors and the walk factors
 // W(q, a) for each.
 func (m *transitionModel) queryRow(q int) (ads []int, w []float64) {
-	ads, raw := weightRow(m.g, m.channel, clickgraph.QuerySide, q)
+	ads, raw := m.channel.Weights(m.g, clickgraph.QuerySide, q)
 	w = make([]float64, len(raw))
 	rs := m.rowSumQ[q]
 	if rs == 0 {
@@ -142,7 +125,7 @@ func (m *transitionModel) queryRow(q int) (ads []int, w []float64) {
 // adRow returns, for ad a, its query neighbors and the walk factors
 // W(a, q) for each.
 func (m *transitionModel) adRow(a int) (queries []int, w []float64) {
-	queries, raw := weightRow(m.g, m.channel, clickgraph.AdSide, a)
+	queries, raw := m.channel.Weights(m.g, clickgraph.AdSide, a)
 	w = make([]float64, len(raw))
 	rs := m.rowSumA[a]
 	if rs == 0 {

@@ -51,7 +51,7 @@ const (
 
 // WireEdge is one subgraph edge in worker-local ids with every weight
 // channel, exactly what clickgraph.Builder.AddEdge needs to reproduce
-// the subview's CSR.
+// the subview's edge table.
 type WireEdge struct {
 	Q, A                uint32
 	Impressions, Clicks int64

@@ -17,7 +17,7 @@ import (
 // from the wire, run one engine over it (warm-started when the lease
 // carries seeds), and return the encoded segments in global ids. The
 // rebuild is bit-faithful: lease names arrive in subview-local order
-// and edges ship every weight channel, so the rebuilt CSR — and
+// and edges ship every weight channel, so the rebuilt graph — and
 // therefore the deterministic engine's output, and therefore the
 // encoded segment bytes — is identical to what the coordinator's own
 // local recompute of the same shard would produce.
@@ -85,9 +85,9 @@ func (w *Worker) RefreshShard(l *Lease) (*SegmentResponse, error) {
 	}
 	// Rebuild the shard subgraph. Names intern in shipped (subview-
 	// local) order so ids match the coordinator's subview; each wire
-	// edge is added exactly once (the subview CSR holds unique (q,a)
-	// edges), so Builder's duplicate-merge never fires and the compiled
-	// CSR is the subview's, bit for bit.
+	// edge is added exactly once (the subview's edge table holds unique
+	// (q,a) edges), so Builder's duplicate-merge never fires and the
+	// built table is the subview's, bit for bit.
 	b := clickgraph.NewBuilder()
 	for _, name := range l.QueryNames {
 		b.AddQuery(name)

@@ -103,8 +103,9 @@ func SaveFoldState(dir string, seq uint64, g *clickgraph.Graph) error {
 
 // LoadFoldState reads the fold state from dir. A missing file returns
 // (nil, nil) — first start. A corrupt file is an error: the operator
-// playbook (OPERATIONS.md, "WAL corruption") covers recovery, silently
-// refolding from the wrong cursor must not.
+// playbook (OPERATIONS.md, "Failure-mode playbook", "fold-state.bin
+// corrupt on startup") covers recovery, silently refolding from the wrong
+// cursor must not.
 func LoadFoldState(dir string) (*FoldState, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, stateFile))
 	if os.IsNotExist(err) {
@@ -154,14 +155,23 @@ func LoadFoldState(dir string) (*FoldState, error) {
 // clean shard's segment byte-copy assumes identical global ids. The
 // stock clickgraph.Write declares only isolated nodes (ads re-intern in
 // first-edge order), which is enough for a standalone graph file but
-// would shift ids here and spuriously dirty every shard after a crash.
+// would shift ids here and spuriously dirty every shard after a crash. A
+// name the format cannot carry is an error, never a state that loads as a
+// different graph (Record.Validate keeps such names out of the WAL; a
+// -graph file read by clickgraph.Read cannot hold one).
 func writeGraphOrdered(w *bytes.Buffer, g *clickgraph.Graph) error {
 	for _, q := range g.Queries() {
+		if err := clickgraph.CheckName(clickgraph.QuerySide, q); err != nil {
+			return err
+		}
 		w.WriteString("!query\t")
 		w.WriteString(q)
 		w.WriteByte('\n')
 	}
 	for _, a := range g.Ads() {
+		if err := clickgraph.CheckName(clickgraph.AdSide, a); err != nil {
+			return err
+		}
 		w.WriteString("!ad\t")
 		w.WriteString(a)
 		w.WriteByte('\n')

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"simrankpp/internal/clickgraph"
 )
 
 func walRec(i int) Record {
@@ -102,6 +104,54 @@ func activeSegPath(t *testing.T, dir string) string {
 // TestWALReopenEmptySegment pins the empty-segment edge cases: a brand
 // new log (header-only segment), and reopening it, must behave as an
 // empty record set, not an error.
+// TestAppendRefusesNamesTheFoldStateCannotCarry: the fold state saves the
+// folded graph as click-graph text, where a line that starts with '#' is a
+// comment and a carriage return at the end of a line is dropped. A record
+// with such a name used to be acknowledged, folded and published, and the
+// daemon then could not restart ("fold state graph fingerprint … !=
+// recorded …"); now it never enters the log, and what does enter survives
+// the state file.
+func TestAppendRefusesNamesTheFoldStateCannotCarry(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, names := range [][2]string{{"#hashtag", "ad"}, {"query\r", "ad"}, {"query", "ad\r"}, {"que\try", "ad"}, {"query", "a\nd"}} {
+		rec := Record{Query: names[0], Ad: names[1], Impressions: 2, Clicks: 1, Rate: 0.5}
+		if seq, err := l.Append(rec); err == nil {
+			t.Errorf("Append(%q, %q) accepted as sequence %d", names[0], names[1], seq)
+		}
+	}
+	if l.NextSeq() != 0 {
+		t.Fatalf("refused records advanced the log to sequence %d", l.NextSeq())
+	}
+
+	b := clickgraph.NewBuilder()
+	for _, names := range [][2]string{{"q #1", "#ad"}, {"!query", "!ad"}, {" q\rx ", "\rad"}} {
+		rec := Record{Query: names[0], Ad: names[1], Impressions: 2, Clicks: 1, Rate: 0.5}
+		if _, err := l.Append(rec); err != nil {
+			t.Fatalf("Append(%q, %q): %v", names[0], names[1], err)
+		}
+		if err := b.AddEdge(rec.Query, rec.Ad, rec.Weights()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := SaveFoldState(dir, l.NextSeq(), b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := LoadFoldState(dir); err != nil || st.Graph.NumEdges() != 3 {
+		t.Errorf("LoadFoldState of accepted names: %+v, %v", st, err)
+	}
+	// A graph that did not come through Validate: an error, not a state
+	// file that cannot be loaded.
+	b.AddQuery("#isolated")
+	if err := SaveFoldState(dir, l.NextSeq(), b.Build()); err == nil {
+		t.Error("SaveFoldState wrote a query the text form reads as a comment")
+	}
+}
+
 func TestWALReopenEmptySegment(t *testing.T) {
 	dir := t.TempDir()
 	l, err := OpenLog(dir, LogOptions{})

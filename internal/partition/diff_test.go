@@ -220,6 +220,50 @@ func TestGraphFingerprintSensitivity(t *testing.T) {
 	}
 }
 
+// TestEdgeCountsExactPast2To53: impressions and clicks are int64 from the
+// builder to the fingerprint. A float64 column rounds 1<<53 + 1 to 1<<53,
+// so the two graphs below read back, save and fingerprint the same.
+func TestEdgeCountsExactPast2To53(t *testing.T) {
+	build := func(n int64) *clickgraph.Graph {
+		b := clickgraph.NewBuilder()
+		for _, qa := range [][2]string{{"q0", "ad0"}, {"q0", "ad1"}, {"q1", "ad1"}} {
+			w := clickgraph.EdgeWeights{Impressions: n, Clicks: n, ExpectedClickRate: 0.5}
+			if err := b.AddEdge(qa[0], qa[1], w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Build()
+	}
+	const big = 1<<53 + 1
+	g := build(big)
+	view, err := clickgraph.NewSubview(g, []int{0, 1}, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := clickgraph.Write(&text, g); err != nil {
+		t.Fatal(err)
+	}
+	reread, err := clickgraph.Read(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*clickgraph.Graph{"Build": g, "NewSubview": view.Graph, "Write+Read": reread} {
+		if w, ok := got.EdgeWeightsOf(1, got.NumAds()-1); !ok || w.Impressions != big || w.Clicks != big {
+			t.Errorf("%s: EdgeWeightsOf = %+v, %v; want both counts %d", name, w, ok, int64(big))
+		}
+		got.Edges(func(q, a int, w clickgraph.EdgeWeights) bool {
+			if w.Impressions != big || w.Clicks != big {
+				t.Errorf("%s: Edges (%d,%d) = %+v, want both counts %d", name, q, a, w, int64(big))
+			}
+			return true
+		})
+	}
+	if GraphFingerprint(g) == GraphFingerprint(build(1<<53)) {
+		t.Error("graphs whose counts differ by one past 2^53 fingerprint the same")
+	}
+}
+
 // TestReannotateRefreshesFingerprints pins the stale-plan hazard: a plan
 // applied to a graph whose edges drifted (node coverage unchanged, so
 // Validate passes) must have Reannotate re-derive its fingerprints from

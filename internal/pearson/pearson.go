@@ -20,53 +20,37 @@ import (
 // either deviation vector is identically zero (degenerate correlation).
 // Values are in [-1, 1].
 func Similarity(g *clickgraph.Graph, ch core.WeightChannel, q1, q2 int) float64 {
-	common := g.CommonAds(q1, q2)
-	if len(common) == 0 || q1 == q2 {
-		if q1 == q2 && g.QueryDegree(q1) > 0 {
+	if q1 == q2 {
+		if g.QueryDegree(q1) > 0 {
 			return 1
 		}
 		return 0
 	}
-	m1, m2 := meanWeight(g, ch, q1), meanWeight(g, ch, q2)
+	ads1, w1 := ch.Weights(g, clickgraph.QuerySide, q1)
+	ads2, w2 := ch.Weights(g, clickgraph.QuerySide, q2)
+	m1, m2 := mean(w1), mean(w2)
 	num, d1, d2 := 0.0, 0.0, 0.0
-	for _, a := range common {
-		x := weight(g, ch, q1, a) - m1
-		y := weight(g, ch, q2, a) - m2
-		num += x * y
-		d1 += x * x
-		d2 += y * y
+	// Both rows ascend by ad id: the common ads are a merge.
+	for i, j := 0, 0; i < len(ads1) && j < len(ads2); {
+		switch {
+		case ads1[i] < ads2[j]:
+			i++
+		case ads1[i] > ads2[j]:
+			j++
+		default:
+			x, y := w1[i]-m1, w2[j]-m2
+			num += x * y
+			d1 += x * x
+			d2 += y * y
+			i++
+			j++
+		}
 	}
 	den := math.Sqrt(d1 * d2)
 	if den == 0 {
 		return 0
 	}
 	return num / den
-}
-
-// Similarities computes Pearson similarity between every query pair that
-// shares at least one ad, returned as a sparse pair table. Only strictly
-// positive correlations are stored: negative correlation is evidence
-// against a rewrite, and the rewriting pipeline ranks by descending score.
-func Similarities(g *clickgraph.Graph, ch core.WeightChannel) *sparse.PairTable {
-	t := sparse.NewPairTable(0)
-	// Candidate pairs are exactly those sharing an ad; enumerate them by
-	// scattering through ads, deduping via the table itself.
-	seen := sparse.NewPairTable(0)
-	for a := 0; a < g.NumAds(); a++ {
-		qs, _ := g.QueriesOf(a)
-		for x := 0; x < len(qs); x++ {
-			for y := x + 1; y < len(qs); y++ {
-				if _, ok := seen.Get(qs[x], qs[y]); ok {
-					continue
-				}
-				seen.Set(qs[x], qs[y], 1)
-				if v := Similarity(g, ch, qs[x], qs[y]); v > 0 {
-					t.Set(qs[x], qs[y], v)
-				}
-			}
-		}
-	}
-	return t
 }
 
 // TopRewrites returns the k best-correlated rewrite candidates for q,
@@ -94,46 +78,12 @@ func TopRewrites(g *clickgraph.Graph, ch core.WeightChannel, q, k int) []sparse.
 	return out
 }
 
-func meanWeight(g *clickgraph.Graph, ch core.WeightChannel, q int) float64 {
-	ads, ws := weightRow(g, ch, q)
-	if len(ads) == 0 {
-		return 0
-	}
+// mean is w̄_q; the NaN of an edgeless query is never read, as it shares no
+// ad.
+func mean(ws []float64) float64 {
 	s := 0.0
 	for _, w := range ws {
 		s += w
 	}
-	return s / float64(len(ads))
-}
-
-func weight(g *clickgraph.Graph, ch core.WeightChannel, q, a int) float64 {
-	w, ok := g.EdgeWeightsOf(q, a)
-	if !ok {
-		return 0
-	}
-	switch ch {
-	case core.ChannelClicks:
-		return float64(w.Clicks)
-	case core.ChannelImpressions:
-		return float64(w.Impressions)
-	default:
-		return w.ExpectedClickRate
-	}
-}
-
-func weightRow(g *clickgraph.Graph, ch core.WeightChannel, q int) ([]int, []float64) {
-	switch ch {
-	case core.ChannelClicks:
-		return g.ClicksOfQuery(q)
-	case core.ChannelImpressions:
-		ads, _ := g.AdsOf(q)
-		ws := make([]float64, len(ads))
-		for i, a := range ads {
-			ew, _ := g.EdgeWeightsOf(q, a)
-			ws[i] = float64(ew.Impressions)
-		}
-		return ads, ws
-	default:
-		return g.AdsOf(q)
-	}
+	return s / float64(len(ws))
 }

@@ -111,15 +111,11 @@ func TestSimilaritiesOnlyPositive(t *testing.T) {
 		{"q2", "a1", 0.8}, {"q2", "a2", 0.2}, // +1 with q1
 		{"q3", "a1", 0.1}, {"q3", "a2", 0.9}, // -1 with q1
 	})
-	tab := Similarities(g, core.ChannelRate)
 	q1, _ := g.QueryID("q1")
 	q2, _ := g.QueryID("q2")
-	q3, _ := g.QueryID("q3")
-	if v, ok := tab.Get(q1, q2); !ok || v <= 0 {
-		t.Errorf("positive pair missing: %v %v", v, ok)
-	}
-	if _, ok := tab.Get(q1, q3); ok {
-		t.Error("negative correlation stored; rewrites must be positive")
+	top := TopRewrites(g, core.ChannelRate, q1, -1)
+	if len(top) != 1 || top[0].Node != q2 || top[0].Score <= 0 {
+		t.Errorf("TopRewrites(q1) = %+v, want q2 alone: a negative correlation (q3) is no rewrite", top)
 	}
 }
 

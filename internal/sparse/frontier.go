@@ -1,3 +1,12 @@
+// Package sparse holds the sparse pair-score structures the SimRank engines
+// and the snapshot writer share: PairFrontier, the row-sorted store of one
+// side's node-pair scores; SymAdj, its symmetric expansion into contiguous
+// partner rows; the non-allocating (column, value) sort and duplicate merge
+// both are built on; Bitset, the per-side change mark; and PairTable, the
+// map formulation, kept as the reference the core and serve tests compare
+// the frontier paths against. Everything is stdlib-only and allocation
+// conscious: rows are contiguous slices that keep their capacity across
+// iterations.
 package sparse
 
 // PairFrontier is the engines' score representation: the pairs of one
@@ -15,11 +24,11 @@ package sparse
 //   - Add binary-searches the prefix; a hit is one in-place +=, with no
 //     growth and no allocation.
 //   - Misses append to the tail. When the tail outgrows a quarter of the
-//     prefix it is folded: sort+sum the tail (the same COO→CSR discipline
-//     COO.Compile uses, via compactPairs) and linear-merge it into the
-//     prefix through a reusable scratch buffer. Fold cost is O(prefix)
-//     per O(prefix/4) misses, so even an all-distinct stream pays O(1)
-//     amortized moves per contribution.
+//     prefix it is folded: sort the tail and sum its duplicate columns
+//     (compactPairs), then linear-merge it into the prefix through a
+//     reusable scratch buffer. Fold cost is O(prefix) per O(prefix/4)
+//     misses, so even an all-distinct stream pays O(1) amortized moves
+//     per contribution.
 //
 // Compact folds every tail, leaving rows sorted and duplicate-free for
 // O(log d) Get, ordered Range, and cheap merge-walk MaxAbsDiff/Prune.

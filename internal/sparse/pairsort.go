@@ -1,11 +1,10 @@
 package sparse
 
-// This file holds the shared, non-allocating sort used everywhere the
-// package orders a (column, value) pair of parallel slices: CSR row
-// normalization and PairFrontier compaction. The previous sort.Sort path
-// allocated an interface header per row and paid dynamic dispatch per
-// comparison; this one is a plain three-way quicksort specialized to the
-// two-slice layout.
+// This file holds the non-allocating sort PairFrontier compaction orders a
+// (column, value) pair of parallel slices with: a plain three-way
+// quicksort specialized to the two-slice layout, where sort.Sort would
+// allocate an interface header per row and pay dynamic dispatch per
+// comparison.
 
 // insertionCutoff is the subarray size below which sortPairs switches to
 // insertion sort. Click-graph rows are mostly tiny, so the cutoff branch
@@ -17,7 +16,7 @@ const insertionCutoff = 16
 // rows frontier compaction produces without quadratic blowup, recursion on
 // the smaller partition bounds stack depth at O(log n), and small runs use
 // insertion sort.
-func sortPairs[C ~int32 | ~int](cols []C, vals []float64) {
+func sortPairs(cols []int32, vals []float64) {
 	for len(cols) > insertionCutoff {
 		n := len(cols)
 		// Median-of-three pivot from the first, middle and last elements.
@@ -73,9 +72,8 @@ func sortPairs[C ~int32 | ~int](cols []C, vals []float64) {
 }
 
 // compactPairs sorts cols ascending (moving vals in lockstep) and sums the
-// values of duplicate columns in place, returning the compacted length —
-// the COO→CSR duplicate-merging discipline as a reusable primitive.
-func compactPairs[C ~int32 | ~int](cols []C, vals []float64) int {
+// values of duplicate columns in place, returning the compacted length.
+func compactPairs(cols []int32, vals []float64) int {
 	if len(cols) == 0 {
 		return 0
 	}
