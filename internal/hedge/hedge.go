@@ -31,7 +31,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -130,6 +130,11 @@ func (t *Tracker) Record(d time.Duration) {
 // Delay returns when an outstanding request becomes a straggler: the
 // configured percentile of recorded latencies, floored at Floor. ok is
 // false until MinSamples completions have been recorded.
+//
+// Every call of Do asks, and on a healthy fleet the answer is the floor:
+// the sample of ascending rank idx is at or below it exactly when more
+// than idx samples are, which a count decides. Only a percentile that
+// really is above the floor is found by sorting.
 func (t *Tracker) Delay() (delay time.Duration, ok bool) {
 	min := t.MinSamples
 	if min <= 0 {
@@ -148,13 +153,19 @@ func (t *Tracker) Delay() (delay time.Duration, ok bool) {
 	if floor <= 0 {
 		floor = 250 * time.Millisecond
 	}
-	sorted := append([]time.Duration(nil), t.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	d := sorted[int(float64(len(sorted)-1)*q)]
-	if d < floor {
-		d = floor
+	idx := int(float64(len(t.samples)-1) * q)
+	atOrBelow := 0
+	for _, d := range t.samples {
+		if d <= floor {
+			atOrBelow++
+		}
 	}
-	return d, true
+	if atOrBelow > idx {
+		return floor, true
+	}
+	sorted := slices.Clone(t.samples)
+	slices.Sort(sorted)
+	return sorted[idx], true
 }
 
 // StatusError is a non-2xx HTTP reply treated as a dispatch failure,

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -119,6 +121,66 @@ func TestTrackerFloorAndWindow(t *testing.T) {
 	}
 	if d, _ := tr.Delay(); d != time.Second {
 		t.Fatalf("Delay after window turnover = %v, want 1s", d)
+	}
+}
+
+// sortedDelay is Delay's definition, kept as the reference: sort the
+// window, take the sample of rank ⌊(n−1)·q⌋, floor it.
+func sortedDelay(window []time.Duration, q float64, floor time.Duration) time.Duration {
+	sorted := append([]time.Duration(nil), window...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	d := sorted[int(float64(len(sorted)-1)*q)]
+	if d < floor {
+		d = floor
+	}
+	return d
+}
+
+// TestTrackerDelayMatchesSortingDefinition holds Delay, which answers
+// from a count whenever the percentile is at or under the floor, to the
+// sorting definition over random windows, quantiles and floors — samples
+// drawn from a few values around the floor so ties with it and with each
+// other are common — and over more records than the window keeps.
+func TestTrackerDelayMatchesSortingDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 2000; trial++ {
+		floor := time.Duration(1+rng.Intn(8)) * time.Millisecond
+		q := rng.Float64()
+		if q == 0 {
+			q = 0.5
+		}
+		window := 1 + rng.Intn(12)
+		tr := &Tracker{Quantile: q, Floor: floor, Window: window, MinSamples: 1}
+		var recorded []time.Duration
+		for n := 1 + rng.Intn(3*window); n > 0; n-- {
+			d := time.Duration(rng.Intn(12)) * time.Millisecond
+			if rng.Intn(4) == 0 {
+				d += time.Duration(rng.Intn(3)-1) * time.Nanosecond
+			}
+			tr.Record(d)
+			recorded = append(recorded, d)
+			kept := recorded[max(0, len(recorded)-window):]
+			got, ok := tr.Delay()
+			if want := sortedDelay(kept, q, floor); !ok || got != want {
+				t.Fatalf("trial %d: Delay() = (%v, %v) over %v (q %.3f, floor %v), sorting gives %v", trial, got, ok, kept, q, floor, want)
+			}
+		}
+	}
+}
+
+// TestTrackerDelayUnderFloorDoesNotAllocate: the answer every read of a
+// healthy fleet gets — a p95 far under the floor — costs no copy of the
+// window and no sort.
+func TestTrackerDelayUnderFloorDoesNotAllocate(t *testing.T) {
+	tr := &Tracker{Floor: 100 * time.Millisecond}
+	for i := 0; i < 200; i++ {
+		tr.Record(time.Duration(150+i) * time.Microsecond)
+	}
+	if d, ok := tr.Delay(); !ok || d != 100*time.Millisecond {
+		t.Fatalf("Delay = (%v, %v), want the 100ms floor", d, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.Delay() }); n != 0 {
+		t.Errorf("Delay under the floor allocates %v times a call, want 0", n)
 	}
 }
 

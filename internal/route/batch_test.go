@@ -394,7 +394,9 @@ func TestGatewayBatchKeepsQuarantineOrder(t *testing.T) {
 
 // TestGatewayBatchCap: the fleet refuses what one daemon refuses. A batch
 // above the replica's MaxBatch is a 400 at the gateway, in the replica's
-// words, routed or not — not a 200 whose sub-batches happened to fit.
+// words, routed or not — not a 200 whose sub-batches happened to fit —
+// and so is a body with anything but whitespace after its one JSON object,
+// which a decoder that stops at the first value would answer in part.
 func TestGatewayBatchCap(t *testing.T) {
 	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
 	defer snap.Close()
@@ -404,20 +406,131 @@ func TestGatewayBatchCap(t *testing.T) {
 	for i := range queries {
 		queries[i] = of[i%len(of)] // no shard sees more than 38 of them
 	}
-	body, _ := json.Marshal(serve.BatchRequest{Queries: queries, Top: 1})
-	wantCode, want := directPost(t, rep.ts.URL, string(body))
-	if wantCode != http.StatusBadRequest {
-		t.Fatalf("replica answered the oversized batch %d: %s", wantCode, want)
+	oversized, _ := json.Marshal(serve.BatchRequest{Queries: queries, Top: 1})
+	one, _ := json.Marshal(serve.BatchRequest{Queries: of[:1], Top: 1})
+	for name, body := range map[string]string{
+		"oversized":        string(oversized),
+		"second object":    string(one) + string(one),
+		"trailing garbage": string(one) + " garbage",
+	} {
+		wantCode, want := directPost(t, rep.ts.URL, body)
+		if wantCode != http.StatusBadRequest {
+			t.Fatalf("%s: replica answered %d: %s", name, wantCode, want)
+		}
+		for fleet, opt := range map[string]Options{"routed": {Router: snap}, "unrouted": {}} {
+			gw := newGateway(t, opt, rep)
+			code, _, raw := postBatch(t, gw.Handler(), body)
+			if code != wantCode || !bytes.Equal(raw, want) {
+				t.Errorf("%s: %s gateway = %d %s, replica direct = %d %s", name, fleet, code, raw, wantCode, want)
+			}
+			if n := gw.batches.Load(); n != 0 {
+				t.Errorf("%s: %s gateway relayed %d refused batches", name, fleet, n)
+			}
+		}
 	}
-	for name, opt := range map[string]Options{"routed": {Router: snap}, "unrouted": {}} {
-		gw := newGateway(t, opt, rep)
+}
+
+// scriptedBatchReplica is a replica of the given generation whose /batch
+// answers 200 with body, whatever it was asked.
+func scriptedBatchReplica(t *testing.T, gen string, body []byte) *httptest.Server {
+	t.Helper()
+	return fakeBackend(t, gen, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	})
+}
+
+// TestGatewayBatchMalformedSubResponse pins what the relay does with a 200
+// it cannot take apart — the checks json.Unmarshal used to make, now
+// json.Valid and serve's splitter: invalid JSON, a results array of the
+// wrong length, valid JSON that is not the envelope. Every position of
+// that sub-batch becomes a 502 item carrying the start of the answer, and
+// the other sub-batch's positions are answered as if nothing had happened.
+func TestGatewayBatchMalformedSubResponse(t *testing.T) {
+	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
+	defer snap.Close()
+	var others []int
+	for s := 2; s < snap.NumShards(); s++ {
+		others = append(others, s)
+	}
+	good := startReplica(t, snap, 1)
+
+	of := queryOfShard(t, snap)
+	queries := []string{of[0], of[2], of[1]} // positions 0 and 2 go to the scripted replica
+	body, _ := json.Marshal(serve.BatchRequest{Queries: queries, Top: 2})
+	_, wantGood := directPost(t, good.ts.URL, fmt.Sprintf(`{"queries":[%q],"top":2}`, of[2]))
+	var goodResp serve.BatchResponse
+	if err := json.Unmarshal(wantGood, &goodResp); err != nil || len(goodResp.Results) != 1 {
+		t.Fatalf("replica direct answered %s (err %v)", wantGood, err)
+	}
+
+	long := `{"results":[{"query":"` + strings.Repeat("x", 300) + `"}]}`
+	for name, answer := range map[string]string{
+		"invalid JSON":     `{"results":[{"query":"a"},{"query":"b"]}`,
+		"cut short":        `{"results":[{"query":"a"},{"que`,
+		"one element less": `{"results":[{"query":"a"}]}`,
+		"one element more": `{"results":[1,2,3]}`,
+		"a bare array":     `[]`,
+		"results object":   `{"results":{}}`,
+		"long and wrong":   long,
+	} {
+		bad := scriptedBatchReplica(t, snap.Meta().Fingerprint, []byte(answer))
+		gw, err := New(Options{Router: snap, Backends: []BackendSpec{
+			{URL: bad.URL, Shards: []int{0, 1}},
+			{URL: good.ts.URL, Shards: others},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gw.ProbeAll(context.Background())
 		code, _, raw := postBatch(t, gw.Handler(), string(body))
-		if code != wantCode || !bytes.Equal(raw, want) {
-			t.Errorf("%s gateway = %d %s, replica direct = %d %s", name, code, raw, wantCode, want)
+		if code != http.StatusOK {
+			t.Fatalf("%s: /batch = %d: %s", name, code, raw)
 		}
-		if n := gw.batches.Load(); n != 0 {
-			t.Errorf("%s gateway relayed %d refused batches", name, n)
+		var resp serve.BatchResponse
+		if err := json.Unmarshal(raw, &resp); err != nil || len(resp.Results) != len(queries) {
+			t.Fatalf("%s: gateway answered %s (err %v)", name, raw, err)
 		}
+		detail := answer
+		if len(detail) > 200 {
+			detail = detail[:200] + "..."
+		}
+		for _, i := range []int{0, 2} {
+			var item serve.BatchItemError
+			if err := json.Unmarshal(resp.Results[i], &item); err != nil {
+				t.Fatalf("%s: result[%d] = %s: %v", name, i, resp.Results[i], err)
+			}
+			if want := (serve.BatchItemError{Query: queries[i], Error: detail, Status: http.StatusBadGateway}); item != want {
+				t.Errorf("%s: result[%d] = %+v, want %+v", name, i, item, want)
+			}
+		}
+		if !bytes.Equal(resp.Results[1], goodResp.Results[0]) {
+			t.Errorf("%s: result[1] = %s, the healthy sub-batch's replica says %s", name, resp.Results[1], goodResp.Results[0])
+		}
+	}
+}
+
+// TestGatewayBatchRelaysLargeSubResponse: a well-formed sub-response past
+// the gateway's failover buffer is still relayed, byte for byte — the
+// splitter gets the buffered head re-joined with the streamed remainder.
+func TestGatewayBatchRelaysLargeSubResponse(t *testing.T) {
+	items := make([]json.RawMessage, 3)
+	for i := range items {
+		items[i], _ = json.Marshal(serve.BatchItemError{Query: fmt.Sprint("q", i), Error: strings.Repeat("0123456789abcdef", (128<<10)/16), Status: 404})
+	}
+	want := serve.EncodeBatchResponse(items)
+	if len(want) <= bodyBuffer {
+		t.Fatalf("fixture body is %d bytes, want it past bodyBuffer (%d)", len(want), bodyBuffer)
+	}
+	ts := scriptedBatchReplica(t, "g1", want)
+	gw, err := New(Options{Backends: []BackendSpec{{URL: ts.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.ProbeAll(context.Background())
+	code, _, raw := postBatch(t, gw.Handler(), `{"queries":["q0","q1","q2"]}`)
+	if code != http.StatusOK || !bytes.Equal(raw, want) {
+		t.Fatalf("/batch = %d, %d bytes (head %.60q); want the replica's %d bytes", code, len(raw), raw, len(want))
 	}
 }
 

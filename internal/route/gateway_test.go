@@ -183,7 +183,8 @@ func TestShardAffinity(t *testing.T) {
 }
 
 // fakeBackend is a scriptable replica for failure-path tests: /readyz
-// reports a fixed generation, reads run the given handler.
+// reports a fixed generation, reads (/rewrite, /batch) run the given
+// handler.
 func fakeBackend(t *testing.T, gen string, read http.HandlerFunc) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -195,6 +196,7 @@ func fakeBackend(t *testing.T, gen string, read http.HandlerFunc) *httptest.Serv
 		})
 	})
 	mux.HandleFunc("/rewrite", read)
+	mux.HandleFunc("/batch", read)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts

@@ -34,14 +34,18 @@ func (gw *Gateway) Handler() http.Handler {
 }
 
 // proxied is one backend answer, relayed to the client byte-identically.
-// The body streams straight from the backend connection — the gateway
-// never buffers a success response — so the caller must drain it and
-// then call release, which closes the body and cancels the fetch's
-// context (returning the connection to the pool or aborting it).
+// body holds it whole when it fits bodyBuffer — read to its end inside the
+// fetch, so that a transfer cut short fails over to another replica
+// instead of reaching the client — and the connection is already done
+// with. A longer answer has its first bodyBuffer+1 bytes in body and the
+// remainder still streaming in rest, which the caller drains. Either way
+// the caller calls release when done: it closes rest and ends the fetch's
+// context (returning the connection to the pool, or aborting it).
 type proxied struct {
 	status      int
 	contentType string
-	body        io.ReadCloser
+	body        []byte
+	rest        io.ReadCloser // nil: body is the whole answer
 	release     func()
 }
 
@@ -94,18 +98,18 @@ func (gw *Gateway) candidatesAt(pin string, rot int, side string, shard int) []*
 		return nil
 	}
 	now := time.Now()
-	var tiers [3][]*backendState
 	n := len(gw.backends)
+	order := make([]*backendState, 0, n)
+	var end [3]int // end[t]: where tier t's run ends in order
 	for i := 0; i < n; i++ {
 		b := gw.backends[(rot+i)%n]
 		if tier, ok := b.tierFor(pin, side, shard, now); ok {
-			tiers[tier] = append(tiers[tier], b)
+			order = slices.Insert(order, end[tier], b)
+			for t := tier; t < len(end); t++ {
+				end[t]++
+			}
 		}
 	}
-	var order []*backendState
-	order = append(order, tiers[0]...)
-	order = append(order, tiers[1]...)
-	order = append(order, tiers[2]...)
 	return order
 }
 
@@ -140,8 +144,11 @@ func (gw *Gateway) handleRead(w http.ResponseWriter, r *http.Request) {
 	// observable (and assertable by the chaos suite).
 	h.Set("Simrank-Generation", pin)
 	w.WriteHeader(resp.status)
-	// Stream backend to client without a gateway-side copy of the body.
-	io.Copy(w, resp.body)
+	w.Write(resp.body)
+	if resp.rest != nil {
+		// Past bodyBuffer the answer streams: no more of it is held here.
+		io.Copy(w, resp.rest)
+	}
 	resp.release()
 }
 
@@ -190,7 +197,11 @@ func (gw *Gateway) fetchFailover(ctx context.Context, order []*backendState, met
 			}
 			return resp, err
 		},
-		Discard: func(late proxied) { late.body.Close() },
+		Discard: func(late proxied) {
+			if late.rest != nil {
+				late.rest.Close()
+			}
+		},
 		Retried: func(int, error) { gw.retries.Add(1) },
 		Hedged:  func(_, _ *backendState) { gw.hedges.Add(1) },
 	})
@@ -204,9 +215,11 @@ func (gw *Gateway) fetchFailover(ctx context.Context, order []*backendState, met
 		gw.failovers.Add(1)
 	}
 	resp := res.Value
-	body := resp.body
+	rest := resp.rest
 	resp.release = func() {
-		body.Close()
+		if rest != nil {
+			rest.Close()
+		}
 		res.Release()
 	}
 	return resp, nil
@@ -220,15 +233,6 @@ func (gw *Gateway) fetchFailover(ctx context.Context, order []*backendState, met
 // capped, at the cost of mid-stream failover. (A failure response is
 // read for its detail under hedge.ResponseError's own, much smaller cap.)
 const bodyBuffer = 256 << 10
-
-// spillBody is a buffered head re-joined with its still-streaming tail.
-type spillBody struct {
-	r io.Reader
-	c io.Closer
-}
-
-func (b *spillBody) Read(p []byte) (int, error) { return b.r.Read(p) }
-func (b *spillBody) Close() error               { return b.c.Close() }
 
 // fetchOne proxies the read to one backend. A 2xx/4xx answer is
 // definitive — relayed as-is (4xx is the backend telling the *client*
@@ -258,23 +262,32 @@ func (gw *Gateway) fetchOne(ctx context.Context, b *backendState, method, path, 
 	if httpResp.StatusCode >= 500 {
 		return proxied{}, fmt.Errorf("route: %s: %w", b.spec.URL, hedge.ResponseError(httpResp))
 	}
-	head, err := io.ReadAll(io.LimitReader(httpResp.Body, bodyBuffer+1))
-	if err != nil {
-		httpResp.Body.Close()
-		return proxied{}, fmt.Errorf("route: %s: reading body: %w", b.spec.URL, err)
-	}
 	resp := proxied{
 		status:      httpResp.StatusCode,
 		contentType: httpResp.Header.Get("Content-Type"),
 	}
-	if len(head) <= bodyBuffer {
+	// One buffer, read into directly and handed on as it is. A declared
+	// length the buffer may hold sizes it up front (plus the room ReadFrom
+	// wants free before it asks the body for its end); a header claiming
+	// more is not allocated for on its say-so — then, as for a chunked
+	// answer, the buffer grows only with the bytes that actually arrive.
+	size := bytes.MinRead
+	if n := httpResp.ContentLength; n >= 0 && n <= bodyBuffer {
+		size += int(n)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := buf.ReadFrom(io.LimitReader(httpResp.Body, bodyBuffer+1)); err != nil {
+		httpResp.Body.Close()
+		return proxied{}, fmt.Errorf("route: %s: reading body: %w", b.spec.URL, err)
+	}
+	resp.body = buf.Bytes()
+	if len(resp.body) <= bodyBuffer {
 		// Complete within the buffer: the connection is done with, and
 		// any truncation already surfaced as a retryable error above.
 		httpResp.Body.Close()
-		resp.body = io.NopCloser(bytes.NewReader(head))
 		return resp, nil
 	}
-	resp.body = &spillBody{r: io.MultiReader(bytes.NewReader(head), httpResp.Body), c: httpResp.Body}
+	resp.rest = httpResp.Body
 	return resp, nil
 }
 
@@ -289,17 +302,18 @@ type subBatch struct {
 // handleBatch relays POST /batch across the fleet: one generation and
 // one rotation are taken at entry, each query's shard gets its candidate
 // list under them, and queries whose lists are equal — same replicas,
-// same order — travel as one sub-batch through fetchFailover; the answers
-// are merged back into request order. The list already says who holds
-// the shard, each holder's tier for it and whose breaker is open, so
-// shards merge exactly when a failure of one would be handled like a
-// failure of the other: one sub-batch when every replica holds the whole
-// snapshot and is equally healthy, never more than one per shard. A
-// sub-batch whose replicas all fail degrades to per-item errors (status
-// 503) instead of failing the queries other sub-batches answered, and
-// while a generation is pinned that holds even when every sub-batch
-// failed: the response is 200 with a 503 item per query. Only an unpinned
-// gateway answers the all-fleet-down 503.
+// same order — travel as one sub-batch through fetchFailover; the answers'
+// elements are merged back into request order as the bytes the replicas
+// wrote (relaySubBatch), whether there was one sub-batch or several. The
+// list already says who holds the shard, each holder's tier for it and
+// whose breaker is open, so shards merge exactly when a failure of one
+// would be handled like a failure of the other: one sub-batch when every
+// replica holds the whole snapshot and is equally healthy, never more than
+// one per shard. A sub-batch whose replicas all fail degrades to per-item
+// errors (status 503) instead of failing the queries other sub-batches
+// answered, and while a generation is pinned that holds even when every
+// sub-batch failed: the response is 200 with a 503 item per query. Only an
+// unpinned gateway answers the all-fleet-down 503.
 func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	gw.requests.Add(1)
 	// The replicas' default cap, on the client's whole batch: sub-batches
@@ -344,65 +358,24 @@ func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeoutCause(r.Context(), gw.opt.RequestTimeout, errRequestTimeout)
 	defer cancel()
 
+	// One sub-batch per goroutine, the last on this one: in the common
+	// deployment — every replica holds every shard — it is the only one,
+	// and a relay that only moves bytes has nothing to hand to another
+	// goroutine.
 	results := make([]json.RawMessage, len(req.Queries))
 	var answered atomic.Int64
 	var wg sync.WaitGroup
-	for _, sb := range subs {
+	for _, sb := range subs[:len(subs)-1] {
 		wg.Add(1)
-		go func(order []*backendState, idx []int) {
+		go func() {
 			defer wg.Done()
-			fail := func(msg string, status int) {
-				for _, i := range idx {
-					item, err := json.Marshal(serve.BatchItemError{Query: req.Queries[i], Error: msg, Status: status})
-					if err != nil {
-						item = []byte(`{"error":"internal error","status":500}`)
-					}
-					results[i] = item
-				}
+			if gw.relaySubBatch(ctx, req, sb, results) {
+				answered.Add(1)
 			}
-			if len(order) == 0 {
-				gw.noReplica.Add(1)
-				fail("no replica can serve this shard", http.StatusServiceUnavailable)
-				return
-			}
-			sub := serve.BatchRequest{Queries: make([]string, len(idx)), Top: req.Top}
-			for j, i := range idx {
-				sub.Queries[j] = req.Queries[i]
-			}
-			payload, err := json.Marshal(sub)
-			if err != nil {
-				fail(err.Error(), http.StatusInternalServerError)
-				return
-			}
-			gw.batchSubs.Add(1)
-			resp, err := gw.fetchFailover(ctx, order, http.MethodPost, "/batch", "", payload)
-			if err != nil {
-				fail(err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-			raw, err := io.ReadAll(io.LimitReader(resp.body, 64<<20))
-			resp.release()
-			if err != nil {
-				fail(err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-			var br serve.BatchResponse
-			if resp.status != http.StatusOK || json.Unmarshal(raw, &br) != nil || len(br.Results) != len(idx) {
-				// A definitive non-200 (the backend rejecting the batch)
-				// or a malformed answer: surface it per item with the
-				// backend's status so the client sees why.
-				status := resp.status
-				if status == http.StatusOK {
-					status = http.StatusBadGateway
-				}
-				fail(truncated(raw), status)
-				return
-			}
-			for j, i := range idx {
-				results[i] = br.Results[j]
-			}
-			answered.Add(1)
-		}(sb.order, sb.idx)
+		}()
+	}
+	if gw.relaySubBatch(ctx, req, subs[len(subs)-1], results) {
+		answered.Add(1)
 	}
 	wg.Wait()
 	if answered.Load() == 0 && pin == "" {
@@ -414,6 +387,73 @@ func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Simrank-Generation", pin)
 	w.Write(serve.EncodeBatchResponse(results))
+}
+
+// relaySubBatch sends sb's queries upstream as one /batch and files the
+// answer's elements — sub-slices of the one buffer the answer was read
+// into, found by serve's splitter, never decoded — under their positions
+// in results; positions of different sub-batches are disjoint. A sub-batch
+// nobody answers, or whose answer is not what a replica writes, becomes an
+// error item per position instead, and relaySubBatch reports false.
+func (gw *Gateway) relaySubBatch(ctx context.Context, req serve.BatchRequest, sb *subBatch, results []json.RawMessage) bool {
+	fail := func(msg string, status int) {
+		for _, i := range sb.idx {
+			results[i] = serve.BatchItemError{Query: req.Queries[i], Error: msg, Status: status}.Item()
+		}
+	}
+	if len(sb.order) == 0 {
+		gw.noReplica.Add(1)
+		fail("no replica can serve this shard", http.StatusServiceUnavailable)
+		return false
+	}
+	sub := serve.BatchRequest{Queries: make([]string, len(sb.idx)), Top: req.Top}
+	for j, i := range sb.idx {
+		sub.Queries[j] = req.Queries[i]
+	}
+	payload, err := json.Marshal(sub)
+	if err != nil {
+		fail(err.Error(), http.StatusInternalServerError)
+		return false
+	}
+	gw.batchSubs.Add(1)
+	resp, err := gw.fetchFailover(ctx, sb.order, http.MethodPost, "/batch", "", payload)
+	if err != nil {
+		fail(err.Error(), http.StatusServiceUnavailable)
+		return false
+	}
+	raw := resp.body
+	if resp.rest != nil {
+		// An answer past bodyBuffer: this relay needs all of it.
+		var tail []byte
+		tail, err = io.ReadAll(io.LimitReader(resp.rest, 64<<20))
+		raw = append(raw, tail...)
+	}
+	resp.release()
+	if err != nil {
+		fail(err.Error(), http.StatusServiceUnavailable)
+		return false
+	}
+	var items []json.RawMessage
+	ok := resp.status == http.StatusOK
+	if ok {
+		items, ok = serve.SplitBatchResponse(make([]json.RawMessage, 0, len(sb.idx)), raw)
+	}
+	if !ok || len(items) != len(sb.idx) {
+		// A definitive non-200 (the backend rejecting the batch) or a
+		// malformed answer — not valid JSON, not a results array, not one
+		// element per query: surface it per item with the backend's status
+		// so the client sees why.
+		status := resp.status
+		if status == http.StatusOK {
+			status = http.StatusBadGateway
+		}
+		fail(truncated(raw), status)
+		return false
+	}
+	for j, i := range sb.idx {
+		results[i] = items[j]
+	}
+	return true
 }
 
 // markRead updates the backend's circuit breaker with one read outcome:

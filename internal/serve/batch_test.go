@@ -3,11 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"simrankpp/internal/sparse"
 )
 
 // postBatch POSTs body to /batch and returns status and response bytes.
@@ -93,6 +98,141 @@ func TestBatchBodyIsJSONMarshal(t *testing.T) {
 	}
 }
 
+// splitCases are results arrays whose elements hold everything that could
+// fool a scan for the next top-level comma: the structural characters
+// inside strings, escaped quotes and backslashes (also as a string's last
+// character), HTML-escaped text as json.Marshal writes it, nested arrays
+// and objects, scalars — and the two shortest arrays.
+var splitCases = [][]json.RawMessage{
+	{},
+	{json.RawMessage(`{"query":"camera","method":"simrank","rewrites":[]}`)},
+	{
+		json.RawMessage(`{"query":"a,b]c}d[e{f","error":"query \"a,b]c}d[e{f\" not in index","status":404}`),
+		json.RawMessage(`{"query":"back\\","rewrites":[{"text":"\\\"","score":0.5},{"text":"]},{","score":1e-7}]}`),
+		json.RawMessage(`{"query":"\u003cb\u003e\u0026\u2028","method":"x","rewrites":[[1,[2,[3]]],{"a":{"b":[{}]}}]}`),
+		json.RawMessage(`"just a string, with ] and }"`),
+		json.RawMessage(`[]`),
+		json.RawMessage(`-12.5e3`),
+		json.RawMessage(`null`),
+		json.RawMessage(`true`),
+	},
+}
+
+// TestSplitBatchResponseInvertsEncode pins SplitBatchResponse, which finds
+// the elements of a /batch body by scanning for them, as the inverse of
+// EncodeBatchResponse, and to json.Unmarshal: whatever it accepts,
+// Unmarshal into a BatchResponse accepts with the same elements.
+func TestSplitBatchResponseInvertsEncode(t *testing.T) {
+	srv, _ := fig3Server(t, DefaultServerConfig())
+	queries := []string{"camera", "<b>&\u2028 \"no\\such\" query\x7f", "pc", "a,b]c}d\\"}
+	reqBody, _ := json.Marshal(BatchRequest{Queries: queries, Top: 3})
+	code, replica := postBatch(t, srv.Handler(), string(reqBody))
+	if code != http.StatusOK {
+		t.Fatalf("/batch = %d: %s", code, replica)
+	}
+	var fromReplica BatchResponse
+	if err := json.Unmarshal(replica, &fromReplica); err != nil {
+		t.Fatal(err)
+	}
+
+	for ci, items := range append(splitCases, fromReplica.Results) {
+		body := EncodeBatchResponse(items)
+		got, ok := SplitBatchResponse(nil, body)
+		if !ok || len(got) != len(items) {
+			t.Fatalf("case %d: Split(%s) = %d elements, ok %v; want %d", ci, body, len(got), ok, len(items))
+		}
+		for i := range items {
+			if !bytes.Equal(got[i], items[i]) {
+				t.Errorf("case %d element %d = %s, want %s", ci, i, got[i], items[i])
+			}
+			// A sub-slice of body, not a copy: same backing bytes.
+			if len(got[i]) > 0 && !sameBacking(body, got[i]) {
+				t.Errorf("case %d element %d was copied out of the body", ci, i)
+			}
+		}
+		checkSplitAgainstUnmarshal(t, body)
+
+		// The same elements spaced out as JSON allows come back trimmed.
+		var spaced []byte
+		spaced = append(spaced, " \n{ \"results\"\t:\r[ "...)
+		for i, item := range items {
+			if i > 0 {
+				spaced = append(spaced, " ,\n\t"...)
+			}
+			spaced = append(spaced, item...)
+			spaced = append(spaced, "  "...)
+		}
+		spaced = append(spaced, "\n] } \n"...)
+		got, ok = SplitBatchResponse(nil, spaced)
+		if !ok || len(got) != len(items) {
+			t.Fatalf("case %d spaced: Split(%s) = %d elements, ok %v; want %d", ci, spaced, len(got), ok, len(items))
+		}
+		for i := range items {
+			if !bytes.Equal(got[i], items[i]) {
+				t.Errorf("case %d spaced element %d = %q, want %q", ci, i, got[i], items[i])
+			}
+		}
+		checkSplitAgainstUnmarshal(t, spaced)
+	}
+
+	// It appends: what dst held stays in front.
+	got, ok := SplitBatchResponse([]json.RawMessage{json.RawMessage("0")}, []byte(`{"results":[1,2]}`))
+	if !ok || len(got) != 3 || string(got[0]) != "0" || string(got[1]) != "1" || string(got[2]) != "2" {
+		t.Errorf("Split onto [0] = %s, ok %v; want [0 1 2]", got, ok)
+	}
+
+	// Not the envelope, or not JSON: refused, including envelopes Unmarshal
+	// would tolerate (no replica writes them).
+	for _, body := range []string{
+		``, `[]`, `null`, `{}`, `{"results":{}}`, `{"results":null}`, `{"results":"[]"}`,
+		`{"results":[1,2]`, `{"results":[1,2]}}`, `{"results":[1,,2]}`, `{"results":[1 2]}`, `{"results":[tru]}`,
+		`{"results":[1]} x`, `{"results":[1]}{"results":[2]}`, `{"results":["unterminated]}`,
+		`{"Results":[1]}`, `{"r\u0065sults":[1]}`, `{"results":[1],"more":2}`, `{"more":2,"results":[1]}`,
+	} {
+		if got, ok := SplitBatchResponse(nil, []byte(body)); ok || got != nil {
+			t.Errorf("Split(%s) = %s, ok %v; want a refusal", body, got, ok)
+		}
+		checkSplitAgainstUnmarshal(t, []byte(body))
+	}
+}
+
+// sameBacking reports whether part lies inside whole's bytes.
+func sameBacking(whole, part []byte) bool {
+	for i := 0; i+len(part) <= len(whole); i++ {
+		if &whole[i] == &part[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// checkSplitAgainstUnmarshal holds SplitBatchResponse on one body to the
+// two properties the gateway relies on: it never accepts what
+// json.Unmarshal into a BatchResponse refuses, and what both accept they
+// split into the same elements.
+func checkSplitAgainstUnmarshal(t *testing.T, body []byte) {
+	t.Helper()
+	got, ok := SplitBatchResponse(nil, body)
+	if !ok {
+		if got != nil {
+			t.Errorf("Split(%q) refused yet returned %d elements", body, len(got))
+		}
+		return
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("Split accepted %q, json.Unmarshal refuses it: %v", body, err)
+	}
+	if len(got) != len(resp.Results) {
+		t.Fatalf("Split(%q) = %d elements, json.Unmarshal %d", body, len(got), len(resp.Results))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], resp.Results[i]) {
+			t.Errorf("Split(%q) element %d = %q, json.Unmarshal %q", body, i, got[i], resp.Results[i])
+		}
+	}
+}
+
 // TestBatchValidation pins the endpoint's rejection surface.
 func TestBatchValidation(t *testing.T) {
 	srv, _ := fig3Server(t, DefaultServerConfig())
@@ -111,10 +251,22 @@ func TestBatchValidation(t *testing.T) {
 		"empty":        `{"queries": []}`,
 		"negative-top": `{"queries": ["camera"], "top": -1}`,
 		"oversized":    string(big),
+		// The body is one JSON value: a Decoder would answer the first
+		// object and silently drop what follows it.
+		"second-object":    `{"queries":["camera"]}{"queries":["pc"]}`,
+		"trailing-garbage": `{"queries":["camera"]} garbage`,
 	} {
-		if code, raw := postBatch(t, h, body); code != http.StatusBadRequest {
+		code, raw := postBatch(t, h, body)
+		if code != http.StatusBadRequest {
 			t.Errorf("%s: /batch = %d (%s), want 400", name, code, raw)
 		}
+		if name != "empty" && name != "negative-top" && name != "oversized" && !bytes.HasPrefix(raw, []byte("bad batch body: ")) {
+			t.Errorf("%s: /batch says %q, want a \"bad batch body\"", name, raw)
+		}
+	}
+	// Whitespace after the object is not trailing data.
+	if code, raw := postBatch(t, h, "{\"queries\":[\"camera\"]}\r\n \t\n"); code != http.StatusOK {
+		t.Errorf("trailing newline: /batch = %d (%s), want 200", code, raw)
 	}
 
 	// top omitted (0) means the server default, not an error.
@@ -130,6 +282,88 @@ func TestBatchValidation(t *testing.T) {
 	sc, sb := get(t, h, "/rewrite?q=camera")
 	if sc != http.StatusOK || !bytes.Equal(resp.Results[0], bytes.TrimSuffix(sb, []byte("\n"))) {
 		t.Fatalf("default-top item %s != single endpoint %s", resp.Results[0], sb)
+	}
+}
+
+// gatedIndex is a ScoreIndex whose TopRewrites — one call per batch item
+// on the live pipeline — reports its arrival (query id and goroutine) and
+// then waits to be released, so a test can count how many items a batch
+// has in flight at once.
+type gatedIndex struct {
+	ScoreIndex
+	arrived chan [2]int   // {query id, goroutine id}, one per call
+	release chan struct{} // closed: every call proceeds
+}
+
+func (g *gatedIndex) TopRewrites(q, k int) []sparse.Scored {
+	g.arrived <- [2]int{q, goroutineID()}
+	<-g.release
+	return g.ScoreIndex.TopRewrites(q, k)
+}
+
+// goroutineID reads the calling goroutine's id off its stack header.
+func goroutineID() int {
+	buf := make([]byte, 64)
+	var id int
+	fmt.Sscanf(string(buf[:runtime.Stack(buf, false)]), "goroutine %d ", &id)
+	return id
+}
+
+// TestBatchConcurrencyBound: a batch never has more than BatchConcurrency
+// items in flight — the handler's goroutine is one of the workers, not one
+// more — and with BatchConcurrency 1 it answers every item itself, in
+// request order, without starting a goroutine.
+func TestBatchConcurrencyBound(t *testing.T) {
+	_, res := fig3Server(t, DefaultServerConfig())
+	var queries []string
+	for i := 0; i < 12; i++ {
+		queries = append(queries, res.Query(i%res.NumQueries()))
+	}
+	reqBody, _ := json.Marshal(BatchRequest{Queries: queries, Top: 2})
+	_, want := postBatch(t, serverOver(res, nil).Handler(), string(reqBody))
+
+	const limit = 3
+	idx := &gatedIndex{ScoreIndex: res, arrived: make(chan [2]int, len(queries)), release: make(chan struct{})}
+	h := serverOver(idx, func(c *Config) { c.BatchConcurrency = limit }).Handler()
+	answered := make(chan []byte)
+	go func() {
+		_, raw := postBatch(t, h, string(reqBody))
+		answered <- raw
+	}()
+	for i := 0; i < limit; i++ {
+		select {
+		case <-idx.arrived:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d workers started an item", i, limit)
+		}
+	}
+	// Every worker is now held inside an item; one more arrival would be
+	// an item scored past the bound.
+	select {
+	case <-idx.arrived:
+		t.Fatalf("more than BatchConcurrency = %d items in flight", limit)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(idx.release)
+	if raw := <-answered; !bytes.Equal(raw, want) {
+		t.Errorf("gated batch answered\n %s\nwant\n %s", raw, want)
+	}
+
+	// BatchConcurrency 1: everything on the caller's goroutine, in order.
+	idx = &gatedIndex{ScoreIndex: res, arrived: make(chan [2]int, len(queries)), release: make(chan struct{})}
+	close(idx.release)
+	h = serverOver(idx, func(c *Config) { c.BatchConcurrency = 1 }).Handler()
+	if _, raw := postBatch(t, h, string(reqBody)); !bytes.Equal(raw, want) {
+		t.Errorf("serial batch answered\n %s\nwant\n %s", raw, want)
+	}
+	for i, q := range queries {
+		got := <-idx.arrived
+		if id, _ := res.QueryID(q); got[0] != id {
+			t.Errorf("item %d scored query %d, want %d (%q): out of request order", i, got[0], id, q)
+		}
+		if me := goroutineID(); got[1] != me {
+			t.Errorf("item %d ran on goroutine %d, not the handler's %d", i, got[1], me)
+		}
 	}
 }
 

@@ -385,6 +385,38 @@ func TestChaosPanicIsOne500NotADeadDaemon(t *testing.T) {
 	if ep := stats.Endpoints["similar"]; ep.Errors5xx != 1 {
 		t.Fatalf("similar endpoint 5xx = %d, want 1", ep.Errors5xx)
 	}
+
+	// A /batch scores its items on goroutines the middleware's recover
+	// does not cover. Each panicking item is its own in-order 500 — the
+	// pipeline under /rewrite ranks through the same TopRewrites — the
+	// unknown query beside them is still answered, and the process, this
+	// test binary, is still here afterwards.
+	queries := []string{q, "no such query", q}
+	reqBody, _ := json.Marshal(BatchRequest{Queries: queries})
+	code, body = postBatch(t, h, string(reqBody))
+	if code != http.StatusOK {
+		t.Fatalf("/batch with panicking items = %d, want 200: %s", code, body)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil || len(resp.Results) != len(queries) {
+		t.Fatalf("/batch with panicking items answered %s (err %v), want %d items", body, err, len(queries))
+	}
+	for i, want := range []int{http.StatusInternalServerError, http.StatusNotFound, http.StatusInternalServerError} {
+		var item BatchItemError
+		if err := json.Unmarshal(resp.Results[i], &item); err != nil || item.Status != want || item.Query != queries[i] {
+			t.Errorf("batch item %d = %s, want a %d for %q", i, resp.Results[i], want, queries[i])
+		}
+	}
+	if code, _ := get(t, h, "/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz = %d after a batch item panic", code)
+	}
+	_, body = get(t, h, "/stats")
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Panics != 3 {
+		t.Fatalf("stats panics = %d after two more in batch items, want 3", stats.Panics)
+	}
 }
 
 // TestChaosShortReadQuarantines covers the truncated-file flavor of

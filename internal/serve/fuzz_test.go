@@ -3,6 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -151,6 +154,67 @@ func FuzzOpenSnapshot(f *testing.F) {
 		}
 		for i := 0; i < snap.NumShards(); i++ {
 			snap.ShardFingerprint(i)
+		}
+	})
+}
+
+// FuzzSplitBatchResponse throws arbitrary bytes at the /batch splitter,
+// which the gateway runs over whatever a replica answered. It must never
+// panic or index past the body; whatever it accepts json.Unmarshal into a
+// BatchResponse accepts too, with the same elements (the check the
+// gateway's decode used to be); and the elements re-encode and split back
+// to themselves. Seeds are real replica bodies — answers, an error item
+// whose query holds every structural character — truncated and
+// bit-flipped, so mutations start inside strings, escapes and nesting.
+func FuzzSplitBatchResponse(f *testing.F) {
+	res, err := core.Run(clickgraph.Fig3(), core.DefaultConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := NewServer(res, DefaultServerConfig()).Handler()
+	for _, queries := range [][]string{
+		{"camera"},
+		{"camera", "pc", "digital camera", "tv", "flower"},
+		{"camera", "<b>&  \"no\\such\" query\x7f", "a,b]c}d[e{f\\", "pc"},
+	} {
+		reqBody, _ := json.Marshal(BatchRequest{Queries: queries, Top: 3})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(reqBody)))
+		body := rec.Body.Bytes()
+		if _, ok := SplitBatchResponse(nil, body); rec.Code != http.StatusOK || !ok {
+			f.Fatalf("seed /batch = %d %s (split ok %v)", rec.Code, body, ok)
+		}
+		f.Add(body)
+		for _, cut := range []int{len(body) - 2, len(body) * 2 / 3, len(body) / 2, len(`{"results":[`)} {
+			f.Add(body[:cut])
+		}
+		for _, at := range []int{1, len(`{"resu`), len(body) / 3, len(body) / 2, len(body) - 3} {
+			for _, bit := range []byte{0x01, 0x20, 0x80} {
+				flipped := append([]byte(nil), body...)
+				flipped[at] ^= bit
+				f.Add(flipped)
+			}
+		}
+	}
+	f.Add([]byte(`{"results":[]}`))
+	f.Add([]byte(" {\n\"results\" : [ 1 , \"]\" , [ { } ] ]\t}\r\n"))
+	f.Add([]byte(`{"results":[1],"results":[2]}`))
+	f.Add([]byte(`{"results":["\`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSplitAgainstUnmarshal(t, data)
+		items, ok := SplitBatchResponse(nil, data)
+		if !ok {
+			return
+		}
+		again, ok := SplitBatchResponse(nil, EncodeBatchResponse(items))
+		if !ok || len(again) != len(items) {
+			t.Fatalf("the %d elements of %q re-encode to a body that splits into %d (ok %v)", len(items), data, len(again), ok)
+		}
+		for i := range items {
+			if !bytes.Equal(again[i], items[i]) {
+				t.Fatalf("element %d of %q is %q, %q after a round trip", i, data, items[i], again[i])
+			}
 		}
 	})
 }

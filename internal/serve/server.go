@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -66,8 +68,8 @@ type Config struct {
 	// matter its size, so the cap is what keeps a single request from
 	// monopolizing the scoring budget.
 	MaxBatch int
-	// BatchConcurrency bounds how many of a batch's queries are scored
-	// concurrently; defaults to 8.
+	// BatchConcurrency: at most this many items of one batch are scored
+	// at once, the handler's own goroutine included; defaults to 8.
 	BatchConcurrency int
 	// DisablePrecomputed forces /rewrite and /batch onto the live
 	// pipeline even when the snapshot's precomputed top-k section could
@@ -713,6 +715,15 @@ type BatchItemError struct {
 	Status int    `json:"status"`
 }
 
+// Item returns the error as a /batch result element.
+func (e BatchItemError) Item() json.RawMessage {
+	item, err := json.Marshal(e)
+	if err != nil {
+		return json.RawMessage(`{"error":"internal error","status":500}`)
+	}
+	return item
+}
+
 // BatchResponse is the POST /batch payload: results in request order,
 // each either a /rewrite response object or a BatchItemError.
 type BatchResponse struct {
@@ -724,10 +735,11 @@ type BatchResponse struct {
 const maxBatchBody = 8 << 20
 
 // ReadBatchRequest decodes a POST /batch body and applies the checks
-// every hop makes before doing any work: method, well-formed JSON, at
-// least one query, at most maxBatch. On failure it has written the error
-// response and returns false. The gateway calls it with the default
-// MaxBatch, so a fleet refuses what one daemon refuses, in the same words.
+// every hop makes before doing any work: method, one well-formed JSON
+// value and nothing but whitespace after it, at least one query, at most
+// maxBatch. On failure it has written the error response and returns
+// false. The gateway calls it with the default MaxBatch, so a fleet
+// refuses what one daemon refuses, in the same words.
 func ReadBatchRequest(w http.ResponseWriter, r *http.Request, maxBatch int) (BatchRequest, bool) {
 	var req BatchRequest
 	if r.Method != http.MethodPost {
@@ -735,7 +747,14 @@ func ReadBatchRequest(w http.ResponseWriter, r *http.Request, maxBatch int) (Bat
 		http.Error(w, "POST a JSON body to /batch", http.StatusMethodNotAllowed)
 		return req, false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
+	// The body is one JSON value: json.Unmarshal, unlike a Decoder, also
+	// refuses whatever follows it (a second object, garbage) instead of
+	// answering the first and dropping the rest.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		http.Error(w, fmt.Sprintf("bad batch body: %v", err), http.StatusBadRequest)
 		return req, false
 	}
@@ -772,6 +791,71 @@ func EncodeBatchResponse(items []json.RawMessage) []byte {
 	return append(body, end...)
 }
 
+// SplitBatchResponse is EncodeBatchResponse's inverse, for a hop that
+// relays a batch answer without reading it: it appends to dst the elements
+// of body's results array, each a sub-slice of body trimmed of JSON
+// whitespace — nothing is copied or decoded. ok is false unless body is
+// valid JSON (json.Valid, the check json.Unmarshal opens with) and exactly
+// the envelope a replica writes: one object whose only member is
+// "results", spelled so, holding an array. Whatever it accepts,
+// json.Unmarshal into a BatchResponse accepts with the same elements;
+// Unmarshal also tolerates more members and other spellings of the key.
+func SplitBatchResponse(dst []json.RawMessage, body []byte) (items []json.RawMessage, ok bool) {
+	if !json.Valid(body) {
+		return nil, false
+	}
+	const space = " \t\r\n"
+	rest := body // what of body is still to be scanned
+	// lit steps over JSON whitespace and then s, if that is what follows.
+	lit := func(s string) bool {
+		rest = bytes.TrimLeft(rest, space)
+		if !bytes.HasPrefix(rest, []byte(s)) {
+			return false
+		}
+		rest = rest[len(s):]
+		return true
+	}
+	if !lit("{") || !lit(`"results"`) || !lit(":") || !lit("[") {
+		return nil, false
+	}
+	for closed := lit("]"); !closed; {
+		rest = bytes.TrimLeft(rest, space)
+		// body is valid and this array is open: brackets balance, strings
+		// end and an escape has a next byte, so the scan meets the
+		// element's ',' or the array's ']' before it runs out of bytes.
+		i, depth := 0, 0
+	element:
+		for ; ; i++ {
+			switch rest[i] {
+			case '"':
+				for i++; rest[i] != '"'; i++ {
+					if rest[i] == '\\' {
+						i++
+					}
+				}
+			case '[', '{':
+				depth++
+			case ']', '}':
+				if depth == 0 {
+					closed = true
+					break element
+				}
+				depth--
+			case ',':
+				if depth == 0 {
+					break element
+				}
+			}
+		}
+		dst = append(dst, bytes.TrimRight(rest[:i], space))
+		rest = rest[i+1:]
+	}
+	if !lit("}") || len(bytes.TrimLeft(rest, space)) != 0 {
+		return nil, false
+	}
+	return dst, true
+}
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	req, ok := ReadBatchRequest(w, r, s.cfg.MaxBatch)
 	if !ok {
@@ -793,40 +877,52 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// same index generation even if a reload lands mid-request.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	// At most BatchConcurrency items are scored at once, this goroutine's
+	// included: the workers claim positions off a shared counter, so a
+	// batch whose items are a few microseconds each is mostly answered
+	// here, before the others have started.
 	results := make([]json.RawMessage, len(req.Queries))
-	workers := s.cfg.BatchConcurrency
-	if workers > len(req.Queries) {
-		workers = len(req.Queries)
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(req.Queries) {
+				return
+			}
+			results[i] = s.batchItem(r.Context(), req.Queries[i], top)
+		}
 	}
-	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for n := min(s.cfg.BatchConcurrency, len(req.Queries)); n > 1; n-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				q := req.Queries[i]
-				body, status, msg := s.rewriteBody(r.Context(), q, top)
-				if status == http.StatusOK {
-					// The single endpoint's bytes, minus its trailing
-					// newline: already-marshaled JSON embeds as-is.
-					results[i] = json.RawMessage(body[:len(body)-1])
-					continue
-				}
-				item, err := json.Marshal(BatchItemError{Query: q, Error: msg, Status: status})
-				if err != nil {
-					item = []byte(`{"error":"internal error","status":500}`)
-				}
-				results[i] = item
-			}
+			work()
 		}()
 	}
-	for i := range req.Queries {
-		jobs <- i
-	}
-	close(jobs)
+	work()
 	wg.Wait()
 	writeJSONBytes(w, EncodeBatchResponse(results))
+}
+
+// batchItem answers one query of a batch: the single endpoint's bytes
+// minus their trailing newline (already-marshaled JSON embeds as-is), or
+// the BatchItemError for the status and message it would have answered. A
+// panic under it is that item's 500 and one more in /stats' panics — the
+// items run on goroutines instrument's recover does not cover, where an
+// unrecovered panic would end the daemon.
+func (s *Server) batchItem(ctx context.Context, q string, top int) (item json.RawMessage) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.panics.Add(1)
+			item = BatchItemError{Query: q, Error: fmt.Sprintf("internal error: %v", p), Status: http.StatusInternalServerError}.Item()
+		}
+	}()
+	body, status, msg := s.rewriteBody(ctx, q, top)
+	if status != http.StatusOK {
+		return BatchItemError{Query: q, Error: msg, Status: status}.Item()
+	}
+	return body[:len(body)-1]
 }
 
 // StatsResponse is the /stats payload.
