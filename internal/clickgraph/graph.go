@@ -11,7 +11,6 @@ package clickgraph
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Side distinguishes the two node partitions.
@@ -62,7 +61,16 @@ type Builder struct {
 	adID    map[string]int
 	queries []string
 	ads     []string
-	edges   map[[2]int]EdgeWeights
+	// rows[q] holds query q's edges ascending by ad id, so the table Build
+	// fills is the rows end to end. Ids are interned in arrival order, so an
+	// edge to an ad first seen now is inserted at its row's end.
+	rows  [][]builderEdge
+	edges int
+}
+
+type builderEdge struct {
+	ad int
+	w  EdgeWeights
 }
 
 // NewBuilder returns an empty Builder.
@@ -70,7 +78,6 @@ func NewBuilder() *Builder {
 	return &Builder{
 		queryID: make(map[string]int),
 		adID:    make(map[string]int),
-		edges:   make(map[[2]int]EdgeWeights),
 	}
 }
 
@@ -81,6 +88,7 @@ func (b *Builder) internQuery(q string) int {
 	id := len(b.queries)
 	b.queryID[q] = id
 	b.queries = append(b.queries, q)
+	b.rows = append(b.rows, nil)
 	return id
 }
 
@@ -103,7 +111,7 @@ func (b *Builder) AddAd(a string) { b.internAd(a) }
 // AddEdge records an observation for (query, ad). It returns an error for
 // physically impossible weights: negative counts, clicks exceeding
 // impressions when impressions are recorded, or an expected click rate
-// outside [0, 1].
+// that is not a number in [0, 1].
 func (b *Builder) AddEdge(query, ad string, w EdgeWeights) error {
 	if w.Impressions < 0 || w.Clicks < 0 {
 		return fmt.Errorf("clickgraph: negative counts for (%q,%q): %+v", query, ad, w)
@@ -112,29 +120,30 @@ func (b *Builder) AddEdge(query, ad string, w EdgeWeights) error {
 		return fmt.Errorf("clickgraph: clicks %d exceed impressions %d for (%q,%q)",
 			w.Clicks, w.Impressions, query, ad)
 	}
-	if w.ExpectedClickRate < 0 || w.ExpectedClickRate > 1 {
+	// Written so that NaN, which compares false with everything, fails it.
+	if !(w.ExpectedClickRate >= 0 && w.ExpectedClickRate <= 1) {
 		return fmt.Errorf("clickgraph: expected click rate %v outside [0,1] for (%q,%q)",
 			w.ExpectedClickRate, query, ad)
 	}
 	qi, ai := b.internQuery(query), b.internAd(ad)
-	key := [2]int{qi, ai}
-	if old, ok := b.edges[key]; ok {
-		merged := EdgeWeights{
-			Impressions: old.Impressions + w.Impressions,
-			Clicks:      old.Clicks + w.Clicks,
-		}
+	row := b.rows[qi]
+	at, found := slices.BinarySearchFunc(row, ai, func(e builderEdge, ad int) int { return e.ad - ad })
+	if found {
+		old := &row[at].w
 		// Impressions-weighted mean of the two rate estimates; fall back to
 		// a plain mean when neither observation carries impressions.
 		ti, tn := float64(old.Impressions), float64(w.Impressions)
 		if ti+tn > 0 {
-			merged.ExpectedClickRate = (old.ExpectedClickRate*ti + w.ExpectedClickRate*tn) / (ti + tn)
+			old.ExpectedClickRate = (old.ExpectedClickRate*ti + w.ExpectedClickRate*tn) / (ti + tn)
 		} else {
-			merged.ExpectedClickRate = (old.ExpectedClickRate + w.ExpectedClickRate) / 2
+			old.ExpectedClickRate = (old.ExpectedClickRate + w.ExpectedClickRate) / 2
 		}
-		b.edges[key] = merged
+		old.Impressions += w.Impressions
+		old.Clicks += w.Clicks
 		return nil
 	}
-	b.edges[key] = w
+	b.rows[qi] = slices.Insert(row, at, builderEdge{ad: ai, w: w})
+	b.edges++
 	return nil
 }
 
@@ -151,32 +160,18 @@ func (b *Builder) NumQueries() int { return len(b.queries) }
 func (b *Builder) NumAds() int { return len(b.ads) }
 
 // NumEdges returns the number of distinct (query, ad) pairs added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
+func (b *Builder) NumEdges() int { return b.edges }
 
-// Build compiles the accumulated edges into an immutable Graph. The
-// Builder stays usable: the graph shares nothing with it.
+// Build compiles the accumulated edges into an immutable Graph: one copy
+// of the rows into the table. The Builder stays usable: the graph shares
+// nothing with it.
 func (b *Builder) Build() *Graph {
-	type flat struct {
-		q, a int
-		w    EdgeWeights
-	}
-	flats := make([]flat, 0, len(b.edges))
-	for k, w := range b.edges {
-		flats = append(flats, flat{q: k[0], a: k[1], w: w})
-	}
-	sort.Slice(flats, func(i, j int) bool {
-		if flats[i].q != flats[j].q {
-			return flats[i].q < flats[j].q
+	g := newGraph(slices.Clone(b.queries), slices.Clone(b.ads), b.edges)
+	for q, row := range b.rows {
+		for _, e := range row {
+			g.appendEdge(e.ad, e.w)
 		}
-		return flats[i].a < flats[j].a
-	})
-	g := newGraph(slices.Clone(b.queries), slices.Clone(b.ads), len(flats))
-	for _, f := range flats {
-		g.appendEdge(f.a, f.w)
-		g.qPtr[f.q+1]++
-	}
-	for q := range g.queries {
-		g.qPtr[q+1] += g.qPtr[q]
+		g.qPtr[q+1] = len(g.ad)
 	}
 	g.indexAds()
 	return g

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func mustAdd(t *testing.T, b *Builder, q, a string, w EdgeWeights) {
@@ -60,6 +62,8 @@ func TestBuilderRejectsBadWeights(t *testing.T) {
 		{Impressions: 1, Clicks: 2},
 		{ExpectedClickRate: -0.1},
 		{ExpectedClickRate: 1.1},
+		{ExpectedClickRate: math.NaN()},
+		{ExpectedClickRate: math.Inf(1)},
 	}
 	for _, w := range cases {
 		b := NewBuilder()
@@ -278,6 +282,10 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"q\ta\t1\n",         // wrong field count
 		"q\ta\t1\t2\t0.5\n", // clicks > impressions
 		"q\ta\t1\t1\t1.5\n", // rate out of range
+		// A NaN rate used to pass the range test (it compares false with
+		// both bounds) and every weighted score of the graph came out NaN.
+		"q\ta\t1\t1\tNaN\n",
+		"q\ta\t1\t1\t0.5\nq\ta\t1\t1\tnan\n", // as a repeat of a good edge
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
@@ -417,10 +425,10 @@ func TestBuilderProperty(t *testing.T) {
 	}
 }
 
-// TestBuildAllocationPerEdge bounds what Build allocates: the sorted edge
-// list (40 B an edge), the table and its ad-ordered view (32 + 24 B), the
-// row pointers, the names and the two name→id maps — not a staging copy
-// and a compiled copy of every weight channel in both orders.
+// TestBuildAllocationPerEdge bounds what Build allocates: the table and
+// its ad-ordered view (32 + 24 B an edge), the row pointers, the names and
+// the two name→id maps — no sorted staging list, and not a compiled copy
+// of every weight channel in both orders.
 func TestBuildAllocationPerEdge(t *testing.T) {
 	const nodes, degree = 6000, 10
 	b := NewBuilder()
@@ -441,7 +449,123 @@ func TestBuildAllocationPerEdge(t *testing.T) {
 	}
 	perEdge := (after.TotalAlloc - before.TotalAlloc) / uint64(g.NumEdges())
 	t.Logf("Build allocated %d B per edge (%d edges)", perEdge, g.NumEdges())
-	if perEdge > 200 {
-		t.Errorf("Build allocated %d B per edge, want at most 200", perEdge)
+	if perEdge > 100 {
+		t.Errorf("Build allocated %d B per edge, want at most 100", perEdge)
 	}
+}
+
+// mapBuilder is the fold Builder is held to: one map entry per (query, ad)
+// in arrival order of the names, a repeated pair merged into its entry by
+// the rule AddEdge documents. It is the Builder this package had before its
+// rows were kept sorted, less the validation.
+type mapBuilder struct {
+	queryID, adID map[string]int
+	edges         map[[2]int]EdgeWeights
+	merges        int
+	plainMeans    int // merges that found no impressions on either side
+}
+
+func (m *mapBuilder) add(query, ad string, w EdgeWeights) {
+	intern := func(ids map[string]int, name string) int {
+		if _, ok := ids[name]; !ok {
+			ids[name] = len(ids)
+		}
+		return ids[name]
+	}
+	key := [2]int{intern(m.queryID, query), intern(m.adID, ad)}
+	old, ok := m.edges[key]
+	if !ok {
+		m.edges[key] = w
+		return
+	}
+	m.merges++
+	merged := EdgeWeights{Impressions: old.Impressions + w.Impressions, Clicks: old.Clicks + w.Clicks}
+	if ti, tn := float64(old.Impressions), float64(w.Impressions); ti+tn > 0 {
+		merged.ExpectedClickRate = (old.ExpectedClickRate*ti + w.ExpectedClickRate*tn) / (ti + tn)
+	} else {
+		merged.ExpectedClickRate = (old.ExpectedClickRate + w.ExpectedClickRate) / 2
+		m.plainMeans++
+	}
+	m.edges[key] = merged
+}
+
+// TestBuilderMatchesMapFold replays one seeded log — a third of it repeats,
+// some observations carry no impressions so the plain-mean branch merges,
+// rates are not dyadic so a merge in another order would show in the low
+// bits, and every query meets its ads in descending id order first — through
+// Builder and through the map fold, and wants the same ids and every weight
+// equal bit for bit. The last row is 20 000 ads in descending order, the
+// arrival a sorted row likes least; it has to fit the test's usual budget.
+func TestBuilderMatchesMapFold(t *testing.T) {
+	const queries, ads, events, wide = 300, 200, 60000, 20000
+	b := NewBuilder()
+	ref := &mapBuilder{queryID: map[string]int{}, adID: map[string]int{}, edges: map[[2]int]EdgeWeights{}}
+	add := func(q, a string, w EdgeWeights) {
+		mustAdd(t, b, q, a, w)
+		ref.add(q, a, w)
+	}
+	internAd := func(name string) {
+		b.AddAd(name)
+		ref.adID[name] = len(ref.adID)
+	}
+	for a := 0; a < ads; a++ { // ad ids ascend with a ...
+		internAd(fmt.Sprintf("ad-%03d", a))
+	}
+	for a := 0; a < wide; a++ {
+		internAd(fmt.Sprintf("wide-ad-%05d", a))
+	}
+	s := uint64(29)
+	next := func(n int) int {
+		s = s*6364136223846793005 + 1442695040888963407
+		return int((s >> 33) % uint64(n))
+	}
+	for q := 0; q < queries; q++ { // ... and each query first sees them descending
+		for a := ads - 1 - q%7; a >= 0; a -= 1 + q%5 {
+			add(fmt.Sprintf("query-%03d", q), fmt.Sprintf("ad-%03d", a), EdgeWeights{ExpectedClickRate: float64(next(1000)) / 999})
+		}
+	}
+	for e := 0; e < events; e++ {
+		w := EdgeWeights{ExpectedClickRate: float64(next(1000)) / 999}
+		if next(4) > 0 {
+			w.Clicks = int64(next(20))
+			w.Impressions = w.Clicks + int64(next(40))
+		}
+		add(fmt.Sprintf("query-%03d", next(queries)), fmt.Sprintf("ad-%03d", next(ads)), w)
+	}
+	start := time.Now()
+	for a := wide - 1; a >= 0; a-- {
+		add("wide query", fmt.Sprintf("wide-ad-%05d", a), EdgeWeights{Impressions: 3, Clicks: 1, ExpectedClickRate: 1 / 3.0})
+	}
+	t.Logf("a %d-ad row added in descending order in %v", wide, time.Since(start))
+
+	if b.NumEdges() != len(ref.edges) || b.NumQueries() != len(ref.queryID) || b.NumAds() != len(ref.adID) {
+		t.Fatalf("Builder holds %d edges over %d × %d nodes, the map fold %d over %d × %d",
+			b.NumEdges(), b.NumQueries(), b.NumAds(), len(ref.edges), len(ref.queryID), len(ref.adID))
+	}
+	g := b.Build()
+	if g.NumEdges() != len(ref.edges) {
+		t.Fatalf("graph has %d edges, the map fold %d", g.NumEdges(), len(ref.edges))
+	}
+	for name, id := range ref.queryID {
+		if got, ok := g.QueryID(name); !ok || got != id {
+			t.Fatalf("query %q has id %d, %v; the map fold gave it %d", name, got, ok, id)
+		}
+	}
+	for name, id := range ref.adID {
+		if got, ok := g.AdID(name); !ok || got != id {
+			t.Fatalf("ad %q has id %d, %v; the map fold gave it %d", name, got, ok, id)
+		}
+	}
+	g.Edges(func(q, a int, w EdgeWeights) bool {
+		want, ok := ref.edges[[2]int{q, a}]
+		if !ok || w.Impressions != want.Impressions || w.Clicks != want.Clicks ||
+			math.Float64bits(w.ExpectedClickRate) != math.Float64bits(want.ExpectedClickRate) {
+			t.Errorf("edge (%d, %d): Builder %+v, map fold %+v (present %v)", q, a, w, want, ok)
+		}
+		return !t.Failed()
+	})
+	if ref.merges < events/3 || ref.plainMeans < 100 {
+		t.Errorf("%d merges, %d of them plain means: the log no longer exercises them", ref.merges, ref.plainMeans)
+	}
+	graphEdges(t, g) // both orientations agree, rows ascend
 }

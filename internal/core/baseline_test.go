@@ -1,6 +1,10 @@
 package core
 
-import "simrankpp/internal/sparse"
+import (
+	"slices"
+
+	"simrankpp/internal/sparse"
+)
 
 // The map-based formulation of the two passes: one hash+probe per
 // contribution into a sparse.PairTable, fresh tables per pass. It is the
@@ -91,4 +95,54 @@ func weightedPassMap(opp *sparse.PairTable, thisNbr, oppNbr [][]int, w [][]float
 		return true
 	})
 	return out
+}
+
+// sortedEvidenceTable is the evidence table built from co-occurrence
+// events: every pair (nbrs[x], nbrs[y]), x < y, of an opposite-side node's
+// row is one event under its smaller index; the events are bucketed by a
+// counting pass, each bucket sorted and run-length counted, and the
+// triangle expanded. It is what newEvidenceTable's accumulator is held to.
+func sortedEvidenceTable(n int, oppNbr [][]int, form EvidenceForm, strict bool) *evidenceTable {
+	start := make([]int, n+1)
+	for _, nbrs := range oppNbr {
+		for k := range nbrs {
+			start[nbrs[k]+1] += len(nbrs) - k - 1
+		}
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	events := make([]int32, start[n])
+	next := slices.Clone(start[:n])
+	for _, nbrs := range oppNbr {
+		for x := 0; x+1 < len(nbrs); x++ {
+			for _, y := range nbrs[x+1:] {
+				events[next[nbrs[x]]] = int32(y)
+				next[nbrs[x]]++
+			}
+		}
+	}
+	f := sparse.NewPairFrontier(n)
+	for r := 0; r < n; r++ {
+		row := events[start[r]:start[r+1]]
+		slices.Sort(row)
+		var rowC []int32
+		var rowV []float64
+		for i := 0; i < len(row); {
+			j := i + 1
+			for j < len(row) && row[j] == row[i] {
+				j++
+			}
+			rowC = append(rowC, row[i])
+			rowV = append(rowV, EvidenceScore(form, j-i))
+			i = j
+		}
+		f.SetSortedRow(r, rowC, rowV)
+	}
+	f.Compact()
+	def := 1.0
+	if strict {
+		def = 0
+	}
+	return &evidenceTable{mult: f.ExpandSymmetric(nil), def: def}
 }

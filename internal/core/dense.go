@@ -30,13 +30,12 @@ func RunDense(g *clickgraph.Graph, cfg Config) (*Result, error) {
 	var evQ, evA []float64
 	if cfg.Variant == Weighted {
 		model := newTransitionModel(g, cfg.Channel, cfg.DisableSpread)
-		qW = make([][]float64, nq)
-		aW = make([][]float64, na)
+		qW, aW = carveRows(qNbr), carveRows(aNbr)
 		for q := 0; q < nq; q++ {
-			qNbr[q], qW[q] = model.queryRow(q)
+			model.queryRow(q, qW[q])
 		}
 		for a := 0; a < na; a++ {
-			aNbr[a], aW[a] = model.adRow(a)
+			model.adRow(a, aW[a])
 		}
 	}
 	if cfg.Variant == Weighted || cfg.Variant == Evidence {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 	"sync"
 	"time"
 
@@ -54,23 +53,38 @@ func newPassInputs(g *clickgraph.Graph, cfg Config) *passInputs {
 	}
 	if cfg.Variant == Weighted {
 		model := newTransitionModel(g, cfg.Channel, cfg.DisableSpread)
-		qW := make([][]float64, nq)
-		aW := make([][]float64, na)
+		in.qW, in.aW = carveRows(in.qNbr), carveRows(in.aNbr)
 		for q := 0; q < nq; q++ {
-			in.qNbr[q], qW[q] = model.queryRow(q)
+			model.queryRow(q, in.qW[q])
 		}
 		for a := 0; a < na; a++ {
-			in.aNbr[a], aW[a] = model.adRow(a)
+			model.adRow(a, in.aW[a])
 		}
-		in.qW, in.aW = qW, aW
-		in.revWQ = reverseFactors(in.qNbr, in.aNbr, qW)
-		in.revWA = reverseFactors(in.aNbr, in.qNbr, aW)
+		in.revWQ = reverseFactors(in.qNbr, in.aNbr, in.qW)
+		in.revWA = reverseFactors(in.aNbr, in.qNbr, in.aW)
 	}
 	if cfg.Variant != Simple {
-		in.evQ = newEvidenceTable(nq, in.aNbr, cfg.EvidenceForm, cfg.StrictEvidence)
-		in.evA = newEvidenceTable(na, in.qNbr, cfg.EvidenceForm, cfg.StrictEvidence)
+		in.evQ = newEvidenceTable(in.qNbr, in.aNbr, cfg.EvidenceForm, cfg.StrictEvidence)
+		in.evA = newEvidenceTable(in.aNbr, in.qNbr, cfg.EvidenceForm, cfg.StrictEvidence)
 	}
 	return in
+}
+
+// carveRows returns one zeroed float row per neighbor row, aligned with
+// it, all carved from a single allocation: a shard has thousands of rows
+// a few cells long, and the factor tables live exactly as long as each
+// other.
+func carveRows(nbr [][]int) [][]float64 {
+	cells := 0
+	for _, row := range nbr {
+		cells += len(row)
+	}
+	slab := make([]float64, cells)
+	rows := make([][]float64, len(nbr))
+	for i, row := range nbr {
+		rows[i], slab = slab[:len(row):len(row)], slab[len(row):]
+	}
+	return rows
 }
 
 // reverseFactors builds revW[o][k] = W(x, o) where x is the k-th neighbor
@@ -78,11 +92,8 @@ func newPassInputs(g *clickgraph.Graph, cfg Config) *passInputs {
 // looked up from this side's factor rows. thisNbr rows and oppNbr rows are
 // both ascending, so x appears in oppNbr[o] at the next unfilled position.
 func reverseFactors(thisNbr, oppNbr [][]int, w [][]float64) [][]float64 {
-	revW := make([][]float64, len(oppNbr))
+	revW := carveRows(oppNbr)
 	pos := make([]int, len(oppNbr))
-	for i := range revW {
-		revW[i] = make([]float64, len(oppNbr[i]))
-	}
 	for x, nbrs := range thisNbr {
 		for k, o := range nbrs {
 			revW[o][pos[o]] = w[x][k]
@@ -594,64 +605,59 @@ type evidenceTable struct {
 	def  float64
 }
 
-// newEvidenceTable counts common neighbors for every pair on one side (n
-// nodes) and maps the counts to multipliers. oppNbr maps each
-// opposite-side node to this side's adjacent nodes (ascending), so every
-// pair (nbrs[x], nbrs[y]), x < y, is one co-occurrence event already
-// bucketed under its smaller index. The build is a sorted per-row scatter:
-// size each bucket, scatter the events flat, then sort + run-length count
-// each row — no per-pair binary searches and no tail-fold churn.
-func newEvidenceTable(n int, oppNbr [][]int, form EvidenceForm, strict bool) *evidenceTable {
-	start := make([]int, n+1)
-	for _, nbrs := range oppNbr {
-		for k := range nbrs {
-			start[nbrs[k]+1] += len(nbrs) - k - 1
+// newEvidenceTable counts common neighbors for every pair on one side and
+// maps the counts to multipliers. thisNbr maps this side's nodes to their
+// opposite-side neighbors and oppNbr the reverse, so the nodes reached in
+// two steps from x are the ones sharing a neighbor with it, once per
+// neighbor shared. Row x is counted the way the kernel accumulates a
+// score row: one increment and one unconditional mark a step into a dense
+// array, then a walk of the marks, which yields the row ascending and
+// leaves the array zero for the next.
+func newEvidenceTable(thisNbr, oppNbr [][]int, form EvidenceForm, strict bool) *evidenceTable {
+	n := len(thisNbr)
+	// A row holds at most one cell per two-step walk that leaves x, and at
+	// most one per other node: sized so, the table is allocated once.
+	cells := 0
+	for _, nbrs := range thisNbr {
+		walks := 0
+		for _, o := range nbrs {
+			walks += len(oppNbr[o]) - 1
 		}
+		cells += min(walks, n-1)
 	}
-	for i := 0; i < n; i++ {
-		start[i+1] += start[i]
-	}
-	events := make([]int32, start[n])
-	next := make([]int, n)
-	copy(next, start[:n])
-	for _, nbrs := range oppNbr {
-		for x := 0; x+1 < len(nbrs); x++ {
-			p := next[nbrs[x]]
-			for _, y := range nbrs[x+1:] {
-				events[p] = int32(y)
-				p++
+	mult := &sparse.SymAdj{RowPtr: make([]int, n+1), Col: make([]int32, 0, cells), Val: make([]float64, 0, cells)}
+	cnt := make([]int32, n)
+	marks := make([]uint64, (n+63)/64)
+	for x, nbrs := range thisNbr {
+		ymin, ymax := n, -1
+		for _, o := range nbrs {
+			ys := oppNbr[o] // holds x, so it is not empty
+			ymin, ymax = min(ymin, ys[0]), max(ymax, ys[len(ys)-1])
+			for _, y := range ys {
+				cnt[y]++
+				marks[uint(y)>>6] |= 1 << (uint(y) & 63)
 			}
-			next[nbrs[x]] = p
 		}
-	}
-	f := sparse.NewPairFrontier(n)
-	var rowV []float64
-	for r := 0; r < n; r++ {
-		row := events[start[r]:start[r+1]]
-		if len(row) == 0 {
-			continue
-		}
-		slices.Sort(row)
-		rowV = rowV[:0]
-		w := 0
-		for i := 0; i < len(row); {
-			j := i + 1
-			for j < len(row) && row[j] == row[i] {
-				j++
+		for wi := ymin >> 6; wi <= ymax>>6; wi++ {
+			word := marks[wi]
+			marks[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				y := wi<<6 | bits.TrailingZeros64(word)
+				c := cnt[y]
+				cnt[y] = 0
+				if y != x {
+					mult.Col = append(mult.Col, int32(y))
+					mult.Val = append(mult.Val, EvidenceScore(form, int(c)))
+				}
 			}
-			row[w] = row[i]
-			rowV = append(rowV, EvidenceScore(form, j-i))
-			w++
-			i = j
 		}
-		f.SetSortedRow(r, row[:w], rowV)
+		mult.RowPtr[x+1] = len(mult.Col)
 	}
-	f.Compact()
 	def := 1.0
 	if strict {
 		def = 0
 	}
-	return &evidenceTable{mult: f.ExpandSymmetric(nil), def: def}
+	return &evidenceTable{mult: mult, def: def}
 }
 
 // score returns the multiplier for the pair (x, y): a binary search of

@@ -199,6 +199,47 @@ func TestWeightedPassZeroFactors(t *testing.T) {
 	})
 }
 
+// TestEvidenceTableMatchesSorted holds the accumulator-built evidence
+// table to the sort-based one on both sides of the paper fixtures and of
+// random graphs — sparse, dense enough that most pairs share several
+// neighbors, and with isolated nodes — under both evidence forms, strict
+// and not: same rows, same columns, every multiplier equal bit for bit.
+func TestEvidenceTableMatchesSorted(t *testing.T) {
+	graphs := map[string]*clickgraph.Graph{
+		"fig3":    clickgraph.Fig3(),
+		"fig4k22": clickgraph.Fig4K22(),
+		"fig4k12": clickgraph.Fig4K12(),
+		"fig5L":   clickgraph.Fig5Left(),
+		"fig5R":   clickgraph.Fig5Right(),
+		"k5_2":    clickgraph.CompleteBipartite(5, 2),
+		"sparse":  randomGraph(7, 150, 90, 400),
+		"dense":   randomGraph(11, 70, 40, 1500),
+	}
+	for name, g := range graphs {
+		in := newPassInputs(g, DefaultConfig())
+		for _, form := range []EvidenceForm{EvidenceGeometric, EvidenceExponential} {
+			for _, strict := range []bool{false, true} {
+				for _, side := range []struct {
+					name            string
+					thisNbr, oppNbr [][]int
+				}{{"query", in.qNbr, in.aNbr}, {"ad", in.aNbr, in.qNbr}} {
+					label := fmt.Sprintf("%s/%s/%v/strict=%v", name, side.name, form, strict)
+					got := newEvidenceTable(side.thisNbr, side.oppNbr, form, strict)
+					want := sortedEvidenceTable(len(side.thisNbr), side.oppNbr, form, strict)
+					if got.def != want.def || !slices.Equal(got.mult.RowPtr, want.mult.RowPtr) || !slices.Equal(got.mult.Col, want.mult.Col) {
+						t.Fatalf("%s: accumulator and sorted tables differ in shape or default", label)
+					}
+					for k, v := range want.mult.Val {
+						if math.Float64bits(got.mult.Val[k]) != math.Float64bits(v) {
+							t.Fatalf("%s: cell %d is %v, sorted table has %v", label, k, got.mult.Val[k], v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // assertBitIdentical fails unless both results store exactly the same
 // pairs with exactly the same float64 values on both sides.
 func assertBitIdentical(t *testing.T, label string, a, b *Result) {

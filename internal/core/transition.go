@@ -107,32 +107,30 @@ func sum(xs []float64) float64 {
 	return s
 }
 
-// queryRow returns, for query q, its ad neighbors and the walk factors
-// W(q, a) for each.
-func (m *transitionModel) queryRow(q int) (ads []int, w []float64) {
+// queryRow fills w, which has one cell per ad neighbor of query q in the
+// order AdsOf lists them, with the walk factors W(q, a).
+func (m *transitionModel) queryRow(q int, w []float64) {
 	ads, raw := m.channel.Weights(m.g, clickgraph.QuerySide, q)
-	w = make([]float64, len(raw))
 	rs := m.rowSumQ[q]
 	if rs == 0 {
-		return ads, w
+		clear(w)
+		return
 	}
 	for i, a := range ads {
 		w[i] = m.spreadA[a] * raw[i] / rs
 	}
-	return ads, w
 }
 
-// adRow returns, for ad a, its query neighbors and the walk factors
-// W(a, q) for each.
-func (m *transitionModel) adRow(a int) (queries []int, w []float64) {
+// adRow fills w, one cell per query neighbor of ad a in the order
+// QueriesOf lists them, with the walk factors W(a, q).
+func (m *transitionModel) adRow(a int, w []float64) {
 	queries, raw := m.channel.Weights(m.g, clickgraph.AdSide, a)
-	w = make([]float64, len(raw))
 	rs := m.rowSumA[a]
 	if rs == 0 {
-		return queries, w
+		clear(w)
+		return
 	}
 	for i, q := range queries {
 		w[i] = m.spreadQ[q] * raw[i] / rs
 	}
-	return queries, w
 }

@@ -42,24 +42,17 @@ func degree(g *clickgraph.Graph, n NodeID) int {
 	return g.AdDegree(id)
 }
 
-// neighbors returns the unified-space neighbors of node n.
-func neighbors(g *clickgraph.Graph, n NodeID) []NodeID {
+// neighbors returns node n's row of the graph — the per-side ids of its
+// neighbors, shared with g — and base, which added to one of them gives
+// its unified id: every neighbor of a query is an ad, and the reverse.
+func neighbors(g *clickgraph.Graph, n NodeID) (ids []int, base NodeID) {
 	side, id := Split(g, n)
-	var raw []int
 	if side == clickgraph.QuerySide {
-		raw, _ = g.AdsOf(id)
-	} else {
-		raw, _ = g.QueriesOf(id)
+		ids, _ = g.AdsOf(id)
+		return ids, NodeID(g.NumQueries())
 	}
-	out := make([]NodeID, len(raw))
-	for i, r := range raw {
-		if side == clickgraph.QuerySide {
-			out[i] = AdNode(g, r)
-		} else {
-			out[i] = QueryNode(r)
-		}
-	}
-	return out
+	ids, _ = g.QueriesOf(id)
+	return ids, 0
 }
 
 // PPRConfig parameterizes the approximate personalized PageRank push.
@@ -121,7 +114,9 @@ func ApproximatePageRank(g *clickgraph.Graph, seed NodeID, cfg PPRConfig) (map[N
 		p[u] += cfg.Alpha * ru
 		share := (1 - cfg.Alpha) * ru / (2 * float64(du))
 		r[u] = (1 - cfg.Alpha) * ru / 2
-		for _, v := range neighbors(g, u) {
+		ids, base := neighbors(g, u)
+		for _, id := range ids {
+			v := base + NodeID(id)
 			r[v] += share
 			if !inQueue[v] && r[v] >= cfg.Epsilon*float64(degree(g, v)) {
 				inQueue[v] = true
@@ -141,23 +136,17 @@ func ApproximatePageRank(g *clickgraph.Graph, seed NodeID, cfg PPRConfig) (map[N
 // endpoint in S. It returns 1 for empty, full, or zero-volume sets (the
 // convention that makes sweep cuts ignore them).
 func Conductance(g *clickgraph.Graph, s map[NodeID]bool) float64 {
-	totalVol := 0
-	for q := 0; q < g.NumQueries(); q++ {
-		totalVol += g.QueryDegree(q)
-	}
-	for a := 0; a < g.NumAds(); a++ {
-		totalVol += g.AdDegree(a)
-	}
 	vol, cut := 0, 0
 	for u := range s {
-		vol += degree(g, u)
-		for _, v := range neighbors(g, u) {
-			if !s[v] {
+		ids, base := neighbors(g, u)
+		vol += len(ids)
+		for _, id := range ids {
+			if !s[base+NodeID(id)] {
 				cut++
 			}
 		}
 	}
-	other := totalVol - vol
+	other := 2*g.NumEdges() - vol // every edge adds one to each end's degree
 	m := vol
 	if other < m {
 		m = other
@@ -218,13 +207,7 @@ func SweepCutBounded(g *clickgraph.Graph, p map[NodeID]float64, minNodes, maxNod
 		maxNodes = minNodes
 	}
 
-	totalVol := 0
-	for q := 0; q < g.NumQueries(); q++ {
-		totalVol += g.QueryDegree(q)
-	}
-	for a := 0; a < g.NumAds(); a++ {
-		totalVol += g.AdDegree(a)
-	}
+	totalVol := 2 * g.NumEdges() // every edge adds one to each end's degree
 
 	// Incremental conductance over the sweep: adding node u adds deg(u) to
 	// vol; each edge to a node already inside converts a cut edge into an
@@ -236,9 +219,10 @@ func SweepCutBounded(g *clickgraph.Graph, p map[NodeID]float64, minNodes, maxNod
 	for i, rk := range order[:maxNodes] {
 		u := rk.node
 		in[u] = true
-		vol += degree(g, u)
-		for _, v := range neighbors(g, u) {
-			if in[v] {
+		ids, base := neighbors(g, u)
+		vol += len(ids)
+		for _, id := range ids {
+			if in[base+NodeID(id)] {
 				cut--
 			} else {
 				cut++

@@ -3,7 +3,9 @@ package partition
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
+	"sync"
 
 	"simrankpp/internal/clickgraph"
 )
@@ -130,15 +132,34 @@ func BuildPlan(g *clickgraph.Graph, cfg PlanConfig) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Exact: true, NumQueries: g.NumQueries(), NumAds: g.NumAds()}
-	var packable []clickgraph.Component // components within budget
+	var packable, oversized []clickgraph.Component // within budget, above it
 	for _, c := range clickgraph.Components(g) {
 		if len(c.Queries)+len(c.Ads) <= cfg.MaxShardNodes {
 			packable = append(packable, c)
-			continue
+		} else {
+			oversized = append(oversized, c)
 		}
-		shards, exact := carveComponent(g, c, cfg)
-		if !exact {
-			p.Exact = false
+	}
+	// A carve reads the graph and its own component only, so the oversized
+	// components are carved side by side, at most GOMAXPROCS at a time, and
+	// their shards appended in component order: the plan does not depend on
+	// the width.
+	carved := make([][]Shard, len(oversized))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, c := range oversized {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			carved[i] = carveComponent(g, c, cfg)
+			<-slots
+		}()
+	}
+	wg.Wait()
+	for _, shards := range carved {
+		if len(shards) > 1 {
+			p.Exact = false // a cut was made
 		}
 		p.Shards = append(p.Shards, shards...)
 	}
@@ -187,10 +208,10 @@ func packComponents(comps []clickgraph.Component, budget int) []Shard {
 
 // carveComponent peels ACL clusters off one oversized component until the
 // remainder fits the budget. Clusters are restricted to still-unassigned
-// component nodes so pieces stay disjoint. exact reports whether carving
-// turned out unnecessary (no cut was ever made — possible when no seed
-// yields a usable cluster, leaving the whole component as one shard).
-func carveComponent(g *clickgraph.Graph, c clickgraph.Component, cfg PlanConfig) (shards []Shard, exact bool) {
+// component nodes so pieces stay disjoint. A single shard, marked exact,
+// comes back when no cut was ever made — possible when no seed yields a
+// usable cluster, leaving the whole component as one shard.
+func carveComponent(g *clickgraph.Graph, c clickgraph.Component, cfg PlanConfig) (shards []Shard) {
 	unassigned := make(map[NodeID]bool, len(c.Queries)+len(c.Ads))
 	for _, q := range c.Queries {
 		unassigned[QueryNode(q)] = true
@@ -234,8 +255,7 @@ func carveComponent(g *clickgraph.Graph, c clickgraph.Component, cfg PlanConfig)
 	if len(shards) > 0 {
 		rest.Conductance = Conductance(g, unassigned)
 	}
-	shards = append(shards, rest)
-	return shards, len(shards) == 1
+	return append(shards, rest)
 }
 
 // bestUnassignedSeed picks the highest-degree unassigned query of the

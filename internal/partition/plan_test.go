@@ -2,6 +2,8 @@ package partition
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -140,6 +142,70 @@ func TestBuildPlanCarvesOversizedComponent(t *testing.T) {
 	}
 	if cutSum != 2*p.TotalCutEdges {
 		t.Errorf("per-shard cut edges sum %d, want 2×total (%d)", cutSum, 2*p.TotalCutEdges)
+	}
+}
+
+// TestBuildPlanSameAtEveryWidth: the oversized components are carved on a
+// GOMAXPROCS-bounded pool, and the plan must not show it. Ten clusters
+// above the budget (more than any width below, so carves queue) among
+// packable ones are planned at widths 1, 2, 4 and the width the test was
+// started at (CI runs it at -cpu 1,2,4, and under -race); every plan has to
+// be the width-1 plan: same shards in the same order, same fingerprint.
+func TestBuildPlanSameAtEveryWidth(t *testing.T) {
+	b := clickgraph.NewBuilder()
+	s := uint64(5)
+	next := func(n int) int {
+		s = s*6364136223846793005 + 1442695040888963407
+		return int((s >> 33) % uint64(n))
+	}
+	for c := 0; c < 30; c++ {
+		nq, na, edges := 12, 9, 40
+		if c%3 == 0 {
+			nq, na, edges = 90, 70, 700 // one component of ≈160 nodes
+		}
+		for e := 0; e < edges; e++ {
+			err := b.AddEdge(fmt.Sprintf("c%d-q%d", c, next(nq)), fmt.Sprintf("c%d-ad%d", c, next(na)),
+				clickgraph.EdgeWeights{Impressions: 3, Clicks: 1, ExpectedClickRate: 0.3})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g := b.Build()
+	cfg := DefaultPlanConfig()
+	cfg.MaxShardNodes, cfg.MinCutNodes = 60, 15
+
+	started := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(started)
+	var want *Plan
+	for _, width := range []int{1, 2, 4, started} {
+		runtime.GOMAXPROCS(width)
+		p, err := BuildPlan(g, cfg)
+		if err != nil {
+			t.Fatalf("width %d: BuildPlan: %v", width, err)
+		}
+		if err := p.Validate(g); err != nil {
+			t.Fatalf("width %d: Validate: %v", width, err)
+		}
+		if want == nil {
+			want = p
+			carved := 0
+			for i := range p.Shards {
+				if !p.Shards[i].Exact {
+					carved++
+				}
+			}
+			if carved < 2*10 {
+				t.Fatalf("%d carved shards of %d: the fixture should carve each of its ten large clusters", carved, len(p.Shards))
+			}
+			continue
+		}
+		if p.Fingerprint() != want.Fingerprint() {
+			t.Errorf("width %d: plan fingerprint %016x, width 1 gave %016x", width, p.Fingerprint(), want.Fingerprint())
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Errorf("width %d: plan differs from the width-1 plan (%d shards vs %d)", width, len(p.Shards), len(want.Shards))
+		}
 	}
 }
 

@@ -181,16 +181,29 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 	// Partner lists, sized by a counting pass and filled into one flat
 	// array (as sparse.ExpandSymmetric does): ids[p]'s list is
 	// flat[start[p]:start[p+1]]; pos keeps each record's two positions.
+	//
+	// A segment's records ascend by (i, j) with i < j, and so do the ids:
+	// i's position only moves forward over the whole segment and j's, from
+	// just past i's, over one row. An id a cursor has passed or cannot
+	// reach is not in the shard, or the records are not in that order.
 	n := len(qSeg) / pairRecordSize
 	pos := make([]int32, 2*n)
 	start := make([]int, len(ids)+1)
+	pi, pj, row := 0, 0, -1
 	for r := 0; r < n; r++ {
 		i := int(binary.LittleEndian.Uint32(qSeg[r*pairRecordSize:]))
 		j := int(binary.LittleEndian.Uint32(qSeg[r*pairRecordSize+4:]))
-		pi, okI := shard.pos(i)
-		pj, okJ := shard.pos(j)
-		if !okI || !okJ {
-			return nil, fmt.Errorf("serve: query segment pair (%d, %d) names a query outside its shard", i, j)
+		if i != row {
+			for pi < len(ids) && ids[pi] < i {
+				pi++
+			}
+			row, pj = i, pi+1
+		}
+		for pj < len(ids) && ids[pj] < j {
+			pj++
+		}
+		if pi == len(ids) || ids[pi] != i || pj >= len(ids) || ids[pj] != j {
+			return nil, fmt.Errorf("serve: query segment pair (%d, %d) names a query outside its shard or breaks the ascending i < j order", i, j)
 		}
 		pos[2*r], pos[2*r+1] = int32(pi), int32(pj)
 		start[pi+1]++

@@ -226,15 +226,41 @@ func TestBuildTopKBlobIdentityShard(t *testing.T) {
 }
 
 // TestBuildTopKBlobRejectsForeignPair: a segment pair naming a query the
-// shard's id list does not hold is a fault, not a list to drop silently.
+// shard's id list does not hold is a fault, not a list to drop silently —
+// and since the builder finds a record's positions with cursors that only
+// move forward, so is a segment whose records do not ascend by (i, j) with
+// i < j: a passed id must be refused, never matched to a later position.
 func TestBuildTopKBlobRejectsForeignPair(t *testing.T) {
 	g := stemGraph(t, [4]int{1, 2, 3, 4})
-	seg := makeSegBytes(t, [][3]float64{{0, 1, 0.5}, {1, 40, 0.25}})
-	if _, err := buildTopKBlob(seg, []int{0, 1, 2}, g, TopKOptions{K: 4}.meta(), nil); err == nil {
-		t.Error("buildTopKBlob accepted a pair outside the shard's id list")
+	tk := TopKOptions{K: 4}.meta()
+	shard := []int{0, 2, 5, 9}
+	good := [][3]float64{{0, 2, 0.5}, {0, 9, 0.25}, {2, 5, 0.125}, {5, 9, 0.75}}
+	for _, qIDs := range [][]int{shard, nil} {
+		if _, err := buildTopKBlob(makeSegBytes(t, good), qIDs, g, tk, nil); err != nil {
+			t.Errorf("ids %v: a well-formed segment was refused: %v", qIDs, err)
+		}
 	}
-	if _, err := buildTopKBlob(seg, nil, g, TopKOptions{K: 4}.meta(), nil); err != nil {
+	for name, recs := range map[string][][3]float64{
+		"i below the shard's next id": {{1, 2, 0.5}},
+		"i past the shard's last id":  {{0, 2, 0.5}, {40, 41, 0.5}},
+		"j between two shard ids":     {{0, 3, 0.5}},
+		"j past the shard's last id":  {{0, 2, 0.5}, {2, 40, 0.25}},
+		"rows descend":                {{2, 5, 0.5}, {0, 2, 0.25}},
+		"a row resumes":               {{0, 2, 0.5}, {2, 5, 0.5}, {0, 9, 0.25}},
+		"columns descend in a row":    {{0, 5, 0.5}, {0, 2, 0.25}},
+		"j below i":                   {{5, 2, 0.5}},
+		"j equals i":                  {{2, 2, 0.5}},
+	} {
+		if _, err := buildTopKBlob(makeSegBytes(t, recs), shard, g, tk, nil); err == nil {
+			t.Errorf("%s: buildTopKBlob accepted %v over ids %v", name, recs, shard)
+		}
+	}
+	// The identity shard holds every query, so only the order can be wrong.
+	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{0, 1, 0.5}, {1, 40, 0.25}}), nil, g, tk, nil); err != nil {
 		t.Errorf("identity shard holds every query, got %v", err)
+	}
+	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{1, 40, 0.25}, {0, 1, 0.5}}), nil, g, tk, nil); err == nil {
+		t.Error("identity shard: rows out of order were accepted")
 	}
 }
 
