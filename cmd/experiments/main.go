@@ -9,8 +9,7 @@
 //
 // Toy tables (1-4) are exact reproductions of the paper's numbers; the
 // dataset experiments (table5, fig8-fig12) run on the simulated log and
-// reproduce the paper's qualitative shape. See EXPERIMENTS.md for the
-// paper-vs-measured record.
+// reproduce the paper's qualitative shape.
 package main
 
 import (

@@ -10,14 +10,14 @@
 // platforms read each segment's bytes into memory). When the snapshot
 // carries a precomputed top-k rewrite section built under this daemon's
 // -bids set, /rewrite answers straight from it, byte-identically to the
-// live pipeline (-precomputed=false forces the pipeline).
+// live pipeline (a snapshot saved with simrank -rewrite-topk 0 has no
+// section, so every answer runs the pipeline).
 //
 // # Usage
 //
 //	simrankd -snapshot FILE [-addr :8080] [-top 5] [-max-top 100]
 //	         [-cache 4096] [-bids FILE] [-preload]
 //	         [-inflight 256] [-timeout 5s]
-//	         [-precomputed=false]
 //
 // # Endpoints
 //
@@ -94,7 +94,6 @@ func main() {
 		preload  = flag.Bool("preload", false, "verify and load every score segment at startup")
 		inflight = flag.Int("inflight", 256, "max concurrent scoring requests before shedding 503 (0 disables)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-request deadline on scoring endpoints (0 disables)")
-		precomp  = flag.Bool("precomputed", true, "answer /rewrite from the snapshot's precomputed top-k section when parameters match (false: always run the live pipeline)")
 	)
 	flag.Parse()
 	if *snapPath == "" {
@@ -107,7 +106,6 @@ func main() {
 	cfg.CacheSize = *cache
 	cfg.MaxInFlight = *inflight
 	cfg.RequestTimeout = *timeout
-	cfg.DisablePrecomputed = !*precomp
 	if *bidsPath != "" {
 		terms, err := rewrite.ReadBidTermsFile(*bidsPath)
 		if err != nil {

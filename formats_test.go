@@ -105,7 +105,7 @@ func writeFormatGoldens(t *testing.T) string {
 	must(err)
 	work := t.TempDir()
 	serving := filepath.Join(work, "serving.snap")
-	must(serve.WriteSnapshotFileTopK(serving, res, serve.DefaultTopKOptions()))
+	must(serve.WriteSnapshotFileTopK(serving, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}))
 	copyTo("fig3.v3.snap", serving)
 
 	// The journal a first refresh or fold starts: the serving file adopted
@@ -113,7 +113,7 @@ func writeFormatGoldens(t *testing.T) string {
 	gs := serve.NewGenerationStore(serving, 0)
 	gen, err := gs.Adopt()
 	must(err)
-	copyTo("gen-00000001.mf", filepath.Join(gs.Dir(), "gen-00000001.mf"))
+	copyTo("gen-00000001.mf", filepath.Join(serving+".gens", "gen-00000001.mf"))
 	if gen.ID != 1 {
 		t.Fatalf("adopted generation %d, want 1", gen.ID)
 	}

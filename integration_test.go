@@ -3,6 +3,7 @@ package simrankpp_test
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"simrankpp/internal/clickgraph"
@@ -12,13 +13,14 @@ import (
 	"simrankpp/internal/partition"
 	"simrankpp/internal/rewrite"
 	"simrankpp/internal/serve"
+	"simrankpp/internal/sparse"
 	"simrankpp/internal/sponsored"
 	"simrankpp/internal/workload"
 )
 
 // TestEndToEndPipeline drives the whole system the way the binaries do:
 // generate a log, serialize and reload the graph, extract subgraphs,
-// compute similarities (serial, parallel, and from a persisted snapshot),
+// compute similarities (monolithic, sharded, and from a persisted snapshot),
 // run the rewriting pipeline, and grade with the oracle — asserting
 // cross-module consistency at every hop.
 func TestEndToEndPipeline(t *testing.T) {
@@ -62,21 +64,21 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal("no subgraphs extracted")
 	}
 
-	// 4. Similarity three ways: serial, parallel, and both persisted as
-	//    snapshots and reopened must agree.
+	// 4. Similarity three ways: monolithic, sharded four workers wide, and
+	//    both persisted as snapshots and reopened must agree.
 	cfg := core.DefaultConfig().WithVariant(core.Weighted)
 	cfg.PruneEpsilon = 1e-6
 	serial, err := core.Run(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.RunParallel(g, cfg, 4)
+	par, err := core.RunSharded(g, cfg, partition.ComponentPlan(g), core.ShardOptions{Workers: 4, RetainShardScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	persist := func(name string, res *core.Result) *serve.Snapshot {
 		path := filepath.Join(t.TempDir(), name)
-		if err := serve.WriteSnapshotFile(path, res); err != nil {
+		if err := serve.WriteSnapshotFileTopK(path, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := serve.OpenSnapshot(path)
@@ -86,19 +88,25 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Cleanup(func() { snap.Close() })
 		return snap
 	}
-	loaded, loadedPar := persist("serial.snap", serial), persist("parallel.snap", par)
-	checked := 0
-	serial.QueryScores.Range(func(i, j int, v float64) bool {
-		if pv := par.QuerySim(i, j); pv < v-1e-9 || pv > v+1e-9 {
-			t.Fatalf("parallel sim(%d,%d) = %v, serial %v", i, j, pv, v)
+	loaded, loadedPar := persist("serial.snap", serial), persist("sharded.snap", par)
+	// Every node's full ranked list, on both sides, is the same from all
+	// four: every stored pair sits in both partners' lists, so no score
+	// goes unchecked. A component plan replays the monolithic arithmetic,
+	// so the sharded run matches bit for bit.
+	for _, side := range []struct {
+		n   int
+		top func(serve.ScoreIndex, int, int) []sparse.Scored
+	}{{g.NumQueries(), serve.ScoreIndex.TopRewrites}, {g.NumAds(), serve.ScoreIndex.TopSimilarAds}} {
+		for v := 0; v < side.n; v++ {
+			want := side.top(serial, v, -1)
+			for name, idx := range map[string]serve.ScoreIndex{"sharded": par, "persisted": loaded, "persisted sharded": loadedPar} {
+				if got := side.top(idx, v, -1); !slices.Equal(got, want) {
+					t.Fatalf("%s: node %d ranks %v, monolithic %v", name, v, got, want)
+				}
+			}
 		}
-		if lv, lp := loaded.QuerySim(i, j), loadedPar.QuerySim(i, j); lv != v || lp != v {
-			t.Fatalf("persisted sim(%d,%d) = %v (serial run) / %v (parallel run), serial %v", i, j, lv, lp, v)
-		}
-		checked++
-		return checked < 500
-	})
-	if checked == 0 {
+	}
+	if serial.QueryScores.Len() == 0 {
 		t.Fatal("no query pairs scored")
 	}
 

@@ -159,9 +159,6 @@ func (b *Builder) NumQueries() int { return len(b.queries) }
 // NumAds returns the number of distinct ads added so far.
 func (b *Builder) NumAds() int { return len(b.ads) }
 
-// NumEdges returns the number of distinct (query, ad) pairs added so far.
-func (b *Builder) NumEdges() int { return b.edges }
-
 // Build compiles the accumulated edges into an immutable Graph: one copy
 // of the rows into the table. The Builder stays usable: the graph shares
 // nothing with it.
@@ -372,13 +369,6 @@ func (g *Graph) CommonAds(q1, q2 int) []int {
 	a1, _ := g.AdsOf(q1)
 	a2, _ := g.AdsOf(q2)
 	return intersectSorted(a1, a2)
-}
-
-// CommonQueries returns the queries adjacent to both a1 and a2.
-func (g *Graph) CommonQueries(a1, a2 int) []int {
-	q1, _ := g.QueriesOf(a1)
-	q2, _ := g.QueriesOf(a2)
-	return intersectSorted(q1, q2)
 }
 
 func intersectSorted(a, b []int) []int {

@@ -155,8 +155,11 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 	return spas
 }
 
-// runEngine is the shared iteration loop behind Run (workers == 1),
-// RunParallel, and the per-shard engines of RunSharded. Each side
+// runEngine is the shared iteration loop behind Run (workers == 1) and
+// the per-shard engines of RunSharded. Each output row is computed by
+// exactly one of workers goroutines (contiguous row ranges balanced by
+// gather weight, emitted into disjoint rows of one frontier) in the
+// serial order, so scores do not depend on workers. Each side
 // ping-pongs two frontiers: cur is reset, filled row by row from the
 // opposite side's prev (expanded to a symmetric adjacency once per
 // iteration), and swapped in; prev's buckets become the next iteration's
@@ -196,7 +199,7 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 			prevA.Prune(cfg.PruneEpsilon)
 		}
 	}
-	prevQ.Compact() // read-ready: passes and MaxAbsDiff read prev
+	prevQ.Compact() // read-ready: passes and MaxAbsDiffChanged read prev
 	prevA.Compact()
 	if ar.symQ == nil {
 		ar.symQ, ar.symA = &sparse.SymAdj{}, &sparse.SymAdj{}
@@ -392,8 +395,8 @@ func (sp *spa) scatter(x int, oppNbr [][]int, revW [][]float64) (pmin, pmax int)
 // multiply-add and one unconditional mark. It is kept out of line because,
 // inlined into scatter, which has some twenty values live around it, its
 // counter and p are spilled to the stack and reloaded on every iteration
-// (PERF.md, "Cursor scatter, marked harvest"); gather's loop fits in
-// registers where it is.
+// (PERF.md, "The kernel: cursor scatter, marked harvest"); gather's loop
+// fits in registers where it is.
 //
 //go:noinline
 func scatterRow(t []float64, marks []uint64, ps []int, fw []float64, uj float64) {

@@ -44,18 +44,6 @@ func EvidenceMultiplier(form EvidenceForm, n int, strict bool) float64 {
 	return EvidenceScore(form, n)
 }
 
-// QueryEvidence returns evidence(q1, q2) on graph g: the evidence derived
-// from |E(q1) ∩ E(q2)| common ads.
-func QueryEvidence(g *clickgraph.Graph, form EvidenceForm, q1, q2 int) float64 {
-	return EvidenceScore(form, len(g.CommonAds(q1, q2)))
-}
-
-// AdEvidence returns evidence(a1, a2) on graph g: the evidence derived from
-// |E(a1) ∩ E(a2)| common queries.
-func AdEvidence(g *clickgraph.Graph, form EvidenceForm, a1, a2 int) float64 {
-	return EvidenceScore(form, len(g.CommonQueries(a1, a2)))
-}
-
 // CommonAdCounts computes the naive similarity of §3 (Table 1): the number
 // of common ads for every query pair, as a symmetric matrix indexed by
 // query id. It is the strawman the paper improves upon and doubles as the

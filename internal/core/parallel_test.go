@@ -18,9 +18,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 				cfg := DefaultConfig().WithVariant(variant)
 				cfg.Channel = ChannelClicks
 				serial := mustRun(t, g, cfg)
-				par, err := RunParallel(g, cfg, workers)
+				par, err := runEngine(g, cfg, workers, nil, nil)
 				if err != nil {
-					t.Fatalf("RunParallel(%v, %d workers): %v", variant, workers, err)
+					t.Fatalf("runEngine(%v, %d workers): %v", variant, workers, err)
 				}
 				for i := 0; i < g.NumQueries(); i++ {
 					for j := i + 1; j < g.NumQueries(); j++ {
@@ -48,8 +48,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.C1 = 0
-	if _, err := RunParallel(clickgraph.Fig3(), cfg, 4); err == nil {
-		t.Error("RunParallel accepted invalid config")
+	if _, err := runEngine(clickgraph.Fig3(), cfg, 4, nil, nil); err == nil {
+		t.Error("runEngine accepted invalid config")
 	}
 }
 
@@ -58,7 +58,7 @@ func TestParallelConvergence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Iterations = 500
 	cfg.Tolerance = 1e-10
-	r, err := RunParallel(g, cfg, 4)
+	r, err := runEngine(g, cfg, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -290,14 +290,14 @@ func bitIdenticalConfigs() []Config {
 
 // TestParallelBitIdentical: each output row is computed by exactly one
 // worker in the serial kernel order (or copied forward by the delta skip,
-// which is worker-independent), so RunParallel must equal Run bit-for-bit,
-// not just within rounding — across variants, strict evidence, and
-// pruning.
+// which is worker-independent), so a multi-worker runEngine must equal
+// Run bit-for-bit, not just within rounding — across variants, strict
+// evidence, and pruning.
 func TestParallelBitIdentical(t *testing.T) {
 	g := randomGraph(31, 14, 11, 50)
 	for _, cfg := range bitIdenticalConfigs() {
 		serial := mustRun(t, g, cfg)
-		par, err := RunParallel(g, cfg, 5)
+		par, err := runEngine(g, cfg, 5, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestDeltaSkipExactMatchesFull(t *testing.T) {
 			ref := mustRun(t, g, full)
 			label := fmt.Sprintf("seed=%d %v strict=%v prune=%g", seed, cfg.Variant, cfg.StrictEvidence, cfg.PruneEpsilon)
 			assertBitIdentical(t, label, delta, ref)
-			deltaPar, err := RunParallel(g, cfg, 4)
+			deltaPar, err := runEngine(g, cfg, 4, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,7 +52,7 @@ type Result struct {
 	ShardStats []ShardStat
 	// ShardScores retains each shard engine's local-id score frontiers
 	// with their local→global maps, in plan order, when RunSharded ran with
-	// ShardOptions.RetainShardScores (nil otherwise). serve.WriteSnapshot
+	// ShardOptions.RetainShardScores (nil otherwise). serve.WriteSnapshotTopK
 	// encodes per-shard segments directly from them, in parallel, without
 	// repartitioning the stitched frontiers.
 	ShardScores []ShardScoreSet

@@ -33,7 +33,7 @@ type ShardOptions struct {
 	Workers int
 	// RetainShardScores keeps each shard engine's local-id frontiers and
 	// local→global maps on the Result (Result.ShardScores) in addition to
-	// the stitched global frontiers. serve.WriteSnapshot uses them to emit
+	// the stitched global frontiers. serve.WriteSnapshotTopK uses them to emit
 	// per-shard snapshot segments directly, in parallel, without
 	// repartitioning; the cost is the scores held twice (12 bytes a pair
 	// each) until the Result is dropped.
@@ -139,7 +139,7 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 	}
 	// The pool never needs more slots than shards; the engine-worker
 	// shares below still draw on the full budget, so a single-shard plan
-	// runs its one engine with every worker (≈ RunParallel).
+	// runs its one engine with every worker.
 	workers := budget
 	if workers > len(plan.Shards) {
 		workers = len(plan.Shards)

@@ -66,9 +66,9 @@ func TestShardedExactBitIdentical(t *testing.T) {
 				cfg.StrictEvidence = strict
 				cfg.PruneEpsilon = prune
 				mono := mustRun(t, g, cfg)
-				monoPar, err := RunParallel(g, cfg, 4)
+				monoPar, err := runEngine(g, cfg, 4, nil, nil)
 				if err != nil {
-					t.Fatalf("RunParallel: %v", err)
+					t.Fatalf("runEngine: %v", err)
 				}
 				for planName, plan := range plans {
 					for _, workers := range []int{1, 3} {

@@ -68,7 +68,8 @@ func popVariance(xs []float64) float64 {
 }
 
 // newTransitionModel scans the graph once and caches spreads and row sums.
-// disableSpread forces spread ≡ 1 (the ablation of DESIGN.md).
+// disableSpread forces spread ≡ 1: the weighted walk without §8.2's
+// e^{-variance} factor, for ablations.
 func newTransitionModel(g *clickgraph.Graph, ch WeightChannel, disableSpread bool) *transitionModel {
 	m := &transitionModel{
 		g:       g,

@@ -27,7 +27,7 @@ func churnedGraph(seed uint64, count, nq, na, edges int) *clickgraph.Graph {
 
 // maxTableDiff returns the largest |a-b| over the union of both frontiers.
 func maxTableDiff(a, b *sparse.PairFrontier) float64 {
-	return a.MaxAbsDiff(b)
+	return a.MaxAbsDiffChanged(b, 0, nil)
 }
 
 // TestWarmStartWithinToleranceOfCold pins the warm-start exactness

@@ -339,15 +339,16 @@ func TestLocalNeighborhoodCaps(t *testing.T) {
 // symmetric roles of the two partitions.
 func TestAdSideEvidence(t *testing.T) {
 	g := clickgraph.Fig4K22()
+	in := newPassInputs(g, DefaultConfig())
 	hp, _ := g.AdID("hp.com")
 	bb, _ := g.AdID("bestbuy.com")
 	// Two common queries → geometric evidence 0.75.
-	if got := AdEvidence(g, EvidenceGeometric, hp, bb); got != 0.75 {
+	if got := newEvidenceTable(in.aNbr, in.qNbr, EvidenceGeometric, false).score(hp, bb); got != 0.75 {
 		t.Errorf("ad evidence = %v want 0.75", got)
 	}
 	cam, _ := g.QueryID("camera")
 	dig, _ := g.QueryID("digital camera")
-	if got := QueryEvidence(g, EvidenceGeometric, cam, dig); got != 0.75 {
+	if got := newEvidenceTable(in.qNbr, in.aNbr, EvidenceGeometric, false).score(cam, dig); got != 0.75 {
 		t.Errorf("query evidence = %v want 0.75", got)
 	}
 }

@@ -340,7 +340,7 @@ func TestChaosCancelledDuringFallback(t *testing.T) {
 	})
 	c.backoff = hedge.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
 	journal := func() []string {
-		entries, err := os.ReadDir(fx.gs.Dir())
+		entries, err := os.ReadDir(fx.path + ".gens")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -205,18 +205,6 @@ func LocalScorer(cfg core.Config, lc core.LocalConfig) Scorer {
 	}
 }
 
-// FullScorer adapts the exact sparse engine into a Scorer (expensive:
-// a full all-pairs run per trial).
-func FullScorer(cfg core.Config) Scorer {
-	return func(t Trial) (float64, float64, error) {
-		res, err := core.Run(t.Pruned, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		return res.QuerySim(t.Q1, t.Q2), res.QuerySim(t.Q1, t.Q3), nil
-	}
-}
-
 // RunDesirability scores every trial and returns how many orderings the
 // scorer predicted correctly: the prediction is correct when the
 // similarity ordering of (q2, q3) strictly agrees with the ground-truth

@@ -144,13 +144,7 @@ func TestScorersRun(t *testing.T) {
 	if len(trials) == 0 {
 		t.Skip("no trials")
 	}
-	cfg := core.DefaultConfig()
-	for name, scorer := range map[string]Scorer{
-		"local": LocalScorer(cfg, core.DefaultLocalConfig()),
-		"full":  FullScorer(cfg),
-	} {
-		if _, _, err := RunDesirability(trials, scorer); err != nil {
-			t.Errorf("%s scorer: %v", name, err)
-		}
+	if _, _, err := RunDesirability(trials, LocalScorer(core.DefaultConfig(), core.DefaultLocalConfig())); err != nil {
+		t.Errorf("local scorer: %v", err)
 	}
 }

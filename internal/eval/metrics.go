@@ -176,21 +176,5 @@ func DepthHistogram(byQuery []QueryJudgments, max int) []float64 {
 	return out
 }
 
-// MeanGrade returns the average editorial grade over all rewrites of all
-// queries (lower is better); ok reports whether any rewrite existed.
-func MeanGrade(byQuery []QueryJudgments) (mean float64, ok bool) {
-	sum, n := 0.0, 0
-	for _, qj := range byQuery {
-		for _, r := range qj.Rewrites {
-			sum += float64(r.Grade)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
-}
-
 // FormatPercent renders a fraction as a percentage string for reports.
 func FormatPercent(f float64) string { return fmt.Sprintf("%.0f%%", f*100) }

@@ -120,14 +120,3 @@ func TestDepthHistogram(t *testing.T) {
 		}
 	}
 }
-
-func TestMeanGrade(t *testing.T) {
-	byQuery := []QueryJudgments{qj("q1", 1, 3), qj("q2", 4)}
-	mean, ok := MeanGrade(byQuery)
-	if !ok || math.Abs(mean-8.0/3.0) > 1e-12 {
-		t.Errorf("MeanGrade = %v,%v want 8/3,true", mean, ok)
-	}
-	if _, ok := MeanGrade(nil); ok {
-		t.Error("MeanGrade of empty should report !ok")
-	}
-}

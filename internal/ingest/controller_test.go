@@ -61,7 +61,7 @@ func newTestEnv(t *testing.T) *testEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := serve.WriteSnapshotFile(snapPath, res); err != nil {
+	if err := serve.WriteSnapshotFileTopK(snapPath, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)
 	}
 	return &testEnv{dir: dir, snapPath: snapPath, walDir: filepath.Join(dir, "wal"), base: base, log: lg}

@@ -271,13 +271,6 @@ func (l *Log) FoldedSeq() uint64 {
 	return l.folded
 }
 
-// Lag is the number of appended records not yet durably folded.
-func (l *Log) Lag() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq - l.folded
-}
-
 // SetFolded records that every sequence number below seq has been
 // durably folded (the controller calls this after its cursor fsync).
 // It releases backpressure; it does not delete anything — pair with

@@ -386,7 +386,7 @@ func TestWALBackpressure(t *testing.T) {
 	if _, err := l.Append(walRec(5)); err != nil {
 		t.Fatalf("append after SetFolded: %v", err)
 	}
-	if lag := l.Lag(); lag != 3 {
+	if lag := l.NextSeq() - l.FoldedSeq(); lag != 3 {
 		t.Fatalf("lag = %d, want 3", lag)
 	}
 }

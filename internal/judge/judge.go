@@ -6,11 +6,7 @@
 // relatedness only; it never consults the click graph.
 package judge
 
-import (
-	"fmt"
-
-	"simrankpp/internal/workload"
-)
+import "simrankpp/internal/workload"
 
 // Grades on the paper's editorial scale (Table 6).
 const (
@@ -26,67 +22,19 @@ const (
 	GradeMismatch = 4
 )
 
-// GradeName returns the paper's label for a grade.
-func GradeName(g int) string {
-	switch g {
-	case GradePrecise:
-		return "precise match"
-	case GradeApproximate:
-		return "approximate match"
-	case GradePossible:
-		return "marginal match"
-	case GradeMismatch:
-		return "mismatch"
-	default:
-		return fmt.Sprintf("grade(%d)", g)
-	}
-}
-
 // Oracle grades rewrites against a universe's ground truth.
 type Oracle struct {
 	universe *workload.Universe
-	// noise is the probability a judgment shifts by ±1 grade (clamped),
-	// modeling editor disagreement.
-	noise float64
-	rng   *workload.RNG
 }
 
-// New returns a noiseless oracle.
+// New returns an oracle over u.
 func New(u *workload.Universe) *Oracle {
 	return &Oracle{universe: u}
-}
-
-// NewNoisy returns an oracle whose judgments shift by one grade with the
-// given probability, deterministically from seed.
-func NewNoisy(u *workload.Universe, noise float64, seed uint64) (*Oracle, error) {
-	if noise < 0 || noise > 1 {
-		return nil, fmt.Errorf("judge: noise must be in [0,1], got %v", noise)
-	}
-	return &Oracle{universe: u, noise: noise, rng: workload.NewRNG(seed)}, nil
 }
 
 // Grade judges the rewrite of query (both as query strings) on the 1-4
 // scale. Unknown strings grade as mismatch — an editor shown gibberish
 // marks it unrelated.
 func (o *Oracle) Grade(query, rewrite string) int {
-	g := o.universe.RelationByText(query, rewrite).Grade()
-	if o.noise > 0 && o.rng.Float64() < o.noise {
-		if o.rng.Float64() < 0.5 {
-			g--
-		} else {
-			g++
-		}
-		if g < GradePrecise {
-			g = GradePrecise
-		}
-		if g > GradeMismatch {
-			g = GradeMismatch
-		}
-	}
-	return g
+	return o.universe.RelationByText(query, rewrite).Grade()
 }
-
-// Relevant reports whether grade g counts as relevant under a threshold
-// task: threshold 2 treats grades {1,2} as relevant (Figure 9), threshold
-// 1 only grade 1 (Figure 10).
-func Relevant(g, threshold int) bool { return g <= threshold }

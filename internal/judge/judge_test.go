@@ -59,52 +59,3 @@ func TestGradeUnknownIsMismatch(t *testing.T) {
 		t.Errorf("unknown query graded %d want %d", got, GradeMismatch)
 	}
 }
-
-func TestNoisyOracle(t *testing.T) {
-	u := testUniverse(t)
-	if _, err := NewNoisy(u, -0.1, 1); err == nil {
-		t.Error("accepted negative noise")
-	}
-	if _, err := NewNoisy(u, 1.1, 1); err == nil {
-		t.Error("accepted noise > 1")
-	}
-	o, err := NewNoisy(u, 0.5, 123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, r := findPair(t, u, workload.SameSubtopic)
-	shifted := false
-	for i := 0; i < 200; i++ {
-		g := o.Grade(q, r)
-		if g < GradePrecise || g > GradeMismatch {
-			t.Fatalf("grade %d out of range", g)
-		}
-		if g != GradeApproximate {
-			shifted = true
-		}
-	}
-	if !shifted {
-		t.Error("noise 0.5 never shifted a grade in 200 judgments")
-	}
-}
-
-func TestRelevantThresholds(t *testing.T) {
-	if !Relevant(1, 2) || !Relevant(2, 2) || Relevant(3, 2) || Relevant(4, 2) {
-		t.Error("threshold-2 relevance wrong")
-	}
-	if !Relevant(1, 1) || Relevant(2, 1) {
-		t.Error("threshold-1 relevance wrong")
-	}
-}
-
-func TestGradeName(t *testing.T) {
-	names := map[int]string{1: "precise match", 2: "approximate match", 3: "marginal match", 4: "mismatch"}
-	for g, want := range names {
-		if GradeName(g) != want {
-			t.Errorf("GradeName(%d) = %q want %q", g, GradeName(g), want)
-		}
-	}
-	if GradeName(9) == "" {
-		t.Error("unknown grade should still render")
-	}
-}

@@ -22,8 +22,8 @@ import (
 // maps a new graph against: shard count, per-shard subgraph fingerprints,
 // and name-keyed lookups returning the node's previous id and shard.
 // *serve.Snapshot implements it (names from the string table, shards from
-// the route map, fingerprints from the directory); PlanAssignment adapts
-// an in-memory old graph + plan.
+// the route map, fingerprints from the directory); the tests' planAssignment
+// adapts an in-memory old graph + plan.
 type PrevAssignment interface {
 	NumShards() int
 	ShardFingerprint(i int) uint64
@@ -31,44 +31,6 @@ type PrevAssignment interface {
 	PrevQuery(name string) (id, shard int, ok bool)
 	// PrevAd is PrevQuery for the ad side.
 	PrevAd(name string) (id, shard int, ok bool)
-}
-
-// PlanAssignment adapts a previous graph and its plan to PrevAssignment.
-type PlanAssignment struct {
-	g      *clickgraph.Graph
-	plan   *Plan
-	qShard []int32
-	aShard []int32
-}
-
-// NewPlanAssignment indexes plan (built for g) for diffing.
-func NewPlanAssignment(g *clickgraph.Graph, p *Plan) *PlanAssignment {
-	q, a := p.shardIndex()
-	return &PlanAssignment{g: g, plan: p, qShard: q, aShard: a}
-}
-
-// NumShards implements PrevAssignment.
-func (pa *PlanAssignment) NumShards() int { return len(pa.plan.Shards) }
-
-// ShardFingerprint implements PrevAssignment.
-func (pa *PlanAssignment) ShardFingerprint(i int) uint64 { return pa.plan.Shards[i].Fingerprint }
-
-// PrevQuery implements PrevAssignment.
-func (pa *PlanAssignment) PrevQuery(name string) (int, int, bool) {
-	id, ok := pa.g.QueryID(name)
-	if !ok || pa.qShard[id] < 0 {
-		return 0, 0, false
-	}
-	return id, int(pa.qShard[id]), true
-}
-
-// PrevAd implements PrevAssignment.
-func (pa *PlanAssignment) PrevAd(name string) (int, int, bool) {
-	id, ok := pa.g.AdID(name)
-	if !ok || pa.aShard[id] < 0 {
-		return 0, 0, false
-	}
-	return id, int(pa.aShard[id]), true
 }
 
 // Diff is the outcome of mapping a new graph against a previous
@@ -97,17 +59,6 @@ type Diff struct {
 	// id, so an id shift invalidates them even if the topology matched).
 	NewQueries, NewAds     int
 	MovedQueries, MovedAds int
-}
-
-// DirtyShards returns the dirty classification of mapping g against prev
-// — the convenience form of DiffPlans for callers that only schedule
-// work. See DiffPlans for the semantics.
-func DirtyShards(prev PrevAssignment, g *clickgraph.Graph) ([]bool, error) {
-	d, err := DiffPlans(prev, g)
-	if err != nil {
-		return nil, err
-	}
-	return d.Dirty, nil
 }
 
 // DiffPlans maps the new graph g against a previous assignment:

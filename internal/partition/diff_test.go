@@ -9,6 +9,45 @@ import (
 	"simrankpp/internal/clickgraph"
 )
 
+// planAssignment adapts a previous graph and its plan to PrevAssignment:
+// the in-memory stand-in for a previous snapshot.
+type planAssignment struct {
+	g      *clickgraph.Graph
+	plan   *Plan
+	qShard []int32
+	aShard []int32
+}
+
+// newPlanAssignment indexes plan (built for g) for diffing.
+func newPlanAssignment(g *clickgraph.Graph, p *Plan) *planAssignment {
+	q, a := p.shardIndex()
+	return &planAssignment{g: g, plan: p, qShard: q, aShard: a}
+}
+
+// NumShards implements PrevAssignment.
+func (pa *planAssignment) NumShards() int { return len(pa.plan.Shards) }
+
+// ShardFingerprint implements PrevAssignment.
+func (pa *planAssignment) ShardFingerprint(i int) uint64 { return pa.plan.Shards[i].Fingerprint }
+
+// PrevQuery implements PrevAssignment.
+func (pa *planAssignment) PrevQuery(name string) (int, int, bool) {
+	id, ok := pa.g.QueryID(name)
+	if !ok || pa.qShard[id] < 0 {
+		return 0, 0, false
+	}
+	return id, int(pa.qShard[id]), true
+}
+
+// PrevAd implements PrevAssignment.
+func (pa *planAssignment) PrevAd(name string) (int, int, bool) {
+	id, ok := pa.g.AdID(name)
+	if !ok || pa.aShard[id] < 0 {
+		return 0, 0, false
+	}
+	return id, int(pa.aShard[id]), true
+}
+
 // diffFixture builds the base two-cluster graph the delta tests mutate:
 // per cluster c, queries c?-q0,c?-q1 and ads c?-ad0,c?-ad1 with the three
 // edges q0–ad0, q0–ad1, q1–ad0 (q1–ad1 deliberately absent so a test can
@@ -44,7 +83,7 @@ func diffAgainstBase(t *testing.T, edits func(b *clickgraph.Builder)) (*Diff, *P
 	if len(plan.Shards) != 2 {
 		t.Fatalf("fixture plan has %d shards, want 2", len(plan.Shards))
 	}
-	d, err := DiffPlans(NewPlanAssignment(base, plan), diffFixture(t, edits))
+	d, err := DiffPlans(newPlanAssignment(base, plan), diffFixture(t, edits))
 	if err != nil {
 		t.Fatalf("DiffPlans: %v", err)
 	}
@@ -125,7 +164,7 @@ func TestDiffEdgeRemovalSplittingComponent(t *testing.T) {
 	})
 	b.AddQuery("c1-q1") // node survives, isolated
 	got := b.Build()
-	d, err := DiffPlans(NewPlanAssignment(base, plan), got)
+	d, err := DiffPlans(newPlanAssignment(base, plan), got)
 	if err != nil {
 		t.Fatalf("DiffPlans: %v", err)
 	}
@@ -191,7 +230,7 @@ func TestDiffMovedIDsDirtyTheirShards(t *testing.T) {
 		}
 	}
 	got := b.Build()
-	d, err := DiffPlans(NewPlanAssignment(base, plan), got)
+	d, err := DiffPlans(newPlanAssignment(base, plan), got)
 	if err != nil {
 		t.Fatalf("DiffPlans: %v", err)
 	}

@@ -63,7 +63,7 @@ func edgeHash(q, a int, w clickgraph.EdgeWeights) uint64 {
 }
 
 // GraphFingerprint returns the whole graph's fingerprint: the value a
-// single shard covering every node would carry. serve.WriteSnapshot uses
+// single shard covering every node would carry. serve.WriteSnapshotTopK uses
 // it for monolithic (one-segment) snapshots.
 func GraphFingerprint(g *clickgraph.Graph) uint64 {
 	var fp uint64

@@ -109,35 +109,6 @@ func (s *PearsonSource) Rewrites(q, limit int) ([]sparse.Scored, error) {
 	return pearson.TopRewrites(s.Graph, s.Channel, q, limit), nil
 }
 
-// LocalSource serves rewrites by running the neighborhood-restricted
-// SimRank engine per query — the online front-end path.
-type LocalSource struct {
-	Graph  *clickgraph.Graph
-	Config core.Config
-	Local  core.LocalConfig
-	Label  string
-}
-
-// Name implements Source.
-func (s *LocalSource) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "local " + s.Config.Variant.String()
-}
-
-// Rewrites implements Source.
-func (s *LocalSource) Rewrites(q, limit int) ([]sparse.Scored, error) {
-	scored, err := core.LocalSimilarities(s.Graph, q, s.Config, s.Local)
-	if err != nil {
-		return nil, err
-	}
-	if limit >= 0 && len(scored) > limit {
-		scored = scored[:limit]
-	}
-	return scored, nil
-}
-
 // Candidate is one surviving rewrite.
 type Candidate struct {
 	Query int     // query id in the pipeline's graph
@@ -274,18 +245,4 @@ func (p *Pipeline) stemKey(id int) string {
 		return m.StemKey(id)
 	}
 	return stem.Phrase(p.Graph.Query(id))
-}
-
-// RewriteAll runs the pipeline for every query id in sample and returns
-// the per-query candidate lists, keyed by query id.
-func (p *Pipeline) RewriteAll(src Source, sample []int) (map[int][]Candidate, error) {
-	out := make(map[int][]Candidate, len(sample))
-	for _, q := range sample {
-		c, err := p.Rewrite(src, q)
-		if err != nil {
-			return nil, err
-		}
-		out[q] = c
-	}
-	return out, nil
 }

@@ -299,7 +299,6 @@ func TestSourcesEndToEnd(t *testing.T) {
 	sources := []Source{
 		&ResultSource{Index: res},
 		&PearsonSource{Graph: g, Channel: core.ChannelClicks},
-		&LocalSource{Graph: g, Config: cfg, Local: core.DefaultLocalConfig()},
 	}
 	for _, src := range sources {
 		if src.Name() == "" {
@@ -357,22 +356,5 @@ func TestResultSourceLabel(t *testing.T) {
 	}
 	if name := (&ResultSource{Index: res, Label: "custom"}).Name(); name != "custom" {
 		t.Errorf("label override = %q", name)
-	}
-}
-
-func TestRewriteAll(t *testing.T) {
-	g := clickgraph.Fig3()
-	res, err := core.Run(g, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPipeline(g, nil)
-	sample := []int{0, 1, 2}
-	all, err := p.RewriteAll(&ResultSource{Index: res}, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(sample) {
-		t.Errorf("RewriteAll covered %d queries want %d", len(all), len(sample))
 	}
 }

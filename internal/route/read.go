@@ -316,10 +316,10 @@ type subBatch struct {
 // unpinned gateway answers the all-fleet-down 503.
 func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	gw.requests.Add(1)
-	// The replicas' default cap, on the client's whole batch: sub-batches
+	// The replicas' cap, on the client's whole batch: sub-batches
 	// are formed after it, so a fleet refuses what one daemon refuses
 	// however the queries would have split.
-	req, ok := serve.ReadBatchRequest(w, r, serve.DefaultServerConfig().MaxBatch)
+	req, ok := serve.ReadBatchRequest(w, r, serve.MaxBatch)
 	if !ok {
 		return
 	}

@@ -75,7 +75,7 @@ func buildGeneration(t *testing.T, seeds [4]int) *serve.Snapshot {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := serve.WriteSnapshot(&buf, res); err != nil {
+	if err := serve.WriteSnapshotTopK(&buf, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := serve.NewSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))

@@ -245,7 +245,7 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatalf("GET /batch = %d Allow=%q, want 405 Allow=POST", rec.Code, rec.Header().Get("Allow"))
 	}
 
-	big, _ := json.Marshal(BatchRequest{Queries: make([]string, DefaultServerConfig().MaxBatch+1)})
+	big, _ := json.Marshal(BatchRequest{Queries: make([]string, MaxBatch+1)})
 	for name, body := range map[string]string{
 		"malformed":    `{"queries": [`,
 		"empty":        `{"queries": []}`,
@@ -309,9 +309,9 @@ func goroutineID() int {
 	return id
 }
 
-// TestBatchConcurrencyBound: a batch never has more than BatchConcurrency
+// TestBatchConcurrencyBound: a batch never has more than batchConcurrency
 // items in flight — the handler's goroutine is one of the workers, not one
-// more — and with BatchConcurrency 1 it answers every item itself, in
+// more — and with batchConcurrency 1 it answers every item itself, in
 // request order, without starting a goroutine.
 func TestBatchConcurrencyBound(t *testing.T) {
 	_, res := fig3Server(t, DefaultServerConfig())
@@ -324,7 +324,9 @@ func TestBatchConcurrencyBound(t *testing.T) {
 
 	const limit = 3
 	idx := &gatedIndex{ScoreIndex: res, arrived: make(chan [2]int, len(queries)), release: make(chan struct{})}
-	h := serverOver(idx, func(c *Config) { c.BatchConcurrency = limit }).Handler()
+	srv := serverOver(idx, nil)
+	srv.batchConcurrency = limit
+	h := srv.Handler()
 	answered := make(chan []byte)
 	go func() {
 		_, raw := postBatch(t, h, string(reqBody))
@@ -341,7 +343,7 @@ func TestBatchConcurrencyBound(t *testing.T) {
 	// an item scored past the bound.
 	select {
 	case <-idx.arrived:
-		t.Fatalf("more than BatchConcurrency = %d items in flight", limit)
+		t.Fatalf("more than batchConcurrency = %d items in flight", limit)
 	case <-time.After(100 * time.Millisecond):
 	}
 	close(idx.release)
@@ -349,10 +351,12 @@ func TestBatchConcurrencyBound(t *testing.T) {
 		t.Errorf("gated batch answered\n %s\nwant\n %s", raw, want)
 	}
 
-	// BatchConcurrency 1: everything on the caller's goroutine, in order.
+	// batchConcurrency 1: everything on the caller's goroutine, in order.
 	idx = &gatedIndex{ScoreIndex: res, arrived: make(chan [2]int, len(queries)), release: make(chan struct{})}
 	close(idx.release)
-	h = serverOver(idx, func(c *Config) { c.BatchConcurrency = 1 }).Handler()
+	srv = serverOver(idx, nil)
+	srv.batchConcurrency = 1
+	h = srv.Handler()
 	if _, raw := postBatch(t, h, string(reqBody)); !bytes.Equal(raw, want) {
 		t.Errorf("serial batch answered\n %s\nwant\n %s", raw, want)
 	}
@@ -411,10 +415,11 @@ func TestStatsServingSurface(t *testing.T) {
 		t.Errorf("endpoints[rewrite] = %+v, want 3 requests with p50 <= p99", re)
 	}
 
-	// ReadAt-opened snapshot with the section disabled: mmap=false and
-	// serving=false, but the section is still reported present.
+	// ReadAt-opened snapshot under a bid set the section was not built
+	// with: mmap=false and serving=false, but the section is still
+	// reported present.
 	var rs StatsResponse
-	hr := serverOver(rd, func(c *Config) { c.DisablePrecomputed = true }).Handler()
+	hr := serverOver(rd, func(c *Config) { c.BidTerms = map[string]bool{} }).Handler()
 	if _, raw := get(t, hr, "/stats"); json.Unmarshal(raw, &rs) != nil {
 		t.Fatal("bad stats from the ReadAt-opened snapshot")
 	}

@@ -24,11 +24,14 @@ import (
 // promised degraded behavior is asserted, including recovery once the
 // fault clears.
 
-// chaosSnapshot builds a multi-shard snapshot and opens it through a
-// fault injector, so tests can corrupt, delay or fail its reads at will.
-func chaosSnapshot(t *testing.T) (*Snapshot, *faultfs.Injector) {
+// chaosSnapshot builds a multi-shard snapshot with a top-k section of
+// depth k (0: none, so /rewrite reads the score segments) and opens it
+// through a fault injector, so tests can corrupt, delay or fail its reads
+// at will.
+func chaosSnapshot(t *testing.T, k int) (*Snapshot, *faultfs.Injector) {
 	t.Helper()
-	_, data, _ := buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
+	res, _, _ := buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
+	data := snapshotBytes(t, res, k)
 	inj := faultfs.NewInjector()
 	snap, err := NewSnapshot(faultfs.Wrap(bytes.NewReader(data), inj), int64(len(data)))
 	if err != nil {
@@ -66,7 +69,11 @@ func rewriteURL(q string) string { return "/rewrite?q=" + url.QueryEscape(q) }
 // the fault clears and the backoff elapses, the shard recovers — no
 // restart, no reload.
 func TestChaosBitFlipQuarantinesOneShard(t *testing.T) {
-	snap, inj := chaosSnapshot(t)
+	// The corruption is in the score segment; a precomputed rewrite
+	// section would (correctly) keep answering without touching it, so the
+	// snapshot has none — this test pins the segment quarantine machinery,
+	// not the fast path.
+	snap, inj := chaosSnapshot(t, 0)
 	cur := time.Unix(1_700_000_000, 0)
 	snap.now = func() time.Time { return cur }
 	snap.SetQuarantineBackoff(time.Second, time.Minute)
@@ -89,11 +96,6 @@ func TestChaosBitFlipQuarantinesOneShard(t *testing.T) {
 	cfg.CacheSize = 0
 	cfg.MaxInFlight = 0
 	cfg.RequestTimeout = 0
-	// The corruption is in the score segment; the precomputed rewrite
-	// section would (correctly) keep answering without touching it, so
-	// force the pipeline path — this test pins the segment quarantine
-	// machinery, not the fast path.
-	cfg.DisablePrecomputed = true
 	srv := NewServer(snap, cfg)
 	h := srv.Handler()
 
@@ -206,7 +208,7 @@ func TestChaosBitFlipQuarantinesOneShard(t *testing.T) {
 // boundary: quarantining every segment of every shard turns /readyz into
 // a 503, because nothing can be answered anymore.
 func TestChaosReadyzUnreadyWhenAllShardsDead(t *testing.T) {
-	snap, inj := chaosSnapshot(t)
+	snap, inj := chaosSnapshot(t, DefaultRewriteTopK)
 	inj.FailAfter(0, nil) // every read fails from now on
 	if err := snap.PreloadAll(); err == nil {
 		t.Fatal("PreloadAll succeeded with all reads failing")
@@ -233,7 +235,7 @@ func TestChaosReadyzUnreadyWhenAllShardsDead(t *testing.T) {
 // 503 with a Retry-After hint, not queued behind the slow ones — and
 // that the shed counter matches exactly.
 func TestChaosOverloadSheds503(t *testing.T) {
-	snap, inj := chaosSnapshot(t)
+	snap, inj := chaosSnapshot(t, DefaultRewriteTopK)
 	qs := distinctShardQueries(t, snap, 3)
 
 	cfg := DefaultServerConfig()
@@ -322,7 +324,7 @@ func TestChaosOverloadSheds503(t *testing.T) {
 // stuck behind a slow segment load answers 504 once its deadline
 // passes, and the next request — segment now warm — succeeds.
 func TestChaosDeadlineAnswers504(t *testing.T) {
-	snap, inj := chaosSnapshot(t)
+	snap, inj := chaosSnapshot(t, DefaultRewriteTopK)
 	q := distinctShardQueries(t, snap, 1)[0]
 
 	cfg := DefaultServerConfig()
@@ -354,7 +356,7 @@ func (p panicIndex) TopRewrites(q, k int) []sparse.Scored { panic("injected pani
 // a panicking handler answers 500 and bumps the panic counter; the
 // daemon keeps serving everything else.
 func TestChaosPanicIsOne500NotADeadDaemon(t *testing.T) {
-	snap, _ := chaosSnapshot(t)
+	snap, _ := chaosSnapshot(t, DefaultRewriteTopK)
 	q := distinctShardQueries(t, snap, 1)[0]
 	cfg := DefaultServerConfig()
 	cfg.CacheSize = 0
@@ -423,7 +425,7 @@ func TestChaosPanicIsOne500NotADeadDaemon(t *testing.T) {
 // segment corruption: a short read quarantines the shard exactly like a
 // CRC mismatch does, and recovery works the same way.
 func TestChaosShortReadQuarantines(t *testing.T) {
-	snap, inj := chaosSnapshot(t)
+	snap, inj := chaosSnapshot(t, DefaultRewriteTopK)
 	cur := time.Unix(1_700_000_000, 0)
 	snap.now = func() time.Time { return cur }
 	snap.SetQuarantineBackoff(time.Second, time.Minute)
@@ -452,7 +454,7 @@ func TestChaosShortReadQuarantines(t *testing.T) {
 // window instead of hammering the disk in lockstep. jitter=0 exposes
 // the floor of each window.
 func TestChaosQuarantineBackoffJitter(t *testing.T) {
-	snap, inj := chaosSnapshot(t)
+	snap, inj := chaosSnapshot(t, DefaultRewriteTopK)
 	cur := time.Unix(1_700_000_000, 0)
 	snap.now = func() time.Time { return cur }
 	snap.SetQuarantineBackoff(time.Second, time.Minute)
@@ -545,7 +547,9 @@ func resealQuerySegment(t testing.TB, data []byte, edit func(seg []byte, nodes u
 // from it ever reaching a name lookup — from mapped and ReadAt bytes
 // alike.
 func TestChaosHostileSegmentQuarantinesOneShard(t *testing.T) {
-	_, data, clean := buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
+	// No top-k section: /rewrite must reach the score segment.
+	res, _, clean := buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
+	data := snapshotBytes(t, res, 0)
 	for name, edit := range hostileSegments {
 		hostile, bad := resealQuerySegment(t, data, edit)
 		for _, mode := range []string{"read", "mapped"} {
@@ -560,7 +564,6 @@ func TestChaosHostileSegmentQuarantinesOneShard(t *testing.T) {
 				}
 				cfg := DefaultServerConfig()
 				cfg.CacheSize = 0
-				cfg.DisablePrecomputed = true // reach the score segment, not the top-k section
 				h := NewServer(snap, cfg).Handler()
 
 				for q := 0; q < snap.NumQueries(); q++ {

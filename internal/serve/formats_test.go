@@ -54,8 +54,8 @@ func TestFormatGoldenSnapshot(t *testing.T) {
 	if camShard != 0 || flowerShard != 1 {
 		t.Errorf("camera in shard %d, flower in shard %d; want 0 and 1", camShard, flowerShard)
 	}
-	if got := snap.QuerySim(1, 2); got != 0.43990932569222174 {
-		t.Errorf("sim(camera, digital camera) = %v, want 0.43990932569222174", got)
+	if got := snap.TopRewrites(1, 1); len(got) != 1 || got[0].Node != 2 || got[0].Score != 0.43990932569222174 {
+		t.Errorf("camera's top rewrite = %v, want digital camera (2) at 0.43990932569222174", got)
 	}
 	if got := snap.TopRewrites(4, -1); len(got) != 0 {
 		t.Errorf("flower has rewrites %v, want none (its shard holds one query)", got)

@@ -30,7 +30,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	var mono bytes.Buffer
-	if err := WriteSnapshot(&mono, res); err != nil {
+	if err := WriteSnapshotTopK(&mono, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(mono.Bytes())
@@ -53,7 +53,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	var sharded bytes.Buffer
-	if err := WriteSnapshot(&sharded, sres); err != nil {
+	if err := WriteSnapshotTopK(&sharded, sres, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(sharded.Bytes())
@@ -123,9 +123,6 @@ func FuzzOpenSnapshot(f *testing.F) {
 				if r.Node < 0 || r.Node >= m.NumQueries {
 					t.Fatalf("TopRewrites returned node %d outside [0,%d)", r.Node, m.NumQueries)
 				}
-			}
-			if q+1 < m.NumQueries {
-				snap.QuerySim(q, q+1)
 			}
 			id, shard, ok := snap.PrevQuery(snap.Query(q))
 			if ok && (id != q || shard != int(snap.qRoute[q])) {

@@ -99,9 +99,6 @@ func NewGenerationStore(p string, keep int) *GenerationStore {
 	return &GenerationStore{path: p, dir: p + ".gens", keep: keep}
 }
 
-// Dir returns the journal directory.
-func (gs *GenerationStore) Dir() string { return gs.dir }
-
 // crash aborts the calling operation when the test hook armed this
 // checkpoint. Callers must not clean up after it — the point is to
 // leave the disk exactly as a kill would.
@@ -232,7 +229,7 @@ func (gs *GenerationStore) SweepTemp() (int, error) {
 	if err := sweep(gs.dir, journalPrefix); err != nil {
 		return removed, err
 	}
-	// WriteSnapshotFile/Publish temps beside the serving path use the
+	// WriteSnapshotFileTopK/Publish temps beside the serving path use the
 	// base name as prefix with a .tmp infix.
 	if err := sweep(filepath.Dir(gs.path), filepath.Base(gs.path)+".tmp"); err != nil {
 		return removed, err

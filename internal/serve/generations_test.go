@@ -160,7 +160,7 @@ func TestGenerationCrashAtEveryCheckpoint(t *testing.T) {
 			if tc.leavesTemp && swept == 0 {
 				t.Fatalf("crash at %s left no temp to sweep, expected debris", tc.stage)
 			}
-			if temps := globTemps(t, gs.Dir(), filepath.Dir(path)); len(temps) != 0 {
+			if temps := globTemps(t, gs.dir, filepath.Dir(path)); len(temps) != 0 {
 				t.Fatalf("temps remain after sweep: %v", temps)
 			}
 			// …and LastGood never trusts a half-committed generation: only
@@ -319,8 +319,8 @@ func TestGenerationReloadFallsBackWhenServingCorrupt(t *testing.T) {
 	if err := srv.Reload(open, fallback, nil, nil); err != nil {
 		t.Fatalf("Reload with good fallback returned %v", err)
 	}
-	if srv.ReloadFailures() != 1 {
-		t.Fatalf("reload failures = %d, want 1", srv.ReloadFailures())
+	if srv.reloadFailures.Load() != 1 {
+		t.Fatalf("reload failures = %d, want 1", srv.reloadFailures.Load())
 	}
 	code, after := get(t, h, rewriteURL("c0-q0"))
 	if code != http.StatusOK || !bytes.Equal(before, after) {

@@ -304,7 +304,7 @@ func handoffSnapshotBytes(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, res); err != nil {
+	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -413,7 +413,7 @@ func BenchmarkBuildScatterIndex(b *testing.B) {
 func BenchmarkPreloadAll(b *testing.B) {
 	res := handoffBenchResult(b)
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, res); err != nil {
+	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()

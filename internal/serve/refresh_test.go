@@ -79,15 +79,12 @@ func buildGeneration(t *testing.T, g *clickgraph.Graph, cfg core.Config) (*core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := NewSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	data := snapshotBytes(t, res, DefaultRewriteTopK)
+	snap, err := NewSnapshot(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, buf.Bytes(), snap
+	return res, data, snap
 }
 
 // runDirty is the compute half of a refresh step: diff g against prev
@@ -219,22 +216,8 @@ func TestRefreshChurnedClusterSegmentReuse(t *testing.T) {
 	// The refreshed snapshot must agree with a cold full rebuild of the
 	// churned graph to within the fixpoint tolerance, for every pair.
 	fullRes, _, _ := buildGeneration(t, churned, cfg)
-	const tol = 1e-6
-	for q1 := 0; q1 < churned.NumQueries(); q1++ {
-		for q2 := q1; q2 < churned.NumQueries(); q2++ {
-			gotV, wantV := snap.QuerySim(q1, q2), fullRes.QuerySim(q1, q2)
-			if d := gotV - wantV; d > tol || d < -tol {
-				t.Fatalf("QuerySim(%d,%d) = %v, full rebuild %v", q1, q2, gotV, wantV)
-			}
-		}
-	}
-	for a1 := 0; a1 < churned.NumAds(); a1++ {
-		for a2 := a1; a2 < churned.NumAds(); a2++ {
-			gotV, wantV := snap.AdSim(a1, a2), fullRes.AdSim(a1, a2)
-			if d := gotV - wantV; d > tol || d < -tol {
-				t.Fatalf("AdSim(%d,%d) = %v, full rebuild %v", a1, a2, gotV, wantV)
-			}
-		}
+	if d := maxRankingDiff(snap, fullRes); d > 1e-6 {
+		t.Fatalf("refreshed scores differ from a full rebuild by %g", d)
 	}
 }
 
@@ -373,20 +356,7 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for q1 := 0; q1 < churned.NumQueries(); q1++ {
-		for q2 := q1; q2 < churned.NumQueries(); q2++ {
-			if gotV, wantV := snap.QuerySim(q1, q2), full.QuerySim(q1, q2); gotV != wantV {
-				t.Fatalf("QuerySim(%d,%d) = %v, want %v (bit-identical)", q1, q2, gotV, wantV)
-			}
-		}
-	}
-	for a1 := 0; a1 < churned.NumAds(); a1++ {
-		for a2 := a1; a2 < churned.NumAds(); a2++ {
-			if gotV, wantV := snap.AdSim(a1, a2), full.AdSim(a1, a2); gotV != wantV {
-				t.Fatalf("AdSim(%d,%d) = %v, want %v (bit-identical)", a1, a2, gotV, wantV)
-			}
-		}
-	}
+	sameRankings(t, snap, full)
 
 	var cold bytes.Buffer
 	if err := WriteSnapshotTopK(&cold, full, opts); err != nil {

@@ -141,14 +141,13 @@ func TestReloadRacesRefreshSwap(t *testing.T) {
 
 // TestShedRetryAfterDerivedFromOverloadDepth pins the derived
 // Retry-After schedule: the hint grows by one base interval per
-// MaxInFlight consecutive sheds, clamps at MaxRetryAfterSeconds, and
-// resets to the base as soon as a request is admitted again.
+// MaxInFlight consecutive sheds, clamps at the ceiling (lowered to 3
+// here), and resets to the base as soon as a request is admitted again.
 func TestShedRetryAfterDerivedFromOverloadDepth(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.MaxInFlight = 1
-	cfg.RetryAfterSeconds = 1
-	cfg.MaxRetryAfterSeconds = 3
 	srv, _ := fig3Server(t, cfg)
+	srv.maxRetryAfter = 3
 	h := srv.Handler()
 
 	shedOnce := func(i int, want string) {

@@ -13,12 +13,11 @@ import (
 )
 
 // ScoreIndex is the engine-agnostic read surface over a computed
-// similarity result: node naming plus pair scores plus the ranked
-// serving-path lookups. A live *core.Result implements it directly; a
-// *Snapshot implements it from a file, loading per-shard score segments
-// lazily. The rewrite filtering pipeline and the simrankd server consume
-// only this interface, so the compute path and the read path evolve
-// independently.
+// similarity result: node naming plus the ranked serving-path lookups.
+// A live *core.Result implements it directly; a *Snapshot implements it
+// from a file, loading per-shard score segments lazily. The rewrite
+// filtering pipeline and the simrankd server consume only this
+// interface, so the compute path and the read path evolve independently.
 //
 // Implementations must be safe for concurrent readers.
 type ScoreIndex interface {
@@ -31,10 +30,6 @@ type ScoreIndex interface {
 	Ad(id int) string
 	QueryID(name string) (int, bool)
 	AdID(name string) (int, bool)
-	// QuerySim returns s(q1, q2): 1 on the diagonal, 0 for unscored
-	// pairs. AdSim likewise for ads.
-	QuerySim(q1, q2 int) float64
-	AdSim(a1, a2 int) float64
 	// TopRewrites returns the k most similar queries to q, best first
 	// with deterministic tie-breaking; k < 0 means all. TopSimilarAds is
 	// the ad-side counterpart.

@@ -14,10 +14,10 @@ import (
 // score) records exactly as the file holds them, with i < j in global ids
 // and records ascending by (i, j) — wherever those bytes live (a slice of
 // the mapping, or a buffer ReadAt filled). The scores are never decoded:
-// point lookups binary-search the packed keys in place, and ranked
-// lookups read only the records a node's partners occupy. This is the
-// janus-datalog idiom (serve straight off the immutable bytes) applied
-// to the snapshot layout.
+// a ranked lookup binary-searches the packed keys in place and reads only
+// the records a node's partners occupy. This is the janus-datalog idiom
+// (serve straight off the immutable bytes) applied to the snapshot
+// layout.
 //
 // A node's partners live in two regions: the contiguous (node, j) run —
 // binary-searchable in the primary (i, j) order — and scattered (i,
@@ -36,10 +36,10 @@ type segView struct {
 
 // buildScatterIndex computes the by-(j, i) permutation for a
 // checksum-verified segment on a side with the given node count, and
-// rejects a segment whose records break what the lookups rely on: find
-// and topKFor binary-search keys that must strictly ascend, and callers
-// index name tables with the ids they get back. Called once per segment
-// under the shard's load lock. The primary order already ascends in i, so
+// rejects a segment whose records break what the lookups rely on: topKFor
+// binary-searches keys that must strictly ascend, and callers index name
+// tables with the ids they get back. Called once per segment under the
+// shard's load lock. The primary order already ascends in i, so
 // a stable sort by j alone is the sort by (j, i): counting-sort passes
 // over 11-bit digits of j − min j, as many as the segment's id range
 // needs, with no comparator.
@@ -119,23 +119,6 @@ func (v segView) score(k int) float64 {
 // lowerBound returns the first record index whose key is >= want.
 func (v segView) lowerBound(want uint64) int {
 	return sort.Search(v.pairs(), func(k int) bool { return v.key(k) >= want })
-}
-
-// find binary-searches the unordered pair (a, b), returning its stored
-// score.
-func (v segView) find(a, b int) (float64, bool) {
-	if a == b {
-		return 0, false
-	}
-	if a > b {
-		a, b = b, a
-	}
-	want := uint64(uint32(a))<<32 | uint64(uint32(b))
-	k := v.lowerBound(want)
-	if k < v.pairs() && v.key(k) == want {
-		return v.score(k), true
-	}
-	return 0, false
 }
 
 // topKFor returns node's k highest-scoring partners (ties broken by

@@ -53,37 +53,34 @@ type Config struct {
 	// plumbed as a context through the rewrite path; an exceeded
 	// deadline answers 504. <= 0 disables deadlines.
 	RequestTimeout time.Duration
-	// RetryAfterSeconds is the base Retry-After hint on shed responses;
-	// defaults to 1. Under sustained overload the hint grows with the
-	// shed streak — each MaxInFlight consecutive rejections (a full
-	// window's worth of turned-away work) add another base interval —
-	// so clients back off proportionally instead of re-arriving in the
-	// same wave. The streak resets as soon as a request is admitted.
-	RetryAfterSeconds int
-	// MaxRetryAfterSeconds clamps the derived Retry-After hint;
-	// defaults to 30.
-	MaxRetryAfterSeconds int
-	// MaxBatch caps how many queries one POST /batch may carry; defaults
-	// to 256. A batch occupies one in-flight slot and one deadline no
-	// matter its size, so the cap is what keeps a single request from
-	// monopolizing the scoring budget.
-	MaxBatch int
-	// BatchConcurrency: at most this many items of one batch are scored
-	// at once, the handler's own goroutine included; defaults to 8.
-	BatchConcurrency int
-	// DisablePrecomputed forces /rewrite and /batch onto the live
-	// pipeline even when the snapshot's precomputed top-k section could
-	// answer (the simrankd -precomputed=false escape hatch; also what the
-	// differential tests use to pin both paths byte-identical).
-	DisablePrecomputed bool
 }
+
+// MaxBatch caps how many queries one POST /batch may carry. A batch
+// occupies one in-flight slot and one deadline no matter its size, so the
+// cap is what keeps a single request from monopolizing the scoring
+// budget; the gateway applies the same cap.
+const MaxBatch = 256
+
+const (
+	// retryAfterSeconds is the base Retry-After hint on shed responses.
+	// Under sustained overload the hint grows with the shed streak — each
+	// MaxInFlight consecutive rejections (a full window's worth of
+	// turned-away work) add another base interval — so clients back off
+	// proportionally instead of re-arriving in the same wave. The streak
+	// resets as soon as a request is admitted.
+	retryAfterSeconds = 1
+	// maxRetryAfterSeconds clamps the derived Retry-After hint.
+	maxRetryAfterSeconds = 30
+	// batchConcurrency: at most this many items of one batch are scored
+	// at once, the handler's own goroutine included.
+	batchConcurrency = 8
+)
 
 // DefaultServerConfig returns the paper's depth-5 serving settings with a
 // 4096-entry cache, a 256-request in-flight bound, and a 5s deadline.
 func DefaultServerConfig() Config {
 	return Config{DefaultTop: 5, MaxTop: 100, CacheSize: 4096,
-		MaxInFlight: 256, RequestTimeout: 5 * time.Second, RetryAfterSeconds: 1,
-		MaxBatch: 256, BatchConcurrency: 8}
+		MaxInFlight: 256, RequestTimeout: 5 * time.Second}
 }
 
 // EndpointStats is one endpoint's request/error counters in /stats, with
@@ -210,6 +207,10 @@ type Server struct {
 	// shedStreak counts consecutive sheds since the last successful
 	// admit — the overload-depth signal behind the derived Retry-After.
 	shedStreak atomic.Int64
+
+	// maxRetryAfter and batchConcurrency start as maxRetryAfterSeconds
+	// and batchConcurrency; tests lower them after NewServer.
+	maxRetryAfter, batchConcurrency int
 }
 
 // NewServer returns a server answering from idx.
@@ -220,20 +221,9 @@ func NewServer(idx ScoreIndex, cfg Config) *Server {
 	if cfg.MaxTop <= 0 {
 		cfg.MaxTop = 100
 	}
-	if cfg.RetryAfterSeconds <= 0 {
-		cfg.RetryAfterSeconds = 1
-	}
-	if cfg.MaxRetryAfterSeconds <= 0 {
-		cfg.MaxRetryAfterSeconds = 30
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
-	}
-	if cfg.BatchConcurrency <= 0 {
-		cfg.BatchConcurrency = 8
-	}
 	s := &Server{cfg: cfg, cache: newLRU(cfg.CacheSize), idx: idx, start: time.Now(),
-		bidHash: BidTermsHash(cfg.BidTerms)}
+		bidHash:       BidTermsHash(cfg.BidTerms),
+		maxRetryAfter: maxRetryAfterSeconds, batchConcurrency: batchConcurrency}
 	if cfg.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInFlight)
 	}
@@ -252,10 +242,6 @@ func (s *Server) InFlight() int {
 	}
 	return len(s.inflight)
 }
-
-// ReloadFailures reports how many reload attempts failed to load a new
-// index (the old one kept serving).
-func (s *Server) ReloadFailures() int64 { return s.reloadFailures.Load() }
 
 // SetGenerationID records the journal generation id of the served
 // snapshot, surfaced in /readyz and /stats generation identity. Call it
@@ -496,7 +482,7 @@ func (s *Server) instrument(name string, scoring bool, h http.HandlerFunc) http.
 
 // retryAfter derives the Retry-After hint for one shed response: the
 // base interval, plus one more base interval per MaxInFlight consecutive
-// rejections since the last admit, clamped at the configured ceiling.
+// rejections since the last admit, clamped at the ceiling.
 // Every MaxInFlight sheds represent at least a full serving window of
 // work already turned away ahead of this client, so its wait scales with
 // the backlog it would re-join.
@@ -506,11 +492,7 @@ func (s *Server) retryAfter() int {
 	if depth < 1 {
 		depth = 1
 	}
-	retry := s.cfg.RetryAfterSeconds * int(1+(streak-1)/depth)
-	if retry > s.cfg.MaxRetryAfterSeconds {
-		retry = s.cfg.MaxRetryAfterSeconds
-	}
-	return retry
+	return min(retryAfterSeconds*int(1+(streak-1)/depth), s.maxRetryAfter)
 }
 
 // RewriteAnswer is one served rewrite.
@@ -586,10 +568,10 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 // matches this server's effective parameters (depth within the stored k,
 // same candidate pool, same bid-term set — RewriteSectionUsable), the
 // answer is a single in-place section lookup; otherwise — no snapshot,
-// section absent or too shallow, parameters differ, blob quarantined, or
-// DisablePrecomputed — it runs the live §9.3 pipeline. Both paths emit
-// identical bytes by construction: the section was written by this same
-// pipeline code at build time.
+// section absent or too shallow, parameters differ, or blob quarantined —
+// it runs the live §9.3 pipeline. Both paths emit identical bytes by
+// construction: the section was written by this same pipeline code at
+// build time.
 func (s *Server) rewriteBody(ctx context.Context, q string, top int) ([]byte, int, string) {
 	key := "rw\x00" + q + "\x00" + strconv.Itoa(top)
 	if body, ok := s.cache.Get(key); ok {
@@ -603,7 +585,7 @@ func (s *Server) rewriteBody(ctx context.Context, q string, top int) ([]byte, in
 
 	var answers []RewriteAnswer
 	method := ""
-	if snap, isSnap := s.idx.(*Snapshot); isSnap && !s.cfg.DisablePrecomputed && snap.RewriteSectionUsable(top, s.bidHash) {
+	if snap, isSnap := s.idx.(*Snapshot); isSnap && snap.RewriteSectionUsable(top, s.bidHash) {
 		if pre, hit := snap.PrecomputedRewrites(qid, top); hit {
 			// The lookup may have sat on a slow (or fault-injected) blob
 			// load; honor the request deadline before answering.
@@ -738,7 +720,7 @@ const maxBatchBody = 8 << 20
 // every hop makes before doing any work: method, one well-formed JSON
 // value and nothing but whitespace after it, at least one query, at most
 // maxBatch. On failure it has written the error response and returns
-// false. The gateway calls it with the default MaxBatch, so a fleet
+// false. The gateway calls it with MaxBatch too, so a fleet
 // refuses what one daemon refuses, in the same words.
 func ReadBatchRequest(w http.ResponseWriter, r *http.Request, maxBatch int) (BatchRequest, bool) {
 	var req BatchRequest
@@ -857,7 +839,7 @@ func SplitBatchResponse(dst []json.RawMessage, body []byte) (items []json.RawMes
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	req, ok := ReadBatchRequest(w, r, s.cfg.MaxBatch)
+	req, ok := ReadBatchRequest(w, r, MaxBatch)
 	if !ok {
 		return
 	}
@@ -877,7 +859,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// same index generation even if a reload lands mid-request.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// At most BatchConcurrency items are scored at once, this goroutine's
+	// At most batchConcurrency items are scored at once, this goroutine's
 	// included: the workers claim positions off a shared counter, so a
 	// batch whose items are a few microseconds each is mostly answered
 	// here, before the others have started.
@@ -893,7 +875,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var wg sync.WaitGroup
-	for n := min(s.cfg.BatchConcurrency, len(req.Queries)); n > 1; n-- {
+	for n := min(s.batchConcurrency, len(req.Queries)); n > 1; n-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -983,7 +965,7 @@ type TopKSectionStats struct {
 	// BidFiltered is whether the lists were built under a bid-term set.
 	BidFiltered bool `json:"bid_filtered"`
 	// Serving is whether this server answers default-depth /rewrite
-	// requests from the section (parameters match, not disabled).
+	// requests from the section (parameters match).
 	Serving bool `json:"serving"`
 }
 
@@ -1026,7 +1008,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			K:           meta.RewriteTopK,
 			TopN:        meta.RewriteTopN,
 			BidFiltered: meta.RewriteBidFiltered,
-			Serving:     !s.cfg.DisablePrecomputed && snap.RewriteSectionUsable(s.cfg.DefaultTop, s.bidHash),
+			Serving:     snap.RewriteSectionUsable(s.cfg.DefaultTop, s.bidHash),
 		}
 	}
 	writeJSON(w, resp)

@@ -191,7 +191,7 @@ func TestGenerationIdentitySurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := mustSnapshot(t, res)
+	snap := mustSnapshot(t, res, DefaultRewriteTopK)
 	srv := NewServer(snap, DefaultServerConfig())
 	srv.SetGenerationID(7)
 	h := srv.Handler()
@@ -254,7 +254,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	if err := srv.Reload(badLoad, nil, nil, t.Logf); err == nil {
 		t.Fatal("Reload of a corrupt snapshot reported success")
 	}
-	if got := srv.ReloadFailures(); got != 1 {
+	if got := srv.reloadFailures.Load(); got != 1 {
 		t.Errorf("reload failures = %d, want 1", got)
 	}
 	code, after := get(t, h, "/rewrite?q=camera")
@@ -288,8 +288,8 @@ func TestReloadFallsBackToGoodIndex(t *testing.T) {
 	if err := srv.Reload(badLoad, fallback, nil, t.Logf); err != nil {
 		t.Fatalf("Reload with working fallback failed: %v", err)
 	}
-	if srv.ReloadFailures() != 1 {
-		t.Errorf("reload failures = %d, want 1", srv.ReloadFailures())
+	if srv.reloadFailures.Load() != 1 {
+		t.Errorf("reload failures = %d, want 1", srv.reloadFailures.Load())
 	}
 	code, body := get(t, srv.Handler(), "/rewrite?q=camera")
 	if code != http.StatusOK {
@@ -368,7 +368,7 @@ func TestServerSnapshotSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, res); err != nil {
+	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := NewSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))

@@ -177,8 +177,8 @@ func TestReloadServingReportsPublishedGeneration(t *testing.T) {
 	if err := srv.ReloadServing(path, false, t.Logf); err != nil {
 		t.Fatalf("reload with a good generation to fall back to: %v", err)
 	}
-	if g := readyGen(); g.ID != 1 || srv.ReloadFailures() != 1 {
-		t.Fatalf("after the fallback /readyz reports generation %d with %d reload failures, want 1 and 1", g.ID, srv.ReloadFailures())
+	if g := readyGen(); g.ID != 1 || srv.reloadFailures.Load() != 1 {
+		t.Fatalf("after the fallback /readyz reports generation %d with %d reload failures, want 1 and 1", g.ID, srv.reloadFailures.Load())
 	}
 	srv.Index().(*Snapshot).Close()
 }

@@ -67,7 +67,7 @@ const (
 	flagDisableSpread  = 1 << 2
 
 	// fullBuildSentinel in the header's dirty-shard field marks a snapshot
-	// written whole (WriteSnapshot) rather than by a refresh.
+	// written whole (WriteSnapshotTopK) rather than by a refresh.
 	fullBuildSentinel = ^uint32(0)
 )
 

@@ -601,40 +601,6 @@ func (s *Snapshot) AdID(name string) (int, bool) {
 	return id, ok
 }
 
-// QuerySim implements ScoreIndex: 1 on the diagonal, 0 across shards
-// (sharded runs never score cross-shard pairs), the stored score within
-// one, binary-searched in the segment bytes.
-func (s *Snapshot) QuerySim(q1, q2 int) float64 {
-	if q1 == q2 {
-		return 1
-	}
-	if s.qRoute[q1] != s.qRoute[q2] {
-		return 0
-	}
-	v, err := s.queryView(int(s.qRoute[q1]))
-	if err != nil {
-		return 0
-	}
-	score, _ := v.find(q1, q2)
-	return score
-}
-
-// AdSim implements ScoreIndex.
-func (s *Snapshot) AdSim(a1, a2 int) float64 {
-	if a1 == a2 {
-		return 1
-	}
-	if s.aRoute[a1] != s.aRoute[a2] {
-		return 0
-	}
-	v, err := s.adView(int(s.aRoute[a1]))
-	if err != nil {
-		return 0
-	}
-	score, _ := v.find(a1, a2)
-	return score
-}
-
 // topRewrites is TopRewrites returning load errors: the shared core of
 // the ScoreIndex surface and the deadline-aware variant.
 func (s *Snapshot) topRewrites(q, k int) ([]sparse.Scored, error) {

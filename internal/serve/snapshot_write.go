@@ -47,8 +47,8 @@ func encodeSegment(f *sparse.PairFrontier, ids []int) []byte {
 
 // shardPayload is one shard's encoded segments plus its directory
 // metadata, ready for assembly. AssembleRefresh fills it from a shard
-// run's segments and by byte-copying a previous snapshot; WriteSnapshot
-// by encoding frontiers.
+// run's segments and by byte-copying a previous snapshot;
+// WriteSnapshotTopK by encoding frontiers.
 type shardPayload struct {
 	qSeg, aSeg []byte
 	qCRC, aCRC uint32
@@ -90,20 +90,14 @@ func shardFingerprints(res *core.Result, shards int) ([]uint64, error) {
 	return fps, nil
 }
 
-// WriteSnapshot serializes res in the snapshot format, including a
-// precomputed rewrite section at the default depth (see TopKOptions;
-// use WriteSnapshotTopK to tune or disable it). A result carrying
-// retained shard scores (core.ShardOptions.RetainShardScores) writes one
-// segment pair per shard, encoded in parallel directly from the shard
-// engines' local frontiers; any other result writes a single segment pair.
-// Results of a partial (ShardOptions.RunShards) run are rejected — their
-// missing shards can only be completed by a refresh (AssembleRefresh).
-func WriteSnapshot(w io.Writer, res *core.Result) error {
-	return WriteSnapshotTopK(w, res, DefaultTopKOptions())
-}
-
-// WriteSnapshotTopK is WriteSnapshot with an explicit precomputed
-// rewrite-section configuration.
+// WriteSnapshotTopK serializes res in the snapshot format, including the
+// precomputed rewrite section opts configures (K 0 writes none). A
+// result carrying retained shard scores (core.ShardOptions.RetainShardScores)
+// writes one segment pair per shard, encoded in parallel directly from
+// the shard engines' local frontiers; any other result writes a single
+// segment pair. Results of a partial (ShardOptions.RunShards) run are
+// rejected — their missing shards can only be completed by a refresh
+// (AssembleRefresh).
 func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
 	srcs := snapshotSources(res)
 	fps, err := shardFingerprints(res, len(srcs))
@@ -330,15 +324,9 @@ func writeAssembled(w io.Writer, names nodeNames, cfg core.Config, payloads []sh
 	return nil
 }
 
-// WriteSnapshotFile writes the snapshot to a temporary file in path's
+// WriteSnapshotFileTopK writes the snapshot to a temporary file in path's
 // directory and renames it into place, so a server reloading on SIGHUP
 // never observes a half-written snapshot.
-func WriteSnapshotFile(path string, res *core.Result) error {
-	return WriteSnapshotFileTopK(path, res, DefaultTopKOptions())
-}
-
-// WriteSnapshotFileTopK is WriteSnapshotFile with an explicit
-// precomputed rewrite-section configuration.
 func WriteSnapshotFileTopK(path string, res *core.Result, opts TopKOptions) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")

@@ -38,8 +38,7 @@ import (
 // Every query routed to the shard gets an entry (length 0 allowed), so
 // a missing entry is a structural fault, never an empty answer.
 
-// DefaultRewriteTopK is the list depth WriteSnapshot records when the
-// caller does not choose one (the simrank CLI's -rewrite-topk default):
+// DefaultRewriteTopK is the simrank CLI's -rewrite-topk default list depth:
 // deep enough for the paper's top-5 serving depth plus headroom for
 // operators raising -top, shallow enough to stay a rounding error next
 // to the score segments.
@@ -54,10 +53,6 @@ type TopKOptions struct {
 	// the section to be served.
 	BidTerms map[string]bool
 }
-
-// DefaultTopKOptions is the configuration WriteSnapshot uses: default
-// depth, no bid filtering.
-func DefaultTopKOptions() TopKOptions { return TopKOptions{K: DefaultRewriteTopK} }
 
 // meta derives the header parameters: the candidate pool mirrors the
 // serving pipeline's TopN growth (100, grown to K when K exceeds it).
@@ -264,7 +259,7 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 
 // fillTopKBlobs builds the given payload indices' blobs from their
 // already-encoded query segments, one builder per shard on a bounded
-// pool — the topk twin of encodePayloads, shared by WriteSnapshot
+// pool — the topk twin of encodePayloads, shared by WriteSnapshotTopK
 // (every shard) and AssembleRefresh (dirty shards only).
 func fillTopKBlobs(payloads []shardPayload, idx []int, names nodeNames, tk topkMeta, bids map[string]bool) error {
 	errs := make([]error, len(idx))

@@ -31,7 +31,7 @@ package sparse
 //     per contribution.
 //
 // Compact folds every tail, leaving rows sorted and duplicate-free for
-// O(log d) Get, ordered Range, and cheap merge-walk MaxAbsDiff/Prune.
+// O(log d) Get, ordered Range, and cheap merge-walk MaxAbsDiffChanged/Prune.
 //
 // A frontier is reusable: Reset keeps every row's capacity, so an engine
 // that ping-pongs two frontiers per side allocates only while row
@@ -70,9 +70,6 @@ func NewPairFrontier(rows int) *PairFrontier {
 
 // NumRows returns the number of row buckets (the side's node count).
 func (f *PairFrontier) NumRows() int { return len(f.cols) }
-
-// Compacted reports whether the frontier is in its read-optimized form.
-func (f *PairFrontier) Compacted() bool { return f.compacted }
 
 // Len returns the number of stored cells: distinct pairs plus pending
 // tail contributions before Compact, distinct pairs after. O(rows).
@@ -339,15 +336,11 @@ func (f *PairFrontier) Prune(eps float64) int {
 	return removed
 }
 
-// MaxAbsDiff returns the largest |a-b| over the union of both frontiers'
-// pairs, treating missing entries as 0 — the convergence measure for
-// iterative SimRank. Rows are compared with a linear merge-walk over their
-// sorted columns; either frontier is compacted first if needed.
-func (f *PairFrontier) MaxAbsDiff(o *PairFrontier) float64 {
-	return f.MaxAbsDiffChanged(o, 0, nil)
-}
-
-// MaxAbsDiffChanged is MaxAbsDiff with change tracking fused into the same
+// MaxAbsDiffChanged returns the largest |a-b| over the union of both
+// frontiers' pairs, treating missing entries as 0 — the convergence
+// measure for iterative SimRank. Rows are compared with a linear
+// merge-walk over their sorted columns; either frontier is compacted first
+// if needed. Change tracking is fused into the same
 // merge-walk: when changed is non-nil, every node incident to a pair whose
 // |a-b| exceeds tol is marked — both the bucket row and the partner column,
 // since a stored pair {i, j} is part of node i's and node j's score rows
@@ -408,24 +401,12 @@ func (f *PairFrontier) MaxAbsDiffChanged(o *PairFrontier, tol float64, changed *
 	return max
 }
 
-// SetRow replaces row r's cells with the given columns and values, which
-// must be duplicate-free with every column > r; order may be arbitrary
-// (SetRow sorts in place after copying). The slices are copied, not
-// retained, so callers can reuse them. Distinct rows may be set
-// concurrently. The row-major passes use this to emit each computed row
-// straight into the frontier.
-func (f *PairFrontier) SetRow(r int, cols []int32, vals []float64) {
-	rc := append(f.cols[r][:0], cols...)
-	rv := append(f.vals[r][:0], vals...)
-	sortPairs(rc, rv)
-	f.cols[r], f.vals[r] = rc, rv
-	f.sorted[r] = len(rc)
-}
-
-// SetSortedRow is SetRow for columns that are already strictly ascending:
-// the copy is kept but the sort is skipped. The harvest loops emit rows in
-// sorted order (they walk the row accumulator's mark bits, which ascend),
-// so this removes the per-row sortPairs that dominated SetRow's cost.
+// SetSortedRow replaces row r's cells with the given columns and values,
+// which must be strictly ascending with every column > r. The slices are
+// copied, not retained, so callers can reuse them. Distinct rows may be
+// set concurrently. The row-major passes use this to emit each computed
+// row straight into the frontier: the harvest loops walk the row
+// accumulator's mark bits, which ascend, so no row needs a sort.
 func (f *PairFrontier) SetSortedRow(r int, cols []int32, vals []float64) {
 	f.cols[r] = append(f.cols[r][:0], cols...)
 	f.vals[r] = append(f.vals[r][:0], vals...)
@@ -433,7 +414,7 @@ func (f *PairFrontier) SetSortedRow(r int, cols []int32, vals []float64) {
 }
 
 // CopyRowFrom replaces row r of f with row r of src, reusing f's row
-// capacity. Distinct rows may be copied concurrently, like SetRow. The
+// capacity. Distinct rows may be copied concurrently, like SetSortedRow. The
 // delta iteration uses it to carry an output row forward when none of the
 // inputs it depends on changed.
 func (f *PairFrontier) CopyRowFrom(src *PairFrontier, r int) {

@@ -80,7 +80,7 @@ func TestFrontierEmptyRows(t *testing.T) {
 	if _, ok := f.Get(0, 3); ok {
 		t.Error("Get on empty frontier reported a value")
 	}
-	if d := f.MaxAbsDiff(NewPairFrontier(5)); d != 0 {
+	if d := f.MaxAbsDiffChanged(NewPairFrontier(5), 0, nil); d != 0 {
 		t.Errorf("MaxAbsDiff of empties = %v", d)
 	}
 	f.Range(func(i, j int, v float64) bool {
@@ -198,10 +198,10 @@ func TestFrontierMatchesMapAccumulation(t *testing.T) {
 			m2.Add(i, j, v)
 		}
 		f2.Compact()
-		if df, dm := f.MaxAbsDiff(f2), m.MaxAbsDiff(m2); math.Abs(df-dm) > 1e-12 {
+		if df, dm := f.MaxAbsDiffChanged(f2, 0, nil), m.MaxAbsDiff(m2); math.Abs(df-dm) > 1e-12 {
 			t.Fatalf("trial %d: MaxAbsDiff %v (frontier) vs %v (map)", trial, df, dm)
 		}
-		if df, dm := f2.MaxAbsDiff(f), m2.MaxAbsDiff(m); math.Abs(df-dm) > 1e-12 {
+		if df, dm := f2.MaxAbsDiffChanged(f, 0, nil), m2.MaxAbsDiff(m); math.Abs(df-dm) > 1e-12 {
 			t.Fatalf("trial %d: reverse MaxAbsDiff %v vs %v", trial, df, dm)
 		}
 

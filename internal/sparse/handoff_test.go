@@ -35,7 +35,7 @@ func toPairTable(f *PairFrontier) *PairTable {
 // in ascending (i, j) order.
 func requireSamePairs(t *testing.T, label string, f *PairFrontier, want *PairTable) {
 	t.Helper()
-	if !f.Compacted() {
+	if !f.compacted {
 		t.Fatalf("%s: not compacted", label)
 	}
 	n, last := 0, uint64(0)

@@ -39,9 +39,6 @@ func NewZipf(n int, exponent float64) (*Zipf, error) {
 	return z, nil
 }
 
-// N returns the upper bound of the sampler's support.
-func (z *Zipf) N() int { return z.n }
-
 // Sample draws one value in [1, n].
 func (z *Zipf) Sample(r *RNG) int {
 	u := r.Float64()
@@ -90,17 +87,6 @@ func (p *Pareto) Sample(r *RNG) float64 {
 		x = p.hi
 	}
 	return x
-}
-
-// DegreeSequence draws n degrees from z and returns them. Degrees are the
-// building block for the bipartite configuration-style graph the generator
-// wires: ads-per-query on one side, queries-per-ad implied on the other.
-func DegreeSequence(r *RNG, z *Zipf, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = z.Sample(r)
-	}
-	return out
 }
 
 // FitExponent estimates a power-law exponent from a degree histogram using

@@ -7,8 +7,6 @@
 // distributions).
 package workload
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xorshift128+ seeded via splitmix64). Every randomized component in this
 // repository draws from an explicit RNG so experiments are reproducible
@@ -77,30 +75,6 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, via the Box-Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		return -math.Log(u)
-	}
 }
 
 // Fork derives an independent generator from this one. Child streams are

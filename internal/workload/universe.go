@@ -31,20 +31,6 @@ const (
 	Unrelated
 )
 
-// String implements fmt.Stringer.
-func (r Relation) String() string {
-	switch r {
-	case SameIntent:
-		return "same-intent"
-	case SameSubtopic:
-		return "same-subtopic"
-	case SameCategory:
-		return "same-category"
-	default:
-		return "unrelated"
-	}
-}
-
 // Grade maps a relation to the paper's 1-4 editorial score.
 func (r Relation) Grade() int { return int(r) + 1 }
 
