@@ -82,11 +82,7 @@ func (l *lazyPartners) topK(f *sparse.PairFrontier, i, k int) []sparse.Scored {
 	for n, c := range cols {
 		out[n] = sparse.Scored{Node: int(c), Score: vals[n]}
 	}
-	sparse.SortScoredDesc(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return sparse.TopScored(out, k)
 }
 
 // ShardScoreSet is one shard engine's raw output: compacted pair frontiers

@@ -71,11 +71,7 @@ func TopRewrites(g *clickgraph.Graph, ch core.WeightChannel, q, k int) []sparse.
 			}
 		}
 	}
-	sparse.SortScoredDesc(out)
-	if k >= 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return sparse.TopScored(out, k)
 }
 
 // mean is w̄_q; the NaN of an edgeless query is never read, as it shares no

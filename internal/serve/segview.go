@@ -151,10 +151,7 @@ func (v segView) topKFor(node, k int) []sparse.Scored {
 			Score: v.score(r),
 		})
 	}
-	sparse.SortScoredDesc(out)
-	if k >= 0 && len(out) > k {
-		out = out[:k]
-	}
+	out = sparse.TopScored(out, k)
 	if len(out) == 0 {
 		return nil
 	}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"simrankpp/internal/rewrite"
 	"simrankpp/internal/sparse"
@@ -105,22 +106,30 @@ func (s *topkSliceSource) Rewrites(_ int, limit int) ([]sparse.Scored, error) {
 	return s.list[:limit], nil
 }
 
-// shardNames is the names source buildTopKBlob hands the pipeline: the
-// snapshot's names plus the Porter stem of every query name in the shard,
-// computed once — each query is the subject of one list and a candidate
-// in up to a hundred others, and the pipeline would otherwise stem it
-// again for each. One buildTopKBlob call builds, uses and drops it on one
-// goroutine, so a refresh re-stems only its dirty shards' names.
+// shardNames is the names source buildTopKBlob hands the pipeline. It
+// names a query by its position in the shard's ascending id list, not by
+// its global id: positions sort like the ids, so the builder ranks them
+// under the same tie-break and maps a survivor to its id only when it
+// writes it. Per position it holds what the pipeline and the builder would
+// otherwise derive from the name once per candidate — each query is the
+// subject of one list and a candidate in up to a hundred others: the
+// Porter stem and, under a bid list, whether the name is bid on. One
+// buildTopKBlob call builds, uses and drops it on one goroutine, so a
+// refresh re-stems only its dirty shards' names.
 type shardNames struct {
-	nodeNames
+	names nodeNames
 	ids   []int    // the shard's global query ids, ascending
-	stems []string // stems[p] = stem.Phrase(Query(ids[p]))
+	stems []string // stems[p] = stem.Phrase(names.Query(ids[p]))
+	bid   []bool   // bid[p] = bids[names.Query(ids[p])]; nil without a bid list
 }
 
-// newShardNames stems the names of the shard's queries: qIDs, or every
-// query when qIDs is nil (the one shard of a monolithic snapshot).
-func newShardNames(names nodeNames, qIDs []int) *shardNames {
-	s := &shardNames{nodeNames: names}
+// newShardNames stems the names of the shard's queries — qIDs, or every
+// query when qIDs is nil (the one shard of a monolithic snapshot) — and
+// flags the bid ones. Names share most of their words, so stem.Word runs
+// once per distinct word; joining a name's word stems with single spaces
+// is stem.Phrase by construction.
+func newShardNames(names nodeNames, qIDs []int, bids map[string]bool) *shardNames {
+	s := &shardNames{names: names}
 	if qIDs != nil {
 		s.ids = slices.Clone(qIDs)
 		slices.Sort(s.ids)
@@ -131,25 +140,37 @@ func newShardNames(names nodeNames, qIDs []int) *shardNames {
 		}
 	}
 	s.stems = make([]string, len(s.ids))
+	if bids != nil {
+		s.bid = make([]bool, len(s.ids))
+	}
+	words := make(map[string]string, len(s.ids))
+	var parts []string
 	for p, id := range s.ids {
-		s.stems[p] = stem.Phrase(names.Query(id))
+		name := names.Query(id)
+		if s.bid != nil {
+			s.bid[p] = bids[name]
+		}
+		parts = parts[:0]
+		for w := range strings.FieldsSeq(name) {
+			st, ok := words[w]
+			if !ok {
+				st = stem.Word(w)
+				words[w] = st
+			}
+			parts = append(parts, st)
+		}
+		s.stems[p] = strings.Join(parts, " ")
 	}
 	return s
 }
 
-// pos returns id's position in the shard's id list.
-func (s *shardNames) pos(id int) (int, bool) {
-	return slices.BinarySearch(s.ids, id)
-}
+// NumQueries and Query are rewrite.QueryNames over positions.
+func (s *shardNames) NumQueries() int    { return len(s.ids) }
+func (s *shardNames) Query(p int) string { return s.names.Query(s.ids[p]) }
 
 // StemKey is the optional names-source method rewrite.Pipeline asks for
 // before stemming a name itself.
-func (s *shardNames) StemKey(id int) string {
-	if p, ok := s.pos(id); ok {
-		return s.stems[p]
-	}
-	return stem.Phrase(s.Query(id))
-}
+func (s *shardNames) StemKey(p int) string { return s.stems[p] }
 
 // checkTopKBlobLen refuses a blob whose length — and so any list offset
 // inside it — does not fit the u32 fields the entry table and the
@@ -167,15 +188,23 @@ func checkTopKBlobLen(n int) error {
 // segView.topKFor would, and filter each query's ranking through the
 // pipeline at depth k. qIDs is the shard's global query ids (nil =
 // identity shard covering every query).
+//
+// Only partners that can reach a list are ranked. The pipeline reads a
+// ranking's first tk.topN candidates, and one its bid test drops (that
+// test runs before the stem test) leaves no trace, so dropping it first
+// changes no survivor: a row no longer than the pool keeps its bid
+// partners, a longer row the bid partners among its tk.topN best (all of
+// them without a bid list), and only what is kept is sorted.
 func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids map[string]bool) ([]byte, error) {
 	if tk.k == 0 {
 		return nil, nil
 	}
-	shard := newShardNames(names, qIDs)
-	ids := shard.ids
+	shard := newShardNames(names, qIDs, bids)
+	ids, bid, topN := shard.ids, shard.bid, int(tk.topN)
 	// Partner lists, sized by a counting pass and filled into one flat
-	// array (as sparse.ExpandSymmetric does): ids[p]'s list is
-	// flat[start[p]:start[p+1]]; pos keeps each record's two positions.
+	// array (as sparse.ExpandSymmetric does): position p's list is
+	// flat[start[p]:start[p+1]], of partner positions; pos keeps each
+	// record's two positions.
 	//
 	// A segment's records ascend by (i, j) with i < j, and so do the ids:
 	// i's position only moves forward over the whole segment and j's, from
@@ -183,7 +212,8 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 	// reach is not in the shard, or the records are not in that order.
 	n := len(qSeg) / pairRecordSize
 	pos := make([]int32, 2*n)
-	start := make([]int, len(ids)+1)
+	rowLen := make([]int, len(ids)) // partners of each row
+	bidLen := make([]int, len(ids)) // bid partners of each row
 	pi, pj, row := 0, 0, -1
 	for r := 0; r < n; r++ {
 		i := int(binary.LittleEndian.Uint32(qSeg[r*pairRecordSize:]))
@@ -201,60 +231,89 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 			return nil, fmt.Errorf("serve: query segment pair (%d, %d) names a query outside its shard or breaks the ascending i < j order", i, j)
 		}
 		pos[2*r], pos[2*r+1] = int32(pi), int32(pj)
-		start[pi+1]++
-		start[pj+1]++
+		rowLen[pi]++
+		rowLen[pj]++
+		if bid != nil && bid[pj] {
+			bidLen[pi]++
+		}
+		if bid != nil && bid[pi] {
+			bidLen[pj]++
+		}
 	}
+	// whole[p]: row p is stored whole — there is no bid list, or the row
+	// is longer than the pool and holds a bid partner, so it must be ranked
+	// among all its partners before its unbid ones go. Any other row stores
+	// only its bid partners.
+	whole := make([]bool, len(ids))
+	start := make([]int, len(ids)+1)
 	for p := range ids {
-		start[p+1] += start[p]
+		keep := bidLen[p]
+		if bid == nil || rowLen[p] > topN && keep > 0 {
+			whole[p], keep = true, rowLen[p]
+		}
+		start[p+1] = start[p] + keep
 	}
-	flat := make([]sparse.Scored, 2*n)
+	flat := make([]sparse.Scored, start[len(ids)])
 	next := slices.Clone(start[:len(ids)])
 	for r := 0; r < n; r++ {
-		o := r * pairRecordSize
-		i := int(binary.LittleEndian.Uint32(qSeg[o:]))
-		j := int(binary.LittleEndian.Uint32(qSeg[o+4:]))
-		v := math.Float64frombits(binary.LittleEndian.Uint64(qSeg[o+8:]))
 		pi, pj := pos[2*r], pos[2*r+1]
-		flat[next[pi]] = sparse.Scored{Node: j, Score: v}
-		next[pi]++
-		flat[next[pj]] = sparse.Scored{Node: i, Score: v}
-		next[pj]++
+		// bid is nil only when every row is whole.
+		inI, inJ := whole[pi] || bid[pj], whole[pj] || bid[pi]
+		if !inI && !inJ {
+			continue
+		}
+		v := math.Float64frombits(binary.LittleEndian.Uint64(qSeg[r*pairRecordSize+8:]))
+		if inI {
+			flat[next[pi]] = sparse.Scored{Node: int(pj), Score: v}
+			next[pi]++
+		}
+		if inJ {
+			flat[next[pj]] = sparse.Scored{Node: int(pi), Score: v}
+			next[pj]++
+		}
 	}
 
 	pipe := rewrite.NewPipeline(shard, bids)
 	pipe.MaxRewrites = int(tk.k)
-	pipe.TopN = int(tk.topN)
+	pipe.TopN = topN
 	src := &topkSliceSource{}
 
-	entries := make([]byte, 4+len(ids)*topkEntrySize)
-	binary.LittleEndian.PutUint32(entries, uint32(len(ids)))
-	var lists []byte
-	listsBase := len(entries)
+	// A list holds at most k rewrites and at most its kept partners, which
+	// bounds the blob before the pipeline runs.
+	recs := 0
+	for p := range ids {
+		recs += min(int(tk.k), start[p+1]-start[p])
+	}
+	blob := make([]byte, 4+len(ids)*topkEntrySize, 4+len(ids)*topkEntrySize+recs*topkRecSize)
+	binary.LittleEndian.PutUint32(blob, uint32(len(ids)))
 	for e, qid := range ids {
 		if uint64(qid) > math.MaxUint32 {
 			return nil, fmt.Errorf("serve: query id %d overflows the topk entry", qid)
 		}
-		ranked := flat[start[e]:start[e+1]]
+		ranked := sparse.SelectScored(flat[start[e]:start[e+1]], topN)
+		if bid != nil && whole[e] {
+			ranked = slices.DeleteFunc(ranked, func(c sparse.Scored) bool { return !bid[c.Node] })
+		}
 		sparse.SortScoredDesc(ranked)
 		src.list = ranked
-		cands, err := pipe.Rewrite(src, qid)
+		cands, err := pipe.Rewrite(src, e)
 		if err != nil {
 			return nil, fmt.Errorf("serve: building topk list for query %d: %w", qid, err)
 		}
 		o := 4 + e*topkEntrySize
-		binary.LittleEndian.PutUint32(entries[o:], uint32(qid))
-		binary.LittleEndian.PutUint32(entries[o+4:], uint32(listsBase+len(lists)))
-		binary.LittleEndian.PutUint32(entries[o+8:], uint32(len(cands)))
+		binary.LittleEndian.PutUint32(blob[o:], uint32(qid))
+		binary.LittleEndian.PutUint32(blob[o+4:], uint32(len(blob)))
+		binary.LittleEndian.PutUint32(blob[o+8:], uint32(len(cands)))
 		for _, c := range cands {
-			lists = binary.LittleEndian.AppendUint32(lists, uint32(c.Query))
-			lists = binary.LittleEndian.AppendUint64(lists, math.Float64bits(c.Score))
+			blob = binary.LittleEndian.AppendUint32(blob, uint32(ids[c.Query]))
+			blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(c.Score))
 		}
 	}
 	// Every list offset written above is at most the blob's length.
-	if err := checkTopKBlobLen(listsBase + len(lists)); err != nil {
+	if err := checkTopKBlobLen(len(blob)); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	return append(entries, lists...), nil
+	return blob, nil
 }
 
 // fillTopKBlobs builds the given payload indices' blobs from their

@@ -15,15 +15,29 @@ import (
 	"simrankpp/internal/stem"
 )
 
+// refStats counts what a reference build went through, so a test can tell
+// its fixture reached the paths it is meant to.
+type refStats struct {
+	stemDrops    int // candidates the stem filter dropped
+	longRows     int // rankings longer than the candidate pool
+	boundaryTies int // of those, rankings whose last pooled candidate ties the first one cut
+}
+
+func (s *refStats) add(o refStats) {
+	s.stemDrops += o.stemDrops
+	s.longRows += o.longRows
+	s.boundaryTies += o.boundaryTies
+}
+
 // referenceTopKBlob is the section builder as first written, kept here
 // as the definition buildTopKBlob is held to: partner lists in a map,
-// the reflection sort, and for every query a fresh filter that stems
-// each candidate before looking at the bid list — no shared stems, no
-// shared pipeline. It also counts the candidates the stem filter
-// dropped, so a test can tell its fixture exercised that filter.
-func referenceTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids map[string]bool) (blob []byte, stemDrops int) {
+// the reflection sort of every whole list, and for every query a fresh
+// filter that stems each candidate before looking at the bid list — no
+// shared stems, no shared pipeline, no candidate dropped before the
+// filter sees it.
+func referenceTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids map[string]bool) (blob []byte, st refStats) {
 	if tk.k == 0 {
-		return nil, 0
+		return nil, st
 	}
 	var ids []int
 	if qIDs != nil {
@@ -56,6 +70,10 @@ func referenceTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bi
 			return ranked[a].Node < ranked[b].Node
 		})
 		if len(ranked) > int(tk.topN) {
+			st.longRows++
+			if ranked[tk.topN-1].Score == ranked[tk.topN].Score {
+				st.boundaryTies++
+			}
 			ranked = ranked[:tk.topN]
 		}
 		seen := map[string]bool{stem.Phrase(names.Query(qid)): true}
@@ -67,7 +85,7 @@ func referenceTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bi
 			text := names.Query(s.Node)
 			key := stem.Phrase(text)
 			if seen[key] {
-				stemDrops++
+				st.stemDrops++
 				continue
 			}
 			if bids != nil && !bids[text] {
@@ -88,7 +106,7 @@ func referenceTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bi
 			lists = binary.LittleEndian.AppendUint64(lists, math.Float64bits(s.Score))
 		}
 	}
-	return append(entries, lists...), stemDrops
+	return append(entries, lists...), st
 }
 
 // stemGraph is refreshGraph's shape — four clusters, weights derived
@@ -105,100 +123,231 @@ func stemGraph(t *testing.T, seeds [4]int) *clickgraph.Graph {
 		func(q, a int) bool { return (q+a)%3 != 2 })
 }
 
-// TestTopKBlobsMatchReference holds every shard blob WriteSnapshotTopK
-// and AssembleRefresh write to the reference builder, byte for byte,
-// under no bid list, a sparse one and an empty one. Run under -race it
+type bidCase struct {
+	name string
+	bids map[string]bool
+}
+
+// bidCases are the bid lists every reference comparison runs under: none,
+// every third query of g from id from up, and an empty one (nothing is bid
+// on).
+func bidCases(g *clickgraph.Graph, from int) []bidCase {
+	sparseBids := map[string]bool{}
+	for q := from; q < g.NumQueries(); q += 3 {
+		sparseBids[g.Query(q)] = true
+	}
+	return []bidCase{
+		{"no bid list", nil},
+		{"sparse bid list", sparseBids},
+		{"empty bid list", map[string]bool{}},
+	}
+}
+
+// checkTopKBlobsMatchReference holds every shard blob WriteSnapshotTopK
+// writes for g0 (one shard per component), and every blob AssembleRefresh
+// then writes for g1, to the reference builder, byte for byte. It returns
+// what the reference builds went through.
+func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts TopKOptions) refStats {
+	t.Helper()
+	tk := opts.meta()
+	var st refStats
+	// want returns the reference blob for a shard's encoded query segment.
+	want := func(qSeg []byte, qIDs []int, names nodeNames) []byte {
+		blob, s := referenceTopKBlob(qSeg, qIDs, names, tk, opts.BidTerms)
+		st.add(s)
+		return blob
+	}
+
+	plan := partition.ComponentPlan(g0)
+	res0, err := core.RunSharded(g0, refreshCfg(), plan, core.ShardOptions{Workers: 3, RetainShardScores: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res0.ShardScores) < 2 {
+		t.Fatalf("fixture produced %d shards, want one per cluster", len(res0.ShardScores))
+	}
+	var buf0 bytes.Buffer
+	if err := WriteSnapshotTopK(&buf0, res0, opts); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := NewSnapshot(bytes.NewReader(buf0.Bytes()), int64(buf0.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prev.Close()
+	for i := range res0.ShardScores {
+		got, err := prev.segmentBytes("topk", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := res0.ShardScores[i]
+		if !bytes.Equal(got, want(encodeSegment(ss.QueryScores, ss.QueryIDs), ss.QueryIDs, res0)) {
+			t.Errorf("WriteSnapshotTopK shard %d: blob differs from the reference builder's", i)
+		}
+	}
+
+	run1, diff := runDirty(t, g1, prev, 3)
+	var buf1 bytes.Buffer
+	rs, err := assemble(&buf1, g1, prev, diff, run1, opts.BidTerms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.DirtyShards == 0 || rs.CleanShards == 0 {
+		t.Fatalf("refresh rebuilt %d shards and copied %d; want a mix", rs.DirtyShards, rs.CleanShards)
+	}
+	next, err := NewSnapshot(bytes.NewReader(buf1.Bytes()), int64(buf1.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	for i, dirty := range diff.Dirty {
+		got, err := next.segmentBytes("topk", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantBlob []byte
+		if dirty {
+			wantBlob = want(run1.Segments[i].QuerySeg, diff.Plan.Shards[i].Queries, g1)
+		} else if wantBlob, err = prev.segmentBytes("topk", i); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantBlob) {
+			t.Errorf("AssembleRefresh shard %d (dirty=%v): blob differs from the reference", i, dirty)
+		}
+	}
+	return st
+}
+
+// TestTopKBlobsMatchReference holds the blobs of stemGraph's four short-row
+// shards to the reference builder under each bid case. Run under -race it
 // also shows the per-shard stems are not shared between fillTopKBlobs
 // workers.
 func TestTopKBlobsMatchReference(t *testing.T) {
 	g0 := stemGraph(t, [4]int{1, 2, 3, 4})
 	g1 := stemGraph(t, [4]int{1, 2, 9, 4}) // cluster 2 churned
-	sparseBids := map[string]bool{}
-	for q := 0; q < g0.NumQueries(); q += 3 {
-		sparseBids[g0.Query(q)] = true
-	}
-	cfg := refreshCfg()
-
-	for _, tc := range []struct {
-		name string
-		bids map[string]bool
-	}{
-		{"no bid list", nil},
-		{"sparse bid list", sparseBids},
-		{"empty bid list", map[string]bool{}},
-	} {
+	for _, tc := range bidCases(g0, 0) {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := TopKOptions{K: 4, BidTerms: tc.bids}
-			tk := opts.meta()
-			// want returns the reference blob for a shard's encoded query
-			// segment.
-			stemDrops := 0
-			want := func(qSeg []byte, qIDs []int, names nodeNames) []byte {
-				blob, drops := referenceTopKBlob(qSeg, qIDs, names, tk, tc.bids)
-				stemDrops += drops
-				return blob
-			}
-
-			res0, err := core.RunSharded(g0, cfg, partition.ComponentPlan(g0), core.ShardOptions{Workers: 3, RetainShardScores: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res0.ShardScores) < 4 {
-				t.Fatalf("fixture produced %d shards, want one per cluster", len(res0.ShardScores))
-			}
-			var buf0 bytes.Buffer
-			if err := WriteSnapshotTopK(&buf0, res0, opts); err != nil {
-				t.Fatal(err)
-			}
-			prev, err := NewSnapshot(bytes.NewReader(buf0.Bytes()), int64(buf0.Len()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer prev.Close()
-			for i := range res0.ShardScores {
-				got, err := prev.segmentBytes("topk", i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ss := res0.ShardScores[i]
-				if !bytes.Equal(got, want(encodeSegment(ss.QueryScores, ss.QueryIDs), ss.QueryIDs, res0)) {
-					t.Errorf("WriteSnapshotTopK shard %d: blob differs from the reference builder's", i)
-				}
-			}
-			if stemDrops == 0 {
+			st := checkTopKBlobsMatchReference(t, g0, g1, TopKOptions{K: 4, BidTerms: tc.bids})
+			if st.stemDrops == 0 {
 				t.Fatal("the stem filter dropped nothing; the fixture no longer exercises it")
 			}
-
-			run1, diff := runDirty(t, g1, prev, 3)
-			var buf1 bytes.Buffer
-			st, err := assemble(&buf1, g1, prev, diff, run1, tc.bids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.DirtyShards == 0 || st.CleanShards == 0 {
-				t.Fatalf("refresh rebuilt %d shards and copied %d; want a mix", st.DirtyShards, st.CleanShards)
-			}
-			next, err := NewSnapshot(bytes.NewReader(buf1.Bytes()), int64(buf1.Len()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer next.Close()
-			for i, dirty := range diff.Dirty {
-				got, err := next.segmentBytes("topk", i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wantBlob []byte
-				if dirty {
-					wantBlob = want(run1.Segments[i].QuerySeg, diff.Plan.Shards[i].Queries, g1)
-				} else if wantBlob, err = prev.segmentBytes("topk", i); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, wantBlob) {
-					t.Errorf("AssembleRefresh shard %d (dirty=%v): blob differs from the reference", i, dirty)
-				}
-			}
 		})
+	}
+}
+
+// longRowGraph is one dense cluster of 160 queries beside a small one
+// (stemGraph's first cluster), each its own component. Every click
+// weighs the same, so the 140 queries that click only ad 0 score
+// bit-identically against each other and against each of the 8 bridge
+// queries that click every ad of the cluster: their rankings, 159 long,
+// are cut to the pool inside a tie, where the id decides. The remaining 12
+// queries spread over the other ads give the rows lower score levels, and
+// names come in singular/plural pairs for the stem filter. bridgeClicks
+// weighs the bridges' edges, so a second value churns the dense cluster
+// alone.
+func longRowGraph(t *testing.T, bridgeClicks int64) *clickgraph.Graph {
+	t.Helper()
+	b := clickgraph.NewBuilder()
+	add := func(q, a string, clicks int64) {
+		w := clickgraph.EdgeWeights{Impressions: clicks * 3, Clicks: clicks, ExpectedClickRate: 0.5}
+		if err := b.AddEdge(q, a, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	words := []string{"camera", "cameras"}
+	for q := 0; q < 160; q++ {
+		name := fmt.Sprintf("dense %s %d", words[q%2], q/2)
+		switch {
+		case q < 8:
+			for a := 0; a < 8; a++ {
+				add(name, fmt.Sprintf("dense-a%d", a), bridgeClicks)
+			}
+		case q < 148:
+			add(name, "dense-a0", 5)
+		default:
+			add(name, fmt.Sprintf("dense-a%d", 1+(q-148)%7), 5)
+		}
+	}
+	small := stemGraph(t, [4]int{1, 2, 3, 4})
+	for q := 0; q < 12; q++ {
+		ads, _ := small.AdsOf(q)
+		for _, a := range ads {
+			add(small.Query(q), small.Ad(a), 3)
+		}
+	}
+	return b.Build()
+}
+
+// TestTopKBlobsMatchReferenceLongRows is the reference comparison on rows
+// longer than the candidate pool, which buildTopKBlob selects before it
+// sorts: at K = 4 (a pool of 100) and K = 128 (a pool of 128), under each
+// bid case, with ties straddling the pool boundary. The sparse bid list
+// starts at id 96, so a pool ends a few bid partners in — fewer than
+// either depth — and a bid partner just past the boundary would be the
+// next survivor if one leaked in.
+func TestTopKBlobsMatchReferenceLongRows(t *testing.T) {
+	g0 := longRowGraph(t, 5)
+	g1 := longRowGraph(t, 7)
+	for _, k := range []int{4, 128} {
+		for _, tc := range bidCases(g0, 96) {
+			t.Run(fmt.Sprintf("K=%d/%s", k, tc.name), func(t *testing.T) {
+				st := checkTopKBlobsMatchReference(t, g0, g1, TopKOptions{K: k, BidTerms: tc.bids})
+				if st.longRows == 0 || st.boundaryTies == 0 {
+					t.Fatalf("%d rankings outran the pool, %d of them tied across its boundary; the fixture needs both", st.longRows, st.boundaryTies)
+				}
+				if st.stemDrops == 0 {
+					t.Fatal("the stem filter dropped nothing; the fixture no longer exercises it")
+				}
+			})
+		}
+	}
+}
+
+// TestShardNamesMatchPhrase pins newShardNames' per-word stem memo to
+// stem.Phrase, name by name, for every query of the serve fixtures and for
+// names strings.Fields has to collapse (repeated spaces, tabs, leading and
+// trailing blanks, the empty name), on the identity shard and on a shard
+// given its ids out of order; and its bid flags to the bid list.
+func TestShardNamesMatchPhrase(t *testing.T) {
+	odd := benchShardNames{names: []string{
+		"digital  cameras", "\tcameras\t\tbatteries ", " lenses", "tripods ", "",
+		"Flashes FLASH", "a b  c", "camera\tcameras", "relational  rational\t",
+	}}
+	_, bench := benchShard(4)
+	for name, names := range map[string]nodeNames{
+		"stemGraph":    stemGraph(t, [4]int{1, 2, 3, 4}),
+		"refreshGraph": refreshGraph(t, [4]int{1, 2, 3, 4}),
+		"longRowGraph": longRowGraph(t, 5),
+		"benchShard":   bench,
+		"blanks":       odd,
+	} {
+		bids := map[string]bool{}
+		var qIDs []int
+		for q := names.NumQueries() - 1; q >= 0; q -= 2 {
+			bids[names.Query(q)] = true
+			qIDs = append(qIDs, q)
+		}
+		for _, ids := range [][]int{nil, qIDs} {
+			s := newShardNames(names, ids, bids)
+			if ids == nil && s.NumQueries() != names.NumQueries() || ids != nil && s.NumQueries() != len(ids) {
+				t.Fatalf("%s: shard holds %d queries", name, s.NumQueries())
+			}
+			for p, id := range s.ids {
+				q := names.Query(id)
+				if s.Query(p) != q {
+					t.Errorf("%s: position %d names %q, want %q", name, p, s.Query(p), q)
+				}
+				if got, want := s.StemKey(p), stem.Phrase(q); got != want {
+					t.Errorf("%s: stem of %q = %q, stem.Phrase gives %q", name, q, got, want)
+				}
+				if s.bid[p] != bids[q] {
+					t.Errorf("%s: bid flag of %q = %v, want %v", name, q, s.bid[p], bids[q])
+				}
+			}
+		}
+		if s := newShardNames(names, nil, nil); s.bid != nil {
+			t.Errorf("%s: bid flags without a bid list", name)
+		}
 	}
 }
 
@@ -216,8 +365,8 @@ func TestBuildTopKBlobIdentityShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, drops := referenceTopKBlob(qSeg, nil, res, tk, nil)
-	if drops == 0 {
+	want, st := referenceTopKBlob(qSeg, nil, res, tk, nil)
+	if st.stemDrops == 0 {
 		t.Fatal("the stem filter dropped nothing; the fixture no longer exercises it")
 	}
 	if !bytes.Equal(got, want) {
@@ -281,7 +430,8 @@ func TestTopKBlobLenOverflow(t *testing.T) {
 }
 
 // benchShard builds one shard of pathbench's shape: 400 queries with
-// three-word names, every query scored against its 64 ring neighbours.
+// three-word names, every query scored against its 2·half ring
+// neighbours.
 type benchShardNames struct{ names []string }
 
 func (n benchShardNames) NumQueries() int     { return len(n.names) }
@@ -289,8 +439,8 @@ func (n benchShardNames) NumAds() int         { return 0 }
 func (n benchShardNames) Query(id int) string { return n.names[id] }
 func (n benchShardNames) Ad(int) string       { return "" }
 
-func benchShard() (qSeg []byte, names benchShardNames) {
-	const n, half = 400, 32
+func benchShard(half int) (qSeg []byte, names benchShardNames) {
+	const n = 400
 	syll := []string{"ve", "li", "be", "ki", "ma", "ci", "hi", "ro", "nu", "ta", "so", "pe"}
 	x := uint64(1)
 	next := func() uint64 { // xorshift64
@@ -327,30 +477,34 @@ func benchShard() (qSeg []byte, names benchShardNames) {
 
 // BenchmarkBuildTopKBlob times the precomputed-section builder on one
 // shard, under the sparse bid list pathbench builds with (every 16th
-// query) and under none — the first filters most candidates before a
-// stem is needed, the second needs one for every candidate walked.
+// query) and under none — the first ranks only the bid partners, the
+// second every partner in the pool — on rows of pathbench's cluster
+// length (64) and on rows longer than the 100-candidate pool (160), which
+// are selected before they are sorted.
 func BenchmarkBuildTopKBlob(b *testing.B) {
-	qSeg, names := benchShard()
-	ids := make([]int, names.NumQueries())
-	stride16 := map[string]bool{}
-	for i := range ids {
-		ids[i] = i
-		if i%16 == 0 {
-			stride16[names.Query(i)] = true
-		}
-	}
-	for _, bc := range []struct {
-		name string
-		bids map[string]bool
-	}{{"bids=stride16", stride16}, {"bids=none", nil}} {
-		opts := TopKOptions{K: DefaultRewriteTopK, BidTerms: bc.bids}
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := buildTopKBlob(qSeg, ids, names, opts.meta(), bc.bids); err != nil {
-					b.Fatal(err)
-				}
+	for _, half := range []int{32, 80} {
+		qSeg, names := benchShard(half)
+		ids := make([]int, names.NumQueries())
+		stride16 := map[string]bool{}
+		for i := range ids {
+			ids[i] = i
+			if i%16 == 0 {
+				stride16[names.Query(i)] = true
 			}
-		})
+		}
+		for _, bc := range []struct {
+			name string
+			bids map[string]bool
+		}{{"bids=stride16", stride16}, {"bids=none", nil}} {
+			opts := TopKOptions{K: DefaultRewriteTopK, BidTerms: bc.bids}
+			b.Run(fmt.Sprintf("rows=%d/%s", 2*half, bc.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := buildTopKBlob(qSeg, ids, names, opts.meta(), bc.bids); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

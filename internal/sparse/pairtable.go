@@ -163,3 +163,68 @@ func SortScoredDesc(s []Scored) {
 		return cmp.Compare(a.Node, b.Node)
 	})
 }
+
+// TopScored returns s's k first rows in SortScoredDesc's order, sorted, as
+// s[:k] (all of s when k < 0 or k ≥ len(s)), reordering s. The order is
+// total on rows with distinct nodes, so this is SortScoredDesc followed by
+// the cut, bit for bit; only the kept rows are sorted.
+func TopScored(s []Scored, k int) []Scored {
+	s = SelectScored(s, k)
+	SortScoredDesc(s)
+	return s
+}
+
+// SelectScored reorders s so that s[:k] holds its k first rows in
+// SortScoredDesc's order, in no particular order, and returns s[:k] (all
+// of s, untouched, when k < 0 or k ≥ len(s)). It is Hoare's FIND with a
+// median-of-three pivot: afterwards no row of s[:k] comes after a row of
+// s[k:].
+func SelectScored(s []Scored, k int) []Scored {
+	if k < 0 || k >= len(s) {
+		return s
+	}
+	if k == 0 {
+		return s[:0]
+	}
+	lo, hi, t := 0, len(s)-1, k-1
+	for lo < hi {
+		m := lo + (hi-lo)/2
+		if scoredBefore(s[m], s[lo]) {
+			s[lo], s[m] = s[m], s[lo]
+		}
+		if scoredBefore(s[hi], s[lo]) {
+			s[lo], s[hi] = s[hi], s[lo]
+		}
+		if scoredBefore(s[hi], s[m]) {
+			s[m], s[hi] = s[hi], s[m]
+		}
+		pivot := s[m]
+		i, j := lo, hi
+		for i <= j {
+			for scoredBefore(s[i], pivot) {
+				i++
+			}
+			for scoredBefore(pivot, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo:j+1] ≤ pivot ≤ s[i:hi+1], and what lies between equals it.
+		if j < t {
+			lo = i
+		}
+		if t < i {
+			hi = j
+		}
+	}
+	return s[:k]
+}
+
+// scoredBefore is SortScoredDesc's order as a strict less-than.
+func scoredBefore(a, b Scored) bool {
+	return a.Score > b.Score || a.Score == b.Score && a.Node < b.Node
+}

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -88,6 +89,44 @@ func TestPairTableTopKFor(t *testing.T) {
 	}
 	if len(pt.TopKFor(9, 5)) != 0 {
 		t.Error("TopKFor of absent node should be empty")
+	}
+}
+
+// TestTopScoredMatchesSortAndCut holds the selection to its definition,
+// SortScoredDesc then a cut at k, on random lists whose scores come from a
+// handful of values (so most comparisons fall to the node tie-break), some
+// nodes repeated, and the presorted and reversed inputs a median-of-three
+// pivot is chosen for.
+func TestTopScoredMatchesSortAndCut(t *testing.T) {
+	rng := lcg(11)
+	for trial := 0; trial < 400; trial++ {
+		n := rng.next(300)
+		if trial < 8 {
+			n = trial
+		}
+		s := make([]Scored, n)
+		for i := range s {
+			s[i] = Scored{Node: rng.next(n + n/8 + 1), Score: float64(rng.next(5)-1) / 4}
+		}
+		switch trial % 5 {
+		case 3:
+			SortScoredDesc(s)
+		case 4:
+			SortScoredDesc(s)
+			slices.Reverse(s)
+		}
+		want := slices.Clone(s)
+		SortScoredDesc(want)
+		for _, k := range []int{-1, 0, 1, n - 1, n, n + 5, rng.next(n + 1)} {
+			cut := want
+			if k >= 0 && k < n {
+				cut = want[:k]
+			}
+			got := TopScored(slices.Clone(s), k)
+			if !slices.Equal(got, cut) {
+				t.Fatalf("trial %d, n %d, k %d: TopScored = %v, want %v", trial, n, k, got, cut)
+			}
+		}
 	}
 }
 
