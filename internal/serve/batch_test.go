@@ -69,6 +69,43 @@ func TestBatchMatchesSingleEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchPastSectionDepth: /batch items share /rewrite's answer path, so
+// a batch deeper than the section's k answers its short lists from the
+// section and its full ones through the pipeline — and the body is
+// byte-equal to a server over the same scores without a section.
+func TestBatchPastSectionDepth(t *testing.T) {
+	g := testGraph(t)
+	section, pipeline := 0, 0 // items past k the section and the pipeline answer
+	for _, bc := range bidCases(g, 0) {
+		t.Run(bc.name, func(t *testing.T) {
+			path, res := writeTopKFile(t, g, TopKOptions{K: 2, BidTerms: bc.bids})
+			mm, err := OpenSnapshot(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mm.Close()
+			queries := []string{"no such query"}
+			for q := 0; q < g.NumQueries(); q++ {
+				queries = append(queries, g.Query(q))
+				if _, hit := mm.PrecomputedRewrites(q, 5); hit {
+					section++
+				} else {
+					pipeline++
+				}
+			}
+			body, _ := json.Marshal(BatchRequest{Queries: queries, Top: 5})
+			fc, fb := postBatch(t, serverOver(mm, func(c *Config) { c.BidTerms = bc.bids }).Handler(), string(body))
+			sc, sb := postBatch(t, pipelineServer(t, res, bc.bids), string(body))
+			if fc != http.StatusOK || fc != sc || !bytes.Equal(fb, sb) {
+				t.Fatalf("/batch at top 5 over a K = 2 section: %d %s\npipeline server: %d %s", fc, fb, sc, sb)
+			}
+		})
+	}
+	if section == 0 || pipeline == 0 {
+		t.Fatalf("past k, the section answers %d items and the pipeline %d; the fixture needs both", section, pipeline)
+	}
+}
+
 // TestBatchBodyIsJSONMarshal pins EncodeBatchResponse, which joins the
 // already-encoded items by hand, to the bytes json.Marshal of the
 // response struct plus a newline gives — on the replica's own items and,
@@ -428,5 +465,21 @@ func TestStatsServingSurface(t *testing.T) {
 	}
 	if rs.TopKSection == nil || !rs.TopKSection.Present || rs.TopKSection.Serving {
 		t.Errorf("ReadAt-opened topk_section = %+v, want present but not serving", rs.TopKSection)
+	}
+
+	// A section shallower than the default depth is not serving, though it
+	// answers the default-depth requests whose lists are short.
+	shallowPath, _ := writeTopKFile(t, g, TopKOptions{K: 4})
+	shallow, err := OpenSnapshot(shallowPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shallow.Close()
+	var ss StatsResponse
+	if _, raw := get(t, serverOver(shallow, nil).Handler(), "/stats"); json.Unmarshal(raw, &ss) != nil {
+		t.Fatal("bad stats over the K = 4 section")
+	}
+	if ss.TopKSection == nil || !ss.TopKSection.Present || ss.TopKSection.Serving {
+		t.Errorf("K = 4 topk_section under default top 5 = %+v, want present but not serving", ss.TopKSection)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -508,8 +509,9 @@ type rewriteResponse struct {
 	Rewrites []RewriteAnswer `json:"rewrites"`
 }
 
-func (s *Server) topParam(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("top")
+// topParam reads the depth from a request's already-parsed query string.
+func (s *Server) topParam(params url.Values) (int, error) {
+	raw := params.Get("top")
 	if raw == "" {
 		return s.cfg.DefaultTop, nil
 	}
@@ -539,12 +541,13 @@ func scoreError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	top, err := s.topParam(r)
+	top, err := s.topParam(params)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -565,13 +568,14 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 // included) with StatusOK, or a status and message for error answers.
 //
 // When the served index is a snapshot whose precomputed top-k section
-// matches this server's effective parameters (depth within the stored k,
-// same candidate pool, same bid-term set — RewriteSectionUsable), the
-// answer is a single in-place section lookup; otherwise — no snapshot,
-// section absent or too shallow, parameters differ, or blob quarantined —
-// it runs the live §9.3 pipeline. Both paths emit identical bytes by
-// construction: the section was written by this same pipeline code at
-// build time.
+// matches this server's effective parameters (same candidate pool, same
+// bid-term set — RewriteSectionUsable), the answer is a single in-place
+// section lookup, at a depth within the stored k or past it when q's
+// stored list is shorter than k (complete); otherwise — no snapshot,
+// section absent, a full list asked past k, parameters differ, or blob
+// quarantined — it runs the live §9.3 pipeline. Both paths emit identical
+// bytes by construction: the section was written by this same pipeline
+// code at build time.
 func (s *Server) rewriteBody(ctx context.Context, q string, top int) ([]byte, int, string) {
 	key := "rw\x00" + q + "\x00" + strconv.Itoa(top)
 	if body, ok := s.cache.Get(key); ok {
@@ -632,12 +636,13 @@ func (s *Server) rewriteBody(ctx context.Context, q string, top int) ([]byte, in
 }
 
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
-	q, ad := r.URL.Query().Get("q"), r.URL.Query().Get("ad")
+	params := r.URL.Query()
+	q, ad := params.Get("q"), params.Get("ad")
 	if (q == "") == (ad == "") {
 		http.Error(w, "give exactly one of q or ad", http.StatusBadRequest)
 		return
 	}
-	top, err := s.topParam(r)
+	top, err := s.topParam(params)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -964,8 +969,10 @@ type TopKSectionStats struct {
 	TopN int `json:"top_n"`
 	// BidFiltered is whether the lists were built under a bid-term set.
 	BidFiltered bool `json:"bid_filtered"`
-	// Serving is whether this server answers default-depth /rewrite
-	// requests from the section (parameters match).
+	// Serving is whether this server answers every default-depth /rewrite
+	// request from the section: the default depth is within K and the
+	// parameters match. A quarantined blob does not clear it; that shows
+	// under quarantined, side "topk".
 	Serving bool `json:"serving"`
 }
 
@@ -1008,7 +1015,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			K:           meta.RewriteTopK,
 			TopN:        meta.RewriteTopN,
 			BidFiltered: meta.RewriteBidFiltered,
-			Serving:     snap.RewriteSectionUsable(s.cfg.DefaultTop, s.bidHash),
+			Serving:     s.cfg.DefaultTop <= meta.RewriteTopK && snap.RewriteSectionUsable(s.cfg.DefaultTop, s.bidHash),
 		}
 	}
 	writeJSON(w, resp)

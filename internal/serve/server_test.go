@@ -422,3 +422,66 @@ func TestServerSnapshotSwap(t *testing.T) {
 		t.Errorf("method after swap = %q, want weighted simrank", resp.Method)
 	}
 }
+
+// raceBuild is set when the tests run under the race detector.
+var raceBuild bool
+
+// discardWriter is a ResponseWriter that keeps nothing but its header map.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestServerAllocationsPerRead is the replica's allocation gate, the twin
+// of route's TestGatewayAllocationsPerRead: what one read costs the
+// handler in heap allocations, socket excluded — a /rewrite the section
+// answers on a cache miss (two queries alternating through a one-entry
+// cache, so each request misses and evicts), the same request as a cache
+// hit, and a /similar. The bounds are what this code reaches on go1.24 —
+// 18, 12 and 15 — plus a little room for a toolchain's own drift; parsing
+// the query string once per parameter, as the handlers did, measured 22,
+// 16 and 23.
+func TestServerAllocationsPerRead(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts under the race detector are not the production ones")
+	}
+	res, err := core.Run(clickgraph.Fig3(), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := mustSnapshot(t, res, DefaultRewriteTopK)
+	w := &discardWriter{h: http.Header{}}
+	camera := httptest.NewRequest(http.MethodGet, "/rewrite?q=camera&top=3", nil)
+	pc := httptest.NewRequest(http.MethodGet, "/rewrite?q=pc&top=3", nil)
+	similar := httptest.NewRequest(http.MethodGet, "/similar?q=camera&top=3", nil)
+
+	miss := serverOver(snap, func(c *Config) { c.CacheSize = 1 })
+	hit := serverOver(snap, func(c *Config) { c.CacheSize = 16 })
+	hm, hh := miss.Handler(), hit.Handler()
+	perMiss := testing.AllocsPerRun(200, func() {
+		hm.ServeHTTP(w, camera)
+		hm.ServeHTTP(w, pc)
+	}) / 2
+	if n := miss.cacheHits.Load(); n != 0 {
+		t.Fatalf("%d cache hits through a one-entry cache of alternating queries", n)
+	}
+	if snap.shards[0].q.ready.Load() {
+		t.Fatal("the section answers loaded the query-score segment: the pipeline answered")
+	}
+	perHit := testing.AllocsPerRun(200, func() { hh.ServeHTTP(w, camera) })
+	perSimilar := testing.AllocsPerRun(200, func() { hh.ServeHTTP(w, similar) })
+	t.Logf("allocations: GET /rewrite section answer %.0f (cache miss), %.0f (cache hit); GET /similar %.0f", perMiss, perHit, perSimilar)
+	for _, c := range []struct {
+		what     string
+		got, max float64
+	}{
+		{"a section-answered GET /rewrite on a cache miss", perMiss, 20},
+		{"a GET /rewrite cache hit", perHit, 14},
+		{"a GET /similar", perSimilar, 17},
+	} {
+		if c.got > c.max {
+			t.Errorf("%s allocates %.0f times, want at most %.0f", c.what, c.got, c.max)
+		}
+	}
+}

@@ -23,9 +23,10 @@ import (
 // of per-candidate scoring. The lists are the pipeline's bytes by
 // construction — the same rewrite.Pipeline code filters them here and
 // at serve time, fed by the same sorted candidate ranking — so a server
-// whose effective parameters match the header's (depth within k,
-// identical candidate-pool size, identical bid-term set) answers
-// byte-identically from the section or the live pipeline.
+// whose effective parameters match the header's (identical candidate-pool
+// size, identical bid-term set) answers byte-identically from the section
+// or the live pipeline, at any depth within k and, for a list shorter
+// than k, at any depth the pool allows.
 //
 // Per-shard blob layout (all integers little-endian, offsets relative
 // to the blob start, ids global — both properties are what make a blob
@@ -376,14 +377,14 @@ func validateTopKBlob(b []byte, k int) error {
 // RewriteSectionUsable reports whether the snapshot's precomputed
 // section can answer a /rewrite request at depth top under the bid-term
 // set identified by bidHash, byte-identically to the live pipeline: the
-// depth must be within the stored k, the bid sets must match, and the
-// server's effective candidate pool (max(100, top), mirroring the
-// pipeline's TopN growth) must equal the pool the lists were filtered
-// from — a differing pool could admit different survivors, so the
-// server falls back to live scoring instead of guessing.
+// bid sets must match, and the server's effective candidate pool
+// (max(100, top), mirroring the pipeline's TopN growth) must equal the
+// pool the lists were filtered from — a differing pool could admit
+// different survivors, so the server falls back to live scoring instead
+// of guessing. A top deeper than the stored k passes; whether one list
+// answers it is PrecomputedRewrites' call.
 func (s *Snapshot) RewriteSectionUsable(top int, bidHash uint64) bool {
-	k := s.meta.RewriteTopK
-	if k <= 0 || top <= 0 || top > k {
+	if s.meta.RewriteTopK <= 0 || top <= 0 {
 		return false
 	}
 	if s.meta.RewriteBidHash != bidHash {
@@ -399,11 +400,18 @@ func (s *Snapshot) RewriteSectionUsable(top int, bidHash uint64) bool {
 // PrecomputedRewrites answers query q at depth top from the snapshot's
 // top-k section: one route lookup, one (lazily verified) blob, one
 // binary search, one bounded copy. The boolean is false — caller falls
-// back to the pipeline — when the section is absent or too shallow, the
-// blob is quarantined, or q has no entry. Callers must check
-// RewriteSectionUsable first for byte-identity with live answers.
+// back to the pipeline — when the section is absent, the blob is
+// quarantined, q has no entry, or top is deeper than k and q's list
+// holds k rewrites. Callers must check RewriteSectionUsable first for
+// byte-identity with live answers.
+//
+// A list shorter than k is complete: the pipeline that built it stops at
+// k rewrites or when its candidates run out, so it ran out, and under
+// the same pool and bid set a deeper cap walks the same candidates to
+// the same survivors. Only a full list may have been cut at k.
 func (s *Snapshot) PrecomputedRewrites(q, top int) ([]sparse.Scored, bool) {
-	if s.meta.RewriteTopK == 0 || top < 0 || top > s.meta.RewriteTopK || q < 0 || q >= len(s.qRoute) {
+	k := s.meta.RewriteTopK
+	if k == 0 || top < 0 || q < 0 || q >= len(s.qRoute) {
 		return nil, false
 	}
 	blob, err := s.topkBlob(int(s.qRoute[q]))
@@ -420,6 +428,9 @@ func (s *Snapshot) PrecomputedRewrites(q, top int) ([]sparse.Scored, bool) {
 	o := 4 + e*topkEntrySize
 	off := int(binary.LittleEndian.Uint32(blob[o+4:]))
 	cnt := int(binary.LittleEndian.Uint32(blob[o+8:]))
+	if top > k && cnt == k {
+		return nil, false
+	}
 	if cnt > top {
 		cnt = top
 	}

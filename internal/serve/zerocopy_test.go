@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -196,31 +198,176 @@ func TestPrecomputedMatchesPipeline(t *testing.T) {
 	}
 }
 
-// TestPrecomputedFallsBackPastSectionDepth: a top beyond the stored k
-// cannot use the section; the server must transparently run the
-// pipeline, not truncate.
-func TestPrecomputedFallsBackPastSectionDepth(t *testing.T) {
-	g := testGraph(t)
-	path, res := writeTopKFile(t, g, TopKOptions{K: 2})
-	mm, err := OpenSnapshot(path)
+// TestPrecomputedAnswersCompleteListsPastK pins the deep-request contract:
+// a top past the stored k is a section lookup when the query's list is
+// shorter than k — the pipeline ran out of candidates, so the list is the
+// whole answer — and a pipeline run when the list is full. At K = 2 and
+// K = 4, over testGraph and stemGraph, under each bid case, every /rewrite
+// at top 1…K+3 and 100 is byte-equal to a server over the same scores
+// without a section, and the section answers exactly the requests the
+// contract gives it. Then the path is shown on the served bytes: with one
+// byte flipped in a shard's query-score segment, a fresh opening answers
+// that shard's short lists past k without loading the segment (nothing is
+// quarantined), while a full list past k, and top 120 under MaxTop 150 (a
+// pool the section was not built from), load it and quarantine it.
+func TestPrecomputedAnswersCompleteListsPastK(t *testing.T) {
+	deepFromSection, deepFromPipeline, untouchedChecks, touchedChecks := 0, 0, 0, 0
+	for _, gc := range []struct {
+		name string
+		g    *clickgraph.Graph
+	}{{"testGraph", testGraph(t)}, {"stemGraph", stemGraph(t, [4]int{1, 2, 3, 4})}} {
+		g := gc.g
+		for _, k := range []int{2, 4} {
+			for _, bc := range bidCases(g, 0) {
+				t.Run(fmt.Sprintf("%s/K=%d/%s", gc.name, k, bc.name), func(t *testing.T) {
+					path, res := writeTopKFile(t, g, TopKOptions{K: k, BidTerms: bc.bids})
+					mm, err := OpenSnapshot(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer mm.Close()
+					bidHash := BidTermsHash(bc.bids)
+					fast := serverOver(mm, func(c *Config) { c.BidTerms = bc.bids }).Handler()
+					slow := pipelineServer(t, res, bc.bids)
+					tops := []int{100}
+					for top := 1; top <= k+3; top++ {
+						tops = append(tops, top)
+					}
+					for _, top := range tops {
+						if !mm.RewriteSectionUsable(top, bidHash) {
+							t.Fatalf("section refused top %d under its own bid set", top)
+						}
+					}
+					stored := make([]int, g.NumQueries()) // each query's list length
+					for q := range stored {
+						list, ok := mm.PrecomputedRewrites(q, k)
+						if !ok {
+							t.Fatalf("query %d has no list at depth k", q)
+						}
+						stored[q] = len(list)
+						for _, top := range tops {
+							_, hit := mm.PrecomputedRewrites(q, top)
+							if want := top <= k || stored[q] < k; hit != want {
+								t.Fatalf("PrecomputedRewrites(%d, %d) hit = %v with %d of k = %d stored, want %v", q, top, hit, stored[q], k, want)
+							}
+							switch {
+							case top > k && hit:
+								deepFromSection++
+							case top > k:
+								deepFromPipeline++
+							}
+							u := fmt.Sprintf("/rewrite?q=%s&top=%d", url.QueryEscape(g.Query(q)), top)
+							fc, fb := get(t, fast, u)
+							sc, sb := get(t, slow, u)
+							if fc != http.StatusOK || fc != sc || !bytes.Equal(fb, sb) {
+								t.Fatalf("GET %s: section server %d %q, pipeline server %d %q", u, fc, fb, sc, sb)
+							}
+						}
+					}
+					untouched, touched := checkDeepPathsOnCorruptScores(t, path, mm, stored, k, bc.bids)
+					if untouched {
+						untouchedChecks++
+					}
+					if touched {
+						touchedChecks++
+					}
+				})
+			}
+		}
+	}
+	if deepFromSection == 0 || deepFromPipeline == 0 {
+		t.Fatalf("past k, the section answered %d requests and the pipeline %d; the fixtures need both", deepFromSection, deepFromPipeline)
+	}
+	if untouchedChecks == 0 || touchedChecks == 0 {
+		t.Fatalf("%d cases had a short list beside a scored pair, %d also a full one in its shard; the fixtures need both", untouchedChecks, touchedChecks)
+	}
+}
+
+// checkDeepPathsOnCorruptScores flips one byte of the query-score segment
+// of a shard holding a query whose stored list is shorter than k (stored
+// holds each query's list length in probe, the snapshot at path) and
+// checks, on fresh openings of the copy, that the shard's short lists at
+// top k+3 never load the segment, and — when the shard also holds a full
+// list — that the full list at k+3, and a short one at top 120 under
+// MaxTop 150, do. It reports which halves the lists let it check.
+func checkDeepPathsOnCorruptScores(t *testing.T, path string, probe *Snapshot, stored []int, k int, bids map[string]bool) (untouched, touched bool) {
+	t.Helper()
+	var short, full []int // by shard: a query of each kind, -1 for none
+	for range probe.dir {
+		short, full = append(short, -1), append(full, -1)
+	}
+	for q, n := range stored {
+		si := probe.qRoute[q]
+		if n < k && short[si] < 0 {
+			short[si] = q
+		}
+		if n == k && full[si] < 0 {
+			full[si] = q
+		}
+	}
+	si := -1
+	for i := range probe.dir {
+		if short[i] < 0 || probe.dir[i].qPairs == 0 {
+			continue
+		}
+		if si < 0 || full[si] < 0 && full[i] >= 0 {
+			si = i
+		}
+	}
+	if si < 0 {
+		return false, false // every list beside a scored pair is full
+	}
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mm.Close()
-	if mm.RewriteSectionUsable(2, 0) != true || mm.RewriteSectionUsable(3, 0) != false {
-		t.Fatalf("RewriteSectionUsable depth gating broken: k=2 got usable(2)=%v usable(3)=%v",
-			mm.RewriteSectionUsable(2, 0), mm.RewriteSectionUsable(3, 0))
+	e := probe.dir[si]
+	raw[e.qOff+e.qPairs*pairRecordSize/2] ^= 0x40
+	bad := filepath.Join(t.TempDir(), "bad-scores.snap")
+	if err := os.WriteFile(bad, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	fast := serverOver(mm, nil).Handler()
-	slow := pipelineServer(t, res, nil)
-	for q := 0; q < g.NumQueries(); q++ {
-		u := "/rewrite?q=" + g.Query(q) + "&top=5" // beyond k=2 → pipeline
-		fc, fb := get(t, fast, u)
-		sc, sb := get(t, slow, u)
-		if fc != sc || !bytes.Equal(fb, sb) {
-			t.Fatalf("GET %s: section-open server %d %q, pipeline server %d %q", u, fc, fb, sc, sb)
+	// serve opens bad afresh, GETs u from a server over it (maxTop 0 keeps
+	// the default) and returns the quarantined sides.
+	serve := func(u string, maxTop int) []ShardHealth {
+		snap, err := OpenSnapshot(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Close()
+		h := serverOver(snap, func(c *Config) {
+			c.BidTerms = bids
+			if maxTop > 0 {
+				c.MaxTop = maxTop
+			}
+		}).Handler()
+		get(t, h, u)
+		return snap.Quarantined()
+	}
+	rw := func(q, top int) string {
+		return fmt.Sprintf("/rewrite?q=%s&top=%d", url.QueryEscape(probe.Query(q)), top)
+	}
+	for q, n := range stored {
+		if int(probe.qRoute[q]) != si || n == k {
+			continue
+		}
+		if quar := serve(rw(q, k+3), 0); len(quar) != 0 {
+			t.Fatalf("short list of %q at top %d loaded the corrupt segment: %+v", probe.Query(q), k+3, quar)
 		}
 	}
+	if full[si] < 0 {
+		return true, false
+	}
+	for _, c := range []struct {
+		u      string
+		maxTop int
+	}{{rw(full[si], k+3), 0}, {rw(short[si], 120), 150}} {
+		quar := serve(c.u, c.maxTop)
+		if len(quar) != 1 || quar[0].Shard != si || quar[0].Side != "query" {
+			t.Fatalf("GET %s (MaxTop %d) quarantined %+v, want shard %d's query side", c.u, c.maxTop, quar, si)
+		}
+	}
+	return true, true
 }
 
 // TestPrecomputedBidHashMismatch: a server running a different bid set
@@ -321,13 +468,24 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 	}
 	fast := serverOver(next, func(c *Config) { c.BidTerms = bids }).Handler()
 	slow := serverOver(nextBare, func(c *Config) { c.BidTerms = bids }).Handler()
+	deep := 0 // queries the section answers past k
 	for q := 0; q < g1.NumQueries(); q++ {
-		u := "/rewrite?q=" + g1.Query(q) + "&top=5"
-		fc, fb := get(t, fast, u)
-		sc, sb := get(t, slow, u)
-		if fc != sc || !bytes.Equal(fb, sb) {
-			t.Fatalf("after refresh, GET %s: precomputed %d %q, pipeline %d %q", u, fc, fb, sc, sb)
+		// top 8 is past k: a list shorter than 5 answers it from the
+		// section, a full one through the pipeline.
+		for _, top := range []int{5, 8} {
+			u := fmt.Sprintf("/rewrite?q=%s&top=%d", g1.Query(q), top)
+			fc, fb := get(t, fast, u)
+			sc, sb := get(t, slow, u)
+			if fc != sc || !bytes.Equal(fb, sb) {
+				t.Fatalf("after refresh, GET %s: precomputed %d %q, pipeline %d %q", u, fc, fb, sc, sb)
+			}
 		}
+		if _, hit := next.PrecomputedRewrites(q, 8); hit {
+			deep++
+		}
+	}
+	if deep == 0 {
+		t.Fatal("the refreshed section answered no query past k; the fixture needs short lists")
 	}
 
 	// A refresh under a different bid set than the section was built
@@ -461,7 +619,8 @@ func TestTopKBlobCorruptionFallsBack(t *testing.T) {
 		t.Fatalf("open with corrupt blob should succeed (lazy load): %v", err)
 	}
 	defer snap.Close()
-	srv := serverOver(snap, nil)
+	// The default depth is within k, so /stats reports the section serving.
+	srv := serverOver(snap, func(c *Config) { c.DefaultTop = 3 })
 	h := srv.Handler()
 
 	clean := pipelineServer(t, res, nil)
@@ -489,5 +648,17 @@ func TestTopKBlobCorruptionFallsBack(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), `"degraded"`) {
 		t.Fatalf("/readyz body %q, want degraded", rec.Body.String())
+	}
+	// /stats says the parameters match — topk_section.serving stays true —
+	// and reports the blob under quarantined, side "topk".
+	var stats StatsResponse
+	if _, raw := get(t, h, "/stats"); json.Unmarshal(raw, &stats) != nil {
+		t.Fatalf("bad /stats body %q", raw)
+	}
+	if ts := stats.TopKSection; ts == nil || !ts.Present || !ts.Serving {
+		t.Errorf("topk_section = %+v with the blob quarantined, want present and serving", ts)
+	}
+	if len(stats.Quarantined) != len(qs) || stats.Quarantined[0].Side != "topk" {
+		t.Errorf("/stats quarantined = %+v, want the topk side", stats.Quarantined)
 	}
 }
