@@ -234,6 +234,8 @@ func (r *fleetRun) dispatchShard(ctx context.Context, l *Lease) (*SegmentRespons
 		Backoff:  r.backoff,
 		Tracker:  r.lat,
 		Pick:     r.pickWorker,
+		// dispatchOnce's exchange is made under lctx, so it returns as
+		// soon as the launch is cancelled, as hedge.Do asks of Send.
 		Send: func(lctx context.Context, w *workerState) (*SegmentResponse, error) {
 			resp, err := r.dispatchOnce(lctx, w, leaseBytes)
 			if err == nil {

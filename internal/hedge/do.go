@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -26,6 +27,12 @@ type Call[T comparable, R any] struct {
 	// context, and marks the target healthy or failed as the caller
 	// sees fit. A launch cancelled because the round's other launch
 	// answered first has ErrLost as its context.Cause.
+	//
+	// Send must return soon after its context ends, as a net/http round
+	// trip and body read made under it do: a round's primary runs on Do's
+	// own goroutine. A Send that ignores cancellation delays Do's return
+	// until it does, but never changes the answer — a second copy that
+	// answered first still wins, and the late success goes to Discard.
 	Send func(ctx context.Context, target T) (R, error)
 	// Discard, if set, is handed a success that arrived after the call
 	// was decided, to release what it holds.
@@ -63,13 +70,16 @@ var (
 // Do runs the call until one launch succeeds: up to Attempts rounds,
 // round n > 1 first sleeping Backoff's delay for n-1 floored at the
 // Retry-After hint of the failure before it. A round sends to one
-// picked target and, when Tracker is armed, to a second, different one
-// once the first has been out for Tracker.Delay() — or at once if the
-// first has already failed. The first success wins: its latency is
-// recorded, the other launch is cancelled before Do returns and drained
-// in the background, and the winner's context lives until Release. A
-// round with no target to pick ends the call without spending the
-// rounds left; the caller's context ending ends it with that error.
+// picked target on the caller's goroutine and, when Tracker is armed,
+// to a second, different one once the first has been out for
+// Tracker.Delay() — on a goroutine of its own, started by the timer —
+// or at once if the first has already failed. The first success wins:
+// the other launch is cancelled with ErrLost before Do returns, a
+// success it delivers after that goes to Discard, and the winner's
+// context lives until Release. Every successful launch's latency is
+// recorded. A round with no target to pick ends the call without
+// spending the rounds left; the caller's context ending ends it with
+// that error.
 func Do[T comparable, R any](ctx context.Context, c Call[T, R]) (Result[R], error) {
 	var last error
 	for round := 1; round <= c.Attempts; round++ {
@@ -98,99 +108,162 @@ func Do[T comparable, R any](ctx context.Context, c Call[T, R]) (Result[R], erro
 	return Result[R]{}, fmt.Errorf("all %d attempts failed: %w", c.Attempts, last)
 }
 
-// round is one dispatch round; its error is the first launch failure,
-// the context's, or ErrNoTarget.
+// round is one dispatch round; its error is the first launch failure —
+// the context's error, when the caller's context ending failed it — or
+// ErrNoTarget.
 func (c *Call[T, R]) round(ctx context.Context) (Result[R], error) {
 	var none T
 	primary, ok := c.Pick(none)
 	if !ok {
 		return Result[R]{}, ErrNoTarget
 	}
-	type outcome struct {
-		val R
-		err error
-		idx int // 0 the primary, 1 the second copy
-	}
-	// A slot per launch: none blocks on a round that has returned.
-	results := make(chan outcome, 2)
-	var cancels [2]context.CancelCauseFunc // of the launches still out
-	out := 0
-	launch := func(idx int, target T) {
-		lctx, cancel := context.WithCancelCause(ctx)
-		cancels[idx] = cancel
-		out++
-		go func() {
-			start := time.Now()
-			val, err := c.Send(lctx, target)
-			if err == nil {
-				c.Tracker.Record(time.Since(start))
-			}
-			results <- outcome{val, err, idx}
-		}()
-	}
-	// On the way out, whatever is still out is cancelled — with ErrLost
-	// as the cause when the round was won — and drained in the background.
-	var cause error
-	defer func() {
-		if out == 0 {
-			return
-		}
-		for _, cancel := range cancels {
-			if cancel != nil {
-				cancel(cause)
-			}
-		}
-		go func(n int) {
-			for ; n > 0; n-- {
-				if o := <-results; o.err == nil && c.Discard != nil {
-					c.Discard(o.val)
-				}
-			}
-		}(out)
-	}()
-
-	launch(0, primary)
-	var timer <-chan time.Time
+	r := &roundState[T, R]{c: *c, ctx: ctx, primary: primary}
+	pctx, pcancel := context.WithCancelCause(ctx)
+	r.pcancel = pcancel
 	if delay, ok := c.Tracker.Delay(); ok {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		timer = t.C
+		r.timer = time.AfterFunc(delay, r.fire)
+	} else {
+		r.tried = true // unarmed: the round has no second copy
 	}
-	// hedge launches the round's second copy; it is tried once.
-	hedge := func() bool {
-		timer = nil
-		secondary, ok := c.Pick(primary)
-		if !ok || secondary == primary {
-			return false
+	val, err := c.send(pctx, primary)
+	if r.timer != nil {
+		// Whatever happens next, the wait is over.
+		r.timer.Stop()
+	}
+
+	r.mu.Lock()
+	if r.decided {
+		// The second copy answered first and cancelled this launch.
+		r.mu.Unlock()
+		if err == nil && c.Discard != nil {
+			c.Discard(val)
 		}
-		c.Hedged(primary, secondary)
-		launch(1, secondary)
-		return true
+		o := <-r.second
+		return Result[R]{Value: o.val, Hedged: true, cancel: r.scancel}, nil
 	}
-	var first error
-	for {
-		select {
-		case <-ctx.Done():
-			return Result[R]{}, ctx.Err()
-		case <-timer:
-			hedge()
-		case o := <-results:
-			out--
-			cancel := cancels[o.idx]
-			cancels[o.idx] = nil
-			if o.err == nil {
-				cause = ErrLost
-				return Result[R]{Value: o.val, Hedged: o.idx == 1, cancel: cancel}, nil
-			}
-			cancel(nil)
-			if first == nil {
-				first = o.err
-			}
-			// The primary failed with the timer still armed: the second
-			// copy goes out now rather than after the wait.
-			if out == 0 && (timer == nil || !hedge()) {
-				return Result[R]{}, first
-			}
+	if err == nil {
+		r.decided = true
+		scancel := r.scancel
+		r.mu.Unlock()
+		if scancel != nil {
+			scancel(ErrLost)
 		}
+		return Result[R]{Value: val, cancel: pcancel}, nil
 	}
+	pcancel(nil)
+	if r.first == nil {
+		r.first = err
+	}
+	if out := r.second; out != nil {
+		// The timer has the second copy out: its outcome ends the round.
+		r.mu.Unlock()
+		if o := <-out; o.err == nil {
+			return Result[R]{Value: o.val, Hedged: true, cancel: r.scancel}, nil
+		}
+		return Result[R]{}, r.first
+	}
+	// The primary failed with the timer still armed: the second copy goes
+	// out now, on this goroutine, rather than after the wait.
+	target, sctx, ok := r.pickSecond()
+	first := r.first
+	r.mu.Unlock()
+	if !ok {
+		return Result[R]{}, first
+	}
+	if val, err = c.send(sctx, target); err != nil {
+		r.scancel(nil)
+		return Result[R]{}, first
+	}
+	return Result[R]{Value: val, Hedged: true, cancel: r.scancel}, nil
+}
+
+// roundState is what a round's two launches share. The primary runs on
+// the caller's goroutine; the second copy runs on the goroutine the hedge
+// timer starts, or on the caller's once the primary has failed. mu orders
+// them: the round is decided, and the second copy picked and announced
+// (Pick, Hedged), under it — so Pick is never called concurrently.
+type roundState[T comparable, R any] struct {
+	c       Call[T, R]
+	ctx     context.Context // the caller's
+	primary T
+	pcancel context.CancelCauseFunc
+	timer   *time.Timer // nil when Tracker is unarmed
+
+	mu      sync.Mutex
+	decided bool                    // a launch has won the round
+	tried   bool                    // the second copy has had its one chance
+	first   error                   // the round's first launch failure
+	scancel context.CancelCauseFunc // the second copy's, once launched
+	second  chan outcome[R]         // its outcome, when the timer launched it
+}
+
+// outcome is what one launch's Send returned.
+type outcome[R any] struct {
+	val R
+	err error
+}
+
+// fire is the hedge timer's callback: it runs the second copy on the
+// timer's goroutine, unless the round is decided or the copy has had its
+// chance. A success that decides the round cancels the primary with
+// ErrLost; one that comes after the primary's goes to Discard.
+func (r *roundState[T, R]) fire() {
+	r.mu.Lock()
+	target, ctx, ok := r.pickSecond()
+	if ok {
+		r.second = make(chan outcome[R], 1)
+	}
+	r.mu.Unlock()
+	if !ok {
+		return
+	}
+	val, err := r.c.send(ctx, target)
+	r.mu.Lock()
+	lost := r.decided
+	if err == nil {
+		r.decided = true
+	} else if r.first == nil {
+		r.first = err
+	}
+	r.mu.Unlock()
+	switch {
+	case lost:
+		// The primary answered first and cancelled this launch; the
+		// caller is gone.
+		if err == nil && r.c.Discard != nil {
+			r.c.Discard(val)
+		}
+		return
+	case err == nil:
+		r.pcancel(ErrLost)
+	default:
+		r.scancel(nil)
+	}
+	r.second <- outcome[R]{val, err}
+}
+
+// pickSecond gives the round its one chance at a second copy, under r.mu:
+// none once the round is decided or the caller's context has ended. It
+// returns the target and the launch's context.
+func (r *roundState[T, R]) pickSecond() (target T, ctx context.Context, ok bool) {
+	if r.decided || r.tried || r.ctx.Err() != nil {
+		return target, nil, false
+	}
+	r.tried = true
+	if target, ok = r.c.Pick(r.primary); !ok || target == r.primary {
+		return target, nil, false
+	}
+	r.c.Hedged(r.primary, target)
+	ctx, r.scancel = context.WithCancelCause(r.ctx)
+	return target, ctx, true
+}
+
+// send runs one launch, recording its latency when it succeeds.
+func (c *Call[T, R]) send(ctx context.Context, target T) (R, error) {
+	start := time.Now()
+	val, err := c.Send(ctx, target)
+	if err == nil {
+		c.Tracker.Record(time.Since(start))
+	}
+	return val, err
 }

@@ -17,8 +17,9 @@ type fakeTarget struct {
 	name string
 	// wait is how long Send takes; it returns early, with the context's
 	// error, when its launch is cancelled — unless deaf is set, which
-	// models a reply already on the wire when the cancel lands. err, if
-	// set, is what it then fails with.
+	// models a Send that breaks Call.Send's contract and ignores the
+	// cancel, or a reply already on the wire when it lands. err, if set,
+	// is what it then fails with.
 	wait time.Duration
 	deaf bool
 	err  error
@@ -69,8 +70,8 @@ func samples(tr *Tracker) int {
 	return len(tr.samples)
 }
 
-// waitFor polls cond for up to a second; the background drain and the
-// launches it waits for finish in milliseconds.
+// waitFor polls cond for up to a second; the second copies and late
+// discards it waits for finish in milliseconds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(time.Second); !cond(); time.Sleep(time.Millisecond) {
@@ -108,6 +109,7 @@ func TestDo(t *testing.T) {
 		retried   int      // Retried calls
 		hedges    []string // Hedged calls, "primary>secondary"
 		discarded []string // values handed to Discard, eventually
+		latencies int      // successes recorded by the time Do returns; 0 is 1
 		min, max  time.Duration
 	}{
 		{
@@ -136,15 +138,40 @@ func TestDo(t *testing.T) {
 			hedges: []string{"a>b"}, max: time.Second,
 		},
 		{
-			// a's reply is already on the wire: it succeeds 150ms in
-			// whatever happens to its context, after Do has answered.
+			// The primary runs on Do's goroutine and honours its cancel:
+			// the second copy's answer at the hedge delay ends it.
+			name:       "straggler overtaken at the hedge delay, loser cancelled before return",
+			hedgeAfter: 10 * time.Millisecond,
+			targets:    []*fakeTarget{{name: "a", wait: time.Minute}, {name: "b"}},
+			value:      "b", round: 1, hedged: true,
+			calls: []int{1, 1}, loser: "a",
+			hedges: []string{"a>b"},
+			min:    10 * time.Millisecond, max: time.Second,
+		},
+		{
+			// a is deaf: it succeeds 150ms in whatever happens to its
+			// context, and holds Do — whose goroutine it runs on — until
+			// then. The answer is still b's, and a's success is discarded.
 			name:       "straggler hedged, loser cancelled before return, its late success discarded",
 			hedgeAfter: 10 * time.Millisecond,
 			targets:    []*fakeTarget{{name: "a", wait: straggle, deaf: true}, {name: "b"}},
 			value:      "b", round: 1, hedged: true,
 			calls: []int{1, 1}, loser: "a",
 			hedges: []string{"a>b"}, discarded: []string{"a"},
-			min: 10 * time.Millisecond, max: straggle,
+			latencies: 2,
+			min:       straggle, max: straggle + time.Second,
+		},
+		{
+			// The primary answers while the second copy is out: b is told
+			// ErrLost, and its deaf late success is discarded after Do
+			// has answered.
+			name:       "primary answers after the hedge launched, the second copy's late success discarded",
+			hedgeAfter: 10 * time.Millisecond,
+			targets:    []*fakeTarget{{name: "a", wait: 40 * time.Millisecond}, {name: "b", wait: straggle, deaf: true}},
+			value:      "a", round: 1,
+			calls: []int{1, 1}, loser: "b",
+			hedges: []string{"a>b"}, discarded: []string{"b"},
+			min: 40 * time.Millisecond, max: straggle,
 		},
 		{
 			name:       "one target never hedges onto itself",
@@ -165,7 +192,8 @@ func TestDo(t *testing.T) {
 			retried: 2,
 		},
 		{
-			// Both launches are out when the cancel lands.
+			// Both launches are out when the cancel lands: the primary on
+			// Do's goroutine, the second copy on the timer's.
 			name:        "caller's context cancelled mid-round",
 			hedgeAfter:  time.Millisecond,
 			targets:     []*fakeTarget{{name: "a", wait: time.Minute}, {name: "b", wait: time.Minute}},
@@ -258,8 +286,8 @@ func TestDo(t *testing.T) {
 				if winner.Err() == nil {
 					t.Error("winner's context still live after Release")
 				}
-				if got := samples(tr) - before; got != 1 {
-					t.Errorf("%d latencies recorded, want the winner's", got)
+				if got, want := samples(tr)-before, max(tc.latencies, 1); got != want {
+					t.Errorf("%d latencies recorded, want %d", got, want)
 				}
 			}
 			if elapsed < tc.min || (tc.max > 0 && elapsed >= tc.max) {
@@ -275,8 +303,109 @@ func TestDo(t *testing.T) {
 			})
 		})
 	}
-	// Nothing any case started is left behind: launches, drains, timers.
+	// Nothing any case started is left behind: second copies, timers.
 	waitFor(t, "goroutines to return to the baseline", func() bool {
 		return runtime.NumGoroutine() <= baseline
 	})
+}
+
+// TestDoPrimaryFailsWhileTimerFires fails the primary as the hedge timer
+// launches the second copy: with the timer's callback inside Pick, holding
+// the round, and with the two racing at the hedge delay. Either the timer
+// or Do's goroutine picks the second copy, never both: Pick is called
+// twice in the round, Hedged once, and the second copy answers.
+func TestDoPrimaryFailsWhileTimerFires(t *testing.T) {
+	errDown := errors.New("target down")
+	const delay = 2 * time.Millisecond
+	baseline := runtime.NumGoroutine()
+	for _, holds := range []bool{true, false} {
+		for range 20 {
+			a, b := &fakeTarget{name: "a"}, &fakeTarget{name: "b"}
+			firing := make(chan struct{})
+			var picks, hedges int
+			res, err := Do(context.Background(), Call[*fakeTarget, string]{
+				Attempts: 1,
+				Tracker:  armed(delay),
+				Pick: func(exclude *fakeTarget) (*fakeTarget, bool) {
+					picks++
+					if exclude == nil {
+						return a, true
+					}
+					if holds {
+						close(firing)
+						time.Sleep(delay) // the primary fails meanwhile
+					}
+					return b, true
+				},
+				Send: func(ctx context.Context, f *fakeTarget) (string, error) {
+					if f == b {
+						return f.send(ctx)
+					}
+					if holds {
+						<-firing
+					} else {
+						time.Sleep(delay)
+					}
+					return "", errDown
+				},
+				Hedged: func(_, _ *fakeTarget) { hedges++ },
+			})
+			if err != nil || res.Value != "b" || !res.Hedged {
+				t.Fatalf("holds=%v: Do = %+v, %v; want b from the second copy", holds, res, err)
+			}
+			res.Release()
+			if picks != 2 || hedges != 1 {
+				t.Fatalf("holds=%v: %d Pick and %d Hedged calls, want 2 and 1", holds, picks, hedges)
+			}
+		}
+	}
+	waitFor(t, "goroutines to return to the baseline", func() bool {
+		return runtime.NumGoroutine() <= baseline
+	})
+}
+
+// TestDoHealthyRoundCost holds what a round whose primary answers costs:
+// no goroutine — the primary runs on Do's own, and an armed hedge timer
+// has none until it fires — and a fixed handful of allocations (the
+// round's state, the launch's context, the timer).
+func TestDoHealthyRoundCost(t *testing.T) {
+	cases := []struct {
+		name      string
+		tracker   *Tracker
+		maxAllocs float64
+	}{
+		{"unarmed", &Tracker{MinSamples: 1 << 30}, 3},
+		{"armed", armed(time.Minute), 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var inside int
+			call := Call[string, string]{
+				Attempts: 1,
+				Tracker:  tc.tracker,
+				Pick:     func(string) (string, bool) { return "a", true },
+				Send: func(context.Context, string) (string, error) {
+					inside = runtime.NumGoroutine()
+					return "a", nil
+				},
+				Hedged: func(_, _ string) { t.Error("a healthy round hedged") },
+			}
+			entry := runtime.NumGoroutine()
+			res, err := Do(context.Background(), call)
+			if err != nil || res.Value != "a" {
+				t.Fatalf("Do = %+v, %v", res, err)
+			}
+			res.Release()
+			if inside != entry {
+				t.Errorf("%d goroutines inside Send, %d at Do's entry", inside, entry)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				res, _ := Do(context.Background(), call)
+				res.Release()
+			})
+			if allocs > tc.maxAllocs {
+				t.Errorf("a healthy round allocates %.0f times, want at most %.0f", allocs, tc.maxAllocs)
+			}
+		})
+	}
 }

@@ -1,11 +1,16 @@
 // Package hedge is the fleet's one retry / hedge / backoff loop. Do
 // (do.go) makes a call against a set of interchangeable targets: it
 // runs the rounds, sleeps the capped equal-jitter backoff between them
-// floored at the Retry-After the failed target sent, arms the straggler
-// timer from the completed-request latency window, launches the second
-// copy when it fires (or at once, when the first copy has already
-// failed), takes the first success, cancels and drains the loser, and
-// keeps the winner's context alive until the caller releases it. Both
+// floored at the Retry-After the failed target sent, sends a round's first
+// copy on the caller's own goroutine, arms the straggler timer from the
+// completed-request latency window, launches the second copy on a
+// goroutine of its own when it fires (or on the caller's, at once, when
+// the first copy has already failed), takes the first success, cancels
+// the loser and discards its late success, and keeps the winner's context
+// alive until the caller releases it. A healthy round thus costs a timer,
+// not a goroutine; the price is a contract on the call itself, that it
+// returns soon after its context ends (Call.Send), which a net/http
+// exchange made under that context keeps. Both
 // halves of the fleet call it — the refresh coordinator (internal/dist)
 // leasing a dirty shard to a worker, the read gateway (internal/route)
 // relaying a read to a replica — so they back off and hedge in the same

@@ -49,9 +49,11 @@ func (d *discard) WriteHeader(int)             {}
 // relayed read costs the gateway in heap allocations, transport and
 // socket excluded (the canned transport's own Response, Header and body
 // reader are included: 6; so is the batch's httptest.NewRequest: 11). The
-// bounds are what this code reaches on go1.24 — 45 and 99 — and a little
-// room for a toolchain's own drift; the relay that decoded a sub-response
-// and re-joined it, and read every body twice, measured 51 and 143.
+// bounds are what this code reaches on go1.24: 41 and 95, the batch 98
+// under the race detector, which the bound admits. The relay whose
+// hedge.Do ran every launch on a goroutine of its own, with a channel and
+// a timer channel, measured 45 and 99; the one that decoded a sub-response
+// and re-joined it, and read every body twice, 51 and 143.
 func TestGatewayAllocationsPerRead(t *testing.T) {
 	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
 	defer snap.Close()
@@ -85,7 +87,7 @@ func TestGatewayAllocationsPerRead(t *testing.T) {
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(batch)))
 	})
 	t.Logf("allocations: relayed GET /rewrite %.0f, relayed 8-query POST /batch %.0f", perGet, perBatch)
-	const maxGet, maxBatch = 47, 102
+	const maxGet, maxBatch = 41, 98
 	if perGet > maxGet {
 		t.Errorf("a relayed GET /rewrite allocates %.0f times, want at most %d", perGet, maxGet)
 	}

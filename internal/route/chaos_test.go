@@ -374,3 +374,45 @@ func TestChaosReplicaDiesDuringHedgedRead(t *testing.T) {
 		t.Error("failover not counted")
 	}
 }
+
+// TestChaosHedgeInRoundTwoCountsOneFailover pins what failovers counts:
+// answers that needed a second replica, not the ways they needed one. Round
+// 1 fails on both replicas (the primary, then its at-once hedge), and round
+// 2's hedge answers: one answer, one failover.
+func TestChaosHedgeInRoundTwoCountsOneFailover(t *testing.T) {
+	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
+	defer snap.Close()
+	r0 := startReplica(t, snap, 1)
+	r1 := startReplica(t, snap, 1)
+	inj := faultfs.NewHTTPInjector()
+	gw := newGateway(t, Options{
+		Transport:     inj.Transport(nil),
+		HedgeQuantile: 0.5,
+		HedgeAfter:    time.Second,
+		Logf:          chaosLogf(t),
+	}, r0, r1)
+	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
+
+	const u = "/rewrite?q=c0-q1&top=3"
+	_, golden := directGet(t, r1.ts.URL+u)
+	primeHedge(t, gw, u)
+
+	inj.Drop(hostOf(t, r0.ts.URL), 2) // both of r0's rounds
+	inj.Drop(hostOf(t, r1.ts.URL), 1) // round 1's hedge
+	setPrimary(gw, 0)
+	failovers, retries, hedges := gw.failovers.Load(), gw.retries.Load(), gw.hedges.Load()
+
+	code, _, body := get(t, gw.Handler(), u)
+	if code != http.StatusOK || !bytes.Equal(body, golden) {
+		t.Fatalf("read = %d %q, want 200 golden", code, body)
+	}
+	if got := gw.retries.Load() - retries; got != 1 {
+		t.Errorf("%d retries, want 1 (round 2)", got)
+	}
+	if got := gw.hedges.Load() - hedges; got != 2 {
+		t.Errorf("%d hedges, want 2 (one a round)", got)
+	}
+	if got := gw.failovers.Load() - failovers; got != 1 {
+		t.Errorf("failovers rose by %d for one answer, want 1", got)
+	}
+}

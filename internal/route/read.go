@@ -185,6 +185,10 @@ func (gw *Gateway) fetchFailover(ctx context.Context, order []*backendState, met
 			}
 			return nil, false
 		},
+		// The round trip and the buffered body read are made under lctx,
+		// so a fetch returns as soon as its launch is cancelled: what
+		// hedge.Do asks of Send, whose primary runs on this handler's
+		// goroutine.
 		Send: func(lctx context.Context, b *backendState) (proxied, error) {
 			resp, err := gw.fetchOne(lctx, b, method, path, rawQuery, reqBody)
 			// A fetch that ended because the inbound request did (the
@@ -208,10 +212,8 @@ func (gw *Gateway) fetchFailover(ctx context.Context, order []*backendState, met
 	if err != nil {
 		return proxied{}, fmt.Errorf("route: %w", err)
 	}
-	if res.Round > 1 {
-		gw.failovers.Add(1)
-	}
-	if res.Hedged {
+	// One answer, one count, however many replicas it took.
+	if res.Round > 1 || res.Hedged {
 		gw.failovers.Add(1)
 	}
 	resp := res.Value
