@@ -62,6 +62,40 @@ func TestFormatGoldensPresent(t *testing.T) {
 	t.Fatalf("wrote missing format goldens %v into %s with this build's encoders: review and commit them", missing, dir)
 }
 
+// TestFormatGoldensReencode pins the encoders: this build writes every
+// golden again and must reproduce the frozen bytes, apart from the fields
+// that hold the time of writing and the CRCs over them.
+func TestFormatGoldensReencode(t *testing.T) {
+	clock := map[string][][2]int{
+		"fig3.v3.snap":    {{128, 136}, {196, 200}}, // generated_at, header CRC
+		"gen-00000001.mf": {{40, 48}, {52, 56}},     // created-at, manifest CRC
+	}
+	fresh := writeFormatGoldens(t)
+	for _, name := range formatGoldens {
+		want, err := os.ReadFile(filepath.Join("testdata", "formats", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(fresh, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: re-encoded to %d bytes, frozen %d", name, len(got), len(want))
+			continue
+		}
+		for _, r := range clock[name] {
+			copy(got[r[0]:r[1]], want[r[0]:r[1]])
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: byte %d re-encoded as %#02x, frozen %#02x", name, i, got[i], want[i])
+				break
+			}
+		}
+	}
+}
+
 // formatRecords are what the goldens ingest on top of fig3: a new
 // disconnected component (folded), then records left in the WAL.
 var formatRecords = []ingest.Record{

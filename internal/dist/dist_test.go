@@ -3,8 +3,11 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"simrankpp/internal/clickgraph"
@@ -234,6 +237,31 @@ func TestLeaseDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeLease(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("decode accepted a lease with trailing bytes")
+	}
+}
+
+// TestDecodeLeaseBoundsCountsByBytesLeft: a 46-byte lease whose CRC holds
+// but which claims 2^24 queries is refused before anything the size of the
+// claim is allocated — a worker decodes whatever is POSTed to it.
+func TestDecodeLeaseBoundsCountsByBytesLeft(t *testing.T) {
+	b := []byte(leaseMagic)
+	b = binary.LittleEndian.AppendUint64(b, 1) // generation
+	b = binary.LittleEndian.AppendUint32(b, 0) // shard
+	b = binary.LittleEndian.AppendUint64(b, 1) // fingerprint
+	b = binary.LittleEndian.AppendUint32(b, 2)
+	b = append(b, "{}"...)
+	b = binary.LittleEndian.AppendUint32(b, 1<<24) // queries
+	b = binary.LittleEndian.AppendUint32(b, 0)     // ads
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeLease(b)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decode accepted a 46-byte lease claiming 2^24 queries")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing a %d-byte lease allocated %d bytes", len(b), grew)
 	}
 }
 

@@ -14,39 +14,31 @@
 package dist
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"math"
 
 	"simrankpp/internal/core"
+	"simrankpp/internal/frame"
 )
 
-// Wire formats (all integers little-endian).
+// Wire formats: each message is one internal/frame frame.
 //
 // A lease ("SRPPLEA1") is one dirty shard's complete work order: the
 // shard's induced subgraph (names in subview-local = ascending-global
 // order, edges with all three weight channels), the global id maps the
 // response's segments must be keyed by, the engine configuration as
 // JSON, and optional warm-start pairs drawn from the previous
-// generation. A trailing CRC32 covers every preceding byte.
+// generation.
 //
 // A segment response ("SRPPSEG1") echoes the lease identity
 // (generation, shard, fingerprint), reports the shard run's iteration
 // count and convergence, and carries the two encoded score segments —
-// the exact bytes serve.AssembleRefresh stores — each with its own
-// CRC32, plus a whole-message CRC32 trailer.
+// the exact bytes serve.AssembleRefresh stores — each with the CRC32 the
+// snapshot directory records for it.
 
 const (
 	leaseMagic    = "SRPPLEA1"
 	responseMagic = "SRPPSEG1"
-
-	// maxWireNodes/maxWireEdges/maxWirePairs bound decoded counts so a
-	// corrupt or hostile length prefix cannot drive an allocation bomb.
-	maxWireNodes = 1 << 28
-	maxWireEdges = 1 << 30
-	maxWirePairs = 1 << 30
 )
 
 // WireEdge is one subgraph edge in worker-local ids with every weight
@@ -102,112 +94,7 @@ type SegmentResponse struct {
 	AdCRC       uint32
 }
 
-// wireWriter accumulates an encoding; the CRC trailer is appended last
-// over everything before it.
-type wireWriter struct{ buf []byte }
-
-func (w *wireWriter) bytes(b []byte) { w.buf = append(w.buf, b...) }
-func (w *wireWriter) u8(v uint8)     { w.buf = append(w.buf, v) }
-func (w *wireWriter) u32(v uint32)   { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *wireWriter) u64(v uint64)   { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *wireWriter) f64(v float64)  { w.u64(math.Float64bits(v)) }
-func (w *wireWriter) str(s string) {
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-func (w *wireWriter) finish() []byte {
-	return binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(w.buf))
-}
-
-// wireReader decodes with bounds checks; any overrun marks err and
-// every later read returns zero values, so decoders check err once.
-type wireReader struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *wireReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.pos+n > len(r.buf) {
-		r.fail("dist: truncated message (want %d bytes at offset %d of %d)", n, r.pos, len(r.buf))
-		return nil
-	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *wireReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *wireReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *wireReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *wireReader) str() string {
-	if r.err != nil {
-		return ""
-	}
-	n, sz := binary.Uvarint(r.buf[r.pos:])
-	if sz <= 0 || n > uint64(len(r.buf)) {
-		r.fail("dist: bad string length at offset %d", r.pos)
-		return ""
-	}
-	r.pos += sz
-	return string(r.take(int(n)))
-}
-
-// count reads a u32 length prefix bounded by max.
-func (r *wireReader) count(what string, max int) int {
-	n := r.u32()
-	if r.err == nil && int64(n) > int64(max) {
-		r.fail("dist: %s count %d exceeds limit %d", what, n, max)
-	}
-	return int(n)
-}
-
-// checkTrailer verifies buf ends with a CRC32 over the rest and returns
-// the payload without it.
-func checkTrailer(buf []byte, what string) ([]byte, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("dist: %s too short for a CRC trailer (%d bytes)", what, len(buf))
-	}
-	body, trailer := buf[:len(buf)-4], buf[len(buf)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(trailer); got != want {
-		return nil, fmt.Errorf("dist: %s CRC mismatch (got %08x want %08x) — corrupt in transit", what, got, want)
-	}
-	return body, nil
-}
-
-// Encode serializes the lease with its CRC trailer.
+// Encode serializes the lease as a sealed frame.
 func (l *Lease) Encode() ([]byte, error) {
 	if len(l.QueryNames) != len(l.QueryIDs) || len(l.AdNames) != len(l.AdIDs) {
 		return nil, fmt.Errorf("dist: lease name/id lists disagree (%d/%d queries, %d/%d ads)",
@@ -217,117 +104,88 @@ func (l *Lease) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: encoding lease config: %w", err)
 	}
-	w := &wireWriter{}
-	w.bytes([]byte(leaseMagic))
-	w.u64(l.Generation)
-	w.u32(l.Shard)
-	w.u64(l.Fingerprint)
-	w.u32(uint32(len(cfgJSON)))
-	w.bytes(cfgJSON)
-	w.u32(uint32(len(l.QueryNames)))
-	w.u32(uint32(len(l.AdNames)))
+	e := frame.Append(nil, leaseMagic)
+	e.U64(l.Generation)
+	e.U32(l.Shard)
+	e.U64(l.Fingerprint)
+	e.U32(uint32(len(cfgJSON)))
+	e.Raw(cfgJSON)
+	e.U32(uint32(len(l.QueryNames)))
+	e.U32(uint32(len(l.AdNames)))
 	for _, s := range l.QueryNames {
-		w.str(s)
+		e.Str(s)
 	}
 	for _, s := range l.AdNames {
-		w.str(s)
+		e.Str(s)
 	}
 	for _, id := range l.QueryIDs {
-		w.u32(uint32(id))
+		e.U32(uint32(id))
 	}
 	for _, id := range l.AdIDs {
-		w.u32(uint32(id))
+		e.U32(uint32(id))
 	}
-	w.u32(uint32(len(l.Edges)))
-	for _, e := range l.Edges {
-		w.u32(e.Q)
-		w.u32(e.A)
-		w.u64(uint64(e.Impressions))
-		w.u64(uint64(e.Clicks))
-		w.f64(e.Rate)
+	e.U32(uint32(len(l.Edges)))
+	for _, edge := range l.Edges {
+		e.U32(edge.Q)
+		e.U32(edge.A)
+		e.U64(uint64(edge.Impressions))
+		e.U64(uint64(edge.Clicks))
+		e.F64(edge.Rate)
 	}
 	for _, pairs := range [2][]WirePair{l.WarmQuery, l.WarmAd} {
-		w.u32(uint32(len(pairs)))
+		e.U32(uint32(len(pairs)))
 		for _, p := range pairs {
-			w.u32(p.I)
-			w.u32(p.J)
-			w.f64(p.Score)
+			e.U32(p.I)
+			e.U32(p.J)
+			e.F64(p.Score)
 		}
 	}
-	return w.finish(), nil
+	return e.Seal(), nil
 }
 
 // DecodeLease parses and validates a lease message.
 func DecodeLease(buf []byte) (*Lease, error) {
-	body, err := checkTrailer(buf, "lease")
+	d, err := frame.Open(buf, leaseMagic)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: lease: %w", err)
 	}
-	r := &wireReader{buf: body}
-	if magic := r.take(8); r.err != nil || string(magic) != leaseMagic {
-		return nil, fmt.Errorf("dist: bad lease magic")
-	}
-	l := &Lease{}
-	l.Generation = r.u64()
-	l.Shard = r.u32()
-	l.Fingerprint = r.u64()
-	cfgJSON := r.take(r.count("config", 1<<20))
-	if r.err == nil {
-		if err := json.Unmarshal(cfgJSON, &l.Config); err != nil {
-			return nil, fmt.Errorf("dist: decoding lease config: %w", err)
-		}
-	}
-	nq := r.count("query", maxWireNodes)
-	na := r.count("ad", maxWireNodes)
-	if r.err != nil {
-		return nil, r.err
-	}
+	l := &Lease{Generation: d.U64(), Shard: d.U32(), Fingerprint: d.U64()}
+	cfgJSON := d.Raw(int(d.U32()))
+	// A node takes at least a one-byte name and a four-byte id.
+	nq := d.Count(uint64(d.U32()), "query", 5)
+	na := d.Count(uint64(d.U32()), "ad", 5)
 	l.QueryNames = make([]string, nq)
 	for i := range l.QueryNames {
-		l.QueryNames[i] = r.str()
+		l.QueryNames[i] = d.Str()
 	}
 	l.AdNames = make([]string, na)
 	for i := range l.AdNames {
-		l.AdNames[i] = r.str()
+		l.AdNames[i] = d.Str()
 	}
 	l.QueryIDs = make([]int, nq)
 	for i := range l.QueryIDs {
-		l.QueryIDs[i] = int(r.u32())
+		l.QueryIDs[i] = int(d.U32())
 	}
 	l.AdIDs = make([]int, na)
 	for i := range l.AdIDs {
-		l.AdIDs[i] = int(r.u32())
+		l.AdIDs[i] = int(d.U32())
 	}
-	ne := r.count("edge", maxWireEdges)
-	if r.err != nil {
-		return nil, r.err
-	}
-	l.Edges = make([]WireEdge, ne)
+	l.Edges = make([]WireEdge, d.Count(uint64(d.U32()), "edge", 32))
 	for i := range l.Edges {
-		l.Edges[i] = WireEdge{
-			Q:           r.u32(),
-			A:           r.u32(),
-			Impressions: int64(r.u64()),
-			Clicks:      int64(r.u64()),
-			Rate:        r.f64(),
-		}
+		l.Edges[i] = WireEdge{Q: d.U32(), A: d.U32(), Impressions: int64(d.U64()), Clicks: int64(d.U64()), Rate: d.F64()}
 	}
 	for _, dst := range [2]*[]WirePair{&l.WarmQuery, &l.WarmAd} {
-		np := r.count("warm pair", maxWirePairs)
-		if r.err != nil {
-			return nil, r.err
-		}
-		pairs := make([]WirePair, np)
+		pairs := make([]WirePair, d.Count(uint64(d.U32()), "warm pair", 16))
 		for i := range pairs {
-			pairs[i] = WirePair{I: r.u32(), J: r.u32(), Score: r.f64()}
+			pairs[i] = WirePair{I: d.U32(), J: d.U32(), Score: d.F64()}
 		}
 		*dst = pairs
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("dist: lease: %w", err)
 	}
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("dist: %d trailing bytes after lease", len(body)-r.pos)
+	if err := json.Unmarshal(cfgJSON, &l.Config); err != nil {
+		return nil, fmt.Errorf("dist: decoding lease config: %w", err)
 	}
 	// Structural sanity beyond the CRC: local ids must address the
 	// shipped node lists, warm pairs must respect the i<j storage order.
@@ -349,55 +207,42 @@ func DecodeLease(buf []byte) (*Lease, error) {
 	return l, nil
 }
 
-// Encode serializes the response with its CRC trailer.
+// Encode serializes the response as a sealed frame.
 func (resp *SegmentResponse) Encode() []byte {
-	w := &wireWriter{}
-	w.bytes([]byte(responseMagic))
-	w.u64(resp.Generation)
-	w.u32(resp.Shard)
-	w.u64(resp.Fingerprint)
-	w.u32(uint32(resp.Iterations))
+	e := frame.Append(nil, responseMagic)
+	e.U64(resp.Generation)
+	e.U32(resp.Shard)
+	e.U64(resp.Fingerprint)
+	e.U32(uint32(resp.Iterations))
+	converged := uint8(0)
 	if resp.Converged {
-		w.u8(1)
-	} else {
-		w.u8(0)
+		converged = 1
 	}
-	w.u32(uint32(len(resp.QuerySeg)))
-	w.u32(resp.QueryCRC)
-	w.u32(uint32(len(resp.AdSeg)))
-	w.u32(resp.AdCRC)
-	w.bytes(resp.QuerySeg)
-	w.bytes(resp.AdSeg)
-	return w.finish()
+	e.U8(converged)
+	e.U32(uint32(len(resp.QuerySeg)))
+	e.U32(resp.QueryCRC)
+	e.U32(uint32(len(resp.AdSeg)))
+	e.U32(resp.AdCRC)
+	e.Raw(resp.QuerySeg)
+	e.Raw(resp.AdSeg)
+	return e.Seal()
 }
 
 // DecodeSegmentResponse parses and validates a response message.
 func DecodeSegmentResponse(buf []byte) (*SegmentResponse, error) {
-	body, err := checkTrailer(buf, "segment response")
+	d, err := frame.Open(buf, responseMagic)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: segment response: %w", err)
 	}
-	r := &wireReader{buf: body}
-	if magic := r.take(8); r.err != nil || string(magic) != responseMagic {
-		return nil, fmt.Errorf("dist: bad segment response magic")
-	}
-	resp := &SegmentResponse{}
-	resp.Generation = r.u64()
-	resp.Shard = r.u32()
-	resp.Fingerprint = r.u64()
-	resp.Iterations = int(r.u32())
-	resp.Converged = r.u8() != 0
-	qLen := r.count("query segment byte", len(body))
-	resp.QueryCRC = r.u32()
-	aLen := r.count("ad segment byte", len(body))
-	resp.AdCRC = r.u32()
-	resp.QuerySeg = r.take(qLen)
-	resp.AdSeg = r.take(aLen)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("dist: %d trailing bytes after segment response", len(body)-r.pos)
+	resp := &SegmentResponse{Generation: d.U64(), Shard: d.U32(), Fingerprint: d.U64(),
+		Iterations: int(d.U32()), Converged: d.U8() != 0}
+	qLen := int(d.U32())
+	resp.QueryCRC = d.U32()
+	aLen := int(d.U32())
+	resp.AdCRC = d.U32()
+	resp.QuerySeg, resp.AdSeg = d.Raw(qLen), d.Raw(aLen)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("dist: segment response: %w", err)
 	}
 	return resp, nil
 }

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"simrankpp/internal/frame"
 )
 
 // FuzzWALDecode throws arbitrary bytes at the WAL frame reader and
@@ -31,25 +33,24 @@ func FuzzWALDecode(f *testing.F) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		scratch := make([]byte, 0, 64)
 		for i := 0; i < 1_000_000; i++ {
-			payload, err := readFrame(br, &scratch)
+			fr, err := readFrame(br, &scratch)
 			if err != nil {
 				break // rejected — the only other exit is clean EOF
 			}
-			if len(payload) < minPayloadLen || len(payload) > maxPayloadLen {
-				t.Fatalf("readFrame returned %d bytes outside [%d,%d]", len(payload), minPayloadLen, maxPayloadLen)
+			if n := len(fr) - frame.TrailerSize; n < minPayloadLen || n > maxPayloadLen {
+				t.Fatalf("readFrame returned a %d-byte payload outside [%d,%d]", n, minPayloadLen, maxPayloadLen)
 			}
-			rec, err := decodeRecord(payload)
+			rec, err := decodeRecord(fr)
 			if err != nil {
-				continue // CRC-valid frame with an invalid record: rejected is fine
+				continue // a bad CRC or an invalid record: rejected is fine
 			}
-			// Canonical wire form: decode∘encode must reproduce the payload.
-			reframed := appendFrame(nil, rec)
-			if !bytes.Equal(reframed[4:len(reframed)-4], payload) {
-				t.Fatalf("decoded record %+v re-encodes to different payload bytes", rec)
+			// Canonical wire form: decode∘encode must reproduce the frame.
+			if reframed := appendFrame(nil, rec); !bytes.Equal(reframed[4:], fr) {
+				t.Fatalf("decoded record %+v re-encodes to different frame bytes", rec)
 			}
 		}
-		if cap(scratch) > maxPayloadLen+4 {
-			t.Fatalf("decoder allocated %d bytes; bound is %d", cap(scratch), maxPayloadLen+4)
+		if cap(scratch) > maxPayloadLen+frame.TrailerSize {
+			t.Fatalf("decoder allocated %d bytes; bound is %d", cap(scratch), maxPayloadLen+frame.TrailerSize)
 		}
 	})
 }

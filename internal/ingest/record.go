@@ -8,11 +8,10 @@
 //
 // The package has three layers:
 //
-//   - Log: a segmented, CRC-trailered, length-prefixed WAL of Records
-//     (wal.go). Appends batch through one fsync per Sync call, segments
-//     rotate at a size threshold, reopen truncates a torn tail, and the
-//     decoder is allocation-bounded and rejects every flipped byte —
-//     the same validation discipline as internal/dist/protocol.go.
+//   - Log: a segmented WAL of length-prefixed internal/frame frames, one
+//     per Record (wal.go). Appends batch through one fsync per Sync call,
+//     segments rotate at a size threshold, reopen truncates a torn tail,
+//     and the decoder is allocation-bounded and rejects every flipped byte.
 //   - fold state: one atomic CRC'd file holding the fold cursor AND the
 //     folded graph under its original intern order (state.go), so the
 //     crash windows between "generation published" and "cursor saved"

@@ -3,15 +3,15 @@ package ingest
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
 
 	"simrankpp/internal/clickgraph"
+	"simrankpp/internal/frame"
 	"simrankpp/internal/partition"
+	"simrankpp/internal/serve"
 )
 
 // The fold state is the durable cursor that makes crash replay
@@ -33,18 +33,14 @@ import (
 //     diff classifies zero shards dirty, and the controller skips
 //     straight to saving the state. The delta is never applied twice.
 //
-// File layout (little-endian):
+// File layout (one internal/frame frame):
 //
 //	magic "SRPPFST1" | version u32 | cursor seq u64 |
-//	graph fingerprint u64 | graph text length u64 | graph text |
-//	CRC32 of everything above u32
+//	graph fingerprint u64 | graph text length u64 | graph text
 const (
 	stateMagic   = "SRPPFST1"
 	stateVersion = 1
 	stateFile    = "fold-state.bin"
-	// maxStateGraphBytes bounds the allocation a corrupt length field
-	// could cause (1 GiB of graph text is far beyond any folded graph).
-	maxStateGraphBytes = 1 << 30
 )
 
 // FoldState is the decoded durable fold cursor.
@@ -60,31 +56,24 @@ type FoldState struct {
 // SaveFoldState atomically writes the fold state into dir
 // (temp + rename + fsync of file and directory).
 func SaveFoldState(dir string, seq uint64, g *clickgraph.Graph) error {
-	var buf bytes.Buffer
-	buf.WriteString(stateMagic)
-	var hdr [20]byte
-	binary.LittleEndian.PutUint32(hdr[0:], stateVersion)
-	binary.LittleEndian.PutUint64(hdr[4:], seq)
-	binary.LittleEndian.PutUint64(hdr[12:], partition.GraphFingerprint(g))
-	buf.Write(hdr[:])
-	var gbuf bytes.Buffer
-	if err := writeGraphOrdered(&gbuf, g); err != nil {
+	var text bytes.Buffer
+	if err := writeGraphOrdered(&text, g); err != nil {
 		return err
 	}
-	var glen [8]byte
-	binary.LittleEndian.PutUint64(glen[:], uint64(gbuf.Len()))
-	buf.Write(glen[:])
-	buf.Write(gbuf.Bytes())
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(crc[:])
+	e := frame.Append(make([]byte, 0, 36+text.Len()+frame.TrailerSize), stateMagic) // magic + fixed fields
+	e.U32(stateVersion)
+	e.U64(seq)
+	e.U64(partition.GraphFingerprint(g))
+	e.U64(uint64(text.Len()))
+	e.Raw(text.Bytes())
+	buf := e.Seal()
 
 	tmp, err := os.CreateTemp(dir, stateFile+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -98,7 +87,7 @@ func SaveFoldState(dir string, seq uint64, g *clickgraph.Graph) error {
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, stateFile)); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return serve.SyncDir(dir)
 }
 
 // LoadFoldState reads the fold state from dir. A missing file returns
@@ -114,29 +103,20 @@ func LoadFoldState(dir string) (*FoldState, error) {
 	if err != nil {
 		return nil, err
 	}
-	const fixed = 8 + 20 + 8 + 4 // magic + header + graph length + CRC
-	if len(raw) < fixed {
-		return nil, fmt.Errorf("ingest: fold state truncated (%d bytes)", len(raw))
+	d, err := frame.Open(raw, stateMagic)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: fold state: %w", err)
 	}
-	if string(raw[:8]) != stateMagic {
-		return nil, fmt.Errorf("ingest: fold state has bad magic")
+	version := d.U32()
+	st := &FoldState{Seq: d.U64(), Fingerprint: d.U64()}
+	text := d.Raw(int(d.U64()))
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("ingest: fold state: %w", err)
 	}
-	body, crcBytes := raw[:len(raw)-4], raw[len(raw)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(crcBytes); got != want {
-		return nil, fmt.Errorf("ingest: fold state CRC mismatch (got %08x want %08x)", got, want)
+	if version != stateVersion {
+		return nil, fmt.Errorf("ingest: fold state version %d, want %d", version, stateVersion)
 	}
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != stateVersion {
-		return nil, fmt.Errorf("ingest: fold state version %d, want %d", v, stateVersion)
-	}
-	st := &FoldState{
-		Seq:         binary.LittleEndian.Uint64(raw[12:]),
-		Fingerprint: binary.LittleEndian.Uint64(raw[20:]),
-	}
-	glen := binary.LittleEndian.Uint64(raw[28:])
-	if glen > maxStateGraphBytes || int(glen) != len(body)-fixed+4 {
-		return nil, fmt.Errorf("ingest: fold state graph length %d inconsistent with file size %d", glen, len(raw))
-	}
-	g, err := clickgraph.Read(bytes.NewReader(raw[36 : 36+glen]))
+	g, err := clickgraph.Read(bytes.NewReader(text))
 	if err != nil {
 		return nil, fmt.Errorf("ingest: fold state graph: %w", err)
 	}

@@ -5,29 +5,31 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"simrankpp/internal/frame"
+	"simrankpp/internal/serve"
 )
 
 // The WAL is a directory of fixed-header segments:
 //
 //	wal-00000000.seg  wal-00000001.seg  ...
 //
-// Segment header (32 bytes):
+// Segment header (a 32-byte internal/frame frame):
 //
-//	magic "SRPPWAL1" | version u32 | segment index u64 | first seq u64 | CRC32(header[0:28]) u32
+//	magic "SRPPWAL1" | version u32 | segment index u64 | first seq u64
 //
-// followed by length-prefixed, CRC-trailered record frames:
+// followed by record frames (no magic), each behind its payload length:
 //
-//	payload len u32 | payload | CRC32(payload) u32
+//	payload len u32 | payload | frame trailer
 //
-// Record payload (all little-endian, fixed layout so a flipped length
-// byte can't make the decoder allocate unboundedly):
+// Record payload (fixed layout, so a flipped length byte can't make the
+// decoder allocate unboundedly):
 //
 //	qlen u16 | query | alen u16 | ad | impressions u64 | clicks u64 | rate float64 bits u64
 //
@@ -53,7 +55,7 @@ const (
 	// Payload bounds: 2+name + 2+name + 3×8 bytes.
 	minPayloadLen = 2 + 1 + 2 + 1 + 24
 	maxPayloadLen = 2 + maxNameLen + 2 + maxNameLen + 24
-	frameOverhead = 8 // u32 length prefix + u32 CRC trailer
+	frameOverhead = 4 + frame.TrailerSize // u32 length prefix + trailer
 )
 
 // ErrBackpressure is returned by Append when the WAL has outrun folding
@@ -169,7 +171,7 @@ func OpenLog(dir string, opt LogOptions) (*Log, error) {
 		l.segs = append(l.segs, segInfo{path: path, index: h.index, firstSeq: h.firstSeq, records: records})
 	}
 	if l.tornBytes > 0 {
-		if err := syncDir(dir); err != nil {
+		if err := serve.SyncDir(dir); err != nil {
 			return nil, err
 		}
 	}
@@ -332,7 +334,7 @@ func (l *Log) createSegment(index, firstSeq uint64) error {
 		f.Close()
 		return err
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := serve.SyncDir(l.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -379,11 +381,11 @@ func replaySegment(seg segInfo, from uint64, fn func(uint64, Record) error) erro
 	}
 	scratch := make([]byte, 0, 4096)
 	for i := uint64(0); i < seg.records; i++ {
-		payload, err := readFrame(br, &scratch)
+		fr, err := readFrame(br, &scratch)
 		if err != nil {
 			return fmt.Errorf("ingest: WAL segment %s record %d: %w", seg.path, i, err)
 		}
-		rec, err := decodeRecord(payload)
+		rec, err := decodeRecord(fr)
 		if err != nil {
 			return fmt.Errorf("ingest: WAL segment %s record %d: %w", seg.path, i, err)
 		}
@@ -412,7 +414,7 @@ func (l *Log) TruncateBefore(seq uint64) error {
 		removed = true
 	}
 	if removed {
-		return syncDir(l.dir)
+		return serve.SyncDir(l.dir)
 	}
 	return nil
 }
@@ -449,54 +451,48 @@ type segHeader struct {
 }
 
 func encodeSegHeader(index, firstSeq uint64) []byte {
-	hdr := make([]byte, segHeaderSize)
-	copy(hdr, segMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], segVersion)
-	binary.LittleEndian.PutUint64(hdr[12:], index)
-	binary.LittleEndian.PutUint64(hdr[20:], firstSeq)
-	binary.LittleEndian.PutUint32(hdr[28:], crc32.ChecksumIEEE(hdr[:28]))
-	return hdr
+	e := frame.Append(make([]byte, 0, segHeaderSize), segMagic)
+	e.U32(segVersion)
+	e.U64(index)
+	e.U64(firstSeq)
+	return e.Seal()
 }
 
 func decodeSegHeader(hdr []byte) (segHeader, error) {
-	if len(hdr) < segHeaderSize {
-		return segHeader{}, errBadSegHeader
+	d, err := frame.Open(hdr, segMagic)
+	if err != nil {
+		return segHeader{}, fmt.Errorf("%w: %v", errBadSegHeader, err)
 	}
-	if string(hdr[:8]) != segMagic {
-		return segHeader{}, errBadSegHeader
+	v := d.U32()
+	h := segHeader{index: d.U64(), firstSeq: d.U64()}
+	if err := d.Done(); err != nil {
+		return segHeader{}, fmt.Errorf("%w: %v", errBadSegHeader, err)
 	}
-	if crc32.ChecksumIEEE(hdr[:28]) != binary.LittleEndian.Uint32(hdr[28:32]) {
-		return segHeader{}, errBadSegHeader
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != segVersion {
+	if v != segVersion {
 		return segHeader{}, fmt.Errorf("%w: version %d", errBadSegHeader, v)
 	}
-	return segHeader{
-		index:    binary.LittleEndian.Uint64(hdr[12:]),
-		firstSeq: binary.LittleEndian.Uint64(hdr[20:]),
-	}, nil
+	return h, nil
 }
 
 func appendFrame(buf []byte, rec Record) []byte {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0) // length, patched below
-	p := len(buf)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rec.Query)))
-	buf = append(buf, rec.Query...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rec.Ad)))
-	buf = append(buf, rec.Ad...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Impressions))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Clicks))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Rate))
-	payload := buf[p:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	e := frame.Append(append(buf, 0, 0, 0, 0), "") // payload length, patched below
+	e.U16(uint16(len(rec.Query)))
+	e.Raw([]byte(rec.Query))
+	e.U16(uint16(len(rec.Ad)))
+	e.Raw([]byte(rec.Ad))
+	e.U64(uint64(rec.Impressions))
+	e.U64(uint64(rec.Clicks))
+	e.F64(rec.Rate)
+	buf = e.Seal()
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-frameOverhead))
+	return buf
 }
 
-// readFrame reads one length-prefixed, CRC-trailered frame. The length
-// is bounds-checked BEFORE any allocation, and the payload buffer is
-// reused across calls via *scratch — a flipped length byte costs at
-// most maxPayloadLen bytes, never an unbounded make.
+// readFrame reads one length-prefixed record frame and returns it without
+// the prefix. The length is bounds-checked BEFORE any allocation, and the
+// buffer is reused across calls via *scratch — a flipped length byte costs
+// at most maxPayloadLen bytes, never an unbounded make.
 func readFrame(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
@@ -506,10 +502,11 @@ func readFrame(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
 	if n < minPayloadLen || n > maxPayloadLen {
 		return nil, fmt.Errorf("frame length %d outside [%d,%d]", n, minPayloadLen, maxPayloadLen)
 	}
-	if cap(*scratch) < int(n)+4 {
-		*scratch = make([]byte, n+4)
+	size := int(n) + frame.TrailerSize
+	if cap(*scratch) < size {
+		*scratch = make([]byte, size)
 	}
-	buf := (*scratch)[:n+4]
+	buf := (*scratch)[:size]
 	if _, err := io.ReadFull(br, buf); err != nil {
 		// A bare io.EOF here means the file ended right after the length
 		// prefix — that is a torn frame, not a clean end; only an EOF
@@ -519,63 +516,34 @@ func readFrame(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	payload := buf[:n]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(buf[n:]); got != want {
-		return nil, fmt.Errorf("frame CRC mismatch (got %08x want %08x)", got, want)
-	}
-	return payload, nil
+	return buf, nil
 }
 
-// decodeRecord parses and fully validates one frame payload. Every
-// field is bounds-checked and the payload must be exactly consumed, so
-// a flipped byte anywhere either breaks the CRC or lands here.
-func decodeRecord(p []byte) (Record, error) {
-	var r Record
-	q, p, err := decodeName(p, "query")
+// decodeRecord opens one record frame and fully validates it. Every field
+// is bounds-checked and the payload must be exactly consumed, so a flipped
+// byte anywhere either breaks the CRC or lands here.
+func decodeRecord(b []byte) (Record, error) {
+	d, err := frame.Open(b, "")
 	if err != nil {
-		return r, err
+		return Record{}, err
 	}
-	a, p, err := decodeName(p, "ad")
-	if err != nil {
-		return r, err
+	r := Record{Query: string(d.Raw(int(d.U16()))), Ad: string(d.Raw(int(d.U16())))}
+	impr, clicks := d.U64(), d.U64()
+	r.Rate = d.F64()
+	if err := d.Done(); err != nil {
+		return Record{}, err
 	}
-	if len(p) != 24 {
-		return r, fmt.Errorf("record payload has %d trailing weight bytes, want 24", len(p))
-	}
-	impr := binary.LittleEndian.Uint64(p)
-	clicks := binary.LittleEndian.Uint64(p[8:])
 	if impr > math.MaxInt64 {
-		return r, fmt.Errorf("impressions %d overflow int64", impr)
+		return Record{}, fmt.Errorf("impressions %d overflow int64", impr)
 	}
 	if clicks > math.MaxInt64 {
-		return r, fmt.Errorf("clicks %d overflow int64", clicks)
+		return Record{}, fmt.Errorf("clicks %d overflow int64", clicks)
 	}
-	r = Record{
-		Query:       q,
-		Ad:          a,
-		Impressions: int64(impr),
-		Clicks:      int64(clicks),
-		Rate:        math.Float64frombits(binary.LittleEndian.Uint64(p[16:])),
-	}
+	r.Impressions, r.Clicks = int64(impr), int64(clicks)
 	if err := r.Validate(); err != nil {
 		return Record{}, err
 	}
 	return r, nil
-}
-
-func decodeName(p []byte, what string) (string, []byte, error) {
-	if len(p) < 2 {
-		return "", nil, fmt.Errorf("record payload truncated before %s length", what)
-	}
-	n := int(binary.LittleEndian.Uint16(p))
-	p = p[2:]
-	if n == 0 || n > maxNameLen {
-		return "", nil, fmt.Errorf("%s length %d outside [1,%d]", what, n, maxNameLen)
-	}
-	if len(p) < n {
-		return "", nil, fmt.Errorf("record payload truncated inside %s", what)
-	}
-	return string(p[:n]), p[n:], nil
 }
 
 // scanSegment validates path's header and counts its valid record
@@ -599,18 +567,18 @@ func scanSegment(path string) (h segHeader, records uint64, validEnd int64, torn
 	validEnd = segHeaderSize
 	scratch := make([]byte, 0, 4096)
 	for {
-		payload, rerr := readFrame(br, &scratch)
+		fr, rerr := readFrame(br, &scratch)
 		if rerr == io.EOF {
 			return h, records, validEnd, false, nil // clean end at a record boundary
 		}
 		if rerr != nil {
 			return h, records, validEnd, true, nil // torn or corrupt tail
 		}
-		if _, derr := decodeRecord(payload); derr != nil {
+		if _, derr := decodeRecord(fr); derr != nil {
 			return h, records, validEnd, true, nil
 		}
 		records++
-		validEnd += int64(len(payload)) + frameOverhead
+		validEnd += 4 + int64(len(fr)) // length prefix + frame
 	}
 }
 
@@ -620,16 +588,4 @@ func fileSize(path string) int64 {
 		return 0
 	}
 	return st.Size()
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -2,8 +2,11 @@ package partition
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"simrankpp/internal/clickgraph"
@@ -362,5 +365,27 @@ func TestPlanBinaryRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadPlan(bytes.NewReader(raw[:len(raw)/3])); err == nil {
 		t.Error("truncated plan accepted")
+	}
+}
+
+// TestReadPlanBoundsIDListByBytesLeft: a 24-byte plan whose CRC holds but
+// whose first shard claims 2^24 query ids (within the side it declares) is
+// refused before anything the size of the claim is allocated.
+func TestReadPlanBoundsIDListByBytesLeft(t *testing.T) {
+	b := []byte(planMagic)
+	// flags, queries, ads, cut edges, shards, then shard 0's query-id count
+	for _, v := range []uint64{0, 1 << 24, 0, 0, 1, 1 << 24} {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadPlan(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 24-byte plan claiming 2^24 ids was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing a %d-byte plan allocated %d bytes", len(b), grew)
 	}
 }

@@ -1,139 +1,86 @@
 package partition
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+
+	"simrankpp/internal/frame"
 )
 
 // Plan persistence: a compact binary encoding so the refresh path (and
 // repeated sharded runs over the same graph) reuse a planned decomposition
-// instead of re-paying BuildPlan's ACL clustering. Node id lists are
-// delta-encoded uvarints (ids are ascending within a shard); the whole
-// payload is CRC-guarded. The format is versioned independently of the
-// snapshot format — a plan names a decomposition of one specific graph
+// instead of re-paying BuildPlan's ACL clustering. The file is one
+// internal/frame frame of uvarints; node id lists are delta-encoded (ids
+// are ascending within a shard). The format is versioned independently of
+// the snapshot format — a plan names a decomposition of one specific graph
 // (Plan.Validate checks the dimensions on use).
 
 const planMagic = "SRPPPLN1"
 
 // WriteBinary serializes the plan.
 func (p *Plan) WriteBinary(w io.Writer) error {
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	var scratch [binary.MaxVarintLen64]byte
-	u := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if _, err := bw.WriteString(planMagic); err != nil {
-		return err
-	}
+	e := frame.Append(nil, planMagic)
 	flags := uint64(0)
 	if p.Exact {
 		flags = 1
 	}
 	for _, v := range []uint64{flags, uint64(p.NumQueries), uint64(p.NumAds),
 		uint64(p.TotalCutEdges), uint64(len(p.Shards))} {
-		if err := u(v); err != nil {
-			return err
-		}
+		e.Uvarint(v)
 	}
-	ids := func(list []int) error {
-		if err := u(uint64(len(list))); err != nil {
-			return err
-		}
+	ids := func(list []int) {
+		e.Uvarint(uint64(len(list)))
 		prev := 0
 		for _, id := range list {
-			if err := u(uint64(id - prev)); err != nil {
-				return err
-			}
+			e.Uvarint(uint64(id - prev))
 			prev = id
 		}
-		return nil
 	}
 	for i := range p.Shards {
 		s := &p.Shards[i]
-		if err := ids(s.Queries); err != nil {
-			return err
-		}
-		if err := ids(s.Ads); err != nil {
-			return err
-		}
+		ids(s.Queries)
+		ids(s.Ads)
 		sf := uint64(0)
 		if s.Exact {
 			sf = 1
 		}
 		for _, v := range []uint64{sf, uint64(s.CutEdges),
 			math.Float64bits(s.Conductance), s.Fingerprint} {
-			if err := u(v); err != nil {
-				return err
-			}
+			e.Uvarint(v)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	_, err := w.Write(sum[:])
+	_, err := w.Write(e.Seal())
 	return err
 }
 
-// ReadPlan deserializes a plan written by WriteBinary, verifying the
-// trailing checksum.
+// ReadPlan deserializes a plan written by WriteBinary.
 func ReadPlan(r io.Reader) (*Plan, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < len(planMagic)+4 {
-		return nil, fmt.Errorf("partition: plan file too small (%d bytes)", len(raw))
+	d, err := frame.Open(raw, planMagic)
+	if err != nil {
+		return nil, fmt.Errorf("partition: plan: %w", err)
 	}
-	body, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("partition: plan checksum mismatch (corrupt file)")
-	}
-	if string(body[:len(planMagic)]) != planMagic {
-		return nil, fmt.Errorf("partition: bad plan magic %q", body[:len(planMagic)])
-	}
-	buf := body[len(planMagic):]
-	u := func() (uint64, error) {
-		v, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return 0, fmt.Errorf("partition: plan file truncated")
-		}
-		buf = buf[n:]
-		return v, nil
-	}
-	var hdr [5]uint64
-	for i := range hdr {
-		if hdr[i], err = u(); err != nil {
-			return nil, err
-		}
-	}
-	flags, nq, na, cut, shards := hdr[0], hdr[1], hdr[2], hdr[3], hdr[4]
-	if nq > math.MaxInt32 || na > math.MaxInt32 || shards > uint64(len(buf))+1 {
-		return nil, fmt.Errorf("partition: plan dimensions implausible (%d×%d, %d shards)", nq, na, shards)
+	flags, nq, na, cut := d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
+	if nq > math.MaxInt32 || na > math.MaxInt32 {
+		return nil, fmt.Errorf("partition: plan dimensions implausible (%d×%d)", nq, na)
 	}
 	p := &Plan{
 		Exact:         flags&1 != 0,
 		NumQueries:    int(nq),
 		NumAds:        int(na),
 		TotalCutEdges: int(cut),
-		Shards:        make([]Shard, shards),
+		// A shard takes at least six bytes: two list lengths, four fields.
+		Shards: make([]Shard, d.Count(d.Uvarint(), "shard", 6)),
 	}
 	ids := func(limit int) ([]int, error) {
-		n, err := u()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(limit) {
+		n := d.Count(d.Uvarint(), "shard id", 1)
+		if n > limit {
 			return nil, fmt.Errorf("partition: shard id list of %d exceeds side size %d", n, limit)
 		}
 		if n == 0 {
@@ -142,11 +89,7 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 		out := make([]int, n)
 		prev := uint64(0)
 		for i := range out {
-			d, err := u()
-			if err != nil {
-				return nil, err
-			}
-			prev += d
+			prev += d.Uvarint()
 			if prev >= uint64(limit) {
 				return nil, fmt.Errorf("partition: shard id %d outside side size %d", prev, limit)
 			}
@@ -162,19 +105,13 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 		if s.Ads, err = ids(p.NumAds); err != nil {
 			return nil, err
 		}
-		var vals [4]uint64
-		for k := range vals {
-			if vals[k], err = u(); err != nil {
-				return nil, err
-			}
-		}
-		s.Exact = vals[0]&1 != 0
-		s.CutEdges = int(vals[1])
-		s.Conductance = math.Float64frombits(vals[2])
-		s.Fingerprint = vals[3]
+		s.Exact = d.Uvarint()&1 != 0
+		s.CutEdges = int(d.Uvarint())
+		s.Conductance = math.Float64frombits(d.Uvarint())
+		s.Fingerprint = d.Uvarint()
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("partition: %d trailing bytes after plan payload", len(buf))
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("partition: plan: %w", err)
 	}
 	return p, nil
 }

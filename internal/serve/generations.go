@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -12,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"simrankpp/internal/frame"
 )
 
 // Generation management: the fault-tolerance layer under `simrank
@@ -35,18 +36,22 @@ import (
 //	P.gens/gen-%08d.mf      generation N's manifest (see below)
 //	P.gens/journal-*.tmp    in-flight writes (crash debris until swept)
 //
-// Manifest format (56 bytes, little-endian): magic "SRPPMANI",
+// Manifest format (a 56-byte internal/frame frame): magic "SRPPMANI",
 // format version, generation id, source fingerprint (XOR of the
 // snapshot's shard subgraph fingerprints — ties the generation to the
 // click graph it was computed from), CRC32 of the complete snapshot
-// file, snapshot size, creation time, the refresh's dirty-shard count,
-// and a trailing CRC32 over the manifest itself. A generation is
-// "good" only when its manifest checksums, its snapshot file matches
-// the recorded size and hash, and the snapshot header opens.
+// file, snapshot size, creation time and the refresh's dirty-shard
+// count. A generation is "good" only when its manifest opens, its
+// snapshot file matches the recorded size and hash, and the snapshot
+// header opens.
+//
+// Every journal write is durable before the next step depends on it: a
+// temp file is fsynced before its rename and the directory after, so a
+// power loss cannot leave a manifest naming bytes that never reached the
+// disk, nor a serving path older than what a fold then acknowledged.
 const (
 	manifestMagic   = "SRPPMANI"
 	manifestVersion = 1
-	manifestSize    = 56
 	genSnapSuffix   = ".snap"
 	genManifSuffix  = ".mf"
 	journalPrefix   = "journal-"
@@ -118,46 +123,39 @@ func (gs *GenerationStore) manifName(id uint64) string {
 }
 
 func encodeManifest(g *Generation) []byte {
-	buf := make([]byte, manifestSize)
-	copy(buf, manifestMagic)
-	binary.LittleEndian.PutUint32(buf[8:], manifestVersion)
-	binary.LittleEndian.PutUint64(buf[12:], g.ID)
-	binary.LittleEndian.PutUint64(buf[20:], g.Fingerprint)
-	binary.LittleEndian.PutUint32(buf[28:], g.CRC)
-	binary.LittleEndian.PutUint64(buf[32:], uint64(g.Size))
-	binary.LittleEndian.PutUint64(buf[40:], uint64(g.CreatedAt.Unix()))
 	dirty := fullBuildSentinel
 	if g.DirtyShards >= 0 {
 		dirty = uint32(g.DirtyShards)
 	}
-	binary.LittleEndian.PutUint32(buf[48:], dirty)
-	binary.LittleEndian.PutUint32(buf[52:], crc32.ChecksumIEEE(buf[:52]))
-	return buf
+	e := frame.Append(nil, manifestMagic)
+	e.U32(manifestVersion)
+	e.U64(g.ID)
+	e.U64(g.Fingerprint)
+	e.U32(g.CRC)
+	e.U64(uint64(g.Size))
+	e.U64(uint64(g.CreatedAt.Unix()))
+	e.U32(dirty)
+	return e.Seal()
 }
 
 func decodeManifest(buf []byte) (Generation, error) {
-	var g Generation
-	if len(buf) != manifestSize {
-		return g, fmt.Errorf("serve: manifest is %d bytes, want %d", len(buf), manifestSize)
+	d, err := frame.Open(buf, manifestMagic)
+	if err != nil {
+		return Generation{}, fmt.Errorf("serve: manifest: %w", err)
 	}
-	if string(buf[:8]) != manifestMagic {
-		return g, fmt.Errorf("serve: bad manifest magic %q", buf[:8])
+	version := d.U32()
+	g := Generation{ID: d.U64(), Fingerprint: d.U64(), CRC: d.U32(), Size: int64(d.U64()),
+		CreatedAt: time.Unix(int64(d.U64()), 0).UTC()}
+	dirty := d.U32()
+	if err := d.Done(); err != nil {
+		return Generation{}, fmt.Errorf("serve: manifest: %w", err)
 	}
-	if got, want := crc32.ChecksumIEEE(buf[:52]), binary.LittleEndian.Uint32(buf[52:]); got != want {
-		return g, fmt.Errorf("serve: manifest checksum mismatch (corrupt manifest)")
+	if version != manifestVersion {
+		return Generation{}, fmt.Errorf("serve: unsupported manifest version %d (want %d)", version, manifestVersion)
 	}
-	if v := binary.LittleEndian.Uint32(buf[8:]); v != manifestVersion {
-		return g, fmt.Errorf("serve: unsupported manifest version %d (want %d)", v, manifestVersion)
-	}
-	g.ID = binary.LittleEndian.Uint64(buf[12:])
-	g.Fingerprint = binary.LittleEndian.Uint64(buf[20:])
-	g.CRC = binary.LittleEndian.Uint32(buf[28:])
-	g.Size = int64(binary.LittleEndian.Uint64(buf[32:]))
-	g.CreatedAt = time.Unix(int64(binary.LittleEndian.Uint64(buf[40:])), 0).UTC()
-	if d := binary.LittleEndian.Uint32(buf[48:]); d == fullBuildSentinel {
+	g.DirtyShards = int(dirty)
+	if dirty == fullBuildSentinel {
 		g.DirtyShards = -1
-	} else {
-		g.DirtyShards = int(d)
 	}
 	return g, nil
 }
@@ -277,19 +275,43 @@ func (gs *GenerationStore) writeManifest(g *Generation) error {
 		tmp.Close()
 		return err // crash: temp file stays, manifest never exists
 	}
-	if _, err := tmp.Write(encodeManifest(g)); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
+	_, err = tmp.Write(encodeManifest(g))
+	if err := closeSynced(tmp, err); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
 	if err := gs.crash("manifest:pre-rename"); err != nil {
 		return err // crash: fully-written temp stays unrenamed
 	}
-	return os.Rename(tmp.Name(), gs.manifName(g.ID))
+	if err := os.Rename(tmp.Name(), gs.manifName(g.ID)); err != nil {
+		return err
+	}
+	return SyncDir(gs.dir)
+}
+
+// closeSynced fsyncs and closes f after writing it, unless writeErr
+// already failed the write, and returns the first error.
+func closeSynced(f *os.File, writeErr error) error {
+	if writeErr == nil {
+		writeErr = f.Sync()
+	}
+	if err := f.Close(); writeErr == nil {
+		writeErr = err
+	}
+	return writeErr
+}
+
+// SyncDir fsyncs a directory, making the renames and links in it durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Adopt journals the currently-served snapshot as a generation if no
@@ -341,6 +363,9 @@ func (gs *GenerationStore) Adopt() (*Generation, error) {
 	if err := linkOrCopy(gs.path, g.SnapPath, gs.dir); err != nil {
 		return nil, err
 	}
+	if err := SyncDir(gs.dir); err != nil {
+		return nil, err
+	}
 	if err := gs.writeManifest(g); err != nil {
 		return nil, err
 	}
@@ -348,7 +373,8 @@ func (gs *GenerationStore) Adopt() (*Generation, error) {
 }
 
 // linkOrCopy makes dst name src's bytes: hardlink when the filesystem
-// allows, else a journaled copy (temp in tmpDir + rename).
+// allows, else a journaled copy (fsynced temp in tmpDir + rename). The
+// caller syncs dst's directory.
 func linkOrCopy(src, dst, tmpDir string) error {
 	if err := os.Link(src, dst); err == nil || errors.Is(err, os.ErrExist) {
 		return nil
@@ -362,12 +388,8 @@ func linkOrCopy(src, dst, tmpDir string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(tmp, in); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
+	_, err = io.Copy(tmp, in)
+	if err := closeSynced(tmp, err); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
@@ -407,7 +429,7 @@ func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write fun
 		}
 		return nil, err
 	}
-	if err := tmp.Close(); err != nil {
+	if err := closeSynced(tmp, nil); err != nil {
 		os.Remove(tmp.Name())
 		return nil, err
 	}
@@ -430,6 +452,9 @@ func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write fun
 	g.SnapPath = gs.snapName(g.ID)
 	if err := os.Rename(tmp.Name(), g.SnapPath); err != nil {
 		os.Remove(tmp.Name())
+		return nil, err
+	}
+	if err := SyncDir(gs.dir); err != nil {
 		return nil, err
 	}
 	if err := gs.crash("commit:post-snap"); err != nil {
@@ -476,15 +501,16 @@ func (gs *GenerationStore) Publish(g *Generation) error {
 	tmpName := tmp.Name()
 	tmp.Close()
 	os.Remove(tmpName) // we need the unique name, not the empty file
-	if err := os.Link(g.SnapPath, tmpName); err != nil {
-		if err := linkOrCopy(g.SnapPath, tmpName, dir); err != nil {
-			return err
-		}
+	if err := linkOrCopy(g.SnapPath, tmpName, dir); err != nil {
+		return err
 	}
 	if err := gs.crash("publish:pre-rename"); err != nil {
 		return err // crash: link debris beside the serving path, old file intact
 	}
-	return os.Rename(tmpName, gs.path)
+	if err := os.Rename(tmpName, gs.path); err != nil {
+		return err
+	}
+	return SyncDir(dir)
 }
 
 // verify re-checks a generation end to end: manifest already checksummed

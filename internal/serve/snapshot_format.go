@@ -14,16 +14,15 @@ import (
 //
 // Layout (all integers little-endian):
 //
-//	header    fixed 200 bytes: magic, version, run metadata (variant,
-//	          iterations executed and budgeted, C1/C2, converged,
-//	          strict-evidence/spread flags, weight channel, evidence
-//	          form, prune epsilon, convergence and delta-skip
-//	          tolerances), graph
-//	          dimensions, shard count, generation info (creation time,
-//	          dirty-shard count of the refresh that produced it), section
-//	          offsets/lengths, per-section CRC32s, the precomputed
-//	          rewrite section's parameters (k, candidate pool, bid-term
-//	          hash), and a trailing CRC32 over the header itself.
+//	header    a fixed 200-byte internal/frame frame: magic, version, run
+//	          metadata (variant, iterations executed and budgeted,
+//	          C1/C2, converged, strict-evidence/spread flags, weight
+//	          channel, evidence form, prune epsilon, convergence and
+//	          delta-skip tolerances), graph dimensions, shard count,
+//	          generation info (creation time, dirty-shard count of the
+//	          refresh that produced it), section offsets/lengths,
+//	          per-section CRC32s, and the precomputed rewrite section's
+//	          parameters (k, candidate pool, bid-term hash).
 //	strings   NumQueries then NumAds names, each uvarint length + raw
 //	          bytes. Length-prefixed, so names may contain tabs or
 //	          newlines that would corrupt the line-oriented text format.

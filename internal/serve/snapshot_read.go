@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"simrankpp/internal/core"
+	"simrankpp/internal/frame"
 	"simrankpp/internal/hedge"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/sparse"
@@ -176,17 +176,10 @@ func newSnapshot(r io.ReaderAt, size int64, mapped []byte) (*Snapshot, error) {
 	if _, err := r.ReadAt(hdr, 0); err != nil {
 		return nil, fmt.Errorf("serve: reading snapshot header: %w", err)
 	}
-	if string(hdr[:8]) != snapshotMagic {
-		return nil, fmt.Errorf("serve: bad snapshot magic %q", hdr[:8])
+	h, err := frame.Open(hdr, snapshotMagic)
+	if err != nil {
+		return nil, fmt.Errorf("serve: snapshot header: %w", err)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != snapshotVersion {
-		return nil, fmt.Errorf("serve: unsupported snapshot version %d (want %d)", v, snapshotVersion)
-	}
-	if got, want := crc32.ChecksumIEEE(hdr[:196]), binary.LittleEndian.Uint32(hdr[196:]); got != want {
-		return nil, fmt.Errorf("serve: snapshot header checksum mismatch (corrupt header)")
-	}
-
-	flags := binary.LittleEndian.Uint32(hdr[12:])
 	s := &Snapshot{
 		r: r, size: size, mapped: mapped,
 		// The first failed load of a segment waits a second, each
@@ -194,42 +187,41 @@ func newSnapshot(r io.ReaderAt, size int64, mapped []byte) (*Snapshot, error) {
 		quarantine: hedge.Backoff{Base: time.Second, Max: time.Minute},
 		now:        time.Now,
 	}
-	s.meta = SnapshotMeta{
-		Variant:         core.Variant(binary.LittleEndian.Uint32(hdr[16:])),
-		Iterations:      int(binary.LittleEndian.Uint32(hdr[20:])),
-		IterationBudget: int(binary.LittleEndian.Uint32(hdr[172:])),
-		C1:              math.Float64frombits(binary.LittleEndian.Uint64(hdr[24:])),
-		C2:              math.Float64frombits(binary.LittleEndian.Uint64(hdr[32:])),
-		Converged:       flags&flagConverged != 0,
-		StrictEvidence:  flags&flagStrictEvidence != 0,
-		DisableSpread:   flags&flagDisableSpread != 0,
-		Channel:         core.WeightChannel(binary.LittleEndian.Uint32(hdr[140:])),
-		EvidenceForm:    core.EvidenceForm(binary.LittleEndian.Uint32(hdr[144:])),
-		PruneEpsilon:    math.Float64frombits(binary.LittleEndian.Uint64(hdr[148:])),
-		Tolerance:       math.Float64frombits(binary.LittleEndian.Uint64(hdr[156:])),
-		DeltaSkipTol:    math.Float64frombits(binary.LittleEndian.Uint64(hdr[164:])),
-		NumQueries:      int(binary.LittleEndian.Uint32(hdr[40:])),
-		NumAds:          int(binary.LittleEndian.Uint32(hdr[44:])),
-		Shards:          int(binary.LittleEndian.Uint32(hdr[48:])),
-		QueryPairs:      int64(binary.LittleEndian.Uint64(hdr[56:])),
-		AdPairs:         int64(binary.LittleEndian.Uint64(hdr[64:])),
-		GeneratedAt:     time.Unix(int64(binary.LittleEndian.Uint64(hdr[128:])), 0).UTC(),
+	m := &s.meta
+	version, flags := h.U32(), h.U32()
+	m.Variant = core.Variant(h.U32())
+	m.Iterations = int(h.U32())
+	m.C1, m.C2 = h.F64(), h.F64()
+	m.NumQueries, m.NumAds, m.Shards = int(h.U32()), int(h.U32()), int(h.U32())
+	stringsCRC := h.U32()
+	m.QueryPairs, m.AdPairs = int64(h.U64()), int64(h.U64())
+	stringsOff, stringsLen := h.U64(), h.U64()
+	routeOff, routeLen := h.U64(), h.U64()
+	dirOff, dirLen := h.U64(), h.U64()
+	routeCRC, dirCRC := h.U32(), h.U32()
+	m.GeneratedAt = time.Unix(int64(h.U64()), 0).UTC()
+	dirty := h.U32()
+	m.Channel = core.WeightChannel(h.U32())
+	m.EvidenceForm = core.EvidenceForm(h.U32())
+	m.PruneEpsilon, m.Tolerance, m.DeltaSkipTol = h.F64(), h.F64(), h.F64()
+	m.IterationBudget = int(h.U32())
+	m.RewriteTopK, m.RewriteTopN = int(h.U32()), int(h.U32())
+	m.RewriteBidHash = h.U64()
+	h.U32() // reserved
+	if err := h.Done(); err != nil {
+		return nil, fmt.Errorf("serve: snapshot header: %w", err)
 	}
-	if d := binary.LittleEndian.Uint32(hdr[136:]); d == fullBuildSentinel {
-		s.meta.LastRefreshDirty = -1
-	} else {
-		s.meta.LastRefreshDirty = int(d)
+	if version != snapshotVersion {
+		return nil, fmt.Errorf("serve: unsupported snapshot version %d (want %d)", version, snapshotVersion)
 	}
-	s.meta.RewriteTopK = int(binary.LittleEndian.Uint32(hdr[176:]))
-	s.meta.RewriteTopN = int(binary.LittleEndian.Uint32(hdr[180:]))
-	s.meta.RewriteBidHash = binary.LittleEndian.Uint64(hdr[184:])
-	s.meta.RewriteBidFiltered = s.meta.RewriteBidHash != 0
-	stringsOff := binary.LittleEndian.Uint64(hdr[72:])
-	stringsLen := binary.LittleEndian.Uint64(hdr[80:])
-	routeOff := binary.LittleEndian.Uint64(hdr[88:])
-	routeLen := binary.LittleEndian.Uint64(hdr[96:])
-	dirOff := binary.LittleEndian.Uint64(hdr[104:])
-	dirLen := binary.LittleEndian.Uint64(hdr[112:])
+	m.Converged = flags&flagConverged != 0
+	m.StrictEvidence = flags&flagStrictEvidence != 0
+	m.DisableSpread = flags&flagDisableSpread != 0
+	m.LastRefreshDirty = int(dirty)
+	if dirty == fullBuildSentinel {
+		m.LastRefreshDirty = -1
+	}
+	m.RewriteBidFiltered = m.RewriteBidHash != 0
 
 	// Structural sanity before any size-driven allocation: the section
 	// lengths must agree with the header's dimensions, and the names
@@ -246,15 +238,15 @@ func newSnapshot(r io.ReaderAt, size int64, mapped []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("serve: string table of %d bytes cannot hold %d names", stringsLen, nq+na)
 	}
 
-	strBuf, err := s.region("string table", stringsOff, stringsLen, binary.LittleEndian.Uint32(hdr[52:]))
+	strBuf, err := s.region("string table", stringsOff, stringsLen, stringsCRC)
 	if err != nil {
 		return nil, err
 	}
-	route, err := s.region("route map", routeOff, routeLen, binary.LittleEndian.Uint32(hdr[120:]))
+	route, err := s.region("route map", routeOff, routeLen, routeCRC)
 	if err != nil {
 		return nil, err
 	}
-	dirBuf, err := s.region("shard directory", dirOff, dirLen, binary.LittleEndian.Uint32(hdr[124:]))
+	dirBuf, err := s.region("shard directory", dirOff, dirLen, dirCRC)
 	if err != nil {
 		return nil, err
 	}
@@ -269,27 +261,23 @@ func newSnapshot(r io.ReaderAt, size int64, mapped []byte) (*Snapshot, error) {
 	// also detaches names from mapped memory, keeping them valid past
 	// Close.
 	interned := string(strBuf)
-	pos := 0
-	readName := func() (string, error) {
-		n, used := binary.Uvarint(strBuf[pos:])
-		if used <= 0 || n > uint64(len(strBuf)) || pos+used+int(n) > len(strBuf) {
-			return "", fmt.Errorf("serve: string table truncated at byte %d", pos)
-		}
-		name := interned[pos+used : pos+used+int(n)]
-		pos += used + int(n)
-		return name, nil
+	table := frame.NewDecoder(strBuf)
+	readName := func() string {
+		n := table.Count(table.Uvarint(), "name byte", 1)
+		at := table.Pos()
+		table.Raw(n)
+		return interned[at : at+n]
 	}
-	for q := 0; q < nq; q++ {
-		if s.queries[q], err = readName(); err != nil {
-			return nil, err
-		}
+	for q := range s.queries {
+		s.queries[q] = readName()
 		s.queryID[s.queries[q]] = q
 	}
-	for a := 0; a < na; a++ {
-		if s.ads[a], err = readName(); err != nil {
-			return nil, err
-		}
+	for a := range s.ads {
+		s.ads[a] = readName()
 		s.adID[s.ads[a]] = a
+	}
+	if err := table.Done(); err != nil {
+		return nil, fmt.Errorf("serve: string table: %w", err)
 	}
 
 	s.qRoute = make([]uint32, nq)
@@ -301,21 +289,12 @@ func newSnapshot(r io.ReaderAt, size int64, mapped []byte) (*Snapshot, error) {
 		s.aRoute[a] = binary.LittleEndian.Uint32(route[4*(nq+a):])
 	}
 	s.dir = make([]segEntry, s.meta.Shards)
+	entries := frame.NewDecoder(dirBuf)
 	var genFP uint64
 	for i := range s.dir {
-		o := i * dirEntrySize
-		s.dir[i] = segEntry{
-			qOff:   binary.LittleEndian.Uint64(dirBuf[o:]),
-			aOff:   binary.LittleEndian.Uint64(dirBuf[o+8:]),
-			qPairs: binary.LittleEndian.Uint64(dirBuf[o+16:]),
-			aPairs: binary.LittleEndian.Uint64(dirBuf[o+24:]),
-			qCRC:   binary.LittleEndian.Uint32(dirBuf[o+32:]),
-			aCRC:   binary.LittleEndian.Uint32(dirBuf[o+36:]),
-			fp:     binary.LittleEndian.Uint64(dirBuf[o+40:]),
-			tkOff:  binary.LittleEndian.Uint64(dirBuf[o+48:]),
-			tkLen:  uint64(binary.LittleEndian.Uint32(dirBuf[o+56:])),
-			tkCRC:  binary.LittleEndian.Uint32(dirBuf[o+60:]),
-		}
+		s.dir[i] = segEntry{qOff: entries.U64(), aOff: entries.U64(), qPairs: entries.U64(), aPairs: entries.U64(),
+			qCRC: entries.U32(), aCRC: entries.U32(), fp: entries.U64(),
+			tkOff: entries.U64(), tkLen: uint64(entries.U32()), tkCRC: entries.U32()}
 		genFP ^= s.dir[i].fp
 	}
 	s.meta.Fingerprint = fmt.Sprintf("%016x", genFP)

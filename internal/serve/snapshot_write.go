@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"simrankpp/internal/core"
+	"simrankpp/internal/frame"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/sparse"
 )
@@ -197,19 +198,14 @@ func writeAssembled(w io.Writer, names nodeNames, cfg core.Config, payloads []sh
 	}
 
 	// String table: length-prefixed names, queries then ads.
-	var strBuf []byte
-	var lenScratch [binary.MaxVarintLen64]byte
-	appendName := func(s string) {
-		n := binary.PutUvarint(lenScratch[:], uint64(len(s)))
-		strBuf = append(strBuf, lenScratch[:n]...)
-		strBuf = append(strBuf, s...)
-	}
+	strs := frame.Append(nil, "")
 	for q := 0; q < nq; q++ {
-		appendName(names.Query(q))
+		strs.Str(names.Query(q))
 	}
 	for a := 0; a < na; a++ {
-		appendName(names.Ad(a))
+		strs.Str(names.Ad(a))
 	}
+	strBuf := strs.Bytes()
 
 	// Route section: node → shard, from the shard id lists.
 	route := make([]byte, 4*(nq+na))
@@ -228,38 +224,36 @@ func writeAssembled(w io.Writer, names nodeNames, cfg core.Config, payloads []sh
 	routeOff := stringsOff + uint64(len(strBuf))
 	dirOff := routeOff + uint64(len(route))
 	segOff := dirOff + uint64(dirEntrySize*len(payloads))
-	dir := make([]byte, dirEntrySize*len(payloads))
+	tkOff := segOff
+	for i := range payloads {
+		tkOff += uint64(len(payloads[i].qSeg) + len(payloads[i].aSeg))
+	}
+	entries := frame.Append(make([]byte, 0, dirEntrySize*len(payloads)), "")
 	var totalQ, totalA uint64
 	for i := range payloads {
-		o := i * dirEntrySize
-		qPairs := uint64(len(payloads[i].qSeg) / pairRecordSize)
-		aPairs := uint64(len(payloads[i].aSeg) / pairRecordSize)
-		binary.LittleEndian.PutUint64(dir[o:], segOff)
-		segOff += uint64(len(payloads[i].qSeg))
-		binary.LittleEndian.PutUint64(dir[o+8:], segOff)
-		segOff += uint64(len(payloads[i].aSeg))
-		binary.LittleEndian.PutUint64(dir[o+16:], qPairs)
-		binary.LittleEndian.PutUint64(dir[o+24:], aPairs)
-		binary.LittleEndian.PutUint32(dir[o+32:], payloads[i].qCRC)
-		binary.LittleEndian.PutUint32(dir[o+36:], payloads[i].aCRC)
-		binary.LittleEndian.PutUint64(dir[o+40:], payloads[i].fp)
+		p := &payloads[i]
+		if err := checkTopKBlobLen(len(p.tkBlob)); err != nil {
+			return fmt.Errorf("serve: shard %d: %w", i, err)
+		}
+		qPairs := uint64(len(p.qSeg) / pairRecordSize)
+		aPairs := uint64(len(p.aSeg) / pairRecordSize)
+		entries.U64(segOff)
+		entries.U64(segOff + uint64(len(p.qSeg)))
+		entries.U64(qPairs)
+		entries.U64(aPairs)
+		entries.U32(p.qCRC)
+		entries.U32(p.aCRC)
+		entries.U64(p.fp)
+		entries.U64(tkOff)
+		entries.U32(uint32(len(p.tkBlob)))
+		entries.U32(p.tkCRC)
+		segOff += uint64(len(p.qSeg) + len(p.aSeg))
+		tkOff += uint64(len(p.tkBlob))
 		totalQ += qPairs
 		totalA += aPairs
 	}
-	for i := range payloads {
-		if err := checkTopKBlobLen(len(payloads[i].tkBlob)); err != nil {
-			return fmt.Errorf("serve: shard %d: %w", i, err)
-		}
-		o := i * dirEntrySize
-		binary.LittleEndian.PutUint64(dir[o+48:], segOff)
-		binary.LittleEndian.PutUint32(dir[o+56:], uint32(len(payloads[i].tkBlob)))
-		binary.LittleEndian.PutUint32(dir[o+60:], payloads[i].tkCRC)
-		segOff += uint64(len(payloads[i].tkBlob))
-	}
+	dir := entries.Bytes()
 
-	hdr := make([]byte, headerSize)
-	copy(hdr, snapshotMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], snapshotVersion)
 	var flags uint32
 	if gen.converged {
 		flags |= flagConverged
@@ -270,38 +264,40 @@ func writeAssembled(w io.Writer, names nodeNames, cfg core.Config, payloads []sh
 	if cfg.DisableSpread {
 		flags |= flagDisableSpread
 	}
-	binary.LittleEndian.PutUint32(hdr[12:], flags)
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(cfg.Variant))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(gen.iterations))
-	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(cfg.C1))
-	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(cfg.C2))
-	binary.LittleEndian.PutUint32(hdr[40:], uint32(nq))
-	binary.LittleEndian.PutUint32(hdr[44:], uint32(na))
-	binary.LittleEndian.PutUint32(hdr[48:], uint32(len(payloads)))
-	binary.LittleEndian.PutUint32(hdr[52:], crc32.ChecksumIEEE(strBuf))
-	binary.LittleEndian.PutUint64(hdr[56:], totalQ)
-	binary.LittleEndian.PutUint64(hdr[64:], totalA)
-	binary.LittleEndian.PutUint64(hdr[72:], stringsOff)
-	binary.LittleEndian.PutUint64(hdr[80:], uint64(len(strBuf)))
-	binary.LittleEndian.PutUint64(hdr[88:], routeOff)
-	binary.LittleEndian.PutUint64(hdr[96:], uint64(len(route)))
-	binary.LittleEndian.PutUint64(hdr[104:], dirOff)
-	binary.LittleEndian.PutUint64(hdr[112:], uint64(len(dir)))
-	binary.LittleEndian.PutUint32(hdr[120:], crc32.ChecksumIEEE(route))
-	binary.LittleEndian.PutUint32(hdr[124:], crc32.ChecksumIEEE(dir))
-	binary.LittleEndian.PutUint64(hdr[128:], uint64(gen.generatedAt.Unix()))
-	binary.LittleEndian.PutUint32(hdr[136:], gen.dirtyShards)
-	binary.LittleEndian.PutUint32(hdr[140:], uint32(cfg.Channel))
-	binary.LittleEndian.PutUint32(hdr[144:], uint32(cfg.EvidenceForm))
-	binary.LittleEndian.PutUint64(hdr[148:], math.Float64bits(cfg.PruneEpsilon))
-	binary.LittleEndian.PutUint64(hdr[156:], math.Float64bits(cfg.Tolerance))
-	binary.LittleEndian.PutUint64(hdr[164:], math.Float64bits(cfg.DeltaSkipTolerance))
-	binary.LittleEndian.PutUint32(hdr[172:], uint32(cfg.Iterations))
-	binary.LittleEndian.PutUint32(hdr[176:], tk.k)
-	binary.LittleEndian.PutUint32(hdr[180:], tk.topN)
-	binary.LittleEndian.PutUint64(hdr[184:], tk.bidHash)
-	binary.LittleEndian.PutUint32(hdr[192:], 0) // reserved
-	binary.LittleEndian.PutUint32(hdr[196:], crc32.ChecksumIEEE(hdr[:196]))
+	h := frame.Append(make([]byte, 0, headerSize), snapshotMagic)
+	h.U32(snapshotVersion)
+	h.U32(flags)
+	h.U32(uint32(cfg.Variant))
+	h.U32(uint32(gen.iterations))
+	h.F64(cfg.C1)
+	h.F64(cfg.C2)
+	h.U32(uint32(nq))
+	h.U32(uint32(na))
+	h.U32(uint32(len(payloads)))
+	h.U32(crc32.ChecksumIEEE(strBuf))
+	h.U64(totalQ)
+	h.U64(totalA)
+	h.U64(stringsOff)
+	h.U64(uint64(len(strBuf)))
+	h.U64(routeOff)
+	h.U64(uint64(len(route)))
+	h.U64(dirOff)
+	h.U64(uint64(len(dir)))
+	h.U32(crc32.ChecksumIEEE(route))
+	h.U32(crc32.ChecksumIEEE(dir))
+	h.U64(uint64(gen.generatedAt.Unix()))
+	h.U32(gen.dirtyShards)
+	h.U32(uint32(cfg.Channel))
+	h.U32(uint32(cfg.EvidenceForm))
+	h.F64(cfg.PruneEpsilon)
+	h.F64(cfg.Tolerance)
+	h.F64(cfg.DeltaSkipTolerance)
+	h.U32(uint32(cfg.Iterations))
+	h.U32(tk.k)
+	h.U32(tk.topN)
+	h.U64(tk.bidHash)
+	h.U32(0) // reserved
+	hdr := h.Seal()
 
 	for _, b := range [][]byte{hdr, strBuf, route, dir} {
 		if _, err := w.Write(b); err != nil {
