@@ -13,11 +13,20 @@
 // live pipeline (a snapshot saved with simrank -rewrite-topk 0 has no
 // section, so every answer runs the pipeline).
 //
+// With -wal DIR the daemon also ingests (internal/ingest): click records
+// POSTed to /ingest are fsynced to a write-ahead log in DIR before the 200,
+// and a background loop folds them into the click graph, refreshes only
+// the dirty shards, publishes the next generation and reloads it. -graph,
+// the snapshot's click graph, is read only while DIR holds no fold state;
+// the ingest flags are refused without -wal.
+//
 // # Usage
 //
 //	simrankd -snapshot FILE [-addr :8080] [-top 5] [-max-top 100]
 //	         [-cache 4096] [-bids FILE] [-preload]
 //	         [-inflight 256] [-timeout 5s]
+//	         [-wal DIR [-graph FILE] [-cadence 30s] [-churn N]
+//	          [-max-lag N] [-generations 4] [-shard-workers N]]
 //
 // # Endpoints
 //
@@ -31,6 +40,8 @@
 //	GET /healthz                   liveness probe (process up)
 //	GET /readyz                    readiness: ok/degraded/unready with
 //	                               quarantined-shard detail
+//	POST /ingest                   with -wal: click records, one per line
+//	                               (query \t ad \t impr \t clicks \t rate)
 //
 // # Example
 //
@@ -50,13 +61,15 @@
 // freezing it on a stale index. /stats reports the loaded generation
 // (generated_at, fingerprint, and the dirty-shard count of the refresh
 // that produced it), so an operator can verify a SIGHUP actually swapped
-// generations.
+// generations. With -wal every published fold reloads the same way.
 //
 // # Shutdown
 //
 // SIGINT/SIGTERM closes the listener and gives admitted requests 5 s to
 // finish (internal/daemon); any still running then are counted in the
-// error and the exit is nonzero. OPERATIONS.md, "Shutdown".
+// error and the exit is nonzero. With -wal the fold loop stops first and
+// the WAL closes last, so an /ingest accepted before the signal is still
+// acknowledged durable. OPERATIONS.md, "Shutdown".
 //
 // # Fault tolerance
 //
@@ -66,38 +79,63 @@
 // listed) and recovers once the fault clears. Scoring requests beyond
 // -inflight are shed with 503 + Retry-After rather than queued, each
 // admitted request carries the -timeout deadline through the rewrite
-// path, and a handler panic costs one 500, not the daemon. Operational
-// procedures — generation layout, rollback, tuning — are in
+// path, and a handler panic costs one 500, not the daemon; a failing fold
+// keeps the last good generation serving, "degraded". Operational
+// procedures — generation layout, rollback, ingestion, tuning — are in
 // OPERATIONS.md at the repository root.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
+	"strings"
+	"sync"
 	"time"
 
 	"simrankpp/internal/daemon"
+	"simrankpp/internal/ingest"
 	"simrankpp/internal/rewrite"
 	"simrankpp/internal/serve"
 )
 
 func main() {
 	var (
-		snapPath = flag.String("snapshot", "", "snapshot file written by simrank -save (required)")
-		addr     = flag.String("addr", ":8080", "listen address")
-		top      = flag.Int("top", 5, "default rewrites per query")
-		maxTop   = flag.Int("max-top", 100, "cap on the per-request top parameter")
-		cache    = flag.Int("cache", 4096, "hot-query LRU entries (0 disables)")
-		bidsPath = flag.String("bids", "", "bid-term list file enabling bid filtering on /rewrite")
-		preload  = flag.Bool("preload", false, "verify and load every score segment at startup")
-		inflight = flag.Int("inflight", 256, "max concurrent scoring requests before shedding 503 (0 disables)")
-		timeout  = flag.Duration("timeout", 5*time.Second, "per-request deadline on scoring endpoints (0 disables)")
+		snapPath  = flag.String("snapshot", "", "snapshot file written by simrank -save (required)")
+		addr      = flag.String("addr", ":8080", "listen address")
+		top       = flag.Int("top", 5, "default rewrites per query")
+		maxTop    = flag.Int("max-top", 100, "cap on the per-request top parameter")
+		cache     = flag.Int("cache", 4096, "hot-query LRU entries (0 disables)")
+		bidsPath  = flag.String("bids", "", "bid-term list file enabling bid filtering on /rewrite")
+		preload   = flag.Bool("preload", false, "verify and load every score segment at startup")
+		inflight  = flag.Int("inflight", 256, "max concurrent scoring requests before shedding 503 (0 disables)")
+		timeout   = flag.Duration("timeout", 5*time.Second, "per-request deadline on scoring endpoints (0 disables)")
+		walDir    = flag.String("wal", "", "ingest: WAL directory; enables POST /ingest and the fold loop")
+		graphPath = flag.String("graph", "", "ingest: base click-graph file (required on first start, before a fold state exists)")
+		cadence   = flag.Duration("cadence", 30*time.Second, "ingest: fold interval")
+		churn     = flag.Uint64("churn", 0, "ingest: fold early once this many records are pending (0: cadence only)")
+		maxLag    = flag.Uint64("max-lag", 0, "ingest: reject /ingest with 503 beyond this WAL lag in records (0: unbounded)")
+		keepGens  = flag.Int("generations", 4, "ingest: journaled generations to retain")
+		shardWork = flag.Int("shard-workers", 0, "ingest: concurrent shard engines per fold (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if *snapPath == "" {
 		fatal(fmt.Errorf("-snapshot is required"))
+	}
+	if *walDir == "" {
+		var stray []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "graph", "cadence", "churn", "max-lag", "generations", "shard-workers":
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			fatal(fmt.Errorf("%s configure ingestion: add -wal DIR or drop them", strings.Join(stray, ", ")))
+		}
 	}
 
 	cfg := serve.DefaultServerConfig()
@@ -130,13 +168,54 @@ func main() {
 
 	srv := serve.NewServer(snap, cfg)
 	srv.SetGenerationID(genID)
-	log.Printf("simrankd: serving on %s", *addr)
-	daemon.Main(daemon.Spec{
+	// A SIGHUP and a published fold both re-open the serving path; one at
+	// a time, so an older open never swaps in over a newer one.
+	var reloading sync.Mutex
+	reload := func() error {
+		reloading.Lock()
+		defer reloading.Unlock()
+		return srv.ReloadServing(*snapPath, *preload, log.Printf)
+	}
+	spec := daemon.Spec{
 		Name:    "simrankd",
 		Addr:    *addr,
 		Handler: srv.Handler(),
-		Reload:  func() { _ = srv.ReloadServing(*snapPath, *preload, log.Printf) }, // logged there; the old index keeps serving
-	})
+		Reload:  func() { _ = reload() }, // logged there; the old index keeps serving
+	}
+	if *walDir != "" {
+		ctl, err := ingest.NewController(ingest.Config{
+			WALDir:          *walDir,
+			SnapshotPath:    *snapPath,
+			GraphPath:       *graphPath,
+			Workers:         *shardWork,
+			Cadence:         *cadence,
+			ChurnRecords:    *churn,
+			MaxLagRecords:   *maxLag,
+			KeepGenerations: *keepGens,
+			Bids:            cfg.BidTerms,
+			Logf:            log.Printf,
+			// Publish has just re-pointed the serving path at gen: reload it.
+			OnPublish: func(gen *serve.Generation) {
+				if err := reload(); err != nil {
+					log.Printf("simrankd: generation %d published but reload failed: %v", gen.ID, err)
+				}
+			},
+		})
+		if err != nil {
+			fatal(err)
+		}
+		srv.SetIngestStatus(ctl.Status)
+		mux := http.NewServeMux()
+		mux.Handle("/", spec.Handler)
+		mux.Handle("/ingest", ctl.Handler())
+		// internal/daemon stops the fold loop, then drains, then closes the WAL.
+		spec.Handler = mux
+		spec.Background = func(ctx context.Context) { _ = ctl.Run(ctx) } // only ever ctx's own error
+		spec.Close = ctl.Close
+		log.Printf("simrankd: ingesting into %s (cadence %s)", *walDir, *cadence)
+	}
+	log.Printf("simrankd: serving on %s", *addr)
+	daemon.Main(spec)
 }
 
 func fatal(err error) {

@@ -152,7 +152,7 @@ func writeFormatGoldens(t *testing.T) string {
 		t.Fatalf("adopted generation %d, want 1", gen.ID)
 	}
 
-	// simrank-ingestd: two records folded (fold-state.bin, cursor 2).
+	// simrankd -wal: two records folded (fold-state.bin, cursor 2).
 	walDir := filepath.Join(work, "wal")
 	ctl, err := ingest.NewController(ingest.Config{WALDir: walDir, SnapshotPath: serving, BaseGraph: g0})
 	must(err)

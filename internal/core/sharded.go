@@ -224,7 +224,7 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 				}
 				var warm warmSeed
 				if opt.WarmStart != nil {
-					warm = newWarmSeeder(opt.WarmStart, view.Graph)
+					warm = func(prevQ, prevA *sparse.PairFrontier) { FillWarmSeeds(opt.WarmStart, view.Graph, prevQ, prevA) }
 				}
 				ew := engineWorkers(sh.Nodes())
 				res, err := runEngine(view.Graph, cfg, ew, ar, warm)

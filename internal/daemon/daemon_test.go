@@ -79,7 +79,7 @@ func blockingHandler(entered chan<- struct{}, release <-chan struct{}, ev *event
 // blocked request is still answered 200, Serve returns only after it,
 // and the closer runs strictly after both the last handler and the
 // background loop have returned. It is the simrank-gateway bug (main
-// returned mid-drain: empty reply) and the simrank-ingestd bug (WAL
+// returned mid-drain: empty reply) and the ingesting daemon's bug (WAL
 // closed before the drain: a draining /ingest answered 400) in one.
 func TestServeStopsInOrder(t *testing.T) {
 	ln := listen(t)

@@ -16,6 +16,7 @@ import (
 	"simrankpp/internal/hedge"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/serve"
+	"simrankpp/internal/sparse"
 )
 
 // Options is what a caller of the coordinator sets.
@@ -307,33 +308,24 @@ func buildLease(g *clickgraph.Graph, prev *serve.Snapshot, plan *partition.Plan,
 		return true
 	})
 	if warm {
-		// Mirror core's warm seeder exactly — same iteration order, same
-		// j > i guard — so the worker's seeded frontier is bit-identical
-		// to what a local warm run of this shard would build.
-		for q := 0; q < vg.NumQueries(); q++ {
-			old, ok := prev.QueryID(vg.Query(q))
-			if !ok {
-				continue
-			}
-			for _, sc := range prev.TopRewrites(old, -1) {
-				if nj, ok := vg.QueryID(prev.Query(sc.Node)); ok && nj > q {
-					l.WarmQuery = append(l.WarmQuery, WirePair{I: uint32(q), J: uint32(nj), Score: sc.Score})
-				}
-			}
-		}
-		for a := 0; a < vg.NumAds(); a++ {
-			old, ok := prev.AdID(vg.Ad(a))
-			if !ok {
-				continue
-			}
-			for _, sc := range prev.TopSimilarAds(old, -1) {
-				if nj, ok := vg.AdID(prev.Ad(sc.Node)); ok && nj > a {
-					l.WarmAd = append(l.WarmAd, WirePair{I: uint32(a), J: uint32(nj), Score: sc.Score})
-				}
-			}
-		}
+		// core's own seeder, so the worker's seeded frontier is the one a
+		// local warm run of this shard would build.
+		seedQ, seedA := sparse.NewPairFrontier(vg.NumQueries()), sparse.NewPairFrontier(vg.NumAds())
+		core.FillWarmSeeds(prev, vg, seedQ, seedA)
+		l.WarmQuery, l.WarmAd = wirePairs(seedQ), wirePairs(seedA)
 	}
 	return l, nil
+}
+
+// wirePairs lists f's pairs in row-major order.
+func wirePairs(f *sparse.PairFrontier) []WirePair {
+	f.Compact()
+	var out []WirePair
+	f.Range(func(i, j int, v float64) bool {
+		out = append(out, WirePair{I: uint32(i), J: uint32(j), Score: v})
+		return true
+	})
+	return out
 }
 
 // RefreshShards computes the segment of every shard of plan that dirty

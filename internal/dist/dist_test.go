@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"net/http/httptest"
 	"runtime"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"simrankpp/internal/core"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/serve"
+	"simrankpp/internal/sparse"
 )
 
 // The fixtures mirror serve's refresh tests: a deterministic 4-cluster
@@ -68,11 +70,20 @@ func refreshCfg() core.Config {
 // buildGeneration runs g sharded (scores retained) and snapshots it.
 func buildGeneration(t *testing.T, g *clickgraph.Graph, cfg core.Config) ([]byte, *serve.Snapshot) {
 	t.Helper()
-	plan := partition.ComponentPlan(g)
-	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 3, RetainShardScores: true})
+	return snapshotOf(t, runGeneration(t, g, cfg))
+}
+
+func runGeneration(t *testing.T, g *clickgraph.Graph, cfg core.Config) *core.Result {
+	t.Helper()
+	res, err := core.RunSharded(g, cfg, partition.ComponentPlan(g), core.ShardOptions{Workers: 3, RetainShardScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func snapshotOf(t *testing.T, res *core.Result) ([]byte, *serve.Snapshot) {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := serve.WriteSnapshotTopK(&buf, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)
@@ -212,6 +223,52 @@ func TestLeaseRoundTrip(t *testing.T) {
 	eqSlices(t, "Edges", dec.Edges, l.Edges)
 	eqSlices(t, "WarmQuery", dec.WarmQuery, l.WarmQuery)
 	eqSlices(t, "WarmAd", dec.WarmAd, l.WarmAd)
+}
+
+// TestLeaseDropsUnusableSeeds: nothing checks a stored generation's scores
+// on the way in, so a NaN or a negative one in the previous snapshot must
+// stay out of every lease, as core's seeder keeps it out of a local warm
+// start — a lease ships exactly the seeds the local path would use.
+func TestLeaseDropsUnusableSeeds(t *testing.T) {
+	res := runGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
+	spoil := func(f *sparse.PairFrontier, bad float64) {
+		first := true
+		f.Map(func(_, _ int, v float64) (float64, bool) {
+			if first {
+				first, v = false, bad
+			}
+			return v, true
+		})
+	}
+	for i := range res.ShardScores {
+		spoil(res.ShardScores[i].QueryScores, math.NaN())
+		spoil(res.ShardScores[i].AdScores, -0.5)
+	}
+	_, prev := snapshotOf(t, res)
+	next := refreshGraph(t, [4]int{9, 2, 3, 4})
+	diff, err := partition.DiffPlans(prev, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := 0
+	for si, d := range diff.Dirty {
+		if !d {
+			continue
+		}
+		l, err := buildLease(next, prev, diff.Plan, si, diff.Plan.Fingerprint(), prev.Config(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range append(l.WarmQuery, l.WarmAd...) {
+			if !(p.Score > 0 && p.Score <= math.MaxFloat64) {
+				t.Fatalf("shard %d lease seeds pair (%d,%d) with %v", si, p.I, p.J, p.Score)
+			}
+			seeds++
+		}
+	}
+	if seeds == 0 {
+		t.Fatal("fixture leases carry no warm seeds")
+	}
 }
 
 // TestLeaseDecodeRejectsCorruption flips every byte of an encoded lease

@@ -40,8 +40,8 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 // wireScores adapts a lease's warm-start pairs to core.ScoreSource so
-// the worker's engine seeds through the exact same newWarmSeeder path a
-// local refresh uses. Naming delegates to the rebuilt subgraph (the
+// the worker's engine seeds through the same core.FillWarmSeeds a local
+// refresh uses. Naming delegates to the rebuilt subgraph (the
 // lease shipped prior-generation pairs already mapped to local ids);
 // partner lists hold only j > i, which is the half the seeder keeps.
 type wireScores struct {

@@ -365,9 +365,11 @@ func TestDoPrimaryFailsWhileTimerFires(t *testing.T) {
 }
 
 // TestDoHealthyRoundCost holds what a round whose primary answers costs:
-// no goroutine — the primary runs on Do's own, and an armed hedge timer
-// has none until it fires — and a fixed handful of allocations (the
-// round's state, the launch's context, the timer).
+// no goroutine — Send runs on Do's caller's goroutine (compared by id, not
+// by counting the process's goroutines, which earlier tests' stragglers
+// are still leaving), and an armed hedge timer has none until it fires —
+// and a fixed handful of allocations (the round's state, the launch's
+// context, the timer).
 func TestDoHealthyRoundCost(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -379,25 +381,27 @@ func TestDoHealthyRoundCost(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var inside int
+			var inside string
 			call := Call[string, string]{
 				Attempts: 1,
 				Tracker:  tc.tracker,
 				Pick:     func(string) (string, bool) { return "a", true },
 				Send: func(context.Context, string) (string, error) {
-					inside = runtime.NumGoroutine()
+					if inside == "" { // the first round only: the rest count allocations
+						inside = goroutineID()
+					}
 					return "a", nil
 				},
 				Hedged: func(_, _ string) { t.Error("a healthy round hedged") },
 			}
-			entry := runtime.NumGoroutine()
+			caller := goroutineID()
 			res, err := Do(context.Background(), call)
 			if err != nil || res.Value != "a" {
 				t.Fatalf("Do = %+v, %v", res, err)
 			}
 			res.Release()
-			if inside != entry {
-				t.Errorf("%d goroutines inside Send, %d at Do's entry", inside, entry)
+			if inside != caller {
+				t.Errorf("Send ran on goroutine %s, Do's caller is goroutine %s", inside, caller)
 			}
 			allocs := testing.AllocsPerRun(200, func() {
 				res, _ := Do(context.Background(), call)
@@ -408,4 +412,11 @@ func TestDoHealthyRoundCost(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goroutineID is the running goroutine's id, the second word of the
+// "goroutine N [running]:" line runtime.Stack writes first.
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
 }
