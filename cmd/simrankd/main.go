@@ -3,7 +3,8 @@
 // requests from a precomputed SimRank++ snapshot, never touching an
 // engine. Scores are computed offline (cmd/simrank -save, optionally
 // -sharded) and the daemon routes each query to its shard's score segment,
-// loading segments lazily and caching hot responses in a bounded LRU.
+// loading segments lazily. Nothing is cached: an answer is rendered from
+// the snapshot's bytes on every request.
 //
 // Segments are binary-searched in place, never decoded; on Linux the
 // snapshot is memory-mapped, so the scores stay in the page cache (other
@@ -23,8 +24,7 @@
 // # Usage
 //
 //	simrankd -snapshot FILE [-addr :8080] [-top 5] [-max-top 100]
-//	         [-cache 4096] [-bids FILE] [-preload]
-//	         [-inflight 256] [-timeout 5s]
+//	         [-bids FILE] [-preload] [-inflight 256] [-timeout 5s]
 //	         [-wal DIR [-graph FILE] [-cadence 30s] [-churn N]
 //	          [-max-lag N] [-generations 4] [-shard-workers N]]
 //
@@ -93,7 +93,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"simrankpp/internal/daemon"
@@ -108,7 +107,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		top       = flag.Int("top", 5, "default rewrites per query")
 		maxTop    = flag.Int("max-top", 100, "cap on the per-request top parameter")
-		cache     = flag.Int("cache", 4096, "hot-query LRU entries (0 disables)")
 		bidsPath  = flag.String("bids", "", "bid-term list file enabling bid filtering on /rewrite")
 		preload   = flag.Bool("preload", false, "verify and load every score segment at startup")
 		inflight  = flag.Int("inflight", 256, "max concurrent scoring requests before shedding 503 (0 disables)")
@@ -141,7 +139,6 @@ func main() {
 	cfg := serve.DefaultServerConfig()
 	cfg.DefaultTop = *top
 	cfg.MaxTop = *maxTop
-	cfg.CacheSize = *cache
 	cfg.MaxInFlight = *inflight
 	cfg.RequestTimeout = *timeout
 	if *bidsPath != "" {
@@ -168,14 +165,9 @@ func main() {
 
 	srv := serve.NewServer(snap, cfg)
 	srv.SetGenerationID(genID)
-	// A SIGHUP and a published fold both re-open the serving path; one at
-	// a time, so an older open never swaps in over a newer one.
-	var reloading sync.Mutex
-	reload := func() error {
-		reloading.Lock()
-		defer reloading.Unlock()
-		return srv.ReloadServing(*snapPath, *preload, log.Printf)
-	}
+	// A SIGHUP and a published fold both re-open the serving path;
+	// ReloadServing runs them one at a time.
+	reload := func() error { return srv.ReloadServing(*snapPath, *preload, log.Printf) }
 	spec := daemon.Spec{
 		Name:    "simrankd",
 		Addr:    *addr,

@@ -11,6 +11,7 @@ import (
 
 	"simrankpp/internal/faultfs"
 	"simrankpp/internal/hedge"
+	"simrankpp/internal/serve"
 )
 
 // The chaos suite drives the gateway through the failure modes the
@@ -141,11 +142,15 @@ func TestChaosMixedGenerationNeverMixes(t *testing.T) {
 
 	// Whole fleet on A.
 	hammer("uniform fleet", fpA, goldenA)
+	// rollToB reloads a replica onto generation B (id 2).
+	rollToB := func(r *replica) {
+		r.srv.Reload(func() (serve.ScoreIndex, error) { return snapB, nil }, nil, nil, nil)
+		r.srv.SetGenerationID(2)
+	}
 
 	// Rollout starts: replica 0 swaps to generation B — below quorum, so
 	// the pin holds and replica 0 simply stops receiving reads.
-	reps[0].srv.Swap(snapB)
-	reps[0].srv.SetGenerationID(2)
+	rollToB(reps[0])
 	gw.ProbeAll(context.Background())
 	if st := gw.rolloutStatus(); st.Pinned != fpA || st.Pending != fpB {
 		t.Fatalf("after 1/3 rollout: %+v, want pinned A pending B", st)
@@ -153,8 +158,7 @@ func TestChaosMixedGenerationNeverMixes(t *testing.T) {
 	hammer("1/3 rolled out", fpA, goldenA)
 
 	// Quorum: replica 1 follows; reads cut over atomically.
-	reps[1].srv.Swap(snapB)
-	reps[1].srv.SetGenerationID(2)
+	rollToB(reps[1])
 	gw.ProbeAll(context.Background())
 	if st := gw.rolloutStatus(); st.Pinned != fpB || st.Cutovers != 1 {
 		t.Fatalf("after 2/3 rollout: %+v, want pinned B after 1 cutover", st)
@@ -194,8 +198,7 @@ func TestChaosMixedGenerationNeverMixes(t *testing.T) {
 		}()
 	}
 	time.Sleep(15 * time.Millisecond)
-	reps[2].srv.Swap(snapB)
-	reps[2].srv.SetGenerationID(2)
+	rollToB(reps[2])
 	wg.Wait()
 	close(errs)
 	for e := range errs {

@@ -7,8 +7,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -481,5 +483,59 @@ func TestStatsServingSurface(t *testing.T) {
 	}
 	if ss.TopKSection == nil || !ss.TopKSection.Present || ss.TopKSection.Serving {
 		t.Errorf("K = 4 topk_section under default top 5 = %+v, want present but not serving", ss.TopKSection)
+	}
+}
+
+// readerAtLog is a snapshot's bytes that note the goroutine of every read
+// and then take a few milliseconds over it, long enough for any worker a
+// batch started to claim an item of its own.
+type readerAtLog struct {
+	b       []byte
+	mu      sync.Mutex
+	readers map[int]bool
+}
+
+func (r *readerAtLog) ReadAt(p []byte, off int64) (int, error) {
+	r.mu.Lock()
+	r.readers[goroutineID()] = true
+	r.mu.Unlock()
+	time.Sleep(5 * time.Millisecond)
+	return bytes.NewReader(r.b).ReadAt(p, off)
+}
+
+// TestSectionBatchOnHandlerGoroutine: a batch the precomputed section
+// answers starts no workers — every item, each one its shard's first
+// touch of the section, is read on the handler's goroutine — and answers
+// what the live pipeline answers.
+func TestSectionBatchOnHandlerGoroutine(t *testing.T) {
+	g := testGraph(t)
+	path, res := writeTopKFile(t, g, TopKOptions{K: DefaultRewriteTopK})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &readerAtLog{b: raw, readers: map[int]bool{}}
+	snap, err := NewSnapshot(log, int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.readers = map[int]bool{} // forget the header reads
+	var queries []string
+	for c := 0; c < 4; c++ {
+		queries = append(queries, fmt.Sprintf("c%d-q0", c))
+	}
+	if snap.NumShards() < len(queries) {
+		t.Fatalf("%d shards; the fixture needs one per query", snap.NumShards())
+	}
+	body, _ := json.Marshal(BatchRequest{Queries: queries, Top: 3})
+	code, got := postBatch(t, serverOver(snap, nil).Handler(), string(body))
+	if _, want := postBatch(t, pipelineServer(t, res, nil), string(body)); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("/batch = %d %s, the pipeline answers %s", code, got, want)
+	}
+	if me := goroutineID(); len(log.readers) != 1 || !log.readers[me] {
+		t.Errorf("the section was read on goroutines %v, want only the handler's %d", log.readers, me)
+	}
+	if snap.LoadedSegments() != len(queries) {
+		t.Errorf("%d segments loaded, want the %d queries' top-k blobs", snap.LoadedSegments(), len(queries))
 	}
 }

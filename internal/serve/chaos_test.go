@@ -93,7 +93,6 @@ func TestChaosBitFlipQuarantinesOneShard(t *testing.T) {
 	inj.FlipBit(int64(snap.dir[vShard].qOff)+8, 3)
 
 	cfg := DefaultServerConfig()
-	cfg.CacheSize = 0
 	cfg.MaxInFlight = 0
 	cfg.RequestTimeout = 0
 	srv := NewServer(snap, cfg)
@@ -239,7 +238,6 @@ func TestChaosOverloadSheds503(t *testing.T) {
 	qs := distinctShardQueries(t, snap, 3)
 
 	cfg := DefaultServerConfig()
-	cfg.CacheSize = 0
 	cfg.MaxInFlight = 2
 	cfg.RequestTimeout = 30 * time.Second
 	srv := NewServer(snap, cfg)
@@ -328,7 +326,6 @@ func TestChaosDeadlineAnswers504(t *testing.T) {
 	q := distinctShardQueries(t, snap, 1)[0]
 
 	cfg := DefaultServerConfig()
-	cfg.CacheSize = 0
 	cfg.MaxInFlight = 0
 	cfg.RequestTimeout = 30 * time.Millisecond
 	srv := NewServer(snap, cfg)
@@ -358,9 +355,7 @@ func (p panicIndex) TopRewrites(q, k int) []sparse.Scored { panic("injected pani
 func TestChaosPanicIsOne500NotADeadDaemon(t *testing.T) {
 	snap, _ := chaosSnapshot(t, DefaultRewriteTopK)
 	q := distinctShardQueries(t, snap, 1)[0]
-	cfg := DefaultServerConfig()
-	cfg.CacheSize = 0
-	srv := NewServer(panicIndex{snap}, cfg)
+	srv := NewServer(panicIndex{snap}, DefaultServerConfig())
 	h := srv.Handler()
 
 	code, body := get(t, h, "/similar?q="+url.QueryEscape(q))
@@ -562,9 +557,7 @@ func TestChaosHostileSegmentQuarantinesOneShard(t *testing.T) {
 				if err != nil {
 					t.Fatalf("a re-sealed snapshot must open (segments load lazily): %v", err)
 				}
-				cfg := DefaultServerConfig()
-				cfg.CacheSize = 0
-				h := NewServer(snap, cfg).Handler()
+				h := NewServer(snap, DefaultServerConfig()).Handler()
 
 				for q := 0; q < snap.NumQueries(); q++ {
 					got := snap.TopRewrites(q, -1)

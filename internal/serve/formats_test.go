@@ -18,8 +18,8 @@ func formatGolden(name string) string { return filepath.Join("..", "..", "testda
 
 // TestFormatGoldenSnapshot opens the v3 sharded snapshot of fig3 and
 // checks what it decodes to: dimensions, names, routing, a known score,
-// and the top-k section answering /rewrite with the repository's golden
-// response.
+// and /rewrite (from the top-k section), /similar and /batch answering
+// with the repository's golden responses.
 func TestFormatGoldenSnapshot(t *testing.T) {
 	snap, err := OpenSnapshot(formatGolden("fig3.v3.snap"))
 	if err != nil {
@@ -63,13 +63,29 @@ func TestFormatGoldenSnapshot(t *testing.T) {
 	if !snap.RewriteSectionUsable(3, 0) {
 		t.Fatal("the precomputed top-k section does not serve an unfiltered depth-3 rewrite")
 	}
-	code, body := get(t, NewServer(snap, DefaultServerConfig()).Handler(), "/rewrite?q=camera&top=3")
-	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden_rewrite_camera.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != http.StatusOK || string(body) != string(want) {
-		t.Errorf("/rewrite?q=camera&top=3 = %d %s, want %s", code, body, want)
+	// The JSON surface: each answer is the repository's golden response,
+	// the bytes CI's serving smoke diffs a daemon's answers against.
+	h := NewServer(snap, DefaultServerConfig()).Handler()
+	for _, c := range []struct{ path, post, golden string }{
+		{"/rewrite?q=camera&top=3", "", "golden_rewrite_camera.json"},
+		{"/similar?q=camera&top=3", "", "golden_similar_camera.json"},
+		{"/similar?ad=hp.com&top=3", "", "golden_similar_ad_hp.json"},
+		{"/batch", `{"queries":["camera","pc"]}`, "golden_batch_camera_pc.json"},
+	} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var code int
+		var body []byte
+		if c.post == "" {
+			code, body = get(t, h, c.path)
+		} else {
+			code, body = postBatch(t, h, c.post)
+		}
+		if code != http.StatusOK || string(body) != string(want) {
+			t.Errorf("%s %s = %d %s, want %s", c.path, c.post, code, body, want)
+		}
 	}
 }
 

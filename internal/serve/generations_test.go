@@ -242,9 +242,7 @@ func TestGenerationRollbackByteIdenticalRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultServerConfig()
-	cfg.CacheSize = 0
-	srv := NewServer(idx, cfg)
+	srv := NewServer(idx, DefaultServerConfig())
 	h := srv.Handler()
 
 	// A cluster-0 query scores differently across the two generations.
@@ -291,9 +289,7 @@ func TestGenerationReloadFallsBackWhenServingCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultServerConfig()
-	cfg.CacheSize = 0
-	srv := NewServer(idx, cfg)
+	srv := NewServer(idx, DefaultServerConfig())
 	h := srv.Handler()
 	_, before := get(t, h, rewriteURL("c0-q0"))
 

@@ -16,7 +16,7 @@ import (
 // rename, the only replacement the snapshot contract permits) and
 // asserts every reload lands on exactly one of the two generations —
 // header, segments and fingerprint all from the same file, never a torn
-// mix. Run under -race this also checks the Server.Swap/handler
+// mix. Run under -race this also checks the Server.swap/handler
 // synchronization.
 func TestReloadRacesRefreshSwap(t *testing.T) {
 	cfg := refreshCfg()

@@ -23,8 +23,9 @@ import (
 // This file is the query-rewrite front-end of Figure 2 as a daemon: an
 // HTTP/JSON server answering rewrite queries from a ScoreIndex — normally
 // a snapshot the batch side wrote — with the §9.3 filtering pipeline on
-// the /rewrite path, a bounded LRU for hot queries, and a lock-guarded
-// index swap so SIGHUP reloads never disturb in-flight requests.
+// the /rewrite path, answers rendered straight into the response bytes,
+// and a lock-guarded index swap so SIGHUP reloads never disturb in-flight
+// requests.
 //
 // The serving path is built to fail partially, not totally (see
 // OPERATIONS.md): a quarantined shard degrades /readyz while every other
@@ -40,8 +41,6 @@ type Config struct {
 	DefaultTop int
 	// MaxTop caps the per-request top parameter.
 	MaxTop int
-	// CacheSize bounds the hot-query LRU (entries); <= 0 disables it.
-	CacheSize int
 	// BidTerms, when non-nil, enables bid-term filtering on /rewrite.
 	BidTerms map[string]bool
 	// MaxInFlight bounds concurrently-served scoring requests (/rewrite
@@ -78,10 +77,9 @@ const (
 )
 
 // DefaultServerConfig returns the paper's depth-5 serving settings with a
-// 4096-entry cache, a 256-request in-flight bound, and a 5s deadline.
+// 256-request in-flight bound and a 5s deadline.
 func DefaultServerConfig() Config {
-	return Config{DefaultTop: 5, MaxTop: 100, CacheSize: 4096,
-		MaxInFlight: 256, RequestTimeout: 5 * time.Second}
+	return Config{DefaultTop: 5, MaxTop: 100, MaxInFlight: 256, RequestTimeout: 5 * time.Second}
 }
 
 // EndpointStats is one endpoint's request/error counters in /stats, with
@@ -170,7 +168,6 @@ func (c *endpointCounters) snapshot() EndpointStats {
 //	                              with quarantined-shard detail
 type Server struct {
 	cfg   Config
-	cache *lruCache
 	start time.Time
 
 	// bidHash identifies cfg.BidTerms (BidTermsHash), compared against
@@ -182,16 +179,20 @@ type Server struct {
 	// shedding is disabled.
 	inflight chan struct{}
 
-	// mu guards idx: handlers hold the read side for the whole request,
-	// so Swap (write side) returns only once no request uses the old
-	// index — the graceful half of graceful reload.
+	// mu guards idx and genID: handlers hold the read side for the whole
+	// request, so swap (write side) returns only once no request uses the
+	// old index — the graceful half of graceful reload — and a reader sees
+	// an index with the generation id it was swapped in under.
 	mu  sync.RWMutex
 	idx ScoreIndex
-
 	// genID is the journal generation id of the served snapshot when the
-	// daemon could resolve one (simrankd matches the snapshot fingerprint
-	// against the generation store); 0 otherwise.
-	genID atomic.Uint64
+	// daemon could resolve one (OpenServing / ReloadServing match the
+	// snapshot fingerprint against the generation store); 0 otherwise.
+	genID uint64
+
+	// reloading lets one reload at a time open and swap, so an older open
+	// never swaps in over a newer one.
+	reloading sync.Mutex
 
 	// ingest, when set, reports the co-located ingest controller's
 	// bounded-staleness status into /readyz and /stats — the serving
@@ -200,7 +201,6 @@ type Server struct {
 
 	endpoints      map[string]*endpointCounters
 	requests       atomic.Int64
-	cacheHits      atomic.Int64
 	reloads        atomic.Int64
 	reloadFailures atomic.Int64
 	shed           atomic.Int64
@@ -222,7 +222,7 @@ func NewServer(idx ScoreIndex, cfg Config) *Server {
 	if cfg.MaxTop <= 0 {
 		cfg.MaxTop = 100
 	}
-	s := &Server{cfg: cfg, cache: newLRU(cfg.CacheSize), idx: idx, start: time.Now(),
+	s := &Server{cfg: cfg, idx: idx, start: time.Now(),
 		bidHash:       BidTermsHash(cfg.BidTerms),
 		maxRetryAfter: maxRetryAfterSeconds, batchConcurrency: batchConcurrency}
 	if cfg.MaxInFlight > 0 {
@@ -247,8 +247,13 @@ func (s *Server) InFlight() int {
 // SetGenerationID records the journal generation id of the served
 // snapshot, surfaced in /readyz and /stats generation identity. Call it
 // after swapping in an index whose journal id is known; 0 (the default)
-// means "not journaled / unknown".
-func (s *Server) SetGenerationID(id uint64) { s.genID.Store(id) }
+// means "not journaled / unknown". ReloadServing sets the id itself,
+// together with the swap.
+func (s *Server) SetGenerationID(id uint64) {
+	s.mu.Lock()
+	s.genID = id
+	s.mu.Unlock()
+}
 
 // IngestStatus is a co-located ingest controller's health as surfaced
 // through the serving endpoints: /readyz upgrades "ok" to "degraded"
@@ -304,15 +309,15 @@ type GenerationIdentity struct {
 
 // generationIdentity derives the identity of the index being served;
 // nil for indexes that are not snapshots (a live engine result has no
-// generation to agree on).
-func (s *Server) generationIdentity(idx ScoreIndex) *GenerationIdentity {
-	snap, ok := idx.(*Snapshot)
+// generation to agree on). The caller holds s.mu.
+func (s *Server) generationIdentity() *GenerationIdentity {
+	snap, ok := s.idx.(*Snapshot)
 	if !ok {
 		return nil
 	}
 	m := snap.Meta()
 	return &GenerationIdentity{
-		ID:          s.genID.Load(),
+		ID:          s.genID,
 		Fingerprint: m.Fingerprint,
 		GeneratedAt: m.GeneratedAt,
 		DirtyShards: m.LastRefreshDirty,
@@ -327,15 +332,17 @@ func (s *Server) Index() ScoreIndex {
 	return s.idx
 }
 
-// Swap atomically replaces the served index and clears the response cache,
-// returning the previous index once no in-flight request still reads it —
-// the caller may then safely close it.
-func (s *Server) Swap(idx ScoreIndex) ScoreIndex {
+// swap atomically replaces the served index — and the generation id with
+// it when id is non-nil — and returns the previous index once no in-flight
+// request still reads it: the caller may then safely close it.
+func (s *Server) swap(idx ScoreIndex, id *uint64) ScoreIndex {
 	s.mu.Lock()
 	old := s.idx
 	s.idx = idx
+	if id != nil {
+		s.genID = *id
+	}
 	s.mu.Unlock()
-	s.cache.Clear()
 	s.reloads.Add(1)
 	return old
 }
@@ -347,8 +354,16 @@ func (s *Server) Swap(idx ScoreIndex) ScoreIndex {
 // wedging it); when both fail, the old index keeps serving and the load
 // error is returned. The swapped-out index is passed to retire (which
 // may close it); logf receives one line per attempt. Callbacks may be
-// nil.
+// nil. Reloads run one at a time, and the generation id is kept.
 func (s *Server) Reload(load, fallback func() (ScoreIndex, error), retire func(ScoreIndex), logf func(format string, args ...any)) error {
+	return s.reload(load, fallback, nil, retire, logf)
+}
+
+// reload is Reload; a non-nil id is the generation id to swap in with
+// what load or fallback opened, read once the one that succeeded returns.
+func (s *Server) reload(load, fallback func() (ScoreIndex, error), id *uint64, retire func(ScoreIndex), logf func(format string, args ...any)) error {
+	s.reloading.Lock()
+	defer s.reloading.Unlock()
 	logf = orSilent(logf)
 	idx, err := load()
 	if err != nil {
@@ -366,7 +381,7 @@ func (s *Server) Reload(load, fallback func() (ScoreIndex, error), retire func(S
 		logf("serve: fell back to previous good generation")
 		idx = fidx
 	}
-	old := s.Swap(idx)
+	old := s.swap(idx, id)
 	if snap, ok := idx.(*Snapshot); ok {
 		m := snap.Meta()
 		logf("serve: reloaded index (%d queries, %d ads; generation %s, %d shards, fingerprint %s)",
@@ -496,17 +511,11 @@ func (s *Server) retryAfter() int {
 	return min(retryAfterSeconds*int(1+(streak-1)/depth), s.maxRetryAfter)
 }
 
-// RewriteAnswer is one served rewrite.
+// RewriteAnswer is one served rewrite: an element of the "rewrites"
+// array of a /rewrite, /similar or /batch answer (appendRewriteJSON).
 type RewriteAnswer struct {
 	Text  string  `json:"text"`
 	Score float64 `json:"score"`
-}
-
-// rewriteResponse is the /rewrite (and /similar) payload.
-type rewriteResponse struct {
-	Query    string          `json:"query"`
-	Method   string          `json:"method"`
-	Rewrites []RewriteAnswer `json:"rewrites"`
 }
 
 // topParam reads the depth from a request's already-parsed query string.
@@ -559,13 +568,13 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, msg, status)
 		return
 	}
-	writeJSONBytes(w, body)
+	writeJSON(w, http.StatusOK, body, nil)
 }
 
-// rewriteBody computes one /rewrite answer — the shared core of the
-// single endpoint and every /batch item. The caller holds the index read
-// lock. It returns the cached-or-computed JSON body (trailing newline
-// included) with StatusOK, or a status and message for error answers.
+// rewriteBody renders one /rewrite answer — the shared core of the single
+// endpoint and every /batch item. The caller holds the index read lock.
+// It returns the JSON body (trailing newline included) with StatusOK, or
+// a status and message for error answers.
 //
 // When the served index is a snapshot whose precomputed top-k section
 // matches this server's effective parameters (same candidate pool, same
@@ -575,20 +584,12 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 // section absent, a full list asked past k, parameters differ, or blob
 // quarantined — it runs the live §9.3 pipeline. Both paths emit identical
 // bytes by construction: the section was written by this same pipeline
-// code at build time.
+// code at build time, and one renderer writes both.
 func (s *Server) rewriteBody(ctx context.Context, q string, top int) ([]byte, int, string) {
-	key := "rw\x00" + q + "\x00" + strconv.Itoa(top)
-	if body, ok := s.cache.Get(key); ok {
-		s.cacheHits.Add(1)
-		return body, http.StatusOK, ""
-	}
 	qid, ok := s.idx.QueryID(q)
 	if !ok {
 		return nil, http.StatusNotFound, fmt.Sprintf("query %q not in index", q)
 	}
-
-	var answers []RewriteAnswer
-	method := ""
 	if snap, isSnap := s.idx.(*Snapshot); isSnap && snap.RewriteSectionUsable(top, s.bidHash) {
 		if pre, hit := snap.PrecomputedRewrites(qid, top); hit {
 			// The lookup may have sat on a slow (or fault-injected) blob
@@ -597,41 +598,36 @@ func (s *Server) rewriteBody(ctx context.Context, q string, top int) ([]byte, in
 				status, msg := scoreErrorInfo(err)
 				return nil, status, msg
 			}
-			answers = make([]RewriteAnswer, 0, len(pre))
-			for _, sc := range pre {
-				answers = append(answers, RewriteAnswer{Text: snap.Query(sc.Node), Score: sc.Score})
-			}
-			method = snap.VariantName()
+			return rendered(appendRewriteJSON(nil, q, snap.VariantName(), len(pre), func(i int) (string, float64) {
+				return snap.Query(pre[i].Node), pre[i].Score
+			}))
 		}
 	}
-	if method == "" {
-		pipe := rewrite.NewPipeline(s.idx, s.cfg.BidTerms)
-		pipe.MaxRewrites = top
-		if top > pipe.TopN {
-			// A depth above the paper's 100-candidate default (operator
-			// raised -max-top) must widen the raw ranking too, or filtering
-			// would silently truncate at TopN.
-			pipe.TopN = top
-		}
-		src := &rewrite.ResultSource{Index: s.idx}
-		cands, err := pipe.RewriteContext(ctx, src, qid)
-		if err != nil {
-			status, msg := scoreErrorInfo(err)
-			return nil, status, msg
-		}
-		answers = make([]RewriteAnswer, 0, len(cands))
-		for _, c := range cands {
-			answers = append(answers, RewriteAnswer{Text: c.Text, Score: c.Score})
-		}
-		method = src.Name()
+	pipe := rewrite.NewPipeline(s.idx, s.cfg.BidTerms)
+	pipe.MaxRewrites = top
+	if top > pipe.TopN {
+		// A depth above the paper's 100-candidate default (operator
+		// raised -max-top) must widen the raw ranking too, or filtering
+		// would silently truncate at TopN.
+		pipe.TopN = top
 	}
-	resp := rewriteResponse{Query: q, Method: method, Rewrites: answers}
-	body, err := json.Marshal(resp)
+	src := &rewrite.ResultSource{Index: s.idx}
+	cands, err := pipe.RewriteContext(ctx, src, qid)
 	if err != nil {
-		return nil, http.StatusInternalServerError, err.Error()
+		status, msg := scoreErrorInfo(err)
+		return nil, status, msg
 	}
-	body = append(body, '\n')
-	s.cache.Put(key, body)
+	return rendered(appendRewriteJSON(nil, q, src.Name(), len(cands), func(i int) (string, float64) {
+		return cands[i].Text, cands[i].Score
+	}))
+}
+
+// rendered is rewriteBody's outcome for what the renderer returned: the
+// body, or a 500 carrying the renderer's error.
+func rendered(body []byte, err error) ([]byte, int, string) {
+	if err != nil {
+		return body, http.StatusInternalServerError, err.Error()
+	}
 	return body, http.StatusOK, ""
 }
 
@@ -677,11 +673,10 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		scoreError(w, err)
 		return
 	}
-	resp := rewriteResponse{Query: subject, Method: s.idx.VariantName(), Rewrites: make([]RewriteAnswer, 0, len(scored))}
-	for _, sc := range scored {
-		resp.Rewrites = append(resp.Rewrites, RewriteAnswer{Text: name(sc.Node), Score: sc.Score})
-	}
-	writeJSON(w, resp)
+	body, err := appendRewriteJSON(nil, subject, s.idx.VariantName(), len(scored), func(i int) (string, float64) {
+		return name(scored[i].Node), scored[i].Score
+	})
+	writeJSON(w, http.StatusOK, body, err)
 }
 
 // BatchRequest is the POST /batch payload: one round trip for many
@@ -864,10 +859,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// same index generation even if a reload lands mid-request.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// At most batchConcurrency items are scored at once, this goroutine's
-	// included: the workers claim positions off a shared counter, so a
-	// batch whose items are a few microseconds each is mostly answered
-	// here, before the others have started.
+	// A section lookup costs less than starting a goroutine, so a batch
+	// the section answers is answered here, in order. A live-pipeline
+	// batch has at most batchConcurrency items scored at once, this
+	// goroutine's included: the workers claim positions off a shared
+	// counter.
+	workers := min(s.batchConcurrency, len(req.Queries))
+	if snap, ok := s.idx.(*Snapshot); ok && snap.RewriteSectionUsable(top, s.bidHash) {
+		workers = 1
+	}
 	results := make([]json.RawMessage, len(req.Queries))
 	var next atomic.Int64
 	work := func() {
@@ -880,7 +880,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var wg sync.WaitGroup
-	for n := min(s.batchConcurrency, len(req.Queries)); n > 1; n-- {
+	for n := workers; n > 1; n-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -889,11 +889,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	work()
 	wg.Wait()
-	writeJSONBytes(w, EncodeBatchResponse(results))
+	writeJSON(w, http.StatusOK, EncodeBatchResponse(results), nil)
 }
 
 // batchItem answers one query of a batch: the single endpoint's bytes
-// minus their trailing newline (already-marshaled JSON embeds as-is), or
+// minus their trailing newline (already-rendered JSON embeds as-is), or
 // the BatchItemError for the status and message it would have answered. A
 // panic under it is that item's 500 and one more in /stats' panics — the
 // items run on goroutines instrument's recover does not cover, where an
@@ -917,10 +917,10 @@ type StatsResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Requests counts every request across all endpoints — including
 	// the /stats request that reports it.
-	Requests     int64 `json:"requests"`
-	CacheHits    int64 `json:"cache_hits"`
-	CacheEntries int   `json:"cache_entries"`
-	CacheSize    int   `json:"cache_size"`
+	Requests int64 `json:"requests"`
+	// CacheHits is always 0: the server keeps no response cache. The
+	// field stays while pathbench still reads it.
+	CacheHits int64 `json:"cache_hits"`
 	// Endpoints breaks requests and error responses down per endpoint.
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 	// Shed counts scoring requests rejected 503 at the in-flight limit;
@@ -977,14 +977,12 @@ type TopKSectionStats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	ingest := s.ingestStatus() // called under no server locks
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	resp := StatsResponse{
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		Requests:       s.requests.Load(),
-		CacheHits:      s.cacheHits.Load(),
-		CacheEntries:   s.cache.Len(),
-		CacheSize:      s.cfg.CacheSize,
 		Endpoints:      make(map[string]EndpointStats, len(s.endpoints)),
 		Shed:           s.shed.Load(),
 		Panics:         s.panics.Load(),
@@ -994,12 +992,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Queries:        s.idx.NumQueries(),
 		Ads:            s.idx.NumAds(),
 		Method:         s.idx.VariantName(),
+		Ingest:         ingest,
 	}
 	for name, c := range s.endpoints {
 		resp.Endpoints[name] = c.snapshot()
 	}
-	resp.Generation = s.generationIdentity(s.idx)
-	resp.Ingest = s.ingestStatus()
+	resp.Generation = s.generationIdentity()
 	if snap, ok := s.idx.(*Snapshot); ok {
 		meta := snap.Meta()
 		resp.Snapshot = &meta
@@ -1018,7 +1016,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Serving:     s.cfg.DefaultTop <= meta.RewriteTopK && snap.RewriteSectionUsable(s.cfg.DefaultTop, s.bidHash),
 		}
 	}
-	writeJSON(w, resp)
+	body, err := json.Marshal(resp)
+	writeJSON(w, http.StatusOK, append(body, '\n'), err)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -1045,16 +1044,16 @@ type ReadyResponse struct {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	ingest := s.ingestStatus() // called under no server locks
 	s.mu.RLock()
-	idx := s.idx
-	s.mu.RUnlock()
-	resp := ReadyResponse{Status: "ok"}
+	defer s.mu.RUnlock()
+	resp := ReadyResponse{Status: "ok", Ingest: ingest}
 	code := http.StatusOK
-	if idx == nil {
+	if s.idx == nil {
 		resp.Status = "unready"
 		code = http.StatusServiceUnavailable
-	} else if snap, ok := idx.(*Snapshot); ok {
-		resp.Generation = s.generationIdentity(idx)
+	} else if snap, ok := s.idx.(*Snapshot); ok {
+		resp.Generation = s.generationIdentity()
 		if quar := snap.Quarantined(); len(quar) > 0 {
 			resp.Status = "degraded"
 			resp.Quarantined = quar
@@ -1079,32 +1078,20 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// downgrades "ok" to "degraded" but never to unready: the last good
 	// generation still answers, and HTTP stays 200 so routers keep
 	// sending the traffic it can serve.
-	if ing := s.ingestStatus(); ing != nil {
-		resp.Ingest = ing
-		if ing.Degraded && resp.Status == "ok" {
-			resp.Status = "degraded"
-		}
+	if ingest != nil && ingest.Degraded && resp.Status == "ok" {
+		resp.Status = "degraded"
 	}
 	body, err := json.Marshal(resp)
+	writeJSON(w, code, append(body, '\n'), err)
+}
+
+// writeJSON answers code with a rendered JSON body, or err as a 500.
+func writeJSON(w http.ResponseWriter, code int, body []byte, err error) {
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(append(body, '\n'))
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSONBytes(w, append(body, '\n'))
-}
-
-func writeJSONBytes(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
 }

@@ -23,20 +23,24 @@ func OpenServing(path string, preload bool, logf func(format string, args ...any
 }
 
 // ReloadServing re-opens path as OpenServing does and swaps the result
-// in through Reload: the generation id is set before the swap, the
-// replaced snapshot is closed once no request reads it, and when nothing
-// opens the current index keeps serving and the path's error is returned.
+// in through Reload: one reload at a time, the generation id set in the
+// same write section as the index, so /readyz and /stats never pair one
+// snapshot's fingerprint with another's id; the replaced snapshot is
+// closed once no request reads it, and when nothing opens the current
+// index keeps serving and the path's error is returned.
 func (s *Server) ReloadServing(path string, preload bool, logf func(format string, args ...any)) error {
+	var id uint64
 	identified := func(snap *Snapshot, err error) (ScoreIndex, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.SetGenerationID(journalID(path, snap))
+		id = journalID(path, snap)
 		return snap, nil
 	}
-	return s.Reload(
+	return s.reload(
 		func() (ScoreIndex, error) { return identified(openVerified(path, preload)) },
 		func() (ScoreIndex, error) { return identified(openLastGood(path, preload, logf)) },
+		&id,
 		func(old ScoreIndex) {
 			if c, ok := old.(*Snapshot); ok {
 				c.Close()

@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // replaceWith renames a file holding data over path: the serving path and
@@ -181,4 +183,174 @@ func TestReloadServingReportsPublishedGeneration(t *testing.T) {
 		t.Fatalf("after the fallback /readyz reports generation %d with %d reload failures, want 1 and 1", g.ID, srv.reloadFailures.Load())
 	}
 	srv.Index().(*Snapshot).Close()
+}
+
+// TestReloadServingPairsIDWithFingerprint races ReloadServing calls — a
+// SIGHUP's and a fold's, as simrankd -wal makes them — while the serving
+// path is re-pointed among three journaled generations and /readyz is
+// polled: every answer pairs a generation id with that generation's own
+// fingerprint, and once the reloads stop the file the path names serves.
+// Run it under -race.
+func TestReloadServingPairsIDWithFingerprint(t *testing.T) {
+	fx := buildGenFixture(t)
+	hex := func(fp uint64) string { return fmt.Sprintf("%016x", fp) }
+	path, gs, _ := servingDir(t, fx)
+	g2, err := commitPublishBytes(gs, fx.gen2, fx.fp2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g3, err := commitPublishBytes(gs, fx.gen3, fx.fp3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]uint64{hex(fx.fp1): 1, hex(fx.fp2): g2.ID, hex(fx.fp3): g3.ID}
+	gens := [][]byte{fx.gen1, fx.gen2, fx.gen3}
+	snap, id, err := OpenServing(path, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(snap, DefaultServerConfig())
+	srv.SetGenerationID(id)
+	h := srv.Handler()
+	// paired polls /readyz once; false after reporting a mismatch.
+	paired := func() bool {
+		code, body := get(t, h, "/readyz")
+		var ready ReadyResponse
+		if err := json.Unmarshal(body, &ready); err != nil || code != http.StatusOK || ready.Generation == nil {
+			t.Errorf("readyz = %d %s (%v)", code, body, err)
+			return false
+		}
+		if g := ready.Generation; ids[g.Fingerprint] != g.ID {
+			t.Errorf("/readyz pairs generation %d with fingerprint %s, generation %d's", g.ID, g.Fingerprint, ids[g.Fingerprint])
+			return false
+		}
+		return true
+	}
+
+	// Each reloader re-points the path, reloads and polls; one more
+	// goroutine polls throughout.
+	const reloaders, reloads = 3, 50
+	var wg sync.WaitGroup
+	for r := 0; r < reloaders; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < reloads; i++ {
+				// replaceWith, but t.Fatal belongs to the test's goroutine.
+				next := fmt.Sprintf("%s.next%d", path, r)
+				if err := os.WriteFile(next, gens[(r+i)%len(gens)], 0o644); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := os.Rename(next, path); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := srv.ReloadServing(path, false, nil); err != nil {
+					t.Errorf("reload: %v", err)
+					return
+				}
+				if !paired() {
+					return
+				}
+			}
+		}(r)
+	}
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		n := 0
+		for ; ; n++ {
+			select {
+			case <-stop:
+				polled <- n
+				return
+			default:
+			}
+			if !paired() {
+				<-stop
+				polled <- n
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	t.Logf("%d /readyz answers polled across %d reloads", <-polled, reloaders*reloads)
+
+	// Reloads run one at a time, so the last to open swapped in last: what
+	// the path names now is what serves.
+	onDisk, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := onDisk.Meta().Fingerprint
+	onDisk.Close()
+	var stats StatsResponse
+	if _, body := get(t, h, "/stats"); json.Unmarshal(body, &stats) != nil || stats.Generation == nil ||
+		stats.Generation.Fingerprint != want || stats.Generation.ID != ids[want] {
+		t.Errorf("after the race /stats reports %+v, want generation %d of %s, what the path holds", stats.Generation, ids[want], want)
+	}
+	srv.Index().(*Snapshot).Close()
+}
+
+// TestIngestStatusCalledUnderNoServerLock: /stats and /readyz call the
+// ingest callback before they take the index lock, so a callback that
+// waits on a reload — a fold holding the controller while it publishes
+// and swaps — cannot deadlock against the probe.
+func TestIngestStatusCalledUnderNoServerLock(t *testing.T) {
+	srv, res := fig3Server(t, DefaultServerConfig())
+	srv.SetIngestStatus(func() IngestStatus {
+		srv.swap(res, nil) // takes the index write lock
+		return IngestStatus{Degraded: true, Reason: "folds failing"}
+	})
+	h := srv.Handler()
+	for _, path := range []string{"/stats", "/readyz"} {
+		done := make(chan []byte)
+		go func() {
+			_, body := get(t, h, path)
+			done <- body
+		}()
+		select {
+		case body := <-done:
+			if !strings.Contains(string(body), "folds failing") {
+				t.Errorf("%s = %s, want the ingest status", path, body)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s deadlocked: the ingest callback ran under the index lock", path)
+		}
+	}
+}
+
+// TestReloadsRunOneAtATime: while one reload is between its open and its
+// swap, another (ReloadServing goes through the same Reload) does not
+// start opening, so an older open never swaps in over a newer one.
+func TestReloadsRunOneAtATime(t *testing.T) {
+	srv, res := fig3Server(t, DefaultServerConfig())
+	entered, release := make(chan string, 2), make(chan struct{})
+	load := func(name string) func() (ScoreIndex, error) {
+		return func() (ScoreIndex, error) {
+			entered <- name
+			<-release
+			return res, nil
+		}
+	}
+	done := make(chan error, 2)
+	go func() { done <- srv.Reload(load("first"), nil, nil, nil) }()
+	<-entered
+	go func() { done <- srv.Reload(load("second"), nil, nil, nil) }()
+	select {
+	case name := <-entered:
+		t.Fatalf("the %s reload opened while the first was still opening", name)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if name := <-entered; name != "second" {
+		t.Fatalf("then %q opened, want the second reload", name)
+	}
 }

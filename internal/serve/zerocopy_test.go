@@ -109,11 +109,10 @@ func TestMappedReadDifferential(t *testing.T) {
 	}
 }
 
-// serverOver wraps idx in a Server with the cache off (every request
-// exercises the lookup path, not the LRU).
+// serverOver wraps idx in a Server with the default config, changed by
+// mutate when it is non-nil.
 func serverOver(idx ScoreIndex, mutate func(*Config)) *Server {
 	cfg := DefaultServerConfig()
-	cfg.CacheSize = 0
 	if mutate != nil {
 		mutate(&cfg)
 	}
