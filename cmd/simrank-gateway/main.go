@@ -10,11 +10,7 @@
 // # Usage
 //
 //	simrank-gateway -backends URL[#SHARDS][,URL...] [-addr :8090]
-//	                [-snapshot FILE] [-quorum 0.51]
-//	                [-probe-interval 2s] [-attempts 3]
-//	                [-hedge-quantile 0.95] [-hedge-after 100ms]
-//	                [-breaker-fails 3] [-breaker-cooldown 5s]
-//	                [-timeout 5s]
+//	                [-snapshot FILE] [-quorum 0.51] [-timeout 5s]
 //
 // Each backend is a simrankd base URL, optionally suffixed with
 // "#0,3,7" naming the shards a partitioned replica holds (hot shards
@@ -42,7 +38,9 @@
 // with capped equal-jitter backoff (honoring backend Retry-After
 // hints), reads straggling past the fleet's recent latency percentile
 // are hedged to a second replica, and replicas failing consecutively
-// are circuit-broken for a cool-down. With no replica able to answer,
+// are circuit-broken for a cool-down. None of that is tunable: the
+// values are constants of internal/route, listed in OPERATIONS.md.
+// With no replica able to answer,
 // the gateway returns 503 + Retry-After. On SIGINT/SIGTERM it stops
 // probing, then relays the reads it has accepted to their end (5 s at
 // most, nonzero exit past that; internal/daemon) before exiting. The
@@ -65,17 +63,11 @@ import (
 
 func main() {
 	var (
-		backends      = flag.String("backends", "", "comma-separated simrankd base URLs, each optionally '#shard,shard' suffixed (required)")
-		addr          = flag.String("addr", ":8090", "listen address")
-		snapPath      = flag.String("snapshot", "", "served snapshot file; enables shard-affine routing via its route map")
-		quorum        = flag.Float64("quorum", 0.51, "fraction of replicas that must report a new generation before cutover")
-		probeInterval = flag.Duration("probe-interval", 2*time.Second, "backend /readyz probe cadence (jittered)")
-		attempts      = flag.Int("attempts", 3, "max dispatch rounds per read across replicas")
-		hedgeQ        = flag.Float64("hedge-quantile", 0.95, "completed-read latency quantile past which reads are hedged")
-		hedgeAfter    = flag.Duration("hedge-after", 100*time.Millisecond, "floor on the hedge delay")
-		breakerFails  = flag.Int("breaker-fails", 3, "consecutive read failures that open a replica's circuit")
-		breakerCool   = flag.Duration("breaker-cooldown", 5*time.Second, "how long an opened circuit keeps a replica out of rotation")
-		timeout       = flag.Duration("timeout", 5*time.Second, "per-read deadline, hedges and retries included")
+		backends = flag.String("backends", "", "comma-separated simrankd base URLs, each optionally '#shard,shard' suffixed (required)")
+		addr     = flag.String("addr", ":8090", "listen address")
+		snapPath = flag.String("snapshot", "", "served snapshot file; enables shard-affine routing via its route map")
+		quorum   = flag.Float64("quorum", 0.51, "fraction of replicas that must report a new generation before cutover")
+		timeout  = flag.Duration("timeout", 5*time.Second, "per-read deadline, hedges and retries included")
 	)
 	flag.Parse()
 	if *backends == "" {
@@ -87,16 +79,10 @@ func main() {
 	}
 
 	opt := route.Options{
-		Backends:        specs,
-		Quorum:          *quorum,
-		ProbeInterval:   *probeInterval,
-		MaxAttempts:     *attempts,
-		HedgeQuantile:   *hedgeQ,
-		HedgeAfter:      *hedgeAfter,
-		BreakerFails:    *breakerFails,
-		BreakerCooldown: *breakerCool,
-		RequestTimeout:  *timeout,
-		Logf:            log.Printf,
+		Backends:       specs,
+		Quorum:         *quorum,
+		RequestTimeout: *timeout,
+		Logf:           log.Printf,
 	}
 	if *snapPath != "" {
 		snap, err := serve.OpenSnapshot(*snapPath)

@@ -7,13 +7,15 @@
 //	        [-query Q | -all] [-top K] [-c 0.8] [-iterations 7]
 //	        [-bids FILE] [-strict-evidence]
 //	        [-sharded] [-shard-max-nodes 4096] [-shard-workers 0]
-//	        [-plan FILE] [-save-plan FILE]
-//	        [-save SNAPSHOT]
-//	simrank -graph FILE -refresh PREV [-save NEXT] [-save-plan FILE]
+//	        [-save SNAPSHOT] [-rewrite-topk 16]
+//	simrank -graph FILE -refresh PREV [-save NEXT] [-bids FILE]
 //	        [-shard-workers 0] [-generations 3]
 //	        [-workers host:port,host:port,...]
 //	simrank -rollback SNAPSHOT
 //	simrank -load SNAPSHOT [-query Q | -all] [-top K] [-bids FILE]
+//
+// Each of these modes refuses a flag it does not use (exit 1, naming the
+// flag) instead of ignoring it.
 //
 // With -query it prints rewrites for one query; with -all it prints the
 // top rewrites for every query. When -bids is given, rewrites are passed
@@ -24,9 +26,9 @@
 // engine runs per shard on a bounded worker pool; the plan summary goes
 // to stderr before the run. Component-exact plans reproduce the
 // monolithic scores bit for bit; carved plans drop cross-shard evidence.
-// -save-plan persists the decomposition and -plan loads one instead of
-// re-running BuildPlan (the ACL clustering is the O(graph) part of
-// planning, and a stable graph keeps the same plan run after run).
+// The decomposition is saved only inside the snapshot (its route map and
+// shard directory), which is what -refresh plans from; cmd/partition -plan
+// prints a plan without running an engine.
 //
 // With -save, the computed scores are also written as a binary snapshot
 // (per-shard segments under -sharded) that cmd/simrankd serves online;
@@ -69,6 +71,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"simrankpp/internal/clickgraph"
@@ -94,8 +97,6 @@ func main() {
 		sharded   = flag.Bool("sharded", false, "decompose the graph and run one engine per shard")
 		shardMax  = flag.Int("shard-max-nodes", 4096, "sharded: shard node budget (components above it are ACL-cut)")
 		shardWork = flag.Int("shard-workers", 0, "sharded: concurrent shard engines (0 = GOMAXPROCS)")
-		planPath  = flag.String("plan", "", "sharded: load this partition plan instead of running BuildPlan")
-		planSave  = flag.String("save-plan", "", "write the partition plan (built, loaded, or refresh-projected) to this file")
 		savePath  = flag.String("save", "", "write the computed scores as a serving snapshot")
 		saveTopK  = flag.Int("rewrite-topk", serve.DefaultRewriteTopK, "save: precomputed rewrite list depth stored in the snapshot (0 disables the section)")
 		loadPath  = flag.String("load", "", "answer from a snapshot instead of running an engine (-graph not needed)")
@@ -105,43 +106,42 @@ func main() {
 		fleet     = flag.String("workers", "", "refresh: comma-separated simrank-worker addresses (host:port or http://host:port) to dispatch dirty shards to")
 	)
 	flag.Parse()
-	if *rollback != "" {
-		if *graphPath != "" || *loadPath != "" || *refresh != "" || *query != "" || *all || *savePath != "" {
-			fatal(fmt.Errorf("-rollback stands alone: it only re-points %s at its last good generation", *rollback))
+	// Each mode reads the flags it lists; any other flag on the command
+	// line is refused rather than ignored.
+	const build = "graph method query all top c iterations prune bids strict-evidence save rewrite-topk"
+	mode, uses := "by a build without -sharded", build
+	switch {
+	case *rollback != "":
+		mode, uses = "with -rollback", "rollback"
+	case *refresh != "":
+		// Clean shards' scores were computed under the engine settings the
+		// previous snapshot records, so dirty shards must be too.
+		mode, uses = "with -refresh, which reuses the engine settings the snapshot records (start a fresh -save to change them)",
+			"refresh graph save bids shard-workers generations workers"
+	case *loadPath != "":
+		mode, uses = "with -load, which answers from the snapshot as saved", "load query all top bids"
+	case *sharded:
+		mode, uses = "by a -sharded build", build+" sharded shard-max-nodes shard-workers"
+	}
+	var stray []string
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(strings.Fields(uses), f.Name) {
+			stray = append(stray, "-"+f.Name)
 		}
-		if err := runRollback(*rollback, *keepGens); err != nil {
+	})
+	if len(stray) > 0 {
+		fatal(fmt.Errorf("%s not used %s", strings.Join(stray, ", "), mode))
+	}
+
+	if *rollback != "" {
+		if err := runRollback(*rollback); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	if *loadPath != "" && *savePath != "" {
-		fatal(fmt.Errorf("-save makes no sense with -load: the snapshot already exists"))
-	}
 	if *refresh != "" {
 		if *graphPath == "" {
 			fatal(fmt.Errorf("-refresh needs -graph (the new click log)"))
-		}
-		if *loadPath != "" {
-			fatal(fmt.Errorf("-refresh and -load are mutually exclusive"))
-		}
-		if *query != "" || *all {
-			fatal(fmt.Errorf("-refresh only writes the next snapshot; serve queries with -load afterwards"))
-		}
-		// A refresh runs under the engine settings recorded in the
-		// previous snapshot — clean shards' scores were computed with
-		// them, so dirty shards must be too. Engine flags on this path
-		// would be silently ignored; reject them instead.
-		var conflicting []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "method", "c", "iterations", "prune", "strict-evidence",
-				"sharded", "shard-max-nodes", "plan", "rewrite-topk":
-				conflicting = append(conflicting, "-"+f.Name)
-			}
-		})
-		if len(conflicting) > 0 {
-			fatal(fmt.Errorf("-refresh reuses the engine settings recorded in the snapshot; drop %s (start a fresh -save to change them)",
-				strings.Join(conflicting, ", ")))
 		}
 		// The previous snapshot records the bid-term set its precomputed
 		// rewrite lists were filtered under; the refresh must rebuild dirty
@@ -154,19 +154,16 @@ func main() {
 				fatal(err)
 			}
 		}
-		if err := runRefresh(*graphPath, *refresh, *savePath, *planSave, *shardWork, *keepGens, fleetURLs(*fleet), refreshBids); err != nil {
+		if err := runRefresh(*graphPath, *refresh, *savePath, *shardWork, *keepGens, fleetURLs(*fleet), refreshBids); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	if *fleet != "" {
-		fatal(fmt.Errorf("-workers only applies to -refresh (full builds run in-process)"))
-	}
 	if *loadPath == "" && *graphPath == "" {
 		fatal(fmt.Errorf("-graph is required (or -load a snapshot)"))
 	}
-	if !*all && *query == "" && *savePath == "" && *planSave == "" {
-		fatal(fmt.Errorf("give -query or -all (or just -save / -save-plan)"))
+	if !*all && *query == "" && *savePath == "" {
+		fatal(fmt.Errorf("give -query or -all (or just -save)"))
 	}
 
 	var bidTerms map[string]bool
@@ -205,23 +202,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		if *planSave != "" && *savePath == "" && !*all && *query == "" {
-			// Plan-only mode: decompose (or validate a loaded plan) and
-			// persist it without running any engine.
-			plan, err := obtainPlan(g, *sharded, *shardMax, *planPath)
-			if err != nil {
-				fatal(err)
-			}
-			if err := plan.WriteSummary(os.Stderr); err != nil {
-				fatal(err)
-			}
-			if err := partition.WritePlanFile(*planSave, plan); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "simrank: wrote plan %s (%d shards)\n", *planSave, len(plan.Shards))
-			return
-		}
-		src, err = buildSource(g, *method, *c, *iters, *prune, *strict, *sharded, *shardMax, *shardWork, *savePath, *planPath, *planSave, *saveTopK, bidTerms)
+		src, err = buildSource(g, *method, *c, *iters, *prune, *strict, *sharded, *shardMax, *shardWork, *savePath, *saveTopK, bidTerms)
 		if err != nil {
 			fatal(err)
 		}
@@ -264,33 +245,6 @@ func main() {
 	}
 }
 
-// obtainPlan loads a saved plan (validating it against g) or builds one.
-func obtainPlan(g *clickgraph.Graph, sharded bool, shardMax int, planPath string) (*partition.Plan, error) {
-	if planPath != "" {
-		plan, err := partition.ReadPlanFile(planPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := plan.Validate(g); err != nil {
-			return nil, fmt.Errorf("%s does not cover this graph (stale plan? use -refresh for churned graphs): %w", planPath, err)
-		}
-		// Validate only checks node coverage — the graph's edges and
-		// weights may have drifted since the plan was built. Re-derive
-		// the edge-dependent bookkeeping (cut edges, exactness, and
-		// above all the shard fingerprints a -save snapshot persists)
-		// from the graph the engines will actually run on, so a later
-		// -refresh never diffs against another generation's fingerprints.
-		plan.Reannotate(g)
-		return plan, nil
-	}
-	if !sharded {
-		return nil, fmt.Errorf("plans only exist for -sharded runs")
-	}
-	pcfg := partition.DefaultPlanConfig()
-	pcfg.MaxShardNodes = shardMax
-	return partition.BuildPlan(g, pcfg)
-}
-
 // runRefresh is the -refresh path: diff the new graph against the
 // previous snapshot, recompute only dirty shards (warm-started) — in
 // this process, or on the -workers fleet: the shard runner handed to
@@ -303,7 +257,7 @@ func obtainPlan(g *clickgraph.Graph, sharded bool, shardMax int, planPath string
 // previous generation loadable, and the failure path re-points serving
 // at the last good generation when the serving file itself turns out
 // damaged.
-func runRefresh(graphPath, prevPath, savePath, planSave string, workers, keepGens int, fleet []string, bids map[string]bool) error {
+func runRefresh(graphPath, prevPath, savePath string, workers, keepGens int, fleet []string, bids map[string]bool) error {
 	if savePath == "" {
 		savePath = prevPath // atomic in-place generation swap
 	}
@@ -386,12 +340,6 @@ func runRefresh(graphPath, prevPath, savePath, planSave string, workers, keepGen
 	} else if pruned > 0 {
 		fmt.Fprintf(os.Stderr, "simrank: pruned %d old generation(s), keeping %d\n", pruned, keepGens)
 	}
-	if planSave != "" {
-		if err := partition.WritePlanFile(planSave, diff.Plan); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "simrank: wrote plan %s (%d shards)\n", planSave, len(diff.Plan.Shards))
-	}
 	return nil
 }
 
@@ -414,8 +362,8 @@ func fleetURLs(s string) []string {
 
 // runRollback is the -rollback path: re-point the serving snapshot at
 // the last good journaled generation before the current one.
-func runRollback(path string, keepGens int) error {
-	gs := serve.NewGenerationStore(path, keepGens)
+func runRollback(path string) error {
+	gs := serve.NewGenerationStore(path, 0) // keep is Prune's, which a rollback never runs
 	release, err := gs.Lock()
 	if err != nil {
 		return err
@@ -435,12 +383,7 @@ func runRollback(path string, keepGens int) error {
 	return nil
 }
 
-func buildSource(g *clickgraph.Graph, method string, c float64, iters int, prune float64, strict, sharded bool, shardMax, shardWorkers int, savePath, planPath, planSave string, rewriteTopK int, bids map[string]bool) (rewrite.Source, error) {
-	if planSave != "" && !sharded && planPath == "" {
-		// Fail loudly rather than printing rewrites and silently writing
-		// no plan file.
-		return nil, fmt.Errorf("-save-plan needs -sharded (or -plan): plans only exist for sharded runs")
-	}
+func buildSource(g *clickgraph.Graph, method string, c float64, iters int, prune float64, strict, sharded bool, shardMax, shardWorkers int, savePath string, rewriteTopK int, bids map[string]bool) (rewrite.Source, error) {
 	if method == "pearson" {
 		if savePath != "" {
 			return nil, fmt.Errorf("-save needs a SimRank method: pearson has no score table to snapshot")
@@ -464,19 +407,15 @@ func buildSource(g *clickgraph.Graph, method string, c float64, iters int, prune
 	}
 	var res *core.Result
 	var err error
-	if sharded || planPath != "" {
-		plan, perr := obtainPlan(g, sharded, shardMax, planPath)
+	if sharded {
+		pcfg := partition.DefaultPlanConfig()
+		pcfg.MaxShardNodes = shardMax
+		plan, perr := partition.BuildPlan(g, pcfg)
 		if perr != nil {
 			return nil, perr
 		}
 		if werr := plan.WriteSummary(os.Stderr); werr != nil {
 			return nil, werr
-		}
-		if planSave != "" {
-			if werr := partition.WritePlanFile(planSave, plan); werr != nil {
-				return nil, werr
-			}
-			fmt.Fprintf(os.Stderr, "simrank: wrote plan %s (%d shards)\n", planSave, len(plan.Shards))
 		}
 		// Retaining the per-shard tables lets -save emit one snapshot
 		// segment per shard straight from the engines' local outputs.

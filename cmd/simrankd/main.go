@@ -26,7 +26,7 @@
 //	simrankd -snapshot FILE [-addr :8080] [-top 5] [-max-top 100]
 //	         [-bids FILE] [-preload] [-inflight 256] [-timeout 5s]
 //	         [-wal DIR [-graph FILE] [-cadence 30s] [-churn N]
-//	          [-max-lag N] [-generations 4] [-shard-workers N]]
+//	          [-max-lag N] [-generations 3] [-shard-workers N]]
 //
 // # Endpoints
 //
@@ -116,7 +116,7 @@ func main() {
 		cadence   = flag.Duration("cadence", 30*time.Second, "ingest: fold interval")
 		churn     = flag.Uint64("churn", 0, "ingest: fold early once this many records are pending (0: cadence only)")
 		maxLag    = flag.Uint64("max-lag", 0, "ingest: reject /ingest with 503 beyond this WAL lag in records (0: unbounded)")
-		keepGens  = flag.Int("generations", 4, "ingest: journaled generations to retain")
+		keepGens  = flag.Int("generations", serve.DefaultKeepGenerations, "ingest: journaled generations to retain")
 		shardWork = flag.Int("shard-workers", 0, "ingest: concurrent shard engines per fold (0 = GOMAXPROCS)")
 	)
 	flag.Parse()

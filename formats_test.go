@@ -21,12 +21,11 @@ import (
 // formatGoldens are the files under testdata/formats: one of every
 // on-disk and on-wire format, written once from testdata/fig3.graph and
 // then frozen. Each is opened by a test in the package that owns its
-// decoder (TestFormatGolden* in internal/serve, ingest, partition and
-// dist), which checks decoded content — the gate a codec or layout
-// change has to pass: files written by an older build must keep reading.
+// decoder (TestFormatGolden* in internal/serve, ingest and dist), which
+// checks decoded content — the gate a codec or layout change has to
+// pass: files written by an older build must keep reading.
 var formatGoldens = []string{
-	"fig3.plan",        // partition plan (simrank -sharded -shard-max-nodes 9 -save-plan)
-	"fig3.v3.snap",     // v3 sharded snapshot with a top-k section (… -method simple -save)
+	"fig3.v3.snap",     // v3 sharded snapshot with a top-k section (simrank -method simple -sharded -shard-max-nodes 9 -save)
 	"gen-00000001.mf",  // the generation manifest that journals fig3.v3.snap
 	"wal-00000000.seg", // WAL segment: three records, then a torn frame
 	"fold-state.bin",   // fold cursor 2 over fig3 + two folded records
@@ -123,8 +122,8 @@ func writeFormatGoldens(t *testing.T) string {
 	}
 
 	// simrank -graph testdata/fig3.graph -method simple -sharded
-	// -shard-max-nodes 9 -save -save-plan: the budget keeps fig3's two
-	// components in a shard each.
+	// -shard-max-nodes 9 -save: the budget keeps fig3's two components in
+	// a shard each.
 	f, err := os.Open(filepath.Join("testdata", "fig3.graph"))
 	must(err)
 	g0, err := clickgraph.Read(f)
@@ -134,7 +133,6 @@ func writeFormatGoldens(t *testing.T) string {
 	pcfg.MaxShardNodes = 9
 	plan, err := partition.BuildPlan(g0, pcfg)
 	must(err)
-	must(partition.WritePlanFile(filepath.Join(out, "fig3.plan"), plan))
 	res, err := core.RunSharded(g0, core.DefaultConfig().WithVariant(core.Simple), plan, core.ShardOptions{RetainShardScores: true})
 	must(err)
 	work := t.TempDir()

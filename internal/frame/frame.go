@@ -1,7 +1,7 @@
 // Package frame is the one codec behind every CRC-sealed file and message
-// that crosses the batch/online split: the snapshot header, the shard
-// plan, the generation manifest, the fold state, the WAL's segment header
-// and record frames, and the fleet's lease and completion. A frame is a
+// that crosses the batch/online split: the snapshot header, the
+// generation manifest, the fold state, the WAL's segment header and
+// record frames, and the fleet's lease and completion. A frame is a
 // magic (possibly empty), little-endian fields, and a CRC32-IEEE trailer
 // over every byte before it. Each layout stays with the package that owns
 // it; this package writes fields, seals, and reads them back without ever

@@ -42,8 +42,6 @@ type Config struct {
 	// MaxLagRecords bounds WAL lag: Ingest rejects with ErrBackpressure
 	// beyond it (see LogOptions.MaxLagRecords). 0 disables.
 	MaxLagRecords uint64
-	// SegmentBytes is the WAL rotation threshold (default 4 MiB).
-	SegmentBytes int64
 	// KeepGenerations is the journal retention (serve.NewGenerationStore).
 	KeepGenerations int
 	// Bids is the bid-term set the snapshot's precomputed rewrite
@@ -207,10 +205,7 @@ func NewController(cfg Config) (*Controller, error) {
 		cfg.Logf("ingest: swept %d stale journal temp file(s)", n)
 	}
 
-	if c.log, err = OpenLog(cfg.WALDir, LogOptions{
-		SegmentBytes:  cfg.SegmentBytes,
-		MaxLagRecords: cfg.MaxLagRecords,
-	}); err != nil {
+	if c.log, err = OpenLog(cfg.WALDir, LogOptions{MaxLagRecords: cfg.MaxLagRecords}); err != nil {
 		return fail(err)
 	}
 	if torn := c.log.TornBytesTruncated(); torn > 0 {

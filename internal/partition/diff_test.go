@@ -2,11 +2,8 @@ package partition
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"simrankpp/internal/clickgraph"
@@ -331,61 +328,5 @@ func TestReannotateRefreshesFingerprints(t *testing.T) {
 	}
 	if plan.Shards[1].Fingerprint != orig[1] {
 		t.Error("untouched cluster-1 fingerprint changed under Reannotate")
-	}
-}
-
-func TestPlanBinaryRoundTrip(t *testing.T) {
-	g := clusteredGraph(5, 6, 12, 9, 40)
-	cfg := DefaultPlanConfig()
-	cfg.MaxShardNodes = 50
-	p, err := BuildPlan(g, cfg)
-	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := p.WriteBinary(&buf); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	got, err := ReadPlan(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadPlan: %v", err)
-	}
-	if !reflect.DeepEqual(p, got) {
-		t.Errorf("round trip mismatch:\n  wrote %+v\n  read  %+v", p, got)
-	}
-	if err := got.Validate(g); err != nil {
-		t.Errorf("loaded plan does not validate: %v", err)
-	}
-
-	// Corruption must be detected, not decoded.
-	raw := buf.Bytes()
-	raw[len(raw)/2] ^= 0x40
-	if _, err := ReadPlan(bytes.NewReader(raw)); err == nil {
-		t.Error("corrupt plan accepted")
-	}
-	if _, err := ReadPlan(bytes.NewReader(raw[:len(raw)/3])); err == nil {
-		t.Error("truncated plan accepted")
-	}
-}
-
-// TestReadPlanBoundsIDListByBytesLeft: a 24-byte plan whose CRC holds but
-// whose first shard claims 2^24 query ids (within the side it declares) is
-// refused before anything the size of the claim is allocated.
-func TestReadPlanBoundsIDListByBytesLeft(t *testing.T) {
-	b := []byte(planMagic)
-	// flags, queries, ads, cut edges, shards, then shard 0's query-id count
-	for _, v := range []uint64{0, 1 << 24, 0, 0, 1, 1 << 24} {
-		b = binary.AppendUvarint(b, v)
-	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := ReadPlan(bytes.NewReader(b))
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("a 24-byte plan claiming 2^24 ids was accepted")
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-		t.Fatalf("refusing a %d-byte plan allocated %d bytes", len(b), grew)
 	}
 }

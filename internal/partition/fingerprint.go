@@ -84,7 +84,7 @@ func GraphFingerprint(g *clickgraph.Graph) uint64 {
 // edges, fingerprints, and the exactness flags (a shard is exact iff no
 // edge crosses it, i.e. it is a union of whole components) — from g.
 // Callers applying a plan to a graph other than the one it was built on
-// (a loaded plan file, a projected refresh plan) must use it so the
+// (a projected refresh plan, a worker's one-shard plan) must use it so the
 // recorded fingerprints always describe the graph the engines run on.
 func (p *Plan) Reannotate(g *clickgraph.Graph) {
 	p.annotate(g)

@@ -327,7 +327,8 @@ func TestGatewayBatchPartitionedFleet(t *testing.T) {
 func TestGatewayBatchDegradesPerSubBatch(t *testing.T) {
 	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
 	defer snap.Close()
-	gw, reps, _ := loggedFleet(t, snap, Options{MaxAttempts: 2}, []int{0, 1}, []int{2, 3})
+	gw, reps, _ := loggedFleet(t, snap, Options{}, []int{0, 1}, []int{2, 3})
+	gw.attempts = 2
 	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
 	reps[1].ts.Close()
 
@@ -568,13 +569,11 @@ func TestGatewayCapsErrorBody(t *testing.T) {
 	ts := fakeBackend(t, "g1", func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, spew, http.StatusInternalServerError)
 	})
-	gw, err := New(Options{
-		Backends:    []BackendSpec{{URL: ts.URL}},
-		MaxAttempts: 1,
-	})
+	gw, err := New(Options{Backends: []BackendSpec{{URL: ts.URL}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	gw.attempts = 1
 	gw.ProbeAll(t.Context())
 
 	code, _, body := get(t, gw.Handler(), "/rewrite?q=x")

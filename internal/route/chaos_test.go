@@ -171,7 +171,7 @@ func TestChaosMixedGenerationNeverMixes(t *testing.T) {
 	// answer fails immediately.
 	probeCtx, stopProbes := context.WithCancel(context.Background())
 	defer stopProbes()
-	gw.opt.ProbeInterval = 10 * time.Millisecond
+	gw.probeInterval = 10 * time.Millisecond
 	probeDone := make(chan struct{})
 	go func() {
 		gw.Run(probeCtx)
@@ -224,10 +224,10 @@ func TestChaosAllReplicasDead503(t *testing.T) {
 	r1 := startReplica(t, snap, 1)
 	inj := faultfs.NewHTTPInjector()
 	gw := newGateway(t, Options{
-		Transport:   inj.Transport(nil),
-		MaxAttempts: 2,
-		Logf:        chaosLogf(t),
+		Transport: inj.Transport(nil),
+		Logf:      chaosLogf(t),
 	}, r0, r1)
+	gw.attempts = 2
 	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 	inj.Drop("", -1) // every request to every host: connection refused
@@ -294,12 +294,8 @@ func TestChaosHedgedReadUnderStraggler(t *testing.T) {
 	r0 := startReplica(t, snap, 1)
 	r1 := startReplica(t, snap, 1)
 	inj := faultfs.NewHTTPInjector()
-	gw := newGateway(t, Options{
-		Transport:     inj.Transport(nil),
-		HedgeQuantile: 0.5,
-		HedgeAfter:    20 * time.Millisecond,
-		Logf:          chaosLogf(t),
-	}, r0, r1)
+	gw := newGateway(t, Options{Transport: inj.Transport(nil), Logf: chaosLogf(t)}, r0, r1)
+	gw.lat = &hedge.Tracker{Quantile: 0.5, Floor: 20 * time.Millisecond}
 
 	const u = "/rewrite?q=c1-q3&top=3"
 	_, golden := directGet(t, r1.ts.URL+u)
@@ -333,12 +329,8 @@ func TestChaosReplicaDiesDuringHedgedRead(t *testing.T) {
 	r0 := startReplica(t, snap, 1)
 	r1 := startReplica(t, snap, 1)
 	inj := faultfs.NewHTTPInjector()
-	gw := newGateway(t, Options{
-		Transport:     inj.Transport(nil),
-		HedgeQuantile: 0.5,
-		HedgeAfter:    20 * time.Millisecond,
-		Logf:          chaosLogf(t),
-	}, r0, r1)
+	gw := newGateway(t, Options{Transport: inj.Transport(nil), Logf: chaosLogf(t)}, r0, r1)
+	gw.lat = &hedge.Tracker{Quantile: 0.5, Floor: 20 * time.Millisecond}
 	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 	const u = "/similar?q=c2-q5&top=3"
@@ -388,12 +380,8 @@ func TestChaosHedgeInRoundTwoCountsOneFailover(t *testing.T) {
 	r0 := startReplica(t, snap, 1)
 	r1 := startReplica(t, snap, 1)
 	inj := faultfs.NewHTTPInjector()
-	gw := newGateway(t, Options{
-		Transport:     inj.Transport(nil),
-		HedgeQuantile: 0.5,
-		HedgeAfter:    time.Second,
-		Logf:          chaosLogf(t),
-	}, r0, r1)
+	gw := newGateway(t, Options{Transport: inj.Transport(nil), Logf: chaosLogf(t)}, r0, r1)
+	gw.lat = &hedge.Tracker{Quantile: 0.5, Floor: time.Second}
 	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 	const u = "/rewrite?q=c0-q1&top=3"

@@ -215,11 +215,8 @@ func TestRetryAfterFloorsBackoff(t *testing.T) {
 		}
 		fmt.Fprint(w, "recovered")
 	})
-	gw, err := New(Options{
-		Backends: []BackendSpec{{URL: ts.URL}},
-		// One failure must not open the breaker mid-test.
-		BreakerFails: 10,
-	})
+	// One failure does not open the breaker: that takes breakerFails.
+	gw, err := New(Options{Backends: []BackendSpec{{URL: ts.URL}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +245,12 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
 	defer snap.Close()
 	rep := startReplica(t, snap, 1)
-	gw := newGateway(t, Options{BreakerFails: 3, BreakerCooldown: 50 * time.Millisecond}, rep)
+	gw := newGateway(t, Options{}, rep)
+	gw.breakerCooldown = 50 * time.Millisecond
 	b := gw.backends[0]
 	pin := gw.Pinned()
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerFails; i++ {
 		if _, ok := b.tierFor(pin, "query", -1, time.Now()); !ok {
 			t.Fatalf("replica not a candidate before failure %d", i)
 		}
@@ -362,7 +360,7 @@ func TestGatewayReusesBackendConnections(t *testing.T) {
 	ts.Start()
 	defer ts.Close()
 
-	gw, err := New(Options{Backends: []BackendSpec{{URL: ts.URL}}, ProbeInterval: time.Hour})
+	gw, err := New(Options{Backends: []BackendSpec{{URL: ts.URL}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +432,7 @@ func TestClientCancelDoesNotOpenBreaker(t *testing.T) {
 		}
 		fmt.Fprint(w, "slow but fine")
 	})
-	gw, err := New(Options{Backends: []BackendSpec{{URL: ts.URL}}, BreakerFails: 3})
+	gw, err := New(Options{Backends: []BackendSpec{{URL: ts.URL}}})
 	if err != nil {
 		t.Fatal(err)
 	}

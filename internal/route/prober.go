@@ -39,7 +39,7 @@ import (
 	"simrankpp/internal/serve"
 )
 
-// Run probes the fleet on the configured interval until ctx is
+// Run probes the fleet every probeInterval until ctx is
 // cancelled. The interval is equal-jittered into [½, 1]× so many
 // gateways probing the same fleet don't align into probe storms. On the
 // way out it closes the idle connections of the gateway's own transport
@@ -52,7 +52,7 @@ func (gw *Gateway) Run(ctx context.Context) {
 		gw.ProbeAll(ctx)
 		// One step of a schedule whose base and cap are the interval: the
 		// interval, equal-jittered.
-		iv := gw.opt.ProbeInterval
+		iv := gw.probeInterval
 		select {
 		case <-ctx.Done():
 			return

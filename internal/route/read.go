@@ -169,7 +169,7 @@ func (gw *Gateway) unavailable(w http.ResponseWriter, msg string) {
 func (gw *Gateway) fetchFailover(ctx context.Context, order []*backendState, method, path, rawQuery string, reqBody []byte) (proxied, error) {
 	next := 0
 	res, err := hedge.Do(ctx, hedge.Call[*backendState, proxied]{
-		Attempts: gw.opt.MaxAttempts,
+		Attempts: gw.attempts,
 		Backoff:  gw.backoff,
 		Tracker:  gw.lat,
 		// The best candidate not tried yet; once everyone has been, a
@@ -459,10 +459,10 @@ func (gw *Gateway) relaySubBatch(ctx context.Context, req serve.BatchRequest, sb
 }
 
 // markRead updates the backend's circuit breaker with one read outcome:
-// BreakerFails consecutive failures open the circuit for the cool-down
+// breakerFails consecutive failures open the circuit for the cool-down
 // (the replica stops receiving reads). After it tierFor simply admits
 // the replica again, its failure count back at zero: there is no
-// single-trial half-open state, and it takes BreakerFails consecutive
+// single-trial half-open state, and it takes breakerFails consecutive
 // failures again to re-open the circuit.
 func (gw *Gateway) markRead(b *backendState, ok bool) {
 	b.mu.Lock()
@@ -473,12 +473,12 @@ func (gw *Gateway) markRead(b *backendState, ok bool) {
 	}
 	b.readFails++
 	b.consecFails++
-	if b.consecFails >= gw.opt.BreakerFails && !time.Now().Before(b.breakerUntil) {
-		b.breakerUntil = time.Now().Add(gw.opt.BreakerCooldown)
+	if b.consecFails >= breakerFails && !time.Now().Before(b.breakerUntil) {
+		b.breakerUntil = time.Now().Add(gw.breakerCooldown)
 		b.breakerOpens++
 		b.consecFails = 0
 		gw.logf("route: circuit open for %s (%d consecutive failures, cooling %s)",
-			b.spec.URL, gw.opt.BreakerFails, gw.opt.BreakerCooldown)
+			b.spec.URL, breakerFails, gw.breakerCooldown)
 	}
 }
 

@@ -242,8 +242,8 @@ func (b *backendState) tierFor(pin, side string, shard int, now time.Time) (int,
 	return 1, true
 }
 
-// Options tunes the gateway. Zero values select the defaults noted on
-// each field.
+// Options configures the gateway. Zero values select the defaults noted
+// on each field.
 type Options struct {
 	// Backends is the replica fleet (required, at least one).
 	Backends []BackendSpec
@@ -251,30 +251,10 @@ type Options struct {
 	// shards through it and partitioned replicas only receive reads for
 	// shards they hold.
 	Router ShardRouter
-	// ProbeInterval is the /readyz probing cadence, equal-jittered into
-	// [½, 1]× so a gateway fleet's probes don't align (default 2s).
-	ProbeInterval time.Duration
 	// Quorum is the fraction of configured replicas that must report a
 	// new generation before the gateway cuts reads over to it (default
 	// 0.51 — a strict majority; see prober.go for the state machine).
 	Quorum float64
-	// MaxAttempts bounds read dispatch rounds across replicas (default
-	// 3); a round may involve two replicas when hedged. The wait between
-	// rounds (25ms doubling to 1s, equal-jittered) is floored at any
-	// Retry-After the failed backend sent.
-	MaxAttempts int
-	// HedgeQuantile picks the completed-read latency percentile past
-	// which an outstanding read is hedged to a second replica (default
-	// hedge.Tracker's, 0.95); HedgeAfter floors the hedge delay (default
-	// 100ms). Hedging arms only after 3 completed reads.
-	HedgeQuantile float64
-	HedgeAfter    time.Duration
-	// BreakerFails is how many consecutive read failures open a
-	// backend's circuit (default 3); BreakerCooldown is how long the
-	// circuit stays open before the backend is admitted again (default
-	// 5s).
-	BreakerFails    int
-	BreakerCooldown time.Duration
 	// RequestTimeout bounds one proxied read end to end, hedges
 	// included (default 5s).
 	RequestTimeout time.Duration
@@ -287,36 +267,34 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// What no deployment sets: probeTimeout bounds one /readyz probe,
-// backoffBase/backoffMax shape the capped equal-jitter schedule between
-// a read's dispatch rounds, retryAfter is the Retry-After hint (seconds)
-// on the gateway's own 503s (no serveable replica, all attempts failed).
+// The failure handling is fixed, as the refresh coordinator's is. Every
+// probeInterval, equal-jittered into [½, 1]× so a gateway fleet's probes
+// don't align, each replica's /readyz is probed, and a probe not answered
+// within probeTimeout counts as unreachable. A read gets maxAttempts
+// dispatch rounds (two replicas in a round that is hedged); the wait
+// between rounds is backoffBase doubling to backoffMax, equal-jittered and
+// floored at any Retry-After the failed replica sent. A read outliving the
+// p95 of completed reads (hedge.Tracker's default quantile), at least
+// hedgeFloor, once 3 have completed, is hedged to a second replica.
+// breakerFails consecutive failed reads open a replica's circuit for
+// breakerCooldown. retryAfter is the Retry-After hint (seconds) on the
+// gateway's own 503s (no serveable replica, all attempts failed).
 const (
-	probeTimeout = time.Second
-	backoffBase  = 25 * time.Millisecond
-	backoffMax   = time.Second
-	retryAfter   = "1"
+	probeInterval   = 2 * time.Second
+	probeTimeout    = time.Second
+	maxAttempts     = 3
+	backoffBase     = 25 * time.Millisecond
+	backoffMax      = time.Second
+	hedgeFloor      = 100 * time.Millisecond
+	breakerFails    = 3
+	breakerCooldown = 5 * time.Second
+	retryAfter      = "1"
 )
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.ProbeInterval <= 0 {
-		out.ProbeInterval = 2 * time.Second
-	}
 	if out.Quorum <= 0 || out.Quorum > 1 {
 		out.Quorum = 0.51
-	}
-	if out.MaxAttempts <= 0 {
-		out.MaxAttempts = 3
-	}
-	if out.HedgeAfter <= 0 {
-		out.HedgeAfter = 100 * time.Millisecond
-	}
-	if out.BreakerFails <= 0 {
-		out.BreakerFails = 3
-	}
-	if out.BreakerCooldown <= 0 {
-		out.BreakerCooldown = 5 * time.Second
 	}
 	if out.RequestTimeout <= 0 {
 		out.RequestTimeout = 5 * time.Second
@@ -333,9 +311,13 @@ type Gateway struct {
 	// supplied the transport — then the connections are the caller's.
 	pool     *http.Transport
 	backends []*backendState
-	backoff  hedge.Backoff
-	lat      *hedge.Tracker
 	start    time.Time
+	// The fixed failure policy; tests change it by setting these after New.
+	probeInterval   time.Duration
+	attempts        int
+	backoff         hedge.Backoff
+	lat             *hedge.Tracker
+	breakerCooldown time.Duration
 
 	// mu guards the rollout state and the routing rotation.
 	mu       sync.Mutex
@@ -381,10 +363,13 @@ func New(opt Options) (*Gateway, error) {
 	}
 	opt = (&opt).withDefaults()
 	gw := &Gateway{
-		opt:     opt,
-		backoff: hedge.Backoff{Base: backoffBase, Max: backoffMax},
-		lat:     &hedge.Tracker{Quantile: opt.HedgeQuantile, Floor: opt.HedgeAfter},
-		start:   time.Now(),
+		opt:             opt,
+		start:           time.Now(),
+		probeInterval:   probeInterval,
+		attempts:        maxAttempts,
+		backoff:         hedge.Backoff{Base: backoffBase, Max: backoffMax},
+		lat:             &hedge.Tracker{Floor: hedgeFloor},
+		breakerCooldown: breakerCooldown,
 	}
 	rt := opt.Transport
 	if rt == nil {

@@ -613,9 +613,10 @@ func (gs *GenerationStore) RestoreServing() (*Generation, error) {
 	return g, nil
 }
 
-// Prune deletes all but the newest keep generations (snapshot +
-// manifest), returning how many were removed. Unverifiable generations
-// older than the newest keep good ones are removed too.
+// Prune deletes the snapshot and manifest of every listed generation but
+// the newest keep by id, returning how many it removed. It verifies
+// nothing: a damaged generation counts toward keep like any other, and
+// one whose manifest does not decode is not listed, so never removed.
 func (gs *GenerationStore) Prune() (int, error) {
 	gens, err := gs.List()
 	if err != nil {
