@@ -139,7 +139,6 @@ func sortedEvidenceTable(n int, oppNbr [][]int, form EvidenceForm, strict bool) 
 		}
 		f.SetSortedRow(r, rowC, rowV)
 	}
-	f.Compact()
 	def := 1.0
 	if strict {
 		def = 0

@@ -206,17 +206,21 @@ func setDiag(m []float64, n int) {
 	}
 }
 
-// denseToFrontier keeps the upper triangle's nonzero cells.
+// denseToFrontier keeps the upper triangle's nonzero cells, one row at a
+// time: a row's columns ascend as it is scanned.
 func denseToFrontier(m []float64, n int) *sparse.PairFrontier {
 	f := sparse.NewPairFrontier(n)
+	var cols []int32
+	var vals []float64
 	for i := 0; i < n; i++ {
+		cols, vals = cols[:0], vals[:0]
 		for j := i + 1; j < n; j++ {
 			if v := m[i*n+j]; v != 0 {
-				f.Add(i, j, v)
+				cols, vals = append(cols, int32(j)), append(vals, v)
 			}
 		}
+		f.SetSortedRow(i, cols, vals)
 	}
-	f.Compact()
 	return f
 }
 

@@ -199,8 +199,6 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 			prevA.Prune(cfg.PruneEpsilon)
 		}
 	}
-	prevQ.Compact() // read-ready: passes and MaxAbsDiffChanged read prev
-	prevA.Compact()
 	if ar.symQ == nil {
 		ar.symQ, ar.symA = &sparse.SymAdj{}, &sparse.SymAdj{}
 	}
@@ -495,7 +493,6 @@ func runRowPass(thisNbr [][]int, sym *sparse.SymAdj, dst, prev *sparse.PairFront
 			skipped += s
 		}
 	}
-	dst.Compact() // rows were emitted sorted; this just flips the flag
 	return skipped
 }
 

@@ -163,8 +163,6 @@ func BenchmarkShardedStitch(b *testing.B) {
 			qScores.SetRowsRemapped(ss.QueryScores, ss.QueryIDs)
 			aScores.SetRowsRemapped(ss.AdScores, ss.AdIDs)
 		}
-		qScores.Compact()
-		aScores.Compact()
 		stitch(g, cfg, qScores, aScores, outs)
 	}
 	pairs := res.QueryScores.Len() + res.AdScores.Len()

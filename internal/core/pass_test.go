@@ -90,7 +90,6 @@ func assertChangedArm(t *testing.T, label string, fx *passFixture, seed uint64, 
 		}
 		want.CopyRowFrom(src, x)
 	}
-	want.Compact()
 	got := sparse.NewPairFrontier(fx.nq)
 	if n := pass(got, fx.prevQ, changed); n != skips {
 		t.Fatalf("%s: pass skipped %d rows, want %d", label, n, skips)

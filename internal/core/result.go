@@ -23,7 +23,7 @@ type IterationStat struct {
 	AdRowsSkipped, AdRows       int
 }
 
-// Result holds the similarity scores an engine computed: one compacted
+// Result holds the similarity scores an engine computed: one pair
 // frontier per graph side — each unordered pair once, in the row of its
 // smaller id, rows ascending: the order the engines emit and snapshot
 // segments are written in, so scores reach the bytes without being
@@ -85,7 +85,7 @@ func (l *lazyPartners) topK(f *sparse.PairFrontier, i, k int) []sparse.Scored {
 	return sparse.TopScored(out, k)
 }
 
-// ShardScoreSet is one shard engine's raw output: compacted pair frontiers
+// ShardScoreSet is one shard engine's raw output: pair frontiers
 // in the shard's local id space plus the ascending local→global id maps.
 type ShardScoreSet struct {
 	// QueryIDs maps local query id -> global query id; AdIDs likewise.

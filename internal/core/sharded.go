@@ -276,8 +276,6 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 			Skipped: true, Fingerprint: sh.Fingerprint,
 		}
 	}
-	qScores.Compact() // rows arrived sorted; this only marks them read-ready
-	aScores.Compact()
 	res := stitch(g, cfg, qScores, aScores, outs)
 	if opt.RetainShardScores {
 		res.ShardScores = make([]ShardScoreSet, len(outs))

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/sparse"
@@ -37,45 +39,62 @@ type ScoreSource interface {
 var _ ScoreSource = (*Result)(nil)
 
 // warmSeed fills the engine's starting frontiers; nil means the identity
-// start. The frontiers are empty and un-compacted when it runs.
+// start. The frontiers are empty when it runs.
 type warmSeed func(prevQ, prevA *sparse.PairFrontier)
 
-// FillWarmSeeds adds to prevQ and prevA (sized for g's queries and ads)
-// the pairs of ws that a warm start of g (a shard subgraph or a whole
-// graph) begins from, replaying the previous generation: every node is
-// matched to its previous generation by name, its stored partner list is
-// pulled once, and each partner that maps into g is seeded. Pairs are
-// stored symmetrically in the source, so the j > i guard keeps exactly one
-// copy. Partners outside g (the pair straddles a shard cut, or the node
-// vanished) are dropped — the same pairs a cold per-shard run could never
-// score. So is any score that is not finite and positive: the source is a
-// stored generation whose values nothing else checks, the convergence test
-// (d > max) cannot see a NaN, and the kernels read a zero accumulator cell
-// as untouched — one bad seed would otherwise be published as converged
-// and seed the next refresh. A fleet refresh ships these pairs to the
-// worker that runs g, so both ends seed the same frontiers.
+// FillWarmSeeds sets the rows of the empty frontiers prevQ and prevA (sized
+// for g's queries and ads) to the pairs of ws that a warm start of g (a
+// shard subgraph or a whole graph) begins from, replaying the previous
+// generation: every node is matched to its previous generation by name, its
+// stored partner list is pulled once, and each partner that maps into g is
+// seeded. Pairs are stored symmetrically in the source, so the j > i guard
+// keeps exactly one copy, and names are unique, so a row's partners are
+// distinct; sorting them by id makes the row. Partners outside g (the pair
+// straddles a shard cut, or the node vanished) are dropped — the same pairs
+// a cold per-shard run could never score. So is any score that is not
+// finite and positive: the source is a stored generation whose values
+// nothing else checks, the convergence test (d > max) cannot see a NaN, and
+// the kernels read a zero accumulator cell as untouched — one bad seed
+// would otherwise be published as converged and seed the next refresh. A
+// fleet refresh ships these pairs to the worker that runs g, so both ends
+// seed the same frontiers.
 func FillWarmSeeds(ws ScoreSource, g *clickgraph.Graph, prevQ, prevA *sparse.PairFrontier) {
+	var row []sparse.Scored
+	var cols []int32
+	var vals []float64
+	setRow := func(f *sparse.PairFrontier, r int) {
+		slices.SortFunc(row, func(a, b sparse.Scored) int { return cmp.Compare(a.Node, b.Node) })
+		cols, vals = cols[:0], vals[:0]
+		for _, p := range row {
+			cols, vals = append(cols, int32(p.Node)), append(vals, p.Score)
+		}
+		f.SetSortedRow(r, cols, vals)
+	}
 	for q := 0; q < g.NumQueries(); q++ {
 		old, ok := ws.QueryID(g.Query(q))
 		if !ok {
 			continue
 		}
+		row = row[:0]
 		for _, sc := range ws.TopRewrites(old, -1) {
 			if nj, ok := g.QueryID(ws.Query(sc.Node)); ok && nj > q && validSeed(sc.Score) {
-				prevQ.Add(q, nj, sc.Score)
+				row = append(row, sparse.Scored{Node: nj, Score: sc.Score})
 			}
 		}
+		setRow(prevQ, q)
 	}
 	for a := 0; a < g.NumAds(); a++ {
 		old, ok := ws.AdID(g.Ad(a))
 		if !ok {
 			continue
 		}
+		row = row[:0]
 		for _, sc := range ws.TopSimilarAds(old, -1) {
 			if nj, ok := g.AdID(ws.Ad(sc.Node)); ok && nj > a && validSeed(sc.Score) {
-				prevA.Add(a, nj, sc.Score)
+				row = append(row, sparse.Scored{Node: nj, Score: sc.Score})
 			}
 		}
+		setRow(prevA, a)
 	}
 }
 

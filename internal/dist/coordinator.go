@@ -319,7 +319,6 @@ func buildLease(g *clickgraph.Graph, prev *serve.Snapshot, plan *partition.Plan,
 
 // wirePairs lists f's pairs in row-major order.
 func wirePairs(f *sparse.PairFrontier) []WirePair {
-	f.Compact()
 	var out []WirePair
 	f.Range(func(i, j int, v float64) bool {
 		out = append(out, WirePair{I: uint32(i), J: uint32(j), Score: v})

@@ -115,7 +115,7 @@ func localRefreshBytes(t *testing.T, g *clickgraph.Graph, prev *serve.Snapshot) 
 func assembleBytes(t *testing.T, g *clickgraph.Graph, prev *serve.Snapshot, diff *partition.Diff, run *serve.ShardRun) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	st, err := serve.AssembleRefresh(&buf, prev, g, prev.Config(), diff.Plan, diff.Dirty, run, nil)
+	st, err := serve.AssembleRefresh(&buf, prev, g, diff.Plan, diff.Dirty, run, nil)
 	if err != nil {
 		t.Fatalf("AssembleRefresh: %v", err)
 	}

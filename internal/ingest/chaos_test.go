@@ -200,16 +200,16 @@ func TestChaosDiskFaultMidFold(t *testing.T) {
 	env := newTestEnv(t)
 	inj := faultfs.NewInjector()
 	cfg := env.config()
-	cfg.OpenSnapshot = func(path string) (*serve.Snapshot, error) {
+	c, err := NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.openSnapshot = func(path string) (*serve.Snapshot, error) {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
 		return serve.NewSnapshot(faultfs.Wrap(bytes.NewReader(raw), inj), int64(len(raw)))
-	}
-	c, err := NewController(cfg)
-	if err != nil {
-		t.Fatal(err)
 	}
 	defer c.Close()
 	if _, err := c.Ingest(env.records(0, 30)); err != nil {
@@ -258,18 +258,11 @@ func TestChaosRefreshFailureStorm(t *testing.T) {
 	published := make(chan *serve.Generation, 1)
 	cfg := env.config()
 	cfg.Cadence = 2 * time.Millisecond
-	cfg.Backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: func() float64 { return 0 }}
 	var retryLines []string // appended on the Run goroutine only, read after it returns
 	cfg.Logf = func(format string, args ...any) {
 		if strings.HasPrefix(format, "ingest: fold failed") {
 			retryLines = append(retryLines, fmt.Sprintf(format, args...))
 		}
-	}
-	cfg.OpenSnapshot = func(path string) (*serve.Snapshot, error) {
-		if fails.Add(-1) >= 0 {
-			return nil, fmt.Errorf("injected storm failure")
-		}
-		return serve.OpenSnapshot(path)
 	}
 	cfg.OnPublish = func(gen *serve.Generation) {
 		select {
@@ -280,6 +273,13 @@ func TestChaosRefreshFailureStorm(t *testing.T) {
 	c, err := NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	c.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: func() float64 { return 0 }}
+	c.openSnapshot = func(path string) (*serve.Snapshot, error) {
+		if fails.Add(-1) >= 0 {
+			return nil, fmt.Errorf("injected storm failure")
+		}
+		return serve.OpenSnapshot(path)
 	}
 	defer c.Close()
 	before := env.servingBytes(t)
@@ -305,7 +305,7 @@ func TestChaosRefreshFailureStorm(t *testing.T) {
 
 	// The delay a failed fold logs is the one the loop then waits: one
 	// draw, for the attempt that just failed.
-	if want := fmt.Sprintf("(attempt 1, retrying in %v)", cfg.Backoff.Delay(1)); len(retryLines) == 0 || !strings.Contains(retryLines[0], want) {
+	if want := fmt.Sprintf("(attempt 1, retrying in %v)", c.backoff.Delay(1)); len(retryLines) == 0 || !strings.Contains(retryLines[0], want) {
 		t.Fatalf("first failed fold logged %q, want %s", retryLines, want)
 	}
 	st := c.Stats()
@@ -320,5 +320,61 @@ func TestChaosRefreshFailureStorm(t *testing.T) {
 	}
 	if got, want := servingFingerprint(t, env.snapPath), expectedFingerprint(t, env, 50); got != want {
 		t.Fatalf("post-storm fingerprint %s, want %s", got, want)
+	}
+}
+
+// TestChaosFoldRestoresDamagedServing damages the serving file between
+// folds the only way the journal's rename-only contract allows — a whole
+// file renamed over it, here garbage — and holds the next fold to the CLI
+// refresh's recovery: re-point the serving path at the last good
+// generation, log it, and fold on to the full history's fingerprint.
+func TestChaosFoldRestoresDamagedServing(t *testing.T) {
+	env := newTestEnv(t)
+	want := expectedFingerprint(t, env, 80)
+	var restored []string
+	cfg := env.config()
+	cfg.Logf = func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "restored generation") {
+			restored = append(restored, line)
+		}
+	}
+	c, err := NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Ingest(env.records(0, 40)); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.FoldOnce(context.Background())
+	if err != nil || first.GenID == 0 {
+		t.Fatalf("first fold: %+v, %v", first, err)
+	}
+
+	garbage := env.snapPath + ".garbage"
+	if err := os.WriteFile(garbage, bytes.Repeat([]byte("not a snapshot "), 64), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(garbage, env.snapPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest(env.records(40, 80)); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := c.FoldOnce(context.Background())
+	if err != nil {
+		t.Fatalf("fold over a damaged serving file: %v", err)
+	}
+	if fr.Skipped || fr.GenID <= first.GenID {
+		t.Fatalf("fold after restore: %+v, want a generation past %d", fr, first.GenID)
+	}
+	if want := fmt.Sprintf("restored generation %d", first.GenID); len(restored) != 1 || !strings.Contains(restored[0], want) {
+		t.Fatalf("restore log lines %q, want one naming %s", restored, want)
+	}
+	if st := c.Stats(); st.Degraded || st.RefreshFailures != 0 {
+		t.Fatalf("stats after restore: %+v", st)
+	}
+	if got := servingFingerprint(t, env.snapPath); got != want {
+		t.Fatalf("fingerprint %s, want the full history's %s", got, want)
 	}
 }

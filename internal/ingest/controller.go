@@ -48,9 +48,6 @@ type Config struct {
 	// section was built under (serve.AssembleRefresh contract); nil when
 	// the snapshot carries no section.
 	Bids map[string]bool
-	// Backoff schedules fold retries after a refresh failure (capped
-	// equal-jitter; zero value = 100ms base, 5s cap).
-	Backoff hedge.Backoff
 
 	// Logf receives progress lines (nil: silent).
 	Logf func(format string, args ...any)
@@ -64,9 +61,6 @@ type Config struct {
 	// hook the chaos tests drive, mirroring the generation store's own
 	// failAt discipline.
 	Checkpoint func(stage string) error
-	// OpenSnapshot opens the serving snapshot for a fold (nil:
-	// serve.OpenSnapshot). The fault tests wrap it in faultfs.
-	OpenSnapshot func(path string) (*serve.Snapshot, error)
 	// OnPublish runs after a fold publishes a generation (and after the
 	// fold cursor is durable) — the daemon reloads its serving index
 	// here. Called on the fold goroutine; keep it quick.
@@ -136,6 +130,11 @@ type Controller struct {
 	log     *Log
 	gs      *serve.GenerationStore
 	release func() error
+	// backoff schedules fold retries after a refresh failure (capped
+	// equal-jitter, hedge.Backoff's defaults); openSnapshot opens the
+	// serving snapshot for a fold. Tests replace them after NewController.
+	backoff      hedge.Backoff
+	openSnapshot func(path string) (*serve.Snapshot, error)
 
 	// foldMu serializes folds — overlapping FoldOnce calls (cadence
 	// firing during a slow manual fold, a Kick racing the timer) queue
@@ -181,11 +180,8 @@ func NewController(cfg Config) (*Controller, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.OpenSnapshot == nil {
-		cfg.OpenSnapshot = serve.OpenSnapshot
-	}
 
-	c := &Controller{cfg: cfg, kick: make(chan struct{}, 1)}
+	c := &Controller{cfg: cfg, openSnapshot: serve.OpenSnapshot, kick: make(chan struct{}, 1)}
 	c.gs = serve.NewGenerationStore(cfg.SnapshotPath, cfg.KeepGenerations)
 	release, err := c.gs.Lock()
 	if err != nil {
@@ -352,7 +348,7 @@ func (c *Controller) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 			attempt++
-			wait = c.cfg.Backoff.Delay(attempt)
+			wait = c.backoff.Delay(attempt)
 			c.cfg.Logf("ingest: fold failed (attempt %d, retrying in %v): %v", attempt, wait, err)
 		} else {
 			attempt, wait = 0, c.cfg.Cadence
@@ -414,9 +410,9 @@ func (c *Controller) FoldOnce(ctx context.Context) (*FoldResult, error) {
 		return nil, err
 	}
 
-	prev, err := c.cfg.OpenSnapshot(c.cfg.SnapshotPath)
+	prev, err := c.openServing()
 	if err != nil {
-		return nil, c.fail(fmt.Errorf("ingest: opening serving snapshot: %w", err))
+		return nil, c.fail(err)
 	}
 	defer prev.Close()
 	if _, err := c.gs.Adopt(); err != nil {
@@ -518,6 +514,30 @@ func (c *Controller) checkpoint(stage string) error {
 		return nil
 	}
 	return c.cfg.Checkpoint(stage)
+}
+
+// openServing opens the serving snapshot for a fold. A serving file that
+// no longer opens (bad disk, a torn copy renamed over it) is re-pointed at
+// the journal's last good generation and opened again, as simrank -refresh
+// does after a failed refresh, so one damaged file does not fail every
+// fold from then on.
+func (c *Controller) openServing() (*serve.Snapshot, error) {
+	prev, err := c.openSnapshot(c.cfg.SnapshotPath)
+	if err == nil {
+		return prev, nil
+	}
+	gen, rerr := c.gs.RestoreServing()
+	if rerr != nil {
+		return nil, fmt.Errorf("ingest: opening serving snapshot: %w (restoring it: %v)", err, rerr)
+	}
+	if gen == nil {
+		return nil, fmt.Errorf("ingest: opening serving snapshot: %w", err)
+	}
+	c.cfg.Logf("ingest: serving snapshot did not open (%v); restored generation %d", err, gen.ID)
+	if prev, err = c.openSnapshot(c.cfg.SnapshotPath); err != nil {
+		return nil, fmt.Errorf("ingest: opening restored serving snapshot: %w", err)
+	}
+	return prev, nil
 }
 
 func (c *Controller) durableSeq() uint64 {

@@ -280,15 +280,15 @@ func TestControllerDegradedStatus(t *testing.T) {
 	env := newTestEnv(t)
 	failing := true
 	cfg := env.config()
-	cfg.OpenSnapshot = func(path string) (*serve.Snapshot, error) {
+	c, err := NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.openSnapshot = func(path string) (*serve.Snapshot, error) {
 		if failing {
 			return nil, fmt.Errorf("injected: disk on fire")
 		}
 		return serve.OpenSnapshot(path)
-	}
-	c, err := NewController(cfg)
-	if err != nil {
-		t.Fatal(err)
 	}
 	defer c.Close()
 
@@ -372,15 +372,15 @@ func TestControllerStalenessGauges(t *testing.T) {
 	cfg := env.config()
 	cfg.Now = func() time.Time { return now }
 	failing := false
-	cfg.OpenSnapshot = func(path string) (*serve.Snapshot, error) {
+	c, err := NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.openSnapshot = func(path string) (*serve.Snapshot, error) {
 		if failing {
 			return nil, fmt.Errorf("injected")
 		}
 		return serve.OpenSnapshot(path)
-	}
-	c, err := NewController(cfg)
-	if err != nil {
-		t.Fatal(err)
 	}
 	defer c.Close()
 
@@ -451,15 +451,15 @@ func TestControllerChurnKickAndBackpressure(t *testing.T) {
 	cfg.ChurnRecords = 10
 	cfg.MaxLagRecords = 50
 	failing := true
-	cfg.OpenSnapshot = func(path string) (*serve.Snapshot, error) {
+	c, err := NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.openSnapshot = func(path string) (*serve.Snapshot, error) {
 		if failing {
 			return nil, fmt.Errorf("injected")
 		}
 		return serve.OpenSnapshot(path)
-	}
-	c, err := NewController(cfg)
-	if err != nil {
-		t.Fatal(err)
 	}
 	defer c.Close()
 

@@ -76,10 +76,9 @@ func TestChaosBitFlipQuarantinesOneShard(t *testing.T) {
 	snap, inj := chaosSnapshot(t, 0)
 	cur := time.Unix(1_700_000_000, 0)
 	snap.now = func() time.Time { return cur }
-	snap.SetQuarantineBackoff(time.Second, time.Minute)
 	// Pin the jitter at its ceiling so the retryAt assertions below see
 	// the undithered exponential schedule.
-	snap.SetQuarantineJitter(func() float64 { return 1 })
+	snap.quarantine.Jitter = func() float64 { return 1 }
 
 	qs := distinctShardQueries(t, snap, 2)
 	victim, healthy := qs[0], qs[1]
@@ -423,7 +422,6 @@ func TestChaosShortReadQuarantines(t *testing.T) {
 	snap, inj := chaosSnapshot(t, DefaultRewriteTopK)
 	cur := time.Unix(1_700_000_000, 0)
 	snap.now = func() time.Time { return cur }
-	snap.SetQuarantineBackoff(time.Second, time.Minute)
 	q := distinctShardQueries(t, snap, 1)[0]
 
 	inj.ShortReads(4)
@@ -452,8 +450,7 @@ func TestChaosQuarantineBackoffJitter(t *testing.T) {
 	snap, inj := chaosSnapshot(t, DefaultRewriteTopK)
 	cur := time.Unix(1_700_000_000, 0)
 	snap.now = func() time.Time { return cur }
-	snap.SetQuarantineBackoff(time.Second, time.Minute)
-	snap.SetQuarantineJitter(func() float64 { return 0 })
+	snap.quarantine.Jitter = func() float64 { return 0 }
 
 	q := distinctShardQueries(t, snap, 1)[0]
 	vid := mustQueryID(t, snap, q)

@@ -22,7 +22,7 @@ import (
 // sort-free steps on that path — the segment encoder and the scatter
 // index — are held here to the sort-based formulations they replaced.
 
-// toPairTable returns the compacted frontier's pairs in the map form the
+// toPairTable returns the frontier's pairs in the map form the
 // reference encoder reads.
 func toPairTable(f *sparse.PairFrontier) *sparse.PairTable {
 	t := sparse.NewPairTable(f.Len())
@@ -184,14 +184,12 @@ func TestEncodeSegmentMatchesReference(t *testing.T) {
 // skipped shards carry no frontier and leave their stitched rows empty.
 func TestEncodeSegmentEdgeShards(t *testing.T) {
 	empty := sparse.NewPairFrontier(4)
-	empty.Compact()
 	if got := encodeSegment(empty, []int{3, 5, 8, 13}); len(got) != 0 {
 		t.Errorf("empty shard encoded to %d bytes", len(got))
 	}
 
 	one := sparse.NewPairFrontier(3)
-	one.Add(2, 0, 0.25)
-	one.Compact()
+	one.SetSortedRow(0, []int32{2}, []float64{0.25})
 	ids := []int{7, 70, 70000}
 	want := referenceEncodeSegment(toPairTable(one), ids)
 	if got := encodeSegment(one, ids); len(got) != pairRecordSize || !bytes.Equal(got, want) {

@@ -54,7 +54,7 @@ type ShardSegment struct {
 	QueryCRC, AdCRC uint32
 }
 
-// EncodeShardSegment encodes one shard's compacted score frontiers into
+// EncodeShardSegment encodes one shard's score frontiers into
 // segment wire form. qIDs/aIDs are the shard's ascending global node ids
 // (nil for an identity/monolithic shard); the frontiers are local-id
 // keyed, exactly as a per-shard engine produces them.
@@ -184,18 +184,14 @@ func refreshTopK(prev *Snapshot, bids map[string]bool) (topkMeta, error) {
 // position-independent (blob-relative offsets, global ids) and a clean
 // shard's pipeline inputs are fingerprint-identical. bids must be the
 // same bid-term set prev's section was built with (compared by hash);
-// pass nil when prev carries no section. cfg must match the run
-// configuration prev records — mixing generations computed under
-// different settings would serve incoherent scores. Byte counters cover
-// score segments only.
-func AssembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, cfg core.Config, plan *partition.Plan, dirty []bool, run *ShardRun, bids map[string]bool) (RefreshStats, error) {
+// pass nil when prev carries no section. The new generation records
+// prev's run configuration, the one its runners computed under. Byte
+// counters cover score segments only.
+func AssembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, plan *partition.Plan, dirty []bool, run *ShardRun, bids map[string]bool) (RefreshStats, error) {
 	var st RefreshStats
 	if len(plan.Shards) != len(dirty) || len(plan.Shards) != len(run.Segments) {
 		return st, fmt.Errorf("serve: assemble got %d shards, %d dirty flags, %d segments",
 			len(plan.Shards), len(dirty), len(run.Segments))
-	}
-	if err := compatibleConfig(prev, cfg); err != nil {
-		return st, err
 	}
 	tk, err := refreshTopK(prev, bids)
 	if err != nil {
@@ -252,33 +248,13 @@ func AssembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, cfg core.
 
 	// Iterations: a refresh ran only its dirty shards, so the horizon the
 	// snapshot advertises is the deeper of the two generations'.
-	err = writeAssembled(w, g, cfg, payloads, genInfo{
+	err = writeAssembled(w, g, prev.Config(), payloads, genInfo{
 		iterations:  max(run.Iterations, prev.meta.Iterations),
 		converged:   run.Converged && prev.meta.Converged,
 		generatedAt: time.Now(),
 		dirtyShards: uint32(st.DirtyShards),
 	}, tk)
 	return st, err
-}
-
-// compatibleConfig rejects a refresh whose engine configuration differs
-// from the one the previous generation was computed with, as far as the
-// header records it.
-func compatibleConfig(prev *Snapshot, cfg core.Config) error {
-	m := prev.Meta()
-	switch {
-	case cfg.Variant != m.Variant:
-		return fmt.Errorf("serve: refresh variant %v != snapshot %v", cfg.Variant, m.Variant)
-	case cfg.C1 != m.C1 || cfg.C2 != m.C2:
-		return fmt.Errorf("serve: refresh decay (%v,%v) != snapshot (%v,%v)", cfg.C1, cfg.C2, m.C1, m.C2)
-	case cfg.StrictEvidence != m.StrictEvidence,
-		cfg.DisableSpread != m.DisableSpread,
-		cfg.Channel != m.Channel,
-		cfg.EvidenceForm != m.EvidenceForm,
-		cfg.PruneEpsilon != m.PruneEpsilon:
-		return fmt.Errorf("serve: refresh run settings differ from the snapshot's (strict/spread/channel/evidence/prune)")
-	}
-	return nil
 }
 
 // checkpointWriter fires its hook once, after the first write has
@@ -330,7 +306,7 @@ func Refresh(ctx context.Context, gs *GenerationStore, g *clickgraph.Graph, prev
 	gen, err := gs.Commit(diff.DirtyShards, diff.Plan.Fingerprint(), func(w io.Writer) error {
 		cw := &checkpointWriter{w: w, hook: func() error { return checkpoint("commit:mid-write") }}
 		var werr error
-		st, werr = AssembleRefresh(cw, prev, g, prev.Config(), diff.Plan, diff.Dirty, shards, bids)
+		st, werr = AssembleRefresh(cw, prev, g, diff.Plan, diff.Dirty, shards, bids)
 		return werr
 	})
 	if err != nil {

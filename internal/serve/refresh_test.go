@@ -102,10 +102,10 @@ func runDirty(t *testing.T, g *clickgraph.Graph, prev *Snapshot, workers int) (*
 	return run, diff
 }
 
-// assemble is the write half: AssembleRefresh under prev's own recorded
-// configuration, as the Refresh driver calls it.
+// assemble is the write half: AssembleRefresh over diff's plan and dirty
+// mask, as the Refresh driver calls it.
 func assemble(w io.Writer, g *clickgraph.Graph, prev *Snapshot, diff *partition.Diff, run *ShardRun, bids map[string]bool) (RefreshStats, error) {
-	return AssembleRefresh(w, prev, g, prev.Config(), diff.Plan, diff.Dirty, run, bids)
+	return AssembleRefresh(w, prev, g, diff.Plan, diff.Dirty, run, bids)
 }
 
 // refreshBytes runs one refresh step in memory.
@@ -374,26 +374,5 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("refreshed snapshot differs from the cold full write at byte %d of %d", i, len(got))
 		}
-	}
-}
-
-// TestRefreshRejectsConfigMismatch pins the coherence guard.
-func TestRefreshRejectsConfigMismatch(t *testing.T) {
-	cfg := refreshCfg()
-	g := refreshGraph(t, [4]int{1, 2, 3, 4})
-	_, _, prev := buildGeneration(t, g, cfg)
-
-	bad := cfg
-	bad.C1 = 0.6
-	plan := partition.ComponentPlan(g)
-	res, err := core.RunSharded(g, bad, plan, core.ShardOptions{RetainShardScores: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty := make([]bool, len(plan.Shards))
-	run := &ShardRun{Segments: make([]*ShardSegment, len(plan.Shards)), Iterations: res.Iterations, Converged: res.Converged}
-	var buf bytes.Buffer
-	if _, err := AssembleRefresh(&buf, prev, g, res.Config, plan, dirty, run, nil); err == nil {
-		t.Fatal("refresh under a different decay factor was accepted")
 	}
 }

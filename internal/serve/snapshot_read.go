@@ -122,12 +122,13 @@ type Snapshot struct {
 	// stats readers race with lazy loads under the per-segment locks.
 	loaded atomic.Int32
 
-	// Quarantine policy for failed segment loads; now is a clock hook so
-	// chaos tests can step through backoff windows deterministically, and
-	// the schedule's equal jitter (wait spread over [backoff/2, backoff])
-	// keeps simultaneously-quarantined shards from retrying in lockstep
-	// and hammering the disk together. A jitter pinned at 1 reproduces
-	// the undithered exponential schedule.
+	// Quarantine policy for failed segment loads (1s base, 1m cap); now
+	// is a clock hook so chaos tests can step through backoff windows
+	// deterministically, and the schedule's equal jitter (wait spread over
+	// [backoff/2, backoff]) keeps simultaneously-quarantined shards from
+	// retrying in lockstep and hammering the disk together. Tests replace
+	// both after opening; a jitter pinned at 1 reproduces the undithered
+	// exponential schedule.
 	quarantine hedge.Backoff
 	now        func() time.Time
 
@@ -481,29 +482,6 @@ func (s *Snapshot) Quarantined() []ShardHealth {
 		}
 	}
 	return out
-}
-
-// SetQuarantineBackoff overrides the capped exponential backoff applied
-// to failed segment loads (defaults: 1s base, 1m cap). Chaos tests also
-// use it to shrink waits.
-func (s *Snapshot) SetQuarantineBackoff(base, max time.Duration) {
-	if base > 0 {
-		s.quarantine.Base = base
-	}
-	if max > 0 {
-		s.quarantine.Max = max
-	}
-}
-
-// SetQuarantineJitter overrides the jitter source for quarantine backoff.
-// f must return values in [0, 1]: the wait becomes
-// backoff/2 + f()·backoff/2, so f = rand.Float64 (the default) spreads
-// retries over half the window and a constant 1 restores the exact
-// deterministic schedule (what the chaos tests pin).
-func (s *Snapshot) SetQuarantineJitter(f func() float64) {
-	if f != nil {
-		s.quarantine.Jitter = f
-	}
 }
 
 // Meta returns the snapshot's run metadata.

@@ -28,7 +28,7 @@ func snapshotSources(res *core.Result) []core.ShardScoreSet {
 	return []core.ShardScoreSet{{QueryScores: res.QueryScores, AdScores: res.AdScores}}
 }
 
-// encodeSegment writes one compacted pair frontier out as the sorted
+// encodeSegment writes one pair frontier out as the sorted
 // binary record stream, remapping ids through the ascending local→global
 // map when given. Row-major frontier order is segment order — a monotone
 // map keeps rows, and columns within a row, ascending — so nothing sorts.

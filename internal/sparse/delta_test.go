@@ -36,8 +36,7 @@ func TestMaxAbsDiffChangedMarks(t *testing.T) {
 	rng := lcg(11)
 	const rows = 16
 	for trial := 0; trial < 100; trial++ {
-		a := NewPairFrontier(rows)
-		b := NewPairFrontier(rows)
+		ma, mb := NewPairTable(0), NewPairTable(0)
 		for k := 0; k < 60; k++ {
 			i, j := rng.next(rows), rng.next(rows)
 			if i == j {
@@ -45,17 +44,16 @@ func TestMaxAbsDiffChangedMarks(t *testing.T) {
 			}
 			switch rng.next(3) {
 			case 0:
-				a.Add(i, j, rng.float())
+				ma.Set(i, j, rng.float())
 			case 1:
-				b.Add(i, j, rng.float())
+				mb.Set(i, j, rng.float())
 			default:
 				v := rng.float()
-				a.Add(i, j, v)
-				b.Add(i, j, v) // equal cell: must not mark at any tol
+				ma.Set(i, j, v)
+				mb.Set(i, j, v) // equal cell: must not mark at any tol
 			}
 		}
-		a.Compact()
-		b.Compact()
+		a, b := frontierOf(ma, rows), frontierOf(mb, rows)
 		diff := map[[2]int]float64{}
 		a.Range(func(i, j int, v float64) bool {
 			diff[[2]int{i, j}] += v
@@ -96,49 +94,35 @@ func TestMaxAbsDiffChangedMarks(t *testing.T) {
 	}
 }
 
-// setRow is SetSortedRow for columns in any order: copy, then sort. It is
-// the reference SetSortedRow, which skips the sort, is held to.
-func setRow(f *PairFrontier, r int, cols []int32, vals []float64) {
-	rc := append(f.cols[r][:0], cols...)
-	rv := append(f.vals[r][:0], vals...)
-	sortPairs(rc, rv)
-	f.cols[r], f.vals[r] = rc, rv
-	f.sorted[r] = len(rc)
-}
-
+// TestSetSortedRowMatchesSetRow holds SetSortedRow, which copies an
+// ascending row as given, to the map reference: a row's pairs set one by
+// one in a PairTable.
 func TestSetSortedRowMatchesSetRow(t *testing.T) {
 	rng := lcg(23)
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.next(30)
 		cols := make([]int32, 0, n)
 		vals := make([]float64, 0, n)
+		want := NewPairTable(n)
 		c := 1
 		for len(cols) < n {
 			c += 1 + rng.next(5)
 			cols = append(cols, int32(c))
 			vals = append(vals, rng.float())
+			want.Set(0, c, vals[len(vals)-1])
 		}
-		a := NewPairFrontier(40 + c)
-		b := NewPairFrontier(40 + c)
-		setRow(a, 0, cols, vals)
-		b.SetSortedRow(0, cols, vals)
-		a.Compact()
-		b.Compact()
-		if d := a.MaxAbsDiffChanged(b, 0, nil); d != 0 {
-			t.Fatalf("trial %d: SetSortedRow differs from SetRow by %v", trial, d)
-		}
+		f := NewPairFrontier(40 + c)
+		f.SetSortedRow(0, cols, vals)
+		requireSamePairs(t, "set row", f, want)
 	}
 }
 
 func TestCopyRowFrom(t *testing.T) {
 	src := NewPairFrontier(6)
-	src.Add(1, 3, 0.5)
-	src.Add(1, 5, 0.25)
-	src.Add(2, 4, 1.5)
-	src.Compact()
+	src.SetSortedRow(1, []int32{3, 5}, []float64{0.5, 0.25})
+	src.SetSortedRow(2, []int32{4}, []float64{1.5})
 	dst := NewPairFrontier(6)
-	dst.Add(1, 2, 9) // overwritten by the copy
-	dst.Compact()
+	dst.SetSortedRow(1, []int32{2}, []float64{9}) // overwritten by the copy
 	dst.CopyRowFrom(src, 1)
 	dst.CopyRowFrom(src, 2)
 	dst.CopyRowFrom(src, 3) // empty row copies as empty
@@ -166,9 +150,8 @@ func TestCopyRowFrom(t *testing.T) {
 
 func TestSymAdjRow(t *testing.T) {
 	f := NewPairFrontier(5)
-	f.Add(0, 2, 1)
-	f.Add(2, 4, 3)
-	f.Compact()
+	f.SetSortedRow(0, []int32{2}, []float64{1})
+	f.SetSortedRow(2, []int32{4}, []float64{3})
 	s := f.ExpandSymmetric(nil)
 	cols, vals := s.Row(2)
 	if len(cols) != 2 || cols[0] != 0 || cols[1] != 4 || vals[0] != 1 || vals[1] != 3 {

@@ -1,78 +1,53 @@
 // Package sparse holds the sparse pair-score structures the SimRank engines
-// and the snapshot writer share: PairFrontier, the row-sorted store of one
-// side's node-pair scores; SymAdj, its symmetric expansion into contiguous
-// partner rows; the non-allocating (column, value) sort and duplicate merge
-// both are built on; Bitset, the per-side change mark; and PairTable, the
-// map formulation, kept as the reference the core and serve tests compare
-// the frontier paths against. Everything is stdlib-only and allocation
-// conscious: rows are contiguous slices that keep their capacity across
-// iterations.
+// and the snapshot writer share: PairFrontier, the store of one side's
+// node-pair scores as sorted, duplicate-free rows that only whole-row
+// setters write; SymAdj, its symmetric expansion into contiguous partner
+// rows; Bitset, the per-side change mark; the ranked-list selection the
+// read path cuts rows with; and PairTable, the map formulation, kept as the
+// reference the core and serve tests compare the frontier paths against.
+// Everything is stdlib-only and allocation conscious: rows are contiguous
+// slices that keep their capacity across iterations.
 package sparse
+
+import "slices"
 
 // PairFrontier is the engines' score representation: the pairs of one
 // graph side bucketed by the smaller node index into per-row slices, each
-// row sorted by column and duplicate-free once compacted. The row-major
-// passes emit whole rows in that order (SetSortedRow, CopyRowFrom,
-// SetRowsRemapped), so scores go from the kernel to the snapshot bytes
-// without hashing or re-sorting.
-//
-// Add is the incremental path, for the callers that build a frontier one
-// pair at a time (warm-start seeding, RunDense's conversion). Where
-// PairTable pays one hash+probe per contribution, a row keeps a sorted
-// prefix plus a small unsorted tail:
-//
-//   - Add binary-searches the prefix; a hit is one in-place +=, with no
-//     growth and no allocation.
-//   - Misses append to the tail. When the tail outgrows a quarter of the
-//     prefix it is folded: sort the tail and sum its duplicate columns
-//     (compactPairs), then linear-merge it into the prefix through a
-//     reusable scratch buffer. Fold cost is O(prefix) per O(prefix/4)
-//     misses, so even an all-distinct stream pays O(1) amortized moves
-//     per contribution.
-//
-// Compact folds every tail, leaving rows sorted and duplicate-free for
-// O(log d) Get, ordered Range, and cheap merge-walk MaxAbsDiffChanged/Prune.
+// row sorted by column and duplicate-free. Only the row setters write rows
+// (SetSortedRow, CopyRowFrom, SetRowsRemapped), each handed a whole row
+// already in that order, as the row-major passes emit them. So scores go
+// from the kernel to the snapshot bytes without hashing or re-sorting, and
+// every read (O(log d) Get, ordered Range, merge-walk MaxAbsDiffChanged)
+// sees sorted rows.
 //
 // A frontier is reusable: Reset keeps every row's capacity, so an engine
 // that ping-pongs two frontiers per side allocates only while row
 // capacities are still growing toward the fixpoint's occupancy.
 //
-// Like PairTable, the diagonal is implicit (Add(i,i) is a no-op) and each
-// unordered pair is stored once under its smaller index. Column indices
-// are packed to int32 — the same 32-bit-per-side bound PairKey imposes.
+// Like PairTable, the diagonal is implicit and each unordered pair is
+// stored once under its smaller index. Column indices are packed to int32
+// — the same 32-bit-per-side bound PairKey imposes.
 //
 // A frontier is not safe for concurrent mutation, except that the row
 // setters touch only their target rows: the parallel engine's workers
 // write disjoint row ranges of one shared frontier.
 type PairFrontier struct {
-	cols   [][]int32
-	vals   [][]float64
-	sorted []int // per-row length of the sorted duplicate-free prefix
-	// scratch backs foldRow's prefix+tail merge, reused across folds.
-	scratchC  []int32
-	scratchV  []float64
-	compacted bool
+	cols [][]int32
+	vals [][]float64
 }
 
-// minFoldTail is the smallest tail worth folding: below it the append path
-// is cheaper than any sorting.
-const minFoldTail = 16
-
 // NewPairFrontier returns an empty frontier for a side with rows nodes.
-// It is not compacted; call Compact before reads.
 func NewPairFrontier(rows int) *PairFrontier {
 	return &PairFrontier{
-		cols:   make([][]int32, rows),
-		vals:   make([][]float64, rows),
-		sorted: make([]int, rows),
+		cols: make([][]int32, rows),
+		vals: make([][]float64, rows),
 	}
 }
 
 // NumRows returns the number of row buckets (the side's node count).
 func (f *PairFrontier) NumRows() int { return len(f.cols) }
 
-// Len returns the number of stored cells: distinct pairs plus pending
-// tail contributions before Compact, distinct pairs after. O(rows).
+// Len returns the number of stored pairs. O(rows).
 func (f *PairFrontier) Len() int {
 	n := 0
 	for _, row := range f.cols {
@@ -87,18 +62,15 @@ func (f *PairFrontier) Len() int {
 // within capacity picks them back up. The shard engine pool uses this to
 // run one reusable frontier arena across shards of different sizes.
 func (f *PairFrontier) Resize(rows int) {
-	if rows <= cap(f.cols) && rows <= cap(f.vals) && rows <= cap(f.sorted) {
+	if rows <= cap(f.cols) && rows <= cap(f.vals) {
 		f.cols = f.cols[:rows]
 		f.vals = f.vals[:rows]
-		f.sorted = f.sorted[:rows]
 	} else {
 		nc := make([][]int32, rows)
 		copy(nc, f.cols)
 		nv := make([][]float64, rows)
 		copy(nv, f.vals)
-		ns := make([]int, rows)
-		copy(ns, f.sorted)
-		f.cols, f.vals, f.sorted = nc, nv, ns
+		f.cols, f.vals = nc, nv
 	}
 	f.Reset()
 }
@@ -108,106 +80,11 @@ func (f *PairFrontier) Reset() {
 	for r := range f.cols {
 		f.cols[r] = f.cols[r][:0]
 		f.vals[r] = f.vals[r][:0]
-		f.sorted[r] = 0
-	}
-	f.compacted = false
-}
-
-// searchPrefix binary-searches row r's sorted prefix for column c,
-// returning the insertion point and whether it is an exact hit.
-func (f *PairFrontier) searchPrefix(r int, c int32) (int, bool) {
-	cols := f.cols[r]
-	lo, hi := 0, f.sorted[r]
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cols[mid] < c {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < f.sorted[r] && cols[lo] == c
-}
-
-// Add accumulates contribution v for the unordered pair (i, j) into the
-// bucket of the smaller index. Diagonal pairs are dropped, matching
-// PairTable.
-func (f *PairFrontier) Add(i, j int, v float64) {
-	if i == j {
-		return
-	}
-	if i > j {
-		i, j = j, i
-	}
-	if k, hit := f.searchPrefix(i, int32(j)); hit {
-		f.vals[i][k] += v
-		return
-	}
-	f.cols[i] = append(f.cols[i], int32(j))
-	f.vals[i] = append(f.vals[i], v)
-	f.compacted = false
-	m := f.sorted[i]
-	if len(f.cols[i])-m >= minFoldTail+m/4 {
-		f.foldRow(i)
 	}
 }
 
-// foldRow merges row r's tail into its sorted prefix: compact the tail in
-// place, then linear-merge prefix and tail through the scratch buffer,
-// summing keys present in both.
-func (f *PairFrontier) foldRow(r int) {
-	m := f.sorted[r]
-	cols, vals := f.cols[r], f.vals[r]
-	if len(cols) == m {
-		return
-	}
-	n := compactPairs(cols[m:], vals[m:])
-	tc, tv := cols[m:m+n], vals[m:m+n]
-	if m == 0 {
-		f.cols[r], f.vals[r] = cols[:n], vals[:n]
-		f.sorted[r] = n
-		return
-	}
-	need := m + n
-	if cap(f.scratchC) < need {
-		f.scratchC = make([]int32, need)
-		f.scratchV = make([]float64, need)
-	}
-	sc, sv := f.scratchC[:need], f.scratchV[:need]
-	i, j, w := 0, 0, 0
-	for i < m || j < n {
-		switch {
-		case j >= n || (i < m && cols[i] < tc[j]):
-			sc[w], sv[w] = cols[i], vals[i]
-			i++
-		case i >= m || tc[j] < cols[i]:
-			sc[w], sv[w] = tc[j], tv[j]
-			j++
-		default:
-			sc[w], sv[w] = cols[i], vals[i]+tv[j]
-			i++
-			j++
-		}
-		w++
-	}
-	copy(cols[:w], sc[:w])
-	copy(vals[:w], sv[:w])
-	f.cols[r], f.vals[r] = cols[:w], vals[:w]
-	f.sorted[r] = w
-}
-
-// Compact folds every pending tail. After it returns, each pair is stored
-// once and rows are ascending.
-func (f *PairFrontier) Compact() {
-	for r := range f.cols {
-		f.foldRow(r)
-	}
-	f.compacted = true
-}
-
-// Get returns the stored value for the unordered pair (i, j): a binary
-// search of the row's sorted prefix plus a scan of any pending tail (empty
-// once compacted).
+// Get returns the stored value for the unordered pair (i, j), binary
+// searching the smaller index's row.
 func (f *PairFrontier) Get(i, j int) (float64, bool) {
 	if i == j {
 		return 0, false
@@ -218,23 +95,14 @@ func (f *PairFrontier) Get(i, j int) (float64, bool) {
 	if i >= len(f.cols) {
 		return 0, false
 	}
-	target := int32(j)
-	sum, found := 0.0, false
-	if k, hit := f.searchPrefix(i, target); hit {
-		sum, found = f.vals[i][k], true
+	if k, hit := slices.BinarySearch(f.cols[i], int32(j)); hit {
+		return f.vals[i][k], true
 	}
-	cols, vals := f.cols[i], f.vals[i]
-	for k := f.sorted[i]; k < len(cols); k++ {
-		if cols[k] == target {
-			sum += vals[k]
-			found = true
-		}
-	}
-	return sum, found
+	return 0, false
 }
 
-// Range calls fn for every stored cell with i < j, in row-major sorted
-// order when compacted. If fn returns false, Range stops.
+// Range calls fn for every stored pair with i < j, in row-major sorted
+// order. If fn returns false, Range stops.
 func (f *PairFrontier) Range(fn func(i, j int, v float64) bool) {
 	for r := range f.cols {
 		vals := f.vals[r]
@@ -246,21 +114,16 @@ func (f *PairFrontier) Range(fn func(i, j int, v float64) bool) {
 	}
 }
 
-// Clone returns a compacted copy (pending tails are folded first): one
-// O(nnz) copy into exact-size rows, with none of the growth slack the
-// source's rows carry. The engines detach their final frontiers from the
-// reusable arena with it.
+// Clone returns a copy: one O(nnz) copy into exact-size rows, with none of
+// the growth slack the source's rows carry. The engines detach their final
+// frontiers from the reusable arena with it.
 func (f *PairFrontier) Clone() *PairFrontier {
-	if !f.compacted {
-		f.Compact()
-	}
 	c := NewPairFrontier(len(f.cols))
 	c.SetRowsRemapped(f, nil)
-	c.compacted = true
 	return c
 }
 
-// SetRowsRemapped copies every row of the compacted frontier src into f
+// SetRowsRemapped copies every row of src into f
 // with ids applied to both coordinates (nil means identity): src's row i
 // lands in row ids[i] and its column c becomes ids[c]. ids must ascend
 // strictly, so remapped rows stay sorted with every column above its row.
@@ -285,18 +148,13 @@ func (f *PairFrontier) SetRowsRemapped(src *PairFrontier, ids []int) {
 		}
 		copy(vals[lo:hi], src.vals[i])
 		f.cols[r], f.vals[r] = cols[lo:hi:hi], vals[lo:hi:hi]
-		f.sorted[r] = hi - lo
 		lo = hi
 	}
 }
 
 // Map rewrites every stored pair's value with fn, dropping pairs for which
-// fn reports false. The frontier is compacted first if needed; rows keep
-// their sorted order.
+// fn reports false. Rows keep their sorted order.
 func (f *PairFrontier) Map(fn func(i, j int, v float64) (float64, bool)) {
-	if !f.compacted {
-		f.Compact()
-	}
 	for r := range f.cols {
 		cols, vals := f.cols[r], f.vals[r]
 		w := 0
@@ -307,17 +165,12 @@ func (f *PairFrontier) Map(fn func(i, j int, v float64) (float64, bool)) {
 			}
 		}
 		f.cols[r], f.vals[r] = cols[:w], vals[:w]
-		f.sorted[r] = w
 	}
 }
 
 // Prune removes every pair whose absolute value is below eps and returns
-// how many were removed, mirroring PairTable.Prune. The frontier is
-// compacted first if needed.
+// how many were removed, mirroring PairTable.Prune.
 func (f *PairFrontier) Prune(eps float64) int {
-	if !f.compacted {
-		f.Compact()
-	}
 	removed := 0
 	for r := range f.cols {
 		cols, vals := f.cols[r], f.vals[r]
@@ -331,7 +184,6 @@ func (f *PairFrontier) Prune(eps float64) int {
 			w++
 		}
 		f.cols[r], f.vals[r] = cols[:w], vals[:w]
-		f.sorted[r] = w
 	}
 	return removed
 }
@@ -339,21 +191,14 @@ func (f *PairFrontier) Prune(eps float64) int {
 // MaxAbsDiffChanged returns the largest |a-b| over the union of both
 // frontiers' pairs, treating missing entries as 0 — the convergence
 // measure for iterative SimRank. Rows are compared with a linear
-// merge-walk over their sorted columns; either frontier is compacted first
-// if needed. Change tracking is fused into the same
-// merge-walk: when changed is non-nil, every node incident to a pair whose
+// merge-walk over their sorted columns. Change tracking is fused into the
+// same merge-walk: when changed is non-nil, every node incident to a pair whose
 // |a-b| exceeds tol is marked — both the bucket row and the partner column,
 // since a stored pair {i, j} is part of node i's and node j's score rows
 // alike. A node left unmarked therefore has every one of its stored pairs
 // within tol of the other frontier (exactly equal when tol is 0), which is
 // the per-node signal the engines' delta iteration keys row skipping on.
 func (f *PairFrontier) MaxAbsDiffChanged(o *PairFrontier, tol float64, changed *Bitset) float64 {
-	if !f.compacted {
-		f.Compact()
-	}
-	if !o.compacted {
-		o.Compact()
-	}
 	max := 0.0
 	n := len(f.cols)
 	if len(o.cols) > n {
@@ -410,7 +255,6 @@ func (f *PairFrontier) MaxAbsDiffChanged(o *PairFrontier, tol float64, changed *
 func (f *PairFrontier) SetSortedRow(r int, cols []int32, vals []float64) {
 	f.cols[r] = append(f.cols[r][:0], cols...)
 	f.vals[r] = append(f.vals[r][:0], vals...)
-	f.sorted[r] = len(cols)
 }
 
 // CopyRowFrom replaces row r of f with row r of src, reusing f's row
@@ -420,7 +264,6 @@ func (f *PairFrontier) SetSortedRow(r int, cols []int32, vals []float64) {
 func (f *PairFrontier) CopyRowFrom(src *PairFrontier, r int) {
 	f.cols[r] = append(f.cols[r][:0], src.cols[r]...)
 	f.vals[r] = append(f.vals[r][:0], src.vals[r]...)
-	f.sorted[r] = src.sorted[r]
 }
 
 // SymAdj is the fully-expanded symmetric adjacency of a pair frontier:
@@ -447,12 +290,8 @@ func (s *SymAdj) Row(r int) ([]int32, []float64) {
 
 // ExpandSymmetric writes f's symmetric adjacency into dst (allocating one
 // if nil), reusing dst's buffers when they are large enough, and returns
-// it. The frontier is compacted first if needed. Rows come out with
-// ascending columns.
+// it. Rows come out with ascending columns.
 func (f *PairFrontier) ExpandSymmetric(dst *SymAdj) *SymAdj {
-	if !f.compacted {
-		f.Compact()
-	}
 	if dst == nil {
 		dst = &SymAdj{}
 	}

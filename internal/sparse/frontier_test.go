@@ -3,7 +3,6 @@ package sparse
 import (
 	"math"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -17,63 +16,8 @@ func (s *lcg) next(n int) int {
 
 func (s *lcg) float() float64 { return float64(s.next(2000)-1000) / 100 }
 
-func TestSortPairsMatchesReference(t *testing.T) {
-	rng := lcg(7)
-	for trial := 0; trial < 200; trial++ {
-		n := rng.next(200)
-		cols := make([]int32, n)
-		vals := make([]float64, n)
-		// Small key range forces heavy duplication, the frontier's common case.
-		for i := range cols {
-			cols[i] = int32(rng.next(20))
-			vals[i] = float64(i)
-		}
-		type kv struct {
-			c int32
-			v float64
-		}
-		ref := make([]kv, n)
-		for i := range ref {
-			ref[i] = kv{cols[i], vals[i]}
-		}
-		sort.SliceStable(ref, func(a, b int) bool { return ref[a].c < ref[b].c })
-		sortPairs(cols, vals)
-		seen := make(map[float64]bool, n)
-		for i := range cols {
-			if cols[i] != ref[i].c {
-				t.Fatalf("trial %d: cols[%d] = %d, want %d", trial, i, cols[i], ref[i].c)
-			}
-			if i > 0 && cols[i-1] > cols[i] {
-				t.Fatalf("trial %d: not sorted at %d", trial, i)
-			}
-			seen[vals[i]] = true
-		}
-		// Values must be a permutation (each original index appears once).
-		if len(seen) != n {
-			t.Fatalf("trial %d: values not a permutation: %d distinct of %d", trial, len(seen), n)
-		}
-	}
-}
-
-func TestCompactPairsSumsDuplicates(t *testing.T) {
-	cols := []int32{5, 2, 5, 9, 2, 5}
-	vals := []float64{1, 10, 2, 100, 20, 4}
-	n := compactPairs(cols, vals)
-	if n != 3 {
-		t.Fatalf("compacted length %d, want 3", n)
-	}
-	wantC := []int32{2, 5, 9}
-	wantV := []float64{30, 7, 100}
-	for i := 0; i < n; i++ {
-		if cols[i] != wantC[i] || vals[i] != wantV[i] {
-			t.Errorf("entry %d: (%d, %v), want (%d, %v)", i, cols[i], vals[i], wantC[i], wantV[i])
-		}
-	}
-}
-
 func TestFrontierEmptyRows(t *testing.T) {
 	f := NewPairFrontier(5)
-	f.Compact()
 	if f.Len() != 0 {
 		t.Errorf("empty frontier Len = %d", f.Len())
 	}
@@ -88,8 +32,7 @@ func TestFrontierEmptyRows(t *testing.T) {
 		return false
 	})
 	// A frontier with only some rows populated must skip the empty ones.
-	f.Add(2, 4, 1.5)
-	f.Compact()
+	f.SetSortedRow(2, []int32{4}, []float64{1.5})
 	if v, ok := f.Get(4, 2); !ok || v != 1.5 {
 		t.Errorf("Get(4,2) = %v,%v want 1.5,true", v, ok)
 	}
@@ -98,25 +41,10 @@ func TestFrontierEmptyRows(t *testing.T) {
 	}
 }
 
-func TestFrontierDiagonalDropped(t *testing.T) {
-	f := NewPairFrontier(4)
-	f.Add(2, 2, 99)
-	f.Add(1, 3, 1)
-	f.Compact()
-	if f.Len() != 1 {
-		t.Errorf("diagonal contribution stored: Len = %d", f.Len())
-	}
-	if _, ok := f.Get(2, 2); ok {
-		t.Error("Get(2,2) found the diagonal")
-	}
-}
-
 func TestFrontierPruneThenAddReuse(t *testing.T) {
 	f := NewPairFrontier(6)
-	f.Add(0, 1, 1e-9)
-	f.Add(0, 2, 0.5)
-	f.Add(3, 4, -1e-9)
-	f.Compact()
+	f.SetSortedRow(0, []int32{1, 2}, []float64{1e-9, 0.5})
+	f.SetSortedRow(3, []int32{4}, []float64{-1e-9})
 	if removed := f.Prune(1e-6); removed != 2 {
 		t.Fatalf("Prune removed %d, want 2", removed)
 	}
@@ -128,12 +56,10 @@ func TestFrontierPruneThenAddReuse(t *testing.T) {
 	if f.Len() != 0 {
 		t.Fatalf("post-reset Len = %d", f.Len())
 	}
-	f.Add(0, 1, 2)
-	f.Add(1, 0, 3) // unordered: same pair
-	f.Add(3, 4, 7)
-	f.Compact()
-	if v, ok := f.Get(0, 1); !ok || v != 5 {
-		t.Errorf("Get(0,1) after reuse = %v,%v want 5,true", v, ok)
+	f.SetSortedRow(0, []int32{1}, []float64{5})
+	f.SetSortedRow(3, []int32{4}, []float64{7})
+	if v, ok := f.Get(1, 0); !ok || v != 5 {
+		t.Errorf("Get(1,0) after reuse = %v,%v want 5,true", v, ok)
 	}
 	if v, ok := f.Get(3, 4); !ok || v != 7 {
 		t.Errorf("Get(3,4) after reuse = %v,%v want 7,true", v, ok)
@@ -142,9 +68,8 @@ func TestFrontierPruneThenAddReuse(t *testing.T) {
 
 func TestFrontierMapRewritesAndDrops(t *testing.T) {
 	f := NewPairFrontier(3)
-	f.Add(0, 1, 2)
-	f.Add(0, 2, 4)
-	f.Add(1, 2, 6)
+	f.SetSortedRow(0, []int32{1, 2}, []float64{2, 4})
+	f.SetSortedRow(1, []int32{2}, []float64{6})
 	f.Map(func(i, j int, sum float64) (float64, bool) {
 		if j == 2 {
 			return 0, false
@@ -160,27 +85,20 @@ func TestFrontierMapRewritesAndDrops(t *testing.T) {
 }
 
 // TestFrontierMatchesMapAccumulation is the fuzz-style differential test:
-// identical random Add streams into a PairFrontier and a PairTable must
-// produce identical contents through compact, prune, map, and diff.
+// a random Add stream accumulated into a PairTable, and the frontier built
+// from it row by row, must hold identical contents through prune, map,
+// and diff.
 func TestFrontierMatchesMapAccumulation(t *testing.T) {
 	rng := lcg(12345)
 	for trial := 0; trial < 100; trial++ {
 		n := 2 + rng.next(30)
 		adds := 1 + rng.next(400)
-		f := NewPairFrontier(n)
-		m := NewPairTable(0)
-		for a := 0; a < adds; a++ {
-			i, j := rng.next(n), rng.next(n)
-			v := rng.float()
-			f.Add(i, j, v)
-			m.Add(i, j, v)
-		}
-		f.Compact()
-		assertFrontierEqualsTable(t, trial, "compact", f, m, n)
+		m := randomTable(&rng, n, adds)
+		f := frontierOf(m, n)
+		assertFrontierEqualsTable(t, trial, "build", f, m, n)
 
 		// Prune both with the same epsilon; counts must agree exactly
-		// because the accumulated values are identical sums of the same
-		// inputs in different order only across pairs, not within one.
+		// because both hold the same values.
 		eps := 0.75
 		fr, mr := f.Prune(eps), m.Prune(eps)
 		if fr != mr {
@@ -188,16 +106,22 @@ func TestFrontierMatchesMapAccumulation(t *testing.T) {
 		}
 		assertFrontierEqualsTable(t, trial, "prune", f, m, n)
 
+		// Map both with the same rewrite, dropping a band of values.
+		rewrite := func(i, j int, v float64) (float64, bool) { return v * 3, v < 2 || v > 4 }
+		f.Map(rewrite)
+		m.Range(func(i, j int, v float64) bool {
+			if nv, ok := rewrite(i, j, v); ok {
+				m.Set(i, j, nv)
+			} else {
+				m.Delete(i, j)
+			}
+			return true
+		})
+		assertFrontierEqualsTable(t, trial, "map", f, m, n)
+
 		// MaxAbsDiff against a second random set must agree.
-		f2 := NewPairFrontier(n)
-		m2 := NewPairTable(0)
-		for a := 0; a < adds/2; a++ {
-			i, j := rng.next(n), rng.next(n)
-			v := rng.float()
-			f2.Add(i, j, v)
-			m2.Add(i, j, v)
-		}
-		f2.Compact()
+		m2 := randomTable(&rng, n, adds/2)
+		f2 := frontierOf(m2, n)
 		if df, dm := f.MaxAbsDiffChanged(f2, 0, nil), m.MaxAbsDiff(m2); math.Abs(df-dm) > 1e-12 {
 			t.Fatalf("trial %d: MaxAbsDiff %v (frontier) vs %v (map)", trial, df, dm)
 		}
@@ -254,29 +178,14 @@ func assertFrontierEqualsTable(t *testing.T, trial int, stage string, f *PairFro
 	}
 }
 
-func TestFrontierUncompactedGetSums(t *testing.T) {
-	f := NewPairFrontier(3)
-	f.Add(0, 1, 1)
-	f.Add(1, 0, 2)
-	if v, ok := f.Get(0, 1); !ok || v != 3 {
-		t.Errorf("uncompacted Get = %v,%v want 3,true", v, ok)
-	}
-}
-
 // TestPairTableTopKMatchesSymmetricExpansion holds the scan TopKFor — the
 // ranking oracle of the core and serve tests — to an independent
 // formulation: the frontier's symmetric expansion of the same pairs,
 // ranked per row.
 func TestPairTableTopKMatchesSymmetricExpansion(t *testing.T) {
 	rng := lcg(42)
-	m, f := NewPairTable(0), NewPairFrontier(25)
-	for a := 0; a < 300; a++ {
-		i, j, v := rng.next(25), rng.next(25), rng.float()
-		m.Add(i, j, v)
-		f.Add(i, j, v)
-	}
-	f.Compact()
-	adj := f.ExpandSymmetric(nil)
+	m := randomTable(&rng, 25, 300)
+	adj := frontierOf(m, 25).ExpandSymmetric(nil)
 	for _, k := range []int{-1, 0, 1, 3, 100} {
 		for i := 0; i < 25; i++ {
 			cols, vals := adj.Row(i)

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -9,20 +11,46 @@ import (
 // and the concurrent remapped deposit RunSharded stitches with, each held
 // to the PairTable formulation it replaced — and for PairTable's mutators.
 
-// randomFrontier fills a rows-node frontier from adds random contributions
-// and compacts it.
-func randomFrontier(rng *lcg, rows, adds int) *PairFrontier {
-	f := NewPairFrontier(rows)
-	for a := 0; a < adds; a++ {
-		f.Add(rng.next(rows), rng.next(rows), rng.float())
+// frontierOf builds a rows-node frontier holding m's pairs: each row's
+// columns sorted, then set with SetSortedRow, the only way rows are written.
+func frontierOf(m *PairTable, rows int) *PairFrontier {
+	type cell struct {
+		c int32
+		v float64
 	}
-	f.Compact()
+	byRow := make([][]cell, rows)
+	m.Range(func(i, j int, v float64) bool {
+		byRow[i] = append(byRow[i], cell{int32(j), v})
+		return true
+	})
+	f := NewPairFrontier(rows)
+	for r, row := range byRow {
+		slices.SortFunc(row, func(a, b cell) int { return cmp.Compare(a.c, b.c) })
+		cols, vals := make([]int32, len(row)), make([]float64, len(row))
+		for k, e := range row {
+			cols[k], vals[k] = e.c, e.v
+		}
+		f.SetSortedRow(r, cols, vals)
+	}
 	return f
 }
 
-// toPairTable returns f's pairs as a PairTable, folding pending tails first.
+// randomTable accumulates adds random contributions over rows nodes.
+func randomTable(rng *lcg, rows, adds int) *PairTable {
+	m := NewPairTable(0)
+	for a := 0; a < adds; a++ {
+		m.Add(rng.next(rows), rng.next(rows), rng.float())
+	}
+	return m
+}
+
+// randomFrontier is frontierOf a randomTable.
+func randomFrontier(rng *lcg, rows, adds int) *PairFrontier {
+	return frontierOf(randomTable(rng, rows, adds), rows)
+}
+
+// toPairTable returns f's pairs as a PairTable.
 func toPairTable(f *PairFrontier) *PairTable {
-	f.Compact()
 	t := NewPairTable(f.Len())
 	f.Range(func(i, j int, v float64) bool {
 		t.Set(i, j, v)
@@ -35,9 +63,6 @@ func toPairTable(f *PairFrontier) *PairTable {
 // in ascending (i, j) order.
 func requireSamePairs(t *testing.T, label string, f *PairFrontier, want *PairTable) {
 	t.Helper()
-	if !f.compacted {
-		t.Fatalf("%s: not compacted", label)
-	}
 	n, last := 0, uint64(0)
 	f.Range(func(i, j int, v float64) bool {
 		if wv, ok := want.Get(i, j); !ok || wv != v {
@@ -58,28 +83,27 @@ func requireSamePairs(t *testing.T, label string, f *PairFrontier, want *PairTab
 
 func TestFrontierCloneIsDetached(t *testing.T) {
 	rng := lcg(11)
-	src := NewPairFrontier(30)
-	for a := 0; a < 400; a++ {
-		src.Add(rng.next(30), rng.next(30), rng.float()) // left with pending tails
-	}
+	src := randomFrontier(&rng, 30, 400)
 	c := src.Clone()
 	want := toPairTable(src)
 	requireSamePairs(t, "clone", c, want)
 
 	// The source is an arena the next run reuses; the clone must not see it.
 	src.Reset()
-	for a := 0; a < 400; a++ {
-		src.Add(rng.next(30), rng.next(30), rng.float())
+	next := randomFrontier(&rng, 30, 400)
+	for r := range 30 {
+		src.CopyRowFrom(next, r) // refills src's own row buffers
 	}
-	src.Compact()
 	requireSamePairs(t, "clone after source reuse", c, want)
 
 	// Rows are windows of one array: growing one must not run into the next.
-	c.Add(0, 29, 1)
-	c.Add(0, 28, 1)
-	c.Compact()
-	want.Add(0, 29, 1)
-	want.Add(0, 28, 1)
+	var cols []int32
+	var vals []float64
+	for j := 1; j < 30; j++ {
+		cols, vals = append(cols, int32(j)), append(vals, float64(j))
+		want.Set(0, j, float64(j))
+	}
+	c.SetSortedRow(0, cols, vals)
 	requireSamePairs(t, "clone after growing row 0", c, want)
 }
 
@@ -112,6 +136,5 @@ func TestSetRowsRemappedConcurrentDeposit(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	global.Compact()
 	requireSamePairs(t, "stitched", global, want)
 }
