@@ -44,15 +44,8 @@ func main() {
 	if *graphPath == "" {
 		fatal(fmt.Errorf("-graph is required"))
 	}
-	f, err := os.Open(*graphPath)
+	g, err := clickgraph.ReadFile(*graphPath)
 	if err != nil {
-		fatal(err)
-	}
-	g, err := clickgraph.Read(f)
-	if err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		fatal(err)
 	}
 

@@ -191,15 +191,8 @@ func main() {
 		src = &rewrite.ResultSource{Index: snap}
 		names = snap
 	} else {
-		f, err := os.Open(*graphPath)
+		g, err := clickgraph.ReadFile(*graphPath)
 		if err != nil {
-			fatal(err)
-		}
-		g, err := clickgraph.Read(f)
-		if err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
 			fatal(err)
 		}
 		src, err = buildSource(g, *method, *c, *iters, *prune, *strict, *sharded, *shardMax, *shardWork, *savePath, *saveTopK, bidTerms)
@@ -275,15 +268,8 @@ func runRefresh(graphPath, prevPath, savePath string, workers, keepGens int, fle
 	} else if swept > 0 {
 		fmt.Fprintf(os.Stderr, "simrank: swept %d stale temp file(s) from an interrupted refresh\n", swept)
 	}
-	f, err := os.Open(graphPath)
+	g, err := clickgraph.ReadFile(graphPath)
 	if err != nil {
-		return err
-	}
-	g, err := clickgraph.Read(f)
-	if err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	prev, err := serve.OpenSnapshot(prevPath)

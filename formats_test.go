@@ -124,10 +124,7 @@ func writeFormatGoldens(t *testing.T) string {
 	// simrank -graph testdata/fig3.graph -method simple -sharded
 	// -shard-max-nodes 9 -save: the budget keeps fig3's two components in
 	// a shard each.
-	f, err := os.Open(filepath.Join("testdata", "fig3.graph"))
-	must(err)
-	g0, err := clickgraph.Read(f)
-	f.Close()
+	g0, err := clickgraph.ReadFile(filepath.Join("testdata", "fig3.graph"))
 	must(err)
 	pcfg := partition.DefaultPlanConfig()
 	pcfg.MaxShardNodes = 9

@@ -46,10 +46,20 @@ type EdgeWeights struct {
 	ExpectedClickRate float64
 }
 
-// Edge is a (query, ad) connection with its weights.
-type Edge struct {
-	Query, Ad string
-	EdgeWeights
+// Validate reports physically impossible weights: negative counts, clicks
+// exceeding impressions when impressions are recorded, or an expected
+// click rate that is not a number in [0, 1].
+func (w EdgeWeights) Validate() error {
+	switch {
+	case w.Impressions < 0 || w.Clicks < 0:
+		return fmt.Errorf("clickgraph: negative counts: %d impressions, %d clicks", w.Impressions, w.Clicks)
+	case w.Impressions > 0 && w.Clicks > w.Impressions:
+		return fmt.Errorf("clickgraph: clicks %d exceed impressions %d", w.Clicks, w.Impressions)
+	// Written so that NaN, which compares false with everything, fails it.
+	case !(w.ExpectedClickRate >= 0 && w.ExpectedClickRate <= 1):
+		return fmt.Errorf("clickgraph: expected click rate %v outside [0,1]", w.ExpectedClickRate)
+	}
+	return nil
 }
 
 // Builder accumulates edges and compiles an immutable Graph. Adding the
@@ -108,22 +118,11 @@ func (b *Builder) AddQuery(q string) { b.internQuery(q) }
 // AddAd ensures an ad node exists even if it has no edges yet.
 func (b *Builder) AddAd(a string) { b.internAd(a) }
 
-// AddEdge records an observation for (query, ad). It returns an error for
-// physically impossible weights: negative counts, clicks exceeding
-// impressions when impressions are recorded, or an expected click rate
-// that is not a number in [0, 1].
+// AddEdge records an observation for (query, ad). Weights that fail
+// EdgeWeights.Validate are an error and add nothing.
 func (b *Builder) AddEdge(query, ad string, w EdgeWeights) error {
-	if w.Impressions < 0 || w.Clicks < 0 {
-		return fmt.Errorf("clickgraph: negative counts for (%q,%q): %+v", query, ad, w)
-	}
-	if w.Impressions > 0 && w.Clicks > w.Impressions {
-		return fmt.Errorf("clickgraph: clicks %d exceed impressions %d for (%q,%q)",
-			w.Clicks, w.Impressions, query, ad)
-	}
-	// Written so that NaN, which compares false with everything, fails it.
-	if !(w.ExpectedClickRate >= 0 && w.ExpectedClickRate <= 1) {
-		return fmt.Errorf("clickgraph: expected click rate %v outside [0,1] for (%q,%q)",
-			w.ExpectedClickRate, query, ad)
+	if err := w.Validate(); err != nil {
+		return fmt.Errorf("%w for (%q,%q)", err, query, ad)
 	}
 	qi, ai := b.internQuery(query), b.internAd(ad)
 	row := b.rows[qi]

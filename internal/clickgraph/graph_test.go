@@ -197,44 +197,6 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
-func TestReadWriteRoundTrip(t *testing.T) {
-	b := NewBuilder()
-	mustAdd(t, b, "camera", "hp.com", EdgeWeights{Impressions: 10, Clicks: 2, ExpectedClickRate: 0.25})
-	mustAdd(t, b, "digital camera", "hp.com", EdgeWeights{Impressions: 7, Clicks: 1, ExpectedClickRate: 0.125})
-	b.AddQuery("isolated query")
-	b.AddAd("isolated-ad.com")
-	g := b.Build()
-
-	var buf bytes.Buffer
-	if err := Write(&buf, g); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	g2, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if g2.NumQueries() != g.NumQueries() || g2.NumAds() != g.NumAds() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("round trip sizes: %d/%d/%d vs %d/%d/%d",
-			g2.NumQueries(), g2.NumAds(), g2.NumEdges(),
-			g.NumQueries(), g.NumAds(), g.NumEdges())
-	}
-	g.Edges(func(q, a int, w EdgeWeights) bool {
-		q2, ok := g2.QueryID(g.Query(q))
-		if !ok {
-			t.Fatalf("query %q lost", g.Query(q))
-		}
-		a2, ok := g2.AdID(g.Ad(a))
-		if !ok {
-			t.Fatalf("ad %q lost", g.Ad(a))
-		}
-		w2, ok := g2.EdgeWeightsOf(q2, a2)
-		if !ok || w2 != w {
-			t.Errorf("edge (%s,%s) weights %+v vs %+v", g.Query(q), g.Ad(a), w2, w)
-		}
-		return true
-	})
-}
-
 // A name the line format cannot carry is an error at Write, not a file
 // that reads back as a different graph; every other name round-trips.
 func TestWriteRefusesNamesTheFormatCannotCarry(t *testing.T) {

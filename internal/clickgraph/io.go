@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -12,10 +13,17 @@ import (
 //
 //	query <TAB> ad <TAB> impressions <TAB> clicks <TAB> expectedClickRate
 //
-// with '#'-prefixed comment lines and blank lines ignored. Isolated nodes
-// can be declared with "!query <TAB> name" / "!ad <TAB> name" lines. It is
-// the interchange format between cmd/clickgen, cmd/partition, cmd/simrank
-// and cmd/experiments.
+// with '#'-prefixed comment lines and blank lines ignored, and nodes
+// declared with "!query <TAB> name" / "!ad <TAB> name" lines. Read interns
+// names in the order it meets them; Write declares every query and then
+// every ad in id order before the first edge, so Read(Write(g)) keeps
+// every id. It is the interchange format between cmd/clickgen,
+// cmd/partition, cmd/simrank and cmd/experiments, the /ingest body (edge
+// lines only, ingest.ReadRecords) and the graph the fold state saves.
+// This package is the only code that parses, checks or writes it.
+
+// declPrefix starts a node declaration line, by side.
+var declPrefix = [...]string{QuerySide: "!query\t", AdSide: "!ad\t"}
 
 // CheckName reports whether the line format can carry name as a node of
 // the given side. A name cannot hold a tab or a newline (the field and line
@@ -35,47 +43,61 @@ func CheckName(side Side, name string) error {
 	return nil
 }
 
-// Write serializes g in the text edge format. Edges appear in (query id,
-// ad id) order, so output is deterministic for a given graph. A name the
+// ParseEdge splits one edge line into its five fields and parses the three
+// numbers. It does not check the weights (EdgeWeights.Validate does) and
+// knows nothing of comments, declarations or line endings: those are the
+// caller's.
+func ParseEdge(line string) (query, ad string, w EdgeWeights, err error) {
+	f := strings.Split(line, "\t")
+	if len(f) != 5 {
+		return "", "", w, fmt.Errorf("clickgraph: edge line has %d tab-separated fields, want 5 (query ad impressions clicks rate)", len(f))
+	}
+	if w.Impressions, err = strconv.ParseInt(f[2], 10, 64); err != nil {
+		return "", "", w, fmt.Errorf("clickgraph: bad impressions %q: %v", f[2], err)
+	}
+	if w.Clicks, err = strconv.ParseInt(f[3], 10, 64); err != nil {
+		return "", "", w, fmt.Errorf("clickgraph: bad clicks %q: %v", f[3], err)
+	}
+	if w.ExpectedClickRate, err = strconv.ParseFloat(f[4], 64); err != nil {
+		return "", "", w, fmt.Errorf("clickgraph: bad rate %q: %v", f[4], err)
+	}
+	return f[0], f[1], w, nil
+}
+
+// appendEdgeLine appends the line Write emits for one edge, newline
+// included; ParseEdge reads it back to the same fields, the rate bit for
+// bit.
+func appendEdgeLine(dst []byte, query, ad string, w EdgeWeights) []byte {
+	dst = append(append(append(dst, query...), '\t'), ad...)
+	dst = strconv.AppendInt(append(dst, '\t'), w.Impressions, 10)
+	dst = strconv.AppendInt(append(dst, '\t'), w.Clicks, 10)
+	dst = strconv.AppendFloat(append(dst, '\t'), w.ExpectedClickRate, 'g', -1, 64)
+	return append(dst, '\n')
+}
+
+// Write serializes g in the text edge format: every query declared in id
+// order, then every ad, then the edges in (query id, ad id) order, so the
+// output is deterministic and reads back with the same ids. A name the
 // format cannot carry (CheckName) is an error: the file would read back as
 // a different graph.
 func Write(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# click graph: %d queries, %d ads, %d edges\n",
-		g.NumQueries(), g.NumAds(), g.NumEdges()); err != nil {
-		return err
-	}
-	// Declare isolated nodes so round-tripping preserves them.
-	for q, name := range g.queries {
-		if err := CheckName(QuerySide, name); err != nil {
-			return err
-		}
-		if g.QueryDegree(q) == 0 {
-			if _, err := fmt.Fprintf(bw, "!query\t%s\n", name); err != nil {
+	for side, names := range [][]string{QuerySide: g.queries, AdSide: g.ads} {
+		for _, name := range names {
+			if err := CheckName(Side(side), name); err != nil {
 				return err
 			}
+			bw.WriteString(declPrefix[side])
+			bw.WriteString(name)
+			bw.WriteByte('\n')
 		}
 	}
-	for a, name := range g.ads {
-		if err := CheckName(AdSide, name); err != nil {
-			return err
-		}
-		if g.AdDegree(a) == 0 {
-			if _, err := fmt.Fprintf(bw, "!ad\t%s\n", name); err != nil {
-				return err
-			}
-		}
-	}
-	var werr error
+	var line []byte
 	g.Edges(func(q, a int, ew EdgeWeights) bool {
-		_, werr = fmt.Fprintf(bw, "%s\t%s\t%d\t%d\t%s\n",
-			g.Query(q), g.Ad(a), ew.Impressions, ew.Clicks,
-			strconv.FormatFloat(ew.ExpectedClickRate, 'g', -1, 64))
-		return werr == nil
+		line = appendEdgeLine(line[:0], g.queries[q], g.ads[a], ew)
+		_, err := bw.Write(line)
+		return err == nil
 	})
-	if werr != nil {
-		return werr
-	}
 	return bw.Flush()
 }
 
@@ -91,38 +113,38 @@ func Read(r io.Reader) (*Graph, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Split(line, "\t")
-		switch {
-		case fields[0] == "!query" && len(fields) == 2:
-			b.AddQuery(fields[1])
-			continue
-		case fields[0] == "!ad" && len(fields) == 2:
-			b.AddAd(fields[1])
+		if name, ok := strings.CutPrefix(line, declPrefix[QuerySide]); ok && !strings.Contains(name, "\t") {
+			b.AddQuery(name)
 			continue
 		}
-		if len(fields) != 5 {
-			return nil, fmt.Errorf("clickgraph: line %d: want 5 tab-separated fields, got %d", lineNo, len(fields))
+		if name, ok := strings.CutPrefix(line, declPrefix[AdSide]); ok && !strings.Contains(name, "\t") {
+			b.AddAd(name)
+			continue
 		}
-		impr, err := strconv.ParseInt(fields[2], 10, 64)
+		query, ad, w, err := ParseEdge(line)
+		if err == nil {
+			err = b.AddEdge(query, ad, w)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("clickgraph: line %d: bad impressions: %v", lineNo, err)
-		}
-		clicks, err := strconv.ParseInt(fields[3], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("clickgraph: line %d: bad clicks: %v", lineNo, err)
-		}
-		rate, err := strconv.ParseFloat(fields[4], 64)
-		if err != nil {
-			return nil, fmt.Errorf("clickgraph: line %d: bad rate: %v", lineNo, err)
-		}
-		if err := b.AddEdge(fields[0], fields[1], EdgeWeights{
-			Impressions: impr, Clicks: clicks, ExpectedClickRate: rate,
-		}); err != nil {
-			return nil, fmt.Errorf("clickgraph: line %d: %v", lineNo, err)
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return b.Build(), nil
+}
+
+// ReadFile reads the graph file at path.
+func ReadFile(path string) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	g, err := Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return g, nil
 }

@@ -218,7 +218,7 @@ func TestChaosStragglerHedged(t *testing.T) {
 	inj.SetLatency(hostOf(t, urls[0]), 2*time.Second) // worker 0 straggles
 	cl := &chaosLogf{}
 	c := NewCoordinator(urls, Options{Transport: inj.Transport(nil), Logf: cl.logf})
-	c.lat = &hedge.Tracker{Quantile: 0.5, Floor: 5 * time.Millisecond}
+	c.lat = &hedge.Tracker{Floor: 5 * time.Millisecond}
 	// Prime the latency window: hedging needs completed-lease samples
 	// before it can call anything a straggler.
 	for i := 0; i < 3; i++ {

@@ -57,7 +57,7 @@ func (f *fakeTarget) seen() (calls int, ctx context.Context) {
 
 // armed returns a tracker whose hedge delay is d; unarmed for d == 0.
 func armed(d time.Duration) *Tracker {
-	tr := &Tracker{Quantile: 0.5, Floor: d}
+	tr := &Tracker{quantile: 0.5, Floor: d}
 	for i := 0; d > 0 && i < 3; i++ {
 		tr.Record(time.Microsecond)
 	}
@@ -376,7 +376,7 @@ func TestDoHealthyRoundCost(t *testing.T) {
 		tracker   *Tracker
 		maxAllocs float64
 	}{
-		{"unarmed", &Tracker{MinSamples: 1 << 30}, 3},
+		{"unarmed", &Tracker{minSamples: 1 << 30}, 3},
 		{"armed", armed(time.Minute), 5},
 	}
 	for _, tc := range cases {

@@ -30,6 +30,7 @@
 package hedge
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -98,21 +99,21 @@ func (b Backoff) Sleep(ctx context.Context, attempt int, floor time.Duration) er
 	}
 }
 
-// Tracker keeps a bounded window of completed-request latencies and
-// turns a configured percentile of them into the delay after which an
-// outstanding request counts as a straggler worth hedging.
+// Tracker keeps a bounded window of the last 64 completed-request
+// latencies and turns their 95th percentile into the delay after which an
+// outstanding request counts as a straggler worth hedging. It reports no
+// delay until 3 completions are recorded: before that there is no latency
+// signal to call anything a straggler against.
 type Tracker struct {
-	// Quantile picks the completed-request latency percentile (default
-	// 0.95); Floor is the minimum hedge delay (default 250ms) so a burst
-	// of fast completions cannot arm hair-trigger hedging.
-	Quantile float64
-	Floor    time.Duration
-	// MinSamples is how many completions must be recorded before Delay
-	// reports ok (default 3) — before that there is no latency signal to
-	// call anything a straggler against. Window bounds the sample buffer
-	// (default 64).
-	MinSamples int
-	Window     int
+	// Floor is the minimum hedge delay (default 250ms) so a burst of fast
+	// completions cannot arm hair-trigger hedging.
+	Floor time.Duration
+
+	// quantile, minSamples and window override 0.95, 3 and 64 when set;
+	// only this package's tests set them.
+	quantile   float64
+	minSamples int
+	window     int
 
 	mu      sync.Mutex
 	samples []time.Duration
@@ -120,10 +121,7 @@ type Tracker struct {
 
 // Record files one completed-request latency.
 func (t *Tracker) Record(d time.Duration) {
-	window := t.Window
-	if window <= 0 {
-		window = 64
-	}
+	window := cmp.Or(t.window, 64)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.samples = append(t.samples, d)
@@ -133,27 +131,20 @@ func (t *Tracker) Record(d time.Duration) {
 }
 
 // Delay returns when an outstanding request becomes a straggler: the
-// configured percentile of recorded latencies, floored at Floor. ok is
-// false until MinSamples completions have been recorded.
+// percentile of recorded latencies, floored at Floor. ok is false until
+// enough completions have been recorded.
 //
 // Every call of Do asks, and on a healthy fleet the answer is the floor:
 // the sample of ascending rank idx is at or below it exactly when more
 // than idx samples are, which a count decides. Only a percentile that
 // really is above the floor is found by sorting.
 func (t *Tracker) Delay() (delay time.Duration, ok bool) {
-	min := t.MinSamples
-	if min <= 0 {
-		min = 3
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.samples) < min {
+	if len(t.samples) < cmp.Or(t.minSamples, 3) {
 		return 0, false
 	}
-	q := t.Quantile
-	if q <= 0 || q >= 1 {
-		q = 0.95
-	}
+	q := cmp.Or(t.quantile, 0.95)
 	floor := t.Floor
 	if floor <= 0 {
 		floor = 250 * time.Millisecond

@@ -87,28 +87,36 @@ func TestSleepRespectsContext(t *testing.T) {
 	}
 }
 
+// TestTrackerArming pins the fixed schedule: no delay before 3 samples,
+// then the p95 sample, of rank ⌊(n−1)·0.95⌋.
 func TestTrackerArming(t *testing.T) {
-	tr := &Tracker{Quantile: 0.5, Floor: time.Millisecond}
+	tr := &Tracker{Floor: time.Millisecond}
 	if _, ok := tr.Delay(); ok {
 		t.Fatal("tracker armed with no samples")
 	}
 	tr.Record(10 * time.Millisecond)
 	tr.Record(20 * time.Millisecond)
 	if _, ok := tr.Delay(); ok {
-		t.Fatal("tracker armed below MinSamples")
+		t.Fatal("tracker armed below 3 samples")
 	}
 	tr.Record(30 * time.Millisecond)
 	d, ok := tr.Delay()
 	if !ok {
-		t.Fatal("tracker not armed at MinSamples")
+		t.Fatal("tracker not armed at 3 samples")
 	}
 	if d != 20*time.Millisecond {
-		t.Fatalf("median of 10/20/30ms = %v, want 20ms", d)
+		t.Fatalf("p95 of 10/20/30ms = %v, want 20ms (rank 1)", d)
+	}
+	for i := 4; i <= 21; i++ {
+		tr.Record(time.Duration(i) * 10 * time.Millisecond)
+	}
+	if d, _ := tr.Delay(); d != 200*time.Millisecond {
+		t.Fatalf("p95 of 10..210ms = %v, want 200ms (rank 19)", d)
 	}
 }
 
 func TestTrackerFloorAndWindow(t *testing.T) {
-	tr := &Tracker{Quantile: 0.5, Floor: 100 * time.Millisecond, Window: 4}
+	tr := &Tracker{quantile: 0.5, Floor: 100 * time.Millisecond, window: 4}
 	for i := 0; i < 4; i++ {
 		tr.Record(time.Millisecond)
 	}
@@ -150,7 +158,7 @@ func TestTrackerDelayMatchesSortingDefinition(t *testing.T) {
 			q = 0.5
 		}
 		window := 1 + rng.Intn(12)
-		tr := &Tracker{Quantile: q, Floor: floor, Window: window, MinSamples: 1}
+		tr := &Tracker{quantile: q, Floor: floor, window: window, minSamples: 1}
 		var recorded []time.Duration
 		for n := 1 + rng.Intn(3*window); n > 0; n-- {
 			d := time.Duration(rng.Intn(12)) * time.Millisecond

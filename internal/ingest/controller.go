@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -232,7 +231,7 @@ func NewController(cfg Config) (*Controller, error) {
 			if cfg.GraphPath == "" {
 				return fail(errors.New("ingest: first start needs the base graph (Config.GraphPath) the serving snapshot was built from"))
 			}
-			if base, err = readGraphFile(cfg.GraphPath); err != nil {
+			if base, err = clickgraph.ReadFile(cfg.GraphPath); err != nil {
 				return fail(err)
 			}
 		}
@@ -607,13 +606,4 @@ func builderFromGraph(g *clickgraph.Graph) (*clickgraph.Builder, error) {
 		return nil, err
 	}
 	return b, nil
-}
-
-func readGraphFile(path string) (*clickgraph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return clickgraph.Read(f)
 }

@@ -13,10 +13,11 @@
 //     segments rotate at a size threshold, reopen truncates a torn tail,
 //     and the decoder is allocation-bounded and rejects every flipped byte.
 //   - fold state: one atomic CRC'd file holding the fold cursor AND the
-//     folded graph under its original intern order (state.go), so the
-//     crash windows between "generation published" and "cursor saved"
-//     resolve by replaying onto an id-identical graph and observing a
-//     zero-dirty diff — never by double-applying a delta.
+//     folded graph as clickgraph.Write's text, which reads back with the
+//     same ids (state.go), so the crash windows between "generation
+//     published" and "cursor saved" resolve by replaying onto an
+//     id-identical graph and observing a zero-dirty diff — never by
+//     double-applying a delta.
 //   - Controller: the refresh loop (controller.go) — serialized folds,
 //     capped equal-jitter backoff on refresh failure, ingestion
 //     backpressure when the WAL outruns folding, and bounded-staleness
@@ -28,8 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 	"strings"
 
 	"simrankpp/internal/clickgraph"
@@ -60,13 +59,14 @@ func (r Record) Weights() clickgraph.EdgeWeights {
 // bound the decoder enforces before trusting a length field.
 const maxNameLen = 4096
 
-// Validate applies the same edge discipline as clickgraph.AddEdge, plus
-// the WAL's wire bounds, so every record that enters the log is
-// guaranteed to fold cleanly later. Rejecting at append time means a
-// replay can treat any invalid record as corruption, not bad input.
+// Validate admits a record to the WAL only if it will fold cleanly later:
+// its weights pass clickgraph.EdgeWeights.Validate, the check
+// clickgraph.Builder.AddEdge makes at fold time, and its names are
+// non-empty, within maxNameLen (the decoder's allocation bound) and
+// carriable by the click-graph text the fold state saves the graph in
+// (clickgraph.CheckName). Rejecting at append time means a replay can
+// treat any invalid record as corruption, not bad input.
 func (r Record) Validate() error {
-	// The fold state saves the folded graph in the click-graph text form: a
-	// name that form cannot carry would come back as a different graph.
 	if err := clickgraph.CheckName(clickgraph.QuerySide, r.Query); err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}
@@ -82,42 +82,25 @@ func (r Record) Validate() error {
 		return fmt.Errorf("ingest: query name %d bytes exceeds the %d-byte bound", len(r.Query), maxNameLen)
 	case len(r.Ad) > maxNameLen:
 		return fmt.Errorf("ingest: ad name %d bytes exceeds the %d-byte bound", len(r.Ad), maxNameLen)
-	case r.Impressions < 0:
-		return fmt.Errorf("ingest: negative impressions %d", r.Impressions)
-	case r.Clicks < 0:
-		return fmt.Errorf("ingest: negative clicks %d", r.Clicks)
-	case r.Impressions > 0 && r.Clicks > r.Impressions:
-		return fmt.Errorf("ingest: clicks %d exceed impressions %d", r.Clicks, r.Impressions)
-	case math.IsNaN(r.Rate) || r.Rate < 0 || r.Rate > 1:
-		return fmt.Errorf("ingest: expected click rate %v outside [0,1]", r.Rate)
+	}
+	if err := r.Weights().Validate(); err != nil {
+		return fmt.Errorf("ingest: %w", err)
 	}
 	return nil
 }
 
-// Text form: one record per line, tab-separated, the same five fields as
-// a click-graph edge line (query, ad, impressions, clicks, rate). This
-// is the /ingest request body and the replayable click-log file format.
+// Text form: one record per line, a click-graph edge line
+// (clickgraph.ParseEdge). This is the /ingest request body and the
+// replayable click-log file format.
 
 // ParseRecord parses one text line. Blank lines and '#' comments are the
 // caller's concern (ReadRecords skips them).
 func ParseRecord(line string) (Record, error) {
-	f := strings.Split(line, "\t")
-	if len(f) != 5 {
-		return Record{}, fmt.Errorf("ingest: record line has %d fields, want 5 (query ad impressions clicks rate)", len(f))
-	}
-	impr, err := strconv.ParseInt(f[2], 10, 64)
+	q, ad, w, err := clickgraph.ParseEdge(line)
 	if err != nil {
-		return Record{}, fmt.Errorf("ingest: bad impressions %q: %v", f[2], err)
+		return Record{}, err
 	}
-	clicks, err := strconv.ParseInt(f[3], 10, 64)
-	if err != nil {
-		return Record{}, fmt.Errorf("ingest: bad clicks %q: %v", f[3], err)
-	}
-	rate, err := strconv.ParseFloat(f[4], 64)
-	if err != nil {
-		return Record{}, fmt.Errorf("ingest: bad rate %q: %v", f[4], err)
-	}
-	r := Record{Query: f[0], Ad: f[1], Impressions: impr, Clicks: clicks, Rate: rate}
+	r := Record{Query: q, Ad: ad, Impressions: w.Impressions, Clicks: w.Clicks, Rate: w.ExpectedClickRate}
 	if err := r.Validate(); err != nil {
 		return Record{}, err
 	}

@@ -1,12 +1,10 @@
 package ingest
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/frame"
@@ -29,9 +27,17 @@ import (
 //     half-finished generation (the journal's own crash safety).
 //   - crash AFTER publish but BEFORE the state write → replay rebuilds a
 //     graph identical to the one the published generation was computed
-//     from (same intern order — see writeGraphOrdered), the fingerprint
-//     diff classifies zero shards dirty, and the controller skips
-//     straight to saving the state. The delta is never applied twice.
+//     from (same ids), the fingerprint diff classifies zero shards dirty,
+//     and the controller skips straight to saving the state. The delta is
+//     never applied twice.
+//
+// The graph text is clickgraph.Write's: it declares every node in id
+// order, so clickgraph.Read gives the folded graph back with its ids —
+// which the incremental pipeline keys on: shard fingerprints hash node
+// ids, and a clean shard's segment byte-copy assumes identical global
+// ids. A name the text cannot carry is a Write error, never a state that
+// loads as a different graph (Record.Validate keeps such names out of the
+// WAL).
 //
 // File layout (one internal/frame frame):
 //
@@ -57,7 +63,7 @@ type FoldState struct {
 // (temp + rename + fsync of file and directory).
 func SaveFoldState(dir string, seq uint64, g *clickgraph.Graph) error {
 	var text bytes.Buffer
-	if err := writeGraphOrdered(&text, g); err != nil {
+	if err := clickgraph.Write(&text, g); err != nil {
 		return err
 	}
 	e := frame.Append(make([]byte, 0, 36+text.Len()+frame.TrailerSize), stateMagic) // magic + fixed fields
@@ -125,50 +131,4 @@ func LoadFoldState(dir string) (*FoldState, error) {
 	}
 	st.Graph = g
 	return st, nil
-}
-
-// writeGraphOrdered serializes g in the clickgraph text format with one
-// crucial extra: EVERY node is declared (!query/!ad lines) in global id
-// order before any edge. clickgraph.Read interns declarations on sight,
-// so the round-trip reproduces g's exact intern order — which the whole
-// incremental pipeline keys on: shard fingerprints hash node ids, and a
-// clean shard's segment byte-copy assumes identical global ids. The
-// stock clickgraph.Write declares only isolated nodes (ads re-intern in
-// first-edge order), which is enough for a standalone graph file but
-// would shift ids here and spuriously dirty every shard after a crash. A
-// name the format cannot carry is an error, never a state that loads as a
-// different graph (Record.Validate keeps such names out of the WAL; a
-// -graph file read by clickgraph.Read cannot hold one).
-func writeGraphOrdered(w *bytes.Buffer, g *clickgraph.Graph) error {
-	for _, q := range g.Queries() {
-		if err := clickgraph.CheckName(clickgraph.QuerySide, q); err != nil {
-			return err
-		}
-		w.WriteString("!query\t")
-		w.WriteString(q)
-		w.WriteByte('\n')
-	}
-	for _, a := range g.Ads() {
-		if err := clickgraph.CheckName(clickgraph.AdSide, a); err != nil {
-			return err
-		}
-		w.WriteString("!ad\t")
-		w.WriteString(a)
-		w.WriteByte('\n')
-	}
-	bw := bufio.NewWriter(w)
-	g.Edges(func(q, a int, wt clickgraph.EdgeWeights) bool {
-		bw.WriteString(g.Query(q))
-		bw.WriteByte('\t')
-		bw.WriteString(g.Ad(a))
-		bw.WriteByte('\t')
-		bw.WriteString(strconv.FormatInt(wt.Impressions, 10))
-		bw.WriteByte('\t')
-		bw.WriteString(strconv.FormatInt(wt.Clicks, 10))
-		bw.WriteByte('\t')
-		bw.WriteString(strconv.FormatFloat(wt.ExpectedClickRate, 'g', -1, 64))
-		bw.WriteByte('\n')
-		return true
-	})
-	return bw.Flush()
 }

@@ -67,12 +67,13 @@ var ErrBackpressure = errors.New("ingest: WAL lag exceeds MaxLagRecords; folding
 
 // LogOptions tunes a Log.
 type LogOptions struct {
-	// SegmentBytes rotates the active segment once it reaches this many
-	// bytes (header included). Default 4 MiB.
-	SegmentBytes int64
 	// MaxLagRecords bounds nextSeq - foldedSeq: appends beyond it fail
 	// with ErrBackpressure until SetFolded advances. 0 disables.
 	MaxLagRecords uint64
+
+	// segmentBytes rotates the active segment once it reaches this many
+	// bytes (header included): 4 MiB unless a rotation test lowers it.
+	segmentBytes int64
 }
 
 type segInfo struct {
@@ -106,11 +107,8 @@ type Log struct {
 // truncating a torn tail on the last one, and positioning the next
 // append after the last valid record.
 func OpenLog(dir string, opt LogOptions) (*Log, error) {
-	if opt.SegmentBytes <= 0 {
-		opt.SegmentBytes = 4 << 20
-	}
-	if opt.SegmentBytes < segHeaderSize+minPayloadLen+frameOverhead {
-		opt.SegmentBytes = segHeaderSize + minPayloadLen + frameOverhead
+	if opt.segmentBytes <= 0 {
+		opt.segmentBytes = 4 << 20
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -228,7 +226,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	l.segs[len(l.segs)-1].records++
 	l.size += int64(len(l.scratch))
 	l.dirty = true
-	if l.size >= l.opt.SegmentBytes {
+	if l.size >= l.opt.segmentBytes {
 		if err := l.rotateLocked(l.nextSeq); err != nil {
 			return 0, err
 		}

@@ -49,7 +49,7 @@ func replayAll(t *testing.T, l *Log, from uint64) (seqs []uint64, recs []Record)
 
 func TestWALRoundTripAndRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogOptions{SegmentBytes: 256})
+	l, err := OpenLog(dir, LogOptions{segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestWALRoundTripAndRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l, err = OpenLog(dir, LogOptions{SegmentBytes: 256})
+	l, err = OpenLog(dir, LogOptions{segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestWALFlipEveryByteOfFinalFrame(t *testing.T) {
 // away) segment is corruption and must refuse to open.
 func TestWALMidChainCorruptionFatal(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogOptions{SegmentBytes: 256})
+	l, err := OpenLog(dir, LogOptions{segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestWALAdvanceTo(t *testing.T) {
 
 func TestWALTruncateBefore(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogOptions{SegmentBytes: 256})
+	l, err := OpenLog(dir, LogOptions{segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,6 +88,47 @@ func TestChaosReplicaKilledMidRequestFailover(t *testing.T) {
 	}
 }
 
+// TestChaosSimilarFailsOverFromBadDisk: a replica whose disk fails under
+// a /similar read answers 500 — first the failed segment load, then the
+// quarantine — not a 200 with an empty ranking the gateway would relay as
+// final, so the read fails over and the client gets the clean replica's
+// answer byte for byte, on both sides.
+func TestChaosSimilarFailsOverFromBadDisk(t *testing.T) {
+	data := generationBytes(t, [4]int{0, 0, 0, 0})
+	disk := faultfs.NewInjector()
+	bad, err := serve.NewSnapshot(faultfs.Wrap(bytes.NewReader(data), disk), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	clean := buildGeneration(t, [4]int{0, 0, 0, 0})
+	defer clean.Close()
+	r0 := startReplica(t, bad, 1)
+	r1 := startReplica(t, clean, 1)
+	gw := newGateway(t, Options{Logf: chaosLogf(t)}, r0, r1)
+	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
+	gw.breakerCooldown = 0 // every read below goes to replica 0 first
+
+	disk.FailAfter(0, nil) // every segment load on replica 0 fails from now on
+	for _, u := range []string{"/similar?q=c0-q0&top=3", "/similar?ad=c1-a2&top=3"} {
+		wantCode, want := directGet(t, r1.ts.URL+u)
+		if wantCode != http.StatusOK {
+			t.Fatalf("clean replica %s = %d: %s", u, wantCode, want)
+		}
+		for _, phase := range []string{"failed load", "quarantined"} {
+			setPrimary(gw, 0)
+			failovers := gw.failovers.Load()
+			code, _, body := get(t, gw.Handler(), u)
+			if code != http.StatusOK || !bytes.Equal(body, want) {
+				t.Fatalf("%s, %s on replica 0: gateway answered %d %q, want the clean replica's %q", u, phase, code, body, want)
+			}
+			if gw.failovers.Load() == failovers {
+				t.Fatalf("%s, %s on replica 0: no failover counted", u, phase)
+			}
+		}
+	}
+}
+
 // TestChaosMixedGenerationNeverMixes pins generation consistency
 // through a rollout: with the fleet split across two snapshot
 // generations, every answer the gateway emits is byte-identical to
@@ -295,7 +336,7 @@ func TestChaosHedgedReadUnderStraggler(t *testing.T) {
 	r1 := startReplica(t, snap, 1)
 	inj := faultfs.NewHTTPInjector()
 	gw := newGateway(t, Options{Transport: inj.Transport(nil), Logf: chaosLogf(t)}, r0, r1)
-	gw.lat = &hedge.Tracker{Quantile: 0.5, Floor: 20 * time.Millisecond}
+	gw.lat = &hedge.Tracker{Floor: 20 * time.Millisecond}
 
 	const u = "/rewrite?q=c1-q3&top=3"
 	_, golden := directGet(t, r1.ts.URL+u)
@@ -330,7 +371,7 @@ func TestChaosReplicaDiesDuringHedgedRead(t *testing.T) {
 	r1 := startReplica(t, snap, 1)
 	inj := faultfs.NewHTTPInjector()
 	gw := newGateway(t, Options{Transport: inj.Transport(nil), Logf: chaosLogf(t)}, r0, r1)
-	gw.lat = &hedge.Tracker{Quantile: 0.5, Floor: 20 * time.Millisecond}
+	gw.lat = &hedge.Tracker{Floor: 20 * time.Millisecond}
 	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 	const u = "/similar?q=c2-q5&top=3"
@@ -381,7 +422,7 @@ func TestChaosHedgeInRoundTwoCountsOneFailover(t *testing.T) {
 	r1 := startReplica(t, snap, 1)
 	inj := faultfs.NewHTTPInjector()
 	gw := newGateway(t, Options{Transport: inj.Transport(nil), Logf: chaosLogf(t)}, r0, r1)
-	gw.lat = &hedge.Tracker{Quantile: 0.5, Floor: time.Second}
+	gw.lat = &hedge.Tracker{Floor: time.Second}
 	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 	const u = "/rewrite?q=c0-q1&top=3"

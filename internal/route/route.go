@@ -274,7 +274,7 @@ type Options struct {
 // dispatch rounds (two replicas in a round that is hedged); the wait
 // between rounds is backoffBase doubling to backoffMax, equal-jittered and
 // floored at any Retry-After the failed replica sent. A read outliving the
-// p95 of completed reads (hedge.Tracker's default quantile), at least
+// p95 of completed reads (hedge.Tracker's percentile), at least
 // hedgeFloor, once 3 have completed, is hedged to a second replica.
 // breakerFails consecutive failed reads open a replica's circuit for
 // breakerCooldown. retryAfter is the Retry-After hint (seconds) on the

@@ -68,6 +68,17 @@ func fleetCfg() core.Config {
 // returns the loaded snapshot.
 func buildGeneration(t *testing.T, seeds [4]int) *serve.Snapshot {
 	t.Helper()
+	data := generationBytes(t, seeds)
+	snap, err := serve.NewSnapshot(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// generationBytes is buildGeneration's snapshot file.
+func generationBytes(t *testing.T, seeds [4]int) []byte {
+	t.Helper()
 	g := fleetGraph(t, seeds)
 	plan := partition.ComponentPlan(g)
 	res, err := core.RunSharded(g, fleetCfg(), plan, core.ShardOptions{Workers: 3, RetainShardScores: true})
@@ -78,11 +89,7 @@ func buildGeneration(t *testing.T, seeds [4]int) *serve.Snapshot {
 	if err := serve.WriteSnapshotTopK(&buf, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := serve.NewSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
+	return buf.Bytes()
 }
 
 // replica is one backend simrankd stand-in: a real serve.Server over a

@@ -202,6 +202,61 @@ func TestChaosBitFlipQuarantinesOneShard(t *testing.T) {
 	}
 }
 
+// TestChaosSimilarFailsOnCorruptSegment: /similar reads the score
+// segments /rewrite falls back to, and a corrupt one must fail it the same
+// way — 500 on the first touch and inside the backoff window, without a
+// disk read there — never a 200 with an empty ranking, which a gateway
+// relays as final instead of failing over. ?q= reads the shard's query
+// segment, ?ad= its ad segment; both recover once the fault clears and the
+// backoff elapses.
+func TestChaosSimilarFailsOnCorruptSegment(t *testing.T) {
+	snap, inj := chaosSnapshot(t, 0)
+	cur := time.Unix(1_700_000_000, 0)
+	snap.now = func() time.Time { return cur }
+
+	q := distinctShardQueries(t, snap, 1)[0]
+	shard := snap.qRoute[mustQueryID(t, snap, q)]
+	ad := ""
+	for a := 0; a < snap.NumAds() && ad == ""; a++ {
+		if snap.aRoute[a] == shard {
+			ad = snap.Ad(a)
+		}
+	}
+	if ad == "" || snap.dir[shard].qPairs == 0 || snap.dir[shard].aPairs == 0 {
+		t.Fatalf("shard %d lacks an ad or pairs on both sides", shard)
+	}
+	inj.FlipBit(int64(snap.dir[shard].qOff)+8, 3)
+	inj.FlipBit(int64(snap.dir[shard].aOff)+8, 3)
+
+	cfg := DefaultServerConfig()
+	cfg.MaxInFlight = 0
+	cfg.RequestTimeout = 0
+	h := NewServer(snap, cfg).Handler()
+	urls := []string{"/similar?q=" + url.QueryEscape(q), "/similar?ad=" + url.QueryEscape(ad)}
+	for _, u := range urls {
+		if code, body := get(t, h, u); code != http.StatusInternalServerError {
+			t.Fatalf("%s over a corrupt segment = %d, want 500: %s", u, code, body)
+		}
+		calls := inj.Calls()
+		if code, body := get(t, h, u); code != http.StatusInternalServerError {
+			t.Fatalf("%s inside the backoff window = %d, want 500: %s", u, code, body)
+		}
+		if got := inj.Calls(); got != calls {
+			t.Fatalf("%s inside the backoff window read the disk (%d reads, was %d)", u, got, calls)
+		}
+	}
+
+	inj.ClearFlips()
+	cur = cur.Add(time.Minute)
+	for _, u := range urls {
+		code, body := get(t, h, u)
+		var resp rewriteResponse
+		if code != http.StatusOK || json.Unmarshal(body, &resp) != nil || len(resp.Rewrites) == 0 {
+			t.Fatalf("%s after recovery = %d %s, want 200 with a ranking", u, code, body)
+		}
+	}
+}
+
 // TestChaosReadyzUnreadyWhenAllShardsDead pins the degraded/unready
 // boundary: quarantining every segment of every shard turns /readyz into
 // a 503, because nothing can be answered anymore.
@@ -339,6 +394,16 @@ func TestChaosDeadlineAnswers504(t *testing.T) {
 	inj.SetLatency(0)
 	if code, body := get(t, h, rewriteURL(q)); code != http.StatusOK {
 		t.Fatalf("warm retry after deadline = %d, want 200: %s", code, body)
+	}
+	// /similar?ad= reads the still-cold ad segment: the same deadline.
+	similar := "/similar?ad=" + url.QueryEscape(snap.Ad(0))
+	inj.SetLatency(300 * time.Millisecond)
+	if code, body := get(t, h, similar); code != http.StatusGatewayTimeout {
+		t.Fatalf("slow-load similar = %d, want 504: %s", code, body)
+	}
+	inj.SetLatency(0)
+	if code, body := get(t, h, similar); code != http.StatusOK {
+		t.Fatalf("warm similar after deadline = %d, want 200: %s", code, body)
 	}
 }
 

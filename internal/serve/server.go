@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/rewrite"
 	"simrankpp/internal/sparse"
 )
@@ -631,6 +632,20 @@ func rendered(body []byte, err error) ([]byte, int, string) {
 	return body, http.StatusOK, ""
 }
 
+// rankedList is /similar's lookup of either side's ranked list. A
+// snapshot's reports a failed or quarantined segment load as an error and
+// an expired deadline before loading, as /rewrite's TopRewritesContext
+// does; an in-memory index has nothing to load.
+func rankedList(ctx context.Context, idx ScoreIndex, side clickgraph.Side, id, k int) ([]sparse.Scored, error) {
+	if snap, ok := idx.(*Snapshot); ok {
+		return snap.ranked(ctx, side, id, k)
+	}
+	if side == clickgraph.QuerySide {
+		return idx.TopRewrites(id, k), nil
+	}
+	return idx.TopSimilarAds(id, k), nil
+}
+
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	params := r.URL.Query()
 	q, ad := params.Get("q"), params.Get("ad")
@@ -646,30 +661,25 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var scored []sparse.Scored
-	var name func(int) string
-	subject := q
+	side, name, subject := clickgraph.QuerySide, s.idx.Query, q
+	id, ok := 0, false
 	if q != "" {
-		qid, ok := s.idx.QueryID(q)
-		if !ok {
-			http.Error(w, fmt.Sprintf("query %q not in index", q), http.StatusNotFound)
-			return
-		}
-		scored = s.idx.TopRewrites(qid, top)
-		name = s.idx.Query
+		id, ok = s.idx.QueryID(q)
 	} else {
-		aid, ok := s.idx.AdID(ad)
-		if !ok {
-			http.Error(w, fmt.Sprintf("ad %q not in index", ad), http.StatusNotFound)
-			return
-		}
-		scored = s.idx.TopSimilarAds(aid, top)
-		name = s.idx.Ad
-		subject = ad
+		side, name, subject = clickgraph.AdSide, s.idx.Ad, ad
+		id, ok = s.idx.AdID(ad)
 	}
-	// The ranked lookup above may have sat on a slow (or fault-injected)
-	// segment load; honor the request deadline before serializing.
-	if err := r.Context().Err(); err != nil {
+	if !ok {
+		http.Error(w, fmt.Sprintf("%s %q not in index", side, subject), http.StatusNotFound)
+		return
+	}
+	scored, err := rankedList(r.Context(), s.idx, side, id, top)
+	// The ranked lookup may have sat on a slow (or fault-injected) segment
+	// load; honor the request deadline before serializing.
+	if err == nil {
+		err = r.Context().Err()
+	}
+	if err != nil {
 		scoreError(w, err)
 		return
 	}

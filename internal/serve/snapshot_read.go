@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/core"
 	"simrankpp/internal/frame"
 	"simrankpp/internal/hedge"
@@ -558,51 +559,50 @@ func (s *Snapshot) AdID(name string) (int, bool) {
 	return id, ok
 }
 
-// topRewrites is TopRewrites returning load errors: the shared core of
-// the ScoreIndex surface and the deadline-aware variant.
-func (s *Snapshot) topRewrites(q, k int) ([]sparse.Scored, error) {
-	v, err := s.queryView(int(s.qRoute[q]))
-	if err != nil {
-		return nil, err
-	}
-	return v.topKFor(q, k), nil
-}
-
-// TopRewrites implements ScoreIndex: it routes q to its shard's query
-// segment and answers from that segment alone.
-func (s *Snapshot) TopRewrites(q, k int) []sparse.Scored {
-	out, err := s.topRewrites(q, k)
-	if err != nil {
-		return nil
-	}
-	return out
-}
-
-// TopRewritesContext is TopRewrites under a request deadline: an
-// already-expired context returns before triggering a lazy segment load
-// (the one potentially slow step on this path), and a load failure is
-// surfaced as an error instead of an indistinguishable empty ranking.
-func (s *Snapshot) TopRewritesContext(ctx context.Context, q, k int) ([]sparse.Scored, error) {
+// ranked is the one ranked-list lookup of both sides: it routes id to its
+// shard's segment of that side and answers from that segment alone, under
+// a request deadline. An already-expired context returns before triggering
+// a lazy segment load (the one potentially slow step on this path), and a
+// load failure — or a quarantined segment inside its backoff — is an error
+// instead of an indistinguishable empty ranking.
+func (s *Snapshot) ranked(ctx context.Context, side clickgraph.Side, id, k int) ([]sparse.Scored, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	out, err := s.topRewrites(q, k)
+	var v segView
+	var err error
+	if side == clickgraph.QuerySide {
+		v, err = s.queryView(int(s.qRoute[id]))
+	} else {
+		v, err = s.adView(int(s.aRoute[id]))
+	}
 	if err != nil {
 		return nil, err
 	}
+	out := v.topKFor(id, k)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// TopSimilarAds implements ScoreIndex.
+// TopRewrites implements ScoreIndex; a failed segment load answers an
+// empty ranking (TopRewritesContext reports it).
+func (s *Snapshot) TopRewrites(q, k int) []sparse.Scored {
+	out, _ := s.ranked(context.Background(), clickgraph.QuerySide, q, k)
+	return out
+}
+
+// TopRewritesContext is TopRewrites under a request deadline, with load
+// failures reported (ranked).
+func (s *Snapshot) TopRewritesContext(ctx context.Context, q, k int) ([]sparse.Scored, error) {
+	return s.ranked(ctx, clickgraph.QuerySide, q, k)
+}
+
+// TopSimilarAds implements ScoreIndex, like TopRewrites.
 func (s *Snapshot) TopSimilarAds(a, k int) []sparse.Scored {
-	v, err := s.adView(int(s.aRoute[a]))
-	if err != nil {
-		return nil
-	}
-	return v.topKFor(a, k)
+	out, _ := s.ranked(context.Background(), clickgraph.AdSide, a, k)
+	return out
 }
 
 // VariantName implements ScoreIndex.
