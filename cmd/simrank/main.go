@@ -8,8 +8,7 @@
 //	        [-bids FILE] [-strict-evidence]
 //	        [-sharded] [-shard-max-nodes 4096] [-shard-workers 0]
 //	        [-save SNAPSHOT] [-rewrite-topk 16]
-//	simrank -graph FILE -refresh PREV [-save NEXT] [-bids FILE]
-//	        [-shard-workers 0] [-generations 3]
+//	simrank -graph FILE -refresh SNAPSHOT [-bids FILE] [-shard-workers 0]
 //	        [-workers host:port,host:port,...]
 //	simrank -rollback SNAPSHOT
 //	simrank -load SNAPSHOT [-query Q | -all] [-top K] [-bids FILE]
@@ -35,13 +34,14 @@
 // with -load, rewrites are answered straight from such a snapshot — no
 // graph file and no engine run, the batch/online split of Figure 2.
 //
-// With -refresh, the new graph is diffed against the previous snapshot
-// (shard fingerprints in its directory; no BuildPlan runs), only the
-// changed shards are recomputed — warm-started from the previous scores,
-// under the engine settings recorded in the snapshot header — and the
-// next snapshot is written by byte-copying every clean shard's segments
-// from the previous file. -save defaults to overwriting PREV in place
-// (atomic rename), which a running simrankd picks up on SIGHUP.
+// With -refresh, the new graph is diffed against the snapshot (shard
+// fingerprints in its directory; no BuildPlan runs), only the changed
+// shards are recomputed — warm-started from the previous scores, under
+// the engine settings recorded in the snapshot header — and the next
+// snapshot is written by byte-copying every clean shard's segments from
+// the previous file. It replaces the snapshot in place (atomic rename),
+// which a running simrankd picks up on SIGHUP; when no shard changed,
+// nothing is written.
 //
 // With -workers, the dirty shards are dispatched as leases to a fleet of
 // simrank-worker processes instead of recomputed in this process: each
@@ -53,16 +53,17 @@
 // outage degrades to exactly the single-machine refresh. The assembled
 // snapshot is byte-identical to what the local path writes.
 //
-// Every refresh is journaled as a numbered generation beside the output
-// snapshot (NEXT.gens/: snapshot bytes + CRC'd manifest recording the
-// generation id, source-graph fingerprint and whole-file hash), the
-// last -generations of them retained. A refresh that fails — or a
-// process killed at any instant — leaves the previous generation intact
-// and the serving file untouched or restored; stale temp files are
-// swept at the next refresh. -rollback re-points a serving snapshot at
-// the last good generation before the current one (the operator's
-// escape hatch after a bad refresh); a SIGHUP to simrankd then serves
-// it. See OPERATIONS.md for the full procedures.
+// Every refresh is journaled as a numbered generation beside the
+// snapshot (SNAPSHOT.gens/: snapshot bytes + CRC'd manifest recording
+// the generation id, source-graph fingerprint and whole-file hash), the
+// last three of them retained. A refresh that fails — or a process
+// killed at any instant — leaves the previous generation intact and the
+// serving file untouched; a serving file that no longer opens is
+// restored from the last good generation before the refresh starts, and
+// a crash's debris is swept by the next refresh. -rollback re-points a
+// serving snapshot at the last good generation before the current one
+// (the operator's escape hatch after a bad refresh); a SIGHUP to
+// simrankd then serves it. See OPERATIONS.md for the full procedures.
 package main
 
 import (
@@ -102,7 +103,6 @@ func main() {
 		loadPath  = flag.String("load", "", "answer from a snapshot instead of running an engine (-graph not needed)")
 		refresh   = flag.String("refresh", "", "incrementally refresh this snapshot against -graph (recompute dirty shards only)")
 		rollback  = flag.String("rollback", "", "re-point this serving snapshot at the last good journaled generation")
-		keepGens  = flag.Int("generations", serve.DefaultKeepGenerations, "refresh: journaled generations retained beside the snapshot")
 		fleet     = flag.String("workers", "", "refresh: comma-separated simrank-worker addresses (host:port or http://host:port) to dispatch dirty shards to")
 	)
 	flag.Parse()
@@ -117,7 +117,7 @@ func main() {
 		// Clean shards' scores were computed under the engine settings the
 		// previous snapshot records, so dirty shards must be too.
 		mode, uses = "with -refresh, which reuses the engine settings the snapshot records (start a fresh -save to change them)",
-			"refresh graph save bids shard-workers generations workers"
+			"refresh graph bids shard-workers workers"
 	case *loadPath != "":
 		mode, uses = "with -load, which answers from the snapshot as saved", "load query all top bids"
 	case *sharded:
@@ -154,7 +154,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		if err := runRefresh(*graphPath, *refresh, *savePath, *shardWork, *keepGens, fleetURLs(*fleet), refreshBids); err != nil {
+		if err := runRefresh(*graphPath, *refresh, *shardWork, fleetURLs(*fleet), refreshBids); err != nil {
 			fatal(err)
 		}
 		return
@@ -238,66 +238,29 @@ func main() {
 	}
 }
 
-// runRefresh is the -refresh path: diff the new graph against the
-// previous snapshot, recompute only dirty shards (warm-started) — in
-// this process, or on the -workers fleet: the shard runner handed to
-// serve.Refresh is the only difference — and write the next generation
-// reusing clean segments. The write is journaled through the generation
-// store: the pre-refresh serving file is adopted as a rollback target,
-// the new snapshot lands in the journal first, and only a fully-written,
-// manifest-covered generation is atomically published to the serving
-// path — so a refresh that fails (or dies) at any instant leaves the
-// previous generation loadable, and the failure path re-points serving
-// at the last good generation when the serving file itself turns out
-// damaged.
-func runRefresh(graphPath, prevPath, savePath string, workers, keepGens int, fleet []string, bids map[string]bool) error {
-	if savePath == "" {
-		savePath = prevPath // atomic in-place generation swap
-	}
-	gs := serve.NewGenerationStore(savePath, keepGens)
+// runRefresh is the -refresh path: one serve.Refresh of the snapshot at
+// path against the new graph, with the dirty shards recomputed in this
+// process or on the -workers fleet — the shard runner is the only
+// difference. serve.Refresh owns the transaction (restore, adopt, diff,
+// run, commit, publish); this takes the journal lock, reports, and
+// prunes old generations.
+func runRefresh(graphPath, path string, workers int, fleet []string, bids map[string]bool) error {
+	gs := serve.NewGenerationStore(path)
 	// One journal writer at a time: a concurrent -refresh or a running
 	// ingest controller holds the advisory lock, and interleaving
 	// generation writes with it would corrupt the journal's ordering.
-	release, err := gs.Lock()
+	release, swept, err := gs.Lock()
 	if err != nil {
 		return err
 	}
 	defer release()
-	if swept, err := gs.SweepTemp(); err != nil {
-		return err
-	} else if swept > 0 {
-		fmt.Fprintf(os.Stderr, "simrank: swept %d stale temp file(s) from an interrupted refresh\n", swept)
+	if swept > 0 {
+		fmt.Fprintf(os.Stderr, "simrank: swept %d stale journal file(s) from an interrupted refresh\n", swept)
 	}
 	g, err := clickgraph.ReadFile(graphPath)
 	if err != nil {
 		return err
 	}
-	prev, err := serve.OpenSnapshot(prevPath)
-	if err != nil {
-		return err
-	}
-	defer prev.Close()
-	// Journal the pre-refresh serving state so even the first managed
-	// refresh has a rollback target.
-	if _, err := gs.Adopt(); err != nil {
-		return err
-	}
-
-	diff, err := partition.DiffPlans(prev, g)
-	if err != nil {
-		return err
-	}
-	// The projected plan inherits the previous decomposition and only
-	// grows (new nodes adopt a neighbor's shard, nothing is ever split),
-	// so surface the largest shard: when it drifts well past the budget
-	// the plan was built with, it is time to re-plan with a fresh -save.
-	largest := 0
-	for i := range diff.Plan.Shards {
-		largest = max(largest, diff.Plan.Shards[i].Nodes())
-	}
-	fmt.Fprintf(os.Stderr, "simrank: refresh diff: %d clean, %d dirty of %d shards (largest %d nodes); %d new, %d moved nodes\n",
-		diff.CleanShards, diff.DirtyShards, len(diff.Plan.Shards), largest,
-		diff.NewQueries+diff.NewAds, diff.MovedQueries+diff.MovedAds)
 	run := serve.PoolRunner(workers)
 	if len(fleet) > 0 {
 		// Leases with retry, hedging and local fallback; the bytes are
@@ -310,21 +273,36 @@ func runRefresh(graphPath, prevPath, savePath string, workers, keepGens int, fle
 			},
 		}).Run
 	}
-	_, st, err := serve.Refresh(context.Background(), gs, g, prev, diff, run, bids, nil)
-	if err != nil {
-		// The journal protects the serving file by construction, but a
-		// bad disk can damage it independently; verify and restore.
-		if gen, rerr := gs.RestoreServing(); rerr == nil && gen != nil {
-			fmt.Fprintf(os.Stderr, "simrank: serving snapshot was damaged; restored generation %d\n", gen.ID)
+	res, err := serve.Refresh(context.Background(), gs, g, run, bids, nil)
+	if res.Restored != nil {
+		fmt.Fprintf(os.Stderr, "simrank: %s did not open; restored generation %d\n", path, res.Restored.ID)
+	}
+	if diff := res.Diff; diff != nil {
+		// The projected plan inherits the previous decomposition and only
+		// grows (new nodes adopt a neighbor's shard, nothing is ever split),
+		// so surface the largest shard: when it drifts well past the budget
+		// the plan was built with, it is time to re-plan with a fresh -save.
+		largest := 0
+		for i := range diff.Plan.Shards {
+			largest = max(largest, diff.Plan.Shards[i].Nodes())
 		}
+		fmt.Fprintf(os.Stderr, "simrank: refresh diff: %d clean, %d dirty of %d shards (largest %d nodes); %d new, %d moved nodes\n",
+			diff.CleanShards, diff.DirtyShards, len(diff.Plan.Shards), largest,
+			diff.NewQueries+diff.NewAds, diff.MovedQueries+diff.MovedAds)
+	}
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "simrank: wrote snapshot %s (re-encoded %d KiB over %d dirty shards, byte-copied %d KiB over %d clean)\n",
-		savePath, st.BytesReencoded/1024, st.DirtyShards, st.BytesCopied/1024, st.CleanShards)
+	if st := res.Stats; res.Published == nil {
+		fmt.Fprintf(os.Stderr, "simrank: no shard changed; %s left as it was\n", path)
+	} else {
+		fmt.Fprintf(os.Stderr, "simrank: wrote snapshot %s (re-encoded %d KiB over %d dirty shards, byte-copied %d KiB over %d clean)\n",
+			path, st.BytesReencoded/1024, st.DirtyShards, st.BytesCopied/1024, st.CleanShards)
+	}
 	if pruned, err := gs.Prune(); err != nil {
 		return err
 	} else if pruned > 0 {
-		fmt.Fprintf(os.Stderr, "simrank: pruned %d old generation(s), keeping %d\n", pruned, keepGens)
+		fmt.Fprintf(os.Stderr, "simrank: pruned %d old generation(s)\n", pruned)
 	}
 	return nil
 }
@@ -349,16 +327,14 @@ func fleetURLs(s string) []string {
 // runRollback is the -rollback path: re-point the serving snapshot at
 // the last good journaled generation before the current one.
 func runRollback(path string) error {
-	gs := serve.NewGenerationStore(path, 0) // keep is Prune's, which a rollback never runs
-	release, err := gs.Lock()
+	gs := serve.NewGenerationStore(path)
+	release, swept, err := gs.Lock()
 	if err != nil {
 		return err
 	}
 	defer release()
-	if swept, err := gs.SweepTemp(); err != nil {
-		return err
-	} else if swept > 0 {
-		fmt.Fprintf(os.Stderr, "simrank: swept %d stale temp file(s)\n", swept)
+	if swept > 0 {
+		fmt.Fprintf(os.Stderr, "simrank: swept %d stale journal file(s)\n", swept)
 	}
 	gen, err := gs.Rollback()
 	if err != nil {

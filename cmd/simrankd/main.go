@@ -17,7 +17,11 @@
 // With -wal DIR the daemon also ingests (internal/ingest): click records
 // POSTed to /ingest are fsynced to a write-ahead log in DIR before the 200,
 // and a background loop folds them into the click graph, refreshes only
-// the dirty shards, publishes the next generation and reloads it. -graph,
+// the dirty shards, publishes the next generation and reloads it. A fold
+// is the same journal transaction as simrank -refresh: a serving file
+// that no longer opens is first restored from the journal, a fold that
+// changes no shard publishes nothing, and the newest three generations
+// stay journaled. -graph,
 // the snapshot's click graph, is read only while DIR holds no fold state;
 // the ingest flags are refused without -wal.
 //
@@ -26,7 +30,7 @@
 //	simrankd -snapshot FILE [-addr :8080] [-top 5] [-max-top 100]
 //	         [-bids FILE] [-preload] [-inflight 256] [-timeout 5s]
 //	         [-wal DIR [-graph FILE] [-cadence 30s] [-churn N]
-//	          [-max-lag N] [-generations 3] [-shard-workers N]]
+//	          [-max-lag N] [-shard-workers N]]
 //
 // # Endpoints
 //
@@ -116,7 +120,6 @@ func main() {
 		cadence   = flag.Duration("cadence", 30*time.Second, "ingest: fold interval")
 		churn     = flag.Uint64("churn", 0, "ingest: fold early once this many records are pending (0: cadence only)")
 		maxLag    = flag.Uint64("max-lag", 0, "ingest: reject /ingest with 503 beyond this WAL lag in records (0: unbounded)")
-		keepGens  = flag.Int("generations", serve.DefaultKeepGenerations, "ingest: journaled generations to retain")
 		shardWork = flag.Int("shard-workers", 0, "ingest: concurrent shard engines per fold (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
@@ -127,7 +130,7 @@ func main() {
 		var stray []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "graph", "cadence", "churn", "max-lag", "generations", "shard-workers":
+			case "graph", "cadence", "churn", "max-lag", "shard-workers":
 				stray = append(stray, "-"+f.Name)
 			}
 		})
@@ -176,16 +179,15 @@ func main() {
 	}
 	if *walDir != "" {
 		ctl, err := ingest.NewController(ingest.Config{
-			WALDir:          *walDir,
-			SnapshotPath:    *snapPath,
-			GraphPath:       *graphPath,
-			Workers:         *shardWork,
-			Cadence:         *cadence,
-			ChurnRecords:    *churn,
-			MaxLagRecords:   *maxLag,
-			KeepGenerations: *keepGens,
-			Bids:            cfg.BidTerms,
-			Logf:            log.Printf,
+			WALDir:        *walDir,
+			SnapshotPath:  *snapPath,
+			GraphPath:     *graphPath,
+			Workers:       *shardWork,
+			Cadence:       *cadence,
+			ChurnRecords:  *churn,
+			MaxLagRecords: *maxLag,
+			Bids:          cfg.BidTerms,
+			Logf:          log.Printf,
 			// Publish has just re-pointed the serving path at gen: reload it.
 			OnPublish: func(gen *serve.Generation) {
 				if err := reload(); err != nil {

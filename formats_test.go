@@ -139,7 +139,7 @@ func writeFormatGoldens(t *testing.T) string {
 
 	// The journal a first refresh or fold starts: the serving file adopted
 	// as generation 1.
-	gs := serve.NewGenerationStore(serving, 0)
+	gs := serve.NewGenerationStore(serving)
 	gen, err := gs.Adopt()
 	must(err)
 	copyTo("gen-00000001.mf", filepath.Join(serving+".gens", "gen-00000001.mf"))

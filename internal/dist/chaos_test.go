@@ -97,37 +97,32 @@ type journalFixture struct {
 	path      string
 	gs        *serve.GenerationStore
 	adopted   *serve.Generation
-	prev      *serve.Snapshot
 	prevBytes []byte
 	next      *clickgraph.Graph
-	diff      *partition.Diff
 	want      []byte // the local-only refresh's bytes
 }
 
 func newJournalFixture(t *testing.T) *journalFixture {
 	t.Helper()
 	fx := &journalFixture{next: refreshGraph(t, [4]int{9, 2, 3, 4})}
-	fx.prevBytes, _ = buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
+	var prev *serve.Snapshot
+	fx.prevBytes, prev = buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
+	_, _, fx.want = localRefreshBytes(t, fx.next, prev)
 	fx.path = filepath.Join(t.TempDir(), "scores.snap")
 	if err := os.WriteFile(fx.path, fx.prevBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fx.gs = serve.NewGenerationStore(fx.path, 5)
+	fx.gs = serve.NewGenerationStore(fx.path)
 	var err error
 	if fx.adopted, err = fx.gs.Adopt(); err != nil || fx.adopted == nil {
 		t.Fatalf("Adopt = (%v, %v)", fx.adopted, err)
 	}
-	if fx.prev, err = serve.OpenSnapshot(fx.path); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fx.prev.Close() })
-	_, fx.diff, fx.want = localRefreshBytes(t, fx.next, fx.prev)
 	return fx
 }
 
 // refresh runs one journaled refresh with c as the shard runner.
 func (fx *journalFixture) refresh(ctx context.Context, c *Coordinator, checkpoint func(string) error) error {
-	_, _, err := serve.Refresh(ctx, fx.gs, fx.next, fx.prev, fx.diff, c.Run, nil, checkpoint)
+	_, err := serve.Refresh(ctx, fx.gs, fx.next, c.Run, nil, checkpoint)
 	return err
 }
 
@@ -298,10 +293,13 @@ func TestChaosCoordinatorCrashRecovery(t *testing.T) {
 				}
 			}
 
-			// Recovery: sweep debris and rerun with a fresh coordinator.
-			if _, err := fx.gs.SweepTemp(); err != nil {
+			// Recovery: take the lock (which sweeps debris) and rerun with
+			// a fresh coordinator.
+			release, _, err := fx.gs.Lock()
+			if err != nil {
 				t.Fatal(err)
 			}
+			defer release()
 			retry := NewCoordinator(urls, Options{Logf: cl.logf})
 			if err := fx.refresh(context.Background(), retry, nil); err != nil {
 				t.Fatalf("retried refresh after crash at %s: %v", stage, err)

@@ -9,7 +9,6 @@ import (
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/hedge"
-	"simrankpp/internal/partition"
 	"simrankpp/internal/serve"
 )
 
@@ -41,8 +40,6 @@ type Config struct {
 	// MaxLagRecords bounds WAL lag: Ingest rejects with ErrBackpressure
 	// beyond it (see LogOptions.MaxLagRecords). 0 disables.
 	MaxLagRecords uint64
-	// KeepGenerations is the journal retention (serve.NewGenerationStore).
-	KeepGenerations int
 	// Bids is the bid-term set the snapshot's precomputed rewrite
 	// section was built under (serve.AssembleRefresh contract); nil when
 	// the snapshot carries no section.
@@ -130,10 +127,9 @@ type Controller struct {
 	gs      *serve.GenerationStore
 	release func() error
 	// backoff schedules fold retries after a refresh failure (capped
-	// equal-jitter, hedge.Backoff's defaults); openSnapshot opens the
-	// serving snapshot for a fold. Tests replace them after NewController.
-	backoff      hedge.Backoff
-	openSnapshot func(path string) (*serve.Snapshot, error)
+	// equal-jitter, hedge.Backoff's defaults). Tests replace it after
+	// NewController.
+	backoff hedge.Backoff
 
 	// foldMu serializes folds — overlapping FoldOnce calls (cadence
 	// firing during a slow manual fold, a Kick racing the timer) queue
@@ -180,13 +176,16 @@ func NewController(cfg Config) (*Controller, error) {
 		cfg.Now = time.Now
 	}
 
-	c := &Controller{cfg: cfg, openSnapshot: serve.OpenSnapshot, kick: make(chan struct{}, 1)}
-	c.gs = serve.NewGenerationStore(cfg.SnapshotPath, cfg.KeepGenerations)
-	release, err := c.gs.Lock()
+	c := &Controller{cfg: cfg, kick: make(chan struct{}, 1)}
+	c.gs = serve.NewGenerationStore(cfg.SnapshotPath)
+	release, swept, err := c.gs.Lock()
 	if err != nil {
 		return nil, err
 	}
 	c.release = release
+	if swept > 0 {
+		cfg.Logf("ingest: swept %d stale journal file(s)", swept)
+	}
 	fail := func(err error) (*Controller, error) {
 		release()
 		if c.log != nil {
@@ -194,12 +193,6 @@ func NewController(cfg Config) (*Controller, error) {
 		}
 		return nil, err
 	}
-	if n, err := c.gs.SweepTemp(); err != nil {
-		return fail(err)
-	} else if n > 0 {
-		cfg.Logf("ingest: swept %d stale journal temp file(s)", n)
-	}
-
 	if c.log, err = OpenLog(cfg.WALDir, LogOptions{MaxLagRecords: cfg.MaxLagRecords}); err != nil {
 		return fail(err)
 	}
@@ -409,36 +402,24 @@ func (c *Controller) FoldOnce(ctx context.Context) (*FoldResult, error) {
 		return nil, err
 	}
 
-	prev, err := c.openServing()
+	rr, err := serve.Refresh(ctx, c.gs, g, serve.PoolRunner(c.cfg.Workers), c.cfg.Bids,
+		func(stage string) error { return c.checkpoint("fold:" + stage) })
+	if rr.Restored != nil {
+		c.cfg.Logf("ingest: serving snapshot did not open; restored generation %d", rr.Restored.ID)
+	}
 	if err != nil {
-		return nil, c.fail(err)
-	}
-	defer prev.Close()
-	if _, err := c.gs.Adopt(); err != nil {
-		return nil, c.fail(fmt.Errorf("ingest: adopting serving snapshot: %w", err))
-	}
-
-	diff, err := partition.DiffPlans(prev, g)
-	if err != nil {
-		return nil, c.fail(fmt.Errorf("ingest: refresh diff: %w", err))
-	}
-	var gen *serve.Generation
-	if diff.DirtyShards == 0 {
-		// The rebuilt graph is the serving generation, shard for shard:
-		// publish nothing, advance the cursor.
-		res.Skipped = true
-	} else {
-		gen, res.Stats, err = serve.Refresh(ctx, c.gs, g, prev, diff, serve.PoolRunner(c.cfg.Workers), c.cfg.Bids,
-			func(stage string) error { return c.checkpoint("fold:" + stage) })
-		if err != nil {
-			if ctx.Err() != nil {
-				// Shutdown, not failure: serving bytes and cursor are
-				// untouched; the fold re-runs after restart.
-				return nil, ctx.Err()
-			}
-			return nil, c.fail(fmt.Errorf("ingest: %w", err))
+		if ctx.Err() != nil {
+			// Shutdown, not failure: serving bytes and cursor are
+			// untouched; the fold re-runs after restart.
+			return nil, ctx.Err()
 		}
+		return nil, c.fail(fmt.Errorf("ingest: %w", err))
 	}
+	// Nothing published: the rebuilt graph is the serving generation,
+	// shard for shard, so only the cursor advances.
+	gen := rr.Published
+	res.Skipped = gen == nil
+	res.Stats = rr.Stats
 
 	// Durable cursor: the single atomic state write that makes replay
 	// exactly-once. Crash before it → the published generation already
@@ -513,30 +494,6 @@ func (c *Controller) checkpoint(stage string) error {
 		return nil
 	}
 	return c.cfg.Checkpoint(stage)
-}
-
-// openServing opens the serving snapshot for a fold. A serving file that
-// no longer opens (bad disk, a torn copy renamed over it) is re-pointed at
-// the journal's last good generation and opened again, as simrank -refresh
-// does after a failed refresh, so one damaged file does not fail every
-// fold from then on.
-func (c *Controller) openServing() (*serve.Snapshot, error) {
-	prev, err := c.openSnapshot(c.cfg.SnapshotPath)
-	if err == nil {
-		return prev, nil
-	}
-	gen, rerr := c.gs.RestoreServing()
-	if rerr != nil {
-		return nil, fmt.Errorf("ingest: opening serving snapshot: %w (restoring it: %v)", err, rerr)
-	}
-	if gen == nil {
-		return nil, fmt.Errorf("ingest: opening serving snapshot: %w", err)
-	}
-	c.cfg.Logf("ingest: serving snapshot did not open (%v); restored generation %d", err, gen.ID)
-	if prev, err = c.openSnapshot(c.cfg.SnapshotPath); err != nil {
-		return nil, fmt.Errorf("ingest: opening restored serving snapshot: %w", err)
-	}
-	return prev, nil
 }
 
 func (c *Controller) durableSeq() uint64 {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -94,6 +93,17 @@ func (e *testEnv) servingBytes(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// failAtBuilt is a Config.Checkpoint that fails the fold at "fold:built"
+// with msg while *failing holds.
+func failAtBuilt(failing *bool, msg string) func(stage string) error {
+	return func(stage string) error {
+		if *failing && stage == "fold:built" {
+			return errors.New(msg)
+		}
+		return nil
+	}
 }
 
 func TestControllerFoldPublishesAndSkips(t *testing.T) {
@@ -280,15 +290,10 @@ func TestControllerDegradedStatus(t *testing.T) {
 	env := newTestEnv(t)
 	failing := true
 	cfg := env.config()
+	cfg.Checkpoint = failAtBuilt(&failing, "injected: disk on fire")
 	c, err := NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	c.openSnapshot = func(path string) (*serve.Snapshot, error) {
-		if failing {
-			return nil, fmt.Errorf("injected: disk on fire")
-		}
-		return serve.OpenSnapshot(path)
 	}
 	defer c.Close()
 
@@ -372,15 +377,10 @@ func TestControllerStalenessGauges(t *testing.T) {
 	cfg := env.config()
 	cfg.Now = func() time.Time { return now }
 	failing := false
+	cfg.Checkpoint = failAtBuilt(&failing, "injected")
 	c, err := NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	c.openSnapshot = func(path string) (*serve.Snapshot, error) {
-		if failing {
-			return nil, fmt.Errorf("injected")
-		}
-		return serve.OpenSnapshot(path)
 	}
 	defer c.Close()
 
@@ -451,15 +451,10 @@ func TestControllerChurnKickAndBackpressure(t *testing.T) {
 	cfg.ChurnRecords = 10
 	cfg.MaxLagRecords = 50
 	failing := true
+	cfg.Checkpoint = failAtBuilt(&failing, "injected")
 	c, err := NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	c.openSnapshot = func(path string) (*serve.Snapshot, error) {
-		if failing {
-			return nil, fmt.Errorf("injected")
-		}
-		return serve.OpenSnapshot(path)
 	}
 	defer c.Close()
 

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -658,4 +661,45 @@ func mustQueryID(t *testing.T, snap *Snapshot, name string) int {
 		t.Fatalf("query %q not in snapshot", name)
 	}
 	return id
+}
+
+// TestChaosDiskFaultMidRefresh injects read faults into the serving
+// snapshot while a refresh reads it, at several depths: every fault must
+// fail the refresh cleanly — serving file and journal untouched — and
+// the refresh after the fault clears publishes.
+func TestChaosDiskFaultMidRefresh(t *testing.T) {
+	fx := buildGenFixture(t)
+	path, gs, _ := servingDir(t, fx)
+	inj := faultfs.NewInjector()
+	gs.open = func(path string) (*Snapshot, error) {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return NewSnapshot(faultfs.Wrap(bytes.NewReader(raw), inj), int64(len(raw)))
+	}
+	next := refreshGraph(t, [4]int{9, 2, 3, 4})
+	before := journalNames(t, gs)
+
+	for depth := 1; depth <= 4; depth++ {
+		inj.Reset()
+		inj.FailAfter(depth, fmt.Errorf("injected disk fault at read %d", depth))
+		if _, err := Refresh(context.Background(), gs, next, PoolRunner(2), nil, nil); err == nil {
+			t.Fatalf("depth %d: refresh survived a read fault", depth)
+		}
+		if !bytes.Equal(readFile(t, path), fx.gen1) {
+			t.Fatalf("depth %d: failed refresh changed the serving file", depth)
+		}
+		if after := journalNames(t, gs); !slices.Equal(before, after) {
+			t.Fatalf("depth %d: failed refresh changed the journal: %v -> %v", depth, before, after)
+		}
+	}
+	inj.Reset()
+	res, err := Refresh(context.Background(), gs, next, PoolRunner(2), nil, nil)
+	if err != nil {
+		t.Fatalf("refresh after the fault cleared: %v", err)
+	}
+	if res.Published == nil || res.Restored != nil {
+		t.Fatalf("healed refresh %+v: want a publish and no restore", res)
+	}
 }

@@ -21,13 +21,14 @@ import (
 // manifest recording the generation id, the source-graph fingerprint,
 // and a whole-file hash — before atomically re-pointing the serving
 // path at it. Because the serving file is only ever replaced by an
-// atomic rename and the last Keep generations stay journaled, a torn
+// atomic rename and the last three generations stay journaled, a torn
 // write, a bad disk, or a refresh crashed at any instant leaves the
 // previous generation intact and re-installable: `simrank -rollback`
-// (or the refresh failure path itself) verifies manifests newest-first
-// and re-points serving at the last good one. Temp files are journal
-// debris by construction (unique *.tmp* names, never referenced by a
-// manifest); SweepTemp clears them at the start of the next refresh.
+// (or the next refresh, when the serving file no longer opens) verifies
+// manifests newest-first and re-points serving at the last good one.
+// Temp files and generation snapshots without a manifest are journal
+// debris by construction (nothing ever trusts them); Lock clears them
+// before the next writer starts.
 //
 // Layout, for a serving path P:
 //
@@ -55,11 +56,9 @@ const (
 	genSnapSuffix   = ".snap"
 	genManifSuffix  = ".mf"
 	journalPrefix   = "journal-"
+	// keepGenerations is how many generations Prune retains.
+	keepGenerations = 3
 )
-
-// DefaultKeepGenerations is how many generations a refresh retains when
-// the operator does not choose.
-const DefaultKeepGenerations = 3
 
 // errCrashInjected simulates the refresh process dying at a checkpoint:
 // tests arm it via failAt, and the store then leaves every partial file
@@ -87,21 +86,20 @@ type Generation struct {
 type GenerationStore struct {
 	path string // serving snapshot path
 	dir  string // journal directory beside it
-	keep int
+	keep int    // generations Prune retains; tests lower it
 
+	// open opens the serving snapshot for a refresh (OpenSnapshot; the
+	// chaos tests wrap its reads in fault injectors).
+	open func(path string) (*Snapshot, error)
 	// failAt names a checkpoint at which the next operation aborts with
 	// errCrashInjected and no cleanup — the crash-test hook emulating a
 	// kill at that instant. Empty in production.
 	failAt string
 }
 
-// NewGenerationStore returns the store for serving path p, retaining
-// keep generations (DefaultKeepGenerations when keep <= 0).
-func NewGenerationStore(p string, keep int) *GenerationStore {
-	if keep <= 0 {
-		keep = DefaultKeepGenerations
-	}
-	return &GenerationStore{path: p, dir: p + ".gens", keep: keep}
+// NewGenerationStore returns the store for serving path p.
+func NewGenerationStore(p string) *GenerationStore {
+	return &GenerationStore{path: p, dir: p + ".gens", keep: keepGenerations, open: OpenSnapshot}
 }
 
 // crash aborts the calling operation when the test hook armed this
@@ -197,15 +195,15 @@ func (gs *GenerationStore) List() ([]Generation, error) {
 	return out, nil
 }
 
-// SweepTemp removes journal debris: in-flight temp files a crashed
-// refresh or rollback left behind, both in the journal directory and
-// beside the serving path (the publish-link and snapshot-write temps).
-// Call it before starting a refresh — a generation referenced by a
-// manifest is never a temp file, so sweeping is always safe under the
-// store's single-writer contract.
-func (gs *GenerationStore) SweepTemp() (int, error) {
+// sweepDebris removes what a crashed refresh or rollback left behind:
+// temp files in the journal directory and beside the serving path (the
+// publish-link and snapshot-write temps), and generation snapshots whose
+// manifest never landed — List never trusts those, so Prune would never
+// remove them. Only the lock holder may call it (Lock does): under the
+// single-writer contract nothing it removes is still being written.
+func (gs *GenerationStore) sweepDebris() (int, error) {
 	removed := 0
-	sweep := func(dir, prefix string) error {
+	sweep := func(dir string, debris func(name string) bool) error {
 		entries, err := os.ReadDir(dir)
 		if errors.Is(err, os.ErrNotExist) {
 			return nil
@@ -214,9 +212,8 @@ func (gs *GenerationStore) SweepTemp() (int, error) {
 			return err
 		}
 		for _, e := range entries {
-			name := e.Name()
-			if strings.HasPrefix(name, prefix) && strings.Contains(name, ".tmp") {
-				if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			if debris(e.Name()) {
+				if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
 					return err
 				}
 				removed++
@@ -224,15 +221,20 @@ func (gs *GenerationStore) SweepTemp() (int, error) {
 		}
 		return nil
 	}
-	if err := sweep(gs.dir, journalPrefix); err != nil {
+	err := sweep(gs.dir, func(name string) bool {
+		if strings.HasPrefix(name, "gen-") && strings.HasSuffix(name, genSnapSuffix) {
+			_, err := os.Stat(filepath.Join(gs.dir, strings.TrimSuffix(name, genSnapSuffix)+genManifSuffix))
+			return errors.Is(err, os.ErrNotExist)
+		}
+		return strings.HasPrefix(name, journalPrefix) && strings.Contains(name, ".tmp")
+	})
+	if err != nil {
 		return removed, err
 	}
 	// WriteSnapshotFileTopK/Publish temps beside the serving path use the
 	// base name as prefix with a .tmp infix.
-	if err := sweep(filepath.Dir(gs.path), filepath.Base(gs.path)+".tmp"); err != nil {
-		return removed, err
-	}
-	return removed, nil
+	err = sweep(filepath.Dir(gs.path), func(name string) bool { return strings.HasPrefix(name, filepath.Base(gs.path)+".tmp") })
+	return removed, err
 }
 
 // fileCRC hashes a whole file.
@@ -331,13 +333,9 @@ func (gs *GenerationStore) Adopt() (*Generation, error) {
 	if err != nil {
 		return nil, err
 	}
-	var maxID uint64
 	for i := range gens {
 		if gens[i].CRC == crc && gens[i].Size == size {
 			return &gens[i], nil
-		}
-		if gens[i].ID > maxID {
-			maxID = gens[i].ID
 		}
 	}
 	fp, dirty, err := snapshotFingerprint(gs.path)
@@ -347,53 +345,43 @@ func (gs *GenerationStore) Adopt() (*Generation, error) {
 	if err := os.MkdirAll(gs.dir, 0o755); err != nil {
 		return nil, err
 	}
-	g := &Generation{
-		ID:          maxID + 1,
-		Fingerprint: fp,
-		CRC:         crc,
-		Size:        size,
-		CreatedAt:   time.Now().UTC(),
-		DirtyShards: dirty,
-	}
-	g.SnapPath = gs.snapName(g.ID)
 	// Hardlink the serving file into the journal (same directory tree,
 	// so same filesystem); fall back to a copy. Linking is safe because
 	// the serving path is only ever replaced by rename, never written
 	// in place — the journal link keeps the old inode alive.
-	if err := linkOrCopy(gs.path, g.SnapPath, gs.dir); err != nil {
+	tmp, err := linkTemp(gs.path, gs.dir, journalPrefix+"*.tmp")
+	if err != nil {
 		return nil, err
 	}
-	if err := SyncDir(gs.dir); err != nil {
-		return nil, err
-	}
-	if err := gs.writeManifest(g); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return gs.install(tmp, gens, &Generation{Fingerprint: fp, CRC: crc, Size: size, DirtyShards: dirty})
 }
 
-// linkOrCopy makes dst name src's bytes: hardlink when the filesystem
-// allows, else a journaled copy (fsynced temp in tmpDir + rename). The
-// caller syncs dst's directory.
-func linkOrCopy(src, dst, tmpDir string) error {
-	if err := os.Link(src, dst); err == nil || errors.Is(err, os.ErrExist) {
-		return nil
+// linkTemp gives src's bytes a fresh temp name in dir (pattern as for
+// os.CreateTemp): a hardlink when the filesystem allows, else an fsynced
+// copy. The caller renames it into place and syncs dir.
+func linkTemp(src, dir, pattern string) (string, error) {
+	tmp, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return "", err
+	}
+	tmp.Close()
+	if os.Remove(tmp.Name()) == nil && os.Link(src, tmp.Name()) == nil {
+		return tmp.Name(), nil // the empty file only reserved a unique name
 	}
 	in, err := os.Open(src)
 	if err != nil {
-		return err
+		return "", err
 	}
 	defer in.Close()
-	tmp, err := os.CreateTemp(tmpDir, journalPrefix+"*.tmp")
-	if err != nil {
-		return err
+	if tmp, err = os.CreateTemp(dir, pattern); err != nil {
+		return "", err
 	}
 	_, err = io.Copy(tmp, in)
 	if err := closeSynced(tmp, err); err != nil {
 		os.Remove(tmp.Name())
-		return err
+		return "", err
 	}
-	return os.Rename(tmp.Name(), dst)
+	return tmp.Name(), nil
 }
 
 // Commit journals a new generation: write writes the snapshot bytes to
@@ -410,18 +398,13 @@ func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write fun
 	if err != nil {
 		return nil, err
 	}
-	var maxID uint64
-	for i := range gens {
-		if gens[i].ID > maxID {
-			maxID = gens[i].ID
-		}
-	}
 	tmp, err := os.CreateTemp(gs.dir, journalPrefix+"*.tmp")
 	if err != nil {
 		return nil, err
 	}
 	h := crc32.NewIEEE()
-	cw := &crashableWriter{w: io.MultiWriter(tmp, h), gs: gs}
+	// The torn-write crash: the first write lands, the hook aborts there.
+	cw := &checkpointWriter{w: io.MultiWriter(tmp, h), hook: func() error { return gs.crash("commit:mid-write") }}
 	if err := write(cw); err != nil {
 		tmp.Close()
 		if !errors.Is(err, errCrashInjected) {
@@ -441,17 +424,22 @@ func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write fun
 		os.Remove(tmp.Name())
 		return nil, err
 	}
-	g := &Generation{
-		ID:          maxID + 1,
-		Fingerprint: fingerprint,
-		CRC:         h.Sum32(),
-		Size:        st.Size(),
-		CreatedAt:   time.Now().UTC(),
-		DirtyShards: dirtyShards,
+	return gs.install(tmp.Name(), gens, &Generation{Fingerprint: fingerprint, CRC: h.Sum32(), Size: st.Size(), DirtyShards: dirtyShards})
+}
+
+// install journals tmp, a complete snapshot temp in the journal
+// directory, as the generation after every listed one: renamed to its
+// gen-N name (replacing whatever a crash left there), then described by
+// g's manifest.
+func (gs *GenerationStore) install(tmp string, gens []Generation, g *Generation) (*Generation, error) {
+	for i := range gens {
+		g.ID = max(g.ID, gens[i].ID)
 	}
+	g.ID++
 	g.SnapPath = gs.snapName(g.ID)
-	if err := os.Rename(tmp.Name(), g.SnapPath); err != nil {
-		os.Remove(tmp.Name())
+	g.CreatedAt = time.Now().UTC()
+	if err := os.Rename(tmp, g.SnapPath); err != nil {
+		os.Remove(tmp)
 		return nil, err
 	}
 	if err := SyncDir(gs.dir); err != nil {
@@ -466,27 +454,6 @@ func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write fun
 	return g, nil
 }
 
-// crashableWriter aborts mid-stream at the "commit:mid-write"
-// checkpoint after letting some bytes through — the torn-write crash.
-type crashableWriter struct {
-	w  io.Writer
-	gs *GenerationStore
-	n  int64
-}
-
-func (cw *crashableWriter) Write(p []byte) (int, error) {
-	if cw.n > 0 { // let the first write land, tear the second
-		if err := cw.gs.crash("commit:mid-write"); err != nil {
-			half := len(p) / 2
-			cw.w.Write(p[:half])
-			return half, err
-		}
-	}
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // Publish atomically re-points the serving path at generation g: a
 // hardlink (or copy) of the journaled snapshot is renamed over the
 // serving path, so a reader — or a crash — never observes a partial
@@ -494,20 +461,14 @@ func (cw *crashableWriter) Write(p []byte) (int, error) {
 // survive publication.
 func (gs *GenerationStore) Publish(g *Generation) error {
 	dir := filepath.Dir(gs.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(gs.path)+".tmp*")
+	tmp, err := linkTemp(g.SnapPath, dir, filepath.Base(gs.path)+".tmp*")
 	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	tmp.Close()
-	os.Remove(tmpName) // we need the unique name, not the empty file
-	if err := linkOrCopy(g.SnapPath, tmpName, dir); err != nil {
 		return err
 	}
 	if err := gs.crash("publish:pre-rename"); err != nil {
 		return err // crash: link debris beside the serving path, old file intact
 	}
-	if err := os.Rename(tmpName, gs.path); err != nil {
+	if err := os.Rename(tmp, gs.path); err != nil {
 		return err
 	}
 	return SyncDir(dir)
@@ -594,28 +555,39 @@ func (gs *GenerationStore) Rollback() (*Generation, error) {
 	return nil, fmt.Errorf("serve: no good generation in %s to roll back to", gs.dir)
 }
 
-// RestoreServing is the refresh-failure safety net: when the serving
-// path no longer opens as a snapshot (torn write, bad disk), it
-// re-points it at the last good generation. Returns the generation
-// restored, or (nil, nil) when the serving path was healthy.
-func (gs *GenerationStore) RestoreServing() (*Generation, error) {
-	if snap, err := OpenSnapshot(gs.path); err == nil {
+// openServing opens the serving snapshot for a refresh. A serving file
+// that no longer opens (bad disk, a damaged copy renamed over it) is
+// re-pointed at the last good generation and opened again, so one
+// damaged file does not fail every refresh from then on; restored is
+// that generation (nil when the file opened), set even when the reopen
+// fails.
+func (gs *GenerationStore) openServing() (prev *Snapshot, restored *Generation, err error) {
+	prev, err = gs.open(gs.path)
+	if err == nil {
+		return prev, nil, nil
+	}
+	// Restore only a file that really does not open, not one whose read
+	// failed once.
+	if snap, oerr := OpenSnapshot(gs.path); oerr == nil {
 		snap.Close()
-		return nil, nil
+		return nil, nil, fmt.Errorf("opening serving snapshot: %w", err)
 	}
-	g, err := gs.LastGood()
-	if err != nil {
-		return nil, err
+	restored, rerr := gs.LastGood()
+	if rerr == nil {
+		rerr = gs.Publish(restored)
 	}
-	if err := gs.Publish(g); err != nil {
-		return nil, err
+	if rerr != nil {
+		return nil, nil, fmt.Errorf("opening serving snapshot: %w (restoring it: %v)", err, rerr)
 	}
-	return g, nil
+	if prev, err = gs.open(gs.path); err != nil {
+		return nil, restored, fmt.Errorf("opening restored serving snapshot: %w", err)
+	}
+	return prev, restored, nil
 }
 
 // Prune deletes the snapshot and manifest of every listed generation but
-// the newest keep by id, returning how many it removed. It verifies
-// nothing: a damaged generation counts toward keep like any other, and
+// the newest three by id, returning how many it removed. It verifies
+// nothing: a damaged generation counts among them like any other, and
 // one whose manifest does not decode is not listed, so never removed.
 func (gs *GenerationStore) Prune() (int, error) {
 	gens, err := gs.List()

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -51,7 +52,7 @@ func servingDir(t *testing.T, fx genFixture) (path string, gs *GenerationStore, 
 	if err := os.WriteFile(path, fx.gen1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	gs = NewGenerationStore(path, 3)
+	gs = NewGenerationStore(path)
 	adopted, err := gs.Adopt()
 	if err != nil {
 		t.Fatal(err)
@@ -109,31 +110,55 @@ func globTemps(t *testing.T, dirs ...string) []string {
 	return out
 }
 
+// journalNames lists the journal directory.
+func journalNames(t *testing.T, gs *GenerationStore) []string {
+	t.Helper()
+	entries, err := os.ReadDir(gs.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// renameOver replaces path with data the way the journal's contract
+// allows: a whole file renamed over it, never an in-place write.
+func renameOver(t *testing.T, path string, data []byte) {
+	t.Helper()
+	next := path + ".next"
+	if err := os.WriteFile(next, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(next, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGenerationCrashAtEveryCheckpoint kills the refresh at each
 // injected point and asserts the crash contract: the serving file is
 // untouched and still opens, the previous generation verifies, debris
-// is swept by the next run, and that next run completes the refresh and
-// can still roll back to generation 1.
+// is swept when the next run takes the lock, and that next run completes
+// the refresh and can still roll back to generation 1.
 func TestGenerationCrashAtEveryCheckpoint(t *testing.T) {
 	fx := buildGenFixture(t)
-	stages := []struct {
-		stage      string
-		leavesTemp bool
-	}{
-		{"commit:mid-write", true},   // torn snapshot write
-		{"commit:pre-rename", true},  // full temp, never renamed
-		{"commit:post-snap", false},  // snapshot renamed, no manifest
-		{"manifest:mid-write", true}, // manifest temp created empty
-		{"manifest:pre-rename", true},
-		{"publish:pre-rename", true}, // link debris beside serving path
+	stages := []string{
+		"commit:mid-write",    // torn snapshot write
+		"commit:pre-rename",   // full temp, never renamed
+		"commit:post-snap",    // snapshot renamed, no manifest
+		"manifest:mid-write",  // manifest temp created empty
+		"manifest:pre-rename", // full manifest temp, never renamed
+		"publish:pre-rename",  // link debris beside serving path
 	}
-	for _, tc := range stages {
-		t.Run(tc.stage, func(t *testing.T) {
+	for _, stage := range stages {
+		t.Run(stage, func(t *testing.T) {
 			path, gs, adopted := servingDir(t, fx)
-			gs.failAt = tc.stage
+			gs.failAt = stage
 			_, err := commitAndPublish(gs, fx)
 			if !errors.Is(err, errCrashInjected) {
-				t.Fatalf("crash at %s: err = %v, want injected crash", tc.stage, err)
+				t.Fatalf("crash at %s: err = %v, want injected crash", stage, err)
 			}
 
 			// The serving path never saw the crash: byte-identical and
@@ -151,39 +176,49 @@ func TestGenerationCrashAtEveryCheckpoint(t *testing.T) {
 				t.Fatalf("previous generation no longer verifies: %v", err)
 			}
 
-			// The next run sweeps the debris…
-			recovered := NewGenerationStore(path, 3)
-			swept, err := recovered.SweepTemp()
+			// The next run sweeps the debris when it takes the lock…
+			recovered := NewGenerationStore(path)
+			release, swept, err := recovered.Lock()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.leavesTemp && swept == 0 {
-				t.Fatalf("crash at %s left no temp to sweep, expected debris", tc.stage)
+			defer release()
+			if swept == 0 {
+				t.Fatalf("crash at %s left no debris to sweep", stage)
 			}
 			if temps := globTemps(t, gs.dir, filepath.Dir(path)); len(temps) != 0 {
 				t.Fatalf("temps remain after sweep: %v", temps)
+			}
+			snaps, err := filepath.Glob(filepath.Join(gs.dir, "gen-*"+genSnapSuffix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, snap := range snaps {
+				if _, err := os.Stat(strings.TrimSuffix(snap, genSnapSuffix) + genManifSuffix); err != nil {
+					t.Fatalf("generation snapshot without a manifest remains after sweep: %s (%v)", snap, err)
+				}
 			}
 			// …and LastGood never trusts a half-committed generation: only
 			// a crash after the manifest landed (publish:pre-rename) may
 			// report gen 2.
 			lg, err := recovered.LastGood()
 			if err != nil {
-				t.Fatalf("no good generation after crash at %s: %v", tc.stage, err)
+				t.Fatalf("no good generation after crash at %s: %v", stage, err)
 			}
 			wantCRC := crc32.ChecksumIEEE(fx.gen1)
-			if tc.stage == "publish:pre-rename" {
+			if stage == "publish:pre-rename" {
 				wantCRC = crc32.ChecksumIEEE(fx.gen2)
 			}
 			if lg.CRC != wantCRC {
 				t.Fatalf("LastGood after crash at %s = generation %d (crc %08x), want crc %08x",
-					tc.stage, lg.ID, lg.CRC, wantCRC)
+					stage, lg.ID, lg.CRC, wantCRC)
 			}
 
 			// The retried refresh completes (with fresh content — the
 			// re-run refreshed a newer graph)…
 			g2, err := commitPublishBytes(recovered, fx.gen3, fx.fp3)
 			if err != nil {
-				t.Fatalf("retried refresh after crash at %s: %v", tc.stage, err)
+				t.Fatalf("retried refresh after crash at %s: %v", stage, err)
 			}
 			if got := readFile(t, path); !bytes.Equal(got, fx.gen3) {
 				t.Fatal("retried refresh did not publish its generation")
@@ -196,7 +231,7 @@ func TestGenerationCrashAtEveryCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.stage == "publish:pre-rename" {
+			if stage == "publish:pre-rename" {
 				// Generation 2 was fully journaled before this crash, so
 				// the retried refresh became generation 3 and one rollback
 				// step lands on 2; a second reaches the original.
@@ -227,7 +262,7 @@ func TestGenerationRollbackByteIdenticalRewrite(t *testing.T) {
 
 	open := func() (ScoreIndex, error) { return OpenSnapshot(path) }
 	fallback := func() (ScoreIndex, error) {
-		g, err := NewGenerationStore(path, 0).LastGood()
+		g, err := NewGenerationStore(path).LastGood()
 		if err != nil {
 			return nil, err
 		}
@@ -297,16 +332,10 @@ func TestGenerationReloadFallsBackWhenServingCorrupt(t *testing.T) {
 	// is by rename, never an in-place write — the serving file may be a
 	// hardlink into the journal, so an in-place write would corrupt the
 	// journaled generation too (the store's single-writer contract).
-	garbage := filepath.Join(filepath.Dir(path), "broken.next")
-	if err := os.WriteFile(garbage, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(garbage, path); err != nil {
-		t.Fatal(err)
-	}
+	renameOver(t, path, []byte("not a snapshot"))
 	open := func() (ScoreIndex, error) { return OpenSnapshot(path) }
 	fallback := func() (ScoreIndex, error) {
-		g, err := NewGenerationStore(path, 0).LastGood()
+		g, err := NewGenerationStore(path).LastGood()
 		if err != nil {
 			return nil, err
 		}
@@ -323,21 +352,25 @@ func TestGenerationReloadFallsBackWhenServingCorrupt(t *testing.T) {
 		t.Fatalf("fallback generation serves %d / %s, want identical to pre-corruption body", code, after)
 	}
 
-	// RestoreServing repairs the file itself for the next direct open.
-	g, err := NewGenerationStore(path, 0).RestoreServing()
+	// The next refresh's open repairs the file itself for later direct
+	// opens.
+	snap, g, err := NewGenerationStore(path).openServing()
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap.Close()
 	if g == nil {
-		t.Fatal("RestoreServing did not restore a corrupt serving file")
+		t.Fatal("openServing did not restore a corrupt serving file")
 	}
 	if got := readFile(t, path); !bytes.Equal(got, fx.gen1) {
-		t.Fatal("RestoreServing did not restore generation 1 bytes")
+		t.Fatal("openServing did not restore generation 1 bytes")
 	}
-	// On a healthy file it is a no-op.
-	if g, err := NewGenerationStore(path, 0).RestoreServing(); err != nil || g != nil {
-		t.Fatalf("RestoreServing on healthy file = %v, %v; want nil, nil", g, err)
+	// On a healthy file it restores nothing.
+	snap, g, err = NewGenerationStore(path).openServing()
+	if err != nil || g != nil {
+		t.Fatalf("openServing on healthy file restored %v (err %v); want nothing", g, err)
 	}
+	snap.Close()
 }
 
 // TestGenerationAdoptIsIdempotent: adopting an already-journaled serving
@@ -358,6 +391,44 @@ func TestGenerationAdoptIsIdempotent(t *testing.T) {
 	}
 	if len(gens) != 1 {
 		t.Fatalf("List() has %d generations after double adopt, want 1", len(gens))
+	}
+}
+
+// TestGenerationAdoptReplacesOrphanSnapshot: a crash between a commit's
+// snapshot rename and its manifest leaves gen-2.snap with no manifest.
+// When new bytes are then renamed over the serving path, adopting them
+// takes id 2 and must journal those bytes under it — not keep the
+// orphan's, which would give a generation that never verifies, so
+// -rollback could not return to that serving state.
+func TestGenerationAdoptReplacesOrphanSnapshot(t *testing.T) {
+	fx := buildGenFixture(t)
+	path, gs, _ := servingDir(t, fx)
+	gs.failAt = "commit:post-snap"
+	if _, err := commitAndPublish(gs, fx); !errors.Is(err, errCrashInjected) {
+		t.Fatalf("crash at commit:post-snap: err = %v, want injected crash", err)
+	}
+	gs.failAt = ""
+	renameOver(t, path, fx.gen3)
+
+	adopted, err := gs.Adopt()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adopted.ID != 2 {
+		t.Fatalf("Adopt() = generation %d, want 2 (the orphan's id)", adopted.ID)
+	}
+	if err := gs.verify(adopted); err != nil {
+		t.Fatalf("adopted generation does not verify: %v", err)
+	}
+	if _, err := commitPublishBytes(gs, fx.gen2, fx.fp2); err != nil {
+		t.Fatal(err)
+	}
+	rb, err := gs.Rollback()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.ID != adopted.ID || !bytes.Equal(readFile(t, path), fx.gen3) {
+		t.Fatalf("Rollback() restored generation %d, want %d serving the adopted bytes", rb.ID, adopted.ID)
 	}
 }
 
@@ -403,13 +474,7 @@ func TestGenerationLastGoodSkipsCorrupt(t *testing.T) {
 
 	// Rollback with the serving file corrupt as well restores gen 1
 	// (replacement by rename — see the single-writer contract).
-	garbage := filepath.Join(filepath.Dir(path), "broken.next")
-	if err := os.WriteFile(garbage, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(garbage, path); err != nil {
-		t.Fatal(err)
-	}
+	renameOver(t, path, []byte("garbage"))
 	rb, err := gs.Rollback()
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +492,8 @@ func TestGenerationPrune(t *testing.T) {
 	if err := os.WriteFile(path, fx.gen1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	gs := NewGenerationStore(path, 2)
+	gs := NewGenerationStore(path)
+	gs.keep = 2
 	if _, err := gs.Adopt(); err != nil {
 		t.Fatal(err)
 	}

@@ -26,12 +26,13 @@ import (
 // fingerprint ⇒ identical subgraph under identical global ids ⇒ the
 // deterministic per-shard engine would reproduce the identical bytes.
 //
-// There is one refresh path, Refresh: the caller diffs, a ShardRunner
-// turns the dirty shards into encoded segments (in this process or on a
-// worker fleet), AssembleRefresh lays out the next snapshot, and the
-// generation store commits and publishes it. `simrank -refresh`, its
-// -workers form and the ingest controller's fold differ only in the
-// runner they pass.
+// There is one refresh path, Refresh: it opens the serving snapshot
+// (restoring it from the journal when it no longer opens), adopts it as
+// a rollback target and diffs; a ShardRunner turns the dirty shards into
+// encoded segments (in this process or on a worker fleet),
+// AssembleRefresh lays out the next snapshot, and the generation store
+// commits and publishes it. `simrank -refresh`, its -workers form and the
+// ingest controller's fold differ only in the runner they pass.
 
 // RefreshStats reports what an AssembleRefresh write did.
 type RefreshStats struct {
@@ -277,49 +278,83 @@ func (cw *checkpointWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Refresh runs one refresh of gs's serving snapshot from prev to the
-// generation diff describes (partition.DiffPlans(prev, g) — the caller
-// diffs, because it decides what a zero-dirty diff means): run computes
-// the dirty shards, AssembleRefresh writes the next snapshot into the
-// journal, and the committed generation is published to the serving
-// path. checkpoint, when non-nil, is called at "pre-commit" (segments
-// computed, nothing written), "commit:mid-write" (first bytes in the
-// journal temp file), "pre-publish" (generation journaled) and
-// "post-publish"; an error from it aborts the refresh there, leaving the
-// disk as a crash at that instant would — the seam the chaos suites
-// drive and pathbench times folds through. A failure at any point,
-// cancellation included, leaves the serving path and every earlier
-// generation untouched. Lock, SweepTemp and Adopt before, RestoreServing
-// on failure and Prune after stay with the caller.
-func Refresh(ctx context.Context, gs *GenerationStore, g *clickgraph.Graph, prev *Snapshot, diff *partition.Diff, run ShardRunner, bids map[string]bool, checkpoint func(stage string) error) (*Generation, RefreshStats, error) {
-	var st RefreshStats
+// RefreshResult reports what one Refresh did.
+type RefreshResult struct {
+	// Restored is the generation re-published because the serving file
+	// did not open; nil when it opened.
+	Restored *Generation
+	// Diff classifies g's shards against the serving snapshot.
+	Diff *partition.Diff
+	// Published is the generation now serving; nil when no shard was
+	// dirty and nothing was written.
+	Published *Generation
+	Stats     RefreshStats
+}
+
+// Refresh brings gs's serving snapshot up to graph g as one journal
+// transaction. It opens the serving snapshot (re-publishing the last good
+// generation when the file no longer opens), adopts it as a generation so
+// even the first refresh has a rollback target, and diffs g against it
+// (partition.DiffPlans). With no dirty shard it writes nothing: the
+// serving snapshot already is g's. Otherwise run computes the dirty
+// shards, AssembleRefresh writes the next snapshot into the journal, and
+// the committed generation is published to the serving path. checkpoint,
+// when non-nil, is called at "pre-commit" (segments computed, nothing
+// written), "commit:mid-write" (first bytes in the journal temp file),
+// "pre-publish" (generation journaled) and "post-publish"; an error from
+// it aborts the refresh there, leaving the disk as a crash at that
+// instant would — the seam the chaos suites drive and pathbench times
+// folds through. A failure at any point, cancellation included, leaves
+// the serving path and every earlier generation untouched (bar a
+// restore); the result says how far the refresh got. The caller holds
+// gs's Lock and prunes after.
+func Refresh(ctx context.Context, gs *GenerationStore, g *clickgraph.Graph, run ShardRunner, bids map[string]bool, checkpoint func(stage string) error) (RefreshResult, error) {
+	var res RefreshResult
 	if checkpoint == nil {
 		checkpoint = func(string) error { return nil }
 	}
+	prev, restored, err := gs.openServing()
+	res.Restored = restored
+	if err != nil {
+		return res, fmt.Errorf("serve: refresh: %w", err)
+	}
+	defer prev.Close()
+	if _, err := gs.Adopt(); err != nil {
+		return res, fmt.Errorf("serve: refresh: adopting the serving snapshot: %w", err)
+	}
+	diff, err := partition.DiffPlans(prev, g)
+	if err != nil {
+		return res, fmt.Errorf("serve: refresh: diff: %w", err)
+	}
+	res.Diff = diff
+	if diff.DirtyShards == 0 {
+		return res, nil
+	}
+
 	shards, err := run(ctx, g, prev, diff.Plan, diff.Dirty)
 	if err != nil {
-		return nil, st, fmt.Errorf("serve: refresh: running dirty shards: %w", err)
+		return res, fmt.Errorf("serve: refresh: running dirty shards: %w", err)
 	}
 	if err := checkpoint("pre-commit"); err != nil {
-		return nil, st, err
+		return res, err
 	}
-	gen, err := gs.Commit(diff.DirtyShards, diff.Plan.Fingerprint(), func(w io.Writer) error {
+	gen, err := gs.Commit(diff.DirtyShards, diff.Plan.Fingerprint(), func(w io.Writer) (err error) {
 		cw := &checkpointWriter{w: w, hook: func() error { return checkpoint("commit:mid-write") }}
-		var werr error
-		st, werr = AssembleRefresh(cw, prev, g, diff.Plan, diff.Dirty, shards, bids)
-		return werr
+		res.Stats, err = AssembleRefresh(cw, prev, g, diff.Plan, diff.Dirty, shards, bids)
+		return err
 	})
 	if err != nil {
-		return nil, st, fmt.Errorf("serve: refresh: journal commit: %w", err)
+		return res, fmt.Errorf("serve: refresh: journal commit: %w", err)
 	}
 	if err := checkpoint("pre-publish"); err != nil {
-		return nil, st, err
+		return res, err
 	}
 	if err := gs.Publish(gen); err != nil {
-		return nil, st, fmt.Errorf("serve: refresh: publish: %w", err)
+		return res, fmt.Errorf("serve: refresh: publish: %w", err)
 	}
+	res.Published = gen
 	if err := checkpoint("post-publish"); err != nil {
-		return nil, st, err
+		return res, err
 	}
-	return gen, st, nil
+	return res, nil
 }

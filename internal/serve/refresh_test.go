@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"simrankpp/internal/clickgraph"
@@ -374,5 +375,63 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("refreshed snapshot differs from the cold full write at byte %d of %d", i, len(got))
 		}
+	}
+}
+
+// TestRefreshRestoresDamagedServing: garbage renamed over the serving
+// path after its generation was journaled. Refresh re-publishes the last
+// good generation, refreshes from it, and publishes the next one.
+func TestRefreshRestoresDamagedServing(t *testing.T) {
+	fx := buildGenFixture(t)
+	path, gs, adopted := servingDir(t, fx)
+	renameOver(t, path, []byte("not a snapshot"))
+
+	res, err := Refresh(context.Background(), gs, refreshGraph(t, [4]int{9, 2, 3, 4}), PoolRunner(2), nil, nil)
+	if err != nil {
+		t.Fatalf("refresh over a damaged serving file: %v", err)
+	}
+	if res.Restored == nil || res.Restored.ID != adopted.ID {
+		t.Fatalf("Restored = %+v, want generation %d", res.Restored, adopted.ID)
+	}
+	if res.Published == nil || res.Published.ID <= adopted.ID || res.Diff.DirtyShards == 0 {
+		t.Fatalf("refresh result %+v: want a dirty refresh published past generation %d", res, adopted.ID)
+	}
+	if err := gs.verify(res.Published); err != nil {
+		t.Fatalf("published generation does not verify: %v", err)
+	}
+	if !bytes.Equal(readFile(t, path), readFile(t, res.Published.SnapPath)) {
+		t.Fatal("the serving path does not hold the published generation")
+	}
+}
+
+// TestRefreshZeroDirtyWritesNothing: a graph whose every shard
+// fingerprints as the serving snapshot's runs no shard and leaves the
+// serving file and the journal as they were — no generation is added
+// that could push a real rollback target out of retention.
+func TestRefreshZeroDirtyWritesNothing(t *testing.T) {
+	fx := buildGenFixture(t)
+	path, gs, _ := servingDir(t, fx)
+	before := journalNames(t, gs)
+
+	run := func(context.Context, *clickgraph.Graph, *Snapshot, *partition.Plan, []bool) (*ShardRun, error) {
+		t.Error("a zero-dirty refresh ran its shard runner")
+		return nil, fmt.Errorf("unexpected shard run")
+	}
+	checkpoint := func(stage string) error {
+		t.Errorf("a zero-dirty refresh reached %s", stage)
+		return nil
+	}
+	res, err := Refresh(context.Background(), gs, refreshGraph(t, [4]int{1, 2, 3, 4}), run, nil, checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Published != nil || res.Restored != nil || res.Diff.DirtyShards != 0 || res.Stats != (RefreshStats{}) {
+		t.Fatalf("zero-dirty refresh result %+v, want nothing published, restored or written", res)
+	}
+	if !bytes.Equal(readFile(t, path), fx.gen1) {
+		t.Fatal("zero-dirty refresh changed the serving file")
+	}
+	if after := journalNames(t, gs); !slices.Equal(before, after) {
+		t.Fatalf("zero-dirty refresh changed the journal: %v -> %v", before, after)
 	}
 }

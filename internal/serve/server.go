@@ -296,7 +296,7 @@ func (s *Server) ingestStatus() *IngestStatus {
 // replicated fleet to pin generation-consistent answers, and what an
 // operator checks to verify a rollout actually swapped generations.
 type GenerationIdentity struct {
-	// ID is the generation-journal id (simrank -generations), 0 when the
+	// ID is the generation-journal id (simrank -refresh), 0 when the
 	// served snapshot was never journaled or the id is unknown.
 	ID uint64 `json:"id"`
 	// Fingerprint is the snapshot's graph fingerprint hex (XOR of

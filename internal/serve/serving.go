@@ -64,7 +64,7 @@ func openVerified(path string, preload bool) (*Snapshot, error) {
 // openLastGood opens the newest generation journaled beside the serving
 // path that verifies end to end.
 func openLastGood(serving string, preload bool, logf func(format string, args ...any)) (*Snapshot, error) {
-	gen, err := NewGenerationStore(serving, 0).LastGood()
+	gen, err := NewGenerationStore(serving).LastGood()
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +79,7 @@ func openLastGood(serving string, preload bool, logf func(format string, args ..
 // fingerprint: the newest generation journaled for that graph, or 0 when
 // there is no journal or no match.
 func journalID(serving string, snap *Snapshot) (id uint64) {
-	gens, _ := NewGenerationStore(serving, 0).List() // unreadable journal: no id
+	gens, _ := NewGenerationStore(serving).List() // unreadable journal: no id
 	want := snap.Meta().Fingerprint
 	for _, g := range gens {
 		if fmt.Sprintf("%016x", g.Fingerprint) == want && g.ID > id {
