@@ -7,7 +7,7 @@
 //	        [-query Q | -all] [-top K] [-c 0.8] [-iterations 7]
 //	        [-bids FILE] [-strict-evidence]
 //	        [-sharded] [-shard-max-nodes 4096] [-shard-workers 0]
-//	        [-save SNAPSHOT] [-rewrite-topk 16]
+//	        [-save SNAPSHOT]
 //	simrank -graph FILE -refresh SNAPSHOT [-bids FILE] [-shard-workers 0]
 //	        [-workers host:port,host:port,...]
 //	simrank -rollback SNAPSHOT
@@ -30,9 +30,12 @@
 // prints a plan without running an engine.
 //
 // With -save, the computed scores are also written as a binary snapshot
-// (per-shard segments under -sharded) that cmd/simrankd serves online;
-// with -load, rewrites are answered straight from such a snapshot — no
-// graph file and no engine run, the batch/online split of Figure 2.
+// (per-shard segments under -sharded) that cmd/simrankd serves online,
+// with the §9.3 rewrite list of every query precomputed under -bids to
+// depth 100 (serve.DefaultRewriteTopK, the candidate pool): what simrankd
+// answers /rewrite from. With -load, rewrites are answered straight from
+// such a snapshot — no graph file and no engine run, the batch/online
+// split of Figure 2.
 //
 // With -refresh, the new graph is diffed against the snapshot (shard
 // fingerprints in its directory; no BuildPlan runs), only the changed
@@ -99,7 +102,6 @@ func main() {
 		shardMax  = flag.Int("shard-max-nodes", 4096, "sharded: shard node budget (components above it are ACL-cut)")
 		shardWork = flag.Int("shard-workers", 0, "sharded: concurrent shard engines (0 = GOMAXPROCS)")
 		savePath  = flag.String("save", "", "write the computed scores as a serving snapshot")
-		saveTopK  = flag.Int("rewrite-topk", serve.DefaultRewriteTopK, "save: precomputed rewrite list depth stored in the snapshot (0 disables the section)")
 		loadPath  = flag.String("load", "", "answer from a snapshot instead of running an engine (-graph not needed)")
 		refresh   = flag.String("refresh", "", "incrementally refresh this snapshot against -graph (recompute dirty shards only)")
 		rollback  = flag.String("rollback", "", "re-point this serving snapshot at the last good journaled generation")
@@ -108,7 +110,7 @@ func main() {
 	flag.Parse()
 	// Each mode reads the flags it lists; any other flag on the command
 	// line is refused rather than ignored.
-	const build = "graph method query all top c iterations prune bids strict-evidence save rewrite-topk"
+	const build = "graph method query all top c iterations prune bids strict-evidence save"
 	mode, uses := "by a build without -sharded", build
 	switch {
 	case *rollback != "":
@@ -195,7 +197,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		src, err = buildSource(g, *method, *c, *iters, *prune, *strict, *sharded, *shardMax, *shardWork, *savePath, *saveTopK, bidTerms)
+		src, err = buildSource(g, *method, *c, *iters, *prune, *strict, *sharded, *shardMax, *shardWork, *savePath, bidTerms)
 		if err != nil {
 			fatal(err)
 		}
@@ -345,7 +347,7 @@ func runRollback(path string) error {
 	return nil
 }
 
-func buildSource(g *clickgraph.Graph, method string, c float64, iters int, prune float64, strict, sharded bool, shardMax, shardWorkers int, savePath string, rewriteTopK int, bids map[string]bool) (rewrite.Source, error) {
+func buildSource(g *clickgraph.Graph, method string, c float64, iters int, prune float64, strict, sharded bool, shardMax, shardWorkers int, savePath string, bids map[string]bool) (rewrite.Source, error) {
 	if method == "pearson" {
 		if savePath != "" {
 			return nil, fmt.Errorf("-save needs a SimRank method: pearson has no score table to snapshot")
@@ -393,10 +395,9 @@ func buildSource(g *clickgraph.Graph, method string, c float64, iters int, prune
 	}
 	if savePath != "" {
 		// The snapshot's precomputed rewrite lists are filtered under the
-		// same -bids set that this process serves with, so -load (and a
-		// simrankd pointed at the file with the same bid list) answers
-		// from the section byte-identically.
-		if err := serve.WriteSnapshotFileTopK(savePath, res, serve.TopKOptions{K: rewriteTopK, BidTerms: bids}); err != nil {
+		// same -bids set that this process prints with; a simrankd serves
+		// the file only under that bid list.
+		if err := serve.WriteSnapshotFileTopK(savePath, res, serve.TopKOptions{K: serve.DefaultRewriteTopK, BidTerms: bids}); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(os.Stderr, "simrank: wrote snapshot %s (%d shards)\n", savePath, max(1, len(res.ShardScores)))

@@ -8,11 +8,15 @@
 //
 // Segments are binary-searched in place, never decoded; on Linux the
 // snapshot is memory-mapped, so the scores stay in the page cache (other
-// platforms read each segment's bytes into memory). When the snapshot
-// carries a precomputed top-k rewrite section built under this daemon's
-// -bids set, /rewrite answers straight from it, byte-identically to the
-// live pipeline (a snapshot saved with simrank -rewrite-topk 0 has no
-// section, so every answer runs the pipeline).
+// platforms read each segment's bytes into memory). /rewrite answers from
+// the snapshot's precomputed top-k rewrite section: the §9.3 lists simrank
+// -save filtered once per query, cut at the requested depth. The daemon
+// serves only a snapshot whose section was built under its -bids set: it
+// exits 1 at start over one that has no section or was built under
+// another set (naming -bids), and a reload that opens one keeps the old
+// snapshot serving. The section's depth K (100, what simrank -save
+// writes) caps every request's top, on /rewrite, /similar and /batch
+// alike, and -top may not exceed it.
 //
 // With -wal DIR the daemon also ingests (internal/ingest): click records
 // POSTed to /ingest are fsynced to a write-ahead log in DIR before the 200,
@@ -27,7 +31,7 @@
 //
 // # Usage
 //
-//	simrankd -snapshot FILE [-addr :8080] [-top 5] [-max-top 100]
+//	simrankd -snapshot FILE [-addr :8080] [-top 5]
 //	         [-bids FILE] [-preload] [-inflight 256] [-timeout 5s]
 //	         [-wal DIR [-graph FILE] [-cadence 30s] [-churn N]
 //	          [-max-lag N] [-shard-workers N]]
@@ -36,6 +40,7 @@
 //
 //	GET /rewrite?q=QUERY[&top=K]   filtered rewrites (stem dedup, bid
 //	                               filtering when -bids is given, depth K)
+//	                               from the snapshot's top-k section
 //	GET /similar?q=QUERY[&top=K]   raw ranked similar queries
 //	GET /similar?ad=AD[&top=K]     raw ranked similar ads
 //	POST /batch                    many rewrite lookups in one request
@@ -80,10 +85,12 @@
 // A score segment that fails its CRC on lazy load is quarantined with
 // capped exponential backoff while every other shard keeps answering;
 // /readyz turns "degraded" (HTTP 200, with the quarantined shards
-// listed) and recovers once the fault clears. Scoring requests beyond
-// -inflight are shed with 503 + Retry-After rather than queued, each
-// admitted request carries the -timeout deadline through the rewrite
-// path, and a handler panic costs one 500, not the daemon; a failing fold
+// listed) and recovers once the fault clears; a quarantined top-k blob
+// answers its shard's /rewrite with 500, so a gateway fails those reads
+// over. Scoring requests beyond -inflight are shed with 503 + Retry-After
+// rather than queued, each admitted request carries the -timeout deadline
+// down to the segment load, and a handler panic costs one 500, not the
+// daemon; a failing fold
 // keeps the last good generation serving, "degraded". Operational
 // procedures — generation layout, rollback, ingestion, tuning — are in
 // OPERATIONS.md at the repository root.
@@ -109,9 +116,8 @@ func main() {
 	var (
 		snapPath  = flag.String("snapshot", "", "snapshot file written by simrank -save (required)")
 		addr      = flag.String("addr", ":8080", "listen address")
-		top       = flag.Int("top", 5, "default rewrites per query")
-		maxTop    = flag.Int("max-top", 100, "cap on the per-request top parameter")
-		bidsPath  = flag.String("bids", "", "bid-term list file enabling bid filtering on /rewrite")
+		top       = flag.Int("top", 5, "default rewrites per query (at most the snapshot's top-k depth)")
+		bidsPath  = flag.String("bids", "", "bid-term list file the snapshot's rewrite lists were filtered under")
 		preload   = flag.Bool("preload", false, "verify and load every score segment at startup")
 		inflight  = flag.Int("inflight", 256, "max concurrent scoring requests before shedding 503 (0 disables)")
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-request deadline on scoring endpoints (0 disables)")
@@ -141,7 +147,6 @@ func main() {
 
 	cfg := serve.DefaultServerConfig()
 	cfg.DefaultTop = *top
-	cfg.MaxTop = *maxTop
 	cfg.MaxInFlight = *inflight
 	cfg.RequestTimeout = *timeout
 	if *bidsPath != "" {
@@ -152,11 +157,14 @@ func main() {
 		cfg.BidTerms = terms
 	}
 
-	snap, genID, err := serve.OpenServing(*snapPath, *preload, log.Printf)
+	snap, genID, err := serve.OpenServing(*snapPath, *preload, cfg.BidTerms, log.Printf)
 	if err != nil {
 		fatal(err)
 	}
 	meta := snap.Meta()
+	if *top > meta.RewriteTopK {
+		fatal(fmt.Errorf("-top %d is deeper than the snapshot's top-k depth %d, every request's cap", *top, meta.RewriteTopK))
+	}
 	gen := "full build"
 	if meta.LastRefreshDirty >= 0 {
 		gen = fmt.Sprintf("refresh, %d dirty shards", meta.LastRefreshDirty)

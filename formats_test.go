@@ -123,7 +123,8 @@ func writeFormatGoldens(t *testing.T) string {
 
 	// simrank -graph testdata/fig3.graph -method simple -sharded
 	// -shard-max-nodes 9 -save: the budget keeps fig3's two components in
-	// a shard each.
+	// a shard each. The frozen file is from when -save wrote a K = 16
+	// section (it writes DefaultRewriteTopK now, with the same lists).
 	g0, err := clickgraph.ReadFile(filepath.Join("testdata", "fig3.graph"))
 	must(err)
 	pcfg := partition.DefaultPlanConfig()
@@ -134,7 +135,7 @@ func writeFormatGoldens(t *testing.T) string {
 	must(err)
 	work := t.TempDir()
 	serving := filepath.Join(work, "serving.snap")
-	must(serve.WriteSnapshotFileTopK(serving, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}))
+	must(serve.WriteSnapshotFileTopK(serving, res, serve.TopKOptions{K: 16}))
 	copyTo("fig3.v3.snap", serving)
 
 	// The journal a first refresh or fold starts: the serving file adopted

@@ -8,7 +8,6 @@ package rewrite
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -30,16 +29,6 @@ type Source interface {
 	Rewrites(q int, limit int) ([]sparse.Scored, error)
 }
 
-// ContextSource is an optional Source extension for sources whose
-// candidate fetch can honor a request deadline — the serving daemon's
-// per-request context reaches the score lookup through it. A Source not
-// implementing it is still served; the deadline is then only checked
-// between pipeline stages.
-type ContextSource interface {
-	Source
-	RewritesContext(ctx context.Context, q, limit int) ([]sparse.Scored, error)
-}
-
 // Scores is the slice of the serving layer's serve.ScoreIndex that
 // ResultSource consumes: the ranked partners of one query. Both a live
 // *core.Result and a loaded serve.Snapshot satisfy it, which is what makes
@@ -49,13 +38,6 @@ type Scores interface {
 	// TopRewrites returns the k most similar queries to q, best first;
 	// k < 0 means all.
 	TopRewrites(q, k int) []sparse.Scored
-}
-
-// ContextScores is the deadline-aware variant of Scores; a snapshot
-// implements it so a lazy segment load can be skipped when the request
-// is already out of time.
-type ContextScores interface {
-	TopRewritesContext(ctx context.Context, q, k int) ([]sparse.Scored, error)
 }
 
 // ResultSource serves rewrites from a precomputed score index (a live
@@ -80,18 +62,6 @@ func (s *ResultSource) Name() string {
 
 // Rewrites implements Source.
 func (s *ResultSource) Rewrites(q, limit int) ([]sparse.Scored, error) {
-	return s.Index.TopRewrites(q, limit), nil
-}
-
-// RewritesContext implements ContextSource, delegating to the index's
-// deadline-aware lookup when it has one.
-func (s *ResultSource) RewritesContext(ctx context.Context, q, limit int) ([]sparse.Scored, error) {
-	if cs, ok := s.Index.(ContextScores); ok {
-		return cs.TopRewritesContext(ctx, q, limit)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	return s.Index.TopRewrites(q, limit), nil
 }
 
@@ -173,46 +143,22 @@ func ReadBidTermsFile(path string) (map[string]bool, error) {
 
 // Rewrite runs the full pipeline for query id q against src.
 func (p *Pipeline) Rewrite(src Source, q int) ([]Candidate, error) {
-	return p.RewriteContext(context.Background(), src, q)
-}
-
-// RewriteContext is Rewrite under a request deadline: the context is
-// checked before the candidate fetch, handed to the source when it can
-// honor it (ContextSource — a snapshot-backed source aborts before a
-// lazy segment load), and re-checked after, so a serving daemon's
-// per-request timeout bounds the whole rewrite path.
-func (p *Pipeline) RewriteContext(ctx context.Context, src Source, q int) ([]Candidate, error) {
 	if q < 0 || q >= p.Graph.NumQueries() {
 		return nil, fmt.Errorf("rewrite: query id %d outside [0,%d)", q, p.Graph.NumQueries())
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var raw []sparse.Scored
-	var err error
-	if cs, ok := src.(ContextSource); ok {
-		raw, err = cs.RewritesContext(ctx, q, p.TopN)
-	} else {
-		raw, err = src.Rewrites(q, p.TopN)
-	}
+	raw, err := src.Rewrites(q, p.TopN)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
 		return nil, fmt.Errorf("rewrite: source %s: %w", src.Name(), err)
-	}
-	if err := ctx.Err(); err != nil {
-		// The fetch may have outlived the deadline on a slow segment
-		// load; do not spend more time filtering a dead request.
-		return nil, err
 	}
 	// The bid test runs before stemming: an unbid candidate never claims
 	// a stem or reaches the output, so the order of the two filters
 	// cannot change the survivors, and under a sparse bid list most
 	// candidates are dropped without being stemmed. seen holds the source
-	// query's key plus one per survivor — at most MaxRewrites+1 strings,
-	// so a scanned slice beats a map.
-	seen := make([]string, 1, max(p.MaxRewrites, 0)+1)
+	// query's key plus one per survivor — few strings, so a scanned slice
+	// beats a map. It starts at eight and grows by append rather than
+	// being sized for MaxRewrites: a list rarely fills its cap, and the
+	// snapshot builder runs this once per stored query.
+	seen := make([]string, 1, 8)
 	seen[0] = p.stemKey(q)
 	var out []Candidate
 	for _, s := range raw {

@@ -361,8 +361,8 @@ func TestGatewayBatchKeepsQuarantineOrder(t *testing.T) {
 	defer snap.Close()
 	gw, _, logs := loggedFleet(t, snap, Options{}, nil, nil)
 	of := queryOfShard(t, snap)
-	for i, b := range gw.backends { // replica i has lost its copy of shard i
-		b.observe(HealthDegraded, gw.Pinned(), 1, []serve.ShardHealth{{Side: "query", Shard: i}}, nil)
+	for i, b := range gw.backends { // replica i has lost its copy of shard i's lists
+		b.observe(HealthDegraded, gw.Pinned(), 1, []serve.ShardHealth{{Side: "topk", Shard: i}}, nil)
 	}
 
 	// of[4] is clean on both: it joins whichever list the rotation agrees with.

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,6 +127,78 @@ func TestChaosSimilarFailsOverFromBadDisk(t *testing.T) {
 				t.Fatalf("%s, %s on replica 0: no failover counted", u, phase)
 			}
 		}
+	}
+}
+
+// TestChaosRewriteAvoidsQuarantinedTopK: a /rewrite reads only its
+// shard's top-k blob, so the gateway ranks replicas for it on that side.
+// Both replicas are degraded on shard s — replica 0 has lost the blob (its
+// /rewrite answers 500), replica 1 the query-score segment (its /rewrite
+// is fine) — so whichever the rotation puts first, a shard-s /rewrite and
+// /batch go to replica 1 and are answered without a retry.
+func TestChaosRewriteAvoidsQuarantinedTopK(t *testing.T) {
+	data := generationBytes(t, [4]int{0, 0, 0, 0})
+	var disks [2]*faultfs.Injector
+	var hits [2]atomic.Int64
+	var reps []*replica
+	for i := range disks {
+		disks[i] = faultfs.NewInjector()
+		snap, err := serve.NewSnapshot(faultfs.Wrap(bytes.NewReader(data), disks[i]), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Close()
+		reps = append(reps, startWrappedReplica(t, snap, 1, func(inner http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/rewrite" || r.URL.Path == "/batch" {
+					hits[i].Add(1)
+				}
+				inner.ServeHTTP(w, r)
+			})
+		}))
+	}
+	const q = "c0-q0"
+	// Replica 0 fails every load from here on: its shard-s blob is
+	// quarantined by one /rewrite. Replica 1 fails one /similar, which
+	// quarantines shard s's query segment, and then reads cleanly.
+	disks[0].FailAfter(0, nil)
+	disks[1].FailAfter(0, nil)
+	for i, u := range []string{"/rewrite?q=" + q, "/similar?q=" + q} {
+		if code, body := directGet(t, reps[i].ts.URL+u); code != http.StatusInternalServerError {
+			t.Fatalf("replica %d %s over a failing disk = %d: %s", i, u, code, body)
+		}
+		hits[i].Store(0)
+	}
+	disks[1].Reset()
+	_, want := directGet(t, reps[1].ts.URL+"/rewrite?q="+q+"&top=3")
+	hits[1].Store(0)
+
+	router := buildGeneration(t, [4]int{0, 0, 0, 0})
+	defer router.Close()
+	gw := newGateway(t, Options{Router: router, Logf: chaosLogf(t)}, reps...)
+	_, shard, _ := router.PrevQuery(q)
+	for i, b := range gw.backends {
+		side := []string{"topk", "query"}[i]
+		b.mu.Lock()
+		health, quar := b.health, b.quarantined
+		b.mu.Unlock()
+		if health != HealthDegraded || len(quar) != 1 || !quar[segKey{side, shard}] {
+			t.Fatalf("replica %d probed %v with %v quarantined, want degraded with shard %d's %s side", i, health, quar, shard, side)
+		}
+	}
+	for round := 0; round < 4; round++ {
+		setPrimary(gw, round%2)
+		code, _, body := get(t, gw.Handler(), "/rewrite?q="+q+"&top=3")
+		if code != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("round %d: /rewrite = %d %q, want replica 1's %q", round, code, body, want)
+		}
+		if code, _, raw := postBatch(t, gw.Handler(), `{"queries":["`+q+`"],"top":3}`); code != http.StatusOK {
+			t.Fatalf("round %d: /batch = %d: %s", round, code, raw)
+		}
+	}
+	if r := gw.retries.Load(); r != 0 || hits[0].Load() != 0 || hits[1].Load() != 8 {
+		t.Fatalf("%d retries; replica 0 got %d reads and replica 1 %d, want 0 retries and all 8 on replica 1",
+			r, hits[0].Load(), hits[1].Load())
 	}
 }
 

@@ -54,10 +54,11 @@ type proxied struct {
 // request's context ending under it.
 var errRequestTimeout = errors.New("route: request timeout")
 
-// affinity maps the request to its snapshot shard through the route
-// map; -1 when no router is configured or the node is unknown (unknown
-// nodes route anywhere — every replica answers them with the same
-// not-found).
+// affinity maps the request to the snapshot segment it reads: the side —
+// "topk" for /rewrite (the shard's precomputed lists), "query" or "ad"
+// for /similar — and the shard, through the route map; -1 when no router
+// is configured or the node is unknown (unknown nodes route anywhere —
+// every replica answers them with the same not-found).
 func (gw *Gateway) affinity(r *http.Request) (side string, shard int) {
 	q := r.URL.Query()
 	if ad := q.Get("ad"); ad != "" {
@@ -70,6 +71,9 @@ func (gw *Gateway) affinity(r *http.Request) (side string, shard int) {
 		return "ad", -1
 	}
 	side = "query"
+	if r.URL.Path == "/rewrite" {
+		side = "topk"
+	}
 	if gw.opt.Router == nil {
 		return side, -1
 	}
@@ -341,7 +345,8 @@ func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		sb := byShard[shard]
 		if sb == nil {
-			order := gw.candidatesAt(pin, rot, "query", shard)
+			// Every item is a /rewrite: it reads the shard's topk blob.
+			order := gw.candidatesAt(pin, rot, "topk", shard)
 			for _, have := range subs {
 				if slices.Equal(have.order, order) {
 					sb = have

@@ -13,8 +13,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"simrankpp/internal/sparse"
 )
 
 // postBatch POSTs body to /batch and returns status and response bytes.
@@ -72,39 +70,31 @@ func TestBatchMatchesSingleEndpoint(t *testing.T) {
 }
 
 // TestBatchPastSectionDepth: /batch items share /rewrite's answer path, so
-// a batch deeper than the section's k answers its short lists from the
-// section and its full ones through the pipeline — and the body is
-// byte-equal to a server over the same scores without a section.
+// a batch deeper than the section's k is capped at k like a single
+// /rewrite: at top 5 over a K = 2 section every item is the pipeline's
+// answer at depth 2, the unknown query a 404 item among them.
 func TestBatchPastSectionDepth(t *testing.T) {
 	g := testGraph(t)
-	section, pipeline := 0, 0 // items past k the section and the pipeline answer
 	for _, bc := range bidCases(g, 0) {
 		t.Run(bc.name, func(t *testing.T) {
-			path, res := writeTopKFile(t, g, TopKOptions{K: 2, BidTerms: bc.bids})
+			path, _ := writeTopKFile(t, g, TopKOptions{K: 2, BidTerms: bc.bids})
 			mm, err := OpenSnapshot(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer mm.Close()
 			queries := []string{"no such query"}
+			want := []json.RawMessage{BatchItemError{Query: queries[0], Error: `query "no such query" not in index`, Status: http.StatusNotFound}.Item()}
 			for q := 0; q < g.NumQueries(); q++ {
 				queries = append(queries, g.Query(q))
-				if _, hit := mm.PrecomputedRewrites(q, 5); hit {
-					section++
-				} else {
-					pipeline++
-				}
+				want = append(want, bytes.TrimSuffix(pipelineBody(t, mm, bc.bids, g.Query(q), 2), []byte("\n")))
 			}
 			body, _ := json.Marshal(BatchRequest{Queries: queries, Top: 5})
-			fc, fb := postBatch(t, serverOver(mm, func(c *Config) { c.BidTerms = bc.bids }).Handler(), string(body))
-			sc, sb := postBatch(t, pipelineServer(t, res, bc.bids), string(body))
-			if fc != http.StatusOK || fc != sc || !bytes.Equal(fb, sb) {
-				t.Fatalf("/batch at top 5 over a K = 2 section: %d %s\npipeline server: %d %s", fc, fb, sc, sb)
+			code, got := postBatch(t, serverOver(mm, func(c *Config) { c.BidTerms = bc.bids }).Handler(), string(body))
+			if code != http.StatusOK || !bytes.Equal(got, EncodeBatchResponse(want)) {
+				t.Fatalf("/batch at top 5 over a K = 2 section: %d %s\nthe pipeline at depth 2: %s", code, got, EncodeBatchResponse(want))
 			}
 		})
-	}
-	if section == 0 || pipeline == 0 {
-		t.Fatalf("past k, the section answers %d items and the pipeline %d; the fixture needs both", section, pipeline)
 	}
 }
 
@@ -324,90 +314,12 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// gatedIndex is a ScoreIndex whose TopRewrites — one call per batch item
-// on the live pipeline — reports its arrival (query id and goroutine) and
-// then waits to be released, so a test can count how many items a batch
-// has in flight at once.
-type gatedIndex struct {
-	ScoreIndex
-	arrived chan [2]int   // {query id, goroutine id}, one per call
-	release chan struct{} // closed: every call proceeds
-}
-
-func (g *gatedIndex) TopRewrites(q, k int) []sparse.Scored {
-	g.arrived <- [2]int{q, goroutineID()}
-	<-g.release
-	return g.ScoreIndex.TopRewrites(q, k)
-}
-
 // goroutineID reads the calling goroutine's id off its stack header.
 func goroutineID() int {
 	buf := make([]byte, 64)
 	var id int
 	fmt.Sscanf(string(buf[:runtime.Stack(buf, false)]), "goroutine %d ", &id)
 	return id
-}
-
-// TestBatchConcurrencyBound: a batch never has more than batchConcurrency
-// items in flight — the handler's goroutine is one of the workers, not one
-// more — and with batchConcurrency 1 it answers every item itself, in
-// request order, without starting a goroutine.
-func TestBatchConcurrencyBound(t *testing.T) {
-	_, res := fig3Server(t, DefaultServerConfig())
-	var queries []string
-	for i := 0; i < 12; i++ {
-		queries = append(queries, res.Query(i%res.NumQueries()))
-	}
-	reqBody, _ := json.Marshal(BatchRequest{Queries: queries, Top: 2})
-	_, want := postBatch(t, serverOver(res, nil).Handler(), string(reqBody))
-
-	const limit = 3
-	idx := &gatedIndex{ScoreIndex: res, arrived: make(chan [2]int, len(queries)), release: make(chan struct{})}
-	srv := serverOver(idx, nil)
-	srv.batchConcurrency = limit
-	h := srv.Handler()
-	answered := make(chan []byte)
-	go func() {
-		_, raw := postBatch(t, h, string(reqBody))
-		answered <- raw
-	}()
-	for i := 0; i < limit; i++ {
-		select {
-		case <-idx.arrived:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d of %d workers started an item", i, limit)
-		}
-	}
-	// Every worker is now held inside an item; one more arrival would be
-	// an item scored past the bound.
-	select {
-	case <-idx.arrived:
-		t.Fatalf("more than batchConcurrency = %d items in flight", limit)
-	case <-time.After(100 * time.Millisecond):
-	}
-	close(idx.release)
-	if raw := <-answered; !bytes.Equal(raw, want) {
-		t.Errorf("gated batch answered\n %s\nwant\n %s", raw, want)
-	}
-
-	// batchConcurrency 1: everything on the caller's goroutine, in order.
-	idx = &gatedIndex{ScoreIndex: res, arrived: make(chan [2]int, len(queries)), release: make(chan struct{})}
-	close(idx.release)
-	srv = serverOver(idx, nil)
-	srv.batchConcurrency = 1
-	h = srv.Handler()
-	if _, raw := postBatch(t, h, string(reqBody)); !bytes.Equal(raw, want) {
-		t.Errorf("serial batch answered\n %s\nwant\n %s", raw, want)
-	}
-	for i, q := range queries {
-		got := <-idx.arrived
-		if id, _ := res.QueryID(q); got[0] != id {
-			t.Errorf("item %d scored query %d, want %d (%q): out of request order", i, got[0], id, q)
-		}
-		if me := goroutineID(); got[1] != me {
-			t.Errorf("item %d ran on goroutine %d, not the handler's %d", i, got[1], me)
-		}
-	}
 }
 
 // TestStatsServingSurface pins the /stats additions: the batch endpoint
@@ -439,8 +351,8 @@ func TestStatsServingSurface(t *testing.T) {
 		t.Errorf("stats.Mmap = %v on a snapshot with Mmapped() = %v", stats.Mmap, mm.Mmapped())
 	}
 	ts := stats.TopKSection
-	if ts == nil || !ts.Present || ts.K != DefaultRewriteTopK || !ts.Serving || ts.BidFiltered {
-		t.Errorf("topk_section = %+v, want present, k=%d, serving, unfiltered", ts, DefaultRewriteTopK)
+	if ts == nil || !ts.Present || ts.K != DefaultRewriteTopK || ts.TopN != DefaultRewriteTopK || ts.BidFiltered {
+		t.Errorf("topk_section = %+v, want present, k=top_n=%d, unfiltered", ts, DefaultRewriteTopK)
 	}
 	be, ok := stats.Endpoints["batch"]
 	if !ok || be.Requests != 3 {
@@ -454,35 +366,27 @@ func TestStatsServingSurface(t *testing.T) {
 		t.Errorf("endpoints[rewrite] = %+v, want 3 requests with p50 <= p99", re)
 	}
 
-	// ReadAt-opened snapshot under a bid set the section was not built
-	// with: mmap=false and serving=false, but the section is still
-	// reported present.
+	// The ReadAt-opened snapshot reports mmap=false, and a section built
+	// under a bid list reports it.
 	var rs StatsResponse
-	hr := serverOver(rd, func(c *Config) { c.BidTerms = map[string]bool{} }).Handler()
-	if _, raw := get(t, hr, "/stats"); json.Unmarshal(raw, &rs) != nil {
+	if _, raw := get(t, serverOver(rd, nil).Handler(), "/stats"); json.Unmarshal(raw, &rs) != nil {
 		t.Fatal("bad stats from the ReadAt-opened snapshot")
 	}
 	if rs.Mmap {
 		t.Error("ReadAt-opened stats.Mmap = true")
 	}
-	if rs.TopKSection == nil || !rs.TopKSection.Present || rs.TopKSection.Serving {
-		t.Errorf("ReadAt-opened topk_section = %+v, want present but not serving", rs.TopKSection)
-	}
-
-	// A section shallower than the default depth is not serving, though it
-	// answers the default-depth requests whose lists are short.
-	shallowPath, _ := writeTopKFile(t, g, TopKOptions{K: 4})
-	shallow, err := OpenSnapshot(shallowPath)
+	bidPath, _ := writeTopKFile(t, g, TopKOptions{K: 4, BidTerms: map[string]bool{}})
+	bid, err := OpenSnapshot(bidPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer shallow.Close()
-	var ss StatsResponse
-	if _, raw := get(t, serverOver(shallow, nil).Handler(), "/stats"); json.Unmarshal(raw, &ss) != nil {
+	defer bid.Close()
+	var bs StatsResponse
+	if _, raw := get(t, serverOver(bid, func(c *Config) { c.BidTerms = map[string]bool{} }).Handler(), "/stats"); json.Unmarshal(raw, &bs) != nil {
 		t.Fatal("bad stats over the K = 4 section")
 	}
-	if ss.TopKSection == nil || !ss.TopKSection.Present || ss.TopKSection.Serving {
-		t.Errorf("K = 4 topk_section under default top 5 = %+v, want present but not serving", ss.TopKSection)
+	if ts := bs.TopKSection; ts == nil || !ts.Present || ts.K != 4 || ts.TopN != 100 || !ts.BidFiltered {
+		t.Errorf("K = 4 bid-filtered topk_section = %+v, want present, k=4, top_n=100, bid-filtered", ts)
 	}
 }
 
@@ -503,13 +407,12 @@ func (r *readerAtLog) ReadAt(p []byte, off int64) (int, error) {
 	return bytes.NewReader(r.b).ReadAt(p, off)
 }
 
-// TestSectionBatchOnHandlerGoroutine: a batch the precomputed section
-// answers starts no workers — every item, each one its shard's first
-// touch of the section, is read on the handler's goroutine — and answers
-// what the live pipeline answers.
+// TestSectionBatchOnHandlerGoroutine: a batch starts no workers — every
+// item, each one its shard's first touch of the section, is read on the
+// handler's goroutine — and answers what the pipeline answers.
 func TestSectionBatchOnHandlerGoroutine(t *testing.T) {
 	g := testGraph(t)
-	path, res := writeTopKFile(t, g, TopKOptions{K: DefaultRewriteTopK})
+	path, _ := writeTopKFile(t, g, TopKOptions{K: DefaultRewriteTopK})
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -529,13 +432,18 @@ func TestSectionBatchOnHandlerGoroutine(t *testing.T) {
 	}
 	body, _ := json.Marshal(BatchRequest{Queries: queries, Top: 3})
 	code, got := postBatch(t, serverOver(snap, nil).Handler(), string(body))
-	if _, want := postBatch(t, pipelineServer(t, res, nil), string(body)); code != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("/batch = %d %s, the pipeline answers %s", code, got, want)
-	}
 	if me := goroutineID(); len(log.readers) != 1 || !log.readers[me] {
 		t.Errorf("the section was read on goroutines %v, want only the handler's %d", log.readers, me)
 	}
 	if snap.LoadedSegments() != len(queries) {
 		t.Errorf("%d segments loaded, want the %d queries' top-k blobs", snap.LoadedSegments(), len(queries))
+	}
+	// The reference reads the score segments, so it comes after the count.
+	var want []json.RawMessage
+	for _, q := range queries {
+		want = append(want, bytes.TrimSuffix(pipelineBody(t, snap, nil, q, 3), []byte("\n")))
+	}
+	if code != http.StatusOK || !bytes.Equal(got, EncodeBatchResponse(want)) {
+		t.Fatalf("/batch = %d %s, the pipeline answers %s", code, got, EncodeBatchResponse(want))
 	}
 }

@@ -16,25 +16,24 @@ import (
 	"testing"
 	"time"
 
+	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/faultfs"
-	"simrankpp/internal/sparse"
 )
 
 // These are the fault-injection ("chaos") tests of the serving layer:
 // every failure mode the daemon claims to survive — a corrupt segment, a
 // slow disk, an overload burst, a panicking handler — is induced
-// deterministically through a faultfs.Injector (or a stub index) and the
-// promised degraded behavior is asserted, including recovery once the
-// fault clears.
+// deterministically through a faultfs.Injector (or a panicking reader)
+// and the promised degraded behavior is asserted, including recovery once
+// the fault clears.
 
-// chaosSnapshot builds a multi-shard snapshot with a top-k section of
-// depth k (0: none, so /rewrite reads the score segments) and opens it
-// through a fault injector, so tests can corrupt, delay or fail its reads
-// at will.
-func chaosSnapshot(t *testing.T, k int) (*Snapshot, *faultfs.Injector) {
+// chaosSnapshot builds a multi-shard snapshot with a top-k section, as
+// simrank -save writes it, and opens it through a fault injector, so
+// tests can corrupt, delay or fail its reads at will.
+func chaosSnapshot(t *testing.T) (*Snapshot, *faultfs.Injector) {
 	t.Helper()
 	res, _, _ := buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
-	data := snapshotBytes(t, res, k)
+	data := snapshotBytes(t, res, DefaultRewriteTopK)
 	inj := faultfs.NewInjector()
 	snap, err := NewSnapshot(faultfs.Wrap(bytes.NewReader(data), inj), int64(len(data)))
 	if err != nil {
@@ -66,17 +65,13 @@ func distinctShardQueries(t *testing.T, snap *Snapshot, n int) []string {
 func rewriteURL(q string) string { return "/rewrite?q=" + url.QueryEscape(q) }
 
 // TestChaosBitFlipQuarantinesOneShard is the headline degraded-mode
-// scenario: a bit flip corrupts one shard's query segment; that shard is
-// quarantined with escalating backoff while every other shard keeps
-// answering; /readyz reports degraded with the shard listed; and once
-// the fault clears and the backoff elapses, the shard recovers — no
-// restart, no reload.
+// scenario: a bit flip corrupts one shard's top-k blob, what its /rewrite
+// reads; that shard is quarantined with escalating backoff while every
+// other shard keeps answering; /readyz reports degraded with the shard
+// listed; and once the fault clears and the backoff elapses, the shard
+// recovers — no restart, no reload.
 func TestChaosBitFlipQuarantinesOneShard(t *testing.T) {
-	// The corruption is in the score segment; a precomputed rewrite
-	// section would (correctly) keep answering without touching it, so the
-	// snapshot has none — this test pins the segment quarantine machinery,
-	// not the fast path.
-	snap, inj := chaosSnapshot(t, 0)
+	snap, inj := chaosSnapshot(t)
 	cur := time.Unix(1_700_000_000, 0)
 	snap.now = func() time.Time { return cur }
 	// Pin the jitter at its ceiling so the retryAt assertions below see
@@ -87,12 +82,12 @@ func TestChaosBitFlipQuarantinesOneShard(t *testing.T) {
 	victim, healthy := qs[0], qs[1]
 	vid, _ := snap.QueryID(victim)
 	vShard := int(snap.qRoute[vid])
-	if snap.dir[vShard].qPairs == 0 {
-		t.Fatalf("victim shard %d has no query pairs to corrupt", vShard)
+	if snap.dir[vShard].tkLen <= 8 {
+		t.Fatalf("victim shard %d has no top-k lists to corrupt", vShard)
 	}
-	// Flip one bit in the victim shard's query segment: the CRC check on
-	// lazy load must catch it.
-	inj.FlipBit(int64(snap.dir[vShard].qOff)+8, 3)
+	// Flip one bit in the victim shard's top-k blob: the CRC check on lazy
+	// load must catch it.
+	inj.FlipBit(int64(snap.dir[vShard].tkOff)+8, 3)
 
 	cfg := DefaultServerConfig()
 	cfg.MaxInFlight = 0
@@ -105,8 +100,8 @@ func TestChaosBitFlipQuarantinesOneShard(t *testing.T) {
 		t.Fatalf("corrupt-shard rewrite = %d, want 500: %s", code, body)
 	}
 	quar := snap.Quarantined()
-	if len(quar) != 1 || quar[0].Shard != vShard || quar[0].Side != "query" || quar[0].Failures != 1 {
-		t.Fatalf("after first failure Quarantined() = %+v, want shard %d query side, 1 failure", quar, vShard)
+	if len(quar) != 1 || quar[0].Shard != vShard || quar[0].Side != "topk" || quar[0].Failures != 1 {
+		t.Fatalf("after first failure Quarantined() = %+v, want shard %d topk side, 1 failure", quar, vShard)
 	}
 	if want := cur.Add(time.Second); !quar[0].RetryAt.Equal(want) {
 		t.Fatalf("first-failure retryAt = %v, want %v", quar[0].RetryAt, want)
@@ -206,14 +201,14 @@ func TestChaosBitFlipQuarantinesOneShard(t *testing.T) {
 }
 
 // TestChaosSimilarFailsOnCorruptSegment: /similar reads the score
-// segments /rewrite falls back to, and a corrupt one must fail it the same
-// way — 500 on the first touch and inside the backoff window, without a
-// disk read there — never a 200 with an empty ranking, which a gateway
+// segments, and a corrupt one must fail it as a corrupt blob fails
+// /rewrite — 500 on the first touch and inside the backoff window, without
+// a disk read there — never a 200 with an empty ranking, which a gateway
 // relays as final instead of failing over. ?q= reads the shard's query
 // segment, ?ad= its ad segment; both recover once the fault clears and the
 // backoff elapses.
 func TestChaosSimilarFailsOnCorruptSegment(t *testing.T) {
-	snap, inj := chaosSnapshot(t, 0)
+	snap, inj := chaosSnapshot(t)
 	cur := time.Unix(1_700_000_000, 0)
 	snap.now = func() time.Time { return cur }
 
@@ -264,7 +259,7 @@ func TestChaosSimilarFailsOnCorruptSegment(t *testing.T) {
 // boundary: quarantining every segment of every shard turns /readyz into
 // a 503, because nothing can be answered anymore.
 func TestChaosReadyzUnreadyWhenAllShardsDead(t *testing.T) {
-	snap, inj := chaosSnapshot(t, DefaultRewriteTopK)
+	snap, inj := chaosSnapshot(t)
 	inj.FailAfter(0, nil) // every read fails from now on
 	if err := snap.PreloadAll(); err == nil {
 		t.Fatal("PreloadAll succeeded with all reads failing")
@@ -291,7 +286,7 @@ func TestChaosReadyzUnreadyWhenAllShardsDead(t *testing.T) {
 // 503 with a Retry-After hint, not queued behind the slow ones — and
 // that the shed counter matches exactly.
 func TestChaosOverloadSheds503(t *testing.T) {
-	snap, inj := chaosSnapshot(t, DefaultRewriteTopK)
+	snap, inj := chaosSnapshot(t)
 	qs := distinctShardQueries(t, snap, 3)
 
 	cfg := DefaultServerConfig()
@@ -379,7 +374,7 @@ func TestChaosOverloadSheds503(t *testing.T) {
 // stuck behind a slow segment load answers 504 once its deadline
 // passes, and the next request — segment now warm — succeeds.
 func TestChaosDeadlineAnswers504(t *testing.T) {
-	snap, inj := chaosSnapshot(t, DefaultRewriteTopK)
+	snap, inj := chaosSnapshot(t)
 	q := distinctShardQueries(t, snap, 1)[0]
 
 	cfg := DefaultServerConfig()
@@ -410,76 +405,69 @@ func TestChaosDeadlineAnswers504(t *testing.T) {
 	}
 }
 
-// panicIndex wraps a ScoreIndex with a TopRewrites that panics — the
-// stand-in for any handler bug reaching a panic in production.
-type panicIndex struct{ ScoreIndex }
+// panicReader is a snapshot's bytes whose reads of [lo, hi) panic — the
+// stand-in for any bug reaching a panic under a handler in production.
+type panicReader struct {
+	b      []byte
+	lo, hi int64
+}
 
-func (p panicIndex) TopRewrites(q, k int) []sparse.Scored { panic("injected panic") }
+func (p *panicReader) ReadAt(b []byte, off int64) (int, error) {
+	if off < p.hi && off+int64(len(b)) > p.lo {
+		panic("injected panic")
+	}
+	return bytes.NewReader(p.b).ReadAt(b, off)
+}
 
-// TestChaosPanicIsOne500NotADeadDaemon asserts the panic middleware:
-// a panicking handler answers 500 and bumps the panic counter; the
-// daemon keeps serving everything else.
+// TestChaosPanicIsOne500NotADeadDaemon asserts the panic middleware: a
+// request that panics — here loading one shard's top-k blob, for a
+// /rewrite and for a /batch, whose items run on the handler's goroutine —
+// answers 500 and bumps the panic counter; the daemon keeps serving
+// everything else.
 func TestChaosPanicIsOne500NotADeadDaemon(t *testing.T) {
-	snap, _ := chaosSnapshot(t, DefaultRewriteTopK)
-	q := distinctShardQueries(t, snap, 1)[0]
-	srv := NewServer(panicIndex{snap}, DefaultServerConfig())
+	res, data, _ := buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
+	probe := mustSnapshot(t, res, DefaultRewriteTopK)
+	q := distinctShardQueries(t, probe, 1)[0]
+	e := probe.dir[probe.qRoute[mustQueryID(t, probe, q)]]
+	snap, err := NewSnapshot(&panicReader{b: data, lo: int64(e.tkOff), hi: int64(e.tkOff + e.tkLen)}, int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(snap, DefaultServerConfig())
 	h := srv.Handler()
 
-	code, body := get(t, h, "/similar?q="+url.QueryEscape(q))
+	code, body := get(t, h, rewriteURL(q))
 	if code != http.StatusInternalServerError {
-		t.Fatalf("panicking /similar = %d, want 500: %s", code, body)
+		t.Fatalf("panicking /rewrite = %d, want 500: %s", code, body)
 	}
-	// The daemon survived: liveness, stats and the untouched ad side all
-	// still answer.
+	// The daemon survived: liveness, stats and the query's untouched score
+	// segment all still answer.
 	if code, _ := get(t, h, "/healthz"); code != http.StatusOK {
 		t.Fatalf("/healthz = %d after a handler panic", code)
 	}
-	adName := snap.Ad(0)
-	if code, body := get(t, h, "/similar?ad="+url.QueryEscape(adName)); code != http.StatusOK {
-		t.Fatalf("/similar?ad after panic = %d: %s", code, body)
+	if code, body := get(t, h, "/similar?q="+url.QueryEscape(q)); code != http.StatusOK {
+		t.Fatalf("/similar after panic = %d: %s", code, body)
+	}
+	reqBody, _ := json.Marshal(BatchRequest{Queries: []string{"no such query", q}})
+	if code, body := postBatch(t, h, string(reqBody)); code != http.StatusInternalServerError {
+		t.Fatalf("/batch with a panicking item = %d, want 500: %s", code, body)
+	}
+	if code, _ := get(t, h, "/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz = %d after a batch panic", code)
 	}
 	_, body = get(t, h, "/stats")
 	var stats StatsResponse
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Panics != 1 {
-		t.Fatalf("stats panics = %d, want 1", stats.Panics)
+	if stats.Panics != 2 {
+		t.Fatalf("stats panics = %d, want 2", stats.Panics)
 	}
-	if ep := stats.Endpoints["similar"]; ep.Errors5xx != 1 {
-		t.Fatalf("similar endpoint 5xx = %d, want 1", ep.Errors5xx)
+	if ep := stats.Endpoints["rewrite"]; ep.Errors5xx != 1 {
+		t.Fatalf("rewrite endpoint 5xx = %d, want 1", ep.Errors5xx)
 	}
-
-	// A /batch scores its items on goroutines the middleware's recover
-	// does not cover. Each panicking item is its own in-order 500 — the
-	// pipeline under /rewrite ranks through the same TopRewrites — the
-	// unknown query beside them is still answered, and the process, this
-	// test binary, is still here afterwards.
-	queries := []string{q, "no such query", q}
-	reqBody, _ := json.Marshal(BatchRequest{Queries: queries})
-	code, body = postBatch(t, h, string(reqBody))
-	if code != http.StatusOK {
-		t.Fatalf("/batch with panicking items = %d, want 200: %s", code, body)
-	}
-	var resp BatchResponse
-	if err := json.Unmarshal(body, &resp); err != nil || len(resp.Results) != len(queries) {
-		t.Fatalf("/batch with panicking items answered %s (err %v), want %d items", body, err, len(queries))
-	}
-	for i, want := range []int{http.StatusInternalServerError, http.StatusNotFound, http.StatusInternalServerError} {
-		var item BatchItemError
-		if err := json.Unmarshal(resp.Results[i], &item); err != nil || item.Status != want || item.Query != queries[i] {
-			t.Errorf("batch item %d = %s, want a %d for %q", i, resp.Results[i], want, queries[i])
-		}
-	}
-	if code, _ := get(t, h, "/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz = %d after a batch item panic", code)
-	}
-	_, body = get(t, h, "/stats")
-	if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Panics != 3 {
-		t.Fatalf("stats panics = %d after two more in batch items, want 3", stats.Panics)
+	if ep := stats.Endpoints["batch"]; ep.Errors5xx != 1 {
+		t.Fatalf("batch endpoint 5xx = %d, want 1", ep.Errors5xx)
 	}
 }
 
@@ -487,13 +475,13 @@ func TestChaosPanicIsOne500NotADeadDaemon(t *testing.T) {
 // segment corruption: a short read quarantines the shard exactly like a
 // CRC mismatch does, and recovery works the same way.
 func TestChaosShortReadQuarantines(t *testing.T) {
-	snap, inj := chaosSnapshot(t, DefaultRewriteTopK)
+	snap, inj := chaosSnapshot(t)
 	cur := time.Unix(1_700_000_000, 0)
 	snap.now = func() time.Time { return cur }
 	q := distinctShardQueries(t, snap, 1)[0]
 
 	inj.ShortReads(4)
-	if _, err := snap.TopRewritesContext(context.TODO(), mustQueryID(t, snap, q), 5); err == nil {
+	if _, err := snap.ranked(context.TODO(), clickgraph.QuerySide, mustQueryID(t, snap, q), 5); err == nil {
 		t.Fatal("short read did not fail the segment load")
 	}
 	if quar := snap.Quarantined(); len(quar) != 1 {
@@ -501,7 +489,7 @@ func TestChaosShortReadQuarantines(t *testing.T) {
 	}
 	inj.ShortReads(0)
 	cur = cur.Add(2 * time.Second)
-	if _, err := snap.TopRewritesContext(context.TODO(), mustQueryID(t, snap, q), 5); err != nil {
+	if _, err := snap.ranked(context.TODO(), clickgraph.QuerySide, mustQueryID(t, snap, q), 5); err != nil {
 		t.Fatalf("recovery after short read cleared: %v", err)
 	}
 	if quar := snap.Quarantined(); len(quar) != 0 {
@@ -515,7 +503,7 @@ func TestChaosShortReadQuarantines(t *testing.T) {
 // window instead of hammering the disk in lockstep. jitter=0 exposes
 // the floor of each window.
 func TestChaosQuarantineBackoffJitter(t *testing.T) {
-	snap, inj := chaosSnapshot(t, DefaultRewriteTopK)
+	snap, inj := chaosSnapshot(t)
 	cur := time.Unix(1_700_000_000, 0)
 	snap.now = func() time.Time { return cur }
 	snap.quarantine.Jitter = func() float64 { return 0 }
@@ -525,7 +513,7 @@ func TestChaosQuarantineBackoffJitter(t *testing.T) {
 	vShard := int(snap.qRoute[vid])
 	inj.FlipBit(int64(snap.dir[vShard].qOff)+8, 3)
 
-	if _, err := snap.TopRewritesContext(context.TODO(), vid, 5); err == nil {
+	if _, err := snap.ranked(context.TODO(), clickgraph.QuerySide, vid, 5); err == nil {
 		t.Fatal("corrupt segment load did not fail")
 	}
 	quar := snap.Quarantined()
@@ -539,7 +527,7 @@ func TestChaosQuarantineBackoffJitter(t *testing.T) {
 
 	// Second failure: nominal backoff doubles to 2s, floor to 1s.
 	cur = cur.Add(time.Second)
-	if _, err := snap.TopRewritesContext(context.TODO(), vid, 5); err == nil {
+	if _, err := snap.ranked(context.TODO(), clickgraph.QuerySide, vid, 5); err == nil {
 		t.Fatal("retry under persistent fault did not fail")
 	}
 	quar = snap.Quarantined()
@@ -607,9 +595,7 @@ func resealQuerySegment(t testing.TB, data []byte, edit func(seg []byte, nodes u
 // from it ever reaching a name lookup — from mapped and ReadAt bytes
 // alike.
 func TestChaosHostileSegmentQuarantinesOneShard(t *testing.T) {
-	// No top-k section: /rewrite must reach the score segment.
-	res, _, clean := buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
-	data := snapshotBytes(t, res, 0)
+	_, data, clean := buildGeneration(t, refreshGraph(t, [4]int{1, 2, 3, 4}), refreshCfg())
 	for name, edit := range hostileSegments {
 		hostile, bad := resealQuerySegment(t, data, edit)
 		for _, mode := range []string{"read", "mapped"} {
@@ -626,15 +612,15 @@ func TestChaosHostileSegmentQuarantinesOneShard(t *testing.T) {
 
 				for q := 0; q < snap.NumQueries(); q++ {
 					got := snap.TopRewrites(q, -1)
-					code, body := get(t, h, rewriteURL(snap.Query(q)))
+					code, body := get(t, h, "/similar?q="+url.QueryEscape(snap.Query(q)))
 					if int(snap.qRoute[q]) == bad {
 						if got != nil || code != http.StatusInternalServerError {
-							t.Fatalf("query %d of the hostile shard: TopRewrites %v, /rewrite %d %s; want nil and 500", q, got, code, body)
+							t.Fatalf("query %d of the hostile shard: TopRewrites %v, /similar %d %s; want nil and 500", q, got, code, body)
 						}
 						continue
 					}
 					if want := clean.TopRewrites(q, -1); !scoredEqual(got, want) || code != http.StatusOK {
-						t.Fatalf("query %d of a healthy shard: TopRewrites %v (want %v), /rewrite %d %s", q, got, want, code, body)
+						t.Fatalf("query %d of a healthy shard: TopRewrites %v (want %v), /similar %d %s", q, got, want, code, body)
 					}
 				}
 				quar := snap.Quarantined()

@@ -60,12 +60,20 @@ func TestFormatGoldenSnapshot(t *testing.T) {
 	if got := snap.TopRewrites(4, -1); len(got) != 0 {
 		t.Errorf("flower has rewrites %v, want none (its shard holds one query)", got)
 	}
-	if !snap.RewriteSectionUsable(3, 0) {
-		t.Fatal("the precomputed top-k section does not serve an unfiltered depth-3 rewrite")
+	// The file opens for a daemon without a bid list, and its K = 16 (the
+	// depth simrank -save wrote before it wrote 100) caps every request.
+	served, _, err := OpenServing(formatGolden("fig3.v3.snap"), false, nil, nil)
+	if err != nil {
+		t.Fatalf("OpenServing: %v", err)
+	}
+	served.Close()
+	srv := NewServer(snap, DefaultServerConfig())
+	if d := srv.depth(40); d != 16 {
+		t.Errorf("top 40 answers at depth %d, want the section's 16", d)
 	}
 	// The JSON surface: each answer is the repository's golden response,
 	// the bytes CI's serving smoke diffs a daemon's answers against.
-	h := NewServer(snap, DefaultServerConfig()).Handler()
+	h := srv.Handler()
 	for _, c := range []struct{ path, post, golden string }{
 		{"/rewrite?q=camera&top=3", "", "golden_rewrite_camera.json"},
 		{"/similar?q=camera&top=3", "", "golden_similar_camera.json"},

@@ -168,7 +168,15 @@ func FuzzSplitBatchResponse(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	h := NewServer(res, DefaultServerConfig()).Handler()
+	var snap bytes.Buffer
+	if err := WriteSnapshotTopK(&snap, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
+		f.Fatal(err)
+	}
+	idx, err := NewSnapshot(bytes.NewReader(snap.Bytes()), int64(snap.Len()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := NewServer(idx, DefaultServerConfig()).Handler()
 	for _, queries := range [][]string{
 		{"camera"},
 		{"camera", "pc", "digital camera", "tv", "flower"},

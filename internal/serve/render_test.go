@@ -7,9 +7,7 @@ import (
 	"net/http"
 	"testing"
 
-	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/core"
-	"simrankpp/internal/sparse"
 )
 
 // rewriteResponse is the /rewrite and /similar payload (and a /batch
@@ -63,27 +61,15 @@ func FuzzRewriteJSON(f *testing.F) {
 	})
 }
 
-// nanIndex answers every ranked lookup of its index with a NaN score.
-type nanIndex struct{ ScoreIndex }
-
-func (n nanIndex) TopRewrites(q, k int) []sparse.Scored {
-	out := n.ScoreIndex.TopRewrites(q, k)
-	for i := range out {
-		out[i].Score = math.NaN()
-	}
-	return out
-}
-
 // TestNonFiniteScoreIsJSONMarshalError: a score json.Marshal cannot write
 // answers the 500 and message json.Marshal's error made — on /similar, on
-// /rewrite and as a /batch item.
+// /rewrite and as a /batch item. The snapshot holds Figure 3 with every
+// query score NaN, in its score segments and its top-k lists alike.
 func TestNonFiniteScoreIsJSONMarshalError(t *testing.T) {
-	res, err := core.Run(clickgraph.Fig3(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fig3Result(t, core.DefaultConfig())
+	res.QueryScores.Map(func(_, _ int, _ float64) (float64, bool) { return math.NaN(), true })
 	_, marshalErr := json.Marshal(math.NaN())
-	h := NewServer(nanIndex{res}, DefaultServerConfig()).Handler()
+	h := NewServer(mustSnapshot(t, res, DefaultRewriteTopK), DefaultServerConfig()).Handler()
 	for _, path := range []string{"/similar?q=camera", "/rewrite?q=camera"} {
 		if code, body := get(t, h, path); code != http.StatusInternalServerError || string(body) != marshalErr.Error()+"\n" {
 			t.Errorf("%s = %d %q, want 500 %q", path, code, body, marshalErr)

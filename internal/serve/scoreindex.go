@@ -13,11 +13,12 @@ import (
 )
 
 // ScoreIndex is the engine-agnostic read surface over a computed
-// similarity result: node naming plus the ranked serving-path lookups.
-// A live *core.Result implements it directly; a *Snapshot implements it
-// from a file, loading per-shard score segments lazily. The rewrite
-// filtering pipeline and the simrankd server consume only this
-// interface, so the compute path and the read path evolve independently.
+// similarity result: node naming plus the ranked lookups. A live
+// *core.Result implements it directly; a *Snapshot implements it from a
+// file, loading per-shard score segments lazily. The rewrite filtering
+// pipeline and the warm-start seeder read either through it; the server
+// answers from a *Snapshot only, and takes a ScoreIndex in NewServer,
+// Index and Reload for the callers built against those signatures.
 //
 // Implementations must be safe for concurrent readers.
 type ScoreIndex interface {

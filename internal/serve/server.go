@@ -17,32 +17,31 @@ import (
 	"time"
 
 	"simrankpp/internal/clickgraph"
-	"simrankpp/internal/rewrite"
-	"simrankpp/internal/sparse"
 )
 
 // This file is the query-rewrite front-end of Figure 2 as a daemon: an
-// HTTP/JSON server answering rewrite queries from a ScoreIndex — normally
-// a snapshot the batch side wrote — with the §9.3 filtering pipeline on
-// the /rewrite path, answers rendered straight into the response bytes,
-// and a lock-guarded index swap so SIGHUP reloads never disturb in-flight
-// requests.
+// HTTP/JSON server answering rewrite queries from a snapshot the batch
+// side wrote — /rewrite from its precomputed §9.3 lists, /similar from its
+// score segments — with answers rendered straight into the response
+// bytes, and a lock-guarded snapshot swap so SIGHUP reloads never disturb
+// in-flight requests.
 //
 // The serving path is built to fail partially, not totally (see
 // OPERATIONS.md): a quarantined shard degrades /readyz while every other
 // shard keeps answering, overload is shed with 503 + Retry-After at a
 // bounded in-flight limit instead of queueing unboundedly, every scoring
-// request carries a deadline plumbed through the rewrite pipeline, and a
-// handler panic becomes a 500 plus a counter rather than a dead daemon.
+// request carries a deadline down to the segment load, and a handler
+// panic becomes a 500 plus a counter rather than a dead daemon.
 
 // Config parameterizes a Server.
 type Config struct {
 	// DefaultTop is the rewrite depth when the request omits top; the
-	// paper serves at most 5.
+	// paper serves at most 5. Every depth, this one included, is capped at
+	// the served snapshot's top-k depth K.
 	DefaultTop int
-	// MaxTop caps the per-request top parameter.
-	MaxTop int
-	// BidTerms, when non-nil, enables bid-term filtering on /rewrite.
+	// BidTerms is the bid-term set /rewrite filters under (nil: none). The
+	// snapshot's lists must have been built under the same set: OpenServing
+	// and every reload refuse one that was not.
 	BidTerms map[string]bool
 	// MaxInFlight bounds concurrently-served scoring requests (/rewrite
 	// and /similar). Excess requests are shed immediately with 503 +
@@ -51,8 +50,8 @@ type Config struct {
 	// <= 0 disables shedding.
 	MaxInFlight int
 	// RequestTimeout is the per-request deadline on scoring endpoints,
-	// plumbed as a context through the rewrite path; an exceeded
-	// deadline answers 504. <= 0 disables deadlines.
+	// plumbed as a context down to the segment load; an exceeded deadline
+	// answers 504. <= 0 disables deadlines.
 	RequestTimeout time.Duration
 }
 
@@ -72,15 +71,12 @@ const (
 	retryAfterSeconds = 1
 	// maxRetryAfterSeconds clamps the derived Retry-After hint.
 	maxRetryAfterSeconds = 30
-	// batchConcurrency: at most this many items of one batch are scored
-	// at once, the handler's own goroutine included.
-	batchConcurrency = 8
 )
 
 // DefaultServerConfig returns the paper's depth-5 serving settings with a
 // 256-request in-flight bound and a 5s deadline.
 func DefaultServerConfig() Config {
-	return Config{DefaultTop: 5, MaxTop: 100, MaxInFlight: 256, RequestTimeout: 5 * time.Second}
+	return Config{DefaultTop: 5, MaxInFlight: 256, RequestTimeout: 5 * time.Second}
 }
 
 // EndpointStats is one endpoint's request/error counters in /stats, with
@@ -154,12 +150,13 @@ func (c *endpointCounters) snapshot() EndpointStats {
 	}
 }
 
-// Server answers rewrite queries over HTTP from a ScoreIndex.
+// Server answers rewrite queries over HTTP from a snapshot.
 //
 // Endpoints:
 //
 //	GET /rewrite?q=QUERY[&top=K]  pipeline-filtered rewrites (stem dedup,
-//	                              bid filtering, depth cap)
+//	                              bid filtering, depth cap), read from the
+//	                              snapshot's top-k section
 //	GET /similar?q=QUERY[&top=K]  raw ranked similar queries, unfiltered
 //	GET /similar?ad=AD[&top=K]    raw ranked similar ads
 //	POST /batch                   many rewrite lookups in one request
@@ -171,9 +168,8 @@ type Server struct {
 	cfg   Config
 	start time.Time
 
-	// bidHash identifies cfg.BidTerms (BidTermsHash), compared against
-	// the snapshot header to decide whether the precomputed rewrite
-	// section answers byte-identically to this server's pipeline.
+	// bidHash identifies cfg.BidTerms (BidTermsHash): a snapshot whose
+	// top-k section records another is not swapped in (servable).
 	bidHash uint64
 
 	// inflight is the scoring-request admission semaphore; nil when
@@ -182,10 +178,10 @@ type Server struct {
 
 	// mu guards idx and genID: handlers hold the read side for the whole
 	// request, so swap (write side) returns only once no request uses the
-	// old index — the graceful half of graceful reload — and a reader sees
-	// an index with the generation id it was swapped in under.
+	// old snapshot — the graceful half of graceful reload — and a reader
+	// sees a snapshot with the generation id it was swapped in under.
 	mu  sync.RWMutex
-	idx ScoreIndex
+	idx *Snapshot
 	// genID is the journal generation id of the served snapshot when the
 	// daemon could resolve one (OpenServing / ReloadServing match the
 	// snapshot fingerprint against the generation store); 0 otherwise.
@@ -210,22 +206,20 @@ type Server struct {
 	// admit — the overload-depth signal behind the derived Retry-After.
 	shedStreak atomic.Int64
 
-	// maxRetryAfter and batchConcurrency start as maxRetryAfterSeconds
-	// and batchConcurrency; tests lower them after NewServer.
-	maxRetryAfter, batchConcurrency int
+	// maxRetryAfter starts as maxRetryAfterSeconds; tests lower it after
+	// NewServer.
+	maxRetryAfter int
 }
 
-// NewServer returns a server answering from idx.
+// NewServer returns a server answering from idx, which must be a
+// *Snapshot: the interface in the signature is for callers built against
+// it, and NewServer panics on anything else.
 func NewServer(idx ScoreIndex, cfg Config) *Server {
 	if cfg.DefaultTop <= 0 {
 		cfg.DefaultTop = 5
 	}
-	if cfg.MaxTop <= 0 {
-		cfg.MaxTop = 100
-	}
-	s := &Server{cfg: cfg, idx: idx, start: time.Now(),
-		bidHash:       BidTermsHash(cfg.BidTerms),
-		maxRetryAfter: maxRetryAfterSeconds, batchConcurrency: batchConcurrency}
+	s := &Server{cfg: cfg, idx: idx.(*Snapshot), start: time.Now(),
+		bidHash: BidTermsHash(cfg.BidTerms), maxRetryAfter: maxRetryAfterSeconds}
 	if cfg.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInFlight)
 	}
@@ -308,15 +302,10 @@ type GenerationIdentity struct {
 	DirtyShards int `json:"dirty_shards"`
 }
 
-// generationIdentity derives the identity of the index being served;
-// nil for indexes that are not snapshots (a live engine result has no
-// generation to agree on). The caller holds s.mu.
+// generationIdentity derives the identity of the snapshot being served.
+// The caller holds s.mu.
 func (s *Server) generationIdentity() *GenerationIdentity {
-	snap, ok := s.idx.(*Snapshot)
-	if !ok {
-		return nil
-	}
-	m := snap.Meta()
+	m := s.idx.Meta()
 	return &GenerationIdentity{
 		ID:          s.genID,
 		Fingerprint: m.Fingerprint,
@@ -325,18 +314,18 @@ func (s *Server) generationIdentity() *GenerationIdentity {
 	}
 }
 
-// Index returns the currently-served score index — what the next
-// admitted request will answer from.
+// Index returns the currently-served snapshot — what the next admitted
+// request will answer from.
 func (s *Server) Index() ScoreIndex {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.idx
 }
 
-// swap atomically replaces the served index — and the generation id with
-// it when id is non-nil — and returns the previous index once no in-flight
-// request still reads it: the caller may then safely close it.
-func (s *Server) swap(idx ScoreIndex, id *uint64) ScoreIndex {
+// swap atomically replaces the served snapshot — and the generation id
+// with it when id is non-nil — and returns the previous one once no
+// in-flight request still reads it: the caller may then safely close it.
+func (s *Server) swap(idx *Snapshot, id *uint64) *Snapshot {
 	s.mu.Lock()
 	old := s.idx
 	s.idx = idx
@@ -348,14 +337,17 @@ func (s *Server) swap(idx ScoreIndex, id *uint64) ScoreIndex {
 	return old
 }
 
-// Reload builds a fresh index via load and swaps it in. A failed load
-// increments the reload-failure counter and — when fallback is non-nil —
-// tries fallback (ReloadServing wires it to the last good journaled
-// generation, so a corrupt new snapshot rolls the daemon back instead of
-// wedging it); when both fail, the old index keeps serving and the load
-// error is returned. The swapped-out index is passed to retire (which
-// may close it); logf receives one line per attempt. Callbacks may be
-// nil. Reloads run one at a time, and the generation id is kept.
+// Reload opens a fresh snapshot via load and swaps it in. What load
+// returns must be a *Snapshot the server can answer from (servable: a
+// top-k section built under the server's bid set); anything else fails
+// the load, and a refused snapshot is closed. A failed load increments
+// the reload-failure counter and — when fallback is non-nil — tries
+// fallback (ReloadServing wires it to the last good journaled generation,
+// so a corrupt new snapshot rolls the daemon back instead of wedging it);
+// when both fail, the old snapshot keeps serving and the load error is
+// returned. The swapped-out snapshot is passed to retire (which may close
+// it); logf receives one line per attempt. Callbacks may be nil. Reloads
+// run one at a time, and the generation id is kept.
 func (s *Server) Reload(load, fallback func() (ScoreIndex, error), retire func(ScoreIndex), logf func(format string, args ...any)) error {
 	return s.reload(load, fallback, nil, retire, logf)
 }
@@ -366,7 +358,7 @@ func (s *Server) reload(load, fallback func() (ScoreIndex, error), id *uint64, r
 	s.reloading.Lock()
 	defer s.reloading.Unlock()
 	logf = orSilent(logf)
-	idx, err := load()
+	snap, err := s.open(load)
 	if err != nil {
 		s.reloadFailures.Add(1)
 		if fallback == nil {
@@ -374,26 +366,41 @@ func (s *Server) reload(load, fallback func() (ScoreIndex, error), id *uint64, r
 			return err
 		}
 		logf("serve: reload failed: %v", err)
-		fidx, ferr := fallback()
+		fsnap, ferr := s.open(fallback)
 		if ferr != nil {
 			logf("serve: generation fallback failed too, keeping current index: %v", ferr)
 			return err
 		}
 		logf("serve: fell back to previous good generation")
-		idx = fidx
+		snap = fsnap
 	}
-	old := s.swap(idx, id)
-	if snap, ok := idx.(*Snapshot); ok {
-		m := snap.Meta()
-		logf("serve: reloaded index (%d queries, %d ads; generation %s, %d shards, fingerprint %s)",
-			idx.NumQueries(), idx.NumAds(), m.GeneratedAt.Format(time.RFC3339), m.Shards, m.Fingerprint)
-	} else {
-		logf("serve: reloaded index (%d queries, %d ads)", idx.NumQueries(), idx.NumAds())
-	}
+	old := s.swap(snap, id)
+	m := snap.Meta()
+	logf("serve: reloaded index (%d queries, %d ads; generation %s, %d shards, fingerprint %s)",
+		m.NumQueries, m.NumAds, m.GeneratedAt.Format(time.RFC3339), m.Shards, m.Fingerprint)
 	if retire != nil && old != nil {
 		retire(old)
 	}
 	return nil
+}
+
+// open runs one of a reload's loaders and converts what it returns at the
+// boundary: a *Snapshot the server can answer from, or an error (and a
+// refused snapshot closed).
+func (s *Server) open(load func() (ScoreIndex, error)) (*Snapshot, error) {
+	idx, err := load()
+	if err != nil {
+		return nil, err
+	}
+	snap, ok := idx.(*Snapshot)
+	if !ok {
+		return nil, fmt.Errorf("serve: a server answers from a *Snapshot, not a %T", idx)
+	}
+	if err := servable(snap, s.bidHash); err != nil {
+		snap.Close()
+		return nil, err
+	}
+	return snap, nil
 }
 
 // orSilent is logf, or a logger that drops its lines when logf is nil.
@@ -519,20 +526,28 @@ type RewriteAnswer struct {
 	Score float64 `json:"score"`
 }
 
-// topParam reads the depth from a request's already-parsed query string.
-func (s *Server) topParam(params url.Values) (int, error) {
+// topParam reads the depth from a request's already-parsed query string:
+// 0 when the request omits it.
+func topParam(params url.Values) (int, error) {
 	raw := params.Get("top")
 	if raw == "" {
-		return s.cfg.DefaultTop, nil
+		return 0, nil
 	}
 	top, err := strconv.Atoi(raw)
 	if err != nil || top < 1 {
 		return 0, fmt.Errorf("bad top %q: want a positive integer", raw)
 	}
-	if top > s.cfg.MaxTop {
-		top = s.cfg.MaxTop
-	}
 	return top, nil
+}
+
+// depth is the depth every scoring endpoint answers at: top, or
+// DefaultTop when the request gave none (0), capped at the served
+// snapshot's K — the stored lists' depth. The caller holds s.mu.
+func (s *Server) depth(top int) int {
+	if top == 0 {
+		top = s.cfg.DefaultTop
+	}
+	return min(top, s.idx.meta.RewriteTopK)
 }
 
 // scoreErrorInfo maps a scoring-path failure to a status and message: an
@@ -545,11 +560,6 @@ func scoreErrorInfo(err error) (int, string) {
 	return http.StatusInternalServerError, err.Error()
 }
 
-func scoreError(w http.ResponseWriter, err error) {
-	status, msg := scoreErrorInfo(err)
-	http.Error(w, msg, status)
-}
-
 func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	params := r.URL.Query()
 	q := params.Get("q")
@@ -557,14 +567,14 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	top, err := s.topParam(params)
+	top, err := topParam(params)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	body, status, msg := s.rewriteBody(r.Context(), q, top)
+	body, status, msg := s.rewriteBody(r.Context(), q, s.depth(top))
 	if status != http.StatusOK {
 		http.Error(w, msg, status)
 		return
@@ -577,73 +587,28 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 // It returns the JSON body (trailing newline included) with StatusOK, or
 // a status and message for error answers.
 //
-// When the served index is a snapshot whose precomputed top-k section
-// matches this server's effective parameters (same candidate pool, same
-// bid-term set — RewriteSectionUsable), the answer is a single in-place
-// section lookup, at a depth within the stored k or past it when q's
-// stored list is shorter than k (complete); otherwise — no snapshot,
-// section absent, a full list asked past k, parameters differ, or blob
-// quarantined — it runs the live §9.3 pipeline. Both paths emit identical
-// bytes by construction: the section was written by this same pipeline
-// code at build time, and one renderer writes both.
+// The answer is the query's list in the snapshot's top-k section, cut at
+// top: the §9.3 pipeline wrote it at save time, and servable admitted the
+// snapshot only under this server's bid set. A failed or quarantined blob
+// answers 500, and an expired deadline 504, so a gateway fails the read
+// over.
 func (s *Server) rewriteBody(ctx context.Context, q string, top int) ([]byte, int, string) {
 	qid, ok := s.idx.QueryID(q)
 	if !ok {
 		return nil, http.StatusNotFound, fmt.Sprintf("query %q not in index", q)
 	}
-	if snap, isSnap := s.idx.(*Snapshot); isSnap && snap.RewriteSectionUsable(top, s.bidHash) {
-		if pre, hit := snap.PrecomputedRewrites(qid, top); hit {
-			// The lookup may have sat on a slow (or fault-injected) blob
-			// load; honor the request deadline before answering.
-			if err := ctx.Err(); err != nil {
-				status, msg := scoreErrorInfo(err)
-				return nil, status, msg
-			}
-			return rendered(appendRewriteJSON(nil, q, snap.VariantName(), len(pre), func(i int) (string, float64) {
-				return snap.Query(pre[i].Node), pre[i].Score
-			}))
-		}
-	}
-	pipe := rewrite.NewPipeline(s.idx, s.cfg.BidTerms)
-	pipe.MaxRewrites = top
-	if top > pipe.TopN {
-		// A depth above the paper's 100-candidate default (operator
-		// raised -max-top) must widen the raw ranking too, or filtering
-		// would silently truncate at TopN.
-		pipe.TopN = top
-	}
-	src := &rewrite.ResultSource{Index: s.idx}
-	cands, err := pipe.RewriteContext(ctx, src, qid)
+	pre, err := s.idx.precomputed(ctx, qid, top)
 	if err != nil {
 		status, msg := scoreErrorInfo(err)
 		return nil, status, msg
 	}
-	return rendered(appendRewriteJSON(nil, q, src.Name(), len(cands), func(i int) (string, float64) {
-		return cands[i].Text, cands[i].Score
-	}))
-}
-
-// rendered is rewriteBody's outcome for what the renderer returned: the
-// body, or a 500 carrying the renderer's error.
-func rendered(body []byte, err error) ([]byte, int, string) {
+	body, err := appendRewriteJSON(nil, q, s.idx.VariantName(), len(pre), func(i int) (string, float64) {
+		return s.idx.Query(pre[i].Node), pre[i].Score
+	})
 	if err != nil {
-		return body, http.StatusInternalServerError, err.Error()
+		return nil, http.StatusInternalServerError, err.Error()
 	}
 	return body, http.StatusOK, ""
-}
-
-// rankedList is /similar's lookup of either side's ranked list. A
-// snapshot's reports a failed or quarantined segment load as an error and
-// an expired deadline before loading, as /rewrite's TopRewritesContext
-// does; an in-memory index has nothing to load.
-func rankedList(ctx context.Context, idx ScoreIndex, side clickgraph.Side, id, k int) ([]sparse.Scored, error) {
-	if snap, ok := idx.(*Snapshot); ok {
-		return snap.ranked(ctx, side, id, k)
-	}
-	if side == clickgraph.QuerySide {
-		return idx.TopRewrites(id, k), nil
-	}
-	return idx.TopSimilarAds(id, k), nil
 }
 
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
@@ -653,7 +618,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "give exactly one of q or ad", http.StatusBadRequest)
 		return
 	}
-	top, err := s.topParam(params)
+	top, err := topParam(params)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -673,14 +638,10 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("%s %q not in index", side, subject), http.StatusNotFound)
 		return
 	}
-	scored, err := rankedList(r.Context(), s.idx, side, id, top)
-	// The ranked lookup may have sat on a slow (or fault-injected) segment
-	// load; honor the request deadline before serializing.
-	if err == nil {
-		err = r.Context().Err()
-	}
+	scored, err := s.idx.ranked(r.Context(), side, id, s.depth(top))
 	if err != nil {
-		scoreError(w, err)
+		status, msg := scoreErrorInfo(err)
+		http.Error(w, msg, status)
 		return
 	}
 	body, err := appendRewriteJSON(nil, subject, s.idx.VariantName(), len(scored), func(i int) (string, float64) {
@@ -694,8 +655,8 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 type BatchRequest struct {
 	Queries []string `json:"queries"`
 	// Top is the rewrite depth for every query; 0 means the server's
-	// default, and values above MaxTop are clamped like the single
-	// endpoint's top parameter.
+	// default, and every depth is capped at the snapshot's K like the
+	// single endpoint's top parameter.
 	Top int `json:"top"`
 }
 
@@ -853,73 +814,29 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	top := req.Top
-	if top == 0 {
-		top = s.cfg.DefaultTop
-	}
-	if top < 0 {
+	if req.Top < 0 {
 		http.Error(w, fmt.Sprintf("bad top %d: want a positive integer", req.Top), http.StatusBadRequest)
 		return
 	}
-	if top > s.cfg.MaxTop {
-		top = s.cfg.MaxTop
-	}
 
 	// One read lock for the whole batch: every item answers from the
-	// same index generation even if a reload lands mid-request.
+	// same snapshot even if a reload lands mid-request. An item is a
+	// section lookup, cheaper than starting a goroutine, so the items are
+	// answered here, in order.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// A section lookup costs less than starting a goroutine, so a batch
-	// the section answers is answered here, in order. A live-pipeline
-	// batch has at most batchConcurrency items scored at once, this
-	// goroutine's included: the workers claim positions off a shared
-	// counter.
-	workers := min(s.batchConcurrency, len(req.Queries))
-	if snap, ok := s.idx.(*Snapshot); ok && snap.RewriteSectionUsable(top, s.bidHash) {
-		workers = 1
-	}
+	top := s.depth(req.Top)
 	results := make([]json.RawMessage, len(req.Queries))
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(req.Queries) {
-				return
-			}
-			results[i] = s.batchItem(r.Context(), req.Queries[i], top)
+	for i, q := range req.Queries {
+		body, status, msg := s.rewriteBody(r.Context(), q, top)
+		if status != http.StatusOK {
+			results[i] = BatchItemError{Query: q, Error: msg, Status: status}.Item()
+			continue
 		}
+		// Already-rendered JSON embeds as-is, minus its trailing newline.
+		results[i] = body[:len(body)-1]
 	}
-	var wg sync.WaitGroup
-	for n := workers; n > 1; n-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 	writeJSON(w, http.StatusOK, EncodeBatchResponse(results), nil)
-}
-
-// batchItem answers one query of a batch: the single endpoint's bytes
-// minus their trailing newline (already-rendered JSON embeds as-is), or
-// the BatchItemError for the status and message it would have answered. A
-// panic under it is that item's 500 and one more in /stats' panics — the
-// items run on goroutines instrument's recover does not cover, where an
-// unrecovered panic would end the daemon.
-func (s *Server) batchItem(ctx context.Context, q string, top int) (item json.RawMessage) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.panics.Add(1)
-			item = BatchItemError{Query: q, Error: fmt.Sprintf("internal error: %v", p), Status: http.StatusInternalServerError}.Item()
-		}
-	}()
-	body, status, msg := s.rewriteBody(ctx, q, top)
-	if status != http.StatusOK {
-		return BatchItemError{Query: q, Error: msg, Status: status}.Item()
-	}
-	return body[:len(body)-1]
 }
 
 // StatsResponse is the /stats payload.
@@ -960,8 +877,8 @@ type StatsResponse struct {
 	// Mmap reports whether the served snapshot's segment bytes are
 	// memory-mapped (false: read into memory; the reader is the same).
 	Mmap bool `json:"mmap"`
-	// TopKSection describes the snapshot's precomputed rewrite section
-	// and whether this server's parameters let /rewrite use it.
+	// TopKSection describes the snapshot's precomputed rewrite section,
+	// what /rewrite answers from.
 	TopKSection *TopKSectionStats `json:"topk_section,omitempty"`
 	// Ingest is the co-located ingest controller's status and
 	// bounded-staleness gauges (SetIngestStatus); absent when the daemon
@@ -973,17 +890,12 @@ type StatsResponse struct {
 type TopKSectionStats struct {
 	// Present is whether the snapshot carries a section at all.
 	Present bool `json:"present"`
-	// K and TopN are the stored list depth and the candidate-pool size
-	// the lists were filtered from.
+	// K and TopN are the stored list depth — every request's depth cap —
+	// and the candidate-pool size the lists were filtered from.
 	K    int `json:"k"`
 	TopN int `json:"top_n"`
 	// BidFiltered is whether the lists were built under a bid-term set.
 	BidFiltered bool `json:"bid_filtered"`
-	// Serving is whether this server answers every default-depth /rewrite
-	// request from the section: the default depth is within K and the
-	// parameters match. A quarantined blob does not clear it; that shows
-	// under quarantined, side "topk".
-	Serving bool `json:"serving"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1008,23 +920,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Endpoints[name] = c.snapshot()
 	}
 	resp.Generation = s.generationIdentity()
-	if snap, ok := s.idx.(*Snapshot); ok {
-		meta := snap.Meta()
-		resp.Snapshot = &meta
-		resp.LoadedSegments = snap.LoadedSegments()
-		if err := snap.Err(); err != nil {
-			resp.IndexError = err.Error()
-		}
-		resp.Quarantined = snap.Quarantined()
-		resp.QuarantinedShards = len(resp.Quarantined)
-		resp.Mmap = snap.Mmapped()
-		resp.TopKSection = &TopKSectionStats{
-			Present:     meta.RewriteTopK > 0,
-			K:           meta.RewriteTopK,
-			TopN:        meta.RewriteTopN,
-			BidFiltered: meta.RewriteBidFiltered,
-			Serving:     s.cfg.DefaultTop <= meta.RewriteTopK && snap.RewriteSectionUsable(s.cfg.DefaultTop, s.bidHash),
-		}
+	meta := s.idx.Meta()
+	resp.Snapshot = &meta
+	resp.LoadedSegments = s.idx.LoadedSegments()
+	if err := s.idx.Err(); err != nil {
+		resp.IndexError = err.Error()
+	}
+	resp.Quarantined = s.idx.Quarantined()
+	resp.QuarantinedShards = len(resp.Quarantined)
+	resp.Mmap = s.idx.Mmapped()
+	resp.TopKSection = &TopKSectionStats{
+		Present:     meta.RewriteTopK > 0,
+		K:           meta.RewriteTopK,
+		TopN:        meta.RewriteTopN,
+		BidFiltered: meta.RewriteBidFiltered,
 	}
 	body, err := json.Marshal(resp)
 	writeJSON(w, http.StatusOK, append(body, '\n'), err)
@@ -1057,31 +966,18 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	ingest := s.ingestStatus() // called under no server locks
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	resp := ReadyResponse{Status: "ok", Ingest: ingest}
+	resp := ReadyResponse{Status: "ok", Ingest: ingest, Generation: s.generationIdentity()}
 	code := http.StatusOK
-	if s.idx == nil {
-		resp.Status = "unready"
-		code = http.StatusServiceUnavailable
-	} else if snap, ok := s.idx.(*Snapshot); ok {
-		resp.Generation = s.generationIdentity()
-		if quar := snap.Quarantined(); len(quar) > 0 {
-			resp.Status = "degraded"
-			resp.Quarantined = quar
-			// Only the score-segment sides decide unreadiness: a
-			// quarantined topk blob costs the fast path, not answers —
-			// /rewrite falls back to the live pipeline.
-			scoring := 0
-			for _, h := range quar {
-				if h.Side != "topk" {
-					scoring++
-				}
-			}
-			if scoring >= 2*snap.NumShards() {
-				// Every score segment of every shard is quarantined:
-				// nothing can be answered — unready, not degraded.
-				resp.Status = "unready"
-				code = http.StatusServiceUnavailable
-			}
+	if quar := s.idx.Quarantined(); len(quar) > 0 {
+		resp.Status = "degraded"
+		resp.Quarantined = quar
+		// Each shard has three sides — query and ad score segments for
+		// /similar, the top-k blob for /rewrite. Only when every side of
+		// every shard is quarantined can nothing be answered: unready, not
+		// degraded.
+		if len(quar) == 3*s.idx.NumShards() {
+			resp.Status = "unready"
+			code = http.StatusServiceUnavailable
 		}
 	}
 	// A degraded ingest pipeline (refresh failing, staleness growing)

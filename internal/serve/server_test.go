@@ -14,13 +14,29 @@ import (
 	"simrankpp/internal/core"
 )
 
+// fig3Server serves Figure 3's scores, saved as simrank -save saves them
+// (a top-k section of DefaultRewriteTopK), and returns the result they
+// were saved from.
 func fig3Server(t *testing.T, cfg Config) (*Server, *core.Result) {
 	t.Helper()
-	res, err := core.Run(clickgraph.Fig3(), core.DefaultConfig())
+	res := fig3Result(t, core.DefaultConfig())
+	return NewServer(mustSnapshot(t, res, DefaultRewriteTopK), cfg), res
+}
+
+func fig3Result(t *testing.T, cfg core.Config) *core.Result {
+	t.Helper()
+	res, err := core.Run(clickgraph.Fig3(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewServer(res, cfg), res
+	return res
+}
+
+// fig3Weighted is Figure 3 under weighted SimRank, saved with a section:
+// a second generation to swap in.
+func fig3Weighted(t *testing.T) *Snapshot {
+	t.Helper()
+	return mustSnapshot(t, fig3Result(t, core.DefaultConfig().WithVariant(core.Weighted)), DefaultRewriteTopK)
 }
 
 func get(t *testing.T, h http.Handler, url string) (int, []byte) {
@@ -117,7 +133,7 @@ func TestServerSimilarEndpoint(t *testing.T) {
 // with its error classes, and cache_hits always 0 — a repeated read is
 // answered afresh, to the same bytes.
 func TestServerStats(t *testing.T) {
-	srv, _ := fig3Server(t, Config{DefaultTop: 5, MaxTop: 10})
+	srv, _ := fig3Server(t, Config{DefaultTop: 5})
 	h := srv.Handler()
 
 	_, first := get(t, h, "/rewrite?q=camera")
@@ -158,11 +174,49 @@ func TestServerStats(t *testing.T) {
 	if ep := stats.Endpoints["stats"]; ep.Requests != 1 {
 		t.Errorf("stats endpoint did not count itself: %+v", ep)
 	}
-	if stats.Queries != 5 || stats.Method != "simrank" {
+	if stats.Queries != 5 || stats.Method != "simrank" || stats.Snapshot == nil {
 		t.Errorf("index stats = %+v", stats)
 	}
-	if stats.Snapshot != nil {
-		t.Error("live result reported snapshot metadata")
+}
+
+// TestDepthCappedAtSectionK: the snapshot's K caps every depth — a top the
+// request gives and DefaultTop when it gives none — on /rewrite, /similar
+// and /batch alike. Here DefaultTop 5 sits above a K = 2 section, and the
+// probed query has more than 2 partners and rewrites.
+func TestDepthCappedAtSectionK(t *testing.T) {
+	g := refreshGraph(t, [4]int{1, 2, 3, 4})
+	res, err := core.Run(g, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := mustSnapshot(t, res, 2)
+	q := -1
+	for c := 0; c < g.NumQueries() && q < 0; c++ {
+		if list, _ := snap.PrecomputedRewrites(c, 2); len(list) == 2 && len(res.TopRewrites(c, -1)) > 2 {
+			q = c
+		}
+	}
+	if q < 0 {
+		t.Fatal("no query with a full K = 2 list and more than 2 partners")
+	}
+	h := serverOver(snap, func(c *Config) { c.DefaultTop = 5 }).Handler()
+	name := url.QueryEscape(g.Query(q))
+	for _, u := range []string{"/similar?q=" + name, "/similar?q=" + name + "&top=9", "/rewrite?q=" + name, "/rewrite?q=" + name + "&top=9"} {
+		code, body := get(t, h, u)
+		var resp rewriteResponse
+		if code != http.StatusOK || json.Unmarshal(body, &resp) != nil || len(resp.Rewrites) != 2 {
+			t.Errorf("GET %s = %d %s, want 2 answers", u, code, body)
+		}
+	}
+	for _, top := range []int{0, 9} {
+		body, _ := json.Marshal(BatchRequest{Queries: []string{g.Query(q)}, Top: top})
+		code, raw := postBatch(t, h, string(body))
+		var resp BatchResponse
+		var item rewriteResponse
+		if code != http.StatusOK || json.Unmarshal(raw, &resp) != nil || len(resp.Results) != 1 ||
+			json.Unmarshal(resp.Results[0], &item) != nil || len(item.Rewrites) != 2 {
+			t.Errorf("POST /batch at top %d = %d %s, want 2 answers", top, code, raw)
+		}
 	}
 }
 
@@ -190,11 +244,10 @@ func TestServerReadyzHealthy(t *testing.T) {
 }
 
 // TestGenerationIdentitySurfaced pins the fleet-agreement contract: a
-// snapshot-backed server reports its generation identity (journal id,
-// graph fingerprint hex, generated-at, dirty count) in both /readyz and
-// /stats, identically — the key a read gateway compares across replicas
-// to keep answers generation-consistent. A live (non-snapshot) index
-// reports none.
+// server reports its snapshot's generation identity (journal id, graph
+// fingerprint hex, generated-at, dirty count) in both /readyz and /stats,
+// identically — the key a read gateway compares across replicas to keep
+// answers generation-consistent.
 func TestGenerationIdentitySurfaced(t *testing.T) {
 	res, err := core.Run(testGraph(t), core.DefaultConfig())
 	if err != nil {
@@ -234,17 +287,6 @@ func TestGenerationIdentitySurfaced(t *testing.T) {
 	if stats.Generation == nil || *stats.Generation != *ready.Generation {
 		t.Errorf("stats generation = %+v, want the same identity readyz reports (%+v)",
 			stats.Generation, ready.Generation)
-	}
-
-	// A live-result server has no snapshot generation to agree on.
-	live, _ := fig3Server(t, DefaultServerConfig())
-	_, body = get(t, live.Handler(), "/readyz")
-	var liveReady ReadyResponse
-	if err := json.Unmarshal(body, &liveReady); err != nil {
-		t.Fatal(err)
-	}
-	if liveReady.Generation != nil {
-		t.Errorf("live-index readyz reports a generation: %+v", liveReady.Generation)
 	}
 }
 
@@ -289,11 +331,7 @@ func TestReloadFallsBackToGoodIndex(t *testing.T) {
 		_, err := NewSnapshot(bytes.NewReader([]byte("short")), 5)
 		return nil, err
 	}
-	wres, err := core.Run(clickgraph.Fig3(), core.DefaultConfig().WithVariant(core.Weighted))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fallback := func() (ScoreIndex, error) { return wres, nil }
+	fallback := func() (ScoreIndex, error) { return fig3Weighted(t), nil }
 	if err := srv.Reload(badLoad, fallback, nil, t.Logf); err != nil {
 		t.Fatalf("Reload with working fallback failed: %v", err)
 	}
@@ -313,21 +351,46 @@ func TestReloadFallsBackToGoodIndex(t *testing.T) {
 	}
 }
 
+// TestReloadRefusesUnservableIndex: a reload swaps in only a snapshot the
+// server can answer /rewrite from. One without a top-k section, one whose
+// lists were filtered under another bid-term set, and an index that is no
+// snapshot are each a failed load — counted, closed when a snapshot, the
+// old snapshot still serving — and a fallback is held to the same rule.
+func TestReloadRefusesUnservableIndex(t *testing.T) {
+	srv, res := fig3Server(t, DefaultServerConfig())
+	h := srv.Handler()
+	_, before := get(t, h, "/rewrite?q=camera")
+	bare := mustSnapshot(t, res, 0)
+	var buf bytes.Buffer
+	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: DefaultRewriteTopK, BidTerms: map[string]bool{"pc": true}}); err != nil {
+		t.Fatal(err)
+	}
+	otherBids, err := NewSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, idx := range map[string]ScoreIndex{"no section": bare, "other bid set": otherBids, "a live result": res} {
+		load := func() (ScoreIndex, error) { return idx, nil }
+		if err := srv.Reload(load, load, nil, t.Logf); err == nil {
+			t.Errorf("%s: reload succeeded", name)
+		}
+	}
+	if got := srv.reloadFailures.Load(); got != 3 {
+		t.Errorf("reload failures = %d, want 3", got)
+	}
+	if code, after := get(t, h, "/rewrite?q=camera"); code != http.StatusOK || !bytes.Equal(before, after) {
+		t.Errorf("after refused reloads /rewrite = %d %s, want the old snapshot's %s", code, after, before)
+	}
+}
+
 // TestConcurrentSwapUnderLoad races index swaps against in-flight
 // requests — the reload-under-load path. Run under -race (CI's chaos job
 // does) it proves swap's drain and the handlers' read lock compose;
 // functionally it checks every response is well-formed and the server
 // survives.
 func TestConcurrentSwapUnderLoad(t *testing.T) {
-	res, err := core.Run(clickgraph.Fig3(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wres, err := core.Run(clickgraph.Fig3(), core.DefaultConfig().WithVariant(core.Weighted))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(res, Config{DefaultTop: 5, MaxTop: 10})
+	snap, wsnap := mustSnapshot(t, fig3Result(t, core.DefaultConfig()), DefaultRewriteTopK), fig3Weighted(t)
+	srv := NewServer(snap, Config{DefaultTop: 5})
 	h := srv.Handler()
 
 	const loops = 50
@@ -359,9 +422,9 @@ func TestConcurrentSwapUnderLoad(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < loops; i++ {
 			if i%2 == 0 {
-				srv.swap(wres, nil)
+				srv.swap(wsnap, nil)
 			} else {
-				srv.swap(res, nil)
+				srv.swap(snap, nil)
 			}
 		}
 	}()
@@ -409,18 +472,15 @@ func TestServerSnapshotSwap(t *testing.T) {
 	}
 	// Swap in a weighted run: the same request now answers the new
 	// scores under the new method, and /stats counts the swap.
-	wres, err := core.Run(clickgraph.Fig3(), core.DefaultConfig().WithVariant(core.Weighted))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old := srv.swap(wres, nil); old != ScoreIndex(snap) {
+	wsnap := fig3Weighted(t)
+	if old := srv.swap(wsnap, nil); old != snap {
 		t.Error("swap did not return the previous index")
 	}
 	code, body = get(t, h, "/rewrite?q=camera")
 	if code != http.StatusOK {
 		t.Fatalf("rewrite after swap = %d", code)
 	}
-	_, want := get(t, NewServer(wres, DefaultServerConfig()).Handler(), "/rewrite?q=camera")
+	_, want := get(t, NewServer(wsnap, DefaultServerConfig()).Handler(), "/rewrite?q=camera")
 	if !bytes.Equal(body, want) || bytes.Equal(body, before) {
 		t.Errorf("rewrite after swap = %s, want the swapped-in index's %s (before: %s)", body, want, before)
 	}
@@ -435,8 +495,8 @@ func TestServerSnapshotSwap(t *testing.T) {
 	if _, body := get(t, h, "/stats"); json.Unmarshal(body, &stats) != nil {
 		t.Fatal("bad /stats after swap")
 	}
-	if stats.Reloads != 1 || stats.Method != "weighted simrank" || stats.Snapshot != nil {
-		t.Errorf("/stats after swap = %+v, want 1 reload of the weighted live result", stats)
+	if stats.Reloads != 1 || stats.Method != "weighted simrank" {
+		t.Errorf("/stats after swap = %+v, want 1 reload of the weighted snapshot", stats)
 	}
 }
 

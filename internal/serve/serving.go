@@ -7,27 +7,29 @@ import "fmt"
 // half of generation rollback: a corrupt new file rolls a daemon back
 // instead of keeping it down), every segment loaded and verified first
 // when preload is set; and either way the journal id of what opened, so
-// /readyz and /stats carry a full generation identity. When nothing
-// opens the error is the path's. logf gets a line per fallback step and
-// may be nil.
-func OpenServing(path string, preload bool, logf func(format string, args ...any)) (*Snapshot, uint64, error) {
-	snap, err := openVerified(path, preload)
+// /readyz and /stats carry a full generation identity. A snapshot opens
+// only when a server with bid-term set bids can answer from it
+// (servable). When nothing opens the error is the path's. logf gets a
+// line per fallback step and may be nil.
+func OpenServing(path string, preload bool, bids map[string]bool, logf func(format string, args ...any)) (*Snapshot, uint64, error) {
+	bidHash := BidTermsHash(bids)
+	snap, err := openVerified(path, preload, bidHash)
 	if err != nil {
 		orSilent(logf)("serve: %s failed to open: %v", path, err)
 		var ferr error
-		if snap, ferr = openLastGood(path, preload, logf); ferr != nil {
+		if snap, ferr = openLastGood(path, preload, bidHash, logf); ferr != nil {
 			return nil, 0, err
 		}
 	}
 	return snap, journalID(path, snap), nil
 }
 
-// ReloadServing re-opens path as OpenServing does and swaps the result
-// in through Reload: one reload at a time, the generation id set in the
-// same write section as the index, so /readyz and /stats never pair one
-// snapshot's fingerprint with another's id; the replaced snapshot is
-// closed once no request reads it, and when nothing opens the current
-// index keeps serving and the path's error is returned.
+// ReloadServing re-opens path as OpenServing does, under the server's bid
+// set, and swaps the result in through Reload: one reload at a time, the
+// generation id set in the same write section as the index, so /readyz
+// and /stats never pair one snapshot's fingerprint with another's id; the
+// replaced snapshot is closed once no request reads it, and when nothing
+// opens the current index keeps serving and the path's error is returned.
 func (s *Server) ReloadServing(path string, preload bool, logf func(format string, args ...any)) error {
 	var id uint64
 	identified := func(snap *Snapshot, err error) (ScoreIndex, error) {
@@ -38,37 +40,54 @@ func (s *Server) ReloadServing(path string, preload bool, logf func(format strin
 		return snap, nil
 	}
 	return s.reload(
-		func() (ScoreIndex, error) { return identified(openVerified(path, preload)) },
-		func() (ScoreIndex, error) { return identified(openLastGood(path, preload, logf)) },
+		func() (ScoreIndex, error) { return identified(openVerified(path, preload, s.bidHash)) },
+		func() (ScoreIndex, error) { return identified(openLastGood(path, preload, s.bidHash, logf)) },
 		&id,
-		func(old ScoreIndex) {
-			if c, ok := old.(*Snapshot); ok {
-				c.Close()
-			}
-		}, logf)
+		func(old ScoreIndex) { old.(*Snapshot).Close() }, logf)
 }
 
-// openVerified opens one snapshot file; with preload, a snapshot whose
-// segments do not all load and verify is closed and is an error.
-func openVerified(path string, preload bool) (*Snapshot, error) {
-	snap, err := OpenSnapshot(path)
-	if err == nil && preload {
-		if err = snap.PreloadAll(); err != nil {
-			snap.Close()
-			return nil, err
-		}
+// servable refuses a snapshot a server under the bid-term set bidHash
+// identifies cannot answer /rewrite from: one without a top-k section, or
+// one whose lists were filtered under another bid-term set.
+func servable(snap *Snapshot, bidHash uint64) error {
+	m := snap.Meta()
+	if m.RewriteTopK == 0 {
+		return fmt.Errorf("serve: snapshot has no top-k rewrite section to answer /rewrite from")
 	}
-	return snap, err
+	if m.RewriteBidHash != bidHash {
+		return fmt.Errorf("serve: snapshot's rewrite lists were filtered under another bid-term set (hash %016x) than -bids gives (hash %016x)",
+			m.RewriteBidHash, bidHash)
+	}
+	return nil
+}
+
+// openVerified opens one snapshot file a server under bidHash can answer
+// from (servable); with preload, a snapshot whose segments do not all
+// load and verify is closed and is an error.
+func openVerified(path string, preload bool, bidHash uint64) (*Snapshot, error) {
+	snap, err := OpenSnapshot(path)
+	if err != nil {
+		return nil, err
+	}
+	if err = servable(snap, bidHash); err == nil && preload {
+		err = snap.PreloadAll()
+	}
+	if err != nil {
+		snap.Close()
+		return nil, err
+	}
+	return snap, nil
 }
 
 // openLastGood opens the newest generation journaled beside the serving
-// path that verifies end to end.
-func openLastGood(serving string, preload bool, logf func(format string, args ...any)) (*Snapshot, error) {
+// path that verifies end to end and a server under bidHash can answer
+// from.
+func openLastGood(serving string, preload bool, bidHash uint64, logf func(format string, args ...any)) (*Snapshot, error) {
 	gen, err := NewGenerationStore(serving).LastGood()
 	if err != nil {
 		return nil, err
 	}
-	snap, err := openVerified(gen.SnapPath, preload)
+	snap, err := openVerified(gen.SnapPath, preload, bidHash)
 	if err == nil {
 		orSilent(logf)("serve: serving journaled generation %d (%s)", gen.ID, gen.SnapPath)
 	}

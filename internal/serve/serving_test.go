@@ -38,7 +38,7 @@ func TestOpenServing(t *testing.T) {
 		if _, err := commitAndPublish(gs, fx); err != nil {
 			t.Fatal(err)
 		}
-		snap, id, err := OpenServing(path, true, t.Logf)
+		snap, id, err := OpenServing(path, true, nil, t.Logf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestOpenServing(t *testing.T) {
 		replaceWith(t, path, []byte("not a snapshot"))
 		replaceWith(t, gen2.SnapPath, fx.gen2[:len(fx.gen2)/2])
 		var lines []string
-		snap, id, err := OpenServing(path, false, func(f string, a ...any) { lines = append(lines, fmt.Sprintf(f, a...)) })
+		snap, id, err := OpenServing(path, false, nil, func(f string, a ...any) { lines = append(lines, fmt.Sprintf(f, a...)) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestOpenServing(t *testing.T) {
 	t.Run("file without a journal has id 0", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "scores.snap")
 		replaceWith(t, path, fx.gen1)
-		snap, id, err := OpenServing(path, false, nil)
+		snap, id, err := OpenServing(path, false, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestOpenServing(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "scores.snap")
 		replaceWith(t, path, []byte("not a snapshot"))
 		_, wantErr := OpenSnapshot(path)
-		snap, _, err := OpenServing(path, false, nil)
+		snap, _, err := OpenServing(path, false, nil, nil)
 		if snap != nil || err == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("OpenServing = %v, %v; want the open error %q, not the journal's", snap, err, wantErr)
 		}
@@ -111,12 +111,12 @@ func TestOpenServingPreloadFailureClosesSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scores.snap")
 	replaceWith(t, path, bad)
 
-	if snap, _, err := OpenServing(path, false, nil); err != nil {
+	if snap, _, err := OpenServing(path, false, nil, nil); err != nil {
 		t.Fatalf("without preload the damaged segment must not fail the open: %v", err)
 	} else {
 		snap.Close()
 	}
-	if _, _, err := OpenServing(path, true, nil); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, _, err := OpenServing(path, true, nil, nil); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("OpenServing with preload = %v, want the segment's checksum failure", err)
 	}
 
@@ -141,7 +141,7 @@ func TestOpenServingPreloadFailureClosesSnapshot(t *testing.T) {
 func TestReloadServingReportsPublishedGeneration(t *testing.T) {
 	fx := buildGenFixture(t)
 	path, gs, _ := servingDir(t, fx)
-	snap, id, err := OpenServing(path, false, nil)
+	snap, id, err := OpenServing(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestReloadServingPairsIDWithFingerprint(t *testing.T) {
 	}
 	ids := map[string]uint64{hex(fx.fp1): 1, hex(fx.fp2): g2.ID, hex(fx.fp3): g3.ID}
 	gens := [][]byte{fx.gen1, fx.gen2, fx.gen3}
-	snap, id, err := OpenServing(path, false, nil)
+	snap, id, err := OpenServing(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +299,10 @@ func TestReloadServingPairsIDWithFingerprint(t *testing.T) {
 // waits on a reload — a fold holding the controller while it publishes
 // and swaps — cannot deadlock against the probe.
 func TestIngestStatusCalledUnderNoServerLock(t *testing.T) {
-	srv, res := fig3Server(t, DefaultServerConfig())
+	srv, _ := fig3Server(t, DefaultServerConfig())
+	snap := srv.Index().(*Snapshot)
 	srv.SetIngestStatus(func() IngestStatus {
-		srv.swap(res, nil) // takes the index write lock
+		srv.swap(snap, nil) // takes the index write lock
 		return IngestStatus{Degraded: true, Reason: "folds failing"}
 	})
 	h := srv.Handler()
@@ -326,13 +327,14 @@ func TestIngestStatusCalledUnderNoServerLock(t *testing.T) {
 // swap, another (ReloadServing goes through the same Reload) does not
 // start opening, so an older open never swaps in over a newer one.
 func TestReloadsRunOneAtATime(t *testing.T) {
-	srv, res := fig3Server(t, DefaultServerConfig())
+	srv, _ := fig3Server(t, DefaultServerConfig())
+	snap := srv.Index()
 	entered, release := make(chan string, 2), make(chan struct{})
 	load := func(name string) func() (ScoreIndex, error) {
 		return func() (ScoreIndex, error) {
 			entered <- name
 			<-release
-			return res, nil
+			return snap, nil
 		}
 	}
 	done := make(chan error, 2)

@@ -93,7 +93,8 @@ type ShardHealth struct {
 	RetryAt  time.Time `json:"retry_at"`
 }
 
-// Snapshot is a loaded snapshot file implementing ScoreIndex. Opening
+// Snapshot is a loaded snapshot file implementing ScoreIndex, and what a
+// Server answers from. Opening
 // reads only the header, string table, route map and directory — O(nodes),
 // independent of how many scores the file holds; each shard's score
 // segments are fetched, verified and indexed on first access, then
@@ -587,16 +588,10 @@ func (s *Snapshot) ranked(ctx context.Context, side clickgraph.Side, id, k int) 
 }
 
 // TopRewrites implements ScoreIndex; a failed segment load answers an
-// empty ranking (TopRewritesContext reports it).
+// empty ranking (the server's ranked lookup reports it).
 func (s *Snapshot) TopRewrites(q, k int) []sparse.Scored {
 	out, _ := s.ranked(context.Background(), clickgraph.QuerySide, q, k)
 	return out
-}
-
-// TopRewritesContext is TopRewrites under a request deadline, with load
-// failures reported (ranked).
-func (s *Snapshot) TopRewritesContext(ctx context.Context, q, k int) ([]sparse.Scored, error) {
-	return s.ranked(ctx, clickgraph.QuerySide, q, k)
 }
 
 // TopSimilarAds implements ScoreIndex, like TopRewrites.

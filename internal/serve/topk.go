@@ -2,6 +2,7 @@ package serve
 
 import (
 	"cmp"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -19,14 +20,11 @@ import (
 // The precomputed top-k rewrite section: at save/refresh time the full
 // §9.3 pipeline (top-100 candidate pool, stem dedup, bid-term filter)
 // runs once per stored query and its surviving rewrites land in the
-// snapshot, so /rewrite becomes a single in-place list lookup instead
-// of per-candidate scoring. The lists are the pipeline's bytes by
-// construction — the same rewrite.Pipeline code filters them here and
-// at serve time, fed by the same sorted candidate ranking — so a server
-// whose effective parameters match the header's (identical candidate-pool
-// size, identical bid-term set) answers byte-identically from the section
-// or the live pipeline, at any depth within k and, for a list shorter
-// than k, at any depth the pool allows.
+// snapshot, so /rewrite is a single in-place list lookup — the offline
+// computation and online lookup of the paper's Figure 2. The pipeline
+// keeps survivors in ranking order and stops at k, so the first top
+// entries of a stored list are its answer at any depth top ≤ k: the
+// section answers every /rewrite a server accepts, and k caps them.
 //
 // Per-shard blob layout (all integers little-endian, offsets relative
 // to the blob start, ids global — both properties are what make a blob
@@ -40,24 +38,25 @@ import (
 // Every query routed to the shard gets an entry (length 0 allowed), so
 // a missing entry is a structural fault, never an empty answer.
 
-// DefaultRewriteTopK is the simrank CLI's -rewrite-topk default list depth:
-// deep enough for the paper's top-5 serving depth plus headroom for
-// operators raising -top, shallow enough to stay a rounding error next
-// to the score segments.
-const DefaultRewriteTopK = 16
+// DefaultRewriteTopK is the list depth every simrank -save writes: the
+// §9.3 candidate pool, so a stored list is every survivor the pool has
+// room for. A list holds what survives stem dedup and the bid filter, not
+// k entries, so the depth costs bytes only where lists run that long.
+const DefaultRewriteTopK = 100
 
 // TopKOptions configures the precomputed rewrite section.
 type TopKOptions struct {
-	// K is the stored list depth; 0 disables the section.
+	// K is the stored list depth; 0 writes no section, and such a
+	// snapshot is not served.
 	K int
 	// BidTerms is the bid-term filter the lists are built under — it
 	// must match the serving daemon's -bids set (compared by hash) for
-	// the section to be served.
+	// the snapshot to be served.
 	BidTerms map[string]bool
 }
 
-// meta derives the header parameters: the candidate pool mirrors the
-// serving pipeline's TopN growth (100, grown to K when K exceeds it).
+// meta derives the header parameters: the candidate pool is the
+// pipeline's 100, grown to K when K exceeds it.
 func (o TopKOptions) meta() topkMeta {
 	if o.K <= 0 {
 		return topkMeta{}
@@ -91,9 +90,8 @@ func BidTermsHash(terms map[string]bool) uint64 {
 }
 
 // topkSliceSource feeds a prebuilt ranked candidate list through the
-// real rewrite.Pipeline — literally the serving filter code running at
-// build time, which is what guarantees stored lists match live answers
-// byte for byte.
+// real rewrite.Pipeline — the same filter code the CLI and the
+// experiments run, which is what ties stored lists to the §9.3 definition.
 type topkSliceSource struct {
 	list []sparse.Scored
 }
@@ -279,11 +277,15 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 	pipe.TopN = topN
 	src := &topkSliceSource{}
 
-	// A list holds at most k rewrites and at most its kept partners, which
-	// bounds the blob before the pipeline runs.
+	// A list holds at most k rewrites, and under a bid list only bid
+	// partners survive, which bounds the blob before the pipeline runs.
 	recs := 0
 	for p := range ids {
-		recs += min(int(tk.k), start[p+1]-start[p])
+		kept := rowLen[p]
+		if bid != nil {
+			kept = bidLen[p]
+		}
+		recs += min(int(tk.k), kept)
 	}
 	blob := make([]byte, 4+len(ids)*topkEntrySize, 4+len(ids)*topkEntrySize+recs*topkRecSize)
 	binary.LittleEndian.PutUint32(blob, uint32(len(ids)))
@@ -374,68 +376,46 @@ func validateTopKBlob(b []byte, k int) error {
 	return nil
 }
 
-// RewriteSectionUsable reports whether the snapshot's precomputed
-// section can answer a /rewrite request at depth top under the bid-term
-// set identified by bidHash, byte-identically to the live pipeline: the
-// bid sets must match, and the server's effective candidate pool
-// (max(100, top), mirroring the pipeline's TopN growth) must equal the
-// pool the lists were filtered from — a differing pool could admit
-// different survivors, so the server falls back to live scoring instead
-// of guessing. A top deeper than the stored k passes; whether one list
-// answers it is PrecomputedRewrites' call.
-func (s *Snapshot) RewriteSectionUsable(top int, bidHash uint64) bool {
-	if s.meta.RewriteTopK <= 0 || top <= 0 {
-		return false
+// precomputed answers query q at depth top from the snapshot's top-k
+// section: one route lookup, one (lazily verified) blob, one binary
+// search, one bounded copy. Callers cap top at the section's k; a
+// negative top reads the whole list. Like ranked, it honors the request
+// deadline before the (possibly slow) first blob load and after it, and a
+// failed load, a quarantined blob, a snapshot without a section or a
+// query without an entry is an error, never an empty answer.
+func (s *Snapshot) precomputed(ctx context.Context, q, top int) ([]sparse.Scored, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if s.meta.RewriteBidHash != bidHash {
-		return false
+	if s.meta.RewriteTopK == 0 {
+		return nil, fmt.Errorf("serve: snapshot has no top-k rewrite section")
 	}
-	pool := top
-	if pool < 100 {
-		pool = 100
+	si := int(s.qRoute[q])
+	blob, err := s.topkBlob(si)
+	if err != nil {
+		return nil, err
 	}
-	return pool == s.meta.RewriteTopN
-}
-
-// PrecomputedRewrites answers query q at depth top from the snapshot's
-// top-k section: one route lookup, one (lazily verified) blob, one
-// binary search, one bounded copy. The boolean is false — caller falls
-// back to the pipeline — when the section is absent, the blob is
-// quarantined, q has no entry, or top is deeper than k and q's list
-// holds k rewrites. Callers must check RewriteSectionUsable first for
-// byte-identity with live answers.
-//
-// A list shorter than k is complete: the pipeline that built it stops at
-// k rewrites or when its candidates run out, so it ran out, and under
-// the same pool and bid set a deeper cap walks the same candidates to
-// the same survivors. Only a full list may have been cut at k.
-func (s *Snapshot) PrecomputedRewrites(q, top int) ([]sparse.Scored, bool) {
-	k := s.meta.RewriteTopK
-	if k == 0 || top < 0 || q < 0 || q >= len(s.qRoute) {
-		return nil, false
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	blob, err := s.topkBlob(int(s.qRoute[q]))
-	if err != nil || len(blob) == 0 {
-		return nil, false
+	n := 0
+	if len(blob) > 0 {
+		n = int(binary.LittleEndian.Uint32(blob))
 	}
-	n := int(binary.LittleEndian.Uint32(blob))
 	e := sort.Search(n, func(e int) bool {
 		return binary.LittleEndian.Uint32(blob[4+e*topkEntrySize:]) >= uint32(q)
 	})
 	if e == n || binary.LittleEndian.Uint32(blob[4+e*topkEntrySize:]) != uint32(q) {
-		return nil, false
+		return nil, fmt.Errorf("serve: shard %d topk blob has no entry for query %d", si, q)
 	}
 	o := 4 + e*topkEntrySize
 	off := int(binary.LittleEndian.Uint32(blob[o+4:]))
 	cnt := int(binary.LittleEndian.Uint32(blob[o+8:]))
-	if top > k && cnt == k {
-		return nil, false
-	}
-	if cnt > top {
-		cnt = top
+	if top >= 0 {
+		cnt = min(cnt, top)
 	}
 	if cnt == 0 {
-		return nil, true
+		return nil, nil
 	}
 	out := make([]sparse.Scored, cnt)
 	for r := 0; r < cnt; r++ {
@@ -445,5 +425,12 @@ func (s *Snapshot) PrecomputedRewrites(q, top int) ([]sparse.Scored, bool) {
 			Score: math.Float64frombits(binary.LittleEndian.Uint64(blob[ro+4:])),
 		}
 	}
-	return out, true
+	return out, nil
+}
+
+// PrecomputedRewrites is precomputed without a deadline: q's stored list
+// cut at top, and false when the lookup failed.
+func (s *Snapshot) PrecomputedRewrites(q, top int) ([]sparse.Scored, bool) {
+	out, err := s.precomputed(context.Background(), q, top)
+	return out, err == nil
 }

@@ -18,17 +18,20 @@ import (
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/core"
 	"simrankpp/internal/partition"
+	"simrankpp/internal/rewrite"
 	"simrankpp/internal/sparse"
+	"simrankpp/internal/sponsored"
+	"simrankpp/internal/workload"
 )
 
 // This file pins the zero-copy serving path: the one segment reader
 // answers bit-identically to the result the snapshot was written from at
 // every layer (raw lookups, segView vs a PairTable scan, HTTP bodies)
 // whether the segment bytes are a mapping or were read with ReadAt, the
-// precomputed top-k section answers byte-identically to the live
-// pipeline (including through a refresh that byte-copies clean shards'
-// lists), and the section degrades to the pipeline — never to an error —
-// when its blob is corrupt or its parameters don't match.
+// precomputed top-k section answers byte-identically to the §9.3 pipeline
+// at every depth it accepts (including through a refresh that byte-copies
+// clean shards' lists), a corrupt blob fails its own shard's /rewrite and
+// nothing else, and a snapshot built under another bid set is refused.
 
 // writeTopKFile runs g sharded and persists it with a top-k section.
 func writeTopKFile(t *testing.T, g *clickgraph.Graph, opts TopKOptions) (string, *core.Result) {
@@ -111,7 +114,7 @@ func TestMappedReadDifferential(t *testing.T) {
 
 // serverOver wraps idx in a Server with the default config, changed by
 // mutate when it is non-nil.
-func serverOver(idx ScoreIndex, mutate func(*Config)) *Server {
+func serverOver(idx *Snapshot, mutate func(*Config)) *Server {
 	cfg := DefaultServerConfig()
 	if mutate != nil {
 		mutate(&cfg)
@@ -119,48 +122,82 @@ func serverOver(idx ScoreIndex, mutate func(*Config)) *Server {
 	return NewServer(idx, cfg)
 }
 
-// pipelineServer is the reference the precomputed section is held to: a
-// server with bid set bids over res written without a section (K 0), so
-// every /rewrite runs the live pipeline over the same score segments.
-func pipelineServer(t *testing.T, res *core.Result, bids map[string]bool) http.Handler {
+// pipelineBody is the reference a /rewrite answer is held to: the §9.3
+// pipeline (a pool of 100, bid set bids, depth top) over idx's ranked
+// lists, rendered as the server renders an answer.
+func pipelineBody(t *testing.T, idx ScoreIndex, bids map[string]bool, q string, top int) []byte {
 	t.Helper()
-	return serverOver(mustSnapshot(t, res, 0), func(c *Config) { c.BidTerms = bids }).Handler()
+	id, ok := idx.QueryID(q)
+	if !ok {
+		t.Fatalf("query %q not in the index", q)
+	}
+	pipe := rewrite.NewPipeline(idx, bids)
+	pipe.MaxRewrites = top
+	src := &rewrite.ResultSource{Index: idx}
+	cands, err := pipe.Rewrite(src, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := appendRewriteJSON(nil, q, src.Name(), len(cands), func(i int) (string, float64) {
+		return cands[i].Text, cands[i].Score
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// rankedBody is the reference a /similar answer is held to: subject's
+// ranked list, rendered as the server renders an answer.
+func rankedBody(t *testing.T, idx ScoreIndex, subject string, list []sparse.Scored, name func(int) string) []byte {
+	t.Helper()
+	body, err := appendRewriteJSON(nil, subject, idx.VariantName(), len(list), func(i int) (string, float64) {
+		return name(list[i].Node), list[i].Score
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // TestMappedReadResponsesByteIdentical lifts the differential to the HTTP
 // layer: /rewrite and /similar bodies from both byte sources are
-// byte-equal to a server over the live result, for every query and ad in
-// the fixture.
+// byte-equal to the result's own — the pipeline's rewrites and ranked
+// lists — for every query and ad in the fixture, and agree on the 404s.
 func TestMappedReadResponsesByteIdentical(t *testing.T) {
 	g := testGraph(t)
 	path, res := writeTopKFile(t, g, TopKOptions{K: DefaultRewriteTopK})
 	mm, rd := openBoth(t, path)
-	hm, hr, live := serverOver(mm, nil).Handler(), serverOver(rd, nil).Handler(), serverOver(res, nil).Handler()
+	hm, hr := serverOver(mm, nil).Handler(), serverOver(rd, nil).Handler()
 
-	urls := make([]string, 0, 2*g.NumQueries()+g.NumAds())
+	want := map[string][]byte{}
 	for q := 0; q < g.NumQueries(); q++ {
-		urls = append(urls,
-			"/rewrite?q="+g.Query(q)+"&top=3",
-			"/similar?q="+g.Query(q)+"&top=4")
+		name := g.Query(q)
+		want["/rewrite?q="+name+"&top=3"] = pipelineBody(t, res, nil, name, 3)
+		want["/similar?q="+name+"&top=4"] = rankedBody(t, res, name, res.TopRewrites(q, 4), res.Query)
 	}
 	for a := 0; a < g.NumAds(); a++ {
-		urls = append(urls, "/similar?ad="+g.Ad(a)+"&top=4")
+		want["/similar?ad="+g.Ad(a)+"&top=4"] = rankedBody(t, res, g.Ad(a), res.TopSimilarAds(a, 4), res.Ad)
 	}
-	urls = append(urls, "/rewrite?q=absent-query", "/similar?q=absent-query")
-	for _, u := range urls {
-		wc, wb := get(t, live, u)
+	for u, wb := range want {
 		for name, h := range map[string]http.Handler{"mapped": hm, "read": hr} {
-			if c, b := get(t, h, u); c != wc || !bytes.Equal(b, wb) {
-				t.Fatalf("GET %s: %s %d %q, live result %d %q", u, name, c, b, wc, wb)
+			if c, b := get(t, h, u); c != http.StatusOK || !bytes.Equal(b, wb) {
+				t.Fatalf("GET %s: %s %d %q, result %q", u, name, c, b, wb)
 			}
+		}
+	}
+	for _, u := range []string{"/rewrite?q=absent-query", "/similar?q=absent-query"} {
+		mc, mb := get(t, hm, u)
+		if rc, rb := get(t, hr, u); mc != http.StatusNotFound || rc != mc || !bytes.Equal(mb, rb) {
+			t.Fatalf("GET %s: mapped %d %q, read %d %q, want the same 404", u, mc, mb, rc, rb)
 		}
 	}
 }
 
-// TestPrecomputedMatchesPipeline pins the fast-path contract: with a
-// usable section, /rewrite answers are byte-identical whether they come
-// from the precomputed lists or the live pipeline, at every depth the
-// section covers — with and without a bid-term filter.
+// TestPrecomputedMatchesPipeline pins the section contract at the HTTP
+// layer: /rewrite answers are byte-identical to the §9.3 pipeline over the
+// same score segments at every depth the section covers — with and
+// without a bid-term filter.
 func TestPrecomputedMatchesPipeline(t *testing.T) {
 	g := testGraph(t)
 	bids := map[string]bool{}
@@ -172,7 +209,7 @@ func TestPrecomputedMatchesPipeline(t *testing.T) {
 		bids map[string]bool
 	}{{"unfiltered", nil}, {"bid-filtered", bids}} {
 		t.Run(tc.name, func(t *testing.T) {
-			path, res := writeTopKFile(t, g, TopKOptions{K: 4, BidTerms: tc.bids})
+			path, _ := writeTopKFile(t, g, TopKOptions{K: 4, BidTerms: tc.bids})
 			mm, err := OpenSnapshot(path)
 			if err != nil {
 				t.Fatal(err)
@@ -181,15 +218,13 @@ func TestPrecomputedMatchesPipeline(t *testing.T) {
 			if mm.Meta().RewriteTopK != 4 {
 				t.Fatalf("RewriteTopK = %d, want 4", mm.Meta().RewriteTopK)
 			}
-			fast := serverOver(mm, func(c *Config) { c.BidTerms = tc.bids }).Handler()
-			slow := pipelineServer(t, res, tc.bids)
+			h := serverOver(mm, func(c *Config) { c.BidTerms = tc.bids }).Handler()
 			for q := 0; q < g.NumQueries(); q++ {
 				for top := 1; top <= 4; top++ {
 					u := fmt.Sprintf("/rewrite?q=%s&top=%d", g.Query(q), top)
-					fc, fb := get(t, fast, u)
-					sc, sb := get(t, slow, u)
-					if fc != sc || !bytes.Equal(fb, sb) {
-						t.Fatalf("GET %s: precomputed %d %q, pipeline %d %q", u, fc, fb, sc, sb)
+					want := pipelineBody(t, mm, tc.bids, g.Query(q), top)
+					if code, got := get(t, h, u); code != http.StatusOK || !bytes.Equal(got, want) {
+						t.Fatalf("GET %s: section %d %q, pipeline %q", u, code, got, want)
 					}
 				}
 			}
@@ -197,20 +232,90 @@ func TestPrecomputedMatchesPipeline(t *testing.T) {
 	}
 }
 
+// TestPrecomputedEqualsPipelineAtEveryDepth is the section's definition:
+// built as simrank -save builds it (K = DefaultRewriteTopK, the pipeline's
+// 100-candidate pool), PrecomputedRewrites(q, top) is the §9.3 pipeline's
+// answer over the same snapshot for every query at every top from 1 to
+// 100, under no bid list, a sparse one and an empty one — on Figure 3 and
+// on a clickgen graph whose rows run past the pool (so a section filtered
+// from a pool of 99 fails it) and where some list holds more than 16
+// rewrites, past the old default depth.
+func TestPrecomputedEqualsPipelineAtEveryDepth(t *testing.T) {
+	fig3 := fig3Result(t, core.DefaultConfig())
+	ucfg := workload.DefaultUniverseConfig()
+	ucfg.Categories = 1 // one category, one component: rows past the 100-candidate pool
+	u, err := workload.BuildUniverse(ucfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := sponsored.DefaultConfig()
+	scfg.Sessions = 20000
+	log, err := sponsored.Simulate(u, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig().WithVariant(core.Weighted)
+	cfg.PruneEpsilon = 1e-6
+	gen, err := core.Run(log.Graph, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gc := range []struct {
+		name    string
+		res     *core.Result
+		longest int // the longest list the fixture must reach, unfiltered
+	}{{"fig3", fig3, 1}, {"clickgen", gen, 17}} {
+		longest := 0
+		for _, bc := range bidCases(gc.res.Graph, 0) {
+			var buf bytes.Buffer
+			if err := WriteSnapshotTopK(&buf, gc.res, TopKOptions{K: DefaultRewriteTopK, BidTerms: bc.bids}); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := NewSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pipe := rewrite.NewPipeline(snap, bc.bids)
+			src := &rewrite.ResultSource{Index: snap}
+			for q := 0; q < snap.NumQueries(); q++ {
+				for top := 1; top <= DefaultRewriteTopK; top++ {
+					pipe.MaxRewrites = top
+					cands, err := pipe.Rewrite(src, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, ok := snap.PrecomputedRewrites(q, top)
+					if !ok || len(got) != len(cands) {
+						t.Fatalf("%s/%s: query %d at top %d: section %v (ok %v), pipeline %v", gc.name, bc.name, q, top, got, ok, cands)
+					}
+					for i, c := range cands {
+						if got[i] != (sparse.Scored{Node: c.Query, Score: c.Score}) {
+							t.Fatalf("%s/%s: query %d at top %d: section %v, pipeline %v", gc.name, bc.name, q, top, got, cands)
+						}
+					}
+					if bc.bids == nil {
+						longest = max(longest, len(cands))
+					}
+				}
+			}
+		}
+		if longest < gc.longest {
+			t.Fatalf("%s: the longest unfiltered list holds %d rewrites, the fixture needs %d", gc.name, longest, gc.longest)
+		}
+	}
+}
+
 // TestPrecomputedAnswersCompleteListsPastK pins the deep-request contract:
-// a top past the stored k is a section lookup when the query's list is
-// shorter than k — the pipeline ran out of candidates, so the list is the
-// whole answer — and a pipeline run when the list is full. At K = 2 and
-// K = 4, over testGraph and stemGraph, under each bid case, every /rewrite
-// at top 1…K+3 and 100 is byte-equal to a server over the same scores
-// without a section, and the section answers exactly the requests the
-// contract gives it. Then the path is shown on the served bytes: with one
-// byte flipped in a shard's query-score segment, a fresh opening answers
-// that shard's short lists past k without loading the segment (nothing is
-// quarantined), while a full list past k, and top 120 under MaxTop 150 (a
-// pool the section was not built from), load it and quarantine it.
+// a top past the stored k is answered from the section, capped at k. A
+// list shorter than k is complete — the pipeline ran out of candidates —
+// so it is the pipeline's answer at that depth too; a full list is the
+// pipeline's at depth k. At K = 2 and K = 4, over testGraph and stemGraph,
+// under each bid case, every /rewrite at top 1…K+3 and 100 is the
+// pipeline's answer at depth min(top, K), and the fixtures hold lists of
+// both kinds. With one byte flipped in every shard's query-score segment,
+// a fresh opening answers all of them the same without loading one.
 func TestPrecomputedAnswersCompleteListsPastK(t *testing.T) {
-	deepFromSection, deepFromPipeline, untouchedChecks, touchedChecks := 0, 0, 0, 0
+	short, full := 0, 0 // lists shorter than k, and lists of k
 	for _, gc := range []struct {
 		name string
 		g    *clickgraph.Graph
@@ -219,189 +324,111 @@ func TestPrecomputedAnswersCompleteListsPastK(t *testing.T) {
 		for _, k := range []int{2, 4} {
 			for _, bc := range bidCases(g, 0) {
 				t.Run(fmt.Sprintf("%s/K=%d/%s", gc.name, k, bc.name), func(t *testing.T) {
-					path, res := writeTopKFile(t, g, TopKOptions{K: k, BidTerms: bc.bids})
+					path, _ := writeTopKFile(t, g, TopKOptions{K: k, BidTerms: bc.bids})
 					mm, err := OpenSnapshot(path)
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer mm.Close()
-					bidHash := BidTermsHash(bc.bids)
-					fast := serverOver(mm, func(c *Config) { c.BidTerms = bc.bids }).Handler()
-					slow := pipelineServer(t, res, bc.bids)
 					tops := []int{100}
 					for top := 1; top <= k+3; top++ {
 						tops = append(tops, top)
 					}
-					for _, top := range tops {
-						if !mm.RewriteSectionUsable(top, bidHash) {
-							t.Fatalf("section refused top %d under its own bid set", top)
+					want := map[string][]byte{}
+					for q := 0; q < g.NumQueries(); q++ {
+						list, _ := mm.PrecomputedRewrites(q, -1)
+						if len(list) < k {
+							short++
+						} else {
+							full++
 						}
-					}
-					stored := make([]int, g.NumQueries()) // each query's list length
-					for q := range stored {
-						list, ok := mm.PrecomputedRewrites(q, k)
-						if !ok {
-							t.Fatalf("query %d has no list at depth k", q)
-						}
-						stored[q] = len(list)
 						for _, top := range tops {
-							_, hit := mm.PrecomputedRewrites(q, top)
-							if want := top <= k || stored[q] < k; hit != want {
-								t.Fatalf("PrecomputedRewrites(%d, %d) hit = %v with %d of k = %d stored, want %v", q, top, hit, stored[q], k, want)
-							}
-							switch {
-							case top > k && hit:
-								deepFromSection++
-							case top > k:
-								deepFromPipeline++
-							}
 							u := fmt.Sprintf("/rewrite?q=%s&top=%d", url.QueryEscape(g.Query(q)), top)
-							fc, fb := get(t, fast, u)
-							sc, sb := get(t, slow, u)
-							if fc != http.StatusOK || fc != sc || !bytes.Equal(fb, sb) {
-								t.Fatalf("GET %s: section server %d %q, pipeline server %d %q", u, fc, fb, sc, sb)
+							want[u] = pipelineBody(t, mm, bc.bids, g.Query(q), min(top, k))
+						}
+					}
+					bad := corruptQuerySegments(t, path)
+					defer bad.Close()
+					for name, snap := range map[string]*Snapshot{"intact": mm, "corrupt scores": bad} {
+						h := serverOver(snap, func(c *Config) { c.BidTerms = bc.bids }).Handler()
+						for u, wb := range want {
+							if code, got := get(t, h, u); code != http.StatusOK || !bytes.Equal(got, wb) {
+								t.Fatalf("%s: GET %s = %d %q, pipeline %q", name, u, code, got, wb)
 							}
 						}
 					}
-					untouched, touched := checkDeepPathsOnCorruptScores(t, path, mm, stored, k, bc.bids)
-					if untouched {
-						untouchedChecks++
-					}
-					if touched {
-						touchedChecks++
+					if quar := bad.Quarantined(); len(quar) != 0 || bad.LoadedSegments() != bad.NumShards() {
+						t.Fatalf("the section answers loaded %d segments and quarantined %+v, want only the %d blobs", bad.LoadedSegments(), quar, bad.NumShards())
 					}
 				})
 			}
 		}
 	}
-	if deepFromSection == 0 || deepFromPipeline == 0 {
-		t.Fatalf("past k, the section answered %d requests and the pipeline %d; the fixtures need both", deepFromSection, deepFromPipeline)
-	}
-	if untouchedChecks == 0 || touchedChecks == 0 {
-		t.Fatalf("%d cases had a short list beside a scored pair, %d also a full one in its shard; the fixtures need both", untouchedChecks, touchedChecks)
+	if short == 0 || full == 0 {
+		t.Fatalf("%d lists shorter than k and %d of k; the fixtures need both", short, full)
 	}
 }
 
-// checkDeepPathsOnCorruptScores flips one byte of the query-score segment
-// of a shard holding a query whose stored list is shorter than k (stored
-// holds each query's list length in probe, the snapshot at path) and
-// checks, on fresh openings of the copy, that the shard's short lists at
-// top k+3 never load the segment, and — when the shard also holds a full
-// list — that the full list at k+3, and a short one at top 120 under
-// MaxTop 150, do. It reports which halves the lists let it check.
-func checkDeepPathsOnCorruptScores(t *testing.T, path string, probe *Snapshot, stored []int, k int, bids map[string]bool) (untouched, touched bool) {
+// corruptQuerySegments opens a copy of the snapshot at path with one byte
+// flipped in every non-empty query-score segment.
+func corruptQuerySegments(t *testing.T, path string) *Snapshot {
 	t.Helper()
-	var short, full []int // by shard: a query of each kind, -1 for none
-	for range probe.dir {
-		short, full = append(short, -1), append(full, -1)
-	}
-	for q, n := range stored {
-		si := probe.qRoute[q]
-		if n < k && short[si] < 0 {
-			short[si] = q
-		}
-		if n == k && full[si] < 0 {
-			full[si] = q
-		}
-	}
-	si := -1
-	for i := range probe.dir {
-		if short[i] < 0 || probe.dir[i].qPairs == 0 {
-			continue
-		}
-		if si < 0 || full[si] < 0 && full[i] >= 0 {
-			si = i
-		}
-	}
-	if si < 0 {
-		return false, false // every list beside a scored pair is full
-	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := probe.dir[si]
-	raw[e.qOff+e.qPairs*pairRecordSize/2] ^= 0x40
+	probe, err := NewSnapshot(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range probe.dir {
+		if e.qPairs > 0 {
+			raw[e.qOff+e.qPairs*pairRecordSize/2] ^= 0x40
+		}
+	}
 	bad := filepath.Join(t.TempDir(), "bad-scores.snap")
 	if err := os.WriteFile(bad, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// serve opens bad afresh, GETs u from a server over it (maxTop 0 keeps
-	// the default) and returns the quarantined sides.
-	serve := func(u string, maxTop int) []ShardHealth {
-		snap, err := OpenSnapshot(bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer snap.Close()
-		h := serverOver(snap, func(c *Config) {
-			c.BidTerms = bids
-			if maxTop > 0 {
-				c.MaxTop = maxTop
-			}
-		}).Handler()
-		get(t, h, u)
-		return snap.Quarantined()
-	}
-	rw := func(q, top int) string {
-		return fmt.Sprintf("/rewrite?q=%s&top=%d", url.QueryEscape(probe.Query(q)), top)
-	}
-	for q, n := range stored {
-		if int(probe.qRoute[q]) != si || n == k {
-			continue
-		}
-		if quar := serve(rw(q, k+3), 0); len(quar) != 0 {
-			t.Fatalf("short list of %q at top %d loaded the corrupt segment: %+v", probe.Query(q), k+3, quar)
-		}
-	}
-	if full[si] < 0 {
-		return true, false
-	}
-	for _, c := range []struct {
-		u      string
-		maxTop int
-	}{{rw(full[si], k+3), 0}, {rw(short[si], 120), 150}} {
-		quar := serve(c.u, c.maxTop)
-		if len(quar) != 1 || quar[0].Shard != si || quar[0].Side != "query" {
-			t.Fatalf("GET %s (MaxTop %d) quarantined %+v, want shard %d's query side", c.u, c.maxTop, quar, si)
-		}
-	}
-	return true, true
-}
-
-// TestPrecomputedBidHashMismatch: a server running a different bid set
-// than the section was built under must not serve the section.
-func TestPrecomputedBidHashMismatch(t *testing.T) {
-	g := testGraph(t)
-	builtBids := map[string]bool{g.Query(0): true, g.Query(1): true}
-	servedBids := map[string]bool{g.Query(2): true}
-	path, res := writeTopKFile(t, g, TopKOptions{K: 4, BidTerms: builtBids})
-	mm, err := OpenSnapshot(path)
+	snap, err := OpenSnapshot(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mm.Close()
-	if mm.RewriteSectionUsable(3, BidTermsHash(servedBids)) {
-		t.Fatal("section built under one bid set usable under another")
-	}
-	// The mismatched server still answers correctly — via the pipeline.
-	mis := serverOver(mm, func(c *Config) { c.BidTerms = servedBids }).Handler()
-	pipe := pipelineServer(t, res, servedBids)
-	for q := 0; q < g.NumQueries(); q++ {
-		u := "/rewrite?q=" + g.Query(q) + "&top=3"
-		mc, mb := get(t, mis, u)
-		pc, pb := get(t, pipe, u)
-		if mc != pc || !bytes.Equal(mb, pb) {
-			t.Fatalf("GET %s: mismatched-bids server %d %q, pipeline %d %q", u, mc, mb, pc, pb)
+	return snap
+}
+
+// TestPrecomputedBidHashMismatch: a snapshot whose lists were filtered
+// under one bid set does not open for a daemon running another — nor for
+// one running none, nor does a bare snapshot open for a daemon with a bid
+// list — and the error names -bids; under its own bid set it opens.
+func TestPrecomputedBidHashMismatch(t *testing.T) {
+	g := testGraph(t)
+	builtBids := map[string]bool{g.Query(0): true, g.Query(1): true}
+	path, _ := writeTopKFile(t, g, TopKOptions{K: 4, BidTerms: builtBids})
+	barePath, _ := writeTopKFile(t, g, TopKOptions{K: 4})
+	for _, c := range []struct {
+		path string
+		bids map[string]bool
+	}{{path, map[string]bool{g.Query(2): true}}, {path, map[string]bool{}}, {path, nil}, {barePath, builtBids}} {
+		if snap, _, err := OpenServing(c.path, false, c.bids, nil); err == nil || !strings.Contains(err.Error(), "-bids") {
+			if snap != nil {
+				snap.Close()
+			}
+			t.Errorf("OpenServing under bids %v = %v, want an error naming -bids", c.bids, err)
 		}
 	}
+	snap, _, err := OpenServing(path, false, builtBids, nil)
+	if err != nil {
+		t.Fatalf("OpenServing under the section's own bid set: %v", err)
+	}
+	snap.Close()
 }
 
 // TestRefreshPreservesPrecomputedIdentity runs a real churn step over a
 // snapshot carrying a section — clean shards' lists are byte-copied,
 // dirty shards' rebuilt — and pins that the refreshed snapshot still
-// answers /rewrite byte-identically to the live pipeline for every
-// query, clean and dirty alike.
+// answers /rewrite byte-identically to the pipeline over its score
+// segments for every query, clean and dirty alike.
 func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 	bids := map[string]bool{}
 	g0 := refreshGraph(t, [4]int{1, 2, 3, 4})
@@ -454,37 +481,17 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 		t.Fatalf("refreshed section meta = k%d hash %x, want k5 hash %x",
 			next.Meta().RewriteTopK, next.Meta().RewriteBidHash, BidTermsHash(bids))
 	}
-	// The pipeline reference: the same refresh over prev written without a
-	// section, so the same score segments and no lists.
-	bare := mustSnapshot(t, res0, 0)
-	var bufBare bytes.Buffer
-	if _, err := assemble(&bufBare, g1, bare, diff, run1, nil); err != nil {
-		t.Fatalf("AssembleRefresh without a section: %v", err)
-	}
-	nextBare, err := NewSnapshot(bytes.NewReader(bufBare.Bytes()), int64(bufBare.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := serverOver(next, func(c *Config) { c.BidTerms = bids }).Handler()
-	slow := serverOver(nextBare, func(c *Config) { c.BidTerms = bids }).Handler()
-	deep := 0 // queries the section answers past k
+	// The reference is the pipeline over the refreshed score segments; top
+	// 8 is past k, so capped at it.
+	h := serverOver(next, func(c *Config) { c.BidTerms = bids }).Handler()
 	for q := 0; q < g1.NumQueries(); q++ {
-		// top 8 is past k: a list shorter than 5 answers it from the
-		// section, a full one through the pipeline.
-		for _, top := range []int{5, 8} {
+		for _, top := range []int{3, 5, 8} {
 			u := fmt.Sprintf("/rewrite?q=%s&top=%d", g1.Query(q), top)
-			fc, fb := get(t, fast, u)
-			sc, sb := get(t, slow, u)
-			if fc != sc || !bytes.Equal(fb, sb) {
-				t.Fatalf("after refresh, GET %s: precomputed %d %q, pipeline %d %q", u, fc, fb, sc, sb)
+			want := pipelineBody(t, next, bids, g1.Query(q), min(top, 5))
+			if code, got := get(t, h, u); code != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("after refresh, GET %s: section %d %q, pipeline %q", u, code, got, want)
 			}
 		}
-		if _, hit := next.PrecomputedRewrites(q, 8); hit {
-			deep++
-		}
-	}
-	if deep == 0 {
-		t.Fatal("the refreshed section answered no query past k; the fixture needs short lists")
 	}
 
 	// A refresh under a different bid set than the section was built
@@ -585,14 +592,15 @@ func TestQueryIDZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTopKBlobCorruptionFallsBack pins the quarantine semantics of the
-// new section: a corrupt top-k blob quarantines only the "topk" side —
-// /rewrite transparently falls back to the pipeline with correct
-// answers, and /readyz reports degraded, never unready, because scoring
-// segments are intact.
-func TestTopKBlobCorruptionFallsBack(t *testing.T) {
+// TestTopKBlobCorruptionFailsItsShard pins the quarantine semantics of
+// the section: a corrupt top-k blob quarantines only that shard's "topk"
+// side. Its queries' /rewrite answers 500 — a gateway fails them over —
+// while their /similar still reads the intact score segments, every
+// other shard's /rewrite is the pipeline's answer, and /readyz reports
+// degraded, never unready.
+func TestTopKBlobCorruptionFailsItsShard(t *testing.T) {
 	g := testGraph(t)
-	path, res := writeTopKFile(t, g, TopKOptions{K: 4})
+	path, _ := writeTopKFile(t, g, TopKOptions{K: 4})
 	probe, err := OpenSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
@@ -600,6 +608,10 @@ func TestTopKBlobCorruptionFallsBack(t *testing.T) {
 	// Find the blob of the shard serving query 0 and flip one byte.
 	si := int(probe.qRoute[0])
 	off, ln := probe.dir[si].tkOff, probe.dir[si].tkLen
+	want := map[int][]byte{}
+	for q := 0; q < g.NumQueries(); q++ {
+		want[q] = pipelineBody(t, probe, nil, g.Query(q), 3)
+	}
 	probe.Close()
 	if ln == 0 {
 		t.Fatal("fixture shard has no top-k blob")
@@ -618,27 +630,25 @@ func TestTopKBlobCorruptionFallsBack(t *testing.T) {
 		t.Fatalf("open with corrupt blob should succeed (lazy load): %v", err)
 	}
 	defer snap.Close()
-	// The default depth is within k, so /stats reports the section serving.
-	srv := serverOver(snap, func(c *Config) { c.DefaultTop = 3 })
-	h := srv.Handler()
-
-	clean := pipelineServer(t, res, nil)
+	h := serverOver(snap, nil).Handler()
 	for q := 0; q < g.NumQueries(); q++ {
-		u := "/rewrite?q=" + g.Query(q) + "&top=3"
-		code, body := get(t, h, u)
-		wc, wb := get(t, clean, u)
-		if code != wc || !bytes.Equal(body, wb) {
-			t.Fatalf("GET %s with corrupt blob: %d %q, pipeline %d %q", u, code, body, wc, wb)
+		code, body := get(t, h, "/rewrite?q="+g.Query(q)+"&top=3")
+		if int(snap.qRoute[q]) == si {
+			if code != http.StatusInternalServerError {
+				t.Fatalf("query %d of the corrupt blob's shard: /rewrite = %d %q, want 500", q, code, body)
+			}
+			if code, body := get(t, h, "/similar?q="+g.Query(q)+"&top=3"); code != http.StatusOK {
+				t.Fatalf("query %d of the corrupt blob's shard: /similar = %d %q, want 200", q, code, body)
+			}
+			continue
+		}
+		if code != http.StatusOK || !bytes.Equal(body, want[q]) {
+			t.Fatalf("query %d of a healthy shard: /rewrite = %d %q, pipeline %q", q, code, body, want[q])
 		}
 	}
 	qs := snap.Quarantined()
-	if len(qs) == 0 {
-		t.Fatal("corrupt blob load left nothing quarantined")
-	}
-	for _, s := range qs {
-		if s.Side != "topk" {
-			t.Fatalf("quarantined side %q, want only topk", s.Side)
-		}
+	if len(qs) != 1 || qs[0].Shard != si || qs[0].Side != "topk" {
+		t.Fatalf("Quarantined() = %+v, want only shard %d's topk side", qs, si)
 	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
@@ -648,16 +658,15 @@ func TestTopKBlobCorruptionFallsBack(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), `"degraded"`) {
 		t.Fatalf("/readyz body %q, want degraded", rec.Body.String())
 	}
-	// /stats says the parameters match — topk_section.serving stays true —
-	// and reports the blob under quarantined, side "topk".
+	// /stats still reports the section, and the blob under quarantined.
 	var stats StatsResponse
 	if _, raw := get(t, h, "/stats"); json.Unmarshal(raw, &stats) != nil {
 		t.Fatalf("bad /stats body %q", raw)
 	}
-	if ts := stats.TopKSection; ts == nil || !ts.Present || !ts.Serving {
-		t.Errorf("topk_section = %+v with the blob quarantined, want present and serving", ts)
+	if ts := stats.TopKSection; ts == nil || !ts.Present || ts.K != 4 {
+		t.Errorf("topk_section = %+v with the blob quarantined, want present at k 4", ts)
 	}
-	if len(stats.Quarantined) != len(qs) || stats.Quarantined[0].Side != "topk" {
+	if len(stats.Quarantined) != 1 || stats.Quarantined[0].Side != "topk" {
 		t.Errorf("/stats quarantined = %+v, want the topk side", stats.Quarantined)
 	}
 }
