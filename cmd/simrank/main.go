@@ -30,7 +30,8 @@
 // prints a plan without running an engine.
 //
 // With -save, the computed scores are also written as a binary snapshot
-// (per-shard segments under -sharded) that cmd/simrankd serves online,
+// of per-shard segments (one shard without -sharded) that cmd/simrankd
+// serves online,
 // with the §9.3 rewrite list of every query precomputed under -bids to
 // depth 100 (serve.DefaultRewriteTopK, the candidate pool): what simrankd
 // answers /rewrite from. With -load, rewrites are answered straight from
@@ -369,27 +370,26 @@ func buildSource(g *clickgraph.Graph, method string, c float64, iters int, prune
 	default:
 		return nil, fmt.Errorf("unknown method %q", method)
 	}
-	var res *core.Result
-	var err error
+	// Without -sharded the graph is one shard: the monolithic run, as a
+	// plan the snapshot writer takes like any other.
+	plan := partition.WholePlan(g)
 	if sharded {
 		pcfg := partition.DefaultPlanConfig()
 		pcfg.MaxShardNodes = shardMax
-		plan, perr := partition.BuildPlan(g, pcfg)
-		if perr != nil {
-			return nil, perr
+		var err error
+		if plan, err = partition.BuildPlan(g, pcfg); err != nil {
+			return nil, err
 		}
-		if werr := plan.WriteSummary(os.Stderr); werr != nil {
-			return nil, werr
+		if err := plan.WriteSummary(os.Stderr); err != nil {
+			return nil, err
 		}
-		// Retaining the per-shard tables lets -save emit one snapshot
-		// segment per shard straight from the engines' local outputs.
-		res, err = core.RunSharded(g, cfg, plan, core.ShardOptions{
-			Workers:           shardWorkers,
-			RetainShardScores: savePath != "",
-		})
-	} else {
-		res, err = core.Run(g, cfg)
 	}
+	// Retaining the per-shard tables lets -save emit one snapshot segment
+	// per shard straight from the engines' local outputs.
+	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{
+		Workers:           shardWorkers,
+		RetainShardScores: savePath != "",
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +400,7 @@ func buildSource(g *clickgraph.Graph, method string, c float64, iters int, prune
 		if err := serve.WriteSnapshotFileTopK(savePath, res, serve.TopKOptions{K: serve.DefaultRewriteTopK, BidTerms: bids}); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "simrank: wrote snapshot %s (%d shards)\n", savePath, max(1, len(res.ShardScores)))
+		fmt.Fprintf(os.Stderr, "simrank: wrote snapshot %s (%d shards)\n", savePath, len(res.ShardScores))
 	}
 	return &rewrite.ResultSource{Index: res}, nil
 }

@@ -76,6 +76,12 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A snapshot is written from shard scores: the monolithic one from
+	// partition.WholePlan's single shard.
+	whole, err := core.RunSharded(g, cfg, partition.WholePlan(g), core.ShardOptions{RetainShardScores: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	persist := func(name string, res *core.Result) *serve.Snapshot {
 		path := filepath.Join(t.TempDir(), name)
 		if err := serve.WriteSnapshotFileTopK(path, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
@@ -88,7 +94,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Cleanup(func() { snap.Close() })
 		return snap
 	}
-	loaded, loadedPar := persist("serial.snap", serial), persist("sharded.snap", par)
+	loaded, loadedPar := persist("whole.snap", whole), persist("sharded.snap", par)
 	// Every node's full ranked list, on both sides, is the same from all
 	// four: every stored pair sits in both partners' lists, so no score
 	// goes unchecked. A component plan replays the monolithic arithmetic,

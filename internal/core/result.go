@@ -52,9 +52,8 @@ type Result struct {
 	ShardStats []ShardStat
 	// ShardScores retains each shard engine's local-id score frontiers
 	// with their local→global maps, in plan order, when RunSharded ran with
-	// ShardOptions.RetainShardScores (nil otherwise). serve.WriteSnapshotTopK
-	// encodes per-shard segments directly from them, in parallel, without
-	// repartitioning the stitched frontiers.
+	// ShardOptions.RetainShardScores (nil otherwise): what
+	// serve.WriteSnapshotTopK writes a snapshot from.
 	ShardScores []ShardScoreSet
 
 	// qTop and aTop back TopRewrites and TopSimilarAds.
@@ -132,8 +131,8 @@ func (r *Result) TopSimilarAds(a, k int) []sparse.Scored {
 
 // The delegating accessors below complete the serve.ScoreIndex read
 // surface, so a live Result and a loaded serve.Snapshot are
-// interchangeable to every score consumer (the rewrite pipeline, the
-// simrankd server). They mirror clickgraph.Graph's names.
+// interchangeable to the rewrite pipeline and the warm-start seeder. They
+// mirror clickgraph.Graph's names.
 
 // NumQueries returns the number of query nodes in the scored graph.
 func (r *Result) NumQueries() int { return r.Graph.NumQueries() }

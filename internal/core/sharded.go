@@ -33,10 +33,12 @@ type ShardOptions struct {
 	Workers int
 	// RetainShardScores keeps each shard engine's local-id frontiers and
 	// local→global maps on the Result (Result.ShardScores) in addition to
-	// the stitched global frontiers. serve.WriteSnapshotTopK uses them to emit
-	// per-shard snapshot segments directly, in parallel, without
-	// repartitioning; the cost is the scores held twice (12 bytes a pair
-	// each) until the Result is dropped.
+	// the stitched global frontiers. serve.WriteSnapshotTopK writes a
+	// snapshot from them and from nothing else — one segment pair per
+	// shard, encoded in parallel without repartitioning — so a run meant
+	// for a snapshot sets it, over partition.WholePlan when unsharded; the
+	// cost is the scores held twice (12 bytes a pair each) until the Result
+	// is dropped.
 	RetainShardScores bool
 	// RunShards, when non-nil, must have one entry per plan shard and
 	// restricts the run to the true entries — the dirty shards of a

@@ -39,7 +39,8 @@ func requireTablesBitIdentical(t *testing.T, label string, want, got *sparse.Pai
 }
 
 // TestShardedExactBitIdentical pins the acceptance criterion: on a
-// component-exact plan (per-component and packed alike), RunSharded
+// component-exact plan (per-component, packed, and the one shard of
+// partition.WholePlan that simrank -save runs unsharded), RunSharded
 // reproduces the monolithic engines bit for bit at a fixed iteration
 // count, across variants × strict evidence × pruning, stitched from
 // serial and pooled shard schedules.
@@ -57,6 +58,7 @@ func TestShardedExactBitIdentical(t *testing.T) {
 	plans := map[string]*partition.Plan{
 		"per-component": partition.ComponentPlan(g),
 		"packed":        packed,
+		"whole":         partition.WholePlan(g),
 	}
 	for _, variant := range []Variant{Simple, Evidence, Weighted} {
 		for _, strict := range []bool{false, true} {

@@ -175,10 +175,7 @@ func (r *fleetRun) accept(l *Lease, resp *SegmentResponse) (first bool, err erro
 		return false, fmt.Errorf("dist: completion echo (gen %016x shard %d fp %016x) does not match lease (gen %016x shard %d fp %016x)",
 			resp.Generation, resp.Shard, resp.Fingerprint, l.Generation, l.Shard, l.Fingerprint)
 	}
-	seg := &serve.ShardSegment{
-		QuerySeg: resp.QuerySeg, QueryCRC: resp.QueryCRC,
-		AdSeg: resp.AdSeg, AdCRC: resp.AdCRC,
-	}
+	seg := &resp.ShardSegment
 	if err := seg.Validate(); err != nil {
 		return false, err
 	}

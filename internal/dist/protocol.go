@@ -19,6 +19,7 @@ import (
 
 	"simrankpp/internal/core"
 	"simrankpp/internal/frame"
+	"simrankpp/internal/serve"
 )
 
 // Wire formats: each message is one internal/frame frame.
@@ -88,10 +89,7 @@ type SegmentResponse struct {
 	Fingerprint uint64
 	Iterations  int
 	Converged   bool
-	QuerySeg    []byte
-	QueryCRC    uint32
-	AdSeg       []byte
-	AdCRC       uint32
+	serve.ShardSegment
 }
 
 // Encode serializes the lease as a sealed frame.

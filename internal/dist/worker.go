@@ -113,41 +113,21 @@ func (w *Worker) RefreshShard(l *Lease) (*SegmentResponse, error) {
 	// Under a tolerance the engine stops when the whole shard converges;
 	// splitting into components would let each stop on its own schedule
 	// and diverge from what the coordinator's local path computes.
-	localQ := make([]int, g.NumQueries())
-	for i := range localQ {
-		localQ[i] = i
-	}
-	localA := make([]int, g.NumAds())
-	for i := range localA {
-		localA[i] = i
-	}
-	plan := &partition.Plan{
-		Shards:     []partition.Shard{{Queries: localQ, Ads: localA}},
-		NumQueries: g.NumQueries(),
-		NumAds:     g.NumAds(),
-	}
-	plan.Reannotate(g)
-
 	opt := core.ShardOptions{Workers: w.Workers}
 	if len(l.WarmQuery)+len(l.WarmAd) > 0 {
 		opt.WarmStart = newWireScores(g, l.WarmQuery, l.WarmAd)
 	}
-	res, err := core.RunSharded(g, l.Config, plan, opt)
+	res, err := core.RunSharded(g, l.Config, partition.WholePlan(g), opt)
 	if err != nil {
 		return nil, fmt.Errorf("dist: running lease shard %d: %w", l.Shard, err)
 	}
-
-	seg := serve.EncodeShardSegment(res.QueryScores, res.AdScores, l.QueryIDs, l.AdIDs)
 	return &SegmentResponse{
-		Generation:  l.Generation,
-		Shard:       l.Shard,
-		Fingerprint: l.Fingerprint,
-		Iterations:  res.Iterations,
-		Converged:   res.Converged,
-		QuerySeg:    seg.QuerySeg,
-		QueryCRC:    seg.QueryCRC,
-		AdSeg:       seg.AdSeg,
-		AdCRC:       seg.AdCRC,
+		Generation:   l.Generation,
+		Shard:        l.Shard,
+		Fingerprint:  l.Fingerprint,
+		Iterations:   res.Iterations,
+		Converged:    res.Converged,
+		ShardSegment: serve.EncodeShardSegment(res.QueryScores, res.AdScores, l.QueryIDs, l.AdIDs),
 	}, nil
 }
 

@@ -37,8 +37,9 @@ type Config struct {
 	// ChurnRecords kicks a fold early once this many records are
 	// pending, without waiting out the cadence. 0 disables.
 	ChurnRecords uint64
-	// MaxLagRecords bounds WAL lag: Ingest rejects with ErrBackpressure
-	// beyond it (see LogOptions.MaxLagRecords). 0 disables.
+	// MaxLagRecords bounds WAL lag: Ingest rejects a batch that would take
+	// the lag beyond it with ErrBackpressure, and one larger than it with
+	// ErrBatchTooLarge (see LogOptions.MaxLagRecords). 0 disables.
 	MaxLagRecords uint64
 	// Bids is the bid-term set the snapshot's precomputed rewrite
 	// section was built under (serve.AssembleRefresh contract); nil when
@@ -267,23 +268,18 @@ func (c *Controller) Close() error {
 	return err
 }
 
-// Ingest validates, appends, and fsyncs recs as one batch (one fsync
-// however many records), returning how many were durably appended.
-// ErrBackpressure (possibly after a partial append, reflected in n)
-// means the WAL is MaxLagRecords ahead of folding — callers surface
-// "retry later". Crossing ChurnRecords kicks the fold loop.
-func (c *Controller) Ingest(recs []Record) (n int, err error) {
-	for _, r := range recs {
-		if _, aerr := c.log.Append(r); aerr != nil {
-			err = aerr
-			break
-		}
-		n++
-	}
-	if n > 0 {
-		if serr := c.log.Sync(); serr != nil && err == nil {
-			return n, serr
-		}
+// Ingest validates, appends and fsyncs recs as one batch (one fsync
+// however many records): all of them or none, so a refused batch can be
+// retried as it was sent. It returns len(recs) once they are durable.
+// ErrBackpressure means the batch would take the WAL more than
+// MaxLagRecords ahead of folding — callers surface "retry later";
+// ErrBatchTooLarge means it holds more than MaxLagRecords records and
+// never fits. Any other error is a failed validation, write or fsync.
+// Crossing ChurnRecords kicks the fold loop.
+func (c *Controller) Ingest(recs []Record) (int, error) {
+	_, err := c.log.Append(recs...)
+	if err == nil {
+		err = c.log.Sync()
 	}
 	c.mu.Lock()
 	if errors.Is(err, ErrBackpressure) {
@@ -297,7 +293,10 @@ func (c *Controller) Ingest(recs []Record) (n int, err error) {
 	if c.cfg.ChurnRecords > 0 && c.log.NextSeq()-durable >= c.cfg.ChurnRecords {
 		c.Kick()
 	}
-	return n, err
+	if err != nil {
+		return 0, err
+	}
+	return len(recs), nil
 }
 
 // Kick nudges the Run loop to fold now instead of waiting out the

@@ -65,10 +65,16 @@ const (
 // failing or slow.
 var ErrBackpressure = errors.New("ingest: WAL lag exceeds MaxLagRecords; folding is behind, retry later")
 
+// ErrBatchTooLarge is returned by Append for a batch of more than
+// LogOptions.MaxLagRecords records: no amount of folding makes room for
+// it, so the caller must split it (the ingest daemon answers 413).
+var ErrBatchTooLarge = errors.New("ingest: batch holds more records than MaxLagRecords; split it")
+
 // LogOptions tunes a Log.
 type LogOptions struct {
-	// MaxLagRecords bounds nextSeq - foldedSeq: appends beyond it fail
-	// with ErrBackpressure until SetFolded advances. 0 disables.
+	// MaxLagRecords bounds nextSeq - foldedSeq: a batch that would take
+	// it beyond the bound fails with ErrBackpressure until SetFolded
+	// advances. 0 disables.
 	MaxLagRecords uint64
 
 	// segmentBytes rotates the active segment once it reaches this many
@@ -205,33 +211,45 @@ func (l *Log) TornBytesTruncated() int64 {
 	return l.tornBytes
 }
 
-// Append validates rec, frames it, and buffers it for the next Sync.
-// It returns the record's sequence number. ErrBackpressure rejects the
-// append when the WAL is MaxLagRecords ahead of the fold cursor.
-func (l *Log) Append(rec Record) (uint64, error) {
-	if err := rec.Validate(); err != nil {
-		return 0, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.opt.MaxLagRecords > 0 && l.nextSeq-l.folded >= l.opt.MaxLagRecords {
-		return 0, ErrBackpressure
-	}
-	l.scratch = appendFrame(l.scratch[:0], rec)
-	if _, err := l.w.Write(l.scratch); err != nil {
-		return 0, err
-	}
-	seq := l.nextSeq
-	l.nextSeq++
-	l.segs[len(l.segs)-1].records++
-	l.size += int64(len(l.scratch))
-	l.dirty = true
-	if l.size >= l.opt.segmentBytes {
-		if err := l.rotateLocked(l.nextSeq); err != nil {
+// Append validates recs, frames them, and buffers them for the next Sync
+// as one batch: the lag check and the appends happen under one hold of
+// the lock, so a batch goes in whole or not at all. It returns the first
+// record's sequence number. ErrBackpressure rejects a batch that would
+// take the WAL more than MaxLagRecords ahead of the fold cursor,
+// ErrBatchTooLarge one that could never fit.
+func (l *Log) Append(recs ...Record) (uint64, error) {
+	for _, rec := range recs {
+		if err := rec.Validate(); err != nil {
 			return 0, err
 		}
 	}
-	return seq, nil
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if lag := l.opt.MaxLagRecords; lag > 0 {
+		if uint64(len(recs)) > lag {
+			return 0, ErrBatchTooLarge
+		}
+		if l.nextSeq-l.folded+uint64(len(recs)) > lag {
+			return 0, ErrBackpressure
+		}
+	}
+	first := l.nextSeq
+	for _, rec := range recs {
+		l.scratch = appendFrame(l.scratch[:0], rec)
+		if _, err := l.w.Write(l.scratch); err != nil {
+			return 0, err
+		}
+		l.nextSeq++
+		l.segs[len(l.segs)-1].records++
+		l.size += int64(len(l.scratch))
+		l.dirty = true
+		if l.size >= l.opt.segmentBytes {
+			if err := l.rotateLocked(l.nextSeq); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return first, nil
 }
 
 // Sync flushes buffered appends and fsyncs the active segment — the

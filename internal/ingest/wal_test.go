@@ -389,6 +389,18 @@ func TestWALBackpressure(t *testing.T) {
 	if lag := l.NextSeq() - l.FoldedSeq(); lag != 3 {
 		t.Fatalf("lag = %d, want 3", lag)
 	}
+	// A batch goes in whole or not at all.
+	if _, err := l.Append(walRec(6), walRec(7), walRec(8)); !errors.Is(err, ErrBackpressure) || l.NextSeq() != 6 {
+		t.Fatalf("batch past MaxLagRecords: %v, next seq %d; want ErrBackpressure and nothing appended", err, l.NextSeq())
+	}
+	if seq, err := l.Append(walRec(6), walRec(7)); err != nil || seq != 6 || l.NextSeq() != 8 {
+		t.Fatalf("batch up to MaxLagRecords: seq %d, %v", seq, err)
+	}
+	l.SetFolded(8)
+	six := []Record{walRec(8), walRec(9), walRec(10), walRec(11), walRec(12), walRec(13)}
+	if _, err := l.Append(six...); !errors.Is(err, ErrBatchTooLarge) || l.NextSeq() != 8 {
+		t.Fatalf("batch larger than MaxLagRecords: %v, next seq %d; want ErrBatchTooLarge and nothing appended", err, l.NextSeq())
+	}
 }
 
 // TestWALAdvanceTo pins the cursor-ahead-of-WAL recovery: records that

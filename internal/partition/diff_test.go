@@ -245,6 +245,13 @@ func TestGraphFingerprintSensitivity(t *testing.T) {
 	if got := GraphFingerprint(diffFixture(t, nil)); got != GraphFingerprint(base) {
 		t.Error("fingerprint not deterministic across rebuilds")
 	}
+	// WholePlan's one shard covers the graph under identity ids, so the
+	// shard a monolithic snapshot records carries the graph's fingerprint.
+	whole := WholePlan(base)
+	if err := whole.Validate(base); err != nil || !whole.Exact || whole.Fingerprint() != GraphFingerprint(base) {
+		t.Errorf("WholePlan: validate %v, exact %v, fingerprint %016x, want the graph's %016x",
+			err, whole.Exact, whole.Fingerprint(), GraphFingerprint(base))
+	}
 	variants := map[string]func(b *clickgraph.Builder){
 		"edge add": func(b *clickgraph.Builder) { _ = b.AddClick("c0-q0", "c1-ad2", 0.1) },
 		"weight change": func(b *clickgraph.Builder) {

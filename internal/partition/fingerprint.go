@@ -62,9 +62,9 @@ func edgeHash(q, a int, w clickgraph.EdgeWeights) uint64 {
 	return h
 }
 
-// GraphFingerprint returns the whole graph's fingerprint: the value a
-// single shard covering every node would carry. serve.WriteSnapshotTopK uses
-// it for monolithic (one-segment) snapshots.
+// GraphFingerprint returns the whole graph's fingerprint: the value
+// WholePlan's one shard carries. The ingest fold state records it to
+// check the graph it saved.
 func GraphFingerprint(g *clickgraph.Graph) uint64 {
 	var fp uint64
 	for q := 0; q < g.NumQueries(); q++ {

@@ -120,6 +120,25 @@ func ComponentPlan(g *clickgraph.Graph) *Plan {
 	return p
 }
 
+// WholePlan returns the one-shard plan over all of g under identity ids: a
+// monolithic run as a plan. Its fingerprint is GraphFingerprint(g).
+func WholePlan(g *clickgraph.Graph) *Plan {
+	identity := func(n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+		return ids
+	}
+	p := &Plan{
+		Shards:     []Shard{{Queries: identity(g.NumQueries()), Ads: identity(g.NumAds())}},
+		NumQueries: g.NumQueries(),
+		NumAds:     g.NumAds(),
+	}
+	p.Reannotate(g)
+	return p
+}
+
 // BuildPlan decomposes g under the budget: connected components at most
 // MaxShardNodes nodes are greedily packed (largest first, first fit) into
 // exact shards; a component above the budget is carved by repeated ACL

@@ -25,10 +25,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	// Seed with real snapshots — monolithic and sharded — so mutations
 	// start from deep in the happy path, plus a few shallow corruptions.
 	g := clickgraph.Fig3()
-	res, err := core.Run(g, core.DefaultConfig())
-	if err != nil {
-		f.Fatal(err)
-	}
+	res := wholeRun(f, g, core.DefaultConfig())
 	var mono bytes.Buffer
 	if err := WriteSnapshotTopK(&mono, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		f.Fatal(err)
@@ -164,10 +161,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 // whose query holds every structural character — truncated and
 // bit-flipped, so mutations start inside strings, escapes and nesting.
 func FuzzSplitBatchResponse(f *testing.F) {
-	res, err := core.Run(clickgraph.Fig3(), core.DefaultConfig())
-	if err != nil {
-		f.Fatal(err)
-	}
+	res := wholeRun(f, clickgraph.Fig3(), core.DefaultConfig())
 	var snap bytes.Buffer
 	if err := WriteSnapshotTopK(&snap, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		f.Fatal(err)

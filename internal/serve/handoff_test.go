@@ -42,10 +42,7 @@ func referenceEncodeSegment(t *sparse.PairTable, ids []int) []byte {
 	}
 	recs := make([]rec, 0, t.Len())
 	t.Range(func(i, j int, v float64) bool {
-		if ids != nil {
-			i, j = ids[i], ids[j]
-		}
-		recs = append(recs, rec{uint32(i), uint32(j), v})
+		recs = append(recs, rec{uint32(ids[i]), uint32(ids[j]), v})
 		return true
 	})
 	slices.SortFunc(recs, func(a, b rec) int {
@@ -137,6 +134,7 @@ func handoffPlans(t testing.TB, g *clickgraph.Graph) map[string]*partition.Plan 
 func TestEncodeSegmentMatchesReference(t *testing.T) {
 	g := handoffGraph(t)
 	plans := handoffPlans(t, g)
+	whole := partition.WholePlan(g).Shards[0]
 	check := func(label string, f *sparse.PairFrontier, ids []int) {
 		t.Helper()
 		if got, want := encodeSegment(f, ids), referenceEncodeSegment(toPairTable(f), ids); !bytes.Equal(got, want) {
@@ -159,8 +157,8 @@ func TestEncodeSegmentMatchesReference(t *testing.T) {
 				if mono.QueryScores.Len() == 0 || mono.AdScores.Len() == 0 {
 					t.Fatalf("%s: a side scored no pairs; the fixture no longer exercises the encoder", label)
 				}
-				check(label+"/monolithic/query", mono.QueryScores, nil)
-				check(label+"/monolithic/ad", mono.AdScores, nil)
+				check(label+"/monolithic/query", mono.QueryScores, whole.Queries)
+				check(label+"/monolithic/ad", mono.AdScores, whole.Ads)
 
 				for name, plan := range plans {
 					res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 3, RetainShardScores: true})
@@ -171,8 +169,8 @@ func TestEncodeSegmentMatchesReference(t *testing.T) {
 						check(fmt.Sprintf("%s/%s/shard %d/query", label, name, i), ss.QueryScores, ss.QueryIDs)
 						check(fmt.Sprintf("%s/%s/shard %d/ad", label, name, i), ss.AdScores, ss.AdIDs)
 					}
-					check(label+"/"+name+"/stitched/query", res.QueryScores, nil)
-					check(label+"/"+name+"/stitched/ad", res.AdScores, nil)
+					check(label+"/"+name+"/stitched/query", res.QueryScores, whole.Queries)
+					check(label+"/"+name+"/stitched/ad", res.AdScores, whole.Ads)
 				}
 			}
 		}
@@ -275,8 +273,9 @@ func TestScatterIndexMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs["engine query side"] = encodeSegment(res.QueryScores, nil)
-	segs["engine ad side"] = encodeSegment(res.AdScores, nil)
+	whole := partition.WholePlan(g).Shards[0]
+	segs["engine query side"] = encodeSegment(res.QueryScores, whole.Queries)
+	segs["engine ad side"] = encodeSegment(res.AdScores, whole.Ads)
 	for name, seg := range segs {
 		got, err := buildScatterIndex(seg, math.MaxInt)
 		if err != nil {

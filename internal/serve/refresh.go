@@ -45,20 +45,21 @@ type RefreshStats struct {
 }
 
 // ShardSegment is one shard's encoded score segments in wire form — the
-// exact bytes a snapshot stores for that shard, with their CRCs. It is
-// what a shard runner produces per dirty shard: the in-process pool
-// encodes one from its shard run, a remote worker ships one back to the
-// coordinator, and AssembleRefresh validates the CRCs and stores the
-// bytes unchanged.
+// exact bytes a snapshot stores for that shard, with their CRCs. Every
+// snapshot is assembled from them: a full build encodes one per shard, a
+// shard runner one per dirty shard (the in-process pool from its shard
+// run, a remote worker ships one back to the coordinator), and
+// AssembleRefresh validates the CRCs and stores the bytes unchanged.
 type ShardSegment struct {
 	QuerySeg, AdSeg []byte
 	QueryCRC, AdCRC uint32
 }
 
-// EncodeShardSegment encodes one shard's score frontiers into
-// segment wire form. qIDs/aIDs are the shard's ascending global node ids
-// (nil for an identity/monolithic shard); the frontiers are local-id
-// keyed, exactly as a per-shard engine produces them.
+// EncodeShardSegment encodes one shard's score frontiers into segment
+// wire form: the one place frontiers become segment bytes, for a full
+// build, PoolRunner and a fleet worker alike. qIDs/aIDs are the shard's
+// ascending global node ids; the frontiers are local-id keyed, exactly as
+// a per-shard engine produces them.
 func EncodeShardSegment(q, a *sparse.PairFrontier, qIDs, aIDs []int) ShardSegment {
 	var s ShardSegment
 	s.QuerySeg = encodeSegment(q, qIDs)
@@ -134,23 +135,11 @@ func PoolRunner(workers int) ShardRunner {
 		if err != nil {
 			return nil, err
 		}
-		out := &ShardRun{
-			Segments:   make([]*ShardSegment, len(run)),
+		return &ShardRun{
+			Segments:   encodeShards(res.ShardScores),
 			Iterations: res.Iterations,
 			Converged:  res.Converged,
-		}
-		var ran []int
-		for i, r := range run {
-			if r {
-				ran = append(ran, i)
-			}
-		}
-		parallelFor(len(ran), func(k int) {
-			ss := &res.ShardScores[ran[k]]
-			seg := EncodeShardSegment(ss.QueryScores, ss.AdScores, ss.QueryIDs, ss.AdIDs)
-			out.Segments[ran[k]] = &seg
-		})
-		return out, nil
+		}, nil
 	}
 }
 
@@ -172,90 +161,52 @@ func refreshTopK(prev *Snapshot, bids map[string]bool) (topkMeta, error) {
 	return tk, nil
 }
 
-// AssembleRefresh writes the next snapshot generation from a shard run.
-// plan must be the projected refresh plan (partition.DiffPlans) over g,
-// dirty its classification, and run.Segments non-nil exactly at the
-// dirty indices. Every provided segment is CRC-validated before use;
-// clean shards' segments are byte-copied from prev, verified against the
-// directory CRCs, under a fingerprint guard. The precomputed rewrite
-// section follows the same split at the depth recorded in prev's header:
-// dirty shards' blobs are rebuilt here from the validated segment bytes
-// (runners ship scores, not filter decisions), clean shards' blobs are
-// byte-copied — valid for the same reason segment copies are: a blob is
-// position-independent (blob-relative offsets, global ids) and a clean
-// shard's pipeline inputs are fingerprint-identical. bids must be the
-// same bid-term set prev's section was built with (compared by hash);
-// pass nil when prev carries no section. The new generation records
-// prev's run configuration, the one its runners computed under. Byte
-// counters cover score segments only.
+// AssembleRefresh writes the next snapshot generation from a shard run
+// through the assembler a full build uses. plan must be the projected
+// refresh plan (partition.DiffPlans) over g, dirty its classification,
+// and run.Segments non-nil exactly at the dirty indices. Every provided
+// segment is CRC-validated before use; clean shards' segments are
+// byte-copied from prev, verified against the directory CRCs, under a
+// fingerprint guard. The precomputed rewrite section follows the same
+// split at the depth recorded in prev's header: dirty shards' blobs are
+// rebuilt from the validated segment bytes (runners ship scores, not
+// filter decisions), clean shards' blobs are byte-copied — valid for the
+// same reason segment copies are: a blob is position-independent
+// (blob-relative offsets, global ids) and a clean shard's pipeline inputs
+// are fingerprint-identical. bids must be the same bid-term set prev's
+// section was built with (compared by hash); pass nil when prev carries
+// no section. The new generation records prev's run configuration, the
+// one its runners computed under.
 func AssembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, plan *partition.Plan, dirty []bool, run *ShardRun, bids map[string]bool) (RefreshStats, error) {
-	var st RefreshStats
 	if len(plan.Shards) != len(dirty) || len(plan.Shards) != len(run.Segments) {
-		return st, fmt.Errorf("serve: assemble got %d shards, %d dirty flags, %d segments",
+		return RefreshStats{}, fmt.Errorf("serve: assemble got %d shards, %d dirty flags, %d segments",
 			len(plan.Shards), len(dirty), len(run.Segments))
 	}
 	tk, err := refreshTopK(prev, bids)
 	if err != nil {
-		return st, err
+		return RefreshStats{}, err
 	}
-
-	payloads := make([]shardPayload, len(plan.Shards))
-	var dirtyIdx []int
-	for i := range plan.Shards {
-		sh, p, seg := &plan.Shards[i], &payloads[i], run.Segments[i]
-		p.qIDs, p.aIDs, p.fp = sh.Queries, sh.Ads, sh.Fingerprint
-		if dirty[i] {
-			if seg == nil {
-				return st, fmt.Errorf("serve: dirty shard %d has no segment", i)
-			}
-			if err := seg.Validate(); err != nil {
-				return st, fmt.Errorf("serve: shard %d: %w", i, err)
-			}
-			p.qSeg, p.aSeg = seg.QuerySeg, seg.AdSeg
-			p.qCRC, p.aCRC = seg.QueryCRC, seg.AdCRC
-			dirtyIdx = append(dirtyIdx, i)
-			st.DirtyShards++
-			st.BytesReencoded += int64(len(seg.QuerySeg) + len(seg.AdSeg))
+	dirtyShards := 0
+	for i, seg := range run.Segments {
+		if dirty[i] != (seg != nil) {
+			return RefreshStats{}, fmt.Errorf("serve: shard %d: dirty flag %v but segment present %v (dirty mask out of sync?)", i, dirty[i], seg != nil)
+		}
+		if seg == nil {
 			continue
 		}
-		// Clean shard: reuse segment i of the previous generation.
-		if seg != nil {
-			return st, fmt.Errorf("serve: clean shard %d has a segment (dirty mask out of sync?)", i)
+		if err := seg.Validate(); err != nil {
+			return RefreshStats{}, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
-		if i >= prev.meta.Shards {
-			return st, fmt.Errorf("serve: shard %d marked clean but the previous snapshot has only %d shards",
-				i, prev.meta.Shards)
-		}
-		e := &prev.dir[i]
-		if p.fp != e.fp {
-			return st, fmt.Errorf("serve: shard %d marked clean but its fingerprint differs from the previous generation's", i)
-		}
-		if p.qSeg, err = prev.segmentBytes("query", i); err != nil {
-			return st, err
-		}
-		if p.aSeg, err = prev.segmentBytes("ad", i); err != nil {
-			return st, err
-		}
-		if p.tkBlob, err = prev.segmentBytes("topk", i); err != nil {
-			return st, err
-		}
-		p.qCRC, p.aCRC, p.tkCRC = e.qCRC, e.aCRC, e.tkCRC
-		st.CleanShards++
-		st.BytesCopied += int64(len(p.qSeg) + len(p.aSeg))
+		dirtyShards++
 	}
-	if err := fillTopKBlobs(payloads, dirtyIdx, g, tk, bids); err != nil {
-		return st, err
-	}
-
 	// Iterations: a refresh ran only its dirty shards, so the horizon the
 	// snapshot advertises is the deeper of the two generations'.
-	err = writeAssembled(w, g, prev.Config(), payloads, genInfo{
+	return assembleSnapshot(w, g, prev.Config(), plan.Shards, run.Segments, prev, tk, bids, genInfo{
 		iterations:  max(run.Iterations, prev.meta.Iterations),
 		converged:   run.Converged && prev.meta.Converged,
 		generatedAt: time.Now(),
-		dirtyShards: uint32(st.DirtyShards),
-	}, tk)
-	return st, err
+		dirtyShards: uint32(dirtyShards),
+	})
 }
 
 // checkpointWriter fires its hook once, after the first write has

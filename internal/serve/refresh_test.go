@@ -305,10 +305,11 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 // iteration depth of clean ones) — it re-runs dirty shards cold, so the
 // refreshed snapshot is bit-identical to a cold run of the whole
 // projected plan: clean shards via byte-copy, dirty shards via
-// deterministic recompute. It also pins the one assembler against the
-// independent full writer at the byte level, bid-filtered top-k section
-// included: outside the header's generation metadata the refreshed file
-// IS WriteSnapshotTopK of that cold run.
+// deterministic recompute. It also pins the assembler's copy path against
+// its encode path at the byte level, bid-filtered top-k section included:
+// outside the header's generation metadata the refreshed file IS
+// WriteSnapshotTopK of that cold run, and so is a refresh in which every
+// shard is dirty — a full build.
 func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 	cfg := core.DefaultConfig().WithVariant(core.Weighted)
 	cfg.Channel = core.ChannelClicks
@@ -364,16 +365,30 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := cold.Bytes()
-	if len(got) != len(want) {
-		t.Fatalf("refreshed snapshot is %d bytes, the cold full write %d", len(got), len(want))
+	all := make([]bool, len(diff.Dirty))
+	for i := range all {
+		all[i] = true
 	}
-	// generated-at, last-refresh dirty count, header CRC.
-	for _, r := range [][2]int{{128, 136}, {136, 140}, {196, 200}} {
-		copy(got[r[0]:r[1]], want[r[0]:r[1]])
+	allRun, err := PoolRunner(3)(context.Background(), churned, prev, diff.Plan, all)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("refreshed snapshot differs from the cold full write at byte %d of %d", i, len(got))
+	var allDirty bytes.Buffer
+	if _, err := AssembleRefresh(&allDirty, prev, churned, diff.Plan, all, allRun, bids); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]byte{"refreshed": got, "all-dirty": allDirty.Bytes()} {
+		if len(got) != len(want) {
+			t.Fatalf("%s snapshot is %d bytes, the cold full write %d", name, len(got), len(want))
+		}
+		// generated-at, last-refresh dirty count, header CRC.
+		for _, r := range [][2]int{{128, 136}, {136, 140}, {196, 200}} {
+			copy(got[r[0]:r[1]], want[r[0]:r[1]])
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s snapshot differs from the cold full write at byte %d of %d", name, i, len(got))
+			}
 		}
 	}
 }

@@ -1,10 +1,12 @@
 // Package serve is the online half of the paper's Figure 2 deployment
-// split: SimRank++ scores are computed offline (core.Run / core.RunSharded),
-// persisted as a shard-segmented binary snapshot, and answered at query
-// time by a front-end that never touches an engine. The package provides
-// the ScoreIndex read abstraction every score consumer targets, the
-// versioned snapshot format (snapshot.go), and the simrankd HTTP server
-// (server.go).
+// split: SimRank++ scores are computed offline, one engine per shard
+// (core.RunSharded), persisted as a shard-segmented binary snapshot, and
+// answered at query time by a front-end that never touches an engine. The
+// package provides the versioned snapshot format (snapshot_format.go),
+// its one writer (snapshot_write.go) and its reader (snapshot_read.go),
+// the incremental refresh and generation journal, the simrankd HTTP
+// server (server.go), which answers from a *Snapshot, and the ScoreIndex
+// read surface the rewrite pipeline and the warm-start seeder share.
 package serve
 
 import (

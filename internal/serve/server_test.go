@@ -25,11 +25,7 @@ func fig3Server(t *testing.T, cfg Config) (*Server, *core.Result) {
 
 func fig3Result(t *testing.T, cfg core.Config) *core.Result {
 	t.Helper()
-	res, err := core.Run(clickgraph.Fig3(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return wholeRun(t, clickgraph.Fig3(), cfg)
 }
 
 // fig3Weighted is Figure 3 under weighted SimRank, saved with a section:
@@ -185,10 +181,7 @@ func TestServerStats(t *testing.T) {
 // probed query has more than 2 partners and rewrites.
 func TestDepthCappedAtSectionK(t *testing.T) {
 	g := refreshGraph(t, [4]int{1, 2, 3, 4})
-	res, err := core.Run(g, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := wholeRun(t, g, core.DefaultConfig())
 	snap := mustSnapshot(t, res, 2)
 	q := -1
 	for c := 0; c < g.NumQueries() && q < 0; c++ {
@@ -249,10 +242,7 @@ func TestServerReadyzHealthy(t *testing.T) {
 // identically — the key a read gateway compares across replicas to keep
 // answers generation-consistent.
 func TestGenerationIdentitySurfaced(t *testing.T) {
-	res, err := core.Run(testGraph(t), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := wholeRun(t, testGraph(t), core.DefaultConfig())
 	snap := mustSnapshot(t, res, DefaultRewriteTopK)
 	srv := NewServer(snap, DefaultServerConfig())
 	srv.SetGenerationID(7)
@@ -436,10 +426,7 @@ func TestConcurrentSwapUnderLoad(t *testing.T) {
 // new index, and stats expose the snapshot metadata and lazy segment
 // count.
 func TestServerSnapshotSwap(t *testing.T) {
-	res, err := core.Run(clickgraph.Fig3(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := wholeRun(t, clickgraph.Fig3(), core.DefaultConfig())
 	var buf bytes.Buffer
 	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)
@@ -522,10 +509,7 @@ func TestServerAllocationsPerRead(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts under the race detector are not the production ones")
 	}
-	res, err := core.Run(clickgraph.Fig3(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := wholeRun(t, clickgraph.Fig3(), core.DefaultConfig())
 	snap := mustSnapshot(t, res, DefaultRewriteTopK)
 	h := serverOver(snap, nil).Handler()
 	w := &discardWriter{h: http.Header{}}

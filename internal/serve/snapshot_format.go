@@ -93,7 +93,8 @@ type SnapshotMeta struct {
 	DeltaSkipTol    float64            `json:"delta_skip_tolerance"`
 	NumQueries      int                `json:"queries"`
 	NumAds          int                `json:"ads"`
-	// Shards is the number of score segments; 1 for a monolithic run.
+	// Shards is the number of score segments; 1 for a partition.WholePlan
+	// run.
 	Shards int `json:"shards"`
 	// QueryPairs and AdPairs are the total stored pair counts across all
 	// shards (recorded in the header, so stats never force a segment load).

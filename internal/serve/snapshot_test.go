@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -52,6 +54,17 @@ func namedTestGraph(t *testing.T, rename func(name string, i int) string) *click
 		}
 	}
 	return b.Build()
+}
+
+// wholeRun runs g as partition.WholePlan's one shard with its scores
+// retained: the monolithic run a snapshot is written from.
+func wholeRun(t testing.TB, g *clickgraph.Graph, cfg core.Config) *core.Result {
+	t.Helper()
+	res, err := core.RunSharded(g, cfg, partition.WholePlan(g), core.ShardOptions{RetainShardScores: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // snapshotBytes writes res with a top-k section of depth k (0: none).
@@ -160,24 +173,18 @@ func testSnapshotRoundTrip(t *testing.T, g *clickgraph.Graph) {
 					cfg.C1, cfg.C2 = 0.7, 0.9
 					cfg.StrictEvidence = strict
 					cfg.PruneEpsilon = 1e-6
-					var res *core.Result
-					var err error
+					run := partition.WholePlan(g)
 					if sharded {
-						res, err = core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 3, RetainShardScores: true})
-					} else {
-						res, err = core.Run(g, cfg)
+						run = plan
 					}
+					res, err := core.RunSharded(g, cfg, run, core.ShardOptions{Workers: 3, RetainShardScores: true})
 					if err != nil {
 						t.Fatal(err)
 					}
 					snap := mustSnapshot(t, res, DefaultRewriteTopK)
 					meta := snap.Meta()
-					wantShards := 1
-					if sharded {
-						wantShards = len(plan.Shards)
-					}
-					if meta.Shards != wantShards {
-						t.Errorf("snapshot has %d shards, want %d", meta.Shards, wantShards)
+					if meta.Shards != len(run.Shards) {
+						t.Errorf("snapshot has %d shards, want %d", meta.Shards, len(run.Shards))
 					}
 					if meta.Variant != variant || meta.Iterations != res.Iterations {
 						t.Errorf("meta = %+v, want variant %v iterations %d", meta, variant, res.Iterations)
@@ -344,13 +351,24 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsCorruption pins the header/truncation error paths.
-func TestSnapshotRejectsCorruption(t *testing.T) {
-	g := clickgraph.Fig3()
-	res, err := core.Run(g, core.DefaultConfig())
+// TestWriteSnapshotRefusesUnshardedResult: a snapshot is written from
+// retained shard scores only, so a core.Run result is refused with an
+// error naming the option that retains them.
+func TestWriteSnapshotRefusesUnshardedResult(t *testing.T) {
+	res, err := core.Run(clickgraph.Fig3(), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	err = WriteSnapshotTopK(io.Discard, res, TopKOptions{K: DefaultRewriteTopK})
+	if err == nil || !strings.Contains(err.Error(), "core.ShardOptions.RetainShardScores") {
+		t.Fatalf("WriteSnapshotTopK(core.Run result) = %v, want an error naming core.ShardOptions.RetainShardScores", err)
+	}
+}
+
+// TestSnapshotRejectsCorruption pins the header/truncation error paths.
+func TestSnapshotRejectsCorruption(t *testing.T) {
+	g := clickgraph.Fig3()
+	res := wholeRun(t, g, core.DefaultConfig())
 	var buf bytes.Buffer
 	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)

@@ -12,55 +12,35 @@ import (
 	"sync"
 	"time"
 
+	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/core"
 	"simrankpp/internal/frame"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/sparse"
 )
 
-// snapshotSources decomposes a result into per-shard score sets: the
-// retained shard outputs of a RunSharded(..., RetainShardScores) run, or
-// the stitched frontiers as one identity shard (nil id lists).
-func snapshotSources(res *core.Result) []core.ShardScoreSet {
-	if len(res.ShardScores) > 0 {
-		return res.ShardScores
-	}
-	return []core.ShardScoreSet{{QueryScores: res.QueryScores, AdScores: res.AdScores}}
-}
-
-// encodeSegment writes one pair frontier out as the sorted
-// binary record stream, remapping ids through the ascending local→global
-// map when given. Row-major frontier order is segment order — a monotone
-// map keeps rows, and columns within a row, ascending — so nothing sorts.
+// encodeSegment writes one pair frontier out as the sorted binary record
+// stream, remapping ids through the shard's ascending local→global map.
+// Row-major frontier order is segment order — a monotone map keeps rows,
+// and columns within a row, ascending — so nothing sorts.
 func encodeSegment(f *sparse.PairFrontier, ids []int) []byte {
 	buf := make([]byte, 0, f.Len()*pairRecordSize)
 	f.Range(func(i, j int, v float64) bool {
-		if ids != nil {
-			i, j = ids[i], ids[j]
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(j))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(ids[i]))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(ids[j]))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		return true
 	})
 	return buf
 }
 
-// shardPayload is one shard's encoded segments plus its directory
-// metadata, ready for assembly. AssembleRefresh fills it from a shard
-// run's segments and by byte-copying a previous snapshot;
-// WriteSnapshotTopK by encoding frontiers.
+// shardPayload is one shard's bytes as writeAssembled lays them out: its
+// score segments and its top-k blob (empty when the snapshot carries no
+// section).
 type shardPayload struct {
-	qSeg, aSeg []byte
-	qCRC, aCRC uint32
-	fp         uint64
-	// tkBlob is the shard's precomputed top-k rewrite blob (empty when
-	// the snapshot carries no section).
+	ShardSegment
 	tkBlob []byte
 	tkCRC  uint32
-	// qIDs/aIDs are the shard's global node ids for the route section
-	// (nil means identity — the single-shard monolithic case).
-	qIDs, aIDs []int
 }
 
 // genInfo is the generation metadata stamped into the header.
@@ -73,75 +53,94 @@ type genInfo struct {
 	dirtyShards uint32
 }
 
-// shardFingerprints extracts per-shard fingerprints from a sharded run's
-// stats (plan order, matching ShardScores), or computes the whole-graph
-// fingerprint for a monolithic result.
-func shardFingerprints(res *core.Result, shards int) ([]uint64, error) {
-	if shards == 1 && len(res.ShardScores) == 0 {
-		return []uint64{partition.GraphFingerprint(res.Graph)}, nil
-	}
-	if len(res.ShardStats) != shards {
-		return nil, fmt.Errorf("serve: result has %d shard stats for %d segments; snapshots need RunSharded results (or a monolithic run)",
-			len(res.ShardStats), shards)
-	}
-	fps := make([]uint64, shards)
-	for i := range fps {
-		fps[i] = res.ShardStats[i].Fingerprint
-	}
-	return fps, nil
-}
-
-// WriteSnapshotTopK serializes res in the snapshot format, including the
-// precomputed rewrite section opts configures (K 0 writes none). A
-// result carrying retained shard scores (core.ShardOptions.RetainShardScores)
-// writes one segment pair per shard, encoded in parallel directly from
-// the shard engines' local frontiers; any other result writes a single
-// segment pair. Results of a partial (ShardOptions.RunShards) run are
-// rejected — their missing shards can only be completed by a refresh
-// (AssembleRefresh).
+// WriteSnapshotTopK writes a full build of res — the refresh in which
+// every shard is dirty — with the precomputed rewrite section opts
+// configures (K 0 writes none). res must come from core.RunSharded with
+// core.ShardOptions.RetainShardScores (partition.WholePlan is the
+// one-shard plan): each shard's segments are encoded, in parallel, from
+// its engine's local frontiers. Results of a partial
+// (ShardOptions.RunShards) run are rejected — their missing shards can
+// only be completed by a refresh (AssembleRefresh).
 func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
-	srcs := snapshotSources(res)
-	fps, err := shardFingerprints(res, len(srcs))
-	if err != nil {
-		return err
+	if len(res.ShardScores) == 0 || len(res.ShardStats) != len(res.ShardScores) {
+		return fmt.Errorf("serve: a snapshot is written from shard scores: run core.RunSharded with core.ShardOptions.RetainShardScores")
 	}
-	payloads := make([]shardPayload, len(srcs))
-	for i := range srcs {
-		if srcs[i].QueryScores == nil || srcs[i].AdScores == nil {
+	segs := encodeShards(res.ShardScores)
+	shards := make([]partition.Shard, len(segs))
+	for i, ss := range res.ShardScores {
+		if segs[i] == nil {
 			return fmt.Errorf("serve: shard %d has no scores (partial refresh run?); use AssembleRefresh", i)
 		}
-		payloads[i].qIDs, payloads[i].aIDs = srcs[i].QueryIDs, srcs[i].AdIDs
-		payloads[i].fp = fps[i]
+		shards[i] = partition.Shard{Queries: ss.QueryIDs, Ads: ss.AdIDs, Fingerprint: res.ShardStats[i].Fingerprint}
 	}
-
-	all := make([]int, len(srcs))
-	for i := range all {
-		all[i] = i
-	}
-	encodePayloads(payloads, all, srcs)
-	tk := opts.meta()
-	if err := fillTopKBlobs(payloads, all, res, tk, opts.BidTerms); err != nil {
-		return err
-	}
-
-	return writeAssembled(w, res, res.Config, payloads, genInfo{
+	_, err := assembleSnapshot(w, res.Graph, res.Config, shards, segs, nil, opts.meta(), opts.BidTerms, genInfo{
 		iterations:  res.Iterations,
 		converged:   res.Converged,
 		generatedAt: time.Now(),
 		dirtyShards: fullBuildSentinel,
-	}, tk)
+	})
+	return err
 }
 
-// encodePayloads fills the given payload indices' segments and CRCs from
-// their score frontiers, one encoder per shard on a bounded pool.
-func encodePayloads(payloads []shardPayload, idx []int, scores []core.ShardScoreSet) {
-	parallelFor(len(idx), func(k int) {
-		p := &payloads[idx[k]]
-		p.qSeg = encodeSegment(scores[idx[k]].QueryScores, p.qIDs)
-		p.aSeg = encodeSegment(scores[idx[k]].AdScores, p.aIDs)
-		p.qCRC = crc32.ChecksumIEEE(p.qSeg)
-		p.aCRC = crc32.ChecksumIEEE(p.aSeg)
+// encodeShards encodes every shard that ran into segment wire form, one
+// encoder per shard on a bounded pool; a shard ShardOptions.RunShards
+// skipped stays nil.
+func encodeShards(scores []core.ShardScoreSet) []*ShardSegment {
+	segs := make([]*ShardSegment, len(scores))
+	parallelFor(len(scores), func(i int) {
+		if ss := &scores[i]; ss.QueryScores != nil && ss.AdScores != nil {
+			seg := EncodeShardSegment(ss.QueryScores, ss.AdScores, ss.QueryIDs, ss.AdIDs)
+			segs[i] = &seg
+		}
 	})
+	return segs
+}
+
+// assembleSnapshot is the one snapshot assembler. It writes g's snapshot from one
+// entry per shard: the shard's ids and fingerprint, and segs[i], its
+// computed segments, or nil to byte-copy the shard's segments and top-k
+// blob from prev under a fingerprint guard. The computed shards' top-k
+// blobs are built here from their query segments. A full build computes
+// every shard and has no prev; a refresh computes its dirty shards. Byte
+// counters cover score segments only.
+func assembleSnapshot(w io.Writer, g *clickgraph.Graph, cfg core.Config, shards []partition.Shard, segs []*ShardSegment, prev *Snapshot, tk topkMeta, bids map[string]bool, gen genInfo) (RefreshStats, error) {
+	var st RefreshStats
+	payloads := make([]shardPayload, len(shards))
+	var computed []int
+	for i, seg := range segs {
+		p := &payloads[i]
+		if seg != nil {
+			p.ShardSegment = *seg
+			computed = append(computed, i)
+			st.DirtyShards++
+			st.BytesReencoded += int64(len(seg.QuerySeg) + len(seg.AdSeg))
+			continue
+		}
+		if prev == nil || i >= prev.meta.Shards {
+			return st, fmt.Errorf("serve: shard %d has no segment and no previous generation to copy it from", i)
+		}
+		e := &prev.dir[i]
+		if shards[i].Fingerprint != e.fp {
+			return st, fmt.Errorf("serve: shard %d marked clean but its fingerprint differs from the previous generation's", i)
+		}
+		var err error
+		if p.QuerySeg, err = prev.segmentBytes("query", i); err != nil {
+			return st, err
+		}
+		if p.AdSeg, err = prev.segmentBytes("ad", i); err != nil {
+			return st, err
+		}
+		if p.tkBlob, err = prev.segmentBytes("topk", i); err != nil {
+			return st, err
+		}
+		p.QueryCRC, p.AdCRC, p.tkCRC = e.qCRC, e.aCRC, e.tkCRC
+		st.CleanShards++
+		st.BytesCopied += int64(len(p.QuerySeg) + len(p.AdSeg))
+	}
+	if err := fillTopKBlobs(payloads, computed, shards, g, tk, bids); err != nil {
+		return st, err
+	}
+	return st, writeAssembled(w, g, cfg, shards, payloads, gen, tk)
 }
 
 // parallelFor runs fn(0..n-1) on a GOMAXPROCS-bounded pool and waits: the
@@ -167,18 +166,6 @@ func parallelFor(n int, fn func(k int)) {
 	wg.Wait()
 }
 
-// nodeNames is the naming surface writeAssembled reads — the graph
-// dimensions plus id→name lookups. Both *core.Result and
-// *clickgraph.Graph satisfy it, which is what lets a distributed refresh
-// (which has a graph and pre-encoded segments, but no stitched Result)
-// assemble the same bytes the local path writes.
-type nodeNames interface {
-	NumQueries() int
-	NumAds() int
-	Query(id int) string
-	Ad(id int) string
-}
-
 // topkMeta is the precomputed rewrite section's header parameters: list
 // depth k, the candidate-pool size the lists were filtered from, and the
 // bid-term-set hash. A zero k means no section (every blob empty).
@@ -187,12 +174,12 @@ type topkMeta struct {
 	bidHash uint64
 }
 
-// writeAssembled lays out and writes a complete snapshot from per-shard
-// payloads: string table and route map from the names source, directory
-// and header from the payloads, cfg, gen and the top-k section
+// writeAssembled lays out and writes a complete snapshot: string table
+// from g, route map from the shards' ids, directory from their
+// fingerprints and payloads, header from cfg, gen and the top-k section
 // parameters.
-func writeAssembled(w io.Writer, names nodeNames, cfg core.Config, payloads []shardPayload, gen genInfo, tk topkMeta) error {
-	nq, na := names.NumQueries(), names.NumAds()
+func writeAssembled(w io.Writer, g *clickgraph.Graph, cfg core.Config, shards []partition.Shard, payloads []shardPayload, gen genInfo, tk topkMeta) error {
+	nq, na := g.NumQueries(), g.NumAds()
 	if len(payloads) > 1<<30 || uint64(nq) > math.MaxUint32 || uint64(na) > math.MaxUint32 {
 		return fmt.Errorf("serve: snapshot dimensions overflow uint32")
 	}
@@ -200,20 +187,20 @@ func writeAssembled(w io.Writer, names nodeNames, cfg core.Config, payloads []sh
 	// String table: length-prefixed names, queries then ads.
 	strs := frame.Append(nil, "")
 	for q := 0; q < nq; q++ {
-		strs.Str(names.Query(q))
+		strs.Str(g.Query(q))
 	}
 	for a := 0; a < na; a++ {
-		strs.Str(names.Ad(a))
+		strs.Str(g.Ad(a))
 	}
 	strBuf := strs.Bytes()
 
 	// Route section: node → shard, from the shard id lists.
 	route := make([]byte, 4*(nq+na))
-	for si := range payloads {
-		for _, q := range payloads[si].qIDs {
+	for si := range shards {
+		for _, q := range shards[si].Queries {
 			binary.LittleEndian.PutUint32(route[4*q:], uint32(si))
 		}
-		for _, a := range payloads[si].aIDs {
+		for _, a := range shards[si].Ads {
 			binary.LittleEndian.PutUint32(route[4*(nq+a):], uint32(si))
 		}
 	}
@@ -226,7 +213,7 @@ func writeAssembled(w io.Writer, names nodeNames, cfg core.Config, payloads []sh
 	segOff := dirOff + uint64(dirEntrySize*len(payloads))
 	tkOff := segOff
 	for i := range payloads {
-		tkOff += uint64(len(payloads[i].qSeg) + len(payloads[i].aSeg))
+		tkOff += uint64(len(payloads[i].QuerySeg) + len(payloads[i].AdSeg))
 	}
 	entries := frame.Append(make([]byte, 0, dirEntrySize*len(payloads)), "")
 	var totalQ, totalA uint64
@@ -235,19 +222,19 @@ func writeAssembled(w io.Writer, names nodeNames, cfg core.Config, payloads []sh
 		if err := checkTopKBlobLen(len(p.tkBlob)); err != nil {
 			return fmt.Errorf("serve: shard %d: %w", i, err)
 		}
-		qPairs := uint64(len(p.qSeg) / pairRecordSize)
-		aPairs := uint64(len(p.aSeg) / pairRecordSize)
+		qPairs := uint64(len(p.QuerySeg) / pairRecordSize)
+		aPairs := uint64(len(p.AdSeg) / pairRecordSize)
 		entries.U64(segOff)
-		entries.U64(segOff + uint64(len(p.qSeg)))
+		entries.U64(segOff + uint64(len(p.QuerySeg)))
 		entries.U64(qPairs)
 		entries.U64(aPairs)
-		entries.U32(p.qCRC)
-		entries.U32(p.aCRC)
-		entries.U64(p.fp)
+		entries.U32(p.QueryCRC)
+		entries.U32(p.AdCRC)
+		entries.U64(shards[i].Fingerprint)
 		entries.U64(tkOff)
 		entries.U32(uint32(len(p.tkBlob)))
 		entries.U32(p.tkCRC)
-		segOff += uint64(len(p.qSeg) + len(p.aSeg))
+		segOff += uint64(len(p.QuerySeg) + len(p.AdSeg))
 		tkOff += uint64(len(p.tkBlob))
 		totalQ += qPairs
 		totalA += aPairs
@@ -305,10 +292,10 @@ func writeAssembled(w io.Writer, names nodeNames, cfg core.Config, payloads []sh
 		}
 	}
 	for i := range payloads {
-		if _, err := w.Write(payloads[i].qSeg); err != nil {
+		if _, err := w.Write(payloads[i].QuerySeg); err != nil {
 			return err
 		}
-		if _, err := w.Write(payloads[i].aSeg); err != nil {
+		if _, err := w.Write(payloads[i].AdSeg); err != nil {
 			return err
 		}
 	}

@@ -12,6 +12,8 @@ import (
 	"sort"
 	"strings"
 
+	"simrankpp/internal/clickgraph"
+	"simrankpp/internal/partition"
 	"simrankpp/internal/rewrite"
 	"simrankpp/internal/sparse"
 	"simrankpp/internal/stem"
@@ -116,28 +118,19 @@ func (s *topkSliceSource) Rewrites(_ int, limit int) ([]sparse.Scored, error) {
 // buildTopKBlob call builds, uses and drops it on one goroutine, so a
 // refresh re-stems only its dirty shards' names.
 type shardNames struct {
-	names nodeNames
+	g     *clickgraph.Graph
 	ids   []int    // the shard's global query ids, ascending
-	stems []string // stems[p] = stem.Phrase(names.Query(ids[p]))
-	bid   []bool   // bid[p] = bids[names.Query(ids[p])]; nil without a bid list
+	stems []string // stems[p] = stem.Phrase(g.Query(ids[p]))
+	bid   []bool   // bid[p] = bids[g.Query(ids[p])]; nil without a bid list
 }
 
-// newShardNames stems the names of the shard's queries — qIDs, or every
-// query when qIDs is nil (the one shard of a monolithic snapshot) — and
-// flags the bid ones. Names share most of their words, so stem.Word runs
-// once per distinct word; joining a name's word stems with single spaces
-// is stem.Phrase by construction.
-func newShardNames(names nodeNames, qIDs []int, bids map[string]bool) *shardNames {
-	s := &shardNames{names: names}
-	if qIDs != nil {
-		s.ids = slices.Clone(qIDs)
-		slices.Sort(s.ids)
-	} else {
-		s.ids = make([]int, names.NumQueries())
-		for i := range s.ids {
-			s.ids[i] = i
-		}
-	}
+// newShardNames stems the names of the shard's queries qIDs and flags the
+// bid ones. Names share most of their words, so stem.Word runs once per
+// distinct word; joining a name's word stems with single spaces is
+// stem.Phrase by construction.
+func newShardNames(g *clickgraph.Graph, qIDs []int, bids map[string]bool) *shardNames {
+	s := &shardNames{g: g, ids: slices.Clone(qIDs)}
+	slices.Sort(s.ids)
 	s.stems = make([]string, len(s.ids))
 	if bids != nil {
 		s.bid = make([]bool, len(s.ids))
@@ -145,7 +138,7 @@ func newShardNames(names nodeNames, qIDs []int, bids map[string]bool) *shardName
 	words := make(map[string]string, len(s.ids))
 	var parts []string
 	for p, id := range s.ids {
-		name := names.Query(id)
+		name := g.Query(id)
 		if s.bid != nil {
 			s.bid[p] = bids[name]
 		}
@@ -165,7 +158,7 @@ func newShardNames(names nodeNames, qIDs []int, bids map[string]bool) *shardName
 
 // NumQueries and Query are rewrite.QueryNames over positions.
 func (s *shardNames) NumQueries() int    { return len(s.ids) }
-func (s *shardNames) Query(p int) string { return s.names.Query(s.ids[p]) }
+func (s *shardNames) Query(p int) string { return s.g.Query(s.ids[p]) }
 
 // StemKey is the optional names-source method rewrite.Pipeline asks for
 // before stemming a name itself.
@@ -185,8 +178,7 @@ func checkTopKBlobLen(n int) error {
 // buildTopKBlob builds one shard's blob from its encoded query segment:
 // decode partner lists in one pass, rank them exactly as
 // segView.topKFor would, and filter each query's ranking through the
-// pipeline at depth k. qIDs is the shard's global query ids (nil =
-// identity shard covering every query).
+// pipeline at depth k. qIDs is the shard's global query ids.
 //
 // Only partners that can reach a list are ranked. The pipeline reads a
 // ranking's first tk.topN candidates, and one its bid test drops (that
@@ -194,11 +186,11 @@ func checkTopKBlobLen(n int) error {
 // changes no survivor: a row no longer than the pool keeps its bid
 // partners, a longer row the bid partners among its tk.topN best (all of
 // them without a bid list), and only what is kept is sorted.
-func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids map[string]bool) ([]byte, error) {
+func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bids map[string]bool) ([]byte, error) {
 	if tk.k == 0 {
 		return nil, nil
 	}
-	shard := newShardNames(names, qIDs, bids)
+	shard := newShardNames(g, qIDs, bids)
 	ids, bid, topN := shard.ids, shard.bid, int(tk.topN)
 	// Partner lists, sized by a counting pass and filled into one flat
 	// array (as sparse.ExpandSymmetric does): position p's list is
@@ -321,13 +313,12 @@ func buildTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids m
 
 // fillTopKBlobs builds the given payload indices' blobs from their
 // already-encoded query segments, one builder per shard on a bounded
-// pool — the topk twin of encodePayloads, shared by WriteSnapshotTopK
-// (every shard) and AssembleRefresh (dirty shards only).
-func fillTopKBlobs(payloads []shardPayload, idx []int, names nodeNames, tk topkMeta, bids map[string]bool) error {
+// pool — for the shards the assembler was handed computed segments of.
+func fillTopKBlobs(payloads []shardPayload, idx []int, shards []partition.Shard, g *clickgraph.Graph, tk topkMeta, bids map[string]bool) error {
 	errs := make([]error, len(idx))
 	parallelFor(len(idx), func(k int) {
 		p := &payloads[idx[k]]
-		blob, err := buildTopKBlob(p.qSeg, p.qIDs, names, tk, bids)
+		blob, err := buildTopKBlob(p.QuerySeg, shards[idx[k]].Queries, g, tk, bids)
 		if err != nil {
 			errs[k] = err
 			return

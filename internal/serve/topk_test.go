@@ -35,20 +35,12 @@ func (s *refStats) add(o refStats) {
 // filter that stems each candidate before looking at the bid list — no
 // shared stems, no shared pipeline, no candidate dropped before the
 // filter sees it.
-func referenceTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bids map[string]bool) (blob []byte, st refStats) {
+func referenceTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bids map[string]bool) (blob []byte, st refStats) {
 	if tk.k == 0 {
 		return nil, st
 	}
-	var ids []int
-	if qIDs != nil {
-		ids = append([]int(nil), qIDs...)
-		sort.Ints(ids)
-	} else {
-		ids = make([]int, names.NumQueries())
-		for i := range ids {
-			ids[i] = i
-		}
-	}
+	ids := append([]int(nil), qIDs...)
+	sort.Ints(ids)
 	partners := make(map[int][]sparse.Scored)
 	for o := 0; o+pairRecordSize <= len(qSeg); o += pairRecordSize {
 		i := int(binary.LittleEndian.Uint32(qSeg[o:]))
@@ -76,13 +68,13 @@ func referenceTopKBlob(qSeg []byte, qIDs []int, names nodeNames, tk topkMeta, bi
 			}
 			ranked = ranked[:tk.topN]
 		}
-		seen := map[string]bool{stem.Phrase(names.Query(qid)): true}
+		seen := map[string]bool{stem.Phrase(g.Query(qid)): true}
 		var kept []sparse.Scored
 		for _, s := range ranked {
 			if s.Score <= 0 {
 				continue
 			}
-			text := names.Query(s.Node)
+			text := g.Query(s.Node)
 			key := stem.Phrase(text)
 			if seen[key] {
 				st.stemDrops++
@@ -152,8 +144,8 @@ func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts T
 	tk := opts.meta()
 	var st refStats
 	// want returns the reference blob for a shard's encoded query segment.
-	want := func(qSeg []byte, qIDs []int, names nodeNames) []byte {
-		blob, s := referenceTopKBlob(qSeg, qIDs, names, tk, opts.BidTerms)
+	want := func(qSeg []byte, qIDs []int, g *clickgraph.Graph) []byte {
+		blob, s := referenceTopKBlob(qSeg, qIDs, g, tk, opts.BidTerms)
 		st.add(s)
 		return blob
 	}
@@ -181,7 +173,7 @@ func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts T
 			t.Fatal(err)
 		}
 		ss := res0.ShardScores[i]
-		if !bytes.Equal(got, want(encodeSegment(ss.QueryScores, ss.QueryIDs), ss.QueryIDs, res0)) {
+		if !bytes.Equal(got, want(encodeSegment(ss.QueryScores, ss.QueryIDs), ss.QueryIDs, g0)) {
 			t.Errorf("WriteSnapshotTopK shard %d: blob differs from the reference builder's", i)
 		}
 	}
@@ -306,15 +298,15 @@ func TestTopKBlobsMatchReferenceLongRows(t *testing.T) {
 // TestShardNamesMatchPhrase pins newShardNames' per-word stem memo to
 // stem.Phrase, name by name, for every query of the serve fixtures and for
 // names strings.Fields has to collapse (repeated spaces, tabs, leading and
-// trailing blanks, the empty name), on the identity shard and on a shard
-// given its ids out of order; and its bid flags to the bid list.
+// trailing blanks, the empty name), on the whole graph's shard and on a
+// shard given its ids out of order; and its bid flags to the bid list.
 func TestShardNamesMatchPhrase(t *testing.T) {
-	odd := benchShardNames{names: []string{
+	odd := queryGraph([]string{
 		"digital  cameras", "\tcameras\t\tbatteries ", " lenses", "tripods ", "",
 		"Flashes FLASH", "a b  c", "camera\tcameras", "relational  rational\t",
-	}}
+	})
 	_, bench := benchShard(4)
-	for name, names := range map[string]nodeNames{
+	for name, names := range map[string]*clickgraph.Graph{
 		"stemGraph":    stemGraph(t, [4]int{1, 2, 3, 4}),
 		"refreshGraph": refreshGraph(t, [4]int{1, 2, 3, 4}),
 		"longRowGraph": longRowGraph(t, 5),
@@ -327,9 +319,9 @@ func TestShardNamesMatchPhrase(t *testing.T) {
 			bids[names.Query(q)] = true
 			qIDs = append(qIDs, q)
 		}
-		for _, ids := range [][]int{nil, qIDs} {
+		for _, ids := range [][]int{allQueries(names), qIDs} {
 			s := newShardNames(names, ids, bids)
-			if ids == nil && s.NumQueries() != names.NumQueries() || ids != nil && s.NumQueries() != len(ids) {
+			if s.NumQueries() != len(ids) {
 				t.Fatalf("%s: shard holds %d queries", name, s.NumQueries())
 			}
 			for p, id := range s.ids {
@@ -345,14 +337,14 @@ func TestShardNamesMatchPhrase(t *testing.T) {
 				}
 			}
 		}
-		if s := newShardNames(names, nil, nil); s.bid != nil {
+		if s := newShardNames(names, qIDs, nil); s.bid != nil {
 			t.Errorf("%s: bid flags without a bid list", name)
 		}
 	}
 }
 
-// TestBuildTopKBlobIdentityShard covers the one-shard (nil id list)
-// form a monolithic snapshot uses, where positions are the ids.
+// TestBuildTopKBlobIdentityShard covers partition.WholePlan's one shard,
+// whose id list is every query, so positions are the ids.
 func TestBuildTopKBlobIdentityShard(t *testing.T) {
 	g := stemGraph(t, [4]int{1, 2, 3, 4})
 	res, err := core.Run(g, refreshCfg())
@@ -360,12 +352,13 @@ func TestBuildTopKBlobIdentityShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	tk := TopKOptions{K: 4}.meta()
-	qSeg := encodeSegment(res.QueryScores, nil)
-	got, err := buildTopKBlob(qSeg, nil, res, tk, nil)
+	ids := partition.WholePlan(g).Shards[0].Queries
+	qSeg := encodeSegment(res.QueryScores, ids)
+	got, err := buildTopKBlob(qSeg, ids, g, tk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, st := referenceTopKBlob(qSeg, nil, res, tk, nil)
+	want, st := referenceTopKBlob(qSeg, ids, g, tk, nil)
 	if st.stemDrops == 0 {
 		t.Fatal("the stem filter dropped nothing; the fixture no longer exercises it")
 	}
@@ -384,7 +377,8 @@ func TestBuildTopKBlobRejectsForeignPair(t *testing.T) {
 	tk := TopKOptions{K: 4}.meta()
 	shard := []int{0, 2, 5, 9}
 	good := [][3]float64{{0, 2, 0.5}, {0, 9, 0.25}, {2, 5, 0.125}, {5, 9, 0.75}}
-	for _, qIDs := range [][]int{shard, nil} {
+	all := allQueries(g)
+	for _, qIDs := range [][]int{shard, all} {
 		if _, err := buildTopKBlob(makeSegBytes(t, good), qIDs, g, tk, nil); err != nil {
 			t.Errorf("ids %v: a well-formed segment was refused: %v", qIDs, err)
 		}
@@ -404,11 +398,12 @@ func TestBuildTopKBlobRejectsForeignPair(t *testing.T) {
 			t.Errorf("%s: buildTopKBlob accepted %v over ids %v", name, recs, shard)
 		}
 	}
-	// The identity shard holds every query, so only the order can be wrong.
-	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{0, 1, 0.5}, {1, 40, 0.25}}), nil, g, tk, nil); err != nil {
+	// The whole graph's shard holds every query, so only the order can be
+	// wrong.
+	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{0, 1, 0.5}, {1, 40, 0.25}}), all, g, tk, nil); err != nil {
 		t.Errorf("identity shard holds every query, got %v", err)
 	}
-	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{1, 40, 0.25}, {0, 1, 0.5}}), nil, g, tk, nil); err == nil {
+	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{1, 40, 0.25}, {0, 1, 0.5}}), all, g, tk, nil); err == nil {
 		t.Error("identity shard: rows out of order were accepted")
 	}
 }
@@ -429,17 +424,24 @@ func TestTopKBlobLenOverflow(t *testing.T) {
 	}
 }
 
+// queryGraph is a graph of the given distinct query names and no edges.
+func queryGraph(names []string) *clickgraph.Graph {
+	b := clickgraph.NewBuilder()
+	for _, q := range names {
+		b.AddQuery(q)
+	}
+	return b.Build()
+}
+
+// allQueries is g's every query id, ascending: WholePlan's id list.
+func allQueries(g *clickgraph.Graph) []int {
+	return partition.WholePlan(g).Shards[0].Queries
+}
+
 // benchShard builds one shard of pathbench's shape: 400 queries with
-// three-word names, every query scored against its 2·half ring
+// distinct three-word names, every query scored against its 2·half ring
 // neighbours.
-type benchShardNames struct{ names []string }
-
-func (n benchShardNames) NumQueries() int     { return len(n.names) }
-func (n benchShardNames) NumAds() int         { return 0 }
-func (n benchShardNames) Query(id int) string { return n.names[id] }
-func (n benchShardNames) Ad(int) string       { return "" }
-
-func benchShard(half int) (qSeg []byte, names benchShardNames) {
+func benchShard(half int) (qSeg []byte, g *clickgraph.Graph) {
 	const n = 400
 	syll := []string{"ve", "li", "be", "ki", "ma", "ci", "hi", "ro", "nu", "ta", "so", "pe"}
 	x := uint64(1)
@@ -459,8 +461,13 @@ func benchShard(half int) (qSeg []byte, names benchShardNames) {
 		}
 		return string(w)
 	}
-	for i := 0; i < n; i++ {
-		names.names = append(names.names, word()+" "+word()+" "+word())
+	names := make([]string, 0, n)
+	seen := map[string]bool{}
+	for len(names) < n {
+		if name := word() + " " + word() + " " + word(); !seen[name] {
+			seen[name] = true
+			names = append(names, name)
+		}
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -472,7 +479,7 @@ func benchShard(half int) (qSeg []byte, names benchShardNames) {
 			qSeg = binary.LittleEndian.AppendUint64(qSeg, math.Float64bits(float64(next()%1e6+1)/1e6))
 		}
 	}
-	return qSeg, names
+	return qSeg, queryGraph(names)
 }
 
 // BenchmarkBuildTopKBlob times the precomputed-section builder on one
@@ -483,13 +490,12 @@ func benchShard(half int) (qSeg []byte, names benchShardNames) {
 // are selected before they are sorted.
 func BenchmarkBuildTopKBlob(b *testing.B) {
 	for _, half := range []int{32, 80} {
-		qSeg, names := benchShard(half)
-		ids := make([]int, names.NumQueries())
+		qSeg, g := benchShard(half)
+		ids := allQueries(g)
 		stride16 := map[string]bool{}
 		for i := range ids {
-			ids[i] = i
 			if i%16 == 0 {
-				stride16[names.Query(i)] = true
+				stride16[g.Query(i)] = true
 			}
 		}
 		for _, bc := range []struct {
@@ -500,7 +506,7 @@ func BenchmarkBuildTopKBlob(b *testing.B) {
 			b.Run(fmt.Sprintf("rows=%d/%s", 2*half, bc.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					if _, err := buildTopKBlob(qSeg, ids, names, opts.meta(), bc.bids); err != nil {
+					if _, err := buildTopKBlob(qSeg, ids, g, opts.meta(), bc.bids); err != nil {
 						b.Fatal(err)
 					}
 				}

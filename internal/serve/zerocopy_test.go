@@ -256,10 +256,7 @@ func TestPrecomputedEqualsPipelineAtEveryDepth(t *testing.T) {
 	}
 	cfg := core.DefaultConfig().WithVariant(core.Weighted)
 	cfg.PruneEpsilon = 1e-6
-	gen, err := core.Run(log.Graph, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := wholeRun(t, log.Graph, cfg)
 	for _, gc := range []struct {
 		name    string
 		res     *core.Result
