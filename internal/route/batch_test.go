@@ -397,7 +397,8 @@ func TestGatewayBatchKeepsQuarantineOrder(t *testing.T) {
 // above the replica's MaxBatch is a 400 at the gateway, in the replica's
 // words, routed or not — not a 200 whose sub-batches happened to fit —
 // and so is a body with anything but whitespace after its one JSON object,
-// which a decoder that stops at the first value would answer in part.
+// which a decoder that stops at the first value would answer in part, and
+// a negative top, which every sub-batch would refuse item by item.
 func TestGatewayBatchCap(t *testing.T) {
 	snap := buildGeneration(t, [4]int{0, 0, 0, 0})
 	defer snap.Close()
@@ -413,6 +414,7 @@ func TestGatewayBatchCap(t *testing.T) {
 		"oversized":        string(oversized),
 		"second object":    string(one) + string(one),
 		"trailing garbage": string(one) + " garbage",
+		"negative top":     fmt.Sprintf(`{"queries":[%q],"top":-1}`, of[0]),
 	} {
 		wantCode, want := directPost(t, rep.ts.URL, body)
 		if wantCode != http.StatusBadRequest {
@@ -443,7 +445,7 @@ func scriptedBatchReplica(t *testing.T, gen string, body []byte) *httptest.Serve
 
 // TestGatewayBatchMalformedSubResponse pins what the relay does with a 200
 // it cannot take apart — the checks json.Unmarshal used to make, now
-// json.Valid and serve's splitter: invalid JSON, a results array of the
+// serve's splitter: invalid JSON, a results array of the
 // wrong length, valid JSON that is not the envelope. Every position of
 // that sub-batch becomes a 502 item carrying the start of the answer, and
 // the other sub-batch's positions are answered as if nothing had happened.

@@ -322,10 +322,11 @@ type subBatch struct {
 // unpinned gateway answers the all-fleet-down 503.
 func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	gw.requests.Add(1)
-	// The replicas' cap, on the client's whole batch: sub-batches
-	// are formed after it, so a fleet refuses what one daemon refuses
-	// however the queries would have split.
-	req, ok := serve.ReadBatchRequest(w, r, serve.MaxBatch)
+	// The replicas' checks, the cap and a negative top among them, on the
+	// client's whole batch: sub-batches are formed after them, so a fleet
+	// refuses what one daemon refuses however the queries would have
+	// split, and a refused batch never reaches a replica.
+	req, ok := serve.ReadBatchRequest(w, r)
 	if !ok {
 		return
 	}
@@ -417,13 +418,8 @@ func (gw *Gateway) relaySubBatch(ctx context.Context, req serve.BatchRequest, sb
 	for j, i := range sb.idx {
 		sub.Queries[j] = req.Queries[i]
 	}
-	payload, err := json.Marshal(sub)
-	if err != nil {
-		fail(err.Error(), http.StatusInternalServerError)
-		return false
-	}
 	gw.batchSubs.Add(1)
-	resp, err := gw.fetchFailover(ctx, sb.order, http.MethodPost, "/batch", "", payload)
+	resp, err := gw.fetchFailover(ctx, sb.order, http.MethodPost, "/batch", "", sub.AppendJSON(nil))
 	if err != nil {
 		fail(err.Error(), http.StatusServiceUnavailable)
 		return false

@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -217,12 +218,22 @@ func TestSplitBatchResponseInvertsEncode(t *testing.T) {
 		`{"results":[1,2]`, `{"results":[1,2]}}`, `{"results":[1,,2]}`, `{"results":[1 2]}`, `{"results":[tru]}`,
 		`{"results":[1]} x`, `{"results":[1]}{"results":[2]}`, `{"results":["unterminated]}`,
 		`{"Results":[1]}`, `{"r\u0065sults":[1]}`, `{"results":[1],"more":2}`, `{"more":2,"results":[1]}`,
+		`{"results":[` + strings.Repeat("[", 10001) + strings.Repeat("]", 10001) + `]}`,
 	} {
 		if got, ok := SplitBatchResponse(nil, []byte(body)); ok || got != nil {
 			t.Errorf("Split(%s) = %s, ok %v; want a refusal", body, got, ok)
 		}
 		checkSplitAgainstUnmarshal(t, []byte(body))
 	}
+
+	// The nesting limit is json.Unmarshal's, counted from the top of the
+	// body: an element 9 998 deep opens the 10 000th level and splits.
+	deep := strings.Repeat("[", maxJSONDepth-2) + strings.Repeat("]", maxJSONDepth-2)
+	body := []byte(`{"results":[1,` + deep + `]}`)
+	if got, ok := SplitBatchResponse(nil, body); !ok || len(got) != 2 || string(got[1]) != deep {
+		t.Errorf("Split of a %d-deep element = %d elements, ok %v; want it as the second of 2", maxJSONDepth-2, len(got), ok)
+	}
+	checkSplitAgainstUnmarshal(t, body)
 }
 
 // sameBacking reports whether part lies inside whole's bytes.
@@ -258,6 +269,28 @@ func checkSplitAgainstUnmarshal(t *testing.T, body []byte) {
 	for i := range got {
 		if !bytes.Equal(got[i], resp.Results[i]) {
 			t.Errorf("Split(%q) element %d = %q, json.Unmarshal %q", body, i, got[i], resp.Results[i])
+		}
+	}
+}
+
+// TestPlainBatchBodiesAreScanned: the bodies the hops send — json.Marshal's,
+// as a gateway's sub-batch, and a client's without "top", spaced or not —
+// are read by the scanner, not handed to json.Unmarshal, and read as
+// Unmarshal reads them (FuzzReadBatchRequest holds the rest).
+func TestPlainBatchBodiesAreScanned(t *testing.T) {
+	marshaled, _ := json.Marshal(BatchRequest{Queries: []string{"camera", "digital camera", "a,b]c}d[e{f"}, Top: 3})
+	for _, body := range []string{
+		string(marshaled),
+		`{"queries":["camera"]}`,
+		" {\n\t\"queries\" : [ \"pc\" , \"tv\" ] , \"top\" : -0 }\r\n",
+	} {
+		var want BatchRequest
+		if err := json.Unmarshal([]byte(body), &want); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := readPlainBatch([]byte(body))
+		if !ok || !slices.Equal(got.Queries, want.Queries) || got.Top != want.Top {
+			t.Errorf("readPlainBatch(%q) = %q top %d, ok %v; want %q top %d", body, got.Queries, got.Top, ok, want.Queries, want.Top)
 		}
 	}
 }

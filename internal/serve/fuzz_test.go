@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -214,6 +218,120 @@ func FuzzSplitBatchResponse(f *testing.F) {
 			if !bytes.Equal(again[i], items[i]) {
 				t.Fatalf("element %d of %q is %q, %q after a round trip", i, data, items[i], again[i])
 			}
+		}
+	})
+}
+
+// readBatchRequestUnmarshal is ReadBatchRequest with every body decoded
+// by json.Unmarshal: the reference FuzzReadBatchRequest holds the
+// scanner's path for plain bodies to.
+func readBatchRequestUnmarshal(w http.ResponseWriter, r *http.Request) (BatchRequest, bool) {
+	var req BatchRequest
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "POST a JSON body to /batch", http.StatusMethodNotAllowed)
+		return req, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad batch body: %v", err), http.StatusBadRequest)
+		return req, false
+	}
+	if len(req.Queries) == 0 {
+		http.Error(w, "empty batch: give queries", http.StatusBadRequest)
+		return req, false
+	}
+	if len(req.Queries) > MaxBatch {
+		http.Error(w, fmt.Sprintf("batch of %d queries exceeds the %d limit", len(req.Queries), MaxBatch), http.StatusBadRequest)
+		return req, false
+	}
+	if req.Top < 0 {
+		http.Error(w, fmt.Sprintf("bad top %d: want a positive integer", req.Top), http.StatusBadRequest)
+		return req, false
+	}
+	return req, true
+}
+
+// FuzzReadBatchRequest holds ReadBatchRequest, which reads a plain body
+// with the scanner and hands every other to json.Unmarshal, to the
+// reference that unmarshals them all: on every body the same verdict,
+// status, answer, queries and top. On every accepted body the sub-batch
+// body a gateway appends (BatchRequest.AppendJSON) is json.Marshal's.
+// Seeds sit on both sides of the line between the two paths: escapes,
+// HTML characters, non-ASCII and invalid UTF-8, keys json.Unmarshal
+// matches without case or by Unicode folding ("querieſ"), null, duplicate
+// keys, a top that is not an int, and trailing data.
+func FuzzReadBatchRequest(f *testing.F) {
+	canonical, _ := json.Marshal(BatchRequest{Queries: []string{"camera", "digital camera", "pc"}, Top: 3})
+	oversized, _ := json.Marshal(BatchRequest{Queries: make([]string, MaxBatch+1)})
+	for _, body := range []string{
+		string(canonical),
+		string(oversized),
+		`{"queries":["camera","pc"]}`,
+		" {\n\"queries\" : [ \"camera\" ,\t\"pc\" ] ,\r\n \"top\" : 2 } \n",
+		`{"queries":[],"top":1}`,
+		`{"queries":["camera"],"top":-1}`,
+		`{"queries":["camera"],"top":0}`,
+		`{"queries":["a\"b","c\\d","\u0063amera","\/"]}`,
+		`{"queries":["<b>&amp;</b>","\u003cb\u003e"],"top":1}`,
+		"{\"queries\":[\"caf\u00e9\",\"\U0001f50d\",\"bad \xff\xfe utf-8\",\"line\u2028para\",\"del\x7f\",\"tab\there\"]}",
+		`{"queries":["\ud800","\udc00\ud800"]}`,
+		`{"Queries":["camera"],"TOP":2}`,
+		`{"querieſ":["camera"]}`,
+		`{"queries":null}`,
+		`null`,
+		`{"queries":[null,"camera"]}`,
+		`{"queries":["camera"],"top":null}`,
+		`{"queries":["camera"],"queries":["pc"]}`,
+		`{"queries":["camera"],"top":1,"top":2}`,
+		`{"top":2,"queries":["camera"]}`,
+		`{"queries":["camera"],"top":2,"more":true}`,
+		`{"queries":["camera"],"top":1.0}`,
+		`{"queries":["camera"],"top":1e2}`,
+		`{"queries":["camera"],"top":-0}`,
+		`{"queries":["camera"],"top":9223372036854775807}`,
+		`{"queries":["camera"],"top":9223372036854775808}`,
+		`{"queries":["camera"],"top":01}`,
+		`{"queries":["camera"],"top":"2"}`,
+		`{"queries":["camera"]} garbage`,
+		`{"queries":["camera"]}{"queries":["pc"]}`,
+		`{"queries":["camera",]}`,
+		`{"queries":["camera"`,
+		`{"queries":["came`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(`{"queries":["` + strings.Repeat(`x","`, MaxBatch) + `x"]}`))
+
+	read := func(body []byte, fn func(http.ResponseWriter, *http.Request) (BatchRequest, bool)) (*httptest.ResponseRecorder, BatchRequest, bool) {
+		rec := httptest.NewRecorder()
+		req, ok := fn(rec, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body)))
+		return rec, req, ok
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		gotRec, got, gotOK := read(body, ReadBatchRequest)
+		wantRec, want, wantOK := read(body, readBatchRequestUnmarshal)
+		if gotOK != wantOK || gotRec.Code != wantRec.Code || !bytes.Equal(gotRec.Body.Bytes(), wantRec.Body.Bytes()) {
+			t.Fatalf("body %q: ReadBatchRequest = %v %d %q, the Unmarshal reference = %v %d %q",
+				body, gotOK, gotRec.Code, gotRec.Body, wantOK, wantRec.Code, wantRec.Body)
+		}
+		if !slices.Equal(got.Queries, want.Queries) || got.Top != want.Top {
+			t.Fatalf("body %q: ReadBatchRequest read %q top %d, the Unmarshal reference %q top %d",
+				body, got.Queries, got.Top, want.Queries, want.Top)
+		}
+		if !gotOK {
+			return
+		}
+		marshaled, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if appended := got.AppendJSON(nil); !bytes.Equal(appended, marshaled) {
+			t.Fatalf("body %q: AppendJSON\n %q\njson.Marshal\n %q", body, appended, marshaled)
 		}
 	})
 }

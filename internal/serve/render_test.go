@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 
 	"simrankpp/internal/core"
@@ -59,6 +60,27 @@ func FuzzRewriteJSON(f *testing.F) {
 			t.Fatalf("renderer\n %q\njson.Marshal\n %q", got, want)
 		}
 	})
+}
+
+// TestRewriteJSONOneAllocation: the renderer's reserve holds an answer of
+// the size real graphs serve — a 40-byte text and a score of 17
+// significant digits — so a 5-answer /rewrite and a 20-answer /similar
+// each render into the one buffer they start with.
+func TestRewriteJSONOneAllocation(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts under the race detector are not the production ones")
+	}
+	text := strings.Repeat("t", 40)
+	for _, n := range []int{5, 20} {
+		allocs := testing.AllocsPerRun(100, func() {
+			appendRewriteJSON(nil, text, "weighted", n, func(i int) (string, float64) {
+				return text, math.Nextafter(float64(i+1)/29, 1)
+			})
+		})
+		if allocs != 1 {
+			t.Errorf("a %d-answer body with 40-byte texts renders with %.0f allocations, want 1", n, allocs)
+		}
+	}
 }
 
 // TestNonFiniteScoreIsJSONMarshalError: a score json.Marshal cannot write

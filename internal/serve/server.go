@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -690,22 +691,31 @@ const maxBatchBody = 8 << 20
 // ReadBatchRequest decodes a POST /batch body and applies the checks
 // every hop makes before doing any work: method, one well-formed JSON
 // value and nothing but whitespace after it, at least one query, at most
-// maxBatch. On failure it has written the error response and returns
-// false. The gateway calls it with MaxBatch too, so a fleet
+// MaxBatch, a depth that is not negative. On failure it has written the
+// error response and returns false. The gateway calls it too, so a fleet
 // refuses what one daemon refuses, in the same words.
-func ReadBatchRequest(w http.ResponseWriter, r *http.Request, maxBatch int) (BatchRequest, bool) {
-	var req BatchRequest
+//
+// A body as json.Marshal writes a BatchRequest — or as a client writes
+// one without "top" — is read by the scanner (readPlainBatch); any other
+// goes to json.Unmarshal, which alone knows the rest of what it accepts
+// (escapes, other spellings of the keys, duplicate keys) and words every
+// refusal.
+func ReadBatchRequest(w http.ResponseWriter, r *http.Request) (BatchRequest, bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "POST a JSON body to /batch", http.StatusMethodNotAllowed)
-		return req, false
+		return BatchRequest{}, false
 	}
 	// The body is one JSON value: json.Unmarshal, unlike a Decoder, also
 	// refuses whatever follows it (a second object, garbage) instead of
 	// answering the first and dropping the rest.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	var req BatchRequest
 	if err == nil {
-		err = json.Unmarshal(body, &req)
+		var plain bool
+		if req, plain = readPlainBatch(body); !plain {
+			err = json.Unmarshal(body, &req)
+		}
 	}
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad batch body: %v", err), http.StatusBadRequest)
@@ -715,11 +725,83 @@ func ReadBatchRequest(w http.ResponseWriter, r *http.Request, maxBatch int) (Bat
 		http.Error(w, "empty batch: give queries", http.StatusBadRequest)
 		return req, false
 	}
-	if len(req.Queries) > maxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d queries exceeds the %d limit", len(req.Queries), maxBatch), http.StatusBadRequest)
+	if len(req.Queries) > MaxBatch {
+		http.Error(w, fmt.Sprintf("batch of %d queries exceeds the %d limit", len(req.Queries), MaxBatch), http.StatusBadRequest)
+		return req, false
+	}
+	if req.Top < 0 {
+		http.Error(w, fmt.Sprintf("bad top %d: want a positive integer", req.Top), http.StatusBadRequest)
 		return req, false
 	}
 	return req, true
+}
+
+// readPlainBatch decodes body when it is {"queries":[…]} or
+// {"queries":[…],"top":N}, whitespace aside, with the keys spelled so,
+// every query a string of printable ASCII without escapes and N an
+// integer that fits an int: what json.Unmarshal would decode from it.
+// ok is false on any other body, well formed or not. The queries are
+// substrings of one copy of body.
+func readPlainBatch(body []byte) (req BatchRequest, ok bool) {
+	s := jsonScanner{buf: body}
+	if !s.token("{") || !s.token(`"queries"`) || !s.token(":") || !s.token("[") {
+		return BatchRequest{}, false
+	}
+	text := string(body)
+	// A comma follows every query but the last: the count bounds the
+	// batch, which MaxBatch+1 queries already refuse.
+	req.Queries = make([]string, 0, min(bytes.Count(body, []byte{','})+1, MaxBatch+1))
+	if !s.elements(func() bool {
+		start, end, ok := s.plainString()
+		if ok {
+			req.Queries = append(req.Queries, text[start:end])
+		}
+		return ok
+	}) {
+		return BatchRequest{}, false
+	}
+	if s.token(",") {
+		if !s.token(`"top"`) || !s.token(":") {
+			return BatchRequest{}, false
+		}
+		s.space()
+		start := s.pos
+		if !s.number() {
+			return BatchRequest{}, false
+		}
+		// A fraction, an exponent or an int overflow is Unmarshal's error.
+		top, err := strconv.Atoi(text[start:s.pos])
+		if err != nil {
+			return BatchRequest{}, false
+		}
+		req.Top = top
+	}
+	if !s.token("}") || !s.end() {
+		return BatchRequest{}, false
+	}
+	return req, true
+}
+
+// AppendJSON appends req as json.Marshal writes it, for a non-nil
+// Queries (Marshal writes a nil one as null): the body of the /batch a
+// gateway sends a replica.
+func (req BatchRequest) AppendJSON(dst []byte) []byte {
+	// Room for the body when no query needs escaping: one allocation.
+	n := len(`{"queries":[],"top":}`) + 20
+	for _, q := range req.Queries {
+		n += len(q) + 3
+	}
+	dst = slices.Grow(dst, n)
+	dst = append(dst, `{"queries":[`...)
+	for i, q := range req.Queries {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, q)
+	}
+	dst = append(dst, `],"top":`...)
+	dst = strconv.AppendInt(dst, int64(req.Top), 10)
+	return append(dst, '}')
 }
 
 // EncodeBatchResponse returns the /batch response body for items: the
@@ -745,77 +827,37 @@ func EncodeBatchResponse(items []json.RawMessage) []byte {
 }
 
 // SplitBatchResponse is EncodeBatchResponse's inverse, for a hop that
-// relays a batch answer without reading it: it appends to dst the elements
-// of body's results array, each a sub-slice of body trimmed of JSON
-// whitespace — nothing is copied or decoded. ok is false unless body is
-// valid JSON (json.Valid, the check json.Unmarshal opens with) and exactly
-// the envelope a replica writes: one object whose only member is
-// "results", spelled so, holding an array. Whatever it accepts,
-// json.Unmarshal into a BatchResponse accepts with the same elements;
-// Unmarshal also tolerates more members and other spellings of the key.
+// relays a batch answer without decoding it: it appends to dst the
+// elements of body's results array, each a sub-slice of body trimmed of
+// JSON whitespace — nothing is copied. ok is false unless body is valid
+// JSON — checked in the same pass, by the grammar and the nesting limit
+// json.Unmarshal applies — and exactly the envelope a replica writes: one
+// object whose only member is "results", spelled so, holding an array.
+// Whatever it accepts, json.Unmarshal into a BatchResponse accepts with
+// the same elements; Unmarshal also tolerates more members and other
+// spellings of the key.
 func SplitBatchResponse(dst []json.RawMessage, body []byte) (items []json.RawMessage, ok bool) {
-	if !json.Valid(body) {
+	s := jsonScanner{buf: body}
+	if !s.token("{") || !s.token(`"results"`) || !s.token(":") || !s.token("[") {
 		return nil, false
 	}
-	const space = " \t\r\n"
-	rest := body // what of body is still to be scanned
-	// lit steps over JSON whitespace and then s, if that is what follows.
-	lit := func(s string) bool {
-		rest = bytes.TrimLeft(rest, space)
-		if !bytes.HasPrefix(rest, []byte(s)) {
+	s.depth = 2 // the envelope's object and array
+	if !s.elements(func() bool {
+		start := s.pos
+		if !s.value() {
 			return false
 		}
-		rest = rest[len(s):]
+		dst = append(dst, body[start:s.pos])
 		return true
-	}
-	if !lit("{") || !lit(`"results"`) || !lit(":") || !lit("[") {
-		return nil, false
-	}
-	for closed := lit("]"); !closed; {
-		rest = bytes.TrimLeft(rest, space)
-		// body is valid and this array is open: brackets balance, strings
-		// end and an escape has a next byte, so the scan meets the
-		// element's ',' or the array's ']' before it runs out of bytes.
-		i, depth := 0, 0
-	element:
-		for ; ; i++ {
-			switch rest[i] {
-			case '"':
-				for i++; rest[i] != '"'; i++ {
-					if rest[i] == '\\' {
-						i++
-					}
-				}
-			case '[', '{':
-				depth++
-			case ']', '}':
-				if depth == 0 {
-					closed = true
-					break element
-				}
-				depth--
-			case ',':
-				if depth == 0 {
-					break element
-				}
-			}
-		}
-		dst = append(dst, bytes.TrimRight(rest[:i], space))
-		rest = rest[i+1:]
-	}
-	if !lit("}") || len(bytes.TrimLeft(rest, space)) != 0 {
+	}) || !s.token("}") || !s.end() {
 		return nil, false
 	}
 	return dst, true
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	req, ok := ReadBatchRequest(w, r, MaxBatch)
+	req, ok := ReadBatchRequest(w, r)
 	if !ok {
-		return
-	}
-	if req.Top < 0 {
-		http.Error(w, fmt.Sprintf("bad top %d: want a positive integer", req.Top), http.StatusBadRequest)
 		return
 	}
 

@@ -501,10 +501,11 @@ func (d *discardWriter) WriteHeader(int)             {}
 // of route's TestGatewayAllocationsPerRead: what one read costs the
 // handler in heap allocations, socket excluded — a /rewrite and an
 // 8-query /batch the section answers, and a /similar. The bounds are what
-// this code reaches on go1.24 — 13, 47 and 13 — plus a little room for a
+// this code reaches on go1.24 — 13, 29 and 13 — plus a little room for a
 // toolchain's own drift. Marshaling each answer, keeping a response cache
 // and scoring batch items on worker goroutines measured 18 (a cache miss),
-// 77 and 15.
+// 77 and 15; decoding the batch body with json.Unmarshal, one string per
+// query, 44.
 func TestServerAllocationsPerRead(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts under the race detector are not the production ones")
@@ -535,7 +536,7 @@ func TestServerAllocationsPerRead(t *testing.T) {
 		got, max float64
 	}{
 		{"a section-answered GET /rewrite", perRewrite, 15},
-		{"a section-answered POST /batch of 8", perBatch, 50},
+		{"a section-answered POST /batch of 8", perBatch, 32},
 		{"a GET /similar", perSimilar, 15},
 	} {
 		if c.got > c.max {
