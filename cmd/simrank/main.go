@@ -95,7 +95,7 @@ func main() {
 		all       = flag.Bool("all", false, "rewrite every query in the graph")
 		top       = flag.Int("top", 5, "rewrites to print per query")
 		c         = flag.Float64("c", 0.8, "SimRank decay factor (C1 = C2)")
-		iters     = flag.Int("iterations", 7, "SimRank iterations")
+		iters     = flag.Int("iterations", 7, "SimRank depth k: query scores are the k-th iterate, ad scores the (k+1)-th, computed in k+1 passes")
 		prune     = flag.Float64("prune", 1e-5, "sparse-engine pruning threshold (0 = exact)")
 		bidsPath  = flag.String("bids", "", "bid-term list file enabling the full filtering pipeline")
 		strict    = flag.Bool("strict-evidence", false, "apply Equation 7.3 literally (zero evidence for no common ads)")

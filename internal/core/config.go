@@ -114,10 +114,17 @@ type Config struct {
 	// C1 is the decay factor of the query-side equations, C2 of the
 	// ad-side equations. The paper uses C1 = C2 = 0.8 throughout.
 	C1, C2 float64
-	// Iterations bounds the number of SimRank iterations.
+	// Iterations is the paper's iteration depth k: the query scores are
+	// the k-th iterate of the recursion. The sparse engines compute the
+	// two sides as one chain of passes, each reading the other side's
+	// newest scores, so their ad scores end one depth deeper (k+1), in
+	// k+1 passes; RunDense computes both sides at depth k, in 2k.
 	Iterations int
 	// Tolerance, if positive, stops iteration early once the largest
-	// score change falls below it.
+	// score change falls below it on both sides. The sparse engines
+	// compare each side with its previous value on the chain, two depths
+	// back, after each ad pass; RunDense compares with the previous
+	// iteration.
 	Tolerance float64
 	// Variant selects the similarity measure. Default Simple.
 	Variant Variant
@@ -167,8 +174,9 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's experimental settings: C1 = C2 = 0.8
-// and 7 iterations (the horizon of Tables 3-4), simple SimRank, geometric
-// evidence, expected-click-rate weights.
+// and depth 7 (the horizon of Tables 3-4; the sparse engines' ad side
+// ends at depth 8), simple SimRank, geometric evidence,
+// expected-click-rate weights.
 func DefaultConfig() Config {
 	return Config{C1: 0.8, C2: 0.8, Iterations: 7}
 }

@@ -10,10 +10,12 @@ import (
 )
 
 // Run computes the configured similarity with flat sparse pair frontiers.
-// With PruneEpsilon == 0 it is exact and agrees with RunDense (the test
-// suite checks this differentially); with a positive epsilon, scores below
-// the threshold are dropped between iterations, bounding memory on large
-// graphs at the cost of exactness.
+// With PruneEpsilon == 0 it is exact: its query scores agree with
+// RunDense at depth Iterations and its ad scores with RunDense at depth
+// Iterations+1 (the test suite checks this differentially; runEngine
+// says why the ad side ends deeper). With a positive epsilon, scores
+// below the threshold are dropped between passes, bounding memory on
+// large graphs at the cost of exactness.
 //
 // Each iteration is computed output-row-major: for every node x of one
 // side, gather u(j) = Σ_{i∈E(x)} s(i, j) over the opposite side into a
@@ -159,21 +161,34 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 // the per-shard engines of RunSharded. Each output row is computed by
 // exactly one of workers goroutines (contiguous row ranges balanced by
 // gather weight, emitted into disjoint rows of one frontier) in the
-// serial order, so scores do not depend on workers. Each side
-// ping-pongs two frontiers: cur is reset, filled row by row from the
-// opposite side's prev (expanded to a symmetric adjacency once per
-// iteration), and swapped in; prev's buckets become the next iteration's
-// scratch. ar supplies reusable allocation state (nil for a standalone
-// run); warm, when non-nil, seeds the starting frontiers from a previous
-// generation's scores instead of the identity start (see warmstart.go).
+// serial order, so scores do not depend on workers. ar supplies reusable
+// allocation state (nil for a standalone run); warm, when non-nil, seeds
+// the starting frontiers from a previous generation's scores instead of
+// the identity start (see warmstart.go).
 //
-// Iteration is change-tracked: the convergence merge-walk also marks which
-// nodes' scores moved (MaxAbsDiffChanged), and an output row whose
-// neighbors all went unmarked is copied forward from the previous output
-// instead of recomputed. With the default exact-equality tracking the copy
-// is bit-identical to recomputation — SimRank converges row by row, so
-// late iterations approach the cost of only their still-moving rows. See
-// Config.DeltaSkipTolerance / Config.DisableDeltaSkip.
+// On the bipartite click graph the query equation reads only ad scores
+// and the ad equation only query scores, so the iteration is one chain of
+// passes, each computing one side from the other side's newest frontier
+// (Gauss–Seidel order; PERF.md, "One chain, not two"). Pass p computes
+// depth p+1: the chain starts on the query side when Iterations is odd
+// and on the ad side when it is even, and always ends on an ad pass, so
+// the query side reaches depth Iterations and the ad side Iterations+1 in
+// Iterations+1 passes — every score an exact iterate of the paper's
+// recursion, where computing both sides from the previous iteration
+// (Jacobi order, as RunDense does) spends 2·Iterations passes on two
+// independent chains. Each side ping-pongs two frontiers: cur is reset,
+// filled row by row from the opposite side's newest frontier (expanded to
+// a symmetric adjacency once per pass), and swapped in.
+//
+// Iteration is change-tracked: the diff of a side's new value against its
+// previous one on the chain also marks which nodes' scores moved
+// (MaxAbsDiffChanged), and an output row whose neighbors all went
+// unmarked is copied forward from the side's previous value instead of
+// recomputed — once that value was itself computed by the chain, from the
+// inputs the marks were taken against. With the default exact-equality
+// tracking the copy is bit-identical to recomputation — SimRank converges
+// row by row, so late passes approach the cost of only their still-moving
+// rows. See Config.DeltaSkipTolerance / Config.DisableDeltaSkip.
 func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, warm warmSeed) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -184,113 +199,132 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 	in := newPassInputs(g, cfg)
 	nq, na := g.NumQueries(), g.NumAds()
 
-	prevQ, curQ := arenaFrontier(&ar.prevQ, nq), arenaFrontier(&ar.curQ, nq)
-	prevA, curA := arenaFrontier(&ar.prevA, na), arenaFrontier(&ar.curA, na)
+	q := &chainSide{
+		prev: arenaFrontier(&ar.prevQ, nq), cur: arenaFrontier(&ar.curQ, nq),
+		thisNbr: in.qNbr, oppNbr: in.aNbr, w: in.qW, revW: in.revWQ, ev: in.evQ, c: cfg.C1,
+	}
+	a := &chainSide{
+		prev: arenaFrontier(&ar.prevA, na), cur: arenaFrontier(&ar.curA, na),
+		thisNbr: in.aNbr, oppNbr: in.qNbr, w: in.aW, revW: in.revWA, ev: in.evA, c: cfg.C2,
+	}
 	if warm != nil {
-		warm(prevQ, prevA)
+		warm(q.prev, a.prev)
 		if cfg.Variant == Evidence {
 			// Stored Evidence scores are iteration-space scores × evidence;
 			// map them back so the seed lives where the iteration does.
-			unapplyEvidence(prevQ, in.evQ)
-			unapplyEvidence(prevA, in.evA)
+			unapplyEvidence(q.prev, in.evQ)
+			unapplyEvidence(a.prev, in.evA)
 		}
 		if cfg.PruneEpsilon > 0 {
-			prevQ.Prune(cfg.PruneEpsilon)
-			prevA.Prune(cfg.PruneEpsilon)
+			q.prev.Prune(cfg.PruneEpsilon)
+			a.prev.Prune(cfg.PruneEpsilon)
 		}
 	}
 	if ar.symQ == nil {
 		ar.symQ, ar.symA = &sparse.SymAdj{}, &sparse.SymAdj{}
 	}
-	symQ, symA := ar.symQ, ar.symA
+	q.sym, a.sym = ar.symQ, ar.symA
 	side := nq
 	if na > side {
 		side = na
 	}
 	spas := ar.ensureSPAs(workers, side)
-
-	deltaSkip := !cfg.DisableDeltaSkip
-	var chgQ, chgA *sparse.Bitset // nodes whose scores moved last iteration
-	if deltaSkip {
-		chgQ, chgA = arenaBitset(&ar.chgQ, nq), arenaBitset(&ar.chgA, na)
+	if !cfg.DisableDeltaSkip {
+		q.chg, a.chg = arenaBitset(&ar.chgQ, nq), arenaBitset(&ar.chgA, na)
 	}
-	// skipQ/skipA gate row skipping in the passes; nil (the first
-	// iteration, or always when delta skip is disabled) recomputes
-	// everything.
-	var skipQ, skipA *sparse.Bitset
 
-	iters := 0
+	depth := 0
 	converged := false
-	stats := make([]IterationStat, 0, cfg.Iterations)
-	for it := 0; it < cfg.Iterations; it++ {
-		start := time.Now()
-		// A side whose change bitset came back empty needs no re-expansion:
-		// with every opposite-side input row unmarked, the passes below copy
-		// forward every output row that has neighbors and recompute only
-		// empty rows (whose kernels return before touching the adjacency),
-		// so the symmetric expansion would never be read — and the stale one
-		// from the last changed iteration stays value-identical anyway.
-		// Drained workloads used to pay both ExpandSymmetric calls every
-		// iteration for rows that were 100% copied forward.
-		if skipA == nil || skipA.Count() > 0 {
-			symA = prevA.ExpandSymmetric(symA)
+	// One stat per ad pass, covering the query pass before it (none
+	// before the first ad pass of an even-depth chain).
+	stats := make([]IterationStat, 0, cfg.Iterations/2+1)
+	var st IterationStat
+	start := time.Now()
+	for p := 0; p <= cfg.Iterations; p++ {
+		if (cfg.Iterations-p)%2 == 1 {
+			st.QueryRowsSkipped, st.QueryRows = q.pass(a, cfg, workers, spas), nq
+			depth = p + 1
+			continue
 		}
-		if skipQ == nil || skipQ.Count() > 0 {
-			symQ = prevQ.ExpandSymmetric(symQ)
-		}
-		var sq, sa int
-		switch cfg.Variant {
-		case Weighted:
-			sq = weightedPass(symA, in.qNbr, in.aNbr, in.qW, in.revWQ, in.evQ, cfg.C1, curQ, prevQ, skipA, workers, spas)
-			sa = weightedPass(symQ, in.aNbr, in.qNbr, in.aW, in.revWA, in.evA, cfg.C2, curA, prevA, skipQ, workers, spas)
-		default:
-			sq = simplePass(symA, in.qNbr, in.aNbr, cfg.C1, curQ, prevQ, skipA, workers, spas)
-			sa = simplePass(symQ, in.aNbr, in.qNbr, cfg.C2, curA, prevA, skipQ, workers, spas)
-		}
-		if cfg.PruneEpsilon > 0 {
-			curQ.Prune(cfg.PruneEpsilon)
-			curA.Prune(cfg.PruneEpsilon)
-		}
-		iters = it + 1
-		var diffQ, diffA float64
-		if deltaSkip || cfg.Tolerance > 0 {
-			if deltaSkip {
-				chgQ.Clear()
-				chgA.Clear()
-			}
-			diffQ = curQ.MaxAbsDiffChanged(prevQ, cfg.DeltaSkipTolerance, chgQ)
-			diffA = curA.MaxAbsDiffChanged(prevA, cfg.DeltaSkipTolerance, chgA)
-		}
-		stats = append(stats, IterationStat{
-			Duration:         time.Since(start),
-			QueryRowsSkipped: sq, QueryRows: nq,
-			AdRowsSkipped: sa, AdRows: na,
-		})
-		prevQ, curQ = curQ, prevQ
-		prevA, curA = curA, prevA
-		if cfg.Tolerance > 0 && diffQ < cfg.Tolerance && diffA < cfg.Tolerance {
+		st.AdRowsSkipped, st.AdRows = a.pass(q, cfg, workers, spas), na
+		st.Duration = time.Since(start)
+		stats = append(stats, st)
+		st, start = IterationStat{}, time.Now()
+		if cfg.Tolerance > 0 && q.computed && q.diff < cfg.Tolerance && a.diff < cfg.Tolerance {
 			converged = true
 			break
-		}
-		if deltaSkip {
-			skipQ, skipA = chgQ, chgA
 		}
 	}
 
 	if cfg.Variant == Evidence {
-		applyEvidence(prevQ, in.evQ)
-		applyEvidence(prevA, in.evA)
+		applyEvidence(q.prev, in.evQ)
+		applyEvidence(a.prev, in.evA)
 	}
 	return &Result{
 		Graph:  g,
 		Config: cfg,
 		// Detached copies: the arena's frontiers are the next run's scratch.
-		QueryScores: prevQ.Clone(),
-		AdScores:    prevA.Clone(),
-		Iterations:  iters,
+		QueryScores: q.prev.Clone(),
+		AdScores:    a.prev.Clone(),
+		Iterations:  depth,
 		Converged:   converged,
 		IterStats:   stats,
 	}, nil
+}
+
+// chainSide is one side of the engine's chain: its newest scores, the
+// scratch frontier its next pass fills, the expansion and change marks
+// the opposite side's pass reads, and the per-run inputs of its kernel.
+type chainSide struct {
+	prev, cur *sparse.PairFrontier // prev holds the newest value
+	sym       *sparse.SymAdj       // prev expanded for the opposite pass
+	// chg marks the nodes whose newest scores moved from the previous
+	// value on the chain, two depths back (nil with delta skip disabled).
+	chg *sparse.Bitset
+	// computed reports that prev came from a pass of this run, not the
+	// start: only then is a row of it what the kernel would compute again
+	// from inputs chg found unmoved.
+	computed bool
+	diff     float64 // max |newest − previous| over all pairs
+
+	thisNbr, oppNbr [][]int
+	w, revW         [][]float64 // Weighted only
+	ev              *evidenceTable
+	c               float64
+}
+
+// pass computes s's next value from opp's newest scores and returns how
+// many rows the delta skip copied forward.
+func (s *chainSide) pass(opp *chainSide, cfg Config, workers int, spas []*spa) int {
+	var skip *sparse.Bitset // nil recomputes every row
+	if s.computed {
+		skip = opp.chg
+	}
+	// With skip marking nothing, every row that has neighbors is copied
+	// forward and the empty rows' kernels return before touching the
+	// adjacency, so the expansion would never be read: a drained side is
+	// not expanded again.
+	if skip == nil || skip.Count() > 0 {
+		opp.sym = opp.prev.ExpandSymmetric(opp.sym)
+	}
+	var skipped int
+	if cfg.Variant == Weighted {
+		skipped = weightedPass(opp.sym, s.thisNbr, s.oppNbr, s.w, s.revW, s.ev, s.c, s.cur, s.prev, skip, workers, spas)
+	} else {
+		skipped = simplePass(opp.sym, s.thisNbr, s.oppNbr, s.c, s.cur, s.prev, skip, workers, spas)
+	}
+	if cfg.PruneEpsilon > 0 {
+		s.cur.Prune(cfg.PruneEpsilon)
+	}
+	if s.chg != nil || cfg.Tolerance > 0 {
+		if s.chg != nil {
+			s.chg.Clear()
+		}
+		s.diff = s.cur.MaxAbsDiffChanged(s.prev, cfg.DeltaSkipTolerance, s.chg)
+	}
+	s.prev, s.cur = s.cur, s.prev
+	s.computed = true
+	return skipped
 }
 
 // spa is one worker's sparse-accumulator state: dense value arrays for the

@@ -225,7 +225,9 @@ func TestClosedFormsMatchEngine(t *testing.T) {
 }
 
 // The sparse engine with no pruning must agree exactly with the dense
-// engine on every variant, on the paper fixtures.
+// engine on every variant, on the paper fixtures: its query side is the
+// dense engine's at the configured depth, and its ad side, which the
+// chain ends one depth deeper, the dense engine's at the next.
 func TestSparseMatchesDenseOnFixtures(t *testing.T) {
 	graphs := map[string]*clickgraph.Graph{
 		"fig3":    clickgraph.Fig3(),
@@ -240,18 +242,22 @@ func TestSparseMatchesDenseOnFixtures(t *testing.T) {
 		for _, variant := range []Variant{Simple, Evidence, Weighted} {
 			cfg := DefaultConfig().WithVariant(variant)
 			cfg.Channel = ChannelClicks
-			d := mustRunDense(t, g, cfg)
+			deeper := cfg
+			deeper.Iterations++
+			dq, da := mustRunDense(t, g, cfg), mustRunDense(t, g, deeper)
 			s := mustRun(t, g, cfg)
-			assertResultsEqual(t, name+"/"+variant.String(), g, d, s, 1e-10)
+			assertResultsEqual(t, name+"/"+variant.String(), g, dq, da, s, 1e-10)
 		}
 	}
 }
 
-func assertResultsEqual(t *testing.T, label string, g *clickgraph.Graph, a, b *Result, eps float64) {
+// assertResultsEqual compares every pair of got with the query side of dq
+// and the ad side of da, within eps.
+func assertResultsEqual(t *testing.T, label string, g *clickgraph.Graph, dq, da, got *Result, eps float64) {
 	t.Helper()
 	for i := 0; i < g.NumQueries(); i++ {
 		for j := i + 1; j < g.NumQueries(); j++ {
-			if av, bv := a.QuerySim(i, j), b.QuerySim(i, j); !almostEqual(av, bv, eps) {
+			if av, bv := dq.QuerySim(i, j), got.QuerySim(i, j); !almostEqual(av, bv, eps) {
 				t.Errorf("%s: query pair (%s,%s): dense %.12f sparse %.12f",
 					label, g.Query(i), g.Query(j), av, bv)
 			}
@@ -259,7 +265,7 @@ func assertResultsEqual(t *testing.T, label string, g *clickgraph.Graph, a, b *R
 	}
 	for i := 0; i < g.NumAds(); i++ {
 		for j := i + 1; j < g.NumAds(); j++ {
-			if av, bv := a.AdSim(i, j), b.AdSim(i, j); !almostEqual(av, bv, eps) {
+			if av, bv := da.AdSim(i, j), got.AdSim(i, j); !almostEqual(av, bv, eps) {
 				t.Errorf("%s: ad pair (%s,%s): dense %.12f sparse %.12f",
 					label, g.Ad(i), g.Ad(j), av, bv)
 			}

@@ -37,7 +37,11 @@ func mulAdd(x, y, z float64) float64 { return x*y + z }
 // against the kernel of an earlier commit, which the differential tests
 // (map reference within 1e-12, parallel vs serial bit for bit) cannot see:
 // the digests below were recorded at the commit before the cursor-scatter
-// kernel and must survive any change that claims to be exact.
+// kernel and must survive any change that claims to be exact. They were
+// recorded on the Jacobi loop, so the test runs runJacobi, which calls
+// the production pass kernels unchanged; TestChainMatchesJacobi holds Run
+// to runJacobi bit for bit, so together the two still pin the summation
+// order of what Run computes.
 func TestKernelBitsGolden(t *testing.T) {
 	// The compiler may fuse x*y + z into one rounding on some targets
 	// (arm64 does, amd64 does not), which legitimately changes bits:
@@ -64,7 +68,11 @@ func TestKernelBitsGolden(t *testing.T) {
 					cfg.PruneEpsilon = prune
 					cfg.StrictEvidence = strict
 					label := fmt.Sprintf("%s/%v/prune=%g/strict=%v", gr.name, variant, prune, strict)
-					if got, want := scoreDigest(mustRun(t, gr.g, cfg)), kernelGolden[label]; got != want {
+					res, err := runJacobi(gr.g, cfg, 1, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := scoreDigest(res), kernelGolden[label]; got != want {
 						t.Errorf("%q: %q, recorded %q", label, got, want)
 					}
 				}

@@ -8,14 +8,16 @@ import (
 	"simrankpp/internal/sparse"
 )
 
-// IterationStat records one sparse-engine iteration: its wall time and how
-// many output rows the change-tracked delta skip copied forward instead of
-// recomputing (see Config.DeltaSkipTolerance). Skip counts are zero on the
-// first iteration (there is no previous diff yet) and grow as rows
-// converge.
+// IterationStat records one ad pass of a sparse engine's chain and the
+// query pass before it (none before the first ad pass of a chain that
+// starts on the ad side, where the query fields stay zero): their wall
+// time and how many output rows the change-tracked delta skip copied
+// forward instead of recomputing (see Config.DeltaSkipTolerance). Skip
+// counts are zero until a side's previous value was computed by the chain
+// and grow as rows converge. A run records at most Iterations of them.
 type IterationStat struct {
-	// Duration is the iteration's wall time: both passes, pruning, and
-	// the convergence/change diff.
+	// Duration is the wall time of the pass pair: the passes, pruning, and
+	// the convergence/change diffs.
 	Duration time.Duration
 	// QueryRowsSkipped of QueryRows query-side output rows were copied
 	// forward unchanged; likewise AdRowsSkipped of AdRows.
@@ -37,14 +39,16 @@ type Result struct {
 	// QueryScores holds s(q, q') for query pairs, AdScores s(α, α') for
 	// ad pairs.
 	QueryScores, AdScores *sparse.PairFrontier
-	// Iterations is the number of iterations actually performed.
+	// Iterations is the query-side depth reached: Config.Iterations, or
+	// less when the run converged first. The sparse engines' ad scores
+	// are one depth deeper (see Config.Iterations).
 	Iterations int
 	// Converged reports whether iteration stopped because the largest
 	// score change fell below Config.Tolerance.
 	Converged bool
-	// IterStats holds per-iteration timing and delta-skip counters for
+	// IterStats holds per-pass-pair timing and delta-skip counters for
 	// runs of the sparse engines (nil from RunDense). For RunSharded, entry
-	// i sums every shard's iteration i — total work, not wall time, since
+	// i sums every shard's pair i — total work, not wall time, since
 	// shards run concurrently.
 	IterStats []IterationStat
 	// ShardStats records each shard engine's run, in plan order, when the

@@ -76,7 +76,8 @@ type ShardStat struct {
 	// CutEdges and Exact echo the plan: evidence this shard could not see.
 	CutEdges int
 	Exact    bool
-	// Iterations/Converged are the shard engine's own run outcome.
+	// Iterations/Converged are the shard engine's own run outcome;
+	// Iterations is the query-side depth it reached (Result.Iterations).
 	Iterations int
 	Converged  bool
 	// Duration is the shard's wall time including subgraph extraction.
@@ -118,7 +119,7 @@ type ShardStat struct {
 //     boundary pairs are approximated, the same trade the paper accepts
 //     when decomposing its giant component (§9.2).
 //
-// Result.IterStats sums, per iteration index, the per-shard stats (shards
+// Result.IterStats sums, per pass-pair index, the per-shard stats (shards
 // run concurrently, so summed durations measure total work, not wall
 // time); Result.ShardStats records each shard's run in plan order.
 func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt ShardOptions) (*Result, error) {

@@ -181,14 +181,21 @@ func addRandomCluster(b *clickgraph.Builder, prefix string, seed uint64, nq, na,
 }
 
 // Differential property: sparse engine equals dense engine on random
-// graphs for every variant.
+// graphs for every variant, the query side at the configured depth and
+// the ad side, where the chain ends, one depth deeper.
 func TestSparseMatchesDenseRandom(t *testing.T) {
 	check := func(seed uint64, variantPick uint8) bool {
 		g := randomGraph(seed, 7, 6, 15)
 		cfg := DefaultConfig().WithVariant(Variant(variantPick % 3))
 		cfg.Channel = ChannelClicks
 		cfg.Iterations = 6
-		d, err := RunDense(g, cfg)
+		deeper := cfg
+		deeper.Iterations++
+		dq, err := RunDense(g, cfg)
+		if err != nil {
+			return false
+		}
+		da, err := RunDense(g, deeper)
 		if err != nil {
 			return false
 		}
@@ -198,14 +205,14 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 		}
 		for i := 0; i < g.NumQueries(); i++ {
 			for j := i + 1; j < g.NumQueries(); j++ {
-				if diff := d.QuerySim(i, j) - s.QuerySim(i, j); diff > 1e-9 || diff < -1e-9 {
+				if diff := dq.QuerySim(i, j) - s.QuerySim(i, j); diff > 1e-9 || diff < -1e-9 {
 					return false
 				}
 			}
 		}
 		for i := 0; i < g.NumAds(); i++ {
 			for j := i + 1; j < g.NumAds(); j++ {
-				if diff := d.AdSim(i, j) - s.AdSim(i, j); diff > 1e-9 || diff < -1e-9 {
+				if diff := da.AdSim(i, j) - s.AdSim(i, j); diff > 1e-9 || diff < -1e-9 {
 					return false
 				}
 			}
