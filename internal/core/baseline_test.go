@@ -54,8 +54,9 @@ func simplePassMap(opp *sparse.PairTable, thisNbr, oppNbr [][]int, c float64) *s
 	return out
 }
 
-// weightedPassMap is the map-based weightedPass. It rebuilds the reversed
-// factor rows on every call, which the engine hoists to run setup.
+// weightedPassMap is the map-based weightedPass. It scatters through the
+// factor rows reversed onto the opposite side (reverseFactors), rebuilt
+// on every call.
 func weightedPassMap(opp *sparse.PairTable, thisNbr, oppNbr [][]int, w [][]float64, ev *evidenceTable, c float64) *sparse.PairTable {
 	revW := reverseFactors(thisNbr, oppNbr, w)
 	acc := sparse.NewPairTable(opp.Len())

@@ -19,26 +19,29 @@ import (
 //
 // Each iteration is computed output-row-major: for every node x of one
 // side, gather u(j) = Σ_{i∈E(x)} s(i, j) over the opposite side into a
-// dense accumulator, scatter u over each touched node's neighbor row into
-// a dense row accumulator, and harvest the normalized row, in ascending
-// order off a bit mark per cell, straight into a sparse.PairFrontier
-// (per-row sorted storage, no hashing and no sorting anywhere). Work
-// stays proportional to the nonzero structure — the sparsity the click
-// graph actually has — but every contribution costs an array add instead
-// of the hash probe the map-based engine paid, and the frontiers ping-pong
-// across iterations so steady-state passes barely allocate.
+// dense accumulator, then pull every cell of x's row as one dot product,
+// t(x, p) = Σ_{j∈E(p)} u(j), over p's own neighbor row, for each
+// candidate p > x of x's connected component, and emit the row in
+// ascending order straight into a sparse.PairFrontier (per-row sorted
+// storage, no hashing and no sorting anywhere). Where the opposite side's
+// scores in a component are sparse, the candidates are only the nodes the
+// gathered u can reach, so work stays proportional to the nonzero
+// structure — the sparsity the click graph actually has — while every
+// term costs a multiply-add in a register instead of the hash probe the
+// map-based engine paid, and the frontiers ping-pong across iterations so
+// steady-state passes barely allocate.
 func Run(g *clickgraph.Graph, cfg Config) (*Result, error) {
 	return runEngine(g, cfg, 1, nil, nil)
 }
 
 // passInputs holds the per-run immutable inputs of the iteration passes:
-// neighbor rows, weighted-walk factor rows (reversed onto the opposite
-// side once per run, not once per pass), and evidence tables.
+// neighbor rows, weighted-walk factor rows, evidence tables, and the
+// component index the pull kernel draws its candidates from.
 type passInputs struct {
-	qNbr, aNbr   [][]int
-	qW, aW       [][]float64 // Weighted only: forward factor rows
-	revWQ, revWA [][]float64 // Weighted only: reversed factor rows
-	evQ, evA     *evidenceTable
+	qNbr, aNbr [][]int
+	qW, aW     [][]float64 // Weighted only: forward factor rows
+	evQ, evA   *evidenceTable
+	qIdx, aIdx *memberIndex
 }
 
 func newPassInputs(g *clickgraph.Graph, cfg Config) *passInputs {
@@ -62,13 +65,12 @@ func newPassInputs(g *clickgraph.Graph, cfg Config) *passInputs {
 		for a := 0; a < na; a++ {
 			model.adRow(a, in.aW[a])
 		}
-		in.revWQ = reverseFactors(in.qNbr, in.aNbr, in.qW)
-		in.revWA = reverseFactors(in.aNbr, in.qNbr, in.aW)
 	}
 	if cfg.Variant != Simple {
 		in.evQ = newEvidenceTable(in.qNbr, in.aNbr, cfg.EvidenceForm, cfg.StrictEvidence)
 		in.evA = newEvidenceTable(in.aNbr, in.qNbr, cfg.EvidenceForm, cfg.StrictEvidence)
 	}
+	in.qIdx, in.aIdx = newMemberIndexes(g)
 	return in
 }
 
@@ -89,20 +91,97 @@ func carveRows(nbr [][]int) [][]float64 {
 	return rows
 }
 
-// reverseFactors builds revW[o][k] = W(x, o) where x is the k-th neighbor
-// of opposite node o: the walk factor attached to the (o → x) direction,
-// looked up from this side's factor rows. thisNbr rows and oppNbr rows are
-// both ascending, so x appears in oppNbr[o] at the next unfilled position.
-func reverseFactors(thisNbr, oppNbr [][]int, w [][]float64) [][]float64 {
-	revW := carveRows(oppNbr)
-	pos := make([]int, len(oppNbr))
-	for x, nbrs := range thisNbr {
-		for k, o := range nbrs {
-			revW[o][pos[o]] = w[x][k]
-			pos[o]++
-		}
+// memberIndex lists one side's nodes grouped by connected component
+// (clickgraph.Components), each group ascending, with every node's
+// component and its position in the list. A pair in two components
+// scores zero at every depth, so the pull kernel's candidates for row x
+// are at most the members of x's component above x, a suffix of its
+// group. The two sides' indexes of one run share component numbers.
+type memberIndex struct {
+	members []int32
+	bounds  []int32 // component c's group is members[bounds[c]:bounds[c+1]]
+	comp    []int32 // node → its component
+	at      []int32 // node → its position in members
+}
+
+func newMemberIndexes(g *clickgraph.Graph) (q, a *memberIndex) {
+	comps := clickgraph.Components(g)
+	q, a = newMemberIndex(g.NumQueries(), len(comps)), newMemberIndex(g.NumAds(), len(comps))
+	for c, comp := range comps {
+		q.add(c, comp.Queries)
+		a.add(c, comp.Ads)
 	}
-	return revW
+	return q, a
+}
+
+func newMemberIndex(n, comps int) *memberIndex {
+	bounds := make([]int32, 1, comps+1)
+	return &memberIndex{members: make([]int32, 0, n), bounds: bounds, comp: make([]int32, n), at: make([]int32, n)}
+}
+
+// add appends component c's ascending nodes as the next group.
+func (m *memberIndex) add(c int, nodes []int) {
+	for _, x := range nodes {
+		m.comp[x], m.at[x] = int32(c), int32(len(m.members))
+		m.members = append(m.members, int32(x))
+	}
+	m.bounds = append(m.bounds, int32(len(m.members)))
+}
+
+// above returns the members of x's component above x, ascending.
+func (m *memberIndex) above(x int) []int32 {
+	return m.members[m.at[x]+1 : m.bounds[m.comp[x]+1]]
+}
+
+// group returns component c's members, ascending.
+func (m *memberIndex) group(c int32) []int32 {
+	return m.members[m.bounds[c]:m.bounds[c+1]]
+}
+
+// dropCrossComponent drops every pair of f whose nodes lie in different
+// components. Such a pair scores zero at every depth, so a computed
+// frontier never holds one; only a warm seed can — a pair from a
+// generation in which an edge since gone joined the two components. The
+// candidate sets rely on it: through such a seed the reach would pair x
+// with a node of another component, which the range never evaluates, so
+// the rows would depend on which set a pass chose.
+func dropCrossComponent(f *sparse.PairFrontier, idx *memberIndex) {
+	f.Map(func(i, j int, v float64) (float64, bool) { return v, idx.comp[i] == idx.comp[j] })
+}
+
+// candidates is one pass's candidate index: for every row x, which set
+// the kernel evaluates. On a component whose opposite-side scores are
+// dense, that is the component range (memberIndex.above), an index read;
+// on a sparse one it is the union of E(j) over the j the gather touched
+// (spa.reach), which leaves out the component members x cannot reach. A
+// member left out scores exactly zero — each of its dot-product terms
+// reads a u(j) the gather never touched — so the two sets give the same
+// rows bit for bit and the choice is one of cost alone.
+type candidates struct {
+	idx, opp *memberIndex // this side's members and the opposite side's
+	dense    []bool       // per component: evaluate the component range
+}
+
+// passCandidates decides the candidate set of every component for one
+// pass from the opposite side's expansion sym: a component is dense when
+// its opposite-side scores hold at least a quarter of the pairs its
+// opposite-side members can form, where the gather's u covers most of the
+// component and reaching candidates one E(j) at a time would find nearly
+// all of them at the cost of a mark each. On a component whose scores
+// stay local — pruned, or early in the chain — the range would evaluate
+// every member for the few the row reaches (PERF.md, "The kernel: pull,
+// not push"). dense holds one cell per component and is overwritten.
+func passCandidates(idx, opp *memberIndex, sym *sparse.SymAdj, dense []bool) candidates {
+	for c := range dense {
+		js := opp.group(int32(c))
+		nnz := 0 // each stored pair counted from both ends
+		for _, j := range js {
+			nnz += sym.RowNNZ(int(j))
+		}
+		m := len(js)
+		dense[c] = 4*nnz >= m*(m-1)
+	}
+	return candidates{idx: idx, opp: opp, dense: dense}
 }
 
 // engineArena is the reusable allocation state of one engine run:
@@ -141,8 +220,8 @@ func arenaBitset(slot **sparse.Bitset, n int) *sparse.Bitset {
 
 // ensureSPAs returns workers accumulators with dense arrays of at least n
 // cells, growing the arena's pool as needed. Reused spa arrays are already
-// zero: the kernels restore every touched cell and mark to zero as they
-// harvest, and runRowPass clears the cursors.
+// zero: the kernel restores every gathered cell and mark to zero before
+// it emits a row.
 func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 	for len(ar.spas) < workers {
 		ar.spas = append(ar.spas, &spa{})
@@ -150,8 +229,8 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 	spas := ar.spas[:workers]
 	for _, sp := range spas {
 		if len(sp.u) < n {
-			sp.u, sp.t = make([]float64, n), make([]float64, n)
-			sp.marks, sp.cur = make([]uint64, (n+63)/64), make([]int32, n)
+			sp.u, sp.marks = make([]float64, n), make([]uint64, (n+63)/64)
+			sp.ut, sp.pt = make([]int32, 0, n), make([]int32, 0, n)
 		}
 	}
 	return spas
@@ -201,11 +280,13 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 
 	q := &chainSide{
 		prev: arenaFrontier(&ar.prevQ, nq), cur: arenaFrontier(&ar.curQ, nq),
-		thisNbr: in.qNbr, oppNbr: in.aNbr, w: in.qW, revW: in.revWQ, ev: in.evQ, c: cfg.C1,
+		thisNbr: in.qNbr, oppNbr: in.aNbr, w: in.qW, ev: in.evQ, c: cfg.C1,
+		idx: in.qIdx, dense: make([]bool, len(in.qIdx.bounds)-1),
 	}
 	a := &chainSide{
 		prev: arenaFrontier(&ar.prevA, na), cur: arenaFrontier(&ar.curA, na),
-		thisNbr: in.aNbr, oppNbr: in.qNbr, w: in.aW, revW: in.revWA, ev: in.evA, c: cfg.C2,
+		thisNbr: in.aNbr, oppNbr: in.qNbr, w: in.aW, ev: in.evA, c: cfg.C2,
+		idx: in.aIdx, dense: make([]bool, len(in.aIdx.bounds)-1),
 	}
 	if warm != nil {
 		warm(q.prev, a.prev)
@@ -219,6 +300,8 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 			q.prev.Prune(cfg.PruneEpsilon)
 			a.prev.Prune(cfg.PruneEpsilon)
 		}
+		dropCrossComponent(q.prev, in.qIdx)
+		dropCrossComponent(a.prev, in.aIdx)
 	}
 	if ar.symQ == nil {
 		ar.symQ, ar.symA = &sparse.SymAdj{}, &sparse.SymAdj{}
@@ -288,9 +371,11 @@ type chainSide struct {
 	diff     float64 // max |newest − previous| over all pairs
 
 	thisNbr, oppNbr [][]int
-	w, revW         [][]float64 // Weighted only
+	w               [][]float64 // Weighted only
 	ev              *evidenceTable
 	c               float64
+	idx             *memberIndex // this side's component members
+	dense           []bool       // passCandidates' scratch
 }
 
 // pass computes s's next value from opp's newest scores and returns how
@@ -307,11 +392,12 @@ func (s *chainSide) pass(opp *chainSide, cfg Config, workers int, spas []*spa) i
 	if skip == nil || skip.Count() > 0 {
 		opp.sym = opp.prev.ExpandSymmetric(opp.sym)
 	}
+	cand := passCandidates(s.idx, opp.idx, opp.sym, s.dense)
 	var skipped int
 	if cfg.Variant == Weighted {
-		skipped = weightedPass(opp.sym, s.thisNbr, s.oppNbr, s.w, s.revW, s.ev, s.c, s.cur, s.prev, skip, workers, spas)
+		skipped = weightedPass(opp.sym, s.thisNbr, s.oppNbr, s.w, s.ev, cand, s.c, s.cur, s.prev, skip, workers, spas)
 	} else {
-		skipped = simplePass(opp.sym, s.thisNbr, s.oppNbr, s.c, s.cur, s.prev, skip, workers, spas)
+		skipped = simplePass(opp.sym, s.thisNbr, s.oppNbr, cand, s.c, s.cur, s.prev, skip, workers, spas)
 	}
 	if cfg.PruneEpsilon > 0 {
 		s.cur.Prune(cfg.PruneEpsilon)
@@ -327,39 +413,48 @@ func (s *chainSide) pass(opp *chainSide, cfg Config, workers int, spas []*spa) i
 	return skipped
 }
 
-// spa is one worker's sparse-accumulator state: dense value arrays for the
-// gather (u, over the opposite side, with its touched list) and the row
-// accumulation (t, over this side, with one mark bit per cell), the
-// scatter cursors, plus the row emit buffers. Arrays are sized to the
-// larger side so one spa serves both passes.
+// spa is one worker's sparse-accumulator state: the dense gather array u
+// over the opposite side with its touched list, the marks and candidate
+// list of the sparse candidate path over this side, and the row emit
+// buffers. Arrays are sized to the larger side so one spa serves both
+// passes.
 type spa struct {
-	u []float64 // gathered opposite-side scores, zeroed via ut
-	// ut lists the touched cells of u in first-touch order. The scatter
-	// walks it, so it fixes the order t's sums are taken in.
-	ut []int
-	t  []float64 // accumulated output row, zeroed via marks
-	// marks has bit p set for every cell t[p] the scatter added to, zero
-	// contributions included; the harvest walks the set bits, which come
-	// out ascending, and clears them.
+	u  []float64 // gathered opposite-side scores
+	ut []int32   // touched cells of u, in first-touch order
+	// marks has bit p set for every candidate reach found; it walks the set
+	// bits, which come out ascending, into pt and clears them.
 	marks []uint64
-	// cur[j] is the first position of oppNbr[j] holding a node above the
-	// last row that scattered j. A worker's rows ascend, so the cursor
-	// only moves forward; runRowPass clears it when a worker starts.
-	cur  []int32
-	rowC []int32
-	rowV []float64
+	pt    []int32
+	rowC  []int32
+	rowV  []float64
+	// cells counts the dot products the kernel evaluated over the spa's
+	// life: the work the candidate sets are chosen to bound
+	// (TestPullSparseGuard).
+	cells int
 }
 
-// spaBytes is the footprint of one spa's dense arrays over n cells: u and
-// t (8 bytes each), cur (4) and one mark bit.
-func spaBytes(n int) int64 { return 20*int64(n) + 8*int64((n+63)/64) }
+// spaBytes is the footprint of one spa's arrays over n cells: u (8 bytes
+// a cell), the touched list ut and the sparse path's candidate list pt (4
+// each, both allocated at full capacity), and its one mark bit.
+func spaBytes(n int) int64 { return 16*int64(n) + 8*int64((n+63)/64) }
 
-// gather accumulates u(j) = Σ_{i∈nbrs} f(i)·s(i, j) from the symmetric
-// score rows of one output row's neighbors (the diagonal s(i, i) = 1
-// included), listing the touched cells in sp.ut. fx holds the walk factors
-// aligned with nbrs; nil is plain SimRank's all-ones, and multiplying by
-// one is exact.
-func (sp *spa) gather(nbrs []int, fx []float64, sym *sparse.SymAdj) {
+// gather prepares row x of a pass: it accumulates u from x's neighbors
+// and returns x's candidates, ascending — the members above x on a dense
+// component, the nodes the touched cells reach on a sparse one.
+func (sp *spa) gather(x int, nbrs []int, fx []float64, sym *sparse.SymAdj, oppNbr [][]int, cand candidates) []int32 {
+	sp.accumulate(nbrs, fx, sym)
+	if c := cand.idx.comp[x]; cand.dense[c] {
+		return cand.idx.above(x)
+	}
+	return sp.reach(x, oppNbr)
+}
+
+// accumulate adds u(j) = Σ_{i∈nbrs} f(i)·s(i, j) from the symmetric score
+// rows of nbrs (the diagonal s(i, i) = 1 included), listing the touched
+// cells in sp.ut in first-touch order. fx holds the walk factors aligned
+// with nbrs; nil is plain SimRank's all-ones, and multiplying by one is
+// exact.
+func (sp *spa) accumulate(nbrs []int, fx []float64, sym *sparse.SymAdj) {
 	u, ut := sp.u, sp.ut[:0]
 	for ki, i := range nbrs {
 		fi := 1.0
@@ -369,73 +464,60 @@ func (sp *spa) gather(nbrs []int, fx []float64, sym *sparse.SymAdj) {
 			}
 		}
 		if u[i] == 0 {
-			ut = append(ut, i)
+			ut = append(ut, int32(i))
 		}
 		u[i] += fi // s(i, i) = 1
 		lo, hi := sym.RowPtr[i], sym.RowPtr[i+1]
 		col, val := sym.Col[lo:hi], sym.Val[lo:hi]
 		for k, c := range col {
-			j := int(c)
-			if u[j] == 0 {
-				ut = append(ut, j)
+			if u[c] == 0 {
+				ut = append(ut, c)
 			}
-			u[j] += fi * val[k]
+			u[c] += fi * val[k]
 		}
 	}
 	sp.ut = ut
 }
 
-// scatter drains the gathered u into t: every touched j, in sp.ut's order,
-// adds u(j) — times j's reversed walk factors when revW is non-nil — to
-// t(p) for its neighbors p > x and marks the cell. oppNbr[j] ascends and so
-// do a worker's rows, so where it crosses x is a cursor that only advances
-// (a delta-skipped row just leaves it to catch up later). Returns the
-// lowest and highest index scattered to, pmin > pmax when there is none.
-func (sp *spa) scatter(x int, oppNbr [][]int, revW [][]float64) (pmin, pmax int) {
-	u, t, marks, cur := sp.u, sp.t, sp.marks, sp.cur
-	pmin, pmax = len(t), -1
+// reach collects the union of the nodes above x in E(j) over every j with
+// u(j) ≠ 0: each E(j) ascends, so its members above x are a suffix, walked
+// from the top down and marked; the marks between the lowest and highest
+// marked node are then read off ascending into sp.pt and cleared.
+func (sp *spa) reach(x int, oppNbr [][]int) []int32 {
+	u, marks := sp.u, sp.marks
+	pmin, pmax := len(marks)<<6, -1
 	for _, j := range sp.ut {
-		uj := u[j]
-		u[j] = 0
-		if uj == 0 {
+		if u[j] == 0 {
 			continue
 		}
 		ps := oppNbr[j]
-		k := int(cur[j])
-		for k < len(ps) && ps[k] <= x {
-			k++
+		k := len(ps)
+		for k > 0 && ps[k-1] > x {
+			k--
+			p := uint(ps[k])
+			marks[p>>6] |= 1 << (p & 63)
 		}
-		cur[j] = int32(k)
-		if k == len(ps) {
-			continue
-		}
-		ps = ps[k:]
-		pmin, pmax = min(pmin, ps[0]), max(pmax, ps[len(ps)-1])
-		if revW != nil {
-			scatterRow(t, marks, ps, revW[j][k:], uj)
-			continue
-		}
-		for _, p := range ps {
-			t[p] += uj
-			marks[uint(p)>>6] |= 1 << (uint(p) & 63)
+		if k < len(ps) {
+			pmin, pmax = min(pmin, ps[k]), max(pmax, ps[len(ps)-1])
 		}
 	}
-	return pmin, pmax
+	pt := sp.pt[:0]
+	for wi := pmin >> 6; wi <= pmax>>6; wi++ {
+		word := marks[wi]
+		marks[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			pt = append(pt, int32(wi<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	sp.pt = pt
+	return pt
 }
 
-// scatterRow is the loop every weighted contribution leaves through: one
-// multiply-add and one unconditional mark. It is kept out of line because,
-// inlined into scatter, which has some twenty values live around it, its
-// counter and p are spilled to the stack and reloaded on every iteration
-// (PERF.md, "The kernel: cursor scatter, marked harvest"); gather's loop
-// fits in registers where it is.
-//
-//go:noinline
-func scatterRow(t []float64, marks []uint64, ps []int, fw []float64, uj float64) {
-	fw = fw[:len(ps)]
-	for k, p := range ps {
-		t[p] += fw[k] * uj
-		marks[uint(p)>>6] |= 1 << (uint(p) & 63)
+// release zeroes the cells of u the row's gather touched.
+func (sp *spa) release() {
+	u := sp.u
+	for _, j := range sp.ut {
+		u[j] = 0
 	}
 }
 
@@ -444,8 +526,8 @@ func scatterRow(t []float64, marks []uint64, ps []int, fw []float64, uj float64)
 // workers > 1 the row space is split into contiguous ranges weighted by
 // expected gather work; each worker owns disjoint rows and a private spa,
 // so rows are computed and emitted with no locks and no merge phase. A
-// worker visits its rows in ascending order, which is what lets the
-// kernels keep scatter cursors (spa.cur) across rows.
+// row's value depends on nothing but the pass's inputs, so it does not
+// depend on which worker computes it, or in what order.
 //
 // When changed is non-nil it marks the opposite-side nodes whose scores
 // moved last iteration; an output row x depends only on the score rows of
@@ -473,7 +555,6 @@ func runRowPass(thisNbr [][]int, sym *sparse.SymAdj, dst, prev *sparse.PairFront
 	skipped := 0
 	if workers <= 1 {
 		sp := spas[0]
-		clear(sp.cur)
 		for x := 0; x < n; x++ {
 			if unchanged(x) {
 				dst.CopyRowFrom(prev, x)
@@ -511,7 +592,6 @@ func runRowPass(thisNbr [][]int, sym *sparse.SymAdj, dst, prev *sparse.PairFront
 			wg.Add(1)
 			go func(sp *spa, wk, lo, hi int) {
 				defer wg.Done()
-				clear(sp.cur)
 				for x := lo; x < hi; x++ {
 					if skip != nil && skip[x] {
 						dst.CopyRowFrom(prev, x)
@@ -535,93 +615,93 @@ func runRowPass(thisNbr [][]int, sym *sparse.SymAdj, dst, prev *sparse.PairFront
 // thisNbr maps this side's nodes to opposite-side neighbors; oppNbr the
 // reverse.
 //
-// Row x gathers T(x, y) = Σ_{i∈E(x)} Σ_{j∈E(y)} s(i, j) in two phases:
-// u(j) = Σ_{i∈E(x)} s(i, j) (spa.gather), then each touched j scatters
-// u(j) to t(p) for its neighbors p ∈ E(j) with p > x (spa.scatter) — T is
-// symmetric, so row x's computation alone yields the full sum for every
-// stored pair (x, y), y > x.
-//
-// Every contribution is one add and one unconditional mark; the harvest
-// walks the marks between the lowest and highest scattered index, so rows
-// come out sorted and its cost follows what the row touched, not the side.
-func simplePass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+// Row x computes T(x, p) = Σ_{i∈E(x)} Σ_{j∈E(p)} s(i, j) in two phases:
+// u(j) = Σ_{i∈E(x)} s(i, j) with x's candidates (spa.gather), then for
+// each candidate p > x the pull t = Σ_{j∈E(p)} u(j), one dot product over
+// p's own neighbor row in ascending j — T is symmetric, so row x's
+// computation alone yields the full sum for every stored pair (x, p),
+// p > x. The candidates ascend, so the row comes out sorted, and each
+// cell is final when computed: no row accumulator, no marks to harvest.
+func simplePass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 	return runRowPass(thisNbr, sym, dst, prev, changed, workers, spas, func(sp *spa, x int) {
 		nbrs := thisNbr[x]
 		if len(nbrs) == 0 {
 			return
 		}
-		sp.gather(nbrs, nil, sym)
-		pmin, pmax := sp.scatter(x, oppNbr, nil)
-		t, marks := sp.t, sp.marks
+		ps := sp.gather(x, nbrs, nil, sym, oppNbr, cand)
+		u := sp.u
 		rowC, rowV := sp.rowC[:0], sp.rowV[:0]
 		dx := float64(len(nbrs))
-		for wi := pmin >> 6; wi <= pmax>>6; wi++ {
-			word := marks[wi]
-			marks[wi] = 0
-			for ; word != 0; word &= word - 1 {
-				p := wi<<6 | bits.TrailingZeros64(word)
-				tv := t[p]
-				t[p] = 0
-				if s := c * tv / (dx * float64(len(thisNbr[p]))); s != 0 {
-					rowC = append(rowC, int32(p))
-					rowV = append(rowV, s)
-				}
+		for _, p := range ps {
+			js := thisNbr[p]
+			t := 0.0
+			for _, j := range js {
+				t += u[j]
+			}
+			if s := c * t / (dx * float64(len(js))); s != 0 {
+				rowC = append(rowC, p)
+				rowV = append(rowV, s)
 			}
 		}
+		sp.release()
+		sp.cells += len(ps)
 		sp.rowC, sp.rowV = rowC, rowV
 		dst.SetSortedRow(x, rowC, rowV)
 	})
 }
 
 // weightedPass computes one weighted-SimRank iteration for one side into
-// dst: the same two-phase row gather as simplePass with every
-// contribution scaled by the walk factors of the two edges it traverses.
-// w holds this side's forward factor rows (aligned with thisNbr) and revW
-// the factors reversed onto the opposite side (reverseFactors), both
-// built once per run.
+// dst: the same gather and pull as simplePass with every term scaled by
+// the walk factors of the two edges it traverses — W(x, i) in the gather,
+// and W(p, j), p's own forward factor row aligned with its neighbor row,
+// in the pull. w holds this side's forward factor rows, built once per
+// run.
 //
-// Evidence is fused into the harvest: the marks yield the row's cells in
-// ascending order, which is the order the evidence table's precomputed
-// multiplier row for x is stored in, so the two are merge-walked —
-// O(d + k) sequential reads instead of k binary-searched lookups each
-// paying the multiplier math. A zero walk factor contributes an exact zero
-// and a mark; the emit's s != 0 test drops the cell if nothing else
-// reached it.
-func weightedPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w, revW [][]float64, ev *evidenceTable, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+// Evidence is fused into the pull: the candidates ascend, which is the
+// order the evidence table's precomputed multiplier row for x is stored
+// in, so the two are merge-walked — O(d + k) sequential reads instead of
+// k binary-searched lookups each paying the multiplier math — and a pair
+// whose evidence is zero (StrictEvidence, no common neighbor) is never
+// evaluated. A zero walk factor contributes an exact zero; the emit's
+// s != 0 test drops a cell nothing else reached.
+func weightedPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w [][]float64, ev *evidenceTable, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 	return runRowPass(thisNbr, sym, dst, prev, changed, workers, spas, func(sp *spa, x int) {
 		nbrs := thisNbr[x]
 		if len(nbrs) == 0 {
 			return
 		}
-		sp.gather(nbrs, w[x], sym)
-		pmin, pmax := sp.scatter(x, oppNbr, revW)
-		t, marks := sp.t, sp.marks
+		ps := sp.gather(x, nbrs, w[x], sym, oppNbr, cand)
+		u := sp.u
 		rowC, rowV := sp.rowC[:0], sp.rowV[:0]
 		evC, evV := ev.mult.Row(x)
 		def := ev.def
 		k := 0 // merge-walk cursor into the evidence row; p ascends with it
-		for wi := pmin >> 6; wi <= pmax>>6; wi++ {
-			word := marks[wi]
-			marks[wi] = 0
-			for ; word != 0; word &= word - 1 {
-				p := wi<<6 | bits.TrailingZeros64(word)
-				tv := t[p]
-				t[p] = 0
-				for k < len(evC) && int(evC[k]) < p {
-					k++
-				}
-				e := def
-				if k < len(evC) && int(evC[k]) == p {
-					e = evV[k]
-				}
-				if e > 0 {
-					if s := e * c * tv; s != 0 {
-						rowC = append(rowC, int32(p))
-						rowV = append(rowV, s)
-					}
-				}
+		cells := 0
+		for _, p := range ps {
+			for k < len(evC) && evC[k] < p {
+				k++
+			}
+			e := def
+			if k < len(evC) && evC[k] == p {
+				e = evV[k]
+			}
+			if e <= 0 {
+				continue
+			}
+			js, wp := thisNbr[p], w[p]
+			wp = wp[:len(js)]
+			cells++
+			t := 0.0
+			for kj, j := range js {
+				t += wp[kj] * u[j]
+			}
+			if s := e * c * t; s != 0 {
+				rowC = append(rowC, p)
+				rowV = append(rowV, s)
 			}
 		}
+		sp.release()
+		sp.cells += cells
 		sp.rowC, sp.rowV = rowC, rowV
 		dst.SetSortedRow(x, rowC, rowV)
 	})
@@ -631,7 +711,7 @@ func weightedPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w, revW [][]float
 // a symmetric CSR (sparse.SymAdj) whose values are the precomputed
 // EvidenceMultiplier of each pair's common-neighbor count. The exp/shift
 // math of Equation 7.3/7.4 is paid once per pair at build; the weighted
-// harvest merge-walks a row instead of probing a table, and pairs with no
+// pull merge-walks a row instead of probing a table, and pairs with no
 // common neighbors fall through to def (1 pass-through, or 0 under
 // Config.StrictEvidence).
 type evidenceTable struct {
@@ -643,10 +723,10 @@ type evidenceTable struct {
 // maps the counts to multipliers. thisNbr maps this side's nodes to their
 // opposite-side neighbors and oppNbr the reverse, so the nodes reached in
 // two steps from x are the ones sharing a neighbor with it, once per
-// neighbor shared. Row x is counted the way the kernel accumulates a
-// score row: one increment and one unconditional mark a step into a dense
-// array, then a walk of the marks, which yields the row ascending and
-// leaves the array zero for the next.
+// neighbor shared. Row x is counted in a marked accumulator: one
+// increment and one unconditional mark a step into a dense array, then a
+// walk of the marks, which yields the row ascending and leaves the array
+// zero for the next.
 func newEvidenceTable(thisNbr, oppNbr [][]int, form EvidenceForm, strict bool) *evidenceTable {
 	n := len(thisNbr)
 	// A row holds at most one cell per two-step walk that leaves x, and at

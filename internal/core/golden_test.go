@@ -33,15 +33,19 @@ func scoreDigest(r *Result) string {
 //go:noinline
 func mulAdd(x, y, z float64) float64 { return x*y + z }
 
-// TestKernelBitsGolden pins the kernel's floating-point summation order
-// against the kernel of an earlier commit, which the differential tests
-// (map reference within 1e-12, parallel vs serial bit for bit) cannot see:
-// the digests below were recorded at the commit before the cursor-scatter
-// kernel and must survive any change that claims to be exact. They were
-// recorded on the Jacobi loop, so the test runs runJacobi, which calls
-// the production pass kernels unchanged; TestChainMatchesJacobi holds Run
-// to runJacobi bit for bit, so together the two still pin the summation
-// order of what Run computes.
+// TestKernelBitsGolden pins the kernel's floating-point summation order,
+// which the differential tests (map reference within 1e-12, push
+// reference within 1e-15, parallel vs serial bit for bit) cannot see: the
+// digests below must survive any change that claims to be exact. They
+// were re-recorded once, when the pull kernel replaced the push kernel
+// and every cell's sum was reordered to ascending j (pullGolden); the
+// push kernel, kept as the test reference (push_test.go), must still
+// reproduce the digests recorded at the commit before the cursor-scatter
+// kernel (pushGolden), which proves it is the kernel it replaced. Both
+// were recorded on the Jacobi loop, so the test runs runJacobi, which
+// calls the production pass kernels, and runJacobiWith(pushSide);
+// TestChainMatchesJacobi holds Run to runJacobi bit for bit, so together
+// the two still pin the summation order of what Run computes.
 func TestKernelBitsGolden(t *testing.T) {
 	// The compiler may fuse x*y + z into one rounding on some targets
 	// (arm64 does, amd64 does not), which legitimately changes bits:
@@ -57,6 +61,11 @@ func TestKernelBitsGolden(t *testing.T) {
 		{"random", randomGraph(31, 60, 45, 140)},
 		{"multi", multiComponentGraph(11, 5, 30, 22, 70)},
 	}
+	kernels := []struct {
+		name   string
+		pass   sidePass
+		golden map[string]string
+	}{{"pull", pullSide, pullGolden}, {"push", pushSide, pushGolden}}
 	for _, gr := range graphs {
 		for _, variant := range []Variant{Simple, Evidence, Weighted} {
 			for _, prune := range []float64{0, 1e-4} {
@@ -68,12 +77,14 @@ func TestKernelBitsGolden(t *testing.T) {
 					cfg.PruneEpsilon = prune
 					cfg.StrictEvidence = strict
 					label := fmt.Sprintf("%s/%v/prune=%g/strict=%v", gr.name, variant, prune, strict)
-					res, err := runJacobi(gr.g, cfg, 1, nil, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, want := scoreDigest(res), kernelGolden[label]; got != want {
-						t.Errorf("%q: %q, recorded %q", label, got, want)
+					for _, k := range kernels {
+						res, err := runJacobiWith(gr.g, cfg, 1, nil, nil, k.pass)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, want := scoreDigest(res), k.golden[label]; got != want {
+							t.Errorf("%s %q: %q, recorded %q", k.name, label, got, want)
+						}
 					}
 				}
 			}
@@ -81,7 +92,30 @@ func TestKernelBitsGolden(t *testing.T) {
 	}
 }
 
-var kernelGolden = map[string]string{
+var pullGolden = map[string]string{
+	"random/simrank/prune=0/strict=false":                     "fa090add104a2d244162197489d7fbdeba33daf8c0abdc82fc81052c6b2ccb87",
+	"random/simrank/prune=0.0001/strict=false":                "018e9452c094c25820cc2ae69e06e17aa98ab404b41bc119da8e1eaa57e4948f",
+	"random/evidence-based simrank/prune=0/strict=false":      "3a823488288e4e1f2bfd068e926758c9b8d3c3190fc14e7a265b2a320a721a51",
+	"random/evidence-based simrank/prune=0/strict=true":       "0cf3410717daed2fbf97952f0e11701d8a4d9ff2192cee4403b2909079ec4e02",
+	"random/evidence-based simrank/prune=0.0001/strict=false": "4f5d6be877718d6168c772f75c0e4e63016328bdc2d60a07b777040b372099df",
+	"random/evidence-based simrank/prune=0.0001/strict=true":  "61f92eb0e409f07fd5c94194b81331df08eaf99f85b50870b510c30c08ceaf70",
+	"random/weighted simrank/prune=0/strict=false":            "0dde3dbd6fca3147e120a741665decc1c45732cafa5bc6d7a87f3c72b968691d",
+	"random/weighted simrank/prune=0/strict=true":             "bb960fc42d4fc9368b8842bc5d976bbc1cd99c38d67fc3cae669a29f8b20e5c5",
+	"random/weighted simrank/prune=0.0001/strict=false":       "2dda7cb068ccded47e4ffa52b286f647535bb543c6ae5bf2271cf4b79b0448d9",
+	"random/weighted simrank/prune=0.0001/strict=true":        "bb960fc42d4fc9368b8842bc5d976bbc1cd99c38d67fc3cae669a29f8b20e5c5",
+	"multi/simrank/prune=0/strict=false":                      "ea302f0aa3ac3fde93f723de7339fc7b779e952a8c177fbd0a9949c0665577d6",
+	"multi/simrank/prune=0.0001/strict=false":                 "ca9eb991131fbd317d6a281e0d95b09ca9340b662ba63ad367598aea2b9719f9",
+	"multi/evidence-based simrank/prune=0/strict=false":       "789174cc325ef976f8bb4d9db05fdd5630704fcb61df02b481457f3bf4828eb2",
+	"multi/evidence-based simrank/prune=0/strict=true":        "0ad3cf42c84ad4f0137ddf01426f7c5a32186283126c9d58b051233017c6912a",
+	"multi/evidence-based simrank/prune=0.0001/strict=false":  "c1d04622d49adc7ee1f7181010bf7532951c8316278d2b9749f7ab69ee0be8a0",
+	"multi/evidence-based simrank/prune=0.0001/strict=true":   "65a69cf37f2f0f8df618f1994dd6ef8509a607d118ca9a03a62c28085d23c85f",
+	"multi/weighted simrank/prune=0/strict=false":             "e7be682d0279c9964d1fa75a9a8d224959e4aac796f37fab334bc4298e87940c",
+	"multi/weighted simrank/prune=0/strict=true":              "0c0bd826fe0be23d67546752029c379e3450d18a2a934b264f6fd7b464c3d0de",
+	"multi/weighted simrank/prune=0.0001/strict=false":        "6faf67181d0dea21f8bf717f037e22848bfb153e0e0ad70ac9efd5a117f7ef53",
+	"multi/weighted simrank/prune=0.0001/strict=true":         "e8c6eb4c77adafbf9c02b9595953fbcc529ab2e9838ceb8990fbc5461084ce7d",
+}
+
+var pushGolden = map[string]string{
 	"random/simrank/prune=0/strict=false":                     "8753cd86257649e10f56dbd9cb1e3971cdcbce8883fe2d9a544c9c4acb13dfb6",
 	"random/simrank/prune=0.0001/strict=false":                "cdf38e60a3ce0a54dcf1865dee550569eb29af4d22d263eaf1c43b600e0930be",
 	"random/evidence-based simrank/prune=0/strict=false":      "c3672b3b7bf5e6d6ac2dd5c3df617c876cc9835d393fde7198aee48a72b8b4c9",

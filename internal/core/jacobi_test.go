@@ -17,6 +17,12 @@ import (
 // of TestKernelBitsGolden, recorded on this loop, still pin their
 // summation order.
 func runJacobi(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, warm warmSeed) (*Result, error) {
+	return runJacobiWith(g, cfg, workers, ar, warm, pullSide)
+}
+
+// runJacobiWith is runJacobi with every pass computed by pass: the push
+// reference (pushSide) runs the same loop as the production kernel.
+func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, warm warmSeed, pass sidePass) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -40,6 +46,8 @@ func runJacobi(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 			prevQ.Prune(cfg.PruneEpsilon)
 			prevA.Prune(cfg.PruneEpsilon)
 		}
+		dropCrossComponent(prevQ, in.qIdx)
+		dropCrossComponent(prevA, in.aIdx)
 	}
 	if ar.symQ == nil {
 		ar.symQ, ar.symA = &sparse.SymAdj{}, &sparse.SymAdj{}
@@ -80,15 +88,8 @@ func runJacobi(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 		if skipQ == nil || skipQ.Count() > 0 {
 			symQ = prevQ.ExpandSymmetric(symQ)
 		}
-		var sq, sa int
-		switch cfg.Variant {
-		case Weighted:
-			sq = weightedPass(symA, in.qNbr, in.aNbr, in.qW, in.revWQ, in.evQ, cfg.C1, curQ, prevQ, skipA, workers, spas)
-			sa = weightedPass(symQ, in.aNbr, in.qNbr, in.aW, in.revWA, in.evA, cfg.C2, curA, prevA, skipQ, workers, spas)
-		default:
-			sq = simplePass(symA, in.qNbr, in.aNbr, cfg.C1, curQ, prevQ, skipA, workers, spas)
-			sa = simplePass(symQ, in.aNbr, in.qNbr, cfg.C2, curA, prevA, skipQ, workers, spas)
-		}
+		sq := pass(in, cfg, false, symA, curQ, prevQ, skipA, workers, spas)
+		sa := pass(in, cfg, true, symQ, curA, prevA, skipQ, workers, spas)
 		if cfg.PruneEpsilon > 0 {
 			curQ.Prune(cfg.PruneEpsilon)
 			curA.Prune(cfg.PruneEpsilon)
@@ -133,4 +134,37 @@ func runJacobi(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 		Converged:   converged,
 		IterStats:   stats,
 	}, nil
+}
+
+// sideInputs is one side's view of the pass inputs: the arguments a pass
+// kernel of that side takes beside the scores.
+type sideInputs struct {
+	thisNbr, oppNbr [][]int
+	w               [][]float64
+	ev              *evidenceTable
+	idx, oppIdx     *memberIndex
+	c               float64
+}
+
+func (in *passInputs) side(cfg Config, ads bool) sideInputs {
+	if ads {
+		return sideInputs{in.aNbr, in.qNbr, in.aW, in.evA, in.aIdx, in.qIdx, cfg.C2}
+	}
+	return sideInputs{in.qNbr, in.aNbr, in.qW, in.evQ, in.qIdx, in.aIdx, cfg.C1}
+}
+
+// sidePass computes one side's next value (the ad side when ads is set)
+// from the opposite side's expansion sym into dst: a pass kernel as the
+// test loops (runJacobiWith) call it.
+type sidePass func(in *passInputs, cfg Config, ads bool, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int
+
+// pullSide is the production kernel, its candidates decided as the
+// engine's chain decides them.
+func pullSide(in *passInputs, cfg Config, ads bool, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+	s := in.side(cfg, ads)
+	cand := passCandidates(s.idx, s.oppIdx, sym, make([]bool, len(s.idx.bounds)-1))
+	if cfg.Variant == Weighted {
+		return weightedPass(sym, s.thisNbr, s.oppNbr, s.w, s.ev, cand, s.c, dst, prev, changed, workers, spas)
+	}
+	return simplePass(sym, s.thisNbr, s.oppNbr, cand, s.c, dst, prev, changed, workers, spas)
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // Micro-benchmarks for profiling the kernel: one accumulation pass per op
-// (row-major serial and parallel against the map reference), and whole
-// sharded runs with their stitch. Run with
+// (the pull kernel serial and parallel against the map reference and the
+// push kernel it replaced), and whole sharded runs with their stitch. Run
+// with
 //
 //	go test -run='^$' -bench='Pass' -benchmem ./internal/core
 //
@@ -44,9 +45,10 @@ func passBenchFixture(b *testing.B, variant Variant) *passFixture {
 	return newPassFixture(b, benchLogGraph(b, lc), cfg)
 }
 
-// runPassBench times pass under the three arms every pass benchmark has;
-// pass runs the row-major kernel once with the given workers and spas.
-func runPassBench(b *testing.B, fx *passFixture, reference func(), pass func(dst *sparse.PairFrontier, workers int, spas []*spa)) {
+// runPassBench times one query-side pass of the fixture's variant under
+// the arms every pass benchmark has: the map reference, the push kernel,
+// and the production pull kernel serial and on every core.
+func runPassBench(b *testing.B, fx *passFixture, reference func()) {
 	b.Run("map", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
@@ -55,14 +57,15 @@ func runPassBench(b *testing.B, fx *passFixture, reference func(), pass func(dst
 	})
 	for _, arm := range []struct {
 		name    string
+		pass    sidePass
 		workers int
-	}{{"row-major", 1}, {"parallel", runtime.GOMAXPROCS(0)}} {
+	}{{"push", pushSide, 1}, {"row-major", pullSide, 1}, {"parallel", pullSide, runtime.GOMAXPROCS(0)}} {
 		b.Run(arm.name, func(b *testing.B) {
 			dst := sparse.NewPairFrontier(fx.nq)
 			spas := new(engineArena).ensureSPAs(arm.workers, fx.nq+fx.na)
 			b.ReportAllocs()
 			for b.Loop() {
-				pass(dst, arm.workers, spas)
+				arm.pass(fx.in, fx.cfg, false, fx.symA, dst, nil, nil, arm.workers, spas)
 			}
 		})
 	}
@@ -70,20 +73,12 @@ func runPassBench(b *testing.B, fx *passFixture, reference func(), pass func(dst
 
 func BenchmarkSimplePass(b *testing.B) {
 	fx := passBenchFixture(b, Simple)
-	runPassBench(b, fx,
-		func() { simplePassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1) },
-		func(dst *sparse.PairFrontier, workers int, spas []*spa) {
-			simplePass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1, dst, nil, nil, workers, spas)
-		})
+	runPassBench(b, fx, func() { simplePassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1) })
 }
 
 func BenchmarkWeightedPass(b *testing.B) {
 	fx := passBenchFixture(b, Weighted)
-	runPassBench(b, fx,
-		func() { weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cfg.C1) },
-		func(dst *sparse.PairFrontier, workers int, spas []*spa) {
-			weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.revWQ, fx.in.evQ, fx.cfg.C1, dst, nil, nil, workers, spas)
-		})
+	runPassBench(b, fx, func() { weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cfg.C1) })
 }
 
 // shardBenchWorkload builds the multi-cluster graph of the sharded

@@ -42,6 +42,12 @@ func newPassFixture(t testing.TB, g *clickgraph.Graph, cfg Config) *passFixture 
 	}
 }
 
+// cand decides the query-side pass's candidates as the engine's chain
+// would from the fixture's ad scores.
+func (fx *passFixture) cand() candidates {
+	return passCandidates(fx.in.qIdx, fx.in.aIdx, fx.symA, make([]bool, len(fx.in.qIdx.bounds)-1))
+}
+
 // randomPassFixture is the fixture of the differential tests: a small
 // random graph three iterations into a clicks-channel run.
 func randomPassFixture(t *testing.T, seed uint64, nq, na, edges int, variant Variant) *passFixture {
@@ -68,9 +74,9 @@ func assertFrontierMatchesTable(t *testing.T, label string, f *sparse.PairFronti
 // assertChangedArm runs pass under the delta skip with a seeded half of the
 // ad side marked changed and fx.prevQ as the previous output. A row whose
 // ads are all unmarked must come out as prevQ's row, every other row as
-// full's (the same pass with nothing skipped), bit for bit: a skipped row
-// leaves the scatter cursors behind, and every worker starts its range
-// with cold ones.
+// full's (the same pass with nothing skipped), bit for bit, at every
+// worker count: a row's value depends on the pass's inputs alone, never on
+// which rows its worker computed or skipped before it.
 func assertChangedArm(t *testing.T, label string, fx *passFixture, seed uint64, full *sparse.PairFrontier, pass func(dst, prev *sparse.PairFrontier, changed *sparse.Bitset) int) (skips int) {
 	t.Helper()
 	changed := sparse.NewBitset(fx.na)
@@ -118,7 +124,7 @@ func TestSimplePassMatchesMap(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8} {
 			spas := new(engineArena).ensureSPAs(workers, fx.nq+fx.na)
 			pass := func(dst, prev *sparse.PairFrontier, changed *sparse.Bitset) int {
-				return simplePass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.cfg.C1, dst, prev, changed, workers, spas)
+				return simplePass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.cand(), fx.cfg.C1, dst, prev, changed, workers, spas)
 			}
 			label := fmt.Sprintf("seed %d workers %d", seed, workers)
 			got := sparse.NewPairFrontier(fx.nq)
@@ -132,7 +138,8 @@ func TestSimplePassMatchesMap(t *testing.T) {
 }
 
 // TestWeightedPassMatchesMap does the same for the weighted pass, whose
-// map reference also rebuilds the reversed factor rows per call.
+// map reference scatters through the reversed factor rows the pull does
+// without.
 func TestWeightedPassMatchesMap(t *testing.T) {
 	skipped, rows := 0, 0
 	for _, seed := range []uint64{3, 21, 404} {
@@ -142,7 +149,7 @@ func TestWeightedPassMatchesMap(t *testing.T) {
 		for _, workers := range []int{1, 2, 5} {
 			spas := new(engineArena).ensureSPAs(workers, fx.nq+fx.na)
 			pass := func(dst, prev *sparse.PairFrontier, changed *sparse.Bitset) int {
-				return weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.revWQ, fx.in.evQ, fx.cfg.C1, dst, prev, changed, workers, spas)
+				return weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cand(), fx.cfg.C1, dst, prev, changed, workers, spas)
 			}
 			label := fmt.Sprintf("seed %d workers %d", seed, workers)
 			got := sparse.NewPairFrontier(fx.nq)
@@ -176,7 +183,7 @@ func TestWeightedPassZeroFactors(t *testing.T) {
 	cfg.Iterations = 3
 	fx := newPassFixture(t, b.Build(), cfg)
 	zeros := 0
-	for _, row := range fx.in.revWQ {
+	for _, row := range fx.in.qW {
 		for _, f := range row {
 			if f == 0 {
 				zeros++
@@ -188,7 +195,7 @@ func TestWeightedPassZeroFactors(t *testing.T) {
 	}
 	want := weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cfg.C1)
 	got := sparse.NewPairFrontier(fx.nq)
-	weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.revWQ, fx.in.evQ, fx.cfg.C1, got, nil, nil, 1, new(engineArena).ensureSPAs(1, fx.nq+fx.na))
+	weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cand(), fx.cfg.C1, got, nil, nil, 1, new(engineArena).ensureSPAs(1, fx.nq+fx.na))
 	assertFrontierMatchesTable(t, "zero factors", got, want, 1e-12) // compares Len too
 	got.Range(func(i, j int, v float64) bool {
 		if v == 0 {
@@ -260,7 +267,7 @@ func assertBitIdentical(t *testing.T, label string, a, b *Result) {
 
 // bitIdenticalConfigs is the config matrix the bit-identicality tests run:
 // every variant, plus the evidence-strictness and pruning knobs that alter
-// the harvest and the delta-skip interplay.
+// the emit and the delta-skip interplay.
 func bitIdenticalConfigs() []Config {
 	var cfgs []Config
 	for _, variant := range []Variant{Simple, Evidence, Weighted} {

@@ -1,0 +1,330 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"simrankpp/internal/clickgraph"
+	"simrankpp/internal/partition"
+	"simrankpp/internal/sparse"
+)
+
+// ringGraph builds clusters connected clusters of 12 queries × 8 ads: a
+// backbone of 20 edges (query i to ads i and i+1 mod 8 for i < 8, and to
+// ad i mod 8 above) and 13 sampled ones. Bridge edges, one from each
+// cluster c to cluster c+1 mod clusters, join them into arcs components
+// of clusters/arcs consecutive clusters: arcs = 1 is one ring, whose
+// scores stay local once pruned, and arcs = clusters leaves every cluster
+// on its own.
+func ringGraph(clusters, arcs int) *clickgraph.Graph {
+	b := clickgraph.NewBuilder()
+	edge := func(q, ad string) {
+		if err := b.AddEdge(q, ad, clickgraph.EdgeWeights{Impressions: 6, Clicks: 2, ExpectedClickRate: 0.3}); err != nil {
+			panic(err)
+		}
+	}
+	for c := 0; c < clusters; c++ {
+		prefix := fmt.Sprintf("r%d-", c)
+		for i := 0; i < 12; i++ {
+			q := fmt.Sprintf("%sq%d", prefix, i)
+			edge(q, fmt.Sprintf("%sad%d", prefix, i%8))
+			if i < 8 {
+				edge(q, fmt.Sprintf("%sad%d", prefix, (i+1)%8))
+			}
+		}
+		addRandomCluster(b, prefix, 1000+uint64(c)*7919, 12, 8, 13)
+	}
+	for c := 0; c < clusters; c++ {
+		if arcs == 1 || (c+1)%(clusters/arcs) != 0 {
+			edge(fmt.Sprintf("r%d-q0", c), fmt.Sprintf("r%d-ad4", (c+1)%clusters))
+		}
+	}
+	return b.Build()
+}
+
+// requireWithinUlps fails unless both frontiers hold the same pairs and
+// every value pair differs by at most rel relative to the larger.
+func requireWithinUlps(t *testing.T, label string, want, got *sparse.PairFrontier, rel float64) {
+	t.Helper()
+	if want.Len() != got.Len() {
+		t.Fatalf("%s: %d pairs, push reference has %d", label, got.Len(), want.Len())
+	}
+	want.Range(func(i, j int, v float64) bool {
+		gv, ok := got.Get(i, j)
+		if !ok {
+			t.Fatalf("%s: pair (%d,%d) missing", label, i, j)
+		}
+		if d := math.Abs(gv - v); d > rel*max(math.Abs(gv), math.Abs(v)) {
+			t.Fatalf("%s: pair (%d,%d) = %v, push %v (relative difference %.3g)", label, i, j, gv, v, d/math.Abs(v))
+		}
+		return true
+	})
+}
+
+// TestPullMatchesPush holds the engine to the push kernel it replaced: the
+// pull sums each cell's terms in ascending j where the push took them in
+// the gather's first-touch order, so scores may move by a few ulp, but no
+// further and never in support. The chain's query side at depth k is the
+// push Jacobi loop's at k and its ad side the loop's at k+1
+// (TestChainMatchesJacobi), at every worker count, across the paper
+// fixtures and seeded graphs × variant × strict evidence × pruning, cold
+// and warm-started. The "split" case warm-starts two components from a
+// run in which bridge edges joined them, so its seeds hold pairs across
+// components, which the engine drops before the first pass.
+func TestPullMatchesPush(t *testing.T) {
+	type fixture struct {
+		name string
+		g    *clickgraph.Graph
+		src  ScoreSource // warm-start source; nil: a run of g itself
+	}
+	fixtures := []fixture{
+		{"fig3", clickgraph.Fig3(), nil},
+		{"k3_4", clickgraph.CompleteBipartite(3, 4), nil},
+		{"k5_2", clickgraph.CompleteBipartite(5, 2), nil},
+	}
+	for _, seed := range []uint64{1, 31, 2026} {
+		fixtures = append(fixtures,
+			fixture{fmt.Sprintf("random%d", seed), randomGraph(seed, 24, 18, 70), nil},
+			fixture{fmt.Sprintf("multi%d", seed), multiComponentGraph(seed, 4, 12, 9, 35), nil})
+	}
+	warmCfg := DefaultConfig()
+	warmCfg.Iterations = 3
+	// Shallow seeds keep the arcs sparse, so the first passes take the
+	// reach candidates, which would find a pair across components.
+	splitCfg := DefaultConfig()
+	splitCfg.Iterations = 1
+	fixtures = append(fixtures, fixture{"split", ringGraph(24, 2), mustRun(t, ringGraph(24, 1), splitCfg)})
+
+	for _, fx := range fixtures {
+		src := fx.src
+		if src == nil {
+			src = mustRun(t, fx.g, warmCfg)
+		}
+		seed := func(prevQ, prevA *sparse.PairFrontier) { FillWarmSeeds(src, fx.g, prevQ, prevA) }
+		for _, variant := range []Variant{Simple, Evidence, Weighted} {
+			for _, strict := range []bool{false, true} {
+				if strict && variant == Simple {
+					continue // no evidence to be strict about
+				}
+				for _, prune := range []float64{0, 1e-4} {
+					for _, warm := range []bool{false, true} {
+						var ws warmSeed
+						if warm {
+							ws = seed
+						}
+						cfg := DefaultConfig().WithVariant(variant)
+						cfg.StrictEvidence = strict
+						cfg.PruneEpsilon = prune
+						k := cfg.Iterations
+						pushQ, err := runJacobiWith(fx.g, cfg, 1, nil, ws, pushSide)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.Iterations = k + 1
+						pushA, err := runJacobiWith(fx.g, cfg, 1, nil, ws, pushSide)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.Iterations = k
+						for _, workers := range []int{1, 2, 4} {
+							label := fmt.Sprintf("%s/%v/strict=%v/prune=%g/warm=%v/workers=%d", fx.name, variant, strict, prune, warm, workers)
+							got, err := runEngine(fx.g, cfg, workers, nil, ws)
+							if err != nil {
+								t.Fatal(err)
+							}
+							requireWithinUlps(t, label+"/queries", pushQ.QueryScores, got.QueryScores, 1e-15)
+							requireWithinUlps(t, label+"/ads", pushA.AdScores, got.AdScores, 1e-15)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// crossComponentPairs counts the pairs of f whose nodes lie in different
+// components of idx.
+func crossComponentPairs(f *sparse.PairFrontier, idx *memberIndex) int {
+	n := 0
+	f.Range(func(i, j int, _ float64) bool {
+		if idx.comp[i] != idx.comp[j] {
+			n++
+		}
+		return true
+	})
+	return n
+}
+
+// TestWarmSeedsAcrossComponentsDropped pins what the engine serves after
+// a warm start across a removed edge: seeds from a ring whose two bridges
+// have since gone pair nodes that are now in two components, the ring's
+// two arcs. The push kernel, run on those seeds as it ran before the pull
+// (no drop), carries such pairs into every depth, so a refresh used to
+// serve them, decaying; the engine drops them before its first pass and
+// emits none, on either side. The arcs' scores are sparse, so the reach
+// candidates run, and they would find such a pair if a seed held one.
+func TestWarmSeedsAcrossComponentsDropped(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Iterations = 1
+	src := mustRun(t, ringGraph(24, 1), cfg)
+	g := ringGraph(24, 2)
+	nq, na := g.NumQueries(), g.NumAds()
+	in := newPassInputs(g, cfg)
+	q, a := sparse.NewPairFrontier(nq), sparse.NewPairFrontier(na)
+	FillWarmSeeds(src, g, q, a)
+	if crossComponentPairs(q, in.qIdx) == 0 || crossComponentPairs(a, in.aIdx) == 0 {
+		t.Fatal("the seeds hold no pair across components; the fixture tests nothing")
+	}
+	for _, c := range []candidates{
+		passCandidates(in.qIdx, in.aIdx, a.ExpandSymmetric(nil), make([]bool, 2)),
+		passCandidates(in.aIdx, in.qIdx, q.ExpandSymmetric(nil), make([]bool, 2)),
+	} {
+		if c.dense[0] || c.dense[1] {
+			t.Fatalf("an arc takes the range candidates (dense %v); the fixture needs the reach", c.dense)
+		}
+	}
+
+	// The push kernel's Jacobi loop from the raw seeds.
+	spas := new(engineArena).ensureSPAs(1, max(nq, na))
+	for it := 0; it < cfg.Iterations+1; it++ {
+		nextQ, nextA := sparse.NewPairFrontier(nq), sparse.NewPairFrontier(na)
+		pushSide(in, cfg, false, a.ExpandSymmetric(nil), nextQ, q, nil, 1, spas)
+		pushSide(in, cfg, true, q.ExpandSymmetric(nil), nextA, a, nil, 1, spas)
+		q, a = nextQ, nextA
+		if cq, ca := crossComponentPairs(q, in.qIdx), crossComponentPairs(a, in.aIdx); cq == 0 || ca == 0 {
+			t.Fatalf("depth %d: the undropped push holds %d query and %d ad pairs across components, want some on both sides", it+1, cq, ca)
+		}
+	}
+
+	got, err := runEngine(g, cfg, 1, nil, func(prevQ, prevA *sparse.PairFrontier) { FillWarmSeeds(src, g, prevQ, prevA) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cq, ca := crossComponentPairs(got.QueryScores, in.qIdx), crossComponentPairs(got.AdScores, in.aIdx); cq != 0 || ca != 0 {
+		t.Fatalf("the engine emitted %d query and %d ad pairs across components", cq, ca)
+	}
+}
+
+// TestPullCandidatePathsAgree forces each candidate set on the same pass
+// inputs — every component's range, every row's reach, and the per-pass
+// choice the engine makes — and requires the same rows bit for bit, on
+// both sides of multi-component and single-component graphs mid-run, at
+// several worker counts. A candidate set that missed a member with a
+// nonzero score, or a range cut short by one, would tell.
+func TestPullCandidatePathsAgree(t *testing.T) {
+	graphs := map[string]*clickgraph.Graph{
+		"fig3":   clickgraph.Fig3(),
+		"random": randomGraph(7, 30, 22, 90),
+		"multi":  multiComponentGraph(5, 6, 14, 10, 40),
+		"ring":   ringGraph(6, 1),
+	}
+	for name, g := range graphs {
+		for _, variant := range []Variant{Simple, Weighted} {
+			cfg := DefaultConfig().WithVariant(variant)
+			cfg.Iterations = 3
+			warm := mustRun(t, g, cfg)
+			in := newPassInputs(g, cfg)
+			for _, ads := range []bool{false, true} {
+				s := in.side(cfg, ads)
+				opp := warm.AdScores
+				if ads {
+					opp = warm.QueryScores
+				}
+				sym := opp.ExpandSymmetric(nil)
+				comps := len(s.idx.bounds) - 1
+				forced := func(dense bool) candidates {
+					c := candidates{idx: s.idx, opp: s.oppIdx, dense: make([]bool, comps)}
+					for i := range c.dense {
+						c.dense[i] = dense
+					}
+					return c
+				}
+				sets := map[string]candidates{
+					"range":  forced(true),
+					"reach":  forced(false),
+					"chosen": passCandidates(s.idx, s.oppIdx, sym, make([]bool, comps)),
+				}
+				var want *sparse.PairFrontier
+				for _, workers := range []int{1, 3} {
+					spas := new(engineArena).ensureSPAs(workers, g.NumQueries()+g.NumAds())
+					for _, set := range []string{"range", "reach", "chosen"} {
+						got := sparse.NewPairFrontier(len(s.thisNbr))
+						if variant == Weighted {
+							weightedPass(sym, s.thisNbr, s.oppNbr, s.w, s.ev, sets[set], s.c, got, nil, nil, workers, spas)
+						} else {
+							simplePass(sym, s.thisNbr, s.oppNbr, sets[set], s.c, got, nil, nil, workers, spas)
+						}
+						if want == nil {
+							if got.Len() == 0 {
+								t.Fatalf("%s/%v/ads=%v: empty pass", name, variant, ads)
+							}
+							want = got
+							continue
+						}
+						requireTablesBitIdentical(t, fmt.Sprintf("%s/%v/ads=%v/%s/workers=%d", name, variant, ads, set, workers), want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPullSparseGuard pins the reason the candidate set is chosen per
+// component: on a component whose scores stay local, the component range
+// would evaluate every member above a row for the few it reaches. The
+// ring — 300 clusters of 12 queries × 8 ads, each joined to the next by
+// one edge, so one component of ≈ 5 900 nodes — runs under
+// partition.WholePlan with the production engine settings (weighted,
+// pruning at 1e-5, tolerance stop and delta skip), whose pruning keeps
+// the scores near their clusters. At every pass, on the same inputs, the
+// pull may evaluate at most twice as many cells as the push kernel makes
+// contributions (it evaluates fewer: a cell the push reaches from several
+// j is one dot product); the component range alone evaluates over ten
+// times as many. The passes run in the Jacobi loop (runJacobiWith),
+// where each pass's inputs are in reach; the chain runs the same kernel.
+func TestPullSparseGuard(t *testing.T) {
+	whole := ringGraph(300, 1)
+	plan := partition.WholePlan(whole)
+	view, err := clickgraph.NewSubview(whole, plan.Shards[0].Queries, plan.Shards[0].Ads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := view.Graph
+	if comps := clickgraph.Components(g); len(comps[0].Queries)+len(comps[0].Ads) < 5000 {
+		t.Fatalf("largest component has %d nodes; the ring should join the clusters", len(comps[0].Queries)+len(comps[0].Ads))
+	}
+	cfg := DefaultConfig().WithVariant(Weighted)
+	cfg.Iterations = 15
+	cfg.Tolerance = 1e-4
+	cfg.PruneEpsilon = 1e-5
+	cfg.DeltaSkipTolerance = 1e-5
+
+	passes := 0
+	scratch := sparse.NewPairFrontier(max(g.NumQueries(), g.NumAds()))
+	guarded := func(in *passInputs, cfg Config, ads bool, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+		cells := func() (n int) {
+			for _, sp := range spas {
+				n += sp.cells
+			}
+			return n
+		}
+		before := cells()
+		skipped := pullSide(in, cfg, ads, sym, dst, prev, changed, workers, spas)
+		pulled := cells() - before
+		scratch.Resize(dst.NumRows())
+		pushSide(in, cfg, ads, sym, scratch, prev, changed, workers, spas)
+		pushed := cells() - before - pulled
+		if pulled > 2*pushed {
+			t.Errorf("pass %d (ads=%v): the pull evaluated %d cells for %d push contributions", passes, ads, pulled, pushed)
+		}
+		passes++
+		return skipped
+	}
+	if _, err := runJacobiWith(g, cfg, 1, nil, nil, guarded); err != nil {
+		t.Fatal(err)
+	}
+	if passes < 4 {
+		t.Fatalf("%d passes ran; the guard needs a run past the first passes", passes)
+	}
+}

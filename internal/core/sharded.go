@@ -83,10 +83,11 @@ type ShardStat struct {
 	// Duration is the shard's wall time including subgraph extraction.
 	Duration time.Duration
 	// SPABytes is the dense sparse-accumulator footprint this shard's
-	// engine needed: per engine worker the shard was granted, two float64
-	// arrays, the int32 scatter cursors and one mark bit per cell of its
-	// larger side — 20 bytes + 1 bit a cell (spaBytes). The monolithic
-	// equivalent is the same over max(NumQueries, NumAds).
+	// engine needed: per engine worker the shard was granted, the float64
+	// gather array u with its int32 touched list, and the sparse candidate
+	// path's int32 candidate list and one mark bit, per cell of its larger
+	// side — 16 bytes + 1 bit a cell (spaBytes). The monolithic equivalent is the
+	// same over max(NumQueries, NumAds).
 	SPABytes int64
 	// Skipped reports that ShardOptions.RunShards excluded this shard: no
 	// engine ran and the run-outcome fields above are zero.

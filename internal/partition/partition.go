@@ -83,7 +83,27 @@ func (c PPRConfig) Validate() error {
 // ApproximatePageRank runs the ACL push algorithm from the given seed and
 // returns the sparse approximate PPR vector. Isolated seeds yield a vector
 // supported only on the seed.
+//
+// The residual, the settled mass and the queue flags are dense arrays
+// over the unified node space, and the nodes that ever settle mass are
+// listed in the order they first do, so the push reads and writes arrays
+// where it would probe maps; the result map is built once, at the end.
+// The push order is the FIFO order of the map formulation, so every value
+// is the same bit for bit.
 func ApproximatePageRank(g *clickgraph.Graph, seed NodeID, cfg PPRConfig) (map[NodeID]float64, error) {
+	return new(pprScratch).push(g, seed, cfg)
+}
+
+// pprScratch is one push's dense state over a unified node space, zero
+// between pushes, so pushes over one graph run one after another on one
+// scratch: BuildPlan keeps one per carve slot.
+type pprScratch struct {
+	p, r             []float64
+	inQueue, settled []bool
+}
+
+// push is ApproximatePageRank on ws's arrays, which it leaves zero.
+func (ws *pprScratch) push(g *clickgraph.Graph, seed NodeID, cfg PPRConfig) (map[NodeID]float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -91,10 +111,22 @@ func ApproximatePageRank(g *clickgraph.Graph, seed NodeID, cfg PPRConfig) (map[N
 	if seed < 0 || seed >= n {
 		return nil, fmt.Errorf("partition: seed %d outside unified node space [0,%d)", seed, n)
 	}
-	p := make(map[NodeID]float64)
-	r := map[NodeID]float64{seed: 1}
+	if len(ws.p) < int(n) {
+		ws.p, ws.r = make([]float64, n), make([]float64, n)
+		ws.inQueue, ws.settled = make([]bool, n), make([]bool, n)
+	}
+	p, r, inQueue, settled := ws.p, ws.r, ws.inQueue, ws.settled
+	var support []NodeID // nodes with settled mass, in first-settle order
+	settle := func(u NodeID, mass float64) {
+		if !settled[u] {
+			settled[u] = true
+			support = append(support, u)
+		}
+		p[u] += mass
+	}
+	r[seed] = 1
 	queue := []NodeID{seed}
-	inQueue := map[NodeID]bool{seed: true}
+	inQueue[seed] = true
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
@@ -103,7 +135,7 @@ func ApproximatePageRank(g *clickgraph.Graph, seed NodeID, cfg PPRConfig) (map[N
 		ru := r[u]
 		if du == 0 {
 			// Isolated node: all residual mass settles here.
-			p[u] += ru
+			settle(u, ru)
 			r[u] = 0
 			continue
 		}
@@ -111,7 +143,7 @@ func ApproximatePageRank(g *clickgraph.Graph, seed NodeID, cfg PPRConfig) (map[N
 			continue
 		}
 		// Push: move alpha fraction to p, spread half the rest.
-		p[u] += cfg.Alpha * ru
+		settle(u, cfg.Alpha*ru)
 		share := (1 - cfg.Alpha) * ru / (2 * float64(du))
 		r[u] = (1 - cfg.Alpha) * ru / 2
 		ids, base := neighbors(g, u)
@@ -128,7 +160,20 @@ func ApproximatePageRank(g *clickgraph.Graph, seed NodeID, cfg PPRConfig) (map[N
 			queue = append(queue, u)
 		}
 	}
-	return p, nil
+	// The queue is empty, so every flag in inQueue is down. Every push
+	// settles mass, so the residual reached only the seed and the
+	// neighbours of the support: zeroing those leaves ws zero for the next.
+	out := make(map[NodeID]float64, len(support))
+	r[seed] = 0
+	for _, u := range support {
+		out[u] = p[u]
+		p[u], r[u], settled[u] = 0, 0, false
+		ids, base := neighbors(g, u)
+		for _, id := range ids {
+			r[base+NodeID(id)] = 0
+		}
+	}
+	return out, nil
 }
 
 // Conductance returns Φ(S) = cut(S) / min(vol(S), vol(complement)) for the

@@ -190,3 +190,86 @@ func TestNodeIDSplitRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// approximatePageRankMap is ApproximatePageRank as first written, on maps:
+// residual, settled mass and queue flags keyed by node. It is the
+// reference the array push is held to.
+func approximatePageRankMap(g *clickgraph.Graph, seed NodeID, cfg PPRConfig) map[NodeID]float64 {
+	p := make(map[NodeID]float64)
+	r := map[NodeID]float64{seed: 1}
+	queue := []NodeID{seed}
+	inQueue := map[NodeID]bool{seed: true}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		inQueue[u] = false
+		du := degree(g, u)
+		ru := r[u]
+		if du == 0 {
+			p[u] += ru
+			r[u] = 0
+			continue
+		}
+		if ru < cfg.Epsilon*float64(du) {
+			continue
+		}
+		p[u] += cfg.Alpha * ru
+		share := (1 - cfg.Alpha) * ru / (2 * float64(du))
+		r[u] = (1 - cfg.Alpha) * ru / 2
+		ids, base := neighbors(g, u)
+		for _, id := range ids {
+			v := base + NodeID(id)
+			r[v] += share
+			if !inQueue[v] && r[v] >= cfg.Epsilon*float64(degree(g, v)) {
+				inQueue[v] = true
+				queue = append(queue, v)
+			}
+		}
+		if r[u] >= cfg.Epsilon*float64(du) && !inQueue[u] {
+			inQueue[u] = true
+			queue = append(queue, u)
+		}
+	}
+	return p
+}
+
+// TestPPRMatchesMapReference holds the array push to the map push: the
+// same support and every value equal bit for bit, from query and ad
+// seeds, isolated ones included, at two epsilons. Every push of a graph
+// reuses one scratch, as a carve does, so a push that left its arrays
+// dirty would corrupt the next.
+func TestPPRMatchesMapReference(t *testing.T) {
+	graphs := map[string]*clickgraph.Graph{
+		"two":       twoClusters(t),
+		"clustered": clusteredGraph(3, 4, 40, 30, 160), // leaves some queries isolated
+	}
+	isolated := 0
+	for name, g := range graphs {
+		n := NodeID(g.NumQueries() + g.NumAds())
+		ws := new(pprScratch)
+		for _, eps := range []float64{1e-3, 1e-6} {
+			cfg := PPRConfig{Alpha: 0.15, Epsilon: eps}
+			for seed := NodeID(0); seed < n; seed++ {
+				if degree(g, seed) == 0 {
+					isolated++
+				}
+				got, err := ws.push(g, seed, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := approximatePageRankMap(g, seed, cfg)
+				if len(got) != len(want) {
+					t.Fatalf("%s eps=%g seed %d: support %d, map reference %d", name, eps, seed, len(got), len(want))
+				}
+				for u, v := range want {
+					if gv, ok := got[u]; !ok || math.Float64bits(gv) != math.Float64bits(v) {
+						t.Fatalf("%s eps=%g seed %d: p(%d) = %v,%v, map reference %v", name, eps, seed, u, gv, ok, v)
+					}
+				}
+			}
+		}
+	}
+	if isolated == 0 {
+		t.Fatal("no isolated seed was pushed from")
+	}
+}

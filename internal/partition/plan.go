@@ -162,17 +162,20 @@ func BuildPlan(g *clickgraph.Graph, cfg PlanConfig) (*Plan, error) {
 	// A carve reads the graph and its own component only, so the oversized
 	// components are carved side by side, at most GOMAXPROCS at a time, and
 	// their shards appended in component order: the plan does not depend on
-	// the width.
+	// the width. Each slot holds the push scratch its carves reuse.
 	carved := make([][]Shard, len(oversized))
-	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	slots := make(chan *pprScratch, runtime.GOMAXPROCS(0))
+	for range cap(slots) {
+		slots <- new(pprScratch)
+	}
 	var wg sync.WaitGroup
 	for i, c := range oversized {
-		slots <- struct{}{}
+		ws := <-slots
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			carved[i] = carveComponent(g, c, cfg)
-			<-slots
+			carved[i] = carveComponent(g, c, cfg, ws)
+			slots <- ws
 		}()
 	}
 	wg.Wait()
@@ -229,8 +232,9 @@ func packComponents(comps []clickgraph.Component, budget int) []Shard {
 // remainder fits the budget. Clusters are restricted to still-unassigned
 // component nodes so pieces stay disjoint. A single shard, marked exact,
 // comes back when no cut was ever made — possible when no seed yields a
-// usable cluster, leaving the whole component as one shard.
-func carveComponent(g *clickgraph.Graph, c clickgraph.Component, cfg PlanConfig) (shards []Shard) {
+// usable cluster, leaving the whole component as one shard. Every push
+// runs on ws, which the carve leaves zero.
+func carveComponent(g *clickgraph.Graph, c clickgraph.Component, cfg PlanConfig, ws *pprScratch) (shards []Shard) {
 	unassigned := make(map[NodeID]bool, len(c.Queries)+len(c.Ads))
 	for _, q := range c.Queries {
 		unassigned[QueryNode(q)] = true
@@ -246,7 +250,7 @@ func carveComponent(g *clickgraph.Graph, c clickgraph.Component, cfg PlanConfig)
 		// The push runs on the whole graph but mass cannot leave the
 		// component; restricting the sweep to unassigned nodes keeps the
 		// peeled pieces disjoint.
-		ppr, err := ApproximatePageRank(g, seed, cfg.PPR)
+		ppr, err := ws.push(g, seed, cfg.PPR)
 		if err != nil {
 			break // cfg was validated; only an impossible seed gets here
 		}
