@@ -1,11 +1,10 @@
 // Command simrank-gateway fronts a replicated simrankd fleet: one
 // address for /rewrite, /similar and /stats, fanned across N replicas
-// with health-aware, generation-consistent routing. It is the read-side
-// counterpart of simrank-worker — together they close the loop on the
-// paper's production deployment: distributed refresh writes generations,
-// a replicated fleet serves them, and this gateway keeps the fleet
-// looking like one consistent daemon while replicas fail, straggle and
-// roll between generations.
+// with health-aware, generation-consistent routing. It closes the loop on
+// the paper's production deployment: a refresh (simrank -refresh or a
+// simrankd -wal fold) writes generations, a replicated fleet serves them,
+// and this gateway keeps the fleet looking like one consistent daemon
+// while replicas fail, straggle and roll between generations.
 //
 // # Usage
 //

@@ -9,7 +9,6 @@
 //	        [-sharded] [-shard-max-nodes 4096] [-shard-workers 0]
 //	        [-save SNAPSHOT]
 //	simrank -graph FILE -refresh SNAPSHOT [-bids FILE] [-shard-workers 0]
-//	        [-workers host:port,host:port,...]
 //	simrank -rollback SNAPSHOT
 //	simrank -load SNAPSHOT [-query Q | -all] [-top K] [-bids FILE]
 //
@@ -45,17 +44,9 @@
 // snapshot is written by byte-copying every clean shard's segments from
 // the previous file. It replaces the snapshot in place (atomic rename),
 // which a running simrankd picks up on SIGHUP; when no shard changed,
-// nothing is written.
-//
-// With -workers, the dirty shards are dispatched as leases to a fleet of
-// simrank-worker processes instead of recomputed in this process: each
-// lease carries the shard's subgraph, warm-start scores, and the
-// recorded engine configuration, and comes back as CRC'd segment bytes.
-// Leases that time out are re-dispatched with capped exponential
-// backoff, stragglers are hedged to a second worker, and shards the
-// fleet cannot complete fall back to local recompute — so a fleet-wide
-// outage degrades to exactly the single-machine refresh. The assembled
-// snapshot is byte-identical to what the local path writes.
+// nothing is written. The dirty shards run in this process, one engine
+// per shard on a pool of -shard-workers; the bytes written do not depend
+// on the width.
 //
 // Every refresh is journaled as a numbered generation beside the
 // snapshot (SNAPSHOT.gens/: snapshot bytes + CRC'd manifest recording
@@ -81,7 +72,6 @@ import (
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/core"
-	"simrankpp/internal/dist"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/rewrite"
 	"simrankpp/internal/serve"
@@ -101,12 +91,11 @@ func main() {
 		strict    = flag.Bool("strict-evidence", false, "apply Equation 7.3 literally (zero evidence for no common ads)")
 		sharded   = flag.Bool("sharded", false, "decompose the graph and run one engine per shard")
 		shardMax  = flag.Int("shard-max-nodes", 4096, "sharded: shard node budget (components above it are ACL-cut)")
-		shardWork = flag.Int("shard-workers", 0, "sharded: concurrent shard engines (0 = GOMAXPROCS)")
+		shardWork = flag.Int("shard-workers", 0, "-sharded build or -refresh: concurrent shard engines (0 = GOMAXPROCS)")
 		savePath  = flag.String("save", "", "write the computed scores as a serving snapshot")
 		loadPath  = flag.String("load", "", "answer from a snapshot instead of running an engine (-graph not needed)")
 		refresh   = flag.String("refresh", "", "incrementally refresh this snapshot against -graph (recompute dirty shards only)")
 		rollback  = flag.String("rollback", "", "re-point this serving snapshot at the last good journaled generation")
-		fleet     = flag.String("workers", "", "refresh: comma-separated simrank-worker addresses (host:port or http://host:port) to dispatch dirty shards to")
 	)
 	flag.Parse()
 	// Each mode reads the flags it lists; any other flag on the command
@@ -120,7 +109,7 @@ func main() {
 		// Clean shards' scores were computed under the engine settings the
 		// previous snapshot records, so dirty shards must be too.
 		mode, uses = "with -refresh, which reuses the engine settings the snapshot records (start a fresh -save to change them)",
-			"refresh graph bids shard-workers workers"
+			"refresh graph bids shard-workers"
 	case *loadPath != "":
 		mode, uses = "with -load, which answers from the snapshot as saved", "load query all top bids"
 	case *sharded:
@@ -134,6 +123,9 @@ func main() {
 	})
 	if len(stray) > 0 {
 		fatal(fmt.Errorf("%s not used %s", strings.Join(stray, ", "), mode))
+	}
+	if *top < 1 {
+		fatal(fmt.Errorf("-top %d: print at least one rewrite per query", *top))
 	}
 
 	if *rollback != "" {
@@ -157,7 +149,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		if err := runRefresh(*graphPath, *refresh, *shardWork, fleetURLs(*fleet), refreshBids); err != nil {
+		if err := runRefresh(*graphPath, *refresh, *shardWork, refreshBids); err != nil {
 			fatal(err)
 		}
 		return
@@ -242,12 +234,11 @@ func main() {
 }
 
 // runRefresh is the -refresh path: one serve.Refresh of the snapshot at
-// path against the new graph, with the dirty shards recomputed in this
-// process or on the -workers fleet — the shard runner is the only
-// difference. serve.Refresh owns the transaction (restore, adopt, diff,
-// run, commit, publish); this takes the journal lock, reports, and
+// path against the new graph, its dirty shards recomputed on a pool of
+// the given width. serve.Refresh owns the transaction (restore, adopt,
+// diff, run, commit, publish); this takes the journal lock, reports, and
 // prunes old generations.
-func runRefresh(graphPath, path string, workers int, fleet []string, bids map[string]bool) error {
+func runRefresh(graphPath, path string, workers int, bids map[string]bool) error {
 	gs := serve.NewGenerationStore(path)
 	// One journal writer at a time: a concurrent -refresh or a running
 	// ingest controller holds the advisory lock, and interleaving
@@ -264,19 +255,7 @@ func runRefresh(graphPath, path string, workers int, fleet []string, bids map[st
 	if err != nil {
 		return err
 	}
-	run := serve.PoolRunner(workers)
-	if len(fleet) > 0 {
-		// Leases with retry, hedging and local fallback; the bytes are
-		// identical to the pool's by the determinism contract the dist
-		// tests pin.
-		run = dist.NewCoordinator(fleet, dist.Options{
-			LocalWorkers: workers,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "simrank: "+format+"\n", args...)
-			},
-		}).Run
-	}
-	res, err := serve.Refresh(context.Background(), gs, g, run, bids, nil)
+	res, err := serve.Refresh(context.Background(), gs, g, workers, bids, nil)
 	if res.Restored != nil {
 		fmt.Fprintf(os.Stderr, "simrank: %s did not open; restored generation %d\n", path, res.Restored.ID)
 	}
@@ -308,23 +287,6 @@ func runRefresh(graphPath, path string, workers int, fleet []string, bids map[st
 		fmt.Fprintf(os.Stderr, "simrank: pruned %d old generation(s)\n", pruned)
 	}
 	return nil
-}
-
-// fleetURLs normalizes the -workers list into base URLs: bare host:port
-// entries get an http scheme, trailing slashes are dropped.
-func fleetURLs(s string) []string {
-	var out []string
-	for _, w := range strings.Split(s, ",") {
-		w = strings.TrimSpace(w)
-		if w == "" {
-			continue
-		}
-		if !strings.Contains(w, "://") {
-			w = "http://" + w
-		}
-		out = append(out, strings.TrimSuffix(w, "/"))
-	}
-	return out
 }
 
 // runRollback is the -rollback path: re-point the serving snapshot at

@@ -132,6 +132,9 @@ func main() {
 	if *snapPath == "" {
 		fatal(fmt.Errorf("-snapshot is required"))
 	}
+	if *top < 1 {
+		fatal(fmt.Errorf("-top %d: a bare request must get at least one rewrite", *top))
+	}
 	if *walDir == "" {
 		var stray []string
 		flag.Visit(func(f *flag.Flag) {

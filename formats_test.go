@@ -1,18 +1,13 @@
 package simrankpp_test
 
 import (
-	"bytes"
 	"context"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/core"
-	"simrankpp/internal/dist"
 	"simrankpp/internal/ingest"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/serve"
@@ -21,7 +16,7 @@ import (
 // formatGoldens are the files under testdata/formats: one of every
 // on-disk and on-wire format, written once from testdata/fig3.graph and
 // then frozen. Each is opened by a test in the package that owns its
-// decoder (TestFormatGolden* in internal/serve, ingest and dist), which
+// decoder (TestFormatGolden* in internal/serve and ingest), which
 // checks decoded content — the gate a codec or layout change has to
 // pass: files written by an older build must keep reading.
 var formatGoldens = []string{
@@ -29,8 +24,6 @@ var formatGoldens = []string{
 	"gen-00000001.mf",  // the generation manifest that journals fig3.v3.snap
 	"wal-00000000.seg", // WAL segment: three records, then a torn frame
 	"fold-state.bin",   // fold cursor 2 over fig3 + two folded records
-	"lease.bin",        // dist lease for the shard those records created
-	"completion.bin",   // the worker's completion frame for that lease
 }
 
 // TestFormatGoldensPresent fails when a golden is missing — after
@@ -158,8 +151,6 @@ func writeFormatGoldens(t *testing.T) string {
 	must(err)
 	must(ctl.Close())
 	copyTo("fold-state.bin", filepath.Join(walDir, "fold-state.bin"))
-	state, err := ingest.LoadFoldState(walDir)
-	must(err)
 
 	// A WAL segment as a crash mid-append leaves it: three whole frames,
 	// then the first half of the third frame again.
@@ -180,50 +171,5 @@ func writeFormatGoldens(t *testing.T) string {
 	must(err)
 	last := seg[sizes[1]:sizes[2]]
 	must(os.WriteFile(filepath.Join(out, "wal-00000000.seg"), append(seg, last[:len(last)/2]...), 0o644))
-
-	// simrank -refresh -workers: the folded graph against the day-0
-	// snapshot, one dirty shard leased to a worker; the frames are taken
-	// off the wire.
-	prev, err := serve.OpenSnapshot(filepath.Join(out, "fig3.v3.snap"))
-	must(err)
-	defer prev.Close()
-	diff, err := partition.DiffPlans(prev, state.Graph)
-	must(err)
-	worker := httptest.NewServer((&dist.Worker{}).Handler())
-	defer worker.Close()
-	tap := &wireTap{}
-	_, err = dist.NewCoordinator([]string{worker.URL}, dist.Options{Transport: tap, Logf: t.Logf}).Run(context.Background(), state.Graph, prev, diff.Plan, diff.Dirty)
-	must(err)
-	if len(tap.leases) != 1 {
-		t.Fatalf("%d leases on the wire, want 1 (one dirty shard)", len(tap.leases))
-	}
-	must(os.WriteFile(filepath.Join(out, "lease.bin"), tap.leases[0], 0o644))
-	must(os.WriteFile(filepath.Join(out, "completion.bin"), tap.completions[0], 0o644))
 	return out
-}
-
-// wireTap records every request and response body it carries.
-type wireTap struct {
-	leases, completions [][]byte
-}
-
-func (w *wireTap) RoundTrip(req *http.Request) (*http.Response, error) {
-	body, err := io.ReadAll(req.Body)
-	if err != nil {
-		return nil, err
-	}
-	req.Body = io.NopCloser(bytes.NewReader(body))
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	answer, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	resp.Body = io.NopCloser(bytes.NewReader(answer))
-	w.leases = append(w.leases, body)
-	w.completions = append(w.completions, answer)
-	return resp, nil
 }

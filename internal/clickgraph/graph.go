@@ -152,12 +152,6 @@ func (b *Builder) AddClick(query, ad string, rate float64) error {
 	return b.AddEdge(query, ad, EdgeWeights{Impressions: 1, Clicks: 1, ExpectedClickRate: rate})
 }
 
-// NumQueries returns the number of distinct queries added so far.
-func (b *Builder) NumQueries() int { return len(b.queries) }
-
-// NumAds returns the number of distinct ads added so far.
-func (b *Builder) NumAds() int { return len(b.ads) }
-
 // Build compiles the accumulated edges into an immutable Graph: one copy
 // of the rows into the table. The Builder stays usable: the graph shares
 // nothing with it.

@@ -500,9 +500,9 @@ func TestBuilderMatchesMapFold(t *testing.T) {
 	}
 	t.Logf("a %d-ad row added in descending order in %v", wide, time.Since(start))
 
-	if b.edges != len(ref.edges) || b.NumQueries() != len(ref.queryID) || b.NumAds() != len(ref.adID) {
+	if b.edges != len(ref.edges) || len(b.queries) != len(ref.queryID) || len(b.ads) != len(ref.adID) {
 		t.Fatalf("Builder holds %d edges over %d × %d nodes, the map fold %d over %d × %d",
-			b.edges, b.NumQueries(), b.NumAds(), len(ref.edges), len(ref.queryID), len(ref.adID))
+			b.edges, len(b.queries), len(b.ads), len(ref.edges), len(ref.queryID), len(ref.adID))
 	}
 	g := b.Build()
 	if g.NumEdges() != len(ref.edges) {

@@ -34,7 +34,7 @@ func TestChainMatchesJacobi(t *testing.T) {
 	warmCfg := DefaultConfig()
 	warmCfg.Iterations = 3
 	src := mustRun(t, g, warmCfg)
-	seed := func(prevQ, prevA *sparse.PairFrontier) { FillWarmSeeds(src, g, prevQ, prevA) }
+	seed := func(prevQ, prevA *sparse.PairFrontier) { fillWarmSeeds(src, g, prevQ, prevA) }
 
 	skipped := 0
 	for _, variant := range []Variant{Simple, Evidence, Weighted} {

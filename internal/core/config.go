@@ -200,7 +200,7 @@ func (c Config) Validate() error {
 	}
 	// Written so NaN fails it too: an infinite PruneEpsilon prunes every
 	// pair and an infinite Tolerance converges after one iteration, and
-	// the values arrive from flags, leases and snapshot headers.
+	// the values arrive from flags and snapshot headers.
 	for _, th := range []struct {
 		name string
 		v    float64

@@ -101,7 +101,7 @@ func TestPullMatchesPush(t *testing.T) {
 		if src == nil {
 			src = mustRun(t, fx.g, warmCfg)
 		}
-		seed := func(prevQ, prevA *sparse.PairFrontier) { FillWarmSeeds(src, fx.g, prevQ, prevA) }
+		seed := func(prevQ, prevA *sparse.PairFrontier) { fillWarmSeeds(src, fx.g, prevQ, prevA) }
 		for _, variant := range []Variant{Simple, Evidence, Weighted} {
 			for _, strict := range []bool{false, true} {
 				if strict && variant == Simple {
@@ -172,7 +172,7 @@ func TestWarmSeedsAcrossComponentsDropped(t *testing.T) {
 	nq, na := g.NumQueries(), g.NumAds()
 	in := newPassInputs(g, cfg)
 	q, a := sparse.NewPairFrontier(nq), sparse.NewPairFrontier(na)
-	FillWarmSeeds(src, g, q, a)
+	fillWarmSeeds(src, g, q, a)
 	if crossComponentPairs(q, in.qIdx) == 0 || crossComponentPairs(a, in.aIdx) == 0 {
 		t.Fatal("the seeds hold no pair across components; the fixture tests nothing")
 	}
@@ -197,7 +197,7 @@ func TestWarmSeedsAcrossComponentsDropped(t *testing.T) {
 		}
 	}
 
-	got, err := runEngine(g, cfg, 1, nil, func(prevQ, prevA *sparse.PairFrontier) { FillWarmSeeds(src, g, prevQ, prevA) })
+	got, err := runEngine(g, cfg, 1, nil, func(prevQ, prevA *sparse.PairFrontier) { fillWarmSeeds(src, g, prevQ, prevA) })
 	if err != nil {
 		t.Fatal(err)
 	}

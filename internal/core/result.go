@@ -96,7 +96,7 @@ type ShardScoreSet struct {
 	// QueryScores and AdScores are the shard engine's frontiers, local
 	// ids. Both are nil when ShardOptions.RunShards skipped the shard —
 	// the id lists still describe it; a refresh reuses the previous
-	// generation's segment for it (serve.AssembleRefresh).
+	// generation's segment for it (serve.Refresh).
 	QueryScores, AdScores *sparse.PairFrontier
 }
 

@@ -54,9 +54,8 @@ type ShardOptions struct {
 	// dispatcher stops feeding the queue, so cancellation costs at most
 	// the shards already in flight. RunSharded then returns the context's
 	// error. The ingest controller plumbs its shutdown context through
-	// here (via serve.Refresh and serve.PoolRunner) so SIGTERM stops an
-	// in-flight fold at the next shard boundary instead of finishing the
-	// refresh.
+	// here (via serve.Refresh) so SIGTERM stops an in-flight fold at the
+	// next shard boundary instead of finishing the refresh.
 	Context context.Context
 	// WarmStart, when non-nil, seeds every executed shard engine's
 	// starting frontiers from a previous generation's scores (matched by
@@ -228,7 +227,7 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 				}
 				var warm warmSeed
 				if opt.WarmStart != nil {
-					warm = func(prevQ, prevA *sparse.PairFrontier) { FillWarmSeeds(opt.WarmStart, view.Graph, prevQ, prevA) }
+					warm = func(prevQ, prevA *sparse.PairFrontier) { fillWarmSeeds(opt.WarmStart, view.Graph, prevQ, prevA) }
 				}
 				ew := engineWorkers(sh.Nodes())
 				res, err := runEngine(view.Graph, cfg, ew, ar, warm)

@@ -42,7 +42,7 @@ var _ ScoreSource = (*Result)(nil)
 // start. The frontiers are empty when it runs.
 type warmSeed func(prevQ, prevA *sparse.PairFrontier)
 
-// FillWarmSeeds sets the rows of the empty frontiers prevQ and prevA (sized
+// fillWarmSeeds sets the rows of the empty frontiers prevQ and prevA (sized
 // for g's queries and ads) to the pairs of ws that a warm start of g (a
 // shard subgraph or a whole graph) begins from, replaying the previous
 // generation: every node is matched to its previous generation by name, its
@@ -55,10 +55,8 @@ type warmSeed func(prevQ, prevA *sparse.PairFrontier)
 // finite and positive: the source is a stored generation whose values
 // nothing else checks, the convergence test (d > max) cannot see a NaN, and
 // the kernels read a zero accumulator cell as untouched — one bad seed
-// would otherwise be published as converged and seed the next refresh. A
-// fleet refresh ships these pairs to the worker that runs g, so both ends
-// seed the same frontiers.
-func FillWarmSeeds(ws ScoreSource, g *clickgraph.Graph, prevQ, prevA *sparse.PairFrontier) {
+// would otherwise be published as converged and seed the next refresh.
+func fillWarmSeeds(ws ScoreSource, g *clickgraph.Graph, prevQ, prevA *sparse.PairFrontier) {
 	var row []sparse.Scored
 	var cols []int32
 	var vals []float64

@@ -1,21 +1,19 @@
-package core_test
+package core
 
 import (
-	"bytes"
 	"testing"
 
-	"simrankpp/internal/core"
 	"simrankpp/internal/partition"
-	"simrankpp/internal/serve"
 	"simrankpp/internal/sparse"
 	"simrankpp/internal/workload"
 )
 
 // BenchmarkFillWarmSeeds times the warm start's seeding on the pass-bench
-// cluster: every node matched by name in a stored snapshot of the graph's
-// own run, its ranked partner list read from the snapshot, and the in-graph
-// partners above it sorted into its frontier row. No gated workload
-// warm-starts, so this is where the seeder is timed. Run with
+// cluster: every node matched by name in the graph's own run, its ranked
+// partner list read from that Result (the ScoreSource surface a stored
+// snapshot also answers), and the in-graph partners above it sorted into
+// its frontier row. No gated workload warm-starts, so this is where the
+// seeder is timed. Run with
 //
 //	go test -run='^$' -bench=FillWarmSeeds -benchmem ./internal/core
 func BenchmarkFillWarmSeeds(b *testing.B) {
@@ -27,23 +25,11 @@ func BenchmarkFillWarmSeeds(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.DefaultConfig().WithVariant(core.Weighted)
+	cfg := DefaultConfig().WithVariant(Weighted)
 	cfg.Iterations = 3
 	cfg.PruneEpsilon = 1e-5
-	res, err := core.RunSharded(g, cfg, partition.ComponentPlan(g), core.ShardOptions{RetainShardScores: true})
+	res, err := RunSharded(g, cfg, partition.ComponentPlan(g), ShardOptions{})
 	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := serve.WriteSnapshotTopK(&buf, res, serve.TopKOptions{}); err != nil {
-		b.Fatal(err)
-	}
-	snap, err := serve.NewSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer snap.Close()
-	if err := snap.PreloadAll(); err != nil {
 		b.Fatal(err)
 	}
 	q, a := sparse.NewPairFrontier(g.NumQueries()), sparse.NewPairFrontier(g.NumAds())
@@ -51,7 +37,7 @@ func BenchmarkFillWarmSeeds(b *testing.B) {
 	for b.Loop() {
 		q.Reset()
 		a.Reset()
-		core.FillWarmSeeds(snap, g, q, a)
+		fillWarmSeeds(res, g, q, a)
 	}
 	b.ReportMetric(float64(q.Len()+a.Len()), "pairs")
 }

@@ -1,6 +1,5 @@
-// Package daemon is the one process lifecycle of the three long-running
-// commands (simrankd, with or without -wal; simrank-gateway;
-// simrank-worker).
+// Package daemon is the one process lifecycle of the two long-running
+// commands (simrankd, with or without -wal; simrank-gateway).
 // A command parses its flags, builds its handler and hands over a Spec;
 // the rest happens here, in the one order that loses nothing:
 //

@@ -1,26 +1,22 @@
 // HTTP counterpart of the disk injector: a fault-injecting
-// http.RoundTripper for the distributed-refresh chaos tests. The
-// coordinator takes any RoundTripper (dist.Options.Transport), so —
-// exactly like the ReaderAt seam — no production code changes to become
-// testable: tests wrap http.DefaultTransport (or a test server's
-// transport), schedule faults per worker host, and flip them on and off
-// while leases are in flight.
+// http.RoundTripper for the read gateway's chaos tests. The gateway takes
+// any RoundTripper (route.Options.Transport), so — exactly like the
+// ReaderAt seam — no production code changes to become testable: tests
+// wrap http.DefaultTransport (or a test server's transport), schedule
+// faults per replica host, and flip them on and off while reads are in
+// flight.
 //
 // Supported faults, independently togglable at runtime and scoped to a
 // host ("host:port") or to every host (""):
 //
 //   - dropped requests (connection-refused-style error — a dead or
-//     unreachable worker)
-//   - 5xx bursts (a worker up but failing — overload, crash loop)
-//   - per-request latency (a straggling worker — the hedging trigger)
+//     unreachable replica)
+//   - per-request latency (a straggling replica — the hedging trigger)
 //   - truncated response bodies (a connection cut mid-transfer)
-//   - bit-flipped response bodies (payload corruption the response CRC
-//     must catch)
 
 package faultfs
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -33,13 +29,9 @@ var ErrDropped = fmt.Errorf("faultfs: injected connection failure")
 
 // hostFaults is one host's scheduled faults (or the any-host default).
 type hostFaults struct {
-	dropLeft   int           // requests to drop; -1 = all, 0 = none
-	fiveLeft   int           // requests to answer 503; -1 = all, 0 = none
-	retryAfter int           // Retry-After seconds stamped on injected 503s
-	latency    time.Duration // per-request sleep
-	truncate   int           // >0: cut response bodies to this many bytes
-	flipOff    int64         // body byte offset for flipMask
-	flipMask   byte          // XOR mask applied at flipOff; 0 = off
+	dropLeft int           // requests to drop; -1 = all, 0 = none
+	latency  time.Duration // per-request sleep
+	truncate int           // >0: cut response bodies to this many bytes
 }
 
 // HTTPInjector holds a programmable per-host fault schedule shared by
@@ -67,30 +59,11 @@ func (in *HTTPInjector) host(h string) *hostFaults {
 
 // Drop makes the next n requests to host fail with a connection error
 // (host "" = every host). n < 0 drops every request until reset — a
-// dead worker; n = 0 cancels the fault.
+// dead replica; n = 0 cancels the fault.
 func (in *HTTPInjector) Drop(host string, n int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.host(host).dropLeft = n
-}
-
-// Respond5xx makes the next n requests to host answer 503 with an empty
-// body (n < 0: every request; n = 0 cancels) — a worker that is up but
-// failing.
-func (in *HTTPInjector) Respond5xx(host string, n int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.host(host).fiveLeft = n
-}
-
-// SetRetryAfter stamps a Retry-After header of the given seconds on
-// every injected 503 from host — an overloaded server hinting when to
-// come back, which Retry-After-aware retry loops must honor. seconds
-// <= 0 cancels the header.
-func (in *HTTPInjector) SetRetryAfter(host string, seconds int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.host(host).retryAfter = seconds
 }
 
 // SetLatency delays every request to host by d before it is sent.
@@ -110,20 +83,6 @@ func (in *HTTPInjector) TruncateBody(host string, n int) {
 	in.host(host).truncate = n
 }
 
-// FlipBodyBit inverts bit (0–7) of the response-body byte at offset off
-// for every response from host — corruption the lease/segment CRCs must
-// reject. Flipping the same bit again cancels the fault.
-func (in *HTTPInjector) FlipBodyBit(host string, off int64, bit uint8) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	f := in.host(host)
-	if f.flipMask != 0 && f.flipOff != off {
-		f.flipMask = 0 // one flip site per host; retarget
-	}
-	f.flipOff = off
-	f.flipMask ^= 1 << (bit & 7)
-}
-
 // Reset clears every scheduled fault (the call counter keeps running).
 func (in *HTTPInjector) Reset() {
 	in.mu.Lock()
@@ -139,17 +98,13 @@ func (in *HTTPInjector) Calls() int64 {
 }
 
 // httpPlan snapshots the faults applying to one request: the host's own
-// schedule merged over the any-host defaults. Countdown faults (drop,
-// 5xx) are consumed inside the injector lock; latency and body faults
-// apply outside it.
+// schedule merged over the any-host defaults. The drop countdown is
+// consumed inside the injector lock; latency and truncation apply outside
+// it.
 type httpPlan struct {
-	drop       bool
-	fiveXX     bool
-	retryAfter int
-	latency    time.Duration
-	truncate   int
-	flipOff    int64
-	flipMask   byte
+	drop     bool
+	latency  time.Duration
+	truncate int
 }
 
 func (in *HTTPInjector) planRequest(host string) httpPlan {
@@ -167,23 +122,11 @@ func (in *HTTPInjector) planRequest(host string) httpPlan {
 				f.dropLeft--
 			}
 		}
-		if f.fiveLeft != 0 {
-			p.fiveXX = true
-			if f.fiveLeft > 0 {
-				f.fiveLeft--
-			}
-		}
-		if f.retryAfter > p.retryAfter {
-			p.retryAfter = f.retryAfter
-		}
 		if f.latency > p.latency {
 			p.latency = f.latency
 		}
 		if f.truncate > 0 {
 			p.truncate = f.truncate
-		}
-		if f.flipMask != 0 {
-			p.flipOff, p.flipMask = f.flipOff, f.flipMask
 		}
 	}
 	return p
@@ -216,57 +159,36 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if p.drop {
 		return nil, ErrDropped
 	}
-	if p.fiveXX {
-		hdr := make(http.Header)
-		if p.retryAfter > 0 {
-			hdr.Set("Retry-After", fmt.Sprintf("%d", p.retryAfter))
-		}
-		return &http.Response{
-			StatusCode: http.StatusServiceUnavailable,
-			Status:     "503 Service Unavailable (injected)",
-			Proto:      req.Proto, ProtoMajor: req.ProtoMajor, ProtoMinor: req.ProtoMinor,
-			Header:        hdr,
-			Body:          io.NopCloser(bytes.NewReader(nil)),
-			ContentLength: 0,
-			Request:       req,
-		}, nil
-	}
 	resp, err := t.inner.RoundTrip(req)
 	if err != nil || resp == nil || resp.Body == nil {
 		return resp, err
 	}
-	if p.truncate > 0 || p.flipMask != 0 {
-		resp.Body = &faultBody{inner: resp.Body, plan: p}
-		if p.truncate > 0 {
-			resp.ContentLength = -1 // body no longer matches the header
-		}
+	if p.truncate > 0 {
+		resp.Body = &faultBody{inner: resp.Body, truncate: int64(p.truncate)}
+		resp.ContentLength = -1 // body no longer matches the header
 	}
 	return resp, err
 }
 
-// faultBody applies body faults as the response streams: a bit flip at
-// an absolute body offset, then truncation with io.ErrUnexpectedEOF —
-// what a connection cut mid-transfer yields to the reader.
+// faultBody cuts a response body short: past truncate bytes the reader
+// gets io.ErrUnexpectedEOF — what a connection cut mid-transfer yields.
 type faultBody struct {
-	inner io.ReadCloser
-	plan  httpPlan
-	pos   int64
+	inner    io.ReadCloser
+	truncate int64
+	pos      int64
 }
 
 func (b *faultBody) Read(p []byte) (int, error) {
-	if b.plan.truncate > 0 {
-		if rem := int64(b.plan.truncate) - b.pos; rem <= 0 {
-			return 0, io.ErrUnexpectedEOF
-		} else if int64(len(p)) > rem {
-			p = p[:rem]
-		}
+	rem := b.truncate - b.pos
+	if rem <= 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	if int64(len(p)) > rem {
+		p = p[:rem]
 	}
 	n, err := b.inner.Read(p)
-	if b.plan.flipMask != 0 && b.plan.flipOff >= b.pos && b.plan.flipOff < b.pos+int64(n) {
-		p[b.plan.flipOff-b.pos] ^= b.plan.flipMask
-	}
 	b.pos += int64(n)
-	if b.plan.truncate > 0 && err == io.EOF {
+	if err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
 	return n, err

@@ -63,30 +63,6 @@ func TestTransportDropForeverUntilReset(t *testing.T) {
 	resp.Body.Close()
 }
 
-func TestTransport5xxBurst(t *testing.T) {
-	inj := NewHTTPInjector()
-	ts, cl := faultClient(t, inj, "ok")
-	host := strings.TrimPrefix(ts.URL, "http://")
-
-	inj.Respond5xx(host, 1)
-	resp, err := cl.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("injected status = %d, want 503", resp.StatusCode)
-	}
-	resp, err = cl.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-burst status = %d, want 200", resp.StatusCode)
-	}
-}
-
 func TestTransportTruncateBody(t *testing.T) {
 	inj := NewHTTPInjector()
 	ts, cl := faultClient(t, inj, "a long enough body to truncate")
@@ -104,26 +80,6 @@ func TestTransportTruncateBody(t *testing.T) {
 	}
 	if string(b) != "a long" {
 		t.Fatalf("truncated body = %q, want first 6 bytes", b)
-	}
-}
-
-func TestTransportFlipBodyBit(t *testing.T) {
-	inj := NewHTTPInjector()
-	ts, cl := faultClient(t, inj, "abcdef")
-	host := strings.TrimPrefix(ts.URL, "http://")
-
-	inj.FlipBodyBit(host, 2, 0) // 'c' ^ 0x01 = 'b'
-	resp, err := cl.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != "abbdef" {
-		t.Fatalf("flipped body = %q, want %q", b, "abbdef")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package frame is the one codec behind every CRC-sealed file and message
 // that crosses the batch/online split: the snapshot header, the
-// generation manifest, the fold state, the WAL's segment header and
-// record frames, and the fleet's lease and completion. A frame is a
+// generation manifest, the fold state, and the WAL's segment header and
+// record frames. A frame is a
 // magic (possibly empty), little-endian fields, and a CRC32-IEEE trailer
 // over every byte before it. Each layout stays with the package that owns
 // it; this package writes fields, seals, and reads them back without ever
@@ -29,9 +29,8 @@ func Append(buf []byte, magic string) Encoder {
 	return Encoder{buf: append(buf, magic...), start: len(buf)}
 }
 
-// U8 … Raw append one field each; integers are little-endian, F64 is the
+// U16 … Raw append one field each; integers are little-endian, F64 is the
 // float's IEEE 754 bits.
-func (e *Encoder) U8(v uint8)       { e.buf = append(e.buf, v) }
 func (e *Encoder) U16(v uint16)     { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
 func (e *Encoder) U32(v uint32)     { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *Encoder) U64(v uint64)     { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
@@ -39,7 +38,8 @@ func (e *Encoder) F64(v float64)    { e.U64(math.Float64bits(v)) }
 func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *Encoder) Raw(b []byte)     { e.buf = append(e.buf, b...) }
 
-// Str writes s behind a uvarint length.
+// Str writes s behind a uvarint length; a reader takes it back with
+// Count over that length, then Raw.
 func (e *Encoder) Str(s string) {
 	e.Uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
@@ -102,15 +102,8 @@ func (d *Decoder) Raw(n int) []byte {
 	return p
 }
 
-// U8 … Uvarint read the fields Encoder writes; each returns zero once an
+// U16 … Uvarint read the fields Encoder writes; each returns zero once an
 // error is set.
-func (d *Decoder) U8() uint8 {
-	if p := d.Raw(1); p != nil {
-		return p[0]
-	}
-	return 0
-}
-
 func (d *Decoder) U16() uint16 {
 	if p := d.Raw(2); p != nil {
 		return binary.LittleEndian.Uint16(p)
@@ -146,9 +139,6 @@ func (d *Decoder) Uvarint() uint64 {
 	d.off += n
 	return v
 }
-
-// Str reads a string written by Encoder.Str.
-func (d *Decoder) Str() string { return string(d.Raw(d.Count(d.Uvarint(), "string byte", 1))) }
 
 // Count admits n as the number of elements that follow, each taking at
 // least minBytes, and refuses (0 and the sticky error) a claim the bytes

@@ -1,4 +1,4 @@
-// Package hedge is the fleet's one retry / hedge / backoff loop. Do
+// Package hedge is the read fleet's one retry / hedge / backoff loop. Do
 // (do.go) makes a call against a set of interchangeable targets: it
 // runs the rounds, sleeps the capped equal-jitter backoff between them
 // floored at the Retry-After the failed target sent, sends a round's first
@@ -10,18 +10,15 @@
 // alive until the caller releases it. A healthy round thus costs a timer,
 // not a goroutine; the price is a contract on the call itself, that it
 // returns soon after its context ends (Call.Send), which a net/http
-// exchange made under that context keeps. Both
-// halves of the fleet call it — the refresh coordinator (internal/dist)
-// leasing a dirty shard to a worker, the read gateway (internal/route)
-// relaying a read to a replica — so they back off and hedge in the same
-// rhythm and the loop is tested once, here, on fake targets.
+// exchange made under that context keeps. Its one caller is the read
+// gateway (internal/route) relaying a read to a replica; the loop is
+// tested here, on fake targets.
 //
-// What differs between them stays with them, passed in as functions:
-// which targets are eligible and in what order (Pick), how one is
-// called and what its outcome says about its health (Send: the
-// gateway's circuit breaker, the coordinator's dead-worker count and
-// idempotent accept), and their own counters and log lines (Retried,
-// Hedged). Do never branches on who called it.
+// What is the caller's stays with it, passed in as functions: which
+// targets are eligible and in what order (Pick), how one is called and
+// what its outcome says about its health (Send: the gateway's circuit
+// breaker), and its own counters and log lines (Retried, Hedged). Do
+// never branches on who called it.
 //
 // The pieces are usable alone: Backoff is the schedule (the ingest
 // controller's fold retries and serve's segment quarantine draw from

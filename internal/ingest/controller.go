@@ -42,8 +42,9 @@ type Config struct {
 	// ErrBatchTooLarge (see LogOptions.MaxLagRecords). 0 disables.
 	MaxLagRecords uint64
 	// Bids is the bid-term set the snapshot's precomputed rewrite
-	// section was built under (serve.AssembleRefresh contract); nil when
-	// the snapshot carries no section.
+	// section was built under (serve.Refresh rebuilds dirty shards' lists
+	// with it and refuses another set); nil when the snapshot carries no
+	// section.
 	Bids map[string]bool
 
 	// Logf receives progress lines (nil: silent).
@@ -401,7 +402,7 @@ func (c *Controller) FoldOnce(ctx context.Context) (*FoldResult, error) {
 		return nil, err
 	}
 
-	rr, err := serve.Refresh(ctx, c.gs, g, serve.PoolRunner(c.cfg.Workers), c.cfg.Bids,
+	rr, err := serve.Refresh(ctx, c.gs, g, c.cfg.Workers, c.cfg.Bids,
 		func(stage string) error { return c.checkpoint("fold:" + stage) })
 	if rr.Restored != nil {
 		c.cfg.Logf("ingest: serving snapshot did not open; restored generation %d", rr.Restored.ID)

@@ -24,8 +24,8 @@
 //     backend sent), stragglers are hedged to a second replica past a
 //     completed-request latency percentile, and a backend failing
 //     consecutively has its circuit opened for a cool-down. The loop is
-//     internal/hedge's Do, shared with the refresh coordinator; the
-//     gateway supplies the candidate order, the fetch and the breaker.
+//     internal/hedge's Do; the gateway supplies the candidate order, the
+//     fetch and the breaker.
 //
 // When no replica can answer at all the gateway degrades to 503 +
 // Retry-After instead of hanging — the same contract simrankd's own
@@ -267,7 +267,7 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// The failure handling is fixed, as the refresh coordinator's is. Every
+// The failure handling is fixed: no setting tunes it. Every
 // probeInterval, equal-jittered into [½, 1]× so a gateway fleet's probes
 // don't align, each replica's /readyz is probed, and a probe not answered
 // within probeTimeout counts as unreachable. A read gets maxAttempts

@@ -14,7 +14,7 @@ import (
 	"simrankpp/internal/serve"
 )
 
-// The fleet fixture mirrors internal/dist's: a deterministic 4-cluster
+// The fleet fixture is a deterministic 4-cluster
 // graph whose per-cluster weights derive from seeds[c], so bumping one
 // seed produces a *different generation* — different scores, different
 // graph fingerprint — of the same node universe. Every node is interned

@@ -670,7 +670,7 @@ func TestChaosDiskFaultMidRefresh(t *testing.T) {
 	for depth := 1; depth <= 4; depth++ {
 		inj.Reset()
 		inj.FailAfter(depth, fmt.Errorf("injected disk fault at read %d", depth))
-		if _, err := Refresh(context.Background(), gs, next, PoolRunner(2), nil, nil); err == nil {
+		if _, err := Refresh(context.Background(), gs, next, 2, nil, nil); err == nil {
 			t.Fatalf("depth %d: refresh survived a read fault", depth)
 		}
 		if !bytes.Equal(readFile(t, path), fx.gen1) {
@@ -681,7 +681,7 @@ func TestChaosDiskFaultMidRefresh(t *testing.T) {
 		}
 	}
 	inj.Reset()
-	res, err := Refresh(context.Background(), gs, next, PoolRunner(2), nil, nil)
+	res, err := Refresh(context.Background(), gs, next, 2, nil, nil)
 	if err != nil {
 		t.Fatalf("refresh after the fault cleared: %v", err)
 	}

@@ -70,7 +70,7 @@ func commitAndPublish(gs *GenerationStore, fx genFixture) (*Generation, error) {
 }
 
 // commitPublishBytes journals data as a new generation and re-points
-// serving at it. It writes in two chunks, as the real AssembleRefresh
+// serving at it. It writes in two chunks, as the real assembler
 // streams sections — which is also what arms the mid-write (torn second
 // write) crash.
 func commitPublishBytes(gs *GenerationStore, data []byte, fp uint64) (*Generation, error) {

@@ -28,13 +28,13 @@ import (
 //
 // There is one refresh path, Refresh: it opens the serving snapshot
 // (restoring it from the journal when it no longer opens), adopts it as
-// a rollback target and diffs; a ShardRunner turns the dirty shards into
-// encoded segments (in this process or on a worker fleet),
-// AssembleRefresh lays out the next snapshot, and the generation store
-// commits and publishes it. `simrank -refresh`, its -workers form and the
-// ingest controller's fold differ only in the runner they pass.
+// a rollback target and diffs; runDirty runs the dirty shards on this
+// process's pool and encodes their segments, assembleRefresh lays out the
+// next snapshot, and the generation store commits and publishes it.
+// `simrank -refresh` and the ingest controller's fold differ only in the
+// pool width they pass.
 
-// RefreshStats reports what an AssembleRefresh write did.
+// RefreshStats reports what a refresh's write did.
 type RefreshStats struct {
 	// DirtyShards/CleanShards count the segment pairs encoded vs reused.
 	DirtyShards, CleanShards int
@@ -44,24 +44,21 @@ type RefreshStats struct {
 	BytesReencoded, BytesCopied int64
 }
 
-// ShardSegment is one shard's encoded score segments in wire form — the
-// exact bytes a snapshot stores for that shard, with their CRCs. Every
-// snapshot is assembled from them: a full build encodes one per shard, a
-// shard runner one per dirty shard (the in-process pool from its shard
-// run, a remote worker ships one back to the coordinator), and
-// AssembleRefresh validates the CRCs and stores the bytes unchanged.
-type ShardSegment struct {
+// shardSegment is one shard's encoded score segments — the exact bytes a
+// snapshot stores for that shard, with their CRCs. Every snapshot is
+// assembled from them: a full build encodes one per shard, a refresh one
+// per dirty shard, and the assembler stores the bytes unchanged.
+type shardSegment struct {
 	QuerySeg, AdSeg []byte
 	QueryCRC, AdCRC uint32
 }
 
-// EncodeShardSegment encodes one shard's score frontiers into segment
-// wire form: the one place frontiers become segment bytes, for a full
-// build, PoolRunner and a fleet worker alike. qIDs/aIDs are the shard's
-// ascending global node ids; the frontiers are local-id keyed, exactly as
-// a per-shard engine produces them.
-func EncodeShardSegment(q, a *sparse.PairFrontier, qIDs, aIDs []int) ShardSegment {
-	var s ShardSegment
+// encodeShardSegment encodes one shard's score frontiers into segment
+// form: the one place frontiers become segment bytes. qIDs/aIDs are the
+// shard's ascending global node ids; the frontiers are local-id keyed,
+// exactly as a per-shard engine produces them.
+func encodeShardSegment(q, a *sparse.PairFrontier, qIDs, aIDs []int) shardSegment {
+	var s shardSegment
 	s.QuerySeg = encodeSegment(q, qIDs)
 	s.AdSeg = encodeSegment(a, aIDs)
 	s.QueryCRC = crc32.ChecksumIEEE(s.QuerySeg)
@@ -69,46 +66,13 @@ func EncodeShardSegment(q, a *sparse.PairFrontier, qIDs, aIDs []int) ShardSegmen
 	return s
 }
 
-// Validate re-checksums the segment bytes against the recorded CRCs —
-// the integrity gate a coordinator applies to bytes that crossed a
-// network before letting them anywhere near a snapshot.
-func (s *ShardSegment) Validate() error {
-	if got := crc32.ChecksumIEEE(s.QuerySeg); got != s.QueryCRC {
-		return fmt.Errorf("serve: shard segment query CRC mismatch (got %08x want %08x)", got, s.QueryCRC)
-	}
-	if got := crc32.ChecksumIEEE(s.AdSeg); got != s.AdCRC {
-		return fmt.Errorf("serve: shard segment ad CRC mismatch (got %08x want %08x)", got, s.AdCRC)
-	}
-	if len(s.QuerySeg)%pairRecordSize != 0 || len(s.AdSeg)%pairRecordSize != 0 {
-		return fmt.Errorf("serve: shard segment length not a multiple of the pair record size")
-	}
-	return nil
-}
-
-// ShardRun is a shard runner's output: the dirty shards' segments and
-// the outcome of the engine runs behind them.
-type ShardRun struct {
-	// Segments has one entry per plan shard, non-nil exactly at the
-	// shards that were run.
-	Segments []*ShardSegment
-	// Iterations is the deepest shard run; Converged ANDs over every
-	// shard run (vacuously true with none).
-	Iterations int
-	Converged  bool
-}
-
-// ShardRunner computes the shards of plan (the projected refresh plan
-// over g, partition.DiffPlans) that run marks, under the engine
-// configuration recorded in prev, and returns their encoded segments. A
-// cancelled ctx stops the run at the next shard boundary with ctx's
-// error. There are two: PoolRunner, and a dist.Coordinator's Run.
-type ShardRunner func(ctx context.Context, g *clickgraph.Graph, prev *Snapshot, plan *partition.Plan, run []bool) (*ShardRun, error)
-
-// PoolRunner is the in-process shard runner: one engine per marked shard
-// on a pool of the given width (<= 0 selects GOMAXPROCS), the segments
-// encoded in parallel from the shard engines' frontiers. The engine
+// runDirty runs the shards of plan (the projected refresh plan over g,
+// partition.DiffPlans) that dirty marks, one engine per shard on a pool
+// of the given width (<= 0 selects GOMAXPROCS), and encodes their
+// segments in parallel; segs is nil at every clean shard. The engine
 // configuration is taken from prev's header, keeping generations
-// coherent by construction.
+// coherent by construction. A cancelled ctx stops the run at the next
+// shard boundary with ctx's error.
 //
 // Shards are warm-started from the previous scores only when the
 // recorded configuration converges by tolerance. Under a fixed-iteration
@@ -119,28 +83,22 @@ type ShardRunner func(ctx context.Context, g *clickgraph.Graph, prev *Snapshot, 
 // rebuild would, bit for bit. So Tolerance > 0 buys the warm-start
 // speedup; Tolerance == 0 buys exactness. Both keep the dirty-only
 // scheduling and the segment-copy savings.
-func PoolRunner(workers int) ShardRunner {
-	return func(ctx context.Context, g *clickgraph.Graph, prev *Snapshot, plan *partition.Plan, run []bool) (*ShardRun, error) {
-		cfg := prev.Config()
-		opt := core.ShardOptions{
-			Workers:           workers,
-			RetainShardScores: true,
-			RunShards:         run,
-			Context:           ctx,
-		}
-		if cfg.Tolerance > 0 {
-			opt.WarmStart = prev
-		}
-		res, err := core.RunSharded(g, cfg, plan, opt)
-		if err != nil {
-			return nil, err
-		}
-		return &ShardRun{
-			Segments:   encodeShards(res.ShardScores),
-			Iterations: res.Iterations,
-			Converged:  res.Converged,
-		}, nil
+func runDirty(ctx context.Context, g *clickgraph.Graph, prev *Snapshot, plan *partition.Plan, dirty []bool, workers int) (*core.Result, []*shardSegment, error) {
+	cfg := prev.Config()
+	opt := core.ShardOptions{
+		Workers:           workers,
+		RetainShardScores: true,
+		RunShards:         dirty,
+		Context:           ctx,
 	}
+	if cfg.Tolerance > 0 {
+		opt.WarmStart = prev
+	}
+	res, err := core.RunSharded(g, cfg, plan, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, encodeShards(res.ShardScores), nil
 }
 
 // refreshTopK derives the next generation's top-k section parameters
@@ -161,47 +119,42 @@ func refreshTopK(prev *Snapshot, bids map[string]bool) (topkMeta, error) {
 	return tk, nil
 }
 
-// AssembleRefresh writes the next snapshot generation from a shard run
-// through the assembler a full build uses. plan must be the projected
-// refresh plan (partition.DiffPlans) over g, dirty its classification,
-// and run.Segments non-nil exactly at the dirty indices. Every provided
-// segment is CRC-validated before use; clean shards' segments are
-// byte-copied from prev, verified against the directory CRCs, under a
-// fingerprint guard. The precomputed rewrite section follows the same
-// split at the depth recorded in prev's header: dirty shards' blobs are
-// rebuilt from the validated segment bytes (runners ship scores, not
-// filter decisions), clean shards' blobs are byte-copied — valid for the
-// same reason segment copies are: a blob is position-independent
-// (blob-relative offsets, global ids) and a clean shard's pipeline inputs
-// are fingerprint-identical. bids must be the same bid-term set prev's
-// section was built with (compared by hash); pass nil when prev carries
-// no section. The new generation records prev's run configuration, the
-// one its runners computed under.
-func AssembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, plan *partition.Plan, dirty []bool, run *ShardRun, bids map[string]bool) (RefreshStats, error) {
-	if len(plan.Shards) != len(dirty) || len(plan.Shards) != len(run.Segments) {
+// assembleRefresh writes the next snapshot generation from runDirty's
+// output through the assembler a full build uses. plan must be the
+// projected refresh plan (partition.DiffPlans) over g, dirty its
+// classification, and segs non-nil exactly at the dirty indices; run is
+// the engine run behind them. Clean shards' segments are byte-copied from
+// prev, verified against the directory CRCs, under a fingerprint guard.
+// The precomputed rewrite section follows the same split at the depth
+// recorded in prev's header: dirty shards' blobs are rebuilt from their
+// segment bytes, clean shards' blobs are byte-copied — valid for the same
+// reason segment copies are: a blob is position-independent (blob-relative
+// offsets, global ids) and a clean shard's pipeline inputs are
+// fingerprint-identical. bids must be the same bid-term set prev's section
+// was built with (compared by hash); pass nil when prev carries no
+// section. The new generation records prev's run configuration, the one
+// its dirty shards ran under.
+func assembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, plan *partition.Plan, dirty []bool, run *core.Result, segs []*shardSegment, bids map[string]bool) (RefreshStats, error) {
+	if len(plan.Shards) != len(dirty) || len(plan.Shards) != len(segs) {
 		return RefreshStats{}, fmt.Errorf("serve: assemble got %d shards, %d dirty flags, %d segments",
-			len(plan.Shards), len(dirty), len(run.Segments))
+			len(plan.Shards), len(dirty), len(segs))
 	}
 	tk, err := refreshTopK(prev, bids)
 	if err != nil {
 		return RefreshStats{}, err
 	}
 	dirtyShards := 0
-	for i, seg := range run.Segments {
+	for i, seg := range segs {
 		if dirty[i] != (seg != nil) {
 			return RefreshStats{}, fmt.Errorf("serve: shard %d: dirty flag %v but segment present %v (dirty mask out of sync?)", i, dirty[i], seg != nil)
 		}
-		if seg == nil {
-			continue
+		if seg != nil {
+			dirtyShards++
 		}
-		if err := seg.Validate(); err != nil {
-			return RefreshStats{}, fmt.Errorf("serve: shard %d: %w", i, err)
-		}
-		dirtyShards++
 	}
 	// Iterations: a refresh ran only its dirty shards, so the horizon the
 	// snapshot advertises is the deeper of the two generations'.
-	return assembleSnapshot(w, g, prev.Config(), plan.Shards, run.Segments, prev, tk, bids, genInfo{
+	return assembleSnapshot(w, g, prev.Config(), plan.Shards, segs, prev, tk, bids, genInfo{
 		iterations:  max(run.Iterations, prev.meta.Iterations),
 		converged:   run.Converged && prev.meta.Converged,
 		generatedAt: time.Now(),
@@ -247,9 +200,11 @@ type RefreshResult struct {
 // generation when the file no longer opens), adopts it as a generation so
 // even the first refresh has a rollback target, and diffs g against it
 // (partition.DiffPlans). With no dirty shard it writes nothing: the
-// serving snapshot already is g's. Otherwise run computes the dirty
-// shards, AssembleRefresh writes the next snapshot into the journal, and
-// the committed generation is published to the serving path. checkpoint,
+// serving snapshot already is g's. Otherwise the dirty shards run in this
+// process on a pool of the given width (<= 0 selects GOMAXPROCS; the
+// bytes do not depend on it), assembleRefresh writes the next snapshot
+// into the journal, and the committed generation is published to the
+// serving path. checkpoint,
 // when non-nil, is called at "pre-commit" (segments computed, nothing
 // written), "commit:mid-write" (first bytes in the journal temp file),
 // "pre-publish" (generation journaled) and "post-publish"; an error from
@@ -259,7 +214,7 @@ type RefreshResult struct {
 // the serving path and every earlier generation untouched (bar a
 // restore); the result says how far the refresh got. The caller holds
 // gs's Lock and prunes after.
-func Refresh(ctx context.Context, gs *GenerationStore, g *clickgraph.Graph, run ShardRunner, bids map[string]bool, checkpoint func(stage string) error) (RefreshResult, error) {
+func Refresh(ctx context.Context, gs *GenerationStore, g *clickgraph.Graph, workers int, bids map[string]bool, checkpoint func(stage string) error) (RefreshResult, error) {
 	var res RefreshResult
 	if checkpoint == nil {
 		checkpoint = func(string) error { return nil }
@@ -282,7 +237,7 @@ func Refresh(ctx context.Context, gs *GenerationStore, g *clickgraph.Graph, run 
 		return res, nil
 	}
 
-	shards, err := run(ctx, g, prev, diff.Plan, diff.Dirty)
+	run, segs, err := runDirty(ctx, g, prev, diff.Plan, diff.Dirty, workers)
 	if err != nil {
 		return res, fmt.Errorf("serve: refresh: running dirty shards: %w", err)
 	}
@@ -291,7 +246,7 @@ func Refresh(ctx context.Context, gs *GenerationStore, g *clickgraph.Graph, run 
 	}
 	gen, err := gs.Commit(diff.DirtyShards, diff.Plan.Fingerprint(), func(w io.Writer) (err error) {
 		cw := &checkpointWriter{w: w, hook: func() error { return checkpoint("commit:mid-write") }}
-		res.Stats, err = AssembleRefresh(cw, prev, g, diff.Plan, diff.Dirty, shards, bids)
+		res.Stats, err = assembleRefresh(cw, prev, g, diff.Plan, diff.Dirty, run, segs, bids)
 		return err
 	})
 	if err != nil {

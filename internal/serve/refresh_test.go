@@ -88,35 +88,42 @@ func buildGeneration(t *testing.T, g *clickgraph.Graph, cfg core.Config) (*core.
 	return res, data, snap
 }
 
-// runDirty is the compute half of a refresh step: diff g against prev
-// and run the dirty shards on the in-process pool.
-func runDirty(t *testing.T, g *clickgraph.Graph, prev *Snapshot, workers int) (*ShardRun, *partition.Diff) {
+// dirtyRun is what runDirty returns: the engine run over the dirty
+// shards and their encoded segments (nil at clean shards).
+type dirtyRun struct {
+	res  *core.Result
+	segs []*shardSegment
+}
+
+// runStep is the compute half of a refresh step: diff g against prev and
+// run the dirty shards on a pool of the given width, as Refresh does.
+func runStep(t *testing.T, g *clickgraph.Graph, prev *Snapshot, workers int) (*dirtyRun, *partition.Diff) {
 	t.Helper()
 	diff, err := partition.DiffPlans(prev, g)
 	if err != nil {
 		t.Fatalf("DiffPlans: %v", err)
 	}
-	run, err := PoolRunner(workers)(context.Background(), g, prev, diff.Plan, diff.Dirty)
+	res, segs, err := runDirty(context.Background(), g, prev, diff.Plan, diff.Dirty, workers)
 	if err != nil {
-		t.Fatalf("PoolRunner: %v", err)
+		t.Fatalf("runDirty: %v", err)
 	}
-	return run, diff
+	return &dirtyRun{res, segs}, diff
 }
 
-// assemble is the write half: AssembleRefresh over diff's plan and dirty
-// mask, as the Refresh driver calls it.
-func assemble(w io.Writer, g *clickgraph.Graph, prev *Snapshot, diff *partition.Diff, run *ShardRun, bids map[string]bool) (RefreshStats, error) {
-	return AssembleRefresh(w, prev, g, diff.Plan, diff.Dirty, run, bids)
+// assemble is the write half: assembleRefresh over diff's plan and dirty
+// mask, as Refresh calls it.
+func assemble(w io.Writer, g *clickgraph.Graph, prev *Snapshot, diff *partition.Diff, run *dirtyRun, bids map[string]bool) (RefreshStats, error) {
+	return assembleRefresh(w, prev, g, diff.Plan, diff.Dirty, run.res, run.segs, bids)
 }
 
 // refreshBytes runs one refresh step in memory.
-func refreshBytes(t *testing.T, g *clickgraph.Graph, prev *Snapshot) (*ShardRun, *partition.Diff, RefreshStats, []byte) {
+func refreshBytes(t *testing.T, g *clickgraph.Graph, prev *Snapshot) (*dirtyRun, *partition.Diff, RefreshStats, []byte) {
 	t.Helper()
-	run, diff := runDirty(t, g, prev, 3)
+	run, diff := runStep(t, g, prev, 3)
 	var buf bytes.Buffer
 	st, err := assemble(&buf, g, prev, diff, run, nil)
 	if err != nil {
-		t.Fatalf("AssembleRefresh: %v", err)
+		t.Fatalf("assembleRefresh: %v", err)
 	}
 	return run, diff, st, buf.Bytes()
 }
@@ -137,7 +144,7 @@ func TestRefreshZeroDirtyByteIdentical(t *testing.T) {
 	if st.BytesReencoded != 0 || st.BytesCopied == 0 {
 		t.Fatalf("zero-dirty refresh re-encoded %d bytes, copied %d", st.BytesReencoded, st.BytesCopied)
 	}
-	for i, seg := range run.Segments {
+	for i, seg := range run.segs {
 		if seg != nil {
 			t.Fatalf("zero-dirty refresh computed scores for shard %d", i)
 		}
@@ -200,7 +207,7 @@ func TestRefreshChurnedClusterSegmentReuse(t *testing.T) {
 		if diff.Dirty[i] {
 			continue
 		}
-		if run.Segments[i] != nil {
+		if run.segs[i] != nil {
 			t.Fatalf("clean shard %d was recomputed", i)
 		}
 		pe, ne := prev.dir[i], snap.dir[i]
@@ -248,13 +255,13 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	run1, diff1 := runDirty(t, g1, prev, 2)
+	run1, diff1 := runStep(t, g1, prev, 2)
 	if diff1.NewQueries != 1 {
 		t.Fatalf("step 1 saw %d new queries, want 1", diff1.NewQueries)
 	}
 	var buf1 bytes.Buffer
 	if _, err := assemble(&buf1, g1, prev, diff1, run1, nil); err != nil {
-		t.Fatalf("step 1 AssembleRefresh: %v", err)
+		t.Fatalf("step 1 assembleRefresh: %v", err)
 	}
 	snap1, err := NewSnapshot(bytes.NewReader(buf1.Bytes()), int64(buf1.Len()))
 	if err != nil {
@@ -270,14 +277,14 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	run2, diff2 := runDirty(t, g2, snap1, 2)
+	run2, diff2 := runStep(t, g2, snap1, 2)
 	if len(diff2.Plan.Shards) != snap1.NumShards()+1 {
 		t.Fatalf("island did not append a shard: %d shards from %d", len(diff2.Plan.Shards), snap1.NumShards())
 	}
 	var buf2 bytes.Buffer
 	st2, err := assemble(&buf2, g2, snap1, diff2, run2, nil)
 	if err != nil {
-		t.Fatalf("step 2 AssembleRefresh: %v", err)
+		t.Fatalf("step 2 assembleRefresh: %v", err)
 	}
 	if st2.DirtyShards != 1 {
 		t.Errorf("step 2 recomputed %d shards, want only the island", st2.DirtyShards)
@@ -299,97 +306,125 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 	_ = ai
 }
 
-// TestRefreshFixedIterationsBitIdentical pins the Tolerance == 0
-// contract: under a fixed-iteration configuration a refresh must not
-// warm-start (that would leave dirty shards at twice the effective
-// iteration depth of clean ones) — it re-runs dirty shards cold, so the
-// refreshed snapshot is bit-identical to a cold run of the whole
-// projected plan: clean shards via byte-copy, dirty shards via
-// deterministic recompute. It also pins the assembler's copy path against
-// its encode path at the byte level, bid-filtered top-k section included:
-// outside the header's generation metadata the refreshed file IS
-// WriteSnapshotTopK of that cold run, and so is a refresh in which every
-// shard is dirty — a full build.
+// TestRefreshFixedIterationsBitIdentical pins two contracts. First, a
+// refresh's bytes do not depend on the pool width it runs its dirty shards
+// on: at widths 1, 2 and 4, under a fixed-iteration configuration and
+// under a warm-starting one (Tolerance > 0), every refreshed snapshot is
+// the same past the header. Second, the Tolerance == 0 contract: under a
+// fixed-iteration configuration a refresh must not warm-start (that would
+// leave dirty shards at twice the effective iteration depth of clean ones)
+// — it re-runs dirty shards cold, so the refreshed snapshot is
+// bit-identical to a cold run of the whole projected plan: clean shards
+// via byte-copy, dirty shards via deterministic recompute. That also pins
+// the assembler's copy path against its encode path at the byte level,
+// bid-filtered top-k section included: outside the header's generation
+// metadata the refreshed file IS WriteSnapshotTopK of that cold run, and
+// so is a refresh in which every shard is dirty — a full build.
 func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
-	cfg := core.DefaultConfig().WithVariant(core.Weighted)
-	cfg.Channel = core.ChannelClicks
-	cfg.PruneEpsilon = 1e-6 // Iterations 7, Tolerance 0
+	fixed := core.DefaultConfig().WithVariant(core.Weighted)
+	fixed.Channel = core.ChannelClicks
+	fixed.PruneEpsilon = 1e-6 // Iterations 7, Tolerance 0
 	base := refreshGraph(t, [4]int{1, 2, 3, 4})
+	churned := refreshGraph(t, [4]int{1, 2, 99, 4})
 	bids := map[string]bool{}
 	for q := 0; q < base.NumQueries(); q += 2 {
 		bids[base.Query(q)] = true
 	}
 	opts := TopKOptions{K: 5, BidTerms: bids}
-	res0, err := core.RunSharded(base, cfg, partition.ComponentPlan(base), core.ShardOptions{Workers: 3, RetainShardScores: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf0 bytes.Buffer
-	if err := WriteSnapshotTopK(&buf0, res0, opts); err != nil {
-		t.Fatal(err)
-	}
-	prev, err := NewSnapshot(bytes.NewReader(buf0.Bytes()), int64(buf0.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	churned := refreshGraph(t, [4]int{1, 2, 99, 4})
-	run, diff := runDirty(t, churned, prev, 3)
-	var buf bytes.Buffer
-	st, err := assemble(&buf, churned, prev, diff, run, bids)
-	if err != nil {
-		t.Fatalf("AssembleRefresh: %v", err)
-	}
-	got := buf.Bytes()
-	if diff.DirtyShards == 0 || diff.CleanShards == 0 {
-		t.Fatalf("fixture should mix clean and dirty shards, got %d/%d", diff.CleanShards, diff.DirtyShards)
-	}
-	if st.BytesCopied == 0 {
-		t.Fatal("no clean segments were byte-copied")
-	}
-	snap, err := NewSnapshot(bytes.NewReader(got), int64(len(got)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Meta().IterationBudget != cfg.Iterations {
-		t.Errorf("recorded iteration budget %d, want %d", snap.Meta().IterationBudget, cfg.Iterations)
-	}
-	full, err := core.RunSharded(churned, cfg, diff.Plan, core.ShardOptions{Workers: 2, RetainShardScores: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRankings(t, snap, full)
-
-	var cold bytes.Buffer
-	if err := WriteSnapshotTopK(&cold, full, opts); err != nil {
-		t.Fatal(err)
-	}
-	want := cold.Bytes()
-	all := make([]bool, len(diff.Dirty))
-	for i := range all {
-		all[i] = true
-	}
-	allRun, err := PoolRunner(3)(context.Background(), churned, prev, diff.Plan, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var allDirty bytes.Buffer
-	if _, err := AssembleRefresh(&allDirty, prev, churned, diff.Plan, all, allRun, bids); err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string][]byte{"refreshed": got, "all-dirty": allDirty.Bytes()} {
-		if len(got) != len(want) {
-			t.Fatalf("%s snapshot is %d bytes, the cold full write %d", name, len(got), len(want))
-		}
-		// generated-at, last-refresh dirty count, header CRC.
-		for _, r := range [][2]int{{128, 136}, {136, 140}, {196, 200}} {
-			copy(got[r[0]:r[1]], want[r[0]:r[1]])
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s snapshot differs from the cold full write at byte %d of %d", name, i, len(got))
+	// Loose enough that a warm start stops short of where a cold run
+	// does, so the warm refresh is not the cold one's bytes.
+	warm := refreshCfg()
+	warm.Tolerance = 1e-4
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{{"fixed", fixed}, {"warm", warm}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			res0, err := core.RunSharded(base, cfg, partition.ComponentPlan(base), core.ShardOptions{Workers: 3, RetainShardScores: true})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			var buf0 bytes.Buffer
+			if err := WriteSnapshotTopK(&buf0, res0, opts); err != nil {
+				t.Fatal(err)
+			}
+			prev, err := NewSnapshot(bytes.NewReader(buf0.Bytes()), int64(buf0.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var diff *partition.Diff
+			var got []byte
+			for _, width := range []int{1, 2, 4} {
+				run, d := runStep(t, churned, prev, width)
+				var buf bytes.Buffer
+				st, err := assemble(&buf, churned, prev, d, run, bids)
+				if err != nil {
+					t.Fatalf("width %d: assembleRefresh: %v", width, err)
+				}
+				if d.DirtyShards == 0 || d.CleanShards == 0 {
+					t.Fatalf("fixture should mix clean and dirty shards, got %d/%d", d.CleanShards, d.DirtyShards)
+				}
+				if st.BytesCopied == 0 {
+					t.Fatal("no clean segments were byte-copied")
+				}
+				if got == nil {
+					diff, got = d, buf.Bytes()
+				} else if !bytes.Equal(buf.Bytes()[headerSize:], got[headerSize:]) {
+					t.Fatalf("the refresh at width %d differs past the header from the one at width 1", width)
+				}
+			}
+			snap, err := NewSnapshot(bytes.NewReader(got), int64(len(got)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Meta().IterationBudget != cfg.Iterations {
+				t.Errorf("recorded iteration budget %d, want %d", snap.Meta().IterationBudget, cfg.Iterations)
+			}
+			full, err := core.RunSharded(churned, cfg, diff.Plan, core.ShardOptions{Workers: 2, RetainShardScores: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cold bytes.Buffer
+			if err := WriteSnapshotTopK(&cold, full, opts); err != nil {
+				t.Fatal(err)
+			}
+			want := cold.Bytes()
+			if cfg.Tolerance > 0 {
+				if bytes.Equal(got[headerSize:], want[headerSize:]) {
+					t.Fatal("the warm refresh wrote the cold run's bytes: the fixture does not exercise the warm start")
+				}
+				return
+			}
+			sameRankings(t, snap, full)
+			all := make([]bool, len(diff.Dirty))
+			for i := range all {
+				all[i] = true
+			}
+			allRes, allSegs, err := runDirty(context.Background(), churned, prev, diff.Plan, all, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var allDirty bytes.Buffer
+			if _, err := assembleRefresh(&allDirty, prev, churned, diff.Plan, all, allRes, allSegs, bids); err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range map[string][]byte{"refreshed": got, "all-dirty": allDirty.Bytes()} {
+				if len(got) != len(want) {
+					t.Fatalf("%s snapshot is %d bytes, the cold full write %d", name, len(got), len(want))
+				}
+				// generated-at, last-refresh dirty count, header CRC.
+				for _, r := range [][2]int{{128, 136}, {136, 140}, {196, 200}} {
+					copy(got[r[0]:r[1]], want[r[0]:r[1]])
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s snapshot differs from the cold full write at byte %d of %d", name, i, len(got))
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -401,7 +436,7 @@ func TestRefreshRestoresDamagedServing(t *testing.T) {
 	path, gs, adopted := servingDir(t, fx)
 	renameOver(t, path, []byte("not a snapshot"))
 
-	res, err := Refresh(context.Background(), gs, refreshGraph(t, [4]int{9, 2, 3, 4}), PoolRunner(2), nil, nil)
+	res, err := Refresh(context.Background(), gs, refreshGraph(t, [4]int{9, 2, 3, 4}), 2, nil, nil)
 	if err != nil {
 		t.Fatalf("refresh over a damaged serving file: %v", err)
 	}
@@ -428,15 +463,11 @@ func TestRefreshZeroDirtyWritesNothing(t *testing.T) {
 	path, gs, _ := servingDir(t, fx)
 	before := journalNames(t, gs)
 
-	run := func(context.Context, *clickgraph.Graph, *Snapshot, *partition.Plan, []bool) (*ShardRun, error) {
-		t.Error("a zero-dirty refresh ran its shard runner")
-		return nil, fmt.Errorf("unexpected shard run")
-	}
 	checkpoint := func(stage string) error {
 		t.Errorf("a zero-dirty refresh reached %s", stage)
 		return nil
 	}
-	res, err := Refresh(context.Background(), gs, refreshGraph(t, [4]int{1, 2, 3, 4}), run, nil, checkpoint)
+	res, err := Refresh(context.Background(), gs, refreshGraph(t, [4]int{1, 2, 3, 4}), 2, nil, checkpoint)
 	if err != nil {
 		t.Fatal(err)
 	}

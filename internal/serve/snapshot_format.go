@@ -35,7 +35,7 @@ import (
 //	          shard's subgraph fingerprint — which is what lets the next
 //	          refresh diff a new graph against this snapshot alone
 //	          (partition.DiffPlans) and byte-copy unchanged segments
-//	          (AssembleRefresh) — plus the offset/length/CRC32 of the
+//	          (Refresh) — plus the offset/length/CRC32 of the
 //	          shard's precomputed top-k rewrite blob.
 //	segments  per shard, per side: pair records (uint32 i, uint32 j,
 //	          float64 score) with i < j in global ids, sorted ascending —

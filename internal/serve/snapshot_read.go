@@ -346,8 +346,7 @@ func (s *Snapshot) region(what string, off, length uint64, wantCRC uint32) ([]by
 // segmentBytes returns the verified raw bytes of one side of shard si: a
 // score segment ("query", "ad") or the precomputed top-k blob ("topk",
 // nil when the snapshot was written with the section disabled) — what
-// segLoad serves from and what AssembleRefresh byte-copies for clean
-// shards.
+// segLoad serves from and what a refresh byte-copies for clean shards.
 func (s *Snapshot) segmentBytes(side string, si int) ([]byte, error) {
 	e := &s.dir[si]
 	what := fmt.Sprintf("shard %d %s segment", si, side)

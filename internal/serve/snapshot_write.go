@@ -38,7 +38,7 @@ func encodeSegment(f *sparse.PairFrontier, ids []int) []byte {
 // score segments and its top-k blob (empty when the snapshot carries no
 // section).
 type shardPayload struct {
-	ShardSegment
+	shardSegment
 	tkBlob []byte
 	tkCRC  uint32
 }
@@ -60,7 +60,7 @@ type genInfo struct {
 // one-shard plan): each shard's segments are encoded, in parallel, from
 // its engine's local frontiers. Results of a partial
 // (ShardOptions.RunShards) run are rejected — their missing shards can
-// only be completed by a refresh (AssembleRefresh).
+// only be completed by Refresh.
 func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
 	if len(res.ShardScores) == 0 || len(res.ShardStats) != len(res.ShardScores) {
 		return fmt.Errorf("serve: a snapshot is written from shard scores: run core.RunSharded with core.ShardOptions.RetainShardScores")
@@ -69,7 +69,7 @@ func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
 	shards := make([]partition.Shard, len(segs))
 	for i, ss := range res.ShardScores {
 		if segs[i] == nil {
-			return fmt.Errorf("serve: shard %d has no scores (partial refresh run?); use AssembleRefresh", i)
+			return fmt.Errorf("serve: shard %d has no scores (partial refresh run?); a refresh completes it", i)
 		}
 		shards[i] = partition.Shard{Queries: ss.QueryIDs, Ads: ss.AdIDs, Fingerprint: res.ShardStats[i].Fingerprint}
 	}
@@ -85,11 +85,11 @@ func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
 // encodeShards encodes every shard that ran into segment wire form, one
 // encoder per shard on a bounded pool; a shard ShardOptions.RunShards
 // skipped stays nil.
-func encodeShards(scores []core.ShardScoreSet) []*ShardSegment {
-	segs := make([]*ShardSegment, len(scores))
+func encodeShards(scores []core.ShardScoreSet) []*shardSegment {
+	segs := make([]*shardSegment, len(scores))
 	parallelFor(len(scores), func(i int) {
 		if ss := &scores[i]; ss.QueryScores != nil && ss.AdScores != nil {
-			seg := EncodeShardSegment(ss.QueryScores, ss.AdScores, ss.QueryIDs, ss.AdIDs)
+			seg := encodeShardSegment(ss.QueryScores, ss.AdScores, ss.QueryIDs, ss.AdIDs)
 			segs[i] = &seg
 		}
 	})
@@ -103,14 +103,14 @@ func encodeShards(scores []core.ShardScoreSet) []*ShardSegment {
 // blobs are built here from their query segments. A full build computes
 // every shard and has no prev; a refresh computes its dirty shards. Byte
 // counters cover score segments only.
-func assembleSnapshot(w io.Writer, g *clickgraph.Graph, cfg core.Config, shards []partition.Shard, segs []*ShardSegment, prev *Snapshot, tk topkMeta, bids map[string]bool, gen genInfo) (RefreshStats, error) {
+func assembleSnapshot(w io.Writer, g *clickgraph.Graph, cfg core.Config, shards []partition.Shard, segs []*shardSegment, prev *Snapshot, tk topkMeta, bids map[string]bool, gen genInfo) (RefreshStats, error) {
 	var st RefreshStats
 	payloads := make([]shardPayload, len(shards))
 	var computed []int
 	for i, seg := range segs {
 		p := &payloads[i]
 		if seg != nil {
-			p.ShardSegment = *seg
+			p.shardSegment = *seg
 			computed = append(computed, i)
 			st.DirtyShards++
 			st.BytesReencoded += int64(len(seg.QuerySeg) + len(seg.AdSeg))

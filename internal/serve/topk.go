@@ -30,8 +30,8 @@ import (
 //
 // Per-shard blob layout (all integers little-endian, offsets relative
 // to the blob start, ids global — both properties are what make a blob
-// position-independent, so AssembleRefresh byte-copies clean shards'
-// blobs exactly like score segments):
+// position-independent, so a refresh byte-copies clean shards' blobs
+// exactly like score segments):
 //
 //	u32 entry count n
 //	n × (u32 query id ascending, u32 list offset, u32 list length)

@@ -136,7 +136,7 @@ func bidCases(g *clickgraph.Graph, from int) []bidCase {
 }
 
 // checkTopKBlobsMatchReference holds every shard blob WriteSnapshotTopK
-// writes for g0 (one shard per component), and every blob AssembleRefresh
+// writes for g0 (one shard per component), and every blob assembleRefresh
 // then writes for g1, to the reference builder, byte for byte. It returns
 // what the reference builds went through.
 func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts TopKOptions) refStats {
@@ -178,7 +178,7 @@ func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts T
 		}
 	}
 
-	run1, diff := runDirty(t, g1, prev, 3)
+	run1, diff := runStep(t, g1, prev, 3)
 	var buf1 bytes.Buffer
 	rs, err := assemble(&buf1, g1, prev, diff, run1, opts.BidTerms)
 	if err != nil {
@@ -199,12 +199,12 @@ func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts T
 		}
 		var wantBlob []byte
 		if dirty {
-			wantBlob = want(run1.Segments[i].QuerySeg, diff.Plan.Shards[i].Queries, g1)
+			wantBlob = want(run1.segs[i].QuerySeg, diff.Plan.Shards[i].Queries, g1)
 		} else if wantBlob, err = prev.segmentBytes("topk", i); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, wantBlob) {
-			t.Errorf("AssembleRefresh shard %d (dirty=%v): blob differs from the reference", i, dirty)
+			t.Errorf("assembleRefresh shard %d (dirty=%v): blob differs from the reference", i, dirty)
 		}
 	}
 	return st

@@ -450,7 +450,7 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 
 	// Churn cluster 2 and refresh.
 	g1 := refreshGraph(t, [4]int{1, 2, 9, 4})
-	run1, diff := runDirty(t, g1, prev, 3)
+	run1, diff := runStep(t, g1, prev, 3)
 	dirtyCount := 0
 	for _, d := range diff.Dirty {
 		if d {
@@ -462,7 +462,7 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 	}
 	var buf1 bytes.Buffer
 	if _, err := assemble(&buf1, g1, prev, diff, run1, bids); err != nil {
-		t.Fatalf("AssembleRefresh: %v", err)
+		t.Fatalf("assembleRefresh: %v", err)
 	}
 	// Write to disk so the refreshed generation serves from the mmap path.
 	path := filepath.Join(t.TempDir(), "refreshed.snap")
@@ -496,7 +496,7 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 	// filter regimes across shards.
 	other := map[string]bool{g1.Query(1): true}
 	if _, err := assemble(&bytes.Buffer{}, g1, prev, diff, run1, other); err == nil {
-		t.Fatal("AssembleRefresh accepted a bid set differing from the section's")
+		t.Fatal("assembleRefresh accepted a bid set differing from the section's")
 	}
 }
 
