@@ -25,18 +25,16 @@ type Call[T comparable, R any] struct {
 	Pick func(exclude T) (T, bool)
 	// Send runs the call against one target under the launch's own
 	// context, and marks the target healthy or failed as the caller
-	// sees fit. A launch cancelled because the round's other launch
-	// answered first has ErrLost as its context.Cause.
+	// sees fit. Its value is complete when it returns: the launch's
+	// context ends then. A launch still running when the round's other
+	// launch answered has ErrLost as its context.Cause.
 	//
 	// Send must return soon after its context ends, as a net/http round
 	// trip and body read made under it do: a round's primary runs on Do's
 	// own goroutine. A Send that ignores cancellation delays Do's return
 	// until it does, but never changes the answer — a second copy that
-	// answered first still wins, and the late success goes to Discard.
+	// answered first still wins, and the late success is dropped.
 	Send func(ctx context.Context, target T) (R, error)
-	// Discard, if set, is handed a success that arrived after the call
-	// was decided, to release what it holds.
-	Discard func(R)
 	// Retried is called before round (2 and up) sleeps its backoff,
 	// with the failure that ended the round before; Hedged when a round
 	// launches its second copy.
@@ -51,13 +49,7 @@ type Result[R any] struct {
 	// round's second launch did.
 	Round  int
 	Hedged bool
-	cancel context.CancelCauseFunc
 }
-
-// Release ends the winning launch's context, which Do leaves alive so a
-// Value that still reads from the target (a streamed body) can. Call it
-// once done with Value.
-func (r Result[R]) Release() { r.cancel(nil) }
 
 var (
 	// ErrNoTarget ends a call whose Pick had nothing to offer.
@@ -74,12 +66,11 @@ var (
 // to a second, different one once the first has been out for
 // Tracker.Delay() — on a goroutine of its own, started by the timer —
 // or at once if the first has already failed. The first success wins:
-// the other launch is cancelled with ErrLost before Do returns, a
-// success it delivers after that goes to Discard, and the winner's
-// context lives until Release. Every successful launch's latency is
-// recorded. A round with no target to pick ends the call without
-// spending the rounds left; the caller's context ending ends it with
-// that error.
+// the other launch, if still running, is cancelled with ErrLost before
+// Do returns, and a success it delivers after that is dropped; no launch
+// context outlives Do. Every successful launch's latency is recorded. A
+// round with no target to pick ends the call without spending the rounds
+// left; the caller's context ending ends it with that error.
 func Do[T comparable, R any](ctx context.Context, c Call[T, R]) (Result[R], error) {
 	var last error
 	for round := 1; round <= c.Attempts; round++ {
@@ -126,6 +117,7 @@ func (c *Call[T, R]) round(ctx context.Context) (Result[R], error) {
 		r.tried = true // unarmed: the round has no second copy
 	}
 	val, err := c.send(pctx, primary)
+	pcancel(nil) // the launch is over; a cause already set stays
 	if r.timer != nil {
 		// Whatever happens next, the wait is over.
 		r.timer.Stop()
@@ -133,13 +125,10 @@ func (c *Call[T, R]) round(ctx context.Context) (Result[R], error) {
 
 	r.mu.Lock()
 	if r.decided {
-		// The second copy answered first and cancelled this launch.
+		// The second copy answered first: a success of this launch's is
+		// dropped.
 		r.mu.Unlock()
-		if err == nil && c.Discard != nil {
-			c.Discard(val)
-		}
-		o := <-r.second
-		return Result[R]{Value: o.val, Hedged: true, cancel: r.scancel}, nil
+		return Result[R]{Value: (<-r.second).val, Hedged: true}, nil
 	}
 	if err == nil {
 		r.decided = true
@@ -148,9 +137,8 @@ func (c *Call[T, R]) round(ctx context.Context) (Result[R], error) {
 		if scancel != nil {
 			scancel(ErrLost)
 		}
-		return Result[R]{Value: val, cancel: pcancel}, nil
+		return Result[R]{Value: val}, nil
 	}
-	pcancel(nil)
 	if r.first == nil {
 		r.first = err
 	}
@@ -158,7 +146,7 @@ func (c *Call[T, R]) round(ctx context.Context) (Result[R], error) {
 		// The timer has the second copy out: its outcome ends the round.
 		r.mu.Unlock()
 		if o := <-out; o.err == nil {
-			return Result[R]{Value: o.val, Hedged: true, cancel: r.scancel}, nil
+			return Result[R]{Value: o.val, Hedged: true}, nil
 		}
 		return Result[R]{}, r.first
 	}
@@ -170,11 +158,12 @@ func (c *Call[T, R]) round(ctx context.Context) (Result[R], error) {
 	if !ok {
 		return Result[R]{}, first
 	}
-	if val, err = c.send(sctx, target); err != nil {
-		r.scancel(nil)
+	val, err = c.send(sctx, target)
+	r.scancel(nil)
+	if err != nil {
 		return Result[R]{}, first
 	}
-	return Result[R]{Value: val, Hedged: true, cancel: r.scancel}, nil
+	return Result[R]{Value: val, Hedged: true}, nil
 }
 
 // roundState is what a round's two launches share. The primary runs on
@@ -206,7 +195,7 @@ type outcome[R any] struct {
 // fire is the hedge timer's callback: it runs the second copy on the
 // timer's goroutine, unless the round is decided or the copy has had its
 // chance. A success that decides the round cancels the primary with
-// ErrLost; one that comes after the primary's goes to Discard.
+// ErrLost; one that comes after the primary's is dropped.
 func (r *roundState[T, R]) fire() {
 	r.mu.Lock()
 	target, ctx, ok := r.pickSecond()
@@ -218,6 +207,7 @@ func (r *roundState[T, R]) fire() {
 		return
 	}
 	val, err := r.c.send(ctx, target)
+	r.scancel(nil)
 	r.mu.Lock()
 	lost := r.decided
 	if err == nil {
@@ -226,18 +216,12 @@ func (r *roundState[T, R]) fire() {
 		r.first = err
 	}
 	r.mu.Unlock()
-	switch {
-	case lost:
-		// The primary answered first and cancelled this launch; the
-		// caller is gone.
-		if err == nil && r.c.Discard != nil {
-			r.c.Discard(val)
-		}
+	if lost {
+		// The primary answered first; the caller is gone.
 		return
-	case err == nil:
+	}
+	if err == nil {
 		r.pcancel(ErrLost)
-	default:
-		r.scancel(nil)
 	}
 	r.second <- outcome[R]{val, err}
 }

@@ -70,8 +70,8 @@ func samples(tr *Tracker) int {
 	return len(tr.samples)
 }
 
-// waitFor polls cond for up to a second; the second copies and late
-// discards it waits for finish in milliseconds.
+// waitFor polls cond for up to a second; the second copies and deaf
+// stragglers it waits for finish in milliseconds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(time.Second); !cond(); time.Sleep(time.Millisecond) {
@@ -84,7 +84,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestDo drives the loop on fake targets — no sockets, a millisecond
 // backoff with pinned jitter — and checks every case against what Do
 // reported, what the observers were told, how long it took and what
-// became of each launch's context.
+// became of each launch's context: every one has ended when Do returns,
+// and only a launch still running when its round was decided was told
+// ErrLost.
 func TestDo(t *testing.T) {
 	errDown := errors.New("target down")
 	shed := &StatusError{Code: 503, RetryAfter: 40 * time.Millisecond}
@@ -105,10 +107,9 @@ func TestDo(t *testing.T) {
 		err       error    // errors.Is target of a failed call's error
 		errText   string   // and a substring of it
 		calls     []int    // launches per target
-		loser     string   // the target whose launch lost its round to the other
+		loser     string   // the target whose launch was still running when the other won
 		retried   int      // Retried calls
 		hedges    []string // Hedged calls, "primary>secondary"
-		discarded []string // values handed to Discard, eventually
 		latencies int      // successes recorded by the time Do returns; 0 is 1
 		min, max  time.Duration
 	}{
@@ -151,27 +152,28 @@ func TestDo(t *testing.T) {
 		{
 			// a is deaf: it succeeds 150ms in whatever happens to its
 			// context, and holds Do — whose goroutine it runs on — until
-			// then. The answer is still b's, and a's success is discarded.
+			// then. The answer is still b's, and a's success is dropped.
 			name:       "straggler hedged, loser cancelled before return, its late success discarded",
 			hedgeAfter: 10 * time.Millisecond,
 			targets:    []*fakeTarget{{name: "a", wait: straggle, deaf: true}, {name: "b"}},
 			value:      "b", round: 1, hedged: true,
 			calls: []int{1, 1}, loser: "a",
-			hedges: []string{"a>b"}, discarded: []string{"a"},
+			hedges:    []string{"a>b"},
 			latencies: 2,
 			min:       straggle, max: straggle + time.Second,
 		},
 		{
 			// The primary answers while the second copy is out: b is told
-			// ErrLost, and its deaf late success is discarded after Do
-			// has answered.
+			// ErrLost, and its deaf late success, delivered after Do has
+			// answered, is dropped (the goroutine baseline below waits it
+			// out).
 			name:       "primary answers after the hedge launched, the second copy's late success discarded",
 			hedgeAfter: 10 * time.Millisecond,
 			targets:    []*fakeTarget{{name: "a", wait: 40 * time.Millisecond}, {name: "b", wait: straggle, deaf: true}},
 			value:      "a", round: 1,
 			calls: []int{1, 1}, loser: "b",
-			hedges: []string{"a>b"}, discarded: []string{"b"},
-			min: 40 * time.Millisecond, max: straggle,
+			hedges: []string{"a>b"},
+			min:    40 * time.Millisecond, max: straggle,
 		},
 		{
 			name:       "one target never hedges onto itself",
@@ -207,9 +209,8 @@ func TestDo(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var mu sync.Mutex
 			var retried int
-			var hedges, discarded []string
+			var hedges []string
 			tr := armed(tc.hedgeAfter)
 			before := samples(tr)
 			next := 0
@@ -235,11 +236,6 @@ func TestDo(t *testing.T) {
 					return nil, false
 				},
 				Send: func(ctx context.Context, f *fakeTarget) (string, error) { return f.send(ctx) },
-				Discard: func(v string) {
-					mu.Lock()
-					discarded = append(discarded, v)
-					mu.Unlock()
-				},
 				Retried: func(round int, last error) {
 					if last == nil || round != retried+2 {
 						t.Errorf("Retried(%d, %v) as call %d", round, last, retried+1)
@@ -252,10 +248,9 @@ func TestDo(t *testing.T) {
 			})
 			elapsed := time.Since(start)
 
-			// The moment Do returns, every launch's context but the
-			// winner's has ended — a launch still out is already cancelled —
-			// and only a round's loser was told ErrLost.
-			var winner context.Context
+			// The moment Do returns, every launch's context has ended — the
+			// winner's too, its value complete, and a launch still out is
+			// already cancelled — and only a round's loser was told ErrLost.
 			for i, f := range tc.targets {
 				calls, fctx := f.seen()
 				if calls != tc.calls[i] {
@@ -263,8 +258,6 @@ func TestDo(t *testing.T) {
 				}
 				switch {
 				case calls == 0:
-				case err == nil && f.name == res.Value:
-					winner = fctx
 				case fctx.Err() == nil:
 					t.Errorf("target %s: launch context still live when Do returned", f.name)
 				case (context.Cause(fctx) == ErrLost) != (f.name == tc.loser):
@@ -279,13 +272,6 @@ func TestDo(t *testing.T) {
 				if err != nil || res.Value != tc.value || res.Round != tc.round || res.Hedged != tc.hedged {
 					t.Fatalf("Do = %+v, %v; want %q from round %d (second launch: %v)", res, err, tc.value, tc.round, tc.hedged)
 				}
-				if winner.Err() != nil {
-					t.Error("winner's context dead before Release")
-				}
-				res.Release()
-				if winner.Err() == nil {
-					t.Error("winner's context still live after Release")
-				}
 				if got, want := samples(tr)-before, max(tc.latencies, 1); got != want {
 					t.Errorf("%d latencies recorded, want %d", got, want)
 				}
@@ -296,14 +282,10 @@ func TestDo(t *testing.T) {
 			if retried != tc.retried || !slices.Equal(hedges, tc.hedges) {
 				t.Errorf("retried %d hedged %v; want %d and %v", retried, hedges, tc.retried, tc.hedges)
 			}
-			waitFor(t, "late successes to reach Discard", func() bool {
-				mu.Lock()
-				defer mu.Unlock()
-				return slices.Equal(discarded, tc.discarded)
-			})
 		})
 	}
-	// Nothing any case started is left behind: second copies, timers.
+	// Nothing any case started is left behind: second copies, deaf
+	// stragglers, timers.
 	waitFor(t, "goroutines to return to the baseline", func() bool {
 		return runtime.NumGoroutine() <= baseline
 	})
@@ -313,7 +295,9 @@ func TestDo(t *testing.T) {
 // launches the second copy: with the timer's callback inside Pick, holding
 // the round, and with the two racing at the hedge delay. Either the timer
 // or Do's goroutine picks the second copy, never both: Pick is called
-// twice in the round, Hedged once, and the second copy answers.
+// twice in the round, Hedged once, and the second copy answers. Both
+// launch contexts have ended when Do returns; only a primary still out
+// when the second copy won was told ErrLost.
 func TestDoPrimaryFailsWhileTimerFires(t *testing.T) {
 	errDown := errors.New("target down")
 	const delay = 2 * time.Millisecond
@@ -323,6 +307,9 @@ func TestDoPrimaryFailsWhileTimerFires(t *testing.T) {
 			a, b := &fakeTarget{name: "a"}, &fakeTarget{name: "b"}
 			firing := make(chan struct{})
 			var picks, hedges int
+			var mu sync.Mutex
+			var ctxs []context.Context // the launches'
+
 			res, err := Do(context.Background(), Call[*fakeTarget, string]{
 				Attempts: 1,
 				Tracker:  armed(delay),
@@ -338,6 +325,9 @@ func TestDoPrimaryFailsWhileTimerFires(t *testing.T) {
 					return b, true
 				},
 				Send: func(ctx context.Context, f *fakeTarget) (string, error) {
+					mu.Lock()
+					ctxs = append(ctxs, ctx)
+					mu.Unlock()
 					if f == b {
 						return f.send(ctx)
 					}
@@ -353,10 +343,19 @@ func TestDoPrimaryFailsWhileTimerFires(t *testing.T) {
 			if err != nil || res.Value != "b" || !res.Hedged {
 				t.Fatalf("holds=%v: Do = %+v, %v; want b from the second copy", holds, res, err)
 			}
-			res.Release()
 			if picks != 2 || hedges != 1 {
 				t.Fatalf("holds=%v: %d Pick and %d Hedged calls, want 2 and 1", holds, picks, hedges)
 			}
+			// Racing, the primary may still be out when the second copy
+			// wins; held, it failed first.
+			mu.Lock()
+			for i, ctx := range ctxs {
+				if ctx.Err() == nil || (context.Cause(ctx) == ErrLost && (holds || i == 1)) {
+					t.Errorf("holds=%v: launch %d context has error %v, cause %v when Do returned",
+						holds, i, ctx.Err(), context.Cause(ctx))
+				}
+			}
+			mu.Unlock()
 		}
 	}
 	waitFor(t, "goroutines to return to the baseline", func() bool {
@@ -382,13 +381,14 @@ func TestDoHealthyRoundCost(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var inside string
+			var launch context.Context
 			call := Call[string, string]{
 				Attempts: 1,
 				Tracker:  tc.tracker,
 				Pick:     func(string) (string, bool) { return "a", true },
-				Send: func(context.Context, string) (string, error) {
+				Send: func(ctx context.Context, _ string) (string, error) {
 					if inside == "" { // the first round only: the rest count allocations
-						inside = goroutineID()
+						inside, launch = goroutineID(), ctx
 					}
 					return "a", nil
 				},
@@ -399,14 +399,13 @@ func TestDoHealthyRoundCost(t *testing.T) {
 			if err != nil || res.Value != "a" {
 				t.Fatalf("Do = %+v, %v", res, err)
 			}
-			res.Release()
+			if launch.Err() == nil {
+				t.Error("the launch's context still live when Do returned")
+			}
 			if inside != caller {
 				t.Errorf("Send ran on goroutine %s, Do's caller is goroutine %s", inside, caller)
 			}
-			allocs := testing.AllocsPerRun(200, func() {
-				res, _ := Do(context.Background(), call)
-				res.Release()
-			})
+			allocs := testing.AllocsPerRun(200, func() { Do(context.Background(), call) })
 			if allocs > tc.maxAllocs {
 				t.Errorf("a healthy round allocates %.0f times, want at most %.0f", allocs, tc.maxAllocs)
 			}

@@ -6,13 +6,13 @@
 // completed-request latency window, launches the second copy on a
 // goroutine of its own when it fires (or on the caller's, at once, when
 // the first copy has already failed), takes the first success, cancels
-// the loser and discards its late success, and keeps the winner's context
-// alive until the caller releases it. A healthy round thus costs a timer,
-// not a goroutine; the price is a contract on the call itself, that it
-// returns soon after its context ends (Call.Send), which a net/http
-// exchange made under that context keeps. Its one caller is the read
-// gateway (internal/route) relaying a read to a replica; the loop is
-// tested here, on fake targets.
+// the loser and drops its late success: a launch's value is complete
+// when it returns, so no launch context outlives Do. A healthy round thus
+// costs a timer, not a goroutine; the price is a contract on the call
+// itself, that it returns soon after its context ends (Call.Send), which
+// a net/http exchange made under that context keeps. Its one caller is
+// the read gateway (internal/route) relaying a read to a replica; the
+// loop is tested here, on fake targets.
 //
 // What is the caller's stays with it, passed in as functions: which
 // targets are eligible and in what order (Pick), how one is called and

@@ -10,8 +10,10 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -513,18 +515,26 @@ func TestGatewayBatchMalformedSubResponse(t *testing.T) {
 	}
 }
 
-// TestGatewayBatchRelaysLargeSubResponse: a well-formed sub-response past
-// the gateway's failover buffer is still relayed, byte for byte — the
-// splitter gets the buffered head re-joined with the streamed remainder.
-func TestGatewayBatchRelaysLargeSubResponse(t *testing.T) {
+// largeBatchAnswer is a well-formed three-item /batch answer for
+// {"queries":["q0","q1","q2"]} past maxPresize: the buffer it is read into
+// grows with the bytes that arrive.
+func largeBatchAnswer(t *testing.T) []byte {
+	t.Helper()
 	items := make([]json.RawMessage, 3)
 	for i := range items {
 		items[i], _ = json.Marshal(serve.BatchItemError{Query: fmt.Sprint("q", i), Error: strings.Repeat("0123456789abcdef", (128<<10)/16), Status: 404})
 	}
 	want := serve.EncodeBatchResponse(items)
-	if len(want) <= bodyBuffer {
-		t.Fatalf("fixture body is %d bytes, want it past bodyBuffer (%d)", len(want), bodyBuffer)
+	if len(want) <= maxPresize {
+		t.Fatalf("fixture body is %d bytes, want it past maxPresize (%d)", len(want), maxPresize)
 	}
+	return want
+}
+
+// TestGatewayBatchRelaysLargeSubResponse: a well-formed sub-response past
+// the presized buffer is relayed, byte for byte.
+func TestGatewayBatchRelaysLargeSubResponse(t *testing.T) {
+	want := largeBatchAnswer(t)
 	ts := scriptedBatchReplica(t, "g1", want)
 	gw, err := New(Options{Backends: []BackendSpec{{URL: ts.URL}}})
 	if err != nil {
@@ -537,12 +547,10 @@ func TestGatewayBatchRelaysLargeSubResponse(t *testing.T) {
 	}
 }
 
-// TestGatewayStreamsLargeBody pins the streaming satellite: a success
-// body larger than the gateway's failover buffer (256 KiB) is relayed
-// intact through the spill path instead of being truncated or buffered
-// whole.
+// TestGatewayStreamsLargeBody: a success body twice the presized buffer
+// (512 KiB) is relayed intact, neither truncated nor refused.
 func TestGatewayStreamsLargeBody(t *testing.T) {
-	big := bytes.Repeat([]byte("0123456789abcdef"), (512<<10)/16) // 512 KiB, 2x the buffer
+	big := bytes.Repeat([]byte("0123456789abcdef"), (512<<10)/16)
 	ts := fakeBackend(t, "g1", func(w http.ResponseWriter, r *http.Request) {
 		w.Write(big)
 	})
@@ -557,7 +565,113 @@ func TestGatewayStreamsLargeBody(t *testing.T) {
 		t.Fatalf("GET = %d", code)
 	}
 	if !bytes.Equal(body, big) {
-		t.Fatalf("streamed body corrupted: got %d bytes (want %d), head %q", len(body), len(big), body[:32])
+		t.Fatalf("relayed body corrupted: got %d bytes (want %d), head %q", len(body), len(big), body[:32])
+	}
+}
+
+// cutReplica declares answer's length on every read, sends its first cut
+// bytes and hangs up, counting the reads in hits.
+func cutReplica(t *testing.T, answer []byte, cut int, hits *atomic.Int64) *httptest.Server {
+	t.Helper()
+	return fakeBackend(t, "g1", func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(answer)))
+		w.Write(answer[:cut])
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	})
+}
+
+// TestGatewayCutTransferFailsOver: a replica that declares 512 KiB and
+// hangs up after 300 KiB has failed the launch, so every read — each
+// starting at the cut replica — fails over and carries the healthy
+// replica's 512 KiB whole, for a GET and for a /batch sub-answer alike.
+// (A gateway that streamed answers past its buffer relayed the GET as a
+// 200 with 300 KiB, and turned every batch item into a 503.)
+func TestGatewayCutTransferFailsOver(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), (512<<10)/16)
+	batch := largeBatchAnswer(t)
+	for _, tc := range []struct {
+		name   string
+		answer []byte
+		read   func(h http.Handler) (int, http.Header, []byte)
+	}{
+		{"GET", big, func(h http.Handler) (int, http.Header, []byte) { return get(t, h, "/rewrite?q=x") }},
+		{"batch", batch, func(h http.Handler) (int, http.Header, []byte) {
+			return postBatch(t, h, `{"queries":["q0","q1","q2"]}`)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hits atomic.Int64
+			cut := cutReplica(t, tc.answer, 300<<10, &hits)
+			good := scriptedBatchReplica(t, "g1", tc.answer)
+			gw, err := New(Options{Backends: []BackendSpec{{URL: cut.URL}, {URL: good.URL}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
+			gw.breakerCooldown = 0 // the cut replica stays every read's first choice
+			gw.ProbeAll(t.Context())
+			h := gw.Handler()
+			const reads = 4
+			for i := range reads {
+				setPrimary(gw, 0)
+				code, _, body := tc.read(h)
+				if code != http.StatusOK || !bytes.Equal(body, tc.answer) {
+					t.Fatalf("read %d = %d, %d bytes (head %.60q); want 200 with the healthy replica's %d bytes",
+						i, code, len(body), body, len(tc.answer))
+				}
+			}
+			if n := hits.Load(); n != reads {
+				t.Errorf("the cut replica saw %d reads, want %d: not every read started there", n, reads)
+			}
+			if n := gw.failovers.Load(); n != reads {
+				t.Errorf("%d failovers counted, want %d", n, reads)
+			}
+		})
+	}
+}
+
+// TestGatewayAnswerPastBoundFailsLaunch: an answer longer than the
+// gateway's bound fails its launch — neither held whole nor relayed in
+// part — whether its length is declared or chunked; one at the bound is
+// relayed.
+func TestGatewayAnswerPastBoundFailsLaunch(t *testing.T) {
+	const bound = 4 << 10
+	var calls atomic.Int64
+	ts := fakeBackend(t, "g1", func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		n := bound
+		if r.URL.Query().Has("past") {
+			n++
+		}
+		if !r.URL.Query().Has("chunked") {
+			w.Header().Set("Content-Length", strconv.Itoa(n))
+		}
+		w.Write(bytes.Repeat([]byte("x"), n))
+	})
+	gw, err := New(Options{Backends: []BackendSpec{{URL: ts.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.maxAnswer = bound
+	gw.backoff = hedge.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
+	gw.breakerCooldown = 0 // the failed reads below leave the replica admitted
+	gw.ProbeAll(t.Context())
+	h := gw.Handler()
+	for _, mode := range []string{"declared", "chunked"} {
+		if code, _, body := get(t, h, "/rewrite?q=x&"+mode); code != http.StatusOK || len(body) != bound {
+			t.Fatalf("%s: an answer at the bound = %d, %d bytes; want 200 with %d", mode, code, len(body), bound)
+		}
+		calls.Store(0)
+		code, _, body := get(t, h, "/rewrite?q=x&past&"+mode)
+		if code != http.StatusServiceUnavailable || bytes.Contains(body, []byte("xxxx")) {
+			t.Fatalf("%s: an answer past the bound = %d %.80q; want the gateway's 503", mode, code, body)
+		}
+		if n := calls.Load(); n != int64(gw.attempts) {
+			t.Errorf("%s: %d launches, want %d: each answer past the bound fails its round", mode, n, gw.attempts)
+		}
 	}
 }
 

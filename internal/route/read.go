@@ -34,19 +34,13 @@ func (gw *Gateway) Handler() http.Handler {
 }
 
 // proxied is one backend answer, relayed to the client byte-identically.
-// body holds it whole when it fits bodyBuffer — read to its end inside the
-// fetch, so that a transfer cut short fails over to another replica
-// instead of reaching the client — and the connection is already done
-// with. A longer answer has its first bodyBuffer+1 bytes in body and the
-// remainder still streaming in rest, which the caller drains. Either way
-// the caller calls release when done: it closes rest and ends the fetch's
-// context (returning the connection to the pool, or aborting it).
+// body holds it whole, read to its end inside the fetch, so that a
+// transfer cut short fails over to another replica instead of reaching
+// the client; the connection is already done with.
 type proxied struct {
 	status      int
 	contentType string
 	body        []byte
-	rest        io.ReadCloser // nil: body is the whole answer
-	release     func()
 }
 
 // errRequestTimeout is the cause a read's context ends with when the
@@ -149,11 +143,6 @@ func (gw *Gateway) handleRead(w http.ResponseWriter, r *http.Request) {
 	h.Set("Simrank-Generation", pin)
 	w.WriteHeader(resp.status)
 	w.Write(resp.body)
-	if resp.rest != nil {
-		// Past bodyBuffer the answer streams: no more of it is held here.
-		io.Copy(w, resp.rest)
-	}
-	resp.release()
 }
 
 // unavailable is the gateway's degraded contract: 503 + Retry-After,
@@ -189,8 +178,8 @@ func (gw *Gateway) fetchFailover(ctx context.Context, order []*backendState, met
 			}
 			return nil, false
 		},
-		// The round trip and the buffered body read are made under lctx,
-		// so a fetch returns as soon as its launch is cancelled: what
+		// The round trip and the whole body read are made under lctx, so
+		// a fetch returns as soon as its launch is cancelled: what
 		// hedge.Do asks of Send, whose primary runs on this handler's
 		// goroutine.
 		Send: func(lctx context.Context, b *backendState) (proxied, error) {
@@ -205,11 +194,6 @@ func (gw *Gateway) fetchFailover(ctx context.Context, order []*backendState, met
 			}
 			return resp, err
 		},
-		Discard: func(late proxied) {
-			if late.rest != nil {
-				late.rest.Close()
-			}
-		},
 		Retried: func(int, error) { gw.retries.Add(1) },
 		Hedged:  func(_, _ *backendState) { gw.hedges.Add(1) },
 	})
@@ -220,31 +204,27 @@ func (gw *Gateway) fetchFailover(ctx context.Context, order []*backendState, met
 	if res.Round > 1 || res.Hedged {
 		gw.failovers.Add(1)
 	}
-	resp := res.Value
-	rest := resp.rest
-	resp.release = func() {
-		if rest != nil {
-			rest.Close()
-		}
-		res.Release()
-	}
-	return resp, nil
+	return res.Value, nil
 }
 
-// bodyBuffer bounds how much of a success response is buffered before
-// the gateway switches to pass-through streaming. Up to bodyBuffer, a
-// body cut mid-transfer is still detected here and fails over to another
-// replica byte-identically; past it — far beyond any rewrite/batch
-// answer — the remainder streams to the client with gateway memory
-// capped, at the cost of mid-stream failover. (A failure response is
-// read for its detail under hedge.ResponseError's own, much smaller cap.)
-const bodyBuffer = 256 << 10
+// maxAnswer bounds a success body the gateway holds (tests lower
+// Gateway.maxAnswer); an answer past it fails its launch rather than
+// being relayed. maxPresize bounds how much a declared Content-Length
+// allocates up front: past it — beyond any /rewrite or /similar answer
+// at the snapshot's depth cap — the buffer grows only with the bytes that
+// arrive. (A failure response is read for its detail under
+// hedge.ResponseError's own, much smaller cap.)
+const (
+	maxAnswer  = 64 << 20
+	maxPresize = 256 << 10
+)
 
 // fetchOne proxies the read to one backend. A 2xx/4xx answer is
 // definitive — relayed as-is (4xx is the backend telling the *client*
-// it's wrong; another replica would say the same). 5xx and transport
-// errors — including a connection cut within the buffered window — are
-// retryable, carrying any Retry-After hint upward.
+// it's wrong; another replica would say the same) — once its body has
+// been read whole. 5xx and transport errors — a connection cut before the
+// answer's end, or an answer past maxAnswer, among them — are retryable,
+// carrying any Retry-After hint upward.
 func (gw *Gateway) fetchOne(ctx context.Context, b *backendState, method, path, rawQuery string, reqBody []byte) (proxied, error) {
 	u := b.spec.URL + path
 	if rawQuery != "" {
@@ -273,27 +253,24 @@ func (gw *Gateway) fetchOne(ctx context.Context, b *backendState, method, path, 
 		contentType: httpResp.Header.Get("Content-Type"),
 	}
 	// One buffer, read into directly and handed on as it is. A declared
-	// length the buffer may hold sizes it up front (plus the room ReadFrom
+	// length up to maxPresize sizes it up front (plus the room ReadFrom
 	// wants free before it asks the body for its end); a header claiming
 	// more is not allocated for on its say-so — then, as for a chunked
 	// answer, the buffer grows only with the bytes that actually arrive.
 	size := bytes.MinRead
-	if n := httpResp.ContentLength; n >= 0 && n <= bodyBuffer {
+	if n := httpResp.ContentLength; n >= 0 && n <= maxPresize {
 		size += int(n)
 	}
 	buf := bytes.NewBuffer(make([]byte, 0, size))
-	if _, err := buf.ReadFrom(io.LimitReader(httpResp.Body, bodyBuffer+1)); err != nil {
-		httpResp.Body.Close()
+	_, err = buf.ReadFrom(io.LimitReader(httpResp.Body, gw.maxAnswer+1))
+	httpResp.Body.Close()
+	if err == nil && int64(buf.Len()) > gw.maxAnswer {
+		err = fmt.Errorf("answer past %d bytes", gw.maxAnswer)
+	}
+	if err != nil {
 		return proxied{}, fmt.Errorf("route: %s: reading body: %w", b.spec.URL, err)
 	}
 	resp.body = buf.Bytes()
-	if len(resp.body) <= bodyBuffer {
-		// Complete within the buffer: the connection is done with, and
-		// any truncation already surfaced as a retryable error above.
-		httpResp.Body.Close()
-		return resp, nil
-	}
-	resp.rest = httpResp.Body
 	return resp, nil
 }
 
@@ -424,22 +401,10 @@ func (gw *Gateway) relaySubBatch(ctx context.Context, req serve.BatchRequest, sb
 		fail(err.Error(), http.StatusServiceUnavailable)
 		return false
 	}
-	raw := resp.body
-	if resp.rest != nil {
-		// An answer past bodyBuffer: this relay needs all of it.
-		var tail []byte
-		tail, err = io.ReadAll(io.LimitReader(resp.rest, 64<<20))
-		raw = append(raw, tail...)
-	}
-	resp.release()
-	if err != nil {
-		fail(err.Error(), http.StatusServiceUnavailable)
-		return false
-	}
 	var items []json.RawMessage
 	ok := resp.status == http.StatusOK
 	if ok {
-		items, ok = serve.SplitBatchResponse(make([]json.RawMessage, 0, len(sb.idx)), raw)
+		items, ok = serve.SplitBatchResponse(make([]json.RawMessage, 0, len(sb.idx)), resp.body)
 	}
 	if !ok || len(items) != len(sb.idx) {
 		// A definitive non-200 (the backend rejecting the batch) or a
@@ -450,7 +415,7 @@ func (gw *Gateway) relaySubBatch(ctx context.Context, req serve.BatchRequest, sb
 		if status == http.StatusOK {
 			status = http.StatusBadGateway
 		}
-		fail(truncated(raw), status)
+		fail(truncated(resp.body), status)
 		return false
 	}
 	for j, i := range sb.idx {

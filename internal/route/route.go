@@ -19,8 +19,9 @@
 //     routing to the old generation until a configurable quorum of
 //     replicas report the new one, then cuts over atomically — answers
 //     from different generations are never mixed (see prober.go).
-//   - Tail-tolerant: failed reads retry on another replica under the
-//     shared capped equal-jitter backoff (honoring any Retry-After the
+//   - Tail-tolerant: failed reads (an answer cut short among them: each
+//     is read whole before it is relayed) retry on another replica under
+//     the shared capped equal-jitter backoff (honoring any Retry-After the
 //     backend sent), stragglers are hedged to a second replica past a
 //     completed-request latency percentile, and a backend failing
 //     consecutively has its circuit opened for a cool-down. The loop is
@@ -318,6 +319,7 @@ type Gateway struct {
 	backoff         hedge.Backoff
 	lat             *hedge.Tracker
 	breakerCooldown time.Duration
+	maxAnswer       int64
 
 	// mu guards the rollout state and the routing rotation.
 	mu       sync.Mutex
@@ -370,6 +372,7 @@ func New(opt Options) (*Gateway, error) {
 		backoff:         hedge.Backoff{Base: backoffBase, Max: backoffMax},
 		lat:             &hedge.Tracker{Floor: hedgeFloor},
 		breakerCooldown: breakerCooldown,
+		maxAnswer:       maxAnswer,
 	}
 	rt := opt.Transport
 	if rt == nil {

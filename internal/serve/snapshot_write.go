@@ -308,8 +308,9 @@ func writeAssembled(w io.Writer, g *clickgraph.Graph, cfg core.Config, shards []
 }
 
 // WriteSnapshotFileTopK writes the snapshot to a temporary file in path's
-// directory and renames it into place, so a server reloading on SIGHUP
-// never observes a half-written snapshot.
+// directory, fsyncs it and renames it into place, then fsyncs the
+// directory: a server reloading on SIGHUP never observes a half-written
+// snapshot, and a power loss after the return never leaves a torn one.
 func WriteSnapshotFileTopK(path string, res *core.Result, opts TopKOptions) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -317,12 +318,11 @@ func WriteSnapshotFileTopK(path string, res *core.Result, opts TopKOptions) erro
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := WriteSnapshotTopK(tmp, res, opts); err != nil {
-		tmp.Close()
+	if err := closeSynced(tmp, WriteSnapshotTopK(tmp, res, opts)); err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	return SyncDir(dir)
 }
