@@ -13,7 +13,9 @@
 //	simrank -load SNAPSHOT [-query Q | -all] [-top K] [-bids FILE]
 //
 // Each of these modes refuses a flag it does not use (exit 1, naming the
-// flag) instead of ignoring it.
+// flag) instead of ignoring it; so does the chosen -method: pearson runs
+// no SimRank engine (no -c, -iterations, -prune, -strict-evidence, -save
+// or -sharded flags), and simple weighs no evidence (no -strict-evidence).
 //
 // With -query it prints rewrites for one query; with -all it prints the
 // top rewrites for every query. When -bids is given, rewrites are passed
@@ -112,8 +114,13 @@ func main() {
 			"refresh graph bids shard-workers"
 	case *loadPath != "":
 		mode, uses = "with -load, which answers from the snapshot as saved", "load query all top bids"
+	case *method == "pearson":
+		mode, uses = "with -method pearson, which runs no SimRank engine", "graph method query all top bids"
 	case *sharded:
 		mode, uses = "by a -sharded build", build+" sharded shard-max-nodes shard-workers"
+	}
+	if *method == "simple" && strings.Contains(uses, " strict-evidence") {
+		mode, uses = "with -method simple, which weighs no evidence", strings.Replace(uses, " strict-evidence", "", 1)
 	}
 	var stray []string
 	flag.Visit(func(f *flag.Flag) {
@@ -126,6 +133,9 @@ func main() {
 	}
 	if *top < 1 {
 		fatal(fmt.Errorf("-top %d: print at least one rewrite per query", *top))
+	}
+	if *shardWork < 0 {
+		fatal(fmt.Errorf("-shard-workers %d: give a positive width, or 0 for GOMAXPROCS", *shardWork))
 	}
 
 	if *rollback != "" {
@@ -312,9 +322,6 @@ func runRollback(path string) error {
 
 func buildSource(g *clickgraph.Graph, method string, c float64, iters int, prune float64, strict, sharded bool, shardMax, shardWorkers int, savePath string, bids map[string]bool) (rewrite.Source, error) {
 	if method == "pearson" {
-		if savePath != "" {
-			return nil, fmt.Errorf("-save needs a SimRank method: pearson has no score table to snapshot")
-		}
 		return &rewrite.PearsonSource{Graph: g, Channel: core.ChannelRate}, nil
 	}
 	cfg := core.DefaultConfig()

@@ -98,11 +98,32 @@ func weightedPassMap(opp *sparse.PairTable, thisNbr, oppNbr [][]int, w [][]float
 	return out
 }
 
+// evidenceTable holds one side's evidence multipliers, fully expanded into
+// a symmetric CSR (sparse.SymAdj) whose values are the EvidenceMultiplier
+// of each pair's common-neighbor count; pairs with no common neighbor fall
+// through to def (1 pass-through, or 0 under Config.StrictEvidence). It is
+// the per-pair form of the evidence the engine counts in its pull, which
+// the reference passes read and the counted multipliers are held to.
+type evidenceTable struct {
+	mult *sparse.SymAdj
+	def  float64
+}
+
+// score returns the multiplier for the pair (x, y): a binary search of
+// x's symmetric multiplier row.
+func (e *evidenceTable) score(x, y int) float64 {
+	cols, vals := e.mult.Row(x)
+	if k, ok := slices.BinarySearch(cols, int32(y)); ok {
+		return vals[k]
+	}
+	return e.def
+}
+
 // sortedEvidenceTable is the evidence table built from co-occurrence
 // events: every pair (nbrs[x], nbrs[y]), x < y, of an opposite-side node's
 // row is one event under its smaller index; the events are bucketed by a
 // counting pass, each bucket sorted and run-length counted, and the
-// triangle expanded. It is what newEvidenceTable's accumulator is held to.
+// triangle expanded.
 func sortedEvidenceTable(n int, oppNbr [][]int, form EvidenceForm, strict bool) *evidenceTable {
 	start := make([]int, n+1)
 	for _, nbrs := range oppNbr {

@@ -23,7 +23,9 @@ import (
 // t(x, p) = Σ_{j∈E(p)} u(j), over p's own neighbor row, for each
 // candidate p > x of x's connected component, and emit the row in
 // ascending order straight into a sparse.PairFrontier (per-row sorted
-// storage, no hashing and no sorting anywhere). Where the opposite side's
+// storage, no hashing and no sorting anywhere). The weighted dot product
+// also counts |E(x) ∩ E(p)|, the one input of the pair's evidence, so no
+// per-pair evidence table is built or read. Where the opposite side's
 // scores in a component are sparse, the candidates are only the nodes the
 // gathered u can reach, so work stays proportional to the nonzero
 // structure — the sparsity the click graph actually has — while every
@@ -35,15 +37,19 @@ func Run(g *clickgraph.Graph, cfg Config) (*Result, error) {
 }
 
 // passInputs holds the per-run immutable inputs of the iteration passes:
-// neighbor rows, weighted-walk factor rows, evidence tables, and the
-// component index the pull kernel draws its candidates from.
+// neighbor rows, weighted-walk factor rows, the evidence multiplier of
+// every common-neighbor count, and the component index the pull kernel
+// draws its candidates from.
 type passInputs struct {
 	qNbr, aNbr [][]int
 	qW, aW     [][]float64 // Weighted only: forward factor rows
-	evQ, evA   *evidenceTable
+	ev         []float64   // Weighted and Evidence only: see evidenceByCount
 	qIdx, aIdx *memberIndex
 }
 
+// newPassInputs builds g's pass inputs for cfg. Nothing in them is per
+// pair: the evidence of a pair is read from ev by the common-neighbor
+// count the kernel takes in the pull, so its size is the largest degree.
 func newPassInputs(g *clickgraph.Graph, cfg Config) *passInputs {
 	nq, na := g.NumQueries(), g.NumAds()
 	in := &passInputs{
@@ -67,8 +73,7 @@ func newPassInputs(g *clickgraph.Graph, cfg Config) *passInputs {
 		}
 	}
 	if cfg.Variant != Simple {
-		in.evQ = newEvidenceTable(in.qNbr, in.aNbr, cfg.EvidenceForm, cfg.StrictEvidence)
-		in.evA = newEvidenceTable(in.aNbr, in.qNbr, cfg.EvidenceForm, cfg.StrictEvidence)
+		in.ev = evidenceByCount(cfg.EvidenceForm, cfg.StrictEvidence, in.qNbr, in.aNbr)
 	}
 	in.qIdx, in.aIdx = newMemberIndexes(g)
 	return in
@@ -229,7 +234,7 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 	spas := ar.spas[:workers]
 	for _, sp := range spas {
 		if len(sp.u) < n {
-			sp.u, sp.marks = make([]float64, n), make([]uint64, (n+63)/64)
+			sp.u, sp.marks, sp.inX = make([]float64, n), make([]uint64, (n+63)/64), make([]uint8, n)
 			sp.ut, sp.pt = make([]int32, 0, n), make([]int32, 0, n)
 		}
 	}
@@ -280,21 +285,22 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 
 	q := &chainSide{
 		prev: arenaFrontier(&ar.prevQ, nq), cur: arenaFrontier(&ar.curQ, nq),
-		thisNbr: in.qNbr, oppNbr: in.aNbr, w: in.qW, ev: in.evQ, c: cfg.C1,
+		thisNbr: in.qNbr, oppNbr: in.aNbr, w: in.qW, c: cfg.C1,
 		idx: in.qIdx, dense: make([]bool, len(in.qIdx.bounds)-1),
 	}
 	a := &chainSide{
 		prev: arenaFrontier(&ar.prevA, na), cur: arenaFrontier(&ar.curA, na),
-		thisNbr: in.aNbr, oppNbr: in.qNbr, w: in.aW, ev: in.evA, c: cfg.C2,
+		thisNbr: in.aNbr, oppNbr: in.qNbr, w: in.aW, c: cfg.C2,
 		idx: in.aIdx, dense: make([]bool, len(in.aIdx.bounds)-1),
 	}
+	spas := ar.ensureSPAs(workers, max(nq, na))
 	if warm != nil {
 		warm(q.prev, a.prev)
 		if cfg.Variant == Evidence {
 			// Stored Evidence scores are iteration-space scores × evidence;
 			// map them back so the seed lives where the iteration does.
-			unapplyEvidence(q.prev, in.evQ)
-			unapplyEvidence(a.prev, in.evA)
+			spas[0].unapplyEvidence(q.prev, in.qNbr, in.ev)
+			spas[0].unapplyEvidence(a.prev, in.aNbr, in.ev)
 		}
 		if cfg.PruneEpsilon > 0 {
 			q.prev.Prune(cfg.PruneEpsilon)
@@ -307,11 +313,6 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 		ar.symQ, ar.symA = &sparse.SymAdj{}, &sparse.SymAdj{}
 	}
 	q.sym, a.sym = ar.symQ, ar.symA
-	side := nq
-	if na > side {
-		side = na
-	}
-	spas := ar.ensureSPAs(workers, side)
 	if !cfg.DisableDeltaSkip {
 		q.chg, a.chg = arenaBitset(&ar.chgQ, nq), arenaBitset(&ar.chgA, na)
 	}
@@ -325,11 +326,11 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 	start := time.Now()
 	for p := 0; p <= cfg.Iterations; p++ {
 		if (cfg.Iterations-p)%2 == 1 {
-			st.QueryRowsSkipped, st.QueryRows = q.pass(a, cfg, workers, spas), nq
+			st.QueryRowsSkipped, st.QueryRows = q.pass(a, cfg, in.ev, workers, spas), nq
 			depth = p + 1
 			continue
 		}
-		st.AdRowsSkipped, st.AdRows = a.pass(q, cfg, workers, spas), na
+		st.AdRowsSkipped, st.AdRows = a.pass(q, cfg, in.ev, workers, spas), na
 		st.Duration = time.Since(start)
 		stats = append(stats, st)
 		st, start = IterationStat{}, time.Now()
@@ -340,8 +341,8 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 	}
 
 	if cfg.Variant == Evidence {
-		applyEvidence(q.prev, in.evQ)
-		applyEvidence(a.prev, in.evA)
+		spas[0].applyEvidence(q.prev, in.qNbr, in.ev)
+		spas[0].applyEvidence(a.prev, in.aNbr, in.ev)
 	}
 	return &Result{
 		Graph:  g,
@@ -372,15 +373,15 @@ type chainSide struct {
 
 	thisNbr, oppNbr [][]int
 	w               [][]float64 // Weighted only
-	ev              *evidenceTable
 	c               float64
 	idx             *memberIndex // this side's component members
 	dense           []bool       // passCandidates' scratch
 }
 
 // pass computes s's next value from opp's newest scores and returns how
-// many rows the delta skip copied forward.
-func (s *chainSide) pass(opp *chainSide, cfg Config, workers int, spas []*spa) int {
+// many rows the delta skip copied forward. ev is the run's evidence
+// multiplier by common-neighbor count (passInputs.ev).
+func (s *chainSide) pass(opp *chainSide, cfg Config, ev []float64, workers int, spas []*spa) int {
 	var skip *sparse.Bitset // nil recomputes every row
 	if s.computed {
 		skip = opp.chg
@@ -395,7 +396,7 @@ func (s *chainSide) pass(opp *chainSide, cfg Config, workers int, spas []*spa) i
 	cand := passCandidates(s.idx, opp.idx, opp.sym, s.dense)
 	var skipped int
 	if cfg.Variant == Weighted {
-		skipped = weightedPass(opp.sym, s.thisNbr, s.oppNbr, s.w, s.ev, cand, s.c, s.cur, s.prev, skip, workers, spas)
+		skipped = weightedPass(opp.sym, s.thisNbr, s.oppNbr, s.w, ev, cand, s.c, s.cur, s.prev, skip, workers, spas)
 	} else {
 		skipped = simplePass(opp.sym, s.thisNbr, s.oppNbr, cand, s.c, s.cur, s.prev, skip, workers, spas)
 	}
@@ -414,13 +415,17 @@ func (s *chainSide) pass(opp *chainSide, cfg Config, workers int, spas []*spa) i
 }
 
 // spa is one worker's sparse-accumulator state: the dense gather array u
-// over the opposite side with its touched list, the marks and candidate
-// list of the sparse candidate path over this side, and the row emit
-// buffers. Arrays are sized to the larger side so one spa serves both
-// passes.
+// over the opposite side with its touched list and the row's neighbor
+// marks, the marks and candidate list of the sparse candidate path over
+// this side, and the row emit buffers. Arrays are sized to the larger side
+// so one spa serves both passes.
 type spa struct {
 	u  []float64 // gathered opposite-side scores
 	ut []int32   // touched cells of u, in first-touch order
+	// inX is 1 at every j ∈ E(x) while row x is pulled and 0 elsewhere:
+	// summed over E(p) beside the dot product, it counts the common
+	// neighbors of x and p, which is all the pair's evidence depends on.
+	inX []uint8
 	// marks has bit p set for every candidate reach found; it walks the set
 	// bits, which come out ascending, into pt and clears them.
 	marks []uint64
@@ -435,8 +440,9 @@ type spa struct {
 
 // spaBytes is the footprint of one spa's arrays over n cells: u (8 bytes
 // a cell), the touched list ut and the sparse path's candidate list pt (4
-// each, both allocated at full capacity), and its one mark bit.
-func spaBytes(n int) int64 { return 16*int64(n) + 8*int64((n+63)/64) }
+// each, both allocated at full capacity), the neighbor marks inX (1), and
+// the sparse path's one mark bit.
+func spaBytes(n int) int64 { return 17*int64(n) + 8*int64((n+63)/64) }
 
 // gather prepares row x of a pass: it accumulates u from x's neighbors
 // and returns x's candidates, ascending — the members above x on a dense
@@ -518,6 +524,14 @@ func (sp *spa) release() {
 	u := sp.u
 	for _, j := range sp.ut {
 		u[j] = 0
+	}
+}
+
+// mark sets inX to v at every neighbor in nbrs: 1 before a row, 0 after.
+func (sp *spa) mark(nbrs []int, v uint8) {
+	inX := sp.inX
+	for _, j := range nbrs {
+		inX[j] = v
 	}
 }
 
@@ -657,150 +671,73 @@ func simplePass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, cand candidates, c 
 // in the pull. w holds this side's forward factor rows, built once per
 // run.
 //
-// Evidence is fused into the pull: the candidates ascend, which is the
-// order the evidence table's precomputed multiplier row for x is stored
-// in, so the two are merge-walked — O(d + k) sequential reads instead of
-// k binary-searched lookups each paying the multiplier math — and a pair
-// whose evidence is zero (StrictEvidence, no common neighbor) is never
-// evaluated. A zero walk factor contributes an exact zero; the emit's
-// s != 0 test drops a cell nothing else reached.
-func weightedPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w [][]float64, ev *evidenceTable, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+// Evidence is counted in the pull: E(x) is marked in sp.inX before the
+// row, so the loop that sums W(p, j)·u(j) over j ∈ E(p) also sums the
+// marks, |E(x) ∩ E(p)|, and the cell is scaled by ev at that count — no
+// per-pair table to build or walk. Under StrictEvidence ev[0] is 0, so a
+// pair with no common neighbor scores exactly zero and the emit's s != 0
+// test drops it, as it drops a cell only zero walk factors reached.
+func weightedPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w [][]float64, ev []float64, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 	return runRowPass(thisNbr, sym, dst, prev, changed, workers, spas, func(sp *spa, x int) {
 		nbrs := thisNbr[x]
 		if len(nbrs) == 0 {
 			return
 		}
 		ps := sp.gather(x, nbrs, w[x], sym, oppNbr, cand)
-		u := sp.u
+		sp.mark(nbrs, 1)
+		u, inX := sp.u, sp.inX
 		rowC, rowV := sp.rowC[:0], sp.rowV[:0]
-		evC, evV := ev.mult.Row(x)
-		def := ev.def
-		k := 0 // merge-walk cursor into the evidence row; p ascends with it
-		cells := 0
 		for _, p := range ps {
-			for k < len(evC) && evC[k] < p {
-				k++
-			}
-			e := def
-			if k < len(evC) && evC[k] == p {
-				e = evV[k]
-			}
-			if e <= 0 {
-				continue
-			}
 			js, wp := thisNbr[p], w[p]
 			wp = wp[:len(js)]
-			cells++
-			t := 0.0
+			t, n := 0.0, 0
 			for kj, j := range js {
 				t += wp[kj] * u[j]
+				n += int(inX[j])
 			}
-			if s := e * c * t; s != 0 {
+			if s := ev[n] * c * t; s != 0 {
 				rowC = append(rowC, p)
 				rowV = append(rowV, s)
 			}
 		}
+		sp.mark(nbrs, 0)
 		sp.release()
-		sp.cells += cells
+		sp.cells += len(ps)
 		sp.rowC, sp.rowV = rowC, rowV
 		dst.SetSortedRow(x, rowC, rowV)
 	})
 }
 
-// evidenceTable holds one side's evidence multipliers, fully expanded into
-// a symmetric CSR (sparse.SymAdj) whose values are the precomputed
-// EvidenceMultiplier of each pair's common-neighbor count. The exp/shift
-// math of Equation 7.3/7.4 is paid once per pair at build; the weighted
-// pull merge-walks a row instead of probing a table, and pairs with no
-// common neighbors fall through to def (1 pass-through, or 0 under
-// Config.StrictEvidence).
-type evidenceTable struct {
-	mult *sparse.SymAdj
-	def  float64
-}
-
-// newEvidenceTable counts common neighbors for every pair on one side and
-// maps the counts to multipliers. thisNbr maps this side's nodes to their
-// opposite-side neighbors and oppNbr the reverse, so the nodes reached in
-// two steps from x are the ones sharing a neighbor with it, once per
-// neighbor shared. Row x is counted in a marked accumulator: one
-// increment and one unconditional mark a step into a dense array, then a
-// walk of the marks, which yields the row ascending and leaves the array
-// zero for the next.
-func newEvidenceTable(thisNbr, oppNbr [][]int, form EvidenceForm, strict bool) *evidenceTable {
-	n := len(thisNbr)
-	// A row holds at most one cell per two-step walk that leaves x, and at
-	// most one per other node: sized so, the table is allocated once.
-	cells := 0
-	for _, nbrs := range thisNbr {
-		walks := 0
-		for _, o := range nbrs {
-			walks += len(oppNbr[o]) - 1
-		}
-		cells += min(walks, n-1)
-	}
-	mult := &sparse.SymAdj{RowPtr: make([]int, n+1), Col: make([]int32, 0, cells), Val: make([]float64, 0, cells)}
-	cnt := make([]int32, n)
-	marks := make([]uint64, (n+63)/64)
-	for x, nbrs := range thisNbr {
-		ymin, ymax := n, -1
-		for _, o := range nbrs {
-			ys := oppNbr[o] // holds x, so it is not empty
-			ymin, ymax = min(ymin, ys[0]), max(ymax, ys[len(ys)-1])
-			for _, y := range ys {
-				cnt[y]++
-				marks[uint(y)>>6] |= 1 << (uint(y) & 63)
-			}
-		}
-		for wi := ymin >> 6; wi <= ymax>>6; wi++ {
-			word := marks[wi]
-			marks[wi] = 0
-			for ; word != 0; word &= word - 1 {
-				y := wi<<6 | bits.TrailingZeros64(word)
-				c := cnt[y]
-				cnt[y] = 0
-				if y != x {
-					mult.Col = append(mult.Col, int32(y))
-					mult.Val = append(mult.Val, EvidenceScore(form, int(c)))
-				}
-			}
-		}
-		mult.RowPtr[x+1] = len(mult.Col)
-	}
-	def := 1.0
-	if strict {
-		def = 0
-	}
-	return &evidenceTable{mult: mult, def: def}
-}
-
-// score returns the multiplier for the pair (x, y): a binary search of
-// x's symmetric multiplier row. The hot path (weightedPass) does not call
-// it — it merge-walks the row — but applyEvidence and the map reference
-// passes in the tests do.
-func (e *evidenceTable) score(x, y int) float64 {
-	cols, vals := e.mult.Row(x)
-	target := int32(y)
-	lo, hi := 0, len(cols)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cols[mid] < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(cols) && cols[lo] == target {
-		return vals[lo]
-	}
-	return e.def
-}
-
 // applyEvidence multiplies every stored pair by its evidence in place,
-// dropping pairs whose evidence is zero (no common neighbors).
-func applyEvidence(f *sparse.PairFrontier, ev *evidenceTable) {
-	f.Map(func(i, j int, v float64) (float64, bool) {
-		v *= ev.score(i, j)
+// dropping pairs whose evidence is zero (no common neighbors). nbr is the
+// side's neighbor rows and ev the run's multiplier by count.
+func (sp *spa) applyEvidence(f *sparse.PairFrontier, nbr [][]int, ev []float64) {
+	sp.mapEvidence(f, nbr, ev, func(v, e float64) (float64, bool) {
+		v *= e
 		return v, v != 0
 	})
+}
+
+// mapEvidence replaces every stored pair (x, p) of f by fn(v, e), e the
+// multiplier of the pair's common-neighbor count, counted as the weighted
+// pull counts it: E(x) marked once per row, the marks summed over E(p).
+func (sp *spa) mapEvidence(f *sparse.PairFrontier, nbr [][]int, ev []float64, fn func(v, e float64) (float64, bool)) {
+	row := -1
+	f.Map(func(x, p int, v float64) (float64, bool) {
+		if x != row {
+			if row >= 0 {
+				sp.mark(nbr[row], 0)
+			}
+			sp.mark(nbr[x], 1)
+			row = x
+		}
+		n := 0
+		for _, j := range nbr[p] {
+			n += int(sp.inX[j])
+		}
+		return fn(v, ev[n])
+	})
+	if row >= 0 {
+		sp.mark(nbr[row], 0)
+	}
 }

@@ -44,10 +44,28 @@ func EvidenceMultiplier(form EvidenceForm, n int, strict bool) float64 {
 	return EvidenceScore(form, n)
 }
 
+// evidenceByCount returns EvidenceMultiplier(form, n, strict) for every
+// common-neighbor count n 0 through the largest degree in rows: a pair
+// shares at most as many neighbors as either node has, so the table holds
+// the multiplier of every pair of the graph, indexed by its count.
+func evidenceByCount(form EvidenceForm, strict bool, rows ...[][]int) []float64 {
+	top := 0
+	for _, nbr := range rows {
+		for _, r := range nbr {
+			top = max(top, len(r))
+		}
+	}
+	ev := make([]float64, top+1)
+	for n := range ev {
+		ev[n] = EvidenceMultiplier(form, n, strict)
+	}
+	return ev
+}
+
 // CommonAdCounts computes the naive similarity of §3 (Table 1): the number
 // of common ads for every query pair, as a symmetric matrix indexed by
-// query id. It is the strawman the paper improves upon and doubles as the
-// evidence-count substrate.
+// query id. It is the strawman the paper improves upon; the engines count
+// a pair's common neighbors in their own passes.
 func CommonAdCounts(g *clickgraph.Graph) [][]int {
 	nq := g.NumQueries()
 	counts := make([][]int, nq)

@@ -34,13 +34,14 @@ func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena
 
 	prevQ, curQ := arenaFrontier(&ar.prevQ, nq), arenaFrontier(&ar.curQ, nq)
 	prevA, curA := arenaFrontier(&ar.prevA, na), arenaFrontier(&ar.curA, na)
+	spas := ar.ensureSPAs(workers, max(nq, na))
 	if warm != nil {
 		warm(prevQ, prevA)
 		if cfg.Variant == Evidence {
 			// Stored Evidence scores are iteration-space scores × evidence;
 			// map them back so the seed lives where the iteration does.
-			unapplyEvidence(prevQ, in.evQ)
-			unapplyEvidence(prevA, in.evA)
+			spas[0].unapplyEvidence(prevQ, in.qNbr, in.ev)
+			spas[0].unapplyEvidence(prevA, in.aNbr, in.ev)
 		}
 		if cfg.PruneEpsilon > 0 {
 			prevQ.Prune(cfg.PruneEpsilon)
@@ -53,11 +54,6 @@ func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena
 		ar.symQ, ar.symA = &sparse.SymAdj{}, &sparse.SymAdj{}
 	}
 	symQ, symA := ar.symQ, ar.symA
-	side := nq
-	if na > side {
-		side = na
-	}
-	spas := ar.ensureSPAs(workers, side)
 
 	deltaSkip := !cfg.DisableDeltaSkip
 	var chgQ, chgA *sparse.Bitset // nodes whose scores moved last iteration
@@ -121,8 +117,8 @@ func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena
 	}
 
 	if cfg.Variant == Evidence {
-		applyEvidence(prevQ, in.evQ)
-		applyEvidence(prevA, in.evA)
+		spas[0].applyEvidence(prevQ, in.qNbr, in.ev)
+		spas[0].applyEvidence(prevA, in.aNbr, in.ev)
 	}
 	return &Result{
 		Graph:  g,
@@ -141,16 +137,16 @@ func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena
 type sideInputs struct {
 	thisNbr, oppNbr [][]int
 	w               [][]float64
-	ev              *evidenceTable
+	ev              []float64 // passInputs.ev
 	idx, oppIdx     *memberIndex
 	c               float64
 }
 
 func (in *passInputs) side(cfg Config, ads bool) sideInputs {
 	if ads {
-		return sideInputs{in.aNbr, in.qNbr, in.aW, in.evA, in.aIdx, in.qIdx, cfg.C2}
+		return sideInputs{in.aNbr, in.qNbr, in.aW, in.ev, in.aIdx, in.qIdx, cfg.C2}
 	}
-	return sideInputs{in.qNbr, in.aNbr, in.qW, in.evQ, in.qIdx, in.aIdx, cfg.C1}
+	return sideInputs{in.qNbr, in.aNbr, in.qW, in.ev, in.qIdx, in.aIdx, cfg.C1}
 }
 
 // sidePass computes one side's next value (the ad side when ads is set)

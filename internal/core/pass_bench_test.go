@@ -78,7 +78,8 @@ func BenchmarkSimplePass(b *testing.B) {
 
 func BenchmarkWeightedPass(b *testing.B) {
 	fx := passBenchFixture(b, Weighted)
-	runPassBench(b, fx, func() { weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cfg.C1) })
+	ev := fx.evQ()
+	runPassBench(b, fx, func() { weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, ev, fx.cfg.C1) })
 }
 
 // shardBenchWorkload builds the multi-cluster graph of the sharded

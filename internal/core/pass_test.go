@@ -42,6 +42,12 @@ func newPassFixture(t testing.TB, g *clickgraph.Graph, cfg Config) *passFixture 
 	}
 }
 
+// evQ is the query side's per-pair evidence table, which the map
+// reference reads.
+func (fx *passFixture) evQ() *evidenceTable {
+	return sortedEvidenceTable(fx.nq, fx.in.aNbr, fx.cfg.EvidenceForm, fx.cfg.StrictEvidence)
+}
+
 // cand decides the query-side pass's candidates as the engine's chain
 // would from the fixture's ad scores.
 func (fx *passFixture) cand() candidates {
@@ -144,12 +150,12 @@ func TestWeightedPassMatchesMap(t *testing.T) {
 	skipped, rows := 0, 0
 	for _, seed := range []uint64{3, 21, 404} {
 		fx := randomPassFixture(t, seed, 11, 9, 35, Weighted)
-		want := weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cfg.C1)
+		want := weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.evQ(), fx.cfg.C1)
 
 		for _, workers := range []int{1, 2, 5} {
 			spas := new(engineArena).ensureSPAs(workers, fx.nq+fx.na)
 			pass := func(dst, prev *sparse.PairFrontier, changed *sparse.Bitset) int {
-				return weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cand(), fx.cfg.C1, dst, prev, changed, workers, spas)
+				return weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.ev, fx.cand(), fx.cfg.C1, dst, prev, changed, workers, spas)
 			}
 			label := fmt.Sprintf("seed %d workers %d", seed, workers)
 			got := sparse.NewPairFrontier(fx.nq)
@@ -193,9 +199,9 @@ func TestWeightedPassZeroFactors(t *testing.T) {
 	if zeros < 5 {
 		t.Fatalf("fixture has %d zero walk factors, want several", zeros)
 	}
-	want := weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cfg.C1)
+	want := weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.evQ(), fx.cfg.C1)
 	got := sparse.NewPairFrontier(fx.nq)
-	weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.evQ, fx.cand(), fx.cfg.C1, got, nil, nil, 1, new(engineArena).ensureSPAs(1, fx.nq+fx.na))
+	weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.ev, fx.cand(), fx.cfg.C1, got, nil, nil, 1, new(engineArena).ensureSPAs(1, fx.nq+fx.na))
 	assertFrontierMatchesTable(t, "zero factors", got, want, 1e-12) // compares Len too
 	got.Range(func(i, j int, v float64) bool {
 		if v == 0 {
@@ -205,12 +211,19 @@ func TestWeightedPassZeroFactors(t *testing.T) {
 	})
 }
 
-// TestEvidenceTableMatchesSorted holds the accumulator-built evidence
-// table to the sort-based one on both sides of the paper fixtures and of
-// random graphs — sparse, dense enough that most pairs share several
-// neighbors, and with isolated nodes — under both evidence forms, strict
-// and not: same rows, same columns, every multiplier equal bit for bit.
-func TestEvidenceTableMatchesSorted(t *testing.T) {
+// TestCountedEvidenceMatchesSorted holds the evidence the engine counts
+// to the sort-built per-pair table (sortedEvidenceTable) on both sides of
+// the paper fixtures and of random graphs — sparse, dense enough that most
+// pairs share several neighbors, and with isolated nodes — under both
+// evidence forms, strict and not, every multiplier equal bit for bit.
+// applyEvidence and unapplyEvidence run over every pair of the side at
+// score 1, so they must store exactly the table's multiplier, or its
+// inverse, and drop the pairs whose multiplier is zero. The weighted pull
+// runs twice on the same mid-run scores with c = 1: with every multiplier
+// 1, which stores each cell's dot product t, and with the counted ones,
+// whose cell must be exactly the table's multiplier times t, and absent
+// where that multiplier is zero.
+func TestCountedEvidenceMatchesSorted(t *testing.T) {
 	graphs := map[string]*clickgraph.Graph{
 		"fig3":    clickgraph.Fig3(),
 		"fig4k22": clickgraph.Fig4K22(),
@@ -222,27 +235,164 @@ func TestEvidenceTableMatchesSorted(t *testing.T) {
 		"dense":   randomGraph(11, 70, 40, 1500),
 	}
 	for name, g := range graphs {
-		in := newPassInputs(g, DefaultConfig())
+		cfg := DefaultConfig().WithVariant(Weighted)
+		cfg.Iterations = 3
+		warm := mustRun(t, g, cfg)
 		for _, form := range []EvidenceForm{EvidenceGeometric, EvidenceExponential} {
 			for _, strict := range []bool{false, true} {
-				for _, side := range []struct {
-					name            string
-					thisNbr, oppNbr [][]int
-				}{{"query", in.qNbr, in.aNbr}, {"ad", in.aNbr, in.qNbr}} {
-					label := fmt.Sprintf("%s/%s/%v/strict=%v", name, side.name, form, strict)
-					got := newEvidenceTable(side.thisNbr, side.oppNbr, form, strict)
-					want := sortedEvidenceTable(len(side.thisNbr), side.oppNbr, form, strict)
-					if got.def != want.def || !slices.Equal(got.mult.RowPtr, want.mult.RowPtr) || !slices.Equal(got.mult.Col, want.mult.Col) {
-						t.Fatalf("%s: accumulator and sorted tables differ in shape or default", label)
-					}
-					for k, v := range want.mult.Val {
-						if math.Float64bits(got.mult.Val[k]) != math.Float64bits(v) {
-							t.Fatalf("%s: cell %d is %v, sorted table has %v", label, k, got.mult.Val[k], v)
+				cfg.EvidenceForm, cfg.StrictEvidence = form, strict
+				in := newPassInputs(g, cfg)
+				ones := slices.Repeat([]float64{1}, len(in.ev))
+				for _, ads := range []bool{false, true} {
+					label := fmt.Sprintf("%s/ads=%v/%v/strict=%v", name, ads, form, strict)
+					s := in.side(cfg, ads)
+					n := len(s.thisNbr)
+					want := sortedEvidenceTable(n, s.oppNbr, form, strict)
+					sp := new(engineArena).ensureSPAs(1, n+len(s.oppNbr))
+
+					all, inv := everyPair(n), everyPair(n)
+					sp[0].applyEvidence(all, s.thisNbr, in.ev)
+					sp[0].unapplyEvidence(inv, s.thisNbr, in.ev)
+					kept := 0
+					for x := 0; x < n; x++ {
+						for p := x + 1; p < n; p++ {
+							e := want.score(x, p)
+							v, ok := all.Get(x, p)
+							iv, iok := inv.Get(x, p)
+							if e == 0 {
+								if ok || iok {
+									t.Fatalf("%s: (%d,%d) shares no neighbor but was kept (%v, %v)", label, x, p, v, iv)
+								}
+								continue
+							}
+							kept++
+							if !ok || math.Float64bits(v) != math.Float64bits(e) || !iok || math.Float64bits(iv) != math.Float64bits(1/e) {
+								t.Fatalf("%s: (%d,%d) applied %v,%v and unapplied %v,%v; the sorted table has %v", label, x, p, v, ok, iv, iok, e)
+							}
 						}
+					}
+					if all.Len() != kept || inv.Len() != kept {
+						t.Fatalf("%s: applyEvidence kept %d pairs and unapplyEvidence %d, want %d", label, all.Len(), inv.Len(), kept)
+					}
+
+					opp := warm.AdScores
+					if ads {
+						opp = warm.QueryScores
+					}
+					sym := opp.ExpandSymmetric(nil)
+					cand := passCandidates(s.idx, s.oppIdx, sym, make([]bool, len(s.idx.bounds)-1))
+					dots, got := sparse.NewPairFrontier(n), sparse.NewPairFrontier(n)
+					weightedPass(sym, s.thisNbr, s.oppNbr, s.w, ones, cand, 1, dots, nil, nil, 1, sp)
+					weightedPass(sym, s.thisNbr, s.oppNbr, s.w, s.ev, cand, 1, got, nil, nil, 1, sp)
+					if dots.Len() == 0 && len(want.mult.Col) > 0 {
+						t.Fatalf("%s: the pull stored no cell, though pairs share neighbors", label)
+					}
+					kept = 0
+					dots.Range(func(x, p int, tv float64) bool {
+						e := want.score(x, p)
+						v, ok := got.Get(x, p)
+						if e == 0 {
+							if ok {
+								t.Fatalf("%s: the pull stored (%d,%d) = %v, which shares no neighbor", label, x, p, v)
+							}
+							return true
+						}
+						kept++
+						if !ok || math.Float64bits(v) != math.Float64bits(e*tv) {
+							t.Fatalf("%s: the pull stored (%d,%d) = %v,%v, want %v × %v", label, x, p, v, ok, e, tv)
+						}
+						return true
+					})
+					if got.Len() != kept {
+						t.Fatalf("%s: the pull stored %d cells, want %d", label, got.Len(), kept)
 					}
 				}
 			}
 		}
+	}
+}
+
+// everyPair returns a frontier over n nodes holding every pair at score 1.
+func everyPair(n int) *sparse.PairFrontier {
+	f := sparse.NewPairFrontier(n)
+	var cols []int32
+	var vals []float64
+	for x := 0; x < n; x++ {
+		cols, vals = cols[:0], vals[:0]
+		for p := x + 1; p < n; p++ {
+			cols, vals = append(cols, int32(p)), append(vals, 1)
+		}
+		f.SetSortedRow(x, cols, vals)
+	}
+	return f
+}
+
+// TestStrictEvidenceEmitsNoDisjointPair: under StrictEvidence a weighted
+// pair whose nodes share no neighbor has evidence zero, so no pass may
+// store it — whichever candidate set finds it, the component range or the
+// reach — on either side of graphs mid-run, and neither does the engine.
+// Without strict evidence the same passes store such pairs on both paths,
+// so the fixtures do reach them.
+func TestStrictEvidenceEmitsNoDisjointPair(t *testing.T) {
+	graphs := map[string]*clickgraph.Graph{
+		"fig3":   clickgraph.Fig3(),
+		"random": randomGraph(7, 30, 22, 90),
+		"multi":  multiComponentGraph(5, 6, 14, 10, 40),
+		"ring":   ringGraph(6, 1),
+	}
+	shares := func(a, b []int) bool {
+		for _, j := range a {
+			if _, ok := slices.BinarySearch(b, j); ok {
+				return true
+			}
+		}
+		return false
+	}
+	loose := map[bool]int{} // pairs without a common neighbor stored unstrict, by path
+	for name, g := range graphs {
+		for _, strict := range []bool{false, true} {
+			cfg := DefaultConfig().WithVariant(Weighted)
+			cfg.Iterations = 3
+			cfg.StrictEvidence = strict
+			res := mustRun(t, g, cfg)
+			in := newPassInputs(g, cfg)
+			for _, ads := range []bool{false, true} {
+				s := in.side(cfg, ads)
+				opp, own := res.AdScores, res.QueryScores
+				if ads {
+					opp, own = res.QueryScores, res.AdScores
+				}
+				disjoint := func(f *sparse.PairFrontier) (n int) {
+					f.Range(func(x, p int, _ float64) bool {
+						if !shares(s.thisNbr[x], s.thisNbr[p]) {
+							n++
+						}
+						return true
+					})
+					return n
+				}
+				label := fmt.Sprintf("%s/ads=%v/strict=%v", name, ads, strict)
+				if n := disjoint(own); strict && n > 0 {
+					t.Fatalf("%s: the engine stored %d pairs without a common neighbor", label, n)
+				}
+				sym := opp.ExpandSymmetric(nil)
+				spas := new(engineArena).ensureSPAs(1, g.NumQueries()+g.NumAds())
+				for _, dense := range []bool{true, false} {
+					got := sparse.NewPairFrontier(len(s.thisNbr))
+					weightedPass(sym, s.thisNbr, s.oppNbr, s.w, s.ev, forcedCandidates(s, dense), s.c, got, nil, nil, 1, spas)
+					n := disjoint(got)
+					if strict && n > 0 {
+						t.Fatalf("%s/range=%v: the pass stored %d pairs without a common neighbor", label, dense, n)
+					}
+					if !strict {
+						loose[dense] += n
+					}
+				}
+			}
+		}
+	}
+	if loose[true] == 0 || loose[false] == 0 {
+		t.Fatalf("unstrict passes stored %d (range) and %d (reach) pairs without a common neighbor; the fixtures test nothing", loose[true], loose[false])
 	}
 }
 

@@ -206,6 +206,16 @@ func TestWarmSeedsAcrossComponentsDropped(t *testing.T) {
 	}
 }
 
+// forcedCandidates returns side s's candidates with every component's
+// set forced: the component range when dense is set, the reach otherwise.
+func forcedCandidates(s sideInputs, dense bool) candidates {
+	c := candidates{idx: s.idx, opp: s.oppIdx, dense: make([]bool, len(s.idx.bounds)-1)}
+	for i := range c.dense {
+		c.dense[i] = dense
+	}
+	return c
+}
+
 // TestPullCandidatePathsAgree forces each candidate set on the same pass
 // inputs — every component's range, every row's reach, and the per-pass
 // choice the engine makes — and requires the same rows bit for bit, on
@@ -232,18 +242,10 @@ func TestPullCandidatePathsAgree(t *testing.T) {
 					opp = warm.QueryScores
 				}
 				sym := opp.ExpandSymmetric(nil)
-				comps := len(s.idx.bounds) - 1
-				forced := func(dense bool) candidates {
-					c := candidates{idx: s.idx, opp: s.oppIdx, dense: make([]bool, comps)}
-					for i := range c.dense {
-						c.dense[i] = dense
-					}
-					return c
-				}
 				sets := map[string]candidates{
-					"range":  forced(true),
-					"reach":  forced(false),
-					"chosen": passCandidates(s.idx, s.oppIdx, sym, make([]bool, comps)),
+					"range":  forcedCandidates(s, true),
+					"reach":  forcedCandidates(s, false),
+					"chosen": passCandidates(s.idx, s.oppIdx, sym, make([]bool, len(s.idx.bounds)-1)),
 				}
 				var want *sparse.PairFrontier
 				for _, workers := range []int{1, 3} {

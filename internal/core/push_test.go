@@ -158,12 +158,15 @@ func weightedPushPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w, revW [][]f
 	})
 }
 
-// pushSide is the push reference kernel.
+// pushSide is the push reference kernel. It reads evidence per pair from
+// the sort-built table (sortedEvidenceTable), rebuilt on every call like
+// its reversed factors.
 func pushSide(in *passInputs, cfg Config, ads bool, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 	s := in.side(cfg, ads)
 	if cfg.Variant == Weighted {
 		revW := reverseFactors(s.thisNbr, s.oppNbr, s.w)
-		return weightedPushPass(sym, s.thisNbr, s.oppNbr, s.w, revW, s.ev, s.c, dst, prev, changed, workers, spas)
+		ev := sortedEvidenceTable(len(s.thisNbr), s.oppNbr, cfg.EvidenceForm, cfg.StrictEvidence)
+		return weightedPushPass(sym, s.thisNbr, s.oppNbr, s.w, revW, ev, s.c, dst, prev, changed, workers, spas)
 	}
 	return simplePushPass(sym, s.thisNbr, s.oppNbr, s.c, dst, prev, changed, workers, spas)
 }

@@ -17,8 +17,8 @@ import (
 // click graph is decomposed into a partition.Plan (whole components packed
 // exactly, oversized components carved with ACL sweep cuts) and one
 // engine runs per shard over a bounded worker pool. Each shard engine
-// sizes its dense accumulators, frontiers, and evidence tables to the
-// shard — not the universe — which is what makes sides too large for one
+// sizes its dense accumulators, frontiers, and adjacencies to the shard —
+// not the universe — which is what makes sides too large for one
 // monolithic dense SPA tractable.
 
 // ShardOptions parameterizes RunSharded's scheduling.
@@ -83,10 +83,11 @@ type ShardStat struct {
 	Duration time.Duration
 	// SPABytes is the dense sparse-accumulator footprint this shard's
 	// engine needed: per engine worker the shard was granted, the float64
-	// gather array u with its int32 touched list, and the sparse candidate
-	// path's int32 candidate list and one mark bit, per cell of its larger
-	// side — 16 bytes + 1 bit a cell (spaBytes). The monolithic equivalent is the
-	// same over max(NumQueries, NumAds).
+	// gather array u with its int32 touched list, the byte of neighbor
+	// marks the weighted pull counts evidence with, and the sparse
+	// candidate path's int32 candidate list and one mark bit, per cell of
+	// its larger side — 17 bytes + 1 bit a cell (spaBytes). The monolithic
+	// equivalent is the same over max(NumQueries, NumAds).
 	SPABytes int64
 	// Skipped reports that ShardOptions.RunShards excluded this shard: no
 	// engine ran and the run-outcome fields above are zero.

@@ -105,9 +105,8 @@ func validSeed(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
 // seed drawn from stored Evidence scores must be mapped back to iteration
 // space. Pairs whose multiplier is zero (strict evidence, no common
 // neighbors) carry no information about the raw score and are dropped.
-func unapplyEvidence(f *sparse.PairFrontier, ev *evidenceTable) {
-	f.Map(func(i, j int, v float64) (float64, bool) {
-		e := ev.score(i, j)
+func (sp *spa) unapplyEvidence(f *sparse.PairFrontier, nbr [][]int, ev []float64) {
+	sp.mapEvidence(f, nbr, ev, func(v, e float64) (float64, bool) {
 		if e == 0 {
 			return 0, false
 		}

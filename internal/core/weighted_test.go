@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"simrankpp/internal/clickgraph"
+	"simrankpp/internal/sparse"
 )
 
 // weightedSimPair runs weighted SimRank with the clicks channel and
@@ -346,16 +347,27 @@ func TestLocalNeighborhoodCaps(t *testing.T) {
 // symmetric roles of the two partitions.
 func TestAdSideEvidence(t *testing.T) {
 	g := clickgraph.Fig4K22()
-	in := newPassInputs(g, DefaultConfig())
+	in := newPassInputs(g, DefaultConfig().WithVariant(Evidence))
 	hp, _ := g.AdID("hp.com")
 	bb, _ := g.AdID("bestbuy.com")
 	// Two common queries → geometric evidence 0.75.
-	if got := newEvidenceTable(in.aNbr, in.qNbr, EvidenceGeometric, false).score(hp, bb); got != 0.75 {
+	if got := countedEvidence(in.aNbr, in.qNbr, in.ev, hp, bb); got != 0.75 {
 		t.Errorf("ad evidence = %v want 0.75", got)
 	}
 	cam, _ := g.QueryID("camera")
 	dig, _ := g.QueryID("digital camera")
-	if got := newEvidenceTable(in.qNbr, in.aNbr, EvidenceGeometric, false).score(cam, dig); got != 0.75 {
+	if got := countedEvidence(in.qNbr, in.aNbr, in.ev, cam, dig); got != 0.75 {
 		t.Errorf("query evidence = %v want 0.75", got)
 	}
+}
+
+// countedEvidence returns the multiplier the engine counts for the pair
+// (x, p) of the side whose neighbor rows are nbr: a lone pair at score 1
+// through applyEvidence.
+func countedEvidence(nbr, oppNbr [][]int, ev []float64, x, p int) float64 {
+	f := sparse.NewPairFrontier(len(nbr))
+	f.SetSortedRow(min(x, p), []int32{int32(max(x, p))}, []float64{1})
+	new(engineArena).ensureSPAs(1, len(oppNbr))[0].applyEvidence(f, nbr, ev)
+	v, _ := f.Get(x, p)
+	return v
 }
