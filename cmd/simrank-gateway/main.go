@@ -72,6 +72,12 @@ func main() {
 	if *backends == "" {
 		fatal(fmt.Errorf("-backends is required"))
 	}
+	if !(*quorum > 0 && *quorum <= 1) {
+		fatal(fmt.Errorf("-quorum %g: give a fraction of the replicas in (0, 1]", *quorum))
+	}
+	if *timeout <= 0 {
+		fatal(fmt.Errorf("-timeout %s: give a positive per-read deadline", *timeout))
+	}
 	specs, err := route.ParseBackendList(*backends)
 	if err != nil {
 		fatal(err)

@@ -41,8 +41,9 @@
 //
 // With -refresh, the new graph is diffed against the snapshot (shard
 // fingerprints in its directory; no BuildPlan runs), only the changed
-// shards are recomputed — warm-started from the previous scores, under
-// the engine settings recorded in the snapshot header — and the next
+// shards are recomputed — from scratch, under the engine settings
+// recorded in the snapshot header, so the result is what a full build
+// over the same shards would write, outside the header — and the next
 // snapshot is written by byte-copying every clean shard's segments from
 // the previous file. It replaces the snapshot in place (atomic rename),
 // which a running simrankd picks up on SIGHUP; when no shard changed,

@@ -147,6 +147,16 @@ func main() {
 			fatal(fmt.Errorf("%s configure ingestion: add -wal DIR or drop them", strings.Join(stray, ", ")))
 		}
 	}
+	switch {
+	case *inflight < 0:
+		fatal(fmt.Errorf("-inflight %d: give a positive limit, or 0 to disable shedding", *inflight))
+	case *timeout < 0:
+		fatal(fmt.Errorf("-timeout %s: give a positive deadline, or 0 to disable it", *timeout))
+	case *cadence <= 0:
+		fatal(fmt.Errorf("-cadence %s: give a positive fold interval", *cadence))
+	case *shardWork < 0:
+		fatal(fmt.Errorf("-shard-workers %d: give a positive width, or 0 for GOMAXPROCS", *shardWork))
+	}
 
 	cfg := serve.DefaultServerConfig()
 	cfg.DefaultTop = *top

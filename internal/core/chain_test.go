@@ -11,8 +11,8 @@ import (
 
 // TestChainMatchesJacobi is the chain's exactness contract: at every depth
 // k, Run's query side is bit for bit runJacobi(k)'s and its ad side
-// runJacobi(k+1)'s — serial and parallel, cold and warm-started, across
-// variants × strict evidence × pruning — and RunSharded over an exact plan
+// runJacobi(k+1)'s — serial and parallel, across variants × strict
+// evidence × pruning — and RunSharded over an exact plan
 // of a multi-component graph stitches the same bits. Tolerance and
 // DeltaSkipTolerance are 0, so the delta skip's copies are exact too; the
 // test asserts it skipped rows, so that path is not passed vacuously.
@@ -29,13 +29,6 @@ func TestChainMatchesJacobi(t *testing.T) {
 	if !plan.Exact || len(plan.Shards) < 2 {
 		t.Fatalf("want an exact plan of several shards, got exact=%v shards=%d", plan.Exact, len(plan.Shards))
 	}
-	// A warm start seeds both sides with an earlier run's scores, so the
-	// chain starts away from the identity on whichever side it reads first.
-	warmCfg := DefaultConfig()
-	warmCfg.Iterations = 3
-	src := mustRun(t, g, warmCfg)
-	seed := func(prevQ, prevA *sparse.PairFrontier) { fillWarmSeeds(src, g, prevQ, prevA) }
-
 	skipped := 0
 	for _, variant := range []Variant{Simple, Evidence, Weighted} {
 		for _, strict := range []bool{false, true} {
@@ -43,51 +36,43 @@ func TestChainMatchesJacobi(t *testing.T) {
 				continue // no evidence to be strict about
 			}
 			for _, prune := range []float64{0, 1e-4} {
-				for _, warm := range []bool{false, true} {
-					var ws warmSeed
-					opt := ShardOptions{}
-					if warm {
-						ws, opt.WarmStart = seed, src
-					}
-					cfg := DefaultConfig().WithVariant(variant)
-					cfg.StrictEvidence = strict
-					cfg.PruneEpsilon = prune
-					cfg.Iterations = 1
-					jac, err := runJacobi(g, cfg, 1, nil, ws)
+				cfg := DefaultConfig().WithVariant(variant)
+				cfg.StrictEvidence = strict
+				cfg.PruneEpsilon = prune
+				cfg.Iterations = 1
+				jac, err := runJacobi(g, cfg, 1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := 1; k <= 8; k++ {
+					cfg.Iterations = k + 1
+					deeper, err := runJacobi(g, cfg, 1, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for k := 1; k <= 8; k++ {
-						cfg.Iterations = k + 1
-						deeper, err := runJacobi(g, cfg, 1, nil, ws)
+					cfg.Iterations = k
+					for _, workers := range []int{1, 2, 4} {
+						label := fmt.Sprintf("%v/strict=%v/prune=%g/k=%d/workers=%d", variant, strict, prune, k, workers)
+						got, err := runEngine(g, cfg, workers, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						cfg.Iterations = k
-						for _, workers := range []int{1, 2, 4} {
-							label := fmt.Sprintf("%v/strict=%v/prune=%g/warm=%v/k=%d/workers=%d", variant, strict, prune, warm, k, workers)
-							got, err := runEngine(g, cfg, workers, nil, ws)
-							if err != nil {
-								t.Fatal(err)
-							}
-							requireTablesBitIdentical(t, label+"/queries", jac.QueryScores, got.QueryScores)
-							requireTablesBitIdentical(t, label+"/ads", deeper.AdScores, got.AdScores)
-							if got.Iterations != k || len(got.IterStats) > k {
-								t.Fatalf("%s: Iterations %d with %d IterStats, want %d and at most %d", label, got.Iterations, len(got.IterStats), k, k)
-							}
-							for _, s := range got.IterStats {
-								skipped += s.QueryRowsSkipped + s.AdRowsSkipped
-							}
-							opt.Workers = workers
-							sh, err := RunSharded(g, cfg, plan, opt)
-							if err != nil {
-								t.Fatalf("%s: RunSharded: %v", label, err)
-							}
-							requireTablesBitIdentical(t, label+"/sharded queries", jac.QueryScores, sh.QueryScores)
-							requireTablesBitIdentical(t, label+"/sharded ads", deeper.AdScores, sh.AdScores)
+						requireTablesBitIdentical(t, label+"/queries", jac.QueryScores, got.QueryScores)
+						requireTablesBitIdentical(t, label+"/ads", deeper.AdScores, got.AdScores)
+						if got.Iterations != k || len(got.IterStats) > k {
+							t.Fatalf("%s: Iterations %d with %d IterStats, want %d and at most %d", label, got.Iterations, len(got.IterStats), k, k)
 						}
-						jac = deeper
+						for _, s := range got.IterStats {
+							skipped += s.QueryRowsSkipped + s.AdRowsSkipped
+						}
+						sh, err := RunSharded(g, cfg, plan, ShardOptions{Workers: workers})
+						if err != nil {
+							t.Fatalf("%s: RunSharded: %v", label, err)
+						}
+						requireTablesBitIdentical(t, label+"/sharded queries", jac.QueryScores, sh.QueryScores)
+						requireTablesBitIdentical(t, label+"/sharded ads", deeper.AdScores, sh.AdScores)
 					}
+					jac = deeper
 				}
 			}
 		}
@@ -134,7 +119,7 @@ func TestChainNoFurtherFromFixpoint(t *testing.T) {
 				label := fmt.Sprintf("%s/%v/iterations=%d", name, variant, budget)
 				cfg.Iterations = budget
 				chain := mustRun(t, g, cfg)
-				jac, err := runJacobi(g, cfg, 1, nil, nil)
+				jac, err := runJacobi(g, cfg, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,6 +132,11 @@ func TestChainNoFurtherFromFixpoint(t *testing.T) {
 			}
 		}
 	}
+}
+
+// maxTableDiff returns the largest |a-b| over the union of both frontiers.
+func maxTableDiff(a, b *sparse.PairFrontier) float64 {
+	return a.MaxAbsDiffChanged(b, 0, nil)
 }
 
 // fixpointError is the largest |r − fix| over every pair of both sides.

@@ -33,7 +33,7 @@ import (
 // map-based engine paid, and the frontiers ping-pong across iterations so
 // steady-state passes barely allocate.
 func Run(g *clickgraph.Graph, cfg Config) (*Result, error) {
-	return runEngine(g, cfg, 1, nil, nil)
+	return runEngine(g, cfg, 1, nil)
 }
 
 // passInputs holds the per-run immutable inputs of the iteration passes:
@@ -143,17 +143,6 @@ func (m *memberIndex) group(c int32) []int32 {
 	return m.members[m.bounds[c]:m.bounds[c+1]]
 }
 
-// dropCrossComponent drops every pair of f whose nodes lie in different
-// components. Such a pair scores zero at every depth, so a computed
-// frontier never holds one; only a warm seed can — a pair from a
-// generation in which an edge since gone joined the two components. The
-// candidate sets rely on it: through such a seed the reach would pair x
-// with a node of another component, which the range never evaluates, so
-// the rows would depend on which set a pass chose.
-func dropCrossComponent(f *sparse.PairFrontier, idx *memberIndex) {
-	f.Map(func(i, j int, v float64) (float64, bool) { return v, idx.comp[i] == idx.comp[j] })
-}
-
 // candidates is one pass's candidate index: for every row x, which set
 // the kernel evaluates. On a component whose opposite-side scores are
 // dense, that is the component range (memberIndex.above), an index read;
@@ -246,9 +235,9 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 // exactly one of workers goroutines (contiguous row ranges balanced by
 // gather weight, emitted into disjoint rows of one frontier) in the
 // serial order, so scores do not depend on workers. ar supplies reusable
-// allocation state (nil for a standalone run); warm, when non-nil, seeds
-// the starting frontiers from a previous generation's scores instead of
-// the identity start (see warmstart.go).
+// allocation state (nil for a standalone run). Every run starts from the
+// identity, so its scores are the paper's iterates and depend on g and
+// cfg alone.
 //
 // On the bipartite click graph the query equation reads only ad scores
 // and the ad equation only query scores, so the iteration is one chain of
@@ -273,7 +262,7 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 // tracking the copy is bit-identical to recomputation — SimRank converges
 // row by row, so late passes approach the cost of only their still-moving
 // rows. See Config.DeltaSkipTolerance / Config.DisableDeltaSkip.
-func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, warm warmSeed) (*Result, error) {
+func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -294,21 +283,6 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, wa
 		idx: in.aIdx, dense: make([]bool, len(in.aIdx.bounds)-1),
 	}
 	spas := ar.ensureSPAs(workers, max(nq, na))
-	if warm != nil {
-		warm(q.prev, a.prev)
-		if cfg.Variant == Evidence {
-			// Stored Evidence scores are iteration-space scores × evidence;
-			// map them back so the seed lives where the iteration does.
-			spas[0].unapplyEvidence(q.prev, in.qNbr, in.ev)
-			spas[0].unapplyEvidence(a.prev, in.aNbr, in.ev)
-		}
-		if cfg.PruneEpsilon > 0 {
-			q.prev.Prune(cfg.PruneEpsilon)
-			a.prev.Prune(cfg.PruneEpsilon)
-		}
-		dropCrossComponent(q.prev, in.qIdx)
-		dropCrossComponent(a.prev, in.aIdx)
-	}
 	if ar.symQ == nil {
 		ar.symQ, ar.symA = &sparse.SymAdj{}, &sparse.SymAdj{}
 	}
@@ -708,20 +682,12 @@ func weightedPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w [][]float64, ev
 	})
 }
 
-// applyEvidence multiplies every stored pair by its evidence in place,
-// dropping pairs whose evidence is zero (no common neighbors). nbr is the
+// applyEvidence multiplies every stored pair (x, p) of f in place by the
+// multiplier of its common-neighbor count, counted as the weighted pull
+// counts it: E(x) marked once per row, the marks summed over E(p). Pairs
+// whose evidence is zero (no common neighbors) are dropped. nbr is the
 // side's neighbor rows and ev the run's multiplier by count.
 func (sp *spa) applyEvidence(f *sparse.PairFrontier, nbr [][]int, ev []float64) {
-	sp.mapEvidence(f, nbr, ev, func(v, e float64) (float64, bool) {
-		v *= e
-		return v, v != 0
-	})
-}
-
-// mapEvidence replaces every stored pair (x, p) of f by fn(v, e), e the
-// multiplier of the pair's common-neighbor count, counted as the weighted
-// pull counts it: E(x) marked once per row, the marks summed over E(p).
-func (sp *spa) mapEvidence(f *sparse.PairFrontier, nbr [][]int, ev []float64, fn func(v, e float64) (float64, bool)) {
 	row := -1
 	f.Map(func(x, p int, v float64) (float64, bool) {
 		if x != row {
@@ -735,7 +701,8 @@ func (sp *spa) mapEvidence(f *sparse.PairFrontier, nbr [][]int, ev []float64, fn
 		for _, j := range nbr[p] {
 			n += int(sp.inX[j])
 		}
-		return fn(v, ev[n])
+		v *= ev[n]
+		return v, v != 0
 	})
 	if row >= 0 {
 		sp.mark(nbr[row], 0)

@@ -78,7 +78,7 @@ func TestKernelBitsGolden(t *testing.T) {
 					cfg.StrictEvidence = strict
 					label := fmt.Sprintf("%s/%v/prune=%g/strict=%v", gr.name, variant, prune, strict)
 					for _, k := range kernels {
-						res, err := runJacobiWith(gr.g, cfg, 1, nil, nil, k.pass)
+						res, err := runJacobiWith(gr.g, cfg, 1, nil, k.pass)
 						if err != nil {
 							t.Fatal(err)
 						}

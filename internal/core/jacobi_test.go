@@ -16,13 +16,13 @@ import (
 // runJacobi(k+1)'s. It calls the production pass kernels, so the digests
 // of TestKernelBitsGolden, recorded on this loop, still pin their
 // summation order.
-func runJacobi(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, warm warmSeed) (*Result, error) {
-	return runJacobiWith(g, cfg, workers, ar, warm, pullSide)
+func runJacobi(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena) (*Result, error) {
+	return runJacobiWith(g, cfg, workers, ar, pullSide)
 }
 
 // runJacobiWith is runJacobi with every pass computed by pass: the push
 // reference (pushSide) runs the same loop as the production kernel.
-func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, warm warmSeed, pass sidePass) (*Result, error) {
+func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, pass sidePass) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -35,21 +35,6 @@ func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena
 	prevQ, curQ := arenaFrontier(&ar.prevQ, nq), arenaFrontier(&ar.curQ, nq)
 	prevA, curA := arenaFrontier(&ar.prevA, na), arenaFrontier(&ar.curA, na)
 	spas := ar.ensureSPAs(workers, max(nq, na))
-	if warm != nil {
-		warm(prevQ, prevA)
-		if cfg.Variant == Evidence {
-			// Stored Evidence scores are iteration-space scores × evidence;
-			// map them back so the seed lives where the iteration does.
-			spas[0].unapplyEvidence(prevQ, in.qNbr, in.ev)
-			spas[0].unapplyEvidence(prevA, in.aNbr, in.ev)
-		}
-		if cfg.PruneEpsilon > 0 {
-			prevQ.Prune(cfg.PruneEpsilon)
-			prevA.Prune(cfg.PruneEpsilon)
-		}
-		dropCrossComponent(prevQ, in.qIdx)
-		dropCrossComponent(prevA, in.aIdx)
-	}
 	if ar.symQ == nil {
 		ar.symQ, ar.symA = &sparse.SymAdj{}, &sparse.SymAdj{}
 	}

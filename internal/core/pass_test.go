@@ -216,9 +216,9 @@ func TestWeightedPassZeroFactors(t *testing.T) {
 // the paper fixtures and of random graphs — sparse, dense enough that most
 // pairs share several neighbors, and with isolated nodes — under both
 // evidence forms, strict and not, every multiplier equal bit for bit.
-// applyEvidence and unapplyEvidence run over every pair of the side at
-// score 1, so they must store exactly the table's multiplier, or its
-// inverse, and drop the pairs whose multiplier is zero. The weighted pull
+// applyEvidence runs over every pair of the side at score 1, so it must
+// store exactly the table's multiplier and drop the pairs whose
+// multiplier is zero. The weighted pull
 // runs twice on the same mid-run scores with c = 1: with every multiplier
 // 1, which stores each cell's dot product t, and with the counted ones,
 // whose cell must be exactly the table's multiplier times t, and absent
@@ -250,29 +250,27 @@ func TestCountedEvidenceMatchesSorted(t *testing.T) {
 					want := sortedEvidenceTable(n, s.oppNbr, form, strict)
 					sp := new(engineArena).ensureSPAs(1, n+len(s.oppNbr))
 
-					all, inv := everyPair(n), everyPair(n)
+					all := everyPair(n)
 					sp[0].applyEvidence(all, s.thisNbr, in.ev)
-					sp[0].unapplyEvidence(inv, s.thisNbr, in.ev)
 					kept := 0
 					for x := 0; x < n; x++ {
 						for p := x + 1; p < n; p++ {
 							e := want.score(x, p)
 							v, ok := all.Get(x, p)
-							iv, iok := inv.Get(x, p)
 							if e == 0 {
-								if ok || iok {
-									t.Fatalf("%s: (%d,%d) shares no neighbor but was kept (%v, %v)", label, x, p, v, iv)
+								if ok {
+									t.Fatalf("%s: (%d,%d) shares no neighbor but was kept (%v)", label, x, p, v)
 								}
 								continue
 							}
 							kept++
-							if !ok || math.Float64bits(v) != math.Float64bits(e) || !iok || math.Float64bits(iv) != math.Float64bits(1/e) {
-								t.Fatalf("%s: (%d,%d) applied %v,%v and unapplied %v,%v; the sorted table has %v", label, x, p, v, ok, iv, iok, e)
+							if !ok || math.Float64bits(v) != math.Float64bits(e) {
+								t.Fatalf("%s: (%d,%d) applied %v,%v; the sorted table has %v", label, x, p, v, ok, e)
 							}
 						}
 					}
-					if all.Len() != kept || inv.Len() != kept {
-						t.Fatalf("%s: applyEvidence kept %d pairs and unapplyEvidence %d, want %d", label, all.Len(), inv.Len(), kept)
+					if all.Len() != kept {
+						t.Fatalf("%s: applyEvidence kept %d pairs, want %d", label, all.Len(), kept)
 					}
 
 					opp := warm.AdScores
@@ -338,7 +336,7 @@ func TestStrictEvidenceEmitsNoDisjointPair(t *testing.T) {
 		"fig3":   clickgraph.Fig3(),
 		"random": randomGraph(7, 30, 22, 90),
 		"multi":  multiComponentGraph(5, 6, 14, 10, 40),
-		"ring":   ringGraph(6, 1),
+		"ring":   ringGraph(6),
 	}
 	shares := func(a, b []int) bool {
 		for _, j := range a {
@@ -453,7 +451,7 @@ func TestParallelBitIdentical(t *testing.T) {
 	g := randomGraph(31, 14, 11, 50)
 	for _, cfg := range bitIdenticalConfigs() {
 		serial := mustRun(t, g, cfg)
-		par, err := runEngine(g, cfg, 5, nil, nil)
+		par, err := runEngine(g, cfg, 5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +479,7 @@ func TestDeltaSkipExactMatchesFull(t *testing.T) {
 			ref := mustRun(t, g, full)
 			label := fmt.Sprintf("seed=%d %v strict=%v prune=%g", seed, cfg.Variant, cfg.StrictEvidence, cfg.PruneEpsilon)
 			assertBitIdentical(t, label, delta, ref)
-			deltaPar, err := runEngine(g, cfg, 4, nil, nil)
+			deltaPar, err := runEngine(g, cfg, 4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

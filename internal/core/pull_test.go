@@ -13,11 +13,9 @@ import (
 // ringGraph builds clusters connected clusters of 12 queries × 8 ads: a
 // backbone of 20 edges (query i to ads i and i+1 mod 8 for i < 8, and to
 // ad i mod 8 above) and 13 sampled ones. Bridge edges, one from each
-// cluster c to cluster c+1 mod clusters, join them into arcs components
-// of clusters/arcs consecutive clusters: arcs = 1 is one ring, whose
-// scores stay local once pruned, and arcs = clusters leaves every cluster
-// on its own.
-func ringGraph(clusters, arcs int) *clickgraph.Graph {
+// cluster c to cluster c+1 mod clusters, join them into one ring, whose
+// scores stay local once pruned.
+func ringGraph(clusters int) *clickgraph.Graph {
 	b := clickgraph.NewBuilder()
 	edge := func(q, ad string) {
 		if err := b.AddEdge(q, ad, clickgraph.EdgeWeights{Impressions: 6, Clicks: 2, ExpectedClickRate: 0.3}); err != nil {
@@ -36,9 +34,7 @@ func ringGraph(clusters, arcs int) *clickgraph.Graph {
 		addRandomCluster(b, prefix, 1000+uint64(c)*7919, 12, 8, 13)
 	}
 	for c := 0; c < clusters; c++ {
-		if arcs == 1 || (c+1)%(clusters/arcs) != 0 {
-			edge(fmt.Sprintf("r%d-q0", c), fmt.Sprintf("r%d-ad4", (c+1)%clusters))
-		}
+		edge(fmt.Sprintf("r%d-q0", c), fmt.Sprintf("r%d-ad4", (c+1)%clusters))
 	}
 	return b.Build()
 }
@@ -68,141 +64,50 @@ func requireWithinUlps(t *testing.T, label string, want, got *sparse.PairFrontie
 // further and never in support. The chain's query side at depth k is the
 // push Jacobi loop's at k and its ad side the loop's at k+1
 // (TestChainMatchesJacobi), at every worker count, across the paper
-// fixtures and seeded graphs × variant × strict evidence × pruning, cold
-// and warm-started. The "split" case warm-starts two components from a
-// run in which bridge edges joined them, so its seeds hold pairs across
-// components, which the engine drops before the first pass.
+// fixtures and seeded graphs × variant × strict evidence × pruning.
 func TestPullMatchesPush(t *testing.T) {
-	type fixture struct {
-		name string
-		g    *clickgraph.Graph
-		src  ScoreSource // warm-start source; nil: a run of g itself
-	}
-	fixtures := []fixture{
-		{"fig3", clickgraph.Fig3(), nil},
-		{"k3_4", clickgraph.CompleteBipartite(3, 4), nil},
-		{"k5_2", clickgraph.CompleteBipartite(5, 2), nil},
+	graphs := map[string]*clickgraph.Graph{
+		"fig3": clickgraph.Fig3(),
+		"k3_4": clickgraph.CompleteBipartite(3, 4),
+		"k5_2": clickgraph.CompleteBipartite(5, 2),
 	}
 	for _, seed := range []uint64{1, 31, 2026} {
-		fixtures = append(fixtures,
-			fixture{fmt.Sprintf("random%d", seed), randomGraph(seed, 24, 18, 70), nil},
-			fixture{fmt.Sprintf("multi%d", seed), multiComponentGraph(seed, 4, 12, 9, 35), nil})
+		graphs[fmt.Sprintf("random%d", seed)] = randomGraph(seed, 24, 18, 70)
+		graphs[fmt.Sprintf("multi%d", seed)] = multiComponentGraph(seed, 4, 12, 9, 35)
 	}
-	warmCfg := DefaultConfig()
-	warmCfg.Iterations = 3
-	// Shallow seeds keep the arcs sparse, so the first passes take the
-	// reach candidates, which would find a pair across components.
-	splitCfg := DefaultConfig()
-	splitCfg.Iterations = 1
-	fixtures = append(fixtures, fixture{"split", ringGraph(24, 2), mustRun(t, ringGraph(24, 1), splitCfg)})
-
-	for _, fx := range fixtures {
-		src := fx.src
-		if src == nil {
-			src = mustRun(t, fx.g, warmCfg)
-		}
-		seed := func(prevQ, prevA *sparse.PairFrontier) { fillWarmSeeds(src, fx.g, prevQ, prevA) }
+	for name, g := range graphs {
 		for _, variant := range []Variant{Simple, Evidence, Weighted} {
 			for _, strict := range []bool{false, true} {
 				if strict && variant == Simple {
 					continue // no evidence to be strict about
 				}
 				for _, prune := range []float64{0, 1e-4} {
-					for _, warm := range []bool{false, true} {
-						var ws warmSeed
-						if warm {
-							ws = seed
-						}
-						cfg := DefaultConfig().WithVariant(variant)
-						cfg.StrictEvidence = strict
-						cfg.PruneEpsilon = prune
-						k := cfg.Iterations
-						pushQ, err := runJacobiWith(fx.g, cfg, 1, nil, ws, pushSide)
+					cfg := DefaultConfig().WithVariant(variant)
+					cfg.StrictEvidence = strict
+					cfg.PruneEpsilon = prune
+					k := cfg.Iterations
+					pushQ, err := runJacobiWith(g, cfg, 1, nil, pushSide)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Iterations = k + 1
+					pushA, err := runJacobiWith(g, cfg, 1, nil, pushSide)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Iterations = k
+					for _, workers := range []int{1, 2, 4} {
+						label := fmt.Sprintf("%s/%v/strict=%v/prune=%g/workers=%d", name, variant, strict, prune, workers)
+						got, err := runEngine(g, cfg, workers, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						cfg.Iterations = k + 1
-						pushA, err := runJacobiWith(fx.g, cfg, 1, nil, ws, pushSide)
-						if err != nil {
-							t.Fatal(err)
-						}
-						cfg.Iterations = k
-						for _, workers := range []int{1, 2, 4} {
-							label := fmt.Sprintf("%s/%v/strict=%v/prune=%g/warm=%v/workers=%d", fx.name, variant, strict, prune, warm, workers)
-							got, err := runEngine(fx.g, cfg, workers, nil, ws)
-							if err != nil {
-								t.Fatal(err)
-							}
-							requireWithinUlps(t, label+"/queries", pushQ.QueryScores, got.QueryScores, 1e-15)
-							requireWithinUlps(t, label+"/ads", pushA.AdScores, got.AdScores, 1e-15)
-						}
+						requireWithinUlps(t, label+"/queries", pushQ.QueryScores, got.QueryScores, 1e-15)
+						requireWithinUlps(t, label+"/ads", pushA.AdScores, got.AdScores, 1e-15)
 					}
 				}
 			}
 		}
-	}
-}
-
-// crossComponentPairs counts the pairs of f whose nodes lie in different
-// components of idx.
-func crossComponentPairs(f *sparse.PairFrontier, idx *memberIndex) int {
-	n := 0
-	f.Range(func(i, j int, _ float64) bool {
-		if idx.comp[i] != idx.comp[j] {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-// TestWarmSeedsAcrossComponentsDropped pins what the engine serves after
-// a warm start across a removed edge: seeds from a ring whose two bridges
-// have since gone pair nodes that are now in two components, the ring's
-// two arcs. The push kernel, run on those seeds as it ran before the pull
-// (no drop), carries such pairs into every depth, so a refresh used to
-// serve them, decaying; the engine drops them before its first pass and
-// emits none, on either side. The arcs' scores are sparse, so the reach
-// candidates run, and they would find such a pair if a seed held one.
-func TestWarmSeedsAcrossComponentsDropped(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Iterations = 1
-	src := mustRun(t, ringGraph(24, 1), cfg)
-	g := ringGraph(24, 2)
-	nq, na := g.NumQueries(), g.NumAds()
-	in := newPassInputs(g, cfg)
-	q, a := sparse.NewPairFrontier(nq), sparse.NewPairFrontier(na)
-	fillWarmSeeds(src, g, q, a)
-	if crossComponentPairs(q, in.qIdx) == 0 || crossComponentPairs(a, in.aIdx) == 0 {
-		t.Fatal("the seeds hold no pair across components; the fixture tests nothing")
-	}
-	for _, c := range []candidates{
-		passCandidates(in.qIdx, in.aIdx, a.ExpandSymmetric(nil), make([]bool, 2)),
-		passCandidates(in.aIdx, in.qIdx, q.ExpandSymmetric(nil), make([]bool, 2)),
-	} {
-		if c.dense[0] || c.dense[1] {
-			t.Fatalf("an arc takes the range candidates (dense %v); the fixture needs the reach", c.dense)
-		}
-	}
-
-	// The push kernel's Jacobi loop from the raw seeds.
-	spas := new(engineArena).ensureSPAs(1, max(nq, na))
-	for it := 0; it < cfg.Iterations+1; it++ {
-		nextQ, nextA := sparse.NewPairFrontier(nq), sparse.NewPairFrontier(na)
-		pushSide(in, cfg, false, a.ExpandSymmetric(nil), nextQ, q, nil, 1, spas)
-		pushSide(in, cfg, true, q.ExpandSymmetric(nil), nextA, a, nil, 1, spas)
-		q, a = nextQ, nextA
-		if cq, ca := crossComponentPairs(q, in.qIdx), crossComponentPairs(a, in.aIdx); cq == 0 || ca == 0 {
-			t.Fatalf("depth %d: the undropped push holds %d query and %d ad pairs across components, want some on both sides", it+1, cq, ca)
-		}
-	}
-
-	got, err := runEngine(g, cfg, 1, nil, func(prevQ, prevA *sparse.PairFrontier) { fillWarmSeeds(src, g, prevQ, prevA) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cq, ca := crossComponentPairs(got.QueryScores, in.qIdx), crossComponentPairs(got.AdScores, in.aIdx); cq != 0 || ca != 0 {
-		t.Fatalf("the engine emitted %d query and %d ad pairs across components", cq, ca)
 	}
 }
 
@@ -227,19 +132,19 @@ func TestPullCandidatePathsAgree(t *testing.T) {
 		"fig3":   clickgraph.Fig3(),
 		"random": randomGraph(7, 30, 22, 90),
 		"multi":  multiComponentGraph(5, 6, 14, 10, 40),
-		"ring":   ringGraph(6, 1),
+		"ring":   ringGraph(6),
 	}
 	for name, g := range graphs {
 		for _, variant := range []Variant{Simple, Weighted} {
 			cfg := DefaultConfig().WithVariant(variant)
 			cfg.Iterations = 3
-			warm := mustRun(t, g, cfg)
+			mid := mustRun(t, g, cfg)
 			in := newPassInputs(g, cfg)
 			for _, ads := range []bool{false, true} {
 				s := in.side(cfg, ads)
-				opp := warm.AdScores
+				opp := mid.AdScores
 				if ads {
-					opp = warm.QueryScores
+					opp = mid.QueryScores
 				}
 				sym := opp.ExpandSymmetric(nil)
 				sets := map[string]candidates{
@@ -286,7 +191,7 @@ func TestPullCandidatePathsAgree(t *testing.T) {
 // times as many. The passes run in the Jacobi loop (runJacobiWith),
 // where each pass's inputs are in reach; the chain runs the same kernel.
 func TestPullSparseGuard(t *testing.T) {
-	whole := ringGraph(300, 1)
+	whole := ringGraph(300)
 	plan := partition.WholePlan(whole)
 	view, err := clickgraph.NewSubview(whole, plan.Shards[0].Queries, plan.Shards[0].Ads)
 	if err != nil {
@@ -323,7 +228,7 @@ func TestPullSparseGuard(t *testing.T) {
 		passes++
 		return skipped
 	}
-	if _, err := runJacobiWith(g, cfg, 1, nil, nil, guarded); err != nil {
+	if _, err := runJacobiWith(g, cfg, 1, nil, guarded); err != nil {
 		t.Fatal(err)
 	}
 	if passes < 4 {

@@ -135,8 +135,8 @@ func (r *Result) TopSimilarAds(a, k int) []sparse.Scored {
 
 // The delegating accessors below complete the serve.ScoreIndex read
 // surface, so a live Result and a loaded serve.Snapshot are
-// interchangeable to the rewrite pipeline and the warm-start seeder. They
-// mirror clickgraph.Graph's names.
+// interchangeable to the rewrite pipeline. They mirror clickgraph.Graph's
+// names.
 
 // NumQueries returns the number of query nodes in the scored graph.
 func (r *Result) NumQueries() int { return r.Graph.NumQueries() }

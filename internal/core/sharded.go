@@ -57,15 +57,6 @@ type ShardOptions struct {
 	// here (via serve.Refresh) so SIGTERM stops an in-flight fold at the
 	// next shard boundary instead of finishing the refresh.
 	Context context.Context
-	// WarmStart, when non-nil, seeds every executed shard engine's
-	// starting frontiers from a previous generation's scores (matched by
-	// node name) instead of the identity start. With Config.Tolerance set,
-	// a lightly-churned shard then converges in a handful of iterations,
-	// and the delta-skip machinery freezes its untouched rows after the
-	// first pass. Exactness: iteration contracts to the same fixpoint
-	// regardless of start, so a warm run differs from a cold one by at
-	// most the tolerance-scale tail both were allowed to stop at.
-	WarmStart ScoreSource
 }
 
 // ShardStat records one shard engine run for the stitched Result.
@@ -119,6 +110,11 @@ type ShardStat struct {
 //     to both shards they straddle: cross-shard pairs score 0 and
 //     boundary pairs are approximated, the same trade the paper accepts
 //     when decomposing its giant component (§9.2).
+//
+// Every shard engine starts from the identity, so a shard's scores depend
+// on its subgraph and cfg alone, under any Config: a run restricted to
+// some shards (ShardOptions.RunShards) scores them exactly as a run of the
+// whole plan does.
 //
 // Result.IterStats sums, per pass-pair index, the per-shard stats (shards
 // run concurrently, so summed durations measure total work, not wall
@@ -226,12 +222,8 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 					fail(fmt.Errorf("core: shard %d: %w", idx, err))
 					continue
 				}
-				var warm warmSeed
-				if opt.WarmStart != nil {
-					warm = func(prevQ, prevA *sparse.PairFrontier) { fillWarmSeeds(opt.WarmStart, view.Graph, prevQ, prevA) }
-				}
 				ew := engineWorkers(sh.Nodes())
-				res, err := runEngine(view.Graph, cfg, ew, ar, warm)
+				res, err := runEngine(view.Graph, cfg, ew, ar)
 				if err != nil {
 					fail(fmt.Errorf("core: shard %d: %w", idx, err))
 					continue

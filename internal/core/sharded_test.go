@@ -68,7 +68,7 @@ func TestShardedExactBitIdentical(t *testing.T) {
 				cfg.StrictEvidence = strict
 				cfg.PruneEpsilon = prune
 				mono := mustRun(t, g, cfg)
-				monoPar, err := runEngine(g, cfg, 4, nil, nil)
+				monoPar, err := runEngine(g, cfg, 4, nil)
 				if err != nil {
 					t.Fatalf("runEngine: %v", err)
 				}
@@ -251,6 +251,65 @@ func TestShardedConvergesPerShard(t *testing.T) {
 	for i, s := range sharded.ShardStats {
 		if !s.Converged && s.Queries > 0 {
 			t.Errorf("shard %d did not converge", i)
+		}
+	}
+}
+
+// TestRunShardsSkipsCleanShards pins the dirty-only scheduling contract:
+// skipped shards contribute no scores and no engine work, their stats are
+// marked, and (under RetainShardScores) their id lists are still present
+// for the refresh writer.
+func TestRunShardsSkipsCleanShards(t *testing.T) {
+	g := multiComponentGraph(7, 4, 12, 9, 40)
+	plan := partition.ComponentPlan(g)
+	if len(plan.Shards) < 2 {
+		t.Fatalf("fixture needs ≥ 2 shards, got %d", len(plan.Shards))
+	}
+	cfg := DefaultConfig().WithVariant(Weighted)
+	cfg.Channel = ChannelClicks
+
+	mask := make([]bool, len(plan.Shards))
+	mask[0] = true // run only shard 0
+	res, err := RunSharded(g, cfg, plan, ShardOptions{RunShards: mask, RetainShardScores: true})
+	if err != nil {
+		t.Fatalf("RunSharded: %v", err)
+	}
+	full, err := RunSharded(g, cfg, plan, ShardOptions{})
+	if err != nil {
+		t.Fatalf("full RunSharded: %v", err)
+	}
+
+	inShard0 := make(map[int]bool)
+	for _, q := range plan.Shards[0].Queries {
+		inShard0[q] = true
+	}
+	res.QueryScores.Range(func(i, j int, v float64) bool {
+		if !inShard0[i] || !inShard0[j] {
+			t.Fatalf("partial run scored pair (%d,%d) outside the run shard", i, j)
+		}
+		fv, _ := full.QueryScores.Get(i, j)
+		if fv != v {
+			t.Fatalf("partial run pair (%d,%d) = %v, full run %v", i, j, v, fv)
+		}
+		return true
+	})
+	for i, st := range res.ShardStats {
+		if (i == 0) == st.Skipped {
+			t.Errorf("shard %d Skipped = %v, want %v", i, st.Skipped, i != 0)
+		}
+		if st.Fingerprint != plan.Shards[i].Fingerprint {
+			t.Errorf("shard %d fingerprint not echoed", i)
+		}
+	}
+	for i, ss := range res.ShardScores {
+		if len(ss.QueryIDs) != len(plan.Shards[i].Queries) || len(ss.AdIDs) != len(plan.Shards[i].Ads) {
+			t.Errorf("shard %d retained id lists wrong size", i)
+		}
+		if i != 0 && (ss.QueryScores != nil || ss.AdScores != nil) {
+			t.Errorf("skipped shard %d retained score tables", i)
+		}
+		if i == 0 && (ss.QueryScores == nil || ss.AdScores == nil) {
+			t.Errorf("run shard 0 missing retained score tables")
 		}
 	}
 }

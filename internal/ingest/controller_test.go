@@ -158,6 +158,77 @@ func TestControllerFoldPublishesAndSkips(t *testing.T) {
 	}
 }
 
+// TestControllerFoldsEqualColdBuild pins what a fold publishes under a
+// configuration that stops at a tolerance (testRefreshCfg): after each of
+// three publishing folds, the serving file is, outside its header's
+// generated-at time, dirty-shard count and CRC, exactly the snapshot a
+// cold sharded run of the whole click history writes over the plan the
+// fold projected. A fold that seeded its dirty shards from the previous
+// generation would stop them elsewhere and fail here.
+func TestControllerFoldsEqualColdBuild(t *testing.T) {
+	env := newTestEnv(t)
+	c, err := NewController(env.config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	history, err := builderFromGraph(env.base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fold, to := range []int{40, 80, 120} {
+		from := to - 40
+		served := env.servingBytes(t)
+		prev, err := serve.NewSnapshot(bytes.NewReader(served), int64(len(served)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := env.records(from, to)
+		if _, err := c.Ingest(recs); err != nil {
+			t.Fatal(err)
+		}
+		fr, err := c.FoldOnce(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Skipped || fr.GenID == 0 || fr.Stats.DirtyShards == 0 {
+			t.Fatalf("fold %d published nothing: %+v", fold, fr)
+		}
+
+		for _, r := range recs {
+			if err := history.AddEdge(r.Query, r.Ad, r.Weights()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := history.Build()
+		diff, err := partition.DiffPlans(prev, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.RunSharded(g, testRefreshCfg(), diff.Plan, core.ShardOptions{RetainShardScores: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cold bytes.Buffer
+		if err := serve.WriteSnapshotTopK(&cold, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
+			t.Fatal(err)
+		}
+		got, want := env.servingBytes(t), cold.Bytes()
+		if len(got) != len(want) {
+			t.Fatalf("fold %d served %d bytes, the cold build %d", fold, len(got), len(want))
+		}
+		// generated-at, last-refresh dirty count, header CRC.
+		for _, r := range [][2]int{{128, 136}, {136, 140}, {196, 200}} {
+			copy(got[r[0]:r[1]], want[r[0]:r[1]])
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("fold %d served a snapshot that differs from the cold build at byte %d of %d", fold, i, len(got))
+			}
+		}
+	}
+}
+
 // TestControllerRestartConverges pins crash replay: restarting from the
 // fold state (and then again with the state file deleted — the
 // duplicate-replay-after-cursor-loss case) must converge to a zero-dirty

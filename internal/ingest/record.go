@@ -2,7 +2,7 @@
 // ingestion pipeline that tails weighted click edges into a write-ahead
 // log, folds them into the click graph on a cadence or churn threshold,
 // and drives the existing incremental-refresh machinery (fingerprint
-// diff, warm dirty-shard run, clean-segment byte copy, generation
+// diff, dirty-shard run, clean-segment byte copy, generation
 // journal) once per fold — with a durable fold cursor so replay after a
 // crash is exactly-once with respect to the published generation.
 //

@@ -13,7 +13,7 @@ import (
 // decomposition onto the new graph and classifies every shard as clean
 // (identical subgraph, identical ids: the previous scores and snapshot
 // segment are reusable verbatim) or dirty (something it can observe
-// moved: re-run it, ideally warm-started). The projection never runs
+// moved: re-run it). The projection never runs
 // BuildPlan — it is one name-lookup pass plus one edge scan, so the
 // refresh path's planning cost is proportional to the graph scan, not to
 // ACL clustering.

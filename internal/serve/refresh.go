@@ -16,9 +16,9 @@ import (
 // Incremental snapshot refresh: the write half of making refresh cost
 // proportional to the changed region of the graph. A refresh classifies
 // shards against the previous snapshot (partition.DiffPlans over the
-// fingerprints the directory carries), re-runs only the dirty ones —
-// warm-started from the previous scores — and writes the next generation
-// by byte-copying every clean shard's score segments out of the old file:
+// fingerprints the directory carries), re-runs only the dirty ones from
+// the identity, as a full build would, and writes the next generation by
+// byte-copying every clean shard's score segments out of the old file:
 // their CRCs are already in the directory, so reuse pays one read + one
 // checksum per segment instead of decode → re-sort → re-encode. A clean
 // shard's segment is guaranteed reusable because its fingerprint covers
@@ -71,30 +71,18 @@ func encodeShardSegment(q, a *sparse.PairFrontier, qIDs, aIDs []int) shardSegmen
 // of the given width (<= 0 selects GOMAXPROCS), and encodes their
 // segments in parallel; segs is nil at every clean shard. The engine
 // configuration is taken from prev's header, keeping generations
-// coherent by construction. A cancelled ctx stops the run at the next
-// shard boundary with ctx's error.
-//
-// Shards are warm-started from the previous scores only when the
-// recorded configuration converges by tolerance. Under a fixed-iteration
-// contract (Tolerance == 0) a warm start would be incoherent — a dirty
-// shard seeded with generation-k scores and iterated k more would sit at
-// an effective depth of 2k while its clean neighbors stay at k — whereas
-// a cold re-run at the same fixed count reproduces exactly what a full
-// rebuild would, bit for bit. So Tolerance > 0 buys the warm-start
-// speedup; Tolerance == 0 buys exactness. Both keep the dirty-only
-// scheduling and the segment-copy savings.
+// coherent by construction, and every dirty shard runs from the identity
+// under it, so the next generation is, outside its header's generation
+// fields, what WriteSnapshotTopK writes for a cold RunSharded of the whole
+// plan — under any configuration, converging by tolerance or not. A
+// cancelled ctx stops the run at the next shard boundary with ctx's error.
 func runDirty(ctx context.Context, g *clickgraph.Graph, prev *Snapshot, plan *partition.Plan, dirty []bool, workers int) (*core.Result, []*shardSegment, error) {
-	cfg := prev.Config()
-	opt := core.ShardOptions{
+	res, err := core.RunSharded(g, prev.Config(), plan, core.ShardOptions{
 		Workers:           workers,
 		RetainShardScores: true,
 		RunShards:         dirty,
 		Context:           ctx,
-	}
-	if cfg.Tolerance > 0 {
-		opt.WarmStart = prev
-	}
-	res, err := core.RunSharded(g, cfg, plan, opt)
+	})
 	if err != nil {
 		return nil, nil, err
 	}

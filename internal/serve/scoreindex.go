@@ -6,7 +6,7 @@
 // its one writer (snapshot_write.go) and its reader (snapshot_read.go),
 // the incremental refresh and generation journal, the simrankd HTTP
 // server (server.go), which answers from a *Snapshot, and the ScoreIndex
-// read surface the rewrite pipeline and the warm-start seeder share.
+// read surface the rewrite pipeline reads.
 package serve
 
 import (
@@ -18,7 +18,7 @@ import (
 // similarity result: node naming plus the ranked lookups. A live
 // *core.Result implements it directly; a *Snapshot implements it from a
 // file, loading per-shard score segments lazily. The rewrite filtering
-// pipeline and the warm-start seeder read either through it; the server
+// pipeline reads either through it; the server
 // answers from a *Snapshot only, and takes a ScoreIndex in NewServer,
 // Index and Reload for the callers built against those signatures.
 //
