@@ -15,27 +15,66 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"simrankpp/internal/experiments"
 )
 
-func main() {
-	var (
-		run      = flag.String("run", "all", "which experiment to run")
-		seed     = flag.Uint64("seed", 0, "dataset seed override (0 = built-in defaults)")
-		trials   = flag.Int("trials", 50, "desirability trials (fig12)")
-		sessions = flag.Int("sessions", 600000, "simulated sessions")
-		sample   = flag.Int("sample", 120, "evaluation sample cap")
-	)
-	flag.Parse()
+// names lists every experiment -run accepts besides "all", in run order.
+var names = []string{"table1", "table2", "table3", "table4", "table5", "fig8", "fig9", "fig10", "fig11", "fig12"}
 
-	want := map[string]bool{}
-	for _, r := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(r)] = true
+// options are the parsed command line.
+type options struct {
+	want     map[string]bool // the -run names
+	seed     uint64
+	trials   int
+	sessions int
+	sample   int
+}
+
+// parseFlags parses args (without the program name). It refuses an
+// experiment name -run does not know, naming the valid ones, and a
+// -trials below 1, which would leave Figure 12 without a trial.
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	run := fs.String("run", "all", "which experiments to run, comma-separated: all, "+strings.Join(names, ", "))
+	o := &options{want: map[string]bool{}}
+	fs.Uint64Var(&o.seed, "seed", 0, "dataset seed override (0 = built-in defaults)")
+	fs.IntVar(&o.trials, "trials", 50, "desirability trials (fig12)")
+	fs.IntVar(&o.sessions, "sessions", 600000, "simulated sessions")
+	fs.IntVar(&o.sample, "sample", 120, "evaluation sample cap")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	has := func(name string) bool { return want["all"] || want[name] }
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	for _, r := range strings.Split(*run, ",") {
+		r = strings.TrimSpace(r)
+		if r != "all" && !slices.Contains(names, r) {
+			return nil, fmt.Errorf("-run: unknown experiment %q (valid: all, %s)", r, strings.Join(names, ", "))
+		}
+		o.want[r] = true
+	}
+	if o.trials < 1 {
+		return nil, fmt.Errorf("-trials must be at least 1, got %d", o.trials)
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if err == flag.ErrHelp {
+		os.Exit(0)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	has := func(name string) bool { return o.want["all"] || o.want[name] }
 
 	if has("table1") {
 		fmt.Println(experiments.Table1())
@@ -67,13 +106,13 @@ func main() {
 		return
 	}
 	cfg := experiments.DefaultDatasetConfig()
-	if *seed != 0 {
-		cfg.Universe.Seed = *seed
-		cfg.Sponsored.Seed = *seed + 1
-		cfg.SampleSeed = *seed + 2
+	if o.seed != 0 {
+		cfg.Universe.Seed = o.seed
+		cfg.Sponsored.Seed = o.seed + 1
+		cfg.SampleSeed = o.seed + 2
 	}
-	cfg.Sponsored.Sessions = *sessions
-	cfg.MaxSample = *sample
+	cfg.Sponsored.Sessions = o.sessions
+	cfg.MaxSample = o.sample
 	fmt.Fprintln(os.Stderr, "building dataset (universe + simulated log + ACL extraction)...")
 	ds, err := experiments.BuildDataset(cfg)
 	if err != nil {
@@ -104,10 +143,10 @@ func main() {
 	if has("fig12") {
 		fmt.Fprintln(os.Stderr, "running the desirability edge-removal experiment...")
 		trialSeed := uint64(4)
-		if *seed != 0 {
-			trialSeed = *seed + 3
+		if o.seed != 0 {
+			trialSeed = o.seed + 3
 		}
-		rep, err := experiments.Fig12(ds, *trials, trialSeed)
+		rep, err := experiments.Fig12(ds, o.trials, trialSeed)
 		if err != nil {
 			fatal(err)
 		}

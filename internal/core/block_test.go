@@ -1,0 +1,190 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"simrankpp/internal/clickgraph"
+	"simrankpp/internal/partition"
+	"simrankpp/internal/sparse"
+)
+
+// forcedSide is pullSide with every component forced down one gather path
+// (forcedCandidates): score blocks and component ranges when blocks is
+// set, the expansion and the reach otherwise.
+func forcedSide(blocks bool) sidePass {
+	return func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+		s := in.side(cfg, ads)
+		return s.pass(cfg, forcedCandidates(s, opp, sym, blocks), dst, prev, changed, workers, spas)
+	}
+}
+
+// zeroRateGraph is a graph whose rate channel carries many zero walk
+// factors: a third of its edges have expected click rate 0, so the
+// gathers' fi == 0 skip runs on both paths.
+func zeroRateGraph(seed uint64) *clickgraph.Graph {
+	b := clickgraph.NewBuilder()
+	s := seed
+	next := func(n int) int {
+		s = s*6364136223846793005 + 1442695040888963407
+		return int((s >> 33) % uint64(n))
+	}
+	for e := 0; e < 45; e++ {
+		w := clickgraph.EdgeWeights{Impressions: 3, Clicks: 1, ExpectedClickRate: float64(next(3)) / 2}
+		if err := b.AddEdge(fmt.Sprintf("q%d", next(12)), fmt.Sprintf("ad%d", next(10)), w); err != nil {
+			panic(err)
+		}
+	}
+	return b.Build()
+}
+
+// mixedDensityGraph has components that turn dense at different depths:
+// complete clusters (dense from the second pass on), a random cluster
+// whose scores fill in a few depths later, a star (one ad, dense from the
+// first pass), and isolated queries, which put the engine's numbering off
+// the graph's, so a run over it passes through a mix of block and
+// expansion gathers and ends in passes with no sparse component.
+func mixedDensityGraph() *clickgraph.Graph {
+	b := clickgraph.NewBuilder()
+	edge := func(q, ad string) {
+		if err := b.AddEdge(q, ad, clickgraph.EdgeWeights{Impressions: 6, Clicks: 2, ExpectedClickRate: 0.3}); err != nil {
+			panic(err)
+		}
+	}
+	for c := 0; c < 2; c++ {
+		for i := 0; i < 4; i++ {
+			b.AddQuery(fmt.Sprintf("iso%d-%d", c, i))
+			for a := 0; a < 3; a++ {
+				edge(fmt.Sprintf("k%d-q%d", c, i), fmt.Sprintf("k%d-ad%d", c, a))
+			}
+		}
+	}
+	addRandomCluster(b, "r-", 99, 12, 9, 20)
+	for i := 0; i < 5; i++ {
+		edge(fmt.Sprintf("s-q%d", i), "s-ad")
+	}
+	return b.Build()
+}
+
+// TestGatherPathsAgree forces every component of every pass down each
+// gather path — score blocks with the component range, and the expansion
+// with the reach — through whole runs, and holds both to the engine's own
+// per-pass choice bit for bit: the chain's query side at depth k equals
+// the forced Jacobi loop's at k and its ad side the loop's at k+1, for k
+// of both parities (the chain starts on the query side when k is odd),
+// across variants, strict evidence, pruning and zero walk factors, on
+// graphs whose layout is and is not the graph's own numbering.
+func TestGatherPathsAgree(t *testing.T) {
+	graphs := map[string]*clickgraph.Graph{
+		"fig3":  clickgraph.Fig3(),
+		"multi": multiComponentGraph(5, 6, 14, 10, 40),
+		"mixed": mixedDensityGraph(),
+		"zeros": zeroRateGraph(7),
+	}
+	cfgs := bitIdenticalConfigs()
+	zeros := DefaultConfig().WithVariant(Weighted) // rate channel: zero factors
+	cfgs = append(cfgs, zeros)
+	for name, g := range graphs {
+		for _, cfg := range cfgs {
+			for _, k := range []int{3, 4} {
+				cfg.Iterations = k
+				label := fmt.Sprintf("%s/%v/%v/strict=%v/prune=%g/k=%d", name, cfg.Variant, cfg.Channel, cfg.StrictEvidence, cfg.PruneEpsilon, k)
+				chain := mustRun(t, g, cfg)
+				for _, blocks := range []bool{true, false} {
+					jq, err := runJacobiWith(g, cfg, 1, nil, forcedSide(blocks))
+					if err != nil {
+						t.Fatal(err)
+					}
+					deeper := cfg
+					deeper.Iterations = k + 1
+					ja, err := runJacobiWith(g, deeper, 1, nil, forcedSide(blocks))
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireTablesBitIdentical(t, fmt.Sprintf("%s/blocks=%v/queries", label, blocks), jq.QueryScores, chain.QueryScores)
+					requireTablesBitIdentical(t, fmt.Sprintf("%s/blocks=%v/ads", label, blocks), ja.AdScores, chain.AdScores)
+				}
+			}
+		}
+	}
+}
+
+// TestMixedPassesAtEveryWidth runs the engine on a graph whose passes mix
+// block and expansion gathers and then gather from blocks alone, where no
+// expansion is made and the multi-worker split weighs rows without one.
+// A single-shard RunSharded at pool widths 1, 2 and 4 (its one engine gets
+// every worker) and runEngine at the same widths must equal the serial
+// run bit for bit. The test first checks, on the same scores, that the
+// chain's passes do include both kinds (with every row recomputed, the
+// plan of the pass computing one side at depth d depends on the other
+// side's depth d−1 scores alone, which the Jacobi loop computes too).
+func TestMixedPassesAtEveryWidth(t *testing.T) {
+	g := mixedDensityGraph()
+	cfg := DefaultConfig().WithVariant(Weighted)
+	cfg.Iterations = 6
+	cfg.DisableDeltaSkip = true
+
+	type plan struct{ dense, sparse int } // components that gather, by path
+	plans := map[[2]int]plan{}            // (ads, depth) → plan
+	depth := 0
+	record := func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+		s := in.side(cfg, ads)
+		cand := plannedCandidates(s, opp, sym, changed)
+		var p plan
+		for c, blk := range cand.block {
+			if lo, hi := s.idx.span(int32(c)); hi > lo && len(s.thisNbr[lo]) > 0 {
+				if blk != nil {
+					p.dense++
+				} else {
+					p.sparse++
+				}
+			}
+		}
+		side := 0
+		if ads {
+			side = 1
+			depth++ // the ad pass ends an iteration
+		}
+		plans[[2]int{side, depth + 1 - side}] = p
+		return s.pass(cfg, cand, dst, prev, changed, workers, spas)
+	}
+	deeper := cfg
+	deeper.Iterations++
+	if _, err := runJacobiWith(g, deeper, 1, nil, record); err != nil {
+		t.Fatal(err)
+	}
+	if in := newPassInputs(g, cfg); in.qIdx.order == nil {
+		t.Fatal("the graph's layout is its own numbering; the fixture should renumber")
+	}
+	mixed, blocksOnly := 0, 0
+	for p := 0; p <= cfg.Iterations; p++ {
+		side := 1 // the chain's pass p computes depth p+1, ads when Iterations−p is even
+		if (cfg.Iterations-p)%2 == 1 {
+			side = 0
+		}
+		switch pl := plans[[2]int{side, p + 1}]; {
+		case pl.dense > 0 && pl.sparse > 0:
+			mixed++
+		case pl.dense > 0:
+			blocksOnly++
+		}
+	}
+	if mixed == 0 || blocksOnly == 0 {
+		t.Fatalf("the chain has %d mixed passes and %d of blocks alone; the fixture needs both (plans %v)", mixed, blocksOnly, plans)
+	}
+
+	want := mustRun(t, g, cfg)
+	plan1 := partition.WholePlan(g)
+	for _, workers := range []int{1, 2, 4} {
+		got, err := runEngine(g, cfg, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, fmt.Sprintf("runEngine workers=%d", workers), want, got)
+		sh, err := RunSharded(g, cfg, plan1, ShardOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, fmt.Sprintf("RunSharded workers=%d", workers), want, sh)
+	}
+}

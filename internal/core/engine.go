@@ -26,11 +26,13 @@ import (
 // storage, no hashing and no sorting anywhere). The weighted dot product
 // also counts |E(x) ∩ E(p)|, the one input of the pair's evidence, so no
 // per-pair evidence table is built or read. Where the opposite side's
-// scores in a component are sparse, the candidates are only the nodes the
-// gathered u can reach, so work stays proportional to the nonzero
-// structure — the sparsity the click graph actually has — while every
-// term costs a multiply-add in a register instead of the hash probe the
-// map-based engine paid, and the frontiers ping-pong across iterations so
+// scores in a component are dense, u is gathered by adding whole rows of
+// a dense block of them; where they are sparse, it is gathered from their
+// symmetric expansion and the candidates are only the nodes the gathered
+// u can reach, so work stays proportional to the nonzero structure — the
+// sparsity the click graph actually has — while every term costs a
+// multiply-add in a register instead of the hash probe the map-based
+// engine paid, and the frontiers ping-pong across iterations so
 // steady-state passes barely allocate.
 func Run(g *clickgraph.Graph, cfg Config) (*Result, error) {
 	return runEngine(g, cfg, 1, nil)
@@ -38,8 +40,13 @@ func Run(g *clickgraph.Graph, cfg Config) (*Result, error) {
 
 // passInputs holds the per-run immutable inputs of the iteration passes:
 // neighbor rows, weighted-walk factor rows, the evidence multiplier of
-// every common-neighbor count, and the component index the pull kernel
-// draws its candidates from.
+// every common-neighbor count, and the component layout the pull kernel
+// draws its candidates and score blocks from. Everything is in the
+// engine's numbering (memberIndex): each side's nodes renumbered component
+// by component, ascending within each. The renumbering is monotone on
+// every neighbor row and every stored pair, so rows keep their order and
+// every sum its terms' order; the run maps its frontiers back to the
+// graph's ids when it detaches them.
 type passInputs struct {
 	qNbr, aNbr [][]int
 	qW, aW     [][]float64 // Weighted only: forward factor rows
@@ -52,31 +59,49 @@ type passInputs struct {
 // count the kernel takes in the pull, so its size is the largest degree.
 func newPassInputs(g *clickgraph.Graph, cfg Config) *passInputs {
 	nq, na := g.NumQueries(), g.NumAds()
-	in := &passInputs{
-		qNbr: make([][]int, nq),
-		aNbr: make([][]int, na),
-	}
-	for q := 0; q < nq; q++ {
-		in.qNbr[q], _ = g.AdsOf(q)
-	}
-	for a := 0; a < na; a++ {
-		in.aNbr[a], _ = g.QueriesOf(a)
-	}
+	comps := clickgraph.Components(g)
+	in := &passInputs{qIdx: newMemberIndex(nq, comps, false), aIdx: newMemberIndex(na, comps, true)}
+	in.qNbr = layoutRows(in.qIdx, in.aIdx, g.NumEdges(), func(q int) []int { ads, _ := g.AdsOf(q); return ads })
+	in.aNbr = layoutRows(in.aIdx, in.qIdx, g.NumEdges(), func(a int) []int { qs, _ := g.QueriesOf(a); return qs })
 	if cfg.Variant == Weighted {
 		model := newTransitionModel(g, cfg.Channel, cfg.DisableSpread)
 		in.qW, in.aW = carveRows(in.qNbr), carveRows(in.aNbr)
 		for q := 0; q < nq; q++ {
-			model.queryRow(q, in.qW[q])
+			model.queryRow(in.qIdx.graphID(q), in.qW[q])
 		}
 		for a := 0; a < na; a++ {
-			model.adRow(a, in.aW[a])
+			model.adRow(in.aIdx.graphID(a), in.aW[a])
 		}
 	}
 	if cfg.Variant != Simple {
 		in.ev = evidenceByCount(cfg.EvidenceForm, cfg.StrictEvidence, in.qNbr, in.aNbr)
 	}
-	in.qIdx, in.aIdx = newMemberIndexes(g)
 	return in
+}
+
+// layoutRows returns one side's neighbor rows in the engine's numbering:
+// row x is the graph row of idx's node x with every neighbor renumbered by
+// opp. Where opp keeps the graph's numbering the graph's rows are used as
+// they are; otherwise the rows are carved from one slab of edges cells.
+func layoutRows(idx, opp *memberIndex, edges int, row func(int) []int) [][]int {
+	rows := make([][]int, len(idx.comp))
+	if opp.pos == nil {
+		for x := range rows {
+			rows[x] = row(idx.graphID(x))
+		}
+		return rows
+	}
+	slab := make([]int, edges)
+	for x := range rows {
+		src := row(idx.graphID(x))
+		dst := slab[:len(src):len(src)]
+		slab = slab[len(src):]
+		for k, j := range src {
+			dst[k] = opp.pos[j]
+		}
+		rows[x] = dst
+	}
+	return rows
 }
 
 // carveRows returns one zeroed float row per neighbor row, aligned with
@@ -96,92 +121,216 @@ func carveRows(nbr [][]int) [][]float64 {
 	return rows
 }
 
-// memberIndex lists one side's nodes grouped by connected component
-// (clickgraph.Components), each group ascending, with every node's
-// component and its position in the list. A pair in two components
-// scores zero at every depth, so the pull kernel's candidates for row x
-// are at most the members of x's component above x, a suffix of its
-// group. The two sides' indexes of one run share component numbers.
+// memberIndex is one side's layout in the engine's numbering: nodes
+// numbered component by component (clickgraph.Components), ascending
+// within each, so component c is the range [bounds[c], bounds[c+1]). A
+// pair in two components scores zero at every depth, so the pull kernel's
+// candidates for row x are at most the nodes of x's component above x,
+// and the opposite side's scores in one component fit one square block
+// (planPass). The two sides' indexes of one run share component numbers.
 type memberIndex struct {
-	members []int32
-	bounds  []int32 // component c's group is members[bounds[c]:bounds[c+1]]
-	comp    []int32 // node → its component
-	at      []int32 // node → its position in members
+	bounds []int32 // component c is [bounds[c], bounds[c+1])
+	comp   []int32 // node → its component
+	iota   []int32 // iota[x] == x: above(x) is a window of it
+	// order maps a node to its graph id and pos a graph id to its node;
+	// both are nil where the numbering is the graph's own.
+	order, pos []int
 }
 
-func newMemberIndexes(g *clickgraph.Graph) (q, a *memberIndex) {
-	comps := clickgraph.Components(g)
-	q, a = newMemberIndex(g.NumQueries(), len(comps)), newMemberIndex(g.NumAds(), len(comps))
+// newMemberIndex numbers one side (the ads when ads is set) of n nodes by
+// comps, which list every node once, each component's nodes ascending.
+func newMemberIndex(n int, comps []clickgraph.Component, ads bool) *memberIndex {
+	m := &memberIndex{bounds: make([]int32, 1, len(comps)+1), comp: make([]int32, n), iota: make([]int32, n), order: make([]int, 0, n)}
+	identity := true
 	for c, comp := range comps {
-		q.add(c, comp.Queries)
-		a.add(c, comp.Ads)
-	}
-	return q, a
-}
-
-func newMemberIndex(n, comps int) *memberIndex {
-	bounds := make([]int32, 1, comps+1)
-	return &memberIndex{members: make([]int32, 0, n), bounds: bounds, comp: make([]int32, n), at: make([]int32, n)}
-}
-
-// add appends component c's ascending nodes as the next group.
-func (m *memberIndex) add(c int, nodes []int) {
-	for _, x := range nodes {
-		m.comp[x], m.at[x] = int32(c), int32(len(m.members))
-		m.members = append(m.members, int32(x))
-	}
-	m.bounds = append(m.bounds, int32(len(m.members)))
-}
-
-// above returns the members of x's component above x, ascending.
-func (m *memberIndex) above(x int) []int32 {
-	return m.members[m.at[x]+1 : m.bounds[m.comp[x]+1]]
-}
-
-// group returns component c's members, ascending.
-func (m *memberIndex) group(c int32) []int32 {
-	return m.members[m.bounds[c]:m.bounds[c+1]]
-}
-
-// candidates is one pass's candidate index: for every row x, which set
-// the kernel evaluates. On a component whose opposite-side scores are
-// dense, that is the component range (memberIndex.above), an index read;
-// on a sparse one it is the union of E(j) over the j the gather touched
-// (spa.reach), which leaves out the component members x cannot reach. A
-// member left out scores exactly zero — each of its dot-product terms
-// reads a u(j) the gather never touched — so the two sets give the same
-// rows bit for bit and the choice is one of cost alone.
-type candidates struct {
-	idx, opp *memberIndex // this side's members and the opposite side's
-	dense    []bool       // per component: evaluate the component range
-}
-
-// passCandidates decides the candidate set of every component for one
-// pass from the opposite side's expansion sym: a component is dense when
-// its opposite-side scores hold at least a quarter of the pairs its
-// opposite-side members can form, where the gather's u covers most of the
-// component and reaching candidates one E(j) at a time would find nearly
-// all of them at the cost of a mark each. On a component whose scores
-// stay local — pruned, or early in the chain — the range would evaluate
-// every member for the few the row reaches (PERF.md, "The kernel: pull,
-// not push"). dense holds one cell per component and is overwritten.
-func passCandidates(idx, opp *memberIndex, sym *sparse.SymAdj, dense []bool) candidates {
-	for c := range dense {
-		js := opp.group(int32(c))
-		nnz := 0 // each stored pair counted from both ends
-		for _, j := range js {
-			nnz += sym.RowNNZ(int(j))
+		nodes := comp.Queries
+		if ads {
+			nodes = comp.Ads
 		}
-		m := len(js)
-		dense[c] = 4*nnz >= m*(m-1)
+		for _, v := range nodes {
+			identity = identity && v == len(m.order)
+			m.comp[len(m.order)] = int32(c)
+			m.order = append(m.order, v)
+		}
+		m.bounds = append(m.bounds, int32(len(m.order)))
 	}
-	return candidates{idx: idx, opp: opp, dense: dense}
+	for x := range m.iota {
+		m.iota[x] = int32(x)
+	}
+	if identity {
+		m.order = nil
+		return m
+	}
+	m.pos = make([]int, n)
+	for x, v := range m.order {
+		m.pos[v] = x
+	}
+	return m
+}
+
+// graphID returns node x's id in the graph.
+func (m *memberIndex) graphID(x int) int {
+	if m.order == nil {
+		return x
+	}
+	return m.order[x]
+}
+
+// span returns component c's node range.
+func (m *memberIndex) span(c int32) (lo, hi int) {
+	return int(m.bounds[c]), int(m.bounds[c+1])
+}
+
+// above returns the nodes of x's component above x, ascending.
+func (m *memberIndex) above(x int) []int32 {
+	return m.iota[x+1 : m.bounds[m.comp[x]+1]]
+}
+
+// detach returns a copy of f, a frontier of this side in the engine's
+// numbering, in the graph's: the renumbering is monotone within a
+// component and no stored pair leaves one, so the copied rows stay sorted.
+func (m *memberIndex) detach(f *sparse.PairFrontier) *sparse.PairFrontier {
+	if m.order == nil {
+		return f.Clone()
+	}
+	c := sparse.NewPairFrontier(f.NumRows())
+	c.SetRowsRemapped(f, m.order)
+	return c
+}
+
+// candidates is one pass's gather plan: for every component of this side,
+// how row x gathers u and which candidates it evaluates. A dense
+// component's opposite-side scores are a square block (block[c]), and its
+// rows add whole block rows into u and evaluate the component range
+// (memberIndex.above), an index read. A sparse one (block[c] nil) gathers
+// from the opposite side's expansion sym, listing the cells it touches,
+// and evaluates the union of E(j) over the j it touched (spa.reach), which
+// leaves out the members x cannot reach. A member left out scores exactly
+// zero — each of its dot-product terms reads a u(j) the gather never
+// touched — and a block row adds the same terms to each cell in the same
+// order as the expansion's row plus its diagonal (the zeros it adds
+// besides change nothing), so both paths give the same rows bit for bit
+// and the choice is one of cost alone.
+type candidates struct {
+	idx, opp *memberIndex   // this side's layout and the opposite side's
+	sym      *sparse.SymAdj // the opposite side's expansion; nil when no gathering component is sparse
+	block    [][]float64    // per component: its m × m score block, or nil
+}
+
+// blockFits reports whether a component with m opposite-side nodes and
+// nnz expanded partners (each stored pair counted from both ends) gathers
+// from a block: when the block, 8 bytes a cell, is no larger than the
+// expansion's rows it replaces, 12 bytes a partner plus an 8-byte row
+// pointer a node. So blocks never take more memory than the expansion
+// would, and a dense block's extra zeros cost at most what the index
+// loads they replace do.
+func blockFits(m, nnz int) bool { return 8*m*m <= 12*nnz+8*m }
+
+// planPass decides every component's gather for one pass from prev, the
+// opposite side's newest scores, reading only its row lengths, and fills
+// the dense components' blocks (fillBlocks). A component none of whose
+// opposite-side nodes skip marks gets neither a block nor a test: each of
+// its rows is copied forward or has no neighbors, so none gathers (skip
+// nil recomputes every row). expand reports whether a component that
+// gathers is sparse — the expansion's only reader, so a pass without one
+// skips it. dense and block hold one cell per component and are
+// overwritten; the blocks are carved from *slab, grown as needed.
+func planPass(idx, opp *memberIndex, prev *sparse.PairFrontier, skip *sparse.Bitset, dense []bool, block [][]float64, slab *[]float64) (cand candidates, expand bool) {
+	for c := range dense {
+		lo, hi := opp.span(int32(c))
+		dense[c] = false
+		if !anyMarked(skip, lo, hi) {
+			continue
+		}
+		pairs := 0
+		for j := lo; j < hi; j++ {
+			cols, _ := prev.Row(j)
+			pairs += len(cols)
+		}
+		dense[c] = blockFits(hi-lo, 2*pairs)
+		expand = expand || !dense[c]
+	}
+	fillBlocks(opp, prev, dense, block, slab)
+	return candidates{idx: idx, opp: opp, block: block}, expand
+}
+
+// anyMarked reports whether skip marks a node of [lo, hi); a nil skip
+// marks every node.
+func anyMarked(skip *sparse.Bitset, lo, hi int) bool {
+	if skip == nil {
+		return true
+	}
+	for j := lo; j < hi; j++ {
+		if skip.Has(j) {
+			return true
+		}
+	}
+	return false
+}
+
+// fillBlocks sets block[c] to component c's m × m block of prev's scores
+// where dense[c] is set, and to nil elsewhere. Row i of a block is node
+// lo+i's scores against the component's nodes, s(i, i) = 1 on the
+// diagonal and zero where prev stores no pair. The blocks are carved from
+// *slab, which grows to their total when it is short.
+func fillBlocks(opp *memberIndex, prev *sparse.PairFrontier, dense []bool, block [][]float64, slab *[]float64) {
+	cells := 0
+	for c, d := range dense {
+		if d {
+			lo, hi := opp.span(int32(c))
+			cells += (hi - lo) * (hi - lo)
+		}
+	}
+	if cap(*slab) < cells {
+		*slab = make([]float64, cells)
+	}
+	buf := (*slab)[:cells]
+	clear(buf)
+	for c, d := range dense {
+		block[c] = nil
+		if !d {
+			continue
+		}
+		lo, hi := opp.span(int32(c))
+		m := hi - lo
+		blk := buf[: m*m : m*m]
+		buf = buf[m*m:]
+		for i := 0; i < m; i++ {
+			blk[i*m+i] = 1
+		}
+		for i := lo; i < hi; i++ {
+			cols, vals := prev.Row(i)
+			ri := (i - lo) * m
+			for k, p := range cols {
+				pl := int(p) - lo
+				blk[ri+pl] = vals[k]
+				blk[pl*m+i-lo] = vals[k]
+			}
+		}
+		block[c] = blk
+	}
+}
+
+// weight is row x's expected gather work, which the multi-worker split
+// balances: a block row per neighbor on a dense component, the neighbor's
+// expansion row plus its diagonal on a sparse one.
+func (cand candidates) weight(x int, nbrs []int) int {
+	c := cand.idx.comp[x]
+	if cand.block[c] != nil {
+		lo, hi := cand.opp.span(c)
+		return 1 + len(nbrs)*(hi-lo)
+	}
+	w := 1
+	for _, i := range nbrs {
+		w += 1 + cand.sym.RowNNZ(i)
+	}
+	return w
 }
 
 // engineArena is the reusable allocation state of one engine run:
-// ping-pong frontiers, symmetric adjacencies, dense accumulators, and the
-// change bitsets. A fresh runEngine call with a nil arena allocates its
-// own; the shard scheduler keeps one arena per pool worker and re-runs it
+// ping-pong frontiers, symmetric adjacencies, the score blocks' slab,
+// dense accumulators, and the change bitsets. A fresh runEngine call with
+// a nil arena allocates its own; the shard scheduler keeps one arena per pool worker and re-runs it
 // across shards, so every shard after a worker's first reuses the
 // previous shard's capacity instead of reallocating — and since the
 // structures are sized to the shard being run, a worker's footprint is
@@ -189,6 +338,7 @@ func passCandidates(idx, opp *memberIndex, sym *sparse.SymAdj, dense []bool) can
 type engineArena struct {
 	prevQ, curQ, prevA, curA *sparse.PairFrontier
 	symQ, symA               *sparse.SymAdj
+	blocks                   []float64 // one pass's score blocks (planPass)
 	spas                     []*spa
 	chgQ, chgA               *sparse.Bitset
 }
@@ -250,8 +400,8 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 // recursion, where computing both sides from the previous iteration
 // (Jacobi order, as RunDense does) spends 2·Iterations passes on two
 // independent chains. Each side ping-pongs two frontiers: cur is reset,
-// filled row by row from the opposite side's newest frontier (expanded to
-// a symmetric adjacency once per pass), and swapped in.
+// filled row by row from the opposite side's newest frontier (blocked or
+// expanded once per pass, as planPass decides), and swapped in.
 //
 // Iteration is change-tracked: the diff of a side's new value against its
 // previous one on the chain also marks which nodes' scores moved
@@ -271,16 +421,17 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena) (*
 	}
 	in := newPassInputs(g, cfg)
 	nq, na := g.NumQueries(), g.NumAds()
+	comps := len(in.qIdx.bounds) - 1
 
 	q := &chainSide{
 		prev: arenaFrontier(&ar.prevQ, nq), cur: arenaFrontier(&ar.curQ, nq),
 		thisNbr: in.qNbr, oppNbr: in.aNbr, w: in.qW, c: cfg.C1,
-		idx: in.qIdx, dense: make([]bool, len(in.qIdx.bounds)-1),
+		idx: in.qIdx, dense: make([]bool, comps), block: make([][]float64, comps),
 	}
 	a := &chainSide{
 		prev: arenaFrontier(&ar.prevA, na), cur: arenaFrontier(&ar.curA, na),
 		thisNbr: in.aNbr, oppNbr: in.qNbr, w: in.aW, c: cfg.C2,
-		idx: in.aIdx, dense: make([]bool, len(in.aIdx.bounds)-1),
+		idx: in.aIdx, dense: make([]bool, comps), block: make([][]float64, comps),
 	}
 	spas := ar.ensureSPAs(workers, max(nq, na))
 	if ar.symQ == nil {
@@ -300,11 +451,11 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena) (*
 	start := time.Now()
 	for p := 0; p <= cfg.Iterations; p++ {
 		if (cfg.Iterations-p)%2 == 1 {
-			st.QueryRowsSkipped, st.QueryRows = q.pass(a, cfg, in.ev, workers, spas), nq
+			st.QueryRowsSkipped, st.QueryRows = q.pass(a, cfg, in.ev, workers, spas, &ar.blocks), nq
 			depth = p + 1
 			continue
 		}
-		st.AdRowsSkipped, st.AdRows = a.pass(q, cfg, in.ev, workers, spas), na
+		st.AdRowsSkipped, st.AdRows = a.pass(q, cfg, in.ev, workers, spas, &ar.blocks), na
 		st.Duration = time.Since(start)
 		stats = append(stats, st)
 		st, start = IterationStat{}, time.Now()
@@ -321,9 +472,10 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena) (*
 	return &Result{
 		Graph:  g,
 		Config: cfg,
-		// Detached copies: the arena's frontiers are the next run's scratch.
-		QueryScores: q.prev.Clone(),
-		AdScores:    a.prev.Clone(),
+		// Detached copies in the graph's ids: the arena's frontiers are the
+		// next run's scratch.
+		QueryScores: in.qIdx.detach(q.prev),
+		AdScores:    in.aIdx.detach(a.prev),
 		Iterations:  depth,
 		Converged:   converged,
 		IterStats:   stats,
@@ -335,7 +487,7 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena) (*
 // the opposite side's pass reads, and the per-run inputs of its kernel.
 type chainSide struct {
 	prev, cur *sparse.PairFrontier // prev holds the newest value
-	sym       *sparse.SymAdj       // prev expanded for the opposite pass
+	sym       *sparse.SymAdj       // prev expanded for the opposite pass, when one reads it
 	// chg marks the nodes whose newest scores moved from the previous
 	// value on the chain, two depths back (nil with delta skip disabled).
 	chg *sparse.Bitset
@@ -348,31 +500,33 @@ type chainSide struct {
 	thisNbr, oppNbr [][]int
 	w               [][]float64 // Weighted only
 	c               float64
-	idx             *memberIndex // this side's component members
-	dense           []bool       // passCandidates' scratch
+	idx             *memberIndex // this side's layout
+	dense           []bool       // planPass's scratch
+	block           [][]float64  // planPass's blocks, one slot a component
 }
 
 // pass computes s's next value from opp's newest scores and returns how
 // many rows the delta skip copied forward. ev is the run's evidence
-// multiplier by common-neighbor count (passInputs.ev).
-func (s *chainSide) pass(opp *chainSide, cfg Config, ev []float64, workers int, spas []*spa) int {
+// multiplier by common-neighbor count (passInputs.ev); the pass's score
+// blocks are carved from *blocks (engineArena.blocks).
+func (s *chainSide) pass(opp *chainSide, cfg Config, ev []float64, workers int, spas []*spa, blocks *[]float64) int {
 	var skip *sparse.Bitset // nil recomputes every row
 	if s.computed {
 		skip = opp.chg
 	}
-	// With skip marking nothing, every row that has neighbors is copied
-	// forward and the empty rows' kernels return before touching the
-	// adjacency, so the expansion would never be read: a drained side is
-	// not expanded again.
-	if skip == nil || skip.Count() > 0 {
+	// opp is expanded only for a sparse component that gathers: a pass of
+	// dense components reads blocks alone, and a drained side (skip marking
+	// nothing) gathers nowhere.
+	cand, expand := planPass(s.idx, opp.idx, opp.prev, skip, s.dense, s.block, blocks)
+	if expand {
 		opp.sym = opp.prev.ExpandSymmetric(opp.sym)
+		cand.sym = opp.sym
 	}
-	cand := passCandidates(s.idx, opp.idx, opp.sym, s.dense)
 	var skipped int
 	if cfg.Variant == Weighted {
-		skipped = weightedPass(opp.sym, s.thisNbr, s.oppNbr, s.w, ev, cand, s.c, s.cur, s.prev, skip, workers, spas)
+		skipped = weightedPass(s.thisNbr, s.oppNbr, s.w, ev, cand, s.c, s.cur, s.prev, skip, workers, spas)
 	} else {
-		skipped = simplePass(opp.sym, s.thisNbr, s.oppNbr, cand, s.c, s.cur, s.prev, skip, workers, spas)
+		skipped = simplePass(s.thisNbr, s.oppNbr, cand, s.c, s.cur, s.prev, skip, workers, spas)
 	}
 	if cfg.PruneEpsilon > 0 {
 		s.cur.Prune(cfg.PruneEpsilon)
@@ -395,7 +549,9 @@ func (s *chainSide) pass(opp *chainSide, cfg Config, ev []float64, workers int, 
 // so one spa serves both passes.
 type spa struct {
 	u  []float64 // gathered opposite-side scores
-	ut []int32   // touched cells of u, in first-touch order
+	ut []int32   // touched cells of u, in first-touch order (sparse gather)
+	// lo, hi is the range of u a block gather wrote (dense gather).
+	lo, hi int
 	// inX is 1 at every j ∈ E(x) while row x is pulled and 0 elsewhere:
 	// summed over E(p) beside the dot product, it counts the common
 	// neighbors of x and p, which is all the pair's evidence depends on.
@@ -419,14 +575,41 @@ type spa struct {
 func spaBytes(n int) int64 { return 17*int64(n) + 8*int64((n+63)/64) }
 
 // gather prepares row x of a pass: it accumulates u from x's neighbors
-// and returns x's candidates, ascending — the members above x on a dense
-// component, the nodes the touched cells reach on a sparse one.
-func (sp *spa) gather(x int, nbrs []int, fx []float64, sym *sparse.SymAdj, oppNbr [][]int, cand candidates) []int32 {
-	sp.accumulate(nbrs, fx, sym)
-	if c := cand.idx.comp[x]; cand.dense[c] {
+// and returns x's candidates, ascending — on a dense component the block
+// rows and the members above x, on a sparse one the expansion's rows and
+// the nodes the touched cells reach.
+func (sp *spa) gather(x int, nbrs []int, fx []float64, oppNbr [][]int, cand candidates) []int32 {
+	c := cand.idx.comp[x]
+	if blk := cand.block[c]; blk != nil {
+		lo, hi := cand.opp.span(c)
+		sp.addRows(nbrs, fx, blk, lo, hi)
 		return cand.idx.above(x)
 	}
+	sp.accumulate(nbrs, fx, cand.sym)
 	return sp.reach(x, oppNbr)
+}
+
+// addRows adds u(j) = Σ_{i∈nbrs} f(i)·s(i, j) for every j of a component
+// [lo, hi) from its score block blk, one whole row per neighbor: the terms
+// of each cell in the order accumulate adds them, with exact zeros where
+// the expansion has no partner. fx is as in accumulate.
+func (sp *spa) addRows(nbrs []int, fx []float64, blk []float64, lo, hi int) {
+	u := sp.u[lo:hi]
+	m := len(u)
+	for ki, i := range nbrs {
+		fi := 1.0
+		if fx != nil {
+			if fi = fx[ki]; fi == 0 {
+				continue
+			}
+		}
+		row := blk[(i-lo)*m:]
+		row = row[:len(u)]
+		for k, v := range row {
+			u[k] += fi * v
+		}
+	}
+	sp.ut, sp.lo, sp.hi = sp.ut[:0], lo, hi
 }
 
 // accumulate adds u(j) = Σ_{i∈nbrs} f(i)·s(i, j) from the symmetric score
@@ -456,7 +639,7 @@ func (sp *spa) accumulate(nbrs []int, fx []float64, sym *sparse.SymAdj) {
 			u[c] += fi * val[k]
 		}
 	}
-	sp.ut = ut
+	sp.ut, sp.lo, sp.hi = ut, 0, 0
 }
 
 // reach collects the union of the nodes above x in E(j) over every j with
@@ -493,9 +676,10 @@ func (sp *spa) reach(x int, oppNbr [][]int) []int32 {
 	return pt
 }
 
-// release zeroes the cells of u the row's gather touched.
+// release zeroes the cells of u the row's gather wrote.
 func (sp *spa) release() {
 	u := sp.u
+	clear(u[sp.lo:sp.hi])
 	for _, j := range sp.ut {
 		u[j] = 0
 	}
@@ -521,7 +705,7 @@ func (sp *spa) mark(nbrs []int, v uint8) {
 // moved last iteration; an output row x depends only on the score rows of
 // i ∈ thisNbr[x], so if none of them is marked, row x of prev is copied
 // into dst — identical to what the kernel would recompute, for free.
-func runRowPass(thisNbr [][]int, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa, kernel func(sp *spa, x int)) int {
+func runRowPass(thisNbr [][]int, cand candidates, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa, kernel func(sp *spa, x int)) int {
 	n := len(thisNbr)
 	dst.Reset()
 	if workers > n {
@@ -563,11 +747,7 @@ func runRowPass(thisNbr [][]int, sym *sparse.SymAdj, dst, prev *sparse.PairFront
 				weights[x] = 1 // a copy, not a gather
 				continue
 			}
-			w := 1
-			for _, i := range nbrs {
-				w += 1 + sym.RowNNZ(i)
-			}
-			weights[x] = w
+			weights[x] = cand.weight(x, nbrs)
 		}
 		bounds := sparse.SplitByWeight(weights, workers)
 		skips := make([]int, workers)
@@ -599,7 +779,7 @@ func runRowPass(thisNbr [][]int, sym *sparse.SymAdj, dst, prev *sparse.PairFront
 }
 
 // simplePass computes one plain-SimRank iteration for one side ("this"
-// side) from the opposite side's symmetric score adjacency into dst.
+// side) from the opposite side's scores, as cand plans them, into dst.
 // thisNbr maps this side's nodes to opposite-side neighbors; oppNbr the
 // reverse.
 //
@@ -610,13 +790,13 @@ func runRowPass(thisNbr [][]int, sym *sparse.SymAdj, dst, prev *sparse.PairFront
 // computation alone yields the full sum for every stored pair (x, p),
 // p > x. The candidates ascend, so the row comes out sorted, and each
 // cell is final when computed: no row accumulator, no marks to harvest.
-func simplePass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
-	return runRowPass(thisNbr, sym, dst, prev, changed, workers, spas, func(sp *spa, x int) {
+func simplePass(thisNbr, oppNbr [][]int, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+	return runRowPass(thisNbr, cand, dst, prev, changed, workers, spas, func(sp *spa, x int) {
 		nbrs := thisNbr[x]
 		if len(nbrs) == 0 {
 			return
 		}
-		ps := sp.gather(x, nbrs, nil, sym, oppNbr, cand)
+		ps := sp.gather(x, nbrs, nil, oppNbr, cand)
 		u := sp.u
 		rowC, rowV := sp.rowC[:0], sp.rowV[:0]
 		dx := float64(len(nbrs))
@@ -651,13 +831,13 @@ func simplePass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, cand candidates, c 
 // per-pair table to build or walk. Under StrictEvidence ev[0] is 0, so a
 // pair with no common neighbor scores exactly zero and the emit's s != 0
 // test drops it, as it drops a cell only zero walk factors reached.
-func weightedPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w [][]float64, ev []float64, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
-	return runRowPass(thisNbr, sym, dst, prev, changed, workers, spas, func(sp *spa, x int) {
+func weightedPass(thisNbr, oppNbr [][]int, w [][]float64, ev []float64, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+	return runRowPass(thisNbr, cand, dst, prev, changed, workers, spas, func(sp *spa, x int) {
 		nbrs := thisNbr[x]
 		if len(nbrs) == 0 {
 			return
 		}
-		ps := sp.gather(x, nbrs, w[x], sym, oppNbr, cand)
+		ps := sp.gather(x, nbrs, w[x], oppNbr, cand)
 		sp.mark(nbrs, 1)
 		u, inX := sp.u, sp.inX
 		rowC, rowV := sp.rowC[:0], sp.rowV[:0]

@@ -69,8 +69,8 @@ func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena
 		if skipQ == nil || skipQ.Count() > 0 {
 			symQ = prevQ.ExpandSymmetric(symQ)
 		}
-		sq := pass(in, cfg, false, symA, curQ, prevQ, skipA, workers, spas)
-		sa := pass(in, cfg, true, symQ, curA, prevA, skipQ, workers, spas)
+		sq := pass(in, cfg, false, prevA, symA, curQ, prevQ, skipA, workers, spas)
+		sa := pass(in, cfg, true, prevQ, symQ, curA, prevA, skipQ, workers, spas)
 		if cfg.PruneEpsilon > 0 {
 			curQ.Prune(cfg.PruneEpsilon)
 			curA.Prune(cfg.PruneEpsilon)
@@ -108,9 +108,10 @@ func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena
 	return &Result{
 		Graph:  g,
 		Config: cfg,
-		// Detached copies: the arena's frontiers are the next run's scratch.
-		QueryScores: prevQ.Clone(),
-		AdScores:    prevA.Clone(),
+		// Detached copies in the graph's ids: the arena's frontiers are the
+		// next run's scratch.
+		QueryScores: in.qIdx.detach(prevQ),
+		AdScores:    in.aIdx.detach(prevA),
 		Iterations:  iters,
 		Converged:   converged,
 		IterStats:   stats,
@@ -135,17 +136,57 @@ func (in *passInputs) side(cfg Config, ads bool) sideInputs {
 }
 
 // sidePass computes one side's next value (the ad side when ads is set)
-// from the opposite side's expansion sym into dst: a pass kernel as the
-// test loops (runJacobiWith) call it.
-type sidePass func(in *passInputs, cfg Config, ads bool, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int
+// from the opposite side's scores opp and their expansion sym into dst: a
+// pass kernel as the test loops (runJacobiWith) call it. Frontiers are in
+// the engine's numbering (memberIndex).
+type sidePass func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int
 
-// pullSide is the production kernel, its candidates decided as the
-// engine's chain decides them.
-func pullSide(in *passInputs, cfg Config, ads bool, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+// pullSide is the production kernel, its gathers and candidates planned
+// as the engine's chain plans them.
+func pullSide(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 	s := in.side(cfg, ads)
-	cand := passCandidates(s.idx, s.oppIdx, sym, make([]bool, len(s.idx.bounds)-1))
+	return s.pass(cfg, plannedCandidates(s, opp, sym, changed), dst, prev, changed, workers, spas)
+}
+
+// plannedCandidates returns side s's plan as planPass makes it from the
+// opposite side's scores opp, with sym as their expansion.
+func plannedCandidates(s sideInputs, opp *sparse.PairFrontier, sym *sparse.SymAdj, changed *sparse.Bitset) candidates {
+	comps := len(s.idx.bounds) - 1
+	var slab []float64
+	cand, _ := planPass(s.idx, s.oppIdx, opp, changed, make([]bool, comps), make([][]float64, comps), &slab)
+	cand.sym = sym
+	return cand
+}
+
+// pass runs the production kernel of cfg's variant on side s.
+func (s sideInputs) pass(cfg Config, cand candidates, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 	if cfg.Variant == Weighted {
-		return weightedPass(sym, s.thisNbr, s.oppNbr, s.w, s.ev, cand, s.c, dst, prev, changed, workers, spas)
+		return weightedPass(s.thisNbr, s.oppNbr, s.w, s.ev, cand, s.c, dst, prev, changed, workers, spas)
 	}
-	return simplePass(sym, s.thisNbr, s.oppNbr, cand, s.c, dst, prev, changed, workers, spas)
+	return simplePass(s.thisNbr, s.oppNbr, cand, s.c, dst, prev, changed, workers, spas)
+}
+
+// forcedCandidates returns side s's plan with every component forced down
+// one gather path on the opposite side's scores opp: a score block and the
+// component range when blocks is set, the expansion sym and the reach
+// otherwise — whatever the density test would choose.
+func forcedCandidates(s sideInputs, opp *sparse.PairFrontier, sym *sparse.SymAdj, blocks bool) candidates {
+	comps := len(s.idx.bounds) - 1
+	dense := make([]bool, comps)
+	for c := range dense {
+		dense[c] = blocks
+	}
+	var slab []float64
+	block := make([][]float64, comps)
+	fillBlocks(s.oppIdx, opp, dense, block, &slab)
+	return candidates{idx: s.idx, opp: s.oppIdx, sym: sym, block: block}
+}
+
+// toLayout returns f, a frontier of the side idx numbers in the graph's
+// ids, in the engine's numbering: how the tests hand a Result's scores to
+// a pass.
+func toLayout(idx *memberIndex, f *sparse.PairFrontier) *sparse.PairFrontier {
+	c := sparse.NewPairFrontier(f.NumRows())
+	c.SetRowsRemapped(f, idx.pos)
+	return c
 }

@@ -12,8 +12,8 @@ import (
 
 // Micro-benchmarks for profiling the kernel: one accumulation pass per op
 // (the pull kernel serial and parallel against the map reference and the
-// push kernel it replaced), and whole sharded runs with their stitch. Run
-// with
+// push kernel it replaced, and each of the pull's two gather paths forced
+// on every component), and whole sharded runs with their stitch. Run with
 //
 //	go test -run='^$' -bench='Pass' -benchmem ./internal/core
 //
@@ -47,7 +47,12 @@ func passBenchFixture(b *testing.B, variant Variant) *passFixture {
 
 // runPassBench times one query-side pass of the fixture's variant under
 // the arms every pass benchmark has: the map reference, the push kernel,
-// and the production pull kernel serial and on every core.
+// the production pull kernel serial and on every core (each op plans the
+// pass and fills its score blocks, as the engine's chain does), and the
+// serial pull with every component forced down one gather path — "block"
+// adds whole score-block rows and evaluates the component range, "reach"
+// gathers from the expansion and evaluates the reach — on candidates
+// planned once, so those two arms time the gather and the pull alone.
 func runPassBench(b *testing.B, fx *passFixture, reference func()) {
 	b.Run("map", func(b *testing.B) {
 		b.ReportAllocs()
@@ -65,7 +70,23 @@ func runPassBench(b *testing.B, fx *passFixture, reference func()) {
 			spas := new(engineArena).ensureSPAs(arm.workers, fx.nq+fx.na)
 			b.ReportAllocs()
 			for b.Loop() {
-				arm.pass(fx.in, fx.cfg, false, fx.symA, dst, nil, nil, arm.workers, spas)
+				arm.pass(fx.in, fx.cfg, false, fx.prevA, fx.symA, dst, nil, nil, arm.workers, spas)
+			}
+		})
+	}
+	s := fx.in.side(fx.cfg, false)
+	for _, blocks := range []bool{true, false} {
+		name := "reach"
+		if blocks {
+			name = "block"
+		}
+		b.Run(name, func(b *testing.B) {
+			cand := forcedCandidates(s, fx.prevA, fx.symA, blocks)
+			dst := sparse.NewPairFrontier(fx.nq)
+			spas := new(engineArena).ensureSPAs(1, fx.nq+fx.na)
+			b.ReportAllocs()
+			for b.Loop() {
+				s.pass(fx.cfg, cand, dst, nil, nil, 1, spas)
 			}
 		})
 	}

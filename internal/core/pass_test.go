@@ -12,13 +12,15 @@ import (
 )
 
 // passFixture builds the pass inputs plus a realistic mid-iteration score
-// state in both representations the passes consume: the map table the
-// reference reads and the symmetric adjacency the kernel reads.
+// state in every representation the passes consume: the map table the
+// reference reads, and the frontier and its symmetric adjacency the
+// kernel reads — all in the engine's numbering (memberIndex).
 type passFixture struct {
 	in     *passInputs
 	cfg    Config
 	nq, na int
 	prevAM *sparse.PairTable
+	prevA  *sparse.PairFrontier // the ad side, the query pass's input
 	symA   *sparse.SymAdj
 	prevQ  *sparse.PairFrontier // the query side one pass earlier
 }
@@ -31,14 +33,17 @@ func newPassFixture(t testing.TB, g *clickgraph.Graph, cfg Config) *passFixture 
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := newPassInputs(g, cfg)
+	prevA := toLayout(in.aIdx, warm.AdScores)
 	return &passFixture{
-		in:     newPassInputs(g, cfg),
+		in:     in,
 		cfg:    cfg,
 		nq:     g.NumQueries(),
 		na:     g.NumAds(),
-		prevAM: toPairTable(warm.AdScores),
-		symA:   warm.AdScores.ExpandSymmetric(nil),
-		prevQ:  warm.QueryScores,
+		prevAM: toPairTable(prevA),
+		prevA:  prevA,
+		symA:   prevA.ExpandSymmetric(nil),
+		prevQ:  toLayout(in.qIdx, warm.QueryScores),
 	}
 }
 
@@ -48,10 +53,10 @@ func (fx *passFixture) evQ() *evidenceTable {
 	return sortedEvidenceTable(fx.nq, fx.in.aNbr, fx.cfg.EvidenceForm, fx.cfg.StrictEvidence)
 }
 
-// cand decides the query-side pass's candidates as the engine's chain
-// would from the fixture's ad scores.
+// cand plans the query-side pass as the engine's chain would from the
+// fixture's ad scores.
 func (fx *passFixture) cand() candidates {
-	return passCandidates(fx.in.qIdx, fx.in.aIdx, fx.symA, make([]bool, len(fx.in.qIdx.bounds)-1))
+	return plannedCandidates(fx.in.side(fx.cfg, false), fx.prevA, fx.symA, nil)
 }
 
 // randomPassFixture is the fixture of the differential tests: a small
@@ -130,7 +135,7 @@ func TestSimplePassMatchesMap(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8} {
 			spas := new(engineArena).ensureSPAs(workers, fx.nq+fx.na)
 			pass := func(dst, prev *sparse.PairFrontier, changed *sparse.Bitset) int {
-				return simplePass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.cand(), fx.cfg.C1, dst, prev, changed, workers, spas)
+				return simplePass(fx.in.qNbr, fx.in.aNbr, fx.cand(), fx.cfg.C1, dst, prev, changed, workers, spas)
 			}
 			label := fmt.Sprintf("seed %d workers %d", seed, workers)
 			got := sparse.NewPairFrontier(fx.nq)
@@ -155,7 +160,7 @@ func TestWeightedPassMatchesMap(t *testing.T) {
 		for _, workers := range []int{1, 2, 5} {
 			spas := new(engineArena).ensureSPAs(workers, fx.nq+fx.na)
 			pass := func(dst, prev *sparse.PairFrontier, changed *sparse.Bitset) int {
-				return weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.ev, fx.cand(), fx.cfg.C1, dst, prev, changed, workers, spas)
+				return weightedPass(fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.ev, fx.cand(), fx.cfg.C1, dst, prev, changed, workers, spas)
 			}
 			label := fmt.Sprintf("seed %d workers %d", seed, workers)
 			got := sparse.NewPairFrontier(fx.nq)
@@ -173,21 +178,9 @@ func TestWeightedPassMatchesMap(t *testing.T) {
 // zeros. The kernel may accumulate them but must not store them: the pass
 // still equals the map reference pair for pair.
 func TestWeightedPassZeroFactors(t *testing.T) {
-	b := clickgraph.NewBuilder()
-	s := uint64(7)
-	next := func(n int) int {
-		s = s*6364136223846793005 + 1442695040888963407
-		return int((s >> 33) % uint64(n))
-	}
-	for e := 0; e < 45; e++ {
-		w := clickgraph.EdgeWeights{Impressions: 3, Clicks: 1, ExpectedClickRate: float64(next(3)) / 2}
-		if err := b.AddEdge(fmt.Sprintf("q%d", next(12)), fmt.Sprintf("ad%d", next(10)), w); err != nil {
-			t.Fatal(err)
-		}
-	}
 	cfg := DefaultConfig().WithVariant(Weighted) // rate channel
 	cfg.Iterations = 3
-	fx := newPassFixture(t, b.Build(), cfg)
+	fx := newPassFixture(t, zeroRateGraph(7), cfg)
 	zeros := 0
 	for _, row := range fx.in.qW {
 		for _, f := range row {
@@ -201,7 +194,7 @@ func TestWeightedPassZeroFactors(t *testing.T) {
 	}
 	want := weightedPassMap(fx.prevAM, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.evQ(), fx.cfg.C1)
 	got := sparse.NewPairFrontier(fx.nq)
-	weightedPass(fx.symA, fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.ev, fx.cand(), fx.cfg.C1, got, nil, nil, 1, new(engineArena).ensureSPAs(1, fx.nq+fx.na))
+	weightedPass(fx.in.qNbr, fx.in.aNbr, fx.in.qW, fx.in.ev, fx.cand(), fx.cfg.C1, got, nil, nil, 1, new(engineArena).ensureSPAs(1, fx.nq+fx.na))
 	assertFrontierMatchesTable(t, "zero factors", got, want, 1e-12) // compares Len too
 	got.Range(func(i, j int, v float64) bool {
 		if v == 0 {
@@ -277,11 +270,11 @@ func TestCountedEvidenceMatchesSorted(t *testing.T) {
 					if ads {
 						opp = warm.QueryScores
 					}
-					sym := opp.ExpandSymmetric(nil)
-					cand := passCandidates(s.idx, s.oppIdx, sym, make([]bool, len(s.idx.bounds)-1))
+					opp = toLayout(s.oppIdx, opp)
+					cand := plannedCandidates(s, opp, opp.ExpandSymmetric(nil), nil)
 					dots, got := sparse.NewPairFrontier(n), sparse.NewPairFrontier(n)
-					weightedPass(sym, s.thisNbr, s.oppNbr, s.w, ones, cand, 1, dots, nil, nil, 1, sp)
-					weightedPass(sym, s.thisNbr, s.oppNbr, s.w, s.ev, cand, 1, got, nil, nil, 1, sp)
+					weightedPass(s.thisNbr, s.oppNbr, s.w, ones, cand, 1, dots, nil, nil, 1, sp)
+					weightedPass(s.thisNbr, s.oppNbr, s.w, s.ev, cand, 1, got, nil, nil, 1, sp)
 					if dots.Len() == 0 && len(want.mult.Col) > 0 {
 						t.Fatalf("%s: the pull stored no cell, though pairs share neighbors", label)
 					}
@@ -360,6 +353,7 @@ func TestStrictEvidenceEmitsNoDisjointPair(t *testing.T) {
 				if ads {
 					opp, own = res.QueryScores, res.AdScores
 				}
+				opp, own = toLayout(s.oppIdx, opp), toLayout(s.idx, own)
 				disjoint := func(f *sparse.PairFrontier) (n int) {
 					f.Range(func(x, p int, _ float64) bool {
 						if !shares(s.thisNbr[x], s.thisNbr[p]) {
@@ -377,7 +371,7 @@ func TestStrictEvidenceEmitsNoDisjointPair(t *testing.T) {
 				spas := new(engineArena).ensureSPAs(1, g.NumQueries()+g.NumAds())
 				for _, dense := range []bool{true, false} {
 					got := sparse.NewPairFrontier(len(s.thisNbr))
-					weightedPass(sym, s.thisNbr, s.oppNbr, s.w, s.ev, forcedCandidates(s, dense), s.c, got, nil, nil, 1, spas)
+					weightedPass(s.thisNbr, s.oppNbr, s.w, s.ev, forcedCandidates(s, opp, sym, dense), s.c, got, nil, nil, 1, spas)
 					n := disjoint(got)
 					if strict && n > 0 {
 						t.Fatalf("%s/range=%v: the pass stored %d pairs without a common neighbor", label, dense, n)

@@ -111,22 +111,13 @@ func TestPullMatchesPush(t *testing.T) {
 	}
 }
 
-// forcedCandidates returns side s's candidates with every component's
-// set forced: the component range when dense is set, the reach otherwise.
-func forcedCandidates(s sideInputs, dense bool) candidates {
-	c := candidates{idx: s.idx, opp: s.oppIdx, dense: make([]bool, len(s.idx.bounds)-1)}
-	for i := range c.dense {
-		c.dense[i] = dense
-	}
-	return c
-}
-
-// TestPullCandidatePathsAgree forces each candidate set on the same pass
-// inputs — every component's range, every row's reach, and the per-pass
-// choice the engine makes — and requires the same rows bit for bit, on
-// both sides of multi-component and single-component graphs mid-run, at
-// several worker counts. A candidate set that missed a member with a
-// nonzero score, or a range cut short by one, would tell.
+// TestPullCandidatePathsAgree forces each gather path on the same pass
+// inputs — every component's score block and range, every row's expansion
+// and reach, and the per-pass choice the engine makes — and requires the
+// same rows bit for bit, on both sides of multi-component and
+// single-component graphs mid-run, at several worker counts. A candidate
+// set that missed a member with a nonzero score, a range cut short by
+// one, or a block row summed in another order would tell.
 func TestPullCandidatePathsAgree(t *testing.T) {
 	graphs := map[string]*clickgraph.Graph{
 		"fig3":   clickgraph.Fig3(),
@@ -146,22 +137,19 @@ func TestPullCandidatePathsAgree(t *testing.T) {
 				if ads {
 					opp = mid.QueryScores
 				}
+				opp = toLayout(s.oppIdx, opp)
 				sym := opp.ExpandSymmetric(nil)
 				sets := map[string]candidates{
-					"range":  forcedCandidates(s, true),
-					"reach":  forcedCandidates(s, false),
-					"chosen": passCandidates(s.idx, s.oppIdx, sym, make([]bool, len(s.idx.bounds)-1)),
+					"block":  forcedCandidates(s, opp, sym, true),
+					"reach":  forcedCandidates(s, opp, sym, false),
+					"chosen": plannedCandidates(s, opp, sym, nil),
 				}
 				var want *sparse.PairFrontier
 				for _, workers := range []int{1, 3} {
 					spas := new(engineArena).ensureSPAs(workers, g.NumQueries()+g.NumAds())
-					for _, set := range []string{"range", "reach", "chosen"} {
+					for _, set := range []string{"block", "reach", "chosen"} {
 						got := sparse.NewPairFrontier(len(s.thisNbr))
-						if variant == Weighted {
-							weightedPass(sym, s.thisNbr, s.oppNbr, s.w, s.ev, sets[set], s.c, got, nil, nil, workers, spas)
-						} else {
-							simplePass(sym, s.thisNbr, s.oppNbr, sets[set], s.c, got, nil, nil, workers, spas)
-						}
+						s.pass(cfg, sets[set], got, nil, nil, workers, spas)
 						if want == nil {
 							if got.Len() == 0 {
 								t.Fatalf("%s/%v/ads=%v: empty pass", name, variant, ads)
@@ -209,7 +197,7 @@ func TestPullSparseGuard(t *testing.T) {
 
 	passes := 0
 	scratch := sparse.NewPairFrontier(max(g.NumQueries(), g.NumAds()))
-	guarded := func(in *passInputs, cfg Config, ads bool, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+	guarded := func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 		cells := func() (n int) {
 			for _, sp := range spas {
 				n += sp.cells
@@ -217,10 +205,10 @@ func TestPullSparseGuard(t *testing.T) {
 			return n
 		}
 		before := cells()
-		skipped := pullSide(in, cfg, ads, sym, dst, prev, changed, workers, spas)
+		skipped := pullSide(in, cfg, ads, opp, sym, dst, prev, changed, workers, spas)
 		pulled := cells() - before
 		scratch.Resize(dst.NumRows())
-		pushSide(in, cfg, ads, sym, scratch, prev, changed, workers, spas)
+		pushSide(in, cfg, ads, opp, sym, scratch, prev, changed, workers, spas)
 		pushed := cells() - before - pulled
 		if pulled > 2*pushed {
 			t.Errorf("pass %d (ads=%v): the pull evaluated %d cells for %d push contributions", passes, ads, pulled, pushed)

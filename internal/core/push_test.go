@@ -109,9 +109,9 @@ func (ps *pushScratch) harvest(pmin, pmax int, emit func(p int, tv float64)) {
 }
 
 // simplePushPass is simplePass's push form.
-func simplePushPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+func simplePushPass(sym *sparse.SymAdj, cand candidates, thisNbr, oppNbr [][]int, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 	scratch := pushScratches(spas, thisNbr, oppNbr)
-	return runRowPass(thisNbr, sym, dst, prev, changed, workers, spas, func(sp *spa, x int) {
+	return runRowPass(thisNbr, cand, dst, prev, changed, workers, spas, func(sp *spa, x int) {
 		nbrs := thisNbr[x]
 		if len(nbrs) == 0 {
 			return
@@ -134,9 +134,9 @@ func simplePushPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, c float64, dst,
 
 // weightedPushPass is weightedPass's push form; revW holds the factors
 // reversed onto the opposite side (reverseFactors).
-func weightedPushPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w, revW [][]float64, ev *evidenceTable, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+func weightedPushPass(sym *sparse.SymAdj, cand candidates, thisNbr, oppNbr [][]int, w, revW [][]float64, ev *evidenceTable, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 	scratch := pushScratches(spas, thisNbr, oppNbr)
-	return runRowPass(thisNbr, sym, dst, prev, changed, workers, spas, func(sp *spa, x int) {
+	return runRowPass(thisNbr, cand, dst, prev, changed, workers, spas, func(sp *spa, x int) {
 		nbrs := thisNbr[x]
 		if len(nbrs) == 0 {
 			return
@@ -160,13 +160,15 @@ func weightedPushPass(sym *sparse.SymAdj, thisNbr, oppNbr [][]int, w, revW [][]f
 
 // pushSide is the push reference kernel. It reads evidence per pair from
 // the sort-built table (sortedEvidenceTable), rebuilt on every call like
-// its reversed factors.
-func pushSide(in *passInputs, cfg Config, ads bool, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+// its reversed factors. It gathers from the expansion sym alone; its
+// multi-worker split weighs rows as the pull's sparse path does.
+func pushSide(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 	s := in.side(cfg, ads)
+	cand := forcedCandidates(s, opp, sym, false)
 	if cfg.Variant == Weighted {
 		revW := reverseFactors(s.thisNbr, s.oppNbr, s.w)
 		ev := sortedEvidenceTable(len(s.thisNbr), s.oppNbr, cfg.EvidenceForm, cfg.StrictEvidence)
-		return weightedPushPass(sym, s.thisNbr, s.oppNbr, s.w, revW, ev, s.c, dst, prev, changed, workers, spas)
+		return weightedPushPass(sym, cand, s.thisNbr, s.oppNbr, s.w, revW, ev, s.c, dst, prev, changed, workers, spas)
 	}
-	return simplePushPass(sym, s.thisNbr, s.oppNbr, s.c, dst, prev, changed, workers, spas)
+	return simplePushPass(sym, cand, s.thisNbr, s.oppNbr, s.c, dst, prev, changed, workers, spas)
 }

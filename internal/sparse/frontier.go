@@ -101,6 +101,10 @@ func (f *PairFrontier) Get(i, j int) (float64, bool) {
 	return 0, false
 }
 
+// Row returns row i's columns and values. The slices alias the frontier's
+// storage; callers must not mutate them.
+func (f *PairFrontier) Row(i int) ([]int32, []float64) { return f.cols[i], f.vals[i] }
+
 // Range calls fn for every stored pair with i < j, in row-major sorted
 // order. If fn returns false, Range stops.
 func (f *PairFrontier) Range(fn func(i, j int, v float64) bool) {
@@ -125,8 +129,11 @@ func (f *PairFrontier) Clone() *PairFrontier {
 
 // SetRowsRemapped copies every row of src into f
 // with ids applied to both coordinates (nil means identity): src's row i
-// lands in row ids[i] and its column c becomes ids[c]. ids must ascend
-// strictly, so remapped rows stay sorted with every column above its row.
+// lands in row ids[i] and its column c becomes ids[c]. ids must keep every
+// row's columns ascending and above the row — strictly ascending ids do,
+// and so does any map that ascends over each set of nodes no stored pair
+// leaves (the engine's component-by-component numbering) — so remapped
+// rows stay sorted.
 // Rows become capacity-clipped windows of two flat arrays. Like
 // SetSortedRow it touches only the target rows, so calls with disjoint id
 // lists may run concurrently — how the shard pool stitches without a
