@@ -16,46 +16,86 @@
 // components packed under the node budget, oversized components carved
 // with ACL sweep cuts — and printed as a table of per-shard sizes, cut
 // edges and conductance, so a plan can be inspected before committing to
-// a sharded run.
+// a sharded run. A flag the chosen mode does not read is an error naming
+// it, not silently ignored.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/partition"
 )
 
-func main() {
-	var (
-		graphPath = flag.String("graph", "", "click graph file (required)")
-		count     = flag.Int("count", 5, "subgraphs to extract")
-		alpha     = flag.Float64("alpha", 0.15, "PPR teleport probability")
-		epsilon   = flag.Float64("epsilon", 1e-6, "PPR push threshold")
-		minNodes  = flag.Int("min-nodes", 300, "minimum nodes per subgraph")
-		outPrefix = flag.String("out-prefix", "subgraph", "output file prefix")
-		planMode  = flag.Bool("plan", false, "print the shard plan RunSharded would execute instead of extracting subgraphs")
-		maxShard  = flag.Int("max-shard-nodes", 4096, "plan mode: shard node budget")
-		minCut    = flag.Int("min-cut-nodes", 64, "plan mode: minimum ACL sweep-cut prefix")
-	)
-	flag.Parse()
-	if *graphPath == "" {
-		fatal(fmt.Errorf("-graph is required"))
+// options is what one command line asks for.
+type options struct {
+	graph, outPrefix                  string
+	count, minNodes, maxShard, minCut int
+	alpha, epsilon                    float64
+	plan                              bool
+}
+
+// parseFlags reads args. Each mode reads the flags it lists; any other
+// flag on the command line is an error naming it rather than ignored.
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("partition", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := &options{}
+	fs.StringVar(&o.graph, "graph", "", "click graph file (required)")
+	fs.IntVar(&o.count, "count", 5, "subgraphs to extract")
+	fs.Float64Var(&o.alpha, "alpha", 0.15, "PPR teleport probability")
+	fs.Float64Var(&o.epsilon, "epsilon", 1e-6, "PPR push threshold")
+	fs.IntVar(&o.minNodes, "min-nodes", 300, "minimum nodes per subgraph")
+	fs.StringVar(&o.outPrefix, "out-prefix", "subgraph", "output file prefix")
+	fs.BoolVar(&o.plan, "plan", false, "print the shard plan RunSharded would execute instead of extracting subgraphs")
+	fs.IntVar(&o.maxShard, "max-shard-nodes", 4096, "plan mode: shard node budget")
+	fs.IntVar(&o.minCut, "min-cut-nodes", 64, "plan mode: minimum ACL sweep-cut prefix")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	g, err := clickgraph.ReadFile(*graphPath)
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	mode, uses := "by subgraph extraction (without -plan)", "graph plan alpha epsilon count min-nodes out-prefix"
+	if o.plan {
+		mode, uses = "with -plan, which writes no subgraphs", "graph plan alpha epsilon max-shard-nodes min-cut-nodes"
+	}
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(strings.Fields(uses), f.Name) {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	if len(stray) > 0 {
+		return nil, fmt.Errorf("%s not used %s", strings.Join(stray, ", "), mode)
+	}
+	if o.graph == "" {
+		return nil, fmt.Errorf("-graph is required")
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if err == flag.ErrHelp {
+		os.Exit(0)
+	}
 	if err != nil {
 		fatal(err)
 	}
+	g, err := clickgraph.ReadFile(o.graph)
+	if err != nil {
+		fatal(err)
+	}
+	ppr := partition.PPRConfig{Alpha: o.alpha, Epsilon: o.epsilon}
 
-	if *planMode {
-		pcfg := partition.PlanConfig{
-			MaxShardNodes: *maxShard,
-			MinCutNodes:   *minCut,
-			PPR:           partition.PPRConfig{Alpha: *alpha, Epsilon: *epsilon},
-		}
-		plan, err := partition.BuildPlan(g, pcfg)
+	if o.plan {
+		plan, err := partition.BuildPlan(g, partition.PlanConfig{MaxShardNodes: o.maxShard, MinCutNodes: o.minCut, PPR: ppr})
 		if err != nil {
 			fatal(err)
 		}
@@ -65,7 +105,7 @@ func main() {
 		return
 	}
 
-	subs, err := partition.Extract(g, *count, partition.PPRConfig{Alpha: *alpha, Epsilon: *epsilon}, *minNodes)
+	subs, err := partition.Extract(g, o.count, ppr, o.minNodes)
 	if err != nil {
 		fatal(err)
 	}
@@ -77,7 +117,7 @@ func main() {
 		tq += st.Queries
 		ta += st.Ads
 		te += st.Edges
-		path := fmt.Sprintf("%s%d.graph", *outPrefix, i+1)
+		path := fmt.Sprintf("%s%d.graph", o.outPrefix, i+1)
 		out, err := os.Create(path)
 		if err != nil {
 			fatal(err)

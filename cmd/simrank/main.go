@@ -354,12 +354,7 @@ func buildSource(g *clickgraph.Graph, method string, c float64, iters int, prune
 			return nil, err
 		}
 	}
-	// Retaining the per-shard tables lets -save emit one snapshot segment
-	// per shard straight from the engines' local outputs.
-	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{
-		Workers:           shardWorkers,
-		RetainShardScores: savePath != "",
-	})
+	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: shardWorkers})
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +365,7 @@ func buildSource(g *clickgraph.Graph, method string, c float64, iters int, prune
 		if err := serve.WriteSnapshotFileTopK(savePath, res, serve.TopKOptions{K: serve.DefaultRewriteTopK, BidTerms: bids}); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "simrank: wrote snapshot %s (%d shards)\n", savePath, len(res.ShardScores))
+		fmt.Fprintf(os.Stderr, "simrank: wrote snapshot %s (%d shards)\n", savePath, len(plan.Shards))
 	}
 	return &rewrite.ResultSource{Index: res}, nil
 }

@@ -124,7 +124,7 @@ func writeFormatGoldens(t *testing.T) string {
 	pcfg.MaxShardNodes = 9
 	plan, err := partition.BuildPlan(g0, pcfg)
 	must(err)
-	res, err := core.RunSharded(g0, core.DefaultConfig().WithVariant(core.Simple), plan, core.ShardOptions{RetainShardScores: true})
+	res, err := core.RunSharded(g0, core.DefaultConfig().WithVariant(core.Simple), plan, core.ShardOptions{})
 	must(err)
 	work := t.TempDir()
 	serving := filepath.Join(work, "serving.snap")

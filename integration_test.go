@@ -72,13 +72,13 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.RunSharded(g, cfg, partition.ComponentPlan(g), core.ShardOptions{Workers: 4, RetainShardScores: true})
+	par, err := core.RunSharded(g, cfg, partition.ComponentPlan(g), core.ShardOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A snapshot is written from shard scores: the monolithic one from
 	// partition.WholePlan's single shard.
-	whole, err := core.RunSharded(g, cfg, partition.WholePlan(g), core.ShardOptions{RetainShardScores: true})
+	whole, err := core.RunSharded(g, cfg, partition.WholePlan(g), core.ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func TestMixedPassesAtEveryWidth(t *testing.T) {
 	g := mixedDensityGraph()
 	cfg := DefaultConfig().WithVariant(Weighted)
 	cfg.Iterations = 6
-	cfg.DisableDeltaSkip = true
+	cfg.noDeltaSkip = true
 
 	type plan struct{ dense, sparse int } // components that gather, by path
 	plans := map[[2]int]plan{}            // (ads, depth) → plan
@@ -176,7 +176,7 @@ func TestMixedPassesAtEveryWidth(t *testing.T) {
 	want := mustRun(t, g, cfg)
 	plan1 := partition.WholePlan(g)
 	for _, workers := range []int{1, 2, 4} {
-		got, err := runEngine(g, cfg, workers, nil)
+		got, err := runEngine(g, cfg, workers, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func TestChainMatchesJacobi(t *testing.T) {
 					cfg.Iterations = k
 					for _, workers := range []int{1, 2, 4} {
 						label := fmt.Sprintf("%v/strict=%v/prune=%g/k=%d/workers=%d", variant, strict, prune, k, workers)
-						got, err := runEngine(g, cfg, workers, nil)
+						got, err := runEngine(g, cfg, workers, nil, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

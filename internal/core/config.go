@@ -166,11 +166,10 @@ type Config struct {
 	// (differential-tested against full recompute). The dense engine
 	// ignores it.
 	DeltaSkipTolerance float64
-	// DisableDeltaSkip forces the sparse engines to recompute every row
-	// every iteration. It exists as the reference for the delta-skip
-	// differential tests and as an ablation; production runs should leave
-	// it off.
-	DisableDeltaSkip bool
+	// noDeltaSkip makes the sparse engines recompute every row of every
+	// pass: the full-recompute reference this package's delta-skip tests
+	// compare against. Nothing outside them sets it.
+	noDeltaSkip bool
 }
 
 // DefaultConfig returns the paper's experimental settings: C1 = C2 = 0.8

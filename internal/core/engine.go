@@ -35,7 +35,15 @@ import (
 // engine paid, and the frontiers ping-pong across iterations so
 // steady-state passes barely allocate.
 func Run(g *clickgraph.Graph, cfg Config) (*Result, error) {
-	return runEngine(g, cfg, 1, nil)
+	return runEngine(g, cfg, 1, nil, nil)
+}
+
+// scoreSink is where runEngine writes a run's final scores: frontiers over
+// the id space qIDs and aIDs (ascending; nil keeps the graph's ids) map
+// the run's graph into — for a shard, the stitched frontiers.
+type scoreSink struct {
+	q, a       *sparse.PairFrontier
+	qIDs, aIDs []int
 }
 
 // passInputs holds the per-run immutable inputs of the iteration passes:
@@ -46,7 +54,7 @@ func Run(g *clickgraph.Graph, cfg Config) (*Result, error) {
 // by component, ascending within each. The renumbering is monotone on
 // every neighbor row and every stored pair, so rows keep their order and
 // every sum its terms' order; the run maps its frontiers back to the
-// graph's ids when it detaches them.
+// graph's ids when it emits them (memberIndex.emit).
 type passInputs struct {
 	qNbr, aNbr [][]int
 	qW, aW     [][]float64 // Weighted only: forward factor rows
@@ -186,16 +194,23 @@ func (m *memberIndex) above(x int) []int32 {
 	return m.iota[x+1 : m.bounds[m.comp[x]+1]]
 }
 
-// detach returns a copy of f, a frontier of this side in the engine's
-// numbering, in the graph's: the renumbering is monotone within a
-// component and no stored pair leaves one, so the copied rows stay sorted.
-func (m *memberIndex) detach(f *sparse.PairFrontier) *sparse.PairFrontier {
-	if m.order == nil {
-		return f.Clone()
+// emit copies f, a frontier of this side in the engine's numbering, into
+// dst: node x's row lands in row ids[graphID(x)] (graphID(x) for nil ids).
+// ids ascend and the renumbering is monotone within a component, which no
+// stored pair leaves, so the composed map keeps copied rows sorted.
+func (m *memberIndex) emit(dst, f *sparse.PairFrontier, ids []int) {
+	to := ids
+	switch {
+	case m.order == nil:
+	case ids == nil:
+		to = m.order
+	default:
+		to = make([]int, len(m.order))
+		for x, v := range m.order {
+			to[x] = ids[v]
+		}
 	}
-	c := sparse.NewPairFrontier(f.NumRows())
-	c.SetRowsRemapped(f, m.order)
-	return c
+	dst.SetRowsRemapped(f, to)
 }
 
 // candidates is one pass's gather plan: for every component of this side,
@@ -385,7 +400,8 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 // exactly one of workers goroutines (contiguous row ranges balanced by
 // gather weight, emitted into disjoint rows of one frontier) in the
 // serial order, so scores do not depend on workers. ar supplies reusable
-// allocation state (nil for a standalone run). Every run starts from the
+// allocation state (nil for a standalone run); out receives the final
+// scores (nil: new frontiers in g's ids). Every run starts from the
 // identity, so its scores are the paper's iterates and depend on g and
 // cfg alone.
 //
@@ -411,8 +427,8 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 // inputs the marks were taken against. With the default exact-equality
 // tracking the copy is bit-identical to recomputation — SimRank converges
 // row by row, so late passes approach the cost of only their still-moving
-// rows. See Config.DeltaSkipTolerance / Config.DisableDeltaSkip.
-func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena) (*Result, error) {
+// rows. See Config.DeltaSkipTolerance.
+func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, out *scoreSink) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -438,7 +454,7 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena) (*
 		ar.symQ, ar.symA = &sparse.SymAdj{}, &sparse.SymAdj{}
 	}
 	q.sym, a.sym = ar.symQ, ar.symA
-	if !cfg.DisableDeltaSkip {
+	if !cfg.noDeltaSkip {
 		q.chg, a.chg = arenaBitset(&ar.chgQ, nq), arenaBitset(&ar.chgA, na)
 	}
 
@@ -469,13 +485,18 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena) (*
 		spas[0].applyEvidence(q.prev, in.qNbr, in.ev)
 		spas[0].applyEvidence(a.prev, in.aNbr, in.ev)
 	}
+	// The arena's frontiers are the next run's scratch: the scores leave
+	// them in one copy, straight into out's ids.
+	if out == nil {
+		out = &scoreSink{q: sparse.NewPairFrontier(nq), a: sparse.NewPairFrontier(na)}
+	}
+	in.qIdx.emit(out.q, q.prev, out.qIDs)
+	in.aIdx.emit(out.a, a.prev, out.aIDs)
 	return &Result{
-		Graph:  g,
-		Config: cfg,
-		// Detached copies in the graph's ids: the arena's frontiers are the
-		// next run's scratch.
-		QueryScores: in.qIdx.detach(q.prev),
-		AdScores:    in.aIdx.detach(a.prev),
+		Graph:       g,
+		Config:      cfg,
+		QueryScores: out.q,
+		AdScores:    out.a,
 		Iterations:  depth,
 		Converged:   converged,
 		IterStats:   stats,

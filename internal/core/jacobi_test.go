@@ -40,7 +40,7 @@ func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena
 	}
 	symQ, symA := ar.symQ, ar.symA
 
-	deltaSkip := !cfg.DisableDeltaSkip
+	deltaSkip := !cfg.noDeltaSkip
 	var chgQ, chgA *sparse.Bitset // nodes whose scores moved last iteration
 	if deltaSkip {
 		chgQ, chgA = arenaBitset(&ar.chgQ, nq), arenaBitset(&ar.chgA, na)
@@ -105,13 +105,14 @@ func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena
 		spas[0].applyEvidence(prevQ, in.qNbr, in.ev)
 		spas[0].applyEvidence(prevA, in.aNbr, in.ev)
 	}
+	qs, as := sparse.NewPairFrontier(nq), sparse.NewPairFrontier(na)
+	in.qIdx.emit(qs, prevQ, nil)
+	in.aIdx.emit(as, prevA, nil)
 	return &Result{
-		Graph:  g,
-		Config: cfg,
-		// Detached copies in the graph's ids: the arena's frontiers are the
-		// next run's scratch.
-		QueryScores: in.qIdx.detach(prevQ),
-		AdScores:    in.aIdx.detach(prevA),
+		Graph:       g,
+		Config:      cfg,
+		QueryScores: qs,
+		AdScores:    as,
 		Iterations:  iters,
 		Converged:   converged,
 		IterStats:   stats,

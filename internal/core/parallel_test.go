@@ -18,7 +18,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				cfg := DefaultConfig().WithVariant(variant)
 				cfg.Channel = ChannelClicks
 				serial := mustRun(t, g, cfg)
-				par, err := runEngine(g, cfg, workers, nil)
+				par, err := runEngine(g, cfg, workers, nil, nil)
 				if err != nil {
 					t.Fatalf("runEngine(%v, %d workers): %v", variant, workers, err)
 				}
@@ -48,7 +48,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.C1 = 0
-	if _, err := runEngine(clickgraph.Fig3(), cfg, 4, nil); err == nil {
+	if _, err := runEngine(clickgraph.Fig3(), cfg, 4, nil, nil); err == nil {
 		t.Error("runEngine accepted invalid config")
 	}
 }
@@ -58,7 +58,7 @@ func TestParallelConvergence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Iterations = 500
 	cfg.Tolerance = 1e-10
-	r, err := runEngine(g, cfg, 4, nil)
+	r, err := runEngine(g, cfg, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,30 +158,39 @@ func BenchmarkShardedRun(b *testing.B) {
 }
 
 // BenchmarkShardedStitch times the hand-off from shard engines to the
-// stitched Result on the multi-cluster workload: every shard's local
-// frontiers remapped into the global frontiers' disjoint rows (here
-// serially; in RunSharded each pool worker deposits its own shard as it
-// finishes), then the run-metadata merge.
+// stitched Result on the multi-cluster workload: every shard's final
+// frontiers copied into the global frontiers' disjoint rows (here serially,
+// from standalone shard runs; in RunSharded each engine emits its own
+// shard straight from its arena as it finishes), then the run-metadata
+// merge.
 func BenchmarkShardedStitch(b *testing.B) {
 	g, plan, cfg := shardBenchWorkload(b)
-	res, err := RunSharded(g, cfg, plan, ShardOptions{RetainShardScores: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	outs := make([]shardOut, len(res.ShardScores))
-	for i := range outs {
-		outs[i] = shardOut{res: &Result{Converged: true}, stat: res.ShardStats[i]}
+	views := make([]*clickgraph.Subview, len(plan.Shards))
+	locals := make([]*Result, len(plan.Shards))
+	outs := make([]shardOut, len(plan.Shards))
+	pairs := 0
+	for i := range plan.Shards {
+		v, err := clickgraph.NewSubview(g, plan.Shards[i].Queries, plan.Shards[i].Ads)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := Run(v.Graph, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		views[i], locals[i] = v, r
+		outs[i] = shardOut{res: &Result{Converged: true}}
+		pairs += r.QueryScores.Len() + r.AdScores.Len()
 	}
 	b.ReportAllocs()
 	for b.Loop() {
 		qScores := sparse.NewPairFrontier(g.NumQueries())
 		aScores := sparse.NewPairFrontier(g.NumAds())
-		for _, ss := range res.ShardScores {
-			qScores.SetRowsRemapped(ss.QueryScores, ss.QueryIDs)
-			aScores.SetRowsRemapped(ss.AdScores, ss.AdIDs)
+		for i, r := range locals {
+			qScores.SetRowsRemapped(r.QueryScores, views[i].QueryIDs)
+			aScores.SetRowsRemapped(r.AdScores, views[i].AdIDs)
 		}
 		stitch(g, cfg, qScores, aScores, outs)
 	}
-	pairs := res.QueryScores.Len() + res.AdScores.Len()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 }

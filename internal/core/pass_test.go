@@ -445,7 +445,7 @@ func TestParallelBitIdentical(t *testing.T) {
 	g := randomGraph(31, 14, 11, 50)
 	for _, cfg := range bitIdenticalConfigs() {
 		serial := mustRun(t, g, cfg)
-		par, err := runEngine(g, cfg, 5, nil)
+		par, err := runEngine(g, cfg, 5, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,12 +468,12 @@ func TestDeltaSkipExactMatchesFull(t *testing.T) {
 		for _, cfg := range bitIdenticalConfigs() {
 			cfg.Iterations = 14
 			full := cfg
-			full.DisableDeltaSkip = true
+			full.noDeltaSkip = true
 			delta := mustRun(t, g, cfg)
 			ref := mustRun(t, g, full)
 			label := fmt.Sprintf("seed=%d %v strict=%v prune=%g", seed, cfg.Variant, cfg.StrictEvidence, cfg.PruneEpsilon)
 			assertBitIdentical(t, label, delta, ref)
-			deltaPar, err := runEngine(g, cfg, 4, nil)
+			deltaPar, err := runEngine(g, cfg, 4, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -483,7 +483,7 @@ func TestDeltaSkipExactMatchesFull(t *testing.T) {
 			}
 			for _, s := range ref.IterStats {
 				if s.QueryRowsSkipped != 0 || s.AdRowsSkipped != 0 {
-					t.Fatalf("%s: DisableDeltaSkip run skipped rows", label)
+					t.Fatalf("%s: full-recompute run skipped rows", label)
 				}
 			}
 		}
@@ -508,7 +508,7 @@ func TestDeltaSkipToleranceBounded(t *testing.T) {
 			cfg.Iterations = 20
 			cfg.DeltaSkipTolerance = tol
 			full := cfg
-			full.DisableDeltaSkip = true
+			full.noDeltaSkip = true
 			delta := mustRun(t, g, cfg)
 			ref := mustRun(t, g, full)
 			maxd := 0.0

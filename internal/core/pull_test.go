@@ -98,7 +98,7 @@ func TestPullMatchesPush(t *testing.T) {
 					cfg.Iterations = k
 					for _, workers := range []int{1, 2, 4} {
 						label := fmt.Sprintf("%s/%v/strict=%v/prune=%g/workers=%d", name, variant, strict, prune, workers)
-						got, err := runEngine(g, cfg, workers, nil)
+						got, err := runEngine(g, cfg, workers, nil, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"simrankpp/internal/clickgraph"
+	"simrankpp/internal/partition"
 	"simrankpp/internal/sparse"
 )
 
@@ -51,14 +52,14 @@ type Result struct {
 	// i sums every shard's pair i — total work, not wall time, since
 	// shards run concurrently.
 	IterStats []IterationStat
+	// Plan is the partition.Plan RunSharded ran (nil from Run and
+	// RunDense): its shards' ascending global ids select each shard's rows
+	// of QueryScores and AdScores, which is how serve.WriteSnapshotTopK
+	// writes one segment pair per shard.
+	Plan *partition.Plan
 	// ShardStats records each shard engine's run, in plan order, when the
 	// result came from RunSharded (nil otherwise).
 	ShardStats []ShardStat
-	// ShardScores retains each shard engine's local-id score frontiers
-	// with their local→global maps, in plan order, when RunSharded ran with
-	// ShardOptions.RetainShardScores (nil otherwise): what
-	// serve.WriteSnapshotTopK writes a snapshot from.
-	ShardScores []ShardScoreSet
 
 	// qTop and aTop back TopRewrites and TopSimilarAds.
 	qTop, aTop lazyPartners
@@ -86,18 +87,6 @@ func (l *lazyPartners) topK(f *sparse.PairFrontier, i, k int) []sparse.Scored {
 		out[n] = sparse.Scored{Node: int(c), Score: vals[n]}
 	}
 	return sparse.TopScored(out, k)
-}
-
-// ShardScoreSet is one shard engine's raw output: pair frontiers
-// in the shard's local id space plus the ascending local→global id maps.
-type ShardScoreSet struct {
-	// QueryIDs maps local query id -> global query id; AdIDs likewise.
-	QueryIDs, AdIDs []int
-	// QueryScores and AdScores are the shard engine's frontiers, local
-	// ids. Both are nil when ShardOptions.RunShards skipped the shard —
-	// the id lists still describe it; a refresh reuses the previous
-	// generation's segment for it (serve.Refresh).
-	QueryScores, AdScores *sparse.PairFrontier
 }
 
 // QuerySim returns s(q1, q2): 1 on the diagonal, the stored score or 0

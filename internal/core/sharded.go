@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/partition"
@@ -31,23 +30,17 @@ type ShardOptions struct {
 	// reusable engine arena, so peak scratch memory is on the order of
 	// Workers × the largest shard's side, never the whole graph's.
 	Workers int
-	// RetainShardScores keeps each shard engine's local-id frontiers and
-	// local→global maps on the Result (Result.ShardScores) in addition to
-	// the stitched global frontiers. serve.WriteSnapshotTopK writes a
-	// snapshot from them and from nothing else — one segment pair per
-	// shard, encoded in parallel without repartitioning — so a run meant
-	// for a snapshot sets it, over partition.WholePlan when unsharded; the
-	// cost is the scores held twice (12 bytes a pair each) until the Result
-	// is dropped.
+	// RetainShardScores is ignored (a run's scores live once, in the
+	// stitched frontiers); it stays only because pathbench sets it.
 	RetainShardScores bool
 	// RunShards, when non-nil, must have one entry per plan shard and
 	// restricts the run to the true entries — the dirty shards of a
 	// partition.DiffPlans classification. Skipped shards burn no work at
-	// all (no subgraph extraction, no engine): their scores are absent
-	// from the stitched Result and their ShardScores entry (under
-	// RetainShardScores) carries only the id lists; a refresh byte-copies
-	// the previous generation's segments for them. A Result of a partial
-	// run is NOT a complete score index; it exists to feed a refresh.
+	// all (no subgraph extraction, no engine): their rows of the stitched
+	// Result stay empty and their ShardStats entry is marked Skipped; a
+	// refresh byte-copies the previous generation's segments for them. A
+	// Result of a partial run is NOT a complete score index; it exists to
+	// feed a refresh.
 	RunShards []bool
 	// Context, when non-nil, cancels the run between shards: each pool
 	// worker checks it before starting the next shard engine and the
@@ -59,19 +52,16 @@ type ShardOptions struct {
 	Context context.Context
 }
 
-// ShardStat records one shard engine run for the stitched Result.
+// ShardStat records one shard engine run for the stitched Result; the
+// shard itself (ids, cut edges, fingerprint) is Result.Plan's entry at the
+// same index.
 type ShardStat struct {
-	// Queries, Ads, Edges are the shard subgraph's dimensions.
-	Queries, Ads, Edges int
-	// CutEdges and Exact echo the plan: evidence this shard could not see.
-	CutEdges int
-	Exact    bool
+	// Edges is the shard subgraph's edge count (0 when skipped).
+	Edges int
 	// Iterations/Converged are the shard engine's own run outcome;
 	// Iterations is the query-side depth it reached (Result.Iterations).
 	Iterations int
 	Converged  bool
-	// Duration is the shard's wall time including subgraph extraction.
-	Duration time.Duration
 	// SPABytes is the dense sparse-accumulator footprint this shard's
 	// engine needed: per engine worker the shard was granted, the float64
 	// gather array u with its int32 touched list, the byte of neighbor
@@ -83,15 +73,15 @@ type ShardStat struct {
 	// Skipped reports that ShardOptions.RunShards excluded this shard: no
 	// engine ran and the run-outcome fields above are zero.
 	Skipped bool
-	// Fingerprint echoes the plan shard's subgraph fingerprint, so the
-	// snapshot writer can persist it without holding the plan.
-	Fingerprint uint64
 }
 
 // RunSharded executes the plan: one sparse engine per shard, scheduled
 // big-shards-first across a bounded worker pool, stitched into a single
 // Result in the parent graph's id space (scores, the TopRewrites partner
-// index via the stitched frontiers, and merged IterStats).
+// index via the stitched frontiers, and merged IterStats) that records the
+// plan it ran (Result.Plan). Each engine copies its final scores out of
+// its arena once, straight into the stitched frontiers' rows of its
+// shard: they are the only copy of the run's scores.
 //
 // When the plan is exact — every shard a union of whole connected
 // components — the stitched scores are bit-identical to Run(g, cfg) at a
@@ -188,9 +178,9 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 		return w
 	}
 
-	// Each pool worker deposits its shard's scores into the stitched
-	// frontiers: shards own disjoint global rows and their id maps ascend,
-	// so remapped rows arrive sorted and no two workers share a row.
+	// Each shard engine emits its scores into the stitched frontiers:
+	// shards own disjoint global rows and their id maps ascend, so remapped
+	// rows arrive sorted and no two workers share a row.
 	qScores := sparse.NewPairFrontier(g.NumQueries())
 	aScores := sparse.NewPairFrontier(g.NumAds())
 	outs := make([]shardOut, len(plan.Shards))
@@ -216,35 +206,24 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 					continue
 				}
 				sh := &plan.Shards[idx]
-				start := time.Now()
 				view, err := clickgraph.NewSubview(g, sh.Queries, sh.Ads)
 				if err != nil {
 					fail(fmt.Errorf("core: shard %d: %w", idx, err))
 					continue
 				}
 				ew := engineWorkers(sh.Nodes())
-				res, err := runEngine(view.Graph, cfg, ew, ar)
+				res, err := runEngine(view.Graph, cfg, ew, ar, &scoreSink{
+					q: qScores, a: aScores, qIDs: view.QueryIDs, aIDs: view.AdIDs,
+				})
 				if err != nil {
 					fail(fmt.Errorf("core: shard %d: %w", idx, err))
 					continue
 				}
-				qScores.SetRowsRemapped(res.QueryScores, view.QueryIDs)
-				aScores.SetRowsRemapped(res.AdScores, view.AdIDs)
-				side := view.Graph.NumQueries()
-				if na := view.Graph.NumAds(); na > side {
-					side = na
-				}
-				outs[idx] = shardOut{view: view, res: res, stat: ShardStat{
-					Queries:     view.Graph.NumQueries(),
-					Ads:         view.Graph.NumAds(),
-					Edges:       view.Graph.NumEdges(),
-					CutEdges:    sh.CutEdges,
-					Exact:       sh.Exact,
-					Iterations:  res.Iterations,
-					Converged:   res.Converged,
-					Duration:    time.Since(start),
-					Fingerprint: sh.Fingerprint,
-					SPABytes:    int64(ew) * spaBytes(side),
+				outs[idx] = shardOut{res: res, stat: ShardStat{
+					Edges:      view.Graph.NumEdges(),
+					Iterations: res.Iterations,
+					Converged:  res.Converged,
+					SPABytes:   int64(ew) * spaBytes(max(view.Graph.NumQueries(), view.Graph.NumAds())),
 				}}
 			}
 		}()
@@ -262,43 +241,17 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 		return nil, firstErr
 	}
 	for i := range plan.Shards {
-		if run(i) {
-			continue
-		}
-		sh := &plan.Shards[i]
-		outs[i].stat = ShardStat{
-			Queries: len(sh.Queries), Ads: len(sh.Ads),
-			CutEdges: sh.CutEdges, Exact: sh.Exact,
-			Skipped: true, Fingerprint: sh.Fingerprint,
+		if !run(i) {
+			outs[i].stat = ShardStat{Skipped: true}
 		}
 	}
 	res := stitch(g, cfg, qScores, aScores, outs)
-	if opt.RetainShardScores {
-		res.ShardScores = make([]ShardScoreSet, len(outs))
-		for i := range outs {
-			if outs[i].res == nil {
-				// Skipped shard: the id lists alone, so a refresh can route
-				// its nodes and byte-copy its previous segment.
-				res.ShardScores[i] = ShardScoreSet{
-					QueryIDs: plan.Shards[i].Queries,
-					AdIDs:    plan.Shards[i].Ads,
-				}
-				continue
-			}
-			res.ShardScores[i] = ShardScoreSet{
-				QueryIDs:    outs[i].view.QueryIDs,
-				AdIDs:       outs[i].view.AdIDs,
-				QueryScores: outs[i].res.QueryScores,
-				AdScores:    outs[i].res.AdScores,
-			}
-		}
-	}
+	res.Plan = plan
 	return res, nil
 }
 
-// shardOut is one shard engine's output awaiting the stitch.
+// shardOut is one shard engine's run metadata awaiting the stitch.
 type shardOut struct {
-	view *clickgraph.Subview
 	res  *Result
 	stat ShardStat
 }

@@ -68,7 +68,7 @@ func TestShardedExactBitIdentical(t *testing.T) {
 				cfg.StrictEvidence = strict
 				cfg.PruneEpsilon = prune
 				mono := mustRun(t, g, cfg)
-				monoPar, err := runEngine(g, cfg, 4, nil)
+				monoPar, err := runEngine(g, cfg, 4, nil, nil)
 				if err != nil {
 					t.Fatalf("runEngine: %v", err)
 				}
@@ -192,20 +192,19 @@ func TestShardedStitchedResultServes(t *testing.T) {
 	if len(sharded.ShardStats) != len(plan.Shards) {
 		t.Fatalf("ShardStats has %d entries, want %d", len(sharded.ShardStats), len(plan.Shards))
 	}
-	totalQ, totalA := 0, 0
-	side := g.NumQueries()
-	if g.NumAds() > side {
-		side = g.NumAds()
+	if sharded.Plan != plan {
+		t.Errorf("Result.Plan is not the plan the run executed")
 	}
+	totalE := 0
+	side := max(g.NumQueries(), g.NumAds())
 	for _, s := range sharded.ShardStats {
-		totalQ += s.Queries
-		totalA += s.Ads
+		totalE += s.Edges
 		if s.SPABytes <= 0 || s.SPABytes > spaBytes(side) {
 			t.Errorf("shard SPA bytes %d outside (0, monolithic %d]", s.SPABytes, spaBytes(side))
 		}
 	}
-	if totalQ != g.NumQueries() || totalA != g.NumAds() {
-		t.Errorf("shard stats cover %d×%d nodes, want %d×%d", totalQ, totalA, g.NumQueries(), g.NumAds())
+	if want := g.NumEdges() - plan.TotalCutEdges; totalE != want {
+		t.Errorf("shard stats cover %d edges, want %d (every uncut edge once)", totalE, want)
 	}
 	if len(sharded.IterStats) != sharded.Iterations {
 		t.Errorf("merged IterStats has %d entries, want %d", len(sharded.IterStats), sharded.Iterations)
@@ -249,7 +248,7 @@ func TestShardedConvergesPerShard(t *testing.T) {
 		t.Error("all shards should converge at 1e-9 within 300 iterations")
 	}
 	for i, s := range sharded.ShardStats {
-		if !s.Converged && s.Queries > 0 {
+		if !s.Converged && len(sharded.Plan.Shards[i].Queries) > 0 {
 			t.Errorf("shard %d did not converge", i)
 		}
 	}
@@ -257,8 +256,7 @@ func TestShardedConvergesPerShard(t *testing.T) {
 
 // TestRunShardsSkipsCleanShards pins the dirty-only scheduling contract:
 // skipped shards contribute no scores and no engine work, their stats are
-// marked, and (under RetainShardScores) their id lists are still present
-// for the refresh writer.
+// marked, and the Result records the whole plan for the refresh writer.
 func TestRunShardsSkipsCleanShards(t *testing.T) {
 	g := multiComponentGraph(7, 4, 12, 9, 40)
 	plan := partition.ComponentPlan(g)
@@ -270,7 +268,7 @@ func TestRunShardsSkipsCleanShards(t *testing.T) {
 
 	mask := make([]bool, len(plan.Shards))
 	mask[0] = true // run only shard 0
-	res, err := RunSharded(g, cfg, plan, ShardOptions{RunShards: mask, RetainShardScores: true})
+	res, err := RunSharded(g, cfg, plan, ShardOptions{RunShards: mask})
 	if err != nil {
 		t.Fatalf("RunSharded: %v", err)
 	}
@@ -297,19 +295,19 @@ func TestRunShardsSkipsCleanShards(t *testing.T) {
 		if (i == 0) == st.Skipped {
 			t.Errorf("shard %d Skipped = %v, want %v", i, st.Skipped, i != 0)
 		}
-		if st.Fingerprint != plan.Shards[i].Fingerprint {
-			t.Errorf("shard %d fingerprint not echoed", i)
+		if st.Skipped != (st.Edges == 0) {
+			t.Errorf("shard %d: Skipped = %v with %d edges", i, st.Skipped, st.Edges)
 		}
 	}
-	for i, ss := range res.ShardScores {
-		if len(ss.QueryIDs) != len(plan.Shards[i].Queries) || len(ss.AdIDs) != len(plan.Shards[i].Ads) {
-			t.Errorf("shard %d retained id lists wrong size", i)
+	if res.Plan != plan {
+		t.Errorf("Result.Plan is not the plan the run executed")
+	}
+	for _, q := range plan.Shards[1].Queries {
+		if cols, _ := res.QueryScores.Row(q); len(cols) != 0 {
+			t.Errorf("skipped shard 1 left stitched query row %d with %d pairs", q, len(cols))
 		}
-		if i != 0 && (ss.QueryScores != nil || ss.AdScores != nil) {
-			t.Errorf("skipped shard %d retained score tables", i)
-		}
-		if i == 0 && (ss.QueryScores == nil || ss.AdScores == nil) {
-			t.Errorf("run shard 0 missing retained score tables")
-		}
+	}
+	if res.QueryScores.Len() == 0 || res.AdScores.Len() == 0 {
+		t.Errorf("run shard 0 scored %d query and %d ad pairs, want both > 0", res.QueryScores.Len(), res.AdScores.Len())
 	}
 }

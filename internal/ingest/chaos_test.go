@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"simrankpp/internal/clickgraph"
-	"simrankpp/internal/core"
 	"simrankpp/internal/hedge"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/serve"
@@ -52,16 +51,7 @@ func expectedFingerprint(t *testing.T, env *testEnv, events int) string {
 
 func graphSnapshotFingerprint(t *testing.T, g *clickgraph.Graph) string {
 	t.Helper()
-	plan := partition.ComponentPlan(g)
-	res, err := core.RunSharded(g, testRefreshCfg(), plan, core.ShardOptions{RetainShardScores: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fp uint64
-	for i := range res.ShardStats {
-		fp ^= res.ShardStats[i].Fingerprint
-	}
-	return fmt.Sprintf("%016x", fp)
+	return fmt.Sprintf("%016x", partition.ComponentPlan(g).Fingerprint())
 }
 
 func servingFingerprint(t *testing.T, path string) string {

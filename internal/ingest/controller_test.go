@@ -56,7 +56,7 @@ func newTestEnv(t *testing.T) *testEnv {
 	dir := t.TempDir()
 	snapPath := filepath.Join(dir, "serving.snap")
 	plan := partition.ComponentPlan(base)
-	res, err := core.RunSharded(base, testRefreshCfg(), plan, core.ShardOptions{RetainShardScores: true})
+	res, err := core.RunSharded(base, testRefreshCfg(), plan, core.ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestControllerFoldsEqualColdBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.RunSharded(g, testRefreshCfg(), diff.Plan, core.ShardOptions{RetainShardScores: true})
+		res, err := core.RunSharded(g, testRefreshCfg(), diff.Plan, core.ShardOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -314,7 +314,9 @@ func shardFromSet(g *clickgraph.Graph, set map[NodeID]bool, exact bool, phi floa
 }
 
 // Validate reports whether the plan covers g exactly: every query and ad
-// id appears in exactly one shard and the recorded dimensions match.
+// id appears in exactly one shard, each shard's ids ascend, and the
+// recorded dimensions match. The snapshot writer relies on the order: it
+// walks a shard's ids to emit its segment rows ascending.
 func (p *Plan) Validate(g *clickgraph.Graph) error {
 	if p.NumQueries != g.NumQueries() || p.NumAds != g.NumAds() {
 		return fmt.Errorf("partition: plan built for %d×%d graph, got %d×%d",
@@ -330,9 +332,13 @@ func coverage(shards []Shard, n int, ids func(*Shard) []int, side string) error 
 	seen := make([]bool, n)
 	total := 0
 	for si := range shards {
-		for _, id := range ids(&shards[si]) {
+		list := ids(&shards[si])
+		for k, id := range list {
 			if id < 0 || id >= n {
 				return fmt.Errorf("partition: shard %d: %s id %d outside [0,%d)", si, side, id, n)
+			}
+			if k > 0 && list[k-1] >= id {
+				return fmt.Errorf("partition: shard %d: %s ids not ascending (%d after %d)", si, side, id, list[k-1])
 			}
 			if seen[id] {
 				return fmt.Errorf("partition: %s id %d assigned to more than one shard", side, id)

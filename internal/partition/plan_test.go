@@ -230,6 +230,17 @@ func TestPlanValidateRejectsMismatch(t *testing.T) {
 			t.Error("accepted plan with an overlapping query")
 		}
 	}
+	// Same ids, same coverage, one shard's ads descending at one step:
+	// the snapshot writer walks a shard's ids as its segment's row order.
+	p4 := ComponentPlan(g)
+	ads := p4.Shards[0].Ads
+	if len(ads) < 2 {
+		t.Fatalf("fixture's shard 0 has %d ads, need 2", len(ads))
+	}
+	ads[0], ads[1] = ads[1], ads[0]
+	if err := p4.Validate(g); err == nil || !strings.Contains(err.Error(), "not ascending") {
+		t.Errorf("Validate(descending ad ids) = %v, want a not-ascending error", err)
+	}
 }
 
 func TestPlanWriteSummary(t *testing.T) {

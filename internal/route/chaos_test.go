@@ -371,6 +371,14 @@ func TestChaosAllReplicasDead503(t *testing.T) {
 	if gw.noReplica.Load() == 0 {
 		t.Error("no-replica path not counted")
 	}
+	// A pinned batch with no candidate degrades to 503 items and counts once.
+	before := gw.noReplica.Load()
+	if code, _, body := postBatch(t, gw.Handler(), `{"queries":["c0-q0","c1-q0"]}`); code != http.StatusOK {
+		t.Fatalf("pinned all-dead batch = %d: %s, want 200 with error items", code, body)
+	}
+	if got := gw.noReplica.Load() - before; got != 1 {
+		t.Errorf("pinned all-dead batch moved noReplica by %d, want 1", got)
+	}
 	code, _, _ = get(t, gw.Handler(), "/readyz")
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("gateway /readyz = %d with fleet dead, want 503", code)

@@ -296,6 +296,13 @@ func TestUnpinnedGatewayDegrades(t *testing.T) {
 	if gw.noReplica.Load() != 1 {
 		t.Errorf("noReplica = %d, want 1", gw.noReplica.Load())
 	}
+	// A /batch refused the same way is one more 503 with no candidate.
+	if code, _, _ := postBatch(t, gw.Handler(), `{"queries":["x","y"]}`); code != http.StatusServiceUnavailable {
+		t.Fatalf("unpinned batch = %d, want 503", code)
+	}
+	if gw.noReplica.Load() != 2 {
+		t.Errorf("noReplica = %d after one read and one batch, want 2", gw.noReplica.Load())
+	}
 }
 
 // TestGatewayStatusEndpoints sanity-checks the gateway's own /readyz

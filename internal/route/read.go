@@ -363,8 +363,12 @@ func (gw *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		answered.Add(1)
 	}
 	wg.Wait()
-	if answered.Load() == 0 && pin == "" {
+	// A request counts once however many of its sub-batches found no
+	// candidate, whether it is refused or answered with error items.
+	if slices.ContainsFunc(subs, func(sb *subBatch) bool { return len(sb.order) == 0 }) {
 		gw.noReplica.Add(1)
+	}
+	if answered.Load() == 0 && pin == "" {
 		gw.unavailable(w, "no replica can serve this request")
 		return
 	}
@@ -387,7 +391,6 @@ func (gw *Gateway) relaySubBatch(ctx context.Context, req serve.BatchRequest, sb
 		}
 	}
 	if len(sb.order) == 0 {
-		gw.noReplica.Add(1)
 		fail("no replica can serve this shard", http.StatusServiceUnavailable)
 		return false
 	}

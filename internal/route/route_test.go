@@ -81,7 +81,7 @@ func generationBytes(t *testing.T, seeds [4]int) []byte {
 	t.Helper()
 	g := fleetGraph(t, seeds)
 	plan := partition.ComponentPlan(g)
-	res, err := core.RunSharded(g, fleetCfg(), plan, core.ShardOptions{Workers: 3, RetainShardScores: true})
+	res, err := core.RunSharded(g, fleetCfg(), plan, core.ShardOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

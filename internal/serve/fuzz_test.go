@@ -49,7 +49,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	}
 	sg := b.Build()
 	sres, err := core.RunSharded(sg, core.DefaultConfig(), partition.ComponentPlan(sg),
-		core.ShardOptions{RetainShardScores: true})
+		core.ShardOptions{})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -18,9 +19,11 @@ import (
 )
 
 // Differential tests for the sorted hand-off: scores travel from the
-// engines to the segment bytes as row-sorted frontiers, and the two
-// sort-free steps on that path — the segment encoder and the scatter
-// index — are held here to the sort-based formulations they replaced.
+// engines to the segment bytes as row-sorted frontiers — each shard's
+// rows of the run's stitched frontiers, walked in the plan's id order —
+// and the two sort-free steps on that path — the segment encoder and the
+// scatter index — are held here to the sort-based formulations they
+// replaced, and every shard's segments to a standalone run of the shard.
 
 // toPairTable returns the frontier's pairs in the map form the
 // reference encoder reads.
@@ -34,15 +37,22 @@ func toPairTable(f *sparse.PairFrontier) *sparse.PairTable {
 }
 
 // referenceEncodeSegment is the encoder as it was while results were hash
-// maps: collect the pairs in map order, remap, comparison-sort by (i, j).
+// maps: collect the pairs of the shard's rows (ids) in map order,
+// comparison-sort them by (i, j).
 func referenceEncodeSegment(t *sparse.PairTable, ids []int) []byte {
 	type rec struct {
 		i, j uint32
 		v    float64
 	}
+	inShard := make(map[int]bool, len(ids))
+	for _, i := range ids {
+		inShard[i] = true
+	}
 	recs := make([]rec, 0, t.Len())
 	t.Range(func(i, j int, v float64) bool {
-		recs = append(recs, rec{uint32(ids[i]), uint32(ids[j]), v})
+		if inShard[i] {
+			recs = append(recs, rec{uint32(i), uint32(j), v})
+		}
 		return true
 	})
 	slices.SortFunc(recs, func(a, b rec) int {
@@ -129,8 +139,8 @@ func handoffPlans(t testing.TB, g *clickgraph.Graph) map[string]*partition.Plan 
 // TestEncodeSegmentMatchesReference holds the ordered encoder byte-equal
 // to the map-and-sort reference for every shard of every kind of run:
 // variants × strict evidence × pruning × {monolithic, component-exact
-// plan, ACL-cut plan}, and for the stitched frontiers of the sharded runs
-// (the rows each pool worker deposited concurrently).
+// plan, ACL-cut plan}, each shard's rows of the stitched frontiers (the
+// rows each pool worker deposited concurrently) and all of them at once.
 func TestEncodeSegmentMatchesReference(t *testing.T) {
 	g := handoffGraph(t)
 	plans := handoffPlans(t, g)
@@ -161,13 +171,13 @@ func TestEncodeSegmentMatchesReference(t *testing.T) {
 				check(label+"/monolithic/ad", mono.AdScores, whole.Ads)
 
 				for name, plan := range plans {
-					res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 3, RetainShardScores: true})
+					res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 3})
 					if err != nil {
 						t.Fatal(err)
 					}
-					for i, ss := range res.ShardScores {
-						check(fmt.Sprintf("%s/%s/shard %d/query", label, name, i), ss.QueryScores, ss.QueryIDs)
-						check(fmt.Sprintf("%s/%s/shard %d/ad", label, name, i), ss.AdScores, ss.AdIDs)
+					for i, sh := range res.Plan.Shards {
+						check(fmt.Sprintf("%s/%s/shard %d/query", label, name, i), res.QueryScores, sh.Queries)
+						check(fmt.Sprintf("%s/%s/shard %d/ad", label, name, i), res.AdScores, sh.Ads)
 					}
 					check(label+"/"+name+"/stitched/query", res.QueryScores, whole.Queries)
 					check(label+"/"+name+"/stitched/ad", res.AdScores, whole.Ads)
@@ -179,15 +189,15 @@ func TestEncodeSegmentMatchesReference(t *testing.T) {
 
 // TestEncodeSegmentEdgeShards covers the degenerate shapes: a shard that
 // scored nothing, a single pair, and a partial (RunShards) run, whose
-// skipped shards carry no frontier and leave their stitched rows empty.
+// skipped shards leave their stitched rows empty.
 func TestEncodeSegmentEdgeShards(t *testing.T) {
-	empty := sparse.NewPairFrontier(4)
+	empty := sparse.NewPairFrontier(14)
 	if got := encodeSegment(empty, []int{3, 5, 8, 13}); len(got) != 0 {
 		t.Errorf("empty shard encoded to %d bytes", len(got))
 	}
 
-	one := sparse.NewPairFrontier(3)
-	one.SetSortedRow(0, []int32{2}, []float64{0.25})
+	one := sparse.NewPairFrontier(70001)
+	one.SetSortedRow(7, []int32{70000}, []float64{0.25})
 	ids := []int{7, 70, 70000}
 	want := referenceEncodeSegment(toPairTable(one), ids)
 	if got := encodeSegment(one, ids); len(got) != pairRecordSize || !bytes.Equal(got, want) {
@@ -199,31 +209,130 @@ func TestEncodeSegmentEdgeShards(t *testing.T) {
 	mask := make([]bool, len(plan.Shards))
 	mask[1] = true
 	cfg := core.DefaultConfig().WithVariant(core.Weighted)
-	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 2, RetainShardScores: true, RunShards: mask})
+	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 2, RunShards: mask})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pairs := 0
-	for i, ss := range res.ShardScores {
+	for i, sh := range res.Plan.Shards {
 		if !mask[i] {
-			if ss.QueryScores != nil || ss.AdScores != nil {
-				t.Errorf("skipped shard %d carries scores", i)
+			if !res.ShardStats[i].Skipped {
+				t.Errorf("skipped shard %d not marked Skipped", i)
 			}
-			for _, q := range ss.QueryIDs {
+			for _, q := range sh.Queries {
 				if top := res.TopRewrites(q, -1); len(top) != 0 {
 					t.Errorf("skipped shard %d left stitched query %d with %d partners", i, q, len(top))
 				}
 			}
 			continue
 		}
-		seg := encodeSegment(ss.QueryScores, ss.QueryIDs)
-		if !bytes.Equal(seg, referenceEncodeSegment(toPairTable(ss.QueryScores), ss.QueryIDs)) {
+		seg := encodeSegment(res.QueryScores, sh.Queries)
+		if !bytes.Equal(seg, referenceEncodeSegment(toPairTable(res.QueryScores), sh.Queries)) {
 			t.Errorf("executed shard %d: ordered encoder differs from the reference", i)
 		}
 		pairs += len(seg) / pairRecordSize
 	}
 	if pairs == 0 || pairs != res.QueryScores.Len() {
 		t.Errorf("executed shards hold %d query pairs, stitched result %d", pairs, res.QueryScores.Len())
+	}
+}
+
+// encodeLocalSegment is the segment encoder as it was while shard engines
+// kept local frontiers: range a standalone run's local-id frontier and
+// remap every pair through the shard's ascending global ids.
+func encodeLocalSegment(f *sparse.PairFrontier, ids []int) []byte {
+	buf := make([]byte, 0, f.Len()*pairRecordSize)
+	f.Range(func(i, j int, v float64) bool {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(ids[i]))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(ids[j]))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		return true
+	})
+	return buf
+}
+
+// TestShardSegmentsMatchStandaloneRuns holds every shard's segment bytes —
+// its rows of the run's stitched frontiers, walked through the run's plan
+// — to a standalone core.Run over the shard's subview, encoded from that
+// run's own local frontiers: for a full build (WriteSnapshotTopK) and for
+// a refresh's RunShards run (runDirty), over an exact plan, an ACL-carved
+// plan and WholePlan, for every variant.
+func TestShardSegmentsMatchStandaloneRuns(t *testing.T) {
+	g := handoffGraph(t)
+	plans := handoffPlans(t, g)
+	plans["whole"] = partition.WholePlan(g)
+	for _, variant := range []core.Variant{core.Simple, core.Evidence, core.Weighted} {
+		cfg := core.DefaultConfig().WithVariant(variant)
+		for name, plan := range plans {
+			label := fmt.Sprintf("%v/%s", variant, name)
+			want := make([][2][]byte, len(plan.Shards))
+			pairs := 0
+			for i := range plan.Shards {
+				sh := &plan.Shards[i]
+				view, err := clickgraph.NewSubview(g, sh.Queries, sh.Ads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				local, err := core.Run(view.Graph, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = [2][]byte{encodeLocalSegment(local.QueryScores, view.QueryIDs), encodeLocalSegment(local.AdScores, view.AdIDs)}
+				pairs += local.QueryScores.Len() + local.AdScores.Len()
+			}
+			if pairs == 0 {
+				t.Fatalf("%s: no shard scored a pair; the fixture no longer exercises the writer", label)
+			}
+			check := func(stage string, i int, q, a []byte) {
+				t.Helper()
+				if !bytes.Equal(q, want[i][0]) || !bytes.Equal(a, want[i][1]) {
+					t.Errorf("%s/%s: shard %d's segments (%d, %d bytes) differ from its standalone run's (%d, %d bytes)",
+						label, stage, i, len(q), len(a), len(want[i][0]), len(want[i][1]))
+				}
+			}
+
+			res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := WriteSnapshotTopK(&buf, res, TopKOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			prev, err := NewSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range plan.Shards {
+				q, err := prev.segmentBytes("query", i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, err := prev.segmentBytes("ad", i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("full build", i, q, a)
+			}
+
+			dirty := make([]bool, len(plan.Shards))
+			for i := range dirty {
+				dirty[i] = i%2 == 0
+			}
+			_, segs, err := runDirty(context.Background(), g, prev, plan, dirty, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, seg := range segs {
+				if (seg != nil) != dirty[i] {
+					t.Fatalf("%s: shard %d dirty %v but segment present %v", label, i, dirty[i], seg != nil)
+				}
+				if seg != nil {
+					check("refresh run", i, seg.QuerySeg, seg.AdSeg)
+				}
+			}
+			prev.Close()
+		}
 	}
 }
 
@@ -296,7 +405,7 @@ func handoffSnapshotBytes(t testing.TB) []byte {
 	t.Helper()
 	g := handoffGraph(t)
 	cfg := core.DefaultConfig().WithVariant(core.Weighted)
-	res, err := core.RunSharded(g, cfg, partition.ComponentPlan(g), core.ShardOptions{RetainShardScores: true})
+	res, err := core.RunSharded(g, cfg, partition.ComponentPlan(g), core.ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +475,7 @@ func handoffBenchResult(b *testing.B) *core.Result {
 	}
 	cfg := core.DefaultConfig().WithVariant(core.Weighted)
 	cfg.PruneEpsilon = 1e-5
-	res, err := core.RunSharded(g, cfg, partition.ComponentPlan(g), core.ShardOptions{RetainShardScores: true})
+	res, err := core.RunSharded(g, cfg, partition.ComponentPlan(g), core.ShardOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -382,9 +491,9 @@ func BenchmarkEncodeSegment(b *testing.B) {
 	res := handoffBenchResult(b)
 	b.ReportAllocs()
 	for b.Loop() {
-		for _, ss := range res.ShardScores {
-			encodeSegment(ss.QueryScores, ss.QueryIDs)
-			encodeSegment(ss.AdScores, ss.AdIDs)
+		for _, sh := range res.Plan.Shards {
+			encodeSegment(res.QueryScores, sh.Queries)
+			encodeSegment(res.AdScores, sh.Ads)
 		}
 	}
 	reportPerPair(b, res)
@@ -393,8 +502,8 @@ func BenchmarkEncodeSegment(b *testing.B) {
 func BenchmarkBuildScatterIndex(b *testing.B) {
 	res := handoffBenchResult(b)
 	var segs [][]byte
-	for _, ss := range res.ShardScores {
-		segs = append(segs, encodeSegment(ss.QueryScores, ss.QueryIDs), encodeSegment(ss.AdScores, ss.AdIDs))
+	for _, sh := range res.Plan.Shards {
+		segs = append(segs, encodeSegment(res.QueryScores, sh.Queries), encodeSegment(res.AdScores, sh.Ads))
 	}
 	b.ReportAllocs()
 	for b.Loop() {

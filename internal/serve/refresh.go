@@ -53,14 +53,13 @@ type shardSegment struct {
 	QueryCRC, AdCRC uint32
 }
 
-// encodeShardSegment encodes one shard's score frontiers into segment
-// form: the one place frontiers become segment bytes. qIDs/aIDs are the
-// shard's ascending global node ids; the frontiers are local-id keyed,
-// exactly as a per-shard engine produces them.
-func encodeShardSegment(q, a *sparse.PairFrontier, qIDs, aIDs []int) shardSegment {
+// encodeShardSegment encodes shard sh's rows of a run's stitched score
+// frontiers into segment form: the one place frontiers become segment
+// bytes.
+func encodeShardSegment(q, a *sparse.PairFrontier, sh *partition.Shard) shardSegment {
 	var s shardSegment
-	s.QuerySeg = encodeSegment(q, qIDs)
-	s.AdSeg = encodeSegment(a, aIDs)
+	s.QuerySeg = encodeSegment(q, sh.Queries)
+	s.AdSeg = encodeSegment(a, sh.Ads)
 	s.QueryCRC = crc32.ChecksumIEEE(s.QuerySeg)
 	s.AdCRC = crc32.ChecksumIEEE(s.AdSeg)
 	return s
@@ -68,8 +67,9 @@ func encodeShardSegment(q, a *sparse.PairFrontier, qIDs, aIDs []int) shardSegmen
 
 // runDirty runs the shards of plan (the projected refresh plan over g,
 // partition.DiffPlans) that dirty marks, one engine per shard on a pool
-// of the given width (<= 0 selects GOMAXPROCS), and encodes their
-// segments in parallel; segs is nil at every clean shard. The engine
+// of the given width (<= 0 selects GOMAXPROCS), and encodes their rows of
+// the stitched frontiers through the run's plan, as WriteSnapshotTopK
+// does, in parallel; segs is nil at every clean shard. The engine
 // configuration is taken from prev's header, keeping generations
 // coherent by construction, and every dirty shard runs from the identity
 // under it, so the next generation is, outside its header's generation
@@ -78,15 +78,14 @@ func encodeShardSegment(q, a *sparse.PairFrontier, qIDs, aIDs []int) shardSegmen
 // cancelled ctx stops the run at the next shard boundary with ctx's error.
 func runDirty(ctx context.Context, g *clickgraph.Graph, prev *Snapshot, plan *partition.Plan, dirty []bool, workers int) (*core.Result, []*shardSegment, error) {
 	res, err := core.RunSharded(g, prev.Config(), plan, core.ShardOptions{
-		Workers:           workers,
-		RetainShardScores: true,
-		RunShards:         dirty,
-		Context:           ctx,
+		Workers:   workers,
+		RunShards: dirty,
+		Context:   ctx,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, encodeShards(res.ShardScores), nil
+	return res, encodeShards(res), nil
 }
 
 // refreshTopK derives the next generation's top-k section parameters
@@ -108,10 +107,10 @@ func refreshTopK(prev *Snapshot, bids map[string]bool) (topkMeta, error) {
 }
 
 // assembleRefresh writes the next snapshot generation from runDirty's
-// output through the assembler a full build uses. plan must be the
-// projected refresh plan (partition.DiffPlans) over g, dirty its
-// classification, and segs non-nil exactly at the dirty indices; run is
-// the engine run behind them. Clean shards' segments are byte-copied from
+// output through the assembler a full build uses: run is the engine run
+// over the projected refresh plan (partition.DiffPlans) over g, which it
+// records (run.Plan), and segs its encoded dirty shards, nil at the
+// shards it skipped. Clean shards' segments are byte-copied from
 // prev, verified against the directory CRCs, under a fingerprint guard.
 // The precomputed rewrite section follows the same split at the depth
 // recorded in prev's header: dirty shards' blobs are rebuilt from their
@@ -122,27 +121,20 @@ func refreshTopK(prev *Snapshot, bids map[string]bool) (topkMeta, error) {
 // was built with (compared by hash); pass nil when prev carries no
 // section. The new generation records prev's run configuration, the one
 // its dirty shards ran under.
-func assembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, plan *partition.Plan, dirty []bool, run *core.Result, segs []*shardSegment, bids map[string]bool) (RefreshStats, error) {
-	if len(plan.Shards) != len(dirty) || len(plan.Shards) != len(segs) {
-		return RefreshStats{}, fmt.Errorf("serve: assemble got %d shards, %d dirty flags, %d segments",
-			len(plan.Shards), len(dirty), len(segs))
-	}
+func assembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, run *core.Result, segs []*shardSegment, bids map[string]bool) (RefreshStats, error) {
 	tk, err := refreshTopK(prev, bids)
 	if err != nil {
 		return RefreshStats{}, err
 	}
 	dirtyShards := 0
-	for i, seg := range segs {
-		if dirty[i] != (seg != nil) {
-			return RefreshStats{}, fmt.Errorf("serve: shard %d: dirty flag %v but segment present %v (dirty mask out of sync?)", i, dirty[i], seg != nil)
-		}
+	for _, seg := range segs {
 		if seg != nil {
 			dirtyShards++
 		}
 	}
 	// Iterations: a refresh ran only its dirty shards, so the horizon the
 	// snapshot advertises is the deeper of the two generations'.
-	return assembleSnapshot(w, g, prev.Config(), plan.Shards, segs, prev, tk, bids, genInfo{
+	return assembleSnapshot(w, g, prev.Config(), run.Plan.Shards, segs, prev, tk, bids, genInfo{
 		iterations:  max(run.Iterations, prev.meta.Iterations),
 		converged:   run.Converged && prev.meta.Converged,
 		generatedAt: time.Now(),
@@ -234,7 +226,7 @@ func Refresh(ctx context.Context, gs *GenerationStore, g *clickgraph.Graph, work
 	}
 	gen, err := gs.Commit(diff.DirtyShards, diff.Plan.Fingerprint(), func(w io.Writer) (err error) {
 		cw := &checkpointWriter{w: w, hook: func() error { return checkpoint("commit:mid-write") }}
-		res.Stats, err = assembleRefresh(cw, prev, g, diff.Plan, diff.Dirty, run, segs, bids)
+		res.Stats, err = assembleRefresh(cw, prev, g, run, segs, bids)
 		return err
 	})
 	if err != nil {

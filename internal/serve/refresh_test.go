@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"slices"
 	"testing"
 
@@ -77,7 +76,7 @@ func refreshCfg() core.Config {
 func buildGeneration(t *testing.T, g *clickgraph.Graph, cfg core.Config) (*core.Result, []byte, *Snapshot) {
 	t.Helper()
 	plan := partition.ComponentPlan(g)
-	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 3, RetainShardScores: true})
+	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,18 +110,12 @@ func runStep(t *testing.T, g *clickgraph.Graph, prev *Snapshot, workers int) (*d
 	return &dirtyRun{res, segs}, diff
 }
 
-// assemble is the write half: assembleRefresh over diff's plan and dirty
-// mask, as Refresh calls it.
-func assemble(w io.Writer, g *clickgraph.Graph, prev *Snapshot, diff *partition.Diff, run *dirtyRun, bids map[string]bool) (RefreshStats, error) {
-	return assembleRefresh(w, prev, g, diff.Plan, diff.Dirty, run.res, run.segs, bids)
-}
-
 // refreshBytes runs one refresh step in memory.
 func refreshBytes(t *testing.T, g *clickgraph.Graph, prev *Snapshot) (*dirtyRun, *partition.Diff, RefreshStats, []byte) {
 	t.Helper()
 	run, diff := runStep(t, g, prev, 3)
 	var buf bytes.Buffer
-	st, err := assemble(&buf, g, prev, diff, run, nil)
+	st, err := assembleRefresh(&buf, prev, g, run.res, run.segs, nil)
 	if err != nil {
 		t.Fatalf("assembleRefresh: %v", err)
 	}
@@ -261,7 +254,7 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 		t.Fatalf("step 1 saw %d new queries, want 1", diff1.NewQueries)
 	}
 	var buf1 bytes.Buffer
-	if _, err := assemble(&buf1, g1, prev, diff1, run1, nil); err != nil {
+	if _, err := assembleRefresh(&buf1, prev, g1, run1.res, run1.segs, nil); err != nil {
 		t.Fatalf("step 1 assembleRefresh: %v", err)
 	}
 	snap1, err := NewSnapshot(bytes.NewReader(buf1.Bytes()), int64(buf1.Len()))
@@ -283,7 +276,7 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 		t.Fatalf("island did not append a shard: %d shards from %d", len(diff2.Plan.Shards), snap1.NumShards())
 	}
 	var buf2 bytes.Buffer
-	st2, err := assemble(&buf2, g2, snap1, diff2, run2, nil)
+	st2, err := assembleRefresh(&buf2, snap1, g2, run2.res, run2.segs, nil)
 	if err != nil {
 		t.Fatalf("step 2 assembleRefresh: %v", err)
 	}
@@ -343,7 +336,7 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 	}{{"fixed", fixed}, {"warm", warm}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			res0, err := core.RunSharded(base, cfg, partition.ComponentPlan(base), core.ShardOptions{Workers: 3, RetainShardScores: true})
+			res0, err := core.RunSharded(base, cfg, partition.ComponentPlan(base), core.ShardOptions{Workers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +354,7 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 			for _, width := range []int{1, 2, 4} {
 				run, d := runStep(t, churned, prev, width)
 				var buf bytes.Buffer
-				st, err := assemble(&buf, churned, prev, d, run, bids)
+				st, err := assembleRefresh(&buf, prev, churned, run.res, run.segs, bids)
 				if err != nil {
 					t.Fatalf("width %d: assembleRefresh: %v", width, err)
 				}
@@ -384,7 +377,7 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 			if snap.Meta().IterationBudget != cfg.Iterations {
 				t.Errorf("recorded iteration budget %d, want %d", snap.Meta().IterationBudget, cfg.Iterations)
 			}
-			full, err := core.RunSharded(churned, cfg, diff.Plan, core.ShardOptions{Workers: 2, RetainShardScores: true})
+			full, err := core.RunSharded(churned, cfg, diff.Plan, core.ShardOptions{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -403,7 +396,7 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			var allDirty bytes.Buffer
-			if _, err := assembleRefresh(&allDirty, prev, churned, diff.Plan, all, allRes, allSegs, bids); err != nil {
+			if _, err := assembleRefresh(&allDirty, prev, churned, allRes, allSegs, bids); err != nil {
 				t.Fatal(err)
 			}
 			for name, got := range map[string][]byte{"refreshed": got, "all-dirty": allDirty.Bytes()} {

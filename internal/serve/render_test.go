@@ -89,7 +89,7 @@ func TestRewriteJSONOneAllocation(t *testing.T) {
 // query score NaN, in its score segments and its top-k lists alike.
 func TestNonFiniteScoreIsJSONMarshalError(t *testing.T) {
 	res := fig3Result(t, core.DefaultConfig())
-	res.ShardScores[0].QueryScores.Map(func(_, _ int, _ float64) (float64, bool) { return math.NaN(), true })
+	res.QueryScores.Map(func(_, _ int, _ float64) (float64, bool) { return math.NaN(), true })
 	_, marshalErr := json.Marshal(math.NaN())
 	h := NewServer(mustSnapshot(t, res, DefaultRewriteTopK), DefaultServerConfig()).Handler()
 	for _, path := range []string{"/similar?q=camera", "/rewrite?q=camera"} {

@@ -60,7 +60,7 @@ func namedTestGraph(t *testing.T, rename func(name string, i int) string) *click
 // retained: the monolithic run a snapshot is written from.
 func wholeRun(t testing.TB, g *clickgraph.Graph, cfg core.Config) *core.Result {
 	t.Helper()
-	res, err := core.RunSharded(g, cfg, partition.WholePlan(g), core.ShardOptions{RetainShardScores: true})
+	res, err := core.RunSharded(g, cfg, partition.WholePlan(g), core.ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func testSnapshotRoundTrip(t *testing.T, g *clickgraph.Graph) {
 					if sharded {
 						run = plan
 					}
-					res, err := core.RunSharded(g, cfg, run, core.ShardOptions{Workers: 3, RetainShardScores: true})
+					res, err := core.RunSharded(g, cfg, run, core.ShardOptions{Workers: 3})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -238,7 +238,7 @@ func TestSnapshotLazySegmentAccess(t *testing.T) {
 	plan := partition.ComponentPlan(g)
 	cfg := core.DefaultConfig().WithVariant(core.Weighted)
 	cfg.PruneEpsilon = 1e-6
-	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{RetainShardScores: true})
+	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	plan := partition.ComponentPlan(g)
 	cfg := core.DefaultConfig()
 	cfg.PruneEpsilon = 1e-6
-	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{RetainShardScores: true})
+	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,17 +351,33 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestWriteSnapshotRefusesUnshardedResult: a snapshot is written from
-// retained shard scores only, so a core.Run result is refused with an
-// error naming the option that retains them.
+// TestWriteSnapshotRefusesUnshardedResult: a snapshot is written shard by
+// shard from the run's plan, so a core.Run result (no plan) is refused
+// with an error naming core.RunSharded, and so is a partial (RunShards)
+// run, whose skipped shards only a refresh can complete.
 func TestWriteSnapshotRefusesUnshardedResult(t *testing.T) {
-	res, err := core.Run(clickgraph.Fig3(), core.DefaultConfig())
+	g := clickgraph.Fig3()
+	res, err := core.Run(g, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = WriteSnapshotTopK(io.Discard, res, TopKOptions{K: DefaultRewriteTopK})
-	if err == nil || !strings.Contains(err.Error(), "core.ShardOptions.RetainShardScores") {
-		t.Fatalf("WriteSnapshotTopK(core.Run result) = %v, want an error naming core.ShardOptions.RetainShardScores", err)
+	if err == nil || !strings.Contains(err.Error(), "core.RunSharded") {
+		t.Fatalf("WriteSnapshotTopK(core.Run result) = %v, want an error naming core.RunSharded", err)
+	}
+	plan := partition.ComponentPlan(g)
+	if len(plan.Shards) < 2 {
+		t.Fatalf("fig3 has %d components, want 2", len(plan.Shards))
+	}
+	mask := make([]bool, len(plan.Shards))
+	mask[0] = true
+	part, err := core.RunSharded(g, core.DefaultConfig(), plan, core.ShardOptions{RunShards: mask})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = WriteSnapshotTopK(io.Discard, part, TopKOptions{K: DefaultRewriteTopK})
+	if err == nil || !strings.Contains(err.Error(), "shard 1 has no scores") {
+		t.Fatalf("WriteSnapshotTopK(partial run) = %v, want shard 1 refused", err)
 	}
 }
 

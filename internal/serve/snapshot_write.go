@@ -19,18 +19,26 @@ import (
 	"simrankpp/internal/sparse"
 )
 
-// encodeSegment writes one pair frontier out as the sorted binary record
-// stream, remapping ids through the shard's ascending local→global map.
-// Row-major frontier order is segment order — a monotone map keeps rows,
-// and columns within a row, ascending — so nothing sorts.
+// encodeSegment writes one shard's rows of a stitched frontier out as the
+// sorted binary record stream. ids are the shard's global ids, ascending
+// (partition.Plan.Validate), and every pair stored in those rows lies in
+// the shard, so walking the rows in id order emits the records ascending
+// by (i, j): nothing sorts.
 func encodeSegment(f *sparse.PairFrontier, ids []int) []byte {
-	buf := make([]byte, 0, f.Len()*pairRecordSize)
-	f.Range(func(i, j int, v float64) bool {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(ids[i]))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(ids[j]))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		return true
-	})
+	n := 0
+	for _, i := range ids {
+		cols, _ := f.Row(i)
+		n += len(cols)
+	}
+	buf := make([]byte, 0, n*pairRecordSize)
+	for _, i := range ids {
+		cols, vals := f.Row(i)
+		for k, j := range cols {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(j))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(vals[k]))
+		}
+	}
 	return buf
 }
 
@@ -55,25 +63,23 @@ type genInfo struct {
 
 // WriteSnapshotTopK writes a full build of res — the refresh in which
 // every shard is dirty — with the precomputed rewrite section opts
-// configures (K 0 writes none). res must come from core.RunSharded with
-// core.ShardOptions.RetainShardScores (partition.WholePlan is the
-// one-shard plan): each shard's segments are encoded, in parallel, from
-// its engine's local frontiers. Results of a partial
-// (ShardOptions.RunShards) run are rejected — their missing shards can
-// only be completed by Refresh.
+// configures (K 0 writes none). res may be any complete core.RunSharded
+// result (partition.WholePlan is the one-shard plan): the writer walks
+// res.Plan, encoding each shard's rows of the stitched frontiers into its
+// segment pair, in parallel. A result without a plan (core.Run) and one of
+// a partial (ShardOptions.RunShards) run are rejected — the latter's
+// missing shards can only be completed by Refresh.
 func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
-	if len(res.ShardScores) == 0 || len(res.ShardStats) != len(res.ShardScores) {
-		return fmt.Errorf("serve: a snapshot is written from shard scores: run core.RunSharded with core.ShardOptions.RetainShardScores")
+	if res.Plan == nil {
+		return fmt.Errorf("serve: a snapshot is written shard by shard from a plan: run core.RunSharded (partition.WholePlan for one shard)")
 	}
-	segs := encodeShards(res.ShardScores)
-	shards := make([]partition.Shard, len(segs))
-	for i, ss := range res.ShardScores {
-		if segs[i] == nil {
+	for i, st := range res.ShardStats {
+		if st.Skipped {
 			return fmt.Errorf("serve: shard %d has no scores (partial refresh run?); a refresh completes it", i)
 		}
-		shards[i] = partition.Shard{Queries: ss.QueryIDs, Ads: ss.AdIDs, Fingerprint: res.ShardStats[i].Fingerprint}
 	}
-	_, err := assembleSnapshot(w, res.Graph, res.Config, shards, segs, nil, opts.meta(), opts.BidTerms, genInfo{
+	segs := encodeShards(res)
+	_, err := assembleSnapshot(w, res.Graph, res.Config, res.Plan.Shards, segs, nil, opts.meta(), opts.BidTerms, genInfo{
 		iterations:  res.Iterations,
 		converged:   res.Converged,
 		generatedAt: time.Now(),
@@ -82,14 +88,15 @@ func WriteSnapshotTopK(w io.Writer, res *core.Result, opts TopKOptions) error {
 	return err
 }
 
-// encodeShards encodes every shard that ran into segment wire form, one
-// encoder per shard on a bounded pool; a shard ShardOptions.RunShards
-// skipped stays nil.
-func encodeShards(scores []core.ShardScoreSet) []*shardSegment {
-	segs := make([]*shardSegment, len(scores))
-	parallelFor(len(scores), func(i int) {
-		if ss := &scores[i]; ss.QueryScores != nil && ss.AdScores != nil {
-			seg := encodeShardSegment(ss.QueryScores, ss.AdScores, ss.QueryIDs, ss.AdIDs)
+// encodeShards encodes every shard of res.Plan that ran into segment wire
+// form, one encoder per shard on a bounded pool; a shard
+// ShardOptions.RunShards skipped stays nil.
+func encodeShards(res *core.Result) []*shardSegment {
+	shards := res.Plan.Shards
+	segs := make([]*shardSegment, len(shards))
+	parallelFor(len(shards), func(i int) {
+		if !res.ShardStats[i].Skipped {
+			seg := encodeShardSegment(res.QueryScores, res.AdScores, &shards[i])
 			segs[i] = &seg
 		}
 	})

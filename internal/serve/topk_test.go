@@ -151,12 +151,12 @@ func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts T
 	}
 
 	plan := partition.ComponentPlan(g0)
-	res0, err := core.RunSharded(g0, refreshCfg(), plan, core.ShardOptions{Workers: 3, RetainShardScores: true})
+	res0, err := core.RunSharded(g0, refreshCfg(), plan, core.ShardOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res0.ShardScores) < 2 {
-		t.Fatalf("fixture produced %d shards, want one per cluster", len(res0.ShardScores))
+	if len(plan.Shards) < 2 {
+		t.Fatalf("fixture produced %d shards, want one per cluster", len(plan.Shards))
 	}
 	var buf0 bytes.Buffer
 	if err := WriteSnapshotTopK(&buf0, res0, opts); err != nil {
@@ -167,20 +167,19 @@ func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts T
 		t.Fatal(err)
 	}
 	defer prev.Close()
-	for i := range res0.ShardScores {
+	for i, sh := range plan.Shards {
 		got, err := prev.segmentBytes("topk", i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss := res0.ShardScores[i]
-		if !bytes.Equal(got, want(encodeSegment(ss.QueryScores, ss.QueryIDs), ss.QueryIDs, g0)) {
+		if !bytes.Equal(got, want(encodeSegment(res0.QueryScores, sh.Queries), sh.Queries, g0)) {
 			t.Errorf("WriteSnapshotTopK shard %d: blob differs from the reference builder's", i)
 		}
 	}
 
 	run1, diff := runStep(t, g1, prev, 3)
 	var buf1 bytes.Buffer
-	rs, err := assemble(&buf1, g1, prev, diff, run1, opts.BidTerms)
+	rs, err := assembleRefresh(&buf1, prev, g1, run1.res, run1.segs, opts.BidTerms)
 	if err != nil {
 		t.Fatal(err)
 	}

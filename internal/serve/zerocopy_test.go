@@ -39,7 +39,7 @@ func writeTopKFile(t *testing.T, g *clickgraph.Graph, opts TopKOptions) (string,
 	plan := partition.ComponentPlan(g)
 	cfg := core.DefaultConfig().WithVariant(core.Weighted)
 	cfg.PruneEpsilon = 1e-6
-	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 3, RetainShardScores: true})
+	res, err := core.RunSharded(g, cfg, plan, core.ShardOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 	}
 	plan := partition.ComponentPlan(g0)
 	cfg := refreshCfg()
-	res0, err := core.RunSharded(g0, cfg, plan, core.ShardOptions{Workers: 3, RetainShardScores: true})
+	res0, err := core.RunSharded(g0, cfg, plan, core.ShardOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 		t.Fatalf("fixture produced %d/%d dirty shards; want a mix", dirtyCount, len(diff.Dirty))
 	}
 	var buf1 bytes.Buffer
-	if _, err := assemble(&buf1, g1, prev, diff, run1, bids); err != nil {
+	if _, err := assembleRefresh(&buf1, prev, g1, run1.res, run1.segs, bids); err != nil {
 		t.Fatalf("assembleRefresh: %v", err)
 	}
 	// Write to disk so the refreshed generation serves from the mmap path.
@@ -495,7 +495,7 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 	// with must refuse — silently rebuilding only dirty lists would mix
 	// filter regimes across shards.
 	other := map[string]bool{g1.Query(1): true}
-	if _, err := assemble(&bytes.Buffer{}, g1, prev, diff, run1, other); err == nil {
+	if _, err := assembleRefresh(&bytes.Buffer{}, prev, g1, run1.res, run1.segs, other); err == nil {
 		t.Fatal("assembleRefresh accepted a bid set differing from the section's")
 	}
 }

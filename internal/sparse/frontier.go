@@ -118,15 +118,6 @@ func (f *PairFrontier) Range(fn func(i, j int, v float64) bool) {
 	}
 }
 
-// Clone returns a copy: one O(nnz) copy into exact-size rows, with none of
-// the growth slack the source's rows carry. The engines detach their final
-// frontiers from the reusable arena with it.
-func (f *PairFrontier) Clone() *PairFrontier {
-	c := NewPairFrontier(len(f.cols))
-	c.SetRowsRemapped(f, nil)
-	return c
-}
-
 // SetRowsRemapped copies every row of src into f
 // with ids applied to both coordinates (nil means identity): src's row i
 // lands in row ids[i] and its column c becomes ids[c]. ids must keep every
@@ -134,10 +125,12 @@ func (f *PairFrontier) Clone() *PairFrontier {
 // and so does any map that ascends over each set of nodes no stored pair
 // leaves (the engine's component-by-component numbering) — so remapped
 // rows stay sorted.
-// Rows become capacity-clipped windows of two flat arrays. Like
-// SetSortedRow it touches only the target rows, so calls with disjoint id
-// lists may run concurrently — how the shard pool stitches without a
-// serial merge.
+// Rows become capacity-clipped windows of two flat arrays: one O(nnz)
+// copy into exact-size rows, with none of the growth slack src's rows
+// carry, and nothing shared with src — how an engine's final scores leave
+// its reusable arena. Like SetSortedRow it touches only the target rows,
+// so calls with disjoint id lists may run concurrently — how the shard
+// pool stitches without a serial merge.
 func (f *PairFrontier) SetRowsRemapped(src *PairFrontier, ids []int) {
 	nnz := src.Len()
 	cols, vals := make([]int32, nnz), make([]float64, nnz)

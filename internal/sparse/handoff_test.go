@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// Tests for the frontier as a result representation — the detaching copy
-// and the concurrent remapped deposit RunSharded stitches with, each held
+// Tests for the frontier as a result representation — the detaching,
+// concurrent remapped copy RunSharded stitches with, each held
 // to the PairTable formulation it replaced — and for PairTable's mutators.
 
 // frontierOf builds a rows-node frontier holding m's pairs: each row's
@@ -81,20 +81,23 @@ func requireSamePairs(t *testing.T, label string, f *PairFrontier, want *PairTab
 	}
 }
 
-func TestFrontierCloneIsDetached(t *testing.T) {
+// TestSetRowsRemappedIsDetached: the copy an engine's scores leave its
+// arena by shares nothing with the source.
+func TestSetRowsRemappedIsDetached(t *testing.T) {
 	rng := lcg(11)
 	src := randomFrontier(&rng, 30, 400)
-	c := src.Clone()
+	c := NewPairFrontier(30)
+	c.SetRowsRemapped(src, nil)
 	want := toPairTable(src)
-	requireSamePairs(t, "clone", c, want)
+	requireSamePairs(t, "copy", c, want)
 
-	// The source is an arena the next run reuses; the clone must not see it.
+	// The source is an arena the next run reuses; the copy must not see it.
 	src.Reset()
 	next := randomFrontier(&rng, 30, 400)
 	for r := range 30 {
 		src.CopyRowFrom(next, r) // refills src's own row buffers
 	}
-	requireSamePairs(t, "clone after source reuse", c, want)
+	requireSamePairs(t, "copy after source reuse", c, want)
 
 	// Rows are windows of one array: growing one must not run into the next.
 	var cols []int32
@@ -104,7 +107,7 @@ func TestFrontierCloneIsDetached(t *testing.T) {
 		want.Set(0, j, float64(j))
 	}
 	c.SetSortedRow(0, cols, vals)
-	requireSamePairs(t, "clone after growing row 0", c, want)
+	requireSamePairs(t, "copy after growing row 0", c, want)
 }
 
 // TestSetRowsRemappedConcurrentDeposit splits a global id space into
