@@ -63,10 +63,10 @@ func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena
 		// from the last changed iteration stays value-identical anyway.
 		// Drained workloads used to pay both ExpandSymmetric calls every
 		// iteration for rows that were 100% copied forward.
-		if skipA == nil || skipA.Count() > 0 {
+		if skipA == nil || popcount(skipA, na) > 0 {
 			symA = prevA.ExpandSymmetric(symA)
 		}
-		if skipQ == nil || skipQ.Count() > 0 {
+		if skipQ == nil || popcount(skipQ, nq) > 0 {
 			symQ = prevQ.ExpandSymmetric(symQ)
 		}
 		sq := pass(in, cfg, false, prevA, symA, curQ, prevQ, skipA, workers, spas)
@@ -189,5 +189,16 @@ func forcedCandidates(s sideInputs, opp *sparse.PairFrontier, sym *sparse.SymAdj
 func toLayout(idx *memberIndex, f *sparse.PairFrontier) *sparse.PairFrontier {
 	c := sparse.NewPairFrontier(f.NumRows())
 	c.SetRowsRemapped(f, idx.pos)
+	return c
+}
+
+// popcount counts the set bits among b's first n.
+func popcount(b *sparse.Bitset, n int) int {
+	c := 0
+	for i := 0; i < n; i++ {
+		if b.Has(i) {
+			c++
+		}
+	}
 	return c
 }

@@ -209,11 +209,15 @@ func TestControllerFoldsEqualColdBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cold bytes.Buffer
-		if err := serve.WriteSnapshotTopK(&cold, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
+		coldPath := filepath.Join(t.TempDir(), "cold.snap")
+		if err := serve.WriteSnapshotFileTopK(coldPath, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
 			t.Fatal(err)
 		}
-		got, want := env.servingBytes(t), cold.Bytes()
+		want, err := os.ReadFile(coldPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := env.servingBytes(t)
 		if len(got) != len(want) {
 			t.Fatalf("fold %d served %d bytes, the cold build %d", fold, len(got), len(want))
 		}

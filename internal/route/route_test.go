@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"simrankpp/internal/clickgraph"
@@ -85,11 +87,15 @@ func generationBytes(t *testing.T, seeds [4]int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := serve.WriteSnapshotTopK(&buf, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
+	path := filepath.Join(t.TempDir(), "gen.snap")
+	if err := serve.WriteSnapshotFileTopK(path, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // replica is one backend simrankd stand-in: a real serve.Server over a

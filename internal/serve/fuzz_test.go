@@ -30,7 +30,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	// start from deep in the happy path, plus a few shallow corruptions.
 	g := clickgraph.Fig3()
 	res := wholeRun(f, g, core.DefaultConfig())
-	var mono bytes.Buffer
+	var mono imageBuffer
 	if err := WriteSnapshotTopK(&mono, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		f.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var sharded bytes.Buffer
+	var sharded imageBuffer
 	if err := WriteSnapshotTopK(&sharded, sres, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		f.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	// same with its top-k region truncated away, and one with a byte
 	// flipped inside the first shard's blob (a valid header whose section
 	// must quarantine, not crash).
-	var topk bytes.Buffer
+	var topk imageBuffer
 	bids := map[string]bool{sg.Query(0): true, sg.Query(5): true}
 	if err := WriteSnapshotTopK(&topk, sres, TopKOptions{K: 3, BidTerms: bids}); err != nil {
 		f.Fatal(err)
@@ -166,7 +166,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 // bit-flipped, so mutations start inside strings, escapes and nesting.
 func FuzzSplitBatchResponse(f *testing.F) {
 	res := wholeRun(f, clickgraph.Fig3(), core.DefaultConfig())
-	var snap bytes.Buffer
+	var snap imageBuffer
 	if err := WriteSnapshotTopK(&snap, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		f.Fatal(err)
 	}

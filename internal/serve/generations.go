@@ -384,13 +384,15 @@ func linkTemp(src, dir, pattern string) (string, error) {
 	return tmp.Name(), nil
 }
 
-// Commit journals a new generation: write writes the snapshot bytes to
-// a temp file in the journal directory, which is renamed to its final
-// gen-N name and described by a manifest only after every byte landed.
+// Commit journals a new generation: write fills a temp file in the
+// journal directory in place and returns the CRC32 of what it wrote (the
+// manifest's whole-file hash), and the file is fsynced, renamed to its
+// final gen-N name and described by a manifest only after every byte
+// landed.
 // A crash at any instant leaves either nothing, an unreferenced temp
 // (swept later), or a snapshot without a manifest (never trusted) —
 // previous generations and the serving path are untouched.
-func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write func(io.Writer) error) (*Generation, error) {
+func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write func(io.WriterAt) (uint32, error)) (*Generation, error) {
 	if err := os.MkdirAll(gs.dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -402,10 +404,10 @@ func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write fun
 	if err != nil {
 		return nil, err
 	}
-	h := crc32.NewIEEE()
 	// The torn-write crash: the first write lands, the hook aborts there.
-	cw := &checkpointWriter{w: io.MultiWriter(tmp, h), hook: func() error { return gs.crash("commit:mid-write") }}
-	if err := write(cw); err != nil {
+	cw := &checkpointWriter{w: tmp, hook: func() error { return gs.crash("commit:mid-write") }}
+	crc, err := write(cw)
+	if err != nil {
 		tmp.Close()
 		if !errors.Is(err, errCrashInjected) {
 			os.Remove(tmp.Name()) // a crash leaves debris; a plain error cleans up
@@ -424,7 +426,7 @@ func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write fun
 		os.Remove(tmp.Name())
 		return nil, err
 	}
-	return gs.install(tmp.Name(), gens, &Generation{Fingerprint: fingerprint, CRC: h.Sum32(), Size: st.Size(), DirtyShards: dirtyShards})
+	return gs.install(tmp.Name(), gens, &Generation{Fingerprint: fingerprint, CRC: crc, Size: st.Size(), DirtyShards: dirtyShards})
 }
 
 // install journals tmp, a complete snapshot temp in the journal

@@ -70,17 +70,17 @@ func commitAndPublish(gs *GenerationStore, fx genFixture) (*Generation, error) {
 }
 
 // commitPublishBytes journals data as a new generation and re-points
-// serving at it. It writes in two chunks, as the real assembler
-// streams sections — which is also what arms the mid-write (torn second
-// write) crash.
+// serving at it. It writes in two chunks, back half first, as the real
+// assembler writes regions at their offsets — which is also what arms the
+// mid-write (torn second write) crash.
 func commitPublishBytes(gs *GenerationStore, data []byte, fp uint64) (*Generation, error) {
-	g, err := gs.Commit(1, fp, func(w io.Writer) error {
+	g, err := gs.Commit(1, fp, func(w io.WriterAt) (uint32, error) {
 		half := len(data) / 2
-		if _, werr := w.Write(data[:half]); werr != nil {
-			return werr
+		if _, werr := w.WriteAt(data[half:], int64(half)); werr != nil {
+			return 0, werr
 		}
-		_, werr := w.Write(data[half:])
-		return werr
+		_, werr := w.WriteAt(data[:half], 0)
+		return crc32.ChecksumIEEE(data), werr
 	})
 	if err != nil {
 		return nil, err
@@ -141,7 +141,8 @@ func renameOver(t *testing.T, path string, data []byte) {
 // injected point and asserts the crash contract: the serving file is
 // untouched and still opens, the previous generation verifies, debris
 // is swept when the next run takes the lock, and that next run completes
-// the refresh and can still roll back to generation 1.
+// the refresh and can still roll back to generation 1. The last case
+// tears a real multi-shard refresh (crashMidWriteRefresh).
 func TestGenerationCrashAtEveryCheckpoint(t *testing.T) {
 	fx := buildGenFixture(t)
 	stages := []string{
@@ -249,6 +250,70 @@ func TestGenerationCrashAtEveryCheckpoint(t *testing.T) {
 				t.Fatal("rollback did not restore generation 1 byte-identically")
 			}
 		})
+	}
+	t.Run("refresh/commit:mid-write", func(t *testing.T) { crashMidWriteRefresh(t, fx) })
+}
+
+// crashMidWriteRefresh is the torn-write case driven by a real refresh
+// instead of the two-chunk stub: half the shards dirty, several shard
+// workers writing the journal temp in place when the first write's hook
+// kills the commit. The serving file is untouched, the torn temp is swept
+// by the next lock, and the next refresh completes and journals the CRC
+// of the file it published.
+func crashMidWriteRefresh(t *testing.T, fx genFixture) {
+	path, gs, adopted := servingDir(t, fx)
+	churned := refreshGraph(t, [4]int{9, 7, 3, 4})
+	gs.failAt = "commit:mid-write"
+	out, err := Refresh(t.Context(), gs, churned, 4, nil, nil)
+	if !errors.Is(err, errCrashInjected) {
+		t.Fatalf("refresh crashed mid-write: err = %v, want injected crash", err)
+	}
+	if out.Diff == nil || out.Diff.DirtyShards < 2 || out.Diff.CleanShards == 0 {
+		t.Fatalf("fixture should mix several dirty shards with clean ones: %+v", out.Diff)
+	}
+	if got := readFile(t, path); !bytes.Equal(got, fx.gen1) {
+		t.Fatal("serving file changed across a refresh that crashed mid-write")
+	}
+	if err := gs.verify(adopted); err != nil {
+		t.Fatalf("previous generation no longer verifies: %v", err)
+	}
+	if temps := globTemps(t, gs.dir); len(temps) == 0 {
+		t.Fatal("the crash left no torn temp in the journal")
+	}
+
+	recovered := NewGenerationStore(path)
+	release, swept, err := recovered.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if swept == 0 {
+		t.Fatal("the next lock swept nothing")
+	}
+	if temps := globTemps(t, gs.dir, filepath.Dir(path)); len(temps) != 0 {
+		t.Fatalf("temps remain after sweep: %v", temps)
+	}
+	out, err = Refresh(t.Context(), recovered, churned, 4, nil, nil)
+	if err != nil {
+		t.Fatalf("refresh after the crash: %v", err)
+	}
+	if out.Published == nil || out.Published.ID <= adopted.ID {
+		t.Fatalf("refresh after the crash published %+v", out.Published)
+	}
+	crc, size, err := fileCRC(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crc != out.Published.CRC || size != out.Published.Size {
+		t.Fatalf("serving file crc %08x size %d, journaled crc %08x size %d", crc, size, out.Published.CRC, out.Published.Size)
+	}
+	snap, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if err := snap.PreloadAll(); err != nil {
+		t.Fatalf("the refreshed snapshot does not verify: %v", err)
 	}
 }
 
@@ -502,9 +567,9 @@ func TestGenerationPrune(t *testing.T) {
 	}
 	// A third generation (back to gen1 content — content may repeat, ids
 	// must not).
-	g3, err := gs.Commit(1, fx.fp1, func(w io.Writer) error {
-		_, werr := w.Write(fx.gen1)
-		return werr
+	g3, err := gs.Commit(1, fx.fp1, func(w io.WriterAt) (uint32, error) {
+		_, werr := w.WriteAt(fx.gen1, 0)
+		return crc32.ChecksumIEEE(fx.gen1), werr
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -255,8 +255,9 @@ func encodeLocalSegment(f *sparse.PairFrontier, ids []int) []byte {
 // its rows of the run's stitched frontiers, walked through the run's plan
 // — to a standalone core.Run over the shard's subview, encoded from that
 // run's own local frontiers: for a full build (WriteSnapshotTopK) and for
-// a refresh's RunShards run (runDirty), over an exact plan, an ACL-carved
-// plan and WholePlan, for every variant.
+// a refresh (runDirty's RunShards run, written by assembleRefresh beside
+// the clean shards it copies), over an exact plan, an ACL-carved plan and
+// WholePlan, for every variant.
 func TestShardSegmentsMatchStandaloneRuns(t *testing.T) {
 	g := handoffGraph(t)
 	plans := handoffPlans(t, g)
@@ -295,7 +296,7 @@ func TestShardSegmentsMatchStandaloneRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
+			var buf imageBuffer
 			if err := WriteSnapshotTopK(&buf, res, TopKOptions{}); err != nil {
 				t.Fatal(err)
 			}
@@ -319,18 +320,38 @@ func TestShardSegmentsMatchStandaloneRuns(t *testing.T) {
 			for i := range dirty {
 				dirty[i] = i%2 == 0
 			}
-			_, segs, err := runDirty(context.Background(), g, prev, plan, dirty, 3)
+			run, err := runDirty(context.Background(), g, prev, plan, dirty, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, seg := range segs {
-				if (seg != nil) != dirty[i] {
-					t.Fatalf("%s: shard %d dirty %v but segment present %v", label, i, dirty[i], seg != nil)
-				}
-				if seg != nil {
-					check("refresh run", i, seg.QuerySeg, seg.AdSeg)
+			for i, st := range run.ShardStats {
+				if st.Skipped == dirty[i] {
+					t.Fatalf("%s: shard %d dirty %v but skipped %v", label, i, dirty[i], st.Skipped)
 				}
 			}
+			// The refresh writes the dirty shards' rows of the run and
+			// copies the clean ones: every shard still equals its
+			// standalone run.
+			var rbuf imageBuffer
+			if _, _, err := assembleRefresh(&rbuf, prev, run, nil); err != nil {
+				t.Fatal(err)
+			}
+			next, err := NewSnapshot(bytes.NewReader(rbuf.Bytes()), int64(rbuf.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range plan.Shards {
+				q, err := next.segmentBytes("query", i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, err := next.segmentBytes("ad", i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("refresh", i, q, a)
+			}
+			next.Close()
 			prev.Close()
 		}
 	}
@@ -409,7 +430,7 @@ func handoffSnapshotBytes(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
+	var buf imageBuffer
 	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)
 	}
@@ -490,10 +511,11 @@ func reportPerPair(b *testing.B, res *core.Result) {
 func BenchmarkEncodeSegment(b *testing.B) {
 	res := handoffBenchResult(b)
 	b.ReportAllocs()
+	var buf []byte // a writer worker's reused buffer
 	for b.Loop() {
 		for _, sh := range res.Plan.Shards {
-			encodeSegment(res.QueryScores, sh.Queries)
-			encodeSegment(res.AdScores, sh.Ads)
+			buf = appendSegment(buf[:0], res.QueryScores, sh.Queries)
+			buf = appendSegment(buf, res.AdScores, sh.Ads)
 		}
 	}
 	reportPerPair(b, res)
@@ -518,7 +540,7 @@ func BenchmarkBuildScatterIndex(b *testing.B) {
 
 func BenchmarkPreloadAll(b *testing.B) {
 	res := handoffBenchResult(b)
-	var buf bytes.Buffer
+	var buf imageBuffer
 	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		b.Fatal(err)
 	}

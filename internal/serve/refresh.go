@@ -3,14 +3,13 @@ package serve
 import (
 	"context"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"sync"
 	"time"
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/core"
 	"simrankpp/internal/partition"
-	"simrankpp/internal/sparse"
 )
 
 // Incremental snapshot refresh: the write half of making refresh cost
@@ -29,8 +28,9 @@ import (
 // There is one refresh path, Refresh: it opens the serving snapshot
 // (restoring it from the journal when it no longer opens), adopts it as
 // a rollback target and diffs; runDirty runs the dirty shards on this
-// process's pool and encodes their segments, assembleRefresh lays out the
-// next snapshot, and the generation store commits and publishes it.
+// process's pool, assembleRefresh encodes their segments into the next
+// snapshot's journal temp beside the clean shards' copied bytes, and the
+// generation store commits and publishes it.
 // `simrank -refresh` and the ingest controller's fold differ only in the
 // pool width they pass.
 
@@ -44,48 +44,22 @@ type RefreshStats struct {
 	BytesReencoded, BytesCopied int64
 }
 
-// shardSegment is one shard's encoded score segments — the exact bytes a
-// snapshot stores for that shard, with their CRCs. Every snapshot is
-// assembled from them: a full build encodes one per shard, a refresh one
-// per dirty shard, and the assembler stores the bytes unchanged.
-type shardSegment struct {
-	QuerySeg, AdSeg []byte
-	QueryCRC, AdCRC uint32
-}
-
-// encodeShardSegment encodes shard sh's rows of a run's stitched score
-// frontiers into segment form: the one place frontiers become segment
-// bytes.
-func encodeShardSegment(q, a *sparse.PairFrontier, sh *partition.Shard) shardSegment {
-	var s shardSegment
-	s.QuerySeg = encodeSegment(q, sh.Queries)
-	s.AdSeg = encodeSegment(a, sh.Ads)
-	s.QueryCRC = crc32.ChecksumIEEE(s.QuerySeg)
-	s.AdCRC = crc32.ChecksumIEEE(s.AdSeg)
-	return s
-}
-
 // runDirty runs the shards of plan (the projected refresh plan over g,
 // partition.DiffPlans) that dirty marks, one engine per shard on a pool
-// of the given width (<= 0 selects GOMAXPROCS), and encodes their rows of
-// the stitched frontiers through the run's plan, as WriteSnapshotTopK
-// does, in parallel; segs is nil at every clean shard. The engine
-// configuration is taken from prev's header, keeping generations
-// coherent by construction, and every dirty shard runs from the identity
-// under it, so the next generation is, outside its header's generation
-// fields, what WriteSnapshotTopK writes for a cold RunSharded of the whole
-// plan — under any configuration, converging by tolerance or not. A
-// cancelled ctx stops the run at the next shard boundary with ctx's error.
-func runDirty(ctx context.Context, g *clickgraph.Graph, prev *Snapshot, plan *partition.Plan, dirty []bool, workers int) (*core.Result, []*shardSegment, error) {
-	res, err := core.RunSharded(g, prev.Config(), plan, core.ShardOptions{
+// of the given width (<= 0 selects GOMAXPROCS); the clean shards are
+// marked Skipped in the result. The engine configuration is taken from
+// prev's header, keeping generations coherent by construction, and every
+// dirty shard runs from the identity under it, so the next generation is,
+// outside its header's generation fields, what WriteSnapshotTopK writes
+// for a cold RunSharded of the whole plan — under any configuration,
+// converging by tolerance or not. A cancelled ctx stops the run at the
+// next shard boundary with ctx's error.
+func runDirty(ctx context.Context, g *clickgraph.Graph, prev *Snapshot, plan *partition.Plan, dirty []bool, workers int) (*core.Result, error) {
+	return core.RunSharded(g, prev.Config(), plan, core.ShardOptions{
 		Workers:   workers,
 		RunShards: dirty,
 		Context:   ctx,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, encodeShards(res), nil
 }
 
 // refreshTopK derives the next generation's top-k section parameters
@@ -107,34 +81,34 @@ func refreshTopK(prev *Snapshot, bids map[string]bool) (topkMeta, error) {
 }
 
 // assembleRefresh writes the next snapshot generation from runDirty's
-// output through the assembler a full build uses: run is the engine run
-// over the projected refresh plan (partition.DiffPlans) over g, which it
-// records (run.Plan), and segs its encoded dirty shards, nil at the
-// shards it skipped. Clean shards' segments are byte-copied from
-// prev, verified against the directory CRCs, under a fingerprint guard.
-// The precomputed rewrite section follows the same split at the depth
-// recorded in prev's header: dirty shards' blobs are rebuilt from their
-// segment bytes, clean shards' blobs are byte-copied — valid for the same
-// reason segment copies are: a blob is position-independent (blob-relative
-// offsets, global ids) and a clean shard's pipeline inputs are
-// fingerprint-identical. bids must be the same bid-term set prev's section
-// was built with (compared by hash); pass nil when prev carries no
-// section. The new generation records prev's run configuration, the one
-// its dirty shards ran under.
-func assembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, run *core.Result, segs []*shardSegment, bids map[string]bool) (RefreshStats, error) {
+// run through the assembler a full build uses, and returns the file's
+// CRC32: run is the engine run over the projected refresh plan
+// (partition.DiffPlans), which it records (run.Plan); its dirty shards
+// are encoded from the stitched frontiers, and the shards it skipped have
+// their segments byte-copied from prev, verified against the directory
+// CRCs, under a fingerprint guard. The precomputed rewrite section
+// follows the same split at the depth recorded in prev's header: dirty
+// shards' blobs are rebuilt from their segment bytes, clean shards' blobs
+// are byte-copied — valid for the same reason segment copies are: a blob
+// is position-independent (blob-relative offsets, global ids) and a clean
+// shard's pipeline inputs are fingerprint-identical. bids must be the
+// same bid-term set prev's section was built with (compared by hash);
+// pass nil when prev carries no section. The new generation records
+// prev's run configuration, the one its dirty shards ran under.
+func assembleRefresh(w io.WriterAt, prev *Snapshot, run *core.Result, bids map[string]bool) (RefreshStats, uint32, error) {
 	tk, err := refreshTopK(prev, bids)
 	if err != nil {
-		return RefreshStats{}, err
+		return RefreshStats{}, 0, err
 	}
 	dirtyShards := 0
-	for _, seg := range segs {
-		if seg != nil {
+	for _, st := range run.ShardStats {
+		if !st.Skipped {
 			dirtyShards++
 		}
 	}
 	// Iterations: a refresh ran only its dirty shards, so the horizon the
 	// snapshot advertises is the deeper of the two generations'.
-	return assembleSnapshot(w, g, prev.Config(), run.Plan.Shards, segs, prev, tk, bids, genInfo{
+	return assembleSnapshot(w, run, prev.Config(), prev, tk, bids, genInfo{
 		iterations:  max(run.Iterations, prev.meta.Iterations),
 		converged:   run.Converged && prev.meta.Converged,
 		generatedAt: time.Now(),
@@ -144,22 +118,23 @@ func assembleRefresh(w io.Writer, prev *Snapshot, g *clickgraph.Graph, run *core
 
 // checkpointWriter fires its hook once, after the first write has
 // reached the journal's temp file — the "refresh died with a partial
-// snapshot on disk" instant.
+// snapshot on disk" instant. The writer's shard workers write
+// concurrently: the first to land runs the hook while the others wait,
+// and once it has failed every write fails with its error.
 type checkpointWriter struct {
-	w     io.Writer
-	hook  func() error
-	fired bool
+	w    io.WriterAt
+	hook func() error
+	once sync.Once
+	err  error
 }
 
-func (cw *checkpointWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	if err == nil && !cw.fired {
-		cw.fired = true
-		if herr := cw.hook(); herr != nil {
-			return n, herr
-		}
+func (cw *checkpointWriter) WriteAt(p []byte, off int64) (int, error) {
+	n, err := cw.w.WriteAt(p, off)
+	if err != nil || n == 0 {
+		return n, err
 	}
-	return n, err
+	cw.once.Do(func() { cw.err = cw.hook() })
+	return n, cw.err
 }
 
 // RefreshResult reports what one Refresh did.
@@ -185,7 +160,7 @@ type RefreshResult struct {
 // bytes do not depend on it), assembleRefresh writes the next snapshot
 // into the journal, and the committed generation is published to the
 // serving path. checkpoint,
-// when non-nil, is called at "pre-commit" (segments computed, nothing
+// when non-nil, is called at "pre-commit" (scores computed, nothing
 // written), "commit:mid-write" (first bytes in the journal temp file),
 // "pre-publish" (generation journaled) and "post-publish"; an error from
 // it aborts the refresh there, leaving the disk as a crash at that
@@ -217,17 +192,17 @@ func Refresh(ctx context.Context, gs *GenerationStore, g *clickgraph.Graph, work
 		return res, nil
 	}
 
-	run, segs, err := runDirty(ctx, g, prev, diff.Plan, diff.Dirty, workers)
+	run, err := runDirty(ctx, g, prev, diff.Plan, diff.Dirty, workers)
 	if err != nil {
 		return res, fmt.Errorf("serve: refresh: running dirty shards: %w", err)
 	}
 	if err := checkpoint("pre-commit"); err != nil {
 		return res, err
 	}
-	gen, err := gs.Commit(diff.DirtyShards, diff.Plan.Fingerprint(), func(w io.Writer) (err error) {
+	gen, err := gs.Commit(diff.DirtyShards, diff.Plan.Fingerprint(), func(w io.WriterAt) (crc uint32, err error) {
 		cw := &checkpointWriter{w: w, hook: func() error { return checkpoint("commit:mid-write") }}
-		res.Stats, err = assembleRefresh(cw, prev, g, run, segs, bids)
-		return err
+		res.Stats, crc, err = assembleRefresh(cw, prev, run, bids)
+		return crc, err
 	})
 	if err != nil {
 		return res, fmt.Errorf("serve: refresh: journal commit: %w", err)

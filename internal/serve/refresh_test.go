@@ -88,34 +88,27 @@ func buildGeneration(t *testing.T, g *clickgraph.Graph, cfg core.Config) (*core.
 	return res, data, snap
 }
 
-// dirtyRun is what runDirty returns: the engine run over the dirty
-// shards and their encoded segments (nil at clean shards).
-type dirtyRun struct {
-	res  *core.Result
-	segs []*shardSegment
-}
-
 // runStep is the compute half of a refresh step: diff g against prev and
 // run the dirty shards on a pool of the given width, as Refresh does.
-func runStep(t *testing.T, g *clickgraph.Graph, prev *Snapshot, workers int) (*dirtyRun, *partition.Diff) {
+func runStep(t *testing.T, g *clickgraph.Graph, prev *Snapshot, workers int) (*core.Result, *partition.Diff) {
 	t.Helper()
 	diff, err := partition.DiffPlans(prev, g)
 	if err != nil {
 		t.Fatalf("DiffPlans: %v", err)
 	}
-	res, segs, err := runDirty(context.Background(), g, prev, diff.Plan, diff.Dirty, workers)
+	res, err := runDirty(context.Background(), g, prev, diff.Plan, diff.Dirty, workers)
 	if err != nil {
 		t.Fatalf("runDirty: %v", err)
 	}
-	return &dirtyRun{res, segs}, diff
+	return res, diff
 }
 
 // refreshBytes runs one refresh step in memory.
-func refreshBytes(t *testing.T, g *clickgraph.Graph, prev *Snapshot) (*dirtyRun, *partition.Diff, RefreshStats, []byte) {
+func refreshBytes(t *testing.T, g *clickgraph.Graph, prev *Snapshot) (*core.Result, *partition.Diff, RefreshStats, []byte) {
 	t.Helper()
 	run, diff := runStep(t, g, prev, 3)
-	var buf bytes.Buffer
-	st, err := assembleRefresh(&buf, prev, g, run.res, run.segs, nil)
+	var buf imageBuffer
+	st, _, err := assembleRefresh(&buf, prev, run, nil)
 	if err != nil {
 		t.Fatalf("assembleRefresh: %v", err)
 	}
@@ -138,8 +131,8 @@ func TestRefreshZeroDirtyByteIdentical(t *testing.T) {
 	if st.BytesReencoded != 0 || st.BytesCopied == 0 {
 		t.Fatalf("zero-dirty refresh re-encoded %d bytes, copied %d", st.BytesReencoded, st.BytesCopied)
 	}
-	for i, seg := range run.segs {
-		if seg != nil {
+	for i, sst := range run.ShardStats {
+		if !sst.Skipped {
 			t.Fatalf("zero-dirty refresh computed scores for shard %d", i)
 		}
 	}
@@ -201,7 +194,7 @@ func TestRefreshChurnedClusterSegmentReuse(t *testing.T) {
 		if diff.Dirty[i] {
 			continue
 		}
-		if run.segs[i] != nil {
+		if !run.ShardStats[i].Skipped {
 			t.Fatalf("clean shard %d was recomputed", i)
 		}
 		pe, ne := prev.dir[i], snap.dir[i]
@@ -253,8 +246,8 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 	if diff1.NewQueries != 1 {
 		t.Fatalf("step 1 saw %d new queries, want 1", diff1.NewQueries)
 	}
-	var buf1 bytes.Buffer
-	if _, err := assembleRefresh(&buf1, prev, g1, run1.res, run1.segs, nil); err != nil {
+	var buf1 imageBuffer
+	if _, _, err := assembleRefresh(&buf1, prev, run1, nil); err != nil {
 		t.Fatalf("step 1 assembleRefresh: %v", err)
 	}
 	snap1, err := NewSnapshot(bytes.NewReader(buf1.Bytes()), int64(buf1.Len()))
@@ -275,8 +268,8 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 	if len(diff2.Plan.Shards) != snap1.NumShards()+1 {
 		t.Fatalf("island did not append a shard: %d shards from %d", len(diff2.Plan.Shards), snap1.NumShards())
 	}
-	var buf2 bytes.Buffer
-	st2, err := assembleRefresh(&buf2, snap1, g2, run2.res, run2.segs, nil)
+	var buf2 imageBuffer
+	st2, _, err := assembleRefresh(&buf2, snap1, run2, nil)
 	if err != nil {
 		t.Fatalf("step 2 assembleRefresh: %v", err)
 	}
@@ -340,7 +333,7 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf0 bytes.Buffer
+			var buf0 imageBuffer
 			if err := WriteSnapshotTopK(&buf0, res0, opts); err != nil {
 				t.Fatal(err)
 			}
@@ -353,8 +346,8 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 			var got []byte
 			for _, width := range []int{1, 2, 4} {
 				run, d := runStep(t, churned, prev, width)
-				var buf bytes.Buffer
-				st, err := assembleRefresh(&buf, prev, churned, run.res, run.segs, bids)
+				var buf imageBuffer
+				st, _, err := assembleRefresh(&buf, prev, run, bids)
 				if err != nil {
 					t.Fatalf("width %d: assembleRefresh: %v", width, err)
 				}
@@ -381,7 +374,7 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var cold bytes.Buffer
+			var cold imageBuffer
 			if err := WriteSnapshotTopK(&cold, full, opts); err != nil {
 				t.Fatal(err)
 			}
@@ -391,12 +384,12 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 			for i := range all {
 				all[i] = true
 			}
-			allRes, allSegs, err := runDirty(context.Background(), churned, prev, diff.Plan, all, 3)
+			allRes, err := runDirty(context.Background(), churned, prev, diff.Plan, all, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var allDirty bytes.Buffer
-			if _, err := assembleRefresh(&allDirty, prev, churned, allRes, allSegs, bids); err != nil {
+			var allDirty imageBuffer
+			if _, _, err := assembleRefresh(&allDirty, prev, allRes, bids); err != nil {
 				t.Fatal(err)
 			}
 			for name, got := range map[string][]byte{"refreshed": got, "all-dirty": allDirty.Bytes()} {

@@ -351,7 +351,7 @@ func TestReloadRefusesUnservableIndex(t *testing.T) {
 	h := srv.Handler()
 	_, before := get(t, h, "/rewrite?q=camera")
 	bare := mustSnapshot(t, res, 0)
-	var buf bytes.Buffer
+	var buf imageBuffer
 	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: DefaultRewriteTopK, BidTerms: map[string]bool{"pc": true}}); err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestConcurrentSwapUnderLoad(t *testing.T) {
 // count.
 func TestServerSnapshotSwap(t *testing.T) {
 	res := wholeRun(t, clickgraph.Fig3(), core.DefaultConfig())
-	var buf bytes.Buffer
+	var buf imageBuffer
 	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)
 	}

@@ -509,7 +509,7 @@ func (s *Snapshot) LoadedSegments() int { return int(s.loaded.Load()) }
 // snapshot end to end.
 func (s *Snapshot) PreloadAll() error {
 	errs := make([]error, len(s.shards))
-	parallelFor(len(s.shards), func(i int) {
+	parallelFor(poolWidth(len(s.shards)), len(s.shards), func(_, i int) {
 		_, qErr := s.queryView(i)
 		_, aErr := s.adView(i)
 		_, tkErr := s.topkBlob(i)

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"sync"
@@ -70,7 +69,7 @@ func wholeRun(t testing.TB, g *clickgraph.Graph, cfg core.Config) *core.Result {
 // snapshotBytes writes res with a top-k section of depth k (0: none).
 func snapshotBytes(t *testing.T, res *core.Result, k int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
+	var buf imageBuffer
 	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: k}); err != nil {
 		t.Fatalf("WriteSnapshotTopK: %v", err)
 	}
@@ -242,7 +241,7 @@ func TestSnapshotLazySegmentAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
+	var buf imageBuffer
 	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +360,7 @@ func TestWriteSnapshotRefusesUnshardedResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = WriteSnapshotTopK(io.Discard, res, TopKOptions{K: DefaultRewriteTopK})
+	err = WriteSnapshotTopK(&imageBuffer{}, res, TopKOptions{K: DefaultRewriteTopK})
 	if err == nil || !strings.Contains(err.Error(), "core.RunSharded") {
 		t.Fatalf("WriteSnapshotTopK(core.Run result) = %v, want an error naming core.RunSharded", err)
 	}
@@ -375,7 +374,7 @@ func TestWriteSnapshotRefusesUnshardedResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = WriteSnapshotTopK(io.Discard, part, TopKOptions{K: DefaultRewriteTopK})
+	err = WriteSnapshotTopK(&imageBuffer{}, part, TopKOptions{K: DefaultRewriteTopK})
 	if err == nil || !strings.Contains(err.Error(), "shard 1 has no scores") {
 		t.Fatalf("WriteSnapshotTopK(partial run) = %v, want shard 1 refused", err)
 	}
@@ -385,7 +384,7 @@ func TestWriteSnapshotRefusesUnshardedResult(t *testing.T) {
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	g := clickgraph.Fig3()
 	res := wholeRun(t, g, core.DefaultConfig())
-	var buf bytes.Buffer
+	var buf imageBuffer
 	if err := WriteSnapshotTopK(&buf, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"math"
 	"slices"
@@ -13,7 +11,6 @@ import (
 	"strings"
 
 	"simrankpp/internal/clickgraph"
-	"simrankpp/internal/partition"
 	"simrankpp/internal/rewrite"
 	"simrankpp/internal/sparse"
 	"simrankpp/internal/stem"
@@ -309,24 +306,6 @@ func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bi
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return blob, nil
-}
-
-// fillTopKBlobs builds the given payload indices' blobs from their
-// already-encoded query segments, one builder per shard on a bounded
-// pool — for the shards the assembler was handed computed segments of.
-func fillTopKBlobs(payloads []shardPayload, idx []int, shards []partition.Shard, g *clickgraph.Graph, tk topkMeta, bids map[string]bool) error {
-	errs := make([]error, len(idx))
-	parallelFor(len(idx), func(k int) {
-		p := &payloads[idx[k]]
-		blob, err := buildTopKBlob(p.QuerySeg, shards[idx[k]].Queries, g, tk, bids)
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		p.tkBlob = blob
-		p.tkCRC = crc32.ChecksumIEEE(blob)
-	})
-	return cmp.Or(errs...)
 }
 
 // validateTopKBlob structurally checks one CRC-verified blob on first

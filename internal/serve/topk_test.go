@@ -158,7 +158,7 @@ func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts T
 	if len(plan.Shards) < 2 {
 		t.Fatalf("fixture produced %d shards, want one per cluster", len(plan.Shards))
 	}
-	var buf0 bytes.Buffer
+	var buf0 imageBuffer
 	if err := WriteSnapshotTopK(&buf0, res0, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +178,8 @@ func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts T
 	}
 
 	run1, diff := runStep(t, g1, prev, 3)
-	var buf1 bytes.Buffer
-	rs, err := assembleRefresh(&buf1, prev, g1, run1.res, run1.segs, opts.BidTerms)
+	var buf1 imageBuffer
+	rs, _, err := assembleRefresh(&buf1, prev, run1, opts.BidTerms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts T
 		}
 		var wantBlob []byte
 		if dirty {
-			wantBlob = want(run1.segs[i].QuerySeg, diff.Plan.Shards[i].Queries, g1)
+			wantBlob = want(encodeSegment(run1.QueryScores, diff.Plan.Shards[i].Queries), diff.Plan.Shards[i].Queries, g1)
 		} else if wantBlob, err = prev.segmentBytes("topk", i); err != nil {
 			t.Fatal(err)
 		}
@@ -211,8 +211,8 @@ func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts T
 
 // TestTopKBlobsMatchReference holds the blobs of stemGraph's four short-row
 // shards to the reference builder under each bid case. Run under -race it
-// also shows the per-shard stems are not shared between fillTopKBlobs
-// workers.
+// also shows the per-shard stems are not shared between the snapshot
+// writer's shard workers.
 func TestTopKBlobsMatchReference(t *testing.T) {
 	g0 := stemGraph(t, [4]int{1, 2, 3, 4})
 	g1 := stemGraph(t, [4]int{1, 2, 9, 4}) // cluster 2 churned

@@ -264,7 +264,7 @@ func TestPrecomputedEqualsPipelineAtEveryDepth(t *testing.T) {
 	}{{"fig3", fig3, 1}, {"clickgen", gen, 17}} {
 		longest := 0
 		for _, bc := range bidCases(gc.res.Graph, 0) {
-			var buf bytes.Buffer
+			var buf imageBuffer
 			if err := WriteSnapshotTopK(&buf, gc.res, TopKOptions{K: DefaultRewriteTopK, BidTerms: bc.bids}); err != nil {
 				t.Fatal(err)
 			}
@@ -438,7 +438,7 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf0 bytes.Buffer
+	var buf0 imageBuffer
 	if err := WriteSnapshotTopK(&buf0, res0, TopKOptions{K: 5, BidTerms: bids}); err != nil {
 		t.Fatal(err)
 	}
@@ -460,8 +460,8 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 	if dirtyCount == 0 || dirtyCount == len(diff.Dirty) {
 		t.Fatalf("fixture produced %d/%d dirty shards; want a mix", dirtyCount, len(diff.Dirty))
 	}
-	var buf1 bytes.Buffer
-	if _, err := assembleRefresh(&buf1, prev, g1, run1.res, run1.segs, bids); err != nil {
+	var buf1 imageBuffer
+	if _, _, err := assembleRefresh(&buf1, prev, run1, bids); err != nil {
 		t.Fatalf("assembleRefresh: %v", err)
 	}
 	// Write to disk so the refreshed generation serves from the mmap path.
@@ -495,7 +495,7 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 	// with must refuse — silently rebuilding only dirty lists would mix
 	// filter regimes across shards.
 	other := map[string]bool{g1.Query(1): true}
-	if _, err := assembleRefresh(&bytes.Buffer{}, prev, g1, run1.res, run1.segs, other); err == nil {
+	if _, _, err := assembleRefresh(&imageBuffer{}, prev, run1, other); err == nil {
 		t.Fatal("assembleRefresh accepted a bid set differing from the section's")
 	}
 }

@@ -1,7 +1,5 @@
 package sparse
 
-import "math/bits"
-
 // Bitset is a minimal fixed-capacity bit vector. The engines use one per
 // graph side to track which nodes' scores changed between iterations
 // (MaxAbsDiffChanged marks it), so the next pass can skip output rows
@@ -42,13 +40,4 @@ func (b *Bitset) Set(i int) {
 // Has reports whether bit i is set.
 func (b *Bitset) Has(i int) bool {
 	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// Count returns the number of set bits.
-func (b *Bitset) Count() int {
-	n := 0
-	for _, w := range b.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

@@ -116,7 +116,8 @@ func hasSuffix(w []byte, s string) bool {
 
 // replaceSuffix replaces suffix old with new if the stem before old has
 // measure > minM; reports whether a replacement happened. minM < 0 means
-// "no measure condition".
+// "no measure condition". No rule's new is longer than its old, so the
+// replacement is written in place over w.
 func replaceSuffix(w []byte, old, new string, minM int) ([]byte, bool) {
 	if !hasSuffix(w, old) {
 		return w, false
@@ -125,7 +126,7 @@ func replaceSuffix(w []byte, old, new string, minM int) ([]byte, bool) {
 	if minM >= 0 && measure(stem) <= minM {
 		return w, false
 	}
-	return append(append([]byte{}, stem...), new...), true
+	return append(stem, new...), true
 }
 
 func step1a(w []byte) []byte {
@@ -175,57 +176,77 @@ func step1b(w []byte) []byte {
 
 func step1c(w []byte) []byte {
 	if hasSuffix(w, "y") && containsVowel(w[:len(w)-1]) {
-		out := append([]byte{}, w...)
-		out[len(out)-1] = 'i'
-		return out
+		w[len(w)-1] = 'i'
 	}
 	return w
 }
 
-var step2Rules = []struct{ old, new string }{
+// rule is one suffix rewrite of steps 2 and 3.
+type rule struct{ old, new string }
+
+// byLastLetter files rules under the last letter of their suffix, each
+// list in the rules' order: only a suffix ending in the word's last letter
+// can match, so a step scans that list alone and still takes the first
+// matching rule of the full list.
+func byLastLetter[T any](rules []T, suffix func(T) string) [26][]T {
+	var idx [26][]T
+	for _, r := range rules {
+		s := suffix(r)
+		c := s[len(s)-1] - 'a'
+		idx[c] = append(idx[c], r)
+	}
+	return idx
+}
+
+// candidates returns the list of idx filed under w's last letter; a word
+// ending in anything but a-z has none.
+func candidates[T any](idx *[26][]T, w []byte) []T {
+	if len(w) == 0 {
+		return nil
+	}
+	c := w[len(w)-1] - 'a'
+	if c >= 26 {
+		return nil
+	}
+	return idx[c]
+}
+
+var step2Rules = byLastLetter([]rule{
 	{"ational", "ate"}, {"tional", "tion"}, {"enci", "ence"}, {"anci", "ance"},
 	{"izer", "ize"}, {"abli", "able"}, {"alli", "al"}, {"entli", "ent"},
 	{"eli", "e"}, {"ousli", "ous"}, {"ization", "ize"}, {"ation", "ate"},
 	{"ator", "ate"}, {"alism", "al"}, {"iveness", "ive"}, {"fulness", "ful"},
 	{"ousness", "ous"}, {"aliti", "al"}, {"iviti", "ive"}, {"biliti", "ble"},
-}
+}, func(r rule) string { return r.old })
 
-func step2(w []byte) []byte {
-	for _, r := range step2Rules {
-		if w2, ok := replaceSuffix(w, r.old, r.new, 0); ok {
-			return w2
-		}
+// applyFirst applies the first rule whose suffix w ends in, if the stem
+// before it has measure > 0; a matching suffix ends the scan either way.
+func applyFirst(w []byte, rules []rule) []byte {
+	for _, r := range rules {
 		if hasSuffix(w, r.old) {
-			return w
+			w2, _ := replaceSuffix(w, r.old, r.new, 0)
+			return w2
 		}
 	}
 	return w
 }
 
-var step3Rules = []struct{ old, new string }{
+func step2(w []byte) []byte { return applyFirst(w, candidates(&step2Rules, w)) }
+
+var step3Rules = byLastLetter([]rule{
 	{"icate", "ic"}, {"ative", ""}, {"alize", "al"}, {"iciti", "ic"},
 	{"ical", "ic"}, {"ful", ""}, {"ness", ""},
-}
+}, func(r rule) string { return r.old })
 
-func step3(w []byte) []byte {
-	for _, r := range step3Rules {
-		if w2, ok := replaceSuffix(w, r.old, r.new, 0); ok {
-			return w2
-		}
-		if hasSuffix(w, r.old) {
-			return w
-		}
-	}
-	return w
-}
+func step3(w []byte) []byte { return applyFirst(w, candidates(&step3Rules, w)) }
 
-var step4Suffixes = []string{
+var step4Suffixes = byLastLetter([]string{
 	"al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
 	"ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-}
+}, func(s string) string { return s })
 
 func step4(w []byte) []byte {
-	for _, s := range step4Suffixes {
+	for _, s := range candidates(&step4Suffixes, w) {
 		if !hasSuffix(w, s) {
 			continue
 		}
