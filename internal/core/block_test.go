@@ -9,9 +9,9 @@ import (
 	"simrankpp/internal/sparse"
 )
 
-// forcedSide is pullSide with every component forced down one gather path
-// (forcedCandidates): score blocks and component ranges when blocks is
-// set, the expansion and the reach otherwise.
+// forcedSide is pullSide with every component forced down one path
+// (forcedCandidates): the block path over score blocks when blocks is
+// set, the row path's expansion and reach otherwise.
 func forcedSide(blocks bool) sidePass {
 	return func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 		s := in.side(cfg, ads)
@@ -67,8 +67,8 @@ func mixedDensityGraph() *clickgraph.Graph {
 }
 
 // TestGatherPathsAgree forces every component of every pass down each
-// gather path — score blocks with the component range, and the expansion
-// with the reach — through whole runs, and holds both to the engine's own
+// path — the block path's products over score blocks, and the row path's
+// expansion and reach — through whole runs, and holds both to the engine's own
 // per-pass choice bit for bit: the chain's query side at depth k equals
 // the forced Jacobi loop's at k and its ad side the loop's at k+1, for k
 // of both parities (the chain starts on the query side when k is odd),
@@ -186,5 +186,121 @@ func TestMixedPassesAtEveryWidth(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBitIdentical(t, fmt.Sprintf("RunSharded workers=%d", workers), want, sh)
+	}
+}
+
+// hubGraph is one component whose two sides differ in density: nq queries
+// that all click one hub ad, each also clicking priv ads of its own. Every
+// query pair shares the hub, so the query side is dense; under strict
+// evidence two private ads of different queries share no neighbor and
+// score exactly zero, so the ad side stays sparse, and each query pass
+// gathers by the row path while the query side's own scores are a block.
+func hubGraph(nq, priv int) *clickgraph.Graph {
+	b := clickgraph.NewBuilder()
+	for i := 0; i < nq; i++ {
+		q := fmt.Sprintf("q%d", i)
+		if err := b.AddEdge(q, "hub", clickgraph.EdgeWeights{Impressions: 9, Clicks: 3, ExpectedClickRate: 0.3}); err != nil {
+			panic(err)
+		}
+		for k := 0; k < priv; k++ {
+			w := clickgraph.EdgeWeights{Impressions: 6, Clicks: 2, ExpectedClickRate: 0.2 + 0.1*float64(k%3)}
+			if err := b.AddEdge(q, fmt.Sprintf("p%d-%d", i, k), w); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// TestDenseBlocksMatchReach holds whole runs of the engine — dense
+// components kept as score blocks from pass to pass and computed by the
+// block path into them — to the same runs with every component kept in
+// rows, which takes the expansion and the reach on every pass (noBlocks),
+// bit for bit: both sides' scores, the depth reached and the skip counts,
+// at engine widths 1 and 3. It covers every variant and strict evidence,
+// pruning (at 1e-5, and at 1e-2, which zeroes cells of held blocks), the
+// tolerance-scaled delta skip (a copied row keeps its block
+// cells, which then differ from a recomputation), the tolerance stop and
+// both chain parities, on graphs whose components enter the block form at
+// different depths (mixed), carry zero walk factors (zeros), span several
+// strips (wide), or hold one side as a block while the other stays in
+// rows (hub under strict evidence: the block is written back to rows for
+// the row path and admitted again after). A component never leaves the
+// block form for good: its pairs only grow with depth.
+func TestDenseBlocksMatchReach(t *testing.T) {
+	graphs := map[string]*clickgraph.Graph{
+		"mixed": mixedDensityGraph(),
+		"zeros": zeroRateGraph(7),
+		"wide":  randomGraph(11, 100, 80, 600),
+		"hub":   hubGraph(6, 30),
+	}
+	var cfgs []Config
+	for _, variant := range []Variant{Simple, Evidence, Weighted} {
+		for _, strict := range []bool{false, true} {
+			if strict && variant == Simple {
+				continue
+			}
+			for _, prune := range []float64{0, 1e-5, 1e-2} {
+				for _, skipTol := range []float64{0, 1e-5} {
+					for _, stop := range []struct {
+						iters int
+						tol   float64
+					}{{6, 0}, {7, 0}, {15, 1e-4}} {
+						cfg := DefaultConfig().WithVariant(variant)
+						cfg.StrictEvidence = strict
+						cfg.PruneEpsilon, cfg.DeltaSkipTolerance = prune, skipTol
+						cfg.Iterations, cfg.Tolerance = stop.iters, stop.tol
+						cfgs = append(cfgs, cfg)
+					}
+				}
+			}
+		}
+	}
+	panel := map[string]int{} // the largest panel the block path grew, by graph
+	for name, g := range graphs {
+		for _, cfg := range cfgs {
+			label := fmt.Sprintf("%s/%v/strict=%v/prune=%g/skip=%g/k=%d/tol=%g", name, cfg.Variant, cfg.StrictEvidence, cfg.PruneEpsilon, cfg.DeltaSkipTolerance, cfg.Iterations, cfg.Tolerance)
+			rows := cfg
+			rows.noBlocks = true
+			want, err := runEngine(g, rows, 1, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 3} {
+				ar := &engineArena{}
+				got, err := runEngine(g, cfg, workers, ar, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l := fmt.Sprintf("%s/workers=%d", label, workers)
+				assertBitIdentical(t, l, want, got)
+				if got.Iterations != want.Iterations || got.Converged != want.Converged {
+					t.Fatalf("%s: depth %d converged %v, rows reach %d %v", l, got.Iterations, got.Converged, want.Iterations, want.Converged)
+				}
+				for i, s := range got.IterStats {
+					if w := want.IterStats[i]; s.QueryRowsSkipped != w.QueryRowsSkipped || s.AdRowsSkipped != w.AdRowsSkipped {
+						t.Fatalf("%s: pass pair %d skipped %d/%d rows, rows path %d/%d", l, i, s.QueryRowsSkipped, s.AdRowsSkipped, w.QueryRowsSkipped, w.AdRowsSkipped)
+					}
+				}
+				for _, sp := range ar.spas {
+					panel[name] = max(panel[name], cap(sp.strip.cell))
+				}
+			}
+			if name == "hub" && cfg.Variant == Weighted && cfg.StrictEvidence && cfg.PruneEpsilon < 1e-3 &&
+				(!blockFits(g.NumQueries(), 2*want.QueryScores.Len()) || blockFits(g.NumAds(), 2*want.AdScores.Len())) {
+				t.Fatalf("%s: %d query pairs and %d ad pairs; the fixture needs a block query side and a rows ad side", label, want.QueryScores.Len(), want.AdScores.Len())
+			}
+		}
+	}
+	// The block path must have run on every graph, and on several strips
+	// of a component where one spans them.
+	for name := range graphs {
+		need := stripWidth
+		if name == "wide" {
+			need *= 1 + stripWidth
+		}
+		if panel[name] < need {
+			t.Errorf("%s: the block path's panel grew to %d cells, want ≥ %d", name, panel[name], need)
+		}
 	}
 }

@@ -170,6 +170,10 @@ type Config struct {
 	// pass: the full-recompute reference this package's delta-skip tests
 	// compare against. Nothing outside them sets it.
 	noDeltaSkip bool
+	// noBlocks keeps every component's scores in sparse rows, so every
+	// pass takes the row path: the reference the block path's tests
+	// compare against. Nothing outside them sets it.
+	noBlocks bool
 }
 
 // DefaultConfig returns the paper's experimental settings: C1 = C2 = 0.8

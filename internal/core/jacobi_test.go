@@ -149,17 +149,29 @@ func pullSide(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sy
 	return s.pass(cfg, plannedCandidates(s, opp, sym, changed), dst, prev, changed, workers, spas)
 }
 
-// plannedCandidates returns side s's plan as planPass makes it from the
-// opposite side's scores opp, with sym as their expansion.
+// plannedCandidates returns side s's plan as the engine's chain makes it
+// from the opposite side's scores opp, with sym as their expansion: a
+// component that gathers takes the block path when opp's rows in it fit a
+// block (the chain holds exactly those as blocks), the row path otherwise.
 func plannedCandidates(s sideInputs, opp *sparse.PairFrontier, sym *sparse.SymAdj, changed *sparse.Bitset) candidates {
-	comps := len(s.idx.bounds) - 1
-	var slab []float64
-	cand, _ := planPass(s.idx, s.oppIdx, opp, changed, make([]bool, comps), make([][]float64, comps), &slab)
-	cand.sym = sym
-	return cand
+	block := make([][]float64, len(s.idx.bounds)-1)
+	for c := range block {
+		lo, hi := s.oppIdx.span(int32(c))
+		pairs := 0
+		for j := lo; j < hi; j++ {
+			cols, _ := opp.Row(j)
+			pairs += len(cols)
+		}
+		if anyMarked(changed, lo, hi) && blockFits(hi-lo, 2*pairs) {
+			block[c] = make([]float64, (hi-lo)*(hi-lo))
+			fillBlock(block[c], opp, lo, hi)
+		}
+	}
+	return candidates{idx: s.idx, opp: s.oppIdx, sym: sym, block: block}
 }
 
-// pass runs the production kernel of cfg's variant on side s.
+// pass runs the production kernel of cfg's variant on side s, every row
+// into dst.
 func (s sideInputs) pass(cfg Config, cand candidates, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 	if cfg.Variant == Weighted {
 		return weightedPass(s.thisNbr, s.oppNbr, s.w, s.ev, cand, s.c, dst, prev, changed, workers, spas)
@@ -167,19 +179,42 @@ func (s sideInputs) pass(cfg Config, cand candidates, dst, prev *sparse.PairFron
 	return simplePass(s.thisNbr, s.oppNbr, cand, s.c, dst, prev, changed, workers, spas)
 }
 
+// simplePass computes one plain-SimRank pass of one side ("this" side)
+// from the opposite side's scores, as cand plans them, every row into dst;
+// thisNbr maps this side's nodes to opposite-side neighbors, oppNbr the
+// reverse. It returns how many rows the delta skip copied forward.
+func simplePass(thisNbr, oppNbr [][]int, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+	skipped, _ := pullKernel{thisNbr: thisNbr, oppNbr: oppNbr, c: c}.pass(cand, rowSink(cand), dst, prev, changed, workers, spas)
+	return skipped
+}
+
+// rowSink is a block sink holding no block: the block path writes every
+// component it computes into dst rows, as the row path does.
+func rowSink(cand candidates) *blockSink {
+	d := newDenseScores(len(cand.idx.bounds)-1, &floatPool{})
+	return &blockSink{dense: &d}
+}
+
+// weightedPass is simplePass for weighted SimRank: w holds this side's
+// forward factor rows and ev the evidence multiplier by common-neighbor
+// count.
+func weightedPass(thisNbr, oppNbr [][]int, w [][]float64, ev []float64, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+	skipped, _ := pullKernel{thisNbr: thisNbr, oppNbr: oppNbr, w: w, ev: ev, c: c}.pass(cand, rowSink(cand), dst, prev, changed, workers, spas)
+	return skipped
+}
+
 // forcedCandidates returns side s's plan with every component forced down
-// one gather path on the opposite side's scores opp: a score block and the
-// component range when blocks is set, the expansion sym and the reach
+// one path on the opposite side's scores opp: the block path over a block
+// of them when blocks is set, the row path over the expansion sym
 // otherwise — whatever the density test would choose.
 func forcedCandidates(s sideInputs, opp *sparse.PairFrontier, sym *sparse.SymAdj, blocks bool) candidates {
-	comps := len(s.idx.bounds) - 1
-	dense := make([]bool, comps)
-	for c := range dense {
-		dense[c] = blocks
+	block := make([][]float64, len(s.idx.bounds)-1)
+	for c := range block {
+		if lo, hi := s.oppIdx.span(int32(c)); blocks {
+			block[c] = make([]float64, (hi-lo)*(hi-lo))
+			fillBlock(block[c], opp, lo, hi)
+		}
 	}
-	var slab []float64
-	block := make([][]float64, comps)
-	fillBlocks(s.oppIdx, opp, dense, block, &slab)
 	return candidates{idx: s.idx, opp: s.oppIdx, sym: sym, block: block}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 
@@ -12,7 +14,7 @@ import (
 
 // Micro-benchmarks for profiling the kernel: one accumulation pass per op
 // (the pull kernel serial and parallel against the map reference and the
-// push kernel it replaced, and each of the pull's two gather paths forced
+// push kernel it replaced, and each of the pull's two paths forced
 // on every component), and whole sharded runs with their stitch. Run with
 //
 //	go test -run='^$' -bench='Pass' -benchmem ./internal/core
@@ -49,10 +51,11 @@ func passBenchFixture(b *testing.B, variant Variant) *passFixture {
 // the arms every pass benchmark has: the map reference, the push kernel,
 // the production pull kernel serial and on every core (each op plans the
 // pass and fills its score blocks, as the engine's chain does), and the
-// serial pull with every component forced down one gather path — "block"
-// adds whole score-block rows and evaluates the component range, "reach"
-// gathers from the expansion and evaluates the reach — on candidates
-// planned once, so those two arms time the gather and the pull alone.
+// serial pull with every component forced down one path — "block"
+// computes it as two products over score blocks (building its pair
+// factors each op), "reach" gathers from the expansion and evaluates the
+// reach — on candidates planned once, so those two arms time the gather
+// and the pull alone.
 func runPassBench(b *testing.B, fx *passFixture, reference func()) {
 	b.Run("map", func(b *testing.B) {
 		b.ReportAllocs()
@@ -127,12 +130,18 @@ func shardBenchWorkload(b *testing.B) (*clickgraph.Graph, *partition.Plan, Confi
 		b.Fatal(err)
 	}
 	b.Logf("plan: %d shards, exact=%v, %d cut edges", len(plan.Shards), plan.Exact, plan.TotalCutEdges)
+	return g, plan, productionConfig()
+}
+
+// productionConfig is PERF.md's production mode: weighted, pruning,
+// tolerance-scaled delta skip and a convergence tolerance.
+func productionConfig() Config {
 	cfg := DefaultConfig().WithVariant(Weighted)
 	cfg.Iterations = 15
 	cfg.Tolerance = 1e-4
 	cfg.PruneEpsilon = 1e-5
 	cfg.DeltaSkipTolerance = 1e-5
-	return g, plan, cfg
+	return cfg
 }
 
 // BenchmarkShardedRun compares one full weighted run of the multi-cluster
@@ -155,6 +164,41 @@ func BenchmarkShardedRun(b *testing.B) {
 			}
 		}
 	})
+}
+
+// giantGraph is one component of the shape of pathbench's giants: 650
+// queries × 450 ads and 5 500 click records drawn as pathbench draws them
+// (a uniform query and ad, 1–20 clicks at three impressions a click, an
+// expected click rate in [0, 1)), folded into 5 452 edges for seed 1.
+func giantGraph(seed uint64) *clickgraph.Graph {
+	r := rand.New(rand.NewPCG(seed, 1))
+	b := clickgraph.NewBuilder()
+	for e := 0; e < 5500; e++ {
+		q, ad := fmt.Sprintf("gq%d", r.IntN(650)), fmt.Sprintf("ga%d", r.IntN(450))
+		clicks := int64(r.IntN(20) + 1)
+		w := clickgraph.EdgeWeights{Impressions: 3 * clicks, Clicks: clicks, ExpectedClickRate: float64(r.IntN(100)) / 100}
+		if err := b.AddEdge(q, ad, w); err != nil {
+			panic(err)
+		}
+	}
+	return b.Build()
+}
+
+// BenchmarkDenseGiant times one production-mode run of an uncut giant
+// (partition.WholePlan), the shard ROADMAP item 4's planner step would
+// keep whole: both sides' scores turn dense within a few passes, so all
+// but the first passes take the block path, over 650- and 450-node blocks
+// of eleven strips and eight. It runs on every core, as RunSharded gives
+// a lone shard the whole budget.
+func BenchmarkDenseGiant(b *testing.B) {
+	g := giantGraph(1)
+	b.Logf("giant: %d queries, %d ads, %d edges, %d components", g.NumQueries(), g.NumAds(), g.NumEdges(), len(clickgraph.Components(g)))
+	plan, cfg := partition.WholePlan(g), productionConfig()
+	for b.Loop() {
+		if _, err := RunSharded(g, cfg, plan, ShardOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkShardedStitch times the hand-off from shard engines to the

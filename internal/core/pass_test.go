@@ -320,8 +320,8 @@ func everyPair(n int) *sparse.PairFrontier {
 
 // TestStrictEvidenceEmitsNoDisjointPair: under StrictEvidence a weighted
 // pair whose nodes share no neighbor has evidence zero, so no pass may
-// store it — whichever candidate set finds it, the component range or the
-// reach — on either side of graphs mid-run, and neither does the engine.
+// store it — whichever path computes it, the block path's products or the
+// row path's reach — on either side of graphs mid-run, and neither does the engine.
 // Without strict evidence the same passes store such pairs on both paths,
 // so the fixtures do reach them.
 func TestStrictEvidenceEmitsNoDisjointPair(t *testing.T) {

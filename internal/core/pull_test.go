@@ -111,13 +111,13 @@ func TestPullMatchesPush(t *testing.T) {
 	}
 }
 
-// TestPullCandidatePathsAgree forces each gather path on the same pass
-// inputs — every component's score block and range, every row's expansion
-// and reach, and the per-pass choice the engine makes — and requires the
-// same rows bit for bit, on both sides of multi-component and
-// single-component graphs mid-run, at several worker counts. A candidate
-// set that missed a member with a nonzero score, a range cut short by
-// one, or a block row summed in another order would tell.
+// TestPullCandidatePathsAgree forces each path on the same pass inputs —
+// every component's block path over its score block, every row's
+// expansion and reach, and the per-pass choice the engine makes — and
+// requires the same rows bit for bit, on both sides of multi-component
+// and single-component graphs mid-run, at several worker counts. A
+// candidate set that missed a member with a nonzero score, a strip cut
+// short by one, or a block row summed in another order would tell.
 func TestPullCandidatePathsAgree(t *testing.T) {
 	graphs := map[string]*clickgraph.Graph{
 		"fig3":   clickgraph.Fig3(),
@@ -166,7 +166,7 @@ func TestPullCandidatePathsAgree(t *testing.T) {
 }
 
 // TestPullSparseGuard pins the reason the candidate set is chosen per
-// component: on a component whose scores stay local, the component range
+// component: on a component whose scores stay local, the block path
 // would evaluate every member above a row for the few it reaches. The
 // ring — 300 clusters of 12 queries × 8 ads, each joined to the next by
 // one edge, so one component of ≈ 5 900 nodes — runs under
@@ -175,7 +175,7 @@ func TestPullCandidatePathsAgree(t *testing.T) {
 // the scores near their clusters. At every pass, on the same inputs, the
 // pull may evaluate at most twice as many cells as the push kernel makes
 // contributions (it evaluates fewer: a cell the push reaches from several
-// j is one dot product); the component range alone evaluates over ten
+// j is one dot product); the whole component range evaluates over ten
 // times as many. The passes run in the Jacobi loop (runJacobiWith),
 // where each pass's inputs are in reach; the chain runs the same kernel.
 func TestPullSparseGuard(t *testing.T) {

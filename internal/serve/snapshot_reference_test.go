@@ -88,7 +88,7 @@ func referenceAssemble(w io.Writer, g *clickgraph.Graph, cfg core.Config, shards
 		p := &payloads[i]
 		if seg != nil {
 			p.shardSegment = *seg
-			blob, err := buildTopKBlob(p.QuerySeg, shards[i].Queries, g, tk, bids)
+			blob, err := buildTopKBlob(p.QuerySeg, shards[i].Queries, g, tk, bids, new(topkScratch))
 			if err != nil {
 				return err
 			}

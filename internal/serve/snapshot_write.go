@@ -161,7 +161,7 @@ func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Sn
 	errs := make([]error, len(shards))
 	var failed atomic.Bool
 	width := poolWidth(len(shards))
-	bufs := make([][]byte, width)
+	scratch := make([]encodeScratch, width)
 	pool := make(chan struct{})
 	go func() {
 		defer close(pool)
@@ -176,7 +176,7 @@ func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Sn
 					_, err = w.WriteAt(p.a, p.off+p.qLen)
 				}
 			} else {
-				bufs[wk], err = p.encode(w, bufs[wk], run, &shards[i], tk, bids)
+				err = p.encode(w, &scratch[wk], run, &shards[i], tk, bids)
 			}
 			if err != nil {
 				errs[i] = err
@@ -311,25 +311,33 @@ func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Sn
 	return st, crc, nil
 }
 
+// encodeScratch is one writer worker's buffers, reused shard after shard:
+// the segment bytes and buildTopKBlob's working arrays.
+type encodeScratch struct {
+	buf  []byte
+	topk topkScratch
+}
+
 // encode writes shard sh's segment pair, encoded from run's stitched
-// frontiers, at p.off through buf, the worker's reused buffer, which it
-// returns grown, and builds the shard's top-k blob from the query segment
-// while it is still in cache.
-func (p *shardPart) encode(w io.WriterAt, buf []byte, run *core.Result, sh *partition.Shard, tk topkMeta, bids map[string]bool) ([]byte, error) {
-	buf = slices.Grow(buf[:0], int(p.qLen+p.aLen))
+// frontiers, at p.off through sc.buf, the worker's reused buffer, and
+// builds the shard's top-k blob from the query segment while it is still
+// in cache.
+func (p *shardPart) encode(w io.WriterAt, sc *encodeScratch, run *core.Result, sh *partition.Shard, tk topkMeta, bids map[string]bool) error {
+	buf := slices.Grow(sc.buf[:0], int(p.qLen+p.aLen))
 	buf = appendSegment(buf, run.QueryScores, sh.Queries)
 	buf = appendSegment(buf, run.AdScores, sh.Ads)
+	sc.buf = buf
 	q, a := buf[:p.qLen], buf[p.qLen:]
 	p.qCRC, p.aCRC = crc32.ChecksumIEEE(q), crc32.ChecksumIEEE(a)
 	if _, err := w.WriteAt(buf, p.off); err != nil {
-		return buf, err
+		return err
 	}
-	blob, err := buildTopKBlob(q, sh.Queries, run.Graph, tk, bids)
+	blob, err := buildTopKBlob(q, sh.Queries, run.Graph, tk, bids, &sc.topk)
 	if err != nil {
-		return buf, err
+		return err
 	}
 	p.blob, p.tkCRC = blob, crc32.ChecksumIEEE(blob)
-	return buf, nil
+	return nil
 }
 
 // copyFrom takes clean shard i's CRC-verified segments and top-k blob

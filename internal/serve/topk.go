@@ -161,6 +161,28 @@ func (s *shardNames) Query(p int) string { return s.g.Query(s.ids[p]) }
 // before stemming a name itself.
 func (s *shardNames) StemKey(p int) string { return s.stems[p] }
 
+// topkScratch is buildTopKBlob's working arrays — each record's two
+// positions, the row and bid-row lengths, the whole-row flags, the list
+// starts and fill cursors, and the flat partner lists — kept between calls
+// so a writer worker sizes them once for the largest shard it builds.
+type topkScratch struct {
+	pos            []int32
+	rowLen, bidLen []int
+	whole          []bool
+	start, next    []int
+	flat           []sparse.Scored
+}
+
+// resized returns (*buf)[:n], reallocated when its capacity is short; the
+// cells keep whatever the last call left in them.
+func resized[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // checkTopKBlobLen refuses a blob whose length — and so any list offset
 // inside it — does not fit the u32 fields the entry table and the
 // directory record it in; a wrapped offset could pass validateTopKBlob
@@ -183,7 +205,10 @@ func checkTopKBlobLen(n int) error {
 // changes no survivor: a row no longer than the pool keeps its bid
 // partners, a longer row the bid partners among its tk.topN best (all of
 // them without a bid list), and only what is kept is sorted.
-func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bids map[string]bool) ([]byte, error) {
+//
+// sc holds the call's working arrays, reused from the caller's previous
+// call: the writer keeps one per pool worker.
+func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bids map[string]bool, sc *topkScratch) ([]byte, error) {
 	if tk.k == 0 {
 		return nil, nil
 	}
@@ -199,9 +224,11 @@ func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bi
 	// just past i's, over one row. An id a cursor has passed or cannot
 	// reach is not in the shard, or the records are not in that order.
 	n := len(qSeg) / pairRecordSize
-	pos := make([]int32, 2*n)
-	rowLen := make([]int, len(ids)) // partners of each row
-	bidLen := make([]int, len(ids)) // bid partners of each row
+	pos := resized(&sc.pos, 2*n)
+	rowLen := resized(&sc.rowLen, len(ids)) // partners of each row
+	bidLen := resized(&sc.bidLen, len(ids)) // bid partners of each row
+	clear(rowLen)
+	clear(bidLen)
 	pi, pj, row := 0, 0, -1
 	for r := 0; r < n; r++ {
 		i := int(binary.LittleEndian.Uint32(qSeg[r*pairRecordSize:]))
@@ -232,8 +259,10 @@ func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bi
 	// is longer than the pool and holds a bid partner, so it must be ranked
 	// among all its partners before its unbid ones go. Any other row stores
 	// only its bid partners.
-	whole := make([]bool, len(ids))
-	start := make([]int, len(ids)+1)
+	whole := resized(&sc.whole, len(ids))
+	start := resized(&sc.start, len(ids)+1)
+	clear(whole)
+	start[0] = 0
 	for p := range ids {
 		keep := bidLen[p]
 		if bid == nil || rowLen[p] > topN && keep > 0 {
@@ -241,8 +270,9 @@ func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bi
 		}
 		start[p+1] = start[p] + keep
 	}
-	flat := make([]sparse.Scored, start[len(ids)])
-	next := slices.Clone(start[:len(ids)])
+	flat := resized(&sc.flat, start[len(ids)])
+	next := append(sc.next[:0], start[:len(ids)]...)
+	sc.next = next
 	for r := 0; r < n; r++ {
 		pi, pj := pos[2*r], pos[2*r+1]
 		// bid is nil only when every row is whole.

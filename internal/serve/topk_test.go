@@ -353,7 +353,7 @@ func TestBuildTopKBlobIdentityShard(t *testing.T) {
 	tk := TopKOptions{K: 4}.meta()
 	ids := partition.WholePlan(g).Shards[0].Queries
 	qSeg := encodeSegment(res.QueryScores, ids)
-	got, err := buildTopKBlob(qSeg, ids, g, tk, nil)
+	got, err := buildTopKBlob(qSeg, ids, g, tk, nil, new(topkScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestBuildTopKBlobRejectsForeignPair(t *testing.T) {
 	good := [][3]float64{{0, 2, 0.5}, {0, 9, 0.25}, {2, 5, 0.125}, {5, 9, 0.75}}
 	all := allQueries(g)
 	for _, qIDs := range [][]int{shard, all} {
-		if _, err := buildTopKBlob(makeSegBytes(t, good), qIDs, g, tk, nil); err != nil {
+		if _, err := buildTopKBlob(makeSegBytes(t, good), qIDs, g, tk, nil, new(topkScratch)); err != nil {
 			t.Errorf("ids %v: a well-formed segment was refused: %v", qIDs, err)
 		}
 	}
@@ -393,16 +393,16 @@ func TestBuildTopKBlobRejectsForeignPair(t *testing.T) {
 		"j below i":                   {{5, 2, 0.5}},
 		"j equals i":                  {{2, 2, 0.5}},
 	} {
-		if _, err := buildTopKBlob(makeSegBytes(t, recs), shard, g, tk, nil); err == nil {
+		if _, err := buildTopKBlob(makeSegBytes(t, recs), shard, g, tk, nil, new(topkScratch)); err == nil {
 			t.Errorf("%s: buildTopKBlob accepted %v over ids %v", name, recs, shard)
 		}
 	}
 	// The whole graph's shard holds every query, so only the order can be
 	// wrong.
-	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{0, 1, 0.5}, {1, 40, 0.25}}), all, g, tk, nil); err != nil {
+	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{0, 1, 0.5}, {1, 40, 0.25}}), all, g, tk, nil, new(topkScratch)); err != nil {
 		t.Errorf("identity shard holds every query, got %v", err)
 	}
-	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{1, 40, 0.25}, {0, 1, 0.5}}), all, g, tk, nil); err == nil {
+	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{1, 40, 0.25}, {0, 1, 0.5}}), all, g, tk, nil, new(topkScratch)); err == nil {
 		t.Error("identity shard: rows out of order were accepted")
 	}
 }
@@ -503,9 +503,10 @@ func BenchmarkBuildTopKBlob(b *testing.B) {
 		}{{"bids=stride16", stride16}, {"bids=none", nil}} {
 			opts := TopKOptions{K: DefaultRewriteTopK, BidTerms: bc.bids}
 			b.Run(fmt.Sprintf("rows=%d/%s", 2*half, bc.name), func(b *testing.B) {
+				sc := new(topkScratch) // reused, as a writer worker reuses its own
 				b.ReportAllocs()
 				for b.Loop() {
-					if _, err := buildTopKBlob(qSeg, ids, g, opts.meta(), bc.bids); err != nil {
+					if _, err := buildTopKBlob(qSeg, ids, g, opts.meta(), bc.bids, sc); err != nil {
 						b.Fatal(err)
 					}
 				}

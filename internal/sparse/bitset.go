@@ -41,3 +41,10 @@ func (b *Bitset) Set(i int) {
 func (b *Bitset) Has(i int) bool {
 	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
+
+// Or sets every bit o has; o must be no longer than b.
+func (b *Bitset) Or(o *Bitset) {
+	for i, w := range o.words {
+		b.words[i] |= w
+	}
+}
