@@ -133,10 +133,6 @@ type Config struct {
 	EvidenceForm EvidenceForm
 	// Channel selects the edge weight for the Weighted variant.
 	Channel WeightChannel
-	// DisableSpread drops the e^{-variance} spread factor from the
-	// weighted transition probabilities: an ablation of §8.2's design,
-	// which the paper does not measure separately.
-	DisableSpread bool
 	// StrictEvidence applies Equation 7.3 literally: a pair with no
 	// common neighbors has evidence 0, so its evidence-based and
 	// weighted scores are 0 regardless of indirect structure.

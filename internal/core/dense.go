@@ -29,7 +29,7 @@ func RunDense(g *clickgraph.Graph, cfg Config) (*Result, error) {
 	}
 	var evQ, evA []float64
 	if cfg.Variant == Weighted {
-		model := newTransitionModel(g, cfg.Channel, cfg.DisableSpread)
+		model := newTransitionModel(g, cfg.Channel)
 		qW, aW = carveRows(qNbr), carveRows(aNbr)
 		for q := 0; q < nq; q++ {
 			model.queryRow(q, qW[q])

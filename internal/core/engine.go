@@ -73,7 +73,7 @@ func newPassInputs(g *clickgraph.Graph, cfg Config) *passInputs {
 	in.qNbr = layoutRows(in.qIdx, in.aIdx, g.NumEdges(), func(q int) []int { ads, _ := g.AdsOf(q); return ads })
 	in.aNbr = layoutRows(in.aIdx, in.qIdx, g.NumEdges(), func(a int) []int { qs, _ := g.QueriesOf(a); return qs })
 	if cfg.Variant == Weighted {
-		model := newTransitionModel(g, cfg.Channel, cfg.DisableSpread)
+		model := newTransitionModel(g, cfg.Channel)
 		in.qW, in.aW = carveRows(in.qNbr), carveRows(in.aNbr)
 		for q := 0; q < nq; q++ {
 			model.queryRow(in.qIdx.graphID(q), in.qW[q])

@@ -167,21 +167,27 @@ func BenchmarkShardedRun(b *testing.B) {
 }
 
 // giantGraph is one component of the shape of pathbench's giants: 650
-// queries × 450 ads and 5 500 click records drawn as pathbench draws them
-// (a uniform query and ad, 1–20 clicks at three impressions a click, an
-// expected click rate in [0, 1)), folded into 5 452 edges for seed 1.
+// queries × 450 ads and 5 500 click records drawn as pathbench draws them,
+// folded into 5 452 edges for seed 1.
 func giantGraph(seed uint64) *clickgraph.Graph {
-	r := rand.New(rand.NewPCG(seed, 1))
 	b := clickgraph.NewBuilder()
-	for e := 0; e < 5500; e++ {
-		q, ad := fmt.Sprintf("gq%d", r.IntN(650)), fmt.Sprintf("ga%d", r.IntN(450))
+	addUniformCluster(b, rand.New(rand.NewPCG(seed, 1)), "g", 650, 450, 5500)
+	return b.Build()
+}
+
+// addUniformCluster adds records click records to b as pathbench draws a
+// cluster's: a uniform query of nq and ad of na (named prefix+"q"/"a" and
+// the index), 1–20 clicks at three impressions a click, an expected click
+// rate in [0, 1).
+func addUniformCluster(b *clickgraph.Builder, r *rand.Rand, prefix string, nq, na, records int) {
+	for range records {
+		q, ad := fmt.Sprintf("%sq%d", prefix, r.IntN(nq)), fmt.Sprintf("%sa%d", prefix, r.IntN(na))
 		clicks := int64(r.IntN(20) + 1)
 		w := clickgraph.EdgeWeights{Impressions: 3 * clicks, Clicks: clicks, ExpectedClickRate: float64(r.IntN(100)) / 100}
 		if err := b.AddEdge(q, ad, w); err != nil {
 			panic(err)
 		}
 	}
-	return b.Build()
 }
 
 // BenchmarkDenseGiant times one production-mode run of an uncut giant

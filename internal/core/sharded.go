@@ -68,7 +68,9 @@ type ShardStat struct {
 	// marks the weighted pull counts evidence with, and the sparse
 	// candidate path's int32 candidate list and one mark bit, per cell of
 	// its larger side — 17 bytes + 1 bit a cell (spaBytes). The monolithic
-	// equivalent is the same over max(NumQueries, NumAds).
+	// equivalent is the same over max(NumQueries, NumAds). It is the row
+	// path's scratch only, not the engine's total: the block path's score
+	// blocks, pair factors and strip buffers are not counted.
 	SPABytes int64
 	// Skipped reports that ShardOptions.RunShards excluded this shard: no
 	// engine ran and the run-outcome fields above are zero.

@@ -68,9 +68,7 @@ func popVariance(xs []float64) float64 {
 }
 
 // newTransitionModel scans the graph once and caches spreads and row sums.
-// disableSpread forces spread ≡ 1: the weighted walk without §8.2's
-// e^{-variance} factor, for ablations.
-func newTransitionModel(g *clickgraph.Graph, ch WeightChannel, disableSpread bool) *transitionModel {
+func newTransitionModel(g *clickgraph.Graph, ch WeightChannel) *transitionModel {
 	m := &transitionModel{
 		g:       g,
 		channel: ch,
@@ -82,20 +80,12 @@ func newTransitionModel(g *clickgraph.Graph, ch WeightChannel, disableSpread boo
 	for q := 0; q < g.NumQueries(); q++ {
 		_, w := ch.Weights(g, clickgraph.QuerySide, q)
 		m.rowSumQ[q] = sum(w)
-		if disableSpread {
-			m.spreadQ[q] = 1
-		} else {
-			m.spreadQ[q] = math.Exp(-popVariance(w))
-		}
+		m.spreadQ[q] = math.Exp(-popVariance(w))
 	}
 	for a := 0; a < g.NumAds(); a++ {
 		_, w := ch.Weights(g, clickgraph.AdSide, a)
 		m.rowSumA[a] = sum(w)
-		if disableSpread {
-			m.spreadA[a] = 1
-		} else {
-			m.spreadA[a] = math.Exp(-popVariance(w))
-		}
+		m.spreadA[a] = math.Exp(-popVariance(w))
 	}
 	return m
 }

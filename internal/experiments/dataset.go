@@ -3,7 +3,7 @@
 // click log, runs each rewriting method through the §9.3 pipeline, and
 // regenerates every table and figure of §10. Each exported runner
 // corresponds to one table or figure; cmd/experiments prints them and
-// bench_test.go times them.
+// this package's tests assert their numbers.
 package experiments
 
 import (

@@ -85,6 +85,9 @@ func FuzzOpenSnapshot(f *testing.F) {
 	// stands between it and an out-of-range name lookup.
 	hostile, _ := resealQuerySegment(f, sharded.Bytes(), hostileSegments["node id past the side"])
 	f.Add(hostile)
+	// A sealed header recording a variant no run has: only the check of
+	// the recorded config refuses it.
+	f.Add(resealHeader(sharded.Bytes(), invalidHeaders["variant 9"].edit))
 
 	// Generation manifests live beside snapshots on disk; a confused
 	// operator (or a buggy rollback script) pointing the daemon at one

@@ -16,7 +16,7 @@ import (
 //
 //	header    a fixed 200-byte internal/frame frame: magic, version, run
 //	          metadata (variant, iterations executed and budgeted,
-//	          C1/C2, converged, strict-evidence/spread flags, weight
+//	          C1/C2, converged and strict-evidence flags, weight
 //	          channel, evidence form, prune epsilon, convergence and
 //	          delta-skip tolerances), graph dimensions, shard count,
 //	          generation info (creation time, dirty-shard count of the
@@ -61,9 +61,12 @@ const (
 	topkEntrySize = 12
 	topkRecSize   = 12
 
+	// Header flags. Bit 2 is reserved: it once marked a run without the
+	// weighted walk's spread factor, which nothing ever wrote. A reader
+	// refuses any bit outside knownFlags.
 	flagConverged      = 1 << 0
 	flagStrictEvidence = 1 << 1
-	flagDisableSpread  = 1 << 2
+	knownFlags         = flagConverged | flagStrictEvidence
 
 	// fullBuildSentinel in the header's dirty-shard field marks a snapshot
 	// written whole (WriteSnapshotTopK) rather than by a refresh.
@@ -85,7 +88,6 @@ type SnapshotMeta struct {
 	C2              float64            `json:"c2"`
 	Converged       bool               `json:"converged"`
 	StrictEvidence  bool               `json:"strict_evidence,omitempty"`
-	DisableSpread   bool               `json:"disable_spread,omitempty"`
 	Channel         core.WeightChannel `json:"channel"`
 	EvidenceForm    core.EvidenceForm  `json:"evidence_form"`
 	PruneEpsilon    float64            `json:"prune_epsilon"`

@@ -217,9 +217,16 @@ func newSnapshot(r io.ReaderAt, size int64, mapped []byte) (*Snapshot, error) {
 	if version != snapshotVersion {
 		return nil, fmt.Errorf("serve: unsupported snapshot version %d (want %d)", version, snapshotVersion)
 	}
+	if unknown := flags &^ knownFlags; unknown != 0 {
+		return nil, fmt.Errorf("serve: snapshot header sets unknown flags %#x", unknown)
+	}
 	m.Converged = flags&flagConverged != 0
 	m.StrictEvidence = flags&flagStrictEvidence != 0
-	m.DisableSpread = flags&flagDisableSpread != 0
+	// A recorded config a run would refuse is refused here, not at the
+	// first refresh: it is the config a refresh runs dirty shards with.
+	if err := s.Config().Validate(); err != nil {
+		return nil, fmt.Errorf("serve: snapshot header: %w", err)
+	}
 	m.LastRefreshDirty = int(dirty)
 	if dirty == fullBuildSentinel {
 		m.LastRefreshDirty = -1
@@ -645,7 +652,6 @@ func (s *Snapshot) Config() core.Config {
 		Variant:            s.meta.Variant,
 		EvidenceForm:       s.meta.EvidenceForm,
 		Channel:            s.meta.Channel,
-		DisableSpread:      s.meta.DisableSpread,
 		StrictEvidence:     s.meta.StrictEvidence,
 		PruneEpsilon:       s.meta.PruneEpsilon,
 		DeltaSkipTolerance: s.meta.DeltaSkipTol,

@@ -174,9 +174,6 @@ func writeAssembled(w io.Writer, g *clickgraph.Graph, cfg core.Config, shards []
 	if cfg.StrictEvidence {
 		flags |= flagStrictEvidence
 	}
-	if cfg.DisableSpread {
-		flags |= flagDisableSpread
-	}
 	h := frame.Append(make([]byte, 0, headerSize), snapshotMagic)
 	h.U32(snapshotVersion)
 	h.U32(flags)

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"strings"
 	"sync"
@@ -10,6 +12,7 @@ import (
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/core"
+	"simrankpp/internal/frame"
 	"simrankpp/internal/partition"
 	"simrankpp/internal/sparse"
 )
@@ -431,5 +434,58 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	}
 	if err := snap.PreloadAll(); err == nil {
 		t.Error("PreloadAll accepted a truncated segment")
+	}
+}
+
+// resealHeader returns a copy of data with edit applied to the header and
+// the header's CRC recomputed: a file only the reader's own checks can
+// refuse.
+func resealHeader(data []byte, edit func(h []byte)) []byte {
+	out := append([]byte(nil), data...)
+	edit(out[:headerSize-frame.TrailerSize])
+	binary.LittleEndian.PutUint32(out[headerSize-frame.TrailerSize:], crc32.ChecksumIEEE(out[:headerSize-frame.TrailerSize]))
+	return out
+}
+
+// invalidHeaders are sealed headers a writer never produces: a flag bit
+// outside converged and strict evidence (bit 2, the retired spread flag,
+// among them), or a recorded config core.Config.Validate refuses. Each
+// edits the header at its field's offset, and want is what the refusal
+// must name, so a drifted offset cannot pass on some other check.
+var invalidHeaders = map[string]struct {
+	edit func(h []byte)
+	want string
+}{
+	"retired flag bit 2": {func(h []byte) { h[12] |= 1 << 2 }, "unknown flags 0x4"},
+	"flag bit 31":        {func(h []byte) { h[15] |= 1 << 7 }, "unknown flags 0x80000000"},
+	"variant 9":          {func(h []byte) { binary.LittleEndian.PutUint32(h[16:], 9) }, "unknown variant 9"},
+	"C1 0":               {func(h []byte) { binary.LittleEndian.PutUint64(h[24:], math.Float64bits(0)) }, "C1 must"},
+	"C2 1.5":             {func(h []byte) { binary.LittleEndian.PutUint64(h[32:], math.Float64bits(1.5)) }, "C2 must"},
+	"channel 7":          {func(h []byte) { binary.LittleEndian.PutUint32(h[140:], 7) }, "unknown weight channel 7"},
+	"evidence form 5":    {func(h []byte) { binary.LittleEndian.PutUint32(h[144:], 5) }, "unknown evidence form 5"},
+	"NaN prune epsilon": {func(h []byte) { binary.LittleEndian.PutUint64(h[148:], math.Float64bits(math.NaN())) },
+		"PruneEpsilon must"},
+	"tolerance -1": {func(h []byte) { binary.LittleEndian.PutUint64(h[156:], math.Float64bits(-1)) }, "core: Tolerance must"},
+	"infinite delta skip": {func(h []byte) { binary.LittleEndian.PutUint64(h[164:], math.Float64bits(math.Inf(1))) },
+		"DeltaSkipTolerance must"},
+}
+
+// TestSnapshotRefusesInvalidRecordedConfig: a header whose checksum holds
+// but whose flags or recorded config no run could have written is refused
+// at open, not served until the first refresh fails on it.
+func TestSnapshotRefusesInvalidRecordedConfig(t *testing.T) {
+	good := snapshotBytes(t, wholeRun(t, testGraph(t), core.DefaultConfig().WithVariant(core.Weighted)), DefaultRewriteTopK)
+	if _, err := NewSnapshot(bytes.NewReader(resealHeader(good, func([]byte) {})), int64(len(good))); err != nil {
+		t.Fatalf("resealed pristine header refused: %v", err)
+	}
+	for name, tc := range invalidHeaders {
+		bad := resealHeader(good, tc.edit)
+		snap, err := NewSnapshot(bytes.NewReader(bad), int64(len(bad)))
+		if err == nil {
+			snap.Close()
+			t.Errorf("%s: opened", name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: refused with %q, want it to name %q", name, err, tc.want)
+		}
 	}
 }

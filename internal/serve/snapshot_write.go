@@ -255,9 +255,6 @@ func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Sn
 	if cfg.StrictEvidence {
 		flags |= flagStrictEvidence
 	}
-	if cfg.DisableSpread {
-		flags |= flagDisableSpread
-	}
 	h := frame.Append(make([]byte, 0, headerSize), snapshotMagic)
 	h.U32(snapshotVersion)
 	h.U32(flags)
