@@ -10,7 +10,9 @@ package clickgraph
 
 import (
 	"fmt"
+	"maps"
 	"slices"
+	"sync"
 )
 
 // Side distinguishes the two node partitions.
@@ -66,57 +68,126 @@ func (w EdgeWeights) Validate() error {
 // same (query, ad) pair twice merges the observations: impressions and
 // clicks sum, and the expected click rate is re-estimated as an
 // impressions-weighted mean.
+//
+// The adds only log what they are given; Build does the fold. It interns
+// the logged names, one goroutine a side, so ids follow first arrival on
+// each side (a node added by AddQuery or AddAd keeps its place among the
+// edges' names), sorts the logged edges into rows by a counting sort on
+// the query id, and merges each row, in arrival order, into the rows of
+// the previous Build. Each logged name is looked up once: the graph takes
+// over the Builder's name→id maps instead of building its own, and the
+// Builder copies a side's map only when it next interns a name new to
+// that side.
 type Builder struct {
-	queryID map[string]int
-	adID    map[string]int
-	queries []string
-	ads     []string
-	// rows[q] holds query q's edges ascending by ad id, so the table Build
-	// fills is the rows end to end. Ids are interned in arrival order, so an
-	// edge to an ad first seen now is inserted at its row's end.
-	rows  [][]builderEdge
-	edges int
+	q, a nameSide
+	// base is the graph the last Build returned (or NewBuilderFrom
+	// adopted): its table holds the rows the next Build merges into.
+	base *Graph
+	log  entryLog // what was added since base
 }
 
-type builderEdge struct {
-	ad int
-	w  EdgeWeights
+// nameSide is one side's names in id order and its name→id map.
+type nameSide struct {
+	id map[string]int
+	// lent reports that a graph also reads id: a new name interns into a
+	// copy.
+	lent  bool
+	names []string
 }
+
+func (s *nameSide) intern(name string) int {
+	if id, ok := s.id[name]; ok {
+		return id
+	}
+	if s.lent {
+		s.id, s.lent = maps.Clone(s.id), false
+	}
+	id := len(s.names)
+	s.id[name] = id
+	s.names = append(s.names, name)
+	return id
+}
+
+// lend returns the names and the map for a graph, which keeps them: the
+// names slice is capped, so the Builder's appends never reach it.
+func (s *nameSide) lend() ([]string, map[string]int) {
+	s.lent = true
+	return s.names[:len(s.names):len(s.names)], s.id
+}
+
+type entryKind uint8
+
+const (
+	edgeEntry entryKind = iota
+	queryEntry
+	adEntry
+)
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
+	return &Builder{q: nameSide{id: make(map[string]int)}, a: nameSide{id: make(map[string]int)}}
+}
+
+// NewBuilderFrom returns a Builder that holds g: its names keep their ids
+// and its edges are the rows later adds merge into, so Build returns a
+// graph equal to g until something is added. It shares g's name maps
+// under the copy-on-write rule of Build.
+func NewBuilderFrom(g *Graph) *Builder {
+	qID, aID := g.index()
+	nq, na := len(g.queries), len(g.ads)
 	return &Builder{
-		queryID: make(map[string]int),
-		adID:    make(map[string]int),
+		q:    nameSide{id: qID, lent: true, names: g.queries[:nq:nq]},
+		a:    nameSide{id: aID, lent: true, names: g.ads[:na:na]},
+		base: g,
 	}
 }
 
-func (b *Builder) internQuery(q string) int {
-	if id, ok := b.queryID[q]; ok {
-		return id
-	}
-	id := len(b.queries)
-	b.queryID[q] = id
-	b.queries = append(b.queries, q)
-	b.rows = append(b.rows, nil)
-	return id
+// entryLog is the adds in order, in chunks of logChunk, so that it grows
+// without copying: add i is row i%logChunk of chunk i/logChunk. A chunk
+// holds its adds in columns, so each of Build's passes reads only the
+// column it needs: one side's names, or the weights.
+type entryLog []logColumns
+
+const logChunk = 1 << 12
+
+// logColumns holds up to logChunk adds: an edge, or a node (its kind, the
+// other side's name empty).
+type logColumns struct {
+	query, ad []string
+	w         []EdgeWeights
+	kind      []entryKind
 }
 
-func (b *Builder) internAd(a string) int {
-	if id, ok := b.adID[a]; ok {
-		return id
+func (l *entryLog) add(query, ad string, w EdgeWeights, kind entryKind) {
+	n := len(*l)
+	if n == 0 || len((*l)[n-1].kind) == logChunk {
+		var c logColumns // the first grows by append, from small
+		if n > 0 {
+			c = logColumns{make([]string, 0, logChunk), make([]string, 0, logChunk),
+				make([]EdgeWeights, 0, logChunk), make([]entryKind, 0, logChunk)}
+		}
+		*l = append(*l, c)
+		n++
 	}
-	id := len(b.ads)
-	b.adID[a] = id
-	b.ads = append(b.ads, a)
-	return id
+	c := &(*l)[n-1]
+	c.query, c.ad, c.w, c.kind = append(c.query, query), append(c.ad, ad), append(c.w, w), append(c.kind, kind)
 }
+
+func (l entryLog) len() int {
+	if len(l) == 0 {
+		return 0
+	}
+	return (len(l)-1)*logChunk + len(l[len(l)-1].kind)
+}
+
+// weights returns the weights of add i.
+func (l entryLog) weights(i uint32) EdgeWeights { return l[i/logChunk].w[i%logChunk] }
 
 // AddQuery ensures a query node exists even if it has no edges yet.
-func (b *Builder) AddQuery(q string) { b.internQuery(q) }
+func (b *Builder) AddQuery(q string) { b.log.add(q, "", EdgeWeights{}, queryEntry) }
 
 // AddAd ensures an ad node exists even if it has no edges yet.
-func (b *Builder) AddAd(a string) { b.internAd(a) }
+func (b *Builder) AddAd(a string) { b.log.add("", a, EdgeWeights{}, adEntry) }
 
 // AddEdge records an observation for (query, ad). Weights that fail
 // EdgeWeights.Validate are an error and add nothing.
@@ -124,25 +195,7 @@ func (b *Builder) AddEdge(query, ad string, w EdgeWeights) error {
 	if err := w.Validate(); err != nil {
 		return fmt.Errorf("%w for (%q,%q)", err, query, ad)
 	}
-	qi, ai := b.internQuery(query), b.internAd(ad)
-	row := b.rows[qi]
-	at, found := slices.BinarySearchFunc(row, ai, func(e builderEdge, ad int) int { return e.ad - ad })
-	if found {
-		old := &row[at].w
-		// Impressions-weighted mean of the two rate estimates; fall back to
-		// a plain mean when neither observation carries impressions.
-		ti, tn := float64(old.Impressions), float64(w.Impressions)
-		if ti+tn > 0 {
-			old.ExpectedClickRate = (old.ExpectedClickRate*ti + w.ExpectedClickRate*tn) / (ti + tn)
-		} else {
-			old.ExpectedClickRate = (old.ExpectedClickRate + w.ExpectedClickRate) / 2
-		}
-		old.Impressions += w.Impressions
-		old.Clicks += w.Clicks
-		return nil
-	}
-	b.rows[qi] = slices.Insert(row, at, builderEdge{ad: ai, w: w})
-	b.edges++
+	b.log.add(query, ad, w, edgeEntry)
 	return nil
 }
 
@@ -152,19 +205,200 @@ func (b *Builder) AddClick(query, ad string, rate float64) error {
 	return b.AddEdge(query, ad, EdgeWeights{Impressions: 1, Clicks: 1, ExpectedClickRate: rate})
 }
 
-// Build compiles the accumulated edges into an immutable Graph: one copy
-// of the rows into the table. The Builder stays usable: the graph shares
-// nothing with it.
-func (b *Builder) Build() *Graph {
-	g := newGraph(slices.Clone(b.queries), slices.Clone(b.ads), b.edges)
-	for q, row := range b.rows {
-		for _, e := range row {
-			g.appendEdge(e.ad, e.w)
-		}
-		g.qPtr[q+1] = len(g.ad)
+// merge folds a later observation w of the same edge into e: impressions
+// and clicks sum, and the rate becomes the impressions-weighted mean of the
+// two estimates, or their plain mean when neither carries impressions.
+func (e *EdgeWeights) merge(w EdgeWeights) {
+	ti, tn := float64(e.Impressions), float64(w.Impressions)
+	if ti+tn > 0 {
+		e.ExpectedClickRate = (e.ExpectedClickRate*ti + w.ExpectedClickRate*tn) / (ti + tn)
+	} else {
+		e.ExpectedClickRate = (e.ExpectedClickRate + w.ExpectedClickRate) / 2
 	}
+	e.Impressions += w.Impressions
+	e.Clicks += w.Clicks
+}
+
+// Build compiles everything added so far into an immutable Graph. The
+// Builder stays usable. The graph shares the Builder's name maps and the
+// backing arrays of its name lists: the Builder copies a side's map before
+// it interns a name new to that side and appends past the graph's names,
+// so the graph never sees a later add, and a graph built earlier stays
+// safe to read while the Builder goes on.
+func (b *Builder) Build() *Graph {
+	log := b.log
+	qid, aid := make([]int32, log.len()), make([]int32, log.len())
+	concurrently(func() { b.a.internLog(log, aid, AdSide) }, func() { b.q.internLog(log, qid, QuerySide) })
+
+	// Counting sort of the logged edges by query: query q's log positions
+	// are order[start[q]:start[q+1]], in arrival order.
+	nq := len(b.q.names)
+	start := make([]int, nq+1)
+	for _, q := range qid {
+		if q >= 0 {
+			start[q+1]++
+		}
+	}
+	for q := range nq {
+		start[q+1] += start[q]
+	}
+	order := make([]uint32, start[nq])
+	for i, q := range qid {
+		if q >= 0 {
+			order[start[q]] = uint32(i)
+			start[q]++
+		}
+	}
+	copy(start[1:], start[:nq]) // each start[q] now holds start[q+1]
+	start[0] = 0
+
+	// Two query ranges of about equal work merge in parallel: one pass
+	// sorts each query's logged edges and sizes its row, the next fills
+	// the table.
+	f := mergeFold{base: b.base, log: log, aid: aid, order: order, start: start, qPtr: make([]int, nq+1)}
+	total := len(order)
+	if f.base != nil {
+		total += f.base.NumEdges()
+	}
+	split, work := 0, 0
+	for split < nq && 2*work < total {
+		lo, hi := f.baseRow(split)
+		work += hi - lo + start[split+1] - start[split]
+		split++
+	}
+	concurrently(func() { f.size(split, nq) }, func() { f.size(0, split) })
+	for q := range nq {
+		f.qPtr[q+1] += f.qPtr[q]
+	}
+	queries, qID := b.q.lend()
+	ads, aID := b.a.lend()
+	n := f.qPtr[nq]
+	g := &Graph{queries: queries, ads: ads, qPtr: f.qPtr,
+		ad: make([]int, n), rate: make([]float64, n), clicks: make([]int64, n), impr: make([]int64, n)}
+	f.g = g
+	concurrently(func() { f.fill(split, nq) }, func() { f.fill(0, split) })
 	g.indexAds()
+	g.setIndex(qID, aID)
+	b.base, b.log = g, nil
 	return g
+}
+
+// internLog interns this side's name of every log entry that has one, in
+// log order, and records each edge's id in ids (-1 for a node entry).
+func (s *nameSide) internLog(log entryLog, ids []int32, side Side) {
+	other := adEntry
+	if side == AdSide {
+		other = queryEntry
+	}
+	i := 0
+	for _, c := range log {
+		names := c.query
+		if side == AdSide {
+			names = c.ad
+		}
+		for k, name := range names {
+			ids[i] = -1
+			if kind := c.kind[k]; kind != other {
+				if id := s.intern(name); kind == edgeEntry {
+					ids[i] = int32(id)
+				}
+			}
+			i++
+		}
+	}
+}
+
+// mergeFold is one Build's merge of the logged edges into the previous
+// rows, run over ranges of queries.
+type mergeFold struct {
+	base *Graph // the previous rows; nil before the first Build
+	log  entryLog
+	aid  []int32 // each logged edge's ad id, by log position
+	// order holds query q's logged edges at order[start[q]:start[q+1]]:
+	// log positions in arrival order, until size sorts them by ad. Ids
+	// and positions are 32-bit: a Builder holds fewer than 2^31 names a
+	// side and 2^32 adds between Builds.
+	order []uint32
+	start []int
+	qPtr  []int // the table's row pointers; row lengths until summed
+	g     *Graph
+}
+
+// baseRow returns the range of query q's row in the previous table.
+func (f *mergeFold) baseRow(q int) (lo, hi int) {
+	if f.base == nil || q >= f.base.NumQueries() {
+		return 0, 0
+	}
+	return f.base.qPtr[q], f.base.qPtr[q+1]
+}
+
+// size sorts each query of [lo, hi)'s logged edges by ad, then arrival,
+// and sets qPtr[q+1] to the length of its merged row.
+func (f *mergeFold) size(lo, hi int) {
+	var keys []uint64 // a row's edges: ad id over log position
+	for q := lo; q < hi; q++ {
+		order := f.order[f.start[q]:f.start[q+1]]
+		keys = keys[:0]
+		for _, i := range order {
+			keys = append(keys, uint64(f.aid[i])<<32|uint64(i))
+		}
+		slices.Sort(keys)
+		p, end := f.baseRow(q)
+		n := end - p
+		for k, key := range keys {
+			order[k] = uint32(key)
+			ad := int(key >> 32)
+			if k > 0 && keys[k-1]>>32 == key>>32 {
+				continue
+			}
+			for p < end && f.base.ad[p] < ad {
+				p++
+			}
+			if p == end || f.base.ad[p] != ad {
+				n++
+			}
+		}
+		f.qPtr[q+1] = n
+	}
+}
+
+// fill writes the merged row of each query of [lo, hi) at qPtr[q]: the
+// previous row's edges and the logged ones in ad order, each logged
+// observation merged into its edge in arrival order.
+func (f *mergeFold) fill(lo, hi int) {
+	g := f.g
+	for q := lo; q < hi; q++ {
+		order := f.order[f.start[q]:f.start[q+1]]
+		p, end := f.baseRow(q)
+		k := 0
+		for out := f.qPtr[q]; p < end || k < len(order); out++ {
+			var ad int
+			var w EdgeWeights
+			if k == len(order) || p < end && f.base.ad[p] <= int(f.aid[order[k]]) {
+				ad, w = f.base.ad[p], f.base.weightsAt(p)
+				p++
+			} else {
+				ad, w = int(f.aid[order[k]]), f.log.weights(order[k])
+				k++
+			}
+			for ; k < len(order) && int(f.aid[order[k]]) == ad; k++ {
+				w.merge(f.log.weights(order[k]))
+			}
+			g.ad[out], g.rate[out], g.clicks[out], g.impr[out] = ad, w.ExpectedClickRate, w.Clicks, w.Impressions
+		}
+	}
+}
+
+// concurrently runs a on a goroutine of its own and b on the caller's,
+// and returns when both have.
+func concurrently(a, b func()) {
+	done := make(chan struct{})
+	go func() {
+		a()
+		close(done)
+	}()
+	b()
+	<-done
 }
 
 // Graph is an immutable weighted bipartite click graph. Node ids are dense
@@ -172,6 +406,10 @@ func (b *Builder) Build() *Graph {
 type Graph struct {
 	queries []string
 	ads     []string
+	// The name→id maps: handed over by Build and RemoveEdges, built from
+	// the names on the first lookup of a graph NewSubview carved. Read
+	// them through index.
+	names   sync.Once
 	queryID map[string]int
 	adID    map[string]int
 
@@ -194,27 +432,38 @@ type Graph struct {
 }
 
 // newGraph returns a graph over the given names (which it keeps) with an
-// empty edge table of capacity n. The caller appends the edges in (query
-// id, ad id) order, sets qPtr and calls indexAds.
+// empty edge table of capacity n and no name maps. The caller appends the
+// edges in (query id, ad id) order, sets qPtr and calls indexAds.
 func newGraph(queries, ads []string, n int) *Graph {
-	g := &Graph{
+	return &Graph{
 		queries: queries,
 		ads:     ads,
-		queryID: make(map[string]int, len(queries)),
-		adID:    make(map[string]int, len(ads)),
 		qPtr:    make([]int, len(queries)+1),
 		ad:      make([]int, 0, n),
 		rate:    make([]float64, 0, n),
 		clicks:  make([]int64, 0, n),
 		impr:    make([]int64, 0, n),
 	}
-	for i, q := range queries {
-		g.queryID[q] = i
+}
+
+// setIndex hands g the name→id maps of its names.
+func (g *Graph) setIndex(queryID, adID map[string]int) {
+	g.names.Do(func() { g.queryID, g.adID = queryID, adID })
+}
+
+// index returns g's name→id maps, building them on the first call if g
+// was given none.
+func (g *Graph) index() (queryID, adID map[string]int) {
+	g.names.Do(func() { g.queryID, g.adID = idsOf(g.queries), idsOf(g.ads) })
+	return g.queryID, g.adID
+}
+
+func idsOf(names []string) map[string]int {
+	ids := make(map[string]int, len(names))
+	for i, name := range names {
+		ids[name] = i
 	}
-	for i, a := range ads {
-		g.adID[a] = i
-	}
-	return g
+	return ids
 }
 
 func (g *Graph) appendEdge(a int, w EdgeWeights) {
@@ -265,13 +514,15 @@ func (g *Graph) Ad(id int) string { return g.ads[id] }
 
 // QueryID returns the id of query q and whether it exists.
 func (g *Graph) QueryID(q string) (int, bool) {
-	id, ok := g.queryID[q]
+	queryID, _ := g.index()
+	id, ok := queryID[q]
 	return id, ok
 }
 
 // AdID returns the id of ad a and whether it exists.
 func (g *Graph) AdID(a string) (int, bool) {
-	id, ok := g.adID[a]
+	_, adID := g.index()
+	id, ok := adID[a]
 	return id, ok
 }
 
@@ -383,30 +634,27 @@ func intersectSorted(a, b []int) []int {
 }
 
 // RemoveEdges returns a new Graph equal to g minus the listed (query id,
-// ad id) edges. Node ids are preserved, including nodes left isolated.
-// Unknown edges are ignored. The desirability experiment (§9.3) uses this
-// to delete the direct evidence between a query and its rewrite candidates.
+// ad id) edges. Node ids are preserved, including nodes left isolated, and
+// the new graph shares g's names and name maps. Unknown edges are ignored.
+// The desirability experiment (§9.3) uses this to delete the direct
+// evidence between a query and its rewrite candidates.
 func (g *Graph) RemoveEdges(drop [][2]int) *Graph {
 	skip := make(map[[2]int]bool, len(drop))
 	for _, e := range drop {
 		skip[e] = true
 	}
-	b := NewBuilder()
-	for _, q := range g.queries {
-		b.AddQuery(q)
-	}
-	for _, a := range g.ads {
-		b.AddAd(a)
-	}
-	g.Edges(func(q, a int, w EdgeWeights) bool {
-		if !skip[[2]int{q, a}] {
-			// Weights were validated when first added, so re-adding them
-			// cannot fail.
-			_ = b.AddEdge(g.queries[q], g.ads[a], w)
+	out := newGraph(g.queries, g.ads, g.NumEdges())
+	for q := range g.queries {
+		for p := g.qPtr[q]; p < g.qPtr[q+1]; p++ {
+			if !skip[[2]int{q, g.ad[p]}] {
+				out.appendEdge(g.ad[p], g.weightsAt(p))
+			}
 		}
-		return true
-	})
-	return b.Build()
+		out.qPtr[q+1] = len(out.ad)
+	}
+	out.indexAds()
+	out.setIndex(g.index())
+	return out
 }
 
 // InducedSubgraph returns the subgraph on the given query and ad id sets,

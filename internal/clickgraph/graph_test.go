@@ -185,6 +185,114 @@ func TestRemoveEdges(t *testing.T) {
 	}
 }
 
+// removeEdgesByReplay is RemoveEdges as it was before it filtered the
+// table: every node declared in id order, then every surviving edge
+// replayed through a Builder. It is the reference RemoveEdges is held to.
+func removeEdgesByReplay(g *Graph, drop [][2]int) *Graph {
+	skip := make(map[[2]int]bool, len(drop))
+	for _, e := range drop {
+		skip[e] = true
+	}
+	b := NewBuilder()
+	for _, q := range g.queries {
+		b.AddQuery(q)
+	}
+	for _, a := range g.ads {
+		b.AddAd(a)
+	}
+	g.Edges(func(q, a int, w EdgeWeights) bool {
+		if !skip[[2]int{q, a}] {
+			_ = b.AddEdge(g.queries[q], g.ads[a], w)
+		}
+		return true
+	})
+	return b.Build()
+}
+
+// TestRemoveEdgesMatchesReplay holds RemoveEdges to the replay on random
+// graphs, dropping none, some (with unknown and repeated pairs among them)
+// and every edge, and checks that the result reads g's own name maps.
+func TestRemoveEdgesMatchesReplay(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		g := subviewRandomGraph(seed, 30, 25, 150)
+		var all, some [][2]int
+		g.Edges(func(q, a int, _ EdgeWeights) bool {
+			all = append(all, [2]int{q, a})
+			if (q+a+int(seed))%3 == 0 {
+				some = append(some, [2]int{q, a}, [2]int{q, a})
+			}
+			return true
+		})
+		some = append(some, [2]int{-1, 0}, [2]int{0, g.NumAds()}, [2]int{g.NumQueries(), 3})
+		for name, drop := range map[string][][2]int{"none": nil, "some": some, "all": all} {
+			got, want := g.RemoveEdges(drop), removeEdgesByReplay(g, drop)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, drop %s: RemoveEdges differs from the replay", seed, name)
+			}
+			if reflect.ValueOf(got.queryID).Pointer() != reflect.ValueOf(g.queryID).Pointer() ||
+				reflect.ValueOf(got.adID).Pointer() != reflect.ValueOf(g.adID).Pointer() {
+				t.Fatalf("seed %d, drop %s: RemoveEdges built name maps of its own", seed, name)
+			}
+		}
+	}
+}
+
+// TestNewBuilderFrom: a Builder that adopts a graph builds that graph
+// back, and after more adds — new names, old names, repeats of old edges —
+// it builds what a Builder fed the graph's nodes in id order and then its
+// edges would: every old node keeps its id, which is what the ingest
+// fold's shard fingerprints rely on. The adopted graph may come from Build
+// or from NewSubview, which carries no name maps until a lookup.
+func TestNewBuilderFrom(t *testing.T) {
+	g := subviewRandomGraph(3, 40, 30, 200)
+	view, err := NewSubview(g, []int{1, 2, 3, 5, 8, 13, 21, 34}, []int{0, 2, 4, 6, 8, 10, 12, 14, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, base := range map[string]*Graph{"Build": g, "NewSubview": view.Graph} {
+		if got := NewBuilderFrom(base).Build(); !reflect.DeepEqual(got, base) {
+			t.Fatalf("%s: NewBuilderFrom(g).Build() differs from g", name)
+		}
+		b, ref := NewBuilderFrom(base), NewBuilder()
+		for _, q := range base.Queries() {
+			ref.AddQuery(q)
+		}
+		for _, a := range base.Ads() {
+			ref.AddAd(a)
+		}
+		base.Edges(func(q, a int, w EdgeWeights) bool {
+			mustAdd(t, ref, base.Query(q), base.Ad(a), w)
+			return true
+		})
+		for i := 0; i < 60; i++ {
+			q, a := testName("q", (i*7)%50), testName("ad", (i*5)%45)
+			if i%4 == 0 {
+				q = fmt.Sprintf("new query %d", i)
+			}
+			w := EdgeWeights{Impressions: int64(i%5 + 1), Clicks: 1, ExpectedClickRate: float64(i%9) / 9}
+			mustAdd(t, b, q, a, w)
+			mustAdd(t, ref, q, a, w)
+			if i == 30 {
+				b.Build() // a fold in between changes nothing
+			}
+		}
+		got := b.Build()
+		if !reflect.DeepEqual(got, ref.Build()) {
+			t.Fatalf("%s: adds after NewBuilderFrom build another graph than the replay", name)
+		}
+		for id, q := range base.Queries() {
+			if gid, ok := got.QueryID(q); !ok || gid != id {
+				t.Fatalf("%s: query %q moved from id %d to %d", name, q, id, gid)
+			}
+		}
+		for id, a := range base.Ads() {
+			if gid, ok := got.AdID(a); !ok || gid != id {
+				t.Fatalf("%s: ad %q moved from id %d to %d", name, a, id, gid)
+			}
+		}
+	}
+}
+
 func TestInducedSubgraph(t *testing.T) {
 	g := Fig3()
 	cam, _ := g.QueryID("camera")
@@ -315,8 +423,9 @@ func graphEdges(t *testing.T, g *Graph) map[[2]string]EdgeWeights {
 // Property: any multiset of valid edges, with isolated nodes among them,
 // round-trips through Build without loss and consistently (graphEdges);
 // NewSubview over every id reproduces the graph and over a subset equals
-// InducedSubgraph of the same ascending ids; and the Builder stays usable,
-// a second Build sharing nothing with the first.
+// InducedSubgraph of the same ascending ids; and the Builder stays usable:
+// the graphs it built earlier keep their names, ids and lookups, read on
+// another goroutine while it interns new names and builds again.
 func TestBuilderProperty(t *testing.T) {
 	check := func(edges []struct{ Q, A, Click uint8 }, pick uint8) bool {
 		b := NewBuilder()
@@ -368,9 +477,26 @@ func TestBuilderProperty(t *testing.T) {
 			slices.Equal(view.Graph.Queries(), induced.Queries()) && slices.Equal(view.Graph.Ads(), induced.Ads())
 
 		// More edges — a new one in the first query's row, so that every
-		// later table position moves, and every other old one again: the
-		// first graph must not change.
+		// later table position moves, new names, and every other old one
+		// again — while another goroutine looks up every name of the first
+		// graph: the Builder interns into copies of the maps the graph
+		// reads, and the first graph must not change.
 		before := maps.Clone(want)
+		lookups := make(chan bool)
+		go func() {
+			same := true
+			for range 3 {
+				for id, q := range g.Queries() {
+					got, found := g.QueryID(q)
+					same = same && found && got == id
+				}
+				for id, a := range g.Ads() {
+					got, found := g.AdID(a)
+					same = same && found && got == id
+				}
+			}
+			lookups <- same
+		}()
 		if g.NumQueries() > 0 {
 			add(g.Query(0), "A late", 2)
 		}
@@ -378,9 +504,16 @@ func TestBuilderProperty(t *testing.T) {
 			if i%2 == 0 {
 				add(name(e.Q, e.A, 4))
 			}
+			if i%5 == 0 {
+				add(fmt.Sprintf("late query %d", i), fmt.Sprintf("late ad %d", i), 1)
+				b.Build()
+			}
 		}
 		g2 := b.Build()
-		return ok && reflect.DeepEqual(graphEdges(t, g2), want) && reflect.DeepEqual(graphEdges(t, g), before) && !t.Failed()
+		same := <-lookups
+		_, lateFound := g.QueryID("late query 0")
+		return ok && same && !lateFound && reflect.DeepEqual(graphEdges(t, g2), want) &&
+			reflect.DeepEqual(graphEdges(t, g), before) && !t.Failed()
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
@@ -388,9 +521,11 @@ func TestBuilderProperty(t *testing.T) {
 }
 
 // TestBuildAllocationPerEdge bounds what Build allocates: the table and
-// its ad-ordered view (32 + 24 B an edge), the row pointers, the names and
-// the two name→id maps — no sorted staging list, and not a compiled copy
-// of every weight channel in both orders.
+// its ad-ordered view (32 + 24 B an edge), the row pointers, the fold's
+// scratch (both sides' ids and the sorted log position, 12 B a logged
+// edge), and the names and the two name→id maps as interning grows them —
+// no copy of the weights before the table, and not a compiled copy of
+// every weight channel in both orders.
 func TestBuildAllocationPerEdge(t *testing.T) {
 	const nodes, degree = 6000, 10
 	b := NewBuilder()
@@ -451,13 +586,61 @@ func (m *mapBuilder) add(query, ad string, w EdgeWeights) {
 	m.edges[key] = merged
 }
 
+// declare interns a node the way AddQuery / AddAd does.
+func (m *mapBuilder) declare(side Side, name string) {
+	ids := m.queryID
+	if side == AdSide {
+		ids = m.adID
+	}
+	if _, ok := ids[name]; !ok {
+		ids[name] = len(ids)
+	}
+}
+
+// clone returns a copy of m that later adds to m leave alone.
+func (m *mapBuilder) clone() *mapBuilder {
+	return &mapBuilder{queryID: maps.Clone(m.queryID), adID: maps.Clone(m.adID), edges: maps.Clone(m.edges)}
+}
+
+// matches fails the test unless g holds exactly the fold's nodes, with the
+// same ids, and its edges, every weight equal bit for bit.
+func (m *mapBuilder) matches(t *testing.T, g *Graph) {
+	t.Helper()
+	if g.NumEdges() != len(m.edges) || g.NumQueries() != len(m.queryID) || g.NumAds() != len(m.adID) {
+		t.Fatalf("graph has %d edges over %d × %d nodes, the map fold %d over %d × %d",
+			g.NumEdges(), g.NumQueries(), g.NumAds(), len(m.edges), len(m.queryID), len(m.adID))
+	}
+	for name, id := range m.queryID {
+		if got, ok := g.QueryID(name); !ok || got != id || g.Query(id) != name {
+			t.Fatalf("query %q has id %d, %v; the map fold gave it %d", name, got, ok, id)
+		}
+	}
+	for name, id := range m.adID {
+		if got, ok := g.AdID(name); !ok || got != id || g.Ad(id) != name {
+			t.Fatalf("ad %q has id %d, %v; the map fold gave it %d", name, got, ok, id)
+		}
+	}
+	g.Edges(func(q, a int, w EdgeWeights) bool {
+		want, ok := m.edges[[2]int{q, a}]
+		if !ok || w.Impressions != want.Impressions || w.Clicks != want.Clicks ||
+			math.Float64bits(w.ExpectedClickRate) != math.Float64bits(want.ExpectedClickRate) {
+			t.Errorf("edge (%d, %d): Builder %+v, map fold %+v (present %v)", q, a, w, want, ok)
+		}
+		return !t.Failed()
+	})
+	graphEdges(t, g) // both orientations agree, rows ascend
+}
+
 // TestBuilderMatchesMapFold replays one seeded log — a third of it repeats,
 // some observations carry no impressions so the plain-mean branch merges,
 // rates are not dyadic so a merge in another order would show in the low
-// bits, and every query meets its ads in descending id order first — through
-// Builder and through the map fold, and wants the same ids and every weight
-// equal bit for bit. The last row is 20 000 ads in descending order, the
-// arrival a sorted row likes least; it has to fit the test's usual budget.
+// bits, every query meets its ads in descending id order first, and nodes
+// are declared between the edges, some of them names an edge brought
+// already — through Builder and through the map fold, and wants the same
+// ids and every weight equal bit for bit. It builds once mid-stream and
+// goes on adding, so the second half merges into the rows of the first
+// Build, and the first graph must not change. The last row is 20 000 ads
+// in descending order; it has to fit the test's usual budget.
 func TestBuilderMatchesMapFold(t *testing.T) {
 	const queries, ads, events, wide = 300, 200, 60000, 20000
 	b := NewBuilder()
@@ -466,15 +649,19 @@ func TestBuilderMatchesMapFold(t *testing.T) {
 		mustAdd(t, b, q, a, w)
 		ref.add(q, a, w)
 	}
-	internAd := func(name string) {
-		b.AddAd(name)
-		ref.adID[name] = len(ref.adID)
+	declare := func(side Side, name string) {
+		if side == QuerySide {
+			b.AddQuery(name)
+		} else {
+			b.AddAd(name)
+		}
+		ref.declare(side, name)
 	}
 	for a := 0; a < ads; a++ { // ad ids ascend with a ...
-		internAd(fmt.Sprintf("ad-%03d", a))
+		declare(AdSide, fmt.Sprintf("ad-%03d", a))
 	}
 	for a := 0; a < wide; a++ {
-		internAd(fmt.Sprintf("wide-ad-%05d", a))
+		declare(AdSide, fmt.Sprintf("wide-ad-%05d", a))
 	}
 	s := uint64(29)
 	next := func(n int) int {
@@ -485,49 +672,40 @@ func TestBuilderMatchesMapFold(t *testing.T) {
 		for a := ads - 1 - q%7; a >= 0; a -= 1 + q%5 {
 			add(fmt.Sprintf("query-%03d", q), fmt.Sprintf("ad-%03d", a), EdgeWeights{ExpectedClickRate: float64(next(1000)) / 999})
 		}
+		if q%3 == 0 { // a query before its first edge, and one long known
+			declare(QuerySide, fmt.Sprintf("query-%03d", q+1))
+			declare(QuerySide, fmt.Sprintf("query-%03d", q/2))
+		}
 	}
-	for e := 0; e < events; e++ {
+	event := func(e int) {
 		w := EdgeWeights{ExpectedClickRate: float64(next(1000)) / 999}
 		if next(4) > 0 {
 			w.Clicks = int64(next(20))
 			w.Impressions = w.Clicks + int64(next(40))
 		}
 		add(fmt.Sprintf("query-%03d", next(queries)), fmt.Sprintf("ad-%03d", next(ads)), w)
+		if e%97 == 0 { // nodes with no edge, arriving between the edges
+			declare(QuerySide, fmt.Sprintf("lone query %d", e))
+			declare(AdSide, fmt.Sprintf("lone ad %d", e))
+		}
+	}
+	for e := 0; e < events/2; e++ {
+		event(e)
+	}
+	first, firstRef := b.Build(), ref.clone()
+	firstRef.matches(t, first)
+	for e := events / 2; e < events; e++ {
+		event(e)
 	}
 	start := time.Now()
 	for a := wide - 1; a >= 0; a-- {
 		add("wide query", fmt.Sprintf("wide-ad-%05d", a), EdgeWeights{Impressions: 3, Clicks: 1, ExpectedClickRate: 1 / 3.0})
 	}
-	t.Logf("a %d-ad row added in descending order in %v", wide, time.Since(start))
-
-	if b.edges != len(ref.edges) || len(b.queries) != len(ref.queryID) || len(b.ads) != len(ref.adID) {
-		t.Fatalf("Builder holds %d edges over %d × %d nodes, the map fold %d over %d × %d",
-			b.edges, len(b.queries), len(b.ads), len(ref.edges), len(ref.queryID), len(ref.adID))
-	}
 	g := b.Build()
-	if g.NumEdges() != len(ref.edges) {
-		t.Fatalf("graph has %d edges, the map fold %d", g.NumEdges(), len(ref.edges))
-	}
-	for name, id := range ref.queryID {
-		if got, ok := g.QueryID(name); !ok || got != id {
-			t.Fatalf("query %q has id %d, %v; the map fold gave it %d", name, got, ok, id)
-		}
-	}
-	for name, id := range ref.adID {
-		if got, ok := g.AdID(name); !ok || got != id {
-			t.Fatalf("ad %q has id %d, %v; the map fold gave it %d", name, got, ok, id)
-		}
-	}
-	g.Edges(func(q, a int, w EdgeWeights) bool {
-		want, ok := ref.edges[[2]int{q, a}]
-		if !ok || w.Impressions != want.Impressions || w.Clicks != want.Clicks ||
-			math.Float64bits(w.ExpectedClickRate) != math.Float64bits(want.ExpectedClickRate) {
-			t.Errorf("edge (%d, %d): Builder %+v, map fold %+v (present %v)", q, a, w, want, ok)
-		}
-		return !t.Failed()
-	})
+	t.Logf("a %d-ad row added in descending order and built in %v", wide, time.Since(start))
+	ref.matches(t, g)
+	firstRef.matches(t, first)
 	if ref.merges < events/3 || ref.plainMeans < 100 {
 		t.Errorf("%d merges, %d of them plain means: the log no longer exercises them", ref.merges, ref.plainMeans)
 	}
-	graphEdges(t, g) // both orientations agree, rows ascend
 }

@@ -304,3 +304,150 @@ func TestDenseBlocksMatchReach(t *testing.T) {
 		}
 	}
 }
+
+// pathsAndSpiders is components whose scores never fill a block: long
+// paths, and spiders — a hub query whose legs are long paths — so every
+// side has many nodes and each node reaches only those a few hops along
+// its path, or along the legs near the hub.
+func pathsAndSpiders() *clickgraph.Graph {
+	b := clickgraph.NewBuilder()
+	edge := func(q, ad string) {
+		if err := b.AddEdge(q, ad, clickgraph.EdgeWeights{Impressions: 5, Clicks: 2, ExpectedClickRate: 0.4}); err != nil {
+			panic(err)
+		}
+	}
+	for p := 0; p < 3; p++ {
+		for i := 0; i < 100; i++ {
+			edge(fmt.Sprintf("p%d-q%d", p, i), fmt.Sprintf("p%d-ad%d", p, i))
+			edge(fmt.Sprintf("p%d-q%d", p, i+1), fmt.Sprintf("p%d-ad%d", p, i))
+		}
+	}
+	for s := 0; s < 2; s++ {
+		for leg := 0; leg < 6; leg++ {
+			q := fmt.Sprintf("s%d-hub", s)
+			for i := 0; i < 50; i++ {
+				ad := fmt.Sprintf("s%d-l%d-ad%d", s, leg, i)
+				edge(q, ad)
+				q = fmt.Sprintf("s%d-l%d-q%d", s, leg, i)
+				edge(q, ad)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// TestSparseComponentsAreNeverBlocks runs long paths and spiders under
+// every variant, the production settings among them: willFill marks no
+// component, so none is held as a block and the arena's float pools stay
+// empty. As a control, complete clusters and a short spider — whose
+// leaves share nothing at depth 1 and reach one another at depth 2 — are
+// marked on both sides.
+func TestSparseComponentsAreNeverBlocks(t *testing.T) {
+	g := pathsAndSpiders()
+	for _, variant := range []Variant{Simple, Evidence, Weighted} {
+		cfg := DefaultConfig().WithVariant(variant)
+		cfg.Iterations, cfg.Tolerance, cfg.PruneEpsilon, cfg.DeltaSkipTolerance = 15, 1e-4, 1e-5, 1e-5
+		in := newPassInputs(g, cfg)
+		fillQ, fillA := in.willFill(2, 2, new([]uint64))
+		for c := range fillQ {
+			if fillQ[c] || fillA[c] {
+				t.Fatalf("%v: component %d marked to fill (query side %v, ad side %v)", variant, c, fillQ[c], fillA[c])
+			}
+		}
+		ar := &engineArena{}
+		if _, err := runEngine(g, cfg, 2, ar, nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(ar.poolQ.chunks) != 0 || len(ar.poolA.chunks) != 0 {
+			t.Fatalf("%v: the float pools hold %d and %d chunks, want none", variant, len(ar.poolQ.chunks), len(ar.poolA.chunks))
+		}
+	}
+
+	b := clickgraph.NewBuilder()
+	for c := 0; c < 2; c++ {
+		for q := 0; q < 6; q++ {
+			for a := 0; a < 5; a++ {
+				if err := b.AddClick(fmt.Sprintf("k%d-q%d", c, q), fmt.Sprintf("k%d-ad%d", c, a), 0.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for leg := 0; leg < 8; leg++ {
+		ad := fmt.Sprintf("hub-ad%d", leg)
+		for _, q := range []string{"hub", fmt.Sprintf("leaf%d", leg)} {
+			if err := b.AddClick(q, ad, 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	control := b.Build()
+	in := newPassInputs(control, DefaultConfig())
+	fillQ, fillA := in.willFill(2, 2, new([]uint64))
+	for c := range fillQ {
+		if !fillQ[c] || !fillA[c] {
+			t.Errorf("control component %d: query side marked %v, ad side %v; want both", c, fillQ[c], fillA[c])
+		}
+	}
+	if len(fillQ) != 3 {
+		t.Fatalf("control has %d components, want 3", len(fillQ))
+	}
+}
+
+// TestWillFillMatchesScores holds willFill to the scores it predicts:
+// without pruning, a one-iteration run puts the query side at depth 1 and
+// the ad side at depth 2, and a component side of two nodes or more is
+// marked exactly when those scores fit a block — on clusters of every
+// density, with zero walk factors, in the simple and the weighted walk.
+func TestWillFillMatchesScores(t *testing.T) {
+	graphs := map[string]*clickgraph.Graph{
+		"mixed":  mixedDensityGraph(),
+		"zeros":  zeroRateGraph(7),
+		"multi":  multiComponentGraph(5, 12, 14, 10, 30),
+		"sparse": multiComponentGraph(9, 12, 30, 25, 40),
+		"hub":    hubGraph(6, 30),
+		"paths":  pathsAndSpiders(),
+	}
+	marked, unmarked := 0, 0
+	for name, g := range graphs {
+		for _, variant := range []Variant{Simple, Weighted} {
+			cfg := DefaultConfig().WithVariant(variant)
+			cfg.Iterations, cfg.Tolerance, cfg.PruneEpsilon = 1, 0, 0
+			cfg.noBlocks = true
+			res, err := runEngine(g, cfg, 1, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := newPassInputs(g, cfg)
+			fillQ, fillA := in.willFill(1, 2, new([]uint64))
+			for _, side := range []struct {
+				name string
+				idx  *memberIndex
+				f    *sparse.PairFrontier
+				fill []bool
+			}{{"query", in.qIdx, toLayout(in.qIdx, res.QueryScores), fillQ}, {"ad", in.aIdx, toLayout(in.aIdx, res.AdScores), fillA}} {
+				for c, fill := range side.fill {
+					lo, hi := side.idx.span(int32(c))
+					pairs := 0
+					for x := lo; x < hi; x++ {
+						cols, _ := side.f.Row(x)
+						pairs += len(cols)
+					}
+					if want := hi-lo > 1 && blockFits(hi-lo, 2*pairs); fill != want {
+						t.Errorf("%s/%v: %s side of component %d (%d nodes, %d pairs) marked %v, its scores fit a block: %v",
+							name, variant, side.name, c, hi-lo, pairs, fill, want)
+					}
+					if fill {
+						marked++
+					} else if hi-lo > 1 {
+						unmarked++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d component sides marked, %d of two nodes or more not", marked, unmarked)
+	if marked == 0 || unmarked == 0 {
+		t.Fatal("every component side is marked or none is: the test tells nothing apart")
+	}
+}

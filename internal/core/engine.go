@@ -295,15 +295,19 @@ func (p *floatPool) take(n int) []float64 {
 
 // denseScores is one side's components whose scores are held as m × m
 // blocks across a run. A component enters the block form when its rows
-// fit a block (admit, by blockFits), and the block path then updates the
-// block in place, so the opposite side's next pass gathers from it as it
-// stands: the rows are written out only when the row path must read them
-// (toRows) and when the run ends. The iterates never lose a pair — each
-// score is a nonnegative sum over scores that only grow with depth, and
-// pruning and the delta skip keep that order — so a block, once it fits,
-// fits for the rest of the run.
+// fit a block (admit, by blockFits) or from the identity when its reach
+// says they will by the second depth (willFill), and the block path then
+// updates the block in place, so the opposite side's next pass gathers
+// from it as it stands: the rows are written out only when the row path
+// must read them (toRows) and when the run ends. The iterates never lose
+// a pair — each score is a nonnegative sum over scores that only grow
+// with depth, and pruning and the delta skip keep that order — so a
+// block, once it fits, fits for the rest of the run.
 type denseScores struct {
 	blk []heldBlock
+	// fill marks the components willFill admits whatever their rows hold
+	// (nil: none).
+	fill []bool
 	// fac holds, Weighted only, each component's pair factors
 	// (pullKernel.pairFactors), built the first time the block path
 	// computes it.
@@ -321,8 +325,8 @@ func newDenseScores(comps int, pool *floatPool) denseScores {
 	return denseScores{blk: make([]heldBlock, comps), fac: make([][]float64, comps), pool: pool}
 }
 
-// admit moves every component of f still in rows whose rows fit a block
-// into the block form, emptying its rows.
+// admit moves every component of f still in rows whose rows fit a block,
+// or that fill marks, into the block form, emptying its rows.
 func (d *denseScores) admit(idx *memberIndex, f *sparse.PairFrontier) {
 	for c := range d.blk {
 		b := &d.blk[c]
@@ -330,14 +334,16 @@ func (d *denseScores) admit(idx *memberIndex, f *sparse.PairFrontier) {
 			continue
 		}
 		lo, hi := idx.span(int32(c))
-		pairs := 0
-		for x := lo; x < hi; x++ {
-			cols, _ := f.Row(x)
-			pairs += len(cols)
-		}
 		m := hi - lo
-		if !blockFits(m, 2*pairs) {
-			continue
+		if d.fill == nil || !d.fill[c] {
+			pairs := 0
+			for x := lo; x < hi; x++ {
+				cols, _ := f.Row(x)
+				pairs += len(cols)
+			}
+			if !blockFits(m, 2*pairs) {
+				continue
+			}
 		}
 		if b.mem == nil {
 			b.mem = d.pool.take(m * m)
@@ -348,6 +354,121 @@ func (d *denseScores) admit(idx *memberIndex, f *sparse.PairFrontier) {
 		}
 		b.live = b.mem
 	}
+}
+
+// reachNodes bounds the component sides willFill measures: its bitsets
+// take a few m × m_opp bits, and a side above it is held to blockFits
+// alone.
+const reachNodes = 1024
+
+// willFill marks, for each component, whether the query side's and the ad
+// side's scores fill a block (blockFits) within the first two depths the
+// run computes for them, at most maxQ and maxA, so that holding them as
+// blocks from the identity takes no more memory than the block form
+// later would and every pass gathers by the block path. It counts the
+// pairs of the observed reach: two hops — the nodes that share a
+// neighbour, the pattern of depth-1 scores — and, at depth 2, the nodes
+// two hops from the opposite side's two-hop reach. The hops follow the
+// walk's nonzero factors, so the pattern bounds the scores' own, which
+// pruning only thins. A side of one node is left to admit, which holds
+// it from the identity already. buf is scratch.
+func (in *passInputs) willFill(maxQ, maxA int, buf *[]uint64) (fillQ, fillA []bool) {
+	comps := len(in.qIdx.bounds) - 1
+	fillQ, fillA = make([]bool, comps), make([]bool, comps)
+	for c := int32(0); c < int32(comps); c++ {
+		ql, qh := in.qIdx.span(c)
+		al, ah := in.aIdx.span(c)
+		if qh-ql > reachNodes || ah-al > reachNodes {
+			continue
+		}
+		q := reachSide{lo: ql, hi: qh, nbr: in.qNbr, w: in.qW}
+		a := reachSide{lo: al, hi: ah, nbr: in.aNbr, w: in.aW}
+		fillQ[c] = q.fills(a, maxQ, buf)
+		fillA[c] = a.fills(q, maxA, buf)
+	}
+	return fillQ, fillA
+}
+
+// reachSide is one side of a component for willFill: its nodes [lo, hi),
+// their neighbour rows and walk factors (nil: every factor nonzero).
+type reachSide struct {
+	lo, hi int
+	nbr    [][]int
+	w      [][]float64
+}
+
+// hops calls fn with every neighbour j of node x whose factor is nonzero.
+func (s reachSide) hops(x int, fn func(j int)) {
+	for k, j := range s.nbr[x] {
+		if s.w == nil || s.w[x][k] != 0 {
+			fn(j)
+		}
+	}
+}
+
+// owners sets, in the bitset of each node j of opp (words a node), the
+// nodes of s that hop to j.
+func (s reachSide) owners(opp reachSide, words int, bits []uint64) {
+	for x := s.lo; x < s.hi; x++ {
+		s.hops(x, func(j int) { bits[(j-opp.lo)*words+(x-s.lo)/64] |= 1 << ((x - s.lo) % 64) })
+	}
+}
+
+// fills reports whether s's scores fill a block by depth d (at most 2).
+func (s reachSide) fills(opp reachSide, d int, buf *[]uint64) bool {
+	m, mo := s.hi-s.lo, opp.hi-opp.lo
+	if m < 2 || d < 1 {
+		return false
+	}
+	ws, wo := (m+63)/64, (mo+63)/64
+	b := grown(buf, 2*mo*ws+m*wo+ws+wo)
+	clear(b)
+	into, b := b[:mo*ws], b[mo*ws:]  // into[j]: the nodes of s that hop to j
+	reach, b := b[:mo*ws], b[mo*ws:] // reach[i]: the nodes of s that hop into i's two-hop reach
+	from, b := b[:m*wo], b[m*wo:]    // from[y]: the nodes of opp that hop to y
+	acc, p1 := b[:ws], b[ws:ws+wo]
+	s.owners(opp, ws, into)
+	// pairs counts x's reach through rows of width ws, less x itself.
+	pairs := func(row []uint64) int {
+		n := 0
+		for x := s.lo; x < s.hi; x++ {
+			clear(acc)
+			s.hops(x, func(j int) { orWords(acc, row[(j-opp.lo)*ws:(j-opp.lo+1)*ws]) })
+			n += onesCount(acc) - int(acc[(x-s.lo)/64]>>((x-s.lo)%64)&1)
+		}
+		return n
+	}
+	if fits := blockFits(m, pairs(into)); fits || d < 2 {
+		return fits
+	}
+	opp.owners(s, wo, from)
+	for i := opp.lo; i < opp.hi; i++ {
+		clear(p1)
+		p1[(i-opp.lo)/64] |= 1 << ((i - opp.lo) % 64)
+		opp.hops(i, func(y int) { orWords(p1, from[(y-s.lo)*wo:(y-s.lo+1)*wo]) })
+		ri := reach[(i-opp.lo)*ws : (i-opp.lo+1)*ws]
+		for wi, word := range p1 {
+			for ; word != 0; word &= word - 1 {
+				j := wi*64 + bits.TrailingZeros64(word)
+				orWords(ri, into[j*ws:(j+1)*ws])
+			}
+		}
+	}
+	return blockFits(m, pairs(reach))
+}
+
+func orWords(dst, src []uint64) {
+	for k, w := range src {
+		dst[k] |= w
+	}
+}
+
+func onesCount(ws []uint64) int {
+	n := 0
+	for _, w := range ws {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // toRows writes component c's block into f's rows, each row the block's
@@ -384,6 +505,7 @@ type engineArena struct {
 	poolQ, poolA             floatPool // each side's score blocks (denseScores)
 	spas                     []*spa
 	chgQ, chgA               *sparse.Bitset
+	reach                    []uint64 // willFill's bitsets
 }
 
 // frontier returns *slot resized to rows, allocating on first use.
@@ -444,7 +566,8 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 // recursion, where computing both sides from the previous iteration
 // (Jacobi order, as RunDense does) spends 2·Iterations passes on two
 // independent chains. Each side keeps a component's scores as a block
-// once they fit one (denseScores), updated in place by every pass, and
+// once they fit one, or from the identity where its reach says they will
+// by the second depth (denseScores), updated in place by every pass, and
 // the rest as sparse rows in two ping-pong frontiers: cur is reset,
 // filled row by row from the opposite side's newest scores (expanded
 // once per pass where a row-path component gathers), and swapped in.
@@ -490,7 +613,15 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, ou
 		q.chg, a.chg = arenaBitset(&ar.chgQ, nq), arenaBitset(&ar.chgA, na)
 	}
 	if !cfg.noBlocks {
-		// The identity: a component with one node fits a block already.
+		// The identity: a component with one node fits a block already, and
+		// one whose reach fills it by the second depth is held from here.
+		// Strict evidence stores no pair without a common neighbour, so its
+		// scores keep the two-hop pattern at every depth.
+		maxQ, maxA := min(cfg.Iterations, 2), min(cfg.Iterations+1, 2)
+		if cfg.StrictEvidence && cfg.Variant != Simple {
+			maxQ, maxA = min(maxQ, 1), 1
+		}
+		q.dense.fill, a.dense.fill = in.willFill(maxQ, maxA, &ar.reach)
 		q.dense.admit(q.idx, q.prev)
 		a.dense.admit(a.idx, a.prev)
 	}

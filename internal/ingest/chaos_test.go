@@ -37,10 +37,7 @@ var chaosStages = []string{
 // prefix should converge to, and returns its generation fingerprint.
 func expectedFingerprint(t *testing.T, env *testEnv, events int) string {
 	t.Helper()
-	b, err := builderFromGraph(env.base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := clickgraph.NewBuilderFrom(env.base)
 	for _, r := range env.records(0, events) {
 		if err := b.AddEdge(r.Query, r.Ad, r.Weights()); err != nil {
 			t.Fatal(err)

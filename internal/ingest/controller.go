@@ -206,12 +206,12 @@ func NewController(cfg Config) (*Controller, error) {
 	if err != nil {
 		return fail(err)
 	}
+	// The delta buffer adopts the graph, so later Builds keep every node's
+	// id: shard fingerprints hash ids, and a clean shard's segment
+	// byte-copy assumes identical ids.
 	switch {
 	case state != nil:
-		c.builder, err = builderFromGraph(state.Graph)
-		if err != nil {
-			return fail(fmt.Errorf("ingest: rebuilding delta buffer from fold state: %w", err))
-		}
+		c.builder = clickgraph.NewBuilderFrom(state.Graph)
 		c.applied, c.durable, c.stateSaved = state.Seq, state.Seq, true
 	default:
 		// First start. Refuse to guess if the WAL has already dropped
@@ -230,9 +230,7 @@ func NewController(cfg Config) (*Controller, error) {
 				return fail(err)
 			}
 		}
-		if c.builder, err = builderFromGraph(base); err != nil {
-			return fail(fmt.Errorf("ingest: seeding delta buffer from base graph: %w", err))
-		}
+		c.builder = clickgraph.NewBuilderFrom(base)
 	}
 	if c.durable > c.log.NextSeq() {
 		// The WAL tail was lost after those records were folded and
@@ -539,28 +537,4 @@ func (c *Controller) noteFold(res *FoldResult, start time.Time) {
 	} else {
 		c.pendingSince = time.Time{}
 	}
-}
-
-// builderFromGraph re-interns g into a fresh Builder in g's exact id
-// order — queries first, ads second, both by ascending id — so the
-// builder's future Build()s keep every existing node's global id. The
-// incremental pipeline keys on this: shard fingerprints hash ids, and a
-// clean shard's segment byte-copy assumes identical ids.
-func builderFromGraph(g *clickgraph.Graph) (*clickgraph.Builder, error) {
-	b := clickgraph.NewBuilder()
-	for _, q := range g.Queries() {
-		b.AddQuery(q)
-	}
-	for _, a := range g.Ads() {
-		b.AddAd(a)
-	}
-	var err error
-	g.Edges(func(q, a int, w clickgraph.EdgeWeights) bool {
-		err = b.AddEdge(g.Query(q), g.Ad(a), w)
-		return err == nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
 }

@@ -172,10 +172,7 @@ func TestControllerFoldsEqualColdBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	history, err := builderFromGraph(env.base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	history := clickgraph.NewBuilderFrom(env.base)
 	for fold, to := range []int{40, 80, 120} {
 		from := to - 40
 		served := env.servingBytes(t)
