@@ -2,9 +2,9 @@ package clickgraph
 
 import "fmt"
 
-// This file builds the small graphs the paper uses as running examples, so
-// tests and the table experiments reference exactly the structures in
-// Figures 3-6.
+// This file builds the small graphs the paper's Tables 1-4 are computed
+// on, so the table experiments and tests reference exactly the structures
+// in Figures 3 and 4.
 
 // Fig3 builds the unweighted sample click graph of Figure 3: five queries
 // {pc, camera, digital camera, tv, flower} and seven ads. The figure itself
@@ -71,51 +71,6 @@ func Fig4K12() *Graph {
 	for _, q := range []string{"pc", "camera"} {
 		if err := b.AddClick(q, "hp.com", 1); err != nil {
 			panic(fmt.Sprintf("clickgraph: Fig4K12 fixture: %v", err))
-		}
-	}
-	return b.Build()
-}
-
-// CompleteBipartite builds K_{m,n}: m queries named q0..q(m-1) fully
-// connected to n ads named a0..a(n-1), all weights unit.
-func CompleteBipartite(m, n int) *Graph {
-	b := NewBuilder()
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			if err := b.AddClick(fmt.Sprintf("q%d", i), fmt.Sprintf("a%d", j), 1); err != nil {
-				panic(fmt.Sprintf("clickgraph: CompleteBipartite fixture: %v", err))
-			}
-		}
-	}
-	return b.Build()
-}
-
-// Fig5Left builds the left weighted graph of Figure 5: queries flower and
-// orchids each bring 100 clicks to the same ad — equal spread, high
-// similarity expected.
-func Fig5Left() *Graph {
-	return twoQueryOneAd("flower", "orchids", "teleflora.com", 100, 100)
-}
-
-// Fig5Right builds the right weighted graph of Figure 5: flower brings
-// 190 clicks and teleflora brings 10 to the same ad — high variance,
-// lower similarity expected.
-func Fig5Right() *Graph {
-	return twoQueryOneAd("flower", "teleflora", "teleflora.com", 190, 10)
-}
-
-func twoQueryOneAd(q1, q2, ad string, c1, c2 int64) *Graph {
-	b := NewBuilder()
-	for _, e := range []struct {
-		q string
-		c int64
-	}{{q1, c1}, {q2, c2}} {
-		if err := b.AddEdge(e.q, ad, EdgeWeights{
-			Impressions:       e.c * 2,
-			Clicks:            e.c,
-			ExpectedClickRate: 0.5,
-		}); err != nil {
-			panic(fmt.Sprintf("clickgraph: fixture: %v", err))
 		}
 	}
 	return b.Build()

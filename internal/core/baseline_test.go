@@ -99,7 +99,7 @@ func weightedPassMap(opp *sparse.PairTable, thisNbr, oppNbr [][]int, w [][]float
 }
 
 // evidenceTable holds one side's evidence multipliers, fully expanded into
-// a symmetric CSR (sparse.SymAdj) whose values are the EvidenceMultiplier
+// a symmetric CSR (sparse.SymAdj) whose values are the evidenceScore
 // of each pair's common-neighbor count; pairs with no common neighbor fall
 // through to def (1 pass-through, or 0 under Config.StrictEvidence). It is
 // the per-pair form of the evidence the engine counts in its pull, which
@@ -156,7 +156,7 @@ func sortedEvidenceTable(n int, oppNbr [][]int, form EvidenceForm, strict bool) 
 				j++
 			}
 			rowC = append(rowC, row[i])
-			rowV = append(rowV, EvidenceScore(form, j-i))
+			rowV = append(rowV, evidenceScore(form, j-i))
 			i = j
 		}
 		f.SetSortedRow(r, rowC, rowV)

@@ -95,8 +95,8 @@ func TestChainMatchesJacobi(t *testing.T) {
 func TestChainNoFurtherFromFixpoint(t *testing.T) {
 	graphs := map[string]*clickgraph.Graph{
 		"fig3": clickgraph.Fig3(),
-		"k3_4": clickgraph.CompleteBipartite(3, 4),
-		"k5_2": clickgraph.CompleteBipartite(5, 2),
+		"k3_4": completeBipartite(3, 4),
+		"k5_2": completeBipartite(5, 2),
 	}
 	for _, seed := range []uint64{1, 7, 31, 404, 2026} {
 		graphs[fmt.Sprintf("random%d", seed)] = randomGraph(seed, 24, 18, 70)

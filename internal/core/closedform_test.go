@@ -67,7 +67,7 @@ func ClosedFormKm2(c1, c2 float64, m, k int) float64 {
 // (Theorem B.1 generalized): the plain score times the evidence of m
 // common neighbors.
 func ClosedFormEvidenceKm2(form EvidenceForm, c1, c2 float64, m, k int) float64 {
-	return EvidenceScore(form, m) * ClosedFormKm2(c1, c2, m, k)
+	return evidenceScore(form, m) * ClosedFormKm2(c1, c2, m, k)
 }
 
 // ClosedFormK22Limit returns lim_{k→∞} sim^(k)(A, B) on K2,2 by summing

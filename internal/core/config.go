@@ -3,10 +3,8 @@
 // §4), evidence-based SimRank (§7) and weighted SimRank (§8), over the
 // click graphs of package clickgraph.
 //
-// Four engines are provided:
+// Three engines are provided:
 //
-//   - RunDense: exact, dense score matrices; for small graphs, the paper's
-//     toy tables, and differential testing.
 //   - Run: the sparse row-major kernel over sorted pair frontiers, with
 //     optional threshold pruning and change-tracked row skipping.
 //   - RunSharded: Run per shard of a partition.Plan on a bounded pool,
@@ -14,6 +12,8 @@
 //   - LocalSimilarities: neighborhood-restricted engine that scores a
 //     single query online, the front-end path of Figure 2.
 //
+// The dense reference the engines are differential-tested against,
+// RunDense (exact, dense score matrices), lives in dense_test.go.
 // Closed forms for complete bipartite graphs (Appendix A/B of the paper)
 // live in closedform_test.go and anchor the property tests for Theorems
 // 6.1, 6.2 and 7.1.
@@ -115,16 +115,15 @@ type Config struct {
 	// ad-side equations. The paper uses C1 = C2 = 0.8 throughout.
 	C1, C2 float64
 	// Iterations is the paper's iteration depth k: the query scores are
-	// the k-th iterate of the recursion. The sparse engines compute the
-	// two sides as one chain of passes, each reading the other side's
-	// newest scores, so their ad scores end one depth deeper (k+1), in
-	// k+1 passes; RunDense computes both sides at depth k, in 2k.
+	// the k-th iterate of the recursion. The engines compute the two
+	// sides as one chain of passes, each reading the other side's newest
+	// scores, so their ad scores end one depth deeper (k+1), in k+1
+	// passes.
 	Iterations int
 	// Tolerance, if positive, stops iteration early once the largest
-	// score change falls below it on both sides. The sparse engines
-	// compare each side with its previous value on the chain, two depths
-	// back, after each ad pass; RunDense compares with the previous
-	// iteration.
+	// score change falls below it on both sides. The engines compare
+	// each side with its previous value on the chain, two depths back,
+	// after each ad pass.
 	Tolerance float64
 	// Variant selects the similarity measure. Default Simple.
 	Variant Variant
@@ -146,11 +145,11 @@ type Config struct {
 	// evidence-based coverage (Figure 8) exceeds simple SimRank's, both
 	// impossible if no-common-ad pairs were zeroed.
 	StrictEvidence bool
-	// PruneEpsilon, if positive, makes the sparse engine drop pair scores
+	// PruneEpsilon, if positive, makes the engines drop pair scores
 	// below it between iterations. This bounds memory on large graphs at
-	// the cost of exactness. The dense engine ignores it.
+	// the cost of exactness.
 	PruneEpsilon float64
-	// DeltaSkipTolerance tunes the sparse engines' change-tracked row
+	// DeltaSkipTolerance tunes the engines' change-tracked row
 	// skipping. An output row depends only on the score rows of its
 	// neighbors on the opposite side; when none of those moved since the
 	// previous iteration the engine copies the row's previous output
@@ -159,10 +158,9 @@ type Config struct {
 	// results are bit-identical to full recomputation. A positive value
 	// also treats nodes whose largest pair change is within the tolerance
 	// as unmoved, trading a bounded score error for earlier skipping
-	// (differential-tested against full recompute). The dense engine
-	// ignores it.
+	// (differential-tested against full recompute).
 	DeltaSkipTolerance float64
-	// noDeltaSkip makes the sparse engines recompute every row of every
+	// noDeltaSkip makes the engines recompute every row of every
 	// pass: the full-recompute reference this package's delta-skip tests
 	// compare against. Nothing outside them sets it.
 	noDeltaSkip bool
@@ -173,7 +171,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's experimental settings: C1 = C2 = 0.8
-// and depth 7 (the horizon of Tables 3-4; the sparse engines' ad side
+// and depth 7 (the horizon of Tables 3-4; the engines' ad side
 // ends at depth 8), simple SimRank, geometric evidence,
 // expected-click-rate weights.
 func DefaultConfig() Config {

@@ -6,8 +6,10 @@ import (
 )
 
 // RunDense computes the configured similarity with dense n×n score
-// matrices per side. It is exact (PruneEpsilon is ignored) and intended
-// for small graphs: memory is O(NumQueries² + NumAds²).
+// matrices per side: the paper's definition, in Jacobi order, that the
+// engines are differential-tested against. It is exact (PruneEpsilon is
+// ignored) and intended for small graphs: memory is O(NumQueries² +
+// NumAds²).
 func RunDense(g *clickgraph.Graph, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -145,7 +147,7 @@ func denseWeightedPass(cur, prev []float64, nbr [][]int, w [][]float64, ev []flo
 }
 
 // evidenceMatrix returns the n×n evidence multipliers for one side of g
-// (EvidenceMultiplier semantics: pass-through 1 for pairs without common
+// (evidenceScore, with pass-through 1 for pairs without common
 // neighbors unless strict).
 func evidenceMatrix(g *clickgraph.Graph, form EvidenceForm, side clickgraph.Side, strict bool) []float64 {
 	var n int
@@ -178,7 +180,10 @@ func evidenceMatrix(g *clickgraph.Graph, form EvidenceForm, side clickgraph.Side
 		}
 	}
 	for i, c := range counts {
-		ev[i] = EvidenceMultiplier(form, c, strict)
+		ev[i] = evidenceScore(form, c)
+		if c == 0 && !strict {
+			ev[i] = 1
+		}
 	}
 	for i := 0; i < n; i++ {
 		ev[i*n+i] = 1

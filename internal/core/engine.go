@@ -10,9 +10,9 @@ import (
 )
 
 // Run computes the configured similarity with flat sparse pair frontiers.
-// With PruneEpsilon == 0 it is exact: its query scores agree with
-// RunDense at depth Iterations and its ad scores with RunDense at depth
-// Iterations+1 (the test suite checks this differentially; runEngine
+// With PruneEpsilon == 0 it is exact: its query scores agree with the
+// dense reference (RunDense, in dense_test.go) at depth Iterations and its
+// ad scores with it at depth Iterations+1 (the test suite checks this differentially; runEngine
 // says why the ad side ends deeper). With a positive epsilon, scores
 // below the threshold are dropped between passes, bounding memory on
 // large graphs at the cost of exactness.
@@ -564,7 +564,7 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 // the query side reaches depth Iterations and the ad side Iterations+1 in
 // Iterations+1 passes — every score an exact iterate of the paper's
 // recursion, where computing both sides from the previous iteration
-// (Jacobi order, as RunDense does) spends 2·Iterations passes on two
+// (Jacobi order, as the dense reference does) spends 2·Iterations passes on two
 // independent chains. Each side keeps a component's scores as a block
 // once they fit one, or from the identity where its reach says they will
 // by the second depth (denseScores), updated in place by every pass, and

@@ -93,8 +93,8 @@ func TestTable4EvidenceIterations(t *testing.T) {
 func TestTheorem62SimrankAnomaly(t *testing.T) {
 	for _, mn := range [][2]int{{1, 2}, {2, 3}, {2, 5}, {3, 8}} {
 		m, n := mn[0], mn[1]
-		gm := clickgraph.CompleteBipartite(m, 2)
-		gn := clickgraph.CompleteBipartite(n, 2)
+		gm := completeBipartite(m, 2)
+		gn := completeBipartite(n, 2)
 		for k := 1; k <= 10; k++ {
 			cfg := DefaultConfig()
 			cfg.Iterations = k
@@ -129,7 +129,7 @@ func TestTheorem62SimrankAnomaly(t *testing.T) {
 func TestTheorem71EvidenceFixesAnomaly(t *testing.T) {
 	evidenceSimKm2 := func(t *testing.T, m, k int) float64 {
 		t.Helper()
-		g := clickgraph.CompleteBipartite(m, 2)
+		g := completeBipartite(m, 2)
 		cfg := DefaultConfig().WithVariant(Evidence)
 		cfg.Iterations = k
 		r := mustRunDense(t, g, cfg)
@@ -163,8 +163,8 @@ func TestTheorem71EvidenceFixesAnomaly(t *testing.T) {
 func TestTheorem71CounterexampleLargeM(t *testing.T) {
 	cfg := DefaultConfig().WithVariant(Evidence)
 	cfg.Iterations = 10
-	g3 := clickgraph.CompleteBipartite(3, 2)
-	g8 := clickgraph.CompleteBipartite(8, 2)
+	g3 := completeBipartite(3, 2)
+	g8 := completeBipartite(8, 2)
 	r3 := mustRunDense(t, g3, cfg)
 	r8 := mustRunDense(t, g8, cfg)
 	a3, _ := g3.AdID("a0")
@@ -180,7 +180,7 @@ func TestTheorem71CounterexampleLargeM(t *testing.T) {
 // The closed forms of Appendix A must agree with the iterative engine.
 func TestClosedFormsMatchEngine(t *testing.T) {
 	for _, m := range []int{1, 2, 3, 5, 8} {
-		g := clickgraph.CompleteBipartite(m, 2)
+		g := completeBipartite(m, 2)
 		for k := 1; k <= 8; k++ {
 			cfg := DefaultConfig()
 			cfg.Iterations = k
@@ -233,10 +233,10 @@ func TestSparseMatchesDenseOnFixtures(t *testing.T) {
 		"fig3":    clickgraph.Fig3(),
 		"fig4k22": clickgraph.Fig4K22(),
 		"fig4k12": clickgraph.Fig4K12(),
-		"fig5L":   clickgraph.Fig5Left(),
-		"fig5R":   clickgraph.Fig5Right(),
-		"k3_4":    clickgraph.CompleteBipartite(3, 4),
-		"k5_2":    clickgraph.CompleteBipartite(5, 2),
+		"fig5L":   fig5Left(),
+		"fig5R":   fig5Right(),
+		"k3_4":    completeBipartite(3, 4),
+		"k5_2":    completeBipartite(5, 2),
 	}
 	for name, g := range graphs {
 		for _, variant := range []Variant{Simple, Evidence, Weighted} {
@@ -249,6 +249,17 @@ func TestSparseMatchesDenseOnFixtures(t *testing.T) {
 			assertResultsEqual(t, name+"/"+variant.String(), g, dq, da, s, 1e-10)
 		}
 	}
+	// Table 2's settings: SimRank on Figure 3 run to convergence. Run
+	// measures Tolerance two depths back and RunDense one iteration back,
+	// so they stop at different depths, both within 1e-9 of the fixpoint.
+	cfg := DefaultConfig()
+	cfg.Iterations, cfg.Tolerance = 1000, 1e-12
+	g := clickgraph.Fig3()
+	d, s := mustRunDense(t, g, cfg), mustRun(t, g, cfg)
+	if !d.Converged || !s.Converged {
+		t.Fatalf("table2: converged dense %v (%d iterations), sparse %v (%d)", d.Converged, d.Iterations, s.Converged, s.Iterations)
+	}
+	assertResultsEqual(t, "fig3/table2", g, d, d, s, 1e-9)
 }
 
 // assertResultsEqual compares every pair of got with the query side of dq
@@ -321,7 +332,7 @@ func TestFig3EvidenceRanksByCommonAds(t *testing.T) {
 
 func TestScoresWithinUnitInterval(t *testing.T) {
 	graphs := []*clickgraph.Graph{
-		clickgraph.Fig3(), clickgraph.CompleteBipartite(4, 3), clickgraph.Fig5Right(),
+		clickgraph.Fig3(), completeBipartite(4, 3), fig5Right(),
 	}
 	for _, g := range graphs {
 		for _, variant := range []Variant{Simple, Evidence, Weighted} {

@@ -6,12 +6,10 @@ import (
 	"simrankpp/internal/clickgraph"
 )
 
-// EvidenceScore returns the evidence of similarity for a pair of nodes
+// evidenceScore returns the evidence of similarity for a pair of nodes
 // with n common neighbors, under the given form. Evidence is an increasing
 // function of n approaching 1, and 0 when the nodes share no neighbor.
-// For the multiplier actually applied by the engines, see
-// EvidenceMultiplier.
-func EvidenceScore(form EvidenceForm, n int) float64 {
+func evidenceScore(form EvidenceForm, n int) float64 {
 	if n <= 0 {
 		return 0
 	}
@@ -29,25 +27,14 @@ func EvidenceScore(form EvidenceForm, n int) float64 {
 	}
 }
 
-// EvidenceMultiplier returns the factor the engines multiply a pair score
-// by: EvidenceScore for pairs with common neighbors. For a pair with no
-// common neighbors it returns 1 (pass-through) unless strict is set, in
-// which case it returns the literal Equation 7.3 value of 0. See
-// Config.StrictEvidence for why pass-through is the default.
-func EvidenceMultiplier(form EvidenceForm, n int, strict bool) float64 {
-	if n <= 0 {
-		if strict {
-			return 0
-		}
-		return 1
-	}
-	return EvidenceScore(form, n)
-}
-
-// evidenceByCount returns EvidenceMultiplier(form, n, strict) for every
-// common-neighbor count n 0 through the largest degree in rows: a pair
-// shares at most as many neighbors as either node has, so the table holds
-// the multiplier of every pair of the graph, indexed by its count.
+// evidenceByCount returns the factor the engines multiply a pair score by
+// for every common-neighbor count n 0 through the largest degree in rows:
+// a pair shares at most as many neighbors as either node has, so the table
+// holds the multiplier of every pair of the graph, indexed by its count.
+// A pair with common neighbors gets evidenceScore; one without gets 1
+// (pass-through) unless strict is set, in which case it gets the literal
+// Equation 7.3 value of 0. See Config.StrictEvidence for why pass-through
+// is the default.
 func evidenceByCount(form EvidenceForm, strict bool, rows ...[][]int) []float64 {
 	top := 0
 	for _, nbr := range rows {
@@ -57,7 +44,10 @@ func evidenceByCount(form EvidenceForm, strict bool, rows ...[][]int) []float64 
 	}
 	ev := make([]float64, top+1)
 	for n := range ev {
-		ev[n] = EvidenceMultiplier(form, n, strict)
+		ev[n] = evidenceScore(form, n)
+	}
+	if !strict {
+		ev[0] = 1
 	}
 	return ev
 }

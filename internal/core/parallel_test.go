@@ -9,7 +9,7 @@ import (
 func TestParallelMatchesSerial(t *testing.T) {
 	graphs := []*clickgraph.Graph{
 		clickgraph.Fig3(),
-		clickgraph.CompleteBipartite(5, 4),
+		completeBipartite(5, 4),
 		randomGraph(99, 12, 10, 40),
 	}
 	for _, g := range graphs {

@@ -221,9 +221,9 @@ func TestCountedEvidenceMatchesSorted(t *testing.T) {
 		"fig3":    clickgraph.Fig3(),
 		"fig4k22": clickgraph.Fig4K22(),
 		"fig4k12": clickgraph.Fig4K12(),
-		"fig5L":   clickgraph.Fig5Left(),
-		"fig5R":   clickgraph.Fig5Right(),
-		"k5_2":    clickgraph.CompleteBipartite(5, 2),
+		"fig5L":   fig5Left(),
+		"fig5R":   fig5Right(),
+		"k5_2":    completeBipartite(5, 2),
 		"sparse":  randomGraph(7, 150, 90, 400),
 		"dense":   randomGraph(11, 70, 40, 1500),
 	}

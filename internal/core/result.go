@@ -41,21 +41,20 @@ type Result struct {
 	// ad pairs.
 	QueryScores, AdScores *sparse.PairFrontier
 	// Iterations is the query-side depth reached: Config.Iterations, or
-	// less when the run converged first. The sparse engines' ad scores
-	// are one depth deeper (see Config.Iterations).
+	// less when the run converged first. The ad scores are one depth
+	// deeper (see Config.Iterations).
 	Iterations int
 	// Converged reports whether iteration stopped because the largest
 	// score change fell below Config.Tolerance.
 	Converged bool
-	// IterStats holds per-pass-pair timing and delta-skip counters for
-	// runs of the sparse engines (nil from RunDense). For RunSharded, entry
-	// i sums every shard's pair i — total work, not wall time, since
-	// shards run concurrently.
+	// IterStats holds per-pass-pair timing and delta-skip counters. For
+	// RunSharded, entry i sums every shard's pair i — total work, not wall
+	// time, since shards run concurrently.
 	IterStats []IterationStat
-	// Plan is the partition.Plan RunSharded ran (nil from Run and
-	// RunDense): its shards' ascending global ids select each shard's rows
-	// of QueryScores and AdScores, which is how serve.WriteSnapshotTopK
-	// writes one segment pair per shard.
+	// Plan is the partition.Plan RunSharded ran (nil from Run): its
+	// shards' ascending global ids select each shard's rows of QueryScores
+	// and AdScores, which is how serve.WriteSnapshotTopK writes one
+	// segment pair per shard.
 	Plan *partition.Plan
 	// ShardStats records each shard engine's run, in plan order, when the
 	// result came from RunSharded (nil otherwise).

@@ -24,8 +24,8 @@ func weightedSimPair(t *testing.T, g *clickgraph.Graph, q1, q2 string) float64 {
 // lopsided split (high variance) — consistency rule (ii) of Definition
 // 8.1.
 func TestFig5VarianceConsistency(t *testing.T) {
-	left := weightedSimPair(t, clickgraph.Fig5Left(), "flower", "orchids")
-	right := weightedSimPair(t, clickgraph.Fig5Right(), "flower", "teleflora")
+	left := weightedSimPair(t, fig5Left(), "flower", "orchids")
+	right := weightedSimPair(t, fig5Right(), "flower", "teleflora")
 	if !(left > right) {
 		t.Errorf("Fig5: equal-split sim %g should exceed lopsided sim %g", left, right)
 	}
@@ -34,8 +34,8 @@ func TestFig5VarianceConsistency(t *testing.T) {
 	for _, variant := range []Variant{Simple, Evidence} {
 		cfg := DefaultConfig().WithVariant(variant)
 		cfg.Channel = ChannelClicks
-		l := mustRunDense(t, clickgraph.Fig5Left(), cfg)
-		r := mustRunDense(t, clickgraph.Fig5Right(), cfg)
+		l := mustRunDense(t, fig5Left(), cfg)
+		r := mustRunDense(t, fig5Right(), cfg)
 		lv := querySimByName(t, l, "flower", "orchids")
 		rv := querySimByName(t, r, "flower", "teleflora")
 		if lv != rv {
@@ -288,35 +288,38 @@ func TestLocalValidation(t *testing.T) {
 }
 
 func TestEvidenceScoreForms(t *testing.T) {
-	if EvidenceScore(EvidenceGeometric, 0) != 0 {
+	if evidenceScore(EvidenceGeometric, 0) != 0 {
 		t.Error("geometric evidence of 0 common neighbors should be 0")
 	}
-	if got := EvidenceScore(EvidenceGeometric, 1); got != 0.5 {
+	if got := evidenceScore(EvidenceGeometric, 1); got != 0.5 {
 		t.Errorf("geometric evidence(1) = %g want 0.5", got)
 	}
-	if got := EvidenceScore(EvidenceGeometric, 2); got != 0.75 {
+	if got := evidenceScore(EvidenceGeometric, 2); got != 0.75 {
 		t.Errorf("geometric evidence(2) = %g want 0.75", got)
 	}
-	if got := EvidenceScore(EvidenceGeometric, 100); got != 1 {
+	if got := evidenceScore(EvidenceGeometric, 100); got != 1 {
 		t.Errorf("geometric evidence(100) = %g want 1", got)
 	}
 	// Exponential form is increasing and approaches 1.
 	prev := 0.0
 	for n := 1; n <= 20; n++ {
-		v := EvidenceScore(EvidenceExponential, n)
+		v := evidenceScore(EvidenceExponential, n)
 		if v <= prev || v >= 1 {
 			t.Fatalf("exponential evidence not increasing in (0,1): n=%d v=%g", n, v)
 		}
 		prev = v
 	}
-	// Multiplier semantics.
-	if EvidenceMultiplier(EvidenceGeometric, 0, false) != 1 {
-		t.Error("pass-through multiplier for n=0 should be 1")
+	// Multiplier semantics: the table runs 0 through the largest degree,
+	// pass-through or strict at 0 and the score above it.
+	rows := [][]int{{0, 1, 2}}
+	if ev := evidenceByCount(EvidenceGeometric, false, rows); len(ev) != 4 || ev[0] != 1 {
+		t.Errorf("pass-through table = %v, want 4 entries from 1", ev)
 	}
-	if EvidenceMultiplier(EvidenceGeometric, 0, true) != 0 {
+	ev := evidenceByCount(EvidenceGeometric, true, rows)
+	if ev[0] != 0 {
 		t.Error("strict multiplier for n=0 should be 0")
 	}
-	if EvidenceMultiplier(EvidenceGeometric, 3, true) != EvidenceScore(EvidenceGeometric, 3) {
+	if ev[3] != evidenceScore(EvidenceGeometric, 3) {
 		t.Error("multiplier should equal score for n>0")
 	}
 }

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -135,6 +138,34 @@ func TestTables3And4MatchPaper(t *testing.T) {
 	}
 	if !strings.Contains(t3.String(), "Iteration") {
 		t.Error("Table3 rendering broken")
+	}
+}
+
+// TestTables1To4Golden holds Tables 1-4, rendered as `experiments -run
+// table1,table2,table3,table4` prints them, to the bytes frozen in
+// testdata/tables1-4.golden: the pins above check values to a tolerance,
+// this one checks every printed digit.
+func TestTables1To4Golden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "tables1-4.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	fmt.Fprintln(&b, Table1())
+	t2, err := Table2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintln(&b, t2)
+	for _, table := range []func(int) (*IterationTable, error){Table3, Table4} {
+		it, err := table(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(&b, it)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("tables differ from testdata/tables1-4.golden; got:\n%s", got)
 	}
 }
 

@@ -82,7 +82,7 @@ func Table2() (*PairMatrix, error) {
 	cfg := core.DefaultConfig()
 	cfg.Iterations = 1000
 	cfg.Tolerance = 1e-12
-	res, err := core.RunDense(g, cfg)
+	res, err := core.Run(g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -126,13 +126,13 @@ func (t *IterationTable) String() string {
 }
 
 // iterationSeries runs the engine at k = 1..iters and collects the score
-// of the named pair.
+// of the named query pair, whose side Run computes at depth k.
 func iterationSeries(g *clickgraph.Graph, cfg core.Config, q1, q2 string, iters int) ([]float64, error) {
 	out := make([]float64, iters)
 	for k := 1; k <= iters; k++ {
 		c := cfg
 		c.Iterations = k
-		res, err := core.RunDense(g, c)
+		res, err := core.Run(g, c)
 		if err != nil {
 			return nil, err
 		}
