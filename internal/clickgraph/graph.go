@@ -211,7 +211,7 @@ func (b *Builder) AddClick(query, ad string, rate float64) error {
 func (e *EdgeWeights) merge(w EdgeWeights) {
 	ti, tn := float64(e.Impressions), float64(w.Impressions)
 	if ti+tn > 0 {
-		e.ExpectedClickRate = (e.ExpectedClickRate*ti + w.ExpectedClickRate*tn) / (ti + tn)
+		e.ExpectedClickRate = (float64(e.ExpectedClickRate*ti) + float64(w.ExpectedClickRate*tn)) / (ti + tn)
 	} else {
 		e.ExpectedClickRate = (e.ExpectedClickRate + w.ExpectedClickRate) / 2
 	}

@@ -451,3 +451,47 @@ func TestWillFillMatchesScores(t *testing.T) {
 		t.Fatal("every component side is marked or none is: the test tells nothing apart")
 	}
 }
+
+// TestBlockBytesCountsTheBlockPath holds ShardStat.BlockBytes to a count
+// by hand. An uncut giant in the production mode is held as blocks from
+// the identity on both sides, 650² and 450² cells, and the block path
+// computes both, so each side has pair factors (m(m−1)/2 cells) and
+// operands: a 4-byte row pointer a node plus one, and an 8-byte factor
+// and a 4-byte row a nonzero walk factor. Each of the two engine workers
+// has strip buffers for the 650-node side: U and Uᵀ of 64 × 650 cells and
+// a 650 × 64 panel. Components that never fill a block count nothing.
+func TestBlockBytesCountsTheBlockPath(t *testing.T) {
+	g, cfg := giantGraph(1), productionConfig()
+	const q, a = 650, 450
+	if g.NumQueries() != q || g.NumAds() != a {
+		t.Fatalf("giant has %d queries and %d ads, want %d and %d", g.NumQueries(), g.NumAds(), q, a)
+	}
+	res, err := RunSharded(g, cfg, partition.WholePlan(g), ShardOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := newPassInputs(g, cfg)
+	nonzero := 0
+	for _, rows := range [][][]float64{in.qW, in.aW} {
+		for _, row := range rows {
+			for _, f := range row {
+				if f != 0 {
+					nonzero++
+				}
+			}
+		}
+	}
+	want := 8*(q*q+a*a) + 8*(q*(q-1)/2+a*(a-1)/2) + 4*(q+1+a+1) + 12*nonzero + 2*8*(64*q+q*64+q*64)
+	if got := res.ShardStats[0].BlockBytes; got != int64(want) {
+		t.Fatalf("BlockBytes = %d, want %d", got, want)
+	}
+
+	paths := pathsAndSpiders()
+	res, err = RunSharded(paths, cfg, partition.WholePlan(paths), ShardOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.ShardStats[0].BlockBytes; got != 0 {
+		t.Fatalf("paths and spiders: BlockBytes = %d, want 0", got)
+	}
+}

@@ -45,6 +45,7 @@ func Run(g *clickgraph.Graph, cfg Config) (*Result, error) {
 type scoreSink struct {
 	q, a       *sparse.PairFrontier
 	qIDs, aIDs []int
+	blockBytes int64 // set by the run: engineArena.blockBytes
 }
 
 // passInputs holds the per-run immutable inputs of the iteration passes:
@@ -265,19 +266,21 @@ func fillBlock(blk []float64, f *sparse.PairFrontier, lo, hi int) {
 	}
 }
 
-// floatPool hands out float slices carved from chunks it keeps across
-// runs: the score blocks and pair factors of one run, which live exactly
-// as long as each other and are all given back when the next run resets
-// the pool.
-type floatPool struct {
-	chunks  [][]float64
+// slabPool hands out slices carved from chunks it keeps across runs: the
+// score blocks, pair factors and operand lists of one run, which live
+// exactly as long as each other and are all given back when the next run
+// resets the pool.
+type slabPool[T any] struct {
+	chunks  [][]T
 	ci, off int
+	taken   int // cells handed out since the last reset
 }
 
-func (p *floatPool) reset() { p.ci, p.off = 0, 0 }
+func (p *slabPool[T]) reset() { p.ci, p.off, p.taken = 0, 0, 0 }
 
 // take returns n cells, not zeroed.
-func (p *floatPool) take(n int) []float64 {
+func (p *slabPool[T]) take(n int) []T {
+	p.taken += n
 	for ; p.ci < len(p.chunks); p.ci, p.off = p.ci+1, 0 {
 		if c := p.chunks[p.ci]; len(c)-p.off >= n {
 			p.off += n
@@ -288,7 +291,7 @@ func (p *floatPool) take(n int) []float64 {
 	for _, c := range p.chunks {
 		size = max(size, len(c))
 	}
-	p.chunks = append(p.chunks, make([]float64, size))
+	p.chunks = append(p.chunks, make([]T, size))
 	p.ci, p.off = len(p.chunks)-1, n
 	return p.chunks[p.ci][:n:n]
 }
@@ -309,10 +312,13 @@ type denseScores struct {
 	// (nil: none).
 	fill []bool
 	// fac holds, Weighted only, each component's pair factors
-	// (pullKernel.pairFactors), built the first time the block path
+	// (pullKernel.pairFactors), and ops its operands
+	// (pullKernel.operands), both built the first time the block path
 	// computes it.
 	fac  [][]float64
-	pool *floatPool
+	ops  []operands
+	pool *slabPool[float64]
+	at   *slabPool[int32] // the operands' rows
 }
 
 // heldBlock is one component's block: live while the component is in
@@ -321,8 +327,8 @@ type heldBlock struct {
 	live, mem []float64
 }
 
-func newDenseScores(comps int, pool *floatPool) denseScores {
-	return denseScores{blk: make([]heldBlock, comps), fac: make([][]float64, comps), pool: pool}
+func newDenseScores(comps int, pool *slabPool[float64], at *slabPool[int32]) denseScores {
+	return denseScores{blk: make([]heldBlock, comps), fac: make([][]float64, comps), ops: make([]operands, comps), pool: pool, at: at}
 }
 
 // admit moves every component of f still in rows whose rows fit a block,
@@ -502,7 +508,8 @@ func (d *denseScores) toRows(c int, idx *memberIndex, f *sparse.PairFrontier, sp
 type engineArena struct {
 	prevQ, curQ, prevA, curA *sparse.PairFrontier
 	symQ, symA               *sparse.SymAdj
-	poolQ, poolA             floatPool // each side's score blocks (denseScores)
+	poolQ, poolA             slabPool[float64] // each side's score blocks, pair factors and operand factors (denseScores)
+	atQ, atA                 slabPool[int32]   // each side's operand rows
 	spas                     []*spa
 	chgQ, chgA               *sparse.Bitset
 	reach                    []uint64 // willFill's bitsets
@@ -525,6 +532,28 @@ func arenaBitset(slot **sparse.Bitset, n int) *sparse.Bitset {
 		(*slot).Resize(n)
 	}
 	return *slot
+}
+
+// blockBytes is the block path's memory over a run of q and a on workers
+// engine workers: the score blocks the two sides hold, their pair factors
+// and operands — every cell the run took from the arena's pools — and,
+// per worker, the strip buffers sized to the largest component the block
+// path computed: its U and Uᵀ strips (stripWidth × m_opp cells each) and
+// its panel (m × stripWidth), 8 bytes a cell. A worker's per-row flags,
+// degrees and runs, under 2 KB, are not counted.
+func (ar *engineArena) blockBytes(q, a *chainSide, workers int) int64 {
+	n := 8*int64(ar.poolQ.taken+ar.poolA.taken) + 4*int64(ar.atQ.taken+ar.atA.taken)
+	m, mo := 0, 0
+	for _, s := range [][2]*chainSide{{q, a}, {a, q}} {
+		for c, o := range s[0].dense.ops {
+			if o.ptr != nil {
+				lo, hi := s[0].idx.span(int32(c))
+				olo, ohi := s[1].idx.span(int32(c))
+				m, mo = max(m, hi-lo), max(mo, ohi-olo)
+			}
+		}
+	}
+	return n + int64(workers)*8*stripWidth*int64(2*mo+m)
 }
 
 // ensureSPAs returns workers accumulators with dense arrays of at least n
@@ -593,16 +622,18 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, ou
 	comps := len(in.qIdx.bounds) - 1
 	ar.poolQ.reset()
 	ar.poolA.reset()
+	ar.atQ.reset()
+	ar.atA.reset()
 
 	q := &chainSide{
 		prev: arenaFrontier(&ar.prevQ, nq), cur: arenaFrontier(&ar.curQ, nq),
 		kernel: pullKernel{thisNbr: in.qNbr, oppNbr: in.aNbr, w: in.qW, ev: in.ev, c: cfg.C1},
-		idx:    in.qIdx, block: make([][]float64, comps), dense: newDenseScores(comps, &ar.poolQ),
+		idx:    in.qIdx, block: make([][]float64, comps), dense: newDenseScores(comps, &ar.poolQ, &ar.atQ),
 	}
 	a := &chainSide{
 		prev: arenaFrontier(&ar.prevA, na), cur: arenaFrontier(&ar.curA, na),
 		kernel: pullKernel{thisNbr: in.aNbr, oppNbr: in.qNbr, w: in.aW, ev: in.ev, c: cfg.C2},
-		idx:    in.aIdx, block: make([][]float64, comps), dense: newDenseScores(comps, &ar.poolA),
+		idx:    in.aIdx, block: make([][]float64, comps), dense: newDenseScores(comps, &ar.poolA, &ar.atA),
 	}
 	spas := ar.ensureSPAs(workers, max(nq, na))
 	if ar.symQ == nil {
@@ -665,6 +696,7 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, ou
 	if out == nil {
 		out = &scoreSink{q: sparse.NewPairFrontier(nq), a: sparse.NewPairFrontier(na)}
 	}
+	out.blockBytes = ar.blockBytes(q, a, workers)
 	in.qIdx.emit(out.q, q.prev, out.qIDs)
 	in.aIdx.emit(out.a, a.prev, out.aIDs)
 	return &Result{
@@ -804,14 +836,17 @@ type spa struct {
 // (8 bytes a cell), the touched list ut and the candidate list pt (4
 // each, both allocated at full capacity), the neighbor marks inX (1), and
 // the reach's one mark bit. The block path's strip buffers are sized by
-// components, not sides, and are not counted.
+// components, not sides, and counted apart (engineArena.blockBytes).
 func spaBytes(n int) int64 { return 17*int64(n) + 8*int64((n+63)/64) }
 
 // accumulate adds u(j) = Σ_{i∈nbrs} f(i)·s(i, j) from the symmetric score
 // rows of nbrs (the diagonal s(i, i) = 1 included), listing the touched
 // cells in sp.ut in first-touch order. fx holds the walk factors aligned
 // with nbrs; nil is plain SimRank's all-ones, and multiplying by one is
-// exact.
+// exact. Here and in every sum of products in the engine a product is
+// written float64(a*b): the conversion rounds it, which the Go spec does
+// not let a compiler fuse into the add that follows, so every GOARCH
+// rounds each term as amd64 does.
 func (sp *spa) accumulate(nbrs []int, fx []float64, sym *sparse.SymAdj) {
 	u, ut := sp.u, sp.ut[:0]
 	for ki, i := range nbrs {
@@ -831,7 +866,7 @@ func (sp *spa) accumulate(nbrs []int, fx []float64, sym *sparse.SymAdj) {
 			if u[c] == 0 {
 				ut = append(ut, c)
 			}
-			u[c] += fi * val[k]
+			u[c] += float64(fi * val[k])
 		}
 	}
 	sp.ut = ut
@@ -1061,7 +1096,7 @@ func (k pullKernel) rowPass(cand candidates, dst, prev *sparse.PairFrontier, cha
 			wp = wp[:len(js)]
 			t, n := 0.0, 0
 			for kj, j := range js {
-				t += wp[kj] * u[j]
+				t += float64(wp[kj] * u[j])
 				n += int(inX[j])
 			}
 			if s := ev[n] * c * t; s != 0 {
@@ -1094,19 +1129,20 @@ type blockSink struct {
 }
 
 // stripScratch is one worker's block-path scratch, each buffer grown as
-// needed: which of the strip's rows are copied forward, the gather's
-// nonzero factors with their block rows, the strip's rows of U (m_opp
-// cells each), the panel of output cells (a row of stripWidth cells per
-// node of the component), which of the strip's rows moved, the counts
-// pairFactors scatters, and the change marks a multi-worker pass merges.
+// needed: which of the strip's rows are copied forward, the runs of rows
+// between them the sink writes, the strip's degrees |E(x)|, its rows of U
+// (m_opp cells each), their transpose Uᵀ (m_opp rows of stripWidth cells),
+// the panel of output cells (a row of stripWidth cells per node of the
+// component), the counts pairFactors scatters, and the change marks a
+// multi-worker pass merges.
 type stripScratch struct {
-	skip    []bool
-	f       []float64
-	rows    [][]float64
-	u, cell []float64
-	moved   []bool
-	cnt     []int32
-	marks   *sparse.Bitset
+	skip  []bool
+	runs  []int
+	dx    []float64
+	u, ut []float64
+	cell  []float64
+	cnt   []int32
+	marks *sparse.Bitset
 }
 
 // grown returns (*buf)[:n], reallocated when its capacity is short.
@@ -1144,6 +1180,9 @@ func (k pullKernel) blockPass(cand candidates, sink *blockSink, dst, prev *spars
 		olo, ohi := cand.opp.span(int32(c))
 		if k.w != nil && sink.dense.fac[c] == nil {
 			sink.dense.fac[c] = k.pairFactors(lo, hi, sink.dense.pool, &spas[0].strip)
+		}
+		if sink.dense.ops[c].ptr == nil {
+			sink.dense.ops[c] = k.operands(lo, hi, olo, sink.dense.pool, sink.dense.at)
 		}
 		for x0 := lo; x0 < hi; x0 += stripWidth {
 			x1 := min(x0+stripWidth, hi)
@@ -1188,30 +1227,33 @@ func (k pullKernel) blockPass(cand candidates, sink *blockSink, dst, prev *spars
 }
 
 // strip computes task t's rows as two dense products over the opposite
-// side's block S, in the row path's summation order cell for cell:
+// side's block S, in the row path's summation order cell for cell, by the
+// leaf kernels (kernel.go) over the component's operands:
 //
-//   - the gather U = W·S: row x of U adds the block rows of x's neighbors
-//     i, scaled by W(x, i), four rows a sweep in ascending i —
-//     u = (((u + f0·r0) + f1·r1) + f2·r2) + f3·r3 — and skips zero factors;
-//   - the pull T = U·Wᵀ in column form: for each p above the strip's first
-//     computed row, T(x, p) for the strip's x < p is swept four j at a
-//     time over j ∈ E(p) ascending, adding W(p, j)·U(x, j) down the
-//     strip's column j of U (held in cache, read in place) — the row
-//     path's dot product, every cell at once.
+//   - the gather U = W·S: row x of U sums the block rows of x's neighbors
+//     i, scaled by W(x, i), in ascending i from +0 — u = ((0 + f0·r0) +
+//     f1·r1) + … ;
+//   - the transpose of the strip's rows of U into Uᵀ, so that column j of
+//     U — the strip's u(x, j) — is one contiguous row;
+//   - the pull T = U·Wᵀ: for each p above the strip's first computed row,
+//     T(x, p) for the strip's x < p sums the rows j ∈ E(p) of Uᵀ, scaled
+//     by W(p, j), in ascending j from +0 — the row path's dot product,
+//     every cell at once.
 //
 // A computed cell is then scaled as the row path scales it — ev[n]·c from
 // the component's pair factors, or c/(|E(x)|·|E(p)|) — and written: into
-// the block sink (pruned and diffed in place, both halves), or into dst
-// as row x, its zeros dropped. A row the delta skip copies forward is not
-// gathered, and its cells keep their value (the block) or are copied from
-// prev (dst).
+// the block sink (pruned and diffed in place, both halves, a run of
+// computed rows at a time), or into dst as row x, its zeros dropped. A row
+// the delta skip copies forward is not gathered, and its cells keep their
+// value (the block) or are copied from prev (dst).
 func (k pullKernel) strip(sp *spa, cand candidates, t stripTask, sink *blockSink, mark *sparse.Bitset, dst, prev *sparse.PairFrontier, changed *sparse.Bitset) (skipped int, diff float64) {
 	const B = stripWidth
 	lo, hi := cand.idx.span(t.c)
 	olo, ohi := cand.opp.span(t.c)
 	m, mo := hi-lo, ohi-olo
 	S := cand.block[t.c]
-	own, fac := sink.dense.blk[t.c].live, sink.dense.fac[t.c]
+	own, fac, ops := sink.dense.blk[t.c].live, sink.dense.fac[t.c], sink.dense.ops[t.c]
+	kn := kernels()
 	st := &sp.strip
 	skip := grown(&st.skip, t.x1-t.x0)
 	a, b := t.x1, t.x0 // the computed rows lie in [a, b)
@@ -1228,105 +1270,75 @@ func (k pullKernel) strip(sp *spa, cand candidates, t stripTask, sink *blockSink
 	if a >= b {
 		return skipped, 0
 	}
-	ra := a - t.x0
+	ra, rb := a-t.x0, b-t.x0
 
 	// U = W·S, row x of U in row x−x0 of the strip; a copied row's is zero.
 	u := grown(&st.u, B*mo)
-	for x := a; x < b; x++ {
-		r := x - t.x0
+	for r := ra; r < rb; r++ {
 		ux := u[r*mo : (r+1)*mo]
-		clear(ux)
 		if skip[r] {
+			clear(ux)
 			continue
 		}
-		f, rows := st.f[:0], st.rows[:0]
-		for ki, i := range k.thisNbr[x] {
-			fi := 1.0
-			if k.w != nil {
-				if fi = k.w[x][ki]; fi == 0 {
-					continue
-				}
-			}
-			f, rows = append(f, fi), append(rows, S[(i-olo)*mo:(i-olo+1)*mo])
-		}
-		st.f, st.rows = f, rows
-		for n := 0; n < len(f); n += 4 {
-			e := min(n+4, len(f))
-			sweep(ux, f[n:e], rows[n:e])
-		}
+		f, at := ops.of(t.x0 + r - lo)
+		kn.sumRows(ux, S, mo, f, at)
 	}
+	// Uᵀ over whole tiles of four rows: the rows outside [ra, rb) it moves
+	// are never read.
+	ut := grown(&st.ut, mo*B)
+	kn.transpose(ut, u, mo, ra&^3, (rb+3)&^3)
 
-	// T = U·Wᵀ, column form: panel row p holds T(x, p) for the strip's x.
+	// T = U·Wᵀ: panel row p holds T(x, p) for the strip's x.
 	cell := grown(&st.cell, m*B)
-	us := u[ra*mo : (b-t.x0)*mo]
 	for p := a + 1; p < hi; p++ {
-		L := min(b, p) - a
-		tp := cell[(p-lo)*B+ra:]
-		tp = tp[:L]
-		clear(tp)
-		js := k.thisNbr[p]
-		var js4 [4]int
-		for n := 0; n < len(js); n += 4 {
-			e := min(n+4, len(js))
-			for i, j := range js[n:e] {
-				js4[i] = j - olo
-			}
-			fs := ones[:e-n]
-			if k.w != nil {
-				fs = k.w[p][n:e]
-			}
-			pullSweep(tp, us[:L*mo], mo, fs, js4[:e-n])
-		}
+		f, at := ops.of(p - lo)
+		kn.sumRows(cell[(p-lo)*B+ra:][:min(b, p)-a], ut[ra:], B, f, at)
 	}
 
 	if own != nil {
-		eps, tol := sink.eps, sink.tol
-		moved := grown(&st.moved, t.x1-t.x0)
-		clear(moved)
+		// runs lists the computed rows as [start, end) runs, strip-relative.
+		runs := st.runs[:0]
+		for r := ra; r < rb; r++ {
+			if skip[r] {
+				continue
+			}
+			if n := len(runs); n > 0 && runs[n-1] == r {
+				runs[n-1] = r + 1
+			} else {
+				runs = append(runs, r, r+1)
+			}
+		}
+		st.runs = runs
+		dx := grown(&st.dx, B)
+		for r := ra; r < rb; r++ {
+			dx[r] = float64(len(k.thisNbr[t.x0+r]))
+		}
+		var moved uint64
 		for p := a + 1; p < hi; p++ {
 			pl := p - lo
 			tp, row := cell[pl*B:(pl+1)*B], own[pl*m:(pl+1)*m]
-			var fp []float64
-			if fac != nil {
-				fp = fac[pl*(pl-1)/2:][:pl]
-			}
 			dp := float64(len(k.thisNbr[p]))
-			pm := false
-			for x := a; x < min(b, p); x++ {
-				r, xl := x-t.x0, x-lo
-				if skip[r] {
-					continue
+			var pm uint64
+			for n := 0; n < len(runs); n += 2 {
+				r0, r1 := runs[n], min(runs[n+1], p-t.x0)
+				if r0 >= r1 {
+					break
 				}
-				var v float64
-				if fp != nil {
-					v = fp[xl] * tp[r]
-				} else {
-					v = k.c * tp[r] / (float64(len(k.thisNbr[x])) * dp)
+				xl := t.x0 + r0 - lo
+				var fp []float64 // the runs' pair factors, Weighted only
+				if fac != nil {
+					fp = fac[pl*(pl-1)/2+xl:][:r1-r0]
 				}
-				if v < eps && v > -eps {
-					v = 0
-				}
-				d := v - row[xl]
-				if d < 0 {
-					d = -d
-				}
-				if d > diff {
-					diff = d
-				}
-				if d > tol {
-					moved[r], pm = true, true
-				}
-				row[xl] = v
-				own[xl*m+pl] = v
+				mv, d := kn.sink(tp[r0:r1], row[xl:xl+r1-r0], own[xl*m+pl:], m, fp, dx[r0:r1], k.c, dp, sink.eps, sink.tol)
+				pm, diff = pm|mv<<r0, max(diff, d)
 			}
-			if pm && mark != nil {
+			if pm != 0 && mark != nil {
 				mark.Set(p)
 			}
+			moved |= pm
 		}
-		for r, mv := range moved {
-			if mv && mark != nil {
-				mark.Set(t.x0 + r)
-			}
+		for ; moved != 0 && mark != nil; moved &= moved - 1 {
+			mark.Set(t.x0 + bits.TrailingZeros64(moved))
 		}
 	} else {
 		for x := a; x < b; x++ {
@@ -1361,72 +1373,52 @@ func (k pullKernel) strip(sp *spa, cand candidates, t stripTask, sink *blockSink
 	return skipped, diff
 }
 
-// ones is plain SimRank's walk factors, four at a time.
-var ones = []float64{1, 1, 1, 1}
-
-// sweep adds len(f) ≤ 4 scaled rows into dst in one pass over it, term by
-// term in order — dst[k] = ((dst[k] + f[0]·r[0][k]) + f[1]·r[1][k]) + … —
-// so each cell's sum rounds exactly as adding the rows one at a time
-// does. Every row is at least as long as dst.
-func sweep(dst, f []float64, r [][]float64) {
-	switch len(f) {
-	case 4:
-		f0, f1, f2, f3 := f[0], f[1], f[2], f[3]
-		r0, r1, r2, r3 := r[0][:len(dst)], r[1][:len(dst)], r[2][:len(dst)], r[3][:len(dst)]
-		for k := range dst {
-			dst[k] = (((dst[k] + f0*r0[k]) + f1*r1[k]) + f2*r2[k]) + f3*r3[k]
-		}
-	case 3:
-		f0, f1, f2 := f[0], f[1], f[2]
-		r0, r1, r2 := r[0][:len(dst)], r[1][:len(dst)], r[2][:len(dst)]
-		for k := range dst {
-			dst[k] = ((dst[k] + f0*r0[k]) + f1*r1[k]) + f2*r2[k]
-		}
-	case 2:
-		f0, f1 := f[0], f[1]
-		r0, r1 := r[0][:len(dst)], r[1][:len(dst)]
-		for k := range dst {
-			dst[k] = (dst[k] + f0*r0[k]) + f1*r1[k]
-		}
-	case 1:
-		f0, r0 := f[0], r[0][:len(dst)]
-		for k := range dst {
-			dst[k] += f0 * r0[k]
-		}
-	}
+// operands is one component's gather and pull operands, node by node in
+// the component's numbering: node x's nonzero walk factors
+// f[ptr[x]:ptr[x+1]] (ones for plain SimRank) and the rows of the
+// opposite side's component they scale, at. A zero factor is left out:
+// its term is +0 in a sum of nonnegative terms from +0, so it changes no
+// bit of either product.
+type operands struct {
+	ptr, at []int32
+	f       []float64
 }
 
-// pullSweep is sweep over the columns js of the rows of u, mo cells
-// each: dst[x] = ((dst[x] + f[0]·u[x][js[0]]) + f[1]·u[x][js[1]]) + ….
-func pullSweep(dst, u []float64, mo int, f []float64, js []int) {
-	switch len(f) {
-	case 4:
-		f0, f1, f2, f3 := f[0], f[1], f[2], f[3]
-		j0, j1, j2, j3 := js[0], js[1], js[2], js[3]
-		for x := range dst {
-			row := u[x*mo : (x+1)*mo]
-			dst[x] = (((dst[x] + f0*row[j0]) + f1*row[j1]) + f2*row[j2]) + f3*row[j3]
-		}
-	case 3:
-		f0, f1, f2 := f[0], f[1], f[2]
-		j0, j1, j2 := js[0], js[1], js[2]
-		for x := range dst {
-			row := u[x*mo : (x+1)*mo]
-			dst[x] = ((dst[x] + f0*row[j0]) + f1*row[j1]) + f2*row[j2]
-		}
-	case 2:
-		f0, f1 := f[0], f[1]
-		j0, j1 := js[0], js[1]
-		for x := range dst {
-			row := u[x*mo : (x+1)*mo]
-			dst[x] = (dst[x] + f0*row[j0]) + f1*row[j1]
-		}
-	case 1:
-		f0, j0 := f[0], js[0]
-		for x := range dst {
-			dst[x] += f0 * u[x*mo+j0]
+// of returns node xl's factors and rows.
+func (o operands) of(xl int) ([]float64, []int32) {
+	lo, hi := o.ptr[xl], o.ptr[xl+1]
+	return o.f[lo:hi], o.at[lo:hi]
+}
+
+// operands builds the operands of the component [lo, hi) whose opposite
+// side starts at olo, carved from the side's pools.
+func (k pullKernel) operands(lo, hi, olo int, pool *slabPool[float64], atPool *slabPool[int32]) operands {
+	nonzero := func(x, ki int) bool { return k.w == nil || k.w[x][ki] != 0 }
+	n := 0
+	for x := lo; x < hi; x++ {
+		for ki := range k.thisNbr[x] {
+			if nonzero(x, ki) {
+				n++
+			}
 		}
 	}
+	o := operands{ptr: atPool.take(hi - lo + 1), at: atPool.take(n), f: pool.take(n)}
+	n = 0
+	o.ptr[0] = 0
+	for x := lo; x < hi; x++ {
+		for ki, i := range k.thisNbr[x] {
+			if !nonzero(x, ki) {
+				continue
+			}
+			o.f[n], o.at[n] = 1, int32(i-olo)
+			if k.w != nil {
+				o.f[n] = k.w[x][ki]
+			}
+			n++
+		}
+		o.ptr[x-lo+1] = int32(n)
+	}
+	return o
 }
 
 // pairFactors returns the evidence-scaled decay of every pair of the
@@ -1436,7 +1428,7 @@ func pullSweep(dst, u []float64, mo int, f []float64, js []int) {
 // scattered once per run over each x's two-hop neighborhood (n never
 // changes), so the block path does not count them in its pull; the
 // product is the one the row path takes at every pass, ev[n]·c before t.
-func (k pullKernel) pairFactors(lo, hi int, pool *floatPool, st *stripScratch) []float64 {
+func (k pullKernel) pairFactors(lo, hi int, pool *slabPool[float64], st *stripScratch) []float64 {
 	m := hi - lo
 	fac := pool.take(m * (m - 1) / 2)
 	cnt := grown(&st.cnt, m)

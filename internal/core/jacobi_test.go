@@ -191,7 +191,7 @@ func simplePass(thisNbr, oppNbr [][]int, cand candidates, c float64, dst, prev *
 // rowSink is a block sink holding no block: the block path writes every
 // component it computes into dst rows, as the row path does.
 func rowSink(cand candidates) *blockSink {
-	d := newDenseScores(len(cand.idx.bounds)-1, &floatPool{})
+	d := newDenseScores(len(cand.idx.bounds)-1, &slabPool[float64]{}, &slabPool[int32]{})
 	return &blockSink{dense: &d}
 }
 

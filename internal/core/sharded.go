@@ -69,9 +69,15 @@ type ShardStat struct {
 	// candidate path's int32 candidate list and one mark bit, per cell of
 	// its larger side — 17 bytes + 1 bit a cell (spaBytes). The monolithic
 	// equivalent is the same over max(NumQueries, NumAds). It is the row
-	// path's scratch only, not the engine's total: the block path's score
-	// blocks, pair factors and strip buffers are not counted.
+	// path's scratch only: the block path's memory is BlockBytes.
 	SPABytes int64
+	// BlockBytes is the block path's memory in this shard's engine: the
+	// m × m score blocks both sides held, their pair factors and gather
+	// and pull operands, and per engine worker the strip buffers — U, Uᵀ
+	// and the panel of output cells — for the largest component it
+	// computed (engineArena.blockBytes). Zero where the engine held no
+	// block.
+	BlockBytes int64
 	// Skipped reports that ShardOptions.RunShards excluded this shard: no
 	// engine ran and the run-outcome fields above are zero.
 	Skipped bool
@@ -214,9 +220,8 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 					continue
 				}
 				ew := engineWorkers(sh.Nodes())
-				res, err := runEngine(view.Graph, cfg, ew, ar, &scoreSink{
-					q: qScores, a: aScores, qIDs: view.QueryIDs, aIDs: view.AdIDs,
-				})
+				out := &scoreSink{q: qScores, a: aScores, qIDs: view.QueryIDs, aIDs: view.AdIDs}
+				res, err := runEngine(view.Graph, cfg, ew, ar, out)
 				if err != nil {
 					fail(fmt.Errorf("core: shard %d: %w", idx, err))
 					continue
@@ -226,6 +231,7 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 					Iterations: res.Iterations,
 					Converged:  res.Converged,
 					SPABytes:   int64(ew) * spaBytes(max(view.Graph.NumQueries(), view.Graph.NumAds())),
+					BlockBytes: out.blockBytes,
 				}}
 			}
 		}()

@@ -62,7 +62,7 @@ func popVariance(xs []float64) float64 {
 	v := 0.0
 	for _, x := range xs {
 		d := x - mean
-		v += d * d
+		v += float64(d * d)
 	}
 	return v / float64(n)
 }

@@ -143,7 +143,7 @@ func (ws *pprScratch) push(g *clickgraph.Graph, seed NodeID, cfg PPRConfig) (map
 			continue
 		}
 		// Push: move alpha fraction to p, spread half the rest.
-		settle(u, cfg.Alpha*ru)
+		settle(u, float64(cfg.Alpha*ru))
 		share := (1 - cfg.Alpha) * ru / (2 * float64(du))
 		r[u] = (1 - cfg.Alpha) * ru / 2
 		ids, base := neighbors(g, u)
