@@ -39,11 +39,13 @@ func zeroRateGraph(seed uint64) *clickgraph.Graph {
 }
 
 // mixedDensityGraph has components that turn dense at different depths:
-// complete clusters (dense from the second pass on), a random cluster
-// whose scores fill in a few depths later, a star (one ad, dense from the
-// first pass), and isolated queries, which put the engine's numbering off
-// the graph's, so a run over it passes through a mix of block and
-// expansion gathers and ends in passes with no sparse component.
+// complete clusters (dense from the second pass on), a random cluster, a
+// star (one ad, dense from the first pass), a path of eight queries and
+// seven ads, whose scores spread one hop a depth and fit blocks only from
+// the third depth on, so the chain admits it mid-run, and isolated
+// queries, which put the engine's numbering off the graph's, so a run
+// over it passes through a mix of block and expansion gathers and ends in
+// passes with no sparse component.
 func mixedDensityGraph() *clickgraph.Graph {
 	b := clickgraph.NewBuilder()
 	edge := func(q, ad string) {
@@ -62,6 +64,10 @@ func mixedDensityGraph() *clickgraph.Graph {
 	addRandomCluster(b, "r-", 99, 12, 9, 20)
 	for i := 0; i < 5; i++ {
 		edge(fmt.Sprintf("s-q%d", i), "s-ad")
+	}
+	for i := 0; i < 7; i++ {
+		edge(fmt.Sprintf("p-q%d", i), fmt.Sprintf("p-ad%d", i))
+		edge(fmt.Sprintf("p-q%d", i+1), fmt.Sprintf("p-ad%d", i))
 	}
 	return b.Build()
 }
@@ -115,46 +121,75 @@ func TestGatherPathsAgree(t *testing.T) {
 // A single-shard RunSharded at pool widths 1, 2 and 4 (its one engine gets
 // every worker) and runEngine at the same widths must equal the serial
 // run bit for bit. The test first checks, on the same scores, that the
-// chain's passes do include both kinds (with every row recomputed, the
-// plan of the pass computing one side at depth d depends on the other
-// side's depth d−1 scores alone, which the Jacobi loop computes too).
+// chain's passes do include both kinds. With every row recomputed, the
+// pass computing one side at depth d finds a component held as blocks
+// when willFill marks it or when the other side's depth d−1 rows and
+// this side's depth d−2 rows both fit (the last admission before it; the
+// pairs only grow with depth), and the Jacobi loop computes those scores
+// too: each side at depth d−1 is the opposite side of a pass at depth d.
 func TestMixedPassesAtEveryWidth(t *testing.T) {
 	g := mixedDensityGraph()
 	cfg := DefaultConfig().WithVariant(Weighted)
 	cfg.Iterations = 6
 	cfg.noDeltaSkip = true
 
+	in := newPassInputs(g, cfg)
+	if in.qIdx.order == nil {
+		t.Fatal("the graph's layout is its own numbering; the fixture should renumber")
+	}
+	fill := in.willFill(2, 2, new([]uint64))
+	rowsFit := func(idx *memberIndex, f *sparse.PairFrontier) []bool {
+		fit := make([]bool, len(fill))
+		for c := range fit {
+			lo, hi := idx.span(int32(c))
+			pairs := 0
+			for x := lo; x < hi; x++ {
+				cols, _ := f.Row(x)
+				pairs += len(cols)
+			}
+			fit[c] = blockFits(hi-lo, 2*pairs)
+		}
+		return fit
+	}
+	fits := map[[2]int][]bool{ // (ads, depth) → per component: the rows fit a block
+		{0, 0}: rowsFit(in.qIdx, sparse.NewPairFrontier(g.NumQueries())),
+		{1, 0}: rowsFit(in.aIdx, sparse.NewPairFrontier(g.NumAds())),
+	}
 	type plan struct{ dense, sparse int } // components that gather, by path
 	plans := map[[2]int]plan{}            // (ads, depth) → plan
 	depth := 0
 	record := func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
 		s := in.side(cfg, ads)
-		cand := plannedCandidates(s, opp, sym, changed)
+		side := 0
+		if ads {
+			side = 1
+			depth++ // the ad pass ends an iteration
+		}
+		d := depth + 1 - side
+		oppFit := rowsFit(s.oppIdx, opp)
+		fits[[2]int{1 - side, d - 1}] = oppFit
+		ownFit := fits[[2]int{side, max(d-2, 0)}]
+		cand := forcedCandidates(s, opp, sym, true)
 		var p plan
-		for c, blk := range cand.block {
+		for c := range cand.block {
+			if !fill[c] && !(oppFit[c] && ownFit[c]) {
+				cand.block[c] = nil
+			}
 			if lo, hi := s.idx.span(int32(c)); hi > lo && len(s.thisNbr[lo]) > 0 {
-				if blk != nil {
+				if cand.block[c] != nil {
 					p.dense++
 				} else {
 					p.sparse++
 				}
 			}
 		}
-		side := 0
-		if ads {
-			side = 1
-			depth++ // the ad pass ends an iteration
-		}
-		plans[[2]int{side, depth + 1 - side}] = p
+		plans[[2]int{side, d}] = p
 		return s.pass(cfg, cand, dst, prev, changed, workers, spas)
 	}
 	deeper := cfg
 	deeper.Iterations++
 	if _, err := runJacobiWith(g, deeper, 1, nil, record); err != nil {
 		t.Fatal(err)
-	}
-	if in := newPassInputs(g, cfg); in.qIdx.order == nil {
-		t.Fatal("the graph's layout is its own numbering; the fixture should renumber")
 	}
 	mixed, blocksOnly := 0, 0
 	for p := 0; p <= cfg.Iterations; p++ {
@@ -191,10 +226,10 @@ func TestMixedPassesAtEveryWidth(t *testing.T) {
 
 // hubGraph is one component whose two sides differ in density: nq queries
 // that all click one hub ad, each also clicking priv ads of its own. Every
-// query pair shares the hub, so the query side is dense; under strict
-// evidence two private ads of different queries share no neighbor and
-// score exactly zero, so the ad side stays sparse, and each query pass
-// gathers by the row path while the query side's own scores are a block.
+// query pair shares the hub, so the query side fits a block; under
+// weighted strict evidence two private ads of different queries share no
+// neighbor and score exactly zero, so the ad side never fits one, and the
+// component stays in rows on both sides.
 func hubGraph(nq, priv int) *clickgraph.Graph {
 	b := clickgraph.NewBuilder()
 	for i := 0; i < nq; i++ {
@@ -223,10 +258,10 @@ func hubGraph(nq, priv int) *clickgraph.Graph {
 // cells, which then differ from a recomputation), the tolerance stop and
 // both chain parities, on graphs whose components enter the block form at
 // different depths (mixed), carry zero walk factors (zeros), span several
-// strips (wide), or hold one side as a block while the other stays in
-// rows (hub under strict evidence: the block is written back to rows for
-// the row path and admitted again after). A component never leaves the
-// block form for good: its pairs only grow with depth.
+// strips (wide), or have one side that fits a block and one that never
+// does (hub under weighted strict evidence), where the run holds no block
+// on either side: a component is a block on both sides or on neither. A
+// component never leaves the block form: its pairs only grow with depth.
 func TestDenseBlocksMatchReach(t *testing.T) {
 	graphs := map[string]*clickgraph.Graph{
 		"mixed": mixedDensityGraph(),
@@ -273,6 +308,9 @@ func TestDenseBlocksMatchReach(t *testing.T) {
 					t.Fatal(err)
 				}
 				l := fmt.Sprintf("%s/workers=%d", label, workers)
+				if name == "hub" && cfg.Variant == Weighted && cfg.StrictEvidence && (ar.poolQ.taken != 0 || ar.poolA.taken != 0) {
+					t.Fatalf("%s: the pools handed out %d query and %d ad cells; the ad side never fits, so neither side is a block", l, ar.poolQ.taken, ar.poolA.taken)
+				}
 				assertBitIdentical(t, l, want, got)
 				if got.Iterations != want.Iterations || got.Converged != want.Converged {
 					t.Fatalf("%s: depth %d converged %v, rows reach %d %v", l, got.Iterations, got.Converged, want.Iterations, want.Converged)
@@ -286,9 +324,18 @@ func TestDenseBlocksMatchReach(t *testing.T) {
 					panel[name] = max(panel[name], cap(sp.strip.cell))
 				}
 			}
-			if name == "hub" && cfg.Variant == Weighted && cfg.StrictEvidence && cfg.PruneEpsilon < 1e-3 &&
-				(!blockFits(g.NumQueries(), 2*want.QueryScores.Len()) || blockFits(g.NumAds(), 2*want.AdScores.Len())) {
-				t.Fatalf("%s: %d query pairs and %d ad pairs; the fixture needs a block query side and a rows ad side", label, want.QueryScores.Len(), want.AdScores.Len())
+			if name == "hub" && cfg.Variant == Weighted && cfg.StrictEvidence {
+				if cfg.PruneEpsilon < 1e-3 &&
+					(!blockFits(g.NumQueries(), 2*want.QueryScores.Len()) || blockFits(g.NumAds(), 2*want.AdScores.Len())) {
+					t.Fatalf("%s: %d query pairs and %d ad pairs; the fixture needs a query side that fits a block and an ad side that does not", label, want.QueryScores.Len(), want.AdScores.Len())
+				}
+				sh, err := RunSharded(g, cfg, partition.WholePlan(g), ShardOptions{Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b := sh.ShardStats[0].BlockBytes; b != 0 {
+					t.Fatalf("%s: RunSharded's BlockBytes = %d, want 0", label, b)
+				}
 			}
 		}
 	}
@@ -341,17 +388,16 @@ func pathsAndSpiders() *clickgraph.Graph {
 // component, so none is held as a block and the arena's float pools stay
 // empty. As a control, complete clusters and a short spider — whose
 // leaves share nothing at depth 1 and reach one another at depth 2 — are
-// marked on both sides.
+// marked.
 func TestSparseComponentsAreNeverBlocks(t *testing.T) {
 	g := pathsAndSpiders()
 	for _, variant := range []Variant{Simple, Evidence, Weighted} {
 		cfg := DefaultConfig().WithVariant(variant)
 		cfg.Iterations, cfg.Tolerance, cfg.PruneEpsilon, cfg.DeltaSkipTolerance = 15, 1e-4, 1e-5, 1e-5
 		in := newPassInputs(g, cfg)
-		fillQ, fillA := in.willFill(2, 2, new([]uint64))
-		for c := range fillQ {
-			if fillQ[c] || fillA[c] {
-				t.Fatalf("%v: component %d marked to fill (query side %v, ad side %v)", variant, c, fillQ[c], fillA[c])
+		for c, fill := range in.willFill(2, 2, new([]uint64)) {
+			if fill {
+				t.Fatalf("%v: component %d marked to fill", variant, c)
 			}
 		}
 		ar := &engineArena{}
@@ -383,22 +429,24 @@ func TestSparseComponentsAreNeverBlocks(t *testing.T) {
 	}
 	control := b.Build()
 	in := newPassInputs(control, DefaultConfig())
-	fillQ, fillA := in.willFill(2, 2, new([]uint64))
-	for c := range fillQ {
-		if !fillQ[c] || !fillA[c] {
-			t.Errorf("control component %d: query side marked %v, ad side %v; want both", c, fillQ[c], fillA[c])
+	fill := in.willFill(2, 2, new([]uint64))
+	for c, f := range fill {
+		if !f {
+			t.Errorf("control component %d not marked", c)
 		}
 	}
-	if len(fillQ) != 3 {
-		t.Fatalf("control has %d components, want 3", len(fillQ))
+	if len(fill) != 3 {
+		t.Fatalf("control has %d components, want 3", len(fill))
 	}
 }
 
 // TestWillFillMatchesScores holds willFill to the scores it predicts:
 // without pruning, a one-iteration run puts the query side at depth 1 and
-// the ad side at depth 2, and a component side of two nodes or more is
-// marked exactly when those scores fit a block — on clusters of every
-// density, with zero walk factors, in the simple and the weighted walk.
+// the ad side at depth 2, and a component is marked exactly when both
+// sides' scores fit a block (a side of one node or none always does) — on
+// clusters of every density, with zero walk factors, in the simple and
+// the weighted walk; some components with a side of two nodes or more are
+// marked, and some are not.
 func TestWillFillMatchesScores(t *testing.T) {
 	graphs := map[string]*clickgraph.Graph{
 		"mixed":  mixedDensityGraph(),
@@ -419,36 +467,37 @@ func TestWillFillMatchesScores(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := newPassInputs(g, cfg)
-			fillQ, fillA := in.willFill(1, 2, new([]uint64))
-			for _, side := range []struct {
-				name string
-				idx  *memberIndex
-				f    *sparse.PairFrontier
-				fill []bool
-			}{{"query", in.qIdx, toLayout(in.qIdx, res.QueryScores), fillQ}, {"ad", in.aIdx, toLayout(in.aIdx, res.AdScores), fillA}} {
-				for c, fill := range side.fill {
-					lo, hi := side.idx.span(int32(c))
-					pairs := 0
-					for x := lo; x < hi; x++ {
-						cols, _ := side.f.Row(x)
-						pairs += len(cols)
-					}
-					if want := hi-lo > 1 && blockFits(hi-lo, 2*pairs); fill != want {
-						t.Errorf("%s/%v: %s side of component %d (%d nodes, %d pairs) marked %v, its scores fit a block: %v",
-							name, variant, side.name, c, hi-lo, pairs, fill, want)
-					}
-					if fill {
-						marked++
-					} else if hi-lo > 1 {
-						unmarked++
-					}
+			qs, as := toLayout(in.qIdx, res.QueryScores), toLayout(in.aIdx, res.AdScores)
+			for c, fill := range in.willFill(1, 2, new([]uint64)) {
+				ql, qh := in.qIdx.span(int32(c))
+				al, ah := in.aIdx.span(int32(c))
+				qp, ap := 0, 0
+				for x := ql; x < qh; x++ {
+					cols, _ := qs.Row(x)
+					qp += len(cols)
+				}
+				for x := al; x < ah; x++ {
+					cols, _ := as.Row(x)
+					ap += len(cols)
+				}
+				if want := blockFits(qh-ql, 2*qp) && blockFits(ah-al, 2*ap); fill != want {
+					t.Errorf("%s/%v: component %d (%d queries, %d pairs; %d ads, %d pairs) marked %v, its scores fit blocks: %v",
+						name, variant, c, qh-ql, qp, ah-al, ap, fill, want)
+				}
+				if qh-ql < 2 && ah-al < 2 {
+					continue
+				}
+				if fill {
+					marked++
+				} else {
+					unmarked++
 				}
 			}
 		}
 	}
-	t.Logf("%d component sides marked, %d of two nodes or more not", marked, unmarked)
+	t.Logf("%d components with a side of two nodes or more marked, %d not", marked, unmarked)
 	if marked == 0 || unmarked == 0 {
-		t.Fatal("every component side is marked or none is: the test tells nothing apart")
+		t.Fatal("every component is marked or none is: the test tells nothing apart")
 	}
 }
 

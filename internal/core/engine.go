@@ -26,15 +26,16 @@ import (
 // for each p > x the gathered u can reach, and emit the row in ascending
 // order straight into a sparse.PairFrontier (per-row sorted storage, no
 // hashing and no sorting anywhere); the weighted dot product also counts
-// |E(x) ∩ E(p)|, the one input of the pair's evidence. Where a side's
-// scores in a component are dense enough to fit a square block, they are
-// kept as that block from pass to pass, and the opposite side's pass
-// computes the component as two dense products over it — the gather
-// U = W·S and the pull T = U·Wᵀ, a strip of rows at a time — into its own
-// block, in the row path's summation order cell for cell, so the two
-// paths' scores are the same bits. Work stays proportional to the nonzero
-// structure the click graph actually has, and the frontiers and blocks
-// are reused across iterations, so steady-state passes barely allocate.
+// |E(x) ∩ E(p)|, the one input of the pair's evidence. Where both sides'
+// scores in a component are dense enough to fit square blocks, the
+// component is held as a block on each side from pass to pass, and each
+// pass computes it as two dense products over the opposite side's block —
+// the gather U = W·S and the pull T = U·Wᵀ, a strip of rows at a time —
+// into its own block, in the row path's summation order cell for cell, so
+// the two paths' scores are the same bits. Work stays proportional to the
+// nonzero structure the click graph actually has, and the frontiers and
+// blocks are reused across iterations, so steady-state passes barely
+// allocate.
 func Run(g *clickgraph.Graph, cfg Config) (*Result, error) {
 	return runEngine(g, cfg, 1, nil, nil)
 }
@@ -207,13 +208,13 @@ func (m *memberIndex) emit(dst, f *sparse.PairFrontier, ids []int) {
 }
 
 // candidates is one pass's plan: for every component of this side, which
-// path computes its rows. A component whose opposite-side scores are a
-// square score block (block[c]) takes the block path (blockPass): its rows
-// are computed a strip at a time as two dense products over the block. Any
-// other takes the row path: each row gathers from the opposite side's
-// expansion sym, listing the cells it touches, and evaluates the union of
-// E(j) over the j it touched (spa.reach), which leaves out the members x
-// cannot reach. A member left out scores exactly zero — each of its
+// path computes its rows. A component held as blocks takes the block path
+// (blockPass) over the opposite side's block (block[c]): its rows are
+// computed a strip at a time as two dense products over it, into this
+// side's block. Any other takes the row path: each row gathers from the
+// opposite side's expansion sym, listing the cells it touches, and
+// evaluates the union of E(j) over the j it touched (spa.reach), which
+// leaves out the members x cannot reach. A member left out scores exactly zero — each of its
 // dot-product terms reads a u(j) the gather never touched — and the block
 // path adds each cell's terms in the order the row path does (the zeros it
 // adds besides change nothing), so both paths give the same rows bit for
@@ -296,21 +297,18 @@ func (p *slabPool[T]) take(n int) []T {
 	return p.chunks[p.ci][:n:n]
 }
 
-// denseScores is one side's components whose scores are held as m × m
-// blocks across a run. A component enters the block form when its rows
-// fit a block (admit, by blockFits) or from the identity when its reach
-// says they will by the second depth (willFill), and the block path then
-// updates the block in place, so the opposite side's next pass gathers
-// from it as it stands: the rows are written out only when the row path
-// must read them (toRows) and when the run ends. The iterates never lose
-// a pair — each score is a nonnegative sum over scores that only grow
-// with depth, and pruning and the delta skip keep that order — so a
-// block, once it fits, fits for the rest of the run.
+// denseScores is one side's scores in the components held as m × m
+// blocks across a run. A component is a block on both sides or on
+// neither: it enters the block form on both at once (admit), and the
+// block path then updates each side's block in place, so the opposite
+// side's next pass gathers from it as it stands; the rows are written out
+// when the run ends (toRows). The iterates never lose a pair — each score
+// is a nonnegative sum over scores that only grow with depth, and pruning
+// and the delta skip keep that order — so a block, once it fits, fits for
+// the rest of the run, and no component leaves the block form before the
+// run ends.
 type denseScores struct {
-	blk []heldBlock
-	// fill marks the components willFill admits whatever their rows hold
-	// (nil: none).
-	fill []bool
+	blk [][]float64 // per component: its m × m block, or nil while in rows
 	// fac holds, Weighted only, each component's pair factors
 	// (pullKernel.pairFactors), and ops its operands
 	// (pullKernel.operands), both built the first time the block path
@@ -321,66 +319,65 @@ type denseScores struct {
 	at   *slabPool[int32] // the operands' rows
 }
 
-// heldBlock is one component's block: live while the component is in
-// the block form, and its memory, kept for a re-admission.
-type heldBlock struct {
-	live, mem []float64
-}
-
 func newDenseScores(comps int, pool *slabPool[float64], at *slabPool[int32]) denseScores {
-	return denseScores{blk: make([]heldBlock, comps), fac: make([][]float64, comps), ops: make([]operands, comps), pool: pool, at: at}
+	return denseScores{blk: make([][]float64, comps), fac: make([][]float64, comps), ops: make([]operands, comps), pool: pool, at: at}
 }
 
-// admit moves every component of f still in rows whose rows fit a block,
-// or that fill marks, into the block form, emptying its rows.
-func (d *denseScores) admit(idx *memberIndex, f *sparse.PairFrontier) {
-	for c := range d.blk {
-		b := &d.blk[c]
-		if b.live != nil {
-			continue
+// admit moves every component still in rows into the block form on both
+// sides, q's and a's, from their newest rows, emptying those rows: where
+// fill marks it (nil: none), or where both sides' rows fit a block
+// (blockFits). The test reads both sides alike, so q and a may come in
+// either order.
+func admit(q, a *chainSide, fill []bool) {
+	for c := range q.dense.blk {
+		if q.dense.blk[c] == nil && (fill != nil && fill[c] || q.fits(c) && a.fits(c)) {
+			q.hold(c)
+			a.hold(c)
 		}
-		lo, hi := idx.span(int32(c))
-		m := hi - lo
-		if d.fill == nil || !d.fill[c] {
-			pairs := 0
-			for x := lo; x < hi; x++ {
-				cols, _ := f.Row(x)
-				pairs += len(cols)
-			}
-			if !blockFits(m, 2*pairs) {
-				continue
-			}
-		}
-		if b.mem == nil {
-			b.mem = d.pool.take(m * m)
-		}
-		fillBlock(b.mem, f, lo, hi)
-		for x := lo; x < hi; x++ {
-			f.SetSortedRow(x, nil, nil)
-		}
-		b.live = b.mem
 	}
 }
 
+// fits reports whether s's newest rows in component c fit a block.
+func (s *chainSide) fits(c int) bool {
+	lo, hi := s.idx.span(int32(c))
+	pairs := 0
+	for x := lo; x < hi; x++ {
+		cols, _ := s.prev.Row(x)
+		pairs += len(cols)
+	}
+	return blockFits(hi-lo, 2*pairs)
+}
+
+// hold moves component c of s's newest rows into a block.
+func (s *chainSide) hold(c int) {
+	lo, hi := s.idx.span(int32(c))
+	blk := s.dense.pool.take((hi - lo) * (hi - lo))
+	fillBlock(blk, s.prev, lo, hi)
+	for x := lo; x < hi; x++ {
+		s.prev.SetSortedRow(x, nil, nil)
+	}
+	s.dense.blk[c] = blk
+}
+
 // reachNodes bounds the component sides willFill measures: its bitsets
-// take a few m × m_opp bits, and a side above it is held to blockFits
-// alone.
+// take a few m × m_opp bits, and a component with a side above it is
+// admitted by blockFits alone.
 const reachNodes = 1024
 
-// willFill marks, for each component, whether the query side's and the ad
-// side's scores fill a block (blockFits) within the first two depths the
-// run computes for them, at most maxQ and maxA, so that holding them as
+// willFill marks the components whose query side's and ad side's scores
+// both fill a block (blockFits) within the first two depths the run
+// computes for them, at most maxQ and maxA, so that holding them as
 // blocks from the identity takes no more memory than the block form
 // later would and every pass gathers by the block path. It counts the
 // pairs of the observed reach: two hops — the nodes that share a
 // neighbour, the pattern of depth-1 scores — and, at depth 2, the nodes
 // two hops from the opposite side's two-hop reach. The hops follow the
 // walk's nonzero factors, so the pattern bounds the scores' own, which
-// pruning only thins. A side of one node is left to admit, which holds
-// it from the identity already. buf is scratch.
-func (in *passInputs) willFill(maxQ, maxA int, buf *[]uint64) (fillQ, fillA []bool) {
+// pruning only thins. A side of one node or none counts as full: its
+// block holds no pair. buf is scratch.
+func (in *passInputs) willFill(maxQ, maxA int, buf *[]uint64) []bool {
 	comps := len(in.qIdx.bounds) - 1
-	fillQ, fillA = make([]bool, comps), make([]bool, comps)
+	fill := make([]bool, comps)
 	for c := int32(0); c < int32(comps); c++ {
 		ql, qh := in.qIdx.span(c)
 		al, ah := in.aIdx.span(c)
@@ -389,10 +386,9 @@ func (in *passInputs) willFill(maxQ, maxA int, buf *[]uint64) (fillQ, fillA []bo
 		}
 		q := reachSide{lo: ql, hi: qh, nbr: in.qNbr, w: in.qW}
 		a := reachSide{lo: al, hi: ah, nbr: in.aNbr, w: in.aW}
-		fillQ[c] = q.fills(a, maxQ, buf)
-		fillA[c] = a.fills(q, maxA, buf)
+		fill[c] = q.fills(a, maxQ, buf) && a.fills(q, maxA, buf)
 	}
-	return fillQ, fillA
+	return fill
 }
 
 // reachSide is one side of a component for willFill: its nodes [lo, hi),
@@ -423,7 +419,10 @@ func (s reachSide) owners(opp reachSide, words int, bits []uint64) {
 // fills reports whether s's scores fill a block by depth d (at most 2).
 func (s reachSide) fills(opp reachSide, d int, buf *[]uint64) bool {
 	m, mo := s.hi-s.lo, opp.hi-opp.lo
-	if m < 2 || d < 1 {
+	if m < 2 {
+		return true // no pair to store
+	}
+	if d < 1 {
 		return false
 	}
 	ws, wo := (m+63)/64, (mo+63)/64
@@ -478,10 +477,10 @@ func onesCount(ws []uint64) int {
 }
 
 // toRows writes component c's block into f's rows, each row the block's
-// nonzero cells above the diagonal, and returns the component to rows.
+// nonzero cells above the diagonal.
 func (d *denseScores) toRows(c int, idx *memberIndex, f *sparse.PairFrontier, sp *spa) {
 	lo, hi := idx.span(int32(c))
-	m, blk := hi-lo, d.blk[c].live
+	m, blk := hi-lo, d.blk[c]
 	for x := lo; x < hi; x++ {
 		xl := x - lo
 		rowC, rowV := sp.rowC[:0], sp.rowV[:0]
@@ -494,7 +493,6 @@ func (d *denseScores) toRows(c int, idx *memberIndex, f *sparse.PairFrontier, sp
 		sp.rowC, sp.rowV = rowC, rowV
 		f.SetSortedRow(x, rowC, rowV)
 	}
-	d.blk[c].live = nil
 }
 
 // engineArena is the reusable allocation state of one engine run:
@@ -594,10 +592,10 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 // Iterations+1 passes — every score an exact iterate of the paper's
 // recursion, where computing both sides from the previous iteration
 // (Jacobi order, as the dense reference does) spends 2·Iterations passes on two
-// independent chains. Each side keeps a component's scores as a block
-// once they fit one, or from the identity where its reach says they will
-// by the second depth (denseScores), updated in place by every pass, and
-// the rest as sparse rows in two ping-pong frontiers: cur is reset,
+// independent chains. A component is held as a block on both sides once
+// both sides' scores fit one, or from the identity where its reach says
+// they will by the second depth (denseScores), updated in place by every
+// pass; the rest stay sparse rows in two ping-pong frontiers: cur is reset,
 // filled row by row from the opposite side's newest scores (expanded
 // once per pass where a row-path component gathers), and swapped in.
 //
@@ -644,17 +642,15 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, ou
 		q.chg, a.chg = arenaBitset(&ar.chgQ, nq), arenaBitset(&ar.chgA, na)
 	}
 	if !cfg.noBlocks {
-		// The identity: a component with one node fits a block already, and
-		// one whose reach fills it by the second depth is held from here.
-		// Strict evidence stores no pair without a common neighbour, so its
-		// scores keep the two-hop pattern at every depth.
+		// The identity: a component whose reach fills both sides by the
+		// second depth is held from here. Strict evidence stores no pair
+		// without a common neighbour, so its scores keep the two-hop
+		// pattern at every depth.
 		maxQ, maxA := min(cfg.Iterations, 2), min(cfg.Iterations+1, 2)
 		if cfg.StrictEvidence && cfg.Variant != Simple {
 			maxQ, maxA = min(maxQ, 1), 1
 		}
-		q.dense.fill, a.dense.fill = in.willFill(maxQ, maxA, &ar.reach)
-		q.dense.admit(q.idx, q.prev)
-		a.dense.admit(a.idx, a.prev)
+		admit(q, a, in.willFill(maxQ, maxA, &ar.reach))
 	}
 
 	depth := 0
@@ -682,7 +678,7 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, ou
 
 	for _, s := range []*chainSide{q, a} {
 		for c := range s.dense.blk {
-			if s.dense.blk[c].live != nil {
+			if s.dense.blk[c] != nil {
 				s.dense.toRows(c, s.idx, s.prev, spas[0])
 			}
 		}
@@ -711,9 +707,9 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, ou
 }
 
 // chainSide is one side of the engine's chain: its newest scores — blocks
-// where they fit, sparse rows elsewhere — the scratch frontier its next
-// pass fills, the expansion and change marks the opposite side's pass
-// reads, and its kernel's per-run inputs.
+// in the components held as blocks, sparse rows elsewhere — the scratch
+// frontier its next pass fills, the expansion and change marks the
+// opposite side's pass reads, and its kernel's per-run inputs.
 type chainSide struct {
 	prev, cur *sparse.PairFrontier // prev holds the newest rows
 	sym       *sparse.SymAdj       // prev expanded for the opposite pass, when one reads it
@@ -734,9 +730,9 @@ type chainSide struct {
 
 // pass computes s's next value from opp's newest scores and returns how
 // many rows the delta skip copied forward. A component that gathers takes
-// the block path where opp holds it as a block, and the row path
-// elsewhere, over rows on both sides: a component s holds as a block is
-// written out to its rows first and admitted again after.
+// the block path where it is held as blocks and the row path elsewhere;
+// after the pass, the components whose newest rows now fit blocks on both
+// sides are admitted.
 func (s *chainSide) pass(opp *chainSide, cfg Config, workers int, spas []*spa) int {
 	var skip *sparse.Bitset // nil recomputes every row
 	if s.computed {
@@ -749,14 +745,11 @@ func (s *chainSide) pass(opp *chainSide, cfg Config, workers int, spas []*spa) i
 		if !anyMarked(skip, lo, hi) {
 			continue // each row is copied forward or has no neighbors
 		}
-		if blk := opp.dense.blk[c].live; blk != nil {
+		if blk := opp.dense.blk[c]; blk != nil {
 			s.block[c] = blk
 			continue
 		}
 		expand = true
-		if s.dense.blk[c].live != nil {
-			s.dense.toRows(c, s.idx, s.prev, spas[0])
-		}
 	}
 	cand := candidates{idx: s.idx, opp: opp.idx, block: s.block}
 	if expand {
@@ -774,11 +767,11 @@ func (s *chainSide) pass(opp *chainSide, cfg Config, workers int, spas []*spa) i
 	if s.chg != nil || cfg.Tolerance > 0 {
 		s.diff = max(diff, s.cur.MaxAbsDiffChanged(s.prev, cfg.DeltaSkipTolerance, s.chg))
 	}
-	if !cfg.noBlocks {
-		s.dense.admit(s.idx, s.cur)
-	}
 	s.prev, s.cur = s.cur, s.prev
 	s.computed = true
+	if !cfg.noBlocks {
+		admit(s, opp, nil)
+	}
 	return skipped
 }
 
@@ -795,12 +788,11 @@ type pullKernel struct {
 
 // pass computes every row of one side from the opposite side's scores as
 // cand plans them: the row path's components into dst (rowPass), the
-// block path's into their blocks where sink holds one and into dst
-// elsewhere (blockPass). It returns how many rows the delta skip copied
-// forward and the largest change of a block cell.
+// block path's into sink's blocks (blockPass). It returns how many rows
+// the delta skip copied forward and the largest change of a block cell.
 func (k pullKernel) pass(cand candidates, sink *blockSink, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) (skipped int, diff float64) {
 	skipped = k.rowPass(cand, dst, prev, changed, workers, spas)
-	s, diff := k.blockPass(cand, sink, dst, prev, changed, workers, spas)
+	s, diff := k.blockPass(cand, sink, changed, workers, spas)
 	return skipped + s, diff
 }
 
@@ -1117,11 +1109,11 @@ func (k pullKernel) rowPass(cand candidates, dst, prev *sparse.PairFrontier, cha
 // output cells stay cache-resident while the pull sweeps them.
 const stripWidth = 64
 
-// blockSink is where the block path writes: a component this side holds
-// as a block (dense) in place, pruned below eps, diffed against the cells
+// blockSink is where the block path writes: this side's block of the
+// component (dense) in place, pruned below eps, diffed against the cells
 // it overwrites, with both nodes of every pair that moved more than tol
-// marked in chg (nil: no marks); any other as rows. Weighted, dense also
-// keeps each component's pair factors.
+// marked in chg (nil: no marks). dense also keeps each component's
+// operands and, Weighted, its pair factors.
 type blockSink struct {
 	dense    *denseScores
 	eps, tol float64
@@ -1162,14 +1154,13 @@ type stripTask struct {
 
 // blockPass computes the rows of every component cand holds the opposite
 // side's block for, a strip of stripWidth rows at a time (pullKernel.strip),
-// into the component's own block where sink holds one and into dst rows
-// elsewhere. It returns how many rows the delta
-// skip copied forward and the largest change of a block cell. With
+// into the component's own block in sink. It returns how many rows the
+// delta skip copied forward and the largest change of a block cell. With
 // workers > 1 the strips are split into contiguous ranges weighted by
 // expected work; a strip writes only its own rows' cells (both halves of
 // each of its pairs), so the strips need no locks, and each worker's
 // change marks are merged after.
-func (k pullKernel) blockPass(cand candidates, sink *blockSink, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) (skipped int, diff float64) {
+func (k pullKernel) blockPass(cand candidates, sink *blockSink, changed *sparse.Bitset, workers int, spas []*spa) (skipped int, diff float64) {
 	var tasks []stripTask
 	var weights []int
 	for c, blk := range cand.block {
@@ -1193,7 +1184,7 @@ func (k pullKernel) blockPass(cand candidates, sink *blockSink, dst, prev *spars
 	chg := sink.chg
 	if workers = min(workers, len(tasks)); workers <= 1 {
 		for _, t := range tasks {
-			s, d := k.strip(spas[0], cand, t, sink, chg, dst, prev, changed)
+			s, d := k.strip(spas[0], cand, t, sink, chg, changed)
 			skipped, diff = skipped+s, max(diff, d)
 		}
 		return skipped, diff
@@ -1211,7 +1202,7 @@ func (k pullKernel) blockPass(cand candidates, sink *blockSink, dst, prev *spars
 		go func(wk int) {
 			defer wg.Done()
 			for _, t := range tasks[bounds[wk]:bounds[wk+1]] {
-				s, d := k.strip(sp, cand, t, sink, mark, dst, prev, changed)
+				s, d := k.strip(sp, cand, t, sink, mark, changed)
 				skips[wk], diffs[wk] = skips[wk]+s, max(diffs[wk], d)
 			}
 		}(wk)
@@ -1241,18 +1232,17 @@ func (k pullKernel) blockPass(cand candidates, sink *blockSink, dst, prev *spars
 //     every cell at once.
 //
 // A computed cell is then scaled as the row path scales it — ev[n]·c from
-// the component's pair factors, or c/(|E(x)|·|E(p)|) — and written: into
-// the block sink (pruned and diffed in place, both halves, a run of
-// computed rows at a time), or into dst as row x, its zeros dropped. A row
-// the delta skip copies forward is not gathered, and its cells keep their
-// value (the block) or are copied from prev (dst).
-func (k pullKernel) strip(sp *spa, cand candidates, t stripTask, sink *blockSink, mark *sparse.Bitset, dst, prev *sparse.PairFrontier, changed *sparse.Bitset) (skipped int, diff float64) {
+// the component's pair factors, or c/(|E(x)|·|E(p)|) — and written into
+// this side's block, pruned and diffed in place, both halves, a run of
+// computed rows at a time. A row the delta skip copies forward is not
+// gathered, and its cells keep their value.
+func (k pullKernel) strip(sp *spa, cand candidates, t stripTask, sink *blockSink, mark, changed *sparse.Bitset) (skipped int, diff float64) {
 	const B = stripWidth
 	lo, hi := cand.idx.span(t.c)
 	olo, ohi := cand.opp.span(t.c)
 	m, mo := hi-lo, ohi-olo
 	S := cand.block[t.c]
-	own, fac, ops := sink.dense.blk[t.c].live, sink.dense.fac[t.c], sink.dense.ops[t.c]
+	own, fac, ops := sink.dense.blk[t.c], sink.dense.fac[t.c], sink.dense.ops[t.c]
 	kn := kernels()
 	st := &sp.strip
 	skip := grown(&st.skip, t.x1-t.x0)
@@ -1260,9 +1250,6 @@ func (k pullKernel) strip(sp *spa, cand candidates, t stripTask, sink *blockSink
 	for x := t.x0; x < t.x1; x++ {
 		if skip[x-t.x0] = unchanged(k.thisNbr[x], changed); skip[x-t.x0] {
 			skipped++
-			if own == nil {
-				dst.CopyRowFrom(prev, x)
-			}
 			continue
 		}
 		a, b = min(a, x), x+1
@@ -1295,80 +1282,50 @@ func (k pullKernel) strip(sp *spa, cand candidates, t stripTask, sink *blockSink
 		kn.sumRows(cell[(p-lo)*B+ra:][:min(b, p)-a], ut[ra:], B, f, at)
 	}
 
-	if own != nil {
-		// runs lists the computed rows as [start, end) runs, strip-relative.
-		runs := st.runs[:0]
-		for r := ra; r < rb; r++ {
-			if skip[r] {
-				continue
-			}
-			if n := len(runs); n > 0 && runs[n-1] == r {
-				runs[n-1] = r + 1
-			} else {
-				runs = append(runs, r, r+1)
-			}
+	// runs lists the computed rows as [start, end) runs, strip-relative.
+	runs := st.runs[:0]
+	for r := ra; r < rb; r++ {
+		if skip[r] {
+			continue
 		}
-		st.runs = runs
-		dx := grown(&st.dx, B)
-		for r := ra; r < rb; r++ {
-			dx[r] = float64(len(k.thisNbr[t.x0+r]))
-		}
-		var moved uint64
-		for p := a + 1; p < hi; p++ {
-			pl := p - lo
-			tp, row := cell[pl*B:(pl+1)*B], own[pl*m:(pl+1)*m]
-			dp := float64(len(k.thisNbr[p]))
-			var pm uint64
-			for n := 0; n < len(runs); n += 2 {
-				r0, r1 := runs[n], min(runs[n+1], p-t.x0)
-				if r0 >= r1 {
-					break
-				}
-				xl := t.x0 + r0 - lo
-				var fp []float64 // the runs' pair factors, Weighted only
-				if fac != nil {
-					fp = fac[pl*(pl-1)/2+xl:][:r1-r0]
-				}
-				mv, d := kn.sink(tp[r0:r1], row[xl:xl+r1-r0], own[xl*m+pl:], m, fp, dx[r0:r1], k.c, dp, sink.eps, sink.tol)
-				pm, diff = pm|mv<<r0, max(diff, d)
-			}
-			if pm != 0 && mark != nil {
-				mark.Set(p)
-			}
-			moved |= pm
-		}
-		for ; moved != 0 && mark != nil; moved &= moved - 1 {
-			mark.Set(t.x0 + bits.TrailingZeros64(moved))
-		}
-	} else {
-		for x := a; x < b; x++ {
-			r, xl := x-t.x0, x-lo
-			if skip[r] {
-				continue
-			}
-			rowC, rowV := sp.rowC[:0], sp.rowV[:0]
-			dx := float64(len(k.thisNbr[x]))
-			for p := x + 1; p < hi; p++ {
-				pl := p - lo
-				var v float64
-				if fac != nil {
-					v = fac[pl*(pl-1)/2+xl] * cell[pl*B+r]
-				} else {
-					v = k.c * cell[pl*B+r] / (dx * float64(len(k.thisNbr[p])))
-				}
-				if v != 0 {
-					rowC = append(rowC, int32(p))
-					rowV = append(rowV, v)
-				}
-			}
-			sp.rowC, sp.rowV = rowC, rowV
-			dst.SetSortedRow(x, rowC, rowV)
+		sp.cells += hi - 1 - (t.x0 + r)
+		if n := len(runs); n > 0 && runs[n-1] == r {
+			runs[n-1] = r + 1
+		} else {
+			runs = append(runs, r, r+1)
 		}
 	}
-	for x := a; x < b; x++ {
-		if !skip[x-t.x0] {
-			sp.cells += hi - 1 - x
+	st.runs = runs
+	dx := grown(&st.dx, B)
+	for r := ra; r < rb; r++ {
+		dx[r] = float64(len(k.thisNbr[t.x0+r]))
+	}
+	var moved uint64
+	for p := a + 1; p < hi; p++ {
+		pl := p - lo
+		tp, row := cell[pl*B:(pl+1)*B], own[pl*m:(pl+1)*m]
+		dp := float64(len(k.thisNbr[p]))
+		var pm uint64
+		for n := 0; n < len(runs); n += 2 {
+			r0, r1 := runs[n], min(runs[n+1], p-t.x0)
+			if r0 >= r1 {
+				break
+			}
+			xl := t.x0 + r0 - lo
+			var fp []float64 // the runs' pair factors, Weighted only
+			if fac != nil {
+				fp = fac[pl*(pl-1)/2+xl:][:r1-r0]
+			}
+			mv, d := kn.sink(tp[r0:r1], row[xl:xl+r1-r0], own[xl*m+pl:], m, fp, dx[r0:r1], k.c, dp, sink.eps, sink.tol)
+			pm, diff = pm|mv<<r0, max(diff, d)
 		}
+		if pm != 0 && mark != nil {
+			mark.Set(p)
+		}
+		moved |= pm
+	}
+	for ; moved != 0 && mark != nil; moved &= moved - 1 {
+		mark.Set(t.x0 + bits.TrailingZeros64(moved))
 	}
 	return skipped, diff
 }

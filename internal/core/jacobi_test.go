@@ -149,10 +149,12 @@ func pullSide(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sy
 	return s.pass(cfg, plannedCandidates(s, opp, sym, changed), dst, prev, changed, workers, spas)
 }
 
-// plannedCandidates returns side s's plan as the engine's chain makes it
-// from the opposite side's scores opp, with sym as their expansion: a
-// component that gathers takes the block path when opp's rows in it fit a
-// block (the chain holds exactly those as blocks), the row path otherwise.
+// plannedCandidates returns side s's plan from the opposite side's scores
+// opp, with sym as their expansion, by the density test on opp's side
+// alone: a component that gathers takes the block path when opp's rows in
+// it fit a block, the row path otherwise. The chain asks both sides' rows
+// to fit (admit) and holds willFill's components from the identity; either
+// path gives the same bits, so the plan moves only the cost.
 func plannedCandidates(s sideInputs, opp *sparse.PairFrontier, sym *sparse.SymAdj, changed *sparse.Bitset) candidates {
 	block := make([][]float64, len(s.idx.bounds)-1)
 	for c := range block {
@@ -184,23 +186,42 @@ func (s sideInputs) pass(cfg Config, cand candidates, dst, prev *sparse.PairFron
 // thisNbr maps this side's nodes to opposite-side neighbors, oppNbr the
 // reverse. It returns how many rows the delta skip copied forward.
 func simplePass(thisNbr, oppNbr [][]int, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
-	skipped, _ := pullKernel{thisNbr: thisNbr, oppNbr: oppNbr, c: c}.pass(cand, rowSink(cand), dst, prev, changed, workers, spas)
-	return skipped
+	return rowsPass(pullKernel{thisNbr: thisNbr, oppNbr: oppNbr, c: c}, cand, dst, prev, changed, workers, spas)
 }
 
-// rowSink is a block sink holding no block: the block path writes every
-// component it computes into dst rows, as the row path does.
-func rowSink(cand candidates) *blockSink {
-	d := newDenseScores(len(cand.idx.bounds)-1, &slabPool[float64]{}, &slabPool[int32]{})
-	return &blockSink{dense: &d}
+// rowsPass runs k over cand's plan with every row landing in dst, as a
+// loop that keeps its scores in rows needs: each block-path component is
+// given a block of this side's scores filled from prev (from no pairs
+// where prev is nil), the block path updates it in place — a row the
+// delta skip copies forward keeps prev's cells — and it is written to
+// dst's rows after the pass (toRows).
+func rowsPass(k pullKernel, cand candidates, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+	d := newDenseScores(len(cand.block), &slabPool[float64]{}, &slabPool[int32]{})
+	from := prev
+	if from == nil {
+		from = sparse.NewPairFrontier(len(k.thisNbr))
+	}
+	for c, blk := range cand.block {
+		if blk != nil {
+			lo, hi := cand.idx.span(int32(c))
+			d.blk[c] = make([]float64, (hi-lo)*(hi-lo))
+			fillBlock(d.blk[c], from, lo, hi)
+		}
+	}
+	skipped, _ := k.pass(cand, &blockSink{dense: &d}, dst, prev, changed, workers, spas)
+	for c, blk := range d.blk {
+		if blk != nil {
+			d.toRows(c, cand.idx, dst, spas[0])
+		}
+	}
+	return skipped
 }
 
 // weightedPass is simplePass for weighted SimRank: w holds this side's
 // forward factor rows and ev the evidence multiplier by common-neighbor
 // count.
 func weightedPass(thisNbr, oppNbr [][]int, w [][]float64, ev []float64, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
-	skipped, _ := pullKernel{thisNbr: thisNbr, oppNbr: oppNbr, w: w, ev: ev, c: c}.pass(cand, rowSink(cand), dst, prev, changed, workers, spas)
-	return skipped
+	return rowsPass(pullKernel{thisNbr: thisNbr, oppNbr: oppNbr, w: w, ev: ev, c: c}, cand, dst, prev, changed, workers, spas)
 }
 
 // forcedCandidates returns side s's plan with every component forced down
