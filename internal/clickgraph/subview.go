@@ -2,7 +2,6 @@ package clickgraph
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -31,7 +30,14 @@ type Subview struct {
 // what survived, no maps on the edge path — and carries no name maps
 // until its first QueryID or AdID, so carving many shards out of a large
 // graph stays cheap.
-func NewSubview(g *Graph, queryIDs, adIDs []int) (*Subview, error) {
+//
+// adLocal translates an edge's ad to its local id: a table over g's ads
+// in which every ad of the view holds its position in the view's ascending
+// ad list, the ads of other views anything else. The views of a partition
+// share one (each ad lies in one view: core.RunSharded builds it once from
+// the plan), so a carve allocates in proportion to its view alone; nil
+// builds one for this view, sized to g's ads.
+func NewSubview(g *Graph, queryIDs, adIDs []int, adLocal []int32) (*Subview, error) {
 	qSel, err := checkIDs(queryIDs, g.NumQueries(), "query")
 	if err != nil {
 		return nil, err
@@ -40,24 +46,35 @@ func NewSubview(g *Graph, queryIDs, adIDs []int) (*Subview, error) {
 	if err != nil {
 		return nil, err
 	}
+	if adLocal == nil {
+		adLocal = make([]int32, g.NumAds())
+		for la, a := range aSel {
+			adLocal[a] = int32(la)
+		}
+	}
+	if len(adLocal) != g.NumAds() {
+		return nil, fmt.Errorf("clickgraph: ad table of %d ids for %d ads", len(adLocal), g.NumAds())
+	}
 	queries, ads := make([]string, len(qSel)), make([]string, len(aSel))
 	maxEdges := 0
 	for i, q := range qSel {
 		queries[i] = g.queries[q]
 		maxEdges += g.QueryDegree(q)
 	}
-	for i, a := range aSel {
-		ads[i] = g.ads[a]
+	for la, a := range aSel {
+		if adLocal[a] != int32(la) {
+			return nil, fmt.Errorf("clickgraph: ad table gives ad %d local id %d, not its position %d in the view", a, adLocal[a], la)
+		}
+		ads[la] = g.ads[a]
 	}
-	// Global→local ad translation is a binary search of the sorted aSel —
-	// no scratch sized to the parent's ad side, so carving many shards out
-	// of a large graph allocates in proportion to the shards alone. Parent
+	// An edge survives when its ad's local id names that ad in aSel. Parent
 	// rows ascend and local ids preserve their order, so the table comes
 	// out in (query, ad) order without sorting.
 	sub := newGraph(queries, ads, maxEdges)
 	for i, q := range qSel {
 		for p := g.qPtr[q]; p < g.qPtr[q+1]; p++ {
-			if la, ok := slices.BinarySearch(aSel, g.ad[p]); ok {
+			a := g.ad[p]
+			if la := int(adLocal[a]); la >= 0 && la < len(aSel) && aSel[la] == a {
 				sub.appendEdge(la, g.weightsAt(p))
 			}
 		}

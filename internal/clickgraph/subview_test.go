@@ -44,7 +44,7 @@ func TestSubviewMatchesInducedSubgraph(t *testing.T) {
 	queryIDs := []int{0, 2, 3, 7, 8, 11, 12, 19}
 	adIDs := []int{1, 2, 5, 6, 9, 14}
 	want := g.InducedSubgraph(queryIDs, adIDs)
-	view, err := NewSubview(g, queryIDs, adIDs)
+	view, err := NewSubview(g, queryIDs, adIDs, nil)
 	if err != nil {
 		t.Fatalf("NewSubview: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestSubviewMatchesInducedSubgraph(t *testing.T) {
 func TestSubviewIDMapping(t *testing.T) {
 	g := subviewRandomGraph(9, 12, 10, 50)
 	// Deliberately unsorted with a duplicate: NewSubview must sort+dedupe.
-	view, err := NewSubview(g, []int{7, 1, 4, 1}, []int{9, 0, 3})
+	view, err := NewSubview(g, []int{7, 1, 4, 1}, []int{9, 0, 3}, nil)
 	if err != nil {
 		t.Fatalf("NewSubview: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestSubviewWholeGraph(t *testing.T) {
 		}
 		return out
 	}
-	view, err := NewSubview(g, all(g.NumQueries()), all(g.NumAds()))
+	view, err := NewSubview(g, all(g.NumQueries()), all(g.NumAds()), nil)
 	if err != nil {
 		t.Fatalf("NewSubview: %v", err)
 	}
@@ -124,18 +124,20 @@ func TestSubviewWholeGraph(t *testing.T) {
 
 func TestSubviewRejectsOutOfRange(t *testing.T) {
 	g := subviewRandomGraph(4, 5, 5, 10)
-	if _, err := NewSubview(g, []int{0, 5}, nil); err == nil {
+	if _, err := NewSubview(g, []int{0, 5}, nil, nil); err == nil {
 		t.Error("accepted out-of-range query id")
 	}
-	if _, err := NewSubview(g, nil, []int{-1}); err == nil {
+	if _, err := NewSubview(g, nil, []int{-1}, nil); err == nil {
 		t.Error("accepted negative ad id")
 	}
 }
 
 // TestSubviewAllocationIndependentOfParentSize carves many small shards
 // out of a graph with a large ad side and bounds the bytes each carve
-// allocates: proportional to the shard, with no scratch sized to the
-// parent (one int32 per parent ad here would alone be 4× the bound).
+// allocates: proportional to the shard. The ad table, one int32 per parent
+// ad, is built once for all the shards, as RunSharded builds it from the
+// plan, before the carves are measured; a carve that built its own would
+// alone allocate 4× the bound.
 func TestSubviewAllocationIndependentOfParentSize(t *testing.T) {
 	const shards, perShard = 5000, 8
 	b := NewBuilder()
@@ -158,11 +160,17 @@ func TestSubviewAllocationIndependentOfParentSize(t *testing.T) {
 		}
 		return out
 	}
+	adLocal := make([]int32, g.NumAds())
+	for s := 0; s < shards; s++ {
+		for k, a := range ids(s) {
+			adLocal[a] = int32(k)
+		}
+	}
 	const carved = 200
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for s := 0; s < carved; s++ {
-		view, err := NewSubview(g, ids(s*(shards/carved)), ids(s*(shards/carved)))
+		view, err := NewSubview(g, ids(s*(shards/carved)), ids(s*(shards/carved)), adLocal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,4 +185,92 @@ func TestSubviewAllocationIndependentOfParentSize(t *testing.T) {
 		t.Errorf("NewSubview allocated %d B per %d-node shard of a %d-ad graph, want under %d B",
 			perCarve, 2*perShard, g.NumAds(), bound)
 	}
+}
+
+// searchCarve is NewSubview's carve as it was before the ad table: each
+// edge's ad translated by a binary search of the view's sorted ad list.
+func searchCarve(g *Graph, queryIDs, adIDs []int) *Subview {
+	qSel, _ := checkIDs(queryIDs, g.NumQueries(), "query")
+	aSel, _ := checkIDs(adIDs, g.NumAds(), "ad")
+	queries, ads := make([]string, len(qSel)), make([]string, len(aSel))
+	maxEdges := 0
+	for i, q := range qSel {
+		queries[i] = g.queries[q]
+		maxEdges += g.QueryDegree(q)
+	}
+	for i, a := range aSel {
+		ads[i] = g.ads[a]
+	}
+	sub := newGraph(queries, ads, maxEdges)
+	for i, q := range qSel {
+		for p := g.qPtr[q]; p < g.qPtr[q+1]; p++ {
+			if la, ok := slices.BinarySearch(aSel, g.ad[p]); ok {
+				sub.appendEdge(la, g.weightsAt(p))
+			}
+		}
+		sub.qPtr[i+1] = len(sub.ad)
+	}
+	sub.indexAds()
+	return &Subview{Graph: sub, QueryIDs: qSel, AdIDs: aSel}
+}
+
+// TestSubviewTableMatchesSearchCarve carves every view of random plans —
+// each query and each ad dealt to one of k views, some views left without
+// queries or ads — through one shared ad table, as RunSharded does, and
+// holds each to the binary-search carve it replaced: the same ids, names,
+// edge table and ad-ordered view. A table that misnumbers an ad of the
+// view is refused.
+func TestSubviewTableMatchesSearchCarve(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		g := subviewRandomGraph(seed, 10+int(seed%23), 8+int(seed%17), 20+int(seed*7%90))
+		k := 1 + int(seed%6)
+		rng := seed
+		deal := func(n int) [][]int {
+			views := make([][]int, k)
+			for id := 0; id < n; id++ {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				v := int(rng>>33) % k
+				views[v] = append(views[v], id)
+			}
+			return views
+		}
+		qViews, aViews := deal(g.NumQueries()), deal(g.NumAds())
+		adLocal := make([]int32, g.NumAds())
+		for _, ads := range aViews {
+			for la, a := range ads {
+				adLocal[a] = int32(la)
+			}
+		}
+		for v := range k {
+			want := searchCarve(g, qViews[v], aViews[v])
+			for name, table := range map[string][]int32{"shared table": adLocal, "own table": nil} {
+				got, err := NewSubview(g, qViews[v], aViews[v], table)
+				if err != nil {
+					t.Fatalf("seed %d view %d, %s: %v", seed, v, name, err)
+				}
+				if !sameView(got, want) {
+					t.Fatalf("seed %d view %d of %d, %s: the carve differs from the search carve", seed, v, k, name)
+				}
+			}
+		}
+		if len(aViews[0]) > 1 {
+			bad := slices.Clone(adLocal)
+			bad[aViews[0][0]], bad[aViews[0][1]] = bad[aViews[0][1]], bad[aViews[0][0]]
+			if _, err := NewSubview(g, qViews[0], aViews[0], bad); err == nil {
+				t.Fatalf("seed %d: a table that swaps two of the view's ads was accepted", seed)
+			}
+		}
+	}
+}
+
+// sameView reports whether two views hold the same ids, names, edge table
+// and ad-ordered view.
+func sameView(x, y *Subview) bool {
+	a, b := x.Graph, y.Graph
+	return slices.Equal(x.QueryIDs, y.QueryIDs) && slices.Equal(x.AdIDs, y.AdIDs) &&
+		slices.Equal(a.queries, b.queries) && slices.Equal(a.ads, b.ads) &&
+		slices.Equal(a.qPtr, b.qPtr) && slices.Equal(a.ad, b.ad) && slices.Equal(a.rate, b.rate) &&
+		slices.Equal(a.clicks, b.clicks) && slices.Equal(a.impr, b.impr) &&
+		slices.Equal(a.aPtr, b.aPtr) && slices.Equal(a.query, b.query) &&
+		slices.Equal(a.aRate, b.aRate) && slices.Equal(a.pos, b.pos)
 }

@@ -260,8 +260,11 @@ func hubGraph(nq, priv int) *clickgraph.Graph {
 // different depths (mixed), carry zero walk factors (zeros), span several
 // strips (wide), or have one side that fits a block and one that never
 // does (hub under weighted strict evidence), where the run holds no block
-// on either side: a component is a block on both sides or on neither. A
-// component never leaves the block form: its pairs only grow with depth.
+// on either side: a component is a block on both sides or on neither.
+// Under evidence with strict evidence the same hub is a block from the
+// identity and no pass takes the row path: evidence passes run the plain
+// kernel, so willFill measures them to the second depth. A component never
+// leaves the block form: its pairs only grow with depth.
 func TestDenseBlocksMatchReach(t *testing.T) {
 	graphs := map[string]*clickgraph.Graph{
 		"mixed": mixedDensityGraph(),
@@ -310,6 +313,9 @@ func TestDenseBlocksMatchReach(t *testing.T) {
 				l := fmt.Sprintf("%s/workers=%d", label, workers)
 				if name == "hub" && cfg.Variant == Weighted && cfg.StrictEvidence && (ar.poolQ.taken != 0 || ar.poolA.taken != 0) {
 					t.Fatalf("%s: the pools handed out %d query and %d ad cells; the ad side never fits, so neither side is a block", l, ar.poolQ.taken, ar.poolA.taken)
+				}
+				if name == "hub" && cfg.Variant == Evidence && cfg.StrictEvidence && (len(ar.symQ.RowPtr) != 0 || len(ar.symA.RowPtr) != 0) {
+					t.Fatalf("%s: a pass took the row path; evidence passes run the plain kernel, whose reach fills both sides by the second depth, so the component is a block from the identity", l)
 				}
 				assertBitIdentical(t, l, want, got)
 				if got.Iterations != want.Iterations || got.Converged != want.Converged {

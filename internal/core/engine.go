@@ -643,11 +643,14 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, ou
 	}
 	if !cfg.noBlocks {
 		// The identity: a component whose reach fills both sides by the
-		// second depth is held from here. Strict evidence stores no pair
-		// without a common neighbour, so its scores keep the two-hop
-		// pattern at every depth.
+		// second depth is held from here. Under strict evidence the
+		// weighted passes store no pair without a common neighbour (the
+		// kernel scales each cell by ev, 0 there), so their scores keep the
+		// two-hop pattern at every depth. Evidence runs the plain kernel
+		// and applies evidence once at the end: its passes reach as far
+		// as Simple's.
 		maxQ, maxA := min(cfg.Iterations, 2), min(cfg.Iterations+1, 2)
-		if cfg.StrictEvidence && cfg.Variant != Simple {
+		if cfg.StrictEvidence && cfg.Variant == Weighted {
 			maxQ, maxA = min(maxQ, 1), 1
 		}
 		admit(q, a, in.willFill(maxQ, maxA, &ar.reach))

@@ -192,6 +192,14 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 	qScores := sparse.NewPairFrontier(g.NumQueries())
 	aScores := sparse.NewPairFrontier(g.NumAds())
 	outs := make([]shardOut, len(plan.Shards))
+	// Each ad lies in one shard (plan.Validate), so one table gives every
+	// ad its local id in its shard's view, for every carve.
+	adLocal := make([]int32, g.NumAds())
+	for i := range plan.Shards {
+		for la, a := range plan.Shards[i].Ads {
+			adLocal[a] = int32(la)
+		}
+	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
@@ -214,7 +222,7 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 					continue
 				}
 				sh := &plan.Shards[idx]
-				view, err := clickgraph.NewSubview(g, sh.Queries, sh.Ads)
+				view, err := clickgraph.NewSubview(g, sh.Queries, sh.Ads, adLocal)
 				if err != nil {
 					fail(fmt.Errorf("core: shard %d: %w", idx, err))
 					continue

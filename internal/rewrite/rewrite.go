@@ -143,6 +143,29 @@ func ReadBidTermsFile(path string) (map[string]bool, error) {
 
 // Rewrite runs the full pipeline for query id q against src.
 func (p *Pipeline) Rewrite(src Source, q int) ([]Candidate, error) {
+	return p.RewriteInto(new(Scratch), src, q)
+}
+
+// Scratch is the working memory of one goroutine's pipeline runs: the
+// stem keys a list has claimed and the list itself, kept from call to
+// call. The zero value is ready to use. A Pipeline holds no state of its
+// own, so goroutines share one, each with its own Scratch.
+type Scratch struct {
+	seen []string
+	out  []Candidate
+}
+
+// RewriteInto is Rewrite on sc's memory, so a caller filtering list after
+// list allocates only while sc grows. The list it returns is sc's, valid
+// until sc's next call.
+//
+// The names source may offer what the filter reads per candidate: the
+// optional methods StemKey(id) string, the query's stem.Phrase, and
+// BidTerm(id) bool, whether the pipeline's BidTerms holds the query's
+// name. A source with them is asked instead of stemming or hashing the
+// name (the snapshot builder derives both once per shard); both must
+// agree with the name.
+func (p *Pipeline) RewriteInto(sc *Scratch, src Source, q int) ([]Candidate, error) {
 	if q < 0 || q >= p.Graph.NumQueries() {
 		return nil, fmt.Errorf("rewrite: query id %d outside [0,%d)", q, p.Graph.NumQueries())
 	}
@@ -150,26 +173,33 @@ func (p *Pipeline) Rewrite(src Source, q int) ([]Candidate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rewrite: source %s: %w", src.Name(), err)
 	}
+	keys, _ := p.Graph.(interface{ StemKey(id int) string })
+	bids, _ := p.Graph.(interface{ BidTerm(id int) bool })
+	stemKey := func(id int) string {
+		if keys != nil {
+			return keys.StemKey(id)
+		}
+		return stem.Phrase(p.Graph.Query(id))
+	}
 	// The bid test runs before stemming: an unbid candidate never claims
 	// a stem or reaches the output, so the order of the two filters
 	// cannot change the survivors, and under a sparse bid list most
 	// candidates are dropped without being stemmed. seen holds the source
 	// query's key plus one per survivor — few strings, so a scanned slice
-	// beats a map. It starts at eight and grows by append rather than
-	// being sized for MaxRewrites: a list rarely fills its cap, and the
-	// snapshot builder runs this once per stored query.
-	seen := make([]string, 1, 8)
-	seen[0] = p.stemKey(q)
-	var out []Candidate
+	// beats a map.
+	seen := append(sc.seen[:0], stemKey(q))
+	out := sc.out[:0]
 	for _, s := range raw {
 		if s.Score <= 0 {
 			continue
 		}
 		text := p.Graph.Query(s.Node)
-		if p.BidTerms != nil && !p.BidTerms[text] {
-			continue // no advertiser bids on this rewrite
+		if p.BidTerms != nil {
+			if bids != nil && !bids.BidTerm(s.Node) || bids == nil && !p.BidTerms[text] {
+				continue // no advertiser bids on this rewrite
+			}
 		}
-		key := p.stemKey(s.Node)
+		key := stemKey(s.Node)
 		if slices.Contains(seen, key) {
 			continue // duplicate under stemming
 		}
@@ -179,16 +209,6 @@ func (p *Pipeline) Rewrite(src Source, q int) ([]Candidate, error) {
 			break
 		}
 	}
+	sc.seen, sc.out = seen, out
 	return out, nil
-}
-
-// stemKey returns query id's duplicate-detection key: its Porter-stemmed
-// text, taken from the names source when the source already holds it (the
-// snapshot builder stems each shard's names once for all of the shard's
-// queries) and computed otherwise.
-func (p *Pipeline) stemKey(id int) string {
-	if m, ok := p.Graph.(interface{ StemKey(id int) string }); ok {
-		return m.StemKey(id)
-	}
-	return stem.Phrase(p.Graph.Query(id))
 }

@@ -8,6 +8,7 @@ import (
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/core"
 	"simrankpp/internal/sparse"
+	"simrankpp/internal/stem"
 )
 
 // stubSource returns a fixed ranking.
@@ -272,6 +273,72 @@ func TestPipelineUsesSourceStemKeys(t *testing.T) {
 	}
 	if want := []int{cam, cams, dig, bat}; !slices.Equal(names.asked, want) {
 		t.Errorf("stem keys asked for ids %v, want %v (unbid candidate never stemmed)", names.asked, want)
+	}
+}
+
+// bidFlagNames is a names source that supplies its own bid flags and stem
+// keys, as the snapshot builder's does, and counts what it was asked.
+type bidFlagNames struct {
+	*clickgraph.Graph
+	bids  map[string]bool
+	stems []string // stem.Phrase of each query
+	flags int
+}
+
+func (n *bidFlagNames) BidTerm(id int) bool {
+	n.flags++
+	return n.bids[n.Query(id)]
+}
+
+func (n *bidFlagNames) StemKey(id int) string { return n.stems[id] }
+
+// TestRewriteIntoReusesScratch runs one Scratch over list after list, with
+// a names source that holds its bid flags and with one that does not, and
+// holds every list to a fresh Rewrite's; the source with flags is asked
+// for each candidate's flag and never hashed, and its lists take no
+// allocation once the Scratch has grown.
+func TestRewriteIntoReusesScratch(t *testing.T) {
+	g := pipelineGraph(t)
+	bids := map[string]bool{"cameras": true, "digital camera": true, "battery": true}
+	var raw []sparse.Scored
+	for q := range g.NumQueries() {
+		raw = append(raw, sparse.Scored{Node: q, Score: 1 - float64(q)/8})
+	}
+	src := &stubSource{name: "stub", out: raw}
+	names := &bidFlagNames{Graph: g, bids: bids}
+	for q := range g.NumQueries() {
+		names.stems = append(names.stems, stem.Phrase(g.Query(q)))
+	}
+	held, plain := NewPipeline(names, bids), NewPipeline(g, bids)
+	held.MaxRewrites, plain.MaxRewrites = 0, 0
+	var sc Scratch
+	for round := 0; round < 2; round++ {
+		for q := range g.NumQueries() {
+			want, err := plain.Rewrite(src, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, p := range map[string]*Pipeline{"held": held, "plain": plain} {
+				got, err := p.RewriteInto(&sc, src, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s names, query %d: %+v, Rewrite gives %+v", name, q, got, want)
+				}
+			}
+		}
+	}
+	if want := 2 * g.NumQueries() * len(raw); names.flags != want {
+		t.Errorf("bid flags asked %d times, want one per candidate (%d)", names.flags, want)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := held.RewriteInto(&sc, src, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("RewriteInto on a grown Scratch allocated %.0f times a call", allocs)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/rewrite"
@@ -108,69 +109,188 @@ func (s *topkSliceSource) Rewrites(_ int, limit int) ([]sparse.Scored, error) {
 // names a query by its position in the shard's ascending id list, not by
 // its global id: positions sort like the ids, so the builder ranks them
 // under the same tie-break and maps a survivor to its id only when it
-// writes it. Per position it holds what the pipeline and the builder would
-// otherwise derive from the name once per candidate — each query is the
-// subject of one list and a candidate in up to a hundred others: the
-// Porter stem and, under a bid list, whether the name is bid on. One
-// buildTopKBlob call builds, uses and drops it on one goroutine, so a
-// refresh re-stems only its dirty shards' names.
+// writes it. Per position it holds what the pipeline would otherwise
+// derive from the name once per candidate — each query is the subject of
+// one list and a candidate in up to a hundred others: the stem key and,
+// under a bid list, whether the name is bid on. A writer worker keeps one
+// and refills it shard after shard (reset), so its buffers and its word
+// memo are reused and a refresh stems only its dirty shards' names.
 type shardNames struct {
-	g     *clickgraph.Graph
-	ids   []int    // the shard's global query ids, ascending
-	stems []string // stems[p] = stem.Phrase(g.Query(ids[p]))
-	bid   []bool   // bid[p] = bids[g.Query(ids[p])]; nil without a bid list
+	g    *clickgraph.Graph
+	ids  []int   // the shard's global query ids, ascending
+	keys string  // the positions' stem keys back to back: p's is keys[off[p]:off[p+1]]
+	off  []int32 // len(ids)+1 offsets into keys
+	bid  []bool  // bid[p]: the bid list holds p's name; nil without a bid list
+
+	flags []bool              // bid's storage
+	buf   []byte              // keys as they are built
+	memo  [memoSlots]memoWord // word stems, by a hash of the word
+	stems []byte              // the memoised stems' bytes
 }
 
-// newShardNames stems the names of the shard's queries qIDs and flags the
-// bid ones. Names share most of their words, so stem.Word runs once per
-// distinct word; joining a name's word stems with single spaces is
+// reset fills s for the shard of g's queries qIDs, with isBid the write's
+// bid flags per query id (bidQueries). Names share most of their words, so
+// stem.AppendWord runs once per distinct word the worker meets, into the
+// memo; a name's key is its word stems joined by single spaces, which is
 // stem.Phrase by construction.
-func newShardNames(g *clickgraph.Graph, qIDs []int, bids map[string]bool) *shardNames {
-	s := &shardNames{g: g, ids: slices.Clone(qIDs)}
+func (s *shardNames) reset(g *clickgraph.Graph, qIDs []int, isBid []bool) {
+	s.g = g
+	s.ids = append(s.ids[:0], qIDs...)
 	slices.Sort(s.ids)
-	s.stems = make([]string, len(s.ids))
-	if bids != nil {
-		s.bid = make([]bool, len(s.ids))
+	s.off = resized(&s.off, len(s.ids)+1)
+	s.bid = nil
+	if isBid != nil {
+		s.bid = resized(&s.flags, len(s.ids))
 	}
-	words := make(map[string]string, len(s.ids))
-	var parts []string
+	buf := s.buf[:0]
 	for p, id := range s.ids {
-		name := g.Query(id)
 		if s.bid != nil {
-			s.bid[p] = bids[name]
+			s.bid[p] = isBid[id]
 		}
-		parts = parts[:0]
-		for w := range strings.FieldsSeq(name) {
-			st, ok := words[w]
-			if !ok {
-				st = stem.Word(w)
-				words[w] = st
-			}
-			parts = append(parts, st)
-		}
-		s.stems[p] = strings.Join(parts, " ")
+		s.off[p] = int32(len(buf))
+		buf = s.appendKey(buf, g.Query(id))
 	}
-	return s
+	s.off[len(s.ids)] = int32(len(buf))
+	s.buf = buf
+	s.keys = string(buf)
 }
+
+// appendKey appends stem.Phrase(name) to buf: strings.Fields' words, each
+// stemmed through the memo. An ASCII name is split by hand; at its first
+// non-ASCII byte strings.Fields takes the name over.
+func (s *shardNames) appendKey(buf []byte, name string) []byte {
+	start := len(buf)
+	for i := 0; i < len(name); {
+		switch byteClass[name[i]] {
+		case spaceByte:
+			i++
+			continue
+		case otherByte:
+			buf = buf[:start]
+			for w := range strings.FieldsSeq(name) {
+				buf = s.appendWord(buf, start, w)
+			}
+			return buf
+		}
+		j := i + 1
+		for j < len(name) && byteClass[name[j]] == wordByte {
+			j++
+		}
+		if j == len(name) || byteClass[name[j]] == spaceByte {
+			buf = s.appendWord(buf, start, name[i:j])
+		} // else a non-ASCII byte ends the word: the switch hands over
+		i = j
+	}
+	return buf
+}
+
+// appendWord appends w's stem to the key that starts at buf[start], behind
+// a space unless it is the key's first word. The memo is direct-mapped by
+// an FNV-1a hash of the word: a slot keeps the last word hashed to it, so
+// the shared vocabulary stays while words of one name come and go.
+func (s *shardNames) appendWord(buf []byte, start int, w string) []byte {
+	h := uint32(2166136261)
+	for i := 0; i < len(w); i++ {
+		h = (h ^ uint32(w[i])) * 16777619
+	}
+	m := &s.memo[h%memoSlots]
+	if m.word != w {
+		if len(s.stems) > memoBytes {
+			s.memo, s.stems = [memoSlots]memoWord{}, s.stems[:0]
+		}
+		lo := len(s.stems)
+		s.stems = stem.AppendWord(s.stems, w)
+		*m = memoWord{w, int32(lo), int32(len(s.stems))}
+	}
+	if len(buf) > start {
+		buf = append(buf, ' ')
+	}
+	return append(buf, s.stems[m.lo:m.hi]...)
+}
+
+// memoWord is a memo slot: a word and its stem, stems[lo:hi].
+type memoWord struct {
+	word   string
+	lo, hi int32
+}
+
+// The memo's size: its slots, and the stem bytes it keeps before it
+// starts over.
+const (
+	memoSlots = 1 << 10
+	memoBytes = 1 << 16
+)
+
+// byteClass sorts a name's bytes for appendKey: the ASCII spaces
+// strings.Fields splits on, the bytes of a non-ASCII character, and the
+// rest, which make up words.
+var byteClass = func() (c [256]uint8) {
+	for b := utf8.RuneSelf; b < 256; b++ {
+		c[b] = otherByte
+	}
+	for _, b := range "\t\n\v\f\r " {
+		c[b] = spaceByte
+	}
+	return c
+}()
+
+const (
+	wordByte = iota
+	spaceByte
+	otherByte
+)
 
 // NumQueries and Query are rewrite.QueryNames over positions.
 func (s *shardNames) NumQueries() int    { return len(s.ids) }
 func (s *shardNames) Query(p int) string { return s.g.Query(s.ids[p]) }
 
-// StemKey is the optional names-source method rewrite.Pipeline asks for
-// before stemming a name itself.
-func (s *shardNames) StemKey(p int) string { return s.stems[p] }
+// StemKey and BidTerm are the optional names-source methods
+// rewrite.Pipeline asks for before it stems or hashes a name itself.
+func (s *shardNames) StemKey(p int) string { return s.keys[s.off[p]:s.off[p+1]] }
+func (s *shardNames) BidTerm(p int) bool   { return s.bid[p] }
 
-// topkScratch is buildTopKBlob's working arrays — each record's two
-// positions, the row and bid-row lengths, the whole-row flags, the list
-// starts and fill cursors, and the flat partner lists — kept between calls
-// so a writer worker sizes them once for the largest shard it builds.
+// topkScratch is one writer worker's buildTopKBlob memory, kept between
+// calls so that the worker sizes it once for the largest shard it builds:
+// the shard's names, the position of each query id (positions), the row
+// and bid-row lengths, the noted pairs, the whole-row flags, the list
+// starts and fill cursors, the flat partner lists, and the pipeline's
+// scratch.
 type topkScratch struct {
-	pos            []int32
+	names          shardNames
+	pos, posIDs    []int32 // p+1 at the shard's ids, 0 elsewhere; the ids set
 	rowLen, bidLen []int
+	notes          []topkNote
 	whole          []bool
 	start, next    []int
 	flat           []sparse.Scored
+	src            topkSliceSource
+	filter         rewrite.Scratch
+}
+
+// positions returns a table over the query ids below n that holds p+1 at
+// ids[p] and 0 at every other id, clearing what the previous call set.
+func (sc *topkScratch) positions(n int, ids []int) []int32 {
+	for _, id := range sc.posIDs {
+		sc.pos[id] = 0
+	}
+	if len(ids) > 0 {
+		n = max(n, ids[len(ids)-1]+1)
+	}
+	if len(sc.pos) < n {
+		sc.pos = make([]int32, n)
+	}
+	sc.posIDs = sc.posIDs[:0]
+	for p, id := range ids {
+		sc.pos[id] = int32(p) + 1
+		sc.posIDs = append(sc.posIDs, int32(id))
+	}
+	return sc.pos
+}
+
+// topkNote is a segment pair with a bid side: positions i < j and score.
+type topkNote struct {
+	pi, pj int32
+	v      float64
 }
 
 // resized returns (*buf)[:n], reallocated when its capacity is short; the
@@ -195,9 +315,9 @@ func checkTopKBlobLen(n int) error {
 }
 
 // buildTopKBlob builds one shard's blob from its encoded query segment:
-// decode partner lists in one pass, rank them exactly as
-// segView.topKFor would, and filter each query's ranking through the
-// pipeline at depth k. qIDs is the shard's global query ids.
+// decode partner lists, rank them exactly as segView.topKFor would, and
+// filter each query's ranking through the pipeline at depth k. qIDs is
+// the shard's global query ids.
 //
 // Only partners that can reach a list are ranked. The pipeline reads a
 // ranking's first tk.topN candidates, and one its bid test drops (that
@@ -206,95 +326,132 @@ func checkTopKBlobLen(n int) error {
 // partners, a longer row the bid partners among its tk.topN best (all of
 // them without a bid list), and only what is kept is sorted.
 //
-// sc holds the call's working arrays, reused from the caller's previous
-// call: the writer keeps one per pool worker.
-func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bids map[string]bool, sc *topkScratch) ([]byte, error) {
+// isBid is bidQueries(g, bids), which a write computes once for all of
+// its shards. sc holds the call's working memory, reused from the
+// caller's previous call: the writer keeps one per pool worker. Beside the
+// blob itself a call allocates only the shard's stem keys and what grows
+// sc.
+func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bids map[string]bool, isBid []bool, sc *topkScratch) ([]byte, error) {
 	if tk.k == 0 {
 		return nil, nil
 	}
-	shard := newShardNames(g, qIDs, bids)
+	shard := &sc.names
+	shard.reset(g, qIDs, isBid)
 	ids, bid, topN := shard.ids, shard.bid, int(tk.topN)
 	// Partner lists, sized by a counting pass and filled into one flat
 	// array (as sparse.ExpandSymmetric does): position p's list is
-	// flat[start[p]:start[p+1]], of partner positions; pos keeps each
-	// record's two positions.
+	// flat[start[p]:start[p+1]], of partner positions.
 	//
-	// A segment's records ascend by (i, j) with i < j, and so do the ids:
-	// i's position only moves forward over the whole segment and j's, from
-	// just past i's, over one row. An id a cursor has passed or cannot
-	// reach is not in the shard, or the records are not in that order.
+	// A record's ids become positions through sc.pos, which holds p+1 at
+	// each shard id and 0 elsewhere. A segment's records ascend by (i, j)
+	// with i < j, and so do the positions: an id outside the shard, or a
+	// position that does not rise past the last one its row or the
+	// segment saw, is refused.
+	//
+	// Under a bid list the counting pass also notes each pair with a bid
+	// side: those are all the pairs a list that is not whole holds, so
+	// only a shard with a whole list walks its records again.
+	pos := sc.positions(g.NumQueries(), ids)
+	at := func(id uint32) int {
+		if int(id) < len(pos) {
+			return int(pos[id]) - 1
+		}
+		return -1
+	}
 	n := len(qSeg) / pairRecordSize
-	pos := resized(&sc.pos, 2*n)
 	rowLen := resized(&sc.rowLen, len(ids)) // partners of each row
 	bidLen := resized(&sc.bidLen, len(ids)) // bid partners of each row
 	clear(rowLen)
 	clear(bidLen)
-	pi, pj, row := 0, 0, -1
-	for r := 0; r < n; r++ {
-		i := int(binary.LittleEndian.Uint32(qSeg[r*pairRecordSize:]))
-		j := int(binary.LittleEndian.Uint32(qSeg[r*pairRecordSize+4:]))
-		if i != row {
-			for pi < len(ids) && ids[pi] < i {
-				pi++
+	notes := sc.notes[:0]
+	last := -1
+	for seg := qSeg[:n*pairRecordSize]; len(seg) > 0; {
+		i := binary.LittleEndian.Uint32(seg)
+		pi := at(i)
+		if pi <= last {
+			return nil, fmt.Errorf("serve: query segment row %d names a query outside its shard or breaks the ascending i order", i)
+		}
+		last = pi
+		bi := bid != nil && bid[pi]
+		fwd, nb := 0, 0
+		for pj := pi; len(seg) >= pairRecordSize && binary.LittleEndian.Uint32(seg) == i; seg = seg[pairRecordSize:] {
+			j := binary.LittleEndian.Uint32(seg[4:])
+			next := at(j)
+			if next <= pj {
+				return nil, fmt.Errorf("serve: query segment pair (%d, %d) names a query outside its shard or breaks the ascending i < j order", i, j)
 			}
-			row, pj = i, pi+1
+			pj = next
+			rowLen[pj]++
+			if bid != nil && (bi || bid[pj]) {
+				notes = append(notes, topkNote{int32(pi), int32(pj), math.Float64frombits(binary.LittleEndian.Uint64(seg[8:]))})
+				if bid[pj] {
+					nb++
+				}
+				if bi {
+					bidLen[pj]++
+				}
+			}
+			fwd++
 		}
-		for pj < len(ids) && ids[pj] < j {
-			pj++
-		}
-		if pi == len(ids) || ids[pi] != i || pj >= len(ids) || ids[pj] != j {
-			return nil, fmt.Errorf("serve: query segment pair (%d, %d) names a query outside its shard or breaks the ascending i < j order", i, j)
-		}
-		pos[2*r], pos[2*r+1] = int32(pi), int32(pj)
-		rowLen[pi]++
-		rowLen[pj]++
-		if bid != nil && bid[pj] {
-			bidLen[pi]++
-		}
-		if bid != nil && bid[pi] {
-			bidLen[pj]++
-		}
+		rowLen[pi] += fwd
+		bidLen[pi] += nb
 	}
+	sc.notes = notes
 	// whole[p]: row p is stored whole — there is no bid list, or the row
 	// is longer than the pool and holds a bid partner, so it must be ranked
 	// among all its partners before its unbid ones go. Any other row stores
 	// only its bid partners.
 	whole := resized(&sc.whole, len(ids))
 	start := resized(&sc.start, len(ids)+1)
-	clear(whole)
 	start[0] = 0
+	anyWhole := false
 	for p := range ids {
 		keep := bidLen[p]
-		if bid == nil || rowLen[p] > topN && keep > 0 {
-			whole[p], keep = true, rowLen[p]
+		whole[p] = bid == nil || rowLen[p] > topN && keep > 0
+		if whole[p] {
+			keep, anyWhole = rowLen[p], true
 		}
 		start[p+1] = start[p] + keep
 	}
 	flat := resized(&sc.flat, start[len(ids)])
 	next := append(sc.next[:0], start[:len(ids)]...)
 	sc.next = next
-	for r := 0; r < n; r++ {
-		pi, pj := pos[2*r], pos[2*r+1]
-		// bid is nil only when every row is whole.
-		inI, inJ := whole[pi] || bid[pj], whole[pj] || bid[pi]
-		if !inI && !inJ {
-			continue
+	put := func(p, partner int, v float64) {
+		flat[next[p]] = sparse.Scored{Node: partner, Score: v}
+		next[p]++
+	}
+	// A list that is not whole: its bid partners, from the notes.
+	for _, nt := range notes {
+		pi, pj := int(nt.pi), int(nt.pj)
+		if bid[pj] && !whole[pi] {
+			put(pi, pj, nt.v)
 		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(qSeg[r*pairRecordSize+8:]))
-		if inI {
-			flat[next[pi]] = sparse.Scored{Node: int(pj), Score: v}
-			next[pi]++
+		if bid[pi] && !whole[pj] {
+			put(pj, pi, nt.v)
 		}
-		if inJ {
-			flat[next[pj]] = sparse.Scored{Node: int(pi), Score: v}
-			next[pj]++
+	}
+	// A whole list: every partner, from a second walk of the records,
+	// which the counting pass has checked.
+	if anyWhole {
+		for r := 0; r < n; r++ {
+			rec := qSeg[r*pairRecordSize : (r+1)*pairRecordSize]
+			pi, pj := int(pos[binary.LittleEndian.Uint32(rec)])-1, int(pos[binary.LittleEndian.Uint32(rec[4:])])-1
+			if whole[pi] || whole[pj] {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
+				if whole[pi] {
+					put(pi, pj, v)
+				}
+				if whole[pj] {
+					put(pj, pi, v)
+				}
+			}
 		}
 	}
 
 	pipe := rewrite.NewPipeline(shard, bids)
 	pipe.MaxRewrites = int(tk.k)
 	pipe.TopN = topN
-	src := &topkSliceSource{}
+	src := &sc.src
 
 	// A list holds at most k rewrites, and under a bid list only bid
 	// partners survive, which bounds the blob before the pipeline runs.
@@ -312,13 +469,15 @@ func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bi
 		if uint64(qid) > math.MaxUint32 {
 			return nil, fmt.Errorf("serve: query id %d overflows the topk entry", qid)
 		}
-		ranked := sparse.SelectScored(flat[start[e]:start[e+1]], topN)
+		ranked := flat[start[e]:start[e+1]]
 		if bid != nil && whole[e] {
-			ranked = slices.DeleteFunc(ranked, func(c sparse.Scored) bool { return !bid[c.Node] })
+			ranked = pooledBids(ranked, bid, topN)
+		} else {
+			ranked = sparse.SelectScored(ranked, topN)
+			sparse.SortScoredDesc(ranked)
 		}
-		sparse.SortScoredDesc(ranked)
 		src.list = ranked
-		cands, err := pipe.Rewrite(src, e)
+		cands, err := pipe.RewriteInto(&sc.filter, src, e)
 		if err != nil {
 			return nil, fmt.Errorf("serve: building topk list for query %d: %w", qid, err)
 		}
@@ -336,6 +495,54 @@ func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bi
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return blob, nil
+}
+
+// pooledBids returns, sorted, the bid partners among row's topN first in
+// SortScoredDesc's order. It moves the bid partners to the row's front and
+// sorts them; the partners of the row ranked before one only grow along
+// that order, so a binary search over that count finds the first bid
+// partner past the pool. Under a sparse bid list that is a few walks of
+// the row, each a branch-free count, not a selection over it.
+func pooledBids(row []sparse.Scored, bid []bool, topN int) []sparse.Scored {
+	b := 0
+	for k, c := range row {
+		if bid[c.Node] {
+			row[b], row[k] = c, row[b]
+			b++
+		}
+	}
+	kept := row[:b]
+	sparse.SortScoredDesc(kept)
+	return kept[:sort.Search(b, func(k int) bool {
+		c, ahead := kept[k], 0
+		for _, x := range row {
+			ahead += b2i(x.Score > c.Score) | b2i(x.Score == c.Score)&b2i(x.Node < c.Node)
+		}
+		return ahead >= topN
+	})]
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// bidQueries flags, per query id of g, whether bids holds the query's
+// name; nil without a bid list. It looks each term up once, so a write
+// hashes its bid list rather than every name.
+func bidQueries(g *clickgraph.Graph, bids map[string]bool) []bool {
+	if bids == nil {
+		return nil
+	}
+	isBid := make([]bool, g.NumQueries())
+	for t, ok := range bids {
+		if id, found := g.QueryID(t); ok && found {
+			isBid[id] = true
+		}
+	}
+	return isBid
 }
 
 // validateTopKBlob structurally checks one CRC-verified blob on first

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"simrankpp/internal/clickgraph"
@@ -210,9 +211,12 @@ func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts T
 }
 
 // TestTopKBlobsMatchReference holds the blobs of stemGraph's four short-row
-// shards to the reference builder under each bid case. Run under -race it
-// also shows the per-shard stems are not shared between the snapshot
-// writer's shard workers.
+// shards to the reference builder under each bid case, and those of
+// pathbenchGraph's four shards — pathbench's names, rows shorter and
+// longer than the pool — at pathbench's depth (K = 100) under no bid list,
+// pathbench's every-16th one and an empty one. Run under -race it also
+// shows the per-shard stems are not shared between the snapshot writer's
+// shard workers.
 func TestTopKBlobsMatchReference(t *testing.T) {
 	g0 := stemGraph(t, [4]int{1, 2, 3, 4})
 	g1 := stemGraph(t, [4]int{1, 2, 9, 4}) // cluster 2 churned
@@ -224,6 +228,59 @@ func TestTopKBlobsMatchReference(t *testing.T) {
 			}
 		})
 	}
+	p0, p1 := pathbenchGraph(t, 0), pathbenchGraph(t, 4) // the second cluster churned
+	for _, tc := range []bidCase{{"no bid list", nil}, {"stride16", stride16(p0)}, {"empty bid list", map[string]bool{}}} {
+		t.Run("pathbench/"+tc.name, func(t *testing.T) {
+			st := checkTopKBlobsMatchReference(t, p0, p1, TopKOptions{K: DefaultRewriteTopK, BidTerms: tc.bids})
+			if st.stemDrops == 0 || st.longRows == 0 {
+				t.Fatalf("the stem filter dropped %d candidates and %d rankings outran the pool; the fixture needs both", st.stemDrops, st.longRows)
+			}
+		})
+	}
+}
+
+// pathbenchGraph is pathbench's shape at test scale: four clusters (one
+// component, so one shard, each) of 130, 48, 20 and 105 queries, every
+// query clicking three of its cluster's six ads, so the first and last
+// clusters' rows are longer than the 100-candidate pool and the others'
+// shorter. Names are pathbenchName's phrases over the shared vocabulary
+// with a unique token, varied as real logs are: every seventh in upper
+// case, some with tabs or runs of blanks for separators, one with a
+// non-ASCII word and space, and every ninth its predecessor's name with
+// an "s" on its token, which stems to the same key. churn adds to the
+// second cluster's clicks, so a second value churns that shard alone.
+func pathbenchGraph(t *testing.T, churn int64) *clickgraph.Graph {
+	t.Helper()
+	b := clickgraph.NewBuilder()
+	for c, nq := range []int{130, 48, 20, 105} {
+		for q := 0; q < nq; q++ {
+			name := pathbenchName(c, q)
+			switch {
+			case q%9 == 4:
+				name = pathbenchName(c, q-1) + "s"
+			case q%7 == 3:
+				name = strings.ToUpper(name)
+			case q%7 == 5:
+				name = strings.Replace(name, " ", "\t", 1)
+			case q%11 == 6:
+				name = strings.Replace(name, " ", " \t  ", 2)
+			}
+			if c == 2 && q == 1 {
+				name = "Café\u00a0" + name
+			}
+			for k := 0; k < 3; k++ {
+				clicks := int64((q*3+k+c)%9 + 1)
+				if c == 1 {
+					clicks += churn
+				}
+				w := clickgraph.EdgeWeights{Impressions: clicks * 3, Clicks: clicks, ExpectedClickRate: float64((q*7+k*13+c)%90+5) / 100}
+				if err := b.AddEdge(name, fmt.Sprintf("pb%d-a%d", c, (q*5+c+k)%6), w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return b.Build()
 }
 
 // longRowGraph is one dense cluster of 160 queries beside a small one
@@ -294,23 +351,30 @@ func TestTopKBlobsMatchReferenceLongRows(t *testing.T) {
 	}
 }
 
-// TestShardNamesMatchPhrase pins newShardNames' per-word stem memo to
-// stem.Phrase, name by name, for every query of the serve fixtures and for
-// names strings.Fields has to collapse (repeated spaces, tabs, leading and
-// trailing blanks, the empty name), on the whole graph's shard and on a
-// shard given its ids out of order; and its bid flags to the bid list.
+// TestShardNamesMatchPhrase pins shardNames' stem keys, built through the
+// worker's word memo, to stem.Phrase, name by name, for every query of the
+// serve fixtures and for names strings.Fields has to collapse (repeated
+// spaces, tabs, leading and trailing blanks, the empty name) or has to
+// split on non-ASCII space, on the whole graph's shard and on a shard given
+// its ids out of order; and its bid flags to the bid list. One shardNames
+// is reset for every case, as a writer worker reuses its own.
 func TestShardNamesMatchPhrase(t *testing.T) {
 	odd := queryGraph([]string{
 		"digital  cameras", "\tcameras\t\tbatteries ", " lenses", "tripods ", "",
 		"Flashes FLASH", "a b  c", "camera\tcameras", "relational  rational\t",
+		"Café\u00a0CAMERAS", "naïve\u2003relational batteries", "ÉCOLE  Straße",
 	})
-	_, bench := benchShard(4)
+	var s shardNames
+	_, bench := benchShard(4, false)
+	_, benchNames := benchShard(4, true)
 	for name, names := range map[string]*clickgraph.Graph{
-		"stemGraph":    stemGraph(t, [4]int{1, 2, 3, 4}),
-		"refreshGraph": refreshGraph(t, [4]int{1, 2, 3, 4}),
-		"longRowGraph": longRowGraph(t, 5),
-		"benchShard":   bench,
-		"blanks":       odd,
+		"stemGraph":      stemGraph(t, [4]int{1, 2, 3, 4}),
+		"refreshGraph":   refreshGraph(t, [4]int{1, 2, 3, 4}),
+		"longRowGraph":   longRowGraph(t, 5),
+		"benchShard":     bench,
+		"pathbench":      benchNames,
+		"pathbenchGraph": pathbenchGraph(t, 0),
+		"blanks":         odd,
 	} {
 		bids := map[string]bool{}
 		var qIDs []int
@@ -319,7 +383,7 @@ func TestShardNamesMatchPhrase(t *testing.T) {
 			qIDs = append(qIDs, q)
 		}
 		for _, ids := range [][]int{allQueries(names), qIDs} {
-			s := newShardNames(names, ids, bids)
+			s.reset(names, ids, bidQueries(names, bids))
 			if s.NumQueries() != len(ids) {
 				t.Fatalf("%s: shard holds %d queries", name, s.NumQueries())
 			}
@@ -336,7 +400,7 @@ func TestShardNamesMatchPhrase(t *testing.T) {
 				}
 			}
 		}
-		if s := newShardNames(names, qIDs, nil); s.bid != nil {
+		if s.reset(names, qIDs, nil); s.bid != nil {
 			t.Errorf("%s: bid flags without a bid list", name)
 		}
 	}
@@ -353,7 +417,7 @@ func TestBuildTopKBlobIdentityShard(t *testing.T) {
 	tk := TopKOptions{K: 4}.meta()
 	ids := partition.WholePlan(g).Shards[0].Queries
 	qSeg := encodeSegment(res.QueryScores, ids)
-	got, err := buildTopKBlob(qSeg, ids, g, tk, nil, new(topkScratch))
+	got, err := buildTopKBlob(qSeg, ids, g, tk, nil, nil, new(topkScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,10 +431,11 @@ func TestBuildTopKBlobIdentityShard(t *testing.T) {
 }
 
 // TestBuildTopKBlobRejectsForeignPair: a segment pair naming a query the
-// shard's id list does not hold is a fault, not a list to drop silently —
-// and since the builder finds a record's positions with cursors that only
-// move forward, so is a segment whose records do not ascend by (i, j) with
-// i < j: a passed id must be refused, never matched to a later position.
+// shard's id list does not hold — or the graph does not — is a fault, not
+// a list to drop silently; and since the builder relies on positions that
+// rise along the segment, so is a segment whose records do not ascend by
+// (i, j) with i < j: a position that does not rise past the last one must
+// be refused.
 func TestBuildTopKBlobRejectsForeignPair(t *testing.T) {
 	g := stemGraph(t, [4]int{1, 2, 3, 4})
 	tk := TopKOptions{K: 4}.meta()
@@ -378,7 +443,7 @@ func TestBuildTopKBlobRejectsForeignPair(t *testing.T) {
 	good := [][3]float64{{0, 2, 0.5}, {0, 9, 0.25}, {2, 5, 0.125}, {5, 9, 0.75}}
 	all := allQueries(g)
 	for _, qIDs := range [][]int{shard, all} {
-		if _, err := buildTopKBlob(makeSegBytes(t, good), qIDs, g, tk, nil, new(topkScratch)); err != nil {
+		if _, err := buildTopKBlob(makeSegBytes(t, good), qIDs, g, tk, nil, nil, new(topkScratch)); err != nil {
 			t.Errorf("ids %v: a well-formed segment was refused: %v", qIDs, err)
 		}
 	}
@@ -387,22 +452,24 @@ func TestBuildTopKBlobRejectsForeignPair(t *testing.T) {
 		"i past the shard's last id":  {{0, 2, 0.5}, {40, 41, 0.5}},
 		"j between two shard ids":     {{0, 3, 0.5}},
 		"j past the shard's last id":  {{0, 2, 0.5}, {2, 40, 0.25}},
+		"j past the graph's last id":  {{0, 2, 0.5}, {2, 1 << 30, 0.25}},
+		"i past the graph's last id":  {{1 << 30, 1<<30 + 1, 0.5}},
 		"rows descend":                {{2, 5, 0.5}, {0, 2, 0.25}},
 		"a row resumes":               {{0, 2, 0.5}, {2, 5, 0.5}, {0, 9, 0.25}},
 		"columns descend in a row":    {{0, 5, 0.5}, {0, 2, 0.25}},
 		"j below i":                   {{5, 2, 0.5}},
 		"j equals i":                  {{2, 2, 0.5}},
 	} {
-		if _, err := buildTopKBlob(makeSegBytes(t, recs), shard, g, tk, nil, new(topkScratch)); err == nil {
+		if _, err := buildTopKBlob(makeSegBytes(t, recs), shard, g, tk, nil, nil, new(topkScratch)); err == nil {
 			t.Errorf("%s: buildTopKBlob accepted %v over ids %v", name, recs, shard)
 		}
 	}
 	// The whole graph's shard holds every query, so only the order can be
 	// wrong.
-	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{0, 1, 0.5}, {1, 40, 0.25}}), all, g, tk, nil, new(topkScratch)); err != nil {
+	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{0, 1, 0.5}, {1, 40, 0.25}}), all, g, tk, nil, nil, new(topkScratch)); err != nil {
 		t.Errorf("identity shard holds every query, got %v", err)
 	}
-	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{1, 40, 0.25}, {0, 1, 0.5}}), all, g, tk, nil, new(topkScratch)); err == nil {
+	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{1, 40, 0.25}, {0, 1, 0.5}}), all, g, tk, nil, nil, new(topkScratch)); err == nil {
 		t.Error("identity shard: rows out of order were accepted")
 	}
 }
@@ -423,6 +490,41 @@ func TestTopKBlobLenOverflow(t *testing.T) {
 	}
 }
 
+// TestBuildTopKBlobAllocs bounds what a buildTopKBlob call allocates once
+// its scratch is warm, as a writer worker's is after its first shards: the
+// blob and the shard's stem keys, per shard, however many queries the shard
+// holds — not a stem, a filter or a list per query. benchShard's 400
+// queries are run under both name shapes, both row lengths and both bid
+// cases of BenchmarkBuildTopKBlob.
+func TestBuildTopKBlobAllocs(t *testing.T) {
+	const perShard = 3 // the blob, the keys, and the scratch's rare growth
+	for _, pathbench := range []bool{false, true} {
+		for _, half := range []int{32, 80} {
+			qSeg, g := benchShard(half, pathbench)
+			ids := allQueries(g)
+			for _, bids := range []map[string]bool{stride16(g), nil} {
+				tk := TopKOptions{K: DefaultRewriteTopK, BidTerms: bids}.meta()
+				isBid := bidQueries(g, bids)
+				sc := new(topkScratch)
+				build := func() {
+					if _, err := buildTopKBlob(qSeg, ids, g, tk, bids, isBid, sc); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for range 30 { // past the memo's first fill
+					build()
+				}
+				allocs := testing.AllocsPerRun(10, build)
+				t.Logf("pathbench=%v rows=%d bids=%v: %.1f allocations a call, %d queries", pathbench, 2*half, bids != nil, allocs, len(ids))
+				if allocs > perShard {
+					t.Errorf("pathbench=%v rows=%d bids=%v: %.1f allocations a call over %d queries, want at most %d a shard",
+						pathbench, 2*half, bids != nil, allocs, len(ids), perShard)
+				}
+			}
+		}
+	}
+}
+
 // queryGraph is a graph of the given distinct query names and no edges.
 func queryGraph(names []string) *clickgraph.Graph {
 	b := clickgraph.NewBuilder()
@@ -438,9 +540,10 @@ func allQueries(g *clickgraph.Graph) []int {
 }
 
 // benchShard builds one shard of pathbench's shape: 400 queries with
-// distinct three-word names, every query scored against its 2·half ring
-// neighbours.
-func benchShard(half int) (qSeg []byte, g *clickgraph.Graph) {
+// distinct names, every query scored against its 2·half ring neighbours.
+// Names are three syllable words, or with pathbench set phrases over
+// pathbench's shared vocabulary plus a unique token (pathbenchName).
+func benchShard(half int, pathbench bool) (qSeg []byte, g *clickgraph.Graph) {
 	const n = 400
 	syll := []string{"ve", "li", "be", "ki", "ma", "ci", "hi", "ro", "nu", "ta", "so", "pe"}
 	x := uint64(1)
@@ -463,7 +566,11 @@ func benchShard(half int) (qSeg []byte, g *clickgraph.Graph) {
 	names := make([]string, 0, n)
 	seen := map[string]bool{}
 	for len(names) < n {
-		if name := word() + " " + word() + " " + word(); !seen[name] {
+		name := word() + " " + word() + " " + word()
+		if pathbench {
+			name = pathbenchName(7, len(names))
+		}
+		if !seen[name] {
 			seen[name] = true
 			names = append(names, name)
 		}
@@ -481,36 +588,63 @@ func benchShard(half int) (qSeg []byte, g *clickgraph.Graph) {
 	return qSeg, queryGraph(names)
 }
 
+// pathbenchVocab is pathbench's shared vocabulary (pathbench/gen.go).
+var pathbenchVocab = [3][]string{
+	{"discounted", "refurbished", "wireless", "professional", "portable", "vintage", "waterproof", "ergonomic",
+		"compact", "digital", "organic", "handmade", "industrial", "luxury", "budget", "certified"},
+	{"cameras", "batteries", "running shoes", "coffee makers", "headphones", "mattresses", "sunglasses", "printers",
+		"guitars", "watches", "backpacks", "blenders", "keyboards", "telescopes", "luggage", "speakers"},
+	{"accessories", "comparison", "reviews", "warranty", "shipping", "clearance", "bundles", "replacement",
+		"installation", "financing", "ratings", "deals", "repairs", "manuals", "coupons", "pricing"},
+}
+
+// pathbenchName names query q of cluster c as pathbench does: three words
+// of the shared vocabulary, picked by a hash, and the cluster-unique token
+// that keeps names distinct.
+func pathbenchName(c, q int) string {
+	h := uint64(q)*2654435761 + uint64(c)*97
+	return fmt.Sprintf("%s %s %s c%d-q%d",
+		pathbenchVocab[0][h%16], pathbenchVocab[1][(h/31)%16], pathbenchVocab[2][(h/997)%16], c, q)
+}
+
+// stride16 is pathbench's bid list: every 16th query of g.
+func stride16(g *clickgraph.Graph) map[string]bool {
+	bids := map[string]bool{}
+	for q := 0; q < g.NumQueries(); q += 16 {
+		bids[g.Query(q)] = true
+	}
+	return bids
+}
+
 // BenchmarkBuildTopKBlob times the precomputed-section builder on one
 // shard, under the sparse bid list pathbench builds with (every 16th
 // query) and under none — the first ranks only the bid partners, the
 // second every partner in the pool — on rows of pathbench's cluster
 // length (64) and on rows longer than the 100-candidate pool (160), which
-// are selected before they are sorted.
+// are selected before they are sorted. Names are syllable words, or with
+// names=pathbench pathbench's own (a shared vocabulary plus a unique
+// token), whose stems are what serve.write_snapshot pays for.
 func BenchmarkBuildTopKBlob(b *testing.B) {
-	for _, half := range []int{32, 80} {
-		qSeg, g := benchShard(half)
-		ids := allQueries(g)
-		stride16 := map[string]bool{}
-		for i := range ids {
-			if i%16 == 0 {
-				stride16[g.Query(i)] = true
-			}
-		}
-		for _, bc := range []struct {
-			name string
-			bids map[string]bool
-		}{{"bids=stride16", stride16}, {"bids=none", nil}} {
-			opts := TopKOptions{K: DefaultRewriteTopK, BidTerms: bc.bids}
-			b.Run(fmt.Sprintf("rows=%d/%s", 2*half, bc.name), func(b *testing.B) {
-				sc := new(topkScratch) // reused, as a writer worker reuses its own
-				b.ReportAllocs()
-				for b.Loop() {
-					if _, err := buildTopKBlob(qSeg, ids, g, opts.meta(), bc.bids, sc); err != nil {
-						b.Fatal(err)
+	for _, names := range []string{"syllables", "pathbench"} {
+		for _, half := range []int{32, 80} {
+			qSeg, g := benchShard(half, names == "pathbench")
+			ids := allQueries(g)
+			for _, bc := range []struct {
+				name string
+				bids map[string]bool
+			}{{"bids=stride16", stride16(g)}, {"bids=none", nil}} {
+				opts := TopKOptions{K: DefaultRewriteTopK, BidTerms: bc.bids}
+				isBid := bidQueries(g, bc.bids)
+				b.Run(fmt.Sprintf("names=%s/rows=%d/%s", names, 2*half, bc.name), func(b *testing.B) {
+					sc := new(topkScratch) // reused, as a writer worker reuses its own
+					b.ReportAllocs()
+					for b.Loop() {
+						if _, err := buildTopKBlob(qSeg, ids, g, opts.meta(), bc.bids, isBid, sc); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

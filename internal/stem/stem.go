@@ -4,14 +4,28 @@
 // and only one survives.
 package stem
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
-// Word reduces a single lowercase word to its Porter stem. Words shorter
-// than three letters are returned unchanged, per the original algorithm.
-func Word(s string) string {
-	w := []byte(strings.ToLower(s))
-	if len(w) <= 2 {
-		return string(w)
+// Word reduces a single word to its Porter stem, lowercased first. Words
+// shorter than three letters are returned lowercased, per the original
+// algorithm.
+func Word(s string) string { return string(AppendWord(nil, s)) }
+
+// AppendWord appends Word(s) to dst and returns the extended buffer. The
+// word is lowercased into dst and stemmed there in place — no step writes
+// past the word's end — so a caller that stems many words into one buffer
+// allocates only when that buffer grows.
+func AppendWord(dst []byte, s string) []byte {
+	n := len(dst)
+	dst = appendLower(dst, s)
+	w := dst[n:]
+	// Every suffix a step tests ends in a letter, so a word that does not
+	// (a model number, a unique token) is its own stem.
+	if len(w) <= 2 || w[len(w)-1] < 'a' || w[len(w)-1] > 'z' {
+		return dst
 	}
 	w = step1a(w)
 	w = step1b(w)
@@ -21,7 +35,25 @@ func Word(s string) string {
 	w = step4(w)
 	w = step5a(w)
 	w = step5b(w)
-	return string(w)
+	return dst[:n+len(w)]
+}
+
+// appendLower appends strings.ToLower(s) to dst, byte by byte when s is
+// ASCII.
+func appendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return append(dst, strings.ToLower(s)...)
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // Phrase stems each whitespace-separated word of a query and rejoins with

@@ -1,6 +1,7 @@
 package stem
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -233,6 +234,57 @@ func TestWordMatchesRuleScan(t *testing.T) {
 		want := wordScan(words[i]) + " " + wordScan(words[i+1]) + " " + wordScan(words[i+2])
 		if got := Phrase(p); got != want {
 			t.Errorf("Phrase(%q) = %q, the rule scan %q", p, got, want)
+		}
+	}
+}
+
+// wordBefore is Word as it was before AppendWord: the word lowercased into
+// a fresh slice by strings.ToLower, then the steps.
+func wordBefore(s string) string {
+	w := []byte(strings.ToLower(s))
+	if len(w) <= 2 {
+		return string(w)
+	}
+	w = step1a(w)
+	w = step1b(w)
+	w = step1c(w)
+	w = step2(w)
+	w = step3(w)
+	w = step4(w)
+	w = step5a(w)
+	w = step5b(w)
+	return string(w)
+}
+
+// TestAppendWordMatchesWord holds AppendWord to Word as it was, on every
+// word of the test corpora — the known vectors, the rule sweep and their
+// upper-case and title-case forms, and words whose lowercase is not ASCII
+// or changes their length — appended to an empty buffer and behind a
+// prefix, which it must leave as it was.
+func TestAppendWordMatchesWord(t *testing.T) {
+	words := stemVocabulary()
+	for w := range knownVectors {
+		words = append(words, w)
+	}
+	for _, w := range slices.Clone(words) {
+		if w != "" {
+			words = append(words, strings.ToUpper(w), strings.ToUpper(w[:1])+w[1:])
+		}
+	}
+	words = append(words, "Straße", "İSTANBUL", "ÀÉÎÕÜ", "KELVIN\u212a", "naïve", "CAFÉS", "日本", "Ωmega", "\xff\xfe", "a\u0130b")
+	const prefix = "digit camera "
+	for _, w := range words {
+		want := wordBefore(w)
+		if got := string(AppendWord(nil, w)); got != want {
+			t.Errorf("AppendWord(nil, %q) = %q, Word was %q", w, got, want)
+		}
+		buf := append(make([]byte, 0, len(prefix)), prefix...) // full: the word grows it
+		buf = AppendWord(buf, w)
+		if got := string(buf); got != prefix+want {
+			t.Errorf("AppendWord(%q, %q) = %q, want %q", prefix, w, got, prefix+want)
+		}
+		if got := Word(w); got != want {
+			t.Errorf("Word(%q) = %q, was %q", w, got, want)
 		}
 	}
 }
