@@ -245,7 +245,7 @@ func TestRemoveEdgesMatchesReplay(t *testing.T) {
 // or from NewSubview, which carries no name maps until a lookup.
 func TestNewBuilderFrom(t *testing.T) {
 	g := subviewRandomGraph(3, 40, 30, 200)
-	view, err := NewSubview(g, []int{1, 2, 3, 5, 8, 13, 21, 34}, []int{0, 2, 4, 6, 8, 10, 12, 14, 16}, nil)
+	view, err := NewSubview(g, []int{1, 2, 3, 5, 8, 13, 21, 34}, []int{0, 2, 4, 6, 8, 10, 12, 14, 16}, AdTable(g, []int{0, 2, 4, 6, 8, 10, 12, 14, 16}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestBuilderProperty(t *testing.T) {
 			}
 			return ids
 		}
-		whole, err := NewSubview(g, all(g.NumQueries()), all(g.NumAds()), nil)
+		whole, err := NewSubview(g, all(g.NumQueries()), all(g.NumAds()), AdTable(g, all(g.NumAds())))
 		ok = ok && err == nil && reflect.DeepEqual(graphEdges(t, whole.Graph), want) &&
 			slices.Equal(whole.Graph.Queries(), g.Queries()) && slices.Equal(whole.Graph.Ads(), g.Ads())
 
@@ -470,7 +470,7 @@ func TestBuilderProperty(t *testing.T) {
 			return slices.DeleteFunc(ids, func(id int) bool { return (id*7+int(pick))%3 == 0 })
 		}
 		qIDs, aIDs := keep(all(g.NumQueries())), keep(all(g.NumAds()))
-		view, err := NewSubview(g, qIDs, aIDs, nil)
+		view, err := NewSubview(g, qIDs, aIDs, AdTable(g, aIDs))
 		induced := g.InducedSubgraph(qIDs, aIDs)
 		ok = ok && err == nil && reflect.DeepEqual(graphEdges(t, view.Graph), graphEdges(t, induced)) &&
 			slices.Equal(view.QueryIDs, qIDs) && slices.Equal(view.AdIDs, aIDs) &&

@@ -33,10 +33,9 @@ type Subview struct {
 //
 // adLocal translates an edge's ad to its local id: a table over g's ads
 // in which every ad of the view holds its position in the view's ascending
-// ad list, the ads of other views anything else. The views of a partition
-// share one (each ad lies in one view: core.RunSharded builds it once from
-// the plan), so a carve allocates in proportion to its view alone; nil
-// builds one for this view, sized to g's ads.
+// ad list, the ads of other views anything else (AdTable builds one). The
+// views of a partition share one, since each ad lies in one view, so a
+// carve allocates in proportion to its view alone.
 func NewSubview(g *Graph, queryIDs, adIDs []int, adLocal []int32) (*Subview, error) {
 	qSel, err := checkIDs(queryIDs, g.NumQueries(), "query")
 	if err != nil {
@@ -45,12 +44,6 @@ func NewSubview(g *Graph, queryIDs, adIDs []int, adLocal []int32) (*Subview, err
 	aSel, err := checkIDs(adIDs, g.NumAds(), "ad")
 	if err != nil {
 		return nil, err
-	}
-	if adLocal == nil {
-		adLocal = make([]int32, g.NumAds())
-		for la, a := range aSel {
-			adLocal[a] = int32(la)
-		}
 	}
 	if len(adLocal) != g.NumAds() {
 		return nil, fmt.Errorf("clickgraph: ad table of %d ids for %d ads", len(adLocal), g.NumAds())
@@ -82,6 +75,20 @@ func NewSubview(g *Graph, queryIDs, adIDs []int, adLocal []int32) (*Subview, err
 	}
 	sub.indexAds()
 	return &Subview{Graph: sub, QueryIDs: qSel, AdIDs: aSel}, nil
+}
+
+// AdTable returns the ad table NewSubview takes for views of g whose ad
+// lists are ascending, free of repeats and disjoint, as a partition's
+// shards are: each listed ad holds its position in its view's list, every
+// other ad 0.
+func AdTable(g *Graph, views ...[]int) []int32 {
+	table := make([]int32, g.NumAds())
+	for _, ads := range views {
+		for la, a := range ads {
+			table[a] = int32(la)
+		}
+	}
+	return table
 }
 
 // checkIDs copies, sorts, de-duplicates and range-checks one side's ids.

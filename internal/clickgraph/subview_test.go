@@ -44,7 +44,7 @@ func TestSubviewMatchesInducedSubgraph(t *testing.T) {
 	queryIDs := []int{0, 2, 3, 7, 8, 11, 12, 19}
 	adIDs := []int{1, 2, 5, 6, 9, 14}
 	want := g.InducedSubgraph(queryIDs, adIDs)
-	view, err := NewSubview(g, queryIDs, adIDs, nil)
+	view, err := NewSubview(g, queryIDs, adIDs, AdTable(g, adIDs))
 	if err != nil {
 		t.Fatalf("NewSubview: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestSubviewMatchesInducedSubgraph(t *testing.T) {
 func TestSubviewIDMapping(t *testing.T) {
 	g := subviewRandomGraph(9, 12, 10, 50)
 	// Deliberately unsorted with a duplicate: NewSubview must sort+dedupe.
-	view, err := NewSubview(g, []int{7, 1, 4, 1}, []int{9, 0, 3}, nil)
+	view, err := NewSubview(g, []int{7, 1, 4, 1}, []int{9, 0, 3}, AdTable(g, []int{0, 3, 9}))
 	if err != nil {
 		t.Fatalf("NewSubview: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestSubviewWholeGraph(t *testing.T) {
 		}
 		return out
 	}
-	view, err := NewSubview(g, all(g.NumQueries()), all(g.NumAds()), nil)
+	view, err := NewSubview(g, all(g.NumQueries()), all(g.NumAds()), AdTable(g, all(g.NumAds())))
 	if err != nil {
 		t.Fatalf("NewSubview: %v", err)
 	}
@@ -124,10 +124,10 @@ func TestSubviewWholeGraph(t *testing.T) {
 
 func TestSubviewRejectsOutOfRange(t *testing.T) {
 	g := subviewRandomGraph(4, 5, 5, 10)
-	if _, err := NewSubview(g, []int{0, 5}, nil, nil); err == nil {
+	if _, err := NewSubview(g, []int{0, 5}, nil, AdTable(g)); err == nil {
 		t.Error("accepted out-of-range query id")
 	}
-	if _, err := NewSubview(g, nil, []int{-1}, nil); err == nil {
+	if _, err := NewSubview(g, nil, []int{-1}, AdTable(g)); err == nil {
 		t.Error("accepted negative ad id")
 	}
 }
@@ -216,9 +216,9 @@ func searchCarve(g *Graph, queryIDs, adIDs []int) *Subview {
 
 // TestSubviewTableMatchesSearchCarve carves every view of random plans —
 // each query and each ad dealt to one of k views, some views left without
-// queries or ads — through one shared ad table, as RunSharded does, and
-// holds each to the binary-search carve it replaced: the same ids, names,
-// edge table and ad-ordered view. A table that misnumbers an ad of the
+// queries or ads — through one shared AdTable, as RunSharded does, and
+// through a table of its own, and holds each to the binary-search carve it
+// replaced: the same ids, names, edge table and ad-ordered view. A table that misnumbers an ad of the
 // view is refused.
 func TestSubviewTableMatchesSearchCarve(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
@@ -235,15 +235,10 @@ func TestSubviewTableMatchesSearchCarve(t *testing.T) {
 			return views
 		}
 		qViews, aViews := deal(g.NumQueries()), deal(g.NumAds())
-		adLocal := make([]int32, g.NumAds())
-		for _, ads := range aViews {
-			for la, a := range ads {
-				adLocal[a] = int32(la)
-			}
-		}
+		adLocal := AdTable(g, aViews...)
 		for v := range k {
 			want := searchCarve(g, qViews[v], aViews[v])
-			for name, table := range map[string][]int32{"shared table": adLocal, "own table": nil} {
+			for name, table := range map[string][]int32{"shared table": adLocal, "own table": AdTable(g, aViews[v])} {
 				got, err := NewSubview(g, qViews[v], aViews[v], table)
 				if err != nil {
 					t.Fatalf("seed %d view %d, %s: %v", seed, v, name, err)

@@ -220,7 +220,7 @@ func BenchmarkShardedStitch(b *testing.B) {
 	outs := make([]shardOut, len(plan.Shards))
 	pairs := 0
 	for i := range plan.Shards {
-		v, err := clickgraph.NewSubview(g, plan.Shards[i].Queries, plan.Shards[i].Ads, nil)
+		v, err := clickgraph.NewSubview(g, plan.Shards[i].Queries, plan.Shards[i].Ads, clickgraph.AdTable(g, plan.Shards[i].Ads))
 		if err != nil {
 			b.Fatal(err)
 		}

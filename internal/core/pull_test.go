@@ -181,7 +181,7 @@ func TestPullCandidatePathsAgree(t *testing.T) {
 func TestPullSparseGuard(t *testing.T) {
 	whole := ringGraph(300)
 	plan := partition.WholePlan(whole)
-	view, err := clickgraph.NewSubview(whole, plan.Shards[0].Queries, plan.Shards[0].Ads, nil)
+	view, err := clickgraph.NewSubview(whole, plan.Shards[0].Queries, plan.Shards[0].Ads, clickgraph.AdTable(whole, plan.Shards[0].Ads))
 	if err != nil {
 		t.Fatal(err)
 	}

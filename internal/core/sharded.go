@@ -194,12 +194,11 @@ func RunSharded(g *clickgraph.Graph, cfg Config, plan *partition.Plan, opt Shard
 	outs := make([]shardOut, len(plan.Shards))
 	// Each ad lies in one shard (plan.Validate), so one table gives every
 	// ad its local id in its shard's view, for every carve.
-	adLocal := make([]int32, g.NumAds())
+	views := make([][]int, len(plan.Shards))
 	for i := range plan.Shards {
-		for la, a := range plan.Shards[i].Ads {
-			adLocal[a] = int32(la)
-		}
+		views[i] = plan.Shards[i].Ads
 	}
+	adLocal := clickgraph.AdTable(g, views...)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	var errMu sync.Mutex

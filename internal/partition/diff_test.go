@@ -282,7 +282,7 @@ func TestEdgeCountsExactPast2To53(t *testing.T) {
 	}
 	const big = 1<<53 + 1
 	g := build(big)
-	view, err := clickgraph.NewSubview(g, []int{0, 1}, []int{1}, nil)
+	view, err := clickgraph.NewSubview(g, []int{0, 1}, []int{1}, clickgraph.AdTable(g, []int{1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,7 +236,7 @@ func TestPipelineFilterInteraction(t *testing.T) {
 }
 
 // stemKeyNames is a names source that supplies its own stem keys, the
-// way the snapshot builder's per-shard memo does.
+// way the snapshot builder's per-shard names do.
 type stemKeyNames struct {
 	*clickgraph.Graph
 	asked []int

@@ -270,7 +270,7 @@ func TestShardSegmentsMatchStandaloneRuns(t *testing.T) {
 			pairs := 0
 			for i := range plan.Shards {
 				sh := &plan.Shards[i]
-				view, err := clickgraph.NewSubview(g, sh.Queries, sh.Ads, nil)
+				view, err := clickgraph.NewSubview(g, sh.Queries, sh.Ads, clickgraph.AdTable(g, sh.Ads))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -162,10 +162,6 @@ func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Sn
 	var failed atomic.Bool
 	width := poolWidth(len(shards))
 	scratch := make([]encodeScratch, width)
-	var isBid []bool
-	if tk.k > 0 {
-		isBid = bidQueries(g, bids)
-	}
 	pool := make(chan struct{})
 	go func() {
 		defer close(pool)
@@ -180,7 +176,7 @@ func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Sn
 					_, err = w.WriteAt(p.a, p.off+p.qLen)
 				}
 			} else {
-				err = p.encode(w, &scratch[wk], run, &shards[i], tk, bids, isBid)
+				err = p.encode(w, &scratch[wk], run, &shards[i], tk, bids)
 			}
 			if err != nil {
 				errs[i] = err
@@ -323,7 +319,7 @@ type encodeScratch struct {
 // frontiers, at p.off through sc.buf, the worker's reused buffer, and
 // builds the shard's top-k blob from the query segment while it is still
 // in cache.
-func (p *shardPart) encode(w io.WriterAt, sc *encodeScratch, run *core.Result, sh *partition.Shard, tk topkMeta, bids map[string]bool, isBid []bool) error {
+func (p *shardPart) encode(w io.WriterAt, sc *encodeScratch, run *core.Result, sh *partition.Shard, tk topkMeta, bids map[string]bool) error {
 	buf := slices.Grow(sc.buf[:0], int(p.qLen+p.aLen))
 	buf = appendSegment(buf, run.QueryScores, sh.Queries)
 	buf = appendSegment(buf, run.AdScores, sh.Ads)
@@ -333,7 +329,7 @@ func (p *shardPart) encode(w io.WriterAt, sc *encodeScratch, run *core.Result, s
 	if _, err := w.WriteAt(buf, p.off); err != nil {
 		return err
 	}
-	blob, err := buildTopKBlob(q, sh.Queries, run.Graph, tk, bids, isBid, &sc.topk)
+	blob, err := buildTopKBlob(q, sh.Queries, run.Graph, tk, bids, &sc.topk)
 	if err != nil {
 		return err
 	}

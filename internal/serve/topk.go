@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"unicode/utf8"
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/rewrite"
@@ -114,7 +113,7 @@ func (s *topkSliceSource) Rewrites(_ int, limit int) ([]sparse.Scored, error) {
 // one list and a candidate in up to a hundred others: the stem key and,
 // under a bid list, whether the name is bid on. A writer worker keeps one
 // and refills it shard after shard (reset), so its buffers and its word
-// memo are reused and a refresh stems only its dirty shards' names.
+// map are reused and a refresh stems only its dirty shards' names.
 type shardNames struct {
 	g    *clickgraph.Graph
 	ids  []int   // the shard's global query ids, ascending
@@ -124,121 +123,56 @@ type shardNames struct {
 
 	flags []bool              // bid's storage
 	buf   []byte              // keys as they are built
-	memo  [memoSlots]memoWord // word stems, by a hash of the word
-	stems []byte              // the memoised stems' bytes
+	words map[string]wordStem // the shard's words so far, each with its stem
+	stems []byte              // the stems' bytes
 }
 
-// reset fills s for the shard of g's queries qIDs, with isBid the write's
-// bid flags per query id (bidQueries). Names share most of their words, so
-// stem.AppendWord runs once per distinct word the worker meets, into the
-// memo; a name's key is its word stems joined by single spaces, which is
-// stem.Phrase by construction.
-func (s *shardNames) reset(g *clickgraph.Graph, qIDs []int, isBid []bool) {
+// wordStem locates a word's stem in shardNames.stems: stems[lo:hi].
+type wordStem struct{ lo, hi int32 }
+
+// reset fills s for the shard of g's queries qIDs under the bid list bids.
+// Names share most of their words, so stem.AppendWord runs once per
+// distinct word of the shard; a name's key is its word stems joined by
+// single spaces, which is stem.Phrase by construction.
+func (s *shardNames) reset(g *clickgraph.Graph, qIDs []int, bids map[string]bool) {
 	s.g = g
 	s.ids = append(s.ids[:0], qIDs...)
 	slices.Sort(s.ids)
 	s.off = resized(&s.off, len(s.ids)+1)
 	s.bid = nil
-	if isBid != nil {
+	if bids != nil {
 		s.bid = resized(&s.flags, len(s.ids))
 	}
+	if s.words == nil {
+		s.words = make(map[string]wordStem)
+	}
+	clear(s.words)
+	s.stems = s.stems[:0]
 	buf := s.buf[:0]
 	for p, id := range s.ids {
+		name := g.Query(id)
 		if s.bid != nil {
-			s.bid[p] = isBid[id]
+			s.bid[p] = bids[name]
 		}
 		s.off[p] = int32(len(buf))
-		buf = s.appendKey(buf, g.Query(id))
+		for w := range strings.FieldsSeq(name) {
+			st, ok := s.words[w]
+			if !ok {
+				lo := len(s.stems)
+				s.stems = stem.AppendWord(s.stems, w)
+				st = wordStem{int32(lo), int32(len(s.stems))}
+				s.words[w] = st
+			}
+			if len(buf) > int(s.off[p]) {
+				buf = append(buf, ' ')
+			}
+			buf = append(buf, s.stems[st.lo:st.hi]...)
+		}
 	}
 	s.off[len(s.ids)] = int32(len(buf))
 	s.buf = buf
 	s.keys = string(buf)
 }
-
-// appendKey appends stem.Phrase(name) to buf: strings.Fields' words, each
-// stemmed through the memo. An ASCII name is split by hand; at its first
-// non-ASCII byte strings.Fields takes the name over.
-func (s *shardNames) appendKey(buf []byte, name string) []byte {
-	start := len(buf)
-	for i := 0; i < len(name); {
-		switch byteClass[name[i]] {
-		case spaceByte:
-			i++
-			continue
-		case otherByte:
-			buf = buf[:start]
-			for w := range strings.FieldsSeq(name) {
-				buf = s.appendWord(buf, start, w)
-			}
-			return buf
-		}
-		j := i + 1
-		for j < len(name) && byteClass[name[j]] == wordByte {
-			j++
-		}
-		if j == len(name) || byteClass[name[j]] == spaceByte {
-			buf = s.appendWord(buf, start, name[i:j])
-		} // else a non-ASCII byte ends the word: the switch hands over
-		i = j
-	}
-	return buf
-}
-
-// appendWord appends w's stem to the key that starts at buf[start], behind
-// a space unless it is the key's first word. The memo is direct-mapped by
-// an FNV-1a hash of the word: a slot keeps the last word hashed to it, so
-// the shared vocabulary stays while words of one name come and go.
-func (s *shardNames) appendWord(buf []byte, start int, w string) []byte {
-	h := uint32(2166136261)
-	for i := 0; i < len(w); i++ {
-		h = (h ^ uint32(w[i])) * 16777619
-	}
-	m := &s.memo[h%memoSlots]
-	if m.word != w {
-		if len(s.stems) > memoBytes {
-			s.memo, s.stems = [memoSlots]memoWord{}, s.stems[:0]
-		}
-		lo := len(s.stems)
-		s.stems = stem.AppendWord(s.stems, w)
-		*m = memoWord{w, int32(lo), int32(len(s.stems))}
-	}
-	if len(buf) > start {
-		buf = append(buf, ' ')
-	}
-	return append(buf, s.stems[m.lo:m.hi]...)
-}
-
-// memoWord is a memo slot: a word and its stem, stems[lo:hi].
-type memoWord struct {
-	word   string
-	lo, hi int32
-}
-
-// The memo's size: its slots, and the stem bytes it keeps before it
-// starts over.
-const (
-	memoSlots = 1 << 10
-	memoBytes = 1 << 16
-)
-
-// byteClass sorts a name's bytes for appendKey: the ASCII spaces
-// strings.Fields splits on, the bytes of a non-ASCII character, and the
-// rest, which make up words.
-var byteClass = func() (c [256]uint8) {
-	for b := utf8.RuneSelf; b < 256; b++ {
-		c[b] = otherByte
-	}
-	for _, b := range "\t\n\v\f\r " {
-		c[b] = spaceByte
-	}
-	return c
-}()
-
-const (
-	wordByte = iota
-	spaceByte
-	otherByte
-)
 
 // NumQueries and Query are rewrite.QueryNames over positions.
 func (s *shardNames) NumQueries() int    { return len(s.ids) }
@@ -251,15 +185,12 @@ func (s *shardNames) BidTerm(p int) bool   { return s.bid[p] }
 
 // topkScratch is one writer worker's buildTopKBlob memory, kept between
 // calls so that the worker sizes it once for the largest shard it builds:
-// the shard's names, the position of each query id (positions), the row
-// and bid-row lengths, the noted pairs, the whole-row flags, the list
-// starts and fill cursors, the flat partner lists, and the pipeline's
-// scratch.
+// the shard's names, the row and bid-row lengths, the whole-row flags, the
+// list starts and fill cursors, the flat partner lists, and the
+// pipeline's scratch.
 type topkScratch struct {
 	names          shardNames
-	pos, posIDs    []int32 // p+1 at the shard's ids, 0 elsewhere; the ids set
 	rowLen, bidLen []int
-	notes          []topkNote
 	whole          []bool
 	start, next    []int
 	flat           []sparse.Scored
@@ -267,30 +198,15 @@ type topkScratch struct {
 	filter         rewrite.Scratch
 }
 
-// positions returns a table over the query ids below n that holds p+1 at
-// ids[p] and 0 at every other id, clearing what the previous call set.
-func (sc *topkScratch) positions(n int, ids []int) []int32 {
-	for _, id := range sc.posIDs {
-		sc.pos[id] = 0
+// seek returns the first position from p on whose id is not below id.
+// A segment's records ascend by (i, j) with i < j, and so do the shard's
+// ids, so i's position only moves forward over the whole segment and j's,
+// from just past i's, over one row.
+func seek(ids []int, p int, id uint32) int {
+	for p < len(ids) && ids[p] < int(id) {
+		p++
 	}
-	if len(ids) > 0 {
-		n = max(n, ids[len(ids)-1]+1)
-	}
-	if len(sc.pos) < n {
-		sc.pos = make([]int32, n)
-	}
-	sc.posIDs = sc.posIDs[:0]
-	for p, id := range ids {
-		sc.pos[id] = int32(p) + 1
-		sc.posIDs = append(sc.posIDs, int32(id))
-	}
-	return sc.pos
-}
-
-// topkNote is a segment pair with a bid side: positions i < j and score.
-type topkNote struct {
-	pi, pj int32
-	v      float64
+	return p
 }
 
 // resized returns (*buf)[:n], reallocated when its capacity is short; the
@@ -326,77 +242,49 @@ func checkTopKBlobLen(n int) error {
 // partners, a longer row the bid partners among its tk.topN best (all of
 // them without a bid list), and only what is kept is sorted.
 //
-// isBid is bidQueries(g, bids), which a write computes once for all of
-// its shards. sc holds the call's working memory, reused from the
-// caller's previous call: the writer keeps one per pool worker. Beside the
-// blob itself a call allocates only the shard's stem keys and what grows
-// sc.
-func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bids map[string]bool, isBid []bool, sc *topkScratch) ([]byte, error) {
+// sc holds the call's working memory, reused from the caller's previous
+// call: the writer keeps one per pool worker. Beside the blob itself a
+// call allocates only the shard's stem keys and what grows sc.
+func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bids map[string]bool, sc *topkScratch) ([]byte, error) {
 	if tk.k == 0 {
 		return nil, nil
 	}
 	shard := &sc.names
-	shard.reset(g, qIDs, isBid)
+	shard.reset(g, qIDs, bids)
 	ids, bid, topN := shard.ids, shard.bid, int(tk.topN)
 	// Partner lists, sized by a counting pass and filled into one flat
-	// array (as sparse.ExpandSymmetric does): position p's list is
-	// flat[start[p]:start[p+1]], of partner positions.
-	//
-	// A record's ids become positions through sc.pos, which holds p+1 at
-	// each shard id and 0 elsewhere. A segment's records ascend by (i, j)
-	// with i < j, and so do the positions: an id outside the shard, or a
-	// position that does not rise past the last one its row or the
-	// segment saw, is refused.
-	//
-	// Under a bid list the counting pass also notes each pair with a bid
-	// side: those are all the pairs a list that is not whole holds, so
-	// only a shard with a whole list walks its records again.
-	pos := sc.positions(g.NumQueries(), ids)
-	at := func(id uint32) int {
-		if int(id) < len(pos) {
-			return int(pos[id]) - 1
-		}
-		return -1
-	}
+	// array by a second walk of the records (as sparse.ExpandSymmetric
+	// does): position p's list is flat[start[p]:start[p+1]], of partner
+	// positions. Both walks find a record's positions by seek; the
+	// counting pass refuses an id that is not at the position it finds,
+	// which also refuses a repeated or descending record.
 	n := len(qSeg) / pairRecordSize
 	rowLen := resized(&sc.rowLen, len(ids)) // partners of each row
 	bidLen := resized(&sc.bidLen, len(ids)) // bid partners of each row
 	clear(rowLen)
 	clear(bidLen)
-	notes := sc.notes[:0]
-	last := -1
+	pi := -1
 	for seg := qSeg[:n*pairRecordSize]; len(seg) > 0; {
 		i := binary.LittleEndian.Uint32(seg)
-		pi := at(i)
-		if pi <= last {
+		if pi = seek(ids, pi+1, i); pi == len(ids) || ids[pi] != int(i) {
 			return nil, fmt.Errorf("serve: query segment row %d names a query outside its shard or breaks the ascending i order", i)
 		}
-		last = pi
 		bi := bid != nil && bid[pi]
-		fwd, nb := 0, 0
-		for pj := pi; len(seg) >= pairRecordSize && binary.LittleEndian.Uint32(seg) == i; seg = seg[pairRecordSize:] {
+		for pj := pi; len(seg) > 0 && binary.LittleEndian.Uint32(seg) == i; seg = seg[pairRecordSize:] {
 			j := binary.LittleEndian.Uint32(seg[4:])
-			next := at(j)
-			if next <= pj {
+			if pj = seek(ids, pj+1, j); pj == len(ids) || ids[pj] != int(j) {
 				return nil, fmt.Errorf("serve: query segment pair (%d, %d) names a query outside its shard or breaks the ascending i < j order", i, j)
 			}
-			pj = next
+			rowLen[pi]++
 			rowLen[pj]++
-			if bid != nil && (bi || bid[pj]) {
-				notes = append(notes, topkNote{int32(pi), int32(pj), math.Float64frombits(binary.LittleEndian.Uint64(seg[8:]))})
-				if bid[pj] {
-					nb++
-				}
-				if bi {
-					bidLen[pj]++
-				}
+			if bid != nil && bid[pj] {
+				bidLen[pi]++
 			}
-			fwd++
+			if bi {
+				bidLen[pj]++
+			}
 		}
-		rowLen[pi] += fwd
-		bidLen[pi] += nb
 	}
-	sc.notes = notes
 	// whole[p]: row p is stored whole — there is no bid list, or the row
 	// is longer than the pool and holds a bid partner, so it must be ranked
 	// among all its partners before its unbid ones go. Any other row stores
@@ -404,46 +292,36 @@ func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bi
 	whole := resized(&sc.whole, len(ids))
 	start := resized(&sc.start, len(ids)+1)
 	start[0] = 0
-	anyWhole := false
 	for p := range ids {
 		keep := bidLen[p]
 		whole[p] = bid == nil || rowLen[p] > topN && keep > 0
 		if whole[p] {
-			keep, anyWhole = rowLen[p], true
+			keep = rowLen[p]
 		}
 		start[p+1] = start[p] + keep
 	}
 	flat := resized(&sc.flat, start[len(ids)])
 	next := append(sc.next[:0], start[:len(ids)]...)
 	sc.next = next
-	put := func(p, partner int, v float64) {
-		flat[next[p]] = sparse.Scored{Node: partner, Score: v}
-		next[p]++
-	}
-	// A list that is not whole: its bid partners, from the notes.
-	for _, nt := range notes {
-		pi, pj := int(nt.pi), int(nt.pj)
-		if bid[pj] && !whole[pi] {
-			put(pi, pj, nt.v)
-		}
-		if bid[pi] && !whole[pj] {
-			put(pj, pi, nt.v)
-		}
-	}
-	// A whole list: every partner, from a second walk of the records,
-	// which the counting pass has checked.
-	if anyWhole {
-		for r := 0; r < n; r++ {
-			rec := qSeg[r*pairRecordSize : (r+1)*pairRecordSize]
-			pi, pj := int(pos[binary.LittleEndian.Uint32(rec)])-1, int(pos[binary.LittleEndian.Uint32(rec[4:])])-1
-			if whole[pi] || whole[pj] {
-				v := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
-				if whole[pi] {
-					put(pi, pj, v)
-				}
-				if whole[pj] {
-					put(pj, pi, v)
-				}
+	pi = -1
+	for seg := qSeg[:n*pairRecordSize]; len(seg) > 0; {
+		i := binary.LittleEndian.Uint32(seg)
+		pi = seek(ids, pi+1, i)
+		for pj := pi; len(seg) > 0 && binary.LittleEndian.Uint32(seg) == i; seg = seg[pairRecordSize:] {
+			pj = seek(ids, pj+1, binary.LittleEndian.Uint32(seg[4:]))
+			// bid is nil only when every row is whole.
+			inI, inJ := whole[pi] || bid[pj], whole[pj] || bid[pi]
+			if !inI && !inJ {
+				continue
+			}
+			v := math.Float64frombits(binary.LittleEndian.Uint64(seg[8:]))
+			if inI {
+				flat[next[pi]] = sparse.Scored{Node: pj, Score: v}
+				next[pi]++
+			}
+			if inJ {
+				flat[next[pj]] = sparse.Scored{Node: pi, Score: v}
+				next[pj]++
 			}
 		}
 	}
@@ -495,54 +373,6 @@ func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bi
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return blob, nil
-}
-
-// pooledBids returns, sorted, the bid partners among row's topN first in
-// SortScoredDesc's order. It moves the bid partners to the row's front and
-// sorts them; the partners of the row ranked before one only grow along
-// that order, so a binary search over that count finds the first bid
-// partner past the pool. Under a sparse bid list that is a few walks of
-// the row, each a branch-free count, not a selection over it.
-func pooledBids(row []sparse.Scored, bid []bool, topN int) []sparse.Scored {
-	b := 0
-	for k, c := range row {
-		if bid[c.Node] {
-			row[b], row[k] = c, row[b]
-			b++
-		}
-	}
-	kept := row[:b]
-	sparse.SortScoredDesc(kept)
-	return kept[:sort.Search(b, func(k int) bool {
-		c, ahead := kept[k], 0
-		for _, x := range row {
-			ahead += b2i(x.Score > c.Score) | b2i(x.Score == c.Score)&b2i(x.Node < c.Node)
-		}
-		return ahead >= topN
-	})]
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// bidQueries flags, per query id of g, whether bids holds the query's
-// name; nil without a bid list. It looks each term up once, so a write
-// hashes its bid list rather than every name.
-func bidQueries(g *clickgraph.Graph, bids map[string]bool) []bool {
-	if bids == nil {
-		return nil
-	}
-	isBid := make([]bool, g.NumQueries())
-	for t, ok := range bids {
-		if id, found := g.QueryID(t); ok && found {
-			isBid[id] = true
-		}
-	}
-	return isBid
 }
 
 // validateTopKBlob structurally checks one CRC-verified blob on first
@@ -640,4 +470,36 @@ func (s *Snapshot) precomputed(ctx context.Context, q, top int) ([]sparse.Scored
 func (s *Snapshot) PrecomputedRewrites(q, top int) ([]sparse.Scored, bool) {
 	out, err := s.precomputed(context.Background(), q, top)
 	return out, err == nil
+}
+
+// pooledBids returns, sorted, the bid partners among row's topN first in
+// SortScoredDesc's order. It moves the bid partners to the row's front and
+// sorts them; the partners of the row ranked before one only grow along
+// that order, so a binary search over that count finds the first bid
+// partner past the pool. Under a sparse bid list that is a few walks of
+// the row, each a branch-free count, not a selection over it.
+func pooledBids(row []sparse.Scored, bid []bool, topN int) []sparse.Scored {
+	b := 0
+	for k, c := range row {
+		if bid[c.Node] {
+			row[b], row[k] = c, row[b]
+			b++
+		}
+	}
+	kept := row[:b]
+	sparse.SortScoredDesc(kept)
+	return kept[:sort.Search(b, func(k int) bool {
+		c, ahead := kept[k], 0
+		for _, x := range row {
+			ahead += b2i(x.Score > c.Score) | b2i(x.Score == c.Score)&b2i(x.Node < c.Node)
+		}
+		return ahead >= topN
+	})]
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -352,7 +352,7 @@ func TestTopKBlobsMatchReferenceLongRows(t *testing.T) {
 }
 
 // TestShardNamesMatchPhrase pins shardNames' stem keys, built through the
-// worker's word memo, to stem.Phrase, name by name, for every query of the
+// worker's word map, to stem.Phrase, name by name, for every query of the
 // serve fixtures and for names strings.Fields has to collapse (repeated
 // spaces, tabs, leading and trailing blanks, the empty name) or has to
 // split on non-ASCII space, on the whole graph's shard and on a shard given
@@ -383,7 +383,7 @@ func TestShardNamesMatchPhrase(t *testing.T) {
 			qIDs = append(qIDs, q)
 		}
 		for _, ids := range [][]int{allQueries(names), qIDs} {
-			s.reset(names, ids, bidQueries(names, bids))
+			s.reset(names, ids, bids)
 			if s.NumQueries() != len(ids) {
 				t.Fatalf("%s: shard holds %d queries", name, s.NumQueries())
 			}
@@ -417,7 +417,7 @@ func TestBuildTopKBlobIdentityShard(t *testing.T) {
 	tk := TopKOptions{K: 4}.meta()
 	ids := partition.WholePlan(g).Shards[0].Queries
 	qSeg := encodeSegment(res.QueryScores, ids)
-	got, err := buildTopKBlob(qSeg, ids, g, tk, nil, nil, new(topkScratch))
+	got, err := buildTopKBlob(qSeg, ids, g, tk, nil, new(topkScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestBuildTopKBlobRejectsForeignPair(t *testing.T) {
 	good := [][3]float64{{0, 2, 0.5}, {0, 9, 0.25}, {2, 5, 0.125}, {5, 9, 0.75}}
 	all := allQueries(g)
 	for _, qIDs := range [][]int{shard, all} {
-		if _, err := buildTopKBlob(makeSegBytes(t, good), qIDs, g, tk, nil, nil, new(topkScratch)); err != nil {
+		if _, err := buildTopKBlob(makeSegBytes(t, good), qIDs, g, tk, nil, new(topkScratch)); err != nil {
 			t.Errorf("ids %v: a well-formed segment was refused: %v", qIDs, err)
 		}
 	}
@@ -457,19 +457,20 @@ func TestBuildTopKBlobRejectsForeignPair(t *testing.T) {
 		"rows descend":                {{2, 5, 0.5}, {0, 2, 0.25}},
 		"a row resumes":               {{0, 2, 0.5}, {2, 5, 0.5}, {0, 9, 0.25}},
 		"columns descend in a row":    {{0, 5, 0.5}, {0, 2, 0.25}},
+		"a pair repeats":              {{0, 2, 0.5}, {0, 2, 0.5}},
 		"j below i":                   {{5, 2, 0.5}},
 		"j equals i":                  {{2, 2, 0.5}},
 	} {
-		if _, err := buildTopKBlob(makeSegBytes(t, recs), shard, g, tk, nil, nil, new(topkScratch)); err == nil {
+		if _, err := buildTopKBlob(makeSegBytes(t, recs), shard, g, tk, nil, new(topkScratch)); err == nil {
 			t.Errorf("%s: buildTopKBlob accepted %v over ids %v", name, recs, shard)
 		}
 	}
 	// The whole graph's shard holds every query, so only the order can be
 	// wrong.
-	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{0, 1, 0.5}, {1, 40, 0.25}}), all, g, tk, nil, nil, new(topkScratch)); err != nil {
+	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{0, 1, 0.5}, {1, 40, 0.25}}), all, g, tk, nil, new(topkScratch)); err != nil {
 		t.Errorf("identity shard holds every query, got %v", err)
 	}
-	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{1, 40, 0.25}, {0, 1, 0.5}}), all, g, tk, nil, nil, new(topkScratch)); err == nil {
+	if _, err := buildTopKBlob(makeSegBytes(t, [][3]float64{{1, 40, 0.25}, {0, 1, 0.5}}), all, g, tk, nil, new(topkScratch)); err == nil {
 		t.Error("identity shard: rows out of order were accepted")
 	}
 }
@@ -504,14 +505,13 @@ func TestBuildTopKBlobAllocs(t *testing.T) {
 			ids := allQueries(g)
 			for _, bids := range []map[string]bool{stride16(g), nil} {
 				tk := TopKOptions{K: DefaultRewriteTopK, BidTerms: bids}.meta()
-				isBid := bidQueries(g, bids)
 				sc := new(topkScratch)
 				build := func() {
-					if _, err := buildTopKBlob(qSeg, ids, g, tk, bids, isBid, sc); err != nil {
+					if _, err := buildTopKBlob(qSeg, ids, g, tk, bids, sc); err != nil {
 						t.Fatal(err)
 					}
 				}
-				for range 30 { // past the memo's first fill
+				for range 3 { // past the scratch's first growth
 					build()
 				}
 				allocs := testing.AllocsPerRun(10, build)
@@ -634,12 +634,11 @@ func BenchmarkBuildTopKBlob(b *testing.B) {
 				bids map[string]bool
 			}{{"bids=stride16", stride16(g)}, {"bids=none", nil}} {
 				opts := TopKOptions{K: DefaultRewriteTopK, BidTerms: bc.bids}
-				isBid := bidQueries(g, bc.bids)
 				b.Run(fmt.Sprintf("names=%s/rows=%d/%s", names, 2*half, bc.name), func(b *testing.B) {
 					sc := new(topkScratch) // reused, as a writer worker reuses its own
 					b.ReportAllocs()
 					for b.Loop() {
-						if _, err := buildTopKBlob(qSeg, ids, g, opts.meta(), bc.bids, isBid, sc); err != nil {
+						if _, err := buildTopKBlob(qSeg, ids, g, opts.meta(), bc.bids, sc); err != nil {
 							b.Fatal(err)
 						}
 					}

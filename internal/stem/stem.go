@@ -4,10 +4,7 @@
 // and only one survives.
 package stem
 
-import (
-	"strings"
-	"unicode/utf8"
-)
+import "strings"
 
 // Word reduces a single word to its Porter stem, lowercased first. Words
 // shorter than three letters are returned lowercased, per the original
@@ -16,11 +13,12 @@ func Word(s string) string { return string(AppendWord(nil, s)) }
 
 // AppendWord appends Word(s) to dst and returns the extended buffer. The
 // word is lowercased into dst and stemmed there in place — no step writes
-// past the word's end — so a caller that stems many words into one buffer
-// allocates only when that buffer grows.
+// past the word's end — so a caller that stems many lowercase words into
+// one buffer allocates only when that buffer grows (strings.ToLower
+// returns such a word as it is).
 func AppendWord(dst []byte, s string) []byte {
 	n := len(dst)
-	dst = appendLower(dst, s)
+	dst = append(dst, strings.ToLower(s)...)
 	w := dst[n:]
 	// Every suffix a step tests ends in a letter, so a word that does not
 	// (a model number, a unique token) is its own stem.
@@ -36,24 +34,6 @@ func AppendWord(dst []byte, s string) []byte {
 	w = step5a(w)
 	w = step5b(w)
 	return dst[:n+len(w)]
-}
-
-// appendLower appends strings.ToLower(s) to dst, byte by byte when s is
-// ASCII.
-func appendLower(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return append(dst, strings.ToLower(s)...)
-		}
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		dst = append(dst, c)
-	}
-	return dst
 }
 
 // Phrase stems each whitespace-separated word of a query and rejoins with
