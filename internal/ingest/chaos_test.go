@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -98,6 +99,11 @@ func TestChaosCrashAtEveryCheckpoint(t *testing.T) {
 			// Invariant 1: the serving path is never torn, whatever the
 			// crash point — it is only ever replaced atomically.
 			servingFingerprint(t, env.snapPath)
+			// A crash mid-write leaves the torn journal temp a kill would.
+			torn := filepath.Join(env.snapPath+".gens", "journal-*.tmp")
+			if stage == "fold:commit:mid-write" && len(globFiles(t, torn)) == 0 {
+				t.Fatal("the crash mid-write left no torn journal temp")
+			}
 
 			// Recovery: a fresh controller folds through and converges.
 			c2, err := NewController(env.config())
@@ -105,6 +111,9 @@ func TestChaosCrashAtEveryCheckpoint(t *testing.T) {
 				t.Fatalf("recovery controller: %v", err)
 			}
 			defer c2.Close()
+			if left := globFiles(t, torn); len(left) != 0 {
+				t.Fatalf("the successor's journal lock did not sweep %v", left)
+			}
 			fr, err := c2.FoldOnce(context.Background())
 			if err != nil {
 				t.Fatalf("recovery fold: %v", err)
@@ -127,6 +136,15 @@ func TestChaosCrashAtEveryCheckpoint(t *testing.T) {
 			}
 		})
 	}
+}
+
+func globFiles(t *testing.T, pattern string) []string {
+	t.Helper()
+	m, err := filepath.Glob(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestChaosTornWALTail crashes between the WAL write and its fsync

@@ -60,7 +60,7 @@ type FoldState struct {
 }
 
 // SaveFoldState atomically writes the fold state into dir
-// (temp + rename + fsync of file and directory).
+// (serve.LandFile: temp + fsync + rename + directory fsync).
 func SaveFoldState(dir string, seq uint64, g *clickgraph.Graph) error {
 	var text bytes.Buffer
 	if err := clickgraph.Write(&text, g); err != nil {
@@ -74,26 +74,10 @@ func SaveFoldState(dir string, seq uint64, g *clickgraph.Graph) error {
 	e.Raw(text.Bytes())
 	buf := e.Seal()
 
-	tmp, err := os.CreateTemp(dir, stateFile+".tmp*")
-	if err != nil {
+	return serve.LandFile(filepath.Join(dir, stateFile), stateFile+".tmp*", func(w *serve.TempFile) error {
+		_, err := w.Write(buf)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, stateFile)); err != nil {
-		return err
-	}
-	return serve.SyncDir(dir)
+	}, nil)
 }
 
 // LoadFoldState reads the fold state from dir. A missing file returns

@@ -151,8 +151,35 @@ func (p *Pipeline) Rewrite(src Source, q int) ([]Candidate, error) {
 // call. The zero value is ready to use. A Pipeline holds no state of its
 // own, so goroutines share one, each with its own Scratch.
 type Scratch struct {
-	seen []string
+	seen []string            // the stem keys the list has claimed
+	set  map[string]struct{} // seen, once it is too long to scan
 	out  []Candidate
+}
+
+// scanKeys is how many claimed stem keys a list scans before it hashes
+// them: most lists keep a few, and scanning a few beats hashing one.
+const scanKeys = 8
+
+// claim adds key to the list's claimed stem keys and reports whether it
+// was new.
+func (sc *Scratch) claim(key string) bool {
+	if len(sc.set) > 0 {
+		if _, dup := sc.set[key]; dup {
+			return false
+		}
+	} else if slices.Contains(sc.seen, key) {
+		return false
+	}
+	sc.seen = append(sc.seen, key)
+	if len(sc.seen) >= scanKeys {
+		if sc.set == nil {
+			sc.set = make(map[string]struct{})
+		}
+		for _, k := range sc.seen[len(sc.set):] {
+			sc.set[k] = struct{}{} // set holds seen's first len(set) keys
+		}
+	}
+	return true
 }
 
 // RewriteInto is Rewrite on sc's memory, so a caller filtering list after
@@ -185,9 +212,10 @@ func (p *Pipeline) RewriteInto(sc *Scratch, src Source, q int) ([]Candidate, err
 	// a stem or reaches the output, so the order of the two filters
 	// cannot change the survivors, and under a sparse bid list most
 	// candidates are dropped without being stemmed. seen holds the source
-	// query's key plus one per survivor — few strings, so a scanned slice
-	// beats a map.
-	seen := append(sc.seen[:0], stemKey(q))
+	// query's key plus one per survivor.
+	sc.seen = sc.seen[:0]
+	clear(sc.set)
+	sc.claim(stemKey(q))
 	out := sc.out[:0]
 	for _, s := range raw {
 		if s.Score <= 0 {
@@ -199,16 +227,14 @@ func (p *Pipeline) RewriteInto(sc *Scratch, src Source, q int) ([]Candidate, err
 				continue // no advertiser bids on this rewrite
 			}
 		}
-		key := stemKey(s.Node)
-		if slices.Contains(seen, key) {
+		if !sc.claim(stemKey(s.Node)) {
 			continue // duplicate under stemming
 		}
-		seen = append(seen, key)
 		out = append(out, Candidate{Query: s.Node, Text: text, Score: s.Score})
 		if p.MaxRewrites > 0 && len(out) >= p.MaxRewrites {
 			break
 		}
 	}
-	sc.seen, sc.out = seen, out
+	sc.out = out
 	return out, nil
 }

@@ -342,6 +342,50 @@ func TestRewriteIntoReusesScratch(t *testing.T) {
 	}
 }
 
+// TestPipelineStemDedupLongList keeps more rewrites than a scan of the
+// claimed stem keys covers, so the dedup's set runs too, and runs each
+// list twice on one Scratch: the survivors are each stem's first
+// candidate, bar the source query's stem.
+func TestPipelineStemDedupLongList(t *testing.T) {
+	b := clickgraph.NewBuilder()
+	for i := range 20 {
+		for _, q := range []string{"item " + string(rune('a'+i)), "items " + string(rune('a'+i))} {
+			if err := b.AddClick(q, "ad", 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g := b.Build()
+	var raw []sparse.Scored
+	for q := range g.NumQueries() {
+		raw = append(raw, sparse.Scored{Node: q, Score: 1 - float64(q)/100})
+	}
+	p := NewPipeline(g, nil)
+	p.MaxRewrites = 0
+	var sc Scratch
+	for _, q := range []int{0, 3, 0} {
+		got, err := p.RewriteInto(&sc, &stubSource{name: "stub", out: raw}, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		claimed := map[string]bool{stem.Phrase(g.Query(q)): true}
+		var want []int
+		for _, s := range raw {
+			if key := stem.Phrase(g.Query(s.Node)); !claimed[key] {
+				claimed[key] = true
+				want = append(want, s.Node)
+			}
+		}
+		var ids []int
+		for _, c := range got {
+			ids = append(ids, c.Query)
+		}
+		if len(want) != 19 || !slices.Equal(ids, want) {
+			t.Fatalf("query %d: kept %v, want %v", q, ids, want)
+		}
+	}
+}
+
 func TestPipelineErrors(t *testing.T) {
 	g := pipelineGraph(t)
 	p := NewPipeline(g, nil)

@@ -46,10 +46,9 @@ import (
 // snapshot file matches the recorded size and hash, and the snapshot
 // header opens.
 //
-// Every journal write is durable before the next step depends on it: a
-// temp file is fsynced before its rename and the directory after, so a
-// power loss cannot leave a manifest naming bytes that never reached the
-// disk, nor a serving path older than what a fold then acknowledged.
+// Every journal write lands (LandFile) before the next step depends on
+// it, so a power loss cannot leave a manifest naming bytes that never
+// reached the disk, nor a serving path older than a fold acknowledged.
 const (
 	manifestMagic   = "SRPPMANI"
 	manifestVersion = 1
@@ -269,51 +268,10 @@ func snapshotFingerprint(path string) (fp uint64, dirty int, err error) {
 
 // writeManifest journals then installs a generation's manifest.
 func (gs *GenerationStore) writeManifest(g *Generation) error {
-	tmp, err := os.CreateTemp(gs.dir, journalPrefix+"*.tmp")
-	if err != nil {
+	return LandFile(gs.manifName(g.ID), journalPrefix+"*.tmp", func(w *TempFile) error {
+		_, err := w.Write(encodeManifest(g))
 		return err
-	}
-	if err := gs.crash("manifest:mid-write"); err != nil {
-		tmp.Close()
-		return err // crash: temp file stays, manifest never exists
-	}
-	_, err = tmp.Write(encodeManifest(g))
-	if err := closeSynced(tmp, err); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := gs.crash("manifest:pre-rename"); err != nil {
-		return err // crash: fully-written temp stays unrenamed
-	}
-	if err := os.Rename(tmp.Name(), gs.manifName(g.ID)); err != nil {
-		return err
-	}
-	return SyncDir(gs.dir)
-}
-
-// closeSynced fsyncs and closes f after writing it, unless writeErr
-// already failed the write, and returns the first error.
-func closeSynced(f *os.File, writeErr error) error {
-	if writeErr == nil {
-		writeErr = f.Sync()
-	}
-	if err := f.Close(); writeErr == nil {
-		writeErr = err
-	}
-	return writeErr
-}
-
-// SyncDir fsyncs a directory, making the renames and links in it durable.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	}, func(stage string) error { return gs.crash("manifest:" + stage) })
 }
 
 // Adopt journals the currently-served snapshot as a generation if no
@@ -333,120 +291,84 @@ func (gs *GenerationStore) Adopt() (*Generation, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range gens {
-		if gens[i].CRC == crc && gens[i].Size == size {
-			return &gens[i], nil
-		}
+	if g := holding(gens, crc, size); g != nil {
+		return g, nil
 	}
 	fp, dirty, err := snapshotFingerprint(gs.path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: current snapshot %s is not adoptable: %w", gs.path, err)
 	}
-	if err := os.MkdirAll(gs.dir, 0o755); err != nil {
-		return nil, err
-	}
-	// Hardlink the serving file into the journal (same directory tree,
-	// so same filesystem); fall back to a copy. Linking is safe because
-	// the serving path is only ever replaced by rename, never written
-	// in place — the journal link keeps the old inode alive.
-	tmp, err := linkTemp(gs.path, gs.dir, journalPrefix+"*.tmp")
-	if err != nil {
-		return nil, err
-	}
-	return gs.install(tmp, gens, &Generation{Fingerprint: fp, CRC: crc, Size: size, DirtyShards: dirty})
+	// Link the serving file into the journal (same directory tree, so
+	// same filesystem): the journal link keeps the old inode alive.
+	g := &Generation{Fingerprint: fp, CRC: crc, Size: size, DirtyShards: dirty}
+	return gs.install(gens, g, func(path string) error {
+		return landLink(gs.path, path, journalPrefix+"*.tmp", nil)
+	})
 }
 
-// linkTemp gives src's bytes a fresh temp name in dir (pattern as for
-// os.CreateTemp): a hardlink when the filesystem allows, else an fsynced
-// copy. The caller renames it into place and syncs dir.
-func linkTemp(src, dir, pattern string) (string, error) {
-	tmp, err := os.CreateTemp(dir, pattern)
-	if err != nil {
-		return "", err
+// holding returns the newest of gens whose manifest records a file of
+// the given whole-file hash and size, or nil.
+func holding(gens []Generation, crc uint32, size int64) *Generation {
+	for i := len(gens) - 1; i >= 0; i-- {
+		if gens[i].CRC == crc && gens[i].Size == size {
+			return &gens[i]
+		}
 	}
-	tmp.Close()
-	if os.Remove(tmp.Name()) == nil && os.Link(src, tmp.Name()) == nil {
-		return tmp.Name(), nil // the empty file only reserved a unique name
-	}
-	in, err := os.Open(src)
-	if err != nil {
-		return "", err
-	}
-	defer in.Close()
-	if tmp, err = os.CreateTemp(dir, pattern); err != nil {
-		return "", err
-	}
-	_, err = io.Copy(tmp, in)
-	if err := closeSynced(tmp, err); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	return tmp.Name(), nil
+	return nil
 }
 
 // Commit journals a new generation: write fills a temp file in the
 // journal directory in place and returns the CRC32 of what it wrote (the
-// manifest's whole-file hash), and the file is fsynced, renamed to its
-// final gen-N name and described by a manifest only after every byte
-// landed.
-// A crash at any instant leaves either nothing, an unreferenced temp
-// (swept later), or a snapshot without a manifest (never trusted) —
-// previous generations and the serving path are untouched.
-func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write func(io.WriterAt) (uint32, error)) (*Generation, error) {
-	if err := os.MkdirAll(gs.dir, 0o755); err != nil {
-		return nil, err
-	}
+// manifest's whole-file hash); the file lands at its gen-N name
+// (LandFile), then a manifest describes it. checkpoint, when non-nil, is
+// called at "commit:mid-write", once the first bytes are in the temp, and
+// its error is a crash there. A crash at any instant leaves either
+// nothing, an unreferenced temp (swept later), or a snapshot without a
+// manifest (never trusted) — previous generations and the serving path
+// are untouched.
+func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write func(io.WriterAt) (uint32, error), checkpoint func(stage string) error) (*Generation, error) {
 	gens, err := gs.List()
 	if err != nil {
 		return nil, err
 	}
-	tmp, err := os.CreateTemp(gs.dir, journalPrefix+"*.tmp")
-	if err != nil {
-		return nil, err
-	}
-	// The torn-write crash: the first write lands, the hook aborts there.
-	cw := &checkpointWriter{w: tmp, hook: func() error { return gs.crash("commit:mid-write") }}
-	crc, err := write(cw)
-	if err != nil {
-		tmp.Close()
-		if !errors.Is(err, errCrashInjected) {
-			os.Remove(tmp.Name()) // a crash leaves debris; a plain error cleans up
+	g := &Generation{Fingerprint: fingerprint, DirtyShards: dirtyShards}
+	return gs.install(gens, g, func(path string) error {
+		err := LandFile(path, journalPrefix+"*.tmp", func(w *TempFile) (err error) {
+			g.CRC, err = write(w)
+			return err
+		}, func(stage string) error {
+			if err := gs.crash("commit:" + stage); err != nil || stage != "mid-write" || checkpoint == nil {
+				return err
+			}
+			return checkpoint("commit:mid-write")
+		})
+		if err != nil {
+			return err
 		}
-		return nil, err
-	}
-	if err := closeSynced(tmp, nil); err != nil {
-		os.Remove(tmp.Name())
-		return nil, err
-	}
-	if err := gs.crash("commit:pre-rename"); err != nil {
-		return nil, err
-	}
-	st, err := os.Stat(tmp.Name())
-	if err != nil {
-		os.Remove(tmp.Name())
-		return nil, err
-	}
-	return gs.install(tmp.Name(), gens, &Generation{Fingerprint: fingerprint, CRC: crc, Size: st.Size(), DirtyShards: dirtyShards})
+		st, err := os.Stat(path)
+		if err == nil {
+			g.Size = st.Size()
+		}
+		return err
+	})
 }
 
-// install journals tmp, a complete snapshot temp in the journal
-// directory, as the generation after every listed one: renamed to its
-// gen-N name (replacing whatever a crash left there), then described by
-// g's manifest.
-func (gs *GenerationStore) install(tmp string, gens []Generation, g *Generation) (*Generation, error) {
+// install journals g as the generation after every listed one: land puts
+// its snapshot bytes at their gen-N name (replacing whatever a crash left
+// there), then g's manifest describes them.
+func (gs *GenerationStore) install(gens []Generation, g *Generation, land func(path string) error) (*Generation, error) {
+	if err := os.MkdirAll(gs.dir, 0o755); err != nil {
+		return nil, err
+	}
 	for i := range gens {
 		g.ID = max(g.ID, gens[i].ID)
 	}
 	g.ID++
 	g.SnapPath = gs.snapName(g.ID)
+	if err := land(g.SnapPath); err != nil {
+		return nil, err
+	}
 	g.CreatedAt = time.Now().UTC()
-	if err := os.Rename(tmp, g.SnapPath); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := SyncDir(gs.dir); err != nil {
-		return nil, err
-	}
 	if err := gs.crash("commit:post-snap"); err != nil {
 		return nil, err // crash: snapshot exists, manifest doesn't — never trusted
 	}
@@ -457,23 +379,13 @@ func (gs *GenerationStore) install(tmp string, gens []Generation, g *Generation)
 }
 
 // Publish atomically re-points the serving path at generation g: a
-// hardlink (or copy) of the journaled snapshot is renamed over the
-// serving path, so a reader — or a crash — never observes a partial
-// file. The journal entry itself is never consumed: rollback targets
-// survive publication.
+// hardlink (or copy) of the journaled snapshot lands over the serving
+// path, so a reader — or a crash — never observes a partial file. The
+// journal entry itself is never consumed: rollback targets survive
+// publication.
 func (gs *GenerationStore) Publish(g *Generation) error {
-	dir := filepath.Dir(gs.path)
-	tmp, err := linkTemp(g.SnapPath, dir, filepath.Base(gs.path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if err := gs.crash("publish:pre-rename"); err != nil {
-		return err // crash: link debris beside the serving path, old file intact
-	}
-	if err := os.Rename(tmp, gs.path); err != nil {
-		return err
-	}
-	return SyncDir(dir)
+	return landLink(g.SnapPath, gs.path, filepath.Base(gs.path)+".tmp*",
+		func(stage string) error { return gs.crash("publish:" + stage) })
 }
 
 // verify re-checks a generation end to end: manifest already checksummed
@@ -501,60 +413,49 @@ func (gs *GenerationStore) LastGood() (*Generation, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := len(gens) - 1; i >= 0; i-- {
-		if gs.verify(&gens[i]) == nil {
-			return &gens[i], nil
-		}
+	if g := gs.newestGood(gens, nil); g != nil {
+		return g, nil
 	}
 	return nil, fmt.Errorf("serve: no good generation in %s", gs.dir)
 }
 
-// current identifies which journaled generation the serving path
-// currently holds, by whole-file hash.
-func (gs *GenerationStore) current() (*Generation, bool) {
-	crc, size, err := fileCRC(gs.path)
-	if err != nil {
-		return nil, false
-	}
-	gens, err := gs.List()
-	if err != nil {
-		return nil, false
-	}
+// newestGood returns the newest of gens older than before (any, when
+// before is nil) that verifies end to end, or nil.
+func (gs *GenerationStore) newestGood(gens []Generation, before *Generation) *Generation {
 	for i := len(gens) - 1; i >= 0; i-- {
-		if gens[i].CRC == crc && gens[i].Size == size {
-			return &gens[i], true
+		if (before == nil || gens[i].ID < before.ID) && gs.verify(&gens[i]) == nil {
+			return &gens[i]
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // Rollback re-points the serving path at the last good generation
-// before the one currently served: the operator's "this generation is
-// bad, give me the previous one". When the serving file is corrupt or
-// missing (matches no journaled generation), it restores the newest
-// good generation instead. Returns the generation now serving.
+// before the one currently served, identified by whole-file hash: the
+// operator's "this generation is bad, give me the previous one". When the
+// serving file is corrupt or missing (matches no journaled generation),
+// it restores the newest good generation instead. Returns the generation
+// now serving.
 func (gs *GenerationStore) Rollback() (*Generation, error) {
-	cur, curKnown := gs.current()
 	gens, err := gs.List()
 	if err != nil {
 		return nil, err
 	}
-	for i := len(gens) - 1; i >= 0; i-- {
-		if curKnown && gens[i].ID >= cur.ID {
-			continue
-		}
-		if gs.verify(&gens[i]) != nil {
-			continue
-		}
-		if err := gs.Publish(&gens[i]); err != nil {
-			return nil, err
-		}
-		return &gens[i], nil
+	var cur *Generation
+	if crc, size, err := fileCRC(gs.path); err == nil {
+		cur = holding(gens, crc, size)
 	}
-	if curKnown {
+	g := gs.newestGood(gens, cur)
+	if g == nil && cur != nil {
 		return nil, fmt.Errorf("serve: no good generation older than the current one (%d) to roll back to", cur.ID)
 	}
-	return nil, fmt.Errorf("serve: no good generation in %s to roll back to", gs.dir)
+	if g == nil {
+		return nil, fmt.Errorf("serve: no good generation in %s to roll back to", gs.dir)
+	}
+	if err := gs.Publish(g); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // openServing opens the serving snapshot for a refresh. A serving file

@@ -81,7 +81,7 @@ func commitPublishBytes(gs *GenerationStore, data []byte, fp uint64) (*Generatio
 		}
 		_, werr := w.WriteAt(data[:half], 0)
 		return crc32.ChecksumIEEE(data), werr
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +149,7 @@ func TestGenerationCrashAtEveryCheckpoint(t *testing.T) {
 		"commit:mid-write",    // torn snapshot write
 		"commit:pre-rename",   // full temp, never renamed
 		"commit:post-snap",    // snapshot renamed, no manifest
-		"manifest:mid-write",  // manifest temp created empty
+		"manifest:mid-write",  // manifest temp written, never synced
 		"manifest:pre-rename", // full manifest temp, never renamed
 		"publish:pre-rename",  // link debris beside serving path
 	}
@@ -570,7 +570,7 @@ func TestGenerationPrune(t *testing.T) {
 	g3, err := gs.Commit(1, fx.fp1, func(w io.WriterAt) (uint32, error) {
 		_, werr := w.WriteAt(fx.gen1, 0)
 		return crc32.ChecksumIEEE(fx.gen1), werr
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"simrankpp/internal/clickgraph"
@@ -116,27 +115,6 @@ func assembleRefresh(w io.WriterAt, prev *Snapshot, run *core.Result, bids map[s
 	})
 }
 
-// checkpointWriter fires its hook once, after the first write has
-// reached the journal's temp file — the "refresh died with a partial
-// snapshot on disk" instant. The writer's shard workers write
-// concurrently: the first to land runs the hook while the others wait,
-// and once it has failed every write fails with its error.
-type checkpointWriter struct {
-	w    io.WriterAt
-	hook func() error
-	once sync.Once
-	err  error
-}
-
-func (cw *checkpointWriter) WriteAt(p []byte, off int64) (int, error) {
-	n, err := cw.w.WriteAt(p, off)
-	if err != nil || n == 0 {
-		return n, err
-	}
-	cw.once.Do(func() { cw.err = cw.hook() })
-	return n, cw.err
-}
-
 // RefreshResult reports what one Refresh did.
 type RefreshResult struct {
 	// Restored is the generation re-published because the serving file
@@ -200,10 +178,9 @@ func Refresh(ctx context.Context, gs *GenerationStore, g *clickgraph.Graph, work
 		return res, err
 	}
 	gen, err := gs.Commit(diff.DirtyShards, diff.Plan.Fingerprint(), func(w io.WriterAt) (crc uint32, err error) {
-		cw := &checkpointWriter{w: w, hook: func() error { return checkpoint("commit:mid-write") }}
-		res.Stats, crc, err = assembleRefresh(cw, prev, run, bids)
+		res.Stats, crc, err = assembleRefresh(w, prev, run, bids)
 		return crc, err
-	})
+	}, checkpoint)
 	if err != nil {
 		return res, fmt.Errorf("serve: refresh: journal commit: %w", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -457,22 +456,11 @@ func x8nModP(n int64) uint32 {
 }
 
 // WriteSnapshotFileTopK writes the snapshot in place into a temporary file
-// in path's directory, fsyncs it and renames it into place, then fsyncs
-// the directory: a server reloading on SIGHUP never observes a
-// half-written snapshot, and a power loss after the return never leaves a
-// torn one.
+// that lands at path (LandFile): a server reloading on SIGHUP never
+// observes a half-written snapshot, and a power loss after the return
+// never leaves a torn one.
 func WriteSnapshotFileTopK(path string, res *core.Result, opts TopKOptions) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := closeSynced(tmp, WriteSnapshotTopK(tmp, res, opts)); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return SyncDir(dir)
+	return LandFile(path, filepath.Base(path)+".tmp*", func(w *TempFile) error {
+		return WriteSnapshotTopK(w, res, opts)
+	}, nil)
 }

@@ -351,8 +351,7 @@ func buildTopKBlob(qSeg []byte, qIDs []int, g *clickgraph.Graph, tk topkMeta, bi
 		if bid != nil && whole[e] {
 			ranked = pooledBids(ranked, bid, topN)
 		} else {
-			ranked = sparse.SelectScored(ranked, topN)
-			sparse.SortScoredDesc(ranked)
+			ranked = sparse.TopScored(ranked, topN)
 		}
 		src.list = ranked
 		cands, err := pipe.RewriteInto(&sc.filter, src, e)
