@@ -341,14 +341,16 @@ func (l *Log) createSegment(index, firstSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(encodeSegHeader(index, firstSeq))
-	if err == nil {
-		err = f.Sync()
+	hdr := encodeSegHeader(index, firstSeq)
+	if _, err := f.Write(hdr); err != nil {
+		f.Close()
+		return err
 	}
-	if err == nil {
-		err = serve.SyncDir(l.dir)
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
 	}
-	if err != nil {
+	if err := serve.SyncDir(l.dir); err != nil {
 		f.Close()
 		return err
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/core"
@@ -151,35 +150,8 @@ func (p *Pipeline) Rewrite(src Source, q int) ([]Candidate, error) {
 // call. The zero value is ready to use. A Pipeline holds no state of its
 // own, so goroutines share one, each with its own Scratch.
 type Scratch struct {
-	seen []string            // the stem keys the list has claimed
-	set  map[string]struct{} // seen, once it is too long to scan
+	seen map[string]struct{} // the stem keys the list has claimed
 	out  []Candidate
-}
-
-// scanKeys is how many claimed stem keys a list scans before it hashes
-// them: most lists keep a few, and scanning a few beats hashing one.
-const scanKeys = 8
-
-// claim adds key to the list's claimed stem keys and reports whether it
-// was new.
-func (sc *Scratch) claim(key string) bool {
-	if len(sc.set) > 0 {
-		if _, dup := sc.set[key]; dup {
-			return false
-		}
-	} else if slices.Contains(sc.seen, key) {
-		return false
-	}
-	sc.seen = append(sc.seen, key)
-	if len(sc.seen) >= scanKeys {
-		if sc.set == nil {
-			sc.set = make(map[string]struct{})
-		}
-		for _, k := range sc.seen[len(sc.set):] {
-			sc.set[k] = struct{}{} // set holds seen's first len(set) keys
-		}
-	}
-	return true
 }
 
 // RewriteInto is Rewrite on sc's memory, so a caller filtering list after
@@ -213,9 +185,11 @@ func (p *Pipeline) RewriteInto(sc *Scratch, src Source, q int) ([]Candidate, err
 	// cannot change the survivors, and under a sparse bid list most
 	// candidates are dropped without being stemmed. seen holds the source
 	// query's key plus one per survivor.
-	sc.seen = sc.seen[:0]
-	clear(sc.set)
-	sc.claim(stemKey(q))
+	if sc.seen == nil {
+		sc.seen = make(map[string]struct{})
+	}
+	clear(sc.seen)
+	sc.seen[stemKey(q)] = struct{}{}
 	out := sc.out[:0]
 	for _, s := range raw {
 		if s.Score <= 0 {
@@ -227,9 +201,11 @@ func (p *Pipeline) RewriteInto(sc *Scratch, src Source, q int) ([]Candidate, err
 				continue // no advertiser bids on this rewrite
 			}
 		}
-		if !sc.claim(stemKey(s.Node)) {
+		key := stemKey(s.Node)
+		if _, dup := sc.seen[key]; dup {
 			continue // duplicate under stemming
 		}
+		sc.seen[key] = struct{}{}
 		out = append(out, Candidate{Query: s.Node, Text: text, Score: s.Score})
 		if p.MaxRewrites > 0 && len(out) >= p.MaxRewrites {
 			break

@@ -342,10 +342,10 @@ func TestRewriteIntoReusesScratch(t *testing.T) {
 	}
 }
 
-// TestPipelineStemDedupLongList keeps more rewrites than a scan of the
-// claimed stem keys covers, so the dedup's set runs too, and runs each
-// list twice on one Scratch: the survivors are each stem's first
-// candidate, bar the source query's stem.
+// TestPipelineStemDedupLongList keeps a long list, half of it stem
+// duplicates, and runs lists one after another on one Scratch, whose
+// claimed keys must not leak from call to call: the survivors are each
+// stem's first candidate, bar the source query's stem.
 func TestPipelineStemDedupLongList(t *testing.T) {
 	b := clickgraph.NewBuilder()
 	for i := range 20 {

@@ -459,6 +459,36 @@ func TestGenerationAdoptIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestGenerationAdoptPicksNewestMatch: when two generations hold the
+// serving file's bytes (a refresh republished generation 1's bytes as
+// generation 3), Adopt returns the newest, the one Rollback takes for the
+// serving generation, so the two agree on what is served.
+func TestGenerationAdoptPicksNewestMatch(t *testing.T) {
+	fx := buildGenFixture(t)
+	path, gs, adopted := servingDir(t, fx)
+	if _, err := commitAndPublish(gs, fx); err != nil {
+		t.Fatal(err)
+	}
+	g3, err := commitPublishBytes(gs, fx.gen1, fx.fp1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := gs.Adopt()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != g3.ID || g3.ID == adopted.ID {
+		t.Fatalf("Adopt() = generation %d, want %d (the newest holding the serving bytes, not %d)", got.ID, g3.ID, adopted.ID)
+	}
+	rb, err := gs.Rollback()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.ID != g3.ID-1 || !bytes.Equal(readFile(t, path), fx.gen2) {
+		t.Fatalf("Rollback() restored generation %d, want %d", rb.ID, g3.ID-1)
+	}
+}
+
 // TestGenerationAdoptReplacesOrphanSnapshot: a crash between a commit's
 // snapshot rename and its manifest leaves gen-2.snap with no manifest.
 // When new bytes are then renamed over the serving path, adopting them
