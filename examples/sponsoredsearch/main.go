@@ -10,6 +10,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"simrankpp/internal/clickgraph"
 	"simrankpp/internal/core"
@@ -96,12 +98,8 @@ func main() {
 	}
 	fmt.Printf("\nback-end: %d distinct ads now auctionable for %q via rewrites\n",
 		len(adSet), g.Query(target))
-	shown := 0
-	for ad := range adSet {
+	ads := slices.Sorted(maps.Keys(adSet))
+	for _, ad := range ads[:min(5, len(ads))] {
 		fmt.Printf("  - %s\n", u.Ads[ad].Name)
-		shown++
-		if shown == 5 {
-			break
-		}
 	}
 }

@@ -100,7 +100,7 @@ func TestChaosCrashAtEveryCheckpoint(t *testing.T) {
 			// crash point — it is only ever replaced atomically.
 			servingFingerprint(t, env.snapPath)
 			// A crash mid-write leaves the torn journal temp a kill would.
-			torn := filepath.Join(env.snapPath+".gens", "journal-*.tmp")
+			torn := filepath.Join(env.snapPath+".gens", "gen-*.snap.tmp*")
 			if stage == "fold:commit:mid-write" && len(globFiles(t, torn)) == 0 {
 				t.Fatal("the crash mid-write left no torn journal temp")
 			}

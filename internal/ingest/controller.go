@@ -201,6 +201,15 @@ func NewController(cfg Config) (*Controller, error) {
 	if torn := c.log.TornBytesTruncated(); torn > 0 {
 		cfg.Logf("ingest: truncated %d torn byte(s) from the WAL tail", torn)
 	}
+	// A fold-state save a crash cut short left its temp; the journal lock
+	// held above makes this controller the directory's one writer.
+	swept, err = serve.SweepTemps(cfg.WALDir, func(target string) bool { return target == stateFile })
+	if err != nil {
+		return fail(err)
+	}
+	if swept > 0 {
+		cfg.Logf("ingest: swept %d stale fold-state temp(s)", swept)
+	}
 
 	state, err := LoadFoldState(cfg.WALDir)
 	if err != nil {

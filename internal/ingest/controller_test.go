@@ -514,6 +514,34 @@ func TestControllerLockExcludesSecond(t *testing.T) {
 	c2.Close()
 }
 
+// TestControllerSweepsFoldStateTemps: a fold-state save cut short by a
+// crash leaves its landing temp in the WAL directory, and the next
+// controller removes it (and nothing else there).
+func TestControllerSweepsFoldStateTemps(t *testing.T) {
+	env := newTestEnv(t)
+	if err := os.MkdirAll(env.walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(env.walDir, stateFile+".tmp123")
+	kept := filepath.Join(env.walDir, "notes.tmp")
+	for _, p := range []string{torn, kept} {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewController(env.config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := os.Stat(torn); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("NewController left %s (stat: %v)", torn, err)
+	}
+	if _, err := os.Stat(kept); err != nil {
+		t.Fatalf("NewController removed a file that is no landing temp: %v", err)
+	}
+}
+
 // TestControllerChurnKickAndBackpressure covers the Run-loop plumbing
 // around the fold: churn threshold kicks an early fold, and MaxLagRecords
 // bounces Ingest with ErrBackpressure while folding is stuck.

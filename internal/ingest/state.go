@@ -74,7 +74,7 @@ func SaveFoldState(dir string, seq uint64, g *clickgraph.Graph) error {
 	e.Raw(text.Bytes())
 	buf := e.Seal()
 
-	return serve.LandFile(filepath.Join(dir, stateFile), stateFile+".tmp*", func(w *serve.TempFile) error {
+	return serve.LandFile(filepath.Join(dir, stateFile), func(w *serve.TempFile) error {
 		_, err := w.Write(buf)
 		return err
 	}, nil)

@@ -35,7 +35,7 @@ import (
 //	P                       the serving snapshot (what simrankd opens)
 //	P.gens/gen-%08d.snap    generation N's snapshot bytes
 //	P.gens/gen-%08d.mf      generation N's manifest (see below)
-//	P.gens/journal-*.tmp    in-flight writes (crash debris until swept)
+//	P.gens/*.tmp<digits>    in-flight writes (crash debris until swept)
 //
 // Manifest format (a 56-byte internal/frame frame): magic "SRPPMANI",
 // format version, generation id, source fingerprint (XOR of the
@@ -54,7 +54,6 @@ const (
 	manifestVersion = 1
 	genSnapSuffix   = ".snap"
 	genManifSuffix  = ".mf"
-	journalPrefix   = "journal-"
 	// keepGenerations is how many generations Prune retains.
 	keepGenerations = 3
 )
@@ -195,45 +194,30 @@ func (gs *GenerationStore) List() ([]Generation, error) {
 }
 
 // sweepDebris removes what a crashed refresh or rollback left behind:
-// temp files in the journal directory and beside the serving path (the
+// landing temps in the journal directory (and the journal-*.tmp ones of
+// releases before the one name rule) and beside the serving path (the
 // publish-link and snapshot-write temps), and generation snapshots whose
 // manifest never landed — List never trusts those, so Prune would never
 // remove them. Only the lock holder may call it (Lock does): under the
 // single-writer contract nothing it removes is still being written.
 func (gs *GenerationStore) sweepDebris() (int, error) {
-	removed := 0
-	sweep := func(dir string, debris func(name string) bool) error {
-		entries, err := os.ReadDir(dir)
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			if debris(e.Name()) {
-				if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-					return err
-				}
-				removed++
-			}
-		}
-		return nil
+	temps, err := SweepTemps(gs.dir, func(string) bool { return true })
+	if err != nil {
+		return temps, err
 	}
-	err := sweep(gs.dir, func(name string) bool {
+	orphans, err := sweepDir(gs.dir, func(name string) bool {
 		if strings.HasPrefix(name, "gen-") && strings.HasSuffix(name, genSnapSuffix) {
 			_, err := os.Stat(filepath.Join(gs.dir, strings.TrimSuffix(name, genSnapSuffix)+genManifSuffix))
 			return errors.Is(err, os.ErrNotExist)
 		}
-		return strings.HasPrefix(name, journalPrefix) && strings.Contains(name, ".tmp")
+		return strings.HasPrefix(name, "journal-") && strings.HasSuffix(name, tempInfix)
 	})
 	if err != nil {
-		return removed, err
+		return temps + orphans, err
 	}
-	// WriteSnapshotFileTopK/Publish temps beside the serving path use the
-	// base name as prefix with a .tmp infix.
-	err = sweep(filepath.Dir(gs.path), func(name string) bool { return strings.HasPrefix(name, filepath.Base(gs.path)+".tmp") })
-	return removed, err
+	base := filepath.Base(gs.path)
+	serving, err := SweepTemps(filepath.Dir(gs.path), func(target string) bool { return target == base })
+	return temps + orphans + serving, err
 }
 
 // fileCRC hashes a whole file.
@@ -268,7 +252,7 @@ func snapshotFingerprint(path string) (fp uint64, dirty int, err error) {
 
 // writeManifest journals then installs a generation's manifest.
 func (gs *GenerationStore) writeManifest(g *Generation) error {
-	return LandFile(gs.manifName(g.ID), journalPrefix+"*.tmp", func(w *TempFile) error {
+	return LandFile(gs.manifName(g.ID), func(w *TempFile) error {
 		_, err := w.Write(encodeManifest(g))
 		return err
 	}, func(stage string) error { return gs.crash("manifest:" + stage) })
@@ -302,7 +286,7 @@ func (gs *GenerationStore) Adopt() (*Generation, error) {
 	// same filesystem): the journal link keeps the old inode alive.
 	g := &Generation{Fingerprint: fp, CRC: crc, Size: size, DirtyShards: dirty}
 	return gs.install(gens, g, func(path string) error {
-		return landLink(gs.path, path, journalPrefix+"*.tmp", nil)
+		return landLink(gs.path, path, nil)
 	})
 }
 
@@ -333,7 +317,7 @@ func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write fun
 	}
 	g := &Generation{Fingerprint: fingerprint, DirtyShards: dirtyShards}
 	return gs.install(gens, g, func(path string) error {
-		err := LandFile(path, journalPrefix+"*.tmp", func(w *TempFile) (err error) {
+		err := LandFile(path, func(w *TempFile) (err error) {
 			g.CRC, err = write(w)
 			return err
 		}, func(stage string) error {
@@ -384,8 +368,7 @@ func (gs *GenerationStore) install(gens []Generation, g *Generation, land func(p
 // journal entry itself is never consumed: rollback targets survive
 // publication.
 func (gs *GenerationStore) Publish(g *Generation) error {
-	return landLink(g.SnapPath, gs.path, filepath.Base(gs.path)+".tmp*",
-		func(stage string) error { return gs.crash("publish:" + stage) })
+	return landLink(g.SnapPath, gs.path, func(stage string) error { return gs.crash("publish:" + stage) })
 }
 
 // verify re-checks a generation end to end: manifest already checksummed

@@ -1,28 +1,33 @@
 package serve
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 )
 
 // LandFile makes a file durable at path, the one way a file in this
 // module becomes durable (the snapshot writer, the generation journal and
-// ingest's fold state): it creates a temp named by pattern (as for
-// os.CreateTemp) in path's directory, lets fill write it, fsyncs and
-// closes it, renames it over path and fsyncs the directory, so a reader
-// never observes a partial file and a power loss after the return never
-// leaves a torn one. checkpoint, when non-nil, is called with "mid-write"
-// once fill's first write has landed and with "pre-rename" just before
-// the rename. An error from it is a crash at that instant: the landing
-// stops there and leaves the temp on disk, as a kill would, for the
-// journal's Lock to sweep. Any other failure removes the temp.
-func LandFile(path, pattern string, fill func(*TempFile) error, checkpoint func(stage string) error) error {
+// ingest's fold state): it creates a temp in path's directory
+// (createTemp), lets fill write it while the kernel starts writing back
+// each range as it lands, fsyncs and closes it, renames it over path and
+// fsyncs the directory, so a reader never observes a partial file and a
+// power loss after the return never leaves a torn one. The file it
+// replaced is released after the return (holdReplaced), so the caller
+// waits for durability, not for the old file's teardown.
+// checkpoint, when non-nil, is called with "mid-write" once fill's first
+// write has landed and with "pre-rename" just before the rename. An error
+// from it is a crash at that instant: the landing stops there and leaves
+// the temp on disk, as a kill would, for SweepTemps to remove. Any other
+// failure removes the temp.
+func LandFile(path string, fill func(*TempFile) error, checkpoint func(stage string) error) error {
 	if checkpoint == nil {
 		checkpoint = func(string) error { return nil }
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), pattern)
+	f, err := createTemp(path)
 	if err != nil {
 		return err
 	}
@@ -44,12 +49,15 @@ func LandFile(path, pattern string, fill func(*TempFile) error, checkpoint func(
 	return landTemp(f.Name(), path, checkpoint)
 }
 
-// A TempFile is the file a LandFile fill writes. It calls the landing's
-// mid-write checkpoint once, after the first write lands: concurrent
-// writers (the snapshot writer's shard workers) wait for it, and once it
-// has failed every write fails with its error.
+// A TempFile is the file a LandFile fill writes. Every range that lands
+// goes to the kernel's writeback at once (startWriteback), so the device
+// works while the fill goes on and LandFile's fsync waits only for the
+// tail. It calls the landing's mid-write checkpoint once, after the first
+// write lands: concurrent writers (the snapshot writer's shard workers)
+// wait for it, and once it has failed every write fails with its error.
 type TempFile struct {
 	f    *os.File
+	off  int64 // where Write goes next
 	hook func() error
 	once sync.Once
 	err  error
@@ -57,18 +65,20 @@ type TempFile struct {
 
 func (t *TempFile) Write(p []byte) (int, error) {
 	n, err := t.f.Write(p)
-	return n, t.landed(n > 0, err)
+	t.off += int64(n)
+	return n, t.landed(t.off-int64(n), n, err)
 }
 
 func (t *TempFile) WriteAt(p []byte, off int64) (int, error) {
 	n, err := t.f.WriteAt(p, off)
-	return n, t.landed(n > 0, err)
+	return n, t.landed(off, n, err)
 }
 
-func (t *TempFile) landed(wrote bool, err error) error {
-	if err != nil || !wrote {
+func (t *TempFile) landed(off int64, n int, err error) error {
+	if err != nil || n == 0 {
 		return err
 	}
+	startWriteback(t.f, off, int64(n))
 	t.once.Do(func() { t.err = t.hook() })
 	return t.err
 }
@@ -76,8 +86,8 @@ func (t *TempFile) landed(wrote bool, err error) error {
 // landLink lands src's bytes at path as LandFile does, with a hardlink
 // of src as the temp when the filesystem allows (src is never written in
 // place, so the link shares an immutable inode), else a copy.
-func landLink(src, path, pattern string, checkpoint func(stage string) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
+func landLink(src, path string, checkpoint func(stage string) error) error {
+	tmp, err := createTemp(path)
 	if err != nil {
 		return err
 	}
@@ -90,7 +100,7 @@ func landLink(src, path, pattern string, checkpoint func(stage string) error) er
 		return err
 	}
 	defer in.Close()
-	return LandFile(path, pattern, func(w *TempFile) error {
+	return LandFile(path, func(w *TempFile) error {
 		_, err := io.Copy(w.f, in) // the file's own copy path; a copy has no mid-write stage
 		return err
 	}, checkpoint)
@@ -98,19 +108,37 @@ func landLink(src, path, pattern string, checkpoint func(stage string) error) er
 
 // landTemp renames tmp, a complete, fsynced file in path's directory,
 // over path and fsyncs the directory, after checkpoint's "pre-rename"
-// (nil for none), whose error keeps tmp as LandFile's does.
+// (nil for none), whose error keeps tmp as LandFile's does. The file it
+// replaces is held open across the rename and released after the
+// directory fsync (releaseReplaced), so the kernel tears it down while the
+// caller goes on, not inside the rename.
 func landTemp(tmp, path string, checkpoint func(stage string) error) error {
 	if checkpoint != nil {
 		if err := checkpoint("pre-rename"); err != nil {
 			return err
 		}
 	}
+	old := holdReplaced(path)
 	if err := os.Rename(tmp, path); err != nil {
+		if old != nil {
+			old.Close()
+		}
 		os.Remove(tmp)
 		return err
 	}
-	return SyncDir(filepath.Dir(path))
+	err := SyncDir(filepath.Dir(path))
+	if old != nil {
+		releaseReplaced(old)
+	}
+	return err
 }
+
+// releaseReplaced closes the file a landing replaced on a goroutine that
+// nothing waits for: the last close of an unlinked inode is where the
+// kernel drops its page cache and frees its blocks, which no caller needs
+// to wait for. The goroutine ends when the close returns; its error, on a
+// file only read, changes nothing. Tests swap it to hold the file.
+var releaseReplaced = func(f *os.File) { go f.Close() }
 
 // SyncDir fsyncs a directory, making the renames and links in it durable.
 func SyncDir(dir string) error {
@@ -123,4 +151,56 @@ func SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// tempInfix joins a landing temp's name: the target's base name, the
+// infix, then os.CreateTemp's random digits ("fold-state.bin.tmp123").
+const tempInfix = ".tmp"
+
+// createTemp creates a temp for a landing at path, in path's directory.
+func createTemp(path string) (*os.File, error) {
+	return os.CreateTemp(filepath.Dir(path), filepath.Base(path)+tempInfix+"*")
+}
+
+// tempTarget returns the base name of the file that name, if it is a
+// landing's temp, was to become.
+func tempTarget(name string) (target string, ok bool) {
+	i := strings.LastIndex(name, tempInfix)
+	if i <= 0 {
+		return "", false
+	}
+	digits := name[i+len(tempInfix):]
+	return name[:i], digits != "" && strings.Trim(digits, "0123456789") == ""
+}
+
+// SweepTemps removes from dir the temps of landings whose target's base
+// name satisfies of — what a crash at a checkpoint (or a kill) left — and
+// returns how many it removed; a missing dir holds none. Only the dir's
+// single writer may call it, before it lands anything there: a temp being
+// filled looks the same as a torn one.
+func SweepTemps(dir string, of func(target string) bool) (int, error) {
+	return sweepDir(dir, func(name string) bool {
+		target, ok := tempTarget(name)
+		return ok && of(target)
+	})
+}
+
+// sweepDir removes the entries of dir that debris names.
+func sweepDir(dir string, debris func(name string) bool) (removed int, err error) {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	for _, e := range entries {
+		if debris(e.Name()) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return removed, err
+			}
+			removed++
+		}
+	}
+	return removed, nil
 }

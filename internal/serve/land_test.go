@@ -5,14 +5,21 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
+	"time"
 )
 
 // TestLandFile holds the one landing path to its contract, on a target
-// that already exists: a landing replaces it whole; a failed fill leaves
-// it and no temp; a checkpoint's error at either stage is a crash there,
-// leaving the old target and the temp, which the journal's Lock sweeps.
+// that already exists: a landing replaces it whole and soon holds no
+// descriptor of the replaced file; a failed fill leaves it and no temp; a
+// checkpoint's error at either stage is a crash there, leaving the old
+// target and the temp, which the journal's Lock sweeps, and no descriptor
+// of the target.
 func TestLandFile(t *testing.T) {
+	// The collector stays off: an *os.File's finalizer would close a
+	// replaced file the landing forgot to release.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	old, next := []byte("old bytes"), []byte("the new, longer bytes")
 	fillErr, crash := errors.New("fill failed"), errors.New("crash")
 	for _, tc := range []struct {
@@ -52,7 +59,7 @@ func TestLandFile(t *testing.T) {
 				}
 			}
 			var stages []string
-			err := LandFile(path, "serving.snap.tmp*", fill, func(stage string) error {
+			err := LandFile(path, fill, func(stage string) error {
 				stages = append(stages, stage)
 				if stage == tc.crashAt {
 					return crash
@@ -72,6 +79,11 @@ func TestLandFile(t *testing.T) {
 			if got := readFile(t, path); !bytes.Equal(got, want) {
 				t.Fatalf("target holds %q, want %q", got, want)
 			}
+			if tc.landed {
+				waitReleased(t, path)
+			} else if held := descriptorsOf(t, path); len(held) != 0 {
+				t.Fatalf("the failed landing still holds %v", held)
+			}
 			temps := globTemps(t, dir)
 			if tc.tempStays != (len(temps) == 1) || len(temps) > 1 {
 				t.Fatalf("temps after the landing: %v (one should stay: %v)", temps, tc.tempStays)
@@ -85,5 +97,42 @@ func TestLandFile(t *testing.T) {
 				t.Fatalf("Lock swept %d of %v", swept, temps)
 			}
 		})
+	}
+}
+
+// descriptorsOf lists this process's descriptors open on path, live or
+// unlinked, as /proc/self/fd links them; without /proc it lists none.
+func descriptorsOf(t *testing.T, path string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Logf("no /proc/self/fd, descriptors unchecked: %v", err)
+		return nil
+	}
+	if real, err := filepath.EvalSymlinks(filepath.Dir(path)); err == nil {
+		path = filepath.Join(real, filepath.Base(path))
+	}
+	var held []string
+	for _, fd := range fds {
+		link, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && (link == path || link == path+" (deleted)") {
+			held = append(held, link)
+		}
+	}
+	return held
+}
+
+// waitReleased polls, for a bounded time, until no descriptor of this
+// process is open on the unlinked file a landing replaced at path.
+func waitReleased(t *testing.T, path string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		held := descriptorsOf(t, path)
+		if len(held) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the replaced file is still held: %v", held)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -460,7 +459,7 @@ func x8nModP(n int64) uint32 {
 // observes a half-written snapshot, and a power loss after the return
 // never leaves a torn one.
 func WriteSnapshotFileTopK(path string, res *core.Result, opts TopKOptions) error {
-	return LandFile(path, filepath.Base(path)+".tmp*", func(w *TempFile) error {
+	return LandFile(path, func(w *TempFile) error {
 		return WriteSnapshotTopK(w, res, opts)
 	}, nil)
 }
