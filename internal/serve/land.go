@@ -7,17 +7,16 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // LandFile makes a file durable at path, the one way a file in this
 // module becomes durable (the snapshot writer, the generation journal and
 // ingest's fold state): it creates a temp in path's directory
 // (createTemp), lets fill write it while the kernel starts writing back
-// each range as it lands, fsyncs and closes it, renames it over path and
-// fsyncs the directory, so a reader never observes a partial file and a
-// power loss after the return never leaves a torn one. The file it
-// replaced is released after the return (holdReplaced), so the caller
-// waits for durability, not for the old file's teardown.
+// what WriteAt has landed, fsyncs and closes it, renames it over path
+// and fsyncs the directory, so a reader never observes a partial file and
+// a power loss after the return never leaves a torn one.
 // checkpoint, when non-nil, is called with "mid-write" once fill's first
 // write has landed and with "pre-rename" just before the rename. An error
 // from it is a crash at that instant: the landing stops there and leaves
@@ -49,36 +48,46 @@ func LandFile(path string, fill func(*TempFile) error, checkpoint func(stage str
 	return landTemp(f.Name(), path, checkpoint)
 }
 
-// A TempFile is the file a LandFile fill writes. Every range that lands
-// goes to the kernel's writeback at once (startWriteback), so the device
-// works while the fill goes on and LandFile's fsync waits only for the
-// tail. It calls the landing's mid-write checkpoint once, after the first
-// write lands: concurrent writers (the snapshot writer's shard workers)
-// wait for it, and once it has failed every write fails with its error.
+// A TempFile is the file a LandFile fill writes. Each time WriteAt has
+// landed another writebackEvery bytes, the writer that crossed the mark
+// starts the kernel's writeback of the whole file (startWriteback), so
+// the device works while the snapshot writer's shard workers encode the
+// next shards and LandFile's fsync waits only for the tail; Write's
+// callers write once and fsync at once, so it starts nothing. It calls
+// the landing's mid-write checkpoint once, after the first write lands:
+// concurrent writers (the shard workers) wait for it, and once it has
+// failed every write fails with its error.
 type TempFile struct {
-	f    *os.File
-	off  int64 // where Write goes next
-	hook func() error
-	once sync.Once
-	err  error
+	f     *os.File
+	wrote atomic.Int64 // bytes WriteAt has landed
+	hook  func() error
+	once  sync.Once
+	err   error
 }
+
+// writebackEvery is how many landed bytes start one writeback. One start
+// hands the kernel every dirty page of the file, which it sends to the
+// device as long runs; a start per landed range (a shard's few hundred
+// KB) cost the shard workers more than it saved.
+const writebackEvery = 4 << 20
 
 func (t *TempFile) Write(p []byte) (int, error) {
 	n, err := t.f.Write(p)
-	t.off += int64(n)
-	return n, t.landed(t.off-int64(n), n, err)
+	return n, t.landed(n > 0, err)
 }
 
 func (t *TempFile) WriteAt(p []byte, off int64) (int, error) {
 	n, err := t.f.WriteAt(p, off)
-	return n, t.landed(off, n, err)
+	if w := t.wrote.Add(int64(n)); w/writebackEvery != (w-int64(n))/writebackEvery {
+		startWriteback(t.f)
+	}
+	return n, t.landed(n > 0, err)
 }
 
-func (t *TempFile) landed(off int64, n int, err error) error {
-	if err != nil || n == 0 {
+func (t *TempFile) landed(wrote bool, err error) error {
+	if err != nil || !wrote {
 		return err
 	}
-	startWriteback(t.f, off, int64(n))
 	t.once.Do(func() { t.err = t.hook() })
 	return t.err
 }
@@ -108,37 +117,19 @@ func landLink(src, path string, checkpoint func(stage string) error) error {
 
 // landTemp renames tmp, a complete, fsynced file in path's directory,
 // over path and fsyncs the directory, after checkpoint's "pre-rename"
-// (nil for none), whose error keeps tmp as LandFile's does. The file it
-// replaces is held open across the rename and released after the
-// directory fsync (releaseReplaced), so the kernel tears it down while the
-// caller goes on, not inside the rename.
+// (nil for none), whose error keeps tmp as LandFile's does.
 func landTemp(tmp, path string, checkpoint func(stage string) error) error {
 	if checkpoint != nil {
 		if err := checkpoint("pre-rename"); err != nil {
 			return err
 		}
 	}
-	old := holdReplaced(path)
 	if err := os.Rename(tmp, path); err != nil {
-		if old != nil {
-			old.Close()
-		}
 		os.Remove(tmp)
 		return err
 	}
-	err := SyncDir(filepath.Dir(path))
-	if old != nil {
-		releaseReplaced(old)
-	}
-	return err
+	return SyncDir(filepath.Dir(path))
 }
-
-// releaseReplaced closes the file a landing replaced on a goroutine that
-// nothing waits for: the last close of an unlinked inode is where the
-// kernel drops its page cache and frees its blocks, which no caller needs
-// to wait for. The goroutine ends when the close returns; its error, on a
-// file only read, changes nothing. Tests swap it to hold the file.
-var releaseReplaced = func(f *os.File) { go f.Close() }
 
 // SyncDir fsyncs a directory, making the renames and links in it durable.
 func SyncDir(dir string) error {

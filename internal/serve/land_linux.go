@@ -12,22 +12,10 @@ import (
 // nothing.
 const syncFileRangeWrite = 0x2
 
-// startWriteback hands [off, off+n) of f to the kernel's writeback now
-// instead of when the fsync asks. An error only forgoes the head start:
-// the fsync still makes the range durable.
-func startWriteback(f *os.File, off, n int64) {
-	syscall.SyncFileRange(int(f.Fd()), off, n, syncFileRangeWrite)
-}
-
-// holdReplaced opens the regular file a landing at path is about to
-// rename over, so the replaced inode's last close comes after the
-// landing returns (releaseReplaced) instead of inside the rename. It
-// holds nothing (nil) for a missing target or one that is not a regular
-// file: a symlink is replaced as a name, and opening a FIFO would block.
-func holdReplaced(path string) *os.File {
-	if st, err := os.Lstat(path); err != nil || !st.Mode().IsRegular() {
-		return nil
-	}
-	f, _ := os.Open(path) // nil on error: then the rename releases it, as it would anyway
-	return f
+// startWriteback hands f's dirty pages (offset 0, length 0: the whole
+// file) to the kernel's writeback now instead of when the fsync asks;
+// pages already under writeback are left as they are. An error only
+// forgoes the head start: the fsync still makes the file durable.
+func startWriteback(f *os.File) {
+	syscall.SyncFileRange(int(f.Fd()), 0, 0, syncFileRangeWrite)
 }

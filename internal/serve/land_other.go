@@ -7,8 +7,4 @@ package serve
 import "os"
 
 // startWriteback has no portable form: the fsync starts the writeback.
-func startWriteback(*os.File, int64, int64) {}
-
-// holdReplaced holds nothing: Windows cannot rename over an open file, so
-// here the rename releases the replaced file on the caller's path.
-func holdReplaced(string) *os.File { return nil }
+func startWriteback(*os.File) {}

@@ -5,21 +5,15 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"runtime/debug"
+	"sync"
 	"testing"
-	"time"
 )
 
 // TestLandFile holds the one landing path to its contract, on a target
-// that already exists: a landing replaces it whole and soon holds no
-// descriptor of the replaced file; a failed fill leaves it and no temp; a
-// checkpoint's error at either stage is a crash there, leaving the old
-// target and the temp, which the journal's Lock sweeps, and no descriptor
-// of the target.
+// that already exists: a landing replaces it whole; a failed fill leaves
+// it and no temp; a checkpoint's error at either stage is a crash there,
+// leaving the old target and the temp, which the journal's Lock sweeps.
 func TestLandFile(t *testing.T) {
-	// The collector stays off: an *os.File's finalizer would close a
-	// replaced file the landing forgot to release.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	old, next := []byte("old bytes"), []byte("the new, longer bytes")
 	fillErr, crash := errors.New("fill failed"), errors.New("crash")
 	for _, tc := range []struct {
@@ -79,11 +73,6 @@ func TestLandFile(t *testing.T) {
 			if got := readFile(t, path); !bytes.Equal(got, want) {
 				t.Fatalf("target holds %q, want %q", got, want)
 			}
-			if tc.landed {
-				waitReleased(t, path)
-			} else if held := descriptorsOf(t, path); len(held) != 0 {
-				t.Fatalf("the failed landing still holds %v", held)
-			}
 			temps := globTemps(t, dir)
 			if tc.tempStays != (len(temps) == 1) || len(temps) > 1 {
 				t.Fatalf("temps after the landing: %v (one should stay: %v)", temps, tc.tempStays)
@@ -100,39 +89,36 @@ func TestLandFile(t *testing.T) {
 	}
 }
 
-// descriptorsOf lists this process's descriptors open on path, live or
-// unlinked, as /proc/self/fd links them; without /proc it lists none.
-func descriptorsOf(t *testing.T, path string) []string {
-	t.Helper()
-	fds, err := os.ReadDir("/proc/self/fd")
+// TestLandFileWritebackMarks lands, as the snapshot writer does, ranges
+// from concurrent writers in no particular order, across several
+// writebackEvery marks: every writeback the marks start leaves the
+// landed bytes exactly as written.
+func TestLandFileWritebackMarks(t *testing.T) {
+	const chunk = 96 << 10 // not a divisor of writebackEvery: marks fall inside ranges
+	want := make([]byte, 2*writebackEvery+chunk/3)
+	for i := range want {
+		want[i] = byte(i*7 + i>>12)
+	}
+	path := filepath.Join(t.TempDir(), "serving.snap")
+	err := LandFile(path, func(w *TempFile) error {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for k := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for off := k * chunk; off < len(want) && errs[k] == nil; off += 2 * chunk {
+					_, errs[k] = w.WriteAt(want[off:min(off+chunk, len(want))], int64(off))
+				}
+			}()
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	}, nil)
 	if err != nil {
-		t.Logf("no /proc/self/fd, descriptors unchecked: %v", err)
-		return nil
+		t.Fatal(err)
 	}
-	if real, err := filepath.EvalSymlinks(filepath.Dir(path)); err == nil {
-		path = filepath.Join(real, filepath.Base(path))
-	}
-	var held []string
-	for _, fd := range fds {
-		link, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
-		if err == nil && (link == path || link == path+" (deleted)") {
-			held = append(held, link)
-		}
-	}
-	return held
-}
-
-// waitReleased polls, for a bounded time, until no descriptor of this
-// process is open on the unlinked file a landing replaced at path.
-func waitReleased(t *testing.T, path string) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		held := descriptorsOf(t, path)
-		if len(held) == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("the replaced file is still held: %v", held)
-		}
+	if got := readFile(t, path); !bytes.Equal(got, want) {
+		t.Fatalf("target holds %d bytes that differ from the %d written", len(got), len(want))
 	}
 }
