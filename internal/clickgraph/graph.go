@@ -10,7 +10,6 @@ package clickgraph
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 )
@@ -74,10 +73,10 @@ func (w EdgeWeights) Validate() error {
 // each side (a node added by AddQuery or AddAd keeps its place among the
 // edges' names), sorts the logged edges into rows by a counting sort on
 // the query id, and merges each row, in arrival order, into the rows of
-// the previous Build. Each logged name is looked up once: the graph takes
-// over the Builder's name→id maps instead of building its own, and the
-// Builder copies a side's map only when it next interns a name new to
-// that side.
+// the previous Build. Each logged name is hashed and looked up once: the
+// graph takes over the Builder's name indexes instead of building its own,
+// and the Builder copies a side's index only when it next interns a name
+// new to that side.
 type Builder struct {
 	q, a nameSide
 	// base is the graph the last Build returned (or NewBuilderFrom
@@ -86,33 +85,33 @@ type Builder struct {
 	log  entryLog // what was added since base
 }
 
-// nameSide is one side's names in id order and its name→id map.
+// nameSide is one side's names in id order and their index.
 type nameSide struct {
-	id map[string]int
-	// lent reports that a graph also reads id: a new name interns into a
-	// copy.
+	index NameIndex
+	// lent reports that a graph also reads index: a new name interns into
+	// a copy.
 	lent  bool
 	names []string
 }
 
 func (s *nameSide) intern(name string) int {
-	if id, ok := s.id[name]; ok {
+	h := s.index.hash(name)
+	if id, ok := s.index.find(s.names, name, h); ok {
 		return id
 	}
 	if s.lent {
-		s.id, s.lent = maps.Clone(s.id), false
+		s.index.slots, s.lent = slices.Clone(s.index.slots), false
 	}
-	id := len(s.names)
-	s.id[name] = id
 	s.names = append(s.names, name)
-	return id
+	s.index.add(h)
+	return len(s.names) - 1
 }
 
-// lend returns the names and the map for a graph, which keeps them: the
+// lend returns the names and the index for a graph, which keeps them: the
 // names slice is capped, so the Builder's appends never reach it.
-func (s *nameSide) lend() ([]string, map[string]int) {
+func (s *nameSide) lend() ([]string, NameIndex) {
 	s.lent = true
-	return s.names[:len(s.names):len(s.names)], s.id
+	return s.names[:len(s.names):len(s.names)], s.index
 }
 
 type entryKind uint8
@@ -125,19 +124,19 @@ const (
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{q: nameSide{id: make(map[string]int)}, a: nameSide{id: make(map[string]int)}}
+	return &Builder{}
 }
 
 // NewBuilderFrom returns a Builder that holds g: its names keep their ids
 // and its edges are the rows later adds merge into, so Build returns a
-// graph equal to g until something is added. It shares g's name maps
+// graph equal to g until something is added. It shares g's name indexes
 // under the copy-on-write rule of Build.
 func NewBuilderFrom(g *Graph) *Builder {
-	qID, aID := g.index()
+	qIndex, aIndex := g.index()
 	nq, na := len(g.queries), len(g.ads)
 	return &Builder{
-		q:    nameSide{id: qID, lent: true, names: g.queries[:nq:nq]},
-		a:    nameSide{id: aID, lent: true, names: g.ads[:na:na]},
+		q:    nameSide{index: *qIndex, lent: true, names: g.queries[:nq:nq]},
+		a:    nameSide{index: *aIndex, lent: true, names: g.ads[:na:na]},
 		base: g,
 	}
 }
@@ -220,8 +219,8 @@ func (e *EdgeWeights) merge(w EdgeWeights) {
 }
 
 // Build compiles everything added so far into an immutable Graph. The
-// Builder stays usable. The graph shares the Builder's name maps and the
-// backing arrays of its name lists: the Builder copies a side's map before
+// Builder stays usable. The graph shares the Builder's name indexes and the
+// backing arrays of its name lists: the Builder copies a side's index before
 // it interns a name new to that side and appends past the graph's names,
 // so the graph never sees a later add, and a graph built earlier stays
 // safe to read while the Builder goes on.
@@ -270,15 +269,15 @@ func (b *Builder) Build() *Graph {
 	for q := range nq {
 		f.qPtr[q+1] += f.qPtr[q]
 	}
-	queries, qID := b.q.lend()
-	ads, aID := b.a.lend()
+	queries, qIndex := b.q.lend()
+	ads, aIndex := b.a.lend()
 	n := f.qPtr[nq]
 	g := &Graph{queries: queries, ads: ads, qPtr: f.qPtr,
 		ad: make([]int, n), rate: make([]float64, n), clicks: make([]int64, n), impr: make([]int64, n)}
 	f.g = g
 	concurrently(func() { f.fill(split, nq) }, func() { f.fill(0, split) })
 	g.indexAds()
-	g.setIndex(qID, aID)
+	g.setIndex(qIndex, aIndex)
 	b.base, b.log = g, nil
 	return g
 }
@@ -406,12 +405,12 @@ func concurrently(a, b func()) {
 type Graph struct {
 	queries []string
 	ads     []string
-	// The name→id maps: handed over by Build and RemoveEdges, built from
+	// The name indexes: handed over by Build and RemoveEdges, built from
 	// the names on the first lookup of a graph NewSubview carved. Read
 	// them through index.
-	names   sync.Once
-	queryID map[string]int
-	adID    map[string]int
+	names      sync.Once
+	queryIndex NameIndex
+	adIndex    NameIndex
 
 	// The edge table, sorted by (query id, ad id): query q's edges are
 	// positions [qPtr[q], qPtr[q+1]) of the four columns.
@@ -432,7 +431,7 @@ type Graph struct {
 }
 
 // newGraph returns a graph over the given names (which it keeps) with an
-// empty edge table of capacity n and no name maps. The caller appends the
+// empty edge table of capacity n and no name indexes. The caller appends the
 // edges in (query id, ad id) order, sets qPtr and calls indexAds.
 func newGraph(queries, ads []string, n int) *Graph {
 	return &Graph{
@@ -446,24 +445,20 @@ func newGraph(queries, ads []string, n int) *Graph {
 	}
 }
 
-// setIndex hands g the name→id maps of its names.
-func (g *Graph) setIndex(queryID, adID map[string]int) {
-	g.names.Do(func() { g.queryID, g.adID = queryID, adID })
+// setIndex hands g the indexes of its names.
+func (g *Graph) setIndex(queryIndex, adIndex NameIndex) {
+	g.names.Do(func() { g.queryIndex, g.adIndex = queryIndex, adIndex })
 }
 
-// index returns g's name→id maps, building them on the first call if g
+// index returns g's name indexes, building them on the first call if g
 // was given none.
-func (g *Graph) index() (queryID, adID map[string]int) {
-	g.names.Do(func() { g.queryID, g.adID = idsOf(g.queries), idsOf(g.ads) })
-	return g.queryID, g.adID
-}
-
-func idsOf(names []string) map[string]int {
-	ids := make(map[string]int, len(names))
-	for i, name := range names {
-		ids[name] = i
-	}
-	return ids
+func (g *Graph) index() (queryIndex, adIndex *NameIndex) {
+	g.names.Do(func() {
+		// A graph's names are distinct, so neither index stops short.
+		g.queryIndex, _ = NewNameIndex(g.queries)
+		g.adIndex, _ = NewNameIndex(g.ads)
+	})
+	return &g.queryIndex, &g.adIndex
 }
 
 func (g *Graph) appendEdge(a int, w EdgeWeights) {
@@ -514,16 +509,14 @@ func (g *Graph) Ad(id int) string { return g.ads[id] }
 
 // QueryID returns the id of query q and whether it exists.
 func (g *Graph) QueryID(q string) (int, bool) {
-	queryID, _ := g.index()
-	id, ok := queryID[q]
-	return id, ok
+	queryIndex, _ := g.index()
+	return queryIndex.Find(g.queries, q)
 }
 
 // AdID returns the id of ad a and whether it exists.
 func (g *Graph) AdID(a string) (int, bool) {
-	_, adID := g.index()
-	id, ok := adID[a]
-	return id, ok
+	_, adIndex := g.index()
+	return adIndex.Find(g.ads, a)
 }
 
 // Queries returns all query strings indexed by id. Callers must not mutate
@@ -635,7 +628,7 @@ func intersectSorted(a, b []int) []int {
 
 // RemoveEdges returns a new Graph equal to g minus the listed (query id,
 // ad id) edges. Node ids are preserved, including nodes left isolated, and
-// the new graph shares g's names and name maps. Unknown edges are ignored.
+// the new graph shares g's names and name indexes. Unknown edges are ignored.
 // The desirability experiment (§9.3) uses this to delete the direct
 // evidence between a query and its rewrite candidates.
 func (g *Graph) RemoveEdges(drop [][2]int) *Graph {
@@ -653,7 +646,8 @@ func (g *Graph) RemoveEdges(drop [][2]int) *Graph {
 		out.qPtr[q+1] = len(out.ad)
 	}
 	out.indexAds()
-	out.setIndex(g.index())
+	qIndex, aIndex := g.index()
+	out.setIndex(*qIndex, *aIndex)
 	return out
 }
 

@@ -211,7 +211,7 @@ func removeEdgesByReplay(g *Graph, drop [][2]int) *Graph {
 
 // TestRemoveEdgesMatchesReplay holds RemoveEdges to the replay on random
 // graphs, dropping none, some (with unknown and repeated pairs among them)
-// and every edge, and checks that the result reads g's own name maps.
+// and every edge, and checks that the result reads g's own name indexes.
 func TestRemoveEdgesMatchesReplay(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		g := subviewRandomGraph(seed, 30, 25, 150)
@@ -229,9 +229,9 @@ func TestRemoveEdgesMatchesReplay(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d, drop %s: RemoveEdges differs from the replay", seed, name)
 			}
-			if reflect.ValueOf(got.queryID).Pointer() != reflect.ValueOf(g.queryID).Pointer() ||
-				reflect.ValueOf(got.adID).Pointer() != reflect.ValueOf(g.adID).Pointer() {
-				t.Fatalf("seed %d, drop %s: RemoveEdges built name maps of its own", seed, name)
+			if reflect.ValueOf(got.queryIndex.slots).Pointer() != reflect.ValueOf(g.queryIndex.slots).Pointer() ||
+				reflect.ValueOf(got.adIndex.slots).Pointer() != reflect.ValueOf(g.adIndex.slots).Pointer() {
+				t.Fatalf("seed %d, drop %s: RemoveEdges built name indexes of its own", seed, name)
 			}
 		}
 	}
@@ -242,7 +242,7 @@ func TestRemoveEdgesMatchesReplay(t *testing.T) {
 // it builds what a Builder fed the graph's nodes in id order and then its
 // edges would: every old node keeps its id, which is what the ingest
 // fold's shard fingerprints rely on. The adopted graph may come from Build
-// or from NewSubview, which carries no name maps until a lookup.
+// or from NewSubview, which carries no name indexes until a lookup.
 func TestNewBuilderFrom(t *testing.T) {
 	g := subviewRandomGraph(3, 40, 30, 200)
 	view, err := NewSubview(g, []int{1, 2, 3, 5, 8, 13, 21, 34}, []int{0, 2, 4, 6, 8, 10, 12, 14, 16}, AdTable(g, []int{0, 2, 4, 6, 8, 10, 12, 14, 16}))
@@ -523,7 +523,7 @@ func TestBuilderProperty(t *testing.T) {
 // TestBuildAllocationPerEdge bounds what Build allocates: the table and
 // its ad-ordered view (32 + 24 B an edge), the row pointers, the fold's
 // scratch (both sides' ids and the sorted log position, 12 B a logged
-// edge), and the names and the two name→id maps as interning grows them —
+// edge), and the names and the two name indexes as interning grows them —
 // no copy of the weights before the table, and not a compiled copy of
 // every weight channel in both orders.
 func TestBuildAllocationPerEdge(t *testing.T) {

@@ -27,7 +27,7 @@ type Subview struct {
 // ids are an error. Unlike InducedSubgraph (which replays edges through a
 // Builder), the view is carved directly out of the parent's edge table —
 // one pass over the selected queries' rows, then the ad-ordered view of
-// what survived, no maps on the edge path — and carries no name maps
+// what survived, no maps on the edge path — and carries no name indexes
 // until its first QueryID or AdID, so carving many shards out of a large
 // graph stays cheap.
 //

@@ -432,7 +432,7 @@ func (c *Controller) FoldOnce(ctx context.Context) (*FoldResult, error) {
 	// exactly-once. Crash before it → the published generation already
 	// reflects these records, and the next fold's replay rebuilds an
 	// id-identical graph whose diff is zero-dirty (see state.go).
-	if err := SaveFoldState(c.cfg.WALDir, c.applied, g); err != nil {
+	if err := SaveFoldState(c.cfg.WALDir, c.applied, g, nil); err != nil {
 		return nil, c.fail(fmt.Errorf("ingest: saving fold cursor: %w", err))
 	}
 	c.stateSaved = true

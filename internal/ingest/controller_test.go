@@ -576,3 +576,52 @@ func TestControllerChurnKickAndBackpressure(t *testing.T) {
 		t.Fatalf("ingest after drain: %v", err)
 	}
 }
+
+// TestFoldStateCrashAtPreRename crashes the fold state's landing — after
+// its first write and just before its rename — over the state a fold
+// saved, and reopens through NewController, the directory's one writer:
+// the crash left a temp, and the controller sweeps it and resumes from
+// the state the crash did not replace. serve's landing sites are crashed
+// the same way in serve's TestLandingSitesCrashAtPreRename.
+func TestFoldStateCrashAtPreRename(t *testing.T) {
+	crash := errors.New("crash")
+	for _, stage := range []string{"mid-write", "pre-rename"} {
+		t.Run(stage, func(t *testing.T) {
+			env := newTestEnv(t)
+			c, err := NewController(env.config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Ingest(env.records(0, 20)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.FoldOnce(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+			err = SaveFoldState(env.walDir, 40, env.base, func(s string) error {
+				if s == stage {
+					return crash
+				}
+				return nil
+			})
+			if !errors.Is(err, crash) {
+				t.Fatalf("SaveFoldState returned %v, want the crash", err)
+			}
+			temps, err := filepath.Glob(filepath.Join(env.walDir, stateFile+".tmp*"))
+			if err != nil || len(temps) != 1 {
+				t.Fatalf("the crash left temps %v (%v), want one", temps, err)
+			}
+			if c, err = NewController(env.config()); err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if temps, _ := filepath.Glob(filepath.Join(env.walDir, "*.tmp*")); len(temps) != 0 {
+				t.Fatalf("NewController left temps %v", temps)
+			}
+			if st, err := LoadFoldState(env.walDir); err != nil || st.Seq != 20 {
+				t.Fatalf("the fold state after the crash: %+v, %v; want the fold's, at sequence 20", st, err)
+			}
+		})
+	}
+}

@@ -60,8 +60,9 @@ type FoldState struct {
 }
 
 // SaveFoldState atomically writes the fold state into dir
-// (serve.LandFile: temp + fsync + rename + directory fsync).
-func SaveFoldState(dir string, seq uint64, g *clickgraph.Graph) error {
+// (serve.LandFile: temp + fsync + rename + directory fsync); checkpoint
+// is the landing's (nil for none).
+func SaveFoldState(dir string, seq uint64, g *clickgraph.Graph, checkpoint func(stage string) error) error {
 	var text bytes.Buffer
 	if err := clickgraph.Write(&text, g); err != nil {
 		return err
@@ -77,7 +78,7 @@ func SaveFoldState(dir string, seq uint64, g *clickgraph.Graph) error {
 	return serve.LandFile(filepath.Join(dir, stateFile), func(w *serve.TempFile) error {
 		_, err := w.Write(buf)
 		return err
-	}, nil)
+	}, checkpoint)
 }
 
 // LoadFoldState reads the fold state from dir. A missing file returns

@@ -138,7 +138,7 @@ func TestAppendRefusesNamesTheFoldStateCannotCarry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := SaveFoldState(dir, l.NextSeq(), b.Build()); err != nil {
+	if err := SaveFoldState(dir, l.NextSeq(), b.Build(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := LoadFoldState(dir); err != nil || st.Graph.NumEdges() != 3 {
@@ -147,7 +147,7 @@ func TestAppendRefusesNamesTheFoldStateCannotCarry(t *testing.T) {
 	// A graph that did not come through Validate: an error, not a state
 	// file that cannot be loaded.
 	b.AddQuery("#isolated")
-	if err := SaveFoldState(dir, l.NextSeq(), b.Build()); err == nil {
+	if err := SaveFoldState(dir, l.NextSeq(), b.Build(), nil); err == nil {
 		t.Error("SaveFoldState wrote a query the text form reads as a comment")
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"simrankpp/internal/core"
 )
 
 // TestLandFile holds the one landing path to its contract, on a target
@@ -120,5 +122,69 @@ func TestLandFileWritebackMarks(t *testing.T) {
 	}
 	if got := readFile(t, path); !bytes.Equal(got, want) {
 		t.Fatalf("target holds %d bytes that differ from the %d written", len(got), len(want))
+	}
+}
+
+// TestLandingSitesCrashAtPreRename crashes each of serve's landing sites
+// just before its rename — a complete, fsynced temp that never became its
+// target — and reopens through the journal's Lock, the sweep every writer
+// of these directories takes first: the crash left a temp, the serving
+// file is the one it replaced, and after Lock no temp is left in the
+// journal directory or beside the serving path. The sites are the
+// snapshot writer's landing (WriteSnapshotFileTopK's, as simrank -save
+// runs it over a served file), the journal's generation snapshot and its
+// manifest, and the publish link. ingest's fold state, the fourth site,
+// is crashed the same way in TestFoldStateCrashAtPreRename.
+func TestLandingSitesCrashAtPreRename(t *testing.T) {
+	fx := buildGenFixture(t)
+	res := wholeRun(t, testGraph(t), core.DefaultConfig())
+	for _, site := range []struct {
+		name  string
+		crash func(path string, gs *GenerationStore) error
+	}{
+		{"snapshot write", func(path string, _ *GenerationStore) error {
+			return LandFile(path, func(w *TempFile) error {
+				return WriteSnapshotTopK(w, res, TopKOptions{K: DefaultRewriteTopK})
+			}, func(stage string) error {
+				if stage == "pre-rename" {
+					return errCrashInjected
+				}
+				return nil
+			})
+		}},
+		{"generation snapshot", crashCommitAt("commit:pre-rename", fx)},
+		{"manifest", crashCommitAt("manifest:pre-rename", fx)},
+		{"publish link", crashCommitAt("publish:pre-rename", fx)},
+	} {
+		t.Run(site.name, func(t *testing.T) {
+			path, gs, _ := servingDir(t, fx)
+			if err := site.crash(path, gs); !errors.Is(err, errCrashInjected) {
+				t.Fatalf("landing returned %v, want the injected crash", err)
+			}
+			if temps := globTemps(t, gs.dir, filepath.Dir(path)); len(temps) != 1 {
+				t.Fatalf("the crash left temps %v, want one", temps)
+			}
+			if !bytes.Equal(readFile(t, path), fx.gen1) {
+				t.Fatal("the serving file changed across a crash before the rename")
+			}
+			release, swept, err := NewGenerationStore(path).Lock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+			if temps := globTemps(t, gs.dir, filepath.Dir(path)); swept == 0 || len(temps) != 0 {
+				t.Fatalf("Lock swept %d, and temps %v remain", swept, temps)
+			}
+		})
+	}
+}
+
+// crashCommitAt returns a landing-site crash for the table above: a
+// refresh's commit and publish of gen2, killed at stage.
+func crashCommitAt(stage string, fx genFixture) func(string, *GenerationStore) error {
+	return func(_ string, gs *GenerationStore) error {
+		gs.failAt = stage
+		_, err := commitAndPublish(gs, fx)
+		return err
 	}
 }

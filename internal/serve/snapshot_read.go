@@ -114,8 +114,8 @@ type Snapshot struct {
 
 	meta         SnapshotMeta
 	queries, ads []string
-	queryID      map[string]int
-	adID         map[string]int
+	queryIndex   clickgraph.NameIndex
+	adIndex      clickgraph.NameIndex
 	qRoute       []uint32
 	aRoute       []uint32
 	dir          []segEntry
@@ -263,8 +263,6 @@ func newSnapshot(r io.ReaderAt, size int64, mapped []byte) (*Snapshot, error) {
 
 	s.queries = make([]string, nq)
 	s.ads = make([]string, na)
-	s.queryID = make(map[string]int, nq)
-	s.adID = make(map[string]int, na)
 	// Intern the whole table once: every name is a substring of one
 	// backing string, so decoding costs one allocation total (not one
 	// per name) and lookups never re-touch the raw section. The copy
@@ -280,14 +278,27 @@ func newSnapshot(r io.ReaderAt, size int64, mapped []byte) (*Snapshot, error) {
 	}
 	for q := range s.queries {
 		s.queries[q] = readName()
-		s.queryID[s.queries[q]] = q
 	}
 	for a := range s.ads {
 		s.ads[a] = readName()
-		s.adID[s.ads[a]] = a
 	}
 	if err := table.Done(); err != nil {
 		return nil, fmt.Errorf("serve: string table: %w", err)
+	}
+	// The two sides' indexes, one goroutine each, each sized for its side.
+	var dup [2]int
+	parallelFor(poolWidth(2), 2, func(_, side int) {
+		if side == 0 {
+			s.queryIndex, dup[0] = clickgraph.NewNameIndex(s.queries)
+		} else {
+			s.adIndex, dup[1] = clickgraph.NewNameIndex(s.ads)
+		}
+	})
+	if dup[0] >= 0 {
+		return nil, fmt.Errorf("serve: string table: query %d repeats the name %q", dup[0], s.queries[dup[0]])
+	}
+	if dup[1] >= 0 {
+		return nil, fmt.Errorf("serve: string table: ad %d repeats the name %q", dup[1], s.ads[dup[1]])
 	}
 
 	s.qRoute = make([]uint32, nq)
@@ -556,14 +567,12 @@ func (s *Snapshot) Ad(id int) string { return s.ads[id] }
 
 // QueryID implements ScoreIndex.
 func (s *Snapshot) QueryID(name string) (int, bool) {
-	id, ok := s.queryID[name]
-	return id, ok
+	return s.queryIndex.Find(s.queries, name)
 }
 
 // AdID implements ScoreIndex.
 func (s *Snapshot) AdID(name string) (int, bool) {
-	id, ok := s.adID[name]
-	return id, ok
+	return s.adIndex.Find(s.ads, name)
 }
 
 // ranked is the one ranked-list lookup of both sides: it routes id to its
@@ -622,7 +631,7 @@ func (s *Snapshot) ShardFingerprint(i int) uint64 { return s.dir[i].fp }
 
 // PrevQuery implements partition.PrevAssignment.
 func (s *Snapshot) PrevQuery(name string) (id, shard int, ok bool) {
-	id, ok = s.queryID[name]
+	id, ok = s.QueryID(name)
 	if !ok {
 		return 0, 0, false
 	}
@@ -631,7 +640,7 @@ func (s *Snapshot) PrevQuery(name string) (id, shard int, ok bool) {
 
 // PrevAd implements partition.PrevAssignment.
 func (s *Snapshot) PrevAd(name string) (id, shard int, ok bool) {
-	id, ok = s.adID[name]
+	id, ok = s.AdID(name)
 	if !ok {
 		return 0, 0, false
 	}

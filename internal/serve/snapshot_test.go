@@ -232,6 +232,71 @@ func testSnapshotRoundTrip(t *testing.T, g *clickgraph.Graph) {
 	}
 }
 
+// TestSnapshotNameIndexRoundTrip: every name of a written snapshot, plain
+// or hostile, resolves through QueryID, AdID, PrevQuery and PrevAd to its
+// id (the Prev lookups also to the shard the plan put it in), names that
+// are not in it do not resolve, and a string table that names a node of a
+// side twice is refused at open.
+func TestSnapshotNameIndexRoundTrip(t *testing.T) {
+	for _, g := range []*clickgraph.Graph{testGraph(t), hostileNameGraph(t)} {
+		plan := partition.ComponentPlan(g)
+		res, err := core.RunSharded(g, core.DefaultConfig(), plan, core.ShardOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := mustSnapshot(t, res, DefaultRewriteTopK)
+		for si, sh := range plan.Shards {
+			for _, q := range sh.Queries {
+				name := g.Query(q)
+				if id, ok := snap.QueryID(name); !ok || id != q {
+					t.Fatalf("QueryID(%q) = %d, %v; want %d", name, id, ok, q)
+				}
+				if id, shard, ok := snap.PrevQuery(name); !ok || id != q || shard != si {
+					t.Fatalf("PrevQuery(%q) = %d, %d, %v; want %d, %d", name, id, shard, ok, q, si)
+				}
+			}
+			for _, a := range sh.Ads {
+				name := g.Ad(a)
+				if id, ok := snap.AdID(name); !ok || id != a {
+					t.Fatalf("AdID(%q) = %d, %v; want %d", name, id, ok, a)
+				}
+				if id, shard, ok := snap.PrevAd(name); !ok || id != a || shard != si {
+					t.Fatalf("PrevAd(%q) = %d, %d, %v; want %d, %d", name, id, shard, ok, a, si)
+				}
+			}
+		}
+		for _, absent := range []string{"", "absent", g.Query(0) + "x", g.Ad(0)[1:]} {
+			if _, ok := snap.QueryID(absent); ok {
+				t.Fatalf("QueryID(%q) resolved", absent)
+			}
+			if _, ok := snap.AdID(absent); ok {
+				t.Fatalf("AdID(%q) resolved", absent)
+			}
+			if _, _, ok := snap.PrevQuery(absent); ok {
+				t.Fatalf("PrevQuery(%q) resolved", absent)
+			}
+			if _, _, ok := snap.PrevAd(absent); ok {
+				t.Fatalf("PrevAd(%q) resolved", absent)
+			}
+		}
+	}
+
+	// c0-q2's entry rewritten to c0-q1's, the table's checksum resealed.
+	good := snapshotBytes(t, wholeRun(t, testGraph(t), core.DefaultConfig()), DefaultRewriteTopK)
+	stringsOff, stringsLen := binary.LittleEndian.Uint64(good[72:]), binary.LittleEndian.Uint64(good[80:])
+	bad := append([]byte(nil), good...)
+	table := bad[stringsOff : stringsOff+stringsLen]
+	at := bytes.Index(table, []byte("\x05c0-q2"))
+	if at < 0 {
+		t.Fatal("c0-q2 is not in the string table")
+	}
+	copy(table[at:], "\x05c0-q1")
+	bad = resealHeader(bad, func(h []byte) { binary.LittleEndian.PutUint32(h[52:], crc32.ChecksumIEEE(table)) })
+	if _, err := NewSnapshot(bytes.NewReader(bad), int64(len(bad))); err == nil || !strings.Contains(err.Error(), `repeats the name "c0-q1"`) {
+		t.Fatalf("a string table naming c0-q1 twice opened, or was refused for another reason: %v", err)
+	}
+}
+
 // TestSnapshotLazySegmentAccess pins the open-cost acceptance: opening
 // materializes no score segment, a query loads only its own shard's
 // segment, and a corrupt segment of another shard is never touched.
@@ -488,4 +553,53 @@ func TestSnapshotRefusesInvalidRecordedConfig(t *testing.T) {
 			t.Errorf("%s: refused with %q, want it to name %q", name, err, tc.want)
 		}
 	}
+}
+
+// BenchmarkOpenSnapshot times what serve.open_snapshot times in pathbench:
+// opening a snapshot file, whose cost is the header, the string table and
+// both sides' name indexes, the route map and the directory; no segment
+// is read. The graph has pathbench's cluster shape (840 clusters of 65
+// queries and 45 ads, each query clicking three of its cluster's ads; 12
+// clusters under -short) and its names: pathbenchName's phrases over the
+// shared vocabulary with a unique token. Run with
+//
+//	go test -run='^$' -bench=OpenSnapshot -benchmem ./internal/serve
+func BenchmarkOpenSnapshot(b *testing.B) {
+	clusters := 840
+	if testing.Short() {
+		clusters = 12
+	}
+	bld := clickgraph.NewBuilder()
+	for c := range clusters {
+		for q := range 65 {
+			for k := range 3 {
+				w := clickgraph.EdgeWeights{Impressions: 3, Clicks: 1, ExpectedClickRate: float64((q+k)%10) / 10}
+				if err := bld.AddEdge(pathbenchName(c, q), pathbenchName(c, (q*7+k)%45)+" ad", w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	g := bld.Build()
+	cfg := core.DefaultConfig()
+	cfg.Iterations = 1
+	res, err := core.RunSharded(g, cfg, partition.ComponentPlan(g), core.ShardOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := b.TempDir() + "/open.snap"
+	if err := WriteSnapshotFileTopK(path, res, TopKOptions{K: DefaultRewriteTopK}); err != nil {
+		b.Fatal(err)
+	}
+	names := g.NumQueries() + g.NumAds()
+	b.ReportAllocs()
+	for b.Loop() {
+		snap, err := OpenSnapshot(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		snap.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(names), "ns/name")
+	b.Logf("%d names, %d shards", names, len(res.Plan.Shards))
 }
