@@ -101,11 +101,16 @@ func Write(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Read parses a graph in the text edge format.
-func Read(r io.Reader) (*Graph, error) {
-	b := NewBuilder()
+// ScanLines is the format's line rule, shared by Read and the /ingest
+// body: it calls fn with each line of r that is neither blank nor a '#'
+// comment, stripped of its line ending and of nothing else, so spaces
+// around a name are part of it and a number with a space beside it does
+// not parse. A line longer than the larger of maxLine and 64 KiB stops
+// the scan with bufio.ErrTooLong, and an error from fn stops it prefixed
+// with the line number.
+func ScanLines(r io.Reader, maxLine int, fn func(line string) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -113,23 +118,32 @@ func Read(r io.Reader) (*Graph, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
+		if err := fn(line); err != nil {
+			return fmt.Errorf("line %d: %w", lineNo, err)
+		}
+	}
+	return sc.Err()
+}
+
+// Read parses a graph in the text edge format.
+func Read(r io.Reader) (*Graph, error) {
+	b := NewBuilder()
+	err := ScanLines(r, 16*1024*1024, func(line string) error {
 		if name, ok := strings.CutPrefix(line, declPrefix[QuerySide]); ok && !strings.Contains(name, "\t") {
 			b.AddQuery(name)
-			continue
+			return nil
 		}
 		if name, ok := strings.CutPrefix(line, declPrefix[AdSide]); ok && !strings.Contains(name, "\t") {
 			b.AddAd(name)
-			continue
+			return nil
 		}
 		query, ad, w, err := ParseEdge(line)
-		if err == nil {
-			err = b.AddEdge(query, ad, w)
-		}
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			return err
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return b.AddEdge(query, ad, w)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return b.Build(), nil

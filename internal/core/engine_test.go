@@ -12,6 +12,17 @@ const tol = 1e-12
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// AdSim returns s(a1, a2) with the same conventions as QuerySim. Serving
+// reads ranked lists (TopSimilarAds); only the engine tests compare ad
+// pairs one at a time.
+func (r *Result) AdSim(a1, a2 int) float64 {
+	if a1 == a2 {
+		return 1
+	}
+	v, _ := r.AdScores.Get(a1, a2)
+	return v
+}
+
 // mustRunDense is a test helper running the dense engine.
 func mustRunDense(t *testing.T, g *clickgraph.Graph, cfg Config) *Result {
 	t.Helper()

@@ -98,15 +98,6 @@ func (r *Result) QuerySim(q1, q2 int) float64 {
 	return v
 }
 
-// AdSim returns s(a1, a2) with the same conventions as QuerySim.
-func (r *Result) AdSim(a1, a2 int) float64 {
-	if a1 == a2 {
-		return 1
-	}
-	v, _ := r.AdScores.Get(a1, a2)
-	return v
-}
-
 // TopRewrites returns the k most similar queries to q, descending by score
 // with deterministic tie-breaking; k < 0 returns all scored partners. The
 // first call expands the symmetric adjacency, so each lookup costs its

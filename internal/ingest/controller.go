@@ -141,8 +141,9 @@ type Controller struct {
 	applied    uint64 // WAL records below this are in builder (in-memory)
 	stateSaved bool   // a fold-state file exists for this builder state
 
-	mu              sync.Mutex // gauges
-	durable         uint64
+	// mu guards the gauges below. The durable fold cursor is the WAL's
+	// (Log.FoldedSeq): SetFolded advances it once the fold state is saved.
+	mu              sync.Mutex
 	folds           int64
 	skippedFolds    int64
 	refreshFailures int64
@@ -221,7 +222,7 @@ func NewController(cfg Config) (*Controller, error) {
 	switch {
 	case state != nil:
 		c.builder = clickgraph.NewBuilderFrom(state.Graph)
-		c.applied, c.durable, c.stateSaved = state.Seq, state.Seq, true
+		c.applied, c.stateSaved = state.Seq, true
 	default:
 		// First start. Refuse to guess if the WAL has already dropped
 		// records (TruncateBefore ran under a state file that is now
@@ -241,21 +242,22 @@ func NewController(cfg Config) (*Controller, error) {
 		}
 		c.builder = clickgraph.NewBuilderFrom(base)
 	}
-	if c.durable > c.log.NextSeq() {
+	// c.applied is the durable cursor here: the fold state's, or 0.
+	if c.applied > c.log.NextSeq() {
 		// The WAL tail was lost after those records were folded and
 		// published — they live on in the fold-state graph. Fast-forward
 		// so sequence numbers stay monotone.
 		cfg.Logf("ingest: WAL ends at sequence %d but the fold cursor is %d; fast-forwarding (folded records live in the fold state)",
-			c.log.NextSeq(), c.durable)
-		if err := c.log.AdvanceTo(c.durable); err != nil {
+			c.log.NextSeq(), c.applied)
+		if err := c.log.AdvanceTo(c.applied); err != nil {
 			return fail(err)
 		}
 	}
-	c.log.SetFolded(c.durable)
+	c.log.SetFolded(c.applied)
 
 	now := cfg.Now()
 	c.started, c.lastFold = now, now
-	if c.log.NextSeq() > c.durable {
+	if c.log.NextSeq() > c.applied {
 		// Pending records of unknown age survive a restart: date their
 		// staleness from now — conservative in the cheap direction.
 		c.pendingSince = now
@@ -293,10 +295,10 @@ func (c *Controller) Ingest(recs []Record) (int, error) {
 	if errors.Is(err, ErrBackpressure) {
 		c.backpressure++
 	}
-	if c.pendingSince.IsZero() && c.log.NextSeq() > c.durable {
+	durable := c.log.FoldedSeq()
+	if c.pendingSince.IsZero() && c.log.NextSeq() > durable {
 		c.pendingSince = c.cfg.Now()
 	}
-	durable := c.durable
 	c.mu.Unlock()
 	if c.cfg.ChurnRecords > 0 && c.log.NextSeq()-durable >= c.cfg.ChurnRecords {
 		c.Kick()
@@ -391,7 +393,7 @@ func (c *Controller) FoldOnce(ctx context.Context) (*FoldResult, error) {
 		}
 		c.applied = next
 	}
-	res := &FoldResult{Replayed: replayed, Pending: c.applied - c.durableSeq()}
+	res := &FoldResult{Replayed: replayed, Pending: c.applied - c.log.FoldedSeq()}
 	if res.Pending == 0 && c.stateSaved {
 		// Nothing new since the last durable fold: not even a cursor to
 		// advance. (Without a state file yet, fall through — the skip
@@ -466,9 +468,11 @@ func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Now()
+	// The cursor first: a fold may advance it between the two reads, but
+	// never past a sequence number already read, so the lag cannot wrap.
 	st := Stats{
+		FoldCursor:          c.log.FoldedSeq(),
 		WALRecords:          c.log.NextSeq(),
-		FoldCursor:          c.durable,
 		WALSegments:         c.log.Segments(),
 		LastFoldAgeSeconds:  now.Sub(c.lastFold).Seconds(),
 		Folds:               c.folds,
@@ -503,12 +507,6 @@ func (c *Controller) checkpoint(stage string) error {
 	return c.cfg.Checkpoint(stage)
 }
 
-func (c *Controller) durableSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.durable
-}
-
 // fail records a fold failure: degraded until the next success, cursor
 // and serving untouched.
 func (c *Controller) fail(err error) error {
@@ -516,7 +514,7 @@ func (c *Controller) fail(err error) error {
 	c.refreshFailures++
 	c.degraded = true
 	c.lastErr = err.Error()
-	if c.pendingSince.IsZero() && c.log.NextSeq() > c.durable {
+	if c.pendingSince.IsZero() && c.log.NextSeq() > c.log.FoldedSeq() {
 		c.pendingSince = c.cfg.Now()
 	}
 	c.mu.Unlock()
@@ -528,7 +526,6 @@ func (c *Controller) noteFold(res *FoldResult, start time.Time) {
 	res.Duration = c.cfg.Now().Sub(start)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.durable = c.applied
 	c.folds++
 	if res.Skipped {
 		c.skippedFolds++
@@ -539,7 +536,7 @@ func (c *Controller) noteFold(res *FoldResult, start time.Time) {
 	c.degraded = false
 	c.lastErr = ""
 	c.lastFold = c.cfg.Now()
-	if c.log.NextSeq() > c.durable {
+	if c.log.NextSeq() > c.log.FoldedSeq() {
 		// Records arrived while this fold ran: the next staleness clock
 		// starts now.
 		c.pendingSince = c.cfg.Now()

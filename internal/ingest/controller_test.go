@@ -158,29 +158,21 @@ func TestControllerFoldPublishesAndSkips(t *testing.T) {
 	}
 }
 
-// TestControllerFoldsEqualColdBuild pins what a fold publishes under a
-// configuration that stops at a tolerance (testRefreshCfg): after each of
-// three publishing folds, the serving file is, outside its header's
-// generated-at time, dirty-shard count and CRC, exactly the snapshot a
-// cold sharded run of the whole click history writes over the plan the
-// fold projected. A fold that seeded its dirty shards from the previous
-// generation would stop them elsewhere and fail here.
-func TestControllerFoldsEqualColdBuild(t *testing.T) {
-	env := newTestEnv(t)
-	c, err := NewController(env.config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+// foldAgainstColdBuilds drives c through three publishing folds of 40
+// stream records each. After every fold it calls check with the fold's
+// shard diff against the generation the fold replaced and the path of
+// the snapshot a cold sharded run of the whole click history writes over
+// the plan the fold projected.
+func foldAgainstColdBuilds(t *testing.T, env *testEnv, c *Controller, check func(fold int, diff *partition.Diff, coldPath string)) {
+	t.Helper()
 	history := clickgraph.NewBuilderFrom(env.base)
 	for fold, to := range []int{40, 80, 120} {
-		from := to - 40
 		served := env.servingBytes(t)
 		prev, err := serve.NewSnapshot(bytes.NewReader(served), int64(len(served)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs := env.records(from, to)
+		recs := env.records(to-40, to)
 		if _, err := c.Ingest(recs); err != nil {
 			t.Fatal(err)
 		}
@@ -210,6 +202,25 @@ func TestControllerFoldsEqualColdBuild(t *testing.T) {
 		if err := serve.WriteSnapshotFileTopK(coldPath, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
 			t.Fatal(err)
 		}
+		check(fold, diff, coldPath)
+	}
+}
+
+// TestControllerFoldsEqualColdBuild pins what a fold publishes under a
+// configuration that stops at a tolerance (testRefreshCfg): after each of
+// three publishing folds, the serving file is, outside its header's
+// generated-at time, dirty-shard count and CRC, exactly the snapshot a
+// cold sharded run of the whole click history writes over the plan the
+// fold projected. A fold that seeded its dirty shards from the previous
+// generation would stop them elsewhere and fail here.
+func TestControllerFoldsEqualColdBuild(t *testing.T) {
+	env := newTestEnv(t)
+	c, err := NewController(env.config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	foldAgainstColdBuilds(t, env, c, func(fold int, _ *partition.Diff, coldPath string) {
 		want, err := os.ReadFile(coldPath)
 		if err != nil {
 			t.Fatal(err)
@@ -227,7 +238,7 @@ func TestControllerFoldsEqualColdBuild(t *testing.T) {
 				t.Fatalf("fold %d served a snapshot that differs from the cold build at byte %d of %d", fold, i, len(got))
 			}
 		}
-	}
+	})
 }
 
 // TestControllerRestartConverges pins crash replay: restarting from the

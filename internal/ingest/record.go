@@ -25,11 +25,9 @@
 package ingest
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"simrankpp/internal/clickgraph"
 )
@@ -93,8 +91,8 @@ func (r Record) Validate() error {
 // (clickgraph.ParseEdge). This is the /ingest request body and the
 // replayable click-log file format.
 
-// ParseRecord parses one text line. Blank lines and '#' comments are the
-// caller's concern (ReadRecords skips them).
+// ParseRecord parses one text line. Blank lines, '#' comments and line
+// endings are the caller's concern (ReadRecords skips and strips them).
 func ParseRecord(line string) (Record, error) {
 	q, ad, w, err := clickgraph.ParseEdge(line)
 	if err != nil {
@@ -107,27 +105,21 @@ func ParseRecord(line string) (Record, error) {
 	return r, nil
 }
 
-// ReadRecords parses a stream of text-form records, skipping blank lines
-// and '#' comments. Used by the /ingest endpoint and the log-replay
-// tooling.
+// ReadRecords parses a stream of text-form records under the graph
+// file's line rule (clickgraph.ScanLines), so a record folds into the node
+// the same line names in a graph file. Used by the /ingest endpoint and
+// the log-replay tooling.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	var recs []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 2*maxNameLen+64)
-	line := 0
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
-		}
-		rec, err := ParseRecord(s)
+	err := clickgraph.ScanLines(r, 2*maxNameLen+64, func(line string) error {
+		rec, err := ParseRecord(line)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
+			return err
 		}
 		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return recs, nil

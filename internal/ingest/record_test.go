@@ -50,3 +50,52 @@ func TestReadAndReadRecordsRefuseTheSameLines(t *testing.T) {
 		}
 	}
 }
+
+// TestReadAndReadRecordsSplitLinesAlike: an /ingest body and a graph file
+// share one line rule (clickgraph.ScanLines): only the line ending is
+// stripped, so a name keeps the spaces around it and a record folds into
+// the node the same line names in a graph file, and a number with a space
+// beside it is refused by both.
+func TestReadAndReadRecordsSplitLinesAlike(t *testing.T) {
+	for _, tc := range []struct {
+		body      string
+		query, ad string // the one edge both readers yield; "" when both refuse
+	}{
+		{"camera\thp.com\t10\t1\t0.5\n", "camera", "hp.com"},
+		{" camera \thp.com\t10\t1\t0.5\n", " camera ", "hp.com"},
+		{"camera\t hp.com \t10\t1\t0.5\n", "camera", " hp.com "},
+		{"camera\thp.com\t10\t1\t0.5\r\n", "camera", "hp.com"},
+		{"camera\thp.com\t10\t1\t0.5", "camera", "hp.com"}, // no final newline
+		{"# comment\r\n\ncamera\thp.com\t10\t1\t0.5\n#\n", "camera", "hp.com"},
+		{"camera\thp.com\t10\t1\t0.5 \n", "", ""},
+		{"camera\thp.com\t 10\t1\t0.5\n", "", ""},
+		{" # not a comment\n", "", ""},
+		{"   \n", "", ""},
+		{"\tcamera\thp.com\t10\t1\t0.5\n", "", ""},
+	} {
+		g, readErr := clickgraph.Read(strings.NewReader(tc.body))
+		recs, recsErr := ReadRecords(strings.NewReader(tc.body))
+		if tc.query == "" {
+			if readErr == nil || recsErr == nil {
+				t.Errorf("%q: Read error %v, ReadRecords error %v; want both refused", tc.body, readErr, recsErr)
+			}
+			continue
+		}
+		if readErr != nil || recsErr != nil {
+			t.Errorf("%q: Read error %v, ReadRecords error %v; want both accepted", tc.body, readErr, recsErr)
+			continue
+		}
+		want := Record{Query: tc.query, Ad: tc.ad, Impressions: 10, Clicks: 1, Rate: 0.5}
+		if len(recs) != 1 || recs[0] != want {
+			t.Errorf("%q: ReadRecords = %+v, want [%+v]", tc.body, recs, want)
+		}
+		var edges []Record
+		g.Edges(func(q, a int, w clickgraph.EdgeWeights) bool {
+			edges = append(edges, Record{Query: g.Query(q), Ad: g.Ad(a), Impressions: w.Impressions, Clicks: w.Clicks, Rate: w.ExpectedClickRate})
+			return true
+		})
+		if len(edges) != 1 || edges[0] != want {
+			t.Errorf("%q: Read's edges = %+v, want [%+v]", tc.body, edges, want)
+		}
+	}
+}

@@ -1,11 +1,4 @@
-// Sponsoredsearch runs the full Figure 1-2 system end to end: generate a
-// synthetic advertiser/query universe, simulate two weeks of sponsored
-// search traffic to obtain a historical click graph, compute weighted
-// Simrank++ rewrites in the front-end, and show how rewriting lets the
-// back-end serve ads for a query that has no direct bids.
-//
-//	go run ./examples/sponsoredsearch
-package main
+package sponsored_test
 
 import (
 	"fmt"
@@ -20,7 +13,12 @@ import (
 	"simrankpp/internal/workload"
 )
 
-func main() {
+// Simulate runs the paper's Figure 1–2 system end to end: a synthetic
+// advertiser/query universe, two weeks of sponsored-search traffic that
+// leave a historical click graph, weighted Simrank++ rewrites in the
+// front-end, and a back-end that can now auction ads for a query with no
+// direct bids.
+func ExampleSimulate() {
 	// The latent ground truth: an intent hierarchy with queries and ads.
 	ucfg := workload.DefaultUniverseConfig()
 	ucfg.Categories = 8
@@ -52,38 +50,30 @@ func main() {
 		log.Fatal(err)
 	}
 	pipe := rewrite.NewPipeline(g, res.BidTerms)
-	src := &rewrite.ResultSource{Index: simres}
 
-	// Find a query in the graph whose own text has no bids — the case
-	// the paper's architecture exists for: without rewrites the back-end
+	// The first query in the graph whose own text has no bids: the case
+	// the architecture exists for, where without rewrites the back-end
 	// has nothing to auction.
-	target := -1
-	for q := 0; q < g.NumQueries() && target < 0; q++ {
+	target := 0
+	for q := range g.NumQueries() {
 		if !res.BidTerms[g.Query(q)] && g.QueryDegree(q) > 0 {
 			target = q
+			break
 		}
-	}
-	if target < 0 {
-		// Every graph query saw bids in this run; fall back to any query.
-		target = 0
 	}
 	fmt.Printf("incoming query: %q (has direct bids: %v)\n",
 		g.Query(target), res.BidTerms[g.Query(target)])
-	cands, err := pipe.Rewrite(src, target)
+	cands, err := pipe.Rewrite(&rewrite.ResultSource{Index: simres}, target)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if len(cands) == 0 {
-		fmt.Println("no rewrites survived filtering")
-		return
 	}
 	fmt.Println("front-end rewrites (bid-filtered, stem-deduped):")
 	for i, c := range cands {
 		fmt.Printf("  %d. %-34s score %.4f\n", i+1, c.Text, c.Score)
 	}
 
-	// The back-end: collect the ads with bids on the rewrites — these
-	// are now auctionable for the original query.
+	// The back-end: the ads with bids on the rewrites are now
+	// auctionable for the original query.
 	adSet := map[int]bool{}
 	for _, c := range cands {
 		uq, ok := u.QueryByText(c.Text)
@@ -102,4 +92,22 @@ func main() {
 	for _, ad := range ads[:min(5, len(ads))] {
 		fmt.Printf("  - %s\n", u.Ads[ad].Name)
 	}
+	// Output:
+	// universe: 288 intents, 977 queries, 805 ads
+	// click graph: 967 queries, 784 ads, 3388 edges (295218 sessions served)
+	//
+	// incoming query: "veli beki bidepo jeto" (has direct bids: false)
+	// front-end rewrites (bid-filtered, stem-deduped):
+	//   1. veli beki culodi fopu              score 0.2312
+	//   2. veli habe tecoki                   score 0.2147
+	//   3. veli beki macihi                   score 0.2038
+	//   4. veli beki bidepo malu              score 0.1005
+	//   5. veli beki rakabi keka              score 0.0811
+	//
+	// back-end: 13 distinct ads now auctionable for "veli beki bidepo jeto" via rewrites
+	//   - ad-0-0.example.com
+	//   - ad-1-0.example.com
+	//   - ad-1-3.example.com
+	//   - ad-2-0.example.com
+	//   - ad-3-0.example.com
 }
