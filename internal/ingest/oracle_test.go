@@ -20,9 +20,9 @@ import (
 // of the whole click history answers. Two in-process replicas re-open the
 // serving path on every publish, as simrankd does, and the gateway's
 // probes are driven by hand: pinned to the base generation first, it
-// must cut over to each fold's generation before the reads. The keys are every query and ad of the
-// fold's dirty shards, read through /similar (both sides), /rewrite and
-// /batch.
+// must cut over to each fold's generation before the reads. The keys are
+// every query and ad of the fold's dirty shards, read through /similar
+// (both sides), /rewrite and /batch.
 func TestGatewayAnswersEqualColdBuild(t *testing.T) {
 	env := newTestEnv(t)
 	cfg := env.config()
