@@ -13,9 +13,9 @@ import (
 // (forcedCandidates): the block path over score blocks when blocks is
 // set, the row path's expansion and reach otherwise.
 func forcedSide(blocks bool) sidePass {
-	return func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+	return func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst *sparse.PairFrontier, workers int, spas []*spa) {
 		s := in.side(cfg, ads)
-		return s.pass(cfg, forcedCandidates(s, opp, sym, blocks), dst, prev, changed, workers, spas)
+		s.pass(cfg, forcedCandidates(s, opp, sym, blocks), dst, workers, spas)
 	}
 }
 
@@ -121,8 +121,8 @@ func TestGatherPathsAgree(t *testing.T) {
 // A single-shard RunSharded at pool widths 1, 2 and 4 (its one engine gets
 // every worker) and runEngine at the same widths must equal the serial
 // run bit for bit. The test first checks, on the same scores, that the
-// chain's passes do include both kinds. With every row recomputed, the
-// pass computing one side at depth d finds a component held as blocks
+// chain's passes do include both kinds. The pass computing one side at
+// depth d finds a component held as blocks
 // when willFill marks it or when the other side's depth d−1 rows and
 // this side's depth d−2 rows both fit (the last admission before it; the
 // pairs only grow with depth), and the Jacobi loop computes those scores
@@ -131,7 +131,6 @@ func TestMixedPassesAtEveryWidth(t *testing.T) {
 	g := mixedDensityGraph()
 	cfg := DefaultConfig().WithVariant(Weighted)
 	cfg.Iterations = 6
-	cfg.noDeltaSkip = true
 
 	in := newPassInputs(g, cfg)
 	if in.qIdx.order == nil {
@@ -158,7 +157,7 @@ func TestMixedPassesAtEveryWidth(t *testing.T) {
 	type plan struct{ dense, sparse int } // components that gather, by path
 	plans := map[[2]int]plan{}            // (ads, depth) → plan
 	depth := 0
-	record := func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+	record := func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst *sparse.PairFrontier, workers int, spas []*spa) {
 		s := in.side(cfg, ads)
 		side := 0
 		if ads {
@@ -184,7 +183,7 @@ func TestMixedPassesAtEveryWidth(t *testing.T) {
 			}
 		}
 		plans[[2]int{side, d}] = p
-		return s.pass(cfg, cand, dst, prev, changed, workers, spas)
+		s.pass(cfg, cand, dst, workers, spas)
 	}
 	deeper := cfg
 	deeper.Iterations++
@@ -251,11 +250,9 @@ func hubGraph(nq, priv int) *clickgraph.Graph {
 // components kept as score blocks from pass to pass and computed by the
 // block path into them — to the same runs with every component kept in
 // rows, which takes the expansion and the reach on every pass (noBlocks),
-// bit for bit: both sides' scores, the depth reached and the skip counts,
-// at engine widths 1 and 3. It covers every variant and strict evidence,
-// pruning (at 1e-5, and at 1e-2, which zeroes cells of held blocks), the
-// tolerance-scaled delta skip (a copied row keeps its block
-// cells, which then differ from a recomputation), the tolerance stop and
+// bit for bit: both sides' scores and the depth reached, at engine widths
+// 1 and 3. It covers every variant and strict evidence, pruning (at 1e-5,
+// and at 1e-2, which zeroes cells of held blocks), the tolerance stop and
 // both chain parities, on graphs whose components enter the block form at
 // different depths (mixed), carry zero walk factors (zeros), span several
 // strips (wide), or have one side that fits a block and one that never
@@ -279,17 +276,15 @@ func TestDenseBlocksMatchReach(t *testing.T) {
 				continue
 			}
 			for _, prune := range []float64{0, 1e-5, 1e-2} {
-				for _, skipTol := range []float64{0, 1e-5} {
-					for _, stop := range []struct {
-						iters int
-						tol   float64
-					}{{6, 0}, {7, 0}, {15, 1e-4}} {
-						cfg := DefaultConfig().WithVariant(variant)
-						cfg.StrictEvidence = strict
-						cfg.PruneEpsilon, cfg.DeltaSkipTolerance = prune, skipTol
-						cfg.Iterations, cfg.Tolerance = stop.iters, stop.tol
-						cfgs = append(cfgs, cfg)
-					}
+				for _, stop := range []struct {
+					iters int
+					tol   float64
+				}{{6, 0}, {7, 0}, {15, 1e-4}} {
+					cfg := DefaultConfig().WithVariant(variant)
+					cfg.StrictEvidence = strict
+					cfg.PruneEpsilon = prune
+					cfg.Iterations, cfg.Tolerance = stop.iters, stop.tol
+					cfgs = append(cfgs, cfg)
 				}
 			}
 		}
@@ -297,7 +292,7 @@ func TestDenseBlocksMatchReach(t *testing.T) {
 	panel := map[string]int{} // the largest panel the block path grew, by graph
 	for name, g := range graphs {
 		for _, cfg := range cfgs {
-			label := fmt.Sprintf("%s/%v/strict=%v/prune=%g/skip=%g/k=%d/tol=%g", name, cfg.Variant, cfg.StrictEvidence, cfg.PruneEpsilon, cfg.DeltaSkipTolerance, cfg.Iterations, cfg.Tolerance)
+			label := fmt.Sprintf("%s/%v/strict=%v/prune=%g/k=%d/tol=%g", name, cfg.Variant, cfg.StrictEvidence, cfg.PruneEpsilon, cfg.Iterations, cfg.Tolerance)
 			rows := cfg
 			rows.noBlocks = true
 			want, err := runEngine(g, rows, 1, nil, nil)
@@ -320,11 +315,6 @@ func TestDenseBlocksMatchReach(t *testing.T) {
 				assertBitIdentical(t, l, want, got)
 				if got.Iterations != want.Iterations || got.Converged != want.Converged {
 					t.Fatalf("%s: depth %d converged %v, rows reach %d %v", l, got.Iterations, got.Converged, want.Iterations, want.Converged)
-				}
-				for i, s := range got.IterStats {
-					if w := want.IterStats[i]; s.QueryRowsSkipped != w.QueryRowsSkipped || s.AdRowsSkipped != w.AdRowsSkipped {
-						t.Fatalf("%s: pass pair %d skipped %d/%d rows, rows path %d/%d", l, i, s.QueryRowsSkipped, s.AdRowsSkipped, w.QueryRowsSkipped, w.AdRowsSkipped)
-					}
 				}
 				for _, sp := range ar.spas {
 					panel[name] = max(panel[name], cap(sp.strip.cell))
@@ -399,7 +389,7 @@ func TestSparseComponentsAreNeverBlocks(t *testing.T) {
 	g := pathsAndSpiders()
 	for _, variant := range []Variant{Simple, Evidence, Weighted} {
 		cfg := DefaultConfig().WithVariant(variant)
-		cfg.Iterations, cfg.Tolerance, cfg.PruneEpsilon, cfg.DeltaSkipTolerance = 15, 1e-4, 1e-5, 1e-5
+		cfg.Iterations, cfg.Tolerance, cfg.PruneEpsilon = 15, 1e-4, 1e-5
 		in := newPassInputs(g, cfg)
 		for c, fill := range in.willFill(2, 2, new([]uint64)) {
 			if fill {

@@ -6,7 +6,7 @@
 // Three engines are provided:
 //
 //   - Run: the sparse row-major kernel over sorted pair frontiers, with
-//     optional threshold pruning and change-tracked row skipping.
+//     optional threshold pruning.
 //   - RunSharded: Run per shard of a partition.Plan on a bounded pool,
 //     stitched into one result; the workhorse for large graphs.
 //   - LocalSimilarities: neighborhood-restricted engine that scores a
@@ -149,21 +149,10 @@ type Config struct {
 	// below it between iterations. This bounds memory on large graphs at
 	// the cost of exactness.
 	PruneEpsilon float64
-	// DeltaSkipTolerance tunes the engines' change-tracked row
-	// skipping. An output row depends only on the score rows of its
-	// neighbors on the opposite side; when none of those moved since the
-	// previous iteration the engine copies the row's previous output
-	// instead of recomputing it. With the default 0, a node counts as
-	// moved if any of its pairs differs at all, so skipping is exact and
-	// results are bit-identical to full recomputation. A positive value
-	// also treats nodes whose largest pair change is within the tolerance
-	// as unmoved, trading a bounded score error for earlier skipping
-	// (differential-tested against full recompute).
+	// DeltaSkipTolerance is ignored by the engines, which compute every
+	// row of every pass. It is still validated and recorded in snapshot
+	// headers, and the benchmark harness still sets it.
 	DeltaSkipTolerance float64
-	// noDeltaSkip makes the engines recompute every row of every
-	// pass: the full-recompute reference this package's delta-skip tests
-	// compare against. Nothing outside them sets it.
-	noDeltaSkip bool
 	// noBlocks keeps every component's scores in sparse rows, so every
 	// pass takes the row path: the reference the block path's tests
 	// compare against. Nothing outside them sets it.

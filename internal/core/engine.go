@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -233,20 +234,6 @@ type candidates struct {
 // block's extra zeros cost at most what the index loads they replace do.
 func blockFits(m, nnz int) bool { return 8*m*m <= 12*nnz+8*m }
 
-// anyMarked reports whether skip marks a node of [lo, hi); a nil skip
-// marks every node.
-func anyMarked(skip *sparse.Bitset, lo, hi int) bool {
-	if skip == nil {
-		return true
-	}
-	for j := lo; j < hi; j++ {
-		if skip.Has(j) {
-			return true
-		}
-	}
-	return false
-}
-
 // fillBlock sets blk to the m × m block of f's scores over the component
 // [lo, hi): row i is node lo+i's scores against the component's nodes,
 // s(i, i) = 1 on the diagonal and zero where f stores no pair.
@@ -304,8 +291,8 @@ func (p *slabPool[T]) take(n int) []T {
 // side's next pass gathers from it as it stands; the rows are written out
 // when the run ends (toRows). The iterates never lose a pair — each score
 // is a nonnegative sum over scores that only grow with depth, and pruning
-// and the delta skip keep that order — so a block, once it fits, fits for
-// the rest of the run, and no component leaves the block form before the
+// keeps that order — so a block, once it fits, fits for the rest of the
+// run, and no component leaves the block form before the
 // run ends.
 type denseScores struct {
 	blk [][]float64 // per component: its m × m block, or nil while in rows
@@ -496,8 +483,8 @@ func (d *denseScores) toRows(c int, idx *memberIndex, f *sparse.PairFrontier, sp
 }
 
 // engineArena is the reusable allocation state of one engine run:
-// ping-pong frontiers, symmetric adjacencies, the score blocks' pools,
-// dense accumulators, and the change bitsets. A fresh runEngine call with
+// ping-pong frontiers, symmetric adjacencies, the score blocks' pools and
+// dense accumulators. A fresh runEngine call with
 // a nil arena allocates its own; the shard scheduler keeps one arena per pool worker and re-runs it
 // across shards, so every shard after a worker's first reuses the
 // previous shard's capacity instead of reallocating — and since the
@@ -509,7 +496,6 @@ type engineArena struct {
 	poolQ, poolA             slabPool[float64] // each side's score blocks, pair factors and operand factors (denseScores)
 	atQ, atA                 slabPool[int32]   // each side's operand rows
 	spas                     []*spa
-	chgQ, chgA               *sparse.Bitset
 	reach                    []uint64 // willFill's bitsets
 }
 
@@ -523,22 +509,13 @@ func arenaFrontier(slot **sparse.PairFrontier, rows int) *sparse.PairFrontier {
 	return *slot
 }
 
-func arenaBitset(slot **sparse.Bitset, n int) *sparse.Bitset {
-	if *slot == nil {
-		*slot = sparse.NewBitset(n)
-	} else {
-		(*slot).Resize(n)
-	}
-	return *slot
-}
-
 // blockBytes is the block path's memory over a run of q and a on workers
 // engine workers: the score blocks the two sides hold, their pair factors
 // and operands — every cell the run took from the arena's pools — and,
 // per worker, the strip buffers sized to the largest component the block
 // path computed: its U and Uᵀ strips (stripWidth × m_opp cells each) and
-// its panel (m × stripWidth), 8 bytes a cell. A worker's per-row flags,
-// degrees and runs, under 2 KB, are not counted.
+// its panel (m × stripWidth), 8 bytes a cell. A worker's degrees, under
+// 1 KB, are not counted.
 func (ar *engineArena) blockBytes(q, a *chainSide, workers int) int64 {
 	n := 8*int64(ar.poolQ.taken+ar.poolA.taken) + 4*int64(ar.atQ.taken+ar.atA.taken)
 	m, mo := 0, 0
@@ -598,16 +575,8 @@ func (ar *engineArena) ensureSPAs(workers, n int) []*spa {
 // pass; the rest stay sparse rows in two ping-pong frontiers: cur is reset,
 // filled row by row from the opposite side's newest scores (expanded
 // once per pass where a row-path component gathers), and swapped in.
-//
-// Iteration is change-tracked: the diff of a side's new value against its
-// previous one on the chain also marks which nodes' scores moved
-// (MaxAbsDiffChanged, and the block path's write), and an output row whose
-// neighbors all went unmarked is copied forward from the side's previous
-// value instead of recomputed — once that value was itself computed by the
-// chain, from the inputs the marks were taken against. With the default
-// exact-equality tracking the copy is bit-identical to recomputation —
-// SimRank converges row by row, so late passes approach the cost of only
-// their still-moving rows. See Config.DeltaSkipTolerance.
+// Every pass computes every row: a score is the paper's iterate at its
+// depth, whatever the rows around it did.
 func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, out *scoreSink) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -638,9 +607,6 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, ou
 		ar.symQ, ar.symA = &sparse.SymAdj{}, &sparse.SymAdj{}
 	}
 	q.sym, a.sym = ar.symQ, ar.symA
-	if !cfg.noDeltaSkip {
-		q.chg, a.chg = arenaBitset(&ar.chgQ, nq), arenaBitset(&ar.chgA, na)
-	}
 	if !cfg.noBlocks {
 		// The identity: a component whose reach fills both sides by the
 		// second depth is held from here. Under strict evidence the
@@ -665,11 +631,13 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, ou
 	start := time.Now()
 	for p := 0; p <= cfg.Iterations; p++ {
 		if (cfg.Iterations-p)%2 == 1 {
-			st.QueryRowsSkipped, st.QueryRows = q.pass(a, cfg, workers, spas), nq
+			q.pass(a, cfg, workers, spas)
+			st.QueryRows = nq
 			depth = p + 1
 			continue
 		}
-		st.AdRowsSkipped, st.AdRows = a.pass(q, cfg, workers, spas), na
+		a.pass(q, cfg, workers, spas)
+		st.AdRows = na
 		st.Duration = time.Since(start)
 		stats = append(stats, st)
 		st, start = IterationStat{}, time.Now()
@@ -711,71 +679,50 @@ func runEngine(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena, ou
 
 // chainSide is one side of the engine's chain: its newest scores — blocks
 // in the components held as blocks, sparse rows elsewhere — the scratch
-// frontier its next pass fills, the expansion and change marks the
-// opposite side's pass reads, and its kernel's per-run inputs.
+// frontier its next pass fills, the expansion the opposite side's pass
+// reads, and its kernel's per-run inputs.
 type chainSide struct {
 	prev, cur *sparse.PairFrontier // prev holds the newest rows
 	sym       *sparse.SymAdj       // prev expanded for the opposite pass, when one reads it
 	dense     denseScores          // the components held as blocks
-	// chg marks the nodes whose newest scores moved from the previous
-	// value on the chain, two depths back (nil with delta skip disabled).
-	chg *sparse.Bitset
 	// computed reports that the scores came from a pass of this run, not
-	// the start: only then is a row of them what the kernel would compute
-	// again from inputs chg found unmoved.
+	// the start: only then does diff measure a pass's change.
 	computed bool
-	diff     float64 // max |newest − previous| over all pairs
+	diff     float64 // Tolerance > 0 only: max |newest − previous| over all pairs
 
 	kernel pullKernel
 	idx    *memberIndex // this side's layout
 	block  [][]float64  // the pass's plan: candidates.block
 }
 
-// pass computes s's next value from opp's newest scores and returns how
-// many rows the delta skip copied forward. A component that gathers takes
-// the block path where it is held as blocks and the row path elsewhere;
-// after the pass, the components whose newest rows now fit blocks on both
-// sides are admitted.
-func (s *chainSide) pass(opp *chainSide, cfg Config, workers int, spas []*spa) int {
-	var skip *sparse.Bitset // nil recomputes every row
-	if s.computed {
-		skip = opp.chg
-	}
+// pass computes s's next value from opp's newest scores. A component
+// takes the block path where it is held as blocks and the row path
+// elsewhere; after the pass, the components whose newest rows now fit
+// blocks on both sides are admitted.
+func (s *chainSide) pass(opp *chainSide, cfg Config, workers int, spas []*spa) {
 	expand := false
 	for c := range s.block {
-		s.block[c] = nil
-		lo, hi := opp.idx.span(int32(c))
-		if !anyMarked(skip, lo, hi) {
-			continue // each row is copied forward or has no neighbors
-		}
-		if blk := opp.dense.blk[c]; blk != nil {
-			s.block[c] = blk
-			continue
-		}
-		expand = true
+		s.block[c] = opp.dense.blk[c]
+		expand = expand || s.block[c] == nil
 	}
 	cand := candidates{idx: s.idx, opp: opp.idx, block: s.block}
 	if expand {
 		opp.sym = opp.prev.ExpandSymmetric(opp.sym)
 		cand.sym = opp.sym
 	}
-	if s.chg != nil {
-		s.chg.Clear()
-	}
-	sink := &blockSink{dense: &s.dense, eps: cfg.PruneEpsilon, tol: cfg.DeltaSkipTolerance, chg: s.chg}
-	skipped, diff := s.kernel.pass(cand, sink, s.cur, s.prev, skip, workers, spas)
+	sink := &blockSink{dense: &s.dense, eps: cfg.PruneEpsilon}
+	diff := s.kernel.pass(cand, sink, s.cur, workers, spas)
 	if cfg.PruneEpsilon > 0 {
 		s.cur.Prune(cfg.PruneEpsilon)
 	}
-	if s.chg != nil || cfg.Tolerance > 0 {
-		s.diff = max(diff, s.cur.MaxAbsDiffChanged(s.prev, cfg.DeltaSkipTolerance, s.chg))
+	if cfg.Tolerance > 0 {
+		s.diff = max(diff, s.cur.MaxAbsDiff(s.prev))
 	}
 	s.prev, s.cur = s.cur, s.prev
 	s.computed = true
 	if !cfg.noBlocks {
 		admit(s, opp, nil)
 	}
-	return skipped
 }
 
 // pullKernel is one side's per-run kernel inputs: its neighbor rows and
@@ -791,12 +738,11 @@ type pullKernel struct {
 
 // pass computes every row of one side from the opposite side's scores as
 // cand plans them: the row path's components into dst (rowPass), the
-// block path's into sink's blocks (blockPass). It returns how many rows
-// the delta skip copied forward and the largest change of a block cell.
-func (k pullKernel) pass(cand candidates, sink *blockSink, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) (skipped int, diff float64) {
-	skipped = k.rowPass(cand, dst, prev, changed, workers, spas)
-	s, diff := k.blockPass(cand, sink, changed, workers, spas)
-	return skipped + s, diff
+// block path's into sink's blocks (blockPass). It returns the largest
+// change of a block cell.
+func (k pullKernel) pass(cand candidates, sink *blockSink, dst *sparse.PairFrontier, workers int, spas []*spa) float64 {
+	k.rowPass(cand, dst, workers, spas)
+	return k.blockPass(cand, sink, workers, spas)
 }
 
 // spa is one worker's accumulator state. For the row path: the dense
@@ -917,77 +863,28 @@ func (sp *spa) mark(nbrs []int, v uint8) {
 	}
 }
 
-// unchanged reports whether a row with neighbors nbrs is copied forward:
-// none of its neighbors is marked changed. Rows with no neighbors are
-// always empty and free to recompute; not counting them keeps the skip
-// metrics honest.
-func unchanged(nbrs []int, changed *sparse.Bitset) bool {
-	if changed == nil || len(nbrs) == 0 {
-		return false
-	}
-	for _, i := range nbrs {
-		if changed.Has(i) {
-			return false
-		}
-	}
-	return true
-}
-
 // runRowPass drives kernel over every row-path row of one side (the rows
-// of the components cand holds no block for), returning how many rows the
-// delta skip copied forward instead of computing. With workers > 1 the
-// rows are split into contiguous ranges weighted by expected gather work
-// (the expansion rows of the row's neighbors); each worker owns disjoint
-// rows and a private spa, so rows are computed and emitted with no locks
-// and no merge phase. A row's value depends on nothing but the pass's
-// inputs, so it does not depend on which worker computes it, or in what
-// order.
-//
-// When changed is non-nil it marks the opposite-side nodes whose scores
-// moved last iteration; an output row x depends only on the score rows of
-// i ∈ thisNbr[x], so if none of them is marked, row x of prev is copied
-// into dst — identical to what the kernel would recompute, for free.
-func runRowPass(thisNbr [][]int, cand candidates, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa, kernel func(sp *spa, x int)) int {
+// of the components cand holds no block for). With workers > 1 the rows
+// are split into contiguous ranges weighted by expected gather work (the
+// expansion rows of the row's neighbors); each worker owns disjoint rows
+// and a private spa, so rows are computed and emitted with no locks and no
+// merge phase. A row's value depends on nothing but the pass's inputs, so
+// it does not depend on which worker computes it, or in what order.
+func runRowPass(thisNbr [][]int, cand candidates, dst *sparse.PairFrontier, workers int, spas []*spa, kernel func(sp *spa, x int)) {
 	n := len(thisNbr)
 	dst.Reset()
-	const (
-		blockRow = iota // left to the block path
-		copyRow
-		computeRow
-	)
-	todo := func(x int) int {
-		switch {
-		case cand.block != nil && cand.block[cand.idx.comp[x]] != nil:
-			return blockRow
-		case unchanged(thisNbr[x], changed):
-			return copyRow
-		}
-		return computeRow
-	}
-	skipped := 0
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		sp := spas[0]
+	rowPath := func(x int) bool { return cand.block == nil || cand.block[cand.idx.comp[x]] == nil }
+	if workers = min(workers, n); workers <= 1 {
 		for x := 0; x < n; x++ {
-			switch todo(x) {
-			case copyRow:
-				dst.CopyRowFrom(prev, x)
-				skipped++
-			case computeRow:
-				kernel(sp, x)
+			if rowPath(x) {
+				kernel(spas[0], x)
 			}
 		}
-		return skipped
+		return
 	}
-	weights := make([]int, n)
-	rows := make([]int8, n) // decided once here, read by the workers
+	weights := make([]int, n) // 0 for a row left to the block path
 	for x, nbrs := range thisNbr {
-		switch rows[x] = int8(todo(x)); rows[x] {
-		case copyRow:
-			weights[x] = 1 // a copy, not a gather
-		case computeRow:
+		if rowPath(x) {
 			w := 1
 			for _, i := range nbrs {
 				w += 1 + cand.sym.RowNNZ(i)
@@ -996,7 +893,6 @@ func runRowPass(thisNbr [][]int, cand candidates, dst, prev *sparse.PairFrontier
 		}
 	}
 	bounds := sparse.SplitByWeight(weights, workers)
-	skips := make([]int, workers)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		lo, hi := bounds[wk], bounds[wk+1]
@@ -1004,24 +900,16 @@ func runRowPass(thisNbr [][]int, cand candidates, dst, prev *sparse.PairFrontier
 			continue
 		}
 		wg.Add(1)
-		go func(sp *spa, wk, lo, hi int) {
+		go func(sp *spa, lo, hi int) {
 			defer wg.Done()
 			for x := lo; x < hi; x++ {
-				switch rows[x] {
-				case copyRow:
-					dst.CopyRowFrom(prev, x)
-					skips[wk]++
-				case computeRow:
+				if weights[x] > 0 {
 					kernel(sp, x)
 				}
 			}
-		}(spas[wk], wk, lo, hi)
+		}(spas[wk], lo, hi)
 	}
 	wg.Wait()
-	for _, s := range skips {
-		skipped += s
-	}
-	return skipped
 }
 
 // rowPass computes the row path's rows of one side into dst, from the
@@ -1045,10 +933,10 @@ func runRowPass(thisNbr [][]int, cand candidates, dst, prev *sparse.PairFrontier
 // table to build or walk. Under StrictEvidence ev[0] is 0, so a pair with
 // no common neighbor scores exactly zero and the emit's s != 0 test drops
 // it, as it drops a cell only zero walk factors reached.
-func (k pullKernel) rowPass(cand candidates, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+func (k pullKernel) rowPass(cand candidates, dst *sparse.PairFrontier, workers int, spas []*spa) {
 	thisNbr, oppNbr, c := k.thisNbr, k.oppNbr, k.c
 	if k.w == nil {
-		return runRowPass(thisNbr, cand, dst, prev, changed, workers, spas, func(sp *spa, x int) {
+		runRowPass(thisNbr, cand, dst, workers, spas, func(sp *spa, x int) {
 			nbrs := thisNbr[x]
 			if len(nbrs) == 0 {
 				return
@@ -1074,9 +962,10 @@ func (k pullKernel) rowPass(cand candidates, dst, prev *sparse.PairFrontier, cha
 			sp.rowC, sp.rowV = rowC, rowV
 			dst.SetSortedRow(x, rowC, rowV)
 		})
+		return
 	}
 	w, ev := k.w, k.ev
-	return runRowPass(thisNbr, cand, dst, prev, changed, workers, spas, func(sp *spa, x int) {
+	runRowPass(thisNbr, cand, dst, workers, spas, func(sp *spa, x int) {
 		nbrs := thisNbr[x]
 		if len(nbrs) == 0 {
 			return
@@ -1113,31 +1002,24 @@ func (k pullKernel) rowPass(cand candidates, dst, prev *sparse.PairFrontier, cha
 const stripWidth = 64
 
 // blockSink is where the block path writes: this side's block of the
-// component (dense) in place, pruned below eps, diffed against the cells
-// it overwrites, with both nodes of every pair that moved more than tol
-// marked in chg (nil: no marks). dense also keeps each component's
-// operands and, Weighted, its pair factors.
+// component (dense) in place, pruned below eps and diffed against the
+// cells it overwrites. dense also keeps each component's operands and,
+// Weighted, its pair factors.
 type blockSink struct {
-	dense    *denseScores
-	eps, tol float64
-	chg      *sparse.Bitset
+	dense *denseScores
+	eps   float64
 }
 
 // stripScratch is one worker's block-path scratch, each buffer grown as
-// needed: which of the strip's rows are copied forward, the runs of rows
-// between them the sink writes, the strip's degrees |E(x)|, its rows of U
-// (m_opp cells each), their transpose Uᵀ (m_opp rows of stripWidth cells),
-// the panel of output cells (a row of stripWidth cells per node of the
-// component), the counts pairFactors scatters, and the change marks a
-// multi-worker pass merges.
+// needed: the strip's degrees |E(x)|, its rows of U (m_opp cells each),
+// their transpose Uᵀ (m_opp rows of stripWidth cells), the panel of output
+// cells (a row of stripWidth cells per node of the component), and the
+// counts pairFactors scatters.
 type stripScratch struct {
-	skip  []bool
-	runs  []int
 	dx    []float64
 	u, ut []float64
 	cell  []float64
 	cnt   []int32
-	marks *sparse.Bitset
 }
 
 // grown returns (*buf)[:n], reallocated when its capacity is short.
@@ -1157,13 +1039,11 @@ type stripTask struct {
 
 // blockPass computes the rows of every component cand holds the opposite
 // side's block for, a strip of stripWidth rows at a time (pullKernel.strip),
-// into the component's own block in sink. It returns how many rows the
-// delta skip copied forward and the largest change of a block cell. With
-// workers > 1 the strips are split into contiguous ranges weighted by
-// expected work; a strip writes only its own rows' cells (both halves of
-// each of its pairs), so the strips need no locks, and each worker's
-// change marks are merged after.
-func (k pullKernel) blockPass(cand candidates, sink *blockSink, changed *sparse.Bitset, workers int, spas []*spa) (skipped int, diff float64) {
+// into the component's own block in sink. It returns the largest change of
+// a block cell. With workers > 1 the strips are split into contiguous
+// ranges weighted by expected work; a strip writes only its own rows'
+// cells (both halves of each of its pairs), so the strips need no locks.
+func (k pullKernel) blockPass(cand candidates, sink *blockSink, workers int, spas []*spa) (diff float64) {
 	var tasks []stripTask
 	var weights []int
 	for c, blk := range cand.block {
@@ -1184,40 +1064,26 @@ func (k pullKernel) blockPass(cand candidates, sink *blockSink, changed *sparse.
 			weights = append(weights, (x1-x0)*(ohi-olo+hi-x0))
 		}
 	}
-	chg := sink.chg
 	if workers = min(workers, len(tasks)); workers <= 1 {
 		for _, t := range tasks {
-			s, d := k.strip(spas[0], cand, t, sink, chg, changed)
-			skipped, diff = skipped+s, max(diff, d)
+			diff = max(diff, k.strip(spas[0], cand, t, sink))
 		}
-		return skipped, diff
+		return diff
 	}
 	bounds := sparse.SplitByWeight(weights, workers)
-	skips, diffs := make([]int, workers), make([]float64, workers)
+	diffs := make([]float64, workers)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
-		sp := spas[wk]
-		var mark *sparse.Bitset
-		if chg != nil {
-			mark = arenaBitset(&sp.strip.marks, len(k.thisNbr))
-		}
 		wg.Add(1)
-		go func(wk int) {
+		go func(sp *spa, wk int) {
 			defer wg.Done()
 			for _, t := range tasks[bounds[wk]:bounds[wk+1]] {
-				s, d := k.strip(sp, cand, t, sink, mark, changed)
-				skips[wk], diffs[wk] = skips[wk]+s, max(diffs[wk], d)
+				diffs[wk] = max(diffs[wk], k.strip(sp, cand, t, sink))
 			}
-		}(wk)
+		}(spas[wk], wk)
 	}
 	wg.Wait()
-	for wk := range skips {
-		skipped, diff = skipped+skips[wk], max(diff, diffs[wk])
-		if chg != nil {
-			chg.Or(spas[wk].strip.marks)
-		}
-	}
-	return skipped, diff
+	return slices.Max(diffs)
 }
 
 // strip computes task t's rows as two dense products over the opposite
@@ -1229,108 +1095,59 @@ func (k pullKernel) blockPass(cand candidates, sink *blockSink, changed *sparse.
 //     f1·r1) + … ;
 //   - the transpose of the strip's rows of U into Uᵀ, so that column j of
 //     U — the strip's u(x, j) — is one contiguous row;
-//   - the pull T = U·Wᵀ: for each p above the strip's first computed row,
-//     T(x, p) for the strip's x < p sums the rows j ∈ E(p) of Uᵀ, scaled
-//     by W(p, j), in ascending j from +0 — the row path's dot product,
-//     every cell at once.
+//   - the pull T = U·Wᵀ: for each p above the strip's first row, T(x, p)
+//     for the strip's x < p sums the rows j ∈ E(p) of Uᵀ, scaled by
+//     W(p, j), in ascending j from +0 — the row path's dot product, every
+//     cell at once.
 //
 // A computed cell is then scaled as the row path scales it — ev[n]·c from
 // the component's pair factors, or c/(|E(x)|·|E(p)|) — and written into
-// this side's block, pruned and diffed in place, both halves, a run of
-// computed rows at a time. A row the delta skip copies forward is not
-// gathered, and its cells keep their value.
-func (k pullKernel) strip(sp *spa, cand candidates, t stripTask, sink *blockSink, mark, changed *sparse.Bitset) (skipped int, diff float64) {
+// this side's block, pruned and diffed in place, both halves. It returns
+// the largest change of a cell.
+func (k pullKernel) strip(sp *spa, cand candidates, t stripTask, sink *blockSink) (diff float64) {
 	const B = stripWidth
 	lo, hi := cand.idx.span(t.c)
 	olo, ohi := cand.opp.span(t.c)
-	m, mo := hi-lo, ohi-olo
+	m, mo, rows := hi-lo, ohi-olo, t.x1-t.x0
 	S := cand.block[t.c]
 	own, fac, ops := sink.dense.blk[t.c], sink.dense.fac[t.c], sink.dense.ops[t.c]
 	kn := kernels()
 	st := &sp.strip
-	skip := grown(&st.skip, t.x1-t.x0)
-	a, b := t.x1, t.x0 // the computed rows lie in [a, b)
-	for x := t.x0; x < t.x1; x++ {
-		if skip[x-t.x0] = unchanged(k.thisNbr[x], changed); skip[x-t.x0] {
-			skipped++
-			continue
-		}
-		a, b = min(a, x), x+1
-	}
-	if a >= b {
-		return skipped, 0
-	}
-	ra, rb := a-t.x0, b-t.x0
 
-	// U = W·S, row x of U in row x−x0 of the strip; a copied row's is zero.
+	// U = W·S, row x of U in row x−x0 of the strip.
 	u := grown(&st.u, B*mo)
-	for r := ra; r < rb; r++ {
-		ux := u[r*mo : (r+1)*mo]
-		if skip[r] {
-			clear(ux)
-			continue
-		}
+	for r := 0; r < rows; r++ {
 		f, at := ops.of(t.x0 + r - lo)
-		kn.sumRows(ux, S, mo, f, at)
+		kn.sumRows(u[r*mo:(r+1)*mo], S, mo, f, at)
 	}
-	// Uᵀ over whole tiles of four rows: the rows outside [ra, rb) it moves
+	// Uᵀ over whole tiles of four rows: the rows past the strip's it moves
 	// are never read.
 	ut := grown(&st.ut, mo*B)
-	kn.transpose(ut, u, mo, ra&^3, (rb+3)&^3)
+	kn.transpose(ut, u, mo, 0, (rows+3)&^3)
 
 	// T = U·Wᵀ: panel row p holds T(x, p) for the strip's x.
 	cell := grown(&st.cell, m*B)
-	for p := a + 1; p < hi; p++ {
+	for p := t.x0 + 1; p < hi; p++ {
 		f, at := ops.of(p - lo)
-		kn.sumRows(cell[(p-lo)*B+ra:][:min(b, p)-a], ut[ra:], B, f, at)
+		kn.sumRows(cell[(p-lo)*B:][:min(t.x1, p)-t.x0], ut, B, f, at)
 	}
 
-	// runs lists the computed rows as [start, end) runs, strip-relative.
-	runs := st.runs[:0]
-	for r := ra; r < rb; r++ {
-		if skip[r] {
-			continue
-		}
-		sp.cells += hi - 1 - (t.x0 + r)
-		if n := len(runs); n > 0 && runs[n-1] == r {
-			runs[n-1] = r + 1
-		} else {
-			runs = append(runs, r, r+1)
-		}
-	}
-	st.runs = runs
 	dx := grown(&st.dx, B)
-	for r := ra; r < rb; r++ {
+	for r := 0; r < rows; r++ {
 		dx[r] = float64(len(k.thisNbr[t.x0+r]))
+		sp.cells += hi - 1 - (t.x0 + r)
 	}
-	var moved uint64
-	for p := a + 1; p < hi; p++ {
-		pl := p - lo
-		tp, row := cell[pl*B:(pl+1)*B], own[pl*m:(pl+1)*m]
-		dp := float64(len(k.thisNbr[p]))
-		var pm uint64
-		for n := 0; n < len(runs); n += 2 {
-			r0, r1 := runs[n], min(runs[n+1], p-t.x0)
-			if r0 >= r1 {
-				break
-			}
-			xl := t.x0 + r0 - lo
-			var fp []float64 // the runs' pair factors, Weighted only
-			if fac != nil {
-				fp = fac[pl*(pl-1)/2+xl:][:r1-r0]
-			}
-			mv, d := kn.sink(tp[r0:r1], row[xl:xl+r1-r0], own[xl*m+pl:], m, fp, dx[r0:r1], k.c, dp, sink.eps, sink.tol)
-			pm, diff = pm|mv<<r0, max(diff, d)
+	xl := t.x0 - lo
+	for p := t.x0 + 1; p < hi; p++ {
+		pl, n := p-lo, min(t.x1, p)-t.x0 // n: the strip's rows below p
+		var fp []float64                 // their pair factors, Weighted only
+		if fac != nil {
+			fp = fac[pl*(pl-1)/2+xl:][:n]
 		}
-		if pm != 0 && mark != nil {
-			mark.Set(p)
-		}
-		moved |= pm
+		d := kn.sink(cell[pl*B:][:n], own[pl*m+xl:][:n], own[xl*m+pl:], m, fp, dx[:n], k.c, float64(len(k.thisNbr[p])), sink.eps)
+		diff = max(diff, d)
 	}
-	for ; moved != 0 && mark != nil; moved &= moved - 1 {
-		mark.Set(t.x0 + bits.TrailingZeros64(moved))
-	}
-	return skipped, diff
+	return diff
 }
 
 // operands is one component's gather and pull operands, node by node in

@@ -40,64 +40,27 @@ func runJacobiWith(g *clickgraph.Graph, cfg Config, workers int, ar *engineArena
 	}
 	symQ, symA := ar.symQ, ar.symA
 
-	deltaSkip := !cfg.noDeltaSkip
-	var chgQ, chgA *sparse.Bitset // nodes whose scores moved last iteration
-	if deltaSkip {
-		chgQ, chgA = arenaBitset(&ar.chgQ, nq), arenaBitset(&ar.chgA, na)
-	}
-	// skipQ/skipA gate row skipping in the passes; nil (the first
-	// iteration, or always when delta skip is disabled) recomputes
-	// everything.
-	var skipQ, skipA *sparse.Bitset
-
 	iters := 0
 	converged := false
 	stats := make([]IterationStat, 0, cfg.Iterations)
 	for it := 0; it < cfg.Iterations; it++ {
 		start := time.Now()
-		// A side whose change bitset came back empty needs no re-expansion:
-		// with every opposite-side input row unmarked, the passes below copy
-		// forward every output row that has neighbors and recompute only
-		// empty rows (whose kernels return before touching the adjacency),
-		// so the symmetric expansion would never be read — and the stale one
-		// from the last changed iteration stays value-identical anyway.
-		// Drained workloads used to pay both ExpandSymmetric calls every
-		// iteration for rows that were 100% copied forward.
-		if skipA == nil || popcount(skipA, na) > 0 {
-			symA = prevA.ExpandSymmetric(symA)
-		}
-		if skipQ == nil || popcount(skipQ, nq) > 0 {
-			symQ = prevQ.ExpandSymmetric(symQ)
-		}
-		sq := pass(in, cfg, false, prevA, symA, curQ, prevQ, skipA, workers, spas)
-		sa := pass(in, cfg, true, prevQ, symQ, curA, prevA, skipQ, workers, spas)
+		symA = prevA.ExpandSymmetric(symA)
+		symQ = prevQ.ExpandSymmetric(symQ)
+		pass(in, cfg, false, prevA, symA, curQ, workers, spas)
+		pass(in, cfg, true, prevQ, symQ, curA, workers, spas)
 		if cfg.PruneEpsilon > 0 {
 			curQ.Prune(cfg.PruneEpsilon)
 			curA.Prune(cfg.PruneEpsilon)
 		}
 		iters = it + 1
-		var diffQ, diffA float64
-		if deltaSkip || cfg.Tolerance > 0 {
-			if deltaSkip {
-				chgQ.Clear()
-				chgA.Clear()
-			}
-			diffQ = curQ.MaxAbsDiffChanged(prevQ, cfg.DeltaSkipTolerance, chgQ)
-			diffA = curA.MaxAbsDiffChanged(prevA, cfg.DeltaSkipTolerance, chgA)
-		}
-		stats = append(stats, IterationStat{
-			Duration:         time.Since(start),
-			QueryRowsSkipped: sq, QueryRows: nq,
-			AdRowsSkipped: sa, AdRows: na,
-		})
+		stats = append(stats, IterationStat{Duration: time.Since(start), QueryRows: nq, AdRows: na})
+		stop := cfg.Tolerance > 0 && curQ.MaxAbsDiff(prevQ) < cfg.Tolerance && curA.MaxAbsDiff(prevA) < cfg.Tolerance
 		prevQ, curQ = curQ, prevQ
 		prevA, curA = curA, prevA
-		if cfg.Tolerance > 0 && diffQ < cfg.Tolerance && diffA < cfg.Tolerance {
+		if stop {
 			converged = true
 			break
-		}
-		if deltaSkip {
-			skipQ, skipA = chgQ, chgA
 		}
 	}
 
@@ -140,22 +103,22 @@ func (in *passInputs) side(cfg Config, ads bool) sideInputs {
 // from the opposite side's scores opp and their expansion sym into dst: a
 // pass kernel as the test loops (runJacobiWith) call it. Frontiers are in
 // the engine's numbering (memberIndex).
-type sidePass func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int
+type sidePass func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst *sparse.PairFrontier, workers int, spas []*spa)
 
 // pullSide is the production kernel, its gathers and candidates planned
 // as the engine's chain plans them.
-func pullSide(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+func pullSide(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst *sparse.PairFrontier, workers int, spas []*spa) {
 	s := in.side(cfg, ads)
-	return s.pass(cfg, plannedCandidates(s, opp, sym, changed), dst, prev, changed, workers, spas)
+	s.pass(cfg, plannedCandidates(s, opp, sym), dst, workers, spas)
 }
 
 // plannedCandidates returns side s's plan from the opposite side's scores
 // opp, with sym as their expansion, by the density test on opp's side
-// alone: a component that gathers takes the block path when opp's rows in
-// it fit a block, the row path otherwise. The chain asks both sides' rows
+// alone: a component takes the block path when opp's rows in it fit a
+// block, the row path otherwise. The chain asks both sides' rows
 // to fit (admit) and holds willFill's components from the identity; either
 // path gives the same bits, so the plan moves only the cost.
-func plannedCandidates(s sideInputs, opp *sparse.PairFrontier, sym *sparse.SymAdj, changed *sparse.Bitset) candidates {
+func plannedCandidates(s sideInputs, opp *sparse.PairFrontier, sym *sparse.SymAdj) candidates {
 	block := make([][]float64, len(s.idx.bounds)-1)
 	for c := range block {
 		lo, hi := s.oppIdx.span(int32(c))
@@ -164,7 +127,7 @@ func plannedCandidates(s sideInputs, opp *sparse.PairFrontier, sym *sparse.SymAd
 			cols, _ := opp.Row(j)
 			pairs += len(cols)
 		}
-		if anyMarked(changed, lo, hi) && blockFits(hi-lo, 2*pairs) {
+		if blockFits(hi-lo, 2*pairs) {
 			block[c] = make([]float64, (hi-lo)*(hi-lo))
 			fillBlock(block[c], opp, lo, hi)
 		}
@@ -174,54 +137,48 @@ func plannedCandidates(s sideInputs, opp *sparse.PairFrontier, sym *sparse.SymAd
 
 // pass runs the production kernel of cfg's variant on side s, every row
 // into dst.
-func (s sideInputs) pass(cfg Config, cand candidates, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+func (s sideInputs) pass(cfg Config, cand candidates, dst *sparse.PairFrontier, workers int, spas []*spa) {
 	if cfg.Variant == Weighted {
-		return weightedPass(s.thisNbr, s.oppNbr, s.w, s.ev, cand, s.c, dst, prev, changed, workers, spas)
+		weightedPass(s.thisNbr, s.oppNbr, s.w, s.ev, cand, s.c, dst, workers, spas)
+		return
 	}
-	return simplePass(s.thisNbr, s.oppNbr, cand, s.c, dst, prev, changed, workers, spas)
+	simplePass(s.thisNbr, s.oppNbr, cand, s.c, dst, workers, spas)
 }
 
 // simplePass computes one plain-SimRank pass of one side ("this" side)
 // from the opposite side's scores, as cand plans them, every row into dst;
 // thisNbr maps this side's nodes to opposite-side neighbors, oppNbr the
-// reverse. It returns how many rows the delta skip copied forward.
-func simplePass(thisNbr, oppNbr [][]int, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
-	return rowsPass(pullKernel{thisNbr: thisNbr, oppNbr: oppNbr, c: c}, cand, dst, prev, changed, workers, spas)
+// reverse.
+func simplePass(thisNbr, oppNbr [][]int, cand candidates, c float64, dst *sparse.PairFrontier, workers int, spas []*spa) {
+	rowsPass(pullKernel{thisNbr: thisNbr, oppNbr: oppNbr, c: c}, cand, dst, workers, spas)
 }
 
 // rowsPass runs k over cand's plan with every row landing in dst, as a
 // loop that keeps its scores in rows needs: each block-path component is
-// given a block of this side's scores filled from prev (from no pairs
-// where prev is nil), the block path updates it in place — a row the
-// delta skip copies forward keeps prev's cells — and it is written to
-// dst's rows after the pass (toRows).
-func rowsPass(k pullKernel, cand candidates, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+// given a block of this side's own, which the block path writes every
+// cell above and below the diagonal of, and the block is written to dst's
+// rows after the pass (toRows).
+func rowsPass(k pullKernel, cand candidates, dst *sparse.PairFrontier, workers int, spas []*spa) {
 	d := newDenseScores(len(cand.block), &slabPool[float64]{}, &slabPool[int32]{})
-	from := prev
-	if from == nil {
-		from = sparse.NewPairFrontier(len(k.thisNbr))
-	}
 	for c, blk := range cand.block {
 		if blk != nil {
 			lo, hi := cand.idx.span(int32(c))
 			d.blk[c] = make([]float64, (hi-lo)*(hi-lo))
-			fillBlock(d.blk[c], from, lo, hi)
 		}
 	}
-	skipped, _ := k.pass(cand, &blockSink{dense: &d}, dst, prev, changed, workers, spas)
+	k.pass(cand, &blockSink{dense: &d}, dst, workers, spas)
 	for c, blk := range d.blk {
 		if blk != nil {
 			d.toRows(c, cand.idx, dst, spas[0])
 		}
 	}
-	return skipped
 }
 
 // weightedPass is simplePass for weighted SimRank: w holds this side's
 // forward factor rows and ev the evidence multiplier by common-neighbor
 // count.
-func weightedPass(thisNbr, oppNbr [][]int, w [][]float64, ev []float64, cand candidates, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
-	return rowsPass(pullKernel{thisNbr: thisNbr, oppNbr: oppNbr, w: w, ev: ev, c: c}, cand, dst, prev, changed, workers, spas)
+func weightedPass(thisNbr, oppNbr [][]int, w [][]float64, ev []float64, cand candidates, c float64, dst *sparse.PairFrontier, workers int, spas []*spa) {
+	rowsPass(pullKernel{thisNbr: thisNbr, oppNbr: oppNbr, w: w, ev: ev, c: c}, cand, dst, workers, spas)
 }
 
 // forcedCandidates returns side s's plan with every component forced down
@@ -245,16 +202,5 @@ func forcedCandidates(s sideInputs, opp *sparse.PairFrontier, sym *sparse.SymAdj
 func toLayout(idx *memberIndex, f *sparse.PairFrontier) *sparse.PairFrontier {
 	c := sparse.NewPairFrontier(f.NumRows())
 	c.SetRowsRemapped(f, idx.pos)
-	return c
-}
-
-// popcount counts the set bits among b's first n.
-func popcount(b *sparse.Bitset, n int) int {
-	c := 0
-	for i := 0; i < n; i++ {
-		if b.Has(i) {
-			c++
-		}
-	}
 	return c
 }

@@ -14,7 +14,7 @@ type blockKernels struct {
 	// sumRows sets dst[c] = Σ_k f[k]·src[at[k]·stride + c] for c <
 	// len(dst), k ascending: the gather U = W·S (src the opposite side's
 	// block, stride its width) and the pull T = U·Wᵀ (src the strip's Uᵀ
-	// from its first computed row, stride stripWidth).
+	// from its first row, stride stripWidth).
 	sumRows func(dst, src []float64, stride int, f []float64, at []int32)
 	// transpose sets ut[j·stripWidth + r] = u[r·mo + j] for the strip
 	// rows r ∈ [r0, r1), both multiples of four, and j < mo.
@@ -23,8 +23,8 @@ type blockKernels struct {
 	// node p — v = fp[i]·t[i], or c·t[i]/(dx[i]·dp) for an empty fp —
 	// zeroes |v| < eps, and writes v to row[i] (row p's half) and
 	// mirror[i·stride] (the rows' halves). It returns the largest
-	// |v − row[i]| before the write and bit i set where that exceeds tol.
-	sink func(t, row, mirror []float64, stride int, fp, dx []float64, c, dp, eps, tol float64) (moved uint64, diff float64)
+	// |v − row[i]| before the write.
+	sink func(t, row, mirror []float64, stride int, fp, dx []float64, c, dp, eps float64) (diff float64)
 }
 
 // goKernels is the Go body, run where no vector body is.
@@ -96,9 +96,9 @@ func transposeGo(ut, u []float64, mo, r0, r1 int) {
 	}
 }
 
-func sinkGo(t, row, mirror []float64, stride int, fp, dx []float64, c, dp, eps, tol float64) (moved uint64, diff float64) {
+func sinkGo(t, row, mirror []float64, stride int, fp, dx []float64, c, dp, eps float64) (diff float64) {
 	if len(t) == 0 {
-		return 0, 0
+		return 0
 	}
 	row, mirror = row[:len(t)], mirror[:(len(t)-1)*stride+1]
 	for i, ti := range t {
@@ -118,11 +118,8 @@ func sinkGo(t, row, mirror []float64, stride int, fp, dx []float64, c, dp, eps, 
 		if d > diff {
 			diff = d
 		}
-		if d > tol {
-			moved |= 1 << i
-		}
 		row[i] = v
 		mirror[i*stride] = v
 	}
-	return moved, diff
+	return diff
 }

@@ -39,4 +39,4 @@ func sumRowsAVX2(dst, src []float64, stride int, f []float64, at []int32)
 func transposeAVX2(ut, u []float64, mo, r0, r1 int)
 
 //go:noescape
-func sinkAVX2(t, row, mirror []float64, stride int, fp, dx []float64, c, dp, eps, tol float64) (moved uint64, diff float64)
+func sinkAVX2(t, row, mirror []float64, stride int, fp, dx []float64, c, dp, eps float64) (diff float64)

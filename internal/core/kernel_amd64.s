@@ -225,13 +225,12 @@ trdone:
 	VZEROUPPER
 	RET
 
-// func sinkAVX2(t, row, mirror []float64, stride int, fp, dx []float64, c, dp, eps, tol float64) (moved uint64, diff float64)
+// func sinkAVX2(t, row, mirror []float64, stride int, fp, dx []float64, c, dp, eps float64) (diff float64)
 //
 // Four lanes at a time, then one: v = fp·t (or c·t/(dx·dp) for an empty
-// fp), zeroed where −eps < v < eps; d = |v − row|, its maximum kept and
-// its lanes above tol set in moved; v stored to row and, one cell at a
-// time, down mirror's stride.
-TEXT ·sinkAVX2(SB), NOSPLIT, $0-176
+// fp), zeroed where −eps < v < eps; d = |v − row|, its maximum kept; v
+// stored to row and, one cell at a time, down mirror's stride.
+TEXT ·sinkAVX2(SB), NOSPLIT, $0-160
 	MOVQ t_base+0(FP), SI
 	MOVQ t_len+8(FP), R14     // n
 	MOVQ row_base+24(FP), DI
@@ -246,11 +245,9 @@ TEXT ·sinkAVX2(SB), NOSPLIT, $0-176
 	VBROADCASTSD eps+144(FP), Y10
 	VXORPD Y11, Y11, Y11
 	VSUBPD Y10, Y11, Y11      // −eps
-	VBROADCASTSD tol+152(FP), Y12
 	VPCMPEQQ Y13, Y13, Y13
 	VPSRLQ $1, Y13, Y13       // every bit but the sign
 	VXORPD Y14, Y14, Y14      // max |d|
-	XORQ AX, AX               // moved
 	XORQ BX, BX               // i
 
 lanes4:
@@ -276,11 +273,6 @@ prune4:
 	VSUBPD (DI)(BX*8), Y0, Y1
 	VANDPD Y13, Y1, Y1        // d
 	VMAXPD Y1, Y14, Y14
-	VCMPPD $1, Y1, Y12, Y2    // tol < d
-	VMOVMSKPD Y2, DX
-	MOVQ BX, CX
-	SHLQ CX, DX
-	ORQ  DX, AX
 	VMOVUPD Y0, (DI)(BX*8)
 	VMOVSD X0, (R13)
 	VMOVHPD X0, (R13)(R9*1)
@@ -320,12 +312,6 @@ prune1:
 	VSUBSD (DI)(BX*8), X0, X1
 	VANDPD X13, X1, X1
 	VMAXSD X1, X14, X14
-	VCMPSD $1, X1, X12, X2
-	VMOVMSKPD X2, DX
-	ANDQ $1, DX
-	MOVQ BX, CX
-	SHLQ CX, DX
-	ORQ  DX, AX
 	VMOVSD X0, (DI)(BX*8)
 	VMOVSD X0, (R13)
 	ADDQ R9, R13
@@ -334,6 +320,5 @@ prune1:
 
 sinkdone:
 	VZEROUPPER
-	MOVQ AX, moved+160(FP)
-	VMOVSD X14, diff+168(FP)
+	VMOVSD X14, diff+152(FP)
 	RET

@@ -73,7 +73,7 @@ func runPassBench(b *testing.B, fx *passFixture, reference func()) {
 			spas := new(engineArena).ensureSPAs(arm.workers, fx.nq+fx.na)
 			b.ReportAllocs()
 			for b.Loop() {
-				arm.pass(fx.in, fx.cfg, false, fx.prevA, fx.symA, dst, nil, nil, arm.workers, spas)
+				arm.pass(fx.in, fx.cfg, false, fx.prevA, fx.symA, dst, arm.workers, spas)
 			}
 		})
 	}
@@ -89,7 +89,7 @@ func runPassBench(b *testing.B, fx *passFixture, reference func()) {
 			spas := new(engineArena).ensureSPAs(1, fx.nq+fx.na)
 			b.ReportAllocs()
 			for b.Loop() {
-				s.pass(fx.cfg, cand, dst, nil, nil, 1, spas)
+				s.pass(fx.cfg, cand, dst, 1, spas)
 			}
 		})
 	}
@@ -112,8 +112,8 @@ func BenchmarkWeightedPass(b *testing.B) {
 // profile depends on it: many 65 × 45 clusters of ≈500 edges, three packed
 // into each ≤ 400-node shard, so neighbor rows are short and a shard's
 // accumulator spans several unrelated clusters. The config is PERF.md's
-// production mode — weighted, pruning, tolerance-scaled delta skip — with
-// a convergence tolerance, so finished shards stop early.
+// production mode — weighted, pruning — with a convergence tolerance, so
+// finished shards stop early.
 func shardBenchWorkload(b *testing.B) (*clickgraph.Graph, *partition.Plan, Config) {
 	b.Helper()
 	lc := workload.ClickLogConfig{Seed: 7, Clusters: 60, QueriesPerCluster: 65, AdsPerCluster: 45}
@@ -133,14 +133,13 @@ func shardBenchWorkload(b *testing.B) (*clickgraph.Graph, *partition.Plan, Confi
 	return g, plan, productionConfig()
 }
 
-// productionConfig is PERF.md's production mode: weighted, pruning,
-// tolerance-scaled delta skip and a convergence tolerance.
+// productionConfig is PERF.md's production mode: weighted, pruning and a
+// convergence tolerance.
 func productionConfig() Config {
 	cfg := DefaultConfig().WithVariant(Weighted)
 	cfg.Iterations = 15
 	cfg.Tolerance = 1e-4
 	cfg.PruneEpsilon = 1e-5
-	cfg.DeltaSkipTolerance = 1e-5
 	return cfg
 }
 

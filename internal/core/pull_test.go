@@ -142,14 +142,14 @@ func TestPullCandidatePathsAgree(t *testing.T) {
 				sets := map[string]candidates{
 					"block":  forcedCandidates(s, opp, sym, true),
 					"reach":  forcedCandidates(s, opp, sym, false),
-					"chosen": plannedCandidates(s, opp, sym, nil),
+					"chosen": plannedCandidates(s, opp, sym),
 				}
 				var want *sparse.PairFrontier
 				for _, workers := range []int{1, 3} {
 					spas := new(engineArena).ensureSPAs(workers, g.NumQueries()+g.NumAds())
 					for _, set := range []string{"block", "reach", "chosen"} {
 						got := sparse.NewPairFrontier(len(s.thisNbr))
-						s.pass(cfg, sets[set], got, nil, nil, workers, spas)
+						s.pass(cfg, sets[set], got, workers, spas)
 						if want == nil {
 							if got.Len() == 0 {
 								t.Fatalf("%s/%v/ads=%v: empty pass", name, variant, ads)
@@ -171,7 +171,7 @@ func TestPullCandidatePathsAgree(t *testing.T) {
 // ring — 300 clusters of 12 queries × 8 ads, each joined to the next by
 // one edge, so one component of ≈ 5 900 nodes — runs under
 // partition.WholePlan with the production engine settings (weighted,
-// pruning at 1e-5, tolerance stop and delta skip), whose pruning keeps
+// pruning at 1e-5 and tolerance stop), whose pruning keeps
 // the scores near their clusters. At every pass, on the same inputs, the
 // pull may evaluate at most twice as many cells as the push kernel makes
 // contributions (it evaluates fewer: a cell the push reaches from several
@@ -193,11 +193,10 @@ func TestPullSparseGuard(t *testing.T) {
 	cfg.Iterations = 15
 	cfg.Tolerance = 1e-4
 	cfg.PruneEpsilon = 1e-5
-	cfg.DeltaSkipTolerance = 1e-5
 
 	passes := 0
 	scratch := sparse.NewPairFrontier(max(g.NumQueries(), g.NumAds()))
-	guarded := func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+	guarded := func(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst *sparse.PairFrontier, workers int, spas []*spa) {
 		cells := func() (n int) {
 			for _, sp := range spas {
 				n += sp.cells
@@ -205,16 +204,15 @@ func TestPullSparseGuard(t *testing.T) {
 			return n
 		}
 		before := cells()
-		skipped := pullSide(in, cfg, ads, opp, sym, dst, prev, changed, workers, spas)
+		pullSide(in, cfg, ads, opp, sym, dst, workers, spas)
 		pulled := cells() - before
 		scratch.Resize(dst.NumRows())
-		pushSide(in, cfg, ads, opp, sym, scratch, prev, changed, workers, spas)
+		pushSide(in, cfg, ads, opp, sym, scratch, workers, spas)
 		pushed := cells() - before - pulled
 		if pulled > 2*pushed {
 			t.Errorf("pass %d (ads=%v): the pull evaluated %d cells for %d push contributions", passes, ads, pulled, pushed)
 		}
 		passes++
-		return skipped
 	}
 	if _, err := runJacobiWith(g, cfg, 1, nil, guarded); err != nil {
 		t.Fatal(err)

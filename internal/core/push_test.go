@@ -109,9 +109,9 @@ func (ps *pushScratch) harvest(pmin, pmax int, emit func(p int, tv float64)) {
 }
 
 // simplePushPass is simplePass's push form.
-func simplePushPass(sym *sparse.SymAdj, cand candidates, thisNbr, oppNbr [][]int, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+func simplePushPass(sym *sparse.SymAdj, cand candidates, thisNbr, oppNbr [][]int, c float64, dst *sparse.PairFrontier, workers int, spas []*spa) {
 	scratch := pushScratches(spas, thisNbr, oppNbr)
-	return runRowPass(thisNbr, cand, dst, prev, changed, workers, spas, func(sp *spa, x int) {
+	runRowPass(thisNbr, cand, dst, workers, spas, func(sp *spa, x int) {
 		nbrs := thisNbr[x]
 		if len(nbrs) == 0 {
 			return
@@ -134,9 +134,9 @@ func simplePushPass(sym *sparse.SymAdj, cand candidates, thisNbr, oppNbr [][]int
 
 // weightedPushPass is weightedPass's push form; revW holds the factors
 // reversed onto the opposite side (reverseFactors).
-func weightedPushPass(sym *sparse.SymAdj, cand candidates, thisNbr, oppNbr [][]int, w, revW [][]float64, ev *evidenceTable, c float64, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+func weightedPushPass(sym *sparse.SymAdj, cand candidates, thisNbr, oppNbr [][]int, w, revW [][]float64, ev *evidenceTable, c float64, dst *sparse.PairFrontier, workers int, spas []*spa) {
 	scratch := pushScratches(spas, thisNbr, oppNbr)
-	return runRowPass(thisNbr, cand, dst, prev, changed, workers, spas, func(sp *spa, x int) {
+	runRowPass(thisNbr, cand, dst, workers, spas, func(sp *spa, x int) {
 		nbrs := thisNbr[x]
 		if len(nbrs) == 0 {
 			return
@@ -162,13 +162,14 @@ func weightedPushPass(sym *sparse.SymAdj, cand candidates, thisNbr, oppNbr [][]i
 // the sort-built table (sortedEvidenceTable), rebuilt on every call like
 // its reversed factors. It gathers from the expansion sym alone; its
 // multi-worker split weighs rows as the pull's sparse path does.
-func pushSide(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst, prev *sparse.PairFrontier, changed *sparse.Bitset, workers int, spas []*spa) int {
+func pushSide(in *passInputs, cfg Config, ads bool, opp *sparse.PairFrontier, sym *sparse.SymAdj, dst *sparse.PairFrontier, workers int, spas []*spa) {
 	s := in.side(cfg, ads)
 	cand := forcedCandidates(s, opp, sym, false)
 	if cfg.Variant == Weighted {
 		revW := reverseFactors(s.thisNbr, s.oppNbr, s.w)
 		ev := sortedEvidenceTable(len(s.thisNbr), s.oppNbr, cfg.EvidenceForm, cfg.StrictEvidence)
-		return weightedPushPass(sym, cand, s.thisNbr, s.oppNbr, s.w, revW, ev, s.c, dst, prev, changed, workers, spas)
+		weightedPushPass(sym, cand, s.thisNbr, s.oppNbr, s.w, revW, ev, s.c, dst, workers, spas)
+		return
 	}
-	return simplePushPass(sym, cand, s.thisNbr, s.oppNbr, s.c, dst, prev, changed, workers, spas)
+	simplePushPass(sym, cand, s.thisNbr, s.oppNbr, s.c, dst, workers, spas)
 }

@@ -12,16 +12,15 @@ import (
 // IterationStat records one ad pass of a sparse engine's chain and the
 // query pass before it (none before the first ad pass of a chain that
 // starts on the ad side, where the query fields stay zero): their wall
-// time and how many output rows the change-tracked delta skip copied
-// forward instead of recomputing (see Config.DeltaSkipTolerance). Skip
-// counts are zero until a side's previous value was computed by the chain
-// and grow as rows converge. A run records at most Iterations of them.
+// time and how many output rows they computed. A run records at most
+// Iterations of them.
 type IterationStat struct {
 	// Duration is the wall time of the pass pair: the passes, pruning, and
-	// the convergence/change diffs.
+	// the convergence diffs.
 	Duration time.Duration
-	// QueryRowsSkipped of QueryRows query-side output rows were copied
-	// forward unchanged; likewise AdRowsSkipped of AdRows.
+	// QueryRows and AdRows are the rows each pass computed: every row of
+	// its side. QueryRowsSkipped and AdRowsSkipped are always 0: no pass
+	// skips a row (the benchmark harness still reads them).
 	QueryRowsSkipped, QueryRows int
 	AdRowsSkipped, AdRows       int
 }
@@ -47,7 +46,7 @@ type Result struct {
 	// Converged reports whether iteration stopped because the largest
 	// score change fell below Config.Tolerance.
 	Converged bool
-	// IterStats holds per-pass-pair timing and delta-skip counters. For
+	// IterStats holds per-pass-pair timing and row counts. For
 	// RunSharded, entry i sums every shard's pair i — total work, not wall
 	// time, since shards run concurrently.
 	IterStats []IterationStat

@@ -292,9 +292,7 @@ func stitch(g *clickgraph.Graph, cfg Config, qScores, aScores *sparse.PairFronti
 		}
 		for it, s := range res.IterStats {
 			iterStats[it].Duration += s.Duration
-			iterStats[it].QueryRowsSkipped += s.QueryRowsSkipped
 			iterStats[it].QueryRows += s.QueryRows
-			iterStats[it].AdRowsSkipped += s.AdRowsSkipped
 			iterStats[it].AdRows += s.AdRows
 		}
 		converged = converged && res.Converged

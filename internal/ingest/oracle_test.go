@@ -21,8 +21,9 @@ import (
 // serving path on every publish, as simrankd does, and the gateway's
 // probes are driven by hand: pinned to the base generation first, it
 // must cut over to each fold's generation before the reads. The keys are
-// every query and ad of the fold's dirty shards, read through /similar
-// (both sides), /rewrite and /batch.
+// every query and ad of every shard — the clean shards a fold copies from
+// the previous generation as well as the dirty ones it recomputes — read
+// through /similar (both sides), /rewrite and /batch.
 func TestGatewayAnswersEqualColdBuild(t *testing.T) {
 	env := newTestEnv(t)
 	cfg := env.config()
@@ -66,7 +67,9 @@ func TestGatewayAnswersEqualColdBuild(t *testing.T) {
 		t.Fatal("gateway pinned no generation over the base snapshot")
 	}
 
+	clean := 0
 	foldAgainstColdBuilds(t, env, c, func(fold int, diff *partition.Diff, coldPath string) {
+		clean += diff.CleanShards
 		cold, err := serve.OpenSnapshot(coldPath)
 		if err != nil {
 			t.Fatal(err)
@@ -86,16 +89,13 @@ func TestGatewayAnswersEqualColdBuild(t *testing.T) {
 			reads []read
 			batch serve.BatchRequest
 		)
-		for si, dirty := range diff.Dirty {
-			if !dirty {
-				continue
-			}
-			for _, q := range diff.Plan.Shards[si].Queries {
+		for _, sh := range diff.Plan.Shards {
+			for _, q := range sh.Queries {
 				name := url.QueryEscape(cold.Query(q))
 				reads = append(reads, read{"GET", "/similar?q=" + name, nil}, read{"GET", "/rewrite?q=" + name, nil})
 				batch.Queries = append(batch.Queries, cold.Query(q))
 			}
-			for _, a := range diff.Plan.Shards[si].Ads {
+			for _, a := range sh.Ads {
 				reads = append(reads, read{"GET", "/similar?ad=" + url.QueryEscape(cold.Ad(a)), nil})
 			}
 		}
@@ -118,4 +118,7 @@ func TestGatewayAnswersEqualColdBuild(t *testing.T) {
 			}
 		}
 	})
+	if clean == 0 {
+		t.Fatal("no fold left a shard clean; the copied segments went unread")
+	}
 }

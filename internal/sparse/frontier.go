@@ -2,8 +2,7 @@
 // and the snapshot writer share: PairFrontier, the store of one side's
 // node-pair scores as sorted, duplicate-free rows that only whole-row
 // setters write; SymAdj, its symmetric expansion into contiguous partner
-// rows; Bitset, the per-side change mark; the ranked-list selection the
-// read path cuts rows with; and PairTable, the map formulation, kept as the
+// rows; the ranked-list selection the read path cuts rows with; and PairTable, the map formulation, kept as the
 // reference the core and serve tests compare the frontier paths against.
 // Everything is stdlib-only and allocation conscious: rows are contiguous
 // slices that keep their capacity across iterations.
@@ -14,10 +13,10 @@ import "slices"
 // PairFrontier is the engines' score representation: the pairs of one
 // graph side bucketed by the smaller node index into per-row slices, each
 // row sorted by column and duplicate-free. Only the row setters write rows
-// (SetSortedRow, CopyRowFrom, SetRowsRemapped), each handed a whole row
+// (SetSortedRow, SetRowsRemapped), each handed a whole row
 // already in that order, as the row-major passes emit them. So scores go
 // from the kernel to the snapshot bytes without hashing or re-sorting, and
-// every read (O(log d) Get, ordered Range, merge-walk MaxAbsDiffChanged)
+// every read (O(log d) Get, ordered Range, merge-walk MaxAbsDiff)
 // sees sorted rows.
 //
 // A frontier is reusable: Reset keeps every row's capacity, so an engine
@@ -188,17 +187,11 @@ func (f *PairFrontier) Prune(eps float64) int {
 	return removed
 }
 
-// MaxAbsDiffChanged returns the largest |a-b| over the union of both
-// frontiers' pairs, treating missing entries as 0 — the convergence
-// measure for iterative SimRank. Rows are compared with a linear
-// merge-walk over their sorted columns. Change tracking is fused into the
-// same merge-walk: when changed is non-nil, every node incident to a pair whose
-// |a-b| exceeds tol is marked — both the bucket row and the partner column,
-// since a stored pair {i, j} is part of node i's and node j's score rows
-// alike. A node left unmarked therefore has every one of its stored pairs
-// within tol of the other frontier (exactly equal when tol is 0), which is
-// the per-node signal the engines' delta iteration keys row skipping on.
-func (f *PairFrontier) MaxAbsDiffChanged(o *PairFrontier, tol float64, changed *Bitset) float64 {
+// MaxAbsDiff returns the largest |a-b| over the union of both frontiers'
+// pairs, treating missing entries as 0 — the convergence measure for
+// iterative SimRank. Rows are compared with a linear merge-walk over their
+// sorted columns.
+func (f *PairFrontier) MaxAbsDiff(o *PairFrontier) float64 {
 	max := 0.0
 	n := len(f.cols)
 	if len(o.cols) > n {
@@ -218,16 +211,15 @@ func (f *PairFrontier) MaxAbsDiffChanged(o *PairFrontier, tol float64, changed *
 		i, j := 0, 0
 		for i < len(ac) || j < len(bc) {
 			var d float64
-			var c int32
 			switch {
 			case j >= len(bc) || (i < len(ac) && ac[i] < bc[j]):
-				d, c = av[i], ac[i]
+				d = av[i]
 				i++
 			case i >= len(ac) || bc[j] < ac[i]:
-				d, c = bv[j], bc[j]
+				d = bv[j]
 				j++
 			default:
-				d, c = av[i]-bv[j], ac[i]
+				d = av[i] - bv[j]
 				i++
 				j++
 			}
@@ -236,10 +228,6 @@ func (f *PairFrontier) MaxAbsDiffChanged(o *PairFrontier, tol float64, changed *
 			}
 			if d > max {
 				max = d
-			}
-			if changed != nil && d > tol {
-				changed.Set(r)
-				changed.Set(int(c))
 			}
 		}
 	}
@@ -255,15 +243,6 @@ func (f *PairFrontier) MaxAbsDiffChanged(o *PairFrontier, tol float64, changed *
 func (f *PairFrontier) SetSortedRow(r int, cols []int32, vals []float64) {
 	f.cols[r] = append(f.cols[r][:0], cols...)
 	f.vals[r] = append(f.vals[r][:0], vals...)
-}
-
-// CopyRowFrom replaces row r of f with row r of src, reusing f's row
-// capacity. Distinct rows may be copied concurrently, like SetSortedRow. The
-// delta iteration uses it to carry an output row forward when none of the
-// inputs it depends on changed.
-func (f *PairFrontier) CopyRowFrom(src *PairFrontier, r int) {
-	f.cols[r] = append(f.cols[r][:0], src.cols[r]...)
-	f.vals[r] = append(f.vals[r][:0], src.vals[r]...)
 }
 
 // SymAdj is the fully-expanded symmetric adjacency of a pair frontier:

@@ -24,7 +24,7 @@ func TestFrontierEmptyRows(t *testing.T) {
 	if _, ok := f.Get(0, 3); ok {
 		t.Error("Get on empty frontier reported a value")
 	}
-	if d := f.MaxAbsDiffChanged(NewPairFrontier(5), 0, nil); d != 0 {
+	if d := f.MaxAbsDiff(NewPairFrontier(5)); d != 0 {
 		t.Errorf("MaxAbsDiff of empties = %v", d)
 	}
 	f.Range(func(i, j int, v float64) bool {
@@ -122,10 +122,10 @@ func TestFrontierMatchesMapAccumulation(t *testing.T) {
 		// MaxAbsDiff against a second random set must agree.
 		m2 := randomTable(&rng, n, adds/2)
 		f2 := frontierOf(m2, n)
-		if df, dm := f.MaxAbsDiffChanged(f2, 0, nil), m.MaxAbsDiff(m2); math.Abs(df-dm) > 1e-12 {
+		if df, dm := f.MaxAbsDiff(f2), m.MaxAbsDiff(m2); math.Abs(df-dm) > 1e-12 {
 			t.Fatalf("trial %d: MaxAbsDiff %v (frontier) vs %v (map)", trial, df, dm)
 		}
-		if df, dm := f2.MaxAbsDiffChanged(f, 0, nil), m2.MaxAbsDiff(m); math.Abs(df-dm) > 1e-12 {
+		if df, dm := f2.MaxAbsDiff(f), m2.MaxAbsDiff(m); math.Abs(df-dm) > 1e-12 {
 			t.Fatalf("trial %d: reverse MaxAbsDiff %v vs %v", trial, df, dm)
 		}
 
@@ -201,5 +201,86 @@ func TestPairTableTopKMatchesSymmetricExpansion(t *testing.T) {
 				t.Fatalf("node %d k=%d: scan %+v, expansion %+v", i, k, scan, want)
 			}
 		}
+	}
+}
+
+// TestMaxAbsDiffOverPairUnion checks MaxAbsDiff against a brute-force
+// maximum over the pair union: a pair stored on one side only counts its
+// whole value, and a pair stored equal on both sides counts nothing.
+func TestMaxAbsDiffOverPairUnion(t *testing.T) {
+	rng := lcg(11)
+	const rows = 16
+	for trial := 0; trial < 100; trial++ {
+		ma, mb := NewPairTable(0), NewPairTable(0)
+		for k := 0; k < 60; k++ {
+			i, j := rng.next(rows), rng.next(rows)
+			if i == j {
+				continue
+			}
+			switch rng.next(3) {
+			case 0:
+				ma.Set(i, j, rng.float())
+			case 1:
+				mb.Set(i, j, rng.float())
+			default:
+				v := rng.float()
+				ma.Set(i, j, v)
+				mb.Set(i, j, v)
+			}
+		}
+		a, b := frontierOf(ma, rows), frontierOf(mb, rows)
+		diff := map[[2]int]float64{}
+		a.Range(func(i, j int, v float64) bool {
+			diff[[2]int{i, j}] += v
+			return true
+		})
+		b.Range(func(i, j int, v float64) bool {
+			diff[[2]int{i, j}] -= v
+			return true
+		})
+		want := 0.0
+		for _, d := range diff {
+			want = math.Max(want, math.Abs(d))
+		}
+		if got := a.MaxAbsDiff(b); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("trial %d: max %v want %v", trial, got, want)
+		}
+	}
+}
+
+// TestSetSortedRowMatchesSetRow holds SetSortedRow, which copies an
+// ascending row as given, to the map reference: a row's pairs set one by
+// one in a PairTable.
+func TestSetSortedRowMatchesSetRow(t *testing.T) {
+	rng := lcg(23)
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.next(30)
+		cols := make([]int32, 0, n)
+		vals := make([]float64, 0, n)
+		want := NewPairTable(n)
+		c := 1
+		for len(cols) < n {
+			c += 1 + rng.next(5)
+			cols = append(cols, int32(c))
+			vals = append(vals, rng.float())
+			want.Set(0, c, vals[len(vals)-1])
+		}
+		f := NewPairFrontier(40 + c)
+		f.SetSortedRow(0, cols, vals)
+		requireSamePairs(t, "set row", f, want)
+	}
+}
+
+func TestSymAdjRow(t *testing.T) {
+	f := NewPairFrontier(5)
+	f.SetSortedRow(0, []int32{2}, []float64{1})
+	f.SetSortedRow(2, []int32{4}, []float64{3})
+	s := f.ExpandSymmetric(nil)
+	cols, vals := s.Row(2)
+	if len(cols) != 2 || cols[0] != 0 || cols[1] != 4 || vals[0] != 1 || vals[1] != 3 {
+		t.Fatalf("Row(2) = %v %v", cols, vals)
+	}
+	if cols, _ := s.Row(1); len(cols) != 0 {
+		t.Fatalf("Row(1) = %v, want empty", cols)
 	}
 }

@@ -95,7 +95,8 @@ func TestSetRowsRemappedIsDetached(t *testing.T) {
 	src.Reset()
 	next := randomFrontier(&rng, 30, 400)
 	for r := range 30 {
-		src.CopyRowFrom(next, r) // refills src's own row buffers
+		cols, vals := next.Row(r)
+		src.SetSortedRow(r, cols, vals) // refills src's own row buffers
 	}
 	requireSamePairs(t, "copy after source reuse", c, want)
 
