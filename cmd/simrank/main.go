@@ -53,7 +53,7 @@
 //
 // Every refresh is journaled as a numbered generation beside the
 // snapshot (SNAPSHOT.gens/: snapshot bytes + CRC'd manifest recording
-// the generation id, source-graph fingerprint and whole-file hash), the
+// the generation id, source-graph fingerprint, size and header CRC), the
 // last three of them retained. A refresh that fails — or a process
 // killed at any instant — leaves the previous generation intact and the
 // serving file untouched; a serving file that no longer opens is

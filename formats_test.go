@@ -2,6 +2,7 @@ package simrankpp_test
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,11 +21,17 @@ import (
 // checks decoded content — the gate a codec or layout change has to
 // pass: files written by an older build must keep reading.
 var formatGoldens = []string{
-	"fig3.v3.snap",     // v3 sharded snapshot with a top-k section (simrank -method simple -sharded -shard-max-nodes 9 -save)
-	"gen-00000001.mf",  // the generation manifest that journals fig3.v3.snap
-	"wal-00000000.seg", // WAL segment: three records, then a torn frame
-	"fold-state.bin",   // fold cursor 2 over fig3 + two folded records
+	"fig3.v3.snap",       // v3 sharded snapshot with a top-k section (simrank -method simple -sharded -shard-max-nodes 9 -save)
+	"gen-00000001.mf",    // v1 generation manifest journaling fig3.v3.snap by its whole-file CRC32
+	"gen-00000001.v2.mf", // v2 generation manifest journaling fig3.v3.snap by its header CRC
+	"wal-00000000.seg",   // WAL segment: three records, then a torn frame
+	"fold-state.bin",     // fold cursor 2 over fig3 + two folded records
 }
+
+// retiredGoldens are the goldens of format versions this build reads but
+// no longer writes: TestFormatGoldensReencode has no encoder to hold them
+// to, and TestFormatGoldensPresent cannot write one that is missing.
+var retiredGoldens = map[string]bool{"gen-00000001.mf": true}
 
 // TestFormatGoldensPresent fails when a golden is missing — after
 // writing it with the current code, so a new format version gets its
@@ -43,6 +50,9 @@ func TestFormatGoldensPresent(t *testing.T) {
 	}
 	fresh := writeFormatGoldens(t)
 	for _, name := range missing {
+		if retiredGoldens[name] {
+			t.Fatalf("retired format golden %s is missing: this build no longer writes it; restore it from version control", name)
+		}
 		data, err := os.ReadFile(filepath.Join(fresh, name))
 		if err != nil {
 			t.Fatal(err)
@@ -55,15 +65,19 @@ func TestFormatGoldensPresent(t *testing.T) {
 }
 
 // TestFormatGoldensReencode pins the encoders: this build writes every
-// golden again and must reproduce the frozen bytes, apart from the fields
-// that hold the time of writing and the CRCs over them.
+// golden but the retired ones again and must reproduce the frozen bytes,
+// apart from the fields that hold the time of writing and the CRCs over
+// them.
 func TestFormatGoldensReencode(t *testing.T) {
 	clock := map[string][][2]int{
-		"fig3.v3.snap":    {{128, 136}, {196, 200}}, // generated_at, header CRC
-		"gen-00000001.mf": {{40, 48}, {52, 56}},     // created-at, manifest CRC
+		"fig3.v3.snap":       {{128, 136}, {196, 200}}, // generated_at, header CRC
+		"gen-00000001.v2.mf": {{40, 48}, {52, 56}},     // created-at, manifest CRC
 	}
 	fresh := writeFormatGoldens(t)
 	for _, name := range formatGoldens {
+		if retiredGoldens[name] {
+			continue
+		}
 		want, err := os.ReadFile(filepath.Join("testdata", "formats", name))
 		if err != nil {
 			t.Fatal(err)
@@ -131,12 +145,20 @@ func writeFormatGoldens(t *testing.T) string {
 	must(serve.WriteSnapshotFileTopK(serving, res, serve.TopKOptions{K: 16}))
 	copyTo("fig3.v3.snap", serving)
 
-	// The journal a first refresh or fold starts: the serving file adopted
-	// as generation 1.
-	gs := serve.NewGenerationStore(serving)
-	gen, err := gs.Adopt()
+	// The journal a first refresh or fold starts: a serving file adopted
+	// as generation 1. The file is the frozen snapshot (this build's own
+	// while none is frozen), so the manifest records the frozen header
+	// CRC, bytes [196,200), and re-encodes with only its clock masked.
+	snap, err := os.ReadFile(filepath.Join("testdata", "formats", "fig3.v3.snap"))
+	if errors.Is(err, os.ErrNotExist) {
+		snap, err = os.ReadFile(serving)
+	}
 	must(err)
-	copyTo("gen-00000001.mf", filepath.Join(serving+".gens", "gen-00000001.mf"))
+	adopted := filepath.Join(work, "adopted.snap")
+	must(os.WriteFile(adopted, snap, 0o644))
+	gen, err := serve.NewGenerationStore(adopted).Adopt()
+	must(err)
+	copyTo("gen-00000001.v2.mf", filepath.Join(adopted+".gens", "gen-00000001.mf"))
 	if gen.ID != 1 {
 		t.Fatalf("adopted generation %d, want 1", gen.ID)
 	}

@@ -15,7 +15,7 @@ import (
 // more than the bytes left hold, Seal then Open round-trips, and any
 // single flipped bit of a sealed frame fails Open.
 func FuzzFrame(f *testing.F) {
-	for _, name := range []string{"fig3.v3.snap", "gen-00000001.mf", "wal-00000000.seg", "fold-state.bin"} {
+	for _, name := range []string{"fig3.v3.snap", "gen-00000001.mf", "gen-00000001.v2.mf", "wal-00000000.seg", "fold-state.bin"} {
 		b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "formats", name))
 		if err != nil {
 			f.Fatal(err)

@@ -160,10 +160,10 @@ func TestControllerFoldPublishesAndSkips(t *testing.T) {
 
 // foldAgainstColdBuilds drives c through three publishing folds of 40
 // stream records each. After every fold it calls check with the fold's
-// shard diff against the generation the fold replaced and the path of
-// the snapshot a cold sharded run of the whole click history writes over
-// the plan the fold projected.
-func foldAgainstColdBuilds(t *testing.T, env *testEnv, c *Controller, check func(fold int, diff *partition.Diff, coldPath string)) {
+// shard diff against the generation the fold replaced, the cold sharded
+// run of the whole click history over the plan the fold projected, and
+// the path of the snapshot that run writes.
+func foldAgainstColdBuilds(t *testing.T, env *testEnv, c *Controller, check func(fold int, diff *partition.Diff, cold *core.Result, coldPath string)) {
 	t.Helper()
 	history := clickgraph.NewBuilderFrom(env.base)
 	for fold, to := range []int{40, 80, 120} {
@@ -202,7 +202,7 @@ func foldAgainstColdBuilds(t *testing.T, env *testEnv, c *Controller, check func
 		if err := serve.WriteSnapshotFileTopK(coldPath, res, serve.TopKOptions{K: serve.DefaultRewriteTopK}); err != nil {
 			t.Fatal(err)
 		}
-		check(fold, diff, coldPath)
+		check(fold, diff, res, coldPath)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestControllerFoldsEqualColdBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	foldAgainstColdBuilds(t, env, c, func(fold int, _ *partition.Diff, coldPath string) {
+	foldAgainstColdBuilds(t, env, c, func(fold int, _ *partition.Diff, _ *core.Result, coldPath string) {
 		want, err := os.ReadFile(coldPath)
 		if err != nil {
 			t.Fatal(err)

@@ -9,7 +9,9 @@ import (
 	"net/url"
 	"testing"
 
+	"simrankpp/internal/core"
 	"simrankpp/internal/partition"
+	"simrankpp/internal/rewrite"
 	"simrankpp/internal/route"
 	"simrankpp/internal/serve"
 )
@@ -23,7 +25,11 @@ import (
 // must cut over to each fold's generation before the reads. The keys are
 // every query and ad of every shard — the clean shards a fold copies from
 // the previous generation as well as the dirty ones it recomputes — read
-// through /similar (both sides), /rewrite and /batch.
+// through /similar (both sides), /rewrite and /batch. Every /rewrite list
+// is also recomputed from the cold build's scores: the §9.3 pipeline
+// (rewrite.NewPipeline) at the served depth, with no bid terms as the
+// replicas have none, over the run's own ranking (rewrite.ResultSource)
+// must give the served texts and scores.
 func TestGatewayAnswersEqualColdBuild(t *testing.T) {
 	env := newTestEnv(t)
 	cfg := env.config()
@@ -67,8 +73,9 @@ func TestGatewayAnswersEqualColdBuild(t *testing.T) {
 		t.Fatal("gateway pinned no generation over the base snapshot")
 	}
 
-	clean := 0
-	foldAgainstColdBuilds(t, env, c, func(fold int, diff *partition.Diff, coldPath string) {
+	clean, recomputed := 0, 0
+	depth := serve.DefaultServerConfig().DefaultTop
+	foldAgainstColdBuilds(t, env, c, func(fold int, diff *partition.Diff, run *core.Result, coldPath string) {
 		clean += diff.CleanShards
 		cold, err := serve.OpenSnapshot(coldPath)
 		if err != nil {
@@ -76,6 +83,9 @@ func TestGatewayAnswersEqualColdBuild(t *testing.T) {
 		}
 		defer cold.Close()
 		reference := serve.NewServer(cold, serve.DefaultServerConfig()).Handler()
+		pipe := rewrite.NewPipeline(run.Graph, nil)
+		pipe.MaxRewrites = depth
+		src := &rewrite.ResultSource{Index: run}
 		gw.ProbeAll(context.Background())
 		if got, want := gw.Pinned(), cold.Meta().Fingerprint; got != want {
 			t.Fatalf("fold %d: gateway pinned to generation %q, the cold build is %q", fold, got, want)
@@ -86,13 +96,15 @@ func TestGatewayAnswersEqualColdBuild(t *testing.T) {
 			body           []byte
 		}
 		var (
-			reads []read
-			batch serve.BatchRequest
+			reads    []read
+			batch    serve.BatchRequest
+			rewrites = make(map[string]int) // a /rewrite read's target → its query
 		)
 		for _, sh := range diff.Plan.Shards {
 			for _, q := range sh.Queries {
 				name := url.QueryEscape(cold.Query(q))
 				reads = append(reads, read{"GET", "/similar?q=" + name, nil}, read{"GET", "/rewrite?q=" + name, nil})
+				rewrites["/rewrite?q="+name] = q
 				batch.Queries = append(batch.Queries, cold.Query(q))
 			}
 			for _, a := range sh.Ads {
@@ -116,9 +128,44 @@ func TestGatewayAnswersEqualColdBuild(t *testing.T) {
 				t.Fatalf("fold %d: %s %s through the gateway = %d %q, the cold build's server = %d %q",
 					fold, rd.method, rd.target, got.Code, got.Body, want.Code, want.Body)
 			}
+			if q, ok := rewrites[rd.target]; ok {
+				recomputed += checkRewrite(t, fold, pipe, src, q, got.Body.Bytes())
+			}
 		}
 	})
 	if clean == 0 {
 		t.Fatal("no fold left a shard clean; the copied segments went unread")
 	}
+	if recomputed == 0 {
+		t.Fatal("every recomputed /rewrite list was empty")
+	}
+}
+
+// checkRewrite holds a served /rewrite body for query q to the list pipe
+// filters from src: the same texts with the same scores, in order. It
+// returns the list's length.
+func checkRewrite(t *testing.T, fold int, pipe *rewrite.Pipeline, src rewrite.Source, q int, body []byte) int {
+	t.Helper()
+	var served struct {
+		Rewrites []struct {
+			Text  string  `json:"text"`
+			Score float64 `json:"score"`
+		} `json:"rewrites"`
+	}
+	if err := json.Unmarshal(body, &served); err != nil {
+		t.Fatalf("fold %d: /rewrite for %q: %v", fold, pipe.Graph.Query(q), err)
+	}
+	want, err := pipe.Rewrite(src, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	match := len(served.Rewrites) == len(want)
+	for i := 0; match && i < len(want); i++ {
+		match = served.Rewrites[i].Text == want[i].Text && served.Rewrites[i].Score == want[i].Score
+	}
+	if !match {
+		t.Fatalf("fold %d: /rewrite for %q served %+v, the pipeline over the cold run gives %+v",
+			fold, pipe.Graph.Query(q), served.Rewrites, want)
+	}
+	return len(want)
 }

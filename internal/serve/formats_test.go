@@ -101,17 +101,13 @@ func TestFormatGoldenSnapshot(t *testing.T) {
 // partition.Fingerprint hashed them when the golden was written.
 const wantShardFingerprints = "0dab0f1dccecf775 5781c7945c81c123"
 
-// TestFormatGoldenManifest decodes the manifest that journals the golden
-// snapshot as generation 1 and checks it against that file.
+// TestFormatGoldenManifest decodes the manifests that journal the golden
+// snapshot as generation 1 and checks each against that file: the v1
+// manifest records its whole-file CRC32, the v2 manifest its header CRC
+// (file bytes [196,200)). In a journal, the v1 entry is listed but never
+// verifies, so Adopt journals the same file again under a v2 manifest;
+// the v2 entry verifies.
 func TestFormatGoldenManifest(t *testing.T) {
-	buf, err := os.ReadFile(formatGolden("gen-00000001.mf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := decodeManifest(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	snapBytes, err := os.ReadFile(formatGolden("fig3.v3.snap"))
 	if err != nil {
 		t.Fatal(err)
@@ -120,10 +116,55 @@ func TestFormatGoldenManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.ID != 1 || g.Size != int64(len(snapBytes)) || g.CRC != crc32.ChecksumIEEE(snapBytes) ||
-		g.Fingerprint != fp || g.DirtyShards != dirty || dirty != -1 || g.CreatedAt.Year() < 2024 {
-		js, _ := json.Marshal(g)
-		t.Fatalf("manifest decodes to %s; want generation 1 of the %d-byte golden snapshot (crc %08x, fingerprint %016x, full build)",
-			js, len(snapBytes), crc32.ChecksumIEEE(snapBytes), fp)
+	for _, c := range []struct {
+		name    string
+		wantCRC uint32
+	}{
+		{"gen-00000001.mf", crc32.ChecksumIEEE(snapBytes)},
+		{"gen-00000001.v2.mf", headerCRC(snapBytes)},
+	} {
+		buf, err := os.ReadFile(formatGolden(c.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := decodeManifest(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if g.ID != 1 || g.Size != int64(len(snapBytes)) || g.CRC != c.wantCRC ||
+			g.Fingerprint != fp || g.DirtyShards != dirty || dirty != -1 || g.CreatedAt.Year() < 2024 {
+			js, _ := json.Marshal(g)
+			t.Fatalf("%s decodes to %s; want generation 1 of the %d-byte golden snapshot (crc %08x, fingerprint %016x, full build)",
+				c.name, js, len(snapBytes), c.wantCRC, fp)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "scores.snap")
+	gs := NewGenerationStore(path)
+	if err := os.MkdirAll(gs.dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct{ path, golden string }{
+		{path, "fig3.v3.snap"}, {gs.snapName(1), "fig3.v3.snap"}, {gs.manifName(1), "gen-00000001.mf"},
+	} {
+		if err := os.WriteFile(f.path, readFile(t, formatGolden(f.golden)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g, err := gs.LastGood(); err == nil {
+		t.Fatalf("LastGood() = generation %d of a journal holding only a v1 manifest", g.ID)
+	}
+	if g, err := gs.Adopt(); err != nil || g.ID != 2 {
+		t.Fatalf("Adopt() over a v1 journal = %+v, %v; want generation 2", g, err)
+	}
+	if err := os.WriteFile(gs.manifName(1), readFile(t, formatGolden("gen-00000001.v2.mf")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gens, err := gs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gens) != 2 || gs.verify(&gens[0]) != nil || gs.verify(&gens[1]) != nil {
+		t.Fatalf("List() = %+v; want generations 1 (the v2 golden) and 2, both verifying", gens)
 	}
 }

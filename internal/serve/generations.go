@@ -1,9 +1,9 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -19,9 +19,9 @@ import (
 // -refresh`. Every refresh journals its output as a numbered generation
 // beside the serving snapshot — the snapshot bytes plus a small CRC'd
 // manifest recording the generation id, the source-graph fingerprint,
-// and a whole-file hash — before atomically re-pointing the serving
-// path at it. Because the serving file is only ever replaced by an
-// atomic rename and the last three generations stay journaled, a torn
+// and the snapshot's size and header CRC — before atomically re-pointing
+// the serving path at it. Because the serving file is only ever replaced
+// by an atomic rename and the last three generations stay journaled, a torn
 // write, a bad disk, or a refresh crashed at any instant leaves the
 // previous generation intact and re-installable: `simrank -rollback`
 // (or the next refresh, when the serving file no longer opens) verifies
@@ -40,18 +40,23 @@ import (
 // Manifest format (a 56-byte internal/frame frame): magic "SRPPMANI",
 // format version, generation id, source fingerprint (XOR of the
 // snapshot's shard subgraph fingerprints — ties the generation to the
-// click graph it was computed from), CRC32 of the complete snapshot
-// file, snapshot size, creation time and the refresh's dirty-shard
-// count. A generation is "good" only when its manifest opens, its
-// snapshot file matches the recorded size and hash, and the snapshot
-// header opens.
+// click graph it was computed from), the sealed CRC of the snapshot's
+// header, snapshot size, creation time and the refresh's dirty-shard
+// count. The header CRC is the root of the snapshot's CRC tree: it
+// covers the string, route and directory CRCs, and through the directory
+// every segment and top-k blob CRC, so with the size it names the file.
+// A generation is "good" only when its manifest opens, its snapshot file
+// has the recorded size and header CRC, and the snapshot opens and
+// verifies end to end (PreloadAll). Version 1 manifests recorded a
+// whole-file CRC32 in that field; they still decode, so Prune retires
+// them, but never verify.
 //
 // Every journal write lands (LandFile) before the next step depends on
 // it, so a power loss cannot leave a manifest naming bytes that never
 // reached the disk, nor a serving path older than a fold acknowledged.
 const (
 	manifestMagic   = "SRPPMANI"
-	manifestVersion = 1
+	manifestVersion = 2
 	genSnapSuffix   = ".snap"
 	genManifSuffix  = ".mf"
 	// keepGenerations is how many generations Prune retains.
@@ -65,15 +70,19 @@ var errCrashInjected = errors.New("serve: injected crash")
 
 // Generation describes one journaled snapshot generation.
 type Generation struct {
-	ID          uint64    `json:"id"`
-	SnapPath    string    `json:"snap_path"`
-	Fingerprint uint64    `json:"fingerprint"`
-	CRC         uint32    `json:"crc32"`
-	Size        int64     `json:"size"`
-	CreatedAt   time.Time `json:"created_at"`
+	ID          uint64 `json:"id"`
+	SnapPath    string `json:"snap_path"`
+	Fingerprint uint64 `json:"fingerprint"`
+	// CRC is the snapshot's sealed header CRC (file bytes [196,200)); a
+	// version 1 manifest holds a whole-file CRC32 here.
+	CRC       uint32    `json:"crc32"`
+	Size      int64     `json:"size"`
+	CreatedAt time.Time `json:"created_at"`
 	// DirtyShards is the producing refresh's dirty-shard count; -1 for a
 	// full build (or an adopted pre-store snapshot).
 	DirtyShards int `json:"dirty_shards"`
+	// v1 marks a version 1 manifest, whose CRC is a whole-file CRC32.
+	v1 bool
 }
 
 // GenerationStore manages the journaled generations beside one serving
@@ -141,12 +150,12 @@ func decodeManifest(buf []byte) (Generation, error) {
 	}
 	version := d.U32()
 	g := Generation{ID: d.U64(), Fingerprint: d.U64(), CRC: d.U32(), Size: int64(d.U64()),
-		CreatedAt: time.Unix(int64(d.U64()), 0).UTC()}
+		CreatedAt: time.Unix(int64(d.U64()), 0).UTC(), v1: version == 1}
 	dirty := d.U32()
 	if err := d.Done(); err != nil {
 		return Generation{}, fmt.Errorf("serve: manifest: %w", err)
 	}
-	if version != manifestVersion {
+	if version != 1 && version != manifestVersion {
 		return Generation{}, fmt.Errorf("serve: unsupported manifest version %d (want %d)", version, manifestVersion)
 	}
 	g.DirtyShards = int(dirty)
@@ -220,19 +229,38 @@ func (gs *GenerationStore) sweepDebris() (int, error) {
 	return temps + orphans + serving, err
 }
 
-// fileCRC hashes a whole file.
-func fileCRC(path string) (uint32, int64, error) {
+// snapshotIdentity reads a snapshot file's identity from its 200-byte
+// header frame alone: the header's sealed CRC, the root of the file's CRC
+// tree, and the file's size.
+func snapshotIdentity(path string) (crc uint32, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	h := crc32.NewIEEE()
-	n, err := io.Copy(h, f)
+	st, err := f.Stat()
 	if err != nil {
 		return 0, 0, err
 	}
-	return h.Sum32(), n, nil
+	hdr := make([]byte, headerSize)
+	if _, err := f.ReadAt(hdr, 0); err != nil {
+		return 0, 0, fmt.Errorf("serve: reading snapshot header: %w", err)
+	}
+	if _, err := frame.Open(hdr, snapshotMagic); err != nil {
+		return 0, 0, fmt.Errorf("serve: snapshot header: %w", err)
+	}
+	return binary.LittleEndian.Uint32(hdr[headerSize-4:]), st.Size(), nil
+}
+
+// verifySnapshot opens the snapshot at path and checks every score
+// segment and top-k blob against its directory CRC.
+func verifySnapshot(path string) error {
+	snap, err := OpenSnapshot(path)
+	if err != nil {
+		return err
+	}
+	defer snap.Close()
+	return snap.PreloadAll()
 }
 
 // snapshotFingerprint opens a snapshot header and returns its
@@ -259,17 +287,18 @@ func (gs *GenerationStore) writeManifest(g *Generation) error {
 }
 
 // Adopt journals the currently-served snapshot as a generation if no
-// good generation already matches its bytes, so the very first refresh
-// under generation management has a rollback target: the pre-refresh
-// state itself. Returns the matching or newly-created generation, or
-// (nil, nil) when no serving file exists yet.
+// generation already records its identity (size and header CRC, read
+// from its header alone), so the very first refresh under generation
+// management has a rollback target: the pre-refresh state itself.
+// Returns the matching or newly-created generation, or (nil, nil) when no
+// serving file exists yet.
 func (gs *GenerationStore) Adopt() (*Generation, error) {
-	crc, size, err := fileCRC(gs.path)
+	crc, size, err := snapshotIdentity(gs.path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: current snapshot %s is not adoptable: %w", gs.path, err)
 	}
 	gens, err := gs.List()
 	if err != nil {
@@ -290,11 +319,11 @@ func (gs *GenerationStore) Adopt() (*Generation, error) {
 	})
 }
 
-// holding returns the newest of gens whose manifest records a file of
-// the given whole-file hash and size, or nil.
+// holding returns the newest of gens whose version 2 manifest records a
+// file of the given header CRC and size, or nil.
 func holding(gens []Generation, crc uint32, size int64) *Generation {
 	for i := len(gens) - 1; i >= 0; i-- {
-		if gens[i].CRC == crc && gens[i].Size == size {
+		if !gens[i].v1 && gens[i].CRC == crc && gens[i].Size == size {
 			return &gens[i]
 		}
 	}
@@ -302,24 +331,22 @@ func holding(gens []Generation, crc uint32, size int64) *Generation {
 }
 
 // Commit journals a new generation: write fills a temp file in the
-// journal directory in place and returns the CRC32 of what it wrote (the
-// manifest's whole-file hash); the file lands at its gen-N name
-// (LandFile), then a manifest describes it. checkpoint, when non-nil, is
-// called at "commit:mid-write", once the first bytes are in the temp, and
-// its error is a crash there. A crash at any instant leaves either
+// journal directory in place; the file lands at its gen-N name
+// (LandFile), then a manifest records its size and header CRC.
+// checkpoint, when non-nil, is called at "commit:mid-write", once the
+// first bytes are in the temp, and its error is a crash there. A crash at any instant leaves either
 // nothing, an unreferenced temp (swept later), or a snapshot without a
 // manifest (never trusted) — previous generations and the serving path
 // are untouched.
-func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write func(io.WriterAt) (uint32, error), checkpoint func(stage string) error) (*Generation, error) {
+func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write func(io.WriterAt) error, checkpoint func(stage string) error) (*Generation, error) {
 	gens, err := gs.List()
 	if err != nil {
 		return nil, err
 	}
 	g := &Generation{Fingerprint: fingerprint, DirtyShards: dirtyShards}
 	return gs.install(gens, g, func(path string) error {
-		err := LandFile(path, func(w *TempFile) (err error) {
-			g.CRC, err = write(w)
-			return err
+		err := LandFile(path, func(w *TempFile) error {
+			return write(w)
 		}, func(stage string) error {
 			if err := gs.crash("commit:" + stage); err != nil || stage != "mid-write" || checkpoint == nil {
 				return err
@@ -329,10 +356,7 @@ func (gs *GenerationStore) Commit(dirtyShards int, fingerprint uint64, write fun
 		if err != nil {
 			return err
 		}
-		st, err := os.Stat(path)
-		if err == nil {
-			g.Size = st.Size()
-		}
+		g.CRC, g.Size, err = snapshotIdentity(path)
 		return err
 	})
 }
@@ -372,22 +396,23 @@ func (gs *GenerationStore) Publish(g *Generation) error {
 }
 
 // verify re-checks a generation end to end: manifest already checksummed
-// by List, so this validates the snapshot bytes against it (size, whole-
-// file hash) and opens the header. It is what "last good" means.
+// by List, so this checks the snapshot's size and header CRC against it,
+// then every segment and top-k blob against the directory CRCs the header
+// seals. It is what "last good" means. A version 1 manifest never
+// verifies: its CRC field is a whole-file CRC32.
 func (gs *GenerationStore) verify(g *Generation) error {
-	crc, size, err := fileCRC(g.SnapPath)
+	if g.v1 {
+		return fmt.Errorf("serve: generation %d has a version 1 manifest (a whole-file CRC), which does not verify", g.ID)
+	}
+	crc, size, err := snapshotIdentity(g.SnapPath)
 	if err != nil {
 		return err
 	}
 	if size != g.Size || crc != g.CRC {
-		return fmt.Errorf("serve: generation %d snapshot does not match its manifest (size %d vs %d, crc %08x vs %08x)",
+		return fmt.Errorf("serve: generation %d snapshot does not match its manifest (size %d vs %d, header crc %08x vs %08x)",
 			g.ID, size, g.Size, crc, g.CRC)
 	}
-	snap, err := OpenSnapshot(g.SnapPath)
-	if err != nil {
-		return err
-	}
-	return snap.Close()
+	return verifySnapshot(g.SnapPath)
 }
 
 // LastGood returns the newest generation that verifies end to end.
@@ -414,19 +439,21 @@ func (gs *GenerationStore) newestGood(gens []Generation, before *Generation) *Ge
 }
 
 // Rollback re-points the serving path at the last good generation
-// before the one currently served, identified by whole-file hash: the
-// operator's "this generation is bad, give me the previous one". When the
-// serving file is corrupt or missing (matches no journaled generation),
-// it restores the newest good generation instead. Returns the generation
-// now serving.
+// before the one currently served, identified by size and header CRC:
+// the operator's "this generation is bad, give me the previous one".
+// When the serving file is missing, matches no journaled generation or
+// does not verify end to end, it restores the newest good generation
+// instead. Returns the generation now serving.
 func (gs *GenerationStore) Rollback() (*Generation, error) {
 	gens, err := gs.List()
 	if err != nil {
 		return nil, err
 	}
 	var cur *Generation
-	if crc, size, err := fileCRC(gs.path); err == nil {
-		cur = holding(gens, crc, size)
+	if crc, size, err := snapshotIdentity(gs.path); err == nil {
+		if cur = holding(gens, crc, size); cur != nil && verifySnapshot(gs.path) != nil {
+			cur = nil
+		}
 	}
 	g := gs.newestGood(gens, cur)
 	if g == nil && cur != nil {

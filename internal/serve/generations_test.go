@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -74,18 +75,24 @@ func commitAndPublish(gs *GenerationStore, fx genFixture) (*Generation, error) {
 // assembler writes regions at their offsets — which is also what arms the
 // mid-write (torn second write) crash.
 func commitPublishBytes(gs *GenerationStore, data []byte, fp uint64) (*Generation, error) {
-	g, err := gs.Commit(1, fp, func(w io.WriterAt) (uint32, error) {
+	g, err := gs.Commit(1, fp, func(w io.WriterAt) error {
 		half := len(data) / 2
 		if _, werr := w.WriteAt(data[half:], int64(half)); werr != nil {
-			return 0, werr
+			return werr
 		}
 		_, werr := w.WriteAt(data[:half], 0)
-		return crc32.ChecksumIEEE(data), werr
+		return werr
 	}, nil)
 	if err != nil {
 		return nil, err
 	}
 	return g, gs.Publish(g)
+}
+
+// headerCRC is a snapshot's sealed header CRC, the identity a manifest
+// records.
+func headerCRC(snap []byte) uint32 {
+	return binary.LittleEndian.Uint32(snap[headerSize-4 : headerSize])
 }
 
 func readFile(t *testing.T, path string) []byte {
@@ -206,9 +213,9 @@ func TestGenerationCrashAtEveryCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("no good generation after crash at %s: %v", stage, err)
 			}
-			wantCRC := crc32.ChecksumIEEE(fx.gen1)
+			wantCRC := headerCRC(fx.gen1)
 			if stage == "publish:pre-rename" {
-				wantCRC = crc32.ChecksumIEEE(fx.gen2)
+				wantCRC = headerCRC(fx.gen2)
 			}
 			if lg.CRC != wantCRC {
 				t.Fatalf("LastGood after crash at %s = generation %d (crc %08x), want crc %08x",
@@ -258,8 +265,8 @@ func TestGenerationCrashAtEveryCheckpoint(t *testing.T) {
 // instead of the two-chunk stub: half the shards dirty, several shard
 // workers writing the journal temp in place when the first write's hook
 // kills the commit. The serving file is untouched, the torn temp is swept
-// by the next lock, and the next refresh completes and journals the CRC
-// of the file it published.
+// by the next lock, and the next refresh completes and journals the
+// header CRC of the file it published.
 func crashMidWriteRefresh(t *testing.T, fx genFixture) {
 	path, gs, adopted := servingDir(t, fx)
 	churned := refreshGraph(t, [4]int{9, 7, 3, 4})
@@ -300,7 +307,7 @@ func crashMidWriteRefresh(t *testing.T, fx genFixture) {
 	if out.Published == nil || out.Published.ID <= adopted.ID {
 		t.Fatalf("refresh after the crash published %+v", out.Published)
 	}
-	crc, size, err := fileCRC(path)
+	crc, size, err := snapshotIdentity(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,6 +586,104 @@ func TestGenerationLastGoodSkipsCorrupt(t *testing.T) {
 	}
 }
 
+// TestGenerationAdoptedDamageNeverGood: a serving file whose header
+// still seals but one of whose score segments or top-k blobs has a
+// flipped byte is adopted (Adopt reads the header alone), and LastGood
+// never returns it: "good" is verified end to end, through the directory
+// CRCs the header seals.
+func TestGenerationAdoptedDamageNeverGood(t *testing.T) {
+	fx := buildGenFixture(t)
+	snap, err := NewSnapshot(bytes.NewReader(fx.gen1), int64(len(fx.gen1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := snap.dir[0]
+	if e.qPairs == 0 || e.tkLen == 0 {
+		t.Fatalf("shard 0 holds %d query pairs and a %d-byte top-k blob; the fixture needs both", e.qPairs, e.tkLen)
+	}
+	for _, c := range []struct {
+		side string
+		at   uint64
+	}{{"query segment", e.qOff + pairRecordSize/2}, {"topk blob", e.tkOff + e.tkLen - 1}} {
+		t.Run(c.side, func(t *testing.T) {
+			damaged := bytes.Clone(fx.gen1)
+			damaged[c.at] ^= 0x40
+			path := filepath.Join(t.TempDir(), "scores.snap")
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			gs := NewGenerationStore(path)
+			g, err := gs.Adopt()
+			if err != nil || g == nil || g.ID != 1 {
+				t.Fatalf("Adopt() = %+v, %v; want generation 1", g, err)
+			}
+			if lg, err := gs.LastGood(); err == nil {
+				t.Fatalf("LastGood() = generation %d, whose %s has a flipped byte", lg.ID, c.side)
+			}
+		})
+	}
+}
+
+// TestGenerationHeaderNamesTheFile: a file with generation 1's body but
+// a different header (its generated_at moved and the header resealed) is
+// another generation. The header's own CRC trails it, so a CRC over the
+// whole file cannot tell the two apart; the header CRC does. Adopt
+// journals it as generation 2, and Rollback restores generation 1's
+// bytes.
+func TestGenerationHeaderNamesTheFile(t *testing.T) {
+	fx := buildGenFixture(t)
+	path, gs, adopted := servingDir(t, fx)
+	moved := bytes.Clone(fx.gen1)
+	binary.LittleEndian.PutUint64(moved[128:136], binary.LittleEndian.Uint64(moved[128:136])+1) // generated_at
+	binary.LittleEndian.PutUint32(moved[headerSize-4:], crc32.ChecksumIEEE(moved[:headerSize-4]))
+	if crc32.ChecksumIEEE(moved) != crc32.ChecksumIEEE(fx.gen1) || headerCRC(moved) == headerCRC(fx.gen1) {
+		t.Fatal("the resealed file should share generation 1's whole-file CRC and differ in its header CRC")
+	}
+	renameOver(t, path, moved)
+
+	g, err := gs.Adopt()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.ID != adopted.ID+1 {
+		t.Fatalf("Adopt() = generation %d, want %d (a new header is a new generation)", g.ID, adopted.ID+1)
+	}
+	rb, err := gs.Rollback()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.ID != adopted.ID || !bytes.Equal(readFile(t, path), fx.gen1) {
+		t.Fatalf("Rollback() restored generation %d, want %d with its bytes", rb.ID, adopted.ID)
+	}
+}
+
+// TestGenerationRollbackRepairsDamagedServing: a serving file with
+// generation 2's header but a flipped segment byte (a damaged copy
+// renamed over the path) is not generation 2 to Rollback, which restores
+// the newest good generation, 2 itself, instead of stepping back to 1.
+func TestGenerationRollbackRepairsDamagedServing(t *testing.T) {
+	fx := buildGenFixture(t)
+	path, gs, _ := servingDir(t, fx)
+	g2, err := commitAndPublish(gs, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := NewSnapshot(bytes.NewReader(fx.gen2), int64(len(fx.gen2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := bytes.Clone(fx.gen2)
+	damaged[snap.dir[0].qOff+pairRecordSize/2] ^= 0x40
+	renameOver(t, path, damaged)
+	rb, err := gs.Rollback()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.ID != g2.ID || !bytes.Equal(readFile(t, path), fx.gen2) {
+		t.Fatalf("Rollback() restored generation %d, want %d with its bytes", rb.ID, g2.ID)
+	}
+}
+
 // TestGenerationPrune: only the newest keep generations survive, and
 // pruning never touches the serving file.
 func TestGenerationPrune(t *testing.T) {
@@ -597,9 +702,9 @@ func TestGenerationPrune(t *testing.T) {
 	}
 	// A third generation (back to gen1 content — content may repeat, ids
 	// must not).
-	g3, err := gs.Commit(1, fx.fp1, func(w io.WriterAt) (uint32, error) {
+	g3, err := gs.Commit(1, fx.fp1, func(w io.WriterAt) error {
 		_, werr := w.WriteAt(fx.gen1, 0)
-		return crc32.ChecksumIEEE(fx.gen1), werr
+		return werr
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -333,7 +333,7 @@ func TestShardSegmentsMatchStandaloneRuns(t *testing.T) {
 			// copies the clean ones: every shard still equals its
 			// standalone run.
 			var rbuf imageBuffer
-			if _, _, err := assembleRefresh(&rbuf, prev, run, nil); err != nil {
+			if _, err := assembleRefresh(&rbuf, prev, run, nil); err != nil {
 				t.Fatal(err)
 			}
 			next, err := NewSnapshot(bytes.NewReader(rbuf.Bytes()), int64(rbuf.Len()))

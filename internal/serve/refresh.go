@@ -80,12 +80,11 @@ func refreshTopK(prev *Snapshot, bids map[string]bool) (topkMeta, error) {
 }
 
 // assembleRefresh writes the next snapshot generation from runDirty's
-// run through the assembler a full build uses, and returns the file's
-// CRC32: run is the engine run over the projected refresh plan
-// (partition.DiffPlans), which it records (run.Plan); its dirty shards
-// are encoded from the stitched frontiers, and the shards it skipped have
-// their segments byte-copied from prev, verified against the directory
-// CRCs, under a fingerprint guard. The precomputed rewrite section
+// run through the assembler a full build uses: run is the engine run over
+// the projected refresh plan (partition.DiffPlans), which it records
+// (run.Plan); its dirty shards are encoded from the stitched frontiers,
+// and the shards it skipped have their segments byte-copied from prev,
+// verified against the directory CRCs, under a fingerprint guard. The precomputed rewrite section
 // follows the same split at the depth recorded in prev's header: dirty
 // shards' blobs are rebuilt from their segment bytes, clean shards' blobs
 // are byte-copied — valid for the same reason segment copies are: a blob
@@ -94,10 +93,10 @@ func refreshTopK(prev *Snapshot, bids map[string]bool) (topkMeta, error) {
 // same bid-term set prev's section was built with (compared by hash);
 // pass nil when prev carries no section. The new generation records
 // prev's run configuration, the one its dirty shards ran under.
-func assembleRefresh(w io.WriterAt, prev *Snapshot, run *core.Result, bids map[string]bool) (RefreshStats, uint32, error) {
+func assembleRefresh(w io.WriterAt, prev *Snapshot, run *core.Result, bids map[string]bool) (RefreshStats, error) {
 	tk, err := refreshTopK(prev, bids)
 	if err != nil {
-		return RefreshStats{}, 0, err
+		return RefreshStats{}, err
 	}
 	dirtyShards := 0
 	for _, st := range run.ShardStats {
@@ -177,9 +176,9 @@ func Refresh(ctx context.Context, gs *GenerationStore, g *clickgraph.Graph, work
 	if err := checkpoint("pre-commit"); err != nil {
 		return res, err
 	}
-	gen, err := gs.Commit(diff.DirtyShards, diff.Plan.Fingerprint(), func(w io.WriterAt) (crc uint32, err error) {
-		res.Stats, crc, err = assembleRefresh(w, prev, run, bids)
-		return crc, err
+	gen, err := gs.Commit(diff.DirtyShards, diff.Plan.Fingerprint(), func(w io.WriterAt) (err error) {
+		res.Stats, err = assembleRefresh(w, prev, run, bids)
+		return err
 	}, checkpoint)
 	if err != nil {
 		return res, fmt.Errorf("serve: refresh: journal commit: %w", err)

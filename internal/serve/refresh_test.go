@@ -108,7 +108,7 @@ func refreshBytes(t *testing.T, g *clickgraph.Graph, prev *Snapshot) (*core.Resu
 	t.Helper()
 	run, diff := runStep(t, g, prev, 3)
 	var buf imageBuffer
-	st, _, err := assembleRefresh(&buf, prev, run, nil)
+	st, err := assembleRefresh(&buf, prev, run, nil)
 	if err != nil {
 		t.Fatalf("assembleRefresh: %v", err)
 	}
@@ -247,7 +247,7 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 		t.Fatalf("step 1 saw %d new queries, want 1", diff1.NewQueries)
 	}
 	var buf1 imageBuffer
-	if _, _, err := assembleRefresh(&buf1, prev, run1, nil); err != nil {
+	if _, err := assembleRefresh(&buf1, prev, run1, nil); err != nil {
 		t.Fatalf("step 1 assembleRefresh: %v", err)
 	}
 	snap1, err := NewSnapshot(bytes.NewReader(buf1.Bytes()), int64(buf1.Len()))
@@ -269,7 +269,7 @@ func TestRefreshNewNodesAndChain(t *testing.T) {
 		t.Fatalf("island did not append a shard: %d shards from %d", len(diff2.Plan.Shards), snap1.NumShards())
 	}
 	var buf2 imageBuffer
-	st2, _, err := assembleRefresh(&buf2, snap1, run2, nil)
+	st2, err := assembleRefresh(&buf2, snap1, run2, nil)
 	if err != nil {
 		t.Fatalf("step 2 assembleRefresh: %v", err)
 	}
@@ -347,7 +347,7 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 			for _, width := range []int{1, 2, 4} {
 				run, d := runStep(t, churned, prev, width)
 				var buf imageBuffer
-				st, _, err := assembleRefresh(&buf, prev, run, bids)
+				st, err := assembleRefresh(&buf, prev, run, bids)
 				if err != nil {
 					t.Fatalf("width %d: assembleRefresh: %v", width, err)
 				}
@@ -389,7 +389,7 @@ func TestRefreshFixedIterationsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			var allDirty imageBuffer
-			if _, _, err := assembleRefresh(&allDirty, prev, allRes, bids); err != nil {
+			if _, err := assembleRefresh(&allDirty, prev, allRes, bids); err != nil {
 				t.Fatal(err)
 			}
 			for name, got := range map[string][]byte{"refreshed": got, "all-dirty": allDirty.Bytes()} {

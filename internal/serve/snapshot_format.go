@@ -113,9 +113,8 @@ type SnapshotMeta struct {
 	Fingerprint string `json:"fingerprint"`
 	// RewriteTopK is the depth of the precomputed per-query rewrite lists
 	// (0 when the snapshot carries no top-k section); RewriteTopN is the
-	// candidate-pool size those lists were filtered from — a serving
-	// pipeline whose effective pool differs must fall back to live
-	// scoring for byte-identity.
+	// candidate-pool size those lists were filtered from, which a refresh
+	// keeps so its rebuilt lists match the copied ones.
 	RewriteTopK int `json:"rewrite_topk"`
 	RewriteTopN int `json:"rewrite_topn,omitempty"`
 	// RewriteBidHash is the order-independent hash of the bid-term set

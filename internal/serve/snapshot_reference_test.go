@@ -248,10 +248,9 @@ func diffOutsideGenerationStamp(got, want []byte) int {
 // byte-equal to the sequential reference's under the same generation
 // stamp: full builds over WholePlan, an exact component plan and an
 // ACL-carved plan, with a sparse, an empty and no bid list and with no
-// top-k section, and a refresh mixing clean and dirty shards. The
-// writer's returned CRC must be the whole file's, and a file written
-// through WriteSnapshotFileTopK must equal the reference outside the
-// generated-at stamp and the header CRC.
+// top-k section, and a refresh mixing clean and dirty shards. A file
+// written through WriteSnapshotFileTopK must equal the reference outside
+// the generated-at stamp and the header CRC.
 func TestSnapshotWriterMatchesReference(t *testing.T) {
 	g := handoffGraph(t)
 	plans := handoffPlans(t, g)
@@ -279,15 +278,12 @@ func TestSnapshotWriterMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got imageBuffer
-			_, crc, err := assembleSnapshot(&got, res, res.Config, nil, opts.meta(), opts.BidTerms, gen)
+			_, err := assembleSnapshot(&got, res, res.Config, nil, opts.meta(), opts.BidTerms, gen)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), ref.Bytes()) {
 				t.Fatalf("%s: in-place file differs from the reference at byte %d of %d", label, diffOutsideGenerationStamp(got.Bytes(), ref.Bytes()), ref.Len())
-			}
-			if want := crc32.ChecksumIEEE(got.Bytes()); crc != want {
-				t.Fatalf("%s: combined CRC %08x, the file's %08x", label, crc, want)
 			}
 
 			path := filepath.Join(t.TempDir(), "s.snap")
@@ -330,7 +326,7 @@ func TestSnapshotWriterMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got imageBuffer
-	st, crc, err := assembleSnapshot(&got, run, prev.Config(), prev, opts.meta(), bids, gen)
+	st, err := assembleSnapshot(&got, run, prev.Config(), prev, opts.meta(), bids, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,39 +336,9 @@ func TestSnapshotWriterMatchesReference(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), ref.Bytes()) {
 		t.Fatalf("refresh: in-place file differs from the reference at byte %d", diffOutsideGenerationStamp(got.Bytes(), ref.Bytes()))
 	}
-	if want := crc32.ChecksumIEEE(got.Bytes()); crc != want {
-		t.Fatalf("refresh: combined CRC %08x, the file's %08x", crc, want)
-	}
 	// The graph did not change, so past the header the refresh is the
 	// full build again.
 	if !bytes.Equal(got.Bytes()[headerSize:], base.Bytes()[headerSize:]) {
 		t.Fatal("refresh of an unchanged graph differs from its full build past the header")
-	}
-}
-
-// TestCRC32Combine holds crc32Combine to the CRC of the concatenation,
-// empty parts included.
-func TestCRC32Combine(t *testing.T) {
-	data := make([]byte, 1<<16+3)
-	for i := range data {
-		data[i] = byte(i*131 + i>>7)
-	}
-	cuts := [][]int{{0}, {len(data)}, {0, 0}, {1}, {7, 7, 4096}, {100, 1 << 15, 1<<15 + 1, 1 << 16}}
-	for _, c := range cuts {
-		crc, prevCut := uint32(0), 0
-		for _, cut := range append(c, len(data)) {
-			part := data[prevCut:cut]
-			crc = crc32Combine(crc, crc32.ChecksumIEEE(part), int64(len(part)))
-			prevCut = cut
-		}
-		if want := crc32.ChecksumIEEE(data); crc != want {
-			t.Errorf("cuts %v: combined %08x, whole %08x", c, crc, want)
-		}
-	}
-	if got := crc32Combine(crc32.ChecksumIEEE([]byte("abc")), 0, 0); got != crc32.ChecksumIEEE([]byte("abc")) {
-		t.Errorf("combining an empty part changed the CRC")
-	}
-	if got, want := crc32Combine(0, crc32.ChecksumIEEE([]byte("xyz")), 3), crc32.ChecksumIEEE([]byte("xyz")); got != want {
-		t.Errorf("an empty prefix: %08x, want %08x", got, want)
 	}
 }

@@ -75,7 +75,7 @@ func WriteSnapshotTopK(w io.WriterAt, res *core.Result, opts TopKOptions) error 
 			return fmt.Errorf("serve: shard %d has no scores (partial refresh run?); a refresh completes it", i)
 		}
 	}
-	_, _, err := assembleSnapshot(w, res, res.Config, nil, opts.meta(), opts.BidTerms, genInfo{
+	_, err := assembleSnapshot(w, res, res.Config, nil, opts.meta(), opts.BidTerms, genInfo{
 		iterations:  res.Iterations,
 		converged:   res.Converged,
 		generatedAt: time.Now(),
@@ -111,17 +111,16 @@ type shardPart struct {
 // at the shard's offset and builds its top-k blob from the query bytes
 // still in cache; a clean shard's task writes prev's bytes, verified
 // while the layout was sized. Meanwhile this goroutine builds and writes
-// the string table and route map. The
-// blobs, the directory and the header go last, so a file cut short has no
-// header. It returns the CRC32 of the whole file, combined from the
-// region CRCs it computed, with no second read. Byte counters cover score
-// segments only.
-func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Snapshot, tk topkMeta, bids map[string]bool, gen genInfo) (RefreshStats, uint32, error) {
+// the string table and route map. The blobs, the directory and the header
+// go last, so a file cut short has no header; the header's sealed CRC
+// covers the section and directory CRCs, so it names the whole file.
+// Byte counters cover score segments only.
+func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Snapshot, tk topkMeta, bids map[string]bool, gen genInfo) (RefreshStats, error) {
 	var st RefreshStats
 	g, shards := run.Graph, run.Plan.Shards
 	nq, na := g.NumQueries(), g.NumAds()
 	if len(shards) > 1<<30 || uint64(nq) > math.MaxUint32 || uint64(na) > math.MaxUint32 {
-		return st, 0, fmt.Errorf("serve: snapshot dimensions overflow uint32")
+		return st, fmt.Errorf("serve: snapshot dimensions overflow uint32")
 	}
 
 	// Layout: header, strings, route, directory, then every shard's query
@@ -141,13 +140,13 @@ func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Sn
 			st.BytesReencoded += p.qLen + p.aLen
 		} else {
 			if prev == nil || i >= prev.meta.Shards {
-				return st, 0, fmt.Errorf("serve: shard %d has no scores and no previous generation to copy them from", i)
+				return st, fmt.Errorf("serve: shard %d has no scores and no previous generation to copy them from", i)
 			}
 			if shards[i].Fingerprint != prev.dir[i].fp {
-				return st, 0, fmt.Errorf("serve: shard %d marked clean but its fingerprint differs from the previous generation's", i)
+				return st, fmt.Errorf("serve: shard %d marked clean but its fingerprint differs from the previous generation's", i)
 			}
 			if err := p.copyFrom(prev, i); err != nil {
-				return st, 0, err
+				return st, err
 			}
 			st.CleanShards++
 			st.BytesCopied += p.qLen + p.aLen
@@ -209,7 +208,7 @@ func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Sn
 	}
 	<-pool
 	if err := cmp.Or(srErr, cmp.Or(errs...)); err != nil {
-		return st, 0, err
+		return st, err
 	}
 
 	// Blobs at the offsets their lengths now fix, then the directory and
@@ -220,10 +219,10 @@ func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Sn
 	for i := range parts {
 		p := &parts[i]
 		if err := checkTopKBlobLen(len(p.blob)); err != nil {
-			return st, 0, fmt.Errorf("serve: shard %d: %w", i, err)
+			return st, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
 		if _, err := w.WriteAt(p.blob, blobOff); err != nil {
-			return st, 0, err
+			return st, err
 		}
 		qPairs, aPairs := uint64(p.qLen/pairRecordSize), uint64(p.aLen/pairRecordSize)
 		entries.U64(uint64(p.off))
@@ -243,7 +242,7 @@ func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Sn
 	dir := entries.Bytes()
 	dirCRC := crc32.ChecksumIEEE(dir)
 	if _, err := w.WriteAt(dir, dirOff); err != nil {
-		return st, 0, err
+		return st, err
 	}
 
 	var flags uint32
@@ -286,24 +285,8 @@ func assembleSnapshot(w io.WriterAt, run *core.Result, cfg core.Config, prev *Sn
 	h.U32(tk.topN)
 	h.U64(tk.bidHash)
 	h.U32(0) // reserved
-	hdr := h.Seal()
-	if _, err := w.WriteAt(hdr, 0); err != nil {
-		return st, 0, err
-	}
-
-	// The whole file's CRC, region by region in file order.
-	crc := crc32.ChecksumIEEE(hdr)
-	crc = crc32Combine(crc, strCRC, strLen)
-	crc = crc32Combine(crc, routeCRC, routeLen)
-	crc = crc32Combine(crc, dirCRC, int64(len(dir)))
-	for i := range parts {
-		crc = crc32Combine(crc, parts[i].qCRC, parts[i].qLen)
-		crc = crc32Combine(crc, parts[i].aCRC, parts[i].aLen)
-	}
-	for i := range parts {
-		crc = crc32Combine(crc, parts[i].tkCRC, int64(len(parts[i].blob)))
-	}
-	return st, crc, nil
+	_, err := w.WriteAt(h.Seal(), 0)
+	return st, err
 }
 
 // encodeScratch is one writer worker's buffers, reused shard after shard:
@@ -400,58 +383,6 @@ func parallelFor(width, n int, fn func(wk, k int)) {
 type topkMeta struct {
 	k, topN uint32
 	bidHash uint64
-}
-
-// crc32Combine returns the CRC32 (IEEE) of a‖b from crcA = CRC(a), crcB =
-// CRC(b) and len(b), as zlib's crc32_combine does: CRC(a‖b) is CRC(a)
-// shifted through len(b) zero bytes — a multiplication by x^(8·len(b))
-// modulo the CRC polynomial — XOR CRC(b).
-func crc32Combine(crcA, crcB uint32, lenB int64) uint32 {
-	if lenB == 0 {
-		return crcA
-	}
-	return multModP(x8nModP(lenB), crcA) ^ crcB
-}
-
-// multModP multiplies a and b modulo the reflected IEEE polynomial; a must
-// be non-zero (every power of x is).
-func multModP(a, b uint32) uint32 {
-	var p uint32
-	for m := uint32(1) << 31; ; m >>= 1 {
-		if a&m != 0 {
-			p ^= b
-			if a&(m-1) == 0 {
-				return p
-			}
-		}
-		if b&1 != 0 {
-			b = b>>1 ^ crc32.IEEE
-		} else {
-			b >>= 1
-		}
-	}
-}
-
-// x2nModP[k] is x^(2^k) modulo the polynomial.
-var x2nModP = func() (t [32]uint32) {
-	p := uint32(1) << 30 // x^1
-	t[0] = p
-	for k := 1; k < 32; k++ {
-		p = multModP(p, p)
-		t[k] = p
-	}
-	return t
-}()
-
-// x8nModP returns x^(8n) modulo the polynomial.
-func x8nModP(n int64) uint32 {
-	p := uint32(1) << 31 // x^0
-	for k := 3; n > 0; n, k = n>>1, k+1 {
-		if n&1 != 0 {
-			p = multModP(x2nModP[k&31], p)
-		}
-	}
-	return p
 }
 
 // WriteSnapshotFileTopK writes the snapshot in place into a temporary file

@@ -180,7 +180,7 @@ func checkTopKBlobsMatchReference(t *testing.T, g0, g1 *clickgraph.Graph, opts T
 
 	run1, diff := runStep(t, g1, prev, 3)
 	var buf1 imageBuffer
-	rs, _, err := assembleRefresh(&buf1, prev, run1, opts.BidTerms)
+	rs, err := assembleRefresh(&buf1, prev, run1, opts.BidTerms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -461,7 +461,7 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 		t.Fatalf("fixture produced %d/%d dirty shards; want a mix", dirtyCount, len(diff.Dirty))
 	}
 	var buf1 imageBuffer
-	if _, _, err := assembleRefresh(&buf1, prev, run1, bids); err != nil {
+	if _, err := assembleRefresh(&buf1, prev, run1, bids); err != nil {
 		t.Fatalf("assembleRefresh: %v", err)
 	}
 	// Write to disk so the refreshed generation serves from the mmap path.
@@ -495,7 +495,7 @@ func TestRefreshPreservesPrecomputedIdentity(t *testing.T) {
 	// with must refuse — silently rebuilding only dirty lists would mix
 	// filter regimes across shards.
 	other := map[string]bool{g1.Query(1): true}
-	if _, _, err := assembleRefresh(&imageBuffer{}, prev, run1, other); err == nil {
+	if _, err := assembleRefresh(&imageBuffer{}, prev, run1, other); err == nil {
 		t.Fatal("assembleRefresh accepted a bid set differing from the section's")
 	}
 }
